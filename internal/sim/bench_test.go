@@ -3,10 +3,13 @@ package sim
 import "testing"
 
 // The BenchmarkEnv* suite measures the simulator kernel's per-event and
-// per-process costs (ns/op and allocs/op). BENCH_sim.json at the
-// repository root records the numbers before and after the hot-path
-// optimizations (pooled proc runners, closure-free wake-ups, intrusive
-// parked list); CI runs these as a smoke check.
+// per-process costs (ns/op and allocs/op), for use while working on
+// the kernel; CI runs them as a smoke check. A performance claim is
+// made with the repository benchmark instead: BENCHMARK.json names it
+// and benchmark/README.md ("Claiming a gain in a later PR") gives the
+// protocol. BENCH_sim.json keeps the hand-recorded history of the
+// early hot-path work (pooled proc runners, closure-free wake-ups,
+// intrusive parked list).
 
 // BenchmarkSimEventLoop is the headline kernel benchmark: a realistic
 // mix of timer events and process park/resume cycles, the shape every
@@ -23,8 +26,8 @@ import "testing"
 // inside the measured window; it exists purely to expose the queue's
 // sensitivity to pending-event count: O(log n) per schedule/dispatch for
 // a binary heap, O(1) for the calendar queue. base keeps the original
-// proc mill (park/resume handshake included) for continuity with the
-// PR 1 numbers in BENCH_sim.json.
+// proc mill (park/resume switch included) for continuity with the
+// PR 1 numbers in BENCH_sim.json's history.
 func BenchmarkSimEventLoop(b *testing.B) {
 	b.Run("base", benchEventLoopProcs)
 	b.Run("depth=1k", func(b *testing.B) { benchEventLoopDepth(b, 1<<10) })

@@ -29,25 +29,15 @@ type Env struct {
 	seq uint64
 	rng *RNG
 
-	// parked is the rendezvous on which a running process hands control
-	// back to the event loop (by parking or terminating). Because only one
-	// process runs at a time, one channel suffices.
-	parked chan struct{}
-
 	stopped     bool
 	nProcs      int     // live (not yet terminated) processes, for leak detection
 	parkedHead  *Proc   // intrusive list of parked processes, for teardown
-	freeRunners *runner // recycled process goroutines + rendezvous channels
+	freeRunners *runner // recycled process coroutines
 	freeProcs   *Proc   // recycled process objects, linked through parkNext
 
-	// until is the bound of the run in progress; the direct-handoff fast
-	// path (proc.go) must not dispatch past it on the loop's behalf.
+	// until is the bound of the run in progress: dispatch (proc.go) stops
+	// there whichever goroutine it runs on.
 	until Time
-
-	// inlinePanic carries a panic raised while a parking process was
-	// dispatching events inline; the loop goroutine rethrows it so Run's
-	// caller sees panics identically however the event was dispatched.
-	inlinePanic *forwardedPanic
 
 	// Invariant-oracle state (check.go). checked is latched at
 	// construction from simcheck.On(), so arming must happen before the
@@ -59,18 +49,9 @@ type Env struct {
 	lastSeq uint64
 }
 
-// forwardedPanic wraps a recovered panic value in transit between the
-// goroutine that caught it and the loop goroutine that rethrows it.
-type forwardedPanic struct {
-	val any
-}
-
 // NewEnv returns an environment with its clock at zero, seeded with seed.
 func NewEnv(seed int64) *Env {
-	e := &Env{
-		rng:    NewRNG(seed),
-		parked: make(chan struct{}),
-	}
+	e := &Env{rng: NewRNG(seed)}
 	if simcheck.On() {
 		e.checked = true
 		e.blocked = make(map[Waiter]string)
@@ -99,7 +80,7 @@ func (e *Env) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Stop terminates the event loop after the current event completes.
 // Remaining events are discarded; parked processes are abandoned (their
-// goroutines are unblocked and exit).
+// coroutines are unwound and exit).
 func (e *Env) Stop() { e.stopped = true }
 
 // Run executes events until the clock would pass until, the queue drains,
@@ -120,43 +101,26 @@ func (e *Env) RunAll() Time {
 	return e.now
 }
 
+// loop dispatches events up to until, switching to each process that
+// dispatch returns. If it is left by a panic or a Goexit — raised by a
+// callback, or by a process body and handed over by the coroutine —
+// every parked process and pooled runner is released before the caller
+// sees it, so a caller that recovers and builds the next environment
+// (the swarm's shrinker, the mutation smoke tests) leaks no goroutine.
+// The teardown audit is skipped on that path: it must not raise a second
+// violation while the first unwinds.
 func (e *Env) loop(until Time) {
 	e.until = until
-	// ev is hoisted out of the loop so the manual popUntil inline below
-	// costs no per-iteration zeroing on the levelled (cache-miss) path.
-	var ev event
-	for !e.stopped {
-		// wheel.popUntil, manually inlined (it sits just past the
-		// inliner's budget, and this loop runs once per event): a cache
-		// hit is a branch and a copy; every other case — empty cache,
-		// cached event past until, levelled events — is popSlow's.
-		if e.q.hasNext && e.q.next.at <= until {
-			ev = e.q.next
-			e.q.hasNext = false
-			e.q.count--
-		} else {
-			var ok bool
-			if ev, ok = e.q.popSlow(until); !ok {
-				break
-			}
+	finished := false
+	defer func() {
+		if !finished {
+			e.releaseParkedSlow()
 		}
-		if e.checked {
-			e.checkDispatch(ev.at, ev.seq)
-		}
-		e.now = ev.at
-		if ev.proc != nil {
-			e.runProcEvent(ev.proc)
-			// A panic raised while the proc's goroutine was dispatching
-			// events inline (direct handoff) surfaces here; plain callbacks
-			// run on this goroutine and panic through loop directly.
-			if fp := e.inlinePanic; fp != nil {
-				e.inlinePanic = nil
-				panic(fp.val)
-			}
-		} else {
-			ev.fn()
-		}
+	}()
+	for p := e.dispatch(); p != nil; p = e.dispatch() {
+		e.switchTo(p)
 	}
+	finished = true
 }
 
 // Pending reports the number of scheduled events, for tests.

@@ -1,6 +1,8 @@
 package sim
 
-// Proc is a simulated process: a goroutine that runs strictly one at a
+import "iter"
+
+// Proc is a simulated process: a coroutine that runs strictly one at a
 // time under the event loop's control. A Proc may block on simulated time
 // (Sleep) or on synchronization primitives (Gate, Queue); while it is
 // blocked, other events and processes run. This is how unithreads,
@@ -9,31 +11,33 @@ package sim
 // the cheaper tier-1 Task (task.go) instead, which never leaves the
 // event loop's goroutine.
 //
-// The implementation uses a two-channel handshake: when the event loop
-// transfers control to a process it blocks on env.parked until the
-// process parks again or terminates, so at most one process (or the loop)
-// executes at any moment and no user-level locking is needed anywhere in
-// the simulator. The goroutine and its rendezvous channel live in a
-// runner that outlives the Proc: when a process terminates, its runner
-// returns to the environment's free list and the next Go reuses it, so
-// per-request process churn (one unithread per request in the scheduler)
-// costs neither a goroutine spawn nor a channel allocation in steady
-// state. Terminated Proc objects are recycled the same way (freeProcs),
-// so steady-state Go is allocation-free too.
+// Each process runs on a runtime coroutine (iter.Pull): the loop
+// goroutine — whichever goroutine called Run — resumes it with next, and
+// a parking or terminating process returns control with yield. Control
+// moves by a direct goroutine-to-goroutine switch that never enters the
+// runtime scheduler, so at most one process (or the loop) executes at any
+// moment, no user-level locking is needed anywhere in the simulator, and
+// a panic (or Goexit) in a process body unwinds through next into Run's
+// caller like any other. Only the loop goroutine ever calls next or stop:
+// a process never resumes another process itself, which would nest the
+// second inside the first instead of switching to it. The coroutine
+// lives in a runner that outlives the Proc: when a process terminates,
+// its runner returns to the environment's free list and the next start
+// reuses it, so per-request process churn (one unithread per request in
+// the scheduler) costs no coroutine creation in steady state. Terminated
+// Proc objects are recycled the same way (freeProcs), so steady-state Go
+// is allocation-free too.
 //
-// Direct handoff (the tier-2 fast path): a real park/resume round trip
-// through the loop goroutine costs four channel operations — park send,
-// loop wake, resume send, process wake — i.e. two OS-level context
-// switches per simulated one. park avoids the trip entirely: before
-// yielding, the parking process pops the queue and dispatches upcoming
-// events itself. A resume of the parking process returns from park with
-// zero channel operations (the Sleep and Gate.Wake→Wait shapes); a
-// resume or start of another process transfers control goroutine-to-
-// goroutine with one send; a plain callback runs inline. Only when the
-// next event is past the run bound (or the queue drains) does control
-// revert to the loop goroutine. Dispatch order is bit-identical: the
-// handoff consumes exactly the event the loop would have popped next,
-// only on a different goroutine.
+// Direct handoff (the tier-2 fast path): before yielding, a parking
+// process dispatches upcoming events itself (Env.dispatch, the same code
+// the loop runs). A resume of the parking process returns from park with
+// no switch at all (the Sleep and Gate.Wake→Wait shapes); a plain
+// callback runs inline; a resume or start of another process is yielded
+// to the loop, which switches to it without popping again — two
+// coroutine switches. Only when the next event is past the run bound (or
+// the queue drains) does the loop pop for itself. Dispatch order is
+// bit-identical by construction: one function pops every event, only on
+// different goroutines.
 type Proc struct {
 	env  *Env
 	name string
@@ -45,32 +49,24 @@ type Proc struct {
 	// teardown. Replaces a map so the hot park/resume path stays free of
 	// hashing. parkNext doubles as the freeProcs link once terminated.
 	parkPrev, parkNext *Proc
-	parked             bool
-}
-
-type procSignal struct {
-	abort bool
 }
 
 // abortSignal is panicked inside a parked process when the environment
-// tears down, unwinding the process goroutine. Process bodies must not
+// tears down, unwinding the process's stack. Process bodies must not
 // park again from deferred functions.
 type abortSignal struct{}
 
-// runner is a reusable process executor: one goroutine plus the
-// rendezvous channel the event loop uses to hand control to it. Runners
-// are pooled per Env (freeRunners) and recycled across processes within
-// a run; releaseParked drains the pool when a run finishes so idle
-// goroutines never outlive the simulation that created them.
+// runner is a reusable process executor: one coroutine and the three
+// functions that switch into and out of it. Runners are pooled per Env
+// (freeRunners) and recycled across processes within a run; releaseParked
+// stops the pool when a run finishes so idle coroutines never outlive
+// the simulation that created them.
 type runner struct {
-	work   chan runnerWork // loop → runner: begin a new process body
-	resume chan procSignal // loop → runner: resume the parked process
-	next   *runner         // free-list link
-}
-
-type runnerWork struct {
-	p  *Proc
-	fn func(*Proc)
+	resume func() (*Proc, bool) // loop → runner; returns what the runner yielded
+	stop   func()               // loop → runner: make the pending yield return false
+	yield  func(*Proc) bool     // runner → loop, naming the process to switch to (or nil)
+	p      *Proc                // process the next resume of a pooled runner starts
+	next   *runner              // free-list link
 }
 
 // Go creates a process that will begin executing fn at the current
@@ -92,52 +88,48 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// runProcEvent dispatches a proc-carrying event: the start of a new
-// process (first firing after Go) or the resumption of a parked one.
-func (e *Env) runProcEvent(p *Proc) {
-	if fn := p.body; fn != nil {
-		p.body = nil
-		e.beginProc(p, fn)
-	} else {
-		e.resumeProc(p)
-	}
-	<-e.parked
-}
-
-// beginProc hands a (new or recycled) runner the process body. Control
-// transfers to the runner goroutine; the caller must then block on its
-// own rendezvous — the loop on e.parked, a parking process on its
-// resume channel.
-func (e *Env) beginProc(p *Proc, fn func(*Proc)) {
-	if r := e.freeRunners; r != nil {
-		e.freeRunners = r.next
-		r.next = nil
-		p.r = r
-		r.work <- runnerWork{p: p, fn: fn}
-	} else {
-		r := &runner{work: make(chan runnerWork), resume: make(chan procSignal)}
-		p.r = r
-		go r.loop(e, runnerWork{p: p, fn: fn})
-	}
-}
-
-// loop runs process bodies until the environment closes the runner's
-// work channel. Between bodies the runner parks itself on the free list;
-// the push happens while every other simulator goroutine is blocked, so
-// the list needs no locking.
-func (r *runner) loop(e *Env, w runnerWork) {
-	for {
-		r.runBody(w)
-		e.nProcs--
-		r.next = e.freeRunners
-		e.freeRunners = r
-		e.releaseProc(w.p)
-		e.parked <- struct{}{}
-		var ok bool
-		if w, ok = <-r.work; !ok {
-			return
+// switchTo transfers control from the loop goroutine to p — the start
+// of a new process (first firing after Go) on a pooled or new runner, or
+// the resumption of a parked one — and then to each process the
+// yielding one names in turn, until one yields nil.
+func (e *Env) switchTo(p *Proc) {
+	for p != nil {
+		if p.body != nil {
+			r := e.freeRunners
+			if r != nil {
+				e.freeRunners = r.next
+			} else {
+				r = e.newRunner()
+			}
+			r.p, p.r = p, r
+		} else if p.done {
+			panic("sim: resuming terminated proc " + p.name)
 		}
+		p, _ = p.r.resume()
 	}
+}
+
+// newRunner builds a runner whose coroutine runs process bodies until
+// stop makes its yield return false. Between bodies the runner sits on
+// the free list; the push happens while the loop goroutine is suspended
+// in resume, so the list needs no locking.
+func (e *Env) newRunner() *runner {
+	r := &runner{}
+	r.resume, r.stop = iter.Pull(func(yield func(*Proc) bool) {
+		r.yield = yield
+		for {
+			p := r.p
+			runBody(p)
+			e.nProcs--
+			e.releaseProc(p)
+			r.next = e.freeRunners
+			e.freeRunners = r
+			if !yield(nil) {
+				return
+			}
+		}
+	})
+	return r
 }
 
 // releaseProc recycles a terminated process object onto the free list.
@@ -148,8 +140,10 @@ func (e *Env) releaseProc(p *Proc) {
 }
 
 // runBody executes one process body, converting the teardown abort into
-// a normal return so the runner goroutine survives for reuse.
-func (r *runner) runBody(w runnerWork) {
+// a normal return so the runner ends through its loop. Any other panic
+// continues into the coroutine, which hands it to the resume (or stop)
+// that switched here: it reaches Run's caller with its value unchanged.
+func runBody(p *Proc) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			if _, ok := rec.(abortSignal); !ok {
@@ -157,7 +151,9 @@ func (r *runner) runBody(w runnerWork) {
 			}
 		}
 	}()
-	w.fn(w.p)
+	fn := p.body
+	p.body = nil
+	fn(p)
 }
 
 // Name returns the process's debug name.
@@ -172,46 +168,41 @@ func (p *Proc) Now() Time { return p.env.now }
 // park hands control back to the event loop until some event resumes this
 // process. The caller must have arranged for a wake-up first. See the
 // type comment for the direct-handoff fast path taken before the
-// goroutine actually blocks.
+// coroutine actually yields.
 func (p *Proc) park() {
 	e := p.env
-	p.parked = true
 	p.parkNext = e.parkedHead
 	if e.parkedHead != nil {
 		e.parkedHead.parkPrev = p
 	}
-	// p.parkPrev is already nil: unlinkParked zeroed it on the last
+	// p.parkPrev is already nil: unlinkParked zeroed it after the last
 	// resume, and Go/releaseProc reset fresh and recycled procs.
 	e.parkedHead = p
 
-	if e.dispatchFrom(p) {
-		return // resumed inline: no channel operations at all
-	}
-	sig := <-p.r.resume
-	if sig.abort {
+	if q := e.dispatch(); q != p && !p.r.yield(q) {
 		panic(abortSignal{})
 	}
+	e.unlinkParked(p)
 }
 
-// dispatchFrom dispatches pending events from the goroutine of the
-// process that is parking, in exactly the order the event loop would
-// have. It returns true when the dispatched event resumes p itself;
-// otherwise it has transferred control (to another process's goroutine,
-// or — by sending on e.parked — back to the loop) and the caller must
-// block on its resume channel.
-func (e *Env) dispatchFrom(p *Proc) bool {
+// dispatch pops and dispatches events in (at, seq) order up to the run
+// bound, running plain callbacks inline, until an event targets a
+// process, and returns that process for the caller to switch to: the
+// loop does, and so does a parking process unless the event is its own
+// resume. It returns nil when the bound is reached, the queue drains or
+// the run is stopped. Exactly one goroutine ever executes simulator
+// code, so "event-loop context" holds for callbacks run from a process
+// too.
+func (e *Env) dispatch() *Proc {
+	// ev is hoisted out of the loop so the manual popUntil inline below
+	// costs no per-iteration zeroing on the levelled (cache-miss) path.
 	var ev event
 	for !e.stopped {
-		if e.checked {
-			// Checked builds pop through a recover wrapper: a wheel or
-			// dispatch-order oracle firing here would otherwise crash this
-			// process goroutine instead of reaching Run's caller.
-			var ok bool
-			if ev, ok = e.popChecked(); !ok {
-				break
-			}
-		} else if e.q.hasNext && e.q.next.at <= e.until {
-			// wheel.popUntil, manually inlined as in Env.loop.
+		// wheel.popUntil, manually inlined (it sits just past the
+		// inliner's budget, and this loop runs once per event): a cache
+		// hit is a branch and a copy; every other case — empty cache,
+		// cached event past until, levelled events — is popSlow's.
+		if e.q.hasNext && e.q.next.at <= e.until {
 			ev = e.q.next
 			e.q.hasNext = false
 			e.q.count--
@@ -221,71 +212,24 @@ func (e *Env) dispatchFrom(p *Proc) bool {
 				break
 			}
 		}
-		q, fn := ev.proc, ev.fn
+		if e.checked {
+			e.checkDispatch(ev.at, ev.seq)
+		}
 		e.now = ev.at
-		if q == nil {
-			// Plain callback. Exactly one goroutine ever executes
-			// simulator code, so "event-loop context" holds here too; a
-			// panic is forwarded so Run's caller still observes it.
-			if !e.runInline(fn) {
-				break
-			}
+		if ev.proc == nil {
+			ev.fn()
 			continue
 		}
-		if bodyFn := q.body; bodyFn != nil {
-			q.body = nil
-			e.beginProc(q, bodyFn)
-			return false
-		}
-		if q == p {
-			e.unlinkParked(p)
-			return true
-		}
-		if q.done {
-			e.inlinePanic = &forwardedPanic{val: "sim: resuming terminated proc " + q.name}
-			break
-		}
-		e.unlinkParked(q)
-		q.r.resume <- procSignal{}
-		return false
+		return ev.proc
 	}
-	e.parked <- struct{}{}
-	return false
+	return nil
 }
 
-// runInline executes one plain callback on a parking process's
-// goroutine, capturing a panic for the loop goroutine to rethrow so
-// Run's caller observes it exactly as if the loop had run the callback.
-func (e *Env) runInline(fn func()) (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.inlinePanic = &forwardedPanic{val: rec}
-		}
-	}()
-	fn()
-	return true
-}
-
-// resumeProc transfers control from the event loop to a parked process.
-// Must only be called from event-loop context; the caller blocks on
-// e.parked afterwards (runProcEvent).
-func (e *Env) resumeProc(p *Proc) {
-	if p.done {
-		panic("sim: resuming terminated proc " + p.name)
-	}
-	e.unlinkParked(p)
-	p.r.resume <- procSignal{}
-}
-
-// unlinkParked removes p from the parked list.
+// unlinkParked removes p, which must be on it, from the parked list.
 func (e *Env) unlinkParked(p *Proc) {
-	if !p.parked {
-		return
-	}
-	p.parked = false
 	if p.parkPrev != nil {
 		p.parkPrev.parkNext = p.parkNext
-	} else if e.parkedHead == p {
+	} else {
 		e.parkedHead = p.parkNext
 	}
 	if p.parkNext != nil {
@@ -320,7 +264,7 @@ func (e *Env) ScheduleResume(p *Proc, at Time) { e.scheduleResume(p, at) }
 // Yield parks the process behind every event already scheduled at the
 // current time: it files its own resumption at now and parks, so pending
 // same-timestamp events dispatch first, in order. With direct handoff, a
-// Yield with nothing else pending returns with zero channel operations —
+// Yield with nothing else pending returns with no coroutine switch —
 // it is the cheapest possible park/resume boundary. The scheduler's flat
 // unithread tier brackets each inline execution segment with Yields to
 // reproduce, one for one, the event-queue boundaries a goroutine-backed
@@ -371,9 +315,9 @@ func (e *Env) skipAhead(at Time) bool {
 	return true
 }
 
-// releaseParked unwinds any still-parked process goroutines and drains
-// the runner pool. Called when a run finishes so that repeated
-// simulations (benchmark sweeps) do not leak goroutines. The common
+// releaseParked unwinds any still-parked processes and stops the runner
+// pool. Called when a run finishes so that repeated simulations
+// (benchmark sweeps) do not leak goroutines. The common
 // nothing-to-release case — no process ever parked, no runner pooled —
 // inlines into Run/RunAll; the unwind loops live in the slow half.
 func (e *Env) releaseParked() {
@@ -386,15 +330,18 @@ func (e *Env) releaseParked() {
 	}
 }
 
+// releaseParkedSlow stops every coroutine the environment still owns. A
+// parked process unwinds (abortSignal), pushes its runner on the free
+// list and ends; stopping it a second time from that list, or stopping
+// a runner whose coroutine a panic already ended, does nothing.
 func (e *Env) releaseParkedSlow() {
 	for e.parkedHead != nil {
 		p := e.parkedHead
 		e.unlinkParked(p)
-		p.r.resume <- procSignal{abort: true}
-		<-e.parked
+		p.r.stop()
 	}
 	for r := e.freeRunners; r != nil; r = r.next {
-		close(r.work)
+		r.stop()
 	}
 	e.freeRunners = nil
 }

@@ -4,5 +4,5 @@ package sim
 
 // raceEnabled reports whether the race detector is compiled in; the
 // alloc-guard tests skip under it because the detector instruments
-// allocation and channel paths (see race_on.go).
+// allocation (see race_on.go).
 const raceEnabled = false

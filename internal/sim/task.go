@@ -1,13 +1,13 @@
 package sim
 
 // Task is the tier-1 execution primitive: a timer-driven state machine
-// scheduled directly on the timing wheel. Where a Proc is a goroutine
+// scheduled directly on the timing wheel. Where a Proc is a coroutine
 // that may block mid-function (Sleep, Gate.Wait) — costing a real
-// channel handshake per simulated context switch — a Task is just a
+// stack switch per simulated context switch — a Task is just a
 // callback the event loop invokes at the times the task arms itself
 // for. Between firings its state lives in explicit fields, not on a
-// goroutine stack, so firing a task costs exactly one wheel dispatch:
-// no goroutine, no channels, no allocation (the callback closure is
+// stack of its own, so firing a task costs exactly one wheel dispatch:
+// no goroutine, no switch, no allocation (the callback closure is
 // built once at construction and reused for every firing).
 //
 // Model loops that never block mid-step — the loadgen arrival loop, the

@@ -34,7 +34,9 @@ import (
 // cycles apart over millisecond horizons), so giant levels thrash the
 // cache during bitmap scans and cascades, while tiny levels cascade too
 // often. 1024 buckets keeps each level's header+bitmap ~24 KiB — L2
-// resident — and was measured fastest end-to-end (see BENCH_sim.json).
+// resident — and was measured fastest end-to-end (both sweeps are kept
+// in BENCH_sim.json, the history file; the live per-event number is
+// sim.rig_event_ns of the repository benchmark, BENCHMARK.json).
 //
 // Determinism. Dispatch order is bit-identical to the heap's (at, seq)
 // order, argued in two parts (see DESIGN.md for the long form):

@@ -224,7 +224,11 @@ func (r Result) Failed() bool { return len(r.Violations) > 0 }
 // audit sweep — lands in Result.Violations. The caller must have armed
 // the checker (simcheck.SetArmed) before calling: the environment
 // latches its checked flag at construction time.
-func Run(sc Scenario) (res Result) {
+func Run(sc Scenario) Result { return run(sc, nil) }
+
+// run is Run with a seam for the package's tests: started, when not
+// nil, sees the assembled system after StartApp and before the load.
+func run(sc Scenario, started func(*core.System)) (res Result) {
 	res.Scenario = sc
 	defer func() {
 		if r := recover(); r != nil {
@@ -263,6 +267,9 @@ func Run(sc Scenario) (res Result) {
 		app.WarmCache()
 	}
 	sys.StartApp(app)
+	if started != nil {
+		started(sys)
+	}
 	r := sys.Run(app, sc.RPS, sc.Warmup, sc.Measure)
 	res.Completed = r.Completed
 

@@ -1,8 +1,12 @@
 package explore
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/sched"
 	"repro/internal/simcheck"
 )
 
@@ -62,5 +66,34 @@ func TestScenarioVariety(t *testing.T) {
 	if replicated < 10 || writes < 10 || crashes < 10 || rejoins < 3 {
 		t.Fatalf("sampler coverage too thin: replicated=%d writes=%d crashes=%d rejoins=%d",
 			replicated, writes, crashes, rejoins)
+	}
+}
+
+// TestProcContextViolationIsReported: an oracle that fires on a
+// process's coroutine (a worker completing a request here; a unithread
+// handler or WaitPage in the field) must unwind into Run's recover and
+// come back as a violation with its repro line, not kill the swarm —
+// and the next scenario in the same process must still run clean.
+func TestProcContextViolationIsReported(t *testing.T) {
+	simcheck.SetArmed(true)
+	defer simcheck.SetArmed(false)
+	for _, mode := range []core.Mode{core.Adios, core.DiLOS} {
+		sc := Generate(42, 0, true)
+		sc.Mode = mode
+		sc.Faults = faults.Config{}
+		completed := 0
+		res := run(sc, func(sys *core.System) {
+			sys.Sched.OnComplete = func(*sched.Request) {
+				if completed++; completed == 10 {
+					simcheck.Fail(simcheck.New("test/proc-context", "raised by a worker"))
+				}
+			}
+		})
+		if len(res.Violations) != 1 || !strings.HasPrefix(res.Violations[0].Error(), "test/proc-context") {
+			t.Fatalf("%v: violations = %v, want the one raised in proc context", mode, res.Violations)
+		}
+		if again := Run(sc); again.Failed() {
+			t.Fatalf("%v: clean rerun after a recovered violation failed: %v", mode, again.Violations)
+		}
 	}
 }

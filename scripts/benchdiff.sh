@@ -13,8 +13,12 @@
 #
 # End-to-end mode (-e) builds cmd/adios-bench in both trees and times
 # alternating whole runs (default `-exp shards -short`), reporting the
-# per-pair wall-clock seconds, the per-side medians, and the ratio —
-# the number BENCH_sim.json's end-to-end rows record.
+# per-pair wall-clock seconds, the per-side medians, and the ratio.
+#
+# This is a working tool. A performance claim is made with the
+# repository benchmark: BENCHMARK.json names it, and benchmark/README.md
+# ("Claiming a gain in a later PR") gives the pair protocol and the
+# -compare check. BENCH_sim.json is history and is no longer added to.
 #
 # The baseline is materialized with `git worktree` — no network, no
 # stashing; uncommitted changes in the working tree are measured as-is.
