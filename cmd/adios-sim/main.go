@@ -55,7 +55,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a chrome://tracing / Perfetto trace of the run to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-	qdepth := flag.Bool("qdepth", false, "report the simulation's pending-event high-water mark")
+	qdepth := flag.Bool("qdepth", false, "report the simulation's pending-event high-water mark and the kernel's park/switch/skip-ahead counts per request")
 	check := flag.Bool("check", false, "arm the simcheck invariant oracles for this run")
 	flag.Parse()
 
@@ -221,6 +221,11 @@ func main() {
 	fmt.Printf(" disp=%.0f%%\n", float64(sys.Sched.DispatcherCycles())/elapsed*100)
 	if *qdepth {
 		fmt.Printf("qdepth      peak-pending-events=%d\n", sys.Env.MaxPending())
+		// The kernel's self-counters over the whole run, per request the
+		// scheduler completed in it (warm-up and drain included).
+		ks, n := sys.Env.KernelStats(), float64(sys.Sched.Completed.Value())
+		fmt.Printf("kernel      parks/req=%.2f switches/req=%.2f skip-aheads/req=%.2f\n",
+			float64(ks.Parks)/n, float64(ks.Switches)/n, float64(ks.SkipAheads)/n)
 	}
 	for _, class := range sortedClassNames(res) {
 		h := res.Gen.ByClass[class]

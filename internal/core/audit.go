@@ -7,7 +7,8 @@ import (
 
 // Audit runs the end-of-run global oracles over a finished run: the
 // structural sweeps each subsystem exports (paging invariants, memnode
-// capacity, wheel bitmaps), repair convergence, histogram ledgers, and
+// capacity, wheel bitmaps, scheduler-core liveness), repair convergence,
+// histogram ledgers, and
 // the request conservation identity. The seed-swarm explorer calls it
 // after every scenario; tests can call it after any Run.
 //
@@ -36,6 +37,9 @@ func (sys *System) Audit(res RunResult, strict bool) []error {
 		add(collect(func() error { return sys.Mgr.CheckReplication() }))
 	}
 	add(collect(func() error { sys.Env.CheckWheel(); return nil }))
+	if sys.Sched != nil {
+		add(sys.Sched.CheckLiveness())
+	}
 	if res.Gen != nil {
 		sent := res.Gen.Sent.Value()
 		acct := res.Completed + res.Drops

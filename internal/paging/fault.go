@@ -129,78 +129,128 @@ func (m *Manager) recycleFetch(f *Fetch) {
 	m.freeFetches = append(m.freeFetches, f)
 }
 
-// RequestPage drives one step of the fault state machine for (s, vpn)
-// under thread t. It returns true if the page is already resident (the
-// access can proceed). Otherwise it arranges for onReady to be invoked
-// when the page's state changes in the caller's favour and returns false;
-// the caller blocks and then re-invokes RequestPage — transitions like
-// write-back-then-refetch need several rounds. onReady receives a
-// non-nil *FetchError when the fetch was abandoned after bounded
-// retries; the caller must then fail the access instead of re-invoking.
+// PageStatus is the outcome of one TryRequestPage call.
+type PageStatus int
+
+const (
+	// PageResident: the page is present; the access can proceed.
+	PageResident PageStatus = iota
+	// PagePending: onReady is registered and will be invoked when the
+	// page's state changes in the caller's favour.
+	PagePending
+	// PageStalled: the frame pool is empty or the QP cannot take a post.
+	// The caller's waiter is registered there; when it is woken the
+	// caller repeats the call with the same FaultCall.
+	PageStalled
+)
+
+// FaultCall carries one TryRequestPage call across its stalls. The zero
+// value starts a call; the call is over when the status is not
+// PageStalled, and the value is zero again.
+type FaultCall struct {
+	alloc bool   // the miss is counted; the call waits for a frame
+	fetch *Fetch // the page is marked fetching; the read is not posted yet
+}
+
+// QPSource names the queue pairs a faulting context issues page
+// movements on: the carrying worker's, one per memory node.
+type QPSource interface {
+	QP(node int) *rdma.QP
+}
+
+// TryRequestPage drives one step of the fault state machine for (s, vpn)
+// without ever blocking. PageResident means the access can proceed.
+// PagePending means onReady will be invoked when the page's state changes
+// in the caller's favour; the caller waits for it and then calls again
+// with a fresh FaultCall — transitions like write-back-then-refetch need
+// several rounds. onReady receives a non-nil *FetchError when the fetch
+// was abandoned after bounded retries; the caller must then fail the
+// access instead of calling again. PageStalled is the stall the paper
+// observes when the pool runs dry or the NIC cannot match host
+// processing (§5.2): w is registered with the frame pool or the QP and
+// is woken when a frame or slot may be free (Mesa semantics: the wake
+// means "call again", not "yours").
 //
 // The demand flag marks a real miss (first round of a fault) for
 // accounting.
-func (m *Manager) RequestPage(t Thread, s *Space, vpn int64, onReady func(error), demand bool) bool {
+func (m *Manager) TryRequestPage(c *FaultCall, w sim.Waiter, q QPSource, s *Space, vpn int64, onReady func(error), demand bool) PageStatus {
+	if c.fetch != nil {
+		return m.postFetch(c, w, q)
+	}
 	e := &s.ptes[vpn]
-	switch e.state {
-	case pagePresent:
-		m.touch(e)
-		return true
+	if !c.alloc {
+		switch e.state {
+		case pagePresent:
+			m.touch(e)
+			return PageResident
 
-	case pageFetching:
-		// Someone else (or a prefetch) is already fetching this page;
-		// piggyback on their completion.
-		if demand {
-			m.FetchWaits.Inc()
-			if !e.fetch.demand {
-				m.PrefetchHits.Inc()
+		case pageFetching:
+			// Someone else (or a prefetch) is already fetching this page;
+			// piggyback on their completion.
+			if demand {
+				m.FetchWaits.Inc()
+				if !e.fetch.demand {
+					m.PrefetchHits.Inc()
+				}
 			}
-		}
-		e.fetch.waiters = append(e.fetch.waiters, onReady)
-		return false
+			e.fetch.waiters = append(e.fetch.waiters, onReady)
+			return PagePending
 
-	case pageWriteback:
-		// The page is being written back; once the write-back completes
-		// the PTE becomes absent and the caller refaults.
-		e.fetch.waiters = append(e.fetch.waiters, onReady)
-		return false
+		case pageWriteback:
+			// The page is being written back; once the write-back completes
+			// the PTE becomes absent and the caller refaults.
+			e.fetch.waiters = append(e.fetch.waiters, onReady)
+			return PagePending
 
-	case pageAbsent:
-		if demand {
-			m.Faults.Inc()
-		}
-		fr := m.allocFrame(t.Proc())
-		// Allocation may have blocked; the page state can have changed
-		// while we waited (another thread may have fetched it).
-		if e.state != pageAbsent {
-			m.freeFrame(fr)
-			return m.RequestPage(t, s, vpn, onReady, false)
-		}
-		f := m.newFetch(s, vpn, fr, false, demand)
-		f.waiters = append(f.waiters, onReady)
-		m.startFetch(t, f)
-		m.fetchSpan(t, s, vpn)
-		switch m.cfg.PrefetchPolicy {
-		case Sequential:
-			m.prefetchAround(t, s, vpn)
-		case Leap:
-			m.leapRecord(s, vpn)
-			m.leapPrefetch(t, s, vpn)
-		}
-		return false
+		case pageAbsent:
+			if demand {
+				m.Faults.Inc()
+			}
+			c.alloc = true
 
-	default:
-		simcheck.Fail(simcheck.New("paging/pte-state", "invalid page state").
-			With("space", s.name).With("page", vpn).With("state", e.state))
-		return false
+		default:
+			simcheck.Fail(simcheck.New("paging/pte-state", "invalid page state").
+				With("space", s.name).With("page", vpn).With("state", e.state))
+		}
+	}
+	fr, ok := m.allocFrame(w)
+	if !ok {
+		return PageStalled
+	}
+	c.alloc = false
+	// The call may have waited for the frame; the page state can have
+	// changed meanwhile (another thread may have fetched it).
+	if e.state != pageAbsent {
+		m.freeFrame(fr)
+		return m.TryRequestPage(c, w, q, s, vpn, onReady, false)
+	}
+	f := m.newFetch(s, vpn, fr, false, demand)
+	f.waiters = append(f.waiters, onReady)
+	m.startFetch(q, f)
+	c.fetch = f
+	return m.postFetch(c, w, q)
+}
+
+// RequestPage is TryRequestPage for a context with a stack of its own:
+// it parks t's process through every stall and reports whether the page
+// is resident (true) or onReady is registered (false).
+func (m *Manager) RequestPage(t Thread, s *Space, vpn int64, onReady func(error), demand bool) bool {
+	var c FaultCall
+	p := t.Proc()
+	for {
+		switch m.TryRequestPage(&c, p, t, s, vpn, onReady, demand) {
+		case PageResident:
+			return true
+		case PagePending:
+			return false
+		}
+		p.Park()
 	}
 }
 
-// startFetch transitions the PTE to fetching and posts the RDMA READ. If
-// the QP is saturated (or errored and draining) the calling thread waits
-// for a slot — the stall the paper observes when the NIC cannot match
-// host processing (§5.2).
-func (m *Manager) startFetch(t Thread, f *Fetch) {
+// startFetch transitions the PTE to fetching and picks the node and QP
+// the READ goes to; postFetch posts it.
+func (m *Manager) startFetch(q QPSource, f *Fetch) {
 	s, vpn := f.Space, f.VPN
 	e := &s.ptes[vpn]
 	e.state = pageFetching
@@ -209,7 +259,7 @@ func (m *Manager) startFetch(t Thread, f *Fetch) {
 	fr.space, fr.vpn, fr.state = s.id, vpn, frameFilling
 
 	node := m.fetchNode(s, vpn)
-	qp := t.QP(node)
+	qp := q.QP(node)
 	f.qp = qp
 	f.node = node
 	f.tried = 1 << uint(node)
@@ -218,12 +268,28 @@ func (m *Manager) startFetch(t Thread, f *Fetch) {
 		f.migGen = m.migr.Gen(s, vpn)
 	}
 	f.src = s.region.SliceFor(vpn*PageSize, PageSize, node, qp.Name())
-	for {
-		if err := qp.PostReadAlias(f.src, f); err == nil {
-			return
-		}
-		qp.WaitSlot(t.Proc())
+}
+
+// postFetch posts c.fetch's READ and, once it is out, the read-ahead
+// that rides on a demand miss. A QP that is saturated, or errored and
+// draining, refuses the post: w waits for a slot and the call stalls.
+func (m *Manager) postFetch(c *FaultCall, w sim.Waiter, q QPSource) PageStatus {
+	f := c.fetch
+	if f.qp.PostReadAlias(f.src, f) != nil {
+		f.qp.AddSlotWaiter(w)
+		return PageStalled
 	}
+	c.fetch = nil
+	s, vpn := f.Space, f.VPN
+	m.fetchSpan(q, s, vpn)
+	switch m.cfg.PrefetchPolicy {
+	case Sequential:
+		m.prefetchAround(q, s, vpn)
+	case Leap:
+		m.leapRecord(s, vpn)
+		m.leapPrefetch(q, s, vpn)
+	}
+	return PagePending
 }
 
 // fetchNode picks the node a fetch of (s, vpn) should read from: the
@@ -268,12 +334,12 @@ func (m *Manager) failoverNode(s *Space, f *Fetch) (int, bool) {
 // span fill). It is skipped — returning false — when frames or QP slots
 // are scarce, so background fetches never induce reclaim pressure or
 // stall the faulting thread.
-func (m *Manager) issueAsync(t Thread, s *Space, vpn int64) bool {
+func (m *Manager) issueAsync(q QPSource, s *Space, vpn int64) bool {
 	if vpn >= s.Pages() || s.ptes[vpn].state != pageAbsent {
 		return true // nothing to do; not a resource failure
 	}
 	node := m.fetchNode(s, vpn)
-	qp := t.QP(node)
+	qp := q.QP(node)
 	if qp.Full() || qp.Errored() {
 		return false
 	}
@@ -308,7 +374,7 @@ func (m *Manager) issueAsync(t Thread, s *Space, vpn int64) bool {
 // fetchSpan fills the rest of a demand fault's aligned span when the
 // fetch granularity (Config.FetchAlign) exceeds one page — the
 // huge-page-granularity memory-node model and its I/O amplification.
-func (m *Manager) fetchSpan(t Thread, s *Space, vpn int64) {
+func (m *Manager) fetchSpan(q QPSource, s *Space, vpn int64) {
 	align := int64(m.cfg.FetchAlign)
 	if align <= 1 {
 		return
@@ -318,7 +384,7 @@ func (m *Manager) fetchSpan(t Thread, s *Space, vpn int64) {
 		if p == vpn {
 			continue
 		}
-		if !m.issueAsync(t, s, p) {
+		if !m.issueAsync(q, s, p) {
 			return
 		}
 	}
@@ -352,9 +418,9 @@ func (m *Manager) PrefetchRange(t Thread, s *Space, off, n int64) int {
 // prefetchAround issues sequential read-ahead after a demand miss,
 // fetching up to cfg.Prefetch following pages that are absent. Prefetches
 // never block: they are skipped when frames or QP slots are scarce.
-func (m *Manager) prefetchAround(t Thread, s *Space, vpn int64) {
+func (m *Manager) prefetchAround(q QPSource, s *Space, vpn int64) {
 	for i := 1; i <= m.cfg.Prefetch; i++ {
-		if !m.issueAsync(t, s, vpn+int64(i)) {
+		if !m.issueAsync(q, s, vpn+int64(i)) {
 			return
 		}
 		m.PrefetchIssued.Inc()

@@ -105,7 +105,7 @@ func (m *Manager) leapRecord(s *Space, vpn int64) {
 }
 
 // leapPrefetch issues trend prefetches after a demand miss.
-func (m *Manager) leapPrefetch(t Thread, s *Space, vpn int64) {
+func (m *Manager) leapPrefetch(q QPSource, s *Space, vpn int64) {
 	stride, ok := s.leap.trend()
 	if !ok {
 		s.leap.streak = 0
@@ -122,7 +122,7 @@ func (m *Manager) leapPrefetch(t Thread, s *Space, vpn int64) {
 		if next < 0 || next >= s.Pages() {
 			return
 		}
-		if !m.issueAsync(t, s, next) {
+		if !m.issueAsync(q, s, next) {
 			return
 		}
 		m.PrefetchIssued.Inc()

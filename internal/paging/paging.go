@@ -13,6 +13,7 @@ package paging
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memnode"
 	"repro/internal/rdma"
@@ -36,10 +37,10 @@ const PageShift = 12
 type Thread interface {
 	// Proc returns the simulated process to block and charge time on.
 	Proc() *sim.Proc
-	// QP returns the queue pair page movements for the given memory
-	// node are issued on (the current worker's QP to that node). A
-	// single-node system always passes node 0.
-	QP(node int) *rdma.QP
+	// QP (QPSource, fault.go) returns the queue pair page movements for
+	// the given memory node are issued on (the current worker's QP to
+	// that node). A single-node system always passes node 0.
+	QPSource
 	// WaitPage blocks until the given page of the space is resident,
 	// driving the fault through Manager.RequestPage. If the fetch is
 	// abandoned after bounded retries (see Config.MaxFetchAttempts),
@@ -190,7 +191,7 @@ type Manager struct {
 	lruHead   int32
 	lruTail   int32
 
-	frameWaiters []*sim.Proc
+	frameWaiters []sim.Waiter
 	reclaimGate  *sim.Gate
 
 	// victimBuf/pickedBuf are victim-selection scratch, reused across
@@ -449,15 +450,16 @@ func (s *Space) ResidentCount() int {
 	return n
 }
 
-// allocFrame removes a free frame, blocking p until one is available.
-// It wakes the reclaimer proactively when the pool runs low.
-func (m *Manager) allocFrame(p *sim.Proc) int32 {
-	for len(m.free) == 0 {
+// allocFrame removes a free frame. On an empty pool it wakes the
+// reclaimer, registers w to be woken when a frame is freed, and reports
+// false. It wakes the reclaimer proactively when the pool runs low.
+func (m *Manager) allocFrame(w sim.Waiter) (int32, bool) {
+	if len(m.free) == 0 {
 		m.AllocStalls.Inc()
 		m.reclaimGate.Wake()
-		m.frameWaiters = append(m.frameWaiters, p)
-		m.env.MarkBlocked(p, "frame-pool")
-		p.Park()
+		m.frameWaiters = append(m.frameWaiters, w)
+		m.env.MarkBlocked(w, "frame-pool")
+		return 0, false
 	}
 	idx := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
@@ -467,8 +469,12 @@ func (m *Manager) allocFrame(p *sim.Proc) int32 {
 	if m.cfg.Proactive && float64(len(m.free)) < m.cfg.ReclaimThreshold*float64(len(m.frames)) {
 		m.reclaimGate.Wake()
 	}
-	return idx
+	return idx, true
 }
+
+// FrameWaiting reports whether w is registered to be woken when a frame
+// is freed (audit use: O(waiters)).
+func (m *Manager) FrameWaiting(w sim.Waiter) bool { return slices.Contains(m.frameWaiters, w) }
 
 // tryAllocFrame returns a free frame only if the pool is comfortably
 // above the reclaim threshold; prefetch uses it so read-ahead never
@@ -499,7 +505,7 @@ func (m *Manager) freeFrame(idx int32) {
 	}
 	for _, w := range m.frameWaiters {
 		m.env.MarkUnblocked(w)
-		m.env.ScheduleResume(w, m.env.Now())
+		m.env.Wake(w, m.env.Now())
 	}
 	m.frameWaiters = m.frameWaiters[:0]
 }

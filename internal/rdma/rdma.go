@@ -13,6 +13,7 @@ package rdma
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/simcheck"
@@ -460,6 +461,10 @@ func (qp *QP) AddSlotWaiter(w sim.Waiter) {
 	qp.fullWaiters = append(qp.fullWaiters, w)
 	qp.env.MarkBlocked(w, "qp-slot")
 }
+
+// SlotWaiting reports whether w is registered for a slot wake-up (audit
+// use: O(waiters)).
+func (qp *QP) SlotWaiting(w sim.Waiter) bool { return slices.Contains(qp.fullWaiters, w) }
 
 // PostRead posts a one-sided READ of len(dst) bytes from src (a view of
 // a registered remote region) into dst. The cookie is returned in the

@@ -61,23 +61,27 @@ type rtStep struct{ a *rtStepApp }
 
 func (rtStep) Begin(f *workload.StepFrame, payload any) { f.PC = 0 }
 
-func (s rtStep) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, workload.StepStatus) {
+func (s rtStep) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, sim.Time, workload.StepStatus) {
 	switch f.PC {
 	case 0:
-		ctx.Compute(250)
+		f.PC = 1
+		return nil, 0, 250, workload.StepCompute
+	case 1:
 		ctx.Probe()
-		f.PC, f.W[0] = 1, 0
+		f.PC, f.W[0] = 2, 0
 		fallthrough
-	default:
+	case 2:
 		base := payload.(*rtPayload).off
 		for j := int64(f.W[0]); j < rtFaults; j++ {
 			f.W[0] = uint64(j)
 			if _, ok := ctx.TryLoadU64(s.a.space, (base+j*rtStride)%rtSpanBytes); !ok {
-				return nil, 0, workload.StepFault
+				return nil, 0, 0, workload.StepFault
 			}
 		}
-		ctx.Compute(450)
-		return s.a.resp, 64, workload.StepDone
+		f.PC = 3
+		return nil, 0, 450, workload.StepCompute
+	default:
+		return s.a.resp, 64, 0, workload.StepDone
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 )
 
 // This file implements the flat unithread tier: requests whose app
-// provides a workload.StepHandler execute inline on the worker's own
-// process, with no per-request goroutine and no gate ping-pong. Spawn is
-// a struct reset from a free list, a fault parks an 80-byte StepFrame
+// provides a workload.StepHandler execute inline on the worker core's own
+// state machine, with no per-request stack and no gate ping-pong. Spawn
+// is a struct reset from a free list, a fault parks an 80-byte StepFrame
 // instead of a stack, completion re-queues the continuation on the
 // worker's ready ring, and retire is a plain call — the paper's §3.2
 // cost argument made literal.
@@ -23,14 +23,15 @@ import (
 // fixed points: the unithread-start event pushed by spawn, one resume
 // push per fault park/resume round, and the run-gate wake that returns
 // the core on yield or retire. Every flat execution segment is bracketed
-// by Proc.Yield calls standing in for exactly those pushes — an opening
-// Yield where the goroutine tier pushed the start/resume event, a
-// closing Yield where the unithread pushed the worker's run-gate wake —
-// so the wheel sees the same number of events in the same (at, seq)
-// order and same-timestamp interleavings are bit-identical across tiers.
-// Charging order, RNG draws, paging counters (via Space.TryPage's retry
-// distinction), trace spans, and abort semantics are mirrored line for
-// line against unithread.go; the differential tests pin the equivalence.
+// by Task.Yield calls — an arm at the current time — standing in for
+// exactly those pushes: an opening one where the goroutine tier pushed
+// the start/resume event, a closing one where the unithread pushed the
+// worker's run-gate wake. The wheel therefore sees the same number of
+// events in the same (at, seq) order and same-timestamp interleavings
+// are bit-identical across tiers. Charging order, RNG draws, paging
+// counters (via Space.TryPage's retry distinction), trace spans, and
+// abort semantics are mirrored line for line against unithread.go; the
+// differential tests pin the equivalence.
 
 // Flat continuation lifecycle states (oracle sched/flat-state).
 const (
@@ -52,7 +53,7 @@ type flatUnithread struct {
 
 	// Fault-in-progress bookkeeping, the analogue of the goroutine
 	// WaitPage's locals: the faulting page, when the fault began, whether
-	// the next RequestPage round still counts as the demand access, and
+	// the next TryRequestPage round still counts as the demand access, and
 	// the completion error (if the fetch was abandoned).
 	faultSp     *paging.Space
 	faultVpn    int64
@@ -65,7 +66,7 @@ type flatUnithread struct {
 	retry bool
 
 	state int  // flatRunning/flatWaiting/flatReady (oracle)
-	done  bool // set by finishFlat; runFlat retires after the span
+	done  bool // set at flatFinish; flatClosed retires after the span
 
 	// onReadyFn is the bound completion callback, created once per
 	// context so the fault path stays allocation-free across recycles.
@@ -102,76 +103,139 @@ func (s *Scheduler) retireFlat(f *flatUnithread) {
 	s.freeFlats = append(s.freeFlats, f)
 }
 
-// startFlat spawns a flat unithread for a new request and runs its first
-// segment. Mirrors startRequest: the spawn charge is identical and the
-// opening Yield of runFlat stands in for the unithread-start event
-// env.Go would have pushed.
-func (w *Worker) startFlat(req *Request) {
-	s := w.sched
-	req.Dispatched = w.proc.Now()
-	f := s.newFlat(w, req)
-	w.charge(s.cfg.Costs.UnithreadSpawn + s.cfg.Costs.UnithreadSwitch)
-	w.runFlat(f, false)
-}
-
-// runFlat executes one on-core segment of f — from spawn or fault-resume
-// up to the next fault park or completion — bracketed by the two Yields
-// of the determinism contract, then emits the same run span handoff
-// would and retires a finished request.
-func (w *Worker) runFlat(f *flatUnithread, resumed bool) {
-	start := w.proc.Now()
-	w.proc.Yield() // the start/resume event of the goroutine tier
-	if resumed {
-		w.advanceFlat(f, true)
-	} else {
-		w.beginFlat(f)
-	}
-	w.proc.Yield() // the run-gate wake of the goroutine tier
-	if s := w.sched; s.Trace != nil {
-		s.Trace.RunSpan(w.id, f.req.Pkt.ID, f.req.Pkt.Class, f.req.Faults,
-			start, w.proc.Now())
-	}
-	if f.done {
-		w.sched.retireFlat(f)
-	}
-}
-
-// beginFlat is the request prologue, the analogue of body's entry: start
-// timestamps, kernel RX surcharge, scheduling jitter (same RNG draw
-// order), then the handler's first step.
-func (w *Worker) beginFlat(f *flatUnithread) {
-	s := w.sched
-	now := w.proc.Now()
-	f.req.Started = now
-	f.req.QueueWait += now - f.req.Arrive
-
-	c := &s.cfg.Costs
-	if c.KernelNetExtra > 0 {
-		f.charge(c.KernelNetExtra) // kernel RX path (Hermit)
-	}
-	if c.JitterProb > 0 && s.env.Rand().Bool(c.JitterProb) {
-		w.proc.Sleep(s.env.Rand().Exp(c.JitterMean))
-	}
-	w.advanceFlat(f, false)
-}
-
-// Fault-round outcomes.
+// Flat-segment continuation points (Worker.pc). A segment runs from
+// spawn or fault-resume up to the next fault park or completion.
 const (
-	faultParked = iota
-	faultAborted
-	faultMapped
+	flatOpen      = flatBase + iota // segment start: the opening yield
+	flatBegin                       // request prologue
+	flatJitter                      // kernel RX charge elapsed: scheduling-noise draw
+	flatStep                        // run the handler's next step
+	flatFaultOpen                   // fault-entry charge elapsed: open the fault
+	flatFault                       // one round of the fault wait loop
+	flatRequest                     // (re)issue the round's TryRequestPage
+	flatFaultDone                   // the page is resident or the fetch was abandoned
+	flatMapped                      // map charge elapsed: retry the access
+	flatTxPosted                    // TX-post charge elapsed: kernel TX charge
+	flatSend                        // transmit the response
+	flatTxWait                      // SyncTx: wait for the TX completion
+	flatFinish                      // completion accounting
+	flatClose                       // segment end: the closing yield
+	flatClosed                      // closing yield elapsed: span, retire
 )
 
-// advanceFlat drives f until it parks on a fetch or finishes. inFault
-// resumes an in-progress fault first (the re-queue path).
-func (w *Worker) advanceFlat(f *flatUnithread, inFault bool) {
+// fireFlat advances the flat segment on this core from pc. It reports
+// false when the core armed or registered itself (fire must return) and
+// true when the segment is over and the core is back at wLoop.
+func (w *Worker) fireFlat() bool {
 	s := w.sched
+	c := &s.cfg.Costs
+	f := w.flat
 	for {
-		if inFault {
-			switch w.faultRound(f) {
-			case faultParked:
-				return
-			case faultAborted:
+		switch w.pc {
+		// The opening yield stands in for the start/resume event of the
+		// goroutine tier (see the determinism contract above).
+		case flatOpen:
+			w.pc = flatBegin
+			if w.resumed {
+				if simcheck.On() && f.state != flatReady {
+					simcheck.Fail(simcheck.New("sched/flat-state",
+						"flat unithread resumed while not on the ready ring").
+						With("state", f.state).With("worker", w.id))
+				}
+				f.state = flatRunning
+				w.pc = flatFault
+			}
+			w.segStart = s.env.Now()
+			if !w.task.Yield() {
+				return false
+			}
+
+		// The request prologue, the analogue of body's entry: start
+		// timestamps, kernel RX surcharge (Hermit), scheduling jitter (same
+		// RNG draw order), then the handler's first step.
+		case flatBegin:
+			now := s.env.Now()
+			f.req.Started = now
+			f.req.QueueWait += now - f.req.Arrive
+			s.stepH.Begin(&f.frame, f.req.Pkt.Payload)
+			if !w.charge(f.req, c.KernelNetExtra, flatJitter) {
+				return false
+			}
+
+		case flatJitter:
+			w.pc = flatStep
+			if c.JitterProb > 0 && s.env.Rand().Bool(c.JitterProb) &&
+				!w.task.Sleep(s.env.Rand().Exp(c.JitterMean)) {
+				return false
+			}
+
+		case flatStep:
+			resp, respLen, cycles, st := s.stepH.Step(f, &f.frame, f.req.Pkt.Payload)
+			switch st {
+			case workload.StepCompute:
+				if !w.charge(f.req, cycles, flatStep) {
+					return false
+				}
+			case workload.StepFault:
+				// TryLoad/TryStore recorded the page; enter the fault —
+				// WaitPage's entry sequence: fault count, entry cost, marker.
+				f.req.Faults++
+				if !w.charge(f.req, s.mgr.Config().FaultEntryCost+c.KernelFaultExtra, flatFaultOpen) {
+					return false
+				}
+			default:
+				if !w.respond(resp, respLen) {
+					return false
+				}
+			}
+
+		case flatFaultOpen:
+			f.faultStart = s.env.Now()
+			s.Trace.Instant(trace.KindFetch, w.id, "fault", f.faultStart)
+			f.ferr = nil
+			f.faultDemand = true
+			w.pc = flatFault
+
+		// One round of WaitPage's yield-mode wait loop: if the page is (or
+		// has become) resident the fault closes; if a fetch is in flight
+		// the continuation parks, charging the unithread switch the
+		// goroutine tier pays to yield the core.
+		case flatFault:
+			w.pc = flatRequest
+			if f.ferr != nil || f.faultSp.Resident(f.faultVpn) {
+				w.pc = flatFaultDone
+			}
+
+		// A stalled call (no frame, no QP slot) re-enters here when the
+		// pool or the QP wakes the core: the call resumes inside the
+		// manager, where a blocking caller would have been parked.
+		case flatRequest:
+			switch s.mgr.TryRequestPage(&w.call, w.task, f, f.faultSp, f.faultVpn, f.onReadyFn, f.faultDemand) {
+			case paging.PageStalled:
+				return false
+			case paging.PageResident:
+				w.pc = flatFaultDone
+			default:
+				f.faultDemand = false
+				// Park state must be published before the switch charge:
+				// while it elapses another worker's poll loop can run, and
+				// if the fetch this continuation just joined completes
+				// there, markReady fires inside the charge window. Setting
+				// flatWaiting afterwards would clobber its
+				// flatWaiting→flatReady transition.
+				f.state = flatWaiting
+				if !w.charge(f.req, c.UnithreadSwitch, flatClose) {
+					return false
+				}
+			}
+
+		// RDMA wait and map cost are accounted exactly as the goroutine
+		// epilogue does.
+		case flatFaultDone:
+			ferr := f.ferr
+			f.ferr = nil
+			f.req.RDMAWait += s.env.Now() - f.faultStart
+			if ferr != nil {
 				// The demanded page could not be fetched within the retry
 				// budget — the simulated SIGBUS the goroutine tier surfaces
 				// as a *FetchError panic. Fail the request with the small
@@ -179,114 +243,92 @@ func (w *Worker) advanceFlat(f *flatUnithread, inFault bool) {
 				s.FaultAborts.Inc()
 				f.req.Failed = true
 				f.noPreempt = 0
-				w.finishFlat(f, nil, abortRespBytes)
-				return
+				if !w.respond(nil, abortRespBytes) {
+					return false
+				}
+			} else if !w.charge(f.req, s.mgr.Config().MapCost, flatMapped) {
+				return false
 			}
-			// faultMapped: the page is resident and MapCost is paid; the
-			// re-run's retried access takes the touch-only path.
+
+		case flatMapped:
+			// The page is resident and MapCost is paid; the re-run's
+			// retried access takes the touch-only path.
 			f.retry = true
-			inFault = false
+			w.pc = flatStep
+
+		case flatTxPosted:
+			if !w.charge(f.req, c.KernelNetExtra, flatSend) { // kernel TX path (Hermit)
+				return false
+			}
+
+		case flatSend:
+			pkt := f.req.Pkt
+			pkt.Payload, pkt.Size, pkt.Ctx = w.resp, w.respLen, f.req
+			w.txq.Send(pkt)
+			w.pc = flatFinish // DelegatedTx: the dispatcher recycles the buffer on completion
+			if s.cfg.Tx != DelegatedTx {
+				w.txStart = s.env.Now()
+				w.pc = flatTxWait
+			}
+
+		// Under SyncTx the worker core itself busy-waits on the TX
+		// completion (the goroutine tier spins its unithread while the
+		// worker waits on the run gate — one core burning either way, and
+		// the same single wake event).
+		case flatTxWait:
+			if w.txCQ.PollInto(w.txBuf[:]) == 0 {
+				if !w.txGate.Arm(w.task) {
+					return false
+				}
+				continue
+			}
+			now := s.env.Now()
+			span := now - w.txStart
+			f.req.BusyWait += span
+			s.busyWaitCycles += int64(span)
+			s.Trace.Span(trace.KindBusyWait, w.id, "busy-wait tx", w.txStart, now, nil)
+			s.pool.Release(f.req.Buf)
+			f.req.Buf = nil
+			w.pc = flatFinish
+
+		case flatFinish:
+			f.req.Finished = s.env.Now()
+			s.Completed.Inc()
+			if s.OnComplete != nil {
+				s.OnComplete(f.req)
+			}
+			f.done = true
+			w.pc = flatClose
+
+		// The closing yield stands in for the run-gate wake of the
+		// goroutine tier; after it the core emits the same run span
+		// handoff would and retires a finished request.
+		case flatClose:
+			w.pc = flatClosed
+			if !w.task.Yield() {
+				return false
+			}
+
+		case flatClosed:
+			if s.Trace != nil {
+				s.Trace.RunSpan(w.id, f.req.Pkt.ID, f.req.Pkt.Class, f.req.Faults,
+					w.segStart, s.env.Now())
+			}
+			if f.done {
+				s.retireFlat(f)
+			}
+			w.flat = nil
+			w.pc = wLoop
+			return true
 		}
-		resp, respBytes, st := s.stepH.Step(f, &f.frame, f.req.Pkt.Payload)
-		if st == workload.StepDone {
-			w.finishFlat(f, resp, respBytes)
-			return
-		}
-		// StepFault: TryLoad/TryStore recorded the page; enter the fault.
-		w.faultEnter(f)
-		inFault = true
 	}
 }
 
-// faultEnter opens a fault on the page recorded by the failed access —
-// WaitPage's entry sequence: fault count, entry cost, marker.
-func (w *Worker) faultEnter(f *flatUnithread) {
-	s := w.sched
-	f.req.Faults++
-	f.charge(s.mgr.Config().FaultEntryCost + s.cfg.Costs.KernelFaultExtra)
-	f.faultStart = w.proc.Now()
-	s.Trace.Instant(trace.KindFetch, w.id, "fault", f.faultStart)
-	f.ferr = nil
-	f.faultDemand = true
-}
-
-// faultRound runs one round of WaitPage's yield-mode wait loop: if the
-// page is (or has become) resident the fault closes — RDMA wait and map
-// cost accounted exactly as the goroutine epilogue does; if the fetch is
-// in flight the continuation parks (charging the unithread switch the
-// goroutine tier pays to yield the core).
-func (w *Worker) faultRound(f *flatUnithread) int {
-	s := w.sched
-	for f.ferr == nil && !f.faultSp.Resident(f.faultVpn) {
-		if s.mgr.RequestPage(f, f.faultSp, f.faultVpn, f.onReadyFn, f.faultDemand) {
-			break
-		}
-		f.faultDemand = false
-		// Park state must be published before the switch charge: the
-		// charge's Sleep can run another worker's poll loop, and if the
-		// fetch this continuation just joined completes there, markReady
-		// fires inside the charge window. Setting flatWaiting afterwards
-		// would clobber its flatWaiting→flatReady transition.
-		f.state = flatWaiting
-		f.charge(s.cfg.Costs.UnithreadSwitch)
-		return faultParked
-	}
-	ferr := f.ferr
-	f.ferr = nil
-	f.req.RDMAWait += w.proc.Now() - f.faultStart
-	if ferr != nil {
-		return faultAborted
-	}
-	f.charge(s.mgr.Config().MapCost)
-	return faultMapped
-}
-
-// finishFlat is the request epilogue, the analogue of body's tail:
-// response, completion accounting, and the done mark runFlat retires on.
-func (w *Worker) finishFlat(f *flatUnithread, resp any, respBytes int) {
-	s := w.sched
-	w.sendResponseFlat(f, resp, respBytes)
-	f.req.Finished = w.proc.Now()
-	s.Completed.Inc()
-	if s.OnComplete != nil {
-		s.OnComplete(f.req)
-	}
-	f.done = true
-}
-
-// sendResponseFlat mirrors sendResponse; under SyncTx the worker process
-// itself busy-waits on the TX completion (the goroutine tier spins its
-// unithread while the worker is parked — one core burning either way,
-// and the same single wake event).
-func (w *Worker) sendResponseFlat(f *flatUnithread, resp any, respBytes int) {
-	s := w.sched
-	c := &s.cfg.Costs
-	f.charge(c.TxPost)
-	if c.KernelNetExtra > 0 {
-		f.charge(c.KernelNetExtra) // kernel TX path (Hermit)
-	}
-	pkt := f.req.Pkt
-	pkt.Payload = resp
-	pkt.Size = respBytes
-	pkt.Ctx = f.req
-	w.txq.Send(pkt)
-
-	if s.cfg.Tx == DelegatedTx {
-		return // buffer recycled by the dispatcher on completion
-	}
-	start := w.proc.Now()
-	for {
-		if w.txCQ.PollInto(w.txBuf[:]) > 0 {
-			break
-		}
-		w.txGate.Wait(w.proc)
-	}
-	span := w.proc.Now() - start
-	f.req.BusyWait += span
-	s.busyWaitCycles += int64(span)
-	s.Trace.Span(trace.KindBusyWait, w.id, "busy-wait tx", start, w.proc.Now(), nil)
-	s.pool.Release(f.req.Buf)
-	f.req.Buf = nil
+// respond starts the request epilogue, the analogue of sendResponse:
+// the TX-post charge, after which the response goes out.
+func (w *Worker) respond(resp any, respLen int) bool {
+	w.resp, w.respLen = resp, respLen
+	return w.charge(w.flat.req, w.sched.cfg.Costs.TxPost, flatTxPosted)
 }
 
 // onReady is the fetch-completion callback (pre-bound in onReadyFn):
@@ -312,40 +354,14 @@ func (f *flatUnithread) markReady() {
 	}
 }
 
-// resumeFlat is the worker-loop entry for a ready continuation (the
-// caller has already charged the unithread switch, as for handoff).
-func (w *Worker) resumeFlat(f *flatUnithread) {
-	if simcheck.On() && f.state != flatReady {
-		simcheck.Fail(simcheck.New("sched/flat-state",
-			"flat unithread resumed while not on the ready ring").
-			With("state", f.state).With("worker", w.id))
-	}
-	f.state = flatRunning
-	w.runFlat(f, true)
-}
+// ---- StepCtx and paging.QPSource for the flat tier ----
 
-// ---- StepCtx and paging.Thread for the flat tier ----
-
-// Proc implements paging.Thread: the flat tier blocks on the worker's
-// own process (frame-allocation waits, QP slot waits).
-func (f *flatUnithread) Proc() *sim.Proc { return f.worker.proc }
-
-// QP implements paging.Thread.
+// QP implements paging.QPSource: faults are issued on the carrying
+// worker's queue pair to the page's owning memory node.
 func (f *flatUnithread) QP(node int) *rdma.QP { return f.worker.qps[node] }
-
-// WaitPage implements paging.Thread. The flat tier never routes paged
-// accesses through Space.ensure, so nothing should ever call this.
-func (f *flatUnithread) WaitPage(sp *paging.Space, vpn int64) {
-	panic("sched: WaitPage on a flat unithread (use TryLoad/TryStore)")
-}
 
 // Rand implements workload.StepCtx.
 func (f *flatUnithread) Rand() *sim.RNG { return f.sched.env.Rand() }
-
-// Compute implements workload.StepCtx. The flat tier only runs under
-// non-preemptive configurations, so this is the goroutine tier's
-// non-IPI branch: one plain charge.
-func (f *flatUnithread) Compute(d sim.Time) { f.charge(d) }
 
 // Probe implements workload.StepCtx: free on a non-preemptive scheduler,
 // exactly as for the goroutine tier.
@@ -360,19 +376,6 @@ func (f *flatUnithread) CriticalExit() {
 		panic("sched: CriticalExit without CriticalEnter")
 	}
 	f.noPreempt--
-}
-
-// charge consumes application CPU on the carrying core (identical to
-// Unithread.charge).
-func (f *flatUnithread) charge(d sim.Time) {
-	if d <= 0 {
-		return
-	}
-	w := f.worker
-	w.proc.Sleep(d)
-	f.req.CPU += d
-	w.busyCycles += int64(d)
-	f.sched.cpuCycles += int64(d)
 }
 
 // tryPage probes one page for an n-byte access at off, recording the

@@ -27,24 +27,42 @@ type arrayRig struct {
 	rec   *trace.Recorder
 }
 
-func newArrayRig(t *testing.T, cfg Config, flatTier bool, localPages int64) *arrayRig {
+// tierSetup is one differential configuration: the scheduler config plus
+// the resource limits that decide which stall paths a run reaches.
+type tierSetup struct {
+	sched      Config
+	frames     int64 // local frame pool, in pages
+	qpDepth    int   // 0 = the NIC default
+	onDemand   bool  // reclaimer runs only once allocations stall
+	wantStalls bool  // the run must stall on frames and on QP slots
+	wantSteals bool
+	gap        sim.Time // request spacing (0 = 1 µs)
+}
+
+func newArrayRig(t *testing.T, ts tierSetup, flatTier bool) *arrayRig {
 	t.Helper()
 	env := sim.NewEnv(5)
+	pcfg := paging.DefaultConfig(ts.frames * paging.PageSize)
+	pcfg.Proactive = !ts.onDemand
 	r := &arrayRig{
 		env: env,
 		net: ethernet.New(env, ethernet.DefaultConfig()),
-		mgr: paging.NewManager(env, paging.DefaultConfig(localPages*paging.PageSize)),
+		mgr: paging.NewManager(env, pcfg),
 		rec: trace.New(0),
 	}
-	nic := rdma.NewNIC(env, rdma.DefaultConfig())
+	rcfg := rdma.DefaultConfig()
+	if ts.qpDepth > 0 {
+		rcfg.QPDepth = ts.qpDepth
+	}
+	nic := rdma.NewNIC(env, rcfg)
 	node := memnode.New(1 << 30)
 	r.app = workload.NewArrayApp(r.mgr, node, 256*paging.PageSize)
 	r.app.WriteFrac = 0.25
-	r.sched = New(env, cfg, r.net, rdma.Fabric{nic}, r.mgr, unithread.NewPool(4096, 4096), r.app.Handler())
+	r.sched = New(env, ts.sched, r.net, rdma.Fabric{nic}, r.mgr, unithread.NewPool(4096, 4096), r.app.Handler())
 	if flatTier {
 		r.sched.SetStepHandler(r.app.StepHandler())
 		if !r.sched.FlatTier() {
-			t.Fatalf("config %+v did not qualify for the flat tier", cfg)
+			t.Fatalf("config %+v did not qualify for the flat tier", ts.sched)
 		}
 	}
 	r.sched.Trace = r.rec
@@ -52,6 +70,25 @@ func newArrayRig(t *testing.T, cfg Config, flatTier bool, localPages int64) *arr
 	rcq := rdma.NewCQ("reclaim")
 	r.mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)
 	return r
+}
+
+// drive sends n requests gap cycles apart — a deterministic mix,
+// identical across tiers: indices spread over all pages, every fourth
+// request a write — and runs the rig for 30 ms.
+func (r *arrayRig) drive(n int, gap sim.Time) {
+	entries := int64(256 * paging.PageSize / 8)
+	for i := 0; i < n; i++ {
+		idx := (int64(i) * 7919) % entries
+		var payload any = workload.ArrayGet{Index: idx}
+		if i%4 == 1 {
+			payload = workload.ArrayPut{Index: idx}
+		}
+		id, p := uint64(i), payload
+		r.env.At(1+sim.Time(i)*gap, func() {
+			r.net.SendToNode(&ethernet.Packet{ID: id, Payload: p, Size: 64, TxTime: r.env.Now()})
+		})
+	}
+	r.env.Run(sim.Millis(30))
 }
 
 // digest folds one completed request into an order-sensitive hash.
@@ -89,33 +126,32 @@ type flatRunStats struct {
 	fetchWait int64
 	evictions int64
 	dirtyWB   int64
+	allocWait int64
 	steals    int64
 	events    []trace.Event
 }
 
-func runTier(t *testing.T, cfg Config, flatTier bool) flatRunStats {
+// runTier runs the differential workload on one tier. slotWaits counts,
+// over the completions, the worker cores seen waiting for a QP slot (the
+// flat tier's stalled TryRequestPage; the goroutine tier stalls its
+// unithreads' processes instead, which this cannot see).
+func runTier(t *testing.T, ts tierSetup, flatTier bool) (st flatRunStats, slotWaits int) {
 	t.Helper()
-	r := newArrayRig(t, cfg, flatTier, 48)
-	var st flatRunStats
-	r.sched.OnComplete = func(req *Request) { digestReq(&st.digest, req) }
-
-	// Deterministic request mix, identical across tiers: indices spread
-	// over all pages, every fourth request a write.
-	entries := int64(256 * paging.PageSize / 8)
-	at := sim.Time(1)
-	for i := 0; i < 600; i++ {
-		idx := (int64(i) * 7919) % entries
-		var payload any = workload.ArrayGet{Index: idx}
-		if i%4 == 1 {
-			payload = workload.ArrayPut{Index: idx}
+	r := newArrayRig(t, ts, flatTier)
+	r.sched.OnComplete = func(req *Request) {
+		digestReq(&st.digest, req)
+		for _, w := range r.sched.workers {
+			if w.qps[0].SlotWaiting(w.task) {
+				slotWaits++
+			}
 		}
-		id, p := uint64(i), payload
-		r.env.At(at, func() {
-			r.net.SendToNode(&ethernet.Packet{ID: id, Payload: p, Size: 64, TxTime: r.env.Now()})
-		})
-		at += sim.Micros(1)
 	}
-	r.env.Run(sim.Millis(30))
+
+	gap := ts.gap
+	if gap == 0 {
+		gap = sim.Micros(1)
+	}
+	r.drive(600, gap)
 
 	st.completed = r.sched.Completed.Value()
 	st.cpu = r.sched.CPUCycles()
@@ -125,9 +161,13 @@ func runTier(t *testing.T, cfg Config, flatTier bool) flatRunStats {
 	st.fetchWait = r.mgr.FetchWaits.Value()
 	st.evictions = r.mgr.Evictions.Value()
 	st.dirtyWB = r.mgr.DirtyWritebacks.Value()
+	st.allocWait = r.mgr.AllocStalls.Value()
 	st.steals = r.sched.Steals.Value()
 	st.events = r.rec.Events()
-	return st
+	if err := r.sched.CheckLiveness(); err != nil {
+		t.Fatal(err)
+	}
+	return st, slotWaits
 }
 
 // The differential determinism test of the flat tier: the same workload
@@ -148,22 +188,46 @@ func TestFlatTierMatchesGoroutineTier(t *testing.T) {
 	stealing := DefaultConfig()
 	stealing.Dispatch = WorkStealing
 
+	// The Fig 9 ablation shape: Adios with the TX wait back on the worker,
+	// which itself waits on its TX gate.
+	syncYield := DefaultConfig()
+	syncYield.Tx = SyncTx
+
+	stealing2 := stealing
+	stealing2.Dispatchers = 2
+
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		ts   tierSetup
 	}{
-		{"adios", adios},
-		{"synctx-jitter", syncTx},
-		{"stealing", stealing},
+		{"adios", tierSetup{sched: adios, frames: 48}},
+		{"synctx-jitter", tierSetup{sched: syncTx, frames: 48}},
+		{"stealing", tierSetup{sched: stealing, frames: 48}},
+		// Paths no benchmark workload reaches: faults that stall for a
+		// frame (the reclaimer only runs once the pool is empty) and for a
+		// QP slot. (Pushed harder — 16 frames and arrivals 200 cycles apart
+		// — the model deadlocks, on both tiers and at the parent commit
+		// alike: every frame is pinned by a fetch whose completion sits in
+		// the CQ of a worker that is itself stalled waiting for a frame.)
+		{"starved", tierSetup{sched: adios, frames: 24, qpDepth: 2, onDemand: true, wantStalls: true, gap: 500}},
+		{"synctx-yield", tierSetup{sched: syncYield, frames: 48}},
+		// Arrivals fast enough that inboxes back up and peers steal.
+		{"stealing-2-dispatchers", tierSetup{sched: stealing2, frames: 48, wantSteals: true, gap: 850}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runTier(t, tc.cfg, false)
-			flat := runTier(t, tc.cfg, true)
+			ref, _ := runTier(t, tc.ts, false)
+			flat, slotWaits := runTier(t, tc.ts, true)
 			if ref.completed != 600 {
 				t.Fatalf("reference completed %d of 600", ref.completed)
 			}
 			if ref.faults == 0 || ref.evictions == 0 || ref.dirtyWB == 0 {
 				t.Fatalf("workload too tame to differentiate tiers: %+v", ref)
+			}
+			if tc.ts.wantStalls && (ref.allocWait == 0 || slotWaits == 0) {
+				t.Fatalf("no stalls to compare: %d frame stalls, %d slot waits seen", ref.allocWait, slotWaits)
+			}
+			if tc.ts.wantSteals && ref.steals == 0 {
+				t.Fatal("stealing configuration never stole")
 			}
 			flatEvents, refEvents := flat.events, ref.events
 			flat.events, ref.events = nil, nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/paging"
 	"repro/internal/rdma"
 	"repro/internal/sim"
+	"repro/internal/simcheck"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/unithread"
@@ -27,7 +28,7 @@ type Scheduler struct {
 	pool    *unithread.Pool
 	handler workload.Handler
 
-	central     *sim.Queue[workItem]
+	central     ring[workItem]
 	dispatchers []*dispatcher
 	workers     []*Worker
 
@@ -88,9 +89,10 @@ type Scheduler struct {
 
 // SetStepHandler offers the scheduler a resumable-step form of the
 // handler. When the configuration qualifies (yield wait, no preemption),
-// requests run on the flat unithread tier: inline on the worker's own
-// process with no per-request goroutine — the same simulated schedule,
-// bit for bit, at a fraction of the wall-clock cost. Call before Start.
+// requests run on the flat unithread tier: inline in the worker core's
+// own state machine with no per-request process — the same simulated
+// schedule, bit for bit, at a fraction of the wall-clock cost. Call
+// before Start.
 func (s *Scheduler) SetStepHandler(h workload.StepHandler) {
 	s.stepH = h
 	s.flat = h != nil && s.cfg.Wait == Yield && !s.cfg.Preempt
@@ -153,10 +155,15 @@ func (s *Scheduler) retire(u *Unithread) {
 
 // dispatcher is one front-end core: it drains the RX ring into the
 // central queue, recycles delegated TX completions, and assigns work to
-// its partition of the workers.
+// its partition of the workers. Like a Worker it is a polling loop run
+// as a tier-1 task (see Worker): fire continues from pc, and what a
+// blocking loop would hold on its stack across a charge lives in the
+// continuation fields.
 type dispatcher struct {
 	id      int
 	sched   *Scheduler
+	task    *sim.Task
+	pc      int
 	gate    *sim.Gate
 	txCQ    *rdma.CQ
 	workers []*Worker
@@ -164,7 +171,25 @@ type dispatcher struct {
 
 	txBuf [64]rdma.Completion  // TX completion-poll scratch (allocation-free)
 	rxBuf [64]*ethernet.Packet // RX poll scratch (allocation-free)
+
+	// Continuation state.
+	owed     sim.Time // armed charge, credited once it has elapsed
+	progress bool     // this pass of the loop did something
+	n        int      // entries in rxBuf/txBuf awaiting their charge
+	t0       sim.Time // when the RX poll began (poll span)
+	item     workItem // popped from the central queue, awaiting the
+	target   *Worker  // Dispatch charge, bound for target
 }
+
+// Dispatcher continuation points.
+const (
+	dPoll    = iota // top of the loop: poll the RX ring (also the start event)
+	dAdmit          // RX charge elapsed: admit rxBuf[:n]
+	dReap           // poll the delegated TX completions
+	dRecycle        // TX charge elapsed: recycle txBuf[:n]
+	dAssign         // hand queued work to a worker, or finish the pass
+	dDeliver        // Dispatch charge elapsed: deliver item to target
+)
 
 // New wires a scheduler. fab carries one NIC per memory node; each
 // worker gets one fetch QP per node, all completing on the worker's
@@ -185,15 +210,16 @@ func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 	s := &Scheduler{
 		env: env, cfg: cfg, net: net, fab: fab, mgr: mgr, pool: pool,
 		handler: handler,
-		central: sim.NewQueue[workItem](env),
 	}
 	for d := 0; d < cfg.Dispatchers; d++ {
-		s.dispatchers = append(s.dispatchers, &dispatcher{
+		disp := &dispatcher{
 			id:    d,
 			sched: s,
 			gate:  sim.NewGate(env),
 			txCQ:  rdma.NewCQ(fmt.Sprintf("d%d-tx", d)),
-		})
+		}
+		disp.task = sim.NewTask(env, fmt.Sprintf("dispatcher%d", d), disp.fire)
+		s.dispatchers = append(s.dispatchers, disp)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		disp := s.dispatchers[i%cfg.Dispatchers]
@@ -206,6 +232,7 @@ func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 			cqGate:   sim.NewGate(env),
 			txGate:   sim.NewGate(env),
 		}
+		w.task = sim.NewTask(env, fmt.Sprintf("worker%d", i), w.fire)
 		w.cq = rdma.NewCQ(fmt.Sprintf("w%d-fetch", i))
 		w.qps = fab.CreateQPs(fmt.Sprintf("w%d", i), w.cq)
 		w.txCQ = rdma.NewCQ(fmt.Sprintf("w%d-tx", i))
@@ -214,7 +241,7 @@ func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 		} else {
 			w.txq = net.CreateTxQueue(fmt.Sprintf("w%d", i), w.txCQ)
 		}
-		// Completion arrivals wake the relevant parked party: an idle
+		// Completion arrivals wake the relevant waiting party: an idle
 		// worker (yield mode) or a busy-waiting unithread.
 		cq, tw := w.cq, w
 		cq.Notify = func() {
@@ -256,42 +283,58 @@ func (s *Scheduler) DispatcherCycles() int64 { return s.dispCycles }
 // QueueLen reports the central queue occupancy.
 func (s *Scheduler) QueueLen() int { return s.central.Len() }
 
-// Start launches the dispatcher and worker processes.
+// Start launches the worker and dispatcher cores: one start event each,
+// whose firing enters the core's loop at the top.
 func (s *Scheduler) Start() {
+	now := s.env.Now()
 	for _, w := range s.workers {
-		w := w
-		s.env.Go(fmt.Sprintf("worker%d", w.id), w.loop)
+		w.task.FireAt(now)
 	}
 	for _, d := range s.dispatchers {
-		d := d
-		s.env.Go(fmt.Sprintf("dispatcher%d", d.id), d.loop)
+		d.task.FireAt(now)
 	}
 }
 
-// charge consumes dispatcher-core CPU.
-func (d *dispatcher) charge(p *sim.Proc, dt sim.Time) {
+// charge consumes dispatcher-core CPU and continues at next; result and
+// crediting as for Worker.charge.
+func (d *dispatcher) charge(dt sim.Time, next int) bool {
+	d.pc = next
 	if dt <= 0 {
-		return
+		return true
 	}
-	p.Sleep(dt)
+	if !d.task.Sleep(dt) {
+		d.owed = dt
+		return false
+	}
 	d.sched.dispCycles += int64(dt)
+	return true
 }
 
-// loop is the single-queue dispatcher (§3.4): drain the RX ring into the
-// central queue, recycle delegated TX completions, and hand requests to
-// workers in policy order.
-func (d *dispatcher) loop(p *sim.Proc) {
+// fire runs the single-queue dispatcher (§3.4) from pc: drain the RX
+// ring into the central queue, recycle delegated TX completions, and
+// hand requests to workers in policy order; a pass that did nothing
+// waits on the gate.
+func (d *dispatcher) fire() {
 	s := d.sched
 	c := &s.cfg.Costs
+	s.dispCycles += int64(d.owed)
+	d.owed = 0
 	for {
-		progress := false
+		switch d.pc {
+		case dPoll:
+			d.progress = false
+			d.pc = dReap
+			if d.n = s.net.PollRxInto(d.rxBuf[:]); d.n > 0 {
+				d.progress = true
+				d.t0 = s.env.Now()
+				if !d.charge(c.RxPollBatch+c.RxPerPacket*sim.Time(d.n), dAdmit) {
+					return
+				}
+			}
 
-		if np := s.net.PollRxInto(d.rxBuf[:]); np > 0 {
-			progress = true
-			t0 := p.Now()
-			d.charge(p, c.RxPollBatch+c.RxPerPacket*sim.Time(np))
-			s.Trace.PollSpan(1000+d.id, np, t0, p.Now())
-			for _, pkt := range d.rxBuf[:np] {
+		case dAdmit:
+			s.Trace.PollSpan(1000+d.id, d.n, d.t0, s.env.Now())
+			for _, pkt := range d.rxBuf[:d.n] {
 				if s.Admit != nil && !s.Admit(pkt) {
 					continue
 				}
@@ -304,14 +347,21 @@ func (d *dispatcher) loop(p *sim.Proc) {
 					s.DropsPool.Inc()
 					continue
 				}
-				s.central.Push(workItem{req: s.newRequest(pkt, buf)})
+				s.central.PushBack(workItem{req: s.newRequest(pkt, buf)})
 			}
-		}
+			d.pc = dReap
 
-		if n := d.txCQ.PollInto(d.txBuf[:]); n > 0 {
-			progress = true
-			d.charge(p, c.TxCompletion*sim.Time(n))
-			for _, comp := range d.txBuf[:n] {
+		case dReap:
+			d.pc = dAssign
+			if d.n = d.txCQ.PollInto(d.txBuf[:]); d.n > 0 {
+				d.progress = true
+				if !d.charge(c.TxCompletion*sim.Time(d.n), dRecycle) {
+					return
+				}
+			}
+
+		case dRecycle:
+			for _, comp := range d.txBuf[:d.n] {
 				pkt := comp.Cookie.(*ethernet.Packet)
 				req := pkt.Ctx.(*Request)
 				pkt.Ctx = nil
@@ -323,23 +373,35 @@ func (d *dispatcher) loop(p *sim.Proc) {
 					s.freeRequest(req)
 				}
 			}
-		}
+			d.pc = dAssign
 
-		for s.central.Len() > 0 {
-			w := d.pickWorker()
-			if w == nil {
-				break
+		case dAssign:
+			if s.central.Len() > 0 {
+				if w := d.pickWorker(); w != nil {
+					d.progress = true
+					d.item, d.target = s.central.PopFront(), w
+					if !d.charge(c.Dispatch, dDeliver) {
+						return
+					}
+					continue
+				}
 			}
-			progress = true
-			item, _ := s.central.TryPop()
-			d.charge(p, c.Dispatch)
-			w.inbox.PushBack(item)
-			w.idle = false
-			w.idleGate.Wake()
-		}
+			d.pc = dPoll
+			if !d.progress && !d.gate.Arm(d.task) {
+				return
+			}
 
-		if !progress {
-			d.gate.Wait(p)
+		case dDeliver:
+			w := d.target
+			w.inbox.PushBack(d.item)
+			w.idle = false
+			// The mutation (simcheckmutate builds only) loses this wake:
+			// the worker sleeps on with work in its inbox, which the
+			// sched/core-liveness oracle must report.
+			if !simcheck.Mut("sched-drop-idle-wake") {
+				w.idleGate.Wake()
+			}
+			d.pc = dAssign
 		}
 	}
 }

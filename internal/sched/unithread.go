@@ -226,7 +226,7 @@ func (u *Unithread) preemptNow() {
 	u.req.Preemptions++
 	u.charge(s.cfg.Costs.PreemptSwitch)
 	requeued := u.proc.Now()
-	s.central.Push(workItem{resumed: u})
+	s.central.PushBack(workItem{resumed: u})
 	s.wakeDispatchers()
 	u.worker.runGate.Wake()
 	u.gate.Wait(u.proc) // until some worker re-schedules us

@@ -20,11 +20,25 @@ type readyItem struct {
 // depth the PF-aware dispatcher inspects), a fetch CQ, and a TX queue.
 // Under the yield policy a worker multiplexes many blocked unithreads;
 // under busy-wait it runs exactly one request at a time.
+//
+// The core is a run-to-completion polling loop (§3.3) and runs as a
+// tier-1 task: fire executes it from the continuation point pc until
+// simulated time must pass, and every such point — a cycle charge, a
+// yield bracket, a gate or slot wait — is "record where to continue,
+// arm or register the task, return". A charge is a Task.Sleep, a wait is
+// a Gate.Arm, so each costs the one wheel push a stackful core's park
+// would and the (at, seq) schedule is that of a blocking loop
+//
+//	for { poll CQ; resume a ready unithread | start a request | steal | idle }
+//
+// written in direct style. Everything such a loop would keep on its
+// stack across a park lives in the continuation fields below.
 type Worker struct {
 	id    int
 	sched *Scheduler
 	disp  *dispatcher
-	proc  *sim.Proc
+	task  *sim.Task
+	pc    int // continuation point (w* in this file, f* in flat.go)
 
 	qps []*rdma.QP // page-fetch queue pairs, one per memory node
 	cq  *rdma.CQ   // page-fetch completions (all nodes), polled by this worker
@@ -33,20 +47,50 @@ type Worker struct {
 	txCQ   *rdma.CQ // own TX completions (SyncTx mode only)
 	txGate *sim.Gate
 
-	runGate  *sim.Gate // worker parks here while a unithread runs
-	idleGate *sim.Gate // worker parks here when it has no runnable work
+	runGate  *sim.Gate // worker waits here while a goroutine-tier unithread runs
+	idleGate *sim.Gate // worker waits here when it has no runnable work
 	cqGate   *sim.Gate // busy-waiting unithreads park here for CQ arrivals
 
-	inbox   ring[workItem]  // assigned by the dispatcher (at most one pending)
-	ready   ring[readyItem] // fetch-completed unithreads awaiting resume
-	current *Unithread
-	idle    bool
+	inbox ring[workItem]  // assigned by the dispatcher (at most one pending)
+	ready ring[readyItem] // fetch-completed unithreads awaiting resume
+	idle  bool
 
 	cqBuf [32]rdma.Completion // fetch-CQ poll scratch (steady state is allocation-free)
 	txBuf [4]rdma.Completion  // SyncTx completion-poll scratch
 
 	busyCycles int64 // CPU consumed on this core (loop + unithreads)
+
+	// Continuation state. owed is an armed charge, credited (to owedReq's
+	// handler CPU too, when set) once it has elapsed.
+	owed     sim.Time
+	owedReq  *Request
+	ncq      int              // completions in cqBuf awaiting the poll charge
+	work     workItem         // stolen item awaiting the transfer charge
+	stealJ   int              // next peer offset the steal scan probes
+	current  *Unithread       // goroutine-tier unithread holding the core
+	flat     *flatUnithread   // flat unithread whose segment is on the core
+	resumed  bool             // that segment resumes a fault (vs. starts the request)
+	segStart sim.Time         // when the current on-core stint began (run span)
+	call     paging.FaultCall // the flat fault's TryRequestPage, across stalls
+	resp     any              // response awaiting the TX-post charges
+	respLen  int
+	txStart  sim.Time // SyncTx: when the wait for the TX completion began
 }
+
+// Worker-loop continuation points.
+const (
+	wLoop     = iota // top of the loop: poll the fetch CQ (also the start event)
+	wPolled          // CQ-poll charge elapsed: apply cqBuf[:ncq]
+	wPick            // choose: ready unithread, inbox, steal, or idle
+	wSteal           // probe peer stealJ, or give up and idle
+	wProbed          // probe charge elapsed: look into the victim's inbox
+	wStolen          // transfer charge elapsed: run the stolen item
+	wWoken           // idle-gate wake
+	wSpawned         // spawn charge elapsed (goroutine tier): start the unithread
+	wHandoff         // hand the core to current
+	wReturned        // run-gate wake: current yielded, was preempted, or retired
+	flatBase         // first flat-tier point (flat.go)
+)
 
 // ID returns the worker's index.
 func (w *Worker) ID() int { return w.id }
@@ -66,121 +110,183 @@ func (w *Worker) Outstanding() int {
 	return n
 }
 
-// charge consumes worker-loop CPU (polling, switching) on this core.
-func (w *Worker) charge(d sim.Time) {
+// charge consumes d cycles of this core's CPU — req's handler's when req
+// is set, else the worker loop's own (polling, switching) — and
+// continues at next. It reports whether the cycles elapsed inline. If
+// not the task is armed for the wake time and fire must return; the
+// cycles are credited when it fires, so a charge cut by the run horizon
+// counts for nothing.
+func (w *Worker) charge(req *Request, d sim.Time, next int) bool {
+	w.pc = next
 	if d <= 0 {
+		return true
+	}
+	w.owed, w.owedReq = d, req
+	if !w.task.Sleep(d) {
+		return false
+	}
+	w.settle()
+	return true
+}
+
+// settle credits the charge that has just elapsed, if any.
+func (w *Worker) settle() {
+	d := w.owed
+	if d == 0 {
 		return
 	}
-	w.proc.Sleep(d)
+	w.owed = 0
+	if w.owedReq != nil {
+		w.owedReq.CPU += d
+		w.owedReq = nil
+	}
 	w.busyCycles += int64(d)
 	w.sched.cpuCycles += int64(d)
 }
 
-// loop is the worker's scheduling loop. Order follows §3.3: poll the
-// fetch CQ once, resume ready unithreads before starting new requests,
-// otherwise report idle and wait.
-func (w *Worker) loop(p *sim.Proc) {
-	w.proc = p
+// fire runs the worker's scheduling loop from pc. Order follows §3.3:
+// poll the fetch CQ once, resume ready unithreads before starting new
+// requests, otherwise report idle and wait.
+func (w *Worker) fire() {
+	w.settle()
 	s := w.sched
+	c := &s.cfg.Costs
 	for {
-		if s.cfg.Wait == Yield {
-			if n := w.cq.PollInto(w.cqBuf[:]); n > 0 {
-				w.charge(s.cfg.Costs.CQPoll)
-				for _, c := range w.cqBuf[:n] {
-					s.mgr.CompleteOn(c.Cookie.(*paging.Fetch), c.Err, c.QP)
+		switch w.pc {
+		case wLoop:
+			w.pc = wPick
+			if s.cfg.Wait == Yield {
+				if w.ncq = w.cq.PollInto(w.cqBuf[:]); w.ncq > 0 && !w.charge(nil, c.CQPoll, wPolled) {
+					return
 				}
 			}
-		}
-		if w.ready.Len() > 0 {
-			item := w.ready.PopFront()
-			w.charge(s.cfg.Costs.UnithreadSwitch)
-			if item.flat != nil {
-				w.resumeFlat(item.flat)
-			} else {
-				w.handoff(item.u)
+
+		case wPolled:
+			for _, comp := range w.cqBuf[:w.ncq] {
+				s.mgr.CompleteOn(comp.Cookie.(*paging.Fetch), comp.Err, comp.QP)
 			}
-			continue
-		}
-		if w.inbox.Len() > 0 {
-			w.run(w.inbox.PopFront())
-			continue
-		}
-		if s.cfg.Dispatch == WorkStealing {
-			if item, ok := w.steal(); ok {
-				w.run(item)
+			w.pc = wPick
+
+		case wPick:
+			switch {
+			case w.ready.Len() > 0:
+				item := w.ready.PopFront()
+				next := wHandoff
+				if item.flat != nil {
+					w.flat, w.resumed, next = item.flat, true, flatOpen
+				} else {
+					w.current = item.u
+				}
+				if !w.charge(nil, c.UnithreadSwitch, next) {
+					return
+				}
+			case w.inbox.Len() > 0:
+				if !w.run(w.inbox.PopFront()) {
+					return
+				}
+			case s.cfg.Dispatch == WorkStealing:
+				w.stealJ, w.pc = 1, wSteal
+			default:
+				if !w.goIdle() {
+					return
+				}
+			}
+
+		// The steal scan visits peer queues in ring order and takes one
+		// item from the first non-empty one's tail — the ZygOS-style
+		// approximation of a central queue. Each probed victim costs
+		// StealProbe; a hit costs StealTransfer.
+		case wSteal:
+			if w.stealJ >= len(s.workers) {
+				if !w.goIdle() {
+					return
+				}
+			} else if !w.charge(nil, c.StealProbe, wProbed) {
+				return
+			}
+
+		case wProbed:
+			v := s.workers[(w.id+w.stealJ)%len(s.workers)]
+			if v.inbox.Len() == 0 {
+				w.stealJ, w.pc = w.stealJ+1, wSteal
 				continue
 			}
+			w.work = v.inbox.PopBack()
+			if !w.charge(nil, c.StealTransfer, wStolen) {
+				return
+			}
+
+		case wStolen:
+			s.Steals.Inc()
+			if !w.run(w.work) {
+				return
+			}
+
+		case wWoken:
+			w.idle = false
+			w.pc = wLoop
+
+		case wSpawned:
+			s.env.Go("unithread", w.current.bodyFn)
+			w.pc = wHandoff
+
+		// Handoff transfers the core to the unithread until it yields, is
+		// preempted, or retires.
+		case wHandoff:
+			w.segStart = s.env.Now()
+			w.current.gate.Wake()
+			w.pc = wReturned
+			if !w.runGate.Arm(w.task) {
+				return
+			}
+
+		case wReturned:
+			u := w.current
+			w.current = nil
+			if s.Trace != nil {
+				s.Trace.RunSpan(w.id, u.req.Pkt.ID, u.req.Pkt.Class, u.req.Faults,
+					w.segStart, s.env.Now())
+			}
+			if u.finished {
+				s.retire(u)
+			}
+			w.pc = wLoop
+
+		default:
+			if !w.fireFlat() {
+				return
+			}
 		}
-		w.idle = true
-		w.disp.gate.Wake() // tell the dispatcher a core freed up
-		w.idleGate.Wait(p)
-		w.idle = false
 	}
 }
 
-// run executes one work item: a fresh request or a migrated preempted
-// unithread.
-func (w *Worker) run(item workItem) {
-	if item.resumed != nil {
-		u := item.resumed
+// goIdle reports the core free to the dispatcher and waits for work. It
+// reports whether a wake was already pending (the loop continues inline).
+func (w *Worker) goIdle() bool {
+	w.idle = true
+	w.disp.gate.Wake() // tell the dispatcher a core freed up
+	w.pc = wWoken
+	return w.idleGate.Arm(w.task)
+}
+
+// run starts one work item: a fresh request or a migrated preempted
+// unithread. Like charge, it reports whether fire may continue inline.
+func (w *Worker) run(item workItem) bool {
+	s := w.sched
+	c := &s.cfg.Costs
+	if u := item.resumed; u != nil {
 		u.worker = w
-		w.charge(w.sched.cfg.Costs.PreemptSwitch)
-		w.handoff(u)
-		return
+		w.current = u
+		return w.charge(nil, c.PreemptSwitch, wHandoff)
 	}
-	w.startRequest(item.req)
-}
-
-// steal scans peer workers' queues (oldest first from the victim's
-// tail) and takes one item — the ZygOS-style approximation of a central
-// queue. Each probed victim costs StealProbe; a hit costs StealTransfer.
-func (w *Worker) steal() (workItem, bool) {
-	s := w.sched
-	n := len(s.workers)
-	for j := 1; j < n; j++ {
-		v := s.workers[(w.id+j)%n]
-		w.charge(s.cfg.Costs.StealProbe)
-		if v.inbox.Len() == 0 {
-			continue
-		}
-		item := v.inbox.PopBack()
-		w.charge(s.cfg.Costs.StealTransfer)
-		s.Steals.Inc()
-		return item, true
-	}
-	return workItem{}, false
-}
-
-// startRequest spawns a unithread for a new request and runs it — on
-// the flat tier when the app's step handler qualifies, else on a
-// goroutine-backed Unithread.
-func (w *Worker) startRequest(req *Request) {
-	s := w.sched
+	// Spawn a unithread for the new request — on the flat tier when the
+	// app's step handler qualifies, else goroutine-backed.
+	req := item.req
+	req.Dispatched = s.env.Now()
 	if s.flat {
-		w.startFlat(req)
-		return
+		w.flat, w.resumed = s.newFlat(w, req), false
+		return w.charge(nil, c.UnithreadSpawn+c.UnithreadSwitch, flatOpen)
 	}
-	now := w.proc.Now()
-	req.Dispatched = now
-	u := s.newUnithread(w, req)
-	w.charge(s.cfg.Costs.UnithreadSpawn + s.cfg.Costs.UnithreadSwitch)
-	s.env.Go("unithread", u.bodyFn)
-	w.handoff(u)
-}
-
-// handoff transfers the core to the unithread until it yields, is
-// preempted, or retires.
-func (w *Worker) handoff(u *Unithread) {
-	w.current = u
-	start := w.proc.Now()
-	u.gate.Wake()
-	w.runGate.Wait(w.proc)
-	w.current = nil
-	if w.sched.Trace != nil {
-		w.sched.Trace.RunSpan(w.id, u.req.Pkt.ID, u.req.Pkt.Class, u.req.Faults,
-			start, w.proc.Now())
-	}
-	if u.finished {
-		w.sched.retire(u)
-	}
+	w.current = s.newUnithread(w, req)
+	return w.charge(nil, c.UnithreadSpawn+c.UnithreadSwitch, wSpawned)
 }

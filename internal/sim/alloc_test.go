@@ -3,8 +3,8 @@ package sim
 import "testing"
 
 // The alloc guards pin the kernel's zero-allocation contract on every
-// hot path: once pools and wheel buckets are warm, sleeping, gate
-// handoffs, queue transfers, task firings, and even process spawning
+// hot path: once pools and wheel buckets are warm, sleeping (of procs
+// and tasks), gate handoffs, task firings, and even process spawning
 // must not allocate. testing.AllocsPerRun counts mallocs process-wide,
 // and exactly one goroutine executes simulator code at a time, so
 // measuring from inside a process (around a park/resume) is sound: the
@@ -64,40 +64,6 @@ func TestGatePingPongZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestQueueZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc accounting is not meaningful under -race")
-	}
-	e := NewEnv(1)
-	q := NewQueue[int](e)
-	var got float64
-	stop := false
-	e.Go("producer", func(p *Proc) {
-		// Warm the item buffer, the waiter slice, and one full revolution
-		// of the wheel's level-0 ring (wheelSize one-cycle buckets) so the
-		// measured window sees no first-touch bucket allocations.
-		for i := 0; i < wheelSize+128; i++ {
-			q.Push(i)
-			p.Sleep(1)
-		}
-		got = testing.AllocsPerRun(200, func() {
-			q.Push(7)
-			p.Sleep(1)
-		})
-		stop = true
-		q.Push(-1)
-	})
-	e.Go("consumer", func(p *Proc) {
-		for !stop {
-			q.Pop(p)
-		}
-	})
-	e.RunAll()
-	if got != 0 {
-		t.Fatalf("queue push/pop allocates %v per round, want 0", got)
-	}
-}
-
 func TestTaskZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is not meaningful under -race")
@@ -121,6 +87,56 @@ func TestTaskZeroAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Fatalf("task firing allocates %v per chain, want 0", got)
+	}
+}
+
+// TestTaskSleepZeroAllocs covers both branches of Task.Sleep: alone on
+// the wheel every sleep skips ahead inline; with a second task ticking
+// every cycle something is always pending first, so every sleep arms.
+func TestTaskSleepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is not meaningful under -race")
+	}
+	for _, contended := range []bool{false, true} {
+		e := NewEnv(1)
+		n := 0
+		var sleeper, ticker *Task
+		sleeper = NewTask(e, "sleeper", func() {
+			for n > 0 {
+				n--
+				if !sleeper.Sleep(10) {
+					return
+				}
+			}
+		})
+		ticker = NewTask(e, "ticker", func() {
+			if n > 0 {
+				ticker.FireAfter(1)
+			}
+		})
+		chain := func() {
+			n = 100
+			sleeper.FireAfter(1)
+			if contended {
+				ticker.FireAfter(1)
+			}
+			e.RunAll()
+		}
+		// A chain spans ~1000 cycles and so crosses into a new level-1
+		// bucket: warm through two level-1 revolutions, until every bucket
+		// of both levels has held both tasks.
+		for e.Now() < 2*wheelSize*wheelSize {
+			chain()
+		}
+		before := e.KernelStats().SkipAheads
+		got := testing.AllocsPerRun(20, chain)
+		if got != 0 {
+			t.Fatalf("contended=%v: Task.Sleep allocates %v per chain, want 0", contended, got)
+		}
+		// Checked builds never skip ahead, so there both rounds arm.
+		if skipped := e.KernelStats().SkipAheads > before; !e.checked && skipped == contended {
+			t.Fatalf("contended=%v took the wrong branch (skip-aheads moved: %v)", contended, skipped)
+		}
 	}
 }
 

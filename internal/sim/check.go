@@ -32,7 +32,7 @@ func (e *Env) checkDispatch(at Time, seq uint64) {
 }
 
 // MarkBlocked records that w is parked on the named primitive (a gate,
-// a queue, a QP slot list, the frame-waiter list, ...). Primitives that
+// a QP slot list, the frame-waiter list, ...). Primitives that
 // hold raw waiter lists call it just before parking; the matching wake
 // path calls MarkUnblocked. No-ops unless the environment was built
 // with oracles on, so unchecked runs pay one branch.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/simcheck"
 )
@@ -63,6 +64,22 @@ func TestProcBodyPanicReachesRun(t *testing.T) {
 	}
 }
 
+// settledGoroutines counts goroutines once the count holds still: the
+// previous test's runner reports to its parent before it exits, so for
+// a moment a new test can still see it (one failure in four runs of
+// this file under -race, before this).
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+}
+
 // TestPanickingRunReleasesGoroutines: a run that panics with 100
 // processes parked must not leak them — the swarm's shrinker and the
 // mutation smoke tests re-run failing scenarios in one process — and
@@ -71,7 +88,7 @@ func TestProcBodyPanicReachesRun(t *testing.T) {
 func TestPanickingRunReleasesGoroutines(t *testing.T) {
 	simcheck.SetArmed(true)
 	defer simcheck.SetArmed(false)
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEnv(1)
 	unwound := 0
 	for i := 0; i < 100; i++ {
@@ -99,7 +116,7 @@ func TestPanickingRunReleasesGoroutines(t *testing.T) {
 // TestTeardownUnwindsParkedProcs: the normal end of a run stops every
 // parked coroutine, running deferred functions, and every pooled one.
 func TestTeardownUnwindsParkedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := NewEnv(1)
 	unwound := 0
 	for i := 0; i < 1000; i++ {

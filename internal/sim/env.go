@@ -39,6 +39,8 @@ type Env struct {
 	// there whichever goroutine it runs on.
 	until Time
 
+	stats KernelStats
+
 	// Invariant-oracle state (check.go). checked is latched at
 	// construction from simcheck.On(), so arming must happen before the
 	// environment is built; blocked is the waiter registry for the
@@ -139,6 +141,18 @@ func (e *Env) MaxPending() int {
 	}
 	return e.q.maxCount
 }
+
+// KernelStats are the kernel's self-counters: where host time can go
+// beyond one wheel dispatch per event. They are exact counts, identical
+// across runs of one seed.
+type KernelStats struct {
+	Parks      int64 // Proc.park calls: sleeps, yields and waits that did not skip ahead
+	Switches   int64 // transfers of control into a process coroutine (each pairs with one back)
+	SkipAheads int64 // sleeps and yields, of either tier, that only advanced the clock
+}
+
+// KernelStats returns the kernel self-counters accumulated so far.
+func (e *Env) KernelStats() KernelStats { return e.stats }
 
 // LiveProcs reports the number of processes that have started but not yet
 // terminated (parked or running), for leak detection in tests.

@@ -4,12 +4,12 @@ import "iter"
 
 // Proc is a simulated process: a coroutine that runs strictly one at a
 // time under the event loop's control. A Proc may block on simulated time
-// (Sleep) or on synchronization primitives (Gate, Queue); while it is
-// blocked, other events and processes run. This is how unithreads,
-// workers, the dispatcher, and other flows that genuinely block
-// mid-traversal are expressed; purely timer/event-driven loops should use
-// the cheaper tier-1 Task (task.go) instead, which never leaves the
-// event loop's goroutine.
+// (Sleep) or on synchronization primitives (Gate); while it is blocked,
+// other events and processes run. This is how goroutine-tier unithreads
+// — application handlers in direct style, which block partway down a
+// call stack — are expressed; everything whose wait points are known
+// (the scheduler's cores included) uses the cheaper tier-1 Task
+// (task.go) instead, which never leaves the event loop's goroutine.
 //
 // Each process runs on a runtime coroutine (iter.Pull): the loop
 // goroutine — whichever goroutine called Run — resumes it with next, and
@@ -105,6 +105,7 @@ func (e *Env) switchTo(p *Proc) {
 		} else if p.done {
 			panic("sim: resuming terminated proc " + p.name)
 		}
+		e.stats.Switches++
 		p, _ = p.r.resume()
 	}
 }
@@ -171,6 +172,7 @@ func (p *Proc) Now() Time { return p.env.now }
 // coroutine actually yields.
 func (p *Proc) park() {
 	e := p.env
+	e.stats.Parks++
 	p.parkNext = e.parkedHead
 	if e.parkedHead != nil {
 		e.parkedHead.parkPrev = p
@@ -242,7 +244,7 @@ func (e *Env) unlinkParked(p *Proc) {
 // building block for all wake-ups: primitives never resume a process
 // inline (that would nest processes); they always go through an event.
 // The event carries the process directly — no closure is allocated on
-// this path, which every Sleep, Gate.Wake, and Queue.Push takes.
+// this path, which every Sleep and Gate.Wake takes.
 func (e *Env) scheduleResume(p *Proc, at Time) {
 	if at < e.now {
 		panic("sim: scheduling resume in the past for " + p.name)
@@ -295,7 +297,8 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// skipAhead is the clock-advance fast path for Sleep and Yield: when
+// skipAhead is the clock-advance fast path for Sleep and Yield, of
+// procs and tasks alike: when
 // every pending event is strictly later than the caller's wake time,
 // the event loop would pop the caller's own resume next — the resume
 // would carry the highest sequence number, so an already-pending event
@@ -312,6 +315,7 @@ func (e *Env) skipAhead(at Time) bool {
 		return false
 	}
 	e.now = at
+	e.stats.SkipAheads++
 	return true
 }
 

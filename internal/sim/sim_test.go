@@ -182,91 +182,23 @@ func TestGatePendingWake(t *testing.T) {
 	}
 }
 
-func TestQueueFIFO(t *testing.T) {
-	e := NewEnv(1)
-	q := NewQueue[int](e)
-	var got []int
-	e.Go("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, q.Pop(p))
-		}
-	})
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(10)
-			q.Push(i)
-		}
-	})
-	e.RunAll()
-	for i := 0; i < 5; i++ {
-		if got[i] != i {
-			t.Fatalf("got = %v", got)
-		}
-	}
-}
-
-func TestQueueTryPopAndCompaction(t *testing.T) {
-	e := NewEnv(1)
-	q := NewQueue[int](e)
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue succeeded")
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		q.Push(i)
-	}
-	for i := 0; i < n; i++ {
-		v, ok := q.TryPop()
-		if !ok || v != i {
-			t.Fatalf("pop %d = %d,%v", i, v, ok)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("len = %d, want 0", q.Len())
-	}
-}
-
-func TestQueueMultipleWaiters(t *testing.T) {
-	e := NewEnv(1)
-	q := NewQueue[int](e)
-	served := map[string]int{}
-	for _, name := range []string{"c1", "c2"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			for {
-				v := q.Pop(p)
-				if v < 0 {
-					return
-				}
-				served[name]++
-				p.Sleep(5)
-			}
-		})
-	}
-	e.Go("producer", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			q.Push(i)
-			p.Sleep(2)
-		}
-		q.Push(-1)
-		q.Push(-1)
-	})
-	e.RunAll()
-	if served["c1"]+served["c2"] != 10 {
-		t.Fatalf("served = %v, want 10 total", served)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	// The same seed must produce an identical execution trace.
 	run := func() []int64 {
 		e := NewEnv(42)
-		q := NewQueue[int](e)
+		var items []int
 		var trace []int64
-		for w := 0; w < 3; w++ {
+		gates := make([]*Gate, 3)
+		for w := range gates {
+			g := NewGate(e)
+			gates[w] = g
 			e.Go("worker", func(p *Proc) {
 				for {
-					v := q.Pop(p)
+					for len(items) == 0 {
+						g.Wait(p)
+					}
+					v := items[0]
+					items = items[1:]
 					p.Sleep(Time(e.Rand().Intn(100) + 1))
 					trace = append(trace, int64(v)*1_000_000+int64(p.Now()))
 				}
@@ -275,7 +207,8 @@ func TestDeterminism(t *testing.T) {
 		e.Go("gen", func(p *Proc) {
 			for i := 0; i < 50; i++ {
 				p.Sleep(e.Rand().Exp(30))
-				q.Push(i)
+				items = append(items, i)
+				gates[i%len(gates)].Wake()
 			}
 		})
 		e.Run(Seconds(1))
@@ -294,9 +227,9 @@ func TestDeterminism(t *testing.T) {
 
 func TestTeardownReleasesParkedProcs(t *testing.T) {
 	e := NewEnv(1)
-	q := NewQueue[int](e)
 	for i := 0; i < 10; i++ {
-		e.Go("stuck", func(p *Proc) { q.Pop(p) })
+		g := NewGate(e)
+		e.Go("stuck", func(p *Proc) { g.Wait(p) })
 	}
 	e.Run(100)
 	if e.LiveProcs() != 0 {

@@ -76,74 +76,3 @@ func (g *Gate) Reset() {
 	g.waiter = nil
 	g.pending = false
 }
-
-// Queue is an unbounded blocking FIFO connecting processes (and event
-// callbacks) in the simulation. Push never blocks; Pop blocks the calling
-// process until an item is available. Multiple poppers are served in
-// wake-up order with Mesa semantics (a resumed popper rechecks).
-type Queue[T any] struct {
-	env     *Env
-	items   []T
-	head    int
-	waiters []*Proc
-}
-
-// NewQueue returns a queue bound to env.
-func NewQueue[T any](env *Env) *Queue[T] { return &Queue[T]{env: env} }
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
-
-// Push appends v and wakes one waiting popper, if any.
-func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	if n := len(q.waiters); n > 0 {
-		w := q.waiters[0]
-		// Shift down rather than reslice: q.waiters[1:] would strand the
-		// slice's capacity and force an allocation on the next Pop. The
-		// copy is one or two pointers in practice.
-		copy(q.waiters, q.waiters[1:])
-		q.waiters[n-1] = nil
-		q.waiters = q.waiters[:n-1]
-		q.env.MarkUnblocked(w)
-		q.env.scheduleResume(w, q.env.now)
-	}
-}
-
-// Pop blocks p until an item is available, then removes and returns the
-// oldest item.
-func (q *Queue[T]) Pop(p *Proc) T {
-	for q.Len() == 0 {
-		q.waiters = append(q.waiters, p)
-		q.env.MarkBlocked(p, "queue")
-		p.park()
-	}
-	v, _ := q.TryPop()
-	return v
-}
-
-// TryPop removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if q.Len() == 0 {
-		return zero, false
-	}
-	v := q.items[q.head]
-	q.items[q.head] = zero // release for GC
-	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return v, true
-}
-
-// Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if q.Len() == 0 {
-		return zero, false
-	}
-	return q.items[q.head], true
-}

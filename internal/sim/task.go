@@ -10,10 +10,11 @@ package sim
 // no goroutine, no switch, no allocation (the callback closure is
 // built once at construction and reused for every firing).
 //
-// Model loops that never block mid-step — the loadgen arrival loop, the
-// paging reclaimer, NIC delivery and completion paths — run as tasks;
-// only code that genuinely parks partway through a traversal (scheduler
-// workers, unithreads waiting on page faults) still pays for a Proc.
+// Every model loop runs as a task — the loadgen arrival loop, the paging
+// reclaimer, NIC delivery and completion paths, and the scheduler's
+// dispatcher and worker cores, whose cycle charges are Task.Sleep; only
+// application handlers written in direct style, which park partway down
+// a call stack (goroutine-tier unithreads), still pay for a Proc.
 //
 // A task is single-armed: at most one pending firing exists at a time,
 // which is the natural shape of a self-rescheduling loop and keeps the
@@ -61,6 +62,33 @@ func (t *Task) FireAt(at Time) {
 
 // FireAfter schedules the task to fire d cycles from now.
 func (t *Task) FireAfter(d Time) { t.FireAt(t.env.now + d) }
+
+// Sleep is Proc.Sleep for the task tier: d cycles of simulated time
+// pass before the task's next step. When nothing is pending at or before
+// the wake time the clock advances inline (Env.skipAhead, the same test
+// Proc.Sleep makes) and Sleep reports true: the callback carries on.
+// Otherwise the task is armed for the wake time — the one wheel push a
+// sleeping proc's resume would have been, so (at, seq) order is the
+// same — and Sleep reports false: the callback must record where to
+// continue and return; it fires again at the wake time.
+func (t *Task) Sleep(d Time) bool {
+	if d <= 0 {
+		return true
+	}
+	return t.sleepUntil(t.env.now + d)
+}
+
+// Yield is Proc.Yield for the task tier: the task continues behind every
+// event already scheduled at the current time. Result as for Sleep.
+func (t *Task) Yield() bool { return t.sleepUntil(t.env.now) }
+
+func (t *Task) sleepUntil(at Time) bool {
+	if t.env.skipAhead(at) {
+		return true
+	}
+	t.FireAt(at)
+	return false
+}
 
 // Waiter is the common face of the two execution tiers for wake-up
 // points: something that can be scheduled to continue at a given time.

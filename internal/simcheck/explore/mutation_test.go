@@ -106,6 +106,15 @@ func cases() []mutationCase {
 			scenario: migrated,
 			oracles:  []string{"migrate/"},
 		},
+		{
+			// The dispatcher assigns a request and never wakes the idle
+			// worker. The cores are tasks, invisible to sim/lost-wakeup
+			// (it walks parked processes); the audit finds workers asleep
+			// on their idle gates with full inboxes.
+			mutation: "sched-drop-idle-wake",
+			scenario: base,
+			oracles:  []string{"sched/core-liveness"},
+		},
 	}
 }
 

@@ -143,14 +143,15 @@ func (a *ArrayApp) NextRequest(rng *sim.RNG) (any, int) {
 }
 
 // arrayStepper is ArrayApp's resumable-step handler. The phase machine
-// mirrors Handler line for line — same compute charges, same probe
-// placement, same access and mismatch check — so both tiers replay the
-// identical schedule.
+// mirrors Handler line for line — same compute charges in the same
+// order, same probe placement, same access and mismatch check — so both
+// tiers replay the identical schedule.
 type arrayStepper struct{ a *ArrayApp }
 
 // Array step phases (StepFrame.PC values).
 const (
 	arrayStepParse = iota
+	arrayStepProbe
 	arrayStepAccess
 	arrayStepReply
 )
@@ -161,13 +162,15 @@ func (a *ArrayApp) StepHandler() StepHandler { return arrayStepper{a} }
 // Begin implements StepHandler.
 func (arrayStepper) Begin(f *StepFrame, payload any) { f.PC = arrayStepParse }
 
-// Step implements StepHandler: parse → array access (the only fault
-// point; W[0] holds the value across a fault-free rerun) → reply.
-func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, StepStatus) {
+// Step implements StepHandler: parse charge → array access (the only
+// fault point; W[0] carries the value over the reply charge) → reply.
+func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, sim.Time, StepStatus) {
 	a := h.a
 	switch f.PC {
 	case arrayStepParse:
-		ctx.Compute(a.ParseCost)
+		f.PC = arrayStepProbe
+		return nil, 0, a.ParseCost, StepCompute
+	case arrayStepProbe:
 		ctx.Probe()
 		f.PC = arrayStepAccess
 		fallthrough
@@ -175,14 +178,14 @@ func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, St
 		if put, ok := payload.(ArrayPut); ok {
 			v := arraySeed(put.Index)
 			if !ctx.TryStoreU64(a.space, put.Index*8, v) {
-				return nil, 0, StepFault
+				return nil, 0, 0, StepFault
 			}
 			f.W[0] = v
 		} else {
 			idx := payload.(ArrayGet).Index
 			v, ok := ctx.TryLoadU64(a.space, idx*8)
 			if !ok {
-				return nil, 0, StepFault
+				return nil, 0, 0, StepFault
 			}
 			if v != arraySeed(idx) {
 				a.Mismatches.Inc()
@@ -190,10 +193,9 @@ func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, St
 			f.W[0] = v
 		}
 		f.PC = arrayStepReply
-		fallthrough
+		return nil, 0, a.ReplyCost, StepCompute
 	case arrayStepReply:
-		ctx.Compute(a.ReplyCost)
-		return ArrayVal{Value: f.W[0]}, a.RespBytes, StepDone
+		return ArrayVal{Value: f.W[0]}, a.RespBytes, 0, StepDone
 	}
 	panic("workload: corrupt array step frame")
 }

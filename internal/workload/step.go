@@ -10,12 +10,13 @@ import (
 // (§3.2, Table 1) is that a unithread needs only an 80-byte light
 // context because it suspends at known call boundaries; the goroutine-
 // backed Unithread models the *timing* of that but still pays a real
-// goroutine switch per suspend in wall-clock terms. An app that can
+// coroutine switch per suspend in wall-clock terms. An app that can
 // express its handler as explicit steps — each call runs to the next
-// fault point and parks its continuation state in a StepFrame — lets the
-// scheduler run requests inline on the worker's own process with no
-// second goroutine at all. Stack-dependent apps (B-trees mid-descent,
-// SQL scans) keep the goroutine tier; both tiers execute the identical
+// point where simulated time must pass (a CPU charge, a page fault) and
+// parks its continuation state in a StepFrame — lets the scheduler run
+// requests inline on the worker core's own state machine with no stack
+// of their own at all. Stack-dependent apps (B-trees mid-descent, SQL
+// scans) keep the goroutine tier; both tiers execute the identical
 // simulated schedule.
 
 // StepStatus is the outcome of one StepHandler.Step call.
@@ -29,6 +30,11 @@ const (
 	// once the page is resident; the frame must let the handler resume
 	// from (or idempotently repeat up to) the faulting access.
 	StepFault
+	// StepCompute: the step declares cycles of application CPU work. The
+	// scheduler charges them on the carrying core — simulated time passes
+	// between Step calls, never inside one — and then re-invokes Step,
+	// whose frame must already point past the charge.
+	StepCompute
 )
 
 // StepFrame is the explicit continuation of a flat unithread between
@@ -41,15 +47,14 @@ type StepFrame struct {
 }
 
 // StepCtx is the execution context handed to Step. It is the flat-tier
-// counterpart of Ctx: compute charging, probes, and critical sections
-// behave identically, but paged accesses are non-blocking — a miss
-// returns ok=false and the handler must return StepFault with its frame
-// positioned to retry the access. The flat tier never runs under a
-// preemptive configuration, so Probe and CriticalEnter/Exit are
-// semantically no-ops kept for contract parity.
+// counterpart of Ctx: probes and critical sections behave identically,
+// but nothing in it blocks — a paged access that misses returns
+// ok=false and the handler must return StepFault with its frame
+// positioned to retry the access, and compute is not a call at all but
+// a StepCompute return. The flat tier never runs under a preemptive
+// configuration, so Probe and CriticalEnter/Exit are semantically
+// no-ops kept for contract parity.
 type StepCtx interface {
-	// Compute charges cycles of application CPU work on the current core.
-	Compute(cycles sim.Time)
 	// Probe is the preemption probe (free on this tier — flat unithreads
 	// only run under non-preemptive configurations).
 	Probe()
@@ -71,14 +76,16 @@ type StepCtx interface {
 
 // StepHandler is the resumable-step form of a request handler. Begin
 // initializes the frame for a fresh request; Step advances the request
-// to its next fault point or completion. After a StepFault the scheduler
-// re-invokes Step with the same frame once the faulted page is resident;
-// the first paged access the re-run performs must be the one that
-// faulted (the paging layer accounts the retried access as the tail of
-// the same fault, not a fresh hit — see Space.TryPage).
+// to its next compute charge, its next fault point or its completion,
+// and reports which (cycles is valid with StepCompute, resp/respBytes
+// with StepDone). After a StepFault the scheduler re-invokes Step with
+// the same frame once the faulted page is resident; the first paged
+// access the re-run performs must be the one that faulted (the paging
+// layer accounts the retried access as the tail of the same fault, not a
+// fresh hit — see Space.TryPage).
 type StepHandler interface {
 	Begin(f *StepFrame, payload any)
-	Step(ctx StepCtx, f *StepFrame, payload any) (resp any, respBytes int, st StepStatus)
+	Step(ctx StepCtx, f *StepFrame, payload any) (resp any, respBytes int, cycles sim.Time, st StepStatus)
 }
 
 // StepApp is implemented by apps that can run on the flat unithread
