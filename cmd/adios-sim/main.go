@@ -10,8 +10,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -21,6 +24,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/kvs"
 	"repro/internal/migrate"
+	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/simcheck"
 	"repro/internal/sstable"
@@ -38,26 +42,58 @@ var modes = map[string]core.Mode{
 	"infiniswap": core.Infiniswap,
 }
 
-func main() {
-	modeName := flag.String("mode", "adios", "system: adios|dilos|dilos-p|hermit|infiniswap")
-	appName := flag.String("app", "micro", "workload: micro|memcached128|memcached1024|rocksdb|tpcc|faiss")
-	rps := flag.Float64("rps", 1_000_000, "offered load, requests/second")
-	local := flag.Float64("local", 0.20, "local DRAM as a fraction of the working set")
-	ms := flag.Float64("ms", 0, "measurement window in simulated ms (0 = auto)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	memnodes := flag.Int("memnodes", 1, "memory nodes the backing store is striped across")
-	replicasN := flag.Int("replicas", 1, "copies of every page, on distinct memory nodes (1 = unreplicated)")
-	faultSpec := flag.String("faults", "", "fault plan (see EXPERIMENTS.md), e.g. 'node=0,mem=2ms:400us'")
-	migrateSpec := flag.String("migrate", "", "page-migration plan (see EXPERIMENTS.md): off|on|'epoch=50us,hot=8,...'")
-	skew := flag.Float64("skew", 0, "Zipfian key-skew exponent for the micro workload (0 = uniform)")
-	block := flag.Int64("block", 0, "shard placement block size in pages (0 = page striping)")
-	cdf := flag.Bool("cdf", false, "print the e2e latency CDF")
-	traceOut := flag.String("trace", "", "write a chrome://tracing / Perfetto trace of the run to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-	qdepth := flag.Bool("qdepth", false, "report the simulation's pending-event high-water mark and the kernel's park/switch/skip-ahead counts per request")
-	check := flag.Bool("check", false, "arm the simcheck invariant oracles for this run")
-	flag.Parse()
+func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters (args[0] is the
+// program name) and the exit code as its result: 0 on success, 1 when a
+// file cannot be written, 2 on a usage error — every rejected flag value
+// prints one "adios-sim: …" line and builds nothing.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "adios-sim: "+format+"\n", a...)
+		return 2
+	}
+	modeName := fs.String("mode", "adios", "system: adios|dilos|dilos-p|hermit|infiniswap")
+	appName := fs.String("app", "micro", "workload: micro|memcached128|memcached1024|rocksdb|tpcc|faiss")
+	rps := fs.Float64("rps", 1_000_000, "offered load, requests/second")
+	local := fs.Float64("local", 0.20, "local DRAM as a fraction of the working set")
+	ms := fs.Float64("ms", 0, "measurement window in simulated ms (0 = auto)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	memnodes := fs.Int("memnodes", 1, "memory nodes the backing store is striped across")
+	replicasN := fs.Int("replicas", 1, "copies of every page, on distinct memory nodes (1 = unreplicated)")
+	faultSpec := fs.String("faults", "", "fault plan (see EXPERIMENTS.md), e.g. 'node=0,mem=2ms:400us'")
+	migrateSpec := fs.String("migrate", "", "page-migration plan (see EXPERIMENTS.md): off|on|'epoch=50us,hot=8,...'")
+	skew := fs.Float64("skew", 0, "Zipfian key-skew exponent for the micro workload (0 = uniform)")
+	block := fs.Int64("block", 0, "shard placement block size in pages (0 = page striping)")
+	cdf := fs.Bool("cdf", false, "print the e2e latency CDF")
+	traceOut := fs.String("trace", "", "write a chrome://tracing / Perfetto trace of the run to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile (after the run) to this file")
+	qdepth := fs.Bool("qdepth", false, "report the simulation's pending-event high-water mark and the kernel's park/switch/skip-ahead counts per request")
+	check := fs.Bool("check", false, "arm the simcheck invariant oracles for this run")
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// Reject what would otherwise panic deep in the build or never
+	// terminate. The negated comparisons reject NaN too.
+	if !(*rps > 0) || math.IsInf(*rps, 0) {
+		return usage("-rps must be a positive request rate, got %v", *rps)
+	}
+	if !(*ms >= 0) || math.IsInf(*ms, 0) {
+		return usage("-ms must be >= 0 (0 = auto), got %v", *ms)
+	}
+	if !(*local > 0) || math.IsInf(*local, 0) {
+		return usage("-local must be a positive fraction of the working set, got %v", *local)
+	}
+	if *skew != 0 && !(*skew > 1) {
+		// math/rand's Zipf generator rejects exponents at or below 1.
+		return usage("-skew must be > 1 (or 0 for uniform)")
+	}
 
 	if *check {
 		// Must precede system construction: each environment latches its
@@ -67,18 +103,35 @@ func main() {
 
 	mode, ok := modes[strings.ToLower(*modeName)]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "adios-sim: unknown mode %q\n", *modeName)
-		os.Exit(2)
+		return usage("unknown mode %q", *modeName)
+	}
+	var (
+		plan faults.Config
+		mc   migrate.Config
+		err  error
+	)
+	if *faultSpec != "" {
+		if plan, err = faults.ParseSpec(*faultSpec); err != nil {
+			return usage("%v", err)
+		}
+		if n := max(*memnodes, 1); plan.CrashSet && plan.CrashNode >= n {
+			return usage("-faults crash targets node %d, but -memnodes is %d", plan.CrashNode, n)
+		}
+	}
+	if *migrateSpec != "" {
+		if mc, err = migrate.ParseSpec(*migrateSpec); err != nil {
+			return usage("%v", err)
+		}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adios-sim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "adios-sim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -90,59 +143,43 @@ func main() {
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "adios-sim: %v\n", err)
+				fmt.Fprintf(stderr, "adios-sim: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize the retained heap
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "adios-sim: %v\n", err)
+				fmt.Fprintf(stderr, "adios-sim: %v\n", err)
 			}
 		}()
 	}
 
 	// Build the app against a sizing probe first to learn its footprint.
-	probe := core.NewSystem(core.Preset(mode, 1<<22))
-	probeApp, size := buildApp(probe, *appName)
-	_ = probeApp
+	_, size, err := buildApp(core.NewSystem(core.Preset(mode, 1<<22)), *appName)
+	if err != nil {
+		return usage("%v", err)
+	}
+	if *local*float64(size) < paging.PageSize {
+		return usage("-local %v of the %d-byte working set is less than one page of local memory", *local, size)
+	}
 
 	cfg := core.Preset(mode, int64(*local*float64(size)))
 	cfg.Seed = *seed
 	cfg.MemNodes = *memnodes
 	cfg.Replicas = *replicasN
-	if *faultSpec != "" {
-		plan, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adios-sim: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
-	}
-	if *migrateSpec != "" {
-		mc, err := migrate.ParseSpec(*migrateSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "adios-sim: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Migrate = mc
-	}
+	cfg.Faults = plan
+	cfg.Migrate = mc
 	if *block > 0 {
 		cfg.Shard = core.Block(*block)
 	}
-	if *skew != 0 && *skew <= 1 {
-		// math/rand's Zipf generator rejects exponents at or below 1.
-		fmt.Fprintf(os.Stderr, "adios-sim: -skew must be > 1 (or 0 for uniform)\n")
-		os.Exit(2)
-	}
 	sys := core.NewSystem(cfg)
-	app, _ := buildApp(sys, *appName)
+	app, _, _ := buildApp(sys, *appName)
 	if *skew > 0 {
-		if a, ok := app.(*workload.ArrayApp); ok {
-			a.Dist = &workload.Zipfian{Keys: a.Entries(), S: *skew}
-		} else {
-			fmt.Fprintf(os.Stderr, "adios-sim: -skew applies to the micro workload only\n")
-			os.Exit(2)
+		a, ok := app.(*workload.ArrayApp)
+		if !ok {
+			return usage("-skew applies to the micro workload only")
 		}
+		a.Dist = &workload.Zipfian{Keys: a.Entries(), S: *skew}
 	}
 	if w, ok := app.(interface{ WarmCache() }); ok {
 		w.WarmCache()
@@ -169,20 +206,20 @@ func main() {
 	}
 	res := sys.Run(app, *rps, sim.Millis(window/4), sim.Millis(window))
 
-	fmt.Printf("system      %s\n", mode)
-	fmt.Printf("workload    %s (%.1f MiB working set, %.0f%% local)\n",
+	fmt.Fprintf(stdout, "system      %s\n", mode)
+	fmt.Fprintf(stdout, "workload    %s (%.1f MiB working set, %.0f%% local)\n",
 		app.Name(), float64(size)/(1<<20), *local*100)
-	fmt.Printf("offered     %.0f RPS for %.0f ms (+%.0f ms warm-up)\n", *rps, window, window/4)
-	fmt.Printf("throughput  %.0f RPS\n", res.TputK*1000)
-	fmt.Printf("latency     p50=%.1fus p99=%.1fus p99.9=%.1fus mean=%.1fus\n",
+	fmt.Fprintf(stdout, "offered     %.0f RPS for %.0f ms (+%.0f ms warm-up)\n", *rps, window, window/4)
+	fmt.Fprintf(stdout, "throughput  %.0f RPS\n", res.TputK*1000)
+	fmt.Fprintf(stdout, "latency     p50=%.1fus p99=%.1fus p99.9=%.1fus mean=%.1fus\n",
 		res.P50us, res.P99us, res.P999us, res.MeanUs)
-	fmt.Printf("rdma        link-util=%.1f%% faults=%d reads=%d writes=%d\n",
+	fmt.Fprintf(stdout, "rdma        link-util=%.1f%% faults=%d reads=%d writes=%d\n",
 		res.LinkUtil*100, res.Faults, sys.Fabric.Reads(), sys.Fabric.Writes())
 	// Per-node stats only exist on a striped run, so a default
 	// single-node invocation prints byte-identically to older builds.
 	if len(sys.Fabric) > 1 {
 		for i, nic := range sys.Fabric {
-			fmt.Printf("  memnode %-2d reads=%d writes=%d errors=%d stalled-us=%.0f\n",
+			fmt.Fprintf(stdout, "  memnode %-2d reads=%d writes=%d errors=%d stalled-us=%.0f\n",
 				i, nic.Reads.Value(), nic.Writes.Value(), nic.CompletionErrors.Value(),
 				sim.Time(sys.Nodes[i].StalledTime()).Micros())
 		}
@@ -191,7 +228,7 @@ func main() {
 	// detector, so crash-free invocations print byte-identically to
 	// builds without crash support.
 	if sys.Health != nil {
-		fmt.Printf("failover    timeouts=%d detected=%d failover-reads=%d repaired=%d unrepairable=%d repair-p99-us=%.0f\n",
+		fmt.Fprintf(stdout, "failover    timeouts=%d detected=%d failover-reads=%d repaired=%d unrepairable=%d repair-p99-us=%.0f\n",
 			sys.Fabric.TimeoutErrors(), sys.Health.Detected.Value(),
 			sys.Mgr.FailoverReads.Value(), sys.Repair.Repaired.Value(),
 			sys.Repair.Unrepairable.Value(), sim.Time(sys.Repair.RepairLat.P99()).Micros())
@@ -200,36 +237,36 @@ func main() {
 	// run, so migration-off invocations print byte-identically to builds
 	// without migration support.
 	if sys.Migr != nil {
-		fmt.Printf("migrate     moved=%d planned=%d aborted=%d deferred=%d epochs=%d migr-p99-us=%.0f\n",
+		fmt.Fprintf(stdout, "migrate     moved=%d planned=%d aborted=%d deferred=%d epochs=%d migr-p99-us=%.0f\n",
 			sys.Migr.PagesMoved.Value(), sys.Migr.Planned.Value(), sys.Migr.Aborted.Value(),
 			sys.Migr.Deferred.Value(), sys.Migr.Epochs.Value(), sim.Time(sys.Migr.MigrLat.P99()).Micros())
 	}
-	fmt.Printf("paging      evictions=%d writebacks=%d stalls=%d resident-frames=%d/%d\n",
+	fmt.Fprintf(stdout, "paging      evictions=%d writebacks=%d stalls=%d resident-frames=%d/%d\n",
 		sys.Mgr.Evictions.Value(), sys.Mgr.DirtyWritebacks.Value(), sys.Mgr.AllocStalls.Value(),
 		sys.Mgr.TotalFrames()-sys.Mgr.FreeFrames(), sys.Mgr.TotalFrames())
-	fmt.Printf("drops       %d (rx=%d queue=%d pool=%d)\n", res.Drops,
+	fmt.Fprintf(stdout, "drops       %d (rx=%d queue=%d pool=%d)\n", res.Drops,
 		sys.Net.Drops.Value(), sys.Sched.DropsQueue.Value(), sys.Sched.DropsPool.Value())
-	fmt.Printf("cpu         worker-cycles=%d busy-wait-cycles=%d dispatcher-cycles=%d\n",
+	fmt.Fprintf(stdout, "cpu         worker-cycles=%d busy-wait-cycles=%d dispatcher-cycles=%d\n",
 		sys.Sched.CPUCycles(), sys.Sched.BusyWaitCycles(), sys.Sched.DispatcherCycles())
 	// Core utilization over the driven interval (warm-up + measurement),
 	// excluding the post-run drain.
 	elapsed := float64(sim.Millis(window * 1.25))
-	fmt.Printf("cores      ")
+	fmt.Fprintf(stdout, "cores      ")
 	for _, w := range sys.Sched.Workers() {
-		fmt.Printf(" w%d=%.0f%%", w.ID(), float64(w.BusyCycles())/elapsed*100)
+		fmt.Fprintf(stdout, " w%d=%.0f%%", w.ID(), float64(w.BusyCycles())/elapsed*100)
 	}
-	fmt.Printf(" disp=%.0f%%\n", float64(sys.Sched.DispatcherCycles())/elapsed*100)
+	fmt.Fprintf(stdout, " disp=%.0f%%\n", float64(sys.Sched.DispatcherCycles())/elapsed*100)
 	if *qdepth {
-		fmt.Printf("qdepth      peak-pending-events=%d\n", sys.Env.MaxPending())
+		fmt.Fprintf(stdout, "qdepth      peak-pending-events=%d\n", sys.Env.MaxPending())
 		// The kernel's self-counters over the whole run, per request the
 		// scheduler completed in it (warm-up and drain included).
 		ks, n := sys.Env.KernelStats(), float64(sys.Sched.Completed.Value())
-		fmt.Printf("kernel      parks/req=%.2f switches/req=%.2f skip-aheads/req=%.2f\n",
+		fmt.Fprintf(stdout, "kernel      parks/req=%.2f switches/req=%.2f skip-aheads/req=%.2f\n",
 			float64(ks.Parks)/n, float64(ks.Switches)/n, float64(ks.SkipAheads)/n)
 	}
 	for _, class := range sortedClassNames(res) {
 		h := res.Gen.ByClass[class]
-		fmt.Printf("class %-9s n=%-8d p50=%.1fus p99=%.1fus p99.9=%.1fus\n",
+		fmt.Fprintf(stdout, "class %-9s n=%-8d p50=%.1fus p99=%.1fus p99.9=%.1fus\n",
 			class, h.Count(), sim.Time(h.P50()).Micros(), sim.Time(h.P99()).Micros(),
 			sim.Time(h.P999()).Micros())
 	}
@@ -248,23 +285,24 @@ func main() {
 		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adios-sim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
+			return 1
 		}
 		if err := rec.WriteJSON(f, cfg.Sched.Workers, cfg.Sched.Dispatchers); err != nil {
-			fmt.Fprintf(os.Stderr, "adios-sim: %v\n", err)
+			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
 		}
 		f.Close()
-		fmt.Printf("trace       %d spans -> %s (open in chrome://tracing)\n", rec.Len(), *traceOut)
+		fmt.Fprintf(stdout, "trace       %d spans -> %s (open in chrome://tracing)\n", rec.Len(), *traceOut)
 	}
 	if *cdf {
-		fmt.Println("latency_us cdf")
+		fmt.Fprintln(stdout, "latency_us cdf")
 		points := res.Gen.E2E.CDF()
 		step := len(points)/40 + 1
 		for i := 0; i < len(points); i += step {
-			fmt.Printf("%.1f %.4f\n", sim.Time(points[i].Value).Micros(), points[i].Fraction)
+			fmt.Fprintf(stdout, "%.1f %.4f\n", sim.Time(points[i].Value).Micros(), points[i].Fraction)
 		}
 	}
+	return 0
 }
 
 func sortedClassNames(res core.RunResult) []string {
@@ -284,30 +322,28 @@ func sortedClassNames(res core.RunResult) []string {
 
 // buildApp constructs the named workload inside sys and returns it with
 // its working-set size.
-func buildApp(sys *core.System, name string) (workload.App, int64) {
+func buildApp(sys *core.System, name string) (workload.App, int64, error) {
 	switch strings.ToLower(name) {
 	case "micro":
 		const size = 64 << 20
 		app := workload.NewArrayApp(sys.Mgr, sys.Mem, size)
-		return app, size
+		return app, size, nil
 	case "memcached128":
 		s := kvs.New(sys.Mgr, sys.Mem, kvs.DefaultConfig(700_000, 128))
-		return s, s.SpaceSize()
+		return s, s.SpaceSize(), nil
 	case "memcached1024":
 		s := kvs.New(sys.Mgr, sys.Mem, kvs.DefaultConfig(160_000, 1024))
-		return s, s.SpaceSize()
+		return s, s.SpaceSize(), nil
 	case "rocksdb":
 		t := sstable.New(sys.Mgr, sys.Mem, sstable.DefaultConfig(180_000, 1024))
-		return t, t.SpaceSize()
+		return t, t.SpaceSize(), nil
 	case "tpcc":
 		db := tpcc.New(sys.Env, sys.Mgr, sys.Mem, tpcc.DefaultConfig(2))
-		return db, db.TotalBytes()
+		return db, db.TotalBytes(), nil
 	case "faiss":
 		idx := vecdb.New(sys.Mgr, sys.Mem, vecdb.DefaultConfig(250_000))
-		return idx, idx.SpaceSize()
+		return idx, idx.SpaceSize(), nil
 	default:
-		fmt.Fprintf(os.Stderr, "adios-sim: unknown app %q\n", name)
-		os.Exit(2)
-		return nil, 0
+		return nil, 0, fmt.Errorf("unknown app %q", name)
 	}
 }

@@ -1,0 +1,48 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestRunRejectsBadInput: every flag value that used to panic deep in
+// the build (-local, -ms, an out-of-range crash node) or never terminate
+// (-rps) must instead print one "adios-sim: …" line and exit 2, with
+// nothing on stdout; a good invocation still runs to its report.
+func TestRunRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"local-zero", []string{"-local", "0"}, 2},
+		{"local-negative", []string{"-local", "-1"}, 2},
+		{"local-below-one-page", []string{"-local", "1e-9"}, 2},
+		{"ms-negative", []string{"-ms", "-1"}, 2},
+		{"crash-node-out-of-range", []string{"-faults", "crash=1ms:node=5", "-memnodes", "2"}, 2},
+		{"rps-zero", []string{"-rps", "0"}, 2},
+		{"rps-negative", []string{"-rps", "-5"}, 2},
+		{"good", []string{"-rps", "1300000", "-ms", "1", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			code := run(append([]string{"adios-sim"}, tc.args...), &stdout, &stderr)
+			if code != tc.code {
+				t.Fatalf("exit code %d, want %d\nstderr: %s", code, tc.code, stderr.String())
+			}
+			if tc.code == 0 {
+				if stderr.Len() != 0 || !strings.Contains(stdout.String(), "throughput") {
+					t.Fatalf("good run: stderr %q, stdout:\n%s", stderr.String(), stdout.String())
+				}
+				return
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "adios-sim: ") || strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
+				t.Fatalf("want one 'adios-sim: …' line on stderr, got %q", msg)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("usage error wrote to stdout: %q", stdout.String())
+			}
+		})
+	}
+}

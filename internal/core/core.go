@@ -199,7 +199,7 @@ type System struct {
 	Repair *paging.Repairer
 
 	// Migr exists only on multi-node runs with migration enabled: the
-	// hot-page tracker + online migration executor. Nil otherwise, so
+	// hot-page tracker + online migration planner. Nil otherwise, so
 	// migration-off runs schedule no extra events.
 	Migr *migrate.Migrator
 }
@@ -299,7 +299,7 @@ func (sys *System) startWith(handler workload.Handler, stepH workload.StepHandle
 		sys.Mgr.SetFailoverQPs(fqps, fcq)
 		pcq := rdma.NewCQ("repair")
 		pqps := sys.Fabric.CreateQPs("repair", pcq)
-		sys.Repair = paging.NewRepairer(sys.Mgr, pqps, pcq, paging.DefaultRepairConfig())
+		sys.Repair = paging.NewRepairer(sys.Mgr, pqps, pcq)
 		sys.Health.OnDown = sys.Repair.NodeDown
 		sys.Health.Start()
 	}
@@ -307,18 +307,7 @@ func (sys *System) startWith(handler workload.Handler, stepH workload.StepHandle
 		mcq := rdma.NewCQ("migrate")
 		mqps := sys.Fabric.CreateQPs("migrate", mcq)
 		sys.Migr = migrate.New(sys.Mgr, sys.Mem, mqps, mcq, sys.Cfg.Migrate)
-		sys.Migr.OnFlip = func(s *paging.Space, vpn int64, from, to int) {
-			sys.Shards.Override(vpn, to)
-		}
 		sys.Mgr.SetMigrator(sys.Migr)
-		if sys.Repair != nil {
-			sys.Repair.OnReown = func(s *paging.Space, vpn int64, slot, dst int) {
-				sys.Migr.NoteReown(s, vpn, slot, dst)
-				if slot == 0 {
-					sys.Shards.Override(vpn, dst)
-				}
-			}
-		}
 	}
 }
 
@@ -384,19 +373,19 @@ func (sys *System) Run(app workload.App, rateRPS float64, warmup, measure sim.Ti
 	}
 	now := end
 	return RunResult{
-		Mode:      sys.Cfg.Mode,
-		OfferedK:  rateRPS / 1000,
-		TputK:     gen.Throughput(now) / 1000,
-		P50us:     sim.Time(gen.E2E.P50()).Micros(),
-		P99us:     sim.Time(gen.E2E.P99()).Micros(),
-		P999us:    sim.Time(gen.E2E.P999()).Micros(),
-		MeanUs:    sim.Time(gen.E2E.Mean()).Micros(),
-		LinkUtil:  linkUtil,
-		Drops:     sys.Net.Drops.Value() + sys.Sched.DropsQueue.Value() + sys.Sched.DropsPool.Value(),
-		Faults:    sys.Mgr.Faults.Value(),
-		Completed: sys.Sched.Completed.Value(),
-		Aborts:    sys.Sched.FaultAborts.Value(),
-		Retries:   sys.Mgr.FetchRetries.Value() + sys.Mgr.WritebackRetries.Value(),
+		Mode:       sys.Cfg.Mode,
+		OfferedK:   rateRPS / 1000,
+		TputK:      gen.Throughput(now) / 1000,
+		P50us:      sim.Time(gen.E2E.P50()).Micros(),
+		P99us:      sim.Time(gen.E2E.P99()).Micros(),
+		P999us:     sim.Time(gen.E2E.P999()).Micros(),
+		MeanUs:     sim.Time(gen.E2E.Mean()).Micros(),
+		LinkUtil:   linkUtil,
+		Drops:      sys.Net.Drops.Value() + sys.Sched.DropsQueue.Value() + sys.Sched.DropsPool.Value(),
+		Faults:     sys.Mgr.Faults.Value(),
+		Completed:  sys.Sched.Completed.Value(),
+		Aborts:     sys.Sched.FaultAborts.Value(),
+		Retries:    sys.Mgr.FetchRetries.Value() + sys.Mgr.WritebackRetries.Value(),
 		Failovers:  sys.Mgr.FailoverReads.Value(),
 		Repaired:   repaired,
 		Migrations: migrations,

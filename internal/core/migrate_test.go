@@ -61,6 +61,9 @@ func runMigChaos(t *testing.T, seed int64, replicas int, fl faults.Config) (RunR
 		sys.Migr.Planned.Value(), sys.Migr.Deferred.Value(), sys.Migr.Aborted.Value(),
 		sys.Migr.Retries.Value(), sys.Migr.Epochs.Value(),
 		sys.Migr.ScheduleHash(), res.P999us)
+	if sys.Repair != nil {
+		digest += fmt.Sprintf(" repaired=%d repairHash=%#x", res.Repaired, sys.Repair.ScheduleHash())
+	}
 	return res, digest
 }
 
@@ -80,6 +83,41 @@ func TestMigrationDeterministic(t *testing.T) {
 	}
 }
 
+// migDigestPins are runMigChaos(seed 7) digests recorded at the tree
+// that still had a migration executor of its own (PR 13); see
+// chaosDigestPins. The crash variants run at replicas=2 and carry the
+// repairer's schedule hash too, since the two compose there.
+var (
+	migCrash  = faults.Config{CrashAt: sim.Millis(5), CrashNode: 0, CrashSet: true}
+	migRejoin = faults.Config{CrashAt: sim.Millis(5), CrashNode: 0, CrashSet: true,
+		RejoinAt: sim.Millis(7), RejoinSet: true}
+)
+
+const (
+	migDigestPlain  = "completed=3923 tput=393.375 aborts=0 failovers=0 migrations=50 planned=50 deferred=0 migAborted=0 retries=0 epochs=600 flipHash=0x4e7975c4d5132b8c p999=8.2555"
+	migDigestCrash  = "completed=3923 tput=393.375 aborts=0 failovers=32 migrations=51 planned=51 deferred=0 migAborted=0 retries=0 epochs=600 flipHash=0x2ebba6d522c9be26 p999=9.6635 repaired=997 repairHash=0x259f592999504fa0"
+	migDigestRejoin = "completed=3923 tput=393.375 aborts=0 failovers=26 migrations=50 planned=50 deferred=0 migAborted=0 retries=0 epochs=600 flipHash=0x85ff02643eeb4f27 p999=9.6635 repaired=226 repairHash=0x94602ecac164a506"
+)
+
+// TestMigrationDigestPinned holds the three migration chaos runs to the
+// recorded digests.
+func TestMigrationDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		fl       faults.Config
+		want     string
+	}{
+		{"plain", 1, faults.Config{}, migDigestPlain},
+		{"crash-permanent", 2, migCrash, migDigestCrash},
+		{"crash-rejoin", 2, migRejoin, migDigestRejoin},
+	} {
+		if _, d := runMigChaos(t, 7, tc.replicas, tc.fl); d != tc.want {
+			t.Errorf("%s: migration digest moved:\n got %s\nwant %s", tc.name, d, tc.want)
+		}
+	}
+}
+
 // TestCrashDuringMigration is the composition chaos test: a node dies
 // (and in one variant rejoins) while the migrator is mid-plan and
 // mid-copy, with the invariant oracles armed. Replicated, the run must
@@ -90,16 +128,12 @@ func TestCrashDuringMigration(t *testing.T) {
 	simcheck.SetArmed(true)
 	defer simcheck.SetArmed(false)
 
-	crash := faults.Config{CrashAt: sim.Millis(5), CrashNode: 0, CrashSet: true}
-	rejoin := crash
-	rejoin.RejoinSet, rejoin.RejoinAt = true, sim.Millis(7)
-
 	for _, tc := range []struct {
 		name string
 		fl   faults.Config
 	}{
-		{"crash-permanent", crash},
-		{"crash-rejoin", rejoin},
+		{"crash-permanent", migCrash},
+		{"crash-rejoin", migRejoin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, d1 := runMigChaos(t, 7, 2, tc.fl)

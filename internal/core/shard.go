@@ -49,18 +49,15 @@ func (b blockPlacement) Place(page int64, nodes int) int {
 
 // ShardMap binds a placement policy to a concrete node count: the
 // shard map of one assembled system. It is the single source of truth
-// for page ownership — memnode regions, paging routes, and per-node
-// fault targeting all derive from it.
-//
-// Node answers from the *static* placement only; it is what memnode
-// capacity accounting keys on and never changes during a run. OwnerOf
-// additionally consults the per-page override table that online page
-// migration maintains, and is the current-owner view.
+// for static page placement — memnode regions, paging routes, and
+// per-node fault targeting all derive from it. It is what memnode
+// capacity accounting keys on and never changes during a run; the
+// current owner of a page that repair or migration re-homed is the
+// region's to answer (memnode.Region.OwnerAt).
 type ShardMap struct {
 	nodes    int
 	pol      Placement
 	replicas int
-	over     map[int64]int
 }
 
 // NewShardMap returns a shard map over n nodes (n < 1 is treated as
@@ -133,30 +130,3 @@ func (m *ShardMap) Node(page int64) int {
 // Place returns the page→node function in the form memnode.NewCluster
 // consumes.
 func (m *ShardMap) Place() func(page int64) int { return m.Node }
-
-// Override records that a page's primary copy has migrated to node n.
-// Subsequent OwnerOf calls answer n; Node (the static placement, the
-// capacity ledger's key) is unaffected. The override table is lazily
-// allocated so migration-free runs carry no map at all.
-func (m *ShardMap) Override(page int64, n int) {
-	if n < 0 || n >= m.nodes {
-		panic(fmt.Sprintf("core: override sends page %d to node %d of %d", page, n, m.nodes))
-	}
-	if m.over == nil {
-		m.over = make(map[int64]int)
-	}
-	m.over[page] = n
-}
-
-// OwnerOf returns the node currently holding a page's primary copy:
-// the migration override if one exists, the static placement otherwise.
-func (m *ShardMap) OwnerOf(page int64) int {
-	if n, ok := m.over[page]; ok {
-		return n
-	}
-	return m.Node(page)
-}
-
-// Overridden returns the number of pages whose primary has migrated
-// away from its static placement.
-func (m *ShardMap) Overridden() int { return len(m.over) }

@@ -47,11 +47,11 @@ func ParseSpec(spec string) (Config, error) {
 				return parseRate(p[0], &cfg.WRErrRate)
 			})
 		case "rnr":
-			err = parseArgs(key, parts, 2, func(p []string) error {
-				if e := parseRate(p[0], &cfg.RNRRate); e != nil {
+			err = parseArgs(key, parts, 2, func(p []string) (e error) {
+				if e = parseRate(p[0], &cfg.RNRRate); e != nil {
 					return e
 				}
-				if e := parseDur(p[1], &cfg.RNRDelay); e != nil {
+				if cfg.RNRDelay, e = sim.ParseTime(p[1]); e != nil {
 					return e
 				}
 				if cfg.RNRRate == 0 {
@@ -62,11 +62,11 @@ func ParseSpec(spec string) (Config, error) {
 				return nil
 			})
 		case "link":
-			err = parseArgs(key, parts, 3, func(p []string) error {
-				if e := parseDur(p[0], &cfg.LinkEvery); e != nil {
+			err = parseArgs(key, parts, 3, func(p []string) (e error) {
+				if cfg.LinkEvery, e = sim.ParseTime(p[0]); e != nil {
 					return e
 				}
-				if e := parseDur(p[1], &cfg.LinkFor); e != nil {
+				if cfg.LinkFor, e = sim.ParseTime(p[1]); e != nil {
 					return e
 				}
 				f, e := strconv.ParseFloat(p[2], 64)
@@ -81,11 +81,11 @@ func ParseSpec(spec string) (Config, error) {
 				return nil
 			})
 		case "mem":
-			err = parseArgs(key, parts, 2, func(p []string) error {
-				if e := parseDur(p[0], &cfg.MemEvery); e != nil {
+			err = parseArgs(key, parts, 2, func(p []string) (e error) {
+				if cfg.MemEvery, e = sim.ParseTime(p[0]); e != nil {
 					return e
 				}
-				if e := parseDur(p[1], &cfg.MemFor); e != nil {
+				if cfg.MemFor, e = sim.ParseTime(p[1]); e != nil {
 					return e
 				}
 				if cfg.MemEvery == 0 {
@@ -98,7 +98,8 @@ func ParseSpec(spec string) (Config, error) {
 			if len(parts) != 1 && len(parts) != 2 {
 				return Config{}, fmt.Errorf("faults: crash wants TIME or TIME:node=I, got %q", val)
 			}
-			if e := parseDur(parts[0], &cfg.CrashAt); e != nil {
+			var e error
+			if cfg.CrashAt, e = sim.ParseTime(parts[0]); e != nil {
 				return Config{}, fmt.Errorf("faults: crash: %v", e)
 			}
 			cfg.CrashSet = true
@@ -114,8 +115,8 @@ func ParseSpec(spec string) (Config, error) {
 				cfg.CrashNode = n
 			}
 		case "rejoin":
-			err = parseArgs(key, parts, 1, func(p []string) error {
-				if e := parseDur(p[0], &cfg.RejoinAt); e != nil {
+			err = parseArgs(key, parts, 1, func(p []string) (e error) {
+				if cfg.RejoinAt, e = sim.ParseTime(p[0]); e != nil {
 					return e
 				}
 				cfg.RejoinSet = true
@@ -142,11 +143,11 @@ func ParseSpec(spec string) (Config, error) {
 	}
 	if cfg.RejoinSet {
 		if !cfg.CrashSet {
-			return Config{}, fmt.Errorf("faults: rejoin=%s needs a crash= clause", durString(cfg.RejoinAt))
+			return Config{}, fmt.Errorf("faults: rejoin=%s needs a crash= clause", cfg.RejoinAt.SpecString())
 		}
 		if cfg.RejoinAt <= cfg.CrashAt {
 			return Config{}, fmt.Errorf("faults: rejoin time %s must be after crash time %s",
-				durString(cfg.RejoinAt), durString(cfg.CrashAt))
+				cfg.RejoinAt.SpecString(), cfg.CrashAt.SpecString())
 		}
 	}
 	return cfg, nil
@@ -160,19 +161,19 @@ func (c Config) String() string {
 		parts = append(parts, fmt.Sprintf("wr=%g", c.WRErrRate))
 	}
 	if c.RNRRate > 0 {
-		parts = append(parts, fmt.Sprintf("rnr=%g:%s", c.RNRRate, durString(c.RNRDelay)))
+		parts = append(parts, fmt.Sprintf("rnr=%g:%s", c.RNRRate, c.RNRDelay.SpecString()))
 	}
 	if c.LinkEvery > 0 && c.LinkFactor > 1 {
 		parts = append(parts, fmt.Sprintf("link=%s:%s:%g",
-			durString(c.LinkEvery), durString(c.LinkFor), c.LinkFactor))
+			c.LinkEvery.SpecString(), c.LinkFor.SpecString(), c.LinkFactor))
 	}
 	if c.MemEvery > 0 {
-		parts = append(parts, fmt.Sprintf("mem=%s:%s", durString(c.MemEvery), durString(c.MemFor)))
+		parts = append(parts, fmt.Sprintf("mem=%s:%s", c.MemEvery.SpecString(), c.MemFor.SpecString()))
 	}
 	if c.CrashSet {
-		parts = append(parts, fmt.Sprintf("crash=%s:node=%d", durString(c.CrashAt), c.CrashNode))
+		parts = append(parts, fmt.Sprintf("crash=%s:node=%d", c.CrashAt.SpecString(), c.CrashNode))
 		if c.RejoinSet {
-			parts = append(parts, fmt.Sprintf("rejoin=%s", durString(c.RejoinAt)))
+			parts = append(parts, fmt.Sprintf("rejoin=%s", c.RejoinAt.SpecString()))
 		}
 	}
 	if c.NodeSet {
@@ -205,46 +206,4 @@ func parseRate(s string, out *float64) error {
 	}
 	*out = f
 	return nil
-}
-
-// maxDurCycles bounds parsed durations (≈ 5.8 sim-days at 2 GHz). The
-// bound keeps every accepted duration exactly representable in float64,
-// so the canonical String form re-parses to the identical plan.
-const maxDurCycles = 1e15
-
-// parseDur parses a duration: "20us", "1.5ms", "2s", or bare cycles.
-func parseDur(s string, out *sim.Time) error {
-	mult := 1.0
-	num := s
-	switch {
-	case strings.HasSuffix(s, "us"):
-		num, mult = s[:len(s)-2], float64(sim.Micros(1))
-	case strings.HasSuffix(s, "µs"):
-		num, mult = strings.TrimSuffix(s, "µs"), float64(sim.Micros(1))
-	case strings.HasSuffix(s, "ms"):
-		num, mult = s[:len(s)-2], float64(sim.Millis(1))
-	case strings.HasSuffix(s, "s"):
-		num, mult = s[:len(s)-1], float64(sim.Millis(1000))
-	}
-	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || math.IsNaN(f) || f < 0 || f*mult > maxDurCycles {
-		return fmt.Errorf("duration %q: want e.g. 20us, 1.5ms, or cycles (max %g cycles)", s, float64(maxDurCycles))
-	}
-	*out = sim.Time(f * mult)
-	return nil
-}
-
-// durString renders a duration in the spec grammar. Each branch is
-// exact — whole milliseconds, whole microseconds, or bare cycles — so
-// ParseSpec(String()) always recovers the identical duration.
-func durString(d sim.Time) string {
-	us, ms := sim.Micros(1), sim.Millis(1)
-	switch {
-	case d >= ms && d%ms == 0:
-		return fmt.Sprintf("%dms", int64(d/ms))
-	case d%us == 0:
-		return fmt.Sprintf("%dus", int64(d/us))
-	default:
-		return fmt.Sprintf("%d", int64(d))
-	}
 }

@@ -3,7 +3,7 @@ package migrate
 import "repro/internal/simcheck"
 
 // Check runs the migration audit oracles over the current owner
-// tables and the flip ledger. The end-of-run audit calls it after
+// tables and paging's last-home ledger. The end-of-run audit calls it after
 // every scenario; tests can call it between operations. It is
 // O(pages × replicas).
 //
@@ -15,12 +15,13 @@ import "repro/internal/simcheck"
 //   - migrate/owner-dup: replica slots of one page must answer
 //     pairwise-distinct nodes; a migration that landed the primary on
 //     a replica's node silently halved the copy count.
-//   - migrate/owner-table: for every page the flip ledger knows, the
-//     region's owner must be the last landed re-home (migration flip
-//     or repair re-home, whichever came later) — the oracle that
-//     catches a dropped Reown.
-//   - migrate/state-machine: an idle executor must hold no copy state
-//     and no queued jobs.
+//   - migrate/owner-table: for every page whose primary was ever
+//     re-homed, the region's owner must be the last landed re-home
+//     (migration flip or repair re-home, whichever came later) — the
+//     oracle that catches a dropped Reown.
+//   - migrate/state-machine: an idle engine must have no queued jobs
+//     left behind (that it holds no copy while idle is by construction:
+//     the copy in flight is a state of the engine, not a table).
 func (mg *Migrator) Check() error {
 	for _, s := range mg.m.Spaces() {
 		reg := s.Region()
@@ -45,7 +46,7 @@ func (mg *Migrator) Check() error {
 				}
 				seen |= 1 << uint(o)
 			}
-			if dst, ok := mg.flips[pageKey{s.ID(), vpn}]; ok && reg.NodeOf(vpn) != dst {
+			if dst, ok := s.LastHome(vpn); ok && reg.NodeOf(vpn) != dst {
 				return simcheck.New("migrate/owner-table",
 					"region owner disagrees with the last landed re-home").
 					With("space", s.Name()).With("page", vpn).
@@ -53,10 +54,10 @@ func (mg *Migrator) Check() error {
 			}
 		}
 	}
-	if mg.state == mgIdle && (len(mg.copying) != 0 || mg.Pending() != 0) {
+	if mg.Idle() && mg.Pending() != 0 {
 		return simcheck.New("migrate/state-machine",
-			"idle executor still holds copy state or queued jobs").
-			With("copying", len(mg.copying)).With("pending", mg.Pending())
+			"engine idle with jobs still queued").
+			With("pending", mg.Pending())
 	}
 	return nil
 }

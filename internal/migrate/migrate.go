@@ -3,37 +3,35 @@
 // paging hot paths through the paging.Migrator hooks (per-page heat
 // with epoch-decayed counters, per-node fault counts), detects load
 // imbalance at event-driven epoch boundaries — no RNG, no wall clock —
-// plans migrations of the hottest pages from the overloaded node to
-// the least-loaded live node, and executes them as bandwidth-paced
-// copies on its own QPs (the repair pacing pattern), finishing with an
-// owner-table flip (Region.Reown slot 0 plus the core ShardMap
-// override).
+// and plans migrations of the hottest pages from the overloaded node to
+// the least-loaded live node. It does not move pages itself: it is a
+// planner over the re-home engine in paging (paging.Rehomer, the same
+// engine crash repair feeds), which copies each planned page at the
+// configured bandwidth on QPs of its own and re-points the primary
+// slot of the owner table.
 //
-// In-flight correctness is explicit. Each migration walks the state
-// machine
-//
-//	idle → copying (READ src, WRITE dst) → flipping → done
-//
-// and the flip is deferred while the page has a fetch or write-back in
-// flight, so no page movement ever straddles a re-route; a per-page
-// generation counter, stamped on every fetch at post time and checked
-// at completion, turns that claim into an oracle. Write-backs that
-// start while a copy is in flight dual-apply: the reclaimer fans them
-// out to the copy's destination too, so the new home never holds stale
-// bytes when the flip lands. A node death mid-copy aborts the job
-// cleanly (the failover/repair machinery owns recovery; repair's
-// re-homes are fed back through NoteReown so the owner views stay
-// consistent), and a destination without capacity is never planned.
+// In-flight correctness is split the same way. The engine dual-applies
+// write-backs that start while a copy is in flight, so the new home
+// never holds stale bytes, and stamps every fetch with its page's
+// generation so that a read straddling a landing is an oracle
+// violation rather than a silent stale install. The planner supplies
+// the three answers that are migration's own: a job planned under
+// conditions that no longer hold is not started; a durable copy lands
+// only once the page has no fetch or write-back in flight (and is
+// dropped if the world moved meanwhile); a node death mid-copy drops
+// the job — failover and repair own recovery — where any other error
+// retries it. A destination without capacity is never planned.
 package migrate
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
 	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/simcheck"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -106,42 +104,17 @@ type pageKey struct {
 	vpn   int64
 }
 
-// job is one planned migration: move the primary copy of (s, vpn)
-// from node `from` to node `to`.
-type job struct {
-	s       *paging.Space
-	vpn     int64
-	from    int
-	to      int
-	planned sim.Time // plan time, for MigrLat
-}
-
-// Executor states.
-const (
-	mgIdle = iota // queue empty
-	mgNext        // pick up the next job (also the bandwidth-gap wait)
-	mgRead        // READ of the source copy in flight
-	mgWrite       // WRITE to the destination in flight
-	mgFlip        // copy durable; waiting for the page to be quiescent
-)
-
-// Migrator is the assembled migration subsystem: heat tracker, epoch
-// planner, and paced copy executor. It implements paging.Migrator.
+// Migrator is the assembled migration subsystem: heat tracker and
+// epoch planner, feeding the re-home engine it embeds. It implements
+// paging.Migrator (the heat hooks) and paging.RehomePlanner.
 type Migrator struct {
-	env   *sim.Env
+	*paging.Rehomer
 	m     *paging.Manager
 	mem   *memnode.Cluster
 	cfg   Config
 	nodes int
 
-	qps []*rdma.QP
-	cq  *rdma.CQ
-	t   *sim.Task // executor state machine
-	et  *sim.Task // epoch ticker
-	gap sim.Time
-
-	buf  []byte // local staging buffer (READ destination)
-	sink []byte // modeled WRITE target at the new home
+	et *sim.Task // epoch ticker
 
 	// heats holds one saturating decayed counter per page, indexed by
 	// space id then vpn; epochFaults counts fetch posts per node within
@@ -150,81 +123,54 @@ type Migrator struct {
 	heats       [][]uint16
 	epochFaults []int64
 
-	gens    map[pageKey]uint32 // per-page migration generation
-	copying map[pageKey]int    // in-flight copy destination (dual-apply)
-	queued  map[pageKey]bool   // page has a job queued or in flight
-	flips   map[pageKey]int    // last landed primary re-home (flip or repair)
+	queued map[pageKey]bool // page has a job queued or in flight
 
-	jobs  []job
-	ji    int
-	state int
+	// jobs[ji:] is the queue; every job moves a primary (slot 0) from
+	// Src, its owner at plan time, to Dst.
+	jobs []paging.RehomeJob
+	ji   int
 
-	hash uint64 // FNV-1a over every flip (space, vpn, from, to, at)
-
-	// OnFlip, if set, observes every landed flip (core wires the
-	// ShardMap override). Trace, if set, gets one span per migration on
-	// the migrate lane.
-	OnFlip func(s *paging.Space, vpn int64, from, to int)
-	Trace  *trace.Recorder
+	// Trace, if set, gets one span per migration on the migrate lane.
+	Trace *trace.Recorder
 
 	// PagesMoved/BytesMoved count landed migrations; Planned counts
-	// jobs the epoch planner queued; Deferred counts flip retries that
-	// waited out an in-flight page; Aborted counts jobs dropped
-	// (node death mid-copy, owner changed, capacity gone); Retries
-	// counts fabric retries; Epochs counts epoch boundaries.
+	// jobs the epoch planner queued; Deferred counts landings that
+	// waited out an in-flight page; Aborted counts jobs dropped (node
+	// death mid-copy, owner changed, capacity gone); Epochs counts epoch
+	// boundaries. Fabric retries are the engine's Retries.
 	PagesMoved stats.Counter
 	BytesMoved stats.Counter
 	Planned    stats.Counter
 	Deferred   stats.Counter
 	Aborted    stats.Counter
-	Retries    stats.Counter
 	Epochs     stats.Counter
 
 	// MigrLat records, per landed migration, plan time → owner flip.
 	MigrLat *stats.Histogram
 }
 
-// New builds the migrator over per-node QPs created for it (all
-// completing on cq, which must be dedicated to it) and starts the
-// epoch ticker. Zero cfg fields take defaults.
+// New builds the migrator and its engine over per-node QPs created for
+// it (all completing on cq, which must be dedicated to it) and starts
+// the epoch ticker. Zero cfg fields take defaults.
 func New(m *paging.Manager, mem *memnode.Cluster, qps []*rdma.QP, cq *rdma.CQ, cfg Config) *Migrator {
 	cfg = cfg.withDefaults()
 	mg := &Migrator{
-		env:         m.Env(),
 		m:           m,
 		mem:         mem,
 		cfg:         cfg,
 		nodes:       mem.NumNodes(),
-		qps:         qps,
-		cq:          cq,
-		gap:         sim.Time(float64(paging.PageSize) / cfg.Bandwidth),
-		buf:         make([]byte, paging.PageSize),
-		sink:        make([]byte, paging.PageSize),
 		epochFaults: make([]int64, mem.NumNodes()),
-		gens:        make(map[pageKey]uint32),
-		copying:     make(map[pageKey]int),
 		queued:      make(map[pageKey]bool),
-		flips:       make(map[pageKey]int),
-		hash:        1469598103934665603, // FNV-1a offset basis
 		MigrLat:     stats.NewHistogram(),
 	}
-	mg.t = sim.NewTask(mg.env, "migrate", mg.fire)
-	mg.et = sim.NewTask(mg.env, "migrate-epoch", mg.epoch)
-	cq.Notify = func() {
-		if !mg.t.Armed() {
-			mg.t.FireAt(mg.env.Now())
-		}
-	}
+	mg.Rehomer = paging.NewRehomer(m, "migrate", qps, cq, cfg.Bandwidth, mg)
+	mg.et = sim.NewTask(m.Env(), "migrate-epoch", mg.epoch)
 	mg.et.FireAfter(cfg.Epoch)
 	return mg
 }
 
 // Config returns the effective (default-filled) configuration.
 func (mg *Migrator) Config() Config { return mg.cfg }
-
-// ScheduleHash returns an order-sensitive digest of every landed flip
-// (what moved where, and when), for determinism tests.
-func (mg *Migrator) ScheduleHash() uint64 { return mg.hash }
 
 // Pending returns queued-but-unfinished jobs.
 func (mg *Migrator) Pending() int { return len(mg.jobs) - mg.ji }
@@ -266,46 +212,6 @@ func (mg *Migrator) RecordFault(s *paging.Space, vpn int64, node int, demand boo
 // RecordTouch observes a resident hit (weight 1).
 func (mg *Migrator) RecordTouch(s *paging.Space, vpn int64) {
 	bump(mg.heat(s), vpn, 1)
-}
-
-// Gen returns the page's migration generation.
-func (mg *Migrator) Gen(s *paging.Space, vpn int64) uint32 {
-	return mg.gens[pageKey{s.ID(), vpn}]
-}
-
-// CheckRead is the stale-read oracle: a fetch completing under a
-// different generation than it was posted under read across a flip,
-// which the flip's quiescence wait is supposed to make impossible.
-func (mg *Migrator) CheckRead(s *paging.Space, vpn int64, node int, gen uint32) {
-	if cur := mg.gens[pageKey{s.ID(), vpn}]; cur != gen {
-		simcheck.Fail(simcheck.New("migrate/stale-read",
-			"fetch completed across an owner flip: the install may hold the pre-migration copy").
-			With("space", s.Name()).With("page", vpn).With("node", node).
-			With("postGen", gen).With("nowGen", cur))
-	}
-}
-
-// WBExtraMask returns the copy destination's bit while a copy of the
-// page is in flight, so the reclaimer dual-applies write-backs there.
-func (mg *Migrator) WBExtraMask(s *paging.Space, vpn int64) uint64 {
-	if dst, ok := mg.copying[pageKey{s.ID(), vpn}]; ok {
-		return 1 << uint(dst)
-	}
-	return 0
-}
-
-// NoteReown is the repair OnReown feed: when repair re-homes a primary
-// copy migration had moved, the flip ledger follows it, so the audit
-// oracle compares against the true last re-home rather than a stale
-// migration target.
-func (mg *Migrator) NoteReown(s *paging.Space, vpn int64, slot, dst int) {
-	if slot != 0 {
-		return
-	}
-	key := pageKey{s.ID(), vpn}
-	if _, ok := mg.flips[key]; ok {
-		mg.flips[key] = dst
-	}
 }
 
 // ---- epoch planner ----
@@ -393,7 +299,7 @@ func (mg *Migrator) plan() {
 	}
 	// Hottest first; (space, vpn) ascending breaks ties, so the order
 	// is a total one and the plan deterministic.
-	sortCandidates(cands)
+	slices.SortFunc(cands, candOrder)
 
 	// Greedy placement against projected loads: each move shifts the
 	// page's estimated per-epoch demand (heat/8, floor 1) from src to
@@ -402,7 +308,7 @@ func (mg *Migrator) plan() {
 	proj := make([]int64, mg.nodes)
 	copy(proj, mg.epochFaults)
 	reserved := make([]int64, mg.nodes)
-	now := mg.env.Now()
+	now := mg.m.Env().Now()
 	moves := 0
 	for _, c := range cands {
 		if moves >= mg.cfg.MaxMoves || proj[src] <= avg {
@@ -418,13 +324,12 @@ func (mg *Migrator) plan() {
 		reserved[dst] += paging.PageSize
 		key := pageKey{c.s.ID(), c.vpn}
 		mg.queued[key] = true
-		mg.jobs = append(mg.jobs, job{s: c.s, vpn: c.vpn, from: src, to: dst, planned: now})
+		mg.jobs = append(mg.jobs, paging.RehomeJob{Space: c.s, VPN: c.vpn, Src: src, Dst: dst, Planned: now})
 		mg.Planned.Inc()
 		moves++
 	}
-	if mg.Pending() > 0 && mg.state == mgIdle && !mg.t.Armed() {
-		mg.state = mgNext
-		mg.t.FireAfter(0)
+	if mg.Pending() > 0 {
+		mg.Kick()
 	}
 }
 
@@ -462,184 +367,83 @@ func ownsCopy(reg *memnode.Region, vpn int64, n int) bool {
 	return false
 }
 
-// sortCandidates orders by heat descending, then (space id, vpn)
-// ascending: a deterministic total order. Insertion sort keeps the
-// planner dependency-free; candidate lists are MaxMoves-scale after
-// the hot filter.
-func sortCandidates(cs []candidate) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && candLess(cs[j], cs[j-1]); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
+// candOrder sorts by heat descending, then (space id, vpn) ascending: a
+// total order, so the sorted plan is deterministic.
+func candOrder(a, b candidate) int {
+	return cmp.Or(cmp.Compare(b.heat, a.heat), cmp.Compare(a.s.ID(), b.s.ID()), cmp.Compare(a.vpn, b.vpn))
 }
 
-func candLess(a, b candidate) bool {
-	if a.heat != b.heat {
-		return a.heat > b.heat
-	}
-	if a.s.ID() != b.s.ID() {
-		return a.s.ID() < b.s.ID()
-	}
-	return a.vpn < b.vpn
-}
+// ---- the engine's planner (paging.RehomePlanner) ----
 
-// ---- paced copy executor ----
-
-func (mg *Migrator) fire() {
-	switch mg.state {
-	case mgNext:
-		mg.startNext()
-	case mgRead, mgWrite:
-		mg.drain()
-	case mgFlip:
-		mg.tryFlip()
-	}
-}
-
-// abortJob drops a job without flipping: its page keeps its owner and
-// its charge, and the copy (if any) is abandoned — the region's single
-// authoritative byte store makes abandonment free.
-func (mg *Migrator) abortJob(j job) {
-	key := pageKey{j.s.ID(), j.vpn}
-	delete(mg.copying, key)
-	delete(mg.queued, key)
+// drop retires the head job without a flip: its page keeps its owner
+// and its charge, and the copy (if any) is abandoned.
+func (mg *Migrator) drop(j paging.RehomeJob) {
+	delete(mg.queued, pageKey{j.Space.ID(), j.VPN})
 	mg.Aborted.Inc()
+	mg.ji++
 }
 
-// startNext revalidates and posts the next job's READ. A job planned
-// under conditions that no longer hold — the owner moved (repair), a
-// party died, the destination filled up or became an owner — aborts
-// cleanly here.
-func (mg *Migrator) startNext() {
+// stale reports whether j was planned under conditions that no longer
+// hold: the owner moved (repair), the destination died, became an owner
+// or filled up.
+func (mg *Migrator) stale(j paging.RehomeJob) bool {
+	reg := j.Space.Region()
+	return reg.NodeOf(j.VPN) != j.Src || !mg.m.NodeLive(j.Dst) ||
+		ownsCopy(reg, j.VPN, j.Dst) || mg.mem.FreeCapacity(j.Dst) < paging.PageSize
+}
+
+// Next drops stale jobs (a dead source included) and returns the first
+// one still worth copying.
+func (mg *Migrator) Next() (paging.RehomeJob, bool) {
 	for mg.ji < len(mg.jobs) {
 		j := mg.jobs[mg.ji]
-		reg := j.s.Region()
-		if reg.NodeOf(j.vpn) != j.from || !mg.m.NodeLive(j.from) || !mg.m.NodeLive(j.to) ||
-			ownsCopy(reg, j.vpn, j.to) || mg.mem.FreeCapacity(j.to) < paging.PageSize {
-			mg.abortJob(j)
-			mg.ji++
-			continue
+		if !mg.stale(j) && mg.m.NodeLive(j.Src) {
+			return j, true
 		}
-		remote := reg.SliceFor(j.vpn*paging.PageSize, paging.PageSize, j.from, mg.qps[j.from].Name())
-		if mg.qps[j.from].PostRead(mg.buf, remote, mg) != nil {
-			// Serial use cannot saturate the QP, but an errored one
-			// (fault plans) can refuse the post: back off and retry.
-			mg.Retries.Inc()
-			mg.state = mgNext
-			mg.t.FireAfter(mg.m.Config().RetryBackoff)
-			return
-		}
-		mg.copying[pageKey{j.s.ID(), j.vpn}] = j.to
-		mg.state = mgRead
-		return
+		mg.drop(j)
 	}
-	mg.state = mgIdle
-	mg.jobs = mg.jobs[:0]
-	mg.ji = 0
+	mg.jobs, mg.ji = mg.jobs[:0], 0
+	return paging.RehomeJob{}, false
 }
 
-// drain consumes the in-flight verb's completion and advances the
-// copy: READ done → post the WRITE; WRITE done → enter the flip phase.
-// A dead node aborts the job (failover/repair own recovery); transient
-// errors re-run the job from revalidation after a backoff.
-func (mg *Migrator) drain() {
-	cs := mg.cq.Poll(4)
-	if len(cs) == 0 {
-		return // spurious wake; the completion's Notify will re-arm us
-	}
-	for _, c := range cs {
-		j := mg.jobs[mg.ji]
-		if c.Err != nil {
-			if c.Err == rdma.ErrNodeDead {
-				mg.abortJob(j)
-				mg.ji++
-			} else {
-				mg.Retries.Inc()
-			}
-			mg.state = mgNext
-			mg.t.FireAfter(mg.m.Config().RetryBackoff)
-			return
-		}
-		switch mg.state {
-		case mgRead:
-			if mg.qps[j.to].PostWrite(mg.sink, mg.buf, mg) != nil {
-				mg.Retries.Inc()
-				mg.state = mgNext
-				mg.t.FireAfter(mg.m.Config().RetryBackoff)
-				return
-			}
-			mg.state = mgWrite
-		case mgWrite:
-			mg.state = mgFlip
-			mg.tryFlip()
-			return
-		}
-	}
-}
-
-// tryFlip lands the owner flip once the page is quiescent. While a
-// fetch or write-back is in flight the flip defers — re-armed after a
-// backoff — so a demand fetch can never read the old copy after the
-// flip, which is exactly what the generation oracle checks.
-func (mg *Migrator) tryFlip() {
-	j := mg.jobs[mg.ji]
-	if j.s.InFlight(j.vpn) {
+// Ready holds the landing while the page has a fetch or write-back in
+// flight, so a demand fetch can never read the old copy after the flip
+// — which is exactly what the generation oracle checks — and drops the
+// job if the world moved while the copy was in flight.
+func (mg *Migrator) Ready(j paging.RehomeJob) paging.Landing {
+	if j.Space.InFlight(j.VPN) {
 		mg.Deferred.Inc()
-		mg.t.FireAfter(mg.m.Config().RetryBackoff)
-		return // state stays mgFlip
+		return paging.LandLater
 	}
-	reg := j.s.Region()
-	key := pageKey{j.s.ID(), j.vpn}
-	if reg.NodeOf(j.vpn) != j.from || !mg.m.NodeLive(j.to) ||
-		ownsCopy(reg, j.vpn, j.to) || mg.mem.FreeCapacity(j.to) < paging.PageSize {
-		// The world moved while the copy was in flight: abort cleanly.
-		mg.abortJob(j)
-		mg.ji++
-		mg.state = mgNext
-		mg.t.FireAfter(mg.gap)
-		return
+	if mg.stale(j) {
+		mg.drop(j)
+		return paging.LandNever
 	}
-	mg.gens[key]++
-	delete(mg.copying, key)
-	// The mutation (simcheckmutate builds only) drops the owner-table
-	// flip after the copy: the charge moves but traffic keeps hitting
-	// the old home — the migrate/owner-table oracle must catch it.
-	if !simcheck.Mut("migrate_lost_owner") {
-		reg.Reown(j.vpn, 0, j.to)
+	return paging.Land
+}
+
+// Keep drops the job when an endpoint died mid-copy (failover and
+// repair own recovery) and retries it on any other error.
+func (mg *Migrator) Keep(j paging.RehomeJob, err error) bool {
+	if err == rdma.ErrNodeDead {
+		mg.drop(j)
+		return false
 	}
-	mg.mem.MoveCharge(j.from, j.to, paging.PageSize)
-	mg.flips[key] = j.to
-	if mg.OnFlip != nil {
-		mg.OnFlip(j.s, j.vpn, j.from, j.to)
-	}
-	now := mg.env.Now()
+	return true
+}
+
+// Landed moves what follows the primary: the capacity charge, the trace
+// span, the counters.
+func (mg *Migrator) Landed(j paging.RehomeJob) {
+	now := mg.m.Env().Now()
+	mg.mem.MoveCharge(j.Src, j.Dst, paging.PageSize)
 	mg.Trace.Span(trace.KindMigrate, trace.TidMigrate,
-		fmt.Sprintf("migrate %s:%d %d->%d", j.s.Name(), j.vpn, j.from, j.to),
-		j.planned, now, nil)
+		fmt.Sprintf("migrate %s:%d %d->%d", j.Space.Name(), j.VPN, j.Src, j.Dst),
+		j.Planned, now, nil)
 	mg.PagesMoved.Inc()
 	mg.BytesMoved.Add(paging.PageSize)
-	mg.MigrLat.Record(int64(now - j.planned))
-	mg.mix(uint64(j.s.ID()))
-	mg.mix(uint64(j.vpn))
-	mg.mix(uint64(j.from))
-	mg.mix(uint64(j.to))
-	mg.mix(uint64(now))
-	if simcheck.On() && reg.NodeOf(j.vpn) != j.to {
-		simcheck.Fail(simcheck.New("migrate/owner-table",
-			"owner table does not answer the migration destination after the flip").
-			With("space", j.s.Name()).With("page", j.vpn).
-			With("owner", reg.NodeOf(j.vpn)).With("want", j.to))
-	}
-	delete(mg.queued, key)
+	mg.MigrLat.Record(int64(now - j.Planned))
+	mg.Fold(uint64(j.Space.ID()), uint64(j.VPN), uint64(j.Src), uint64(j.Dst), uint64(now))
+	delete(mg.queued, pageKey{j.Space.ID(), j.VPN})
 	mg.ji++
-	mg.state = mgNext
-	mg.t.FireAfter(mg.gap)
-}
-
-func (mg *Migrator) mix(v uint64) {
-	for i := 0; i < 8; i++ {
-		mg.hash ^= (v >> (8 * i)) & 0xff
-		mg.hash *= 1099511628211 // FNV-1a prime
-	}
 }

@@ -47,7 +47,7 @@ func ParseSpec(spec string) (Config, error) {
 		var err error
 		switch key {
 		case "epoch":
-			err = parseDur(val, &cfg.Epoch)
+			cfg.Epoch, err = sim.ParseTime(val)
 		case "hot":
 			err = parseCount(val, &cfg.HotThreshold)
 		case "bw":
@@ -79,7 +79,7 @@ func (c Config) String() string {
 	}
 	var parts []string
 	if c.Epoch > 0 {
-		parts = append(parts, fmt.Sprintf("epoch=%s", durString(c.Epoch)))
+		parts = append(parts, fmt.Sprintf("epoch=%s", c.Epoch.SpecString()))
 	}
 	if c.HotThreshold > 0 {
 		parts = append(parts, fmt.Sprintf("hot=%d", c.HotThreshold))
@@ -124,47 +124,4 @@ func parseFactor(s string, out *float64) error {
 	}
 	*out = f
 	return nil
-}
-
-// maxDurCycles bounds parsed durations (≈ 5.8 sim-days at 2 GHz) so
-// every accepted duration is exactly representable in float64 and the
-// canonical form re-parses identically — the same bound the faults
-// grammar uses.
-const maxDurCycles = 1e15
-
-// parseDur parses a duration: "20us", "1.5ms", "2s", or bare cycles.
-func parseDur(s string, out *sim.Time) error {
-	mult := 1.0
-	num := s
-	switch {
-	case strings.HasSuffix(s, "us"):
-		num, mult = s[:len(s)-2], float64(sim.Micros(1))
-	case strings.HasSuffix(s, "µs"):
-		num, mult = strings.TrimSuffix(s, "µs"), float64(sim.Micros(1))
-	case strings.HasSuffix(s, "ms"):
-		num, mult = s[:len(s)-2], float64(sim.Millis(1))
-	case strings.HasSuffix(s, "s"):
-		num, mult = s[:len(s)-1], float64(sim.Millis(1000))
-	}
-	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || math.IsNaN(f) || f < 0 || f*mult > maxDurCycles {
-		return fmt.Errorf("duration %q: want e.g. 20us, 1.5ms, or cycles (max %g cycles)", s, float64(maxDurCycles))
-	}
-	*out = sim.Time(f * mult)
-	return nil
-}
-
-// durString renders a duration in the spec grammar. Each branch is
-// exact — whole milliseconds, whole microseconds, or bare cycles — so
-// ParseSpec(String()) always recovers the identical duration.
-func durString(d sim.Time) string {
-	us, ms := sim.Micros(1), sim.Millis(1)
-	switch {
-	case d >= ms && d%ms == 0:
-		return fmt.Sprintf("%dms", int64(d/ms))
-	case d%us == 0:
-		return fmt.Sprintf("%dus", int64(d/us))
-	default:
-		return fmt.Sprintf("%d", int64(d))
-	}
 }

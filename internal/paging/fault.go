@@ -87,10 +87,11 @@ type Fetch struct {
 	pending uint64
 	acked   uint64
 
-	// migGen is the page's migration generation at post time (zero with
-	// migration off); the completion-side oracle checks it still matches,
-	// proving no owner flip straddled the fetch.
-	migGen uint32
+	// gen is the page's re-home generation at post time (zero until a
+	// landing retires a readable copy of it); the install-side oracle
+	// checks it still matches, proving no such landing straddled the
+	// fetch.
+	gen uint32
 }
 
 // Writeback reports whether this record is an eviction write-back.
@@ -112,7 +113,7 @@ func (m *Manager) newFetch(s *Space, vpn int64, frame int32, writeback, demand b
 	f.issuedAt = int64(m.env.Now())
 	f.qp, f.attempts, f.firstFailAt = nil, 1, -1
 	f.node, f.tried, f.pending, f.acked = 0, 0, 0, 0
-	f.migGen = 0
+	f.gen = s.gen(vpn)
 	return f
 }
 
@@ -265,7 +266,6 @@ func (m *Manager) startFetch(q QPSource, f *Fetch) {
 	f.tried = 1 << uint(node)
 	if m.migr != nil {
 		m.migr.RecordFault(s, vpn, node, f.demand)
-		f.migGen = m.migr.Gen(s, vpn)
 	}
 	f.src = s.region.SliceFor(vpn*PageSize, PageSize, node, qp.Name())
 }
@@ -353,7 +353,6 @@ func (m *Manager) issueAsync(q QPSource, s *Space, vpn int64) bool {
 	f.tried = 1 << uint(node)
 	if m.migr != nil {
 		m.migr.RecordFault(s, vpn, node, false)
-		f.migGen = m.migr.Gen(s, vpn)
 	}
 	e := &s.ptes[vpn]
 	e.state = pageFetching
@@ -484,8 +483,8 @@ func (m *Manager) CompleteOn(f *Fetch, cerr error, qp *rdma.QP) bool {
 		if e.state != pageFetching {
 			failPageState("paging/fetch-state", s, f.VPN, e.state, "fetching")
 		}
-		if m.migr != nil && simcheck.On() {
-			m.migr.CheckRead(s, f.VPN, f.node, f.migGen)
+		if s.moves != nil && simcheck.On() {
+			s.checkStaleRead(f)
 		}
 		e.state = pagePresent
 		e.frame = f.frame

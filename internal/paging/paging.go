@@ -240,10 +240,13 @@ type Manager struct {
 
 	// migr is the page-migration observer (nil = migration off, the
 	// default fast path: no hook is consulted at all). It samples heat
-	// on the fault/hit paths, stamps fetches with per-page migration
-	// generations, and extends write-back fan-out while a copy is in
-	// flight.
+	// on the fault/hit paths.
 	migr Migrator
+
+	// rehomers are the re-home engines built over this manager (repair,
+	// migration; none on most runs). The reclaimer consults their
+	// in-flight copies for write-back dual-apply.
+	rehomers []*Rehomer
 
 	// health is the node-liveness oracle (nil = every node live, the
 	// fault-free fast path). wbQPs are the reclaimer's per-node QPs,
@@ -336,17 +339,6 @@ type Migrator interface {
 	RecordFault(s *Space, vpn int64, node int, demand bool)
 	// RecordTouch observes a resident hit of (s, vpn).
 	RecordTouch(s *Space, vpn int64)
-	// Gen returns the page's current migration generation, stamped on
-	// each fetch at post time.
-	Gen(s *Space, vpn int64) uint32
-	// CheckRead verifies (oracles armed only) that a completing fetch's
-	// generation still matches: a flip mid-fetch would have let the
-	// install read the pre-migration copy.
-	CheckRead(s *Space, vpn int64, node int, gen uint32)
-	// WBExtraMask returns extra owner-node bits a write-back of (s, vpn)
-	// must fan out to while a migration copy of the page is in flight
-	// (dual-apply), so the copy at the destination never goes stale.
-	WBExtraMask(s *Space, vpn int64) uint64
 }
 
 // SetMigrator installs the migration observer. nil (the default) keeps
@@ -393,6 +385,7 @@ type Space struct {
 	region *memnode.Region
 	ptes   []pte
 	leap   leapState
+	moves  []pageMove // re-home history; nil until the first landing
 }
 
 // NewSpace creates a paged space over region. The region size must be
@@ -422,8 +415,8 @@ func (s *Space) ID() int32 { return s.id }
 func (s *Space) Region() *memnode.Region { return s.region }
 
 // InFlight reports whether the page has a fetch or write-back pending.
-// The migration executor defers its owner flip while true, so no
-// in-flight movement ever straddles a re-route.
+// The migration planner defers its landings while true, so no in-flight
+// movement ever straddles a re-route.
 func (s *Space) InFlight(vpn int64) bool {
 	st := s.ptes[vpn].state
 	return st == pageFetching || st == pageWriteback

@@ -142,13 +142,10 @@ func (r *reclaimer) processVictim() bool {
 	if e.dirty && !simcheck.Mut("paging-dirty-free") {
 		node := s.region.NodeOf(f.vpn)
 		rec := m.newFetch(s, f.vpn, fi, true, false)
-		// Dual-apply: while a migration copy of this page is in flight,
+		// Dual-apply: while a re-home copy of this page is in flight,
 		// the write-back also targets the copy's destination so the new
-		// home never holds stale bytes when the owner flip lands.
-		var extra uint64
-		if m.migr != nil {
-			extra = m.migr.WBExtraMask(s, f.vpn)
-		}
+		// home never holds stale bytes when the owner table follows.
+		extra := m.mirrorMask(s, f.vpn)
 		if s.region.Replicas() > 1 || extra != 0 {
 			// Fan out to every live owner; the slot-waited primary post
 			// targets the first live one. A fully dead owner set falls

@@ -2,279 +2,129 @@ package paging
 
 import (
 	"repro/internal/rdma"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// RepairConfig tunes background re-replication.
-type RepairConfig struct {
-	// Bandwidth caps repair traffic in bytes per cycle: after each page
-	// copy the repairer idles long enough that its average rate never
-	// exceeds the cap, so repair cannot starve foreground fetches of
-	// link time. 0.5 B/cy is ~1/9 of the link's effective data rate.
-	Bandwidth float64
-}
+// repairBandwidth is the calibrated cap on background re-replication
+// traffic in bytes per cycle: ~1/9 of the link's effective data rate, so
+// repair cannot starve foreground fetches of link time.
+const repairBandwidth = 0.5
 
-// DefaultRepairConfig returns the calibrated repair pacing.
-func DefaultRepairConfig() RepairConfig { return RepairConfig{Bandwidth: 0.5} }
-
-// repairJob is one under-replicated copy to restore: slot k of the
-// page's owner set pointed at a node that died.
-type repairJob struct {
-	space *Space
-	vpn   int64
-	slot  int
-}
-
-// Repairer restores the replication factor after a node death. When the
-// failure detector reports a node down it scans every space for pages
-// whose owner set includes the dead node and queues one job per lost
-// copy, in deterministic (space, page, slot) order. A tier-1 task then
-// works the queue serially: READ the surviving bytes from a live owner,
-// WRITE them to a deterministically chosen new home, re-point the lost
-// slot there (Region.Reown), and idle out the bandwidth cap before the
-// next page. Data movement is modeled traffic — the region's single
-// authoritative byte store needs no copying, so the WRITE lands in a
-// scratch sink and can never clobber a write-back that raced ahead of
-// the repair.
+// Repairer restores the replication factor after a node death. It is a
+// planner over the re-home engine (rehome.go): when the failure
+// detector reports a node down it scans every space for pages whose
+// owner set includes the dead node and queues one job per lost copy, in
+// deterministic (space, page, slot) order. When the engine asks for the
+// next job it picks the endpoints — the first live owner as the source,
+// the first live non-owner as the new home — skipping copies that need
+// no repair any more and counting those that cannot get one. It lands a
+// durable copy at once (the slot it re-points answered a dead node, so
+// no reader can straddle the change) and re-plans a job after any
+// error, the death of an endpoint included.
 type Repairer struct {
-	m   *Manager
-	env *sim.Env
-	qps []*rdma.QP
-	cq  *rdma.CQ
-	t   *sim.Task
-	cfg RepairConfig
-	gap sim.Time
+	*Rehomer
 
-	buf  []byte // local staging buffer (READ destination)
-	sink []byte // modeled WRITE target at the new owner
-
-	jobs  []repairJob
-	ji    int
-	state int
-	dst   int // new owner of the in-flight job's copy
-
-	hash uint64 // FNV-1a over every repaired (space, vpn, slot, dst, at)
+	jobs []RehomeJob
+	ji   int
 
 	// Repaired counts restored copies; Unrepairable counts lost copies
 	// with no live source or no eligible new home (the whole queue, when
-	// replicas=1); RepairRetries counts per-copy fabric retries.
-	Repaired      stats.Counter
-	Unrepairable  stats.Counter
-	RepairRetries stats.Counter
+	// replicas=1).
+	Repaired     stats.Counter
+	Unrepairable stats.Counter
 
 	// RepairLat records, per restored copy, the time from the node-down
-	// verdict (job creation) to the copy being durable at its new home.
+	// verdict that queued it to the copy being durable at its new home.
 	RepairLat *stats.Histogram
-
-	// OnReown, if set, observes every repair re-home as it lands
-	// (space, vpn, slot, new node). The migration subsystem uses it to
-	// keep its owner-table view — and the ShardMap override table —
-	// consistent when repair re-homes a page migration already moved.
-	OnReown func(s *Space, vpn int64, slot, dst int)
-
-	downAt sim.Time // detection time of the current wave, for RepairLat
 }
 
-const (
-	rpIdle  = iota // queue empty (or not yet started)
-	rpNext         // pick up the next job (also the bandwidth-gap wait)
-	rpRead         // READ of the surviving copy in flight
-	rpWrite        // WRITE to the new home in flight
-)
-
-// NewRepairer builds the repairer over per-node QPs created for it (all
-// completing on cq, which must be dedicated to the repairer).
-func NewRepairer(m *Manager, qps []*rdma.QP, cq *rdma.CQ, cfg RepairConfig) *Repairer {
-	def := DefaultRepairConfig()
-	if cfg.Bandwidth <= 0 {
-		cfg.Bandwidth = def.Bandwidth
-	}
-	r := &Repairer{
-		m:         m,
-		env:       m.env,
-		qps:       qps,
-		cq:        cq,
-		cfg:       cfg,
-		gap:       sim.Time(float64(PageSize) / cfg.Bandwidth),
-		buf:       make([]byte, PageSize),
-		sink:      make([]byte, PageSize),
-		hash:      1469598103934665603, // FNV-1a offset basis
-		RepairLat: stats.NewHistogram(),
-	}
-	r.t = sim.NewTask(m.env, "repair", r.fire)
-	cq.Notify = func() {
-		if !r.t.Armed() {
-			r.t.FireAt(r.env.Now())
-		}
-	}
+// NewRepairer builds the repairer and its engine over per-node QPs
+// created for it (all completing on cq, which must be dedicated to it).
+func NewRepairer(m *Manager, qps []*rdma.QP, cq *rdma.CQ) *Repairer {
+	r := &Repairer{RepairLat: stats.NewHistogram()}
+	r.Rehomer = NewRehomer(m, "repair", qps, cq, repairBandwidth, r)
 	return r
 }
 
 // NodeDown is the failure detector's OnDown hook: enqueue a repair job
 // for every copy the dead node held, in deterministic scan order, and
-// start the copier if it was idle.
+// start the engine if it was idle.
 func (r *Repairer) NodeDown(dead int) {
-	r.downAt = r.env.Now()
+	now := r.m.env.Now()
 	for _, s := range r.m.spaces {
 		reps := s.region.Replicas()
 		for vpn := int64(0); vpn < s.Pages(); vpn++ {
 			for k := 0; k < reps; k++ {
 				if s.region.OwnerAt(vpn, k) == dead {
-					r.jobs = append(r.jobs, repairJob{space: s, vpn: vpn, slot: k})
+					r.jobs = append(r.jobs, RehomeJob{Space: s, VPN: vpn, Slot: k, Planned: now})
 				}
 			}
 		}
 	}
-	if r.state == rpIdle && !r.t.Armed() {
-		r.state = rpNext
-		r.t.FireAfter(0)
-	}
+	r.Kick()
 }
 
 // Pending returns the number of queued-but-unfinished jobs.
 func (r *Repairer) Pending() int { return len(r.jobs) - r.ji }
 
-// ScheduleHash returns an order-sensitive digest of every repair
-// performed (what was copied where, and when), for determinism tests.
-func (r *Repairer) ScheduleHash() uint64 { return r.hash }
-
-func (r *Repairer) fire() {
-	switch r.state {
-	case rpNext:
-		r.startNext()
-	case rpRead, rpWrite:
-		r.drain()
-	}
-}
-
-// startNext advances past unrepairable or stale jobs and posts the next
-// job's READ. Runs the selection loop inline — it is pure bookkeeping —
-// and parks the machine at rpIdle when the queue is drained.
-func (r *Repairer) startNext() {
-	m := r.m
-	for r.ji < len(r.jobs) {
-		j := r.jobs[r.ji]
-		reg := j.space.region
-		cur := reg.OwnerAt(j.vpn, j.slot)
-		if m.health != nil && m.health.Live(cur) {
+// Next advances past stale and unrepairable jobs and plans the first
+// one left.
+func (r *Repairer) Next() (RehomeJob, bool) {
+	for ; r.ji < len(r.jobs); r.ji++ {
+		j := &r.jobs[r.ji]
+		if r.m.NodeLive(j.Space.region.OwnerAt(j.VPN, j.Slot)) {
 			// The owner came back (rejoin) or an earlier wave already
 			// re-homed this slot: nothing to restore.
-			r.ji++
 			continue
 		}
-		src, dst := r.plan(j)
-		if src < 0 || dst < 0 {
+		if j.Src, j.Dst = r.plan(*j); j.Src < 0 {
 			r.Unrepairable.Inc()
-			r.ji++
 			continue
 		}
-		r.dst = dst
-		remote := reg.SliceFor(j.vpn*PageSize, PageSize, src, r.qps[src].Name())
-		if r.qps[src].PostRead(r.buf, remote, r) != nil {
-			// Saturated repair QP cannot happen with serial use, but an
-			// errored one (fault plans) can: back off and retry.
-			r.RepairRetries.Inc()
-			r.state = rpNext
-			r.t.FireAfter(m.cfg.RetryBackoff)
-			return
-		}
-		r.state = rpRead
-		return
+		return *j, true
 	}
-	r.state = rpIdle
-	r.jobs = r.jobs[:0]
-	r.ji = 0
+	r.jobs, r.ji = r.jobs[:0], 0
+	return RehomeJob{}, false
 }
 
-// plan picks the source (first live owner) and the new home (first live
-// node that is not already an owner) for a job. Both choices are pure
-// functions of the owner table and the health verdicts, so identically
-// seeded runs repair identically.
-func (r *Repairer) plan(j repairJob) (src, dst int) {
-	reg := j.space.region
-	src, dst = -1, -1
-	reps := reg.Replicas()
-	for k := 0; k < reps; k++ {
-		o := reg.OwnerAt(j.vpn, k)
-		if k != j.slot && (r.m.health == nil || r.m.health.Live(o)) {
+// plan picks the source (first live holder of another copy) and the new
+// home (first live node holding no other copy) for a job, or -1, -1 when
+// either is missing. Both choices are pure functions of the owner table
+// and the health verdicts, so identically seeded runs repair identically.
+func (r *Repairer) plan(j RehomeJob) (src, dst int) {
+	reg := j.Space.region
+	src = -1
+	var holders uint64
+	for k := 0; k < reg.Replicas(); k++ {
+		if k == j.Slot {
+			continue
+		}
+		o := reg.OwnerAt(j.VPN, k)
+		holders |= 1 << uint(o)
+		if src < 0 && r.m.NodeLive(o) {
 			src = o
-			break
 		}
 	}
-	if src < 0 {
-		return -1, -1
-	}
-	for n := 0; n < reg.Nodes(); n++ {
-		if r.m.health != nil && !r.m.health.Live(n) {
-			continue
-		}
-		owner := false
-		for k := 0; k < reps; k++ {
-			if k != j.slot && reg.OwnerAt(j.vpn, k) == n {
-				owner = true
-				break
-			}
-		}
-		if !owner {
-			dst = n
-			break
+	for n := 0; src >= 0 && n < reg.Nodes(); n++ {
+		if r.m.NodeLive(n) && holders&(1<<uint(n)) == 0 {
+			return src, n
 		}
 	}
-	if dst < 0 {
-		return -1, -1
-	}
-	return src, dst
+	return -1, -1
 }
 
-// drain consumes the in-flight verb's completion and advances the copy.
-func (r *Repairer) drain() {
-	cs := r.cq.Poll(4)
-	if len(cs) == 0 {
-		return // spurious wake; the completion's Notify will re-arm us
-	}
-	for _, c := range cs {
-		j := r.jobs[r.ji]
-		if c.Err != nil {
-			// Source or destination failed mid-copy (it may itself have
-			// died): re-plan the same job after a backoff.
-			r.RepairRetries.Inc()
-			r.state = rpNext
-			r.t.FireAfter(r.m.cfg.RetryBackoff)
-			return
-		}
-		switch r.state {
-		case rpRead:
-			if r.qps[r.dst].PostWrite(r.sink, r.buf, r) != nil {
-				r.RepairRetries.Inc()
-				r.state = rpNext
-				r.t.FireAfter(r.m.cfg.RetryBackoff)
-				return
-			}
-			r.state = rpWrite
-		case rpWrite:
-			j.space.region.Reown(j.vpn, j.slot, r.dst)
-			if r.OnReown != nil {
-				r.OnReown(j.space, j.vpn, j.slot, r.dst)
-			}
-			r.Repaired.Inc()
-			r.RepairLat.Record(int64(r.env.Now() - r.downAt))
-			r.mix(uint64(j.space.id))
-			r.mix(uint64(j.vpn))
-			r.mix(uint64(j.slot))
-			r.mix(uint64(r.dst))
-			r.mix(uint64(r.env.Now()))
-			r.ji++
-			r.state = rpNext
-			r.t.FireAfter(r.gap)
-			return
-		}
-	}
-}
+// Ready lands every durable copy at once.
+func (r *Repairer) Ready(RehomeJob) Landing { return Land }
 
-func (r *Repairer) mix(v uint64) {
-	for i := 0; i < 8; i++ {
-		r.hash ^= (v >> (8 * i)) & 0xff
-		r.hash *= 1099511628211 // FNV-1a prime
-	}
+// Keep re-plans the job after any error: the endpoint that failed may
+// itself have died, and the next plan routes around it.
+func (r *Repairer) Keep(RehomeJob, error) bool { return true }
+
+// Landed books the restored copy.
+func (r *Repairer) Landed(j RehomeJob) {
+	now := r.m.env.Now()
+	r.Repaired.Inc()
+	r.RepairLat.Record(int64(now - j.Planned))
+	r.Fold(uint64(j.Space.id), uint64(j.VPN), uint64(j.Slot), uint64(j.Dst), uint64(now))
+	r.ji++
 }

@@ -20,7 +20,12 @@
 // seeded PRNG owned by the environment.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Time is a point (or span) of simulated time, measured in CPU cycles.
 type Time int64
@@ -61,5 +66,47 @@ func (t Time) String() string {
 		return fmt.Sprintf("%.2fms", t.Millis())
 	default:
 		return fmt.Sprintf("%.2fs", t.Seconds())
+	}
+}
+
+// MaxSpecTime bounds durations ParseTime accepts (≈ 5.8 sim-days). The
+// bound keeps every accepted duration exactly representable in float64,
+// so the canonical SpecString form re-parses to the identical value.
+const MaxSpecTime Time = 1e15
+
+// ParseTime parses a duration in the grammar the -faults and -migrate
+// specs share: "20us" (or "20µs"), "1.5ms", "2s", or bare cycles.
+func ParseTime(s string) (Time, error) {
+	mult := 1.0
+	num := s
+	switch {
+	case strings.HasSuffix(s, "us"):
+		num, mult = s[:len(s)-2], float64(Micros(1))
+	case strings.HasSuffix(s, "µs"):
+		num, mult = strings.TrimSuffix(s, "µs"), float64(Micros(1))
+	case strings.HasSuffix(s, "ms"):
+		num, mult = s[:len(s)-2], float64(Millis(1))
+	case strings.HasSuffix(s, "s"):
+		num, mult = s[:len(s)-1], float64(Seconds(1))
+	}
+	f, err := strconv.ParseFloat(num, 64)
+	if err != nil || math.IsNaN(f) || f < 0 || f*mult > float64(MaxSpecTime) {
+		return 0, fmt.Errorf("duration %q: want e.g. 20us, 1.5ms, or cycles (max %g cycles)", s, float64(MaxSpecTime))
+	}
+	return Time(f * mult), nil
+}
+
+// SpecString renders t in the ParseTime grammar. Each branch is exact —
+// whole milliseconds, whole microseconds, or bare cycles — so
+// ParseTime(t.SpecString()) always recovers t.
+func (t Time) SpecString() string {
+	us, ms := Micros(1), Millis(1)
+	switch {
+	case t >= ms && t%ms == 0:
+		return fmt.Sprintf("%dms", int64(t/ms))
+	case t%us == 0:
+		return fmt.Sprintf("%dus", int64(t/us))
+	default:
+		return fmt.Sprintf("%d", int64(t))
 	}
 }
