@@ -46,6 +46,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,25 +64,43 @@ import (
 	"repro/internal/simcheck"
 )
 
-func main() {
-	exp := flag.String("exp", "", "experiment id, comma-separated ids, or 'all'")
-	short := flag.Bool("short", false, "reduced sweeps and dataset sizes")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	doPlot := flag.Bool("plot", false, "render ASCII charts of each sweep")
-	csvPath := flag.String("csv", "", "also write measured points as CSV to this file")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max concurrently-running simulations (1 = sequential)")
-	faultSpec := flag.String("faults", "", "fault plan, e.g. 'wr=0.01,rnr=0.001:5us,link=20ms:200us:4,mem=25ms:100us'")
-	faultSeed := flag.Int64("fault-seed", 0, "salt for the fault schedule (replays the workload under different faults)")
-	memnodes := flag.Int("memnodes", 1, "memory nodes every built system stripes its backing store across (1 = the paper's topology)")
-	replicasN := flag.Int("replicas", 1, "copies of every page, on distinct memory nodes (1 = unreplicated)")
-	migrateSpec := flag.String("migrate", "", "page-migration plan for every built system, e.g. 'on' or 'epoch=50us,hot=8'")
-	skewS := flag.Float64("skew", 0, "Zipfian key-skew exponent for apps that support one (0 = native distribution)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
-	qdepth := flag.Bool("qdepth", false, "report the pending-event high-water mark across all simulations")
-	check := flag.Bool("check", false, "arm the simcheck invariant oracles for every built system")
-	flag.Parse()
+func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters (args[0] is the
+// program name) and the exit code as its result: 0 on success, 1 when an
+// experiment id is unknown or a file cannot be written, 2 on a usage
+// error — every rejected flag value prints one "adios-bench: …" line and
+// builds nothing.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "adios-bench: "+format+"\n", a...)
+		return 2
+	}
+	exp := fs.String("exp", "", "experiment id, comma-separated ids, or 'all'")
+	short := fs.Bool("short", false, "reduced sweeps and dataset sizes")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	doPlot := fs.Bool("plot", false, "render ASCII charts of each sweep")
+	csvPath := fs.String("csv", "", "also write measured points as CSV to this file")
+	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "max concurrently-running simulations (1 = sequential)")
+	faultSpec := fs.String("faults", "", "fault plan, e.g. 'wr=0.01,rnr=0.001:5us,link=20ms:200us:4,mem=25ms:100us'")
+	faultSeed := fs.Int64("fault-seed", 0, "salt for the fault schedule (replays the workload under different faults)")
+	memnodes := fs.Int("memnodes", 1, "memory nodes every built system stripes its backing store across (1 = the paper's topology)")
+	replicasN := fs.Int("replicas", 1, "copies of every page, on distinct memory nodes (1 = unreplicated)")
+	migrateSpec := fs.String("migrate", "", "page-migration plan for every built system, e.g. 'on' or 'epoch=50us,hot=8'")
+	skewS := fs.Float64("skew", 0, "Zipfian key-skew exponent for apps that support one (0 = native distribution)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile (after the run) to this file")
+	qdepth := fs.Bool("qdepth", false, "report the pending-event high-water mark across all simulations")
+	check := fs.Bool("check", false, "arm the simcheck invariant oracles for every built system")
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *check {
 		// Must precede system construction: each environment latches its
@@ -91,20 +110,35 @@ func main() {
 
 	if *list {
 		for _, id := range bench.All() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "adios-bench: -exp required (use -list for ids, or 'all')")
-		os.Exit(2)
+		return usage("-exp required (use -list for ids, or 'all')")
+	}
+	if *memnodes < 1 {
+		return usage("-memnodes must be at least 1, got %d", *memnodes)
+	}
+	if *parallel < 1 {
+		return usage("-parallel must be at least 1 (1 = sequential), got %d", *parallel)
+	}
+	ids := strings.Split(*exp, ",")
+	if *exp == "all" {
+		ids = bench.All()
 	}
 
 	if *faultSpec != "" || *faultSeed != 0 {
 		plan, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adios-bench: %v\n", err)
-			os.Exit(2)
+			return usage("%v", err)
+		}
+		// Would otherwise panic in the first system an experiment builds
+		// at too few nodes for the plan (some sweep the count themselves).
+		for _, id := range ids {
+			if err := bench.CheckPlan(id, plan, *memnodes); err != nil {
+				return usage("-faults: %v (-memnodes %d)", err, *memnodes)
+			}
 		}
 		if *faultSeed != 0 {
 			plan.Seed = *faultSeed
@@ -116,42 +150,48 @@ func main() {
 	if *migrateSpec != "" {
 		mc, err := migrate.ParseSpec(*migrateSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "adios-bench: %v\n", err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
 		bench.SetMigrate(mc)
 	}
 	if *skewS != 0 && *skewS <= 1 {
 		// math/rand's Zipf generator rejects exponents at or below 1.
-		fmt.Fprintln(os.Stderr, "adios-bench: -skew must be > 1 (or 0 for the native distribution)")
-		os.Exit(2)
+		return usage("-skew must be > 1 (or 0 for the native distribution)")
 	}
 	bench.SetSkew(*skewS)
-	startProfiles(*cpuProfile, *memProfile)
+
+	// fail reports a fatal error; the deferred stop still flushes the
+	// profiles, so a truncated run leaves a readable profile behind.
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "adios-bench: %v\n", err)
+		return 1
+	}
+	stop, err := startProfiles(*cpuProfile, *memProfile, stderr)
+	if err != nil {
+		return fail(err)
+	}
+	defer stop()
 	if *qdepth {
 		sim.TrackMaxPending(true)
 	}
 
-	opt := bench.Options{Short: *short, Out: os.Stdout, Seed: *seed, Plot: *doPlot}
+	opt := bench.Options{Short: *short, Out: stdout, Seed: *seed, Plot: *doPlot}
 	opt.SetParallel(*parallel)
 	var csvFile *os.File
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			die("adios-bench: %v\n", err)
+			return fail(err)
 		}
 		defer f.Close()
 		csvFile = f
 	}
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = bench.All()
-	}
-
 	if len(ids) > 1 && *parallel > 1 {
 		// Experiments buffer their own output; the CSV header is written
 		// once here rather than through EnableCSV's first-writer-wins.
-		runAllParallel(ids, opt, csvFile, *parallel)
+		if err := runAllParallel(ids, opt, stdout, csvFile, *parallel); err != nil {
+			return fail(err)
+		}
 	} else {
 		if csvFile != nil {
 			opt.EnableCSV(csvFile)
@@ -159,31 +199,29 @@ func main() {
 		for _, id := range ids {
 			start := time.Now()
 			if err := bench.Run(id, opt); err != nil {
-				die("adios-bench: %v\n", err)
+				return fail(err)
 			}
-			fmt.Printf("## %s done in %s\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "## %s done in %s\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if *qdepth {
-		fmt.Printf("## qdepth peak-pending-events=%d\n", sim.GlobalMaxPending())
+		fmt.Fprintf(stdout, "## qdepth peak-pending-events=%d\n", sim.GlobalMaxPending())
 	}
-	stopProfiles()
+	return 0
 }
 
-// stopProfiles flushes any profiles startProfiles began; safe to call
-// more than once. Error paths must go through die so a truncated run
-// still leaves a readable profile behind.
-var stopProfiles = func() {}
-
-func startProfiles(cpuPath, memPath string) {
+// startProfiles begins the requested profiles and returns the function
+// that flushes them.
+func startProfiles(cpuPath, memPath string, stderr io.Writer) (stop func(), err error) {
 	var stops []func()
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
-			die("adios-bench: %v\n", err)
+			return nil, err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			die("adios-bench: %v\n", err)
+			f.Close()
+			return nil, err
 		}
 		stops = append(stops, func() {
 			pprof.StopCPUProfile()
@@ -194,29 +232,21 @@ func startProfiles(cpuPath, memPath string) {
 		stops = append(stops, func() {
 			f, err := os.Create(memPath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "adios-bench: %v\n", err)
+				fmt.Fprintf(stderr, "adios-bench: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize the retained heap
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "adios-bench: %v\n", err)
+				fmt.Fprintf(stderr, "adios-bench: %v\n", err)
 			}
 		})
 	}
-	stopProfiles = func() {
+	return func() {
 		for _, stop := range stops {
 			stop()
 		}
-		stopProfiles = func() {}
-	}
-}
-
-// die reports a fatal error after flushing profiles.
-func die(format string, args ...any) {
-	stopProfiles()
-	fmt.Fprintf(os.Stderr, format, args...)
-	os.Exit(1)
+	}, nil
 }
 
 // runAllParallel runs experiments concurrently, each writing its tables
@@ -224,7 +254,7 @@ func die(format string, args ...any) {
 // file in experiment order, so the combined output matches a sequential
 // run. Points inside each experiment share opt's limiter, keeping total
 // simulation concurrency bounded by -parallel.
-func runAllParallel(ids []string, opt bench.Options, csvFile io.Writer, parallel int) {
+func runAllParallel(ids []string, opt bench.Options, stdout io.Writer, csvFile *os.File, parallel int) error {
 	type result struct {
 		out, csv bytes.Buffer
 		took     time.Duration
@@ -258,12 +288,13 @@ func runAllParallel(ids []string, opt bench.Options, csvFile io.Writer, parallel
 	for i, id := range ids {
 		r := &results[i]
 		if r.err != nil {
-			die("adios-bench: %v\n", r.err)
+			return r.err
 		}
-		os.Stdout.Write(r.out.Bytes())
+		stdout.Write(r.out.Bytes())
 		if csvFile != nil {
 			csvFile.Write(r.csv.Bytes())
 		}
-		fmt.Printf("## %s done in %s\n", id, r.took.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "## %s done in %s\n", id, r.took.Round(time.Millisecond))
 	}
+	return nil
 }

@@ -114,8 +114,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if plan, err = faults.ParseSpec(*faultSpec); err != nil {
 			return usage("%v", err)
 		}
-		if n := max(*memnodes, 1); plan.CrashSet && plan.CrashNode >= n {
-			return usage("-faults crash targets node %d, but -memnodes is %d", plan.CrashNode, n)
+		if err := plan.FitsNodes(max(*memnodes, 1)); err != nil {
+			return usage("-faults: %v (-memnodes %d)", err, *memnodes)
 		}
 	}
 	if *migrateSpec != "" {

@@ -529,12 +529,36 @@ var experiments = map[string]func(Options){
 	"rebalance":     func(o Options) { Rebalance(o) },
 }
 
+// nodeFloor is, for the experiments that set the memory-node count of
+// their own points, the smallest count they build at; every other
+// experiment builds all of its points at the -memnodes count.
+var nodeFloor = map[string]int{"shards": 1, "rebalance": rebalanceNodes}
+
+// CheckPlan reports whether plan can run on every system experiment id
+// builds when the default node count is n: a crash must name a node all
+// of its points have (core.NewSystem panics on one that does not). Run
+// checks the installed plan; a CLI calls it first to report a usage error
+// instead.
+func CheckPlan(id string, plan faults.Config, n int) error {
+	if floor, ok := nodeFloor[id]; ok {
+		n = floor
+	}
+	if err := plan.FitsNodes(n); err != nil {
+		return fmt.Errorf("experiment %s: %v", id, err)
+	}
+	return nil
+}
+
 // Run executes the experiment with the given id. Returns an error for
-// unknown ids. Results are printed to opt.Out.
+// unknown ids and for a fault plan the experiment cannot run under.
+// Results are printed to opt.Out.
 func Run(id string, opt Options) error {
 	fn, ok := experiments[id]
 	if !ok {
 		return fmt.Errorf("bench: unknown experiment %q", id)
+	}
+	if err := CheckPlan(id, faultPlan, memNodes); err != nil {
+		return fmt.Errorf("bench: %v", err)
 	}
 	opt.exp = id
 	fn(opt)

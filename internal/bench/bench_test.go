@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // shortOpt runs experiments at reduced resolution; these tests assert
@@ -26,6 +28,18 @@ func peak(pts []Point) Point {
 func TestRunDispatchesAllIDs(t *testing.T) {
 	if err := Run("nonsense", shortOpt()); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+	// A crash plan must fit the smallest system the experiment builds:
+	// the -memnodes count, unless the experiment sets its own.
+	crash := faults.Config{CrashSet: true, CrashNode: 2}
+	for _, tc := range []struct {
+		id   string
+		n    int
+		fits bool
+	}{{"fig2b", 4, true}, {"fig2b", 2, false}, {"shards", 4, false}, {"rebalance", 1, true}} {
+		if err := CheckPlan(tc.id, crash, tc.n); (err == nil) != tc.fits {
+			t.Fatalf("CheckPlan(%s, crash of node 2, %d nodes) = %v, want fits=%v", tc.id, tc.n, err, tc.fits)
+		}
 	}
 	for _, id := range All() {
 		if !strings.HasPrefix(id, "fig") && !strings.HasPrefix(id, "table") &&

@@ -249,8 +249,8 @@ func NewSystem(cfg Config) *System {
 		}
 	}
 	if cfg.Faults.CrashSet {
-		if cfg.Faults.CrashNode >= n {
-			panic(fmt.Sprintf("core: crash plan targets node %d of %d", cfg.Faults.CrashNode, n))
+		if err := cfg.Faults.FitsNodes(n); err != nil {
+			panic(fmt.Sprintf("core: %v", err))
 		}
 		var rejoin sim.Time
 		if cfg.Faults.RejoinSet {
@@ -263,32 +263,28 @@ func NewSystem(cfg Config) *System {
 	return sys
 }
 
-// Start launches the scheduler (dispatcher + workers) for the given
-// handler and the pinned reclaimer thread.
+// Start launches the scheduler (dispatcher + workers) for a direct-style
+// handler, which runs on workload.Blocking, and the pinned reclaimer
+// thread.
 func (sys *System) Start(handler workload.Handler) {
-	sys.startWith(handler, nil)
+	sys.start(workload.NewBlocking(sys.Env, handler))
 }
 
-// StartApp launches the scheduler for app. When the app provides a
-// resumable-step handler (workload.StepApp) the scheduler runs requests
-// on the flat unithread tier wherever the configuration qualifies
-// (yield wait, no preemption) — the identical simulated schedule with
-// no per-request goroutine. Apps without a step handler, and
-// non-qualifying configurations, run on the goroutine tier exactly as
-// via Start.
+// StartApp launches the scheduler for app: on its native step handler
+// when it has one (workload.StepApp), on workload.Blocking over its
+// direct-style handler otherwise. The choice follows from what the app
+// is, never from the configuration; either way every request executes on
+// the worker cores' one step machine.
 func (sys *System) StartApp(app workload.App) {
-	var stepH workload.StepHandler
 	if sa, ok := app.(workload.StepApp); ok {
-		stepH = sa.StepHandler()
+		sys.start(sa.StepHandler())
+		return
 	}
-	sys.startWith(app.Handler(), stepH)
+	sys.Start(app.Handler())
 }
 
-func (sys *System) startWith(handler workload.Handler, stepH workload.StepHandler) {
-	sys.Sched = sched.New(sys.Env, sys.Cfg.Sched, sys.Net, sys.Fabric, sys.Mgr, sys.Pool, handler)
-	if stepH != nil {
-		sys.Sched.SetStepHandler(stepH)
-	}
+func (sys *System) start(stepH workload.StepHandler) {
+	sys.Sched = sched.New(sys.Env, sys.Cfg.Sched, sys.Net, sys.Fabric, sys.Mgr, sys.Pool, stepH)
 	sys.Sched.Start()
 	rcq := rdma.NewCQ("reclaimer")
 	rqps := sys.Fabric.CreateQPs("reclaimer", rcq)

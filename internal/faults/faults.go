@@ -19,6 +19,7 @@
 package faults
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/memnode"
@@ -91,6 +92,16 @@ func (c Config) Injects() bool {
 // Enabled reports whether the plan does anything at all.
 func (c Config) Enabled() bool {
 	return c.Injects() || c.CrashSet
+}
+
+// FitsNodes reports whether the plan can run on a system of n memory
+// nodes: a crash must name one of them. It is the one check behind both
+// CLIs' usage error and core.NewSystem's panic.
+func (c Config) FitsNodes(n int) error {
+	if c.CrashSet && c.CrashNode >= n {
+		return fmt.Errorf("crash plan targets node %d of %d", c.CrashNode, n)
+	}
+	return nil
 }
 
 // Injector implements rdma.Interceptor for one simulation run. It is

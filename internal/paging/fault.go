@@ -232,10 +232,14 @@ func (m *Manager) TryRequestPage(c *FaultCall, w sim.Waiter, q QPSource, s *Spac
 	return m.postFetch(c, w, q)
 }
 
-// RequestPage is TryRequestPage for a context with a stack of its own:
-// it parks t's process through every stall and reports whether the page
-// is resident (true) or onReady is registered (false).
-func (m *Manager) RequestPage(t Thread, s *Space, vpn int64, onReady func(error), demand bool) bool {
+// RequestPage is TryRequestPage for a harness thread with a process of
+// its own (benchmark rigs, package tests; the scheduler's cores drive
+// TryRequestPage themselves): it parks t's process through every stall and
+// reports whether the page is resident (true) or onReady is registered.
+func (m *Manager) RequestPage(t interface {
+	QPSource
+	Proc() *sim.Proc
+}, s *Space, vpn int64, onReady func(error), demand bool) bool {
 	var c FaultCall
 	p := t.Proc()
 	for {

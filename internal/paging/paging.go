@@ -31,21 +31,20 @@ const PageSize = 4096
 // PageShift is log2(PageSize).
 const PageShift = 12
 
-// Thread is the execution context a paged access runs under. The
-// scheduler's unithread implements it; WaitPage embodies the system's
-// wait policy (busy-wait for DiLOS/Hermit, yield for Adios).
+// Thread is the execution context a paged access runs under: the
+// blocking face of the fault path, for application code in direct style.
+// WaitPage embodies the system's wait policy (busy-wait for DiLOS/Hermit,
+// yield for Adios): under the scheduler it hands the fault to the worker
+// core's step machine and returns once the core has driven it.
 type Thread interface {
-	// Proc returns the simulated process to block and charge time on.
-	Proc() *sim.Proc
 	// QP (QPSource, fault.go) returns the queue pair page movements for
 	// the given memory node are issued on (the current worker's QP to
 	// that node). A single-node system always passes node 0.
 	QPSource
-	// WaitPage blocks until the given page of the space is resident,
-	// driving the fault through Manager.RequestPage. If the fetch is
-	// abandoned after bounded retries (see Config.MaxFetchAttempts),
-	// WaitPage panics with *FetchError — the simulated SIGBUS — which
-	// the scheduler recovers into a failed request.
+	// WaitPage blocks until the given page of the space is resident. If
+	// the fetch is abandoned after bounded retries (see
+	// Config.MaxFetchAttempts), WaitPage panics with *FetchError — the
+	// simulated SIGBUS — which the scheduler turns into a failed request.
 	WaitPage(s *Space, vpn int64)
 }
 

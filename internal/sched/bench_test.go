@@ -13,14 +13,15 @@ import (
 )
 
 // The round-trip benchmark drives requests through the full path —
-// arrival, dispatch, spawn, one guaranteed demand fault, resume, reply,
-// retire — on each execution tier, keeping rtInflight requests in
-// flight so the worker runs segments back to back as it does under
-// load. The working set cycles over many more pages than the frame
+// arrival, dispatch, spawn, guaranteed demand faults, resume, reply,
+// retire — for each form a handler can have (a native stepper, a
+// direct-style handler on workload.Blocking), keeping rtInflight
+// requests in flight so the worker runs segments back to back as it does
+// under load. The working set cycles over many more pages than the frame
 // pool, so every access faults. Payloads, responses, and packets are
 // preallocated and rotated: the measured loop exercises only the
-// scheduler's own steady-state machinery, and the flat tier must run it
-// without allocating at all (the guard below).
+// scheduler's own steady-state machinery, which must run without
+// allocating at all (the guard below).
 
 // rtPayload is the benchmark request: one paged offset, mutated in
 // place between round trips (the boxes are allocated once).
@@ -37,7 +38,7 @@ const (
 	rtSpanBytes  = rtSpanPages * paging.PageSize
 )
 
-// rtStepApp is a minimal two-tier app: parse, one paged load, reply.
+// rtStepApp is a minimal app in both forms: parse, paged loads, reply.
 // The response is a preallocated boxed value shared across requests.
 type rtStepApp struct {
 	space *paging.Space
@@ -60,6 +61,7 @@ func (a *rtStepApp) handler() workload.Handler {
 type rtStep struct{ a *rtStepApp }
 
 func (rtStep) Begin(f *workload.StepFrame, payload any) { f.PC = 0 }
+func (rtStep) Abort(*workload.StepFrame, error)         {}
 
 func (s rtStep) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, sim.Time, workload.StepStatus) {
 	switch f.PC {
@@ -67,9 +69,8 @@ func (s rtStep) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (
 		f.PC = 1
 		return nil, 0, 250, workload.StepCompute
 	case 1:
-		ctx.Probe()
 		f.PC, f.W[0] = 2, 0
-		fallthrough
+		return nil, 0, 0, workload.StepProbe
 	case 2:
 		base := payload.(*rtPayload).off
 		for j := int64(f.W[0]); j < rtFaults; j++ {
@@ -99,7 +100,7 @@ type rtRig struct {
 	sent     int
 }
 
-func newRTRig(flatTier bool) *rtRig {
+func newRTRig(native bool, cfg Config) *rtRig {
 	env := sim.NewEnv(5)
 	// Fast fabric: with wire serialization and flight shrunk, fetch
 	// completions and arrivals cluster at the same instants, so each
@@ -128,12 +129,12 @@ func newRTRig(flatTier bool) *rtRig {
 		space: mgr.NewSpace("rt", node.MustAlloc("rt", rtSpanPages*paging.PageSize)),
 		resp:  any(uint64(1)),
 	}
-	cfg := DefaultConfig()
 	cfg.Workers, cfg.Dispatchers = 1, 1
-	r.sched = New(env, cfg, r.net, rdma.Fabric{nic}, mgr, unithread.NewPool(64, 4096), app.handler())
-	if flatTier {
-		r.sched.SetStepHandler(rtStep{app})
+	var stepH workload.StepHandler = rtStep{app}
+	if !native {
+		stepH = workload.NewBlocking(env, app.handler())
 	}
+	r.sched = New(env, cfg, r.net, rdma.Fabric{nic}, mgr, unithread.NewPool(64, 4096), stepH)
 	r.sched.Start()
 	rcq := rdma.NewCQ("reclaim")
 	mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)
@@ -159,8 +160,8 @@ func (r *rtRig) inject() {
 	r.net.SendToNode(pkt)
 }
 
-func benchRoundTrip(b *testing.B, flatTier bool) {
-	r := newRTRig(flatTier)
+func benchRoundTrip(b *testing.B, native bool) {
+	r := newRTRig(native, DefaultConfig())
 	total := rtWarmOps + b.N
 	completed := 0
 	r.sched.OnComplete = func(*Request) {
@@ -190,34 +191,48 @@ func benchRoundTrip(b *testing.B, flatTier bool) {
 }
 
 func BenchmarkSchedRequestRoundTrip(b *testing.B) {
-	b.Run("goroutine", func(b *testing.B) { benchRoundTrip(b, false) })
-	b.Run("flat", func(b *testing.B) { benchRoundTrip(b, true) })
+	b.Run("blocking", func(b *testing.B) { benchRoundTrip(b, false) })
+	b.Run("native", func(b *testing.B) { benchRoundTrip(b, true) })
 }
 
-// The flat tier's zero-allocation contract: a full request round trip —
-// admission, spawn, fault, park, resume, reply, retire — allocates
-// nothing once pools are warm.
+// The zero-allocation contract: a full request round trip — admission,
+// spawn, fault, park or spin, resume, reply, retire — allocates nothing
+// once pools are warm, whichever form the handler has and whichever way
+// the fault waits.
 func TestFlatRoundTripZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is not meaningful under -race")
 	}
-	r := newRTRig(true)
-	done := sim.NewGate(r.env)
-	r.sched.OnComplete = func(*Request) { done.Wake() }
-	var got float64
-	r.env.Go("driver", func(p *sim.Proc) {
-		op := func() {
-			r.inject()
-			done.Wait(p)
+	dilos := DefaultConfig()
+	dilos.Wait, dilos.Dispatch, dilos.Tx = BusyWait, RoundRobin, SyncTx
+	for _, tc := range []struct {
+		name   string
+		native bool
+		cfg    Config
+	}{
+		{"native-yield", true, DefaultConfig()},
+		{"native-busywait", true, dilos},
+		{"blocking-yield", false, DefaultConfig()},
+		{"blocking-busywait", false, dilos},
+	} {
+		r := newRTRig(tc.native, tc.cfg)
+		done := sim.NewGate(r.env)
+		r.sched.OnComplete = func(*Request) { done.Wake() }
+		var got float64
+		r.env.Go("driver", func(p *sim.Proc) {
+			op := func() {
+				r.inject()
+				done.Wait(p)
+			}
+			for i := 0; i < rtWarmOps; i++ {
+				op()
+			}
+			got = testing.AllocsPerRun(200, op)
+			r.env.Stop()
+		})
+		r.env.RunAll()
+		if got != 0 {
+			t.Errorf("%s: round trip allocates %v per op, want 0", tc.name, got)
 		}
-		for i := 0; i < rtWarmOps; i++ {
-			op()
-		}
-		got = testing.AllocsPerRun(200, op)
-		r.env.Stop()
-	})
-	r.env.RunAll()
-	if got != 0 {
-		t.Fatalf("flat round trip allocates %v per op, want 0", got)
 	}
 }

@@ -6,21 +6,26 @@ import "repro/internal/simcheck"
 // simcheck). It is observational: it reads state, never changes it.
 //
 //	sched/core-liveness  every worker and dispatcher core can still be
-//	                     woken: its task is armed, or it sits in a waiter
-//	                     slot something will signal
+//	                     woken — its task is armed, or it sits in a waiter
+//	                     slot something will signal — and every runnable
+//	                     request off its core is where a core will find it
+//
+// sched/flat-state lives beside the transitions it checks
+// (flatCtx.advance, flat.go).
 
 // pointNames name the continuation points of worker.go and flat.go, for
 // violation reports.
 var pointNames = [...]string{
 	wLoop: "loop", wPolled: "polled", wPick: "pick", wSteal: "steal",
-	wProbed: "probed", wStolen: "stolen", wWoken: "idle", wSpawned: "spawned",
-	wHandoff: "handoff", wReturned: "unithread-running",
-	flatOpen: "flat-open", flatBegin: "flat-begin", flatJitter: "flat-jitter",
-	flatStep: "flat-step", flatFaultOpen: "flat-fault-open", flatFault: "flat-fault",
-	flatRequest: "flat-request", flatFaultDone: "flat-fault-done",
-	flatMapped: "flat-mapped", flatTxPosted: "flat-tx-posted", flatSend: "flat-send",
-	flatTxWait: "flat-tx-wait", flatFinish: "flat-finish", flatClose: "flat-close",
-	flatClosed: "flat-closed",
+	wProbed: "probed", wStolen: "stolen", wWoken: "idle",
+	flatOpen: "open", flatResume: "resume", flatBegin: "begin", flatPrologue: "prologue",
+	flatJitter: "jitter", flatStep: "step", flatSlice: "slice", flatIPI: "ipi",
+	flatProbed: "probed", flatRequeue: "requeue", flatBlock: "block",
+	flatBlockSpin: "block-spin", flatBlockSpun: "block-spun",
+	flatFaultOpen: "fault-open", flatFault: "fault", flatRequest: "request",
+	flatSpin: "fault-spin", flatFaultDone: "fault-done", flatMapped: "mapped",
+	flatTxPosted: "tx-posted", flatSend: "send", flatTxWait: "tx-wait",
+	flatFinish: "finish", flatClose: "close", flatClosed: "closed",
 }
 
 var dispatcherPointNames = [...]string{
@@ -31,10 +36,12 @@ var dispatcherPointNames = [...]string{
 // CheckLiveness is the sched/core-liveness oracle. The cores are tasks,
 // so the kernel's lost-wakeup audit (which walks parked processes) cannot
 // see one that wedged. Between events a live core is either armed on the
-// wheel or registered where a wake will find it: its idle, run or TX
-// gate, a QP's slot waiters, the frame pool. A core that is neither will
-// never run again; neither will a worker waiting on its idle gate with
-// work queued, whose wake was lost. Call after Start, between events
+// wheel or registered where a wake will find it: its idle gate, the CQ,
+// block or TX gate a busy-waiting request holds it on, a QP's slot
+// waiters, the frame pool. A core that is neither will never run again;
+// neither will a worker waiting on its idle gate with work queued, whose
+// wake was lost, nor a request that was woken or preempted and is on no
+// ring or queue a core takes work from. Call after Start, between events
 // (core.System.Audit does, after Run).
 func (s *Scheduler) CheckLiveness() error {
 	for _, d := range s.dispatchers {
@@ -49,12 +56,12 @@ func (s *Scheduler) CheckLiveness() error {
 			return err
 		}
 	}
-	return nil
+	return s.checkRunnable()
 }
 
 func (w *Worker) checkLive() error {
 	switch {
-	case w.task.Armed(), w.runGate.Waiting(), w.txGate.Waiting(),
+	case w.task.Armed(), w.cqGate.Waiting(), w.blockGate.Waiting(), w.txGate.Waiting(),
 		w.sched.mgr.FrameWaiting(w.task):
 		return nil
 	case w.idleGate.Waiting():
@@ -74,4 +81,54 @@ func (w *Worker) checkLive() error {
 	return simcheck.New("sched/core-liveness",
 		"worker core is neither armed nor in any waiter slot").
 		With("core", w.task.Name()).With("state", pointNames[w.pc])
+}
+
+// checkRunnable accounts for every request that is off its core without
+// waiting for anything: one woken after a yield is on its worker's ready
+// ring, a preempted one in the central queue, a worker's inbox, or the
+// hands of the dispatcher or thief moving it — and nothing else is in
+// those places. A request that holds a core is that core's.
+func (s *Scheduler) checkRunnable() error {
+	var woken, onRings, preempted, inQueues int
+	for _, f := range s.flats {
+		switch {
+		case f.req == nil: // recycled
+		case f.state == flatReady:
+			woken++
+		case f.state == flatQueued:
+			preempted++
+		case f.state == flatRunning && f.worker.flat != f:
+			return simcheck.New("sched/core-liveness", "running request is on no core").
+				With("worker", f.worker.id).With("request", f.req.Pkt.ID)
+		}
+	}
+	count := func(item workItem) {
+		if item.resumed != nil {
+			inQueues++
+		}
+	}
+	for i := 0; i < s.central.Len(); i++ {
+		count(s.central.at(i))
+	}
+	for _, d := range s.dispatchers {
+		if d.pc == dDeliver {
+			count(d.item)
+		}
+	}
+	for _, w := range s.workers {
+		onRings += w.ready.Len()
+		for i := 0; i < w.inbox.Len(); i++ {
+			count(w.inbox.at(i))
+		}
+		if w.pc == wStolen {
+			count(w.work)
+		}
+	}
+	if woken != onRings || preempted != inQueues {
+		return simcheck.New("sched/core-liveness",
+			"runnable requests and the queues that hold them disagree").
+			With("woken", woken).With("on-ready-rings", onRings).
+			With("preempted", preempted).With("in-queues", inQueues)
+	}
+	return nil
 }

@@ -1,59 +1,40 @@
 package sched
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/simcheck"
+	"repro/internal/workload"
 )
 
-// The cores are tasks, so a flat-tier run has no process at all: nothing
-// exists that a coroutine switch could switch to.
-func TestFlatTierRunsWithoutProcs(t *testing.T) {
-	r := newArrayRig(t, tierSetup{sched: DefaultConfig(), frames: 48}, true)
-	r.sched.OnComplete = func(*Request) {
-		if n := r.env.LiveProcs(); n != 0 {
-			t.Fatalf("%d live procs on the flat tier", n)
-		}
-	}
-	r.drive(400, sim.Micros(1))
-	if got := r.sched.Completed.Value(); got != 400 {
-		t.Fatalf("completed %d of 400", got)
-	}
-	if ks := r.env.KernelStats(); ks.Parks != 0 || ks.Switches != 0 {
-		t.Fatalf("flat-tier run parked %d times and switched %d times, want 0", ks.Parks, ks.Switches)
-	}
-}
-
-// On the goroutine tier the only processes are unithreads: at no
-// completion may more be alive than requests are in flight (sent, not
-// yet completed; the completing one is still inside its body).
-func TestGoroutineTierProcsAreUnithreads(t *testing.T) {
+// The cores are tasks and a request is steps of their machine, so no
+// run has a process at all — nothing ever parks — and a native stepper's
+// has no coroutine either: nothing exists that a switch could switch to.
+// A direct-style handler's only switches are its own resumes.
+func TestRunsWithoutProcs(t *testing.T) {
 	busy := DefaultConfig()
-	busy.Wait = BusyWait
-	busy.Tx = SyncTx
+	busy.Wait, busy.Tx = BusyWait, SyncTx
 	for _, cfg := range []Config{DefaultConfig(), busy} {
-		r := newArrayRig(t, tierSetup{sched: cfg, frames: 48}, false)
-		gap := sim.Micros(1)
-		peak := 0
-		r.sched.OnComplete = func(*Request) {
-			sent := int((r.env.Now()-1)/gap) + 1
-			inflight := sent - int(r.sched.Completed.Value()) + 1
-			live := r.env.LiveProcs()
-			if live > inflight { // Errorf: this runs on a unithread's goroutine
-				t.Errorf("wait=%v: %d live procs with %d requests in flight", cfg.Wait, live, inflight)
+		for _, native := range []bool{true, false} {
+			r := newArrayRig(t, rigSetup{sched: cfg, frames: 48}, native)
+			r.sched.OnComplete = func(*Request) {
+				if n := r.env.LiveProcs(); n != 0 {
+					t.Fatalf("wait=%v native=%v: %d live procs", cfg.Wait, native, n)
+				}
 			}
-			if live > peak {
-				peak = live
+			r.drive(400, sim.Micros(1))
+			if got := r.sched.Completed.Value(); got != 400 {
+				t.Fatalf("wait=%v native=%v: completed %d of 400", cfg.Wait, native, got)
 			}
-		}
-		r.drive(400, gap)
-		if got := r.sched.Completed.Value(); got != 400 {
-			t.Fatalf("wait=%v: completed %d of 400", cfg.Wait, got)
-		}
-		if peak == 0 {
-			t.Fatalf("wait=%v: no unithread process was ever alive", cfg.Wait)
+			ks := r.env.KernelStats()
+			if ks.Parks != 0 || native != (ks.Switches == 0) {
+				t.Fatalf("wait=%v native=%v: parked %d times and switched %d times", cfg.Wait, native, ks.Parks, ks.Switches)
+			}
 		}
 	}
 }
@@ -61,11 +42,11 @@ func TestGoroutineTierProcsAreUnithreads(t *testing.T) {
 // The liveness oracle must see a wedged core: one that is neither armed
 // nor registered anywhere, and one whose idle-gate wake was lost.
 func TestCoreLivenessCatchesWedgedWorker(t *testing.T) {
-	for _, flat := range []bool{true, false} {
-		r := newArrayRig(t, tierSetup{sched: DefaultConfig(), frames: 48}, flat)
+	for _, native := range []bool{true, false} {
+		r := newArrayRig(t, rigSetup{sched: DefaultConfig(), frames: 48}, native)
 		r.drive(100, sim.Micros(1))
 		if err := r.sched.CheckLiveness(); err != nil {
-			t.Fatalf("flat=%v: healthy run reported: %v", flat, err)
+			t.Fatalf("native=%v: healthy run reported: %v", native, err)
 		}
 		w := r.sched.workers[3]
 
@@ -75,12 +56,13 @@ func TestCoreLivenessCatchesWedgedWorker(t *testing.T) {
 		w.inbox.PopBack()
 
 		// A dropped registration: the core is in no waiter slot at all.
-		w.idleGate.Reset()
+		idle := w.idleGate
+		w.idleGate = sim.NewGate(r.env)
 		expectViolation(t, r.sched.CheckLiveness(), "worker3", "state=idle")
 
 		d := r.sched.dispatchers[0]
-		w.idleGate.Arm(w.task)
-		d.gate.Reset()
+		w.idleGate = idle
+		d.gate = sim.NewGate(r.env)
 		expectViolation(t, r.sched.CheckLiveness(), "dispatcher0", "state=idle")
 	}
 }
@@ -95,5 +77,45 @@ func expectViolation(t *testing.T, err error, wants ...string) {
 		if !strings.Contains(v.Error(), want) {
 			t.Fatalf("violation %q does not mention %q", v.Error(), want)
 		}
+	}
+}
+
+// A panic raised inside a direct-style handler — a simcheck violation,
+// here, after the handler has been suspended and resumed once — crosses
+// the coroutine and the core that resumed it and reaches Run's caller
+// with its value unchanged, and the unwinding run leaves no goroutine.
+func TestHandlerPanicReachesRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	violation := simcheck.New("test/handler", "raised inside a blocking handler")
+	served := 0
+	var r *rig
+	r = newRig(t, DefaultConfig(), func(ctx workload.Ctx, payload any) (any, int) {
+		_ = r.space.LoadU64(ctx, payload.(int64)*paging.PageSize) // faults: the handler suspends
+		if served++; served == 10 {
+			panic(violation)
+		}
+		return payload, 64
+	}, 8)
+	pages := make([]int64, 64)
+	for i := range pages {
+		pages[i] = int64(i)
+	}
+	r.inject(pages, sim.Micros(1))
+	var rec any
+	func() {
+		defer func() { rec = recover() }()
+		r.env.Run(sim.Millis(10))
+	}()
+	if rec != violation {
+		t.Fatalf("Run panicked with %v, want the handler's violation itself", rec)
+	}
+	if r.mgr.Faults.Value() == 0 {
+		t.Fatal("no handler ever suspended on a fault")
+	}
+	for i := 0; runtime.NumGoroutine() != before; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines: %d before, %d after a run a handler panicked out of", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -15,9 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-// arrayRig wires a scheduler around a real ArrayApp so the flat tier
-// (step handler) and the goroutine tier (plain handler) can be run on
-// identical inputs.
+// arrayRig wires a scheduler around a real ArrayApp so its two forms —
+// the native stepper, and the direct-style Handler on workload.Blocking —
+// can be run on identical inputs.
 type arrayRig struct {
 	env   *sim.Env
 	net   *ethernet.Net
@@ -27,19 +27,21 @@ type arrayRig struct {
 	rec   *trace.Recorder
 }
 
-// tierSetup is one differential configuration: the scheduler config plus
+// rigSetup is one differential configuration: the scheduler config plus
 // the resource limits that decide which stall paths a run reaches.
-type tierSetup struct {
-	sched      Config
-	frames     int64 // local frame pool, in pages
-	qpDepth    int   // 0 = the NIC default
-	onDemand   bool  // reclaimer runs only once allocations stall
-	wantStalls bool  // the run must stall on frames and on QP slots
-	wantSteals bool
-	gap        sim.Time // request spacing (0 = 1 µs)
+type rigSetup struct {
+	sched        Config
+	frames       int64 // local frame pool, in pages
+	qpDepth      int   // 0 = the NIC default
+	onDemand     bool  // reclaimer runs only once allocations stall
+	wantStalls   bool  // the run must stall on frames and on QP slots
+	wantSteals   bool
+	wantBusyWait bool // the core must spin: on a fault, or on its TX completion
+	wantPreempts bool
+	gap          sim.Time // request spacing (0 = 1 µs)
 }
 
-func newArrayRig(t *testing.T, ts tierSetup, flatTier bool) *arrayRig {
+func newArrayRig(t *testing.T, ts rigSetup, native bool) *arrayRig {
 	t.Helper()
 	env := sim.NewEnv(5)
 	pcfg := paging.DefaultConfig(ts.frames * paging.PageSize)
@@ -58,12 +60,13 @@ func newArrayRig(t *testing.T, ts tierSetup, flatTier bool) *arrayRig {
 	node := memnode.New(1 << 30)
 	r.app = workload.NewArrayApp(r.mgr, node, 256*paging.PageSize)
 	r.app.WriteFrac = 0.25
-	r.sched = New(env, ts.sched, r.net, rdma.Fabric{nic}, r.mgr, unithread.NewPool(4096, 4096), r.app.Handler())
-	if flatTier {
-		r.sched.SetStepHandler(r.app.StepHandler())
-		if !r.sched.FlatTier() {
-			t.Fatalf("config %+v did not qualify for the flat tier", ts.sched)
-		}
+	stepH := r.app.StepHandler()
+	if !native {
+		stepH = workload.NewBlocking(env, r.app.Handler())
+	}
+	r.sched = New(env, ts.sched, r.net, rdma.Fabric{nic}, r.mgr, unithread.NewPool(4096, 4096), stepH)
+	if r.sched.FlatTier() != native {
+		t.Fatalf("FlatTier() = %v with native = %v", r.sched.FlatTier(), native)
 	}
 	r.sched.Trace = r.rec
 	r.sched.Start()
@@ -73,7 +76,7 @@ func newArrayRig(t *testing.T, ts tierSetup, flatTier bool) *arrayRig {
 }
 
 // drive sends n requests gap cycles apart — a deterministic mix,
-// identical across tiers: indices spread over all pages, every fourth
+// identical across runs: indices spread over all pages, every fourth
 // request a write — and runs the rig for 30 ms.
 func (r *arrayRig) drive(n int, gap sim.Time) {
 	entries := int64(256 * paging.PageSize / 8)
@@ -110,6 +113,7 @@ func digestReq(h *uint64, req *Request) {
 	put(uint64(req.BusyWait))
 	put(uint64(req.CPU))
 	put(uint64(req.Faults))
+	put(uint64(req.Preemptions))
 	if req.Failed {
 		put(1)
 	}
@@ -128,18 +132,20 @@ type flatRunStats struct {
 	dirtyWB   int64
 	allocWait int64
 	steals    int64
+	preempts  int
+	switches  int64
 	events    []trace.Event
 }
 
-// runTier runs the differential workload on one tier. slotWaits counts,
-// over the completions, the worker cores seen waiting for a QP slot (the
-// flat tier's stalled TryRequestPage; the goroutine tier stalls its
-// unithreads' processes instead, which this cannot see).
-func runTier(t *testing.T, ts tierSetup, flatTier bool) (st flatRunStats, slotWaits int) {
+// runForm runs the differential workload on one form of the handler.
+// slotWaits counts, over the completions, the worker cores seen waiting
+// for a QP slot.
+func runForm(t *testing.T, ts rigSetup, native bool) (st flatRunStats, slotWaits int) {
 	t.Helper()
-	r := newArrayRig(t, ts, flatTier)
+	r := newArrayRig(t, ts, native)
 	r.sched.OnComplete = func(req *Request) {
 		digestReq(&st.digest, req)
+		st.preempts += req.Preemptions
 		for _, w := range r.sched.workers {
 			if w.qps[0].SlotWaiting(w.task) {
 				slotWaits++
@@ -163,18 +169,26 @@ func runTier(t *testing.T, ts tierSetup, flatTier bool) (st flatRunStats, slotWa
 	st.dirtyWB = r.mgr.DirtyWritebacks.Value()
 	st.allocWait = r.mgr.AllocStalls.Value()
 	st.steals = r.sched.Steals.Value()
+	st.switches = r.env.KernelStats().Switches
 	st.events = r.rec.Events()
 	if err := r.sched.CheckLiveness(); err != nil {
 		t.Fatal(err)
 	}
+	if n := r.env.LiveProcs(); n != 0 {
+		t.Fatalf("%d live procs", n)
+	}
 	return st, slotWaits
 }
 
-// The differential determinism test of the flat tier: the same workload
-// on the goroutine reference and on the flat tier must produce the
+// The one differential left: there is one execution path, but a handler
+// can reach it in two forms, and the forms must not differ in anything
+// simulated. The same workload through ArrayApp's native stepper and
+// through its direct-style Handler on workload.Blocking must produce the
 // identical schedule — per-request timings (order-sensitive digest),
-// every scheduler and paging counter, and the full trace event sequence.
-func TestFlatTierMatchesGoroutineTier(t *testing.T) {
+// every scheduler and paging counter, and the full trace event sequence
+// — under every policy the machine implements. Only the host's work
+// differs: the native form never switches to a coroutine.
+func TestBlockingMatchesNativeStepper(t *testing.T) {
 	adios := DefaultConfig()
 
 	syncTx := DefaultConfig() // Infiniswap-shaped: kernel costs, jitter, sync TX
@@ -196,32 +210,58 @@ func TestFlatTierMatchesGoroutineTier(t *testing.T) {
 	stealing2 := stealing
 	stealing2.Dispatchers = 2
 
+	// The DiLOS preset: the core busy-waits on its fetch CQ and on its TX
+	// completion.
+	dilos := DefaultConfig()
+	dilos.Wait, dilos.Dispatch, dilos.Tx = BusyWait, RoundRobin, SyncTx
+
+	// DiLOS-P with a quantum short enough that the one probe of an array
+	// request (556 cycles in) finds it spent.
+	probes := dilos
+	probes.Preempt, probes.Quantum = true, 500
+
+	// Shinjuku-style: the parse charge is cut at the quantum's end.
+	ipi := probes
+	ipi.PreemptIPI, ipi.Quantum = true, 450
+
+	// Hermit: kernel extras on the fault and network paths, and jitter
+	// often enough that the draws interleave with everything else.
+	hermit := dilos
+	hermit.Costs.KernelFaultExtra = 1500
+	hermit.Costs.KernelNetExtra = 1200
+	hermit.Costs.JitterProb = 0.05
+	hermit.Costs.JitterMean = sim.Micros(2)
+
 	for _, tc := range []struct {
 		name string
-		ts   tierSetup
+		ts   rigSetup
 	}{
-		{"adios", tierSetup{sched: adios, frames: 48}},
-		{"synctx-jitter", tierSetup{sched: syncTx, frames: 48}},
-		{"stealing", tierSetup{sched: stealing, frames: 48}},
+		{"adios", rigSetup{sched: adios, frames: 48}},
+		{"synctx-jitter", rigSetup{sched: syncTx, frames: 48, wantBusyWait: true}},
+		{"stealing", rigSetup{sched: stealing, frames: 48}},
 		// Paths no benchmark workload reaches: faults that stall for a
 		// frame (the reclaimer only runs once the pool is empty) and for a
 		// QP slot. (Pushed harder — 16 frames and arrivals 200 cycles apart
-		// — the model deadlocks, on both tiers and at the parent commit
-		// alike: every frame is pinned by a fetch whose completion sits in
-		// the CQ of a worker that is itself stalled waiting for a frame.)
-		{"starved", tierSetup{sched: adios, frames: 24, qpDepth: 2, onDemand: true, wantStalls: true, gap: 500}},
-		{"synctx-yield", tierSetup{sched: syncYield, frames: 48}},
+		// — the model deadlocks: every frame is pinned by a fetch whose
+		// completion sits in the CQ of a worker that is itself stalled
+		// waiting for a frame.)
+		{"starved", rigSetup{sched: adios, frames: 24, qpDepth: 2, onDemand: true, wantStalls: true, gap: 500}},
+		{"synctx-yield", rigSetup{sched: syncYield, frames: 48, wantBusyWait: true}},
 		// Arrivals fast enough that inboxes back up and peers steal.
-		{"stealing-2-dispatchers", tierSetup{sched: stealing2, frames: 48, wantSteals: true, gap: 850}},
+		{"stealing-2-dispatchers", rigSetup{sched: stealing2, frames: 48, wantSteals: true, gap: 850}},
+		{"dilos", rigSetup{sched: dilos, frames: 48, wantBusyWait: true}},
+		{"probe-preemption", rigSetup{sched: probes, frames: 48, wantBusyWait: true, wantPreempts: true}},
+		{"ipi-preemption", rigSetup{sched: ipi, frames: 48, wantBusyWait: true, wantPreempts: true}},
+		{"hermit", rigSetup{sched: hermit, frames: 48, wantBusyWait: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, _ := runTier(t, tc.ts, false)
-			flat, slotWaits := runTier(t, tc.ts, true)
+			ref, _ := runForm(t, tc.ts, false)
+			native, slotWaits := runForm(t, tc.ts, true)
 			if ref.completed != 600 {
 				t.Fatalf("reference completed %d of 600", ref.completed)
 			}
 			if ref.faults == 0 || ref.evictions == 0 || ref.dirtyWB == 0 {
-				t.Fatalf("workload too tame to differentiate tiers: %+v", ref)
+				t.Fatalf("workload too tame to differentiate: %+v", ref)
 			}
 			if tc.ts.wantStalls && (ref.allocWait == 0 || slotWaits == 0) {
 				t.Fatalf("no stalls to compare: %d frame stalls, %d slot waits seen", ref.allocWait, slotWaits)
@@ -229,49 +269,31 @@ func TestFlatTierMatchesGoroutineTier(t *testing.T) {
 			if tc.ts.wantSteals && ref.steals == 0 {
 				t.Fatal("stealing configuration never stole")
 			}
-			flatEvents, refEvents := flat.events, ref.events
-			flat.events, ref.events = nil, nil
-			if !reflect.DeepEqual(flat, ref) {
-				t.Fatalf("flat tier diverged:\n flat %+v\n  ref %+v", flat, ref)
+			if tc.ts.wantBusyWait != (ref.busyWait > 0) {
+				t.Fatalf("busy-wait cycles = %d", ref.busyWait)
 			}
-			if !reflect.DeepEqual(flatEvents, refEvents) {
+			if tc.ts.wantPreempts != (ref.preempts > 0) {
+				t.Fatalf("preemptions = %d", ref.preempts)
+			}
+			if native.switches != 0 || ref.switches < 600 {
+				t.Fatalf("coroutine switches: native %d (want 0), blocking %d (want one per request at least)",
+					native.switches, ref.switches)
+			}
+			native.switches, ref.switches = 0, 0
+			nativeEvents, refEvents := native.events, ref.events
+			native.events, ref.events = nil, nil
+			if !reflect.DeepEqual(native, ref) {
+				t.Fatalf("forms diverged:\n native   %+v\n blocking %+v", native, ref)
+			}
+			if !reflect.DeepEqual(nativeEvents, refEvents) {
 				for i := range refEvents {
-					if i >= len(flatEvents) || flatEvents[i] != refEvents[i] {
-						t.Fatalf("trace diverged at event %d:\n flat %+v\n  ref %+v",
-							i, flatEvents[i], refEvents[i])
+					if i >= len(nativeEvents) || nativeEvents[i] != refEvents[i] {
+						t.Fatalf("trace diverged at event %d:\n native   %+v\n blocking %+v",
+							i, nativeEvents[i], refEvents[i])
 					}
 				}
-				t.Fatalf("trace lengths differ: flat %d, ref %d", len(flatEvents), len(refEvents))
+				t.Fatalf("trace lengths differ: native %d, blocking %d", len(nativeEvents), len(refEvents))
 			}
 		})
-	}
-}
-
-// Non-qualifying configurations must decline the flat tier even when a
-// step handler is offered.
-func TestFlatTierEligibility(t *testing.T) {
-	env := sim.NewEnv(1)
-	mk := func(cfg Config) *Scheduler {
-		net := ethernet.New(env, ethernet.DefaultConfig())
-		nic := rdma.NewNIC(env, rdma.DefaultConfig())
-		mgr := paging.NewManager(env, paging.DefaultConfig(16*paging.PageSize))
-		node := memnode.New(1 << 24)
-		app := workload.NewArrayApp(mgr, node, 4*paging.PageSize)
-		s := New(env, cfg, net, rdma.Fabric{nic}, mgr, unithread.NewPool(64, 4096), app.Handler())
-		s.SetStepHandler(app.StepHandler())
-		return s
-	}
-	busy := DefaultConfig()
-	busy.Wait = BusyWait
-	if mk(busy).FlatTier() {
-		t.Fatal("busy-wait config must keep the goroutine tier")
-	}
-	preempt := DefaultConfig()
-	preempt.Preempt = true
-	if mk(preempt).FlatTier() {
-		t.Fatal("preemptive config must keep the goroutine tier")
-	}
-	if !mk(DefaultConfig()).FlatTier() {
-		t.Fatal("yield non-preemptive config must take the flat tier")
 	}
 }

@@ -14,8 +14,8 @@ type Request struct {
 	Buf *unithread.Buffer
 
 	// Arrive is when the request entered the RX ring; Dispatched when the
-	// dispatcher assigned it to a worker; Started when its unithread first
-	// ran; Finished when the response was posted.
+	// dispatcher assigned it to a worker; Started when it first ran on a
+	// core; Finished when the response was posted.
 	Arrive     sim.Time
 	Dispatched sim.Time
 	Started    sim.Time
@@ -42,7 +42,7 @@ type Request struct {
 	// not count toward goodput.
 	Failed bool
 
-	// retired marks that the unithread finished while the dispatcher
+	// retired marks that the request finished while the dispatcher
 	// still owned the buffer (delegated TX): the TX-completion handler is
 	// then the last owner and recycles the record.
 	retired bool
@@ -53,8 +53,8 @@ type Request struct {
 func (r *Request) NodeLatency() sim.Time { return r.Finished - r.Arrive }
 
 // workItem is one entry of the dispatcher's central queue: either a new
-// request or a preempted unithread awaiting a core.
+// request or a preempted one awaiting a core.
 type workItem struct {
 	req     *Request
-	resumed *Unithread
+	resumed *flatCtx
 }

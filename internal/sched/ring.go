@@ -15,6 +15,9 @@ type ring[T any] struct {
 // Len reports the number of queued elements.
 func (r *ring[T]) Len() int { return r.n }
 
+// at returns the i-th oldest element (the end-of-run audit walks queues).
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
 // PushBack appends v at the tail.
 func (r *ring[T]) PushBack(v T) {
 	if r.n == len(r.buf) {

@@ -44,7 +44,7 @@ func newRig(t *testing.T, cfg Config, handler workload.Handler, localPages int64
 			return payload, 64
 		}
 	}
-	r.sched = New(env, cfg, r.net, rdma.Fabric{r.nic}, r.mgr, r.pool, handler)
+	r.sched = New(env, cfg, r.net, rdma.Fabric{r.nic}, r.mgr, r.pool, workload.NewBlocking(env, handler))
 	r.sched.Start()
 	rcq := rdma.NewCQ("reclaim")
 	r.mgr.StartReclaimer(r.nic.CreateQP("reclaim", rcq), rcq)
@@ -62,6 +62,17 @@ func (r *rig) inject(payloads []int64, gap sim.Time) {
 		})
 		at += gap
 	}
+}
+
+// carrier returns the worker whose core a handler is running on, which
+// it knows by the queue pair its faults would use.
+func (r *rig) carrier(ctx workload.Ctx) *Worker {
+	for _, w := range r.sched.workers {
+		if w.qps[0] == ctx.QP(0) {
+			return w
+		}
+	}
+	return nil
 }
 
 func TestRequestsCompleteBothPolicies(t *testing.T) {
@@ -112,12 +123,13 @@ func TestPFAwarePicksLeastLoadedWorker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Dispatch = PFAware
 	var picked *Worker
+	var r *rig
 	handler := func(ctx workload.Ctx, payload any) (any, int) {
-		picked = ctx.(*Unithread).worker
+		picked = r.carrier(ctx)
 		ctx.Compute(500)
 		return payload, 64
 	}
-	r := newRig(t, cfg, handler, 64)
+	r = newRig(t, cfg, handler, 64)
 
 	// Give every worker an artificial outstanding-fetch imbalance by
 	// posting large dummy reads on their QPs (in flight for >100us, far
@@ -259,8 +271,9 @@ func TestWorkStealingBalancesLoad(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Dispatch = WorkStealing
 	ranOn := map[int]int{}
+	var r *rig
 	handler := func(ctx workload.Ctx, payload any) (any, int) {
-		ranOn[ctx.(*Unithread).worker.id]++
+		ranOn[r.carrier(ctx).id]++
 		if payload.(int64) == 1 {
 			ctx.Compute(sim.Micros(60)) // heavy
 		} else {
@@ -268,7 +281,7 @@ func TestWorkStealingBalancesLoad(t *testing.T) {
 		}
 		return payload, 64
 	}
-	r := newRig(t, cfg, handler, 64)
+	r = newRig(t, cfg, handler, 64)
 	// Round-robin sends request j to worker j%8: making every j%8==0
 	// request heavy piles work onto worker 0, which peers must steal.
 	payloads := make([]int64, 160)

@@ -20,26 +20,16 @@ import (
 // Adios, DiLOS, DiLOS-P, and Hermit are configurations of the same
 // machinery.
 type Scheduler struct {
-	env     *sim.Env
-	cfg     Config
-	net     *ethernet.Net
-	fab     rdma.Fabric
-	mgr     *paging.Manager
-	pool    *unithread.Pool
-	handler workload.Handler
+	env   *sim.Env
+	cfg   Config
+	net   *ethernet.Net
+	mgr   *paging.Manager
+	pool  *unithread.Pool
+	stepH workload.StepHandler // how a request executes, step by step (flat.go)
 
 	central     ring[workItem]
 	dispatchers []*dispatcher
 	workers     []*Worker
-
-	// stepH and flat select the flat unithread tier: set via
-	// SetStepHandler when the app can express its handler as resumable
-	// steps AND the configuration qualifies (yield wait, no preemption —
-	// the no-switch hot path the tier exists to flatten). Busy-wait and
-	// preemptive configurations keep the goroutine tier, whose blocking
-	// and quantum semantics genuinely need a stackful context.
-	stepH workload.StepHandler
-	flat  bool
 
 	// Completed counts finished requests; OnComplete (if set) receives
 	// each finished request record for measurement.
@@ -68,38 +58,32 @@ type Scheduler struct {
 	// Steals counts successful work-stealing transfers.
 	Steals stats.Counter
 
-	// cpuCycles aggregates all worker/unithread CPU; busyWaitCycles the
+	// cpuCycles aggregates all worker and request CPU; busyWaitCycles the
 	// subset spent busy-waiting. Their ratio drives the "slashed"
 	// queueing attribution of Figure 2(c).
 	cpuCycles      int64
 	busyWaitCycles int64
 	dispCycles     int64
 
-	// freeReqs and freeUts recycle the per-request Request records and
-	// unithread contexts (each with its gate and body closure), so the
-	// admission path is allocation-free in steady state. Requests follow
-	// a two-owner protocol: the worker retires one when its unithread
-	// finishes, but under delegated TX the dispatcher still holds it
-	// until the TX completion releases the buffer — whichever party acts
-	// last recycles (Request.retired marks the first half done).
+	// freeReqs and freeFlats recycle the per-request Request records and
+	// execution contexts (each with its bound callbacks), so admission is
+	// allocation-free in steady state. Requests follow a two-owner
+	// protocol: the worker retires one when it finishes, but under
+	// delegated TX the dispatcher holds it until the TX completion
+	// releases the buffer — whichever acts last recycles (Request.retired
+	// marks the first half done). flats is every context ever built, for
+	// the end-of-run audit.
 	freeReqs  []*Request
-	freeUts   []*Unithread
-	freeFlats []*flatUnithread
+	freeFlats []*flatCtx
+	flats     []*flatCtx
 }
 
-// SetStepHandler offers the scheduler a resumable-step form of the
-// handler. When the configuration qualifies (yield wait, no preemption),
-// requests run on the flat unithread tier: inline in the worker core's
-// own state machine with no per-request process — the same simulated
-// schedule, bit for bit, at a fraction of the wall-clock cost. Call
-// before Start.
-func (s *Scheduler) SetStepHandler(h workload.StepHandler) {
-	s.stepH = h
-	s.flat = h != nil && s.cfg.Wait == Yield && !s.cfg.Preempt
+// FlatTier reports whether requests run as native steps, with no
+// coroutine behind them (the handler is not workload.Blocking).
+func (s *Scheduler) FlatTier() bool {
+	_, adapted := s.stepH.(*workload.Blocking)
+	return !adapted
 }
-
-// FlatTier reports whether requests execute on the flat unithread tier.
-func (s *Scheduler) FlatTier() bool { return s.flat }
 
 // newRequest takes a Request from the free list (or allocates one) and
 // initializes it for an arriving packet.
@@ -119,38 +103,6 @@ func (s *Scheduler) newRequest(pkt *ethernet.Packet, buf *unithread.Buffer) *Req
 func (s *Scheduler) freeRequest(r *Request) {
 	r.Pkt = nil // drop the packet reference; the rest is reset on reuse
 	s.freeReqs = append(s.freeReqs, r)
-}
-
-// newUnithread takes a recycled unithread context (or builds one) for a
-// dispatched request. Recycled contexts keep their gate and body closure,
-// so steady-state request admission allocates nothing here.
-func (s *Scheduler) newUnithread(w *Worker, req *Request) *Unithread {
-	if n := len(s.freeUts); n > 0 {
-		u := s.freeUts[n-1]
-		s.freeUts[n-1] = nil
-		s.freeUts = s.freeUts[:n-1]
-		g, bf, orf := u.gate, u.bodyFn, u.onReadyFn
-		g.Reset()
-		*u = Unithread{sched: s, worker: w, gate: g, bodyFn: bf, onReadyFn: orf, req: req}
-		return u
-	}
-	u := &Unithread{sched: s, worker: w, gate: sim.NewGate(s.env), req: req}
-	u.bodyFn = u.body
-	u.onReadyFn = u.onReady
-	return u
-}
-
-// retire recycles a finished unithread and, if the dispatcher no longer
-// holds its request (buffer already released), the request too.
-func (s *Scheduler) retire(u *Unithread) {
-	req := u.req
-	if req.Buf == nil {
-		s.freeRequest(req)
-	} else {
-		req.retired = true // dispatcher recycles at TX completion
-	}
-	u.req, u.proc = nil, nil
-	s.freeUts = append(s.freeUts, u)
 }
 
 // dispatcher is one front-end core: it drains the RX ring into the
@@ -193,11 +145,12 @@ const (
 
 // New wires a scheduler. fab carries one NIC per memory node; each
 // worker gets one fetch QP per node, all completing on the worker's
-// single fetch CQ, so the polling paths are node-count agnostic. The
-// caller starts the scheduler with Start after attaching OnComplete
-// hooks.
+// single fetch CQ, so the polling paths are node-count agnostic. stepH is
+// the application: a native stepper, or workload.Blocking over a
+// direct-style handler. The caller starts the scheduler with Start after
+// attaching OnComplete hooks.
 func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
-	mgr *paging.Manager, pool *unithread.Pool, handler workload.Handler) *Scheduler {
+	mgr *paging.Manager, pool *unithread.Pool, stepH workload.StepHandler) *Scheduler {
 	if cfg.Workers <= 0 {
 		panic(fmt.Sprintf("sched: bad worker count %d", cfg.Workers))
 	}
@@ -208,8 +161,7 @@ func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 		cfg.Dispatchers = cfg.Workers
 	}
 	s := &Scheduler{
-		env: env, cfg: cfg, net: net, fab: fab, mgr: mgr, pool: pool,
-		handler: handler,
+		env: env, cfg: cfg, net: net, mgr: mgr, pool: pool, stepH: stepH,
 	}
 	for d := 0; d < cfg.Dispatchers; d++ {
 		disp := &dispatcher{
@@ -224,13 +176,13 @@ func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 	for i := 0; i < cfg.Workers; i++ {
 		disp := s.dispatchers[i%cfg.Dispatchers]
 		w := &Worker{
-			id:       i,
-			sched:    s,
-			disp:     disp,
-			runGate:  sim.NewGate(env),
-			idleGate: sim.NewGate(env),
-			cqGate:   sim.NewGate(env),
-			txGate:   sim.NewGate(env),
+			id:        i,
+			sched:     s,
+			disp:      disp,
+			idleGate:  sim.NewGate(env),
+			cqGate:    sim.NewGate(env),
+			blockGate: sim.NewGate(env),
+			txGate:    sim.NewGate(env),
 		}
 		w.task = sim.NewTask(env, fmt.Sprintf("worker%d", i), w.fire)
 		w.cq = rdma.NewCQ(fmt.Sprintf("w%d-fetch", i))
@@ -241,8 +193,8 @@ func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 		} else {
 			w.txq = net.CreateTxQueue(fmt.Sprintf("w%d", i), w.txCQ)
 		}
-		// Completion arrivals wake the relevant waiting party: an idle
-		// worker (yield mode) or a busy-waiting unithread.
+		// Completion arrivals wake the core wherever it waits: idle (yield
+		// mode) or busy-waiting on a fault.
 		cq, tw := w.cq, w
 		cq.Notify = func() {
 			if tw.idle {

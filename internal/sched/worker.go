@@ -7,38 +7,27 @@ import (
 	"repro/internal/sim"
 )
 
-// readyItem is one entry on a worker's ready ring: a fetch-completed
-// unithread awaiting its core, from whichever tier. A configuration runs
-// all requests on one tier, so the two pointers never mix within a run;
-// FIFO order across the ring is the resume order either way.
-type readyItem struct {
-	u    *Unithread
-	flat *flatUnithread
-}
-
 // Worker is one request-processing core. It owns a page-fetch QP (whose
 // depth the PF-aware dispatcher inspects), a fetch CQ, and a TX queue.
-// Under the yield policy a worker multiplexes many blocked unithreads;
+// Under the yield policy a worker multiplexes many parked requests;
 // under busy-wait it runs exactly one request at a time.
 //
 // The core is a run-to-completion polling loop (§3.3) and runs as a
 // tier-1 task: fire executes it from the continuation point pc until
-// simulated time must pass, and every such point — a cycle charge, a
-// yield bracket, a gate or slot wait — is "record where to continue,
-// arm or register the task, return". A charge is a Task.Sleep, a wait is
-// a Gate.Arm, so each costs the one wheel push a stackful core's park
-// would and the (at, seq) schedule is that of a blocking loop
+// simulated time must pass, and every such point — a cycle charge
+// (Task.Sleep), a yield bracket, a gate or slot wait (Gate.Arm) — is
+// "record where to continue, arm or register the task, return". The loop
 //
-//	for { poll CQ; resume a ready unithread | start a request | steal | idle }
+//	for { poll CQ; resume a ready request | start a request | steal | idle }
 //
-// written in direct style. Everything such a loop would keep on its
-// stack across a park lives in the continuation fields below.
+// is what fire spells out; everything a direct-style loop would keep on
+// its stack across a wait lives in the continuation fields below.
 type Worker struct {
 	id    int
 	sched *Scheduler
 	disp  *dispatcher
 	task  *sim.Task
-	pc    int // continuation point (w* in this file, f* in flat.go)
+	pc    int // continuation point (w* in this file, flat* in flat.go)
 
 	qps []*rdma.QP // page-fetch queue pairs, one per memory node
 	cq  *rdma.CQ   // page-fetch completions (all nodes), polled by this worker
@@ -47,18 +36,18 @@ type Worker struct {
 	txCQ   *rdma.CQ // own TX completions (SyncTx mode only)
 	txGate *sim.Gate
 
-	runGate  *sim.Gate // worker waits here while a goroutine-tier unithread runs
-	idleGate *sim.Gate // worker waits here when it has no runnable work
-	cqGate   *sim.Gate // busy-waiting unithreads park here for CQ arrivals
+	idleGate  *sim.Gate // the core waits here when it has no runnable work
+	cqGate    *sim.Gate // … here for fetch-CQ arrivals while a fault busy-waits
+	blockGate *sim.Gate // … and here for the wake while a Block busy-waits
 
-	inbox ring[workItem]  // assigned by the dispatcher (at most one pending)
-	ready ring[readyItem] // fetch-completed unithreads awaiting resume
+	inbox ring[workItem] // assigned by the dispatcher (at most one pending)
+	ready ring[*flatCtx] // woken requests awaiting resume
 	idle  bool
 
 	cqBuf [32]rdma.Completion // fetch-CQ poll scratch (steady state is allocation-free)
 	txBuf [4]rdma.Completion  // SyncTx completion-poll scratch
 
-	busyCycles int64 // CPU consumed on this core (loop + unithreads)
+	busyCycles int64 // CPU consumed on this core (loop + requests)
 
 	// Continuation state. owed is an armed charge, credited (to owedReq's
 	// handler CPU too, when set) once it has elapsed.
@@ -67,36 +56,30 @@ type Worker struct {
 	ncq      int              // completions in cqBuf awaiting the poll charge
 	work     workItem         // stolen item awaiting the transfer charge
 	stealJ   int              // next peer offset the steal scan probes
-	current  *Unithread       // goroutine-tier unithread holding the core
-	flat     *flatUnithread   // flat unithread whose segment is on the core
-	resumed  bool             // that segment resumes a fault (vs. starts the request)
+	flat     *flatCtx         // request whose segment is on the core
 	segStart sim.Time         // when the current on-core stint began (run span)
-	call     paging.FaultCall // the flat fault's TryRequestPage, across stalls
+	call     paging.FaultCall // the fault's TryRequestPage, across stalls
 	resp     any              // response awaiting the TX-post charges
 	respLen  int
-	txStart  sim.Time // SyncTx: when the wait for the TX completion began
 }
 
 // Worker-loop continuation points.
 const (
-	wLoop     = iota // top of the loop: poll the fetch CQ (also the start event)
-	wPolled          // CQ-poll charge elapsed: apply cqBuf[:ncq]
-	wPick            // choose: ready unithread, inbox, steal, or idle
-	wSteal           // probe peer stealJ, or give up and idle
-	wProbed          // probe charge elapsed: look into the victim's inbox
-	wStolen          // transfer charge elapsed: run the stolen item
-	wWoken           // idle-gate wake
-	wSpawned         // spawn charge elapsed (goroutine tier): start the unithread
-	wHandoff         // hand the core to current
-	wReturned        // run-gate wake: current yielded, was preempted, or retired
-	flatBase         // first flat-tier point (flat.go)
+	wLoop    = iota // top of the loop: poll the fetch CQ (also the start event)
+	wPolled         // CQ-poll charge elapsed: apply cqBuf[:ncq]
+	wPick           // choose: ready request, inbox, steal, or idle
+	wSteal          // probe peer stealJ, or give up and idle
+	wProbed         // probe charge elapsed: look into the victim's inbox
+	wStolen         // transfer charge elapsed: run the stolen item
+	wWoken          // idle-gate wake
+	flatBase        // first request point (flat.go)
 )
 
 // ID returns the worker's index.
 func (w *Worker) ID() int { return w.id }
 
 // BusyCycles returns the CPU cycles consumed on this worker core,
-// including the unithreads it hosted. Busy-wait spans are not included
+// including the requests it hosted. Busy-wait spans are not included
 // (they are tracked separately as BusyWaitCycles).
 func (w *Worker) BusyCycles() int64 { return w.busyCycles }
 
@@ -145,8 +128,8 @@ func (w *Worker) settle() {
 }
 
 // fire runs the worker's scheduling loop from pc. Order follows §3.3:
-// poll the fetch CQ once, resume ready unithreads before starting new
-// requests, otherwise report idle and wait.
+// poll the fetch CQ once, resume ready requests before starting new
+// ones, otherwise report idle and wait.
 func (w *Worker) fire() {
 	w.settle()
 	s := w.sched
@@ -170,14 +153,9 @@ func (w *Worker) fire() {
 		case wPick:
 			switch {
 			case w.ready.Len() > 0:
-				item := w.ready.PopFront()
-				next := wHandoff
-				if item.flat != nil {
-					w.flat, w.resumed, next = item.flat, true, flatOpen
-				} else {
-					w.current = item.u
-				}
-				if !w.charge(nil, c.UnithreadSwitch, next) {
+				w.flat = w.ready.PopFront()
+				w.flat.advance(flatReady, flatRunning, "resumed from the ready ring")
+				if !w.charge(nil, c.UnithreadSwitch, flatOpen) {
 					return
 				}
 			case w.inbox.Len() > 0:
@@ -226,32 +204,6 @@ func (w *Worker) fire() {
 			w.idle = false
 			w.pc = wLoop
 
-		case wSpawned:
-			s.env.Go("unithread", w.current.bodyFn)
-			w.pc = wHandoff
-
-		// Handoff transfers the core to the unithread until it yields, is
-		// preempted, or retires.
-		case wHandoff:
-			w.segStart = s.env.Now()
-			w.current.gate.Wake()
-			w.pc = wReturned
-			if !w.runGate.Arm(w.task) {
-				return
-			}
-
-		case wReturned:
-			u := w.current
-			w.current = nil
-			if s.Trace != nil {
-				s.Trace.RunSpan(w.id, u.req.Pkt.ID, u.req.Pkt.Class, u.req.Faults,
-					w.segStart, s.env.Now())
-			}
-			if u.finished {
-				s.retire(u)
-			}
-			w.pc = wLoop
-
 		default:
 			if !w.fireFlat() {
 				return
@@ -269,24 +221,19 @@ func (w *Worker) goIdle() bool {
 	return w.idleGate.Arm(w.task)
 }
 
-// run starts one work item: a fresh request or a migrated preempted
-// unithread. Like charge, it reports whether fire may continue inline.
+// run starts one work item: a fresh request, or a preempted one some
+// core switched out. Like charge, it reports whether fire may continue
+// inline.
 func (w *Worker) run(item workItem) bool {
 	s := w.sched
 	c := &s.cfg.Costs
-	if u := item.resumed; u != nil {
-		u.worker = w
-		w.current = u
-		return w.charge(nil, c.PreemptSwitch, wHandoff)
+	if f := item.resumed; f != nil {
+		f.advance(flatQueued, flatRunning, "resumed from the queue")
+		f.worker, w.flat = w, f
+		return w.charge(nil, c.PreemptSwitch, flatOpen)
 	}
-	// Spawn a unithread for the new request — on the flat tier when the
-	// app's step handler qualifies, else goroutine-backed.
 	req := item.req
 	req.Dispatched = s.env.Now()
-	if s.flat {
-		w.flat, w.resumed = s.newFlat(w, req), false
-		return w.charge(nil, c.UnithreadSpawn+c.UnithreadSwitch, flatOpen)
-	}
-	w.current = s.newUnithread(w, req)
-	return w.charge(nil, c.UnithreadSpawn+c.UnithreadSwitch, wSpawned)
+	w.flat = s.newFlat(w, req)
+	return w.charge(nil, c.UnithreadSpawn+c.UnithreadSwitch, flatOpen)
 }

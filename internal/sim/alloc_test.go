@@ -141,9 +141,8 @@ func TestTaskSleepZeroAllocs(t *testing.T) {
 }
 
 // TestProcSpawnZeroAllocs pins the pooled-Proc satellite: steady-state
-// process creation (one unithread per admitted request in the
-// scheduler) reuses both the runner goroutine and the Proc object, so a
-// spawn-run-terminate cycle is allocation-free.
+// process creation reuses both the pooled coroutine and the Proc object,
+// so a spawn-run-terminate cycle is allocation-free.
 func TestProcSpawnZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is not meaningful under -race")
@@ -152,7 +151,7 @@ func TestProcSpawnZeroAllocs(t *testing.T) {
 	body := func(p *Proc) { p.Sleep(1) }
 	var got float64
 	e.Go("driver", func(p *Proc) {
-		// Warm the runner and proc free lists plus a full level-0 ring
+		// Warm the coroutine and proc free lists plus a full level-0 ring
 		// revolution (the driver advances two cycles per spawn).
 		for i := 0; i < wheelSize/2+128; i++ {
 			e.Go("u", body)

@@ -60,7 +60,11 @@ func (e *Env) MarkUnblocked(w Waiter) {
 // cleared here — processes legitimately stay blocked across back-to-back
 // Run calls on one environment.
 func (e *Env) auditTeardown() {
-	for p := e.parkedHead; p != nil; p = p.parkNext {
+	for c := e.suspended; c != nil; c = c.next {
+		p := c.proc
+		if p == nil {
+			continue // a plain body has no wake-up of its own to lose
+		}
 		if _, ok := e.blocked[p]; ok {
 			continue
 		}

@@ -1,0 +1,137 @@
+package sim
+
+import "iter"
+
+// Coro is the kernel's one coroutine primitive: a body that runs on a
+// runtime coroutine (iter.Pull), is resumed by whoever holds it and
+// suspends itself, strictly one side executing at a time. Control moves
+// by a direct goroutine-to-goroutine switch that never enters the
+// runtime scheduler, and a panic in the body unwinds through Resume into
+// the resumer like any other. Two things ride it: a Proc, which the
+// event loop resumes and which parks by dispatching events (proc.go),
+// and a plain body — a direct-style request handler — which a scheduler
+// core resumes from its own step machine and which pushes no event of
+// its own (workload.Blocking).
+//
+// Coroutines are pooled per Env: when a body returns, its coroutine goes
+// back on the free list and the next Coro call (or process start) reuses
+// it, so a *Coro is only valid until its body returns. Every suspended
+// coroutine is on the environment's suspended list, and the end of a run
+// stops them all and the pool (releaseParked): neither a parked process
+// nor a handler the horizon cut mid-request outlives its simulation.
+type Coro struct {
+	env    *Env
+	resume func() (*Proc, bool) // resumer → body; returns what the body yielded
+	stop   func()               // make the pending yield return false
+	yield  func(*Proc) bool     // body → resumer, naming the process to switch to (or nil)
+
+	// What the next resume of a pooled coroutine starts: a process, or a
+	// plain body.
+	proc *Proc
+	body func()
+
+	// Suspended-list links; next doubles as the free-list link.
+	prev, next *Coro
+}
+
+// abortSignal is panicked inside a suspended body when the environment
+// tears down, unwinding its stack. Bodies must not suspend again from
+// deferred functions.
+type abortSignal struct{}
+
+// Coro returns a pooled coroutine whose first Resume starts body.
+func (e *Env) Coro(body func()) *Coro {
+	c := e.takeCoro()
+	c.body = body
+	return c
+}
+
+// Resume switches to the body until it suspends or returns.
+func (c *Coro) Resume() {
+	if c.body == nil {
+		panic("sim: resuming a coroutine whose body has ended")
+	}
+	c.env.stats.Switches++
+	c.resume()
+}
+
+// Suspend returns control to the resumer; it returns at the next Resume.
+// Call only from the body.
+func (c *Coro) Suspend() { c.suspend(nil) }
+
+// suspend yields q to the resumer, keeping the coroutine on the
+// suspended list meanwhile.
+func (c *Coro) suspend(q *Proc) {
+	e := c.env
+	c.next = e.suspended
+	if e.suspended != nil {
+		e.suspended.prev = c
+	}
+	e.suspended = c
+	if !c.yield(q) {
+		panic(abortSignal{}) // teardown unlinked c before stopping it
+	}
+	e.unlinkSuspended(c)
+}
+
+// unlinkSuspended removes c, which must be on it, from the suspended list.
+func (e *Env) unlinkSuspended(c *Coro) {
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		e.suspended = c.next
+	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	}
+	c.prev, c.next = nil, nil
+}
+
+// takeCoro pops a pooled coroutine or builds one, which runs bodies until
+// stop makes its yield return false and sits on the free list between
+// them (pushed while the resumer is suspended in resume: no locking).
+func (e *Env) takeCoro() *Coro {
+	if c := e.freeCoros; c != nil {
+		e.freeCoros, c.next = c.next, nil
+		return c
+	}
+	c := &Coro{env: e}
+	c.resume, c.stop = iter.Pull(func(yield func(*Proc) bool) {
+		c.yield = yield
+		for {
+			c.run()
+			if p := c.proc; p != nil {
+				e.nProcs--
+				e.releaseProc(p)
+			}
+			c.proc, c.body = nil, nil
+			c.next = e.freeCoros
+			e.freeCoros = c
+			if !yield(nil) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// run executes one body, converting the teardown abort into a normal
+// return so the coroutine ends through its loop. Any other panic
+// continues into the coroutine, which hands it to the resume (or stop)
+// that switched here: it reaches Run's caller with its value unchanged.
+func (c *Coro) run() {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, ok := rec.(abortSignal); !ok {
+				panic(rec)
+			}
+		}
+	}()
+	if p := c.proc; p != nil {
+		fn := p.body
+		p.body = nil
+		fn(p)
+		return
+	}
+	c.body()
+}

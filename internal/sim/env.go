@@ -29,11 +29,11 @@ type Env struct {
 	seq uint64
 	rng *RNG
 
-	stopped     bool
-	nProcs      int     // live (not yet terminated) processes, for leak detection
-	parkedHead  *Proc   // intrusive list of parked processes, for teardown
-	freeRunners *runner // recycled process coroutines
-	freeProcs   *Proc   // recycled process objects, linked through parkNext
+	stopped   bool
+	nProcs    int   // live (not yet terminated) processes, for leak detection
+	suspended *Coro // intrusive list of suspended coroutines, for teardown
+	freeCoros *Coro // pooled coroutines
+	freeProcs *Proc // recycled process objects
 
 	// until is the bound of the run in progress: dispatch (proc.go) stops
 	// there whichever goroutine it runs on.
@@ -106,7 +106,7 @@ func (e *Env) RunAll() Time {
 // loop dispatches events up to until, switching to each process that
 // dispatch returns. If it is left by a panic or a Goexit — raised by a
 // callback, or by a process body and handed over by the coroutine —
-// every parked process and pooled runner is released before the caller
+// every suspended and pooled coroutine is released before the caller
 // sees it, so a caller that recovers and builds the next environment
 // (the swarm's shrinker, the mutation smoke tests) leaks no goroutine.
 // The teardown audit is skipped on that path: it must not raise a second
@@ -147,8 +147,8 @@ func (e *Env) MaxPending() int {
 // across runs of one seed.
 type KernelStats struct {
 	Parks      int64 // Proc.park calls: sleeps, yields and waits that did not skip ahead
-	Switches   int64 // transfers of control into a process coroutine (each pairs with one back)
-	SkipAheads int64 // sleeps and yields, of either tier, that only advanced the clock
+	Switches   int64 // transfers of control into a coroutine, process or plain (each pairs with one back)
+	SkipAheads int64 // sleeps and yields, of tasks and procs, that only advanced the clock
 }
 
 // KernelStats returns the kernel self-counters accumulated so far.

@@ -1,32 +1,22 @@
 package sim
 
-import "iter"
-
-// Proc is a simulated process: a coroutine that runs strictly one at a
-// time under the event loop's control. A Proc may block on simulated time
+// Proc is a simulated process: a body on a coroutine (Coro, coro.go) that
+// the event loop itself resumes, and that may block on simulated time
 // (Sleep) or on synchronization primitives (Gate); while it is blocked,
-// other events and processes run. This is how goroutine-tier unithreads
-// — application handlers in direct style, which block partway down a
-// call stack — are expressed; everything whose wait points are known
-// (the scheduler's cores included) uses the cheaper tier-1 Task
-// (task.go) instead, which never leaves the event loop's goroutine.
+// other events and processes run. Nothing in an assembled system
+// (core.System) is a process: every model loop and the scheduler's
+// cores are tier-1 Tasks (task.go), and a direct-style
+// request handler rides a plain Coro that the worker core resumes from
+// its own step machine. Procs remain for the harnesses that want a
+// blocking caller with its own wake-ups — the benchmark rigs, package
+// tests — and as the reference the kernel's own tests drive.
 //
-// Each process runs on a runtime coroutine (iter.Pull): the loop
-// goroutine — whichever goroutine called Run — resumes it with next, and
-// a parking or terminating process returns control with yield. Control
-// moves by a direct goroutine-to-goroutine switch that never enters the
-// runtime scheduler, so at most one process (or the loop) executes at any
-// moment, no user-level locking is needed anywhere in the simulator, and
-// a panic (or Goexit) in a process body unwinds through next into Run's
-// caller like any other. Only the loop goroutine ever calls next or stop:
-// a process never resumes another process itself, which would nest the
-// second inside the first instead of switching to it. The coroutine
-// lives in a runner that outlives the Proc: when a process terminates,
-// its runner returns to the environment's free list and the next start
-// reuses it, so per-request process churn (one unithread per request in
-// the scheduler) costs no coroutine creation in steady state. Terminated
-// Proc objects are recycled the same way (freeProcs), so steady-state Go
-// is allocation-free too.
+// The loop goroutine — whichever goroutine called Run — resumes a
+// process, and a parking or terminating process returns control to it.
+// Only the loop goroutine ever does: a process never resumes another
+// process itself, which would nest the second inside the first instead
+// of switching to it. Terminated Proc objects are recycled like their
+// coroutines (freeProcs), so steady-state Go is allocation-free.
 //
 // Direct handoff (the tier-2 fast path): before yielding, a parking
 // process dispatches upcoming events itself (Env.dispatch, the same code
@@ -41,32 +31,10 @@ import "iter"
 type Proc struct {
 	env  *Env
 	name string
-	r    *runner
+	r    *Coro
 	body func(*Proc) // pending body between Go and the start event
 	done bool
-
-	// Intrusive doubly-linked list of currently-parked processes, for
-	// teardown. Replaces a map so the hot park/resume path stays free of
-	// hashing. parkNext doubles as the freeProcs link once terminated.
-	parkPrev, parkNext *Proc
-}
-
-// abortSignal is panicked inside a parked process when the environment
-// tears down, unwinding the process's stack. Process bodies must not
-// park again from deferred functions.
-type abortSignal struct{}
-
-// runner is a reusable process executor: one coroutine and the three
-// functions that switch into and out of it. Runners are pooled per Env
-// (freeRunners) and recycled across processes within a run; releaseParked
-// stops the pool when a run finishes so idle coroutines never outlive
-// the simulation that created them.
-type runner struct {
-	resume func() (*Proc, bool) // loop → runner; returns what the runner yielded
-	stop   func()               // loop → runner: make the pending yield return false
-	yield  func(*Proc) bool     // runner → loop, naming the process to switch to (or nil)
-	p      *Proc                // process the next resume of a pooled runner starts
-	next   *runner              // free-list link
+	next *Proc // freeProcs link once terminated
 }
 
 // Go creates a process that will begin executing fn at the current
@@ -77,7 +45,7 @@ type runner struct {
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := e.freeProcs
 	if p != nil {
-		e.freeProcs = p.parkNext
+		e.freeProcs = p.next
 		*p = Proc{env: e, name: name, body: fn}
 	} else {
 		p = &Proc{env: e, name: name, body: fn}
@@ -89,19 +57,14 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // switchTo transfers control from the loop goroutine to p — the start
-// of a new process (first firing after Go) on a pooled or new runner, or
-// the resumption of a parked one — and then to each process the
+// of a new process (first firing after Go) on a pooled or new coroutine,
+// or the resumption of a parked one — and then to each process the
 // yielding one names in turn, until one yields nil.
 func (e *Env) switchTo(p *Proc) {
 	for p != nil {
 		if p.body != nil {
-			r := e.freeRunners
-			if r != nil {
-				e.freeRunners = r.next
-			} else {
-				r = e.newRunner()
-			}
-			r.p, p.r = p, r
+			p.r = e.takeCoro()
+			p.r.proc = p
 		} else if p.done {
 			panic("sim: resuming terminated proc " + p.name)
 		}
@@ -110,51 +73,11 @@ func (e *Env) switchTo(p *Proc) {
 	}
 }
 
-// newRunner builds a runner whose coroutine runs process bodies until
-// stop makes its yield return false. Between bodies the runner sits on
-// the free list; the push happens while the loop goroutine is suspended
-// in resume, so the list needs no locking.
-func (e *Env) newRunner() *runner {
-	r := &runner{}
-	r.resume, r.stop = iter.Pull(func(yield func(*Proc) bool) {
-		r.yield = yield
-		for {
-			p := r.p
-			runBody(p)
-			e.nProcs--
-			e.releaseProc(p)
-			r.next = e.freeRunners
-			e.freeRunners = r
-			if !yield(nil) {
-				return
-			}
-		}
-	})
-	return r
-}
-
 // releaseProc recycles a terminated process object onto the free list.
 // done stays set so a stale resume still trips the sanity check.
 func (e *Env) releaseProc(p *Proc) {
-	*p = Proc{env: e, done: true, parkNext: e.freeProcs}
+	*p = Proc{env: e, done: true, next: e.freeProcs}
 	e.freeProcs = p
-}
-
-// runBody executes one process body, converting the teardown abort into
-// a normal return so the runner ends through its loop. Any other panic
-// continues into the coroutine, which hands it to the resume (or stop)
-// that switched here: it reaches Run's caller with its value unchanged.
-func runBody(p *Proc) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(abortSignal); !ok {
-				panic(rec)
-			}
-		}
-	}()
-	fn := p.body
-	p.body = nil
-	fn(p)
 }
 
 // Name returns the process's debug name.
@@ -173,18 +96,9 @@ func (p *Proc) Now() Time { return p.env.now }
 func (p *Proc) park() {
 	e := p.env
 	e.stats.Parks++
-	p.parkNext = e.parkedHead
-	if e.parkedHead != nil {
-		e.parkedHead.parkPrev = p
+	if q := e.dispatch(); q != p {
+		p.r.suspend(q)
 	}
-	// p.parkPrev is already nil: unlinkParked zeroed it after the last
-	// resume, and Go/releaseProc reset fresh and recycled procs.
-	e.parkedHead = p
-
-	if q := e.dispatch(); q != p && !p.r.yield(q) {
-		panic(abortSignal{})
-	}
-	e.unlinkParked(p)
 }
 
 // dispatch pops and dispatches events in (at, seq) order up to the run
@@ -227,19 +141,6 @@ func (e *Env) dispatch() *Proc {
 	return nil
 }
 
-// unlinkParked removes p, which must be on it, from the parked list.
-func (e *Env) unlinkParked(p *Proc) {
-	if p.parkPrev != nil {
-		p.parkPrev.parkNext = p.parkNext
-	} else {
-		e.parkedHead = p.parkNext
-	}
-	if p.parkNext != nil {
-		p.parkNext.parkPrev = p.parkPrev
-	}
-	p.parkPrev, p.parkNext = nil, nil
-}
-
 // scheduleResume arranges for p to be resumed at time at. It is the
 // building block for all wake-ups: primitives never resume a process
 // inline (that would nest processes); they always go through an event.
@@ -263,24 +164,6 @@ func (p *Proc) Park() { p.park() }
 // The companion of Park for building custom primitives.
 func (e *Env) ScheduleResume(p *Proc, at Time) { e.scheduleResume(p, at) }
 
-// Yield parks the process behind every event already scheduled at the
-// current time: it files its own resumption at now and parks, so pending
-// same-timestamp events dispatch first, in order. With direct handoff, a
-// Yield with nothing else pending returns with no coroutine switch —
-// it is the cheapest possible park/resume boundary. The scheduler's flat
-// unithread tier brackets each inline execution segment with Yields to
-// reproduce, one for one, the event-queue boundaries a goroutine-backed
-// unithread's handoff gates would have introduced, which keeps
-// same-timestamp dispatch order bit-identical across the two tiers.
-func (p *Proc) Yield() {
-	e := p.env
-	if e.skipAhead(e.now) {
-		return // nothing pending at this instant: the park is a no-op
-	}
-	e.scheduleResume(p, e.now)
-	p.park()
-}
-
 // Sleep blocks the process for d cycles of simulated time. In the system
 // model, a worker or unithread sleeping represents the CPU core being
 // busy for that long.
@@ -297,8 +180,8 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// skipAhead is the clock-advance fast path for Sleep and Yield, of
-// procs and tasks alike: when
+// skipAhead is the clock-advance fast path for Proc.Sleep and for the
+// task tier's Sleep and Yield: when
 // every pending event is strictly later than the caller's wake time,
 // the event loop would pop the caller's own resume next — the resume
 // would carry the highest sequence number, so an already-pending event
@@ -319,33 +202,34 @@ func (e *Env) skipAhead(at Time) bool {
 	return true
 }
 
-// releaseParked unwinds any still-parked processes and stops the runner
-// pool. Called when a run finishes so that repeated simulations
-// (benchmark sweeps) do not leak goroutines. The common
-// nothing-to-release case — no process ever parked, no runner pooled —
-// inlines into Run/RunAll; the unwind loops live in the slow half.
+// releaseParked unwinds every suspended coroutine — parked processes
+// and handlers cut mid-request alike — and stops the pool. Called when a
+// run finishes so that repeated simulations (benchmark sweeps) do not
+// leak goroutines. The common nothing-to-release case — nothing ever
+// suspended, no coroutine pooled — inlines into Run/RunAll; the unwind
+// loops live in the slow half.
 func (e *Env) releaseParked() {
 	e.foldMaxPending()
 	if e.checked {
 		e.auditTeardown()
 	}
-	if e.parkedHead != nil || e.freeRunners != nil {
+	if e.suspended != nil || e.freeCoros != nil {
 		e.releaseParkedSlow()
 	}
 }
 
 // releaseParkedSlow stops every coroutine the environment still owns. A
-// parked process unwinds (abortSignal), pushes its runner on the free
-// list and ends; stopping it a second time from that list, or stopping
-// a runner whose coroutine a panic already ended, does nothing.
+// suspended body unwinds (abortSignal), its coroutine pushes itself on
+// the free list and ends; stopping it a second time from that list, or
+// stopping one whose coroutine a panic already ended, does nothing.
 func (e *Env) releaseParkedSlow() {
-	for e.parkedHead != nil {
-		p := e.parkedHead
-		e.unlinkParked(p)
-		p.r.stop()
+	for e.suspended != nil {
+		c := e.suspended
+		e.unlinkSuspended(c)
+		c.stop()
 	}
-	for r := e.freeRunners; r != nil; r = r.next {
-		r.stop()
+	for c := e.freeCoros; c != nil; c = c.next {
+		c.stop()
 	}
-	e.freeRunners = nil
+	e.freeCoros = nil
 }

@@ -66,13 +66,3 @@ func (g *Gate) Wake() {
 // Waiting reports whether a process or task is currently blocked on the
 // gate.
 func (g *Gate) Waiting() bool { return g.waiter != nil }
-
-// Reset clears any waiter and pending wake, returning the gate to its
-// initial state so object pools can recycle gate-owning structures.
-func (g *Gate) Reset() {
-	if g.waiter != nil {
-		g.env.MarkUnblocked(g.waiter)
-	}
-	g.waiter = nil
-	g.pending = false
-}

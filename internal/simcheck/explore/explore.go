@@ -192,6 +192,17 @@ func Generate(masterSeed int64, idx int, short bool) Scenario {
 	if skewRoll < 0.35 {
 		sc.Skew = 1.05 + 0.6*r.f64()
 	}
+	// Appended likewise: part of the DiLOS share becomes DiLOS-P (probes,
+	// quantum expiry, requeue) or Hermit (kernel extras, jitter draws);
+	// every other field of an older scenario stays as drawn.
+	if baseline := r.f64(); sc.Mode == core.DiLOS {
+		switch {
+		case baseline < 0.3:
+			sc.Mode = core.DiLOSP
+		case baseline < 0.6:
+			sc.Mode = core.Hermit
+		}
+	}
 	sc.Strict = !(f.CrashSet && !f.RejoinSet && sc.Replicas == 1)
 	return sc
 }

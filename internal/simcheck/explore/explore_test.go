@@ -48,8 +48,10 @@ func TestSwarmClean(t *testing.T) {
 // stream — a sampler that never draws them checks nothing.
 func TestScenarioVariety(t *testing.T) {
 	var replicated, writes, crashes, rejoins int
+	modes := map[core.Mode]int{}
 	for i := 0; i < 100; i++ {
 		sc := Generate(1, i, true)
+		modes[sc.Mode]++
 		if sc.Replicas > 1 {
 			replicated++
 		}
@@ -67,11 +69,18 @@ func TestScenarioVariety(t *testing.T) {
 		t.Fatalf("sampler coverage too thin: replicated=%d writes=%d crashes=%d rejoins=%d",
 			replicated, writes, crashes, rejoins)
 	}
+	// Yield and busy-wait, and on the busy-wait side preemption (DiLOS-P)
+	// and kernel extras with jitter (Hermit).
+	for _, m := range []core.Mode{core.Adios, core.DiLOS, core.DiLOSP, core.Hermit} {
+		if modes[m] < 3 {
+			t.Fatalf("sampler drew mode %v %d times in 100: %v", m, modes[m], modes)
+		}
+	}
 }
 
-// TestProcContextViolationIsReported: an oracle that fires on a
-// process's coroutine (a worker completing a request here; a unithread
-// handler or WaitPage in the field) must unwind into Run's recover and
+// TestProcContextViolationIsReported: an oracle that fires deep inside
+// the run (a worker core completing a request here; a handler on its
+// coroutine in sched.TestHandlerPanicReachesRun) must unwind into Run's recover and
 // come back as a violation with its repro line, not kill the swarm —
 // and the next scenario in the same process must still run clean.
 func TestProcContextViolationIsReported(t *testing.T) {

@@ -154,12 +154,12 @@ func TestScanCostsDwarfGets(t *testing.T) {
 		var getTime, scanTime sim.Time
 		const trials = 20
 		for i := 0; i < trials; i++ {
-			t0 := ctx.Proc().Now()
+			t0 := tab.mgr.Env().Now()
 			tab.get(ctx, recordKey(rng.Int63n(20000)))
-			getTime += ctx.Proc().Now() - t0
-			t0 = ctx.Proc().Now()
+			getTime += tab.mgr.Env().Now() - t0
+			t0 = tab.mgr.Env().Now()
 			tab.scan(ctx, recordKey(rng.Int63n(19000)), 100)
-			scanTime += ctx.Proc().Now() - t0
+			scanTime += tab.mgr.Env().Now() - t0
 		}
 		ratio := float64(scanTime) / float64(getTime)
 		if ratio < 15 || ratio > 300 {

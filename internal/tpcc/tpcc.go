@@ -75,6 +75,7 @@ func DefaultConfig(warehouses int) Config {
 // DB is the TPC-C database.
 type DB struct {
 	cfg Config
+	env *sim.Env // the clock order entry dates are read from
 	mgr *paging.Manager
 
 	warehouse *paging.Space
@@ -123,7 +124,6 @@ type DB struct {
 // unithread way) and under busy-wait systems it spins — never wedging
 // the worker whose unithread holds the lock.
 type mutex struct {
-	env     *sim.Env
 	held    bool
 	waiters []func()
 }
@@ -154,7 +154,7 @@ func New(env *sim.Env, mgr *paging.Manager, node memnode.Allocator, cfg Config) 
 	if cfg.Warehouses <= 0 {
 		panic("tpcc: need at least one warehouse")
 	}
-	db := &DB{cfg: cfg, mgr: mgr}
+	db := &DB{cfg: cfg, env: env, mgr: mgr}
 	W := int64(cfg.Warehouses)
 	D := W * districtsPerW
 	C := D * int64(cfg.CustomersPerDistrict)
@@ -173,10 +173,6 @@ func New(env *sim.Env, mgr *paging.Manager, node memnode.Allocator, cfg Config) 
 	db.history = alloc("history", D*int64(cfg.OrderCapacity), historySize)
 
 	db.locks = make([]mutex, D)
-	for i := range db.locks {
-		db.locks[i].env = env
-	}
-	db.custLock.env = env
 	db.nextDeliver = make([]int32, D)
 	db.histCursor = make([]int32, D)
 	idxPages := C/int64(btree.MaxEntries/2) + 64

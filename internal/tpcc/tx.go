@@ -120,7 +120,7 @@ func (db *DB) NewOrder(ctx workload.Ctx, req NewOrderReq) NewOrderResp {
 	db.put32(ctx, db.order, oOff+fOCID, uint32(req.C))
 	db.put32(ctx, db.order, oOff+fOOLCnt, uint32(len(req.Lines)))
 	db.put32(ctx, db.order, oOff+fOCarrierID, 0)
-	db.put32(ctx, db.order, oOff+fOEntryD, uint32(ctx.Proc().Now()))
+	db.put32(ctx, db.order, oOff+fOEntryD, uint32(db.env.Now()))
 	db.custLock.lock(ctx, &db.Conflicts)
 	db.byCust.Insert(ctx, uint64(db.cIdx(req.W, req.D, req.C)), uint64(oid))
 	db.custLock.unlock(ctx)

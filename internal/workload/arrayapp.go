@@ -144,8 +144,8 @@ func (a *ArrayApp) NextRequest(rng *sim.RNG) (any, int) {
 
 // arrayStepper is ArrayApp's resumable-step handler. The phase machine
 // mirrors Handler line for line — same compute charges in the same
-// order, same probe placement, same access and mismatch check — so both
-// tiers replay the identical schedule.
+// order, same probe placement, same access and mismatch check — so the
+// native form and Handler under Blocking replay the identical schedule.
 type arrayStepper struct{ a *ArrayApp }
 
 // Array step phases (StepFrame.PC values).
@@ -162,8 +162,12 @@ func (a *ArrayApp) StepHandler() StepHandler { return arrayStepper{a} }
 // Begin implements StepHandler.
 func (arrayStepper) Begin(f *StepFrame, payload any) { f.PC = arrayStepParse }
 
-// Step implements StepHandler: parse charge → array access (the only
-// fault point; W[0] carries the value over the reply charge) → reply.
+// Abort implements StepHandler: the frame refers to nothing.
+func (arrayStepper) Abort(*StepFrame, error) {}
+
+// Step implements StepHandler: parse charge → probe → array access (the
+// only fault point; W[0] carries the value over the reply charge) →
+// reply.
 func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, sim.Time, StepStatus) {
 	a := h.a
 	switch f.PC {
@@ -171,9 +175,8 @@ func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, si
 		f.PC = arrayStepProbe
 		return nil, 0, a.ParseCost, StepCompute
 	case arrayStepProbe:
-		ctx.Probe()
 		f.PC = arrayStepAccess
-		fallthrough
+		return nil, 0, 0, StepProbe
 	case arrayStepAccess:
 		if put, ok := payload.(ArrayPut); ok {
 			v := arraySeed(put.Index)

@@ -5,19 +5,20 @@ import (
 	"repro/internal/sim"
 )
 
-// This file defines the resumable-step execution contract behind the
-// scheduler's flat unithread tier. The paper's central cost argument
-// (§3.2, Table 1) is that a unithread needs only an 80-byte light
-// context because it suspends at known call boundaries; the goroutine-
-// backed Unithread models the *timing* of that but still pays a real
-// coroutine switch per suspend in wall-clock terms. An app that can
-// express its handler as explicit steps — each call runs to the next
-// point where simulated time must pass (a CPU charge, a page fault) and
-// parks its continuation state in a StepFrame — lets the scheduler run
-// requests inline on the worker core's own state machine with no stack
-// of their own at all. Stack-dependent apps (B-trees mid-descent, SQL
-// scans) keep the goroutine tier; both tiers execute the identical
-// simulated schedule.
+// This file defines the resumable-step contract every request executes
+// under. The paper's cost argument (§3.2, Table 1) is that a unithread
+// needs only an 80-byte light context because it suspends at known call
+// boundaries; the scheduler makes that literal: a request is a
+// StepHandler the worker core's state machine calls, each call running
+// to the next point where simulated time must pass and returning what it
+// needs as a StepStatus, with the continuation parked in a StepFrame.
+// Time passes between Step calls, never inside one, so what a fault does
+// while the fetch is in flight and whether a probe preempts are the
+// scheduler's policies, met in one place (DESIGN.md §11 has the table).
+// An app whose handler is already a loop implements the contract
+// natively and runs with no stack of its own; direct-style code that
+// parks partway down a call stack (B-trees mid-descent, SQL scans) rides
+// Blocking, which implements the same contract by resuming a coroutine.
 
 // StepStatus is the outcome of one StepHandler.Step call.
 type StepStatus int
@@ -26,41 +27,45 @@ const (
 	// StepDone: the request finished; resp/respBytes are valid.
 	StepDone StepStatus = iota
 	// StepFault: the step hit a non-resident page (a TryLoad/TryStore
-	// returned !ok). The scheduler drives the fault and re-invokes Step
-	// once the page is resident; the frame must let the handler resume
-	// from (or idempotently repeat up to) the faulting access.
+	// returned !ok, or it named the page with Fault). The scheduler
+	// drives the fault and re-invokes Step once the page is resident;
+	// the frame must let the handler resume from (or idempotently repeat
+	// up to) the faulting access.
 	StepFault
 	// StepCompute: the step declares cycles of application CPU work. The
-	// scheduler charges them on the carrying core — simulated time passes
-	// between Step calls, never inside one — and then re-invokes Step,
-	// whose frame must already point past the charge.
+	// scheduler charges them on the carrying core — sliced at quantum
+	// boundaries under IPI preemption — and re-invokes Step, whose frame
+	// must already point past the charge.
 	StepCompute
+	// StepProbe: a Concord-style preemption probe, placed at loop
+	// boundaries. A probe-preemptive scheduler charges the check and,
+	// once the quantum is spent, switches the request out and re-queues
+	// it; otherwise it is free. The fault path contains no probes — the
+	// paper's explanation for why preemption cannot mitigate busy-wait
+	// HOL blocking (§2.3).
+	StepProbe
+	// StepBlock: the step registered a wake with StepCtx.Block and must
+	// not continue until it is invoked. The scheduler waits per its
+	// policy — yields the core, or spins on it.
+	StepBlock
 )
 
-// StepFrame is the explicit continuation of a flat unithread between
-// Step calls: a program counter plus nine spill words. Its size is
-// pinned to the paper's 80-byte light context (uctx.LightContext) by
-// TestStepFrameSize — the frame IS the light context of this tier.
+// StepFrame is the explicit continuation of a request between Step
+// calls: a program counter plus nine spill words. Its size is pinned to
+// the paper's 80-byte light context (uctx.LightContext) by
+// TestStepFrameSize — the frame IS the light context.
 type StepFrame struct {
 	PC uint64    // handler-defined phase counter
 	W  [9]uint64 // handler-defined spill slots
 }
 
-// StepCtx is the execution context handed to Step. It is the flat-tier
-// counterpart of Ctx: probes and critical sections behave identically,
-// but nothing in it blocks — a paged access that misses returns
-// ok=false and the handler must return StepFault with its frame
-// positioned to retry the access, and compute is not a call at all but
-// a StepCompute return. The flat tier never runs under a preemptive
-// configuration, so Probe and CriticalEnter/Exit are semantically
-// no-ops kept for contract parity.
+// StepCtx is the execution context handed to Step: the carrying core's
+// queue pairs (asynchronous prefetches are issued there), the run's
+// random source, critical sections (see Ctx), and the non-blocking half
+// of everything that takes simulated time. Nothing in it blocks.
 type StepCtx interface {
-	// Probe is the preemption probe (free on this tier — flat unithreads
-	// only run under non-preemptive configurations).
-	Probe()
-	// Rand is the run's deterministic random source.
+	paging.QPSource
 	Rand() *sim.RNG
-	// CriticalEnter / CriticalExit bracket critical sections.
 	CriticalEnter()
 	CriticalExit()
 
@@ -72,26 +77,47 @@ type StepCtx interface {
 	// TryStoreU64 is the store counterpart (write-allocate: the page is
 	// faulted in on a miss, then the resumed step stores and dirties it).
 	TryStoreU64(s *paging.Space, off int64, v uint64) (ok bool)
+	// Fault names the page of the StepFault about to be returned, for
+	// accesses made some other way than the two above.
+	Fault(s *paging.Space, vpn int64)
+
+	// Charge consumes cycles of the request's CPU on the spot when the
+	// scheduler has nothing to interpose and no other event is due before
+	// they elapse, and reports whether it did; on false nothing happened
+	// and the handler returns StepCompute. Only a handler for which
+	// returning is expensive needs it.
+	Charge(cycles sim.Time) bool
+	// ProbeFree reports whether a StepProbe returned now would cost
+	// nothing, so the handler may skip returning it.
+	ProbeFree() bool
+	// Block hands enqueue the request's wake function, and the handler
+	// returns StepBlock. enqueue must register wake somewhere a later
+	// event or request will find it; it may be invoked at most once, from
+	// any context but enqueue itself.
+	Block(enqueue func(wake func()))
 }
 
 // StepHandler is the resumable-step form of a request handler. Begin
 // initializes the frame for a fresh request; Step advances the request
-// to its next compute charge, its next fault point or its completion,
-// and reports which (cycles is valid with StepCompute, resp/respBytes
-// with StepDone). After a StepFault the scheduler re-invokes Step with
-// the same frame once the faulted page is resident; the first paged
-// access the re-run performs must be the one that faulted (the paging
-// layer accounts the retried access as the tail of the same fault, not a
-// fresh hit — see Space.TryPage).
+// to the next point where it needs the scheduler and reports which
+// (cycles is valid with StepCompute, resp/respBytes with StepDone).
+// After a StepFault the first paged access the re-run performs must be
+// the one that faulted (the paging layer accounts the retried access as
+// the tail of the same fault, not a fresh hit — see Space.TryPage). If
+// the fetch was abandoned after bounded retries the scheduler calls
+// Abort with the *paging.FetchError instead — the simulated SIGBUS: the
+// request is over, and the handler releases whatever the frame refers to.
 type StepHandler interface {
 	Begin(f *StepFrame, payload any)
 	Step(ctx StepCtx, f *StepFrame, payload any) (resp any, respBytes int, cycles sim.Time, st StepStatus)
+	Abort(f *StepFrame, err error)
 }
 
-// StepApp is implemented by apps that can run on the flat unithread
-// tier in addition to the goroutine tier. Both forms must execute the
-// identical sequence of compute charges, probes, paged accesses, and
-// RNG draws — the scheduler's differential tests pin this.
+// StepApp is implemented by apps whose handler exists in native step
+// form; the system runs that form, and Blocking over Handler for every
+// other app. Both forms must execute the identical sequence of compute
+// charges, probes, paged accesses, and RNG draws — the scheduler's
+// differential test pins this for ArrayApp.
 type StepApp interface {
 	App
 	StepHandler() StepHandler

@@ -7,7 +7,7 @@ import (
 	"repro/internal/uctx"
 )
 
-// The StepFrame is this tier's light context: its size must stay pinned
+// The StepFrame is a request's light context: its size must stay pinned
 // to the paper's 80-byte figure (Table 1), represented in this repo by
 // uctx.LightContext.
 func TestStepFrameSize(t *testing.T) {
@@ -19,7 +19,7 @@ func TestStepFrameSize(t *testing.T) {
 	}
 }
 
-// ArrayApp must qualify for the flat tier.
+// ArrayApp must come in native step form.
 func TestArrayAppIsStepApp(t *testing.T) {
 	var app any = &ArrayApp{}
 	if _, ok := app.(StepApp); !ok {

@@ -1,8 +1,9 @@
 // Package workload defines the execution contract between applications
-// and the MD scheduler: the context a request handler runs under, the
-// handler signature, and key-popularity generators. Application
-// substrates (kvs, sstable, tpcc, vecdb) implement Handler against Ctx;
-// the scheduler's unithread implements Ctx.
+// and the MD scheduler: the resumable-step contract every request runs
+// under (step.go), the direct-style handler signature and its context,
+// the adapter that runs the second on the first (blocking.go), and
+// key-popularity generators. Application substrates (kvs, sstable, tpcc,
+// vecdb) implement Handler against Ctx; Blocking implements Ctx.
 package workload
 
 import (
@@ -10,10 +11,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Ctx is the per-request execution context handed to application
-// handlers. It extends paging.Thread (so the handler's paged accesses
-// fault through the system under test) with explicit compute charging
-// and the cooperative-preemption probe.
+// Ctx is the per-request execution context handed to direct-style
+// application handlers. It extends paging.Thread (so the handler's paged
+// accesses fault through the system under test) with explicit compute
+// charging and the cooperative-preemption probe. Every method that takes
+// simulated time is the blocking face of one StepStatus.
 type Ctx interface {
 	paging.Thread
 
@@ -46,8 +48,9 @@ type Ctx interface {
 	// core under Adios, spinning under busy-wait systems. Applications
 	// use it to build synchronization (e.g. TPC-C's district locks) that
 	// cooperates with the scheduler instead of wedging a worker.
-	// enqueue must register wake somewhere a later event or thread will
-	// find it; wake may be invoked at most once and from any context.
+	// enqueue must register wake somewhere a later event or request will
+	// find it; wake may be invoked at most once, from any context but
+	// enqueue itself.
 	Block(enqueue func(wake func()))
 }
 
