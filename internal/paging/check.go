@@ -7,7 +7,7 @@ import (
 )
 
 // Paging-layer invariant oracles (see package simcheck), called behind
-// simcheck.On() from the frame free/alloc and failover hot paths:
+// simcheck.On() from the frame-free and failover paths:
 //
 //	paging/frame-double-free  a frame is never freed while already free
 //	paging/dirty-free         a dirty page's frame is never freed before
@@ -16,34 +16,33 @@ import (
 //	paging/failover-tried     failover never revisits a tried replica
 //	paging/failover-dead-read failover never routes to a dead replica
 //
-// The structural state machine panics (paging/fetch-state,
-// paging/wb-state, paging/pte-state) live in fault.go and are always
-// on — they replaced plain panics. The O(frames+pages) sweep is
-// CheckInvariants (invariants.go).
+// The page-state oracles (paging/fetch-state, paging/wb-state,
+// paging/pte-state) belong to the legal-edge table in pte.go and are
+// always on. The O(frames+pages) sweep is CheckInvariants
+// (invariants.go).
 
-// checkFreeFrame runs at the top of freeFrame, while the frame's
-// owner fields are still valid.
+// checkFreeFrame runs in move just before a page's frame goes back to the
+// pool: the page's word is already absent, the frame's owner fields are
+// still valid.
 func (m *Manager) checkFreeFrame(idx int32) {
 	f := &m.frames[idx]
-	if m.freeBits != nil && m.freeBits[idx] {
+	if f.space < 0 {
 		simcheck.Fail(simcheck.New("paging/frame-double-free",
 			"frame freed while already in the free pool").
 			With("frame", idx))
 	}
-	if f.space >= 0 {
-		e := &m.spaces[f.space].ptes[f.vpn]
-		if e.dirty {
-			simcheck.Fail(simcheck.New("paging/dirty-free",
-				"dirty page's frame freed before its write-back succeeded").
-				With("space", m.spaces[f.space].name).With("page", f.vpn).
-				With("frame", idx))
-		}
-		if e.state == pagePresent && e.frame == idx {
-			simcheck.Fail(simcheck.New("paging/free-resident",
-				"resident page's frame freed out from under it").
-				With("space", m.spaces[f.space].name).With("page", f.vpn).
-				With("frame", idx))
-		}
+	e := m.spaces[f.space].ptes[f.vpn]
+	if e.dirty() {
+		simcheck.Fail(simcheck.New("paging/dirty-free",
+			"dirty page's frame freed before its write-back succeeded").
+			With("space", m.spaces[f.space].name).With("page", f.vpn).
+			With("frame", idx))
+	}
+	if e.state() == pagePresent && e.index() == idx {
+		simcheck.Fail(simcheck.New("paging/free-resident",
+			"resident page's frame freed out from under it").
+			With("space", m.spaces[f.space].name).With("page", f.vpn).
+			With("frame", idx))
 	}
 }
 
@@ -91,7 +90,7 @@ func (m *Manager) CheckReplication() error {
 	return nil
 }
 
-// checkFailover runs in completeDeadFetch just before a fetch is
+// checkFailover runs in completeError just before a fetch is
 // re-routed to replica node next.
 func (m *Manager) checkFailover(f *Fetch, next int) {
 	if f.tried&(1<<uint(next)) != 0 {

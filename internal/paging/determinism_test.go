@@ -36,17 +36,14 @@ func reclaimBatchRef(m *Manager, p *sim.Proc, qps []*rdma.QP, cq *rdma.CQ, cqGat
 		p.Sleep(m.cfg.ReclaimPageCost)
 		f := &m.frames[fi]
 		s := m.spaces[f.space]
-		e := &s.ptes[f.vpn]
 		m.Evictions.Inc()
 		m.unmapped(fi)
-		if e.dirty {
+		if s.ptes[f.vpn].dirty() {
 			node := s.region.NodeOf(f.vpn)
 			qp := qps[node]
 			rec := m.newFetch(s, f.vpn, fi, true, false)
 			rec.qp = qp
-			e.state = pageWriteback
-			e.fetch = rec
-			f.state = frameWriteback
+			m.move(s, f.vpn, edgeWriteback, rec)
 			m.DirtyWritebacks.Inc()
 			for {
 				if err := qp.PostWrite(s.region.SliceFor(f.vpn*PageSize, PageSize, node, qp.Name()), f.data, rec); err == nil {
@@ -56,9 +53,7 @@ func reclaimBatchRef(m *Manager, p *sim.Proc, qps []*rdma.QP, cq *rdma.CQ, cqGat
 			}
 			inflight++
 		} else {
-			e.state = pageAbsent
-			e.fetch = nil
-			m.freeFrame(fi)
+			m.move(s, f.vpn, edgeEvict, nil)
 		}
 	}
 	for inflight > 0 {

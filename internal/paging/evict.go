@@ -61,9 +61,9 @@ func (m *Manager) lruPushFront(fi int32) {
 
 // touch records an access to a resident page under the active policy.
 func (m *Manager) touch(e *pte) {
-	e.ref = true
+	*e |= pteRef
 	if m.cfg.Policy == LRU {
-		fi := e.frame
+		fi := e.index()
 		if m.lruHead == fi {
 			return
 		}
@@ -95,13 +95,13 @@ func (m *Manager) selectVictims(max int) []int32 {
 	return m.clockSelect(max)
 }
 
-// lruSelect takes victims from the cold end of the LRU list.
+// lruSelect takes victims from the cold end of the LRU list, which
+// holds exactly the resident frames (installed links a frame, unmapped
+// unlinks it).
 func (m *Manager) lruSelect(max int) []int32 {
 	out := m.victimBuf[:0]
 	for fi := m.lruTail; fi != -1 && len(out) < max; fi = m.lruPrev[fi] {
-		if m.frames[fi].state == frameResident {
-			out = append(out, fi)
-		}
+		out = append(out, fi)
 	}
 	m.victimBuf = out
 	return out

@@ -1,6 +1,8 @@
 package paging
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/rdma"
@@ -152,5 +154,123 @@ func TestFetchAlignAmplifiesBandwidth(t *testing.T) {
 	}
 	if b16 < 10*b1 {
 		t.Fatalf("amplification too small: %d vs %d bytes", b16, b1)
+	}
+}
+
+// victimOrderDigest runs a seeded store-heavy churn over two spaces on a
+// 32-frame pool and folds every eviction the reclaimer performs — (frame,
+// space, page, dirty), in order — into an FNV-1a hash. Evictions are
+// observed from outside the reclaimer: an observer event every 100 cycles
+// (the reclaimer spends ReclaimPageCost = 250 before each eviction, so at
+// most one falls between two observations) finds the one frame whose
+// page stopped being resident since the last look.
+func victimOrderDigest(t *testing.T, pol EvictPolicy) (digest uint64, evictions, dirty int64) {
+	t.Helper()
+	const pages = 64
+	r := newRig(t, 32, func(c *Config) {
+		c.Policy = pol
+		c.ReclaimThreshold = 0.25
+		c.ReclaimBatch = 6
+	})
+	spaces := []*Space{
+		r.mgr.NewSpace("a", r.node.MustAlloc("a", pages*PageSize)),
+		r.mgr.NewSpace("b", r.node.MustAlloc("b", pages*PageSize)),
+	}
+	rcq := rdma.NewCQ("reclaim")
+	r.mgr.StartReclaimer(r.nic.CreateQP("reclaim", rcq), rcq)
+
+	h := fnv.New64a()
+	type owner struct {
+		sp  *Space
+		vpn int64
+	}
+	snap := make([]owner, r.mgr.TotalFrames())
+	var lastEv, lastWB int64
+	done := false
+	var observe func()
+	observe = func() {
+		ev, wb := r.mgr.Evictions.Value(), r.mgr.DirtyWritebacks.Value()
+		switch ev - lastEv {
+		case 0:
+		case 1:
+			victim := -1
+			for fi, o := range snap {
+				if o.sp != nil && !o.sp.Resident(o.vpn) {
+					if victim >= 0 {
+						t.Fatalf("cycle %d: frames %d and %d both lost their page", r.env.Now(), victim, fi)
+					}
+					victim = fi
+				}
+			}
+			if victim < 0 {
+				t.Fatalf("cycle %d: an eviction was counted but every frame kept its page", r.env.Now())
+			}
+			o := snap[victim]
+			var rec [8 * 4]byte
+			for i, v := range []uint64{uint64(victim), uint64(o.sp.ID()), uint64(o.vpn), uint64(wb - lastWB)} {
+				binary.LittleEndian.PutUint64(rec[8*i:], v)
+			}
+			h.Write(rec[:])
+			evictions++
+			dirty += wb - lastWB
+		default:
+			t.Fatalf("cycle %d: %d evictions between two observations", r.env.Now(), ev-lastEv)
+		}
+		lastEv, lastWB = ev, wb
+		for fi := range snap {
+			snap[fi] = owner{}
+			if f := &r.mgr.frames[fi]; f.space >= 0 {
+				if sp := r.mgr.spaces[f.space]; sp.Resident(f.vpn) {
+					snap[fi] = owner{sp, f.vpn}
+				}
+			}
+		}
+		if !done || r.env.Pending() > 0 {
+			r.env.After(100, observe)
+		}
+	}
+	observe()
+
+	rng := sim.NewRNG(16)
+	r.env.Go("app", func(p *sim.Proc) {
+		th := r.thread(p)
+		var b [8]byte
+		for op := 0; op < 4000; op++ {
+			sp := spaces[rng.Intn(len(spaces))]
+			off := rng.Int63n(pages*PageSize - 8)
+			if rng.Bool(0.6) {
+				sp.Store(th, off, b[:])
+			} else {
+				sp.Load(th, off, b[:])
+			}
+			p.Sleep(50)
+		}
+		done = true
+	})
+	r.env.RunAll()
+	if err := r.mgr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if evictions != r.mgr.Evictions.Value() {
+		t.Fatalf("observed %d evictions, the manager counted %d", evictions, r.mgr.Evictions.Value())
+	}
+	return h.Sum64(), evictions, dirty
+}
+
+// TestVictimOrderPinned pins which frames the reclaimer evicts, and in
+// what order, under each policy: the clock hand, the two-sweep rule and
+// the exclusion of frames already picked in the round, and the LRU list
+// order under touch / install / unmap. The constants were recorded before
+// the page-state word replaced the frame-side state and the picked map.
+func TestVictimOrderPinned(t *testing.T) {
+	want := map[EvictPolicy]uint64{CLOCK: 0xb5983fbf4d00973e, LRU: 0x31c6d73fadbc4652}
+	for _, pol := range []EvictPolicy{CLOCK, LRU} {
+		got, n, dirty := victimOrderDigest(t, pol)
+		if n < 1000 || dirty == 0 || dirty == n {
+			t.Fatalf("%v: churn too tame: %d evictions, %d dirty", pol, n, dirty)
+		}
+		if got != want[pol] {
+			t.Errorf("%v: victim-order digest %#x over %d evictions (%d dirty), want %#x", pol, got, n, dirty, want[pol])
+		}
 	}
 }

@@ -9,17 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// failPageState raises a structured paging/fetch-state or
-// paging/wb-state violation: a completion arrived for a page whose PTE
-// is not in the state the record implies. These replaced bare panics so
-// simcheck and the chaos tests can attribute the failure.
-func failPageState(oracle string, s *Space, vpn int64, state uint8, want string) {
-	simcheck.Fail(simcheck.New(oracle,
-		"completion on page in unexpected state").
-		With("space", s.name).With("page", vpn).
-		With("state", state).With("want", want))
-}
-
 // FetchError is delivered to waiters when a demand fetch exhausts its
 // bounded retries (Config.MaxFetchAttempts). It is the simulated
 // analogue of SIGBUS on a failed page-in: the scheduler converts it
@@ -41,11 +30,14 @@ func (e *FetchError) Unwrap() error { return e.Err }
 // Fetch is the record of an in-flight page movement: a demand fetch, a
 // prefetch, or an eviction write-back. It is the cookie carried by the
 // RDMA completion; the polling thread hands it back to the manager via
-// Complete.
+// Complete. Records live in the manager's slab for the whole run and
+// are recycled; the page table reaches a page's record by slot, never
+// by pointer, while the page is fetching or in write-back.
 type Fetch struct {
 	Space *Space
 	VPN   int64
 
+	slot      int32 // index in Manager.fetches, fixed for the record's life
 	frame     int32
 	writeback bool
 	demand    bool
@@ -57,8 +49,6 @@ type Fetch struct {
 	// (*FetchError); the page did not change state in the waiter's
 	// favour and the access must fail.
 	waiters []func(error)
-
-	issuedAt int64 // sim time of issue, for fetch-latency accounting
 
 	// qp is where the last post went; retries re-post there. attempts
 	// counts posts so far; firstFailAt is the sim time of the first
@@ -94,11 +84,9 @@ type Fetch struct {
 	gen uint32
 }
 
-// Writeback reports whether this record is an eviction write-back.
-func (f *Fetch) Writeback() bool { return f.writeback }
-
-// newFetch takes a Fetch from the manager's free list (or allocates one)
-// and initializes it. Recycled records keep their waiters backing array.
+// newFetch takes a Fetch from the manager's free list (or grows the slab
+// by one) and initializes it. Recycled records keep their slot and their
+// waiters backing array.
 func (m *Manager) newFetch(s *Space, vpn int64, frame int32, writeback, demand bool) *Fetch {
 	var f *Fetch
 	if n := len(m.freeFetches); n > 0 {
@@ -106,11 +94,11 @@ func (m *Manager) newFetch(s *Space, vpn int64, frame int32, writeback, demand b
 		m.freeFetches[n-1] = nil
 		m.freeFetches = m.freeFetches[:n-1]
 	} else {
-		f = &Fetch{}
+		f = &Fetch{slot: int32(len(m.fetches))}
+		m.fetches = append(m.fetches, f)
 	}
 	f.Space, f.VPN = s, vpn
 	f.frame, f.writeback, f.demand = frame, writeback, demand
-	f.issuedAt = int64(m.env.Now())
 	f.qp, f.attempts, f.firstFailAt = nil, 1, -1
 	f.node, f.tried, f.pending, f.acked = 0, 0, 0, 0
 	f.gen = s.gen(vpn)
@@ -118,7 +106,7 @@ func (m *Manager) newFetch(s *Space, vpn int64, frame int32, writeback, demand b
 }
 
 // recycleFetch returns a finished Fetch to the free list. The caller must
-// guarantee no reference survives (PTE cleared, completion consumed).
+// guarantee no reference survives (PTE moved on, completion consumed).
 func (m *Manager) recycleFetch(f *Fetch) {
 	for i := range f.waiters {
 		f.waiters[i] = nil // drop closure references, keep the array
@@ -180,7 +168,7 @@ func (m *Manager) TryRequestPage(c *FaultCall, w sim.Waiter, q QPSource, s *Spac
 	}
 	e := &s.ptes[vpn]
 	if !c.alloc {
-		switch e.state {
+		switch e.state() {
 		case pagePresent:
 			m.touch(e)
 			return PageResident
@@ -188,31 +176,27 @@ func (m *Manager) TryRequestPage(c *FaultCall, w sim.Waiter, q QPSource, s *Spac
 		case pageFetching:
 			// Someone else (or a prefetch) is already fetching this page;
 			// piggyback on their completion.
+			f := m.inflight(*e)
 			if demand {
 				m.FetchWaits.Inc()
-				if !e.fetch.demand {
+				if !f.demand {
 					m.PrefetchHits.Inc()
 				}
 			}
-			e.fetch.waiters = append(e.fetch.waiters, onReady)
+			f.waiters = append(f.waiters, onReady)
 			return PagePending
 
 		case pageWriteback:
 			// The page is being written back; once the write-back completes
 			// the PTE becomes absent and the caller refaults.
-			e.fetch.waiters = append(e.fetch.waiters, onReady)
+			f := m.inflight(*e)
+			f.waiters = append(f.waiters, onReady)
 			return PagePending
-
-		case pageAbsent:
-			if demand {
-				m.Faults.Inc()
-			}
-			c.alloc = true
-
-		default:
-			simcheck.Fail(simcheck.New("paging/pte-state", "invalid page state").
-				With("space", s.name).With("page", vpn).With("state", e.state))
 		}
+		if demand {
+			m.Faults.Inc()
+		}
+		c.alloc = true
 	}
 	fr, ok := m.allocFrame(w)
 	if !ok {
@@ -221,13 +205,13 @@ func (m *Manager) TryRequestPage(c *FaultCall, w sim.Waiter, q QPSource, s *Spac
 	c.alloc = false
 	// The call may have waited for the frame; the page state can have
 	// changed meanwhile (another thread may have fetched it).
-	if e.state != pageAbsent {
+	if e.state() != pageAbsent {
 		m.freeFrame(fr)
 		return m.TryRequestPage(c, w, q, s, vpn, onReady, false)
 	}
-	f := m.newFetch(s, vpn, fr, false, demand)
+	node := m.fetchNode(s, vpn)
+	f := m.startFetch(s, vpn, fr, node, q.QP(node), demand)
 	f.waiters = append(f.waiters, onReady)
-	m.startFetch(q, f)
 	c.fetch = f
 	return m.postFetch(c, w, q)
 }
@@ -253,25 +237,19 @@ func (m *Manager) RequestPage(t interface {
 	}
 }
 
-// startFetch transitions the PTE to fetching and picks the node and QP
-// the READ goes to; postFetch posts it.
-func (m *Manager) startFetch(q QPSource, f *Fetch) {
-	s, vpn := f.Space, f.VPN
-	e := &s.ptes[vpn]
-	e.state = pageFetching
-	e.fetch = f
-	fr := &m.frames[f.frame]
-	fr.space, fr.vpn, fr.state = s.id, vpn, frameFilling
-
-	node := m.fetchNode(s, vpn)
-	qp := q.QP(node)
+// startFetch marks (s, vpn) fetching into frame fr and aims the READ at
+// node over qp; the caller posts it.
+func (m *Manager) startFetch(s *Space, vpn int64, fr int32, node int, qp *rdma.QP, demand bool) *Fetch {
+	f := m.newFetch(s, vpn, fr, false, demand)
 	f.qp = qp
 	f.node = node
 	f.tried = 1 << uint(node)
 	if m.migr != nil {
-		m.migr.RecordFault(s, vpn, node, f.demand)
+		m.migr.RecordFault(s, vpn, node, demand)
 	}
+	m.move(s, vpn, edgeFetch, f)
 	f.src = s.region.SliceFor(vpn*PageSize, PageSize, node, qp.Name())
+	return f
 }
 
 // postFetch posts c.fetch's READ and, once it is out, the read-ahead
@@ -339,7 +317,7 @@ func (m *Manager) failoverNode(s *Space, f *Fetch) (int, bool) {
 // are scarce, so background fetches never induce reclaim pressure or
 // stall the faulting thread.
 func (m *Manager) issueAsync(q QPSource, s *Space, vpn int64) bool {
-	if vpn >= s.Pages() || s.ptes[vpn].state != pageAbsent {
+	if vpn >= s.Pages() || s.ptes[vpn].state() != pageAbsent {
 		return true // nothing to do; not a resource failure
 	}
 	node := m.fetchNode(s, vpn)
@@ -351,24 +329,10 @@ func (m *Manager) issueAsync(q QPSource, s *Space, vpn int64) bool {
 	if !ok {
 		return false
 	}
-	f := m.newFetch(s, vpn, fr, false, false)
-	f.qp = qp
-	f.node = node
-	f.tried = 1 << uint(node)
-	if m.migr != nil {
-		m.migr.RecordFault(s, vpn, node, false)
-	}
-	e := &s.ptes[vpn]
-	e.state = pageFetching
-	e.fetch = f
-	frm := &m.frames[fr]
-	frm.space, frm.vpn, frm.state = s.id, vpn, frameFilling
-	f.src = s.region.SliceFor(vpn*PageSize, PageSize, node, qp.Name())
+	f := m.startFetch(s, vpn, fr, node, qp, false)
 	if err := qp.PostReadAlias(f.src, f); err != nil {
 		// QP filled up between the check and the post; undo.
-		e.state, e.fetch = pageAbsent, nil
-		m.freeFrame(fr)
-		m.recycleFetch(f)
+		m.finish(f, edgeDrop, nil)
 		return false
 	}
 	return true
@@ -406,7 +370,7 @@ func (m *Manager) PrefetchRange(t Thread, s *Space, off, n int64) int {
 	last := (off + n - 1) >> PageShift
 	issued := 0
 	for vpn := first; vpn <= last && vpn < s.Pages(); vpn++ {
-		if s.ptes[vpn].state != pageAbsent {
+		if s.ptes[vpn].state() != pageAbsent {
 			continue
 		}
 		if !m.issueAsync(t, s, vpn) {
@@ -464,151 +428,93 @@ func (m *Manager) Complete(f *Fetch, cerr error) bool {
 //     through the *FetchError path immediately rather than burning the
 //     remaining retry budget against a node that cannot answer.
 func (m *Manager) CompleteOn(f *Fetch, cerr error, qp *rdma.QP) bool {
-	if f.writeback && f.pending != 0 {
-		return m.completeWBFanout(f, cerr, qp)
-	}
-	if cerr == rdma.ErrNodeDead && !f.writeback {
-		return m.completeDeadFetch(f, cerr)
-	}
-	if cerr != nil {
-		return m.completeError(f, cerr)
-	}
 	s := f.Space
-	e := &s.ptes[f.VPN]
+	ed := edgeInstall
 	if f.writeback {
-		if e.state != pageWriteback {
-			failPageState("paging/wb-state", s, f.VPN, e.state, "writeback")
-		}
-		e.state = pageAbsent
-		e.fetch = nil
-		e.dirty = false
-		m.freeFrame(f.frame)
-	} else {
-		if e.state != pageFetching {
-			failPageState("paging/fetch-state", s, f.VPN, e.state, "fetching")
-		}
-		if s.moves != nil && simcheck.On() {
-			s.checkStaleRead(f)
-		}
-		e.state = pagePresent
-		e.frame = f.frame
-		e.fetch = nil
-		e.ref = true
-		fr := &m.frames[f.frame]
-		fr.state = frameResident
-		// Zero-copy install: the clean page aliases the region view the
-		// READ moved; the first store materializes a private copy.
-		fr.data = f.src
-		m.installed(f.frame)
+		ed = edgeDurable
 	}
-	if f.firstFailAt >= 0 {
-		m.RecoveryLat.Record(int64(m.env.Now()) - f.firstFailAt)
+	m.expect(s, f.VPN, ed)
+	if cerr != nil && f.firstFailAt < 0 {
+		f.firstFailAt = int64(m.env.Now())
 	}
-	for _, w := range f.waiters {
-		w(nil)
+	if f.writeback && f.pending != 0 {
+		if !m.fanoutAck(f, cerr, qp) {
+			return false
+		}
+	} else if cerr != nil {
+		return m.completeError(f, cerr)
+	} else if !f.writeback && s.moves != nil && simcheck.On() {
+		s.checkStaleRead(f)
 	}
-	m.recycleFetch(f)
+	m.finish(f, ed, nil)
 	return true
 }
 
-// completeError handles a completion error for f and reports whether the
-// record is terminal.
-func (m *Manager) completeError(f *Fetch, cerr error) bool {
-	s := f.Space
-	e := &s.ptes[f.VPN]
-	if f.firstFailAt < 0 {
-		f.firstFailAt = int64(m.env.Now())
+// finish ends f's life on edge ed: the page moves, every waiter hears
+// ferr (nil unless the fetch was abandoned), and the record is recycled.
+func (m *Manager) finish(f *Fetch, ed edge, ferr error) {
+	m.move(f.Space, f.VPN, ed, f)
+	if ed != edgeDrop && f.firstFailAt >= 0 {
+		m.RecoveryLat.Record(int64(m.env.Now()) - f.firstFailAt)
 	}
-	if f.writeback {
-		if e.state != pageWriteback {
-			failPageState("paging/wb-state", s, f.VPN, e.state, "writeback")
-		}
-		// Retried until durable: the frame stays in write-back state and
-		// keeps the dirty data; the page is never freed before the bytes
-		// are safely remote. An unreplicated write-back against a dead
-		// node keeps retrying into it — that stranded frame is exactly
-		// the replicas=1 blast radius — but still feeds the detector.
-		if cerr == rdma.ErrNodeDead && m.health != nil {
-			m.health.ReportTimeout(f.node)
-		}
-		m.WritebackRetries.Inc()
-		m.scheduleRepost(f)
-		return false
-	}
-	if e.state != pageFetching {
-		failPageState("paging/fetch-state", s, f.VPN, e.state, "fetching")
-	}
-	if !f.demand && len(f.waiters) == 0 {
-		// An optional prefetch nobody is waiting on: drop it.
-		m.PrefetchDrops.Inc()
-		e.state, e.fetch = pageAbsent, nil
-		m.freeFrame(f.frame)
-		m.recycleFetch(f)
-		return true
-	}
-	if f.attempts >= m.cfg.MaxFetchAttempts {
-		m.FetchAborts.Inc()
-		e.state, e.fetch = pageAbsent, nil
-		m.freeFrame(f.frame)
-		ferr := &FetchError{Space: s.name, VPN: f.VPN, Attempts: f.attempts, Err: cerr}
-		for _, w := range f.waiters {
-			w(ferr)
-		}
-		m.recycleFetch(f)
-		return true
-	}
-	m.FetchRetries.Inc()
-	m.scheduleRepost(f)
-	return false
-}
-
-// completeDeadFetch handles a fetch whose work request timed out
-// against a crashed node: report the timeout to the detector, then
-// re-route to the next live untried replica, or abort when none exists.
-func (m *Manager) completeDeadFetch(f *Fetch, cerr error) bool {
-	s := f.Space
-	e := &s.ptes[f.VPN]
-	if f.firstFailAt < 0 {
-		f.firstFailAt = int64(m.env.Now())
-	}
-	if m.health != nil {
-		m.health.ReportTimeout(f.node)
-	}
-	if e.state != pageFetching {
-		failPageState("paging/fetch-state", s, f.VPN, e.state, "fetching")
-	}
-	if !f.demand && len(f.waiters) == 0 {
-		m.PrefetchDrops.Inc()
-		e.state, e.fetch = pageAbsent, nil
-		m.freeFrame(f.frame)
-		m.recycleFetch(f)
-		return true
-	}
-	if next, ok := m.failoverNode(s, f); ok && m.failQPs != nil {
-		if simcheck.On() {
-			m.checkFailover(f, next)
-		}
-		m.FailoverReads.Inc()
-		m.FetchRetries.Inc()
-		m.Trace.Instant(trace.KindFailover, trace.TidFailover,
-			fmt.Sprintf("failover %s:%d -> node %d", s.name, f.VPN, next), m.env.Now())
-		f.tried |= 1 << uint(next)
-		f.node = next
-		f.qp = m.failQPs[next]
-		m.scheduleRepost(f)
-		return false
-	}
-	// The last replica is dead (or failover is not wired): the access
-	// cannot succeed — fail it now, honestly, instead of retrying into
-	// a node that cannot answer.
-	m.FetchAborts.Inc()
-	e.state, e.fetch = pageAbsent, nil
-	m.freeFrame(f.frame)
-	ferr := &FetchError{Space: s.name, VPN: f.VPN, Attempts: f.attempts, Err: cerr}
 	for _, w := range f.waiters {
 		w(ferr)
 	}
 	m.recycleFetch(f)
+}
+
+// completeError handles a completion error for a fetch or an
+// unreplicated write-back and reports whether the record is terminal.
+func (m *Manager) completeError(f *Fetch, cerr error) bool {
+	dead := cerr == rdma.ErrNodeDead
+	if dead && m.health != nil {
+		m.health.ReportTimeout(f.node)
+	}
+	if f.writeback {
+		// Retried until durable: the page stays in write-back and its
+		// frame keeps the dirty data; the frame is never freed before the
+		// bytes are safely remote. An unreplicated write-back against a
+		// dead node keeps retrying into it — that stranded frame is
+		// exactly the replicas=1 blast radius — but still feeds the
+		// detector.
+		m.WritebackRetries.Inc()
+		m.scheduleRepost(f)
+		return false
+	}
+	s := f.Space
+	if !f.demand && len(f.waiters) == 0 {
+		// An optional prefetch nobody is waiting on: drop it.
+		m.PrefetchDrops.Inc()
+		m.finish(f, edgeDrop, nil)
+		return true
+	}
+	if dead {
+		// The work request timed out against a crashed node: re-route to
+		// the next live untried replica instead of burning the retry
+		// budget against a node that cannot answer.
+		if next, ok := m.failoverNode(s, f); ok && m.failQPs != nil {
+			if simcheck.On() {
+				m.checkFailover(f, next)
+			}
+			m.FailoverReads.Inc()
+			m.FetchRetries.Inc()
+			m.Trace.Instant(trace.KindFailover, trace.TidFailover,
+				fmt.Sprintf("failover %s:%d -> node %d", s.name, f.VPN, next), m.env.Now())
+			f.tried |= 1 << uint(next)
+			f.node = next
+			f.qp = m.failQPs[next]
+			m.scheduleRepost(f)
+			return false
+		}
+		// The last replica is dead (or failover is not wired): the access
+		// cannot succeed — fail it now, honestly.
+	} else if f.attempts < m.cfg.MaxFetchAttempts {
+		m.FetchRetries.Inc()
+		m.scheduleRepost(f)
+		return false
+	}
+	m.FetchAborts.Inc()
+	m.finish(f, edgeDrop, &FetchError{Space: s.name, VPN: f.VPN, Attempts: f.attempts, Err: cerr})
 	return true
 }
 
@@ -630,17 +536,12 @@ func (m *Manager) wbPlan(s *Space, vpn int64) (mask uint64, first int) {
 	return mask, first
 }
 
-// completeWBFanout advances a replicated write-back on one replica's
-// completion. Durability (invariant 5) is reached when every targeted
-// copy either acked or died — with at least one ack — so a dead replica
-// shrinks the quorum instead of wedging it, and a transient error
-// retries only that copy.
-func (m *Manager) completeWBFanout(f *Fetch, cerr error, qp *rdma.QP) bool {
-	s := f.Space
-	e := &s.ptes[f.VPN]
-	if e.state != pageWriteback {
-		panic("paging: write-back completion on page not in write-back")
-	}
+// fanoutAck books one replica's completion of a replicated write-back
+// and reports whether the write-back is now durable (invariant 5): every
+// targeted copy either acked or died — with at least one ack — so a dead
+// replica shrinks the quorum instead of wedging it, and a transient
+// error retries only that copy.
+func (m *Manager) fanoutAck(f *Fetch, cerr error, qp *rdma.QP) bool {
 	bit := uint64(1) << uint(qp.Node())
 	switch {
 	case cerr == nil:
@@ -650,14 +551,8 @@ func (m *Manager) completeWBFanout(f *Fetch, cerr error, qp *rdma.QP) bool {
 		if m.health != nil {
 			m.health.ReportTimeout(qp.Node())
 		}
-		if f.firstFailAt < 0 {
-			f.firstFailAt = int64(m.env.Now())
-		}
 		f.pending &^= bit
 	default:
-		if f.firstFailAt < 0 {
-			f.firstFailAt = int64(m.env.Now())
-		}
 		m.WritebackRetries.Inc()
 		m.scheduleRepostWB(f, qp.Node())
 		return false
@@ -673,17 +568,6 @@ func (m *Manager) completeWBFanout(f *Fetch, cerr error, qp *rdma.QP) bool {
 		m.retargetWB(f)
 		return false
 	}
-	e.state = pageAbsent
-	e.fetch = nil
-	e.dirty = false
-	m.freeFrame(f.frame)
-	if f.firstFailAt >= 0 {
-		m.RecoveryLat.Record(int64(m.env.Now()) - f.firstFailAt)
-	}
-	for _, w := range f.waiters {
-		w(nil)
-	}
-	m.recycleFetch(f)
 	return true
 }
 
@@ -786,7 +670,3 @@ func (m *Manager) repost(f *Fetch) {
 	}
 	f.attempts++
 }
-
-// FetchLatency returns how long the fetch has been in flight at time
-// now, for breakdown accounting.
-func (f *Fetch) FetchLatency(now int64) int64 { return now - f.issuedAt }

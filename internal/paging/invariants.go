@@ -10,11 +10,12 @@ import "repro/internal/simcheck"
 // bare string.
 //
 // Invariants:
-//  1. Every frame is in exactly one state, and free frames are exactly
-//     the members of the free list.
+//  1. A frame is unowned (space == -1) exactly while it is on the free
+//     list, and appears there once.
 //  2. Every resident PTE points at a frame that points back at it.
 //  3. No two PTEs share a frame.
-//  4. Fetching/write-back PTEs carry a fetch record for the right page.
+//  4. Fetching/write-back PTEs carry the slot of a live record for the
+//     right page.
 //  5. Dirty data is never lost to fault recovery: a dirty page is
 //     resident or in write-back (its frame held, not freed, not in the
 //     free list) until a write-back *succeeds* — an absent-but-dirty
@@ -29,96 +30,83 @@ func (m *Manager) CheckInvariants() error {
 		}
 		inFree[fi] = true
 	}
-	owner := make(map[int32][2]int64) // frame -> (space, vpn)
 	for i := range m.frames {
 		f := &m.frames[i]
-		if (f.state == frameFree) != inFree[int32(i)] {
-			return simcheck.New("paging/free-list-state",
-				"frame state disagrees with free-list membership").
-				With("frame", i).With("state", f.state).
-				With("inFree", inFree[int32(i)])
-		}
-		if f.state == frameFree && f.space != -1 {
+		if inFree[int32(i)] && f.space != -1 {
 			return simcheck.New("paging/free-frame-owned",
 				"free frame still owned by a space").
 				With("frame", i).With("space", f.space)
 		}
+		if (f.space == -1) != inFree[int32(i)] {
+			return simcheck.New("paging/free-list-state",
+				"frame ownership disagrees with free-list membership").
+				With("frame", i).With("space", f.space).
+				With("inFree", inFree[int32(i)])
+		}
 	}
+	owner := make(map[int32][2]int64) // frame -> (space, vpn)
 	for _, s := range m.spaces {
 		for vpn := range s.ptes {
-			e := &s.ptes[vpn]
-			switch e.state {
+			e := s.ptes[vpn]
+			var fi int32
+			switch e.state() {
 			case pageAbsent:
-				if e.fetch != nil {
-					return simcheck.New("paging/absent-fetch",
-						"absent page has a fetch record").
-						With("space", s.name).With("page", vpn)
-				}
-				if e.dirty {
+				if e.dirty() {
 					return simcheck.New("paging/dirty-free",
 						"page absent while dirty: reclaimed before write-back succeeded").
 						With("space", s.name).With("page", vpn).
 						With("node", s.region.NodeOf(int64(vpn)))
 				}
+				if e != pageAbsent {
+					return simcheck.New("paging/absent-fetch",
+						"absent page still names a frame or a fetch record").
+						With("space", s.name).With("page", vpn).With("word", uint32(e))
+				}
+				continue
 			case pagePresent:
-				f := &m.frames[e.frame]
-				if f.state != frameResident || f.space != s.id || f.vpn != int64(vpn) {
+				fi = e.index()
+				f := &m.frames[fi]
+				if f.space != s.id || f.vpn != int64(vpn) {
 					return simcheck.New("paging/back-pointer",
 						"resident page's frame back-pointer mismatch").
-						With("space", s.name).With("page", vpn).
-						With("frame", e.frame).With("frameState", f.state).
+						With("space", s.name).With("page", vpn).With("frame", fi).
 						With("frameSpace", f.space).With("frameVPN", f.vpn)
 				}
-				if e.dirty && f.aliased() {
+				if e.dirty() && m.aliased(fi) {
 					return simcheck.New("paging/dirty-aliased",
 						"dirty page's frame still aliases the backing region: "+
 							"a store went through without materializing").
-						With("space", s.name).With("page", vpn).With("frame", e.frame)
+						With("space", s.name).With("page", vpn).With("frame", fi)
 				}
-				if prev, dup := owner[e.frame]; dup {
-					return simcheck.New("paging/frame-shared",
-						"frame mapped by two pages").
-						With("frame", e.frame).
-						With("firstSpace", prev[0]).With("firstPage", prev[1]).
-						With("space", s.id).With("page", vpn)
-				}
-				owner[e.frame] = [2]int64{int64(s.id), int64(vpn)}
 			case pageFetching, pageWriteback:
-				if e.fetch == nil {
+				if int(e.index()) >= len(m.fetches) || m.inflight(e).Space == nil {
 					return simcheck.New("paging/inflight-no-fetch",
 						"in-flight page without fetch record").
-						With("space", s.name).With("page", vpn).With("state", e.state)
+						With("space", s.name).With("page", vpn).With("state", uint8(e.state()))
 				}
-				if e.fetch.Space != s || e.fetch.VPN != int64(vpn) {
+				rec := m.inflight(e)
+				if rec.Space != s || rec.VPN != int64(vpn) {
 					return simcheck.New("paging/fetch-mismatch",
 						"in-flight page's fetch record names the wrong page").
 						With("space", s.name).With("page", vpn).
-						With("fetchPage", e.fetch.VPN).With("node", e.fetch.node)
+						With("fetchPage", rec.VPN).With("node", rec.node)
 				}
-				if e.state == pageWriteback {
-					if f := &m.frames[e.fetch.frame]; f.state != frameWriteback {
-						return simcheck.New("paging/wb-frame-state",
-							"page in write-back but its frame is not").
-							With("space", s.name).With("page", vpn).
-							With("frame", e.fetch.frame).With("frameState", f.state).
-							With("node", e.fetch.node)
-					}
-					if inFree[e.fetch.frame] {
-						return simcheck.New("paging/wb-frame-freed",
-							"write-back frame is in the free list").
-							With("space", s.name).With("page", vpn).
-							With("frame", e.fetch.frame).With("node", e.fetch.node)
-					}
+				fi = rec.frame
+				if e.state() == pageWriteback && inFree[fi] {
+					return simcheck.New("paging/wb-frame-freed",
+						"write-back frame is in the free list").
+						With("space", s.name).With("page", vpn).
+						With("frame", fi).With("node", rec.node)
 				}
-				if prev, dup := owner[e.fetch.frame]; dup {
-					return simcheck.New("paging/frame-shared",
-						"frame shared between a mapping and an in-flight page").
-						With("frame", e.fetch.frame).
-						With("firstSpace", prev[0]).With("firstPage", prev[1]).
-						With("space", s.id).With("page", vpn)
-				}
-				owner[e.fetch.frame] = [2]int64{int64(s.id), int64(vpn)}
 			}
+			if prev, dup := owner[fi]; dup {
+				return simcheck.New("paging/frame-shared",
+					"frame held by two pages").
+					With("frame", fi).
+					With("firstSpace", prev[0]).With("firstPage", prev[1]).
+					With("space", s.id).With("page", vpn)
+			}
+			owner[fi] = [2]int64{int64(s.id), int64(vpn)}
 		}
 	}
 	return nil

@@ -128,10 +128,3 @@ func (m *Manager) leapPrefetch(q QPSource, s *Space, vpn int64) {
 		m.PrefetchIssued.Inc()
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,8 +1,13 @@
 // Package paging implements the compute node's paged remote-memory
 // subsystem: a bounded pool of real 4 KiB frames backed by memory-node
-// regions, page tables with fetch/write-back state tracking, CLOCK
-// eviction, a proactive reclaimer (§3.3 of the paper), and optional
-// sequential prefetch.
+// regions, page tables, CLOCK and LRU eviction, a proactive reclaimer
+// (§3.3 of the paper), and optional prefetch.
+//
+// A page's state — absent, fetching, present or in write-back, with its
+// dirty and reference bits and the frame or in-flight record it holds —
+// is one pointer-free word (pte.go), and every change of state is an
+// edge of one legal-edge table taken through Manager.move. Frames keep
+// no state of their own.
 //
 // The package provides mechanism only; *policy* — whether a faulting
 // thread busy-waits or yields — lives in the scheduler, which implements
@@ -18,7 +23,6 @@ import (
 	"repro/internal/memnode"
 	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/simcheck"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -48,51 +52,35 @@ type Thread interface {
 	WaitPage(s *Space, vpn int64)
 }
 
-// Page states.
-const (
-	pageAbsent uint8 = iota
-	pageFetching
-	pagePresent
-	pageWriteback
-)
-
-// Frame states.
-const (
-	frameFree uint8 = iota
-	frameFilling
-	frameResident
-	frameWriteback
-)
-
-// pte is a page-table entry.
-type pte struct {
-	frame int32
-	state uint8
-	dirty bool
-	ref   bool
-	fetch *Fetch // in-flight fetch or write-back record, if any
-}
-
-// frame is a local DRAM cache frame. data is the frame's current page
-// view: normally its own arena buffer (buf), but a page installed by the
-// zero-copy fetch path aliases the backing region until the first store
-// materializes a private copy (see Manager.materialize). Aliasing is
-// sound because the aliased bytes are clean — frame and region hold the
-// same page by definition — and region memory is never mutated under a
-// resident page: stores materialize first, write-backs only move
+// frame is a local DRAM cache frame: the page it holds and the view of
+// that page's bytes. It carries no state of its own — it is free exactly
+// while space is -1, and filling, resident or in write-back as its
+// owning PTE says. data is normally the frame's own arena buffer
+// (Manager.frameBuf), but a page installed by the zero-copy fetch path
+// aliases the backing region until the first store materializes a
+// private copy (see Manager.materialize). Aliasing is sound because the
+// aliased bytes are clean — frame and region hold the same page by
+// definition — and region memory is never mutated under a resident
+// page: stores materialize first, write-backs only move
 // already-materialized dirty frames, and WriteDirect refuses resident
 // pages.
 type frame struct {
 	data  []byte
-	buf   []byte // the frame's own arena slice, PageSize bytes
-	space int32  // owning space, -1 if free
+	space int32 // owning space, -1 if free
 	vpn   int64
-	state uint8
 }
 
-// aliased reports whether the frame's view points at the backing region
-// rather than its own arena buffer (a clean zero-copy install).
-func (f *frame) aliased() bool { return &f.data[0] != &f.buf[0] }
+// frameBuf returns frame fi's own buffer: its PageSize bytes of the
+// arena.
+func (m *Manager) frameBuf(fi int32) []byte {
+	return m.arena[int(fi)*PageSize : (int(fi)+1)*PageSize]
+}
+
+// aliased reports whether frame fi's view points at the backing region
+// rather than its own buffer (a clean zero-copy install).
+func (m *Manager) aliased(fi int32) bool {
+	return &m.frames[fi].data[0] != &m.frameBuf(fi)[0]
+}
 
 // materialize gives a frame a private copy of its page before the first
 // write. A clean zero-copy install aliases the remote region, and the
@@ -100,10 +88,9 @@ func (f *frame) aliased() bool { return &f.data[0] != &f.buf[0] }
 // (the write-back protocol assumes the backing store lags the dirty
 // frame, never the reverse).
 func (m *Manager) materialize(fi int32) {
-	f := &m.frames[fi]
-	if f.aliased() {
-		copy(f.buf, f.data)
-		f.data = f.buf
+	if f, buf := &m.frames[fi], m.frameBuf(fi); &f.data[0] != &buf[0] {
+		copy(buf, f.data)
+		f.data = buf
 	}
 }
 
@@ -193,28 +180,27 @@ type Manager struct {
 	frameWaiters []sim.Waiter
 	reclaimGate  *sim.Gate
 
-	// victimBuf/pickedBuf are victim-selection scratch, reused across
-	// reclaim rounds (only the reclaimer selects, and it consumes the
-	// previous batch before selecting again) so steady-state eviction
-	// is allocation-free.
-	victimBuf []int32
-	pickedBuf map[int32]bool
+	// lowWater is the free-frame count the reclaim threshold stands for.
+	lowWater float64
 
-	// freeBits mirrors free-list membership per frame for the
-	// double-free oracle. nil unless the checker was on when the
-	// manager was built (simcheck.On()); purely observational.
-	freeBits []bool
+	// victimBuf is victim-selection scratch, reused across reclaim
+	// rounds (only the reclaimer selects, and it consumes the previous
+	// batch before selecting again) so steady-state eviction is
+	// allocation-free.
+	victimBuf []int32
 
 	// Trace, if set, records failover-read instants on the failover
 	// track (trace.TidFailover), so crash-run traces show when and for
 	// which page reads were re-routed off a dead node.
 	Trace *trace.Recorder
 
-	// freeFetches recycles Fetch records. Every demand fault, prefetch,
-	// and write-back allocates one; Complete is their single terminal
-	// point (it clears the PTE's reference and the RDMA completion cookie
-	// is consumed), so recycling there makes the fault path allocation-free
-	// in steady state.
+	// fetches is the slab of Fetch records, indexed by Fetch.slot — the
+	// index a fetching or write-back PTE carries. Every demand fault,
+	// prefetch and write-back takes a record; a terminal completion is
+	// where its life ends (the PTE moves on and the RDMA completion
+	// cookie is consumed), and freeFetches recycles it from there, so
+	// the fault path is allocation-free in steady state.
+	fetches     []*Fetch
 	freeFetches []*Fetch
 
 	// Counters for experiments and tests.
@@ -269,6 +255,9 @@ func NewManager(env *sim.Env, cfg Config) *Manager {
 	if n < 1 {
 		panic("paging: frame pool smaller than one page")
 	}
+	if n > 1<<pteIndexBits {
+		panic(fmt.Sprintf("paging: frame pool of %d pages exceeds the page-table word's %d-bit index", n, pteIndexBits))
+	}
 	m := &Manager{
 		env:         env,
 		cfg:         cfg,
@@ -276,17 +265,11 @@ func NewManager(env *sim.Env, cfg Config) *Manager {
 		frames:      make([]frame, n),
 		free:        make([]int32, 0, n),
 		reclaimGate: sim.NewGate(env),
+		lowWater:    cfg.ReclaimThreshold * float64(n),
 	}
-	for i := int64(0); i < n; i++ {
-		buf := m.arena[i*PageSize : (i+1)*PageSize]
-		m.frames[i] = frame{data: buf, buf: buf, space: -1}
-		m.free = append(m.free, int32(i))
-	}
-	if simcheck.On() {
-		m.freeBits = make([]bool, n)
-		for i := range m.freeBits {
-			m.freeBits[i] = true
-		}
+	for i := int32(0); i < int32(n); i++ {
+		m.frames[i] = frame{data: m.frameBuf(i), space: -1}
+		m.free = append(m.free, i)
 	}
 	if m.cfg.FetchAlign < 1 {
 		m.cfg.FetchAlign = 1
@@ -417,7 +400,7 @@ func (s *Space) Region() *memnode.Region { return s.region }
 // The migration planner defers its landings while true, so no in-flight
 // movement ever straddles a re-route.
 func (s *Space) InFlight(vpn int64) bool {
-	st := s.ptes[vpn].state
+	st := s.ptes[vpn].state()
 	return st == pageFetching || st == pageWriteback
 }
 
@@ -428,18 +411,14 @@ func (s *Space) Size() int64 { return s.region.Size() }
 func (s *Space) Pages() int64 { return int64(len(s.ptes)) }
 
 // Resident reports whether the page is present in the local cache.
-func (s *Space) Resident(vpn int64) bool { return s.ptes[vpn].state == pagePresent }
+func (s *Space) Resident(vpn int64) bool { return s.ptes[vpn].state() == pagePresent }
 
-// ResidentCount returns the number of resident pages (O(pages); tests
-// and gauges only).
-func (s *Space) ResidentCount() int {
-	n := 0
-	for i := range s.ptes {
-		if s.ptes[i].state == pagePresent {
-			n++
-		}
-	}
-	return n
+// popFrame takes a frame off the free list, which must not be empty.
+// The frame is unowned until a fetch record claims it (edgeFetch).
+func (m *Manager) popFrame() int32 {
+	idx := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	return idx
 }
 
 // allocFrame removes a free frame. On an empty pool it wakes the
@@ -453,12 +432,8 @@ func (m *Manager) allocFrame(w sim.Waiter) (int32, bool) {
 		m.env.MarkBlocked(w, "frame-pool")
 		return 0, false
 	}
-	idx := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	if m.freeBits != nil {
-		m.freeBits[idx] = false
-	}
-	if m.cfg.Proactive && float64(len(m.free)) < m.cfg.ReclaimThreshold*float64(len(m.frames)) {
+	idx := m.popFrame()
+	if m.cfg.Proactive && float64(len(m.free)) < m.lowWater {
 		m.reclaimGate.Wake()
 	}
 	return idx, true
@@ -472,29 +447,20 @@ func (m *Manager) FrameWaiting(w sim.Waiter) bool { return slices.Contains(m.fra
 // above the reclaim threshold; prefetch uses it so read-ahead never
 // induces reclaim pressure.
 func (m *Manager) tryAllocFrame() (int32, bool) {
-	if float64(len(m.free)) <= m.cfg.ReclaimThreshold*float64(len(m.frames)) {
+	if float64(len(m.free)) <= m.lowWater {
 		return 0, false
 	}
-	idx := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	if m.freeBits != nil {
-		m.freeBits[idx] = false
-	}
-	return idx, true
+	return m.popFrame(), true
 }
 
 // freeFrame returns a frame to the pool and unblocks allocation waiters.
+// A page's frame is freed by move; only a frame that no record claimed
+// yet comes back here directly.
 func (m *Manager) freeFrame(idx int32) {
-	if simcheck.On() {
-		m.checkFreeFrame(idx)
-	}
 	f := &m.frames[idx]
-	f.space, f.vpn, f.state = -1, 0, frameFree
-	f.data = f.buf // drop any zero-copy alias with the frame's last page
+	f.space, f.vpn = -1, 0
+	f.data = m.frameBuf(idx) // drop any zero-copy alias with the frame's last page
 	m.free = append(m.free, idx)
-	if m.freeBits != nil {
-		m.freeBits[idx] = true
-	}
 	for _, w := range m.frameWaiters {
 		m.env.MarkUnblocked(w)
 		m.env.Wake(w, m.env.Now())

@@ -133,13 +133,12 @@ func (r *reclaimer) processVictim() bool {
 	fi := r.victims[r.vi]
 	f := &m.frames[fi]
 	s := m.spaces[f.space]
-	e := &s.ptes[f.vpn]
 	m.Evictions.Inc()
 	m.unmapped(fi)
 	// The mutation (simcheckmutate builds only) treats a dirty page as
 	// clean, freeing its frame before the bytes are durable — the
-	// paging/dirty-free oracle must catch it in freeFrame below.
-	if e.dirty && !simcheck.Mut("paging-dirty-free") {
+	// paging/dirty-free oracle must catch it on the eviction edge below.
+	if s.ptes[f.vpn].dirty() && !simcheck.Mut("paging-dirty-free") {
 		node := s.region.NodeOf(f.vpn)
 		rec := m.newFetch(s, f.vpn, fi, true, false)
 		// Dual-apply: while a re-home copy of this page is in flight,
@@ -157,15 +156,11 @@ func (r *reclaimer) processVictim() bool {
 		qp := r.qps[node]
 		rec.qp = qp
 		rec.node = node
-		e.state = pageWriteback
-		e.fetch = rec
-		f.state = frameWriteback
+		m.move(s, f.vpn, edgeWriteback, rec)
 		m.DirtyWritebacks.Inc()
 		return r.tryPost(fi)
 	}
-	e.state = pageAbsent
-	e.fetch = nil
-	m.freeFrame(fi)
+	m.move(s, f.vpn, edgeEvict, nil)
 	return true
 }
 
@@ -177,7 +172,7 @@ func (r *reclaimer) tryPost(fi int32) bool {
 	m := r.m
 	f := &m.frames[fi]
 	s := m.spaces[f.space]
-	rec := s.ptes[f.vpn].fetch
+	rec := m.inflight(s.ptes[f.vpn])
 	node := rec.node
 	qp := r.qps[node]
 	if err := qp.PostWrite(s.region.SliceFor(f.vpn*PageSize, PageSize, node, qp.Name()), f.data, rec); err != nil {
@@ -237,33 +232,33 @@ func (m *Manager) needReclaim() bool {
 	if !m.cfg.Proactive {
 		return false
 	}
-	return float64(len(m.free)) < m.cfg.ReclaimThreshold*float64(len(m.frames))
+	return float64(len(m.free)) < m.lowWater
 }
 
 // clockSelect runs the CLOCK hand over the frame table, clearing
 // reference bits and collecting up to max resident, unreferenced victim
-// frames. At most two full sweeps are made.
+// frames. At most two full sweeps are made; the picked bit keeps the
+// second from choosing a victim again, and needs no clearing because
+// every victim of a round leaves pagePresent before the next selection.
 func (m *Manager) clockSelect(max int) []int32 {
 	out := m.victimBuf[:0]
-	if m.pickedBuf == nil {
-		m.pickedBuf = make(map[int32]bool, max)
-	}
-	picked := m.pickedBuf
-	clear(picked)
 	n := len(m.frames)
 	for scanned := 0; scanned < 2*n && len(out) < max; scanned++ {
 		i := int32(m.clockHand)
 		m.clockHand = (m.clockHand + 1) % n
 		f := &m.frames[i]
-		if f.state != frameResident || picked[i] {
+		if f.space < 0 {
 			continue
 		}
 		e := &m.spaces[f.space].ptes[f.vpn]
-		if e.ref {
-			e.ref = false
+		if e.state() != pagePresent || *e&ptePicked != 0 {
 			continue
 		}
-		picked[i] = true
+		if *e&pteRef != 0 {
+			*e &^= pteRef
+			continue
+		}
+		*e |= ptePicked
 		out = append(out, i)
 	}
 	m.victimBuf = out

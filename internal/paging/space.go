@@ -7,23 +7,23 @@ import "encoding/binary"
 // for that page.
 func (s *Space) ensure(t Thread, vpn int64) []byte {
 	e := &s.ptes[vpn]
-	if e.state == pagePresent {
+	if e.state() == pagePresent {
 		s.mgr.touch(e)
 		s.mgr.leapRecord(s, vpn)
 		s.mgr.Hits.Inc()
 		if s.mgr.migr != nil {
 			s.mgr.migr.RecordTouch(s, vpn)
 		}
-		return s.mgr.frames[e.frame].data
+		return s.mgr.frames[e.index()].data
 	}
 	// Loop: under memory pressure the reclaimer can evict the page again
 	// during the handler's post-fetch map step, in which case the access
 	// simply refaults — as on real hardware.
-	for e.state != pagePresent {
+	for e.state() != pagePresent {
 		t.WaitPage(s, vpn)
 	}
 	s.mgr.touch(e)
-	return s.mgr.frames[e.frame].data
+	return s.mgr.frames[e.index()].data
 }
 
 // ensureMut is ensure for a store: the page is marked dirty and its
@@ -32,10 +32,7 @@ func (s *Space) ensure(t Thread, vpn int64) []byte {
 // diverges) before the caller writes through the returned view.
 func (s *Space) ensureMut(t Thread, vpn int64) []byte {
 	s.ensure(t, vpn)
-	e := &s.ptes[vpn]
-	e.dirty = true
-	s.mgr.materialize(e.frame)
-	return s.mgr.frames[e.frame].data
+	return s.DirtyPage(vpn)
 }
 
 // Load copies len(buf) bytes at offset off into buf, faulting pages in as
@@ -123,7 +120,7 @@ func (s *Space) StoreU32(t Thread, off int64, v uint32) {
 // caller refaults from scratch, as ensure's loop does.
 func (s *Space) TryPage(vpn int64, retry bool) ([]byte, bool) {
 	e := &s.ptes[vpn]
-	if e.state != pagePresent {
+	if e.state() != pagePresent {
 		return nil, false
 	}
 	s.mgr.touch(e)
@@ -134,7 +131,7 @@ func (s *Space) TryPage(vpn int64, retry bool) ([]byte, bool) {
 			s.mgr.migr.RecordTouch(s, vpn)
 		}
 	}
-	return s.mgr.frames[e.frame].data, true
+	return s.mgr.frames[e.index()].data, true
 }
 
 // DirtyPage marks a resident page dirty (write-allocate, write-back)
@@ -145,14 +142,10 @@ func (s *Space) TryPage(vpn int64, retry bool) ([]byte, bool) {
 // backing region.
 func (s *Space) DirtyPage(vpn int64) []byte {
 	e := &s.ptes[vpn]
-	e.dirty = true
-	s.mgr.materialize(e.frame)
-	return s.mgr.frames[e.frame].data
+	*e |= pteDirty
+	s.mgr.materialize(e.index())
+	return s.mgr.frames[e.index()].data
 }
-
-// MarkDirty is DirtyPage for callers that already hold a stable view
-// (i.e. wrote via Store, which materializes first).
-func (s *Space) MarkDirty(vpn int64) { s.DirtyPage(vpn) }
 
 // Preload makes the byte range [off, off+n) resident without going
 // through a thread's wait policy or the RDMA fabric; it is a setup-time
@@ -162,27 +155,25 @@ func (s *Space) MarkDirty(vpn int64) { s.DirtyPage(vpn) }
 func (s *Space) Preload(off, n int64) {
 	first := off >> PageShift
 	last := (off + n - 1) >> PageShift
+	m := s.mgr
 	for vpn := first; vpn <= last; vpn++ {
-		e := &s.ptes[vpn]
-		if e.state == pagePresent {
+		switch s.ptes[vpn].state() {
+		case pagePresent:
 			continue
-		}
-		if e.state != pageAbsent {
+		case pageFetching, pageWriteback:
 			panic("paging: Preload on page with in-flight I/O")
 		}
-		if len(s.mgr.free) == 0 {
+		if len(m.free) == 0 {
 			return // pool exhausted: remaining pages stay remote
 		}
-		fr := s.mgr.free[len(s.mgr.free)-1]
-		s.mgr.free = s.mgr.free[:len(s.mgr.free)-1]
-		if s.mgr.freeBits != nil {
-			s.mgr.freeBits[fr] = false
-		}
-		f := &s.mgr.frames[fr]
-		f.space, f.vpn, f.state = s.id, vpn, frameResident
-		copy(f.data, s.region.Slice(vpn*PageSize, PageSize))
-		e.state, e.frame, e.ref = pagePresent, fr, true
-		s.mgr.installed(fr)
+		// A fetch that needs no fabric: the record takes the page and a
+		// frame, the bytes are copied in place of the READ, and the
+		// install maps the frame's own buffer.
+		f := m.newFetch(s, vpn, m.popFrame(), false, false)
+		m.move(s, vpn, edgeFetch, f)
+		f.src = m.frames[f.frame].data
+		copy(f.src, s.region.Slice(vpn*PageSize, PageSize))
+		m.finish(f, edgeInstall, nil)
 	}
 }
 
@@ -193,7 +184,7 @@ func (s *Space) WriteDirect(off int64, data []byte) {
 	first := off >> PageShift
 	last := (off + int64(len(data)) - 1) >> PageShift
 	for vpn := first; vpn <= last; vpn++ {
-		if s.ptes[vpn].state != pageAbsent {
+		if s.ptes[vpn].state() != pageAbsent {
 			panic("paging: WriteDirect would bypass a cached page")
 		}
 	}
@@ -211,14 +202,12 @@ func (s *Space) ReadDirect(off int64, buf []byte) {
 		if int64(len(buf)) < n {
 			n = int64(len(buf))
 		}
-		e := &s.ptes[vpn]
-		if e.state == pagePresent || (e.state == pageWriteback) {
-			fr := e.frame
-			if e.state == pageWriteback {
-				fr = e.fetch.frame
-			}
-			copy(buf[:n], s.mgr.frames[fr].data[po:po+n])
-		} else {
+		switch e := s.ptes[vpn]; e.state() {
+		case pagePresent:
+			copy(buf[:n], s.mgr.frames[e.index()].data[po:po+n])
+		case pageWriteback:
+			copy(buf[:n], s.mgr.frames[s.mgr.inflight(e).frame].data[po:po+n])
+		default:
 			copy(buf[:n], s.region.Slice(off, n))
 		}
 		buf = buf[n:]

@@ -4,12 +4,12 @@ import "testing"
 
 // The alloc guards pin the kernel's zero-allocation contract on every
 // hot path: once pools and wheel buckets are warm, sleeping (of procs
-// and tasks), gate handoffs, task firings, and even process spawning
-// must not allocate. testing.AllocsPerRun counts mallocs process-wide,
-// and exactly one goroutine executes simulator code at a time, so
-// measuring from inside a process (around a park/resume) is sound: the
-// count covers the parking process, any process it hands off to, and
-// the event loop in between.
+// and tasks), gate handoffs and task firings must not allocate.
+// testing.AllocsPerRun counts mallocs process-wide, and exactly one
+// goroutine executes simulator code at a time, so measuring from inside
+// a process (around a park/resume) is sound: the count covers the
+// parking process, any process it hands off to, and the event loop in
+// between.
 //
 // They skip under the race detector, which instruments allocation and
 // channel operations and breaks the zero-alloc accounting.
@@ -137,36 +137,5 @@ func TestTaskSleepZeroAllocs(t *testing.T) {
 		if skipped := e.KernelStats().SkipAheads > before; !e.checked && skipped == contended {
 			t.Fatalf("contended=%v took the wrong branch (skip-aheads moved: %v)", contended, skipped)
 		}
-	}
-}
-
-// TestProcSpawnZeroAllocs pins the pooled-Proc satellite: steady-state
-// process creation reuses both the pooled coroutine and the Proc object,
-// so a spawn-run-terminate cycle is allocation-free.
-func TestProcSpawnZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc accounting is not meaningful under -race")
-	}
-	e := NewEnv(1)
-	body := func(p *Proc) { p.Sleep(1) }
-	var got float64
-	e.Go("driver", func(p *Proc) {
-		// Warm the coroutine and proc free lists plus a full level-0 ring
-		// revolution (the driver advances two cycles per spawn).
-		for i := 0; i < wheelSize/2+128; i++ {
-			e.Go("u", body)
-			p.Sleep(2)
-		}
-		got = testing.AllocsPerRun(200, func() {
-			e.Go("u", body)
-			p.Sleep(2)
-		})
-	})
-	e.RunAll()
-	if e.LiveProcs() != 0 {
-		t.Fatalf("leaked %d procs", e.LiveProcs())
-	}
-	if got != 0 {
-		t.Fatalf("proc spawn allocates %v per op, want 0", got)
 	}
 }

@@ -123,10 +123,10 @@ func BenchmarkEnvProcSleep(b *testing.B) {
 	<-done
 }
 
-// BenchmarkEnvProcSpawn measures steady-state process creation and
-// teardown inside one run: the per-request cost in the scheduler, which
-// spawns one unithread process per admitted request (millions per
-// measured operating point). One op = one Go + body run + termination.
+// BenchmarkEnvProcSpawn measures process creation and teardown inside
+// one run: what a harness that spawns a process per operation pays (the
+// assembled system spawns none). One op = one Go + body run +
+// termination.
 func BenchmarkEnvProcSpawn(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEnv(1)

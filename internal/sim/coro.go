@@ -102,7 +102,7 @@ func (e *Env) takeCoro() *Coro {
 			c.run()
 			if p := c.proc; p != nil {
 				e.nProcs--
-				e.releaseProc(p)
+				p.done = true
 			}
 			c.proc, c.body = nil, nil
 			c.next = e.freeCoros

@@ -42,8 +42,8 @@ func TestProcBodyPanicReachesRun(t *testing.T) {
 			e.Go("p", func(p *Proc) { p.Sleep(10) })
 		}},
 		// The kernel's own check, met by a parking process and raised by
-		// the loop it handed the stale event to (a recycled Proc has no name).
-		"resume of a terminated proc": {"sim: resuming terminated proc ", func(e *Env) {
+		// the loop it handed the stale event to.
+		"resume of a terminated proc": {"sim: resuming terminated proc gone", func(e *Env) {
 			var gone *Proc
 			e.Go("gone", func(p *Proc) { gone = p })
 			e.Go("p", func(p *Proc) {

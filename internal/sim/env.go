@@ -33,7 +33,6 @@ type Env struct {
 	nProcs    int   // live (not yet terminated) processes, for leak detection
 	suspended *Coro // intrusive list of suspended coroutines, for teardown
 	freeCoros *Coro // pooled coroutines
-	freeProcs *Proc // recycled process objects
 
 	// until is the bound of the run in progress: dispatch (proc.go) stops
 	// there whichever goroutine it runs on.

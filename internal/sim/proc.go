@@ -15,8 +15,8 @@ package sim
 // process, and a parking or terminating process returns control to it.
 // Only the loop goroutine ever does: a process never resumes another
 // process itself, which would nest the second inside the first instead
-// of switching to it. Terminated Proc objects are recycled like their
-// coroutines (freeProcs), so steady-state Go is allocation-free.
+// of switching to it. A Proc is allocated per Go — nothing spawns one
+// per request — while its coroutine comes from the pool (freeCoros).
 //
 // Direct handoff (the tier-2 fast path): before yielding, a parking
 // process dispatches upcoming events itself (Env.dispatch, the same code
@@ -33,23 +33,13 @@ type Proc struct {
 	name string
 	r    *Coro
 	body func(*Proc) // pending body between Go and the start event
-	done bool
-	next *Proc // freeProcs link once terminated
+	done bool        // terminated: a stale resume trips switchTo's sanity check
 }
 
 // Go creates a process that will begin executing fn at the current
-// simulated time (after already-scheduled events at this time). The
-// Proc object comes from the environment's free list when one is
-// available; holding a *Proc past its termination is therefore only
-// valid for identity-free uses.
+// simulated time (after already-scheduled events at this time).
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := e.freeProcs
-	if p != nil {
-		e.freeProcs = p.next
-		*p = Proc{env: e, name: name, body: fn}
-	} else {
-		p = &Proc{env: e, name: name, body: fn}
-	}
+	p := &Proc{env: e, name: name, body: fn}
 	e.nProcs++
 	e.seq++
 	e.q.push(event{at: e.now, seq: e.seq, proc: p})
@@ -71,13 +61,6 @@ func (e *Env) switchTo(p *Proc) {
 		e.stats.Switches++
 		p, _ = p.r.resume()
 	}
-}
-
-// releaseProc recycles a terminated process object onto the free list.
-// done stays set so a stale resume still trips the sanity check.
-func (e *Env) releaseProc(p *Proc) {
-	*p = Proc{env: e, done: true, next: e.freeProcs}
-	e.freeProcs = p
 }
 
 // Name returns the process's debug name.

@@ -2,20 +2,42 @@
 # loc.sh — non-test Go line counts, one row per internal/* package and
 # a total: `wc -l` over every .go file that is not a _test.go file.
 #
-# Usage: scripts/loc.sh [tree]      (default: the repository this script is in)
+# Usage: scripts/loc.sh [tree [parent-tree]]
+#        (tree defaults to the repository this script is in)
 #
-# This is the count a simplicity PR quotes for its "net smaller" line;
-# run it on a checkout of the parent commit for the "before" column.
+# This is the count a simplicity PR quotes for its "net smaller" line.
+# With a second tree — a checkout of the parent commit — every row
+# reads before / after / delta, over the packages of either tree.
 set -euo pipefail
 
-root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-cd "$root"
+root="$(cd "${1:-$(dirname "$0")/..}" && pwd)"
+parent="${2:+$(cd "$2" && pwd)}"
 
+# count <tree> <pkg>: non-test Go lines of one package, 0 if it is absent.
+count() {
+	[ -d "$1/$2" ] || { echo 0; return; }
+	find "$1/$2" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+}
+
+# row <label> <after> <before>: one table row in either mode.
+row() {
+	if [ -z "$parent" ]; then
+		printf '%-28s %6d\n' "$1" "$2"
+	else
+		printf '%-28s %6d %6d %+6d\n' "$1" "$3" "$2" $(($2 - $3))
+	fi
+}
+
+[ -z "$parent" ] || printf '%-28s %6s %6s %6s\n' package before after delta
 total=0
-for dir in internal/*/; do
+ptotal=0
+for dir in $(for t in "$root" $parent; do (cd "$t" && ls -d internal/*/); done | sort -u); do
 	pkg="${dir%/}"
-	n=$(find "$pkg" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
-	printf '%-28s %6d\n' "$pkg" "$n"
+	n=$(count "$root" "$pkg")
+	p=0
+	[ -z "$parent" ] || p=$(count "$parent" "$pkg")
+	row "$pkg" "$n" "$p"
 	total=$((total + n))
+	ptotal=$((ptotal + p))
 done
-printf '%-28s %6d\n' 'internal (non-test total)' "$total"
+row 'internal (non-test total)' "$total" "$ptotal"
