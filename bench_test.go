@@ -1,7 +1,9 @@
 // Package repro's root benchmarks regenerate every table and figure of
-// the paper at reduced (CI-sized) resolution — one Benchmark per
-// artifact, named after DESIGN.md's experiment index. Full-resolution
-// sweeps live in cmd/adios-bench.
+// the paper at reduced (CI-sized) resolution: one Benchmark per artifact
+// that has a headline quantity, named after DESIGN.md's experiment
+// index, and BenchmarkExperiment/<id> for the rest. Each runs its
+// experiment by id through bench.Run, exactly as `adios-bench -exp <id>
+// -short -seed 1` does. Full-resolution sweeps live in cmd/adios-bench.
 //
 // Custom metrics carry the figures' headline quantities (peak
 // throughputs in KRPS, tail latencies in µs) so `go test -bench` output
@@ -13,12 +15,27 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/uctx"
+	"repro/internal/unithread"
 )
 
 func opts() bench.Options {
 	return bench.Options{Short: true, Out: io.Discard, Seed: 1}
 }
+
+// run executes one experiment by id — the one entry point, so a
+// benchmark draws the same seeds as `adios-bench -exp <id> -short
+// -seed 1` — and returns what it measured.
+func run(b *testing.B, id string) bench.Result {
+	b.Helper()
+	res, err := bench.Run(id, opts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// sweep is run for an experiment with one table.
+func sweep(b *testing.B, id string) bench.Series { return run(b, id).Sweeps[0] }
 
 func peak(points []bench.Point) bench.Point {
 	var best bench.Point
@@ -33,42 +50,36 @@ func peak(points []bench.Point) bench.Point {
 // BenchmarkTable1UnithreadSwitch and BenchmarkTable1UcontextSwitch are
 // the two rows of Table 1, run on real hardware.
 func BenchmarkTable1UnithreadSwitch(b *testing.B) {
-	var x, y uctx.LightContext
+	var x, y unithread.LightContext
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		uctx.SwitchLight(&x, &y)
-		uctx.SwitchLight(&y, &x)
+		unithread.SwitchLight(&x, &y)
+		unithread.SwitchLight(&y, &x)
 	}
 	b.ReportMetric(80, "ctx_bytes")
 }
 
 func BenchmarkTable1UcontextSwitch(b *testing.B) {
-	var x, y uctx.FullContext
+	var x, y unithread.FullContext
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		uctx.SwitchFull(&x, &y)
-		uctx.SwitchFull(&y, &x)
+		unithread.SwitchFull(&x, &y)
+		unithread.SwitchFull(&y, &x)
 	}
 	b.ReportMetric(968, "ctx_bytes")
 }
 
 func BenchmarkFig2a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig2a(opts())
+		series := sweep(b, "fig2a")
 		b.ReportMetric(peak(series["DiLOS"]).TputK, "dilos_peak_KRPS")
 		b.ReportMetric(peak(series["DiLOS-P"]).TputK, "dilosp_peak_KRPS")
 	}
 }
 
-func BenchmarkFig2b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig2b(opts())
-	}
-}
-
 func BenchmarkFig2c(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Fig2c(opts())
+		rows := run(b, "fig2c").Breakdown
 		b.ReportMetric(rows[1].TotalKc, "p50_total_Kcycles")
 		b.ReportMetric(rows[3].QueueKc, "p999_queue_Kcycles")
 	}
@@ -76,8 +87,7 @@ func BenchmarkFig2c(b *testing.B) {
 
 func BenchmarkFig2d(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig2de(opts())
-		pk := peak(series["DiLOS"])
+		pk := peak(sweep(b, "fig2d")["DiLOS"])
 		b.ReportMetric(pk.TputK, "dilos_peak_KRPS")
 		b.ReportMetric(pk.LinkUtil*100, "dilos_util_pct")
 	}
@@ -85,7 +95,7 @@ func BenchmarkFig2d(b *testing.B) {
 
 func BenchmarkFig7a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig7ab(opts())
+		series := sweep(b, "fig7a")
 		b.ReportMetric(peak(series["Adios"]).TputK, "adios_peak_KRPS")
 		b.ReportMetric(peak(series["DiLOS"]).TputK, "dilos_peak_KRPS")
 		b.ReportMetric(peak(series["Hermit"]).TputK, "hermit_peak_KRPS")
@@ -94,7 +104,7 @@ func BenchmarkFig7a(b *testing.B) {
 
 func BenchmarkFig7c(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Fig7c(opts())
+		rows := run(b, "fig7c").Breakdown
 		b.ReportMetric(rows[3].QueueKc, "p999_queue_Kcycles")
 		b.ReportMetric(rows[3].OwnBusyWaitKc, "p999_busywait_Kcycles")
 	}
@@ -102,7 +112,7 @@ func BenchmarkFig7c(b *testing.B) {
 
 func BenchmarkFig7d(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig7de(opts())
+		series := sweep(b, "fig7d")
 		a, d := peak(series["Adios"]), peak(series["DiLOS"])
 		b.ReportMetric(a.TputK/d.TputK, "peak_ratio")
 		b.ReportMetric(a.LinkUtil*100, "adios_util_pct")
@@ -110,38 +120,26 @@ func BenchmarkFig7d(b *testing.B) {
 	}
 }
 
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig8(opts())
-	}
-}
-
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig9(opts())
+		series := sweep(b, "fig9")
 		b.ReportMetric(peak(series["Adios"]).TputK/peak(series["Adios-SyncTx"]).TputK,
 			"delegation_peak_ratio")
 	}
 }
 
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Table2(opts())
-	}
-}
-
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig10(opts())
-		b.ReportMetric(peak(series["128B"]["Adios"]).TputK, "adios128_peak_KRPS")
-		b.ReportMetric(peak(series["128B"]["DiLOS"]).TputK, "dilos128_peak_KRPS")
-		b.ReportMetric(peak(series["1024B"]["Adios"]).TputK, "adios1024_peak_KRPS")
+		res := run(b, "fig10") // the 128 B table, then the 1024 B one
+		b.ReportMetric(peak(res.Sweeps[0]["Adios"]).TputK, "adios128_peak_KRPS")
+		b.ReportMetric(peak(res.Sweeps[0]["DiLOS"]).TputK, "dilos128_peak_KRPS")
+		b.ReportMetric(peak(res.Sweeps[1]["Adios"]).TputK, "adios1024_peak_KRPS")
 	}
 }
 
 func BenchmarkFig10e(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig10e(opts())
+		series := sweep(b, "fig10e")
 		pf, rr := series["PF-Aware"], series["RR"]
 		b.ReportMetric(pf[len(pf)-1].P999us, "pfaware_p999_us")
 		b.ReportMetric(rr[len(rr)-1].P999us, "rr_p999_us")
@@ -150,22 +148,16 @@ func BenchmarkFig10e(b *testing.B) {
 
 func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig11(opts())
+		series := sweep(b, "fig11")
 		b.ReportMetric(peak(series["Adios"]).TputK, "adios_peak_KRPS")
 		b.ReportMetric(peak(series["DiLOS"]).TputK, "dilos_peak_KRPS")
 		b.ReportMetric(peak(series["DiLOS-P"]).TputK, "dilosp_peak_KRPS")
 	}
 }
 
-func BenchmarkFig11e(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.Fig11e(opts())
-	}
-}
-
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig12(opts())
+		series := sweep(b, "fig12")
 		b.ReportMetric(peak(series["Adios"]).TputK, "adios_peak_KRPS")
 		b.ReportMetric(peak(series["DiLOS"]).TputK, "dilos_peak_KRPS")
 	}
@@ -173,98 +165,46 @@ func BenchmarkFig12(b *testing.B) {
 
 func BenchmarkFig13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig13(opts())
+		series := sweep(b, "fig13")
 		b.ReportMetric(peak(series["Adios"]).TputK*1000, "adios_peak_RPS")
 		b.ReportMetric(peak(series["DiLOS"]).TputK*1000, "dilos_peak_RPS")
 	}
 }
 
-// Ablation and extension benches (DESIGN.md §5).
-
-func BenchmarkAblPrefetch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblPrefetch(opts())
-	}
-}
-
-func BenchmarkAblReclaim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblReclaim(opts())
-	}
-}
+// Ablation and extension benches with a headline quantity (DESIGN.md §5).
 
 func BenchmarkAblCompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.AblCompute(opts())
+		series := sweep(b, "abl-compute")
 		b.ReportMetric(peak(series["yield"]).TputK/peak(series["busy-wait"]).TputK, "yield_vs_busywait")
-	}
-}
-
-func BenchmarkAblWorkers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblWorkers(opts())
-	}
-}
-
-func BenchmarkAblQuantum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblQuantum(opts())
-	}
-}
-
-func BenchmarkAblPool(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblPool(opts())
 	}
 }
 
 func BenchmarkInfiniswap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Infiniswap(opts())
-		b.ReportMetric(peak(series["Infiniswap"]).TputK, "infiniswap_peak_KRPS")
+		b.ReportMetric(peak(sweep(b, "infiniswap")["Infiniswap"]).TputK, "infiniswap_peak_KRPS")
 	}
 }
 
 func BenchmarkAblTwoSided(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.AblTwoSided(opts())
+		series := sweep(b, "abl-twosided")
 		b.ReportMetric(peak(series["one-sided"]).TputK/peak(series["two-sided"]).TputK,
 			"onesided_advantage")
 	}
 }
 
-func BenchmarkAblSteal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblSteal(opts())
-	}
-}
-
-func BenchmarkAblIPI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblIPI(opts())
-	}
-}
-
-func BenchmarkAblEvict(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblEvict(opts())
-	}
-}
-
-func BenchmarkAblHugePage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblHugePage(opts())
-	}
-}
-
-func BenchmarkAblCanvas(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblCanvas(opts())
-	}
-}
-
-func BenchmarkAblMultiDispatch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.AblMultiDispatch(opts())
+// BenchmarkExperiment times every other artifact — the ones whose result
+// is the printed table, with no single headline number — one
+// sub-benchmark per id.
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range []string{"fig2b", "fig8", "table2", "fig11e",
+		"abl-prefetch", "abl-reclaim", "abl-workers", "abl-quantum", "abl-pool", "abl-steal",
+		"abl-ipi", "abl-evict", "abl-hugepage", "abl-canvas", "abl-multidisp"} {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				run(b, id)
+			}
+		})
 	}
 }

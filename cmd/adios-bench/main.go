@@ -39,7 +39,7 @@
 // -cpuprofile and -memprofile write runtime/pprof profiles covering the
 // whole invocation (all experiments, including -parallel fan-out);
 // -qdepth appends a "## qdepth" line reporting the pending-event
-// high-water mark across every simulation run — the depth the event
+// high-water mark across every measured point — the depth the event
 // scheduler actually had to absorb. See EXPERIMENTS.md ("Profiling a
 // run").
 package main
@@ -53,6 +53,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -60,17 +61,15 @@ import (
 	"repro/internal/bench"
 	"repro/internal/faults"
 	"repro/internal/migrate"
-	"repro/internal/sim"
 	"repro/internal/simcheck"
 )
 
 func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters (args[0] is the
-// program name) and the exit code as its result: 0 on success, 1 when an
-// experiment id is unknown or a file cannot be written, 2 on a usage
-// error — every rejected flag value prints one "adios-bench: …" line and
-// builds nothing.
+// program name) and the exit code as its result: 0 on success, 1 when a
+// file cannot be written, 2 on a usage error — every rejected flag value
+// or experiment id prints one "adios-bench: …" line and builds nothing.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -123,11 +122,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *parallel < 1 {
 		return usage("-parallel must be at least 1 (1 = sequential), got %d", *parallel)
 	}
-	ids := strings.Split(*exp, ",")
+	all, ids := bench.All(), strings.Split(*exp, ",")
 	if *exp == "all" {
-		ids = bench.All()
+		ids = all
+	}
+	// Found now, not when the loop reaches it hours into a sweep.
+	for _, id := range ids {
+		if !slices.Contains(all, id) {
+			return usage("unknown experiment %q (use -list for ids)", id)
+		}
 	}
 
+	opt := bench.Options{Short: *short, Seed: *seed, Plot: *doPlot,
+		MemNodes: *memnodes, Replicas: *replicasN, Skew: *skewS}
 	if *faultSpec != "" || *faultSeed != 0 {
 		plan, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
@@ -143,22 +150,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *faultSeed != 0 {
 			plan.Seed = *faultSeed
 		}
-		bench.SetFaults(plan)
+		opt.Faults = plan
 	}
-	bench.SetMemNodes(*memnodes)
-	bench.SetReplicas(*replicasN)
 	if *migrateSpec != "" {
 		mc, err := migrate.ParseSpec(*migrateSpec)
 		if err != nil {
 			return usage("%v", err)
 		}
-		bench.SetMigrate(mc)
+		opt.Migrate = mc
 	}
 	if *skewS != 0 && *skewS <= 1 {
 		// math/rand's Zipf generator rejects exponents at or below 1.
 		return usage("-skew must be > 1 (or 0 for the native distribution)")
 	}
-	bench.SetSkew(*skewS)
 
 	// fail reports a fatal error; the deferred stop still flushes the
 	// profiles, so a truncated run leaves a readable profile behind.
@@ -171,11 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	defer stop()
-	if *qdepth {
-		sim.TrackMaxPending(true)
-	}
 
-	opt := bench.Options{Short: *short, Out: stdout, Seed: *seed, Plot: *doPlot}
 	opt.SetParallel(*parallel)
 	var csvFile *os.File
 	if *csvPath != "" {
@@ -186,26 +186,73 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		csvFile = f
 	}
-	if len(ids) > 1 && *parallel > 1 {
-		// Experiments buffer their own output; the CSV header is written
-		// once here rather than through EnableCSV's first-writer-wins.
-		if err := runAllParallel(ids, opt, stdout, csvFile, *parallel); err != nil {
-			return fail(err)
-		}
-	} else {
+
+	// The one run loop: up to -parallel experiments side by side (their
+	// points share opt's limiter, keeping total simulation concurrency
+	// bounded by -parallel), each writing its tables and CSV rows to
+	// private buffers that are flushed to stdout and the CSV file in id
+	// order as soon as every earlier experiment has finished, so the
+	// combined output is the same at any -parallel.
+	type result struct {
+		out, csv bytes.Buffer
+		took     time.Duration
+		done     bool
+	}
+	var (
+		results = make([]result, len(ids))
+		mu      sync.Mutex // guards everything below, done, and the flush itself
+		flushed int
+		peak    int
+		failed  error
+		header  = []byte(bench.CSVHeader + "\n")
+		headed  bool
+	)
+	bench.Each(len(ids), make(chan struct{}, *parallel), func(i int) {
+		r := &results[i]
+		o := opt
+		o.Out = &r.out
 		if csvFile != nil {
-			opt.EnableCSV(csvFile)
+			o.CSV = &r.csv
 		}
-		for _, id := range ids {
-			start := time.Now()
-			if err := bench.Run(id, opt); err != nil {
-				return fail(err)
+		start := time.Now()
+		res, err := bench.Run(ids[i], o)
+		r.took = time.Since(start)
+
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil && failed == nil {
+			failed = err // ids and plan were checked above: a bug, not input
+		}
+		for _, sweep := range res.Sweeps {
+			for _, pts := range sweep {
+				for _, p := range pts {
+					peak = max(peak, p.MaxPending)
+				}
 			}
-			fmt.Fprintf(stdout, "## %s done in %s\n", id, time.Since(start).Round(time.Millisecond))
 		}
+		r.done = true
+		for ; flushed < len(ids) && results[flushed].done; flushed++ {
+			f := &results[flushed]
+			stdout.Write(f.out.Bytes())
+			if csvFile != nil {
+				rows := f.csv.Bytes()
+				// Each run heads its own rows; the file keeps the first.
+				if bytes.HasPrefix(rows, header) {
+					if headed {
+						rows = rows[len(header):]
+					}
+					headed = true
+				}
+				csvFile.Write(rows)
+			}
+			fmt.Fprintf(stdout, "## %s done in %s\n", ids[flushed], f.took.Round(time.Millisecond))
+		}
+	})
+	if failed != nil {
+		return fail(failed)
 	}
 	if *qdepth {
-		fmt.Fprintf(stdout, "## qdepth peak-pending-events=%d\n", sim.GlobalMaxPending())
+		fmt.Fprintf(stdout, "## qdepth peak-pending-events=%d\n", peak)
 	}
 	return 0
 }
@@ -247,54 +294,4 @@ func startProfiles(cpuPath, memPath string, stderr io.Writer) (stop func(), err 
 			stop()
 		}
 	}, nil
-}
-
-// runAllParallel runs experiments concurrently, each writing its tables
-// and CSV rows to private buffers that are flushed to stdout and the CSV
-// file in experiment order, so the combined output matches a sequential
-// run. Points inside each experiment share opt's limiter, keeping total
-// simulation concurrency bounded by -parallel.
-func runAllParallel(ids []string, opt bench.Options, stdout io.Writer, csvFile *os.File, parallel int) error {
-	type result struct {
-		out, csv bytes.Buffer
-		took     time.Duration
-		err      error
-	}
-	results := make([]result, len(ids))
-	expSem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		i, id := i, id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			expSem <- struct{}{}
-			defer func() { <-expSem }()
-			o := opt
-			o.Out = &results[i].out
-			if csvFile != nil {
-				o.CSV = &results[i].csv // headerless; written once below
-			}
-			start := time.Now()
-			results[i].err = bench.Run(id, o)
-			results[i].took = time.Since(start)
-		}()
-	}
-	wg.Wait()
-
-	if csvFile != nil {
-		fmt.Fprintln(csvFile, bench.CSVHeader)
-	}
-	for i, id := range ids {
-		r := &results[i]
-		if r.err != nil {
-			return r.err
-		}
-		stdout.Write(r.out.Bytes())
-		if csvFile != nil {
-			csvFile.Write(r.csv.Bytes())
-		}
-		fmt.Fprintf(stdout, "## %s done in %s\n", id, r.took.Round(time.Millisecond))
-	}
-	return nil
 }

@@ -14,23 +14,22 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/kvs"
 	"repro/internal/migrate"
 	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/simcheck"
-	"repro/internal/sstable"
-	"repro/internal/tpcc"
 	"repro/internal/trace"
-	"repro/internal/vecdb"
 	"repro/internal/workload"
 )
 
@@ -105,10 +104,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return usage("unknown mode %q", *modeName)
 	}
+	// The catalogue knows the app's footprint before anything is built.
+	entry, err := bench.AppNamed(*appName, false)
+	if err != nil {
+		return usage("%v", err)
+	}
+	size := entry.Footprint
+	if *local*float64(size) < paging.PageSize {
+		return usage("-local %v of the %d-byte working set is less than one page of local memory", *local, size)
+	}
 	var (
 		plan faults.Config
 		mc   migrate.Config
-		err  error
 	)
 	if *faultSpec != "" {
 		if plan, err = faults.ParseSpec(*faultSpec); err != nil {
@@ -154,15 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	// Build the app against a sizing probe first to learn its footprint.
-	_, size, err := buildApp(core.NewSystem(core.Preset(mode, 1<<22)), *appName)
-	if err != nil {
-		return usage("%v", err)
-	}
-	if *local*float64(size) < paging.PageSize {
-		return usage("-local %v of the %d-byte working set is less than one page of local memory", *local, size)
-	}
-
 	cfg := core.Preset(mode, int64(*local*float64(size)))
 	cfg.Seed = *seed
 	cfg.MemNodes = *memnodes
@@ -173,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Shard = core.Block(*block)
 	}
 	sys := core.NewSystem(cfg)
-	app, _, _ := buildApp(sys, *appName)
+	app := entry.Build(sys)
 	if *skew > 0 {
 		a, ok := app.(*workload.ArrayApp)
 		if !ok {
@@ -264,7 +262,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "kernel      parks/req=%.2f switches/req=%.2f skip-aheads/req=%.2f\n",
 			float64(ks.Parks)/n, float64(ks.Switches)/n, float64(ks.SkipAheads)/n)
 	}
-	for _, class := range sortedClassNames(res) {
+	for _, class := range slices.Sorted(maps.Keys(res.Gen.ByClass)) {
 		h := res.Gen.ByClass[class]
 		fmt.Fprintf(stdout, "class %-9s n=%-8d p50=%.1fus p99=%.1fus p99.9=%.1fus\n",
 			class, h.Count(), sim.Time(h.P50()).Micros(), sim.Time(h.P99()).Micros(),
@@ -303,47 +301,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-func sortedClassNames(res core.RunResult) []string {
-	var names []string
-	for k := range res.Gen.ByClass {
-		names = append(names, k)
-	}
-	for i := range names {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	return names
-}
-
-// buildApp constructs the named workload inside sys and returns it with
-// its working-set size.
-func buildApp(sys *core.System, name string) (workload.App, int64, error) {
-	switch strings.ToLower(name) {
-	case "micro":
-		const size = 64 << 20
-		app := workload.NewArrayApp(sys.Mgr, sys.Mem, size)
-		return app, size, nil
-	case "memcached128":
-		s := kvs.New(sys.Mgr, sys.Mem, kvs.DefaultConfig(700_000, 128))
-		return s, s.SpaceSize(), nil
-	case "memcached1024":
-		s := kvs.New(sys.Mgr, sys.Mem, kvs.DefaultConfig(160_000, 1024))
-		return s, s.SpaceSize(), nil
-	case "rocksdb":
-		t := sstable.New(sys.Mgr, sys.Mem, sstable.DefaultConfig(180_000, 1024))
-		return t, t.SpaceSize(), nil
-	case "tpcc":
-		db := tpcc.New(sys.Env, sys.Mgr, sys.Mem, tpcc.DefaultConfig(2))
-		return db, db.TotalBytes(), nil
-	case "faiss":
-		idx := vecdb.New(sys.Mgr, sys.Mem, vecdb.DefaultConfig(250_000))
-		return idx, idx.SpaceSize(), nil
-	default:
-		return nil, 0, fmt.Errorf("unknown app %q", name)
-	}
 }

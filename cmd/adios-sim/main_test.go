@@ -8,7 +8,8 @@ import (
 // TestRunRejectsBadInput: every flag value that used to panic deep in
 // the build (-local, -ms, an out-of-range crash node) or never terminate
 // (-rps) must instead print one "adios-sim: …" line and exit 2, with
-// nothing on stdout; a good invocation still runs to its report.
+// nothing on stdout — an unknown -app one that lists the catalogue; a
+// good invocation still runs to its report.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -22,6 +23,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"crash-node-out-of-range", []string{"-faults", "crash=1ms:node=5", "-memnodes", "2"}, 2},
 		{"rps-zero", []string{"-rps", "0"}, 2},
 		{"rps-negative", []string{"-rps", "-5"}, 2},
+		{"app-unknown", []string{"-app", "nonsense"}, 2},
 		{"good", []string{"-rps", "1300000", "-ms", "1", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,6 +44,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 			}
 			if stdout.Len() != 0 {
 				t.Fatalf("usage error wrote to stdout: %q", stdout.String())
+			}
+			if tc.name == "app-unknown" && !strings.Contains(msg, "micro, memcached128, memcached1024, rocksdb, tpcc, faiss") {
+				t.Fatalf("unknown -app does not list the catalogue: %q", msg)
 			}
 		})
 	}

@@ -15,10 +15,7 @@ import (
 func run(mode core.Mode, loadRPS float64) (core.RunResult, *kvs.Store) {
 	cfg := kvs.DefaultConfig(300_000, 128)
 	// Size local DRAM to 20% of the store.
-	probe := core.NewSystem(core.Preset(mode, 1<<22))
-	size := kvs.New(probe.Mgr, probe.Node, cfg).SpaceSize()
-
-	sys := core.NewSystem(core.Preset(mode, size/5))
+	sys := core.NewSystem(core.Preset(mode, kvs.Footprint(cfg)/5))
 	store := kvs.New(sys.Mgr, sys.Node, cfg)
 	store.WarmCache()
 	sys.Start(store.Handler())

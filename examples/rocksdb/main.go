@@ -15,8 +15,7 @@ import (
 func main() {
 	const load = 700_000
 	cfg := sstable.DefaultConfig(120_000, 1024)
-	probe := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	size := sstable.New(probe.Mgr, probe.Node, cfg).SpaceSize()
+	size := sstable.Footprint(cfg)
 
 	fmt.Printf("Sorted table: 120k x 1KiB records, 99%% GET / 1%% SCAN(100), %.0fK req/s\n\n", load/1000.0)
 	fmt.Printf("%-8s %9s | %9s %10s | %9s %10s\n",

@@ -15,8 +15,7 @@ import (
 func main() {
 	const load = 330_000
 	cfg := tpcc.DefaultConfig(1)
-	probe := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	size := tpcc.New(probe.Env, probe.Mgr, probe.Node, cfg).TotalBytes()
+	size := tpcc.Footprint(cfg)
 
 	fmt.Printf("TPC-C (W=1, %.0f MiB) at %.0fK txn/s, 20%% local DRAM\n\n",
 		float64(size)/(1<<20), load/1000.0)

@@ -16,7 +16,7 @@ import (
 func main() {
 	cfg := vecdb.DefaultConfig(60_000)
 	bp := vecdb.NewBlueprint(cfg)
-	size := int64(cfg.N) * int64(8+cfg.Dim*4)
+	size := vecdb.Footprint(cfg)
 	const load = 2000 // queries/second
 
 	fmt.Printf("IVF-Flat: %d x %dd vectors (%.0f MiB), nlist=%d nprobe=%d, %d QPS\n\n",

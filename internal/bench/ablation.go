@@ -1,53 +1,21 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/core"
-	"repro/internal/memnode"
+	"repro/internal/kvs"
+	"repro/internal/loadgen"
 	"repro/internal/paging"
-	"repro/internal/sched"
+	"repro/internal/rdma"
 	"repro/internal/sim"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
-// The ablations exercise design choices DESIGN.md calls out and the
-// paper's §6 limitations: prefetching, proactive reclamation, the
-// compute-bound blind spot of cooperative scheduling, dispatcher
-// scalability, the preemption quantum, and the unithread pool size.
-
-// AblPrefetch compares readahead policies on the scan-heavy RocksDB
-// workload: none, fixed sequential, and Leap-style trend detection [44].
-// Prefetching mostly hides SCAN fetch latency while leaving random GETs
-// untouched; Leap matches sequential on scans without wasting bandwidth
-// on the random GETs.
-func AblPrefetch(opt Options) map[string][]Point {
-	loads := opt.loads([]float64{300, 500, 700})
-	mk := func(mut mutator) builder { return sstableBuilder(opt, mut) }
-	off := opt.sweep(mk(nil), []core.Mode{core.Adios}, loads)
-	seq := opt.sweep(mk(func(c *core.Config) { c.Paging.Prefetch = 8 }), []core.Mode{core.Adios}, loads)
-	leap := opt.sweep(mk(func(c *core.Config) { c.Paging.PrefetchPolicy = paging.Leap }), []core.Mode{core.Adios}, loads)
-	series := map[string][]Point{
-		"none":         off["Adios"],
-		"sequential=8": seq["Adios"],
-		"leap":         leap["Adios"],
-	}
-	opt.printClassSweep("Ablation: prefetch policy (RocksDB, Adios)", series, []string{"GET", "SCAN"})
-	return series
-}
-
-// AblReclaim compares the paper's pinned proactive reclaimer (§3.3)
-// against a conventional wake-on-pressure reclaimer under a write-heavy
-// KVS workload (dirty evictions stress the reclaim path).
-func AblReclaim(opt Options) map[string][]Point {
-	loads := opt.loads([]float64{400, 800, 1200})
-	mk := func(proactive bool) builder {
-		return microBuilder(0.20, func(c *core.Config) { c.Paging.Proactive = proactive })
-	}
-	pro := opt.sweep(mk(true), []core.Mode{core.Adios}, loads)
-	lazy := opt.sweep(mk(false), []core.Mode{core.Adios}, loads)
-	series := map[string][]Point{"proactive": pro["Adios"], "on-demand": lazy["Adios"]}
-	opt.printSweep("Ablation: proactive vs on-demand reclamation (Adios)", series)
-	return series
-}
+// The apps and bodies of the ablations whose shape the comparison table
+// cannot express. The experiments table says what each one is for.
 
 // computeApp is a pure-compute workload: §6's admitted blind spot, where
 // yield-based fault handling has nothing to overlap and Adios should
@@ -57,17 +25,21 @@ type computeApp struct {
 	space  *paging.Space
 }
 
-func newComputeApp(mgr *paging.Manager, node memnode.Allocator) *computeApp {
-	region := node.MustAlloc("compute", 64*paging.PageSize)
-	sp := mgr.NewSpace("compute", region)
-	sp.Preload(0, sp.Size())
-	return &computeApp{cycles: 4000, space: sp}
+// computePages is the compute app's whole, always-resident working set.
+const computePages = 64
+
+func compute(bool) App {
+	return App{Footprint: computePages * paging.PageSize, Build: func(sys *core.System) workload.App {
+		sp := sys.Mgr.NewSpace("compute", sys.Mem.MustAlloc("compute", computePages*paging.PageSize))
+		sp.Preload(0, sp.Size())
+		return &computeApp{cycles: 4000, space: sp}
+	}}
 }
 
 func (a *computeApp) Name() string { return "compute-bound" }
 
 func (a *computeApp) NextRequest(rng *sim.RNG) (any, int) {
-	return int64(rng.Intn(64)), 64
+	return int64(rng.Intn(computePages)), 64
 }
 
 func (a *computeApp) Handler() workload.Handler {
@@ -80,125 +52,146 @@ func (a *computeApp) Handler() workload.Handler {
 	}
 }
 
-// AblCompute verifies the §6 limitation: on a compute-bound, fully
-// local workload, yield-based fault handling gains nothing — both
-// variants here share every other policy (dispatch, TX) so only the
-// wait policy differs, isolating the claim from the systems' other
-// differences.
-func AblCompute(opt Options) map[string][]Point {
-	mk := func(mut mutator) builder {
-		return buildPreset(1.0, mut, func(sys *core.System) workload.App {
-			return newComputeApp(sys.Mgr, sys.Mem)
-		}, func() int64 { return 64 * paging.PageSize })
-	}
-	loads := opt.loads([]float64{500, 1000, 1500, 2000, 2500})
-	yield := opt.sweep(mk(nil), []core.Mode{core.Adios}, loads)
-	busy := opt.sweep(mk(func(c *core.Config) { c.Sched.Wait = sched.BusyWait }),
-		[]core.Mode{core.Adios}, loads)
-	series := map[string][]Point{"yield": yield["Adios"], "busy-wait": busy["Adios"]}
-	opt.printSweep("Ablation: compute-bound workload (no faults) — §6 limitation", series)
-	return series
+// microTwoSided is the microbenchmark with its pages served by
+// SEND/RECV and memory-node CPU involvement instead of one-sided READs.
+func microTwoSided(short bool) App {
+	return micro(short).with(func(sys *core.System, app workload.App) workload.App {
+		sys.NIC.EnableTwoSided(rdma.DefaultServerConfig())
+		return app
+	})
 }
 
-// AblWorkers sweeps the worker count on a fully local, compute-light
-// workload (so neither the RDMA link nor the workers bind): throughput
-// stops scaling once the single dispatcher core saturates — the ~ten
-// worker ceiling §6 concedes.
-func AblWorkers(opt Options) []Point {
+// rocksdbGuided is the RocksDB workload issuing application-guided
+// prefetches on its scans.
+func rocksdbGuided(short bool) App {
+	cfg := rocksdbConfig(short)
+	cfg.AppPrefetch = true
+	return sstableApp(cfg)
+}
+
+// memcachedZipf is Memcached 128 B with Zipf-skewed key popularity, so
+// eviction recency matters.
+func memcachedZipf(short bool) App {
+	cfg := memcachedConfig(short, 128)
+	return kvsApp(cfg).with(func(_ *core.System, app workload.App) workload.App {
+		return &zipfKVS{Store: app.(*kvs.Store), dist: workload.Zipfian{Keys: cfg.Keys, S: 1.1}}
+	})
+}
+
+type zipfKVS struct {
+	*kvs.Store
+	dist workload.Zipfian
+}
+
+// NextRequest draws Zipf-distributed GET keys.
+func (z *zipfKVS) NextRequest(rng *sim.RNG) (any, int) {
+	return kvs.Get{Key: uint64(z.dist.Next(rng))}, 64 + kvs.KeySize
+}
+
+func ablWorkers(r *run) {
 	counts := []int{2, 4, 8, 12, 16, 24}
-	if opt.Short {
+	if r.Short {
 		counts = []int{4, 8, 16}
 	}
-	opt.printf("\n# Ablation: worker scaling against one dispatcher (compute-bound)\n")
-	opt.printf("%8s %9s %9s %10s\n", "workers", "offered_K", "tput_K", "p99.9_us")
-	specs := make([]pointSpec, 0, len(counts))
+	r.printf("\n# Ablation: worker scaling against one dispatcher (compute-bound)\n")
+	r.printf("%8s %9s %9s %10s\n", "workers", "offered_K", "tput_K", "p99.9_us")
+	var pts []point
 	for i, n := range counts {
-		n := n
-		b := buildPreset(1.0, func(c *core.Config) { c.Sched.Workers = n },
-			func(sys *core.System) workload.App {
-				return newComputeApp(sys.Mgr, sys.Mem)
-			}, func() int64 { return 64 * paging.PageSize })
 		// Offer load proportional to workers so each point probes its
 		// configuration's capacity region.
-		specs = append(specs, pointSpec{
-			b: b, mode: core.Adios, rps: float64(n) * 420_000,
-			seed: pointSeed(opt.seed(), opt.exp, core.Adios.String(), i),
-		})
+		pts = append(pts, point{label: "Adios", key: "Adios", idx: i, mode: core.Adios, rps: float64(n) * 420_000,
+			b: r.builder(system{app: compute, local: 1, cfg: func(c *core.Config) { c.Sched.Workers = n }})})
 	}
-	out := opt.runPoints(specs)
+	out, _ := r.measure(pts)
 	for i, pt := range out {
-		opt.printf("%8d %9.0f %9.0f %10.1f\n", counts[i], pt.OfferedK, pt.TputK, pt.P999us)
+		r.printf("%8d %9.0f %9.0f %10.1f\n", counts[i], pt.OfferedK, pt.TputK, pt.P999us)
 	}
-	return out
 }
 
-// AblQuantum sweeps DiLOS-P's preemption quantum on the RocksDB
-// GET/SCAN mix (where preemption matters).
-func AblQuantum(opt Options) map[string][]Point {
-	quanta := []float64{2, 5, 10, 20}
-	if opt.Short {
-		quanta = []float64{5, 20}
-	}
-	series := make(map[string][]Point)
-	load := []float64{350}
-	for _, q := range quanta {
-		us := q
-		b := sstableBuilder(opt, func(c *core.Config) { c.Sched.Quantum = sim.Micros(us) })
-		pts := opt.sweep(b, []core.Mode{core.DiLOSP}, load)
-		key := "quantum=" + itoa(int(us)) + "us"
-		series[key] = pts["DiLOS-P"]
-	}
-	opt.printClassSweep("Ablation: DiLOS-P preemption quantum (RocksDB)", series, []string{"GET", "SCAN"})
-	return series
-}
-
-// AblPool sweeps the unithread pool size; an undersized pool sheds
-// requests at bursty arrivals.
-func AblPool(opt Options) []Point {
+func ablPool(r *run) {
 	sizes := []int{16, 64, 512, 131072}
-	if opt.Short {
+	if r.Short {
 		sizes = []int{16, 131072}
 	}
-	opt.printf("\n# Ablation: unithread pool size (Adios, microbenchmark, 2.5 MRPS)\n")
-	opt.printf("%10s %9s %9s %10s %9s\n", "pool", "offered_K", "tput_K", "p99.9_us", "drops")
-	specs := make([]pointSpec, 0, len(sizes))
+	r.printf("\n# Ablation: unithread pool size (Adios, microbenchmark, 2.5 MRPS)\n")
+	r.printf("%10s %9s %9s %10s %9s\n", "pool", "offered_K", "tput_K", "p99.9_us", "drops")
+	var pts []point
 	for i, n := range sizes {
-		n := n
-		specs = append(specs, pointSpec{
-			b:    microBuilder(0.20, func(c *core.Config) { c.PoolSize = n }),
-			mode: core.Adios, rps: 2_500_000,
-			seed: pointSeed(opt.seed(), opt.exp, core.Adios.String(), i),
-		})
+		pts = append(pts, point{label: "Adios", key: "Adios", idx: i, mode: core.Adios, rps: 2_500_000,
+			b: r.builder(system{app: micro, cfg: func(c *core.Config) { c.PoolSize = n }})})
 	}
-	out := opt.runPoints(specs)
+	out, _ := r.measure(pts)
 	for i, pt := range out {
-		opt.printf("%10d %9.0f %9.0f %10.1f %9d\n", sizes[i], pt.OfferedK, pt.TputK, pt.P999us, pt.Drops)
+		r.printf("%10d %9.0f %9.0f %10.1f %9d\n", sizes[i], pt.OfferedK, pt.TputK, pt.P999us, pt.Drops)
 	}
-	return out
 }
 
-// Infiniswap runs the legacy interrupt-driven yield design the paper
-// excludes from its plots for being off-scale (§5 setup: P99.9 582 µs to
-// 73 ms, 261 KRPS), as an extension.
-func Infiniswap(opt Options) map[string][]Point {
-	b := microBuilder(0.20, nil)
-	loads := opt.loads([]float64{100, 200, 300, 400})
-	series := opt.sweep(b, []core.Mode{core.Infiniswap, core.Adios}, loads)
-	opt.printSweep("Extension: legacy interrupt-driven yield (Infiniswap-class) vs Adios", series)
-	return series
+func ablMultiDispatch(r *run) {
+	workers := []int{8, 12, 16, 24}
+	if r.Short {
+		workers = []int{8, 16}
+	}
+	r.printf("\n# Ablation: dispatcher scaling (Adios, compute-bound)\n")
+	r.printf("%12s %8s %9s %9s %10s\n", "dispatchers", "workers", "offered_K", "tput_K", "p99.9_us")
+	var pts []point
+	var rows [][2]int
+	for _, nd := range []int{1, 2} {
+		for i, nw := range workers {
+			pts = append(pts, point{label: fmt.Sprintf("dispatchers=%d", nd), key: fmt.Sprintf("d%d", nd), idx: i,
+				mode: core.Adios, rps: float64(nw) * 420_000,
+				b: r.builder(system{app: compute, local: 1, cfg: func(c *core.Config) {
+					c.Sched.Workers = nw
+					c.Sched.Dispatchers = nd
+				}})})
+			rows = append(rows, [2]int{nd, nw})
+		}
+	}
+	out, _ := r.measure(pts)
+	for i, pt := range out {
+		r.printf("%12d %8d %9.0f %9.0f %10.1f\n", rows[i][0], rows[i][1], pt.OfferedK, pt.TputK, pt.P999us)
+	}
 }
 
-// itoa avoids pulling strconv into every file for one call.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+// ablTransport keeps a drive of its own for the reliable half: the
+// transport client sits between the load generator and the wire, and
+// System.Run builds its generator and starts the clock in one call, so
+// riding Run would take a hook in core that only this caller uses. The
+// points still go through the one runner and limiter.
+func ablTransport(r *run) {
+	loads := r.loads([]float64{1200, 1600, 2000})
+	b := r.builder(system{app: micro})
+	lines := make([]string, len(loads)) // one per reliable point, printed in load order
+	var pts []point
+	for i, k := range loads {
+		pts = append(pts, point{label: "DiLOS-udp", key: "DiLOS", idx: i, b: b, mode: core.DiLOS, rps: k * 1000})
 	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
+	for i, k := range loads {
+		pts = append(pts, point{label: "DiLOS-reliable", b: b, mode: core.DiLOS, rps: k * 1000,
+			drive: func(sys *core.System, app workload.App, rps float64, warm, meas sim.Time) core.RunResult {
+				end := warm + meas
+				gen := loadgen.Start(sys.Env, sys.Net, app, rps, warm, end)
+				client := transport.NewClient(sys.Env, sys.Net, transport.DefaultConfig())
+				client.OnDeliver = gen.Deliver
+				gen.SendFn = client.Send
+				dedup := transport.NewDedup(1 << 16)
+				sys.Sched.Admit = dedup.Admit
+				sys.Env.At(warm, func() { sys.NIC.StartWindow() })
+				sys.Env.Run(end + sim.Millis(50))
+				lines[i] = fmt.Sprintf("reliable@%vK: retransmits=%d queued=%d duplicates=%d lost=%d\n",
+					k, client.Retransmits.Value(), client.Queued.Value(),
+					dedup.Duplicates.Value(), client.Lost.Value())
+				return core.RunResult{
+					OfferedK: rps / 1000,
+					TputK:    gen.Throughput(end) / 1000,
+					P50us:    sim.Time(gen.E2E.P50()).Micros(),
+					P99us:    sim.Time(gen.E2E.P99()).Micros(),
+					P999us:   sim.Time(gen.E2E.P999()).Micros(),
+					Drops:    client.Lost.Value(),
+					Gen:      gen,
+				}
+			}})
 	}
-	return string(buf[i:])
+	_, series := r.measure(pts)
+	r.printf("%s", strings.Join(lines, ""))
+	r.printSweep("Ablation: UDP open-loop vs reliable transport under overload", series, nil)
 }

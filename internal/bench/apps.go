@@ -1,211 +1,174 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/kvs"
-	"repro/internal/sched"
 	"repro/internal/sstable"
 	"repro/internal/tpcc"
 	"repro/internal/vecdb"
 	"repro/internal/workload"
 )
 
-// allSystems is the paper's §5.2 comparison set.
-var allSystems = []core.Mode{core.Hermit, core.DiLOS, core.DiLOSP, core.Adios}
-
-// Scaled dataset sizes. The paper's absolute capacities (40 GB stores,
-// BIGANN-100M) only set the working-set/local-cache ratio, which is kept
-// at 20 % throughout; see DESIGN.md's substitution table.
-func memcachedKeys(short bool, valueSize int) int64 {
-	switch {
-	case short && valueSize >= 1024:
-		return 30_000
-	case short:
-		return 120_000
-	case valueSize >= 1024:
-		return 160_000
-	default:
-		return 700_000
-	}
+// App is one workload of the catalogue at one dataset size: how many
+// bytes of paged memory it will occupy, known by arithmetic over its
+// config before anything is built (the app package's Footprint, which
+// shares its layout helper with the package's New), and how to build it
+// inside a system. Local memory is sized from Footprint, so nothing
+// builds a throw-away system to learn a size.
+type App struct {
+	Footprint int64
+	// Build allocates and populates the app in sys. The cache is cold:
+	// callers warm it (every catalogue app has WarmCache) once any
+	// request-distribution knob is set.
+	Build func(sys *core.System) workload.App
 }
 
-func sstableKeys(short bool) int64 {
-	if short {
-		return 40_000
-	}
-	return 180_000
+// catalogue lists the paper's workloads under the names adios-sim's -app
+// flag and DESIGN.md's index use, each at its -short and full dataset
+// size. The paper's absolute capacities (40 GB stores, BIGANN-100M) only
+// set the working-set/local-cache ratio, which is kept at 20 %
+// throughout; see DESIGN.md's substitution table.
+var catalogue = []struct {
+	name string
+	app  func(short bool) App
+}{
+	{"micro", micro},
+	{"memcached128", memcached128},
+	{"memcached1024", memcached1024},
+	{"rocksdb", rocksdb},
+	{"tpcc", tpccApp},
+	{"faiss", faiss},
 }
 
-func tpccConfig(short bool) tpcc.Config {
+// AppNames lists the catalogue in order.
+func AppNames() []string {
+	names := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		names[i] = e.name
+	}
+	return names
+}
+
+// AppNamed returns the catalogue app of that name (case-insensitive) at
+// its -short or its full dataset size.
+func AppNamed(name string, short bool) (App, error) {
+	for _, e := range catalogue {
+		if strings.EqualFold(e.name, name) {
+			return e.app(short), nil
+		}
+	}
+	return App{}, fmt.Errorf("unknown app %q (have %s)", name, strings.Join(AppNames(), ", "))
+}
+
+// with returns the app with f applied to whatever it builds: how an
+// experiment wraps or tunes a catalogue app without owning a copy of it.
+func (a App) with(f func(sys *core.System, app workload.App) workload.App) App {
+	build := a.Build
+	a.Build = func(sys *core.System) workload.App { return f(sys, build(sys)) }
+	return a
+}
+
+// sized picks a dataset size.
+func sized[T any](short bool, small, full T) T {
 	if short {
-		cfg := tpcc.DefaultConfig(1)
+		return small
+	}
+	return full
+}
+
+// microArrayBytes is the microbenchmark working set (the paper uses
+// 40 GB; only the local-memory *ratio* affects behaviour, see DESIGN.md).
+const microArrayBytes int64 = 64 << 20
+
+// arrayApp is the §2/§5.1 random-indirection microbenchmark over an
+// array of the given size.
+func arrayApp(bytes int64) App {
+	return App{Footprint: bytes, Build: func(sys *core.System) workload.App {
+		return workload.NewArrayApp(sys.Mgr, sys.Mem, bytes)
+	}}
+}
+
+func micro(bool) App { return arrayApp(microArrayBytes) }
+
+// memcachedConfig is the Memcached GET workload with the given value
+// size.
+func memcachedConfig(short bool, valueSize int) kvs.Config {
+	keys := sized[int64](short, 120_000, 700_000)
+	if valueSize >= 1024 {
+		keys = sized[int64](short, 30_000, 160_000)
+	}
+	return kvs.DefaultConfig(keys, valueSize)
+}
+
+func kvsApp(cfg kvs.Config) App {
+	return App{Footprint: kvs.Footprint(cfg), Build: func(sys *core.System) workload.App {
+		return kvs.New(sys.Mgr, sys.Mem, cfg)
+	}}
+}
+
+func memcached128(short bool) App  { return kvsApp(memcachedConfig(short, 128)) }
+func memcached1024(short bool) App { return kvsApp(memcachedConfig(short, 1024)) }
+
+// rocksdbConfig is the RocksDB workload: 99 % GET / 1 % SCAN(100) over
+// 1 KiB values.
+func rocksdbConfig(short bool) sstable.Config {
+	return sstable.DefaultConfig(sized[int64](short, 40_000, 180_000), 1024)
+}
+
+func sstableApp(cfg sstable.Config) App {
+	return App{Footprint: sstable.Footprint(cfg), Build: func(sys *core.System) workload.App {
+		return sstable.New(sys.Mgr, sys.Mem, cfg)
+	}}
+}
+
+func rocksdb(short bool) App { return sstableApp(rocksdbConfig(short)) }
+
+// tpccApp is the Silo/TPC-C workload: two warehouses, or one shrunken
+// warehouse under -short.
+func tpccApp(short bool) App {
+	cfg := tpcc.DefaultConfig(2)
+	if short {
+		cfg = tpcc.DefaultConfig(1)
 		cfg.CustomersPerDistrict = 300
 		cfg.ItemCount = 5000
 		cfg.InitialOrders = 300
 		cfg.OrderCapacity = 2000
-		return cfg
 	}
-	return tpcc.DefaultConfig(2)
+	return App{Footprint: tpcc.Footprint(cfg), Build: func(sys *core.System) workload.App {
+		return tpcc.New(sys.Env, sys.Mgr, sys.Mem, cfg)
+	}}
 }
 
-func vecdbN(short bool) int {
-	if short {
-		return 30_000
+// faiss is the Faiss/BIGANN-like workload. The dataset and centroid
+// training (the expensive part) are done once, at the first Build, in a
+// Blueprint every later Build of this App value re-instantiates — so a
+// sweep shares one, and Table 2, which only reads Footprint, pays for
+// none.
+func faiss(short bool) App {
+	cfg := vecdb.DefaultConfig(sized(short, 30_000, 250_000))
+	blueprint := sync.OnceValue(func() *vecdb.Blueprint { return vecdb.NewBlueprint(cfg) })
+	return App{Footprint: vecdb.Footprint(cfg), Build: func(sys *core.System) workload.App {
+		return blueprint().Instantiate(sys.Mgr, sys.Mem)
+	}}
+}
+
+func table2(r *run) {
+	r.printf("\n# Table 2: real-world workloads\n")
+	r.printf("%-12s %-10s %-16s %-12s %-14s\n", "application", "type", "workload", "paper_mem", "repro_mem")
+	for _, row := range []struct {
+		name, typ, wl, paper string
+		app                  func(short bool) App
+	}{
+		{"Memcached", "KVS", "GET", "40GB", memcached128},
+		{"RocksDB", "KVS", "GET/SCAN", "40GB", rocksdb},
+		{"Silo", "OLTP", "TPC-C", "20GB", tpccApp},
+		{"Faiss", "VectorDB", "BIGANN-like", "48GB", faiss},
+	} {
+		r.printf("%-12s %-10s %-16s %-12s %-14.1f MiB\n", row.name, row.typ, row.wl, row.paper,
+			float64(row.app(r.Short).Footprint)/(1<<20))
 	}
-	return 250_000
-}
-
-// memcachedBuilder builds the Memcached workload with the given value
-// size at 20 % local memory.
-func memcachedBuilder(opt Options, valueSize int, mut mutator) builder {
-	cfg := kvs.DefaultConfig(memcachedKeys(opt.Short, valueSize), valueSize)
-	// Compute the footprint once with a throwaway build; doing it eagerly
-	// (not lazily on first build) keeps the builder safe to call from
-	// concurrent sweep points.
-	probe := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	size := kvs.New(probe.Mgr, probe.Node, cfg).SpaceSize()
-	return buildPreset(0.20, mut, func(sys *core.System) workload.App {
-		s := kvs.New(sys.Mgr, sys.Mem, cfg)
-		s.WarmCache()
-		return s
-	}, func() int64 { return size })
-}
-
-// sstableBuilder builds the RocksDB workload (99 % GET / 1 % SCAN(100),
-// 1 KiB values) at 20 % local memory.
-func sstableBuilder(opt Options, mut mutator) builder {
-	cfg := sstable.DefaultConfig(sstableKeys(opt.Short), 1024)
-	probe := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	size := sstable.New(probe.Mgr, probe.Node, cfg).SpaceSize()
-	return buildPreset(0.20, mut, func(sys *core.System) workload.App {
-		tab := sstable.New(sys.Mgr, sys.Mem, cfg)
-		tab.WarmCache()
-		return tab
-	}, func() int64 { return size })
-}
-
-// tpccBuilder builds the Silo/TPC-C workload at 20 % local memory.
-func tpccBuilder(opt Options, mut mutator) builder {
-	cfg := tpccConfig(opt.Short)
-	probe := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	size := tpcc.New(probe.Env, probe.Mgr, probe.Node, cfg).TotalBytes()
-	return buildPreset(0.20, mut, func(sys *core.System) workload.App {
-		db := tpcc.New(sys.Env, sys.Mgr, sys.Mem, cfg)
-		db.WarmCache()
-		return db
-	}, func() int64 { return size })
-}
-
-// vecdbBuilder builds the Faiss/BIGANN-like workload at 20 % local
-// memory. The dataset + centroid training (the expensive part) is done
-// once in a Blueprint and re-instantiated per point.
-func vecdbBuilder(opt Options, mut mutator) builder {
-	cfg := vecdb.DefaultConfig(vecdbN(opt.Short))
-	bp := vecdb.NewBlueprint(cfg)
-	size := int64(cfg.N) * int64(8+cfg.Dim*4)
-	return buildPreset(0.20, mut, func(sys *core.System) workload.App {
-		idx := bp.Instantiate(sys.Mgr, sys.Mem)
-		idx.WarmCache()
-		return idx
-	}, func() int64 { return size })
-}
-
-// Table2 prints the real-world workload summary (Table 2), with this
-// repository's scaled dataset sizes alongside the paper's.
-func Table2(opt Options) {
-	opt.printf("\n# Table 2: real-world workloads\n")
-	opt.printf("%-12s %-10s %-16s %-12s %-14s\n", "application", "type", "workload", "paper_mem", "repro_mem")
-	row := func(name, typ, wl, paper string, bytes int64) {
-		opt.printf("%-12s %-10s %-16s %-12s %-14.1f MiB\n", name, typ, wl, paper, float64(bytes)/(1<<20))
-	}
-	probe := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	mc := kvs.New(probe.Mgr, probe.Node, kvs.DefaultConfig(memcachedKeys(opt.Short, 128), 128))
-	row("Memcached", "KVS", "GET", "40GB", mc.SpaceSize())
-	probe2 := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	tab := sstable.New(probe2.Mgr, probe2.Node, sstable.DefaultConfig(sstableKeys(opt.Short), 1024))
-	row("RocksDB", "KVS", "GET/SCAN", "40GB", tab.SpaceSize())
-	probe3 := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	db := tpcc.New(probe3.Env, probe3.Mgr, probe3.Node, tpccConfig(opt.Short))
-	row("Silo", "OLTP", "TPC-C", "20GB", db.TotalBytes())
-	probe4 := core.NewSystem(core.Preset(core.Adios, 1<<22))
-	idx := vecdb.New(probe4.Mgr, probe4.Node, vecdb.DefaultConfig(vecdbN(opt.Short)))
-	row("Faiss", "VectorDB", "BIGANN-like", "48GB", idx.SpaceSize())
-}
-
-// Fig10 reproduces Figures 10(a–d): Memcached GET latency for 128 B and
-// 1024 B values across all four systems.
-func Fig10(opt Options) map[string]map[string][]Point {
-	out := make(map[string]map[string][]Point)
-	for _, valueSize := range []int{128, 1024} {
-		b := memcachedBuilder(opt, valueSize, nil)
-		loads := opt.loads([]float64{200, 400, 600, 800, 900, 1000, 1100, 1200, 1300})
-		series := opt.sweep(b, allSystems, loads)
-		title := "Figures 10(a,b): Memcached 128B GET"
-		key := "128B"
-		if valueSize == 1024 {
-			title = "Figures 10(c,d): Memcached 1024B GET"
-			key = "1024B"
-		}
-		opt.printSweep(title, series)
-		out[key] = series
-	}
-	return out
-}
-
-// Fig10e reproduces Figure 10(e): PF-aware vs round-robin dispatching
-// under the Memcached 128 B GET workload (Adios).
-func Fig10e(opt Options) map[string][]Point {
-	loads := opt.loads([]float64{400, 600, 800, 950, 1100})
-	pf := opt.sweep(memcachedBuilder(opt, 128, nil), []core.Mode{core.Adios}, loads)
-	rr := opt.sweep(memcachedBuilder(opt, 128, withDispatch(sched.RoundRobin)), []core.Mode{core.Adios}, loads)
-	series := map[string][]Point{"PF-Aware": pf["Adios"], "RR": rr["Adios"]}
-	opt.printSweep("Figure 10(e): PF-aware vs round-robin dispatch (Memcached 128B)", series)
-	return series
-}
-
-// Fig11 reproduces Figures 11(a–d): RocksDB 99 % GET / 1 % SCAN(100)
-// per-class latency across all four systems.
-func Fig11(opt Options) map[string][]Point {
-	b := sstableBuilder(opt, nil)
-	loads := opt.loads([]float64{150, 300, 450, 600, 750, 850, 950, 1100})
-	series := opt.sweep(b, allSystems, loads)
-	opt.printClassSweep("Figures 11(a-d): RocksDB GET/SCAN latency", series, []string{"GET", "SCAN"})
-	return series
-}
-
-// Fig11e reproduces Figure 11(e): PF-aware vs round-robin dispatching
-// under the RocksDB workload (Adios).
-func Fig11e(opt Options) map[string][]Point {
-	loads := opt.loads([]float64{300, 500, 700, 850, 950})
-	pf := opt.sweep(sstableBuilder(opt, nil), []core.Mode{core.Adios}, loads)
-	rr := opt.sweep(sstableBuilder(opt, withDispatch(sched.RoundRobin)), []core.Mode{core.Adios}, loads)
-	series := map[string][]Point{"PF-Aware": pf["Adios"], "RR": rr["Adios"]}
-	opt.printClassSweep("Figure 11(e): PF-aware vs round-robin dispatch (RocksDB)", series, []string{"GET"})
-	return series
-}
-
-// Fig12 reproduces Figure 12: Silo TPC-C latency across all systems.
-func Fig12(opt Options) map[string][]Point {
-	b := tpccBuilder(opt, nil)
-	loads := opt.loads([]float64{100, 175, 250, 325, 400, 475, 550})
-	series := opt.sweep(b, allSystems, loads)
-	opt.printSweep("Figure 12: Silo TPC-C latency", series)
-	return series
-}
-
-// Fig13 reproduces Figure 13: Faiss BIGANN-like vector search latency
-// across all systems. Loads are in KRPS like every sweep, so the paper's
-// hundreds-of-queries-per-second regime appears as fractional values.
-func Fig13(opt Options) map[string][]Point {
-	b := vecdbBuilder(opt, nil)
-	loads := []float64{0.10, 0.20, 0.30, 0.40}
-	if opt.Short {
-		// The short-mode dataset is ~8x smaller, so queries are ~8x
-		// lighter; scale the offered loads to keep the sweep spanning
-		// the busy-wait system's saturation point.
-		loads = []float64{1.5, 3.0}
-	}
-	series := opt.sweep(b, allSystems, loads)
-	opt.printSweep("Figure 13: Faiss vector-search latency (offered in KRPS; 0.1K = 100 QPS)", series)
-	return series
 }

@@ -1,0 +1,128 @@
+package bench
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/kvs"
+	"repro/internal/sstable"
+	"repro/internal/tpcc"
+	"repro/internal/vecdb"
+	"repro/internal/workload"
+)
+
+// builtSize is the footprint an app reports once it exists.
+func builtSize(t *testing.T, app workload.App) int64 {
+	t.Helper()
+	switch a := app.(type) {
+	case *workload.ArrayApp:
+		return a.Entries() * 8
+	case interface{ SpaceSize() int64 }: // kvs, sstable, vecdb
+		return a.SpaceSize()
+	case *tpcc.DB:
+		return a.TotalBytes()
+	}
+	t.Fatalf("no size accessor for %T", app)
+	return 0
+}
+
+// TestCatalogueFootprintMatchesBuiltApp: local memory is sized from
+// App.Footprint before anything is built, so it must be exactly what the
+// built app then occupies. Each app package's Footprint shares a layout
+// helper with its New; this holds the pair together from outside, at
+// both catalogue sizes (go test -short skips the full-size TPC-C and
+// Faiss builds) and at a tiny config of each package.
+func TestCatalogueFootprintMatchesBuiltApp(t *testing.T) {
+	build := func(app App) int64 {
+		return builtSize(t, app.Build(core.NewSystem(core.Preset(core.Adios, app.Footprint/5))))
+	}
+	for _, name := range AppNames() {
+		for _, short := range []bool{true, false} {
+			if !short && testing.Short() && (name == "tpcc" || name == "faiss") {
+				continue // seconds each to populate
+			}
+			app, err := AppNamed(name, short)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := build(app); got != app.Footprint {
+				t.Errorf("%s (short=%v): Footprint %d, built app occupies %d", name, short, app.Footprint, got)
+			}
+		}
+	}
+	tinyTPCC := tpcc.DefaultConfig(1)
+	tinyTPCC.CustomersPerDistrict, tinyTPCC.ItemCount, tinyTPCC.InitialOrders, tinyTPCC.OrderCapacity = 30, 100, 30, 64
+	tinyVec := vecdb.DefaultConfig(500)
+	tinyVec.NList, tinyVec.NProbe = 8, 2
+	for name, app := range map[string]App{
+		"kvs":     kvsApp(kvs.DefaultConfig(100, 33)),
+		"sstable": sstableApp(sstable.DefaultConfig(77, 100)),
+		"tpcc": {Footprint: tpcc.Footprint(tinyTPCC), Build: func(sys *core.System) workload.App {
+			return tpcc.New(sys.Env, sys.Mgr, sys.Mem, tinyTPCC)
+		}},
+		"vecdb": {Footprint: vecdb.Footprint(tinyVec), Build: func(sys *core.System) workload.App {
+			return vecdb.New(sys.Mgr, sys.Mem, tinyVec)
+		}},
+	} {
+		if got := builtSize(t, app.Build(core.NewSystem(core.Preset(core.Adios, 1<<20)))); got != app.Footprint {
+			t.Errorf("tiny %s: Footprint %d, built app occupies %d", name, app.Footprint, got)
+		}
+	}
+}
+
+// TestCatalogueFullSizes pins the full-resolution datasets adios-sim's
+// -app and the figures share now that both read the catalogue (they
+// were typed twice): 700 000 / 160 000 / 180 000 keys, TPC-C W=2,
+// 250 000 vectors.
+func TestCatalogueFullSizes(t *testing.T) {
+	for name, want := range map[string]int64{
+		"micro":         64 << 20,
+		"memcached128":  kvs.Footprint(kvs.DefaultConfig(700_000, 128)),
+		"memcached1024": kvs.Footprint(kvs.DefaultConfig(160_000, 1024)),
+		"rocksdb":       sstable.Footprint(sstable.DefaultConfig(180_000, 1024)),
+		"tpcc":          tpcc.Footprint(tpcc.DefaultConfig(2)),
+		"faiss":         vecdb.Footprint(vecdb.DefaultConfig(250_000)),
+	} {
+		app, err := AppNamed(strings.ToUpper(name), false) // -app is case-insensitive
+		if err != nil {
+			t.Fatal(err)
+		}
+		if app.Footprint != want {
+			t.Errorf("%s: full-size footprint %d, want %d", name, app.Footprint, want)
+		}
+	}
+	if _, err := AppNamed("nonsense", false); err == nil || !strings.Contains(err.Error(), strings.Join(AppNames(), ", ")) {
+		t.Fatalf("unknown app: error %v does not list the catalogue", err)
+	}
+}
+
+// TestNoSizingProbes fails if non-test code under cmd/, internal/ or
+// examples/ builds a throw-away system to learn an app's size — the
+// `Preset(mode, 1<<22)` probe 13 sites used to carry, two of them racily
+// — instead of reading a Footprint.
+func TestNoSizingProbes(t *testing.T) {
+	for _, root := range []string{"../../cmd", "../../internal", "../../examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				if strings.Contains(line, "Preset(") && strings.Contains(strings.ReplaceAll(line, " ", ""), "1<<22") {
+					t.Errorf("%s:%d: sizing probe: %s", path, i+1, strings.TrimSpace(line))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1,14 +1,17 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§2 and §5). Each experiment has an id (table1, fig2a …
-// fig13) matching DESIGN.md's index; Run dispatches on it. Experiments
-// print the same rows/series the paper plots and return them for
+// evaluation (§2 and §5). An experiment is a value — a row of the
+// experiments table (experiments.go), with an id (table1, fig2a …
+// fig13) matching DESIGN.md's index — over the app catalogue (apps.go),
+// and Run hands its points to the one point runner in this file. Run
+// prints the rows/series the paper plots and returns them for
 // programmatic assertions (the repository-root benchmarks).
 package bench
 
 import (
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -16,12 +19,15 @@ import (
 	"repro/internal/faults"
 	"repro/internal/migrate"
 	"repro/internal/plot"
-	"repro/internal/sched"
+	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Options controls sweep resolution and measurement windows.
+// Options controls sweep resolution, measurement windows, and the
+// settings every system an experiment builds starts from. A copy is
+// private to the Run it is passed to: nothing here is shared but the
+// limiter SetParallel installs.
 type Options struct {
 	// Short reduces sweep resolution and dataset sizes so the whole
 	// suite runs in CI time; full mode reproduces the paper's sweeps.
@@ -33,129 +39,69 @@ type Options struct {
 	Plot bool
 	// CSV, if non-nil, receives every measured point as CSV rows
 	// (experiment, system, offered/tput KRPS, percentiles, utilization,
-	// drops) for external plotting; see CSVHeader for the schema. When
-	// installed via EnableCSV the header row is emitted once before the
-	// first data row.
+	// drops) for external plotting; see CSVHeader for the schema. The
+	// header row precedes the first such row of a Run; a caller that
+	// joins several runs into one file keeps only the first.
 	CSV io.Writer
-	// Seed for all runs.
+	// Seed for all runs (0 means 1).
 	Seed int64
 	// Parallel is the maximum number of simulations run concurrently
 	// (measured operating points; each builds its own core.System and
-	// sim.Env, so points are independent). 0 or 1 runs sequentially.
+	// sim.Env, so points are independent). 0 or 1 runs one at a time.
 	// Results are reassembled in deterministic order, so tables, CSV
-	// rows, and returned Point slices are identical to a sequential run.
-	// Prefer SetParallel, which also installs the shared limiter.
+	// rows, and the returned Result are identical at any value. Prefer
+	// SetParallel, which also installs the shared limiter.
 	Parallel int
 
-	// sem bounds concurrently-running simulations across every sweep
-	// sharing these Options (including copies — channels are references),
-	// so experiment-level and point-level fan-out together stay ≤
-	// Parallel. Created by SetParallel; runPoints falls back to a local
-	// limiter when nil.
+	// Faults is the fault plan of every system an experiment builds
+	// (the CLI's -faults flag). The zero value injects nothing, leaving
+	// every experiment byte-identical to a build without fault support.
+	// The resilience experiment uses it as the base plan of its
+	// fault-rate sweep.
+	Faults faults.Config
+	// MemNodes is the memory-node count of every built system (the
+	// CLI's -memnodes flag). 0 or 1 is the paper's topology,
+	// byte-identical to a build without sharding support. The shards
+	// experiment overrides it per point for its node-count sweep.
+	MemNodes int
+	// Replicas is the page replication factor of every built system
+	// (the CLI's -replicas flag; core clamps it to the node count). 0 or
+	// 1 is the paper's unreplicated store, byte-identical to a build
+	// without replication support. The failover experiment overrides it
+	// per point for its R sweep.
+	Replicas int
+	// Migrate is the page-migration plan of every built system (the
+	// CLI's -migrate flag). The zero value builds no migrator, leaving
+	// every experiment byte-identical to a build without migration
+	// support. The rebalance experiment overrides it per point for its
+	// on/off comparison.
+	Migrate migrate.Config
+	// Skew is the Zipfian key-skew exponent of every built app that
+	// supports one (the CLI's -skew flag). Zero keeps each app's native
+	// distribution and draws the identical RNG stream as a build without
+	// skew support. The rebalance experiment overrides it per point for
+	// its skew sweep.
+	Skew float64
+
+	// sem bounds concurrently-running simulations across every Run
+	// sharing these Options (including copies — channels are
+	// references), so experiments run side by side stay ≤ Parallel
+	// together. Created by SetParallel; Run makes one of its own when
+	// nil.
 	sem chan struct{}
-	// exp is the experiment id being run, set by Run; it salts per-point
-	// seeds so different experiments draw independent random streams.
-	exp string
-	// csvHeader emits the CSV header once across all Options copies.
-	csvHeader *sync.Once
 }
 
-// CSVHeader is the schema of the CSV rows emitted by every experiment;
-// see EXPERIMENTS.md for the column descriptions.
+// CSVHeader is the schema of the CSV rows emitted by every experiment
+// but rebalance, which has its own; see EXPERIMENTS.md for the column
+// descriptions.
 const CSVHeader = "experiment,system,offered_KRPS,tput_KRPS,p50_us,p99_us,p999_us,link_util,drops"
 
-// EnableCSV directs measured points to w as CSV rows and arranges for
-// the CSVHeader row to be written once before the first data row.
-func (o *Options) EnableCSV(w io.Writer) {
-	o.CSV = w
-	o.csvHeader = new(sync.Once)
-}
-
 // SetParallel allows up to n concurrent simulations and installs the
-// shared limiter so nested fan-out (experiments × points) stays bounded
-// by n overall.
+// shared limiter, so Runs that share these Options stay bounded by n
+// overall.
 func (o *Options) SetParallel(n int) {
-	if n < 1 {
-		n = 1
-	}
-	o.Parallel = n
-	o.sem = make(chan struct{}, n)
-}
-
-// DefaultOptions returns full-resolution options writing to w.
-func DefaultOptions(w io.Writer) Options { return Options{Out: w, Seed: 1} }
-
-// faultPlan is the process-wide fault plan applied to every system an
-// experiment builds (installed from the CLI's -faults flag). The zero
-// value injects nothing, leaving every experiment byte-identical to a
-// build without fault support. The resilience experiment uses it as the
-// base plan for its fault-rate sweep.
-var faultPlan faults.Config
-
-// SetFaults installs the default fault plan for subsequently built
-// systems. Not safe to call concurrently with running experiments.
-func SetFaults(cfg faults.Config) { faultPlan = cfg }
-
-// memNodes is the process-wide memory-node count applied to every
-// system an experiment builds (installed from the CLI's -memnodes
-// flag). One node is the paper's topology and is byte-identical to a
-// build without sharding support. The shards experiment overrides it
-// per point for its node-count sweep.
-var memNodes = 1
-
-// SetMemNodes installs the default memory-node count for subsequently
-// built systems (n < 1 is treated as 1). Not safe to call concurrently
-// with running experiments.
-func SetMemNodes(n int) {
-	if n < 1 {
-		n = 1
-	}
-	memNodes = n
-}
-
-// replicas is the process-wide page replication factor applied to every
-// system an experiment builds (installed from the CLI's -replicas
-// flag). 1 is the paper's unreplicated store and is byte-identical to a
-// build without replication support. The failover experiment overrides
-// it per point for its R sweep.
-var replicas = 1
-
-// SetReplicas installs the default replication factor for subsequently
-// built systems (r < 1 is treated as 1; core clamps to the node count).
-// Not safe to call concurrently with running experiments.
-func SetReplicas(r int) {
-	if r < 1 {
-		r = 1
-	}
-	replicas = r
-}
-
-// migrPlan is the process-wide page-migration plan applied to every
-// system an experiment builds (installed from the CLI's -migrate flag).
-// The zero value builds no migrator, leaving every experiment
-// byte-identical to a build without migration support. The rebalance
-// experiment overrides it per point for its on/off comparison.
-var migrPlan migrate.Config
-
-// SetMigrate installs the default migration plan for subsequently built
-// systems. Not safe to call concurrently with running experiments.
-func SetMigrate(cfg migrate.Config) { migrPlan = cfg }
-
-// skew is the process-wide Zipfian key-skew exponent applied to every
-// app an experiment builds that supports one (installed from the CLI's
-// -skew flag). Zero keeps each app's native distribution and draws the
-// identical RNG stream as a build without skew support. The rebalance
-// experiment overrides it per point for its skew sweep.
-var skew float64
-
-// SetSkew installs the default key-skew exponent for subsequently built
-// apps. Not safe to call concurrently with running experiments.
-func SetSkew(s float64) { skew = s }
-
-func (o *Options) printf(format string, args ...any) {
-	if o.Out != nil {
-		fmt.Fprintf(o.Out, format, args...)
-	}
+	o.Parallel = max(n, 1)
+	o.sem = make(chan struct{}, o.Parallel)
 }
 
 // windows returns warmup and measure durations for a given offered load,
@@ -165,14 +111,23 @@ func (o *Options) windows(rps float64) (warmup, measure sim.Time) {
 	if o.Short {
 		target = 15_000
 	}
-	ms := target / rps * 1000
-	if ms < 20 {
-		ms = 20
-	}
-	if ms > 3000 {
-		ms = 3000
-	}
+	ms := min(max(target/rps*1000, 20), 3000)
 	return sim.Millis(ms / 4), sim.Millis(ms)
+}
+
+// loads builds a load list, thinning it in short mode.
+func (o *Options) loads(full []float64) []float64 {
+	if !o.Short {
+		return full
+	}
+	var out []float64
+	for i := 0; i < len(full); i += 2 {
+		out = append(out, full[i])
+	}
+	if len(out) == 0 || out[len(out)-1] != full[len(full)-1] {
+		out = append(out, full[len(full)-1])
+	}
+	return out
 }
 
 // Point is one measured operating point of one system.
@@ -200,9 +155,28 @@ type Point struct {
 	Failovers int64
 	Repaired  int64
 
+	// Migrations counts pages whose owner flip landed (zero unless
+	// migration is on), and Imbalance is max/mean of the per-node
+	// fetch-read counts — 1.0 is a perfectly balanced cluster, the node
+	// count is everything on one (see the rebalance experiment).
+	Migrations int64
+	Imbalance  float64
+
+	// MaxPending is the high-water mark of the point's pending-event
+	// count: the depth its event scheduler had to absorb (-qdepth).
+	MaxPending int
+
 	// Per-class percentiles (e.g. GET/SCAN), when the workload is
 	// classified.
 	Class map[string]ClassLat
+}
+
+// GoodputK is throughput discounted by the aborted-request fraction.
+func (p Point) GoodputK() float64 {
+	if p.Completed == 0 {
+		return p.TputK
+	}
+	return p.TputK * (float64(p.Completed-p.Aborts) / float64(p.Completed))
 }
 
 // ClassLat is per-request-class latency.
@@ -213,57 +187,129 @@ type ClassLat struct {
 	Count  int64
 }
 
+// Series is the measured points of one table, by the label of the curve
+// (or row group) they belong to, each curve in the order it was planned.
+type Series map[string][]Point
+
+// Result is what one experiment measured: everything it printed, as
+// values.
+type Result struct {
+	// Sweeps holds the points of every batch the experiment handed to
+	// the runner, in order: one per printed sweep table (fig10 and
+	// shards have two), and the lone point of a single-run figure.
+	Sweeps []Series
+	// Breakdown is the percentile rows of Figure 2(c)/7(c).
+	Breakdown []BreakdownRow
+}
+
+// experiment is one row of the experiments table: declarative
+// comparisons, or a body that plans its own points.
+type experiment struct {
+	id string
+	// nodes is the smallest memory-node count the experiment builds at
+	// when it sets the count of its own points; 0 for the rest, which
+	// build every point at Options.MemNodes.
+	nodes int
+	cmp   []comparison
+	body  func(r *run)
+}
+
+// comparison is the paper's one evaluation shape as data: every system
+// under every mode, swept over offered load, printed as one table. A
+// curve is labelled by its system, or by its mode when the system has no
+// label (one system compared across modes).
+type comparison struct {
+	title string
+	// loads is the full-resolution offered-load list in KRPS; -short
+	// thins it to every other entry, or uses short when that is set.
+	loads, short []float64
+	// classes, when set, selects the per-class table (Figure 11 style).
+	classes []string
+	modes   []core.Mode
+	systems []system
+}
+
+// system says how a point's system under test is built: which app, how
+// much local memory as a fraction of its footprint (0 = the paper's
+// 20 %), and what the preset is adjusted by.
+type system struct {
+	label string
+	app   func(short bool) App
+	local float64
+	cfg   func(*core.Config)
+	// fullOnly drops the system from a comparison's -short sweep.
+	fullOnly bool
+}
+
+// on is the one unlabelled system of a comparison across modes.
+func on(app func(short bool) App) []system { return []system{{app: app}} }
+
 // builder constructs a fresh system+app for a mode. Every measured point
 // uses a fresh build so points are independent and deterministic.
 type builder func(mode core.Mode, seed int64) (*core.System, workload.App)
 
-// mutator optionally adjusts a preset before the system is built.
-type mutator func(cfg *core.Config)
-
-// buildPreset makes a builder from an app factory with the given
-// local-memory fraction of the app's working set.
-func buildPreset(localFrac float64, mut mutator,
-	mkApp func(sys *core.System) workload.App, appBytes func() int64) builder {
+// builder resolves s under these options: the app at the -short or full
+// size, local memory from its footprint, the options' settings, then the
+// system's own adjustment on top.
+func (o *Options) builder(s system) builder {
+	app := s.app(o.Short)
+	if s.local == 0 {
+		s.local = 0.20
+	}
 	return func(mode core.Mode, seed int64) (*core.System, workload.App) {
-		local := int64(localFrac * float64(appBytes()))
-		cfg := core.Preset(mode, local)
+		cfg := core.Preset(mode, int64(s.local*float64(app.Footprint)))
 		cfg.Seed = seed
-		cfg.Faults = faultPlan
-		cfg.MemNodes = memNodes
-		cfg.Replicas = replicas
-		cfg.Migrate = migrPlan
-		if mut != nil {
-			mut(&cfg)
+		cfg.Faults = o.Faults
+		cfg.MemNodes = o.MemNodes
+		cfg.Replicas = o.Replicas
+		cfg.Migrate = o.Migrate
+		if s.cfg != nil {
+			s.cfg(&cfg)
 		}
 		sys := core.NewSystem(cfg)
-		app := mkApp(sys)
-		if skew > 0 {
-			if sk, ok := app.(interface{ SetSkew(float64) }); ok {
-				sk.SetSkew(skew)
-			}
+		a := app.Build(sys)
+		if w, ok := a.(interface{ WarmCache() }); ok {
+			w.WarmCache()
 		}
-		sys.StartApp(app)
-		return sys, app
+		if sk, ok := a.(interface{ SetSkew(float64) }); ok && o.Skew > 0 {
+			sk.SetSkew(o.Skew)
+		}
+		sys.StartApp(a)
+		return sys, a
 	}
 }
 
-// pointSpec names one (builder, mode, load) operating point of a sweep
-// plus the seed its simulation runs under.
-type pointSpec struct {
+// point is one simulation an experiment plans: what to build, how hard
+// to drive it, which curve the result joins, and which random stream it
+// draws.
+type point struct {
+	label string
+	// key and idx pick the stream: the seed is derived from (base seed,
+	// experiment id, key, idx), so every point draws independently of
+	// the order points run in. An empty key runs under the base seed
+	// itself (the single-run figures).
+	key  string
+	idx  int
 	b    builder
 	mode core.Mode
 	rps  float64
-	seed int64
+	// observe, when set, is shown the built system before it is driven
+	// (with the warm-up length); what it returns is shown the result.
+	observe func(sys *core.System, warm sim.Time) func(core.RunResult)
+	// drive, when set, replaces System.Run as what turns the built
+	// system into a result (abl-transport's reliable half, which must
+	// reach the load generator Run keeps to itself).
+	drive func(sys *core.System, app workload.App, rps float64, warm, meas sim.Time) core.RunResult
 }
 
 // pointSeed derives a per-point seed from the base seed, the experiment
-// id, the mode, and the point's load index, so every operating point
-// draws an independent random stream and parallel execution order cannot
-// matter. The mix is FNV-1a over the strings followed by a splitmix64
-// finalizer.
-func pointSeed(base int64, exp, mode string, idx int) int64 {
+// id, the point's key (usually its mode), and its load index, so every
+// operating point draws an independent random stream and parallel
+// execution order cannot matter. The mix is FNV-1a over the strings
+// followed by a splitmix64 finalizer.
+func pointSeed(base int64, exp, key string, idx int) int64 {
 	h := uint64(base) ^ 0x9e3779b97f4a7c15
-	for _, s := range [2]string{exp, mode} {
+	for _, s := range [2]string{exp, key} {
 		for i := 0; i < len(s); i++ {
 			h = (h ^ uint64(s[i])) * 0x100000001b3
 		}
@@ -282,61 +328,89 @@ func pointSeed(base int64, exp, mode string, idx int) int64 {
 	return s
 }
 
-// runPoints measures every spec and returns the results in spec order.
-// With Parallel > 1 the points run concurrently, each on its own
-// core.System and sim.Env; the ordered reassembly plus per-spec seeds
-// make the output bit-identical to a sequential run.
-func (o *Options) runPoints(specs []pointSpec) []Point {
-	pts := make([]Point, len(specs))
-	if o.Parallel <= 1 || len(specs) <= 1 {
-		for i, sp := range specs {
-			pts[i] = o.runPointSeeded(sp.b, sp.mode, sp.rps, sp.seed)
-		}
-		return pts
-	}
-	sem := o.sem
-	if sem == nil {
-		sem = make(chan struct{}, o.Parallel)
-	}
+// Each runs f(0) … f(n-1), each on a goroutine of its own that is
+// started, in index order, once a slot of limit is free, and returns
+// when all have. It is the one fan-out: points inside an experiment
+// share their Options' limiter, and a CLI running several experiments
+// side by side bounds those with a limiter of its own (an experiment
+// holds no simulation slot while it waits for its points).
+func Each(n int, limit chan struct{}, f func(i int)) {
 	var wg sync.WaitGroup
-	for i := range specs {
-		i, sp := i, specs[i]
+	for i := 0; i < n; i++ {
+		limit <- struct{}{}
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pts[i] = o.runPointSeeded(sp.b, sp.mode, sp.rps, sp.seed)
+			defer func() { <-limit; wg.Done() }()
+			f(i)
 		}()
 	}
 	wg.Wait()
-	return pts
 }
 
-// runPoint measures one (mode, load) operating point under the base seed.
-func (o *Options) runPoint(b builder, mode core.Mode, rps float64) Point {
-	return o.runPointSeeded(b, mode, rps, o.seed())
+// run is one experiment in progress: its options, its id (which salts
+// every point's seed, so different experiments draw independent
+// streams), and what it has measured so far.
+type run struct {
+	Options
+	id     string
+	headed bool // the CSVHeader row has been written
+	res    Result
 }
 
-// runPointSeeded measures one (mode, load) operating point.
-func (o *Options) runPointSeeded(b builder, mode core.Mode, rps float64, seed int64) Point {
-	sys, app := b(mode, seed)
-	warm, meas := o.windows(rps)
-	res := sys.Run(app, rps, warm, meas)
+// measure runs every point — concurrently as far as the limiter allows,
+// each on its own core.System and sim.Env — and returns the results in
+// point order and by label; ordered reassembly plus per-point seeds make
+// the output bit-identical at any parallelism.
+func (r *run) measure(pts []point) ([]Point, Series) {
+	out := make([]Point, len(pts))
+	Each(len(pts), r.sem, func(i int) { out[i] = r.measureOne(pts[i]) })
+	series := make(Series)
+	for i, p := range pts {
+		series[p.label] = append(series[p.label], out[i])
+	}
+	r.res.Sweeps = append(r.res.Sweeps, series)
+	return out, series
+}
+
+// measureOne is the one place a built system is driven and reduced to
+// numbers.
+func (r *run) measureOne(p point) Point {
+	seed := r.Seed
+	if p.key != "" {
+		seed = pointSeed(seed, r.id, p.key, p.idx)
+	}
+	sys, app := p.b(p.mode, seed)
+	warm, meas := r.windows(p.rps)
+	var after func(core.RunResult)
+	if p.observe != nil {
+		after = p.observe(sys, warm)
+	}
+	var res core.RunResult
+	if p.drive != nil {
+		res = p.drive(sys, app, p.rps, warm, meas)
+	} else {
+		res = sys.Run(app, p.rps, warm, meas)
+	}
+	if after != nil {
+		after(res)
+	}
 	pt := Point{
-		Mode:      mode.String(),
-		OfferedK:  res.OfferedK,
-		TputK:     res.TputK,
-		P50us:     res.P50us,
-		P99us:     res.P99us,
-		P999us:    res.P999us,
-		LinkUtil:  res.LinkUtil,
-		Drops:     res.Drops,
-		Aborts:    res.Aborts,
-		Retries:   res.Retries,
-		Completed: res.Completed,
-		Failovers: res.Failovers,
-		Repaired:  res.Repaired,
+		Mode:       p.mode.String(),
+		OfferedK:   res.OfferedK,
+		TputK:      res.TputK,
+		P50us:      res.P50us,
+		P99us:      res.P99us,
+		P999us:     res.P999us,
+		LinkUtil:   res.LinkUtil,
+		Drops:      res.Drops,
+		Aborts:     res.Aborts,
+		Retries:    res.Retries,
+		Completed:  res.Completed,
+		Failovers:  res.Failovers,
+		Repaired:   res.Repaired,
+		Migrations: res.Migrations,
+		Imbalance:  imbalance(sys.Fabric),
+		MaxPending: sys.Env.MaxPending(),
 	}
 	if len(res.Gen.ByClass) > 0 {
 		pt.Class = make(map[string]ClassLat)
@@ -352,239 +426,174 @@ func (o *Options) runPointSeeded(b builder, mode core.Mode, rps float64, seed in
 	return pt
 }
 
-func (o *Options) seed() int64 {
-	if o.Seed == 0 {
+// imbalance is max/mean of the per-node fetch-read counts.
+func imbalance(fabric rdma.Fabric) float64 {
+	var most, total int64
+	for _, nic := range fabric {
+		n := nic.Reads.Value()
+		total += n
+		most = max(most, n)
+	}
+	if total == 0 {
 		return 1
 	}
-	return o.Seed
+	return float64(most) * float64(len(fabric)) / float64(total)
 }
 
-// sweep measures a list of offered loads for each mode, fanning the
-// points across goroutines when Options.Parallel allows.
-func (o *Options) sweep(b builder, modes []core.Mode, loadsK []float64) map[string][]Point {
-	specs := make([]pointSpec, 0, len(modes)*len(loadsK))
-	for _, m := range modes {
-		for i, k := range loadsK {
-			specs = append(specs, pointSpec{
-				b: b, mode: m, rps: k * 1000,
-				seed: pointSeed(o.seed(), o.exp, m.String(), i),
-			})
+// compare plans, measures and prints one comparison.
+func (r *run) compare(c comparison) {
+	loads := r.loads(c.loads)
+	if r.Short && c.short != nil {
+		loads = c.short
+	}
+	var pts []point
+	for _, sys := range c.systems {
+		if sys.fullOnly && r.Short {
+			continue
 		}
-	}
-	pts := o.runPoints(specs)
-	out := make(map[string][]Point)
-	for i, sp := range specs {
-		out[sp.mode.String()] = append(out[sp.mode.String()], pts[i])
-	}
-	return out
-}
-
-// printSweep renders a sweep as aligned rows, plus optional chart and
-// CSV output.
-func (o *Options) printSweep(title string, series map[string][]Point) {
-	o.printf("\n# %s\n", title)
-	o.printf("%-11s %9s %9s %10s %10s %10s %6s %9s\n",
-		"system", "offered_K", "tput_K", "p50_us", "p99_us", "p99.9_us", "util%", "drops")
-	for _, name := range sortedKeys(series) {
-		for _, p := range series[name] {
-			o.printf("%-11s %9.4g %9.4g %10.1f %10.1f %10.1f %6.1f %9d\n",
-				name, p.OfferedK, p.TputK, p.P50us, p.P99us, p.P999us, p.LinkUtil*100, p.Drops)
-		}
-	}
-	o.emitCSV(title, series)
-	if o.Plot && o.Out != nil {
-		curves := make(map[string][]plot.XY)
-		for name, pts := range series {
-			for _, p := range pts {
-				curves[name] = append(curves[name], plot.XY{X: p.TputK, Y: p.P999us})
+		b := r.builder(sys)
+		for _, m := range c.modes {
+			label := sys.label
+			if label == "" {
+				label = m.String()
+			}
+			for i, k := range loads {
+				pts = append(pts, point{label: label, key: m.String(), idx: i, b: b, mode: m, rps: k * 1000})
 			}
 		}
-		plot.Render(o.Out, title+" — P99.9 vs throughput", curves,
+	}
+	_, series := r.measure(pts)
+	r.printSweep(c.title, series, c.classes)
+}
+
+func (r *run) printf(format string, args ...any) { fmt.Fprintf(r.Out, format, args...) }
+
+// printSweep renders a sweep as aligned rows — the all-requests columns,
+// or with classes the per-class latency columns of Figure 11 — plus
+// optional chart (the P99.9 of all requests, or of the first class) and
+// CSV output.
+func (r *run) printSweep(title string, series Series, classes []string) {
+	r.printf("\n# %s\n%-11s %9s %9s", title, "system", "offered_K", "tput_K")
+	if len(classes) == 0 {
+		r.printf(" %10s %10s %10s %6s %9s", "p50_us", "p99_us", "p99.9_us", "util%", "drops")
+	}
+	for _, c := range classes {
+		r.printf(" %9s %10s %11s", c+"_p50", c+"_p99", c+"_p99.9")
+	}
+	r.printf("\n")
+	curves := make(map[string][]plot.XY)
+	for _, name := range slices.Sorted(maps.Keys(series)) {
+		for _, p := range series[name] {
+			r.printf("%-11s %9.4g %9.4g", name, p.OfferedK, p.TputK)
+			tail := p.P999us
+			if len(classes) == 0 {
+				r.printf(" %10.1f %10.1f %10.1f %6.1f %9d", p.P50us, p.P99us, p.P999us, p.LinkUtil*100, p.Drops)
+			} else {
+				tail = p.Class[classes[0]].P999us
+			}
+			for _, c := range classes {
+				cl := p.Class[c]
+				r.printf(" %9.1f %10.1f %11.1f", cl.P50us, cl.P99us, cl.P999us)
+			}
+			r.printf("\n")
+			curves[name] = append(curves[name], plot.XY{X: p.TputK, Y: tail})
+		}
+	}
+	r.emitCSV(title, series)
+	if r.Plot {
+		what := ""
+		if len(classes) > 0 {
+			what = classes[0] + " "
+		}
+		plot.Render(r.Out, title+" — "+what+"P99.9 vs throughput", curves,
 			plot.Options{LogY: true, XLabel: "tput KRPS", YLabel: "p99.9 us"})
 	}
 }
 
-// emitCSV appends the sweep's points to the CSV sink, preceded by the
-// CSVHeader row the first time any Options copy writes a row.
-func (o *Options) emitCSV(title string, series map[string][]Point) {
-	if o.CSV == nil {
+// emitCSV appends the series' points to the CSV sink under the title's
+// slug (what precedes its colon), after the CSVHeader row the first time
+// this run writes one.
+func (r *run) emitCSV(title string, series Series) {
+	if r.CSV == nil {
 		return
 	}
-	if o.csvHeader != nil {
-		o.csvHeader.Do(func() { fmt.Fprintln(o.CSV, CSVHeader) })
+	if !r.headed {
+		r.headed = true
+		fmt.Fprintln(r.CSV, CSVHeader)
 	}
-	slug := title
-	if i := strings.IndexAny(slug, ":"); i > 0 {
-		slug = slug[:i]
-	}
+	slug, _, _ := strings.Cut(title, ":")
 	slug = strings.ReplaceAll(strings.TrimSpace(slug), ",", ";")
-	for _, name := range sortedKeys(series) {
+	for _, name := range slices.Sorted(maps.Keys(series)) {
 		for _, p := range series[name] {
-			fmt.Fprintf(o.CSV, "%s,%s,%.0f,%.0f,%.2f,%.2f,%.2f,%.4f,%d\n",
-				strings.TrimRight(slug, ":"), name, p.OfferedK, p.TputK,
+			fmt.Fprintf(r.CSV, "%s,%s,%.0f,%.0f,%.2f,%.2f,%.2f,%.4f,%d\n",
+				slug, name, p.OfferedK, p.TputK,
 				p.P50us, p.P99us, p.P999us, p.LinkUtil, p.Drops)
 		}
 	}
 }
 
-// printClassSweep renders per-class latency rows (Figure 11 style).
-func (o *Options) printClassSweep(title string, series map[string][]Point, classes []string) {
-	o.printf("\n# %s\n", title)
-	o.printf("%-11s %9s %9s", "system", "offered_K", "tput_K")
-	for _, c := range classes {
-		o.printf(" %9s %10s %11s", c+"_p50", c+"_p99", c+"_p99.9")
-	}
-	o.printf("\n")
-	for _, name := range sortedKeys(series) {
-		for _, p := range series[name] {
-			o.printf("%-11s %9.4g %9.4g", name, p.OfferedK, p.TputK)
-			for _, c := range classes {
-				cl := p.Class[c]
-				o.printf(" %9.1f %10.1f %11.1f", cl.P50us, cl.P99us, cl.P999us)
-			}
-			o.printf("\n")
+// find returns the table row with that id.
+func find(id string) (experiment, error) {
+	for _, e := range experiments {
+		if e.id == id {
+			return e, nil
 		}
 	}
-	o.emitCSV(title, series)
-	if o.Plot && o.Out != nil && len(classes) > 0 {
-		curves := make(map[string][]plot.XY)
-		for name, pts := range series {
-			for _, p := range pts {
-				curves[name] = append(curves[name], plot.XY{X: p.TputK, Y: p.Class[classes[0]].P999us})
-			}
-		}
-		plot.Render(o.Out, title+" — "+classes[0]+" P99.9 vs throughput", curves,
-			plot.Options{LogY: true, XLabel: "tput KRPS", YLabel: "p99.9 us"})
-	}
+	return experiment{}, fmt.Errorf("unknown experiment %q", id)
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// All lists every experiment id Run accepts, in DESIGN.md order.
+func All() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	sort.Strings(keys)
-	return keys
+	return ids
 }
 
-// loads builds a load list, thinning it in short mode.
-func (o *Options) loads(full []float64) []float64 {
-	if !o.Short {
-		return full
-	}
-	var out []float64
-	for i := 0; i < len(full); i += 2 {
-		out = append(out, full[i])
-	}
-	if len(out) == 0 || out[len(out)-1] != full[len(full)-1] {
-		out = append(out, full[len(full)-1])
-	}
-	return out
-}
-
-// experiments maps every accepted id to its implementation. Aliases for
-// figures that share one generating run (fig2d/fig2e, fig7a/fig7b,
-// fig7d/fig7e) each have their own entry; the tests assert this map and
-// All agree exactly.
-var experiments = map[string]func(Options){
-	"table1": func(o Options) { Table1(o) },
-	"fig2a":  func(o Options) { Fig2a(o) },
-	"fig2b":  func(o Options) { Fig2b(o) },
-	"fig2c":  func(o Options) { Fig2c(o) },
-	"fig2d":  func(o Options) { Fig2de(o) },
-	"fig2e":  func(o Options) { Fig2de(o) },
-	"fig7a":  func(o Options) { Fig7ab(o) },
-	"fig7b":  func(o Options) { Fig7ab(o) },
-	"fig7c":  func(o Options) { Fig7c(o) },
-	"fig7d":  func(o Options) { Fig7de(o) },
-	"fig7e":  func(o Options) { Fig7de(o) },
-	"fig8":   func(o Options) { Fig8(o) },
-	"fig9":   func(o Options) { Fig9(o) },
-	"table2": func(o Options) { Table2(o) },
-	"fig10":  func(o Options) { Fig10(o) },
-	"fig10e": func(o Options) { Fig10e(o) },
-	"fig11":  func(o Options) { Fig11(o) },
-	"fig11e": func(o Options) { Fig11e(o) },
-	"fig12":  func(o Options) { Fig12(o) },
-	"fig13":  func(o Options) { Fig13(o) },
-
-	"abl-prefetch":  func(o Options) { AblPrefetch(o) },
-	"abl-reclaim":   func(o Options) { AblReclaim(o) },
-	"abl-compute":   func(o Options) { AblCompute(o) },
-	"abl-workers":   func(o Options) { AblWorkers(o) },
-	"abl-quantum":   func(o Options) { AblQuantum(o) },
-	"abl-pool":      func(o Options) { AblPool(o) },
-	"abl-twosided":  func(o Options) { AblTwoSided(o) },
-	"abl-steal":     func(o Options) { AblSteal(o) },
-	"abl-ipi":       func(o Options) { AblIPI(o) },
-	"abl-evict":     func(o Options) { AblEvict(o) },
-	"abl-hugepage":  func(o Options) { AblHugePage(o) },
-	"abl-canvas":    func(o Options) { AblCanvas(o) },
-	"abl-multidisp": func(o Options) { AblMultiDispatch(o) },
-	"abl-transport": func(o Options) { AblTransport(o) },
-	"infiniswap":    func(o Options) { Infiniswap(o) },
-	"resilience":    func(o Options) { Resilience(o) },
-	"shards":        func(o Options) { Shards(o) },
-	"failover":      func(o Options) { Failover(o) },
-	"rebalance":     func(o Options) { Rebalance(o) },
-}
-
-// nodeFloor is, for the experiments that set the memory-node count of
-// their own points, the smallest count they build at; every other
-// experiment builds all of its points at the -memnodes count.
-var nodeFloor = map[string]int{"shards": 1, "rebalance": rebalanceNodes}
-
-// CheckPlan reports whether plan can run on every system experiment id
-// builds when the default node count is n: a crash must name a node all
-// of its points have (core.NewSystem panics on one that does not). Run
-// checks the installed plan; a CLI calls it first to report a usage error
-// instead.
+// CheckPlan reports whether id names an experiment and plan can run on
+// every system it builds when the default node count is n: a crash must
+// name a node all of its points have (core.NewSystem panics on one that
+// does not). Run checks its options' plan; a CLI calls it first, for
+// every id, to report a usage error before anything is simulated.
 func CheckPlan(id string, plan faults.Config, n int) error {
-	if floor, ok := nodeFloor[id]; ok {
-		n = floor
+	e, err := find(id)
+	if err != nil {
+		return err
 	}
-	if err := plan.FitsNodes(n); err != nil {
+	if e.nodes > 0 {
+		n = e.nodes
+	}
+	if err := plan.FitsNodes(max(n, 1)); err != nil {
 		return fmt.Errorf("experiment %s: %v", id, err)
 	}
 	return nil
 }
 
-// Run executes the experiment with the given id. Returns an error for
-// unknown ids and for a fault plan the experiment cannot run under.
-// Results are printed to opt.Out.
-func Run(id string, opt Options) error {
-	fn, ok := experiments[id]
-	if !ok {
-		return fmt.Errorf("bench: unknown experiment %q", id)
+// Run executes the experiment with the given id, prints its tables to
+// opt.Out and returns what it measured. It is the only way an experiment
+// runs, so a point's seed never depends on who asked. Returns an error
+// for unknown ids and for a fault plan the experiment cannot run under.
+func Run(id string, opt Options) (Result, error) {
+	if err := CheckPlan(id, opt.Faults, opt.MemNodes); err != nil {
+		return Result{}, fmt.Errorf("bench: %v", err)
 	}
-	if err := CheckPlan(id, faultPlan, memNodes); err != nil {
-		return fmt.Errorf("bench: %v", err)
+	if opt.sem == nil {
+		opt.SetParallel(opt.Parallel)
 	}
-	opt.exp = id
-	fn(opt)
-	return nil
-}
-
-// All lists every experiment id Run accepts, in DESIGN.md order.
-func All() []string {
-	return []string{
-		"table1", "fig2a", "fig2b", "fig2c", "fig2d", "fig2e",
-		"fig7a", "fig7b", "fig7c", "fig7d", "fig7e", "fig8", "fig9",
-		"table2", "fig10", "fig10e", "fig11", "fig11e", "fig12", "fig13",
-		"abl-prefetch", "abl-reclaim", "abl-compute", "abl-workers",
-		"abl-quantum", "abl-pool", "abl-twosided", "abl-steal",
-		"abl-ipi", "abl-evict", "abl-hugepage", "abl-canvas",
-		"abl-multidisp", "abl-transport", "infiniswap", "resilience",
-		"shards", "failover", "rebalance",
+	if opt.Out == nil {
+		opt.Out = io.Discard
 	}
-}
-
-// txPolicy helper for Figure 9.
-func withTx(tx sched.TxPolicy) mutator {
-	return func(cfg *core.Config) { cfg.Sched.Tx = tx }
-}
-
-// withDispatch helper for Figures 10(e)/11(e).
-func withDispatch(d sched.DispatchPolicy) mutator {
-	return func(cfg *core.Config) { cfg.Sched.Dispatch = d }
+	if opt.Seed == 0 {
+		opt.Seed = 1
+	}
+	e, _ := find(id)
+	r := &run{Options: opt, id: id}
+	for _, c := range e.cmp {
+		r.compare(c)
+	}
+	if e.body != nil {
+		e.body(r)
+	}
+	return r.res, nil
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"io"
 	"strings"
 	"testing"
 
@@ -12,6 +11,20 @@ import (
 // the paper's qualitative claims (who wins, roughly by how much), which
 // are exactly what the reproduction must preserve.
 func shortOpt() Options { return Options{Short: true, Seed: 1} }
+
+// mustRun runs one experiment the only way there is, by id.
+func mustRun(t testing.TB, id string, opt Options) Result {
+	t.Helper()
+	res, err := Run(id, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sweepOf runs a single-table experiment at -short and returns its
+// series.
+func sweepOf(t testing.TB, id string) Series { return mustRun(t, id, shortOpt()).Sweeps[0] }
 
 func last(pts []Point) Point { return pts[len(pts)-1] }
 
@@ -26,7 +39,7 @@ func peak(pts []Point) Point {
 }
 
 func TestRunDispatchesAllIDs(t *testing.T) {
-	if err := Run("nonsense", shortOpt()); err == nil {
+	if _, err := Run("nonsense", shortOpt()); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 	// A crash plan must fit the smallest system the experiment builds:
@@ -36,7 +49,7 @@ func TestRunDispatchesAllIDs(t *testing.T) {
 		id   string
 		n    int
 		fits bool
-	}{{"fig2b", 4, true}, {"fig2b", 2, false}, {"shards", 4, false}, {"rebalance", 1, true}} {
+	}{{"fig2b", 4, true}, {"fig2b", 2, false}, {"fig2b", 0, false}, {"shards", 4, false}, {"rebalance", 1, true}, {"nonsense", 4, false}} {
 		if err := CheckPlan(tc.id, crash, tc.n); (err == nil) != tc.fits {
 			t.Fatalf("CheckPlan(%s, crash of node 2, %d nodes) = %v, want fits=%v", tc.id, tc.n, err, tc.fits)
 		}
@@ -54,7 +67,7 @@ func TestTable1Prints(t *testing.T) {
 	var sb strings.Builder
 	opt := shortOpt()
 	opt.Out = &sb
-	Table1(opt)
+	mustRun(t, "table1", opt)
 	out := sb.String()
 	for _, want := range []string{"80", "968", "unithread", "ucontext"} {
 		if !strings.Contains(out, want) {
@@ -64,7 +77,7 @@ func TestTable1Prints(t *testing.T) {
 }
 
 func TestFig2aPreemptionDoesNotHelpMicrobench(t *testing.T) {
-	series := Fig2a(shortOpt())
+	series := sweepOf(t, "fig2a")
 	d, p := series["DiLOS"], series["DiLOS-P"]
 	if len(d) == 0 || len(p) == 0 {
 		t.Fatal("missing series")
@@ -77,7 +90,7 @@ func TestFig2aPreemptionDoesNotHelpMicrobench(t *testing.T) {
 }
 
 func TestFig2cBusyWaitDominatesTail(t *testing.T) {
-	rows := Fig2c(shortOpt())
+	rows := mustRun(t, "fig2c", shortOpt()).Breakdown
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -107,14 +120,14 @@ func TestFig2cBusyWaitDominatesTail(t *testing.T) {
 }
 
 func TestFig7AdiosEliminatesBusyWait(t *testing.T) {
-	rows := Fig7c(shortOpt())
+	rows := mustRun(t, "fig7c", shortOpt()).Breakdown
 	for _, r := range rows {
 		if r.OwnBusyWaitKc != 0 || r.QueueBusyKc != 0 {
 			t.Fatalf("Adios shows busy-wait at P%.1f: %+v", r.Pct, r)
 		}
 	}
 	// Queueing at the tail collapses vs DiLOS (paper: 16-37x less).
-	dilos := Fig2c(shortOpt())
+	dilos := mustRun(t, "fig2c", shortOpt()).Breakdown
 	if rows[3].QueueKc*4 > dilos[3].QueueKc {
 		t.Fatalf("Adios P99.9 queueing %.1fKc not far below DiLOS %.1fKc",
 			rows[3].QueueKc, dilos[3].QueueKc)
@@ -129,7 +142,7 @@ func TestFig7deThroughputAndUtilization(t *testing.T) {
 		// test's default timeout.
 		t.Skip("too slow under -race; run without it")
 	}
-	series := Fig7de(shortOpt())
+	series := sweepOf(t, "fig7d")
 	d, a := series["DiLOS"], series["Adios"]
 	dPeak, aPeak := 0.0, 0.0
 	var dUtil, aUtil float64
@@ -153,7 +166,7 @@ func TestFig7deThroughputAndUtilization(t *testing.T) {
 }
 
 func TestFig9PollingDelegationHelps(t *testing.T) {
-	series := Fig9(shortOpt())
+	series := sweepOf(t, "fig9")
 	with, without := series["Adios"], series["Adios-SyncTx"]
 	wPeak, oPeak := 0.0, 0.0
 	for _, p := range with {
@@ -173,7 +186,7 @@ func TestFig9PollingDelegationHelps(t *testing.T) {
 }
 
 func TestAblComputeYieldGainsNothing(t *testing.T) {
-	series := AblCompute(shortOpt())
+	series := sweepOf(t, "abl-compute")
 	busy, yield := last(series["busy-wait"]), last(series["yield"])
 	// §6: with no faults to overlap, yielding neither helps nor hurts
 	// meaningfully.
@@ -186,19 +199,16 @@ func TestBenchWritesOutput(t *testing.T) {
 	var sb strings.Builder
 	opt := shortOpt()
 	opt.Out = &sb
-	if err := Run("table2", opt); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, "table2", opt)
 	for _, want := range []string{"Memcached", "RocksDB", "Silo", "Faiss"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("table2 missing %s", want)
 		}
 	}
-	_ = io.Discard
 }
 
 func TestAblTwoSidedOneSidedWins(t *testing.T) {
-	series := AblTwoSided(shortOpt())
+	series := sweepOf(t, "abl-twosided")
 	one, two := series["one-sided"], series["two-sided"]
 	// The §3.1 design choice: one-sided must deliver lower latency at
 	// matched load and at least as much peak throughput.
@@ -211,7 +221,7 @@ func TestAblTwoSidedOneSidedWins(t *testing.T) {
 }
 
 func TestAblCanvasHelpsScans(t *testing.T) {
-	series := AblCanvas(shortOpt())
+	series := sweepOf(t, "abl-canvas")
 	off, on := series["demand-only"], series["app-guided"]
 	// Application-guided prefetch must cut SCAN median latency without
 	// hurting throughput.
@@ -223,7 +233,7 @@ func TestAblCanvasHelpsScans(t *testing.T) {
 }
 
 func TestAblHugePageAmplificationHurts(t *testing.T) {
-	series := AblHugePage(shortOpt())
+	series := sweepOf(t, "abl-hugepage")
 	fine, huge := series["align=1"], series["align=512"]
 	// 512x fetch amplification on a random workload must saturate the
 	// link and wreck latency (the paper's Silo 4KB-vs-2MB point).

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // failoverArrayBytes is the failover experiment's working set. Smaller
@@ -15,21 +14,7 @@ import (
 // the default repair bandwidth cap.
 const failoverArrayBytes int64 = 8 << 20
 
-// failoverBuilder builds the microbenchmark striped over n memory nodes
-// with replication factor r and the given crash plan.
-func failoverBuilder(n, r int, crash faults.Config) builder {
-	return buildPreset(0.25, func(cfg *core.Config) {
-		cfg.MemNodes = n
-		cfg.Replicas = r
-		cfg.Faults = crash
-	}, func(sys *core.System) workload.App {
-		app := workload.NewArrayApp(sys.Mgr, sys.Mem, failoverArrayBytes)
-		app.WarmCache()
-		return app
-	}, func() int64 { return failoverArrayBytes })
-}
-
-// Failover measures surviving a memory-node crash: 4 memory nodes at a
+// failover measures surviving a memory-node crash: 4 memory nodes at a
 // fixed mid-sweep load, sweeping the replication factor against the
 // crash time (as a fraction of the measurement window), plus a no-crash
 // reference per factor. Node 1 dies and stays dead; the failure
@@ -38,7 +23,7 @@ func failoverBuilder(n, r int, crash faults.Config) builder {
 // runs (r=1) show the blast radius instead: every access to the dead
 // stripe aborts, so goodput drops by roughly the stripe's share of the
 // post-crash window while replicated runs lose nothing.
-func Failover(opt Options) map[string][]Point {
+func failover(r *run) {
 	const (
 		nodes     = 4
 		crashNode = 1
@@ -46,62 +31,51 @@ func Failover(opt Options) map[string][]Point {
 	)
 	repFactors := []int{1, 2, 3}
 	fracs := []float64{0.25, 0.5, 0.75}
-	if opt.Short {
+	if r.Short {
 		repFactors = []int{1, 2}
 		fracs = []float64{0.5}
 	}
-	warm, meas := opt.windows(loadK * 1000)
+	warm, meas := r.windows(loadK * 1000)
 
-	type failSpec struct {
-		r       int
+	var pts []point
+	type row struct {
+		reps    int
 		crashMs float64 // -1 = no crash
-		key     string
 	}
-	specs := make([]pointSpec, 0, len(repFactors)*(len(fracs)+1))
-	meta := make([]failSpec, 0, cap(specs))
-	for _, r := range repFactors {
-		specs = append(specs, pointSpec{
-			b: failoverBuilder(nodes, r, faults.Config{}), mode: core.Adios,
-			rps:  loadK * 1000,
-			seed: pointSeed(opt.seed(), opt.exp, fmt.Sprintf("r%d+nocrash", r), 0),
-		})
-		meta = append(meta, failSpec{r: r, crashMs: -1,
-			key: fmt.Sprintf("r%d+nocrash", r)})
+	var rows []row
+	plan := func(reps int, key string, idx int, crash faults.Config, ms float64) {
+		pts = append(pts, point{label: key, key: key, idx: idx, mode: core.Adios, rps: loadK * 1000,
+			b: r.builder(system{app: func(bool) App { return arrayApp(failoverArrayBytes) }, local: 0.25,
+				cfg: func(cfg *core.Config) {
+					cfg.MemNodes = nodes
+					cfg.Replicas = reps
+					cfg.Faults = crash
+				}})})
+		rows = append(rows, row{reps, ms})
+	}
+	for _, reps := range repFactors {
+		plan(reps, fmt.Sprintf("r%d+nocrash", reps), 0, faults.Config{}, -1)
 		for i, frac := range fracs {
 			at := warm + sim.Time(frac*float64(meas))
-			crash := faults.Config{CrashAt: at, CrashNode: crashNode, CrashSet: true}
-			key := fmt.Sprintf("r%d+crash%.0f%%", r, frac*100)
-			specs = append(specs, pointSpec{
-				b: failoverBuilder(nodes, r, crash), mode: core.Adios,
-				rps:  loadK * 1000,
-				seed: pointSeed(opt.seed(), opt.exp, key, i),
-			})
-			meta = append(meta, failSpec{r: r, crashMs: at.Millis(), key: key})
+			plan(reps, fmt.Sprintf("r%d+crash%.0f%%", reps, frac*100), i,
+				faults.Config{CrashAt: at, CrashNode: crashNode, CrashSet: true}, at.Millis())
 		}
 	}
-	pts := opt.runPoints(specs)
+	out, series := r.measure(pts)
 
-	opt.printf("\n# failover: replication factor x crash time (node %d dies, %d nodes, %.0f KRPS)\n",
+	r.printf("\n# failover: replication factor x crash time (node %d dies, %d nodes, %.0f KRPS)\n",
 		crashNode, nodes, loadK)
-	opt.printf("%-4s %9s %9s %9s %10s %10s %8s %9s %9s\n",
+	r.printf("%-4s %9s %9s %9s %10s %10s %8s %9s %9s\n",
 		"reps", "crash_ms", "offered_K", "goodput_K", "p99_us", "p99.9_us",
 		"aborts", "failovers", "repaired")
-	series := make(map[string][]Point)
-	for i, m := range meta {
-		p := pts[i]
-		good := p.TputK
-		if p.Completed > 0 {
-			good *= float64(p.Completed-p.Aborts) / float64(p.Completed)
-		}
+	for i, p := range out {
 		crash := "-"
-		if m.crashMs >= 0 {
-			crash = fmt.Sprintf("%.2f", m.crashMs)
+		if rows[i].crashMs >= 0 {
+			crash = fmt.Sprintf("%.2f", rows[i].crashMs)
 		}
-		opt.printf("%-4d %9s %9.4g %9.4g %10.1f %10.1f %8d %9d %9d\n",
-			m.r, crash, p.OfferedK, good, p.P99us, p.P999us,
+		r.printf("%-4d %9s %9.4g %9.4g %10.1f %10.1f %8d %9d %9d\n",
+			rows[i].reps, crash, p.OfferedK, p.GoodputK(), p.P99us, p.P999us,
 			p.Aborts, p.Failovers, p.Repaired)
-		series[m.key] = append(series[m.key], p)
 	}
-	opt.emitCSV("failover", series)
-	return series
+	r.emitCSV("failover", series)
 }

@@ -3,46 +3,30 @@ package bench
 import (
 	"sort"
 	"testing"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/uctx"
-	"repro/internal/workload"
+	"repro/internal/stats"
+	"repro/internal/unithread"
 )
 
-// microArrayBytes is the microbenchmark working set (the paper uses
-// 40 GB; only the local-memory *ratio* affects behaviour, see DESIGN.md).
-const microArrayBytes int64 = 64 << 20
-
-// microBuilder builds the §2/§5.1 random-indirection microbenchmark at a
-// given local-memory fraction.
-func microBuilder(localFrac float64, mut mutator) builder {
-	return buildPreset(localFrac, mut, func(sys *core.System) workload.App {
-		app := workload.NewArrayApp(sys.Mgr, sys.Mem, microArrayBytes)
-		app.WarmCache()
-		return app
-	}, func() int64 { return microArrayBytes })
-}
-
-// Table1 reproduces Table 1: context-switching mechanism comparison.
-// Sizes are measured from the real structures; cycles are measured by
-// running the real save/restore loops on this host, alongside the
-// calibrated model constants used in the simulation.
-func Table1(opt Options) {
+// table1 measures sizes from the real structures and cycles by running
+// the real save/restore loops on this host, alongside the calibrated
+// model constants used in the simulation.
+func table1(r *run) {
 	light := testing.Benchmark(func(b *testing.B) {
-		var a, c uctx.LightContext
+		var a, c unithread.LightContext
 		for i := 0; i < b.N; i++ {
-			uctx.SwitchLight(&a, &c)
-			uctx.SwitchLight(&c, &a)
+			unithread.SwitchLight(&a, &c)
+			unithread.SwitchLight(&c, &a)
 		}
 	})
 	full := testing.Benchmark(func(b *testing.B) {
-		var a, c uctx.FullContext
+		var a, c unithread.FullContext
 		for i := 0; i < b.N; i++ {
-			uctx.SwitchFull(&a, &c)
-			uctx.SwitchFull(&c, &a)
+			unithread.SwitchFull(&a, &c)
+			unithread.SwitchFull(&c, &a)
 		}
 	})
 	// Each iteration performs two switches.
@@ -50,49 +34,42 @@ func Table1(opt Options) {
 	fullNs := float64(full.NsPerOp()) / 2
 	costs := sched.DefaultCosts()
 
-	opt.printf("\n# Table 1: context-switching mechanisms\n")
-	opt.printf("%-24s %10s %14s %13s\n", "mechanism", "ctx_bytes", "host_ns/switch", "model_cycles")
-	opt.printf("%-24s %10d %14.1f %13d\n", "Adios unithread",
-		unsafe.Sizeof(uctx.LightContext{}), lightNs, int64(costs.UnithreadSwitch))
-	opt.printf("%-24s %10d %14.1f %13d\n", "Shinjuku ucontext_t",
-		unsafe.Sizeof(uctx.FullContext{}), fullNs, 191)
-	opt.printf("size ratio %.1fx, host cycle ratio %.1fx (paper: 12.1x, 4.7x)\n",
-		float64(unsafe.Sizeof(uctx.FullContext{}))/float64(unsafe.Sizeof(uctx.LightContext{})),
-		fullNs/lightNs)
+	r.printf("\n# Table 1: context-switching mechanisms\n")
+	r.printf("%-24s %10s %14s %13s\n", "mechanism", "ctx_bytes", "host_ns/switch", "model_cycles")
+	r.printf("%-24s %10d %14.1f %13d\n", "Adios unithread",
+		unithread.ContextSize, lightNs, int64(costs.UnithreadSwitch))
+	r.printf("%-24s %10d %14.1f %13d\n", "Shinjuku ucontext_t",
+		unithread.ShinjukuContextSize, fullNs, 191)
+	r.printf("size ratio %.1fx, host cycle ratio %.1fx (paper: 12.1x, 4.7x)\n",
+		float64(unithread.ShinjukuContextSize)/float64(unithread.ContextSize), fullNs/lightNs)
 }
 
-// Fig2a reproduces Figure 2(a): P99 e2e latency of DiLOS (busy-wait) and
-// DiLOS-P (preemption) under increasing offered load.
-func Fig2a(opt Options) map[string][]Point {
-	b := microBuilder(0.20, nil)
-	loads := opt.loads([]float64{100, 400, 700, 1000, 1150, 1300, 1450, 1600, 1750, 2000})
-	series := opt.sweep(b, []core.Mode{core.DiLOS, core.DiLOSP}, loads)
-	opt.printSweep("Figure 2(a): DiLOS busy-wait vs preemption, P99 e2e latency", series)
-	return series
+// once is the lone point of a single-run figure: the microbenchmark at
+// 20 % local memory under the base seed, with obs watching the run.
+func (r *run) once(mode core.Mode, rps float64, obs func(*core.System, sim.Time) func(core.RunResult)) {
+	r.measure([]point{{label: mode.String(), b: r.builder(system{app: micro}),
+		mode: mode, rps: rps, observe: obs}})
 }
 
-// Fig2b reproduces Figure 2(b): the latency CDF of DiLOS at 1.3 MRPS.
-func Fig2b(opt Options) []Point {
-	b := microBuilder(0.20, nil)
-	sys, app := b(core.DiLOS, opt.seed())
-	warm, meas := opt.windows(1_300_000)
-	res := sys.Run(app, 1_300_000, warm, meas)
-	opt.printf("\n# Figure 2(b): DiLOS latency CDF at 1.3 MRPS\n")
-	opt.printf("%12s %10s\n", "latency_us", "cdf")
-	cdf := res.Gen.E2E.CDF()
+func fig2b(r *run) {
+	var cdf []stats.CDFPoint
+	r.once(core.DiLOS, 1_300_000, func(*core.System, sim.Time) func(core.RunResult) {
+		return func(res core.RunResult) { cdf = res.Gen.E2E.CDF() }
+	})
+	r.printf("\n# Figure 2(b): DiLOS latency CDF at 1.3 MRPS\n")
+	r.printf("%12s %10s\n", "latency_us", "cdf")
 	step := len(cdf)/30 + 1
 	for i := 0; i < len(cdf); i += step {
-		opt.printf("%12.1f %10.4f\n", sim.Time(cdf[i].Value).Micros(), cdf[i].Fraction)
+		r.printf("%12.1f %10.4f\n", sim.Time(cdf[i].Value).Micros(), cdf[i].Fraction)
 	}
 	if len(cdf) > 0 {
 		last := cdf[len(cdf)-1]
-		opt.printf("%12.1f %10.4f\n", sim.Time(last.Value).Micros(), last.Fraction)
+		r.printf("%12.1f %10.4f\n", sim.Time(last.Value).Micros(), last.Fraction)
 	}
-	return nil
 }
 
-// breakdownRow is one percentile row of Figure 2(c)/7(c).
-type breakdownRow struct {
+// BreakdownRow is one percentile row of Figure 2(c)/7(c).
+type BreakdownRow struct {
 	Pct           float64
 	TotalKc       float64 // node residence, Kcycles
 	QueueKc       float64
@@ -102,25 +79,41 @@ type breakdownRow struct {
 	OwnBusyWaitKc float64
 }
 
-// runBreakdown measures the request-handling breakdown at fixed load.
-func (o *Options) runBreakdown(b builder, mode core.Mode, rps float64) []breakdownRow {
-	sys, app := b(mode, o.seed())
-	warm, meas := o.windows(rps)
-	type rec struct{ total, queue, cpu, rdma, busy int64 }
-	var recs []rec
-	sys.Sched.OnComplete = func(r *sched.Request) {
-		if r.Finished < warm {
-			return
-		}
-		recs = append(recs, rec{
-			total: int64(r.NodeLatency()),
-			queue: int64(r.QueueWait),
-			cpu:   int64(r.CPU),
-			rdma:  int64(r.RDMAWait),
-			busy:  int64(r.BusyWait),
+// breakdown is the body of Figures 2(c) and 7(c): the request-handling
+// breakdown of mode at 1.3 MRPS, from a tap on every completed request.
+func breakdown(mode core.Mode, title string) func(*run) {
+	return func(r *run) {
+		r.once(mode, 1_300_000, func(sys *core.System, warm sim.Time) func(core.RunResult) {
+			var recs []breakdownRec
+			sys.Sched.OnComplete = func(req *sched.Request) {
+				if req.Finished >= warm {
+					recs = append(recs, breakdownRec{
+						total: int64(req.NodeLatency()),
+						queue: int64(req.QueueWait),
+						cpu:   int64(req.CPU),
+						rdma:  int64(req.RDMAWait),
+						busy:  int64(req.BusyWait),
+					})
+				}
+			}
+			return func(core.RunResult) { r.res.Breakdown = breakdownRows(recs, sys.Sched) }
 		})
+		r.printf("\n# %s\n", title)
+		r.printf("%6s %9s %9s %12s %10s %9s %12s\n",
+			"pct", "total_Kc", "queue_Kc", "queue*busy%", "proc_Kc", "rdma_Kc", "own_busy_Kc")
+		for _, row := range r.res.Breakdown {
+			r.printf("%6.1f %9.1f %9.1f %12.1f %10.1f %9.1f %12.1f\n",
+				row.Pct, row.TotalKc, row.QueueKc, row.QueueBusyKc, row.ProcessKc, row.RDMAKc, row.OwnBusyWaitKc)
+		}
 	}
-	sys.Run(app, rps, warm, meas)
+}
+
+// breakdownRec is one completed request's cycle split.
+type breakdownRec struct{ total, queue, cpu, rdma, busy int64 }
+
+// breakdownRows averages the records around each reported percentile of
+// node residence.
+func breakdownRows(recs []breakdownRec, s *sched.Scheduler) []BreakdownRow {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -128,33 +121,25 @@ func (o *Options) runBreakdown(b builder, mode core.Mode, rps float64) []breakdo
 	// Fraction of core-busy time spent busy-waiting: the "slashed"
 	// attribution of queueing delay in Figure 2(c).
 	busyShare := 0.0
-	if tot := sys.Sched.CPUCycles() + sys.Sched.BusyWaitCycles(); tot > 0 {
-		busyShare = float64(sys.Sched.BusyWaitCycles()) / float64(tot)
+	if tot := s.CPUCycles() + s.BusyWaitCycles(); tot > 0 {
+		busyShare = float64(s.BusyWaitCycles()) / float64(tot)
 	}
-	var rows []breakdownRow
+	var rows []BreakdownRow
 	for _, pct := range []float64{0.10, 0.50, 0.99, 0.999} {
-		lo := int(pct*float64(len(recs))) - len(recs)/400
+		lo := max(int(pct*float64(len(recs)))-len(recs)/400, 0)
 		hi := int(pct*float64(len(recs))) + len(recs)/400
-		if lo < 0 {
-			lo = 0
-		}
-		if hi <= lo {
-			hi = lo + 1
-		}
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		var avg rec
-		for _, r := range recs[lo:hi] {
-			avg.total += r.total
-			avg.queue += r.queue
-			avg.cpu += r.cpu
-			avg.rdma += r.rdma
-			avg.busy += r.busy
+		hi = min(max(hi, lo+1), len(recs))
+		var avg breakdownRec
+		for _, rec := range recs[lo:hi] {
+			avg.total += rec.total
+			avg.queue += rec.queue
+			avg.cpu += rec.cpu
+			avg.rdma += rec.rdma
+			avg.busy += rec.busy
 		}
 		n := float64(hi - lo)
 		kc := func(v int64) float64 { return float64(v) / n / 1000 }
-		rows = append(rows, breakdownRow{
+		rows = append(rows, BreakdownRow{
 			Pct:           pct * 100,
 			TotalKc:       kc(avg.total),
 			QueueKc:       kc(avg.queue),
@@ -167,105 +152,30 @@ func (o *Options) runBreakdown(b builder, mode core.Mode, rps float64) []breakdo
 	return rows
 }
 
-func (o *Options) printBreakdown(title string, rows []breakdownRow) {
-	o.printf("\n# %s\n", title)
-	o.printf("%6s %9s %9s %12s %10s %9s %12s\n",
-		"pct", "total_Kc", "queue_Kc", "queue*busy%", "proc_Kc", "rdma_Kc", "own_busy_Kc")
-	for _, r := range rows {
-		o.printf("%6.1f %9.1f %9.1f %12.1f %10.1f %9.1f %12.1f\n",
-			r.Pct, r.TotalKc, r.QueueKc, r.QueueBusyKc, r.ProcessKc, r.RDMAKc, r.OwnBusyWaitKc)
-	}
-}
-
-// Fig2c reproduces Figure 2(c): DiLOS request-handling breakdown at
-// 1.3 MRPS, in Kcycles, with the busy-wait share of queueing marked.
-func Fig2c(opt Options) []breakdownRow {
-	rows := opt.runBreakdown(microBuilder(0.20, nil), core.DiLOS, 1_300_000)
-	opt.printBreakdown("Figure 2(c): DiLOS breakdown at 1.3 MRPS (cycles via rdtsc-equivalent)", rows)
-	return rows
-}
-
-// Fig2de reproduces Figures 2(d) and 2(e): DiLOS throughput and RDMA
-// link utilization under 1–3 MRPS offered load.
-func Fig2de(opt Options) map[string][]Point {
-	b := microBuilder(0.20, nil)
-	loads := opt.loads([]float64{1000, 1200, 1400, 1600, 1800, 2000, 2200, 2400, 2600, 2800, 3000})
-	series := opt.sweep(b, []core.Mode{core.DiLOS}, loads)
-	opt.printSweep("Figures 2(d,e): DiLOS throughput and RDMA utilization vs offered load", series)
-	return series
-}
-
-// Fig7ab reproduces Figures 7(a) and 7(b): P99.9 and P50 latency versus
-// achieved throughput for Hermit, DiLOS, DiLOS-P, and Adios.
-func Fig7ab(opt Options) map[string][]Point {
-	b := microBuilder(0.20, nil)
-	loads := opt.loads([]float64{200, 500, 700, 900, 1100, 1300, 1500, 1800, 2100, 2400, 2700})
-	series := opt.sweep(b, []core.Mode{core.Hermit, core.DiLOS, core.DiLOSP, core.Adios}, loads)
-	opt.printSweep("Figures 7(a,b): P99.9/P50 vs throughput, all systems", series)
-	return series
-}
-
-// Fig7c reproduces Figure 7(c): Adios breakdown at 1.3 MRPS. Compared
-// with Figure 2(c), busy-waiting is gone and queueing collapses.
-func Fig7c(opt Options) []breakdownRow {
-	rows := opt.runBreakdown(microBuilder(0.20, nil), core.Adios, 1_300_000)
-	opt.printBreakdown("Figure 7(c): Adios breakdown at 1.3 MRPS", rows)
-	return rows
-}
-
-// Fig7de reproduces Figures 7(d) and 7(e): throughput and RDMA link
-// utilization of Adios vs DiLOS.
-func Fig7de(opt Options) map[string][]Point {
-	b := microBuilder(0.20, nil)
-	loads := opt.loads([]float64{1000, 1200, 1400, 1600, 1800, 2000, 2200, 2400, 2600, 2800, 3000})
-	series := opt.sweep(b, []core.Mode{core.DiLOS, core.Adios}, loads)
-	opt.printSweep("Figures 7(d,e): throughput and RDMA utilization, Adios vs DiLOS", series)
-	return series
-}
-
-// Fig8 reproduces Figure 8: P99 latency of DiLOS and Adios with local
-// DRAM from 10% to 100% of the working set.
-func Fig8(opt Options) map[string][]Point {
+func fig8(r *run) {
 	locals := []float64{0.10, 0.20, 0.40, 0.60, 0.80, 1.00}
 	loads := []float64{400, 800, 1200, 1600, 2000, 2400, 2800}
-	if opt.Short {
+	if r.Short {
 		locals = []float64{0.10, 0.20, 1.00}
 		loads = []float64{800, 1600, 2400}
 	}
-	out := make(map[string][]Point)
-	opt.printf("\n# Figure 8: P99 vs throughput across local-DRAM sizes\n")
-	opt.printf("%-11s %7s %9s %9s %10s %6s\n", "system", "local%", "offered_K", "tput_K", "p99_us", "util%")
-	var specs []pointSpec
+	r.printf("\n# Figure 8: P99 vs throughput across local-DRAM sizes\n")
+	r.printf("%-11s %7s %9s %9s %10s %6s\n", "system", "local%", "offered_K", "tput_K", "p99_us", "util%")
+	var pts []point
 	var fracs []float64
 	for _, frac := range locals {
-		b := microBuilder(frac, nil)
+		b := r.builder(system{app: micro, local: frac})
 		for _, mode := range []core.Mode{core.DiLOS, core.Adios} {
 			for i, k := range loads {
-				specs = append(specs, pointSpec{
-					b: b, mode: mode, rps: k * 1000,
-					seed: pointSeed(opt.seed(), opt.exp, mode.String(), i),
-				})
+				pts = append(pts, point{label: mode.String(), key: mode.String(), idx: i,
+					b: b, mode: mode, rps: k * 1000})
 				fracs = append(fracs, frac)
 			}
 		}
 	}
-	for i, pt := range opt.runPoints(specs) {
-		out[pt.Mode] = append(out[pt.Mode], pt)
-		opt.printf("%-11s %7.0f %9.0f %9.0f %10.1f %6.1f\n",
+	out, _ := r.measure(pts)
+	for i, pt := range out {
+		r.printf("%-11s %7.0f %9.0f %9.0f %10.1f %6.1f\n",
 			pt.Mode, fracs[i]*100, pt.OfferedK, pt.TputK, pt.P99us, pt.LinkUtil*100)
 	}
-	return out
-}
-
-// Fig9 reproduces Figure 9: Adios with and without polling delegation.
-func Fig9(opt Options) map[string][]Point {
-	loads := opt.loads([]float64{400, 800, 1200, 1600, 1900, 2200, 2500, 2800})
-	withDeleg := opt.sweep(microBuilder(0.20, nil), []core.Mode{core.Adios}, loads)
-	without := opt.sweep(microBuilder(0.20, withTx(sched.SyncTx)), []core.Mode{core.Adios}, loads)
-	series := map[string][]Point{
-		"Adios":        withDeleg["Adios"],
-		"Adios-SyncTx": without["Adios"],
-	}
-	opt.printSweep("Figure 9: effect of polling delegation (TX mechanisms)", series)
-	return series
 }

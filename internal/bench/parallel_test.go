@@ -3,37 +3,34 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
-// miniSweep runs the fig7a-style microbenchmark sweep (same builder and
-// mode set, a trimmed load list so the test stays fast) under the given
-// parallelism and returns the points plus the rendered table and CSV.
-func miniSweep(t testing.TB, parallel int) (map[string][]Point, string, string) {
+// runAt runs one experiment at -short -seed 1 under the given
+// parallelism and returns what it measured plus the rendered table and
+// CSV.
+func runAt(t testing.TB, id string, parallel int) (Result, string, string) {
 	t.Helper()
 	var tbl, csv bytes.Buffer
-	opt := Options{Short: true, Seed: 1, Out: &tbl, exp: "fig7a"}
-	opt.EnableCSV(&csv)
+	opt := Options{Short: true, Seed: 1, Out: &tbl, CSV: &csv}
 	opt.SetParallel(parallel)
-	series := opt.sweep(microBuilder(0.20, nil),
-		[]core.Mode{core.DiLOS, core.Adios}, []float64{200, 700})
-	opt.printSweep("mini fig7a", series)
-	return series, tbl.String(), csv.String()
+	return mustRun(t, id, opt), tbl.String(), csv.String()
 }
 
-// TestSweepParallelDeterministic is the determinism regression test for
-// the parallel runner: a sweep fanned across 4 goroutines must yield
-// Point slices, printed tables, and CSV rows byte-identical to the
-// sequential run.
+// TestSweepParallelDeterministic is the fast, always-on determinism
+// regression test for the runner (the digest table is the
+// every-experiment one): a sweep fanned across 4 goroutines must yield a
+// Result, printed table, and CSV rows byte-identical to one simulation
+// at a time.
 func TestSweepParallelDeterministic(t *testing.T) {
-	seqPts, seqTbl, seqCSV := miniSweep(t, 1)
-	parPts, parTbl, parCSV := miniSweep(t, 4)
-	if !reflect.DeepEqual(seqPts, parPts) {
-		t.Fatalf("parallel sweep points differ from sequential:\nseq: %+v\npar: %+v", seqPts, parPts)
+	seqRes, seqTbl, seqCSV := runAt(t, "infiniswap", 1)
+	parRes, parTbl, parCSV := runAt(t, "infiniswap", 4)
+	if !reflect.DeepEqual(seqRes, parRes) {
+		t.Fatalf("parallel sweep points differ from sequential:\nseq: %+v\npar: %+v", seqRes, parRes)
 	}
 	if seqTbl != parTbl {
 		t.Fatalf("parallel table differs from sequential:\nseq:\n%s\npar:\n%s", seqTbl, parTbl)
@@ -46,6 +43,22 @@ func TestSweepParallelDeterministic(t *testing.T) {
 	}
 	if strings.Count(seqCSV, CSVHeader) != 1 {
 		t.Fatalf("CSV header emitted more than once:\n%s", seqCSV)
+	}
+}
+
+// TestLazyProbeExperimentsRaceFree runs, under the detector when it is
+// on, the two experiments whose builders used to size local memory
+// through a variable the app factory and a lazy probe both wrote: with
+// four points in flight that was a data race. The catalogue's footprint
+// is arithmetic done before any point starts.
+func TestLazyProbeExperimentsRaceFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two RocksDB/Memcached sweeps; run without -short")
+	}
+	for _, id := range []string{"abl-evict", "abl-canvas"} {
+		if res, _, _ := runAt(t, id, 4); len(res.Sweeps[0]) != 2 {
+			t.Fatalf("%s: want two curves, got %d", id, len(res.Sweeps[0]))
+		}
 	}
 }
 
@@ -68,25 +81,32 @@ func TestPointSeedsIndependent(t *testing.T) {
 	}
 }
 
-// TestAllCoversRunSwitch asserts All() and Run's dispatch table agree
-// exactly: every listed id runs, and every runnable id is listed (the
-// fig2e/fig7b/fig7e aliases used to be missing from All).
+// TestAllCoversRunSwitch asserts the experiments table is well formed —
+// no id twice, every row runnable (a comparison or a body, every
+// comparison with loads, modes and systems), the figure aliases
+// present — and that All() and Run's lookup agree on it.
 func TestAllCoversRunSwitch(t *testing.T) {
-	ids := All()
-	seen := make(map[string]bool, len(ids))
-	for _, id := range ids {
+	seen := make(map[string]bool)
+	for _, id := range All() {
 		if seen[id] {
 			t.Fatalf("All() lists %q twice", id)
 		}
 		seen[id] = true
-		if _, ok := experiments[id]; !ok {
-			t.Errorf("All() lists %q but Run does not accept it", id)
+		e, err := find(id)
+		if err != nil {
+			t.Errorf("All() lists %q but Run does not accept it: %v", id, err)
+		}
+		if len(e.cmp) == 0 && e.body == nil {
+			t.Errorf("%s has neither a comparison nor a body", id)
+		}
+		for _, c := range e.cmp {
+			if c.title == "" || len(c.loads) == 0 || len(c.modes) == 0 || len(c.systems) == 0 {
+				t.Errorf("%s: incomplete comparison %q", id, c.title)
+			}
 		}
 	}
-	for id := range experiments {
-		if !seen[id] {
-			t.Errorf("Run accepts %q but All() does not list it", id)
-		}
+	if len(seen) != len(experiments) {
+		t.Errorf("All() lists %d ids, the table has %d rows", len(seen), len(experiments))
 	}
 	for _, alias := range []string{"fig2e", "fig7b", "fig7e"} {
 		if !seen[alias] {
@@ -95,41 +115,35 @@ func TestAllCoversRunSwitch(t *testing.T) {
 	}
 }
 
-// TestCSVHeaderOnceAcrossExperiments asserts the header appears exactly
-// once even when several experiments share one CSV sink via copies of
-// the same Options.
-func TestCSVHeaderOnceAcrossExperiments(t *testing.T) {
-	var csv bytes.Buffer
-	opt := Options{Short: true, Seed: 1}
-	opt.EnableCSV(&csv)
-	series := map[string][]Point{"Adios": {{Mode: "Adios", OfferedK: 1}}}
-	o1, o2 := opt, opt // experiment-style copies share the header state
-	o1.emitCSV("a", series)
-	o2.emitCSV("b", series)
-	out := csv.String()
-	if strings.Count(out, CSVHeader) != 1 {
-		t.Fatalf("want exactly one header row, got:\n%s", out)
-	}
-	if !strings.HasPrefix(out, CSVHeader+"\n") {
-		t.Fatalf("header is not the first row:\n%s", out)
-	}
-	if got := strings.Count(out, "\n"); got != 3 {
-		t.Fatalf("want header + 2 data rows, got %d lines:\n%s", got, out)
-	}
-}
-
-// BenchmarkSweepParallel measures a fixed 4-point microbenchmark sweep
+// BenchmarkSweepParallel measures a fixed 6-point microbenchmark sweep
 // under increasing parallelism; on a multicore host the wall-clock per
 // op drops roughly linearly until the core count binds.
 func BenchmarkSweepParallel(b *testing.B) {
 	for _, par := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := Options{Short: true, Seed: 1, exp: "fig7a"}
-				opt.SetParallel(par)
-				opt.sweep(microBuilder(0.20, nil),
-					[]core.Mode{core.DiLOS, core.Adios}, []float64{200, 700})
+				runAt(b, "infiniswap", par)
 			}
 		})
+	}
+}
+
+// TestDesignIndexListsEveryExperiment holds DESIGN.md §3's experiment
+// index to the table: its ID column is All(), in order.
+func TestDesignIndexListsEveryExperiment(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n## 3. Experiment index")
+	section, _, _ = strings.Cut(section, "\n## 4.")
+	var ids []string
+	for _, line := range strings.Split(section, "\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(line, "| `"), "` |"); ok && strings.HasPrefix(line, "| `") {
+			ids = append(ids, id)
+		}
+	}
+	if !slices.Equal(ids, All()) {
+		t.Fatalf("DESIGN.md §3 lists\n%v\nthe experiments table has\n%v", ids, All())
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/migrate"
@@ -37,78 +36,12 @@ const rebalanceCyB = 2.0
 // just under the chaos tests.
 const rebalanceWriteFrac = 0.25
 
-// rebalancePoint extends Point with the experiment's own metrics.
-type rebalancePoint struct {
-	Point
-	// Imbalance is max/mean of per-node fetch-read counts — 1.0 is a
-	// perfectly balanced cluster, rebalanceNodes is everything on one.
-	Imbalance float64
-	// Migrations counts pages whose owner flip landed.
-	Migrations int64
-}
-
-// rebalanceBuilder builds the block-placed microbenchmark with the
-// given key skew and migration plan.
-func rebalanceBuilder(skewS float64, mig migrate.Config) builder {
-	return buildPreset(rebalanceLocal, func(cfg *core.Config) {
-		cfg.MemNodes = rebalanceNodes
-		cfg.Shard = core.Block(microArrayBytes / 4096 / rebalanceNodes)
-		cfg.Migrate = mig
-		cfg.RDMA.CyclesPerByte = rebalanceCyB
-	}, func(sys *core.System) workload.App {
-		app := workload.NewArrayApp(sys.Mgr, sys.Mem, microArrayBytes)
-		app.WriteFrac = rebalanceWriteFrac
-		if skewS > 0 {
-			app.SetSkew(skewS)
-		}
-		app.WarmCache()
-		return app
-	}, func() int64 { return microArrayBytes })
-}
-
-// runRebalancePoint measures one (skew, migration) operating point,
-// keeping the built system in scope so the per-node read counters and
-// migration totals survive the run.
-func (o *Options) runRebalancePoint(skewS float64, mig migrate.Config, rps float64, seed int64) rebalancePoint {
-	sys, app := rebalanceBuilder(skewS, mig)(core.Adios, seed)
-	warm, meas := o.windows(rps)
-	res := sys.Run(app, rps, warm, meas)
-	var max, total int64
-	for _, nic := range sys.Fabric {
-		r := nic.Reads.Value()
-		total += r
-		if r > max {
-			max = r
-		}
-	}
-	imb := 1.0
-	if total > 0 {
-		imb = float64(max) * float64(len(sys.Fabric)) / float64(total)
-	}
-	return rebalancePoint{
-		Point: Point{
-			Mode:      core.Adios.String(),
-			OfferedK:  res.OfferedK,
-			TputK:     res.TputK,
-			P50us:     res.P50us,
-			P99us:     res.P99us,
-			P999us:    res.P999us,
-			LinkUtil:  res.LinkUtil,
-			Drops:     res.Drops,
-			Aborts:    res.Aborts,
-			Completed: res.Completed,
-		},
-		Imbalance:  imb,
-		Migrations: res.Migrations,
-	}
-}
-
 // rebalanceCSVHeader is the experiment's own CSV schema (it reports
 // imbalance and migration counts the global schema has no columns for);
 // see EXPERIMENTS.md.
 const rebalanceCSVHeader = "experiment,system,skew,migrate,offered_KRPS,goodput_KRPS,p50_us,p99_us,p999_us,imbalance,migrations,drops"
 
-// Rebalance measures online page migration against key skew: the
+// rebalance measures online page migration against key skew: the
 // microbenchmark block-placed over 4 memory nodes (each owns a
 // contiguous quarter, so skew loads the low nodes), sweeping the
 // Zipfian exponent with migration off and on at a fixed load near the
@@ -117,7 +50,7 @@ const rebalanceCSVHeader = "experiment,system,skew,migrate,offered_KRPS,goodput_
 // drops and the tail explodes. Migration moves the hot uncached pages
 // to the idle nodes: per-node read imbalance falls toward 1, and
 // goodput and p99 recover.
-func Rebalance(opt Options) map[string][]rebalancePoint {
+func rebalance(r *run) {
 	const loadK = 2600.0
 	// The sweep spans the regimes that matter (math/rand's Zipf
 	// generator needs exponents strictly above 1, and milder skews fault
@@ -128,7 +61,7 @@ func Rebalance(opt Options) map[string][]rebalancePoint {
 	// below the planner's trigger floor, so migration stays idle and the
 	// off/on runs are identical — the do-no-harm end of the sweep.
 	skews := []float64{1.2, 1.3, 1.4}
-	if opt.Short {
+	if r.Short {
 		skews = []float64{1.2}
 	}
 	// Shorter epochs and a lower trigger floor than the defaults (the
@@ -139,86 +72,58 @@ func Rebalance(opt Options) map[string][]rebalancePoint {
 	mig := migrate.Config{Enabled: true, Epoch: sim.Micros(200),
 		HotThreshold: 4, Bandwidth: 0.25, Imbalance: 1.2, MaxMoves: 256, MinFaults: 16}
 
-	type rebSpec struct {
-		skew float64
-		mig  migrate.Config
-		on   bool
-		key  string
+	var pts []point
+	type row struct {
+		skew  float64
+		onoff string
 	}
-	var specs []rebSpec
+	var rows []row
 	for _, s := range skews {
+		app := func(short bool) App {
+			return micro(short).with(func(_ *core.System, app workload.App) workload.App {
+				a := app.(*workload.ArrayApp)
+				a.WriteFrac = rebalanceWriteFrac
+				a.SetSkew(s)
+				return a
+			})
+		}
 		for _, on := range []bool{false, true} {
-			m := migrate.Config{}
+			m, onoff := migrate.Config{}, "off"
 			if on {
-				m = mig
+				m, onoff = mig, "on"
 			}
-			specs = append(specs, rebSpec{skew: s, mig: m, on: on,
-				key: fmt.Sprintf("s%.1f+%s", s, m.String())})
+			// The off/on pair of each skew shares one seed, so the request
+			// streams are identical and any difference is the mechanism's.
+			pts = append(pts, point{label: fmt.Sprintf("s%.1f+%s", s, m.String()), key: fmt.Sprintf("s%.1f", s),
+				mode: core.Adios, rps: loadK * 1000,
+				b: r.builder(system{app: app, local: rebalanceLocal, cfg: func(cfg *core.Config) {
+					cfg.MemNodes = rebalanceNodes
+					cfg.Shard = core.Block(microArrayBytes / 4096 / rebalanceNodes)
+					cfg.Migrate = m
+					cfg.RDMA.CyclesPerByte = rebalanceCyB
+				}})})
+			rows = append(rows, row{s, onoff})
 		}
 	}
+	out, _ := r.measure(pts)
 
-	// The experiment's own fan-out (runPoints cannot surface the
-	// per-node counters): same shared limiter, same deterministic
-	// per-spec seeds, ordered reassembly.
-	pts := make([]rebalancePoint, len(specs))
-	// The off/on pair of each skew shares one seed, so the request
-	// streams are identical and any difference is the mechanism's.
-	run := func(i int) {
-		sp := specs[i]
-		pts[i] = opt.runRebalancePoint(sp.skew, sp.mig, loadK*1000,
-			pointSeed(opt.seed(), opt.exp, fmt.Sprintf("s%.1f", sp.skew), 0))
-	}
-	if opt.Parallel > 1 {
-		sem := opt.sem
-		if sem == nil {
-			sem = make(chan struct{}, opt.Parallel)
-		}
-		var wg sync.WaitGroup
-		for i := range specs {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				run(i)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range specs {
-			run(i)
-		}
-	}
-
-	opt.printf("\n# rebalance: key skew x migration (block placement, %d nodes, %.0f KRPS)\n",
+	r.printf("\n# rebalance: key skew x migration (block placement, %d nodes, %.0f KRPS)\n",
 		rebalanceNodes, loadK)
-	opt.printf("%-5s %-8s %9s %9s %10s %10s %10s %10s %7s %9s\n",
+	r.printf("%-5s %-8s %9s %9s %10s %10s %10s %10s %7s %9s\n",
 		"skew", "migrate", "offered_K", "goodput_K", "p50_us", "p99_us", "p99.9_us",
 		"imbalance", "moved", "drops")
-	series := make(map[string][]rebalancePoint)
-	if opt.CSV != nil {
-		fmt.Fprintln(opt.CSV, rebalanceCSVHeader)
+	if r.CSV != nil {
+		fmt.Fprintln(r.CSV, rebalanceCSVHeader)
 	}
-	for i, sp := range specs {
-		p := pts[i]
-		good := p.TputK
-		if p.Completed > 0 {
-			good *= float64(p.Completed-p.Aborts) / float64(p.Completed)
-		}
-		onoff := "off"
-		if sp.on {
-			onoff = "on"
-		}
-		opt.printf("%-5.1f %-8s %9.4g %9.4g %10.1f %10.1f %10.1f %10.2f %7d %9d\n",
-			sp.skew, onoff, p.OfferedK, good, p.P50us, p.P99us, p.P999us,
+	for i, p := range out {
+		skew, onoff := rows[i].skew, rows[i].onoff
+		r.printf("%-5.1f %-8s %9.4g %9.4g %10.1f %10.1f %10.1f %10.2f %7d %9d\n",
+			skew, onoff, p.OfferedK, p.GoodputK(), p.P50us, p.P99us, p.P999us,
 			p.Imbalance, p.Migrations, p.Drops)
-		if opt.CSV != nil {
-			fmt.Fprintf(opt.CSV, "rebalance,%s,%.1f,%s,%.0f,%.0f,%.2f,%.2f,%.2f,%.4f,%d,%d\n",
-				p.Mode, sp.skew, onoff, p.OfferedK, good,
+		if r.CSV != nil {
+			fmt.Fprintf(r.CSV, "rebalance,%s,%.1f,%s,%.0f,%.0f,%.2f,%.2f,%.2f,%.4f,%d,%d\n",
+				p.Mode, skew, onoff, p.OfferedK, p.GoodputK(),
 				p.P50us, p.P99us, p.P999us, p.Imbalance, p.Migrations, p.Drops)
 		}
-		series[sp.key] = append(series[sp.key], p)
 	}
-	return series
 }

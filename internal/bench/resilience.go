@@ -9,7 +9,7 @@ import (
 )
 
 // chaosPlan is the base fault plan the resilience experiment sweeps
-// over when the CLI has not installed one: background RNR delays, link
+// over when the options carry none: background RNR delays, link
 // degradation windows, and memory-node stalls at rates a healthy
 // system should absorb, with the WR-error rate as the swept variable.
 func chaosPlan() faults.Config {
@@ -20,57 +20,44 @@ func chaosPlan() faults.Config {
 	}
 }
 
-// Resilience sweeps the per-WR completion-error rate at a fixed offered
+// resilience sweeps the per-WR completion-error rate at a fixed offered
 // load and reports latency and goodput for the yield system (Adios)
 // against the busy-wait baseline (DiLOS): how gracefully each policy
 // degrades when fetches fail and must be retried, and at what fault
-// rate bounded retries start aborting requests. The base plan comes
-// from SetFaults when the CLI installed one (so `-faults` shapes the
+// rate bounded retries start aborting requests. The base plan is
+// Options.Faults when it injects anything (so `-faults` shapes the
 // chaos), otherwise chaosPlan; the wr= component is overridden per
 // sweep point. Goodput discounts throughput by the aborted-request
 // fraction.
-func Resilience(opt Options) map[string][]Point {
-	base := faultPlan
+func resilience(r *run) {
+	base := r.Faults
 	if !base.Enabled() {
 		base = chaosPlan()
 	}
 	rates := []float64{0, 0.002, 0.005, 0.01, 0.02, 0.05}
-	if opt.Short {
+	if r.Short {
 		rates = []float64{0, 0.01}
 	}
 	const loadK = 900.0
-	modes := []core.Mode{core.Adios, core.DiLOS}
 
-	specs := make([]pointSpec, 0, len(modes)*len(rates))
-	for _, m := range modes {
+	var pts []point
+	for _, m := range []core.Mode{core.Adios, core.DiLOS} {
 		for i, rate := range rates {
 			plan := base
 			plan.WRErrRate = rate
-			b := microBuilder(0.25, func(cfg *core.Config) { cfg.Faults = plan })
-			specs = append(specs, pointSpec{
-				b: b, mode: m, rps: loadK * 1000,
-				seed: pointSeed(opt.seed(), opt.exp, m.String(), i),
-			})
+			pts = append(pts, point{label: fmt.Sprintf("%s@wr%.3f", m, rate), key: m.String(), idx: i,
+				mode: m, rps: loadK * 1000,
+				b: r.builder(system{app: micro, local: 0.25, cfg: func(cfg *core.Config) { cfg.Faults = plan }})})
 		}
 	}
-	pts := opt.runPoints(specs)
+	out, series := r.measure(pts)
 
-	opt.printf("\n# resilience: fault-rate sweep at %.0f KRPS (yield vs busy-wait)\n", loadK)
-	opt.printf("%-11s %8s %9s %9s %10s %10s %10s %9s %9s\n",
+	r.printf("\n# resilience: fault-rate sweep at %.0f KRPS (yield vs busy-wait)\n", loadK)
+	r.printf("%-11s %8s %9s %9s %10s %10s %10s %9s %9s\n",
 		"system", "wr_rate", "offered_K", "goodput_K", "p50_us", "p99_us", "p99.9_us", "aborts", "retries")
-	series := make(map[string][]Point)
-	for i, sp := range specs {
-		p := pts[i]
-		rate := rates[i%len(rates)]
-		good := p.TputK
-		if p.Completed > 0 {
-			good *= float64(p.Completed-p.Aborts) / float64(p.Completed)
-		}
-		opt.printf("%-11s %8.3f %9.4g %9.4g %10.1f %10.1f %10.1f %9d %9d\n",
-			sp.mode.String(), rate, p.OfferedK, good, p.P50us, p.P99us, p.P999us, p.Aborts, p.Retries)
-		key := fmt.Sprintf("%s@wr%.3f", sp.mode.String(), rate)
-		series[key] = append(series[key], p)
+	for i, p := range out {
+		r.printf("%-11s %8.3f %9.4g %9.4g %10.1f %10.1f %10.1f %9d %9d\n",
+			p.Mode, rates[i%len(rates)], p.OfferedK, p.GoodputK(), p.P50us, p.P99us, p.P999us, p.Aborts, p.Retries)
 	}
-	opt.emitCSV("resilience", series)
-	return series
+	r.emitCSV("resilience", series)
 }

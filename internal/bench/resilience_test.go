@@ -1,19 +1,18 @@
 package bench
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func runResilience(t *testing.T) (table, csv string, series map[string][]Point) {
+func runResilience(t *testing.T) (table, csv string, series Series) {
 	t.Helper()
 	var out, csvb strings.Builder
-	opt := Options{Short: true, Seed: 3}
-	opt.Out = &out
-	opt.EnableCSV(&csvb)
+	opt := Options{Short: true, Seed: 3, Out: &out, CSV: &csvb}
 	opt.SetParallel(4)
-	opt.exp = "resilience"
-	series = Resilience(opt)
+	series = mustRun(t, "resilience", opt).Sweeps[0]
 	return out.String(), csvb.String(), series
 }
 
@@ -46,7 +45,7 @@ func TestResilienceSurvivesFaults(t *testing.T) {
 	faultyD, okD := series["DiLOS@wr0.010"]
 	cleanA := series["Adios@wr0.000"]
 	if !okA || !okD || len(cleanA) == 0 {
-		t.Fatalf("missing series; have %v", sortedKeys(series))
+		t.Fatalf("missing series; have %v", slices.Sorted(maps.Keys(series)))
 	}
 	a, d := faultyA[0], faultyD[0]
 	if a.Retries == 0 || d.Retries == 0 {

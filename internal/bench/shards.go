@@ -25,80 +25,54 @@ func (s stripedMicro) Classify(payload any) string {
 	return fmt.Sprintf("n%d", s.shards.Node(idx*8/paging.PageSize))
 }
 
-// shardBuilder builds the microbenchmark striped over n memory nodes.
-// classify enables the per-stripe latency classes; mut runs last so a
-// caller can override the fault plan.
-func shardBuilder(n int, classify bool, mut mutator) builder {
-	return buildPreset(0.25, func(cfg *core.Config) {
-		cfg.MemNodes = n
-		if mut != nil {
-			mut(cfg)
-		}
-	}, func(sys *core.System) workload.App {
-		app := workload.NewArrayApp(sys.Mgr, sys.Mem, microArrayBytes)
-		app.WarmCache()
-		if classify {
-			return stripedMicro{ArrayApp: app, shards: sys.Shards}
-		}
-		return app
-	}, func() int64 { return microArrayBytes })
+// microByStripe is the microbenchmark with the per-stripe latency
+// classes.
+func microByStripe(short bool) App {
+	return micro(short).with(func(sys *core.System, app workload.App) workload.App {
+		return stripedMicro{ArrayApp: app.(*workload.ArrayApp), shards: sys.Shards}
+	})
 }
 
-// Shards measures the sharded backend: an offered-load sweep for every
+// shards measures the sharded backend: an offered-load sweep for every
 // memory-node count in {1, 2, 4} for the yield system (Adios) against
 // the busy-wait baseline (DiLOS) — aggregate goodput should grow with
 // node count once the single link saturates — followed by a blast-radius
 // check at n=4 where only node 0 suffers memory stalls and per-stripe
 // latency shows the fault confined to its stripe.
-func Shards(opt Options) map[string][]Point {
+func shards(r *run) {
 	// The load sweep crosses the single-link saturation knee (~2.6 MRPS
 	// of page fetches): beyond it a one-node system drops and its tail
 	// explodes while striped systems keep scaling.
 	nodeCounts := []int{1, 2, 4}
 	loadsK := []float64{600, 1200, 2000, 2600, 3200}
-	if opt.Short {
+	if r.Short {
 		loadsK = []float64{1200, 3200}
 	}
 	modes := []core.Mode{core.Adios, core.DiLOS}
 
-	type shardSpec struct {
-		n     int
-		loadK float64
-	}
-	specs := make([]pointSpec, 0, len(nodeCounts)*len(modes)*len(loadsK))
-	meta := make([]shardSpec, 0, cap(specs))
+	var pts []point
+	var nodes []int // per point
 	for _, n := range nodeCounts {
+		b := r.builder(system{app: micro, local: 0.25, cfg: func(cfg *core.Config) { cfg.MemNodes = n }})
 		for _, m := range modes {
-			b := shardBuilder(n, false, nil)
+			key := fmt.Sprintf("%s@n%d", m, n)
 			for i, k := range loadsK {
-				specs = append(specs, pointSpec{
-					b: b, mode: m, rps: k * 1000,
-					seed: pointSeed(opt.seed(), opt.exp,
-						fmt.Sprintf("%s@n%d", m.String(), n), i),
-				})
-				meta = append(meta, shardSpec{n: n, loadK: k})
+				pts = append(pts, point{label: key, key: key, idx: i, b: b, mode: m, rps: k * 1000})
+				nodes = append(nodes, n)
 			}
 		}
 	}
-	pts := opt.runPoints(specs)
+	out, series := r.measure(pts)
 
-	opt.printf("\n# shards: node-count x load sweep (yield vs busy-wait)\n")
-	opt.printf("%-11s %6s %9s %9s %10s %10s %10s %6s %9s\n",
+	r.printf("\n# shards: node-count x load sweep (yield vs busy-wait)\n")
+	r.printf("%-11s %6s %9s %9s %10s %10s %10s %6s %9s\n",
 		"system", "nodes", "offered_K", "goodput_K", "p50_us", "p99_us", "p99.9_us", "util%", "drops")
-	series := make(map[string][]Point)
-	for i, sp := range specs {
-		p := pts[i]
-		good := p.TputK
-		if p.Completed > 0 {
-			good *= float64(p.Completed-p.Aborts) / float64(p.Completed)
-		}
-		opt.printf("%-11s %6d %9.4g %9.4g %10.1f %10.1f %10.1f %6.1f %9d\n",
-			sp.mode.String(), meta[i].n, p.OfferedK, good, p.P50us, p.P99us, p.P999us,
+	for i, p := range out {
+		r.printf("%-11s %6d %9.4g %9.4g %10.1f %10.1f %10.1f %6.1f %9d\n",
+			p.Mode, nodes[i], p.OfferedK, p.GoodputK(), p.P50us, p.P99us, p.P999us,
 			p.LinkUtil*100, p.Drops)
-		key := fmt.Sprintf("%s@n%d", sp.mode.String(), meta[i].n)
-		series[key] = append(series[key], p)
 	}
-	opt.emitCSV("shards", series)
+	r.emitCSV("shards", series)
 
 	// Blast radius: 4 nodes, heavy memory stalls confined to node 0
 	// (~17 % stall duty cycle), fixed mid-sweep load. The per-stripe
@@ -108,25 +82,17 @@ func Shards(opt Options) map[string][]Point {
 		Node: 0, NodeSet: true,
 	}
 	const faultLoadK = 600.0
-	fspecs := make([]pointSpec, 0, len(modes))
+	b := r.builder(system{app: microByStripe, local: 0.25, cfg: func(cfg *core.Config) {
+		cfg.MemNodes = 4
+		cfg.Faults = stall
+	}})
+	pts = nil
 	for _, m := range modes {
-		b := shardBuilder(4, true, func(cfg *core.Config) { cfg.Faults = stall })
-		fspecs = append(fspecs, pointSpec{
-			b: b, mode: m, rps: faultLoadK * 1000,
-			seed: pointSeed(opt.seed(), opt.exp, m.String()+"@n4-fault", 0),
-		})
+		pts = append(pts, point{label: fmt.Sprintf("%s@n4+stall-n0", m), key: m.String() + "@n4-fault",
+			b: b, mode: m, rps: faultLoadK * 1000})
 	}
-	fpts := opt.runPoints(fspecs)
-	fseries := make(map[string][]Point)
-	for i, sp := range fspecs {
-		fseries[fmt.Sprintf("%s@n4+stall-n0", sp.mode.String())] = []Point{fpts[i]}
-	}
-	opt.printClassSweep(
+	_, series = r.measure(pts)
+	r.printSweep(
 		fmt.Sprintf("shards: per-stripe latency at %.0f KRPS, mem stalls on node 0 only", faultLoadK),
-		fseries, []string{"n0", "n1", "n2", "n3"})
-
-	for k, v := range fseries {
-		series[k] = v
-	}
-	return series
+		series, []string{"n0", "n1", "n2", "n3"})
 }

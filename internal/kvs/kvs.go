@@ -104,22 +104,34 @@ type Value struct {
 	Digest uint64
 }
 
+// layout sizes the store: the slot array's capacity (a power of two)
+// and the page-aligned bytes of the index and item regions. New
+// allocates exactly these and Footprint adds them, so the two agree.
+func layout(cfg Config) (capacity, indexBytes, itemBytes int64) {
+	if cfg.LoadFactor <= 0 || cfg.LoadFactor >= 1 {
+		panic(fmt.Sprintf("kvs: bad load factor %v", cfg.LoadFactor))
+	}
+	capacity = 1
+	for float64(capacity)*cfg.LoadFactor < float64(cfg.Keys) {
+		capacity <<= 1
+	}
+	return capacity, paging.PageAlign(capacity * slotSize), paging.PageAlign(cfg.Keys * int64(cfg.ValueSize))
+}
+
+// Footprint is what SpaceSize will report for a store of cfg, for sizing
+// local DRAM without building one.
+func Footprint(cfg Config) int64 {
+	_, indexBytes, itemBytes := layout(cfg)
+	return indexBytes + itemBytes
+}
+
 // New builds and loads the store: slot layout is computed, the backing
 // region is populated directly (setup time), and nothing is resident
 // until the caller warms the cache.
 func New(mgr *paging.Manager, node memnode.Allocator, cfg Config) *Store {
-	if cfg.LoadFactor <= 0 || cfg.LoadFactor >= 1 {
-		panic(fmt.Sprintf("kvs: bad load factor %v", cfg.LoadFactor))
-	}
-	capacity := int64(1)
-	for float64(capacity)*cfg.LoadFactor < float64(cfg.Keys) {
-		capacity <<= 1
-	}
-	align := func(n int64) int64 {
-		return (n + paging.PageSize - 1) / paging.PageSize * paging.PageSize
-	}
-	idxRegion := node.MustAlloc("kvs/index", align(capacity*slotSize))
-	itemRegion := node.MustAlloc("kvs/items", align(cfg.Keys*int64(cfg.ValueSize)))
+	capacity, indexBytes, itemBytes := layout(cfg)
+	idxRegion := node.MustAlloc("kvs/index", indexBytes)
+	itemRegion := node.MustAlloc("kvs/items", itemBytes)
 	s := &Store{
 		cfg:      cfg,
 		mgr:      mgr,

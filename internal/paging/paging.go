@@ -35,6 +35,9 @@ const PageSize = 4096
 // PageShift is log2(PageSize).
 const PageShift = 12
 
+// PageAlign rounds n bytes up to a whole number of pages.
+func PageAlign(n int64) int64 { return (n + PageSize - 1) &^ (PageSize - 1) }
+
 // Thread is the execution context a paged access runs under: the
 // blocking face of the fault path, for application code in direct style.
 // WaitPage embodies the system's wait policy (busy-wait for DiLOS/Hermit,

@@ -192,7 +192,6 @@ func (e *Env) skipAhead(at Time) bool {
 // suspended, no coroutine pooled — inlines into Run/RunAll; the unwind
 // loops live in the slow half.
 func (e *Env) releaseParked() {
-	e.foldMaxPending()
 	if e.checked {
 		e.auditTeardown()
 	}

@@ -120,35 +120,43 @@ func valueByte(key uint64, i int) byte {
 	return byte(uint64(i)*0xA24BAED4963EE407 + key*0x9FB21C651E98DF25)
 }
 
+// layout starts a table of cfg: the sparse-index interval resolved (by
+// default one entry per page of records), the sizes every access path
+// derives from it, and the bytes of the three page-aligned regions —
+// records, index, and bloom filter at 10 bits per key, the RocksDB
+// default. New allocates exactly these and Footprint adds them, so the
+// two agree.
+func layout(cfg Config) (t *Table, recordBytes, indexBytes, bloomBytes int64) {
+	recordSize := int64(8 + cfg.ValueSize)
+	if cfg.IndexInterval <= 0 {
+		cfg.IndexInterval = int(max(paging.PageSize/recordSize, 1))
+	}
+	interval := int64(cfg.IndexInterval)
+	t = &Table{cfg: cfg, recordSize: recordSize, indexLen: (cfg.Keys + interval - 1) / interval, bloomBits: cfg.Keys * 10}
+	return t, paging.PageAlign(cfg.Keys * recordSize), paging.PageAlign(t.indexLen * 8),
+		(t.bloomBits/8 + paging.PageSize) / paging.PageSize * paging.PageSize
+}
+
+// Footprint is what SpaceSize will report for a table of cfg, for sizing
+// local DRAM without building one.
+func Footprint(cfg Config) int64 {
+	_, recordBytes, indexBytes, bloomBytes := layout(cfg)
+	return recordBytes + indexBytes + bloomBytes
+}
+
 // New builds the table: records are written directly into the backing
 // region (setup time) in sorted order, and the sparse index is built in
 // core.
 func New(mgr *paging.Manager, node memnode.Allocator, cfg Config) *Table {
-	recordSize := int64(8 + cfg.ValueSize)
-	if cfg.IndexInterval <= 0 {
-		cfg.IndexInterval = int(paging.PageSize / recordSize)
-		if cfg.IndexInterval < 1 {
-			cfg.IndexInterval = 1
-		}
-	}
-	bytes := (cfg.Keys*recordSize + paging.PageSize - 1) / paging.PageSize * paging.PageSize
-	region := node.MustAlloc("sstable", bytes)
-	indexLen := (cfg.Keys + int64(cfg.IndexInterval) - 1) / int64(cfg.IndexInterval)
-	idxBytes := (indexLen*8 + paging.PageSize - 1) / paging.PageSize * paging.PageSize
-	idxRegion := node.MustAlloc("sstable/index", idxBytes)
-	bloomBits := cfg.Keys * 10 // 10 bits/key, the RocksDB default
-	bloomBytes := (bloomBits/8 + paging.PageSize) / paging.PageSize * paging.PageSize
+	t, recordBytes, indexBytes, bloomBytes := layout(cfg)
+	cfg, recordSize, bloomBits := t.cfg, t.recordSize, t.bloomBits
+	region := node.MustAlloc("sstable", recordBytes)
+	idxRegion := node.MustAlloc("sstable/index", indexBytes)
 	bloomRegion := node.MustAlloc("sstable/bloom", bloomBytes)
-	t := &Table{
-		cfg:        cfg,
-		mgr:        mgr,
-		space:      mgr.NewSpace("sstable", region),
-		indexSpace: mgr.NewSpace("sstable/index", idxRegion),
-		bloomSpace: mgr.NewSpace("sstable/bloom", bloomRegion),
-		recordSize: recordSize,
-		indexLen:   indexLen,
-		bloomBits:  bloomBits,
-	}
+	t.mgr = mgr
+	t.space = mgr.NewSpace("sstable", region)
+	t.indexSpace = mgr.NewSpace("sstable/index", idxRegion)
+	t.bloomSpace = mgr.NewSpace("sstable/bloom", bloomRegion)
 	for i := int64(0); i < cfg.Keys; i++ {
 		off := i * recordSize
 		key := recordKey(i)

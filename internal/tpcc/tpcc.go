@@ -149,33 +149,58 @@ func (m *mutex) unlock(ctx workload.Ctx) {
 	}
 }
 
+// layout sizes the database: the page-aligned bytes of the eight tables
+// in allocation order (warehouse, district, customer, item, stock,
+// order, order line, history) and the page capacity of the by-name
+// index; the by-customer index gets twice that. New allocates exactly
+// these and Footprint adds them, so the two agree.
+func layout(cfg Config) (tables [8]int64, idxPages int64) {
+	W := int64(cfg.Warehouses)
+	D := W * districtsPerW
+	C := D * int64(cfg.CustomersPerDistrict)
+	orders := D * int64(cfg.OrderCapacity)
+	for i, n := range [8]int64{W * warehouseSize, D * districtSize, C * customerSize,
+		int64(cfg.ItemCount) * itemSize, W * int64(cfg.ItemCount) * stockSize,
+		orders * orderSize, orders * maxLines * orderLineSize, orders * historySize} {
+		tables[i] = paging.PageAlign(n)
+	}
+	return tables, C/int64(btree.MaxEntries/2) + 64
+}
+
+// Footprint is what TotalBytes will report for a database of cfg, for
+// sizing local DRAM without building one.
+func Footprint(cfg Config) int64 {
+	tables, idxPages := layout(cfg)
+	total := 3 * idxPages * paging.PageSize
+	for _, b := range tables {
+		total += b
+	}
+	return total
+}
+
 // New builds and populates the database.
 func New(env *sim.Env, mgr *paging.Manager, node memnode.Allocator, cfg Config) *DB {
 	if cfg.Warehouses <= 0 {
 		panic("tpcc: need at least one warehouse")
 	}
 	db := &DB{cfg: cfg, env: env, mgr: mgr}
-	W := int64(cfg.Warehouses)
-	D := W * districtsPerW
-	C := D * int64(cfg.CustomersPerDistrict)
-
-	alloc := func(name string, n, stride int64) *paging.Space {
-		bytes := (n*stride + paging.PageSize - 1) / paging.PageSize * paging.PageSize
-		return mgr.NewSpace(name, node.MustAlloc("tpcc/"+name, bytes))
+	tables, idxPages := layout(cfg)
+	alloc := func(i int, name string) *paging.Space {
+		return mgr.NewSpace(name, node.MustAlloc("tpcc/"+name, tables[i]))
 	}
-	db.warehouse = alloc("warehouse", W, warehouseSize)
-	db.district = alloc("district", D, districtSize)
-	db.customer = alloc("customer", C, customerSize)
-	db.item = alloc("item", int64(cfg.ItemCount), itemSize)
-	db.stock = alloc("stock", W*int64(cfg.ItemCount), stockSize)
-	db.order = alloc("order", D*int64(cfg.OrderCapacity), orderSize)
-	db.orderLine = alloc("orderline", D*int64(cfg.OrderCapacity)*maxLines, orderLineSize)
-	db.history = alloc("history", D*int64(cfg.OrderCapacity), historySize)
+	db.warehouse = alloc(0, "warehouse")
+	db.district = alloc(1, "district")
+	db.customer = alloc(2, "customer")
+	db.item = alloc(3, "item")
+	db.stock = alloc(4, "stock")
+	db.order = alloc(5, "order")
+	db.orderLine = alloc(6, "orderline")
+	db.history = alloc(7, "history")
 
+	D := cfg.Warehouses * districtsPerW
 	db.locks = make([]mutex, D)
 	db.nextDeliver = make([]int32, D)
 	db.histCursor = make([]int32, D)
-	idxPages := C/int64(btree.MaxEntries/2) + 64
 	db.byName = btree.New(mgr, node, "tpcc/byname", idxPages)
 	db.byCust = btree.New(mgr, node, "tpcc/bycust", idxPages*2)
 

@@ -1,15 +1,16 @@
-// Package uctx reproduces the substance of the paper's Table 1: the cost
-// gap between a minimal unithread context (80 B — argument register,
-// callee-saved registers, rip/rsp, mxcsr/fpucw) and a full ucontext_t
-// (968 B — all general registers, a 512 B FP/XMM save area, and a signal
-// mask) on real hardware.
+package unithread
+
+// The substance of the paper's Table 1: the cost gap between the minimal
+// unithread context (80 B — argument register, callee-saved registers,
+// rip/rsp, mxcsr/fpucw) and a full ucontext_t (968 B — all general
+// registers, a 512 B FP/XMM save area, and a signal mask) on real
+// hardware.
 //
 // A Go program cannot perform a genuine user-level stack switch (the
-// runtime owns goroutine stacks), so the benchmark measures what actually
-// differs between the two mechanisms: the volume of architectural state
-// saved and restored per switch. The layouts below match the System V
-// AMD64 structures byte-for-byte in size.
-package uctx
+// runtime owns goroutine stacks), so the switch loops measure what
+// actually differs between the two mechanisms: the volume of
+// architectural state saved and restored per switch. The layouts below
+// match the System V AMD64 structures byte-for-byte in size.
 
 // LightContext is the unithread context: exactly the state a cooperative
 // switch at a call boundary must preserve under the System V AMD64 ABI

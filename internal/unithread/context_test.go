@@ -1,10 +1,8 @@
-package uctx
+package unithread
 
 import (
 	"testing"
 	"unsafe"
-
-	"repro/internal/unithread"
 )
 
 func TestContextSizesMatchTable1(t *testing.T) {
@@ -14,8 +12,8 @@ func TestContextSizesMatchTable1(t *testing.T) {
 	if got := unsafe.Sizeof(FullContext{}); got != 968 {
 		t.Fatalf("FullContext size = %d, want 968 (Table 1)", got)
 	}
-	if unithread.ContextSize != 80 || unithread.ShinjukuContextSize != 968 {
-		t.Fatal("unithread package constants disagree with Table 1")
+	if ContextSize != 80 || ShinjukuContextSize != 968 {
+		t.Fatalf("ContextSize %d / ShinjukuContextSize %d disagree with Table 1", ContextSize, ShinjukuContextSize)
 	}
 	ratio := float64(unsafe.Sizeof(FullContext{})) / float64(unsafe.Sizeof(LightContext{}))
 	if ratio < 12.0 || ratio > 12.2 {

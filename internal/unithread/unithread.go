@@ -15,6 +15,7 @@ package unithread
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -22,11 +23,11 @@ import (
 // ContextSize is the unithread context footprint: one argument register,
 // callee-saved integer registers (rbx, rbp, r12–r15), rip, rsp, and the
 // mxcsr/fpucw control words — 80 bytes (Table 1).
-const ContextSize = 80
+const ContextSize = int(unsafe.Sizeof(LightContext{}))
 
 // ShinjukuContextSize is the ucontext_t footprint Table 1 compares
-// against.
-const ShinjukuContextSize = 968
+// against: 968 bytes.
+const ShinjukuContextSize = int(unsafe.Sizeof(FullContext{}))
 
 // DefaultPoolSize is the paper's pre-allocated unithread count.
 const DefaultPoolSize = 131072

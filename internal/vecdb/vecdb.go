@@ -140,17 +140,31 @@ func NewBlueprint(cfg Config) *Blueprint {
 	return bp
 }
 
+// layout sizes the index: the bytes of one record (u32 id + padding +
+// Dim floats) and of the page-aligned inverted-list store. Instantiate
+// allocates exactly this and Footprint reports it, so the two agree.
+func layout(cfg Config) (recSize, total int64) {
+	recSize = int64(8 + cfg.Dim*4)
+	return recSize, paging.PageAlign(int64(cfg.N) * recSize)
+}
+
+// Footprint is what SpaceSize will report for an index of cfg, for
+// sizing local DRAM without building one.
+func Footprint(cfg Config) int64 {
+	_, total := layout(cfg)
+	return total
+}
+
 // Instantiate materializes the blueprint as an Index over the given
 // paging manager and memory node.
 func (bp *Blueprint) Instantiate(mgr *paging.Manager, node memnode.Allocator) *Index {
 	cfg := bp.cfg
 	idx := &Index{cfg: cfg, mgr: mgr}
-	idx.recSize = int64(8 + cfg.Dim*4) // u32 id + padding + floats
 	idx.centroids = bp.cents
 
 	// Lay lists out contiguously in the paged space.
-	total := int64(cfg.N) * idx.recSize
-	total = (total + paging.PageSize - 1) / paging.PageSize * paging.PageSize
+	var total int64
+	idx.recSize, total = layout(cfg)
 	region := node.MustAlloc("vecdb", total)
 	idx.space = mgr.NewSpace("vecdb", region)
 	idx.listOff = make([]int64, cfg.NList)

@@ -52,7 +52,7 @@ const (
 
 // StepFrame is the explicit continuation of a request between Step
 // calls: a program counter plus nine spill words. Its size is pinned to
-// the paper's 80-byte light context (uctx.LightContext) by
+// the paper's 80-byte light context (unithread.LightContext) by
 // TestStepFrameSize — the frame IS the light context.
 type StepFrame struct {
 	PC uint64    // handler-defined phase counter

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # loc.sh — non-test Go line counts, one row per internal/* package and
-# a total: `wc -l` over every .go file that is not a _test.go file.
+# a total, then the same for the cmd/* programs: `wc -l` over every .go
+# file that is not a _test.go file.
 #
 # Usage: scripts/loc.sh [tree [parent-tree]]
 #        (tree defaults to the repository this script is in)
@@ -29,15 +30,20 @@ row() {
 }
 
 [ -z "$parent" ] || printf '%-28s %6s %6s %6s\n' package before after delta
-total=0
-ptotal=0
-for dir in $(for t in "$root" $parent; do (cd "$t" && ls -d internal/*/); done | sort -u); do
-	pkg="${dir%/}"
-	n=$(count "$root" "$pkg")
-	p=0
-	[ -z "$parent" ] || p=$(count "$parent" "$pkg")
-	row "$pkg" "$n" "$p"
-	total=$((total + n))
-	ptotal=$((ptotal + p))
-done
-row 'internal (non-test total)' "$total" "$ptotal"
+# section <top>: one row per directory under <top> in either tree, then
+# their total.
+section() {
+	local total=0 ptotal=0 dir pkg n p
+	for dir in $(for t in "$root" $parent; do (cd "$t" && ls -d "$1"/*/); done | sort -u); do
+		pkg="${dir%/}"
+		n=$(count "$root" "$pkg")
+		p=0
+		[ -z "$parent" ] || p=$(count "$parent" "$pkg")
+		row "$pkg" "$n" "$p"
+		total=$((total + n))
+		ptotal=$((ptotal + p))
+	done
+	row "$1 (non-test total)" "$total" "$ptotal"
+}
+section internal
+section cmd
