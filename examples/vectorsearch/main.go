@@ -35,7 +35,7 @@ func main() {
 		recall := 0.0
 		const trials = 10
 		for i := 0; i < trials; i++ {
-			payload, _ := idx.NextRequest(rng)
+			payload, _ := idx.NextRequest(rng, nil)
 			q := payload.(vecdb.Query)
 			exact := idx.BruteForce(q.Vec)
 			got := map[uint32]bool{}

@@ -38,7 +38,7 @@ func compute(bool) App {
 
 func (a *computeApp) Name() string { return "compute-bound" }
 
-func (a *computeApp) NextRequest(rng *sim.RNG) (any, int) {
+func (a *computeApp) NextRequest(rng *sim.RNG, _ any) (any, int) {
 	return int64(rng.Intn(computePages)), 64
 }
 
@@ -84,8 +84,10 @@ type zipfKVS struct {
 }
 
 // NextRequest draws Zipf-distributed GET keys.
-func (z *zipfKVS) NextRequest(rng *sim.RNG) (any, int) {
-	return kvs.Get{Key: uint64(z.dist.Next(rng))}, 64 + kvs.KeySize
+func (z *zipfKVS) NextRequest(rng *sim.RNG, reuse any) (any, int) {
+	m := workload.Record[kvs.Msg](reuse)
+	m.Key, m.Set = uint64(z.dist.Next(rng)), false
+	return m, 64 + kvs.KeySize
 }
 
 func ablWorkers(r *run) {

@@ -4,11 +4,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kvs"
+	"repro/internal/sim"
 	"repro/internal/sstable"
 	"repro/internal/tpcc"
 	"repro/internal/vecdb"
@@ -124,5 +126,81 @@ func TestNoSizingProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// scribble overwrites every exported scalar field of the record v points
+// to, nested structs included, with non-zero garbage: the state a handler
+// may leave a message record in before its packet is recycled.
+func scribble(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !v.Type().Field(i).IsExported() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Struct:
+			scribble(f)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int32, reflect.Int64:
+			f.SetInt(77)
+		case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+			f.SetUint(77)
+		case reflect.String:
+			f.SetString("stale")
+		}
+	}
+}
+
+// exported lists the exported fields of a message (dereferenced if it is
+// a record), which is what a request means; unexported ones are handler
+// scratch.
+func exported(msg any) []any {
+	v := reflect.Indirect(reflect.ValueOf(msg))
+	if v.Kind() != reflect.Struct {
+		return []any{msg}
+	}
+	var out []any
+	for i := 0; i < v.NumField(); i++ {
+		if v.Type().Field(i).IsExported() {
+			out = append(out, v.Field(i).Interface())
+		}
+	}
+	return out
+}
+
+// TestNextRequestReuseHintChangesNothing: for every catalogue app, a
+// NextRequest handed a recycled record — whatever a handler left in it —
+// produces the same message, the same wire size and the same RNG state
+// as one handed nil, draw for draw; and every app but faiss (which
+// ignores the hint) does fill the record it was handed.
+func TestNextRequestReuseHintChangesNothing(t *testing.T) {
+	for _, name := range AppNames() {
+		t.Run(name, func(t *testing.T) {
+			entry, err := AppNamed(name, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := entry.Build(core.NewSystem(core.Preset(core.Adios, entry.Footprint/5)))
+			fresh, recycled := sim.NewRNG(42), sim.NewRNG(42)
+			var hint any
+			for i := 0; i < 10_000; i++ {
+				want, wantBytes := app.NextRequest(fresh, nil)
+				got, gotBytes := app.NextRequest(recycled, hint)
+				if gotBytes != wantBytes || !reflect.DeepEqual(exported(got), exported(want)) {
+					t.Fatalf("draw %d: recycled record gives %+v (%d bytes), a fresh one %+v (%d bytes)", i, got, gotBytes, want, wantBytes)
+				}
+				if i > 0 && name != "faiss" && got != hint {
+					t.Fatalf("draw %d: the hint %T was not reused", i, hint)
+				}
+				if hint = got; reflect.ValueOf(got).Kind() == reflect.Pointer {
+					scribble(reflect.ValueOf(got).Elem())
+				}
+			}
+			if a, b := fresh.Int63n(1<<62), recycled.Int63n(1<<62); a != b {
+				t.Fatalf("RNG streams diverged: %d vs %d", a, b)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ type stripedMicro struct {
 }
 
 func (s stripedMicro) Classify(payload any) string {
-	idx := payload.(workload.ArrayGet).Index
+	idx := payload.(*workload.ArrayMsg).Index
 	return fmt.Sprintf("n%d", s.shards.Node(idx*8/paging.PageSize))
 }
 

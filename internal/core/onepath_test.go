@@ -216,8 +216,8 @@ type tracked struct {
 // trackedArray is ArrayApp generating tracked payloads.
 type trackedArray struct{ *workload.ArrayApp }
 
-func (a trackedArray) NextRequest(rng *sim.RNG) (any, int) {
-	p, n := a.ArrayApp.NextRequest(rng)
+func (a trackedArray) NextRequest(rng *sim.RNG, _ any) (any, int) {
+	p, n := a.ArrayApp.NextRequest(rng, nil)
 	return &tracked{inner: p}, n
 }
 

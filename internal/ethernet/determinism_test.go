@@ -26,12 +26,13 @@ func sendToNodeRef(n *Net, pkt *Packet) {
 	n.toNodeFreeAt = done
 	arrive := done + n.cfg.Flight
 	n.env.At(arrive, func() {
-		if n.rxLen() >= n.cfg.RxRing {
+		if n.rxLen >= n.cfg.RxRing {
 			n.Drops.Inc()
 			return
 		}
 		pkt.ArriveNode = arrive
-		n.rx = append(n.rx, pkt)
+		n.rx[(n.rxHead+n.rxLen)%len(n.rx)] = pkt
+		n.rxLen++
 		n.RxCount.Inc()
 		if n.RxNotify != nil {
 			n.RxNotify()
@@ -100,7 +101,8 @@ func TestPooledOpsMatchClosureReference(t *testing.T) {
 		net.OnDeliver = func(pkt *Packet) { mix('d', uint64(pkt.RxTime), pkt.ID) }
 		env.Go("echo", func(p *sim.Proc) {
 			for {
-				pkts := net.PollRx(4)
+				var buf [4]*Packet
+				pkts := buf[:net.PollRxInto(buf[:])]
 				if len(pkts) == 0 {
 					gate.Wait(p)
 					continue
@@ -111,7 +113,7 @@ func TestPooledOpsMatchClosureReference(t *testing.T) {
 					if ref {
 						txSendRef(txq, pkt)
 					} else {
-						txq.Send(pkt)
+						txq.Send(pkt, pkt)
 					}
 				}
 			}

@@ -14,6 +14,7 @@ package ethernet
 import (
 	"repro/internal/rdma"
 	"repro/internal/sim"
+	"repro/internal/simcheck"
 	"repro/internal/stats"
 )
 
@@ -32,10 +33,6 @@ type Config struct {
 	// TxCompletionLatency is the delay from the last byte leaving the
 	// node until the TX completion entry is visible in the CQ.
 	TxCompletionLatency sim.Time
-	// PostCost and PollCost are CPU costs charged by callers.
-	PostCost sim.Time
-	PollCost sim.Time
-
 	// LossProb injects random frame loss in each direction (0 = lossless
 	// datacenter fabric, the default). Used with the reliable transport
 	// layer to study retransmission behaviour.
@@ -50,8 +47,6 @@ func DefaultConfig() Config {
 		Flight:              sim.Micros(1.05),
 		RxRing:              4096,
 		TxCompletionLatency: sim.Micros(2.6),
-		PostCost:            100,
-		PollCost:            80,
 	}
 }
 
@@ -70,15 +65,95 @@ type Packet struct {
 	// ArriveNode is when the request entered the compute node's RX ring.
 	ArriveNode sim.Time
 
-	// Ctx is opaque per-packet context for upper layers (the scheduler
-	// attaches its request record here).
-	Ctx any
-
 	// Class optionally labels the request kind (e.g. "GET" vs "SCAN")
 	// for per-class latency reporting. Stamped by the load generator at
 	// send time, so it survives the payload being replaced by the
 	// response.
 	Class string
+
+	// pool is the free list the packet came from (nil for a packet its
+	// sender built itself: Release ignores it), released says which of
+	// its owners are done with this use, and use counts the uses.
+	pool     *PacketPool
+	released Owner
+	use      uint32
+}
+
+// Owner names one of the two holders of a pooled packet. Which finishes
+// first is the configuration's to decide — under SyncTx the response is
+// delivered (1.05 µs) before the worker's TX completion (2.6 µs) lets it
+// retire, delegated TX retires first — so neither can recycle alone: each
+// releases its half and the later one puts the packet back, the rule
+// sched.Request follows between worker and dispatcher.
+type Owner uint8
+
+const (
+	Sender     Owner = 1 << iota // done once it has taken delivery of the response
+	Node                         // done once it has retired the request
+	onFreeList = Sender | Node
+)
+
+// PacketPool is a sender's free list of packets. A packet that one of
+// its owners never releases — dropped at the RX ring or the central
+// queue, rejected at admission, its response lost — is left to the
+// collector: a leak is a pool miss, only an early or double release is a
+// bug (oracle ethernet/packet-lifetime).
+type PacketPool struct{ free []*Packet }
+
+// Get takes a packet off the free list, or builds one. A recycled packet
+// still carries the Payload of its last use — the message record the
+// sender refills in place of boxing a new one.
+func (p *PacketPool) Get() *Packet {
+	n := len(p.free)
+	if n == 0 {
+		return &Packet{pool: p}
+	}
+	pkt := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	pkt.released = 0
+	pkt.use++
+	return pkt
+}
+
+// Release gives up by's half of a pooled packet; the second release
+// recycles it. The caller must not touch the packet afterwards.
+func (pkt *Packet) Release(by Owner) {
+	if pkt.pool == nil {
+		return
+	}
+	if simcheck.On() {
+		pkt.check(pkt.use, by, "released twice")
+	}
+	pkt.released |= by
+	// The mutation (simcheckmutate builds only) is the one-line version:
+	// recycle at delivery, while the node may still hold the request.
+	if by == Sender && simcheck.Mut("packet-early-release") {
+		pkt.released = onFreeList
+	}
+	if pkt.released == onFreeList {
+		pkt.pool.free = append(pkt.pool.free, pkt)
+	}
+}
+
+// Use returns the packet's use count, for a holder to hand back to Held.
+func (pkt *Packet) Use() uint32 { return pkt.use }
+
+// Held is the ethernet/packet-lifetime oracle: whoever sends, delivers
+// or reads the packet must find it off the free list and in the use
+// (see Use) it took it in — and an owner releasing it, not released by
+// that owner already.
+func (pkt *Packet) Held(use uint32, event string) {
+	if simcheck.On() {
+		pkt.check(use, 0, event)
+	}
+}
+
+func (pkt *Packet) check(held uint32, by Owner, event string) {
+	if pkt.released == onFreeList || pkt.released&by != 0 || pkt.use != held {
+		simcheck.Fail(simcheck.New("ethernet/packet-lifetime", "packet %s outside its lifetime", event).
+			With("id", pkt.ID).With("use", pkt.use).With("held", held).With("released", pkt.released))
+	}
 }
 
 // Net is the client-facing network of the compute node.
@@ -89,8 +164,12 @@ type Net struct {
 	toNodeFreeAt   sim.Time
 	fromNodeFreeAt sim.Time
 
+	// rx is the RX ring: RxRing slots, rxLen of them occupied from rxHead
+	// on. A polled slot is cleared, so the ring never keeps a consumed
+	// packet — by then possibly recycled and in flight again — reachable.
 	rx     []*Packet
 	rxHead int
+	rxLen  int
 
 	// RxNotify, if set, is invoked when a packet lands in the RX ring
 	// (used to wake the dispatcher's gate).
@@ -117,13 +196,15 @@ type Net struct {
 // with zero allocations — one event per action, at the same times and in
 // the same order as the per-packet closures they replace.
 type netOp struct {
-	n    *Net
-	txq  *TxQueue
-	pkt  *Packet
-	at   sim.Time
-	kind uint8
-	run  func()
-	next *netOp
+	n      *Net
+	txq    *TxQueue
+	pkt    *Packet // opRxArrive, opDeliver
+	cookie any     // opTxComplete, with the frame's size in bytes
+	bytes  int
+	at     sim.Time
+	kind   uint8
+	run    func()
+	next   *netOp
 }
 
 const (
@@ -148,35 +229,41 @@ func (n *Net) getOp() *netOp {
 // action runs — handlers (dispatcher wake-ups, the generator's response
 // accounting) may send more frames, and those sends may reuse it.
 func (op *netOp) fire() {
-	n, txq, pkt, at, kind := op.n, op.txq, op.pkt, op.at, op.kind
-	op.txq, op.pkt = nil, nil
+	n, txq, pkt, cookie, bytes, at, kind := op.n, op.txq, op.pkt, op.cookie, op.bytes, op.at, op.kind
+	op.txq, op.pkt, op.cookie = nil, nil, nil
 	op.next = n.freeOps
 	n.freeOps = op
 	switch kind {
 	case opRxArrive:
-		if n.rxLen() >= n.cfg.RxRing {
+		if n.rxLen >= len(n.rx) {
 			n.Drops.Inc()
 			return
 		}
 		pkt.ArriveNode = at
-		n.rx = append(n.rx, pkt)
+		tail := n.rxHead + n.rxLen
+		if tail >= len(n.rx) {
+			tail -= len(n.rx)
+		}
+		n.rx[tail] = pkt
+		n.rxLen++
 		n.RxCount.Inc()
 		if n.RxNotify != nil {
 			n.RxNotify()
 		}
 	case opDeliver:
+		pkt.Held(pkt.use, "delivered")
 		pkt.RxTime = at
 		if n.OnDeliver != nil {
 			n.OnDeliver(pkt)
 		}
 	case opTxComplete:
-		txq.cq.Inject(rdma.Completion{Kind: rdma.OpWrite, Bytes: pkt.Size, Cookie: pkt, At: at})
+		txq.cq.Inject(rdma.Completion{Kind: rdma.OpWrite, Bytes: bytes, Cookie: cookie, At: at})
 	}
 }
 
 // New returns a client network bound to env.
 func New(env *sim.Env, cfg Config) *Net {
-	return &Net{env: env, cfg: cfg}
+	return &Net{env: env, cfg: cfg, rx: make([]*Packet, cfg.RxRing)}
 }
 
 // Config returns the link cost model.
@@ -193,6 +280,7 @@ func (n *Net) TxUtilization() float64 { return n.txBusy.Utilization(int64(n.env.
 // compute node. The frame is serialized on the client→node direction and
 // lands in the RX ring (or is dropped if the ring is full).
 func (n *Net) SendToNode(pkt *Packet) {
+	pkt.Held(pkt.use, "sent")
 	if n.cfg.LossProb > 0 && n.env.Rand().Bool(n.cfg.LossProb) {
 		n.LossDrops.Inc()
 		return
@@ -210,51 +298,24 @@ func (n *Net) SendToNode(pkt *Packet) {
 	n.env.At(arrive, op.run)
 }
 
-func (n *Net) rxLen() int { return len(n.rx) - n.rxHead }
-
 // RxLen reports the RX ring occupancy.
-func (n *Net) RxLen() int { return n.rxLen() }
-
-// PollRx removes and returns up to max packets from the RX ring. The
-// caller charges Config.PollCost.
-func (n *Net) PollRx(max int) []*Packet {
-	have := n.rxLen()
-	if have == 0 {
-		return nil
-	}
-	if have > max {
-		have = max
-	}
-	// Copy out: the dispatcher blocks (charging poll CPU) before
-	// consuming, and concurrent arrivals must not clobber its batch.
-	out := make([]*Packet, have)
-	n.pollRxInto(out, have)
-	return out
-}
+func (n *Net) RxLen() int { return n.rxLen }
 
 // PollRxInto removes up to len(dst) packets from the RX ring into dst
-// and returns the count. Same copy-out contract as PollRx; dst is
-// caller-owned scratch, so the dispatcher's steady-state poll loop is
+// and returns the count. They are copied out — the dispatcher blocks
+// (charging poll CPU) before consuming, and concurrent arrivals must not
+// clobber its batch — into caller-owned scratch, so the poll loop is
 // allocation-free (dst[:n] must be consumed before the next call).
 func (n *Net) PollRxInto(dst []*Packet) int {
-	have := n.rxLen()
-	if have == 0 {
-		return 0
+	have := min(n.rxLen, len(dst))
+	for i := range dst[:have] {
+		dst[i], n.rx[n.rxHead] = n.rx[n.rxHead], nil
+		if n.rxHead++; n.rxHead == len(n.rx) {
+			n.rxHead = 0
+		}
 	}
-	if have > len(dst) {
-		have = len(dst)
-	}
-	n.pollRxInto(dst, have)
+	n.rxLen -= have
 	return have
-}
-
-func (n *Net) pollRxInto(dst []*Packet, have int) {
-	copy(dst, n.rx[n.rxHead:n.rxHead+have])
-	n.rxHead += have
-	if n.rxHead == len(n.rx) {
-		n.rx = n.rx[:0]
-		n.rxHead = 0
-	}
 }
 
 // TxQueue is a per-worker raw-Ethernet send queue. Its completions are
@@ -274,8 +335,10 @@ func (n *Net) CreateTxQueue(name string, cq *rdma.CQ) *TxQueue {
 // Send transmits a response frame to the load generator. The frame
 // serializes on the node→client direction; the packet is delivered to the
 // generator (OnDeliver) after the flight, and a TX completion carrying
-// the packet as cookie is delivered to the queue's CQ.
-func (t *TxQueue) Send(pkt *Packet) {
+// cookie — the caller's record of the frame, not the packet, which both
+// owners may be done with by then — is delivered to the queue's CQ.
+func (t *TxQueue) Send(pkt *Packet, cookie any) {
+	pkt.Held(pkt.use, "sent")
 	n := t.net
 	if n.cfg.LossProb > 0 && n.env.Rand().Bool(n.cfg.LossProb) {
 		n.LossDrops.Inc()
@@ -298,6 +361,6 @@ func (t *TxQueue) Send(pkt *Packet) {
 
 	complete := done + n.cfg.TxCompletionLatency
 	op = n.getOp()
-	op.kind, op.txq, op.pkt, op.at = opTxComplete, t, pkt, complete
+	op.kind, op.txq, op.cookie, op.bytes, op.at = opTxComplete, t, cookie, pkt.Size, complete
 	n.env.At(complete, op.run)
 }

@@ -88,20 +88,20 @@ type Store struct {
 	Misses     stats.Counter
 }
 
-// Get is a GET request payload; Set a SET.
-type Get struct{ Key uint64 }
-
-// Set is a SET request payload.
-type Set struct {
+// Msg is the one message record of a request. Going in: GET(Key), or
+// with Set the SET of Key's value under Salt (the value generation salt,
+// echoed into the stored value). Coming back, in the same record: Found,
+// and a digest of the value bytes rather than the bytes themselves (the
+// wire size is accounted separately).
+type Msg struct {
 	Key  uint64
-	Salt byte // value generation salt, echoed into the stored value
-}
+	Set  bool
+	Salt byte
 
-// Value is the response payload: a digest of the value bytes rather than
-// the bytes themselves (the wire size is accounted separately).
-type Value struct {
 	Found  bool
 	Digest uint64
+
+	val []byte // the handler's value buffer (workload.Scratch)
 }
 
 // layout sizes the store: the slot array's capacity (a power of two)
@@ -232,9 +232,9 @@ func (s *Store) WarmCache() {
 	}
 }
 
-// get runs the paged GET path: probe slots from the hash bucket, verify
-// the tag and key, then read and digest the value.
-func (s *Store) get(ctx workload.Ctx, key uint64) Value {
+// lookup probes slots from the hash bucket, verifying the tag and key,
+// and returns where the key's value lives in the item space.
+func (s *Store) lookup(ctx workload.Ctx, key uint64) (itemOff int64, ok bool) {
 	var want [KeySize]byte
 	keyBytes(key, want[:])
 	tag := hash(key) >> 56
@@ -247,65 +247,56 @@ func (s *Store) get(ctx workload.Ctx, key uint64) Value {
 		s.index.Load(ctx, off, hdr[:])
 		meta := binary.LittleEndian.Uint64(hdr[:8])
 		if meta&1 == 0 {
-			s.Misses.Inc()
-			return Value{}
+			break
 		}
 		if (meta>>8)&0xFF == tag&0xFF && string(hdr[slotHeader:]) == string(want[:]) {
-			itemOff := int64(s.index.LoadU64(ctx, off+slotHeader+keyArea))
-			val := make([]byte, s.cfg.ValueSize)
-			s.items.Load(ctx, itemOff, val)
-			// Values are salted at SET time; recover the salt from the
-			// first byte, then verify sampled bytes against it.
-			salt := val[0] ^ valueByte(key, 0, 0)
-			digest := uint64(salt) + 1
-			ok := true
-			for i := 0; i < s.cfg.ValueSize; i += 64 {
-				if val[i] != valueByte(key, salt, i) {
-					ok = false
-				}
-				digest = digest*0x100000001B3 + uint64(val[i])
-			}
-			if !ok {
-				s.Mismatches.Inc()
-			}
-			return Value{Found: true, Digest: digest}
+			return int64(s.index.LoadU64(ctx, off+slotHeader+keyArea)), true
 		}
 		idx = (idx + 1) & s.mask
 	}
 	s.Misses.Inc()
-	return Value{}
+	return 0, false
+}
+
+// get runs the paged GET path: find the key, then read and digest the
+// value.
+func (s *Store) get(ctx workload.Ctx, m *Msg) {
+	m.Found, m.Digest = false, 0
+	itemOff, ok := s.lookup(ctx, m.Key)
+	if !ok {
+		return
+	}
+	val := workload.Scratch(&m.val, s.cfg.ValueSize)
+	s.items.Load(ctx, itemOff, val)
+	// Values are salted at SET time; recover the salt from the
+	// first byte, then verify sampled bytes against it.
+	salt := val[0] ^ valueByte(m.Key, 0, 0)
+	digest := uint64(salt) + 1
+	for i := 0; i < s.cfg.ValueSize; i += 64 {
+		if val[i] != valueByte(m.Key, salt, i) {
+			ok = false
+		}
+		digest = digest*0x100000001B3 + uint64(val[i])
+	}
+	if !ok {
+		s.Mismatches.Inc()
+	}
+	m.Found, m.Digest = true, digest
 }
 
 // set overwrites the value of an existing key with new salted content.
-func (s *Store) set(ctx workload.Ctx, key uint64, salt byte) Value {
-	var want [KeySize]byte
-	keyBytes(key, want[:])
-	tag := hash(key) >> 56
-	idx := int64(hash(key)) & s.mask
-	var hdr [slotHeader + KeySize]byte
-	for probes := int64(0); probes <= s.mask; probes++ {
-		ctx.Probe()
-		ctx.Compute(s.cfg.ProbeCost)
-		off := idx * s.slotSize
-		s.index.Load(ctx, off, hdr[:])
-		meta := binary.LittleEndian.Uint64(hdr[:8])
-		if meta&1 == 0 {
-			s.Misses.Inc()
-			return Value{}
-		}
-		if (meta>>8)&0xFF == tag&0xFF && string(hdr[slotHeader:]) == string(want[:]) {
-			itemOff := int64(s.index.LoadU64(ctx, off+slotHeader+keyArea))
-			val := make([]byte, s.cfg.ValueSize)
-			for i := range val {
-				val[i] = valueByte(key, salt, i)
-			}
-			s.items.Store(ctx, itemOff, val)
-			return Value{Found: true, Digest: valueDigest(key, salt, s.cfg.ValueSize)}
-		}
-		idx = (idx + 1) & s.mask
+func (s *Store) set(ctx workload.Ctx, m *Msg) {
+	m.Found, m.Digest = false, 0
+	itemOff, ok := s.lookup(ctx, m.Key)
+	if !ok {
+		return
 	}
-	s.Misses.Inc()
-	return Value{}
+	val := workload.Scratch(&m.val, s.cfg.ValueSize)
+	for i := range val {
+		val[i] = valueByte(m.Key, m.Salt, i)
+	}
+	s.items.Store(ctx, itemOff, val)
+	m.Found, m.Digest = true, valueDigest(m.Key, m.Salt, s.cfg.ValueSize)
 }
 
 // VerifyDigest recomputes the expected digest for a freshly loaded key
@@ -321,29 +312,30 @@ func (s *Store) Name() string {
 
 // NextRequest implements workload.App: uniform GETs (and SETs when
 // GetRatio < 1) over the loaded keys, as in the paper's Memcached runs.
-func (s *Store) NextRequest(rng *sim.RNG) (any, int) {
-	key := uint64(rng.Int63n(s.cfg.Keys))
+func (s *Store) NextRequest(rng *sim.RNG, reuse any) (any, int) {
+	m := workload.Record[Msg](reuse)
+	*m = Msg{Key: uint64(rng.Int63n(s.cfg.Keys)), val: m.val}
 	if s.cfg.GetRatio < 1 && !rng.Bool(s.cfg.GetRatio) {
-		return Set{Key: key, Salt: byte(rng.Intn(256))}, 64 + KeySize + s.cfg.ValueSize
+		m.Set, m.Salt = true, byte(rng.Intn(256))
+		return m, 64 + KeySize + s.cfg.ValueSize
 	}
-	return Get{Key: key}, 64 + KeySize
+	return m, 64 + KeySize
 }
 
-// Handler implements workload.App.
+// Handler implements workload.App: the answer goes into the request's
+// own record.
 func (s *Store) Handler() workload.Handler {
 	return func(ctx workload.Ctx, payload any) (any, int) {
 		ctx.Compute(s.cfg.ParseCost)
-		switch req := payload.(type) {
-		case Get:
-			v := s.get(ctx, req.Key)
-			ctx.Compute(s.cfg.ReplyCost)
-			return v, 64 + s.cfg.ValueSize
-		case Set:
-			v := s.set(ctx, req.Key, req.Salt)
-			ctx.Compute(s.cfg.ReplyCost)
-			return v, 64
-		default:
-			panic(fmt.Sprintf("kvs: unknown request %T", payload))
+		m := payload.(*Msg)
+		respBytes := 64
+		if m.Set {
+			s.set(ctx, m)
+		} else {
+			s.get(ctx, m)
+			respBytes += s.cfg.ValueSize
 		}
+		ctx.Compute(s.cfg.ReplyCost)
+		return m, respBytes
 	}
 }

@@ -89,8 +89,8 @@ func TestGetReturnsCorrectValues(t *testing.T) {
 	s := harness(t, cfg, 0.2, func(ctx workload.Ctx, s *Store) {
 		h := s.Handler()
 		for key := uint64(0); key < 5000; key += 7 {
-			resp, _ := h(ctx, Get{Key: key})
-			v := resp.(Value)
+			resp, _ := h(ctx, &Msg{Key: key})
+			v := resp.(*Msg)
 			if !v.Found {
 				t.Errorf("key %d not found", key)
 				return
@@ -110,14 +110,14 @@ func TestSetThenGetRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(2000, 128)
 	harness(t, cfg, 0.2, func(ctx workload.Ctx, s *Store) {
 		h := s.Handler()
-		resp, _ := h(ctx, Set{Key: 42, Salt: 0xA7})
-		setV := resp.(Value)
+		resp, _ := h(ctx, &Msg{Key: 42, Set: true, Salt: 0xA7})
+		setV := *resp.(*Msg)
 		if !setV.Found {
 			t.Error("SET of existing key failed")
 			return
 		}
-		resp, _ = h(ctx, Get{Key: 42})
-		getV := resp.(Value)
+		resp, _ = h(ctx, &Msg{Key: 42})
+		getV := resp.(*Msg)
 		if !getV.Found || getV.Digest != setV.Digest {
 			t.Errorf("GET after SET: %+v vs SET %+v", getV, setV)
 		}
@@ -135,8 +135,8 @@ func TestGetsFaultAtLowLocalMemory(t *testing.T) {
 		rng := sim.NewRNG(3)
 		for i := 0; i < 500; i++ {
 			key := uint64(rng.Int63n(20000))
-			resp, _ := h(ctx, Get{Key: key})
-			if !resp.(Value).Found {
+			resp, _ := h(ctx, &Msg{Key: key})
+			if !resp.(*Msg).Found {
 				t.Errorf("key %d missing", key)
 				return
 			}
@@ -161,14 +161,13 @@ func TestNextRequestMixAndSizes(t *testing.T) {
 	rng := sim.NewRNG(5)
 	gets, sets := 0, 0
 	for i := 0; i < 2000; i++ {
-		payload, size := s.NextRequest(rng)
-		switch payload.(type) {
-		case Get:
+		payload, size := s.NextRequest(rng, nil)
+		if !payload.(*Msg).Set {
 			gets++
 			if size != 64+KeySize {
 				t.Fatalf("GET size = %d", size)
 			}
-		case Set:
+		} else {
 			sets++
 			if size != 64+KeySize+1024 {
 				t.Fatalf("SET size = %d", size)

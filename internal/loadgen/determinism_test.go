@@ -15,7 +15,6 @@ import (
 // generator must produce a byte-identical packet stream.
 func startProcReference(env *sim.Env, net *ethernet.Net, app workload.App, rateRPS float64, warmup, end sim.Time) *Gen {
 	g := &Gen{
-		env: env, net: net, app: app,
 		warmup: warmup, end: end,
 		E2E:     stats.NewHistogram(),
 		ByClass: make(map[string]*stats.Histogram),
@@ -30,7 +29,7 @@ func startProcReference(env *sim.Env, net *ethernet.Net, app workload.App, rateR
 			if p.Now() >= end {
 				return
 			}
-			payload, reqBytes := app.NextRequest(rng)
+			payload, reqBytes := app.NextRequest(rng, nil)
 			g.nextID++
 			pkt := &ethernet.Packet{
 				ID:      g.nextID,

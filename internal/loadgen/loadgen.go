@@ -14,10 +14,6 @@ import (
 // Gen drives one workload against a compute node and records e2e
 // latency and throughput over a measurement window.
 type Gen struct {
-	env *sim.Env
-	net *ethernet.Net
-	app workload.App
-
 	warmup sim.Time // measurement window start
 	end    sim.Time // last send time
 
@@ -37,6 +33,7 @@ type Gen struct {
 	SendFn func(*ethernet.Packet)
 
 	nextID uint64
+	pkts   ethernet.PacketPool // requests are sent from here; see ethernet.Owner
 }
 
 // Start launches an open-loop generator sending rateRPS requests per
@@ -44,7 +41,6 @@ type Gen struct {
 // or after warmup; Delivered counts responses received in [warmup, end].
 func Start(env *sim.Env, net *ethernet.Net, app workload.App, rateRPS float64, warmup, end sim.Time) *Gen {
 	g := &Gen{
-		env: env, net: net, app: app,
 		warmup: warmup, end: end,
 		E2E:     stats.NewHistogram(),
 		ByClass: make(map[string]*stats.Histogram),
@@ -70,14 +66,10 @@ func Start(env *sim.Env, net *ethernet.Net, app workload.App, rateRPS float64, w
 		if env.Now() >= end {
 			return
 		}
-		payload, reqBytes := app.NextRequest(rng)
+		pkt := g.pkts.Get()
+		payload, reqBytes := app.NextRequest(rng, pkt.Payload)
 		g.nextID++
-		pkt := &ethernet.Packet{
-			ID:      g.nextID,
-			Payload: payload,
-			Size:    reqBytes,
-			TxTime:  env.Now(),
-		}
+		pkt.ID, pkt.Payload, pkt.Size, pkt.TxTime, pkt.Class = g.nextID, payload, reqBytes, env.Now(), ""
 		if g.Classifier != nil {
 			pkt.Class = g.Classifier(payload)
 		}
@@ -91,9 +83,12 @@ func Start(env *sim.Env, net *ethernet.Net, app workload.App, rateRPS float64, w
 
 // Deliver records a response arrival; exported so a transport layer
 // interposed on the network path can forward acknowledged responses.
-func (g *Gen) Deliver(pkt *ethernet.Packet) { g.onDeliver(pkt) }
-
-func (g *Gen) onDeliver(pkt *ethernet.Packet) {
+// It never gives up the generator's half of the packet: a
+// transport.Client retransmits the same *Packet, which can then sit in
+// the RX ring twice, and its timers read the packet after delivery, so no
+// delivery is known to be its last use. Behind a transport packets go to
+// the collector and every send is a pool miss.
+func (g *Gen) Deliver(pkt *ethernet.Packet) {
 	if pkt.RxTime >= g.warmup && pkt.RxTime < g.end {
 		g.Delivered.Inc()
 	}
@@ -110,6 +105,12 @@ func (g *Gen) onDeliver(pkt *ethernet.Packet) {
 		}
 		h.Record(lat)
 	}
+}
+
+// onDeliver is the raw path's delivery: record, then release.
+func (g *Gen) onDeliver(pkt *ethernet.Packet) {
+	g.Deliver(pkt)
+	pkt.Release(ethernet.Sender)
 }
 
 // Throughput returns achieved requests/second over the measurement

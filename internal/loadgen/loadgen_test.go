@@ -13,7 +13,7 @@ import (
 type echoApp struct{}
 
 func (echoApp) Name() string { return "echo" }
-func (echoApp) NextRequest(rng *sim.RNG) (any, int) {
+func (echoApp) NextRequest(rng *sim.RNG, _ any) (any, int) {
 	return rng.Intn(100), 64
 }
 func (echoApp) Handler() workload.Handler {
@@ -27,13 +27,14 @@ func echoNode(env *sim.Env, net *ethernet.Net) {
 	txq := net.CreateTxQueue("echo", rdma.NewCQ("echo"))
 	env.Go("echo", func(p *sim.Proc) {
 		for {
-			pkts := net.PollRx(64)
+			var buf [64]*ethernet.Packet
+			pkts := buf[:net.PollRxInto(buf[:])]
 			if len(pkts) == 0 {
 				gate.Wait(p)
 				continue
 			}
 			for _, pkt := range pkts {
-				txq.Send(pkt)
+				txq.Send(pkt, nil)
 			}
 		}
 	})

@@ -424,9 +424,10 @@ func (w *Worker) fireFlat() bool {
 			}
 
 		case flatSend:
+			// The request itself rides the TX completion as its cookie.
 			pkt := f.req.Pkt
-			pkt.Payload, pkt.Size, pkt.Ctx = w.resp, w.respLen, f.req
-			w.txq.Send(pkt)
+			pkt.Payload, pkt.Size = w.resp, w.respLen
+			w.txq.Send(pkt, f.req)
 			w.pc = flatFinish // DelegatedTx: the dispatcher recycles the buffer on completion (Figure 6)
 			if s.cfg.Tx != DelegatedTx {
 				f.waitStart = s.env.Now()
@@ -453,6 +454,7 @@ func (w *Worker) fireFlat() bool {
 			f.req.Finished = s.env.Now()
 			s.Completed.Inc()
 			if s.OnComplete != nil {
+				f.req.Pkt.Held(f.req.pktUse, "completed")
 				s.OnComplete(f.req)
 			}
 			f.done = true

@@ -82,10 +82,7 @@ func (r *arrayRig) drive(n int, gap sim.Time) {
 	entries := int64(256 * paging.PageSize / 8)
 	for i := 0; i < n; i++ {
 		idx := (int64(i) * 7919) % entries
-		var payload any = workload.ArrayGet{Index: idx}
-		if i%4 == 1 {
-			payload = workload.ArrayPut{Index: idx}
-		}
+		var payload any = &workload.ArrayMsg{Index: idx, Put: i%4 == 1}
 		id, p := uint64(i), payload
 		r.env.At(1+sim.Time(i)*gap, func() {
 			r.net.SendToNode(&ethernet.Packet{ID: id, Payload: p, Size: 64, TxTime: r.env.Now()})

@@ -10,6 +10,8 @@ import (
 // the phase timestamps and accumulators the paper's latency breakdowns
 // (Figures 2(c) and 7(c)) are built from.
 type Request struct {
+	// Pkt stays valid through OnComplete in either TX mode, though under
+	// SyncTx the generator has taken delivery by then (ethernet.Owner).
 	Pkt *ethernet.Packet
 	Buf *unithread.Buffer
 
@@ -46,6 +48,8 @@ type Request struct {
 	// still owned the buffer (delegated TX): the TX-completion handler is
 	// then the last owner and recycles the record.
 	retired bool
+
+	pktUse uint32 // Pkt.Use() at admission, for Packet.Held
 }
 
 // NodeLatency is the compute-node residence time: RX-ring arrival to

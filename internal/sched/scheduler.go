@@ -92,16 +92,22 @@ func (s *Scheduler) newRequest(pkt *ethernet.Packet, buf *unithread.Buffer) *Req
 		r := s.freeReqs[n-1]
 		s.freeReqs[n-1] = nil
 		s.freeReqs = s.freeReqs[:n-1]
-		*r = Request{Pkt: pkt, Buf: buf, Arrive: pkt.ArriveNode}
+		*r = Request{Pkt: pkt, pktUse: pkt.Use(), Buf: buf, Arrive: pkt.ArriveNode}
 		return r
 	}
-	return &Request{Pkt: pkt, Buf: buf, Arrive: pkt.ArriveNode}
+	return &Request{Pkt: pkt, pktUse: pkt.Use(), Buf: buf, Arrive: pkt.ArriveNode}
 }
 
 // freeRequest returns a fully-released Request (buffer recycled,
-// completion hooks done) to the free list.
+// completion hooks done) to the free list and gives up the node's half
+// of its packet (ethernet.Owner). Nothing here reads the packet later in
+// either TX mode: OnComplete has run, the run span is emitted, and the TX
+// completion — still outstanding when a delegated-TX worker retires —
+// names the request, not the packet.
 func (s *Scheduler) freeRequest(r *Request) {
-	r.Pkt = nil // drop the packet reference; the rest is reset on reuse
+	r.Pkt.Held(r.pktUse, "retired")
+	r.Pkt.Release(ethernet.Node)
+	r.Pkt = nil // the rest is reset on reuse
 	s.freeReqs = append(s.freeReqs, r)
 }
 
@@ -314,9 +320,7 @@ func (d *dispatcher) fire() {
 
 		case dRecycle:
 			for _, comp := range d.txBuf[:d.n] {
-				pkt := comp.Cookie.(*ethernet.Packet)
-				req := pkt.Ctx.(*Request)
-				pkt.Ctx = nil
+				req := comp.Cookie.(*Request)
 				if req.Buf != nil {
 					s.pool.Release(req.Buf)
 					req.Buf = nil

@@ -64,6 +64,11 @@ func cases() []mutationCase {
 	migrated.Migrate = migrate.Config{Enabled: true, Epoch: sim.Micros(50),
 		HotThreshold: 1, Bandwidth: 4, Imbalance: 1.0, MaxMoves: 64, MinFaults: 1}
 
+	// SyncTx (DiLOS): the worker's completion runs after the generator has
+	// taken delivery of the response.
+	syncTx := base
+	syncTx.Mode = core.DiLOS
+
 	return []mutationCase{
 		{
 			// Reclaimer treats dirty pages as clean: the frame is freed
@@ -114,6 +119,16 @@ func cases() []mutationCase {
 			mutation: "sched-drop-idle-wake",
 			scenario: base,
 			oracles:  []string{"sched/core-liveness"},
+		},
+		{
+			// The generator recycles a packet at delivery without waiting
+			// for the node to retire the request — the one-line version of
+			// packet pooling. Under SyncTx the node completes and retires
+			// after delivery, holding a packet that is on the free list or
+			// already carrying the next request.
+			mutation: "packet-early-release",
+			scenario: syncTx,
+			oracles:  []string{"ethernet/packet-lifetime"},
 		},
 	}
 }

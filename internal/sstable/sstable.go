@@ -91,25 +91,20 @@ type Table struct {
 	NotFound   stats.Counter
 }
 
-// Get is a point-lookup request; Scan a range request.
-type Get struct{ Key uint64 }
+// Msg is the one message record of a request. Going in: GET(Key), or
+// with Scan set SCAN of Len records from the first key ≥ Key. Coming
+// back, in the same record: Found and Digest for a GET, Count and Digest
+// for a SCAN.
+type Msg struct {
+	Key  uint64
+	Scan bool
+	Len  int
 
-// Scan requests Len records starting at the first key ≥ Start.
-type Scan struct {
-	Start uint64
-	Len   int
-}
-
-// GetResult is the GET response payload.
-type GetResult struct {
 	Found  bool
-	Digest uint64
-}
-
-// ScanResult is the SCAN response payload.
-type ScanResult struct {
 	Count  int
 	Digest uint64
+
+	rec []byte // the handler's record buffer (workload.Scratch)
 }
 
 // recordKey returns the key stored at record index i.
@@ -250,22 +245,25 @@ func (t *Table) seek(ctx workload.Ctx, key uint64) int64 {
 }
 
 // get runs the point-lookup path: bloom filter, index seek, record read.
-func (t *Table) get(ctx workload.Ctx, key uint64) GetResult {
+// A miss at any stage leaves m not Found.
+func (t *Table) get(ctx workload.Ctx, m *Msg) {
+	key := m.Key
+	m.Found, m.Digest = false, 0
 	if !t.bloomTest(ctx, key) {
 		t.NotFound.Inc()
-		return GetResult{}
+		return
 	}
 	i := t.seek(ctx, key)
 	if i >= t.cfg.Keys {
 		t.NotFound.Inc()
-		return GetResult{}
+		return
 	}
-	rec := make([]byte, t.recordSize)
+	rec := workload.Scratch(&m.rec, int(t.recordSize))
 	t.space.Load(ctx, i*t.recordSize, rec)
 	got := binary.LittleEndian.Uint64(rec[:8])
 	if got != key {
 		t.NotFound.Inc()
-		return GetResult{}
+		return
 	}
 	ctx.Compute(t.cfg.RecordCost)
 	digest := uint64(1469598103934665603)
@@ -279,21 +277,22 @@ func (t *Table) get(ctx workload.Ctx, key uint64) GetResult {
 	if !ok {
 		t.Mismatches.Inc()
 	}
-	return GetResult{Found: true, Digest: digest}
+	m.Found, m.Digest = true, digest
 }
 
-// scan iterates n records from the first key ≥ start, with a preemption
-// probe per record — the shape that lets DiLOS-P's preemptive scheduler
-// help this workload (Figure 11) while plain busy-waiting suffers.
-func (t *Table) scan(ctx workload.Ctx, start uint64, n int) ScanResult {
-	i := t.seek(ctx, start)
+// scan iterates m.Len records from the first key ≥ m.Key, with a
+// preemption probe per record — the shape that lets DiLOS-P's preemptive
+// scheduler help this workload (Figure 11) while plain busy-waiting
+// suffers.
+func (t *Table) scan(ctx workload.Ctx, m *Msg) {
+	i := t.seek(ctx, m.Key)
 	if t.cfg.AppPrefetch {
-		t.mgr.PrefetchRange(ctx, t.space, i*t.recordSize, int64(n)*t.recordSize)
+		t.mgr.PrefetchRange(ctx, t.space, i*t.recordSize, int64(m.Len)*t.recordSize)
 	}
-	rec := make([]byte, t.recordSize)
+	rec := workload.Scratch(&m.rec, int(t.recordSize))
 	digest := uint64(1469598103934665603)
 	count := 0
-	for ; i < t.cfg.Keys && count < n; i++ {
+	for ; i < t.cfg.Keys && count < m.Len; i++ {
 		ctx.Probe()
 		ctx.Compute(t.cfg.RecordCost)
 		t.space.Load(ctx, i*t.recordSize, rec)
@@ -304,7 +303,7 @@ func (t *Table) scan(ctx workload.Ctx, start uint64, n int) ScanResult {
 		digest = digest*0x100000001B3 + key
 		count++
 	}
-	return ScanResult{Count: count, Digest: digest}
+	m.Count, m.Digest = count, digest
 }
 
 // VerifyGetDigest recomputes the expected GET digest for a key.
@@ -323,43 +322,40 @@ func (t *Table) Name() string {
 
 // NextRequest implements workload.App: the paper's bimodal GET/SCAN mix
 // over uniformly random existing keys.
-func (t *Table) NextRequest(rng *sim.RNG) (any, int) {
+func (t *Table) NextRequest(rng *sim.RNG, reuse any) (any, int) {
+	m := workload.Record[Msg](reuse)
 	idx := rng.Int63n(t.cfg.Keys)
+	*m = Msg{Key: recordKey(idx), rec: m.rec}
 	if rng.Bool(t.cfg.ScanRatio) {
 		// Keep full-length scans in range.
-		max := t.cfg.Keys - int64(t.cfg.ScanLen)
-		if max < 1 {
-			max = 1
-		}
-		return Scan{Start: recordKey(idx % max), Len: t.cfg.ScanLen}, 64
+		m.Key, m.Scan, m.Len = recordKey(idx%max(t.cfg.Keys-int64(t.cfg.ScanLen), 1)), true, t.cfg.ScanLen
 	}
-	return Get{Key: recordKey(idx)}, 64
+	return m, 64
 }
 
 // Classify labels requests for per-class latency reporting
 // (loadgen detects this method).
 func (t *Table) Classify(payload any) string {
-	if _, ok := payload.(Scan); ok {
+	if payload.(*Msg).Scan {
 		return "SCAN"
 	}
 	return "GET"
 }
 
-// Handler implements workload.App.
+// Handler implements workload.App: the answer goes into the request's
+// own record.
 func (t *Table) Handler() workload.Handler {
 	return func(ctx workload.Ctx, payload any) (any, int) {
 		ctx.Compute(t.cfg.ParseCost)
-		switch req := payload.(type) {
-		case Get:
-			r := t.get(ctx, req.Key)
-			ctx.Compute(t.cfg.ReplyCost)
-			return r, 64 + t.cfg.ValueSize
-		case Scan:
-			r := t.scan(ctx, req.Start, req.Len)
-			ctx.Compute(t.cfg.ReplyCost)
-			return r, 64 + req.Len*8
-		default:
-			panic(fmt.Sprintf("sstable: unknown request %T", payload))
+		m := payload.(*Msg)
+		respBytes := 64 + t.cfg.ValueSize
+		if m.Scan {
+			t.scan(ctx, m)
+			respBytes = 64 + m.Len*8
+		} else {
+			t.get(ctx, m)
 		}
+		ctx.Compute(t.cfg.ReplyCost)
+		return m, respBytes
 	}
 }

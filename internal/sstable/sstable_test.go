@@ -84,8 +84,8 @@ func TestGetFindsExistingKeys(t *testing.T) {
 	tab := harness(t, cfg, 0.2, func(ctx workload.Ctx, tab *Table) {
 		for i := int64(0); i < 5000; i += 11 {
 			key := recordKey(i)
-			r := tab.get(ctx, key)
-			if !r.Found {
+			r := &Msg{Key: key}
+			if tab.get(ctx, r); !r.Found {
 				t.Errorf("key %d not found", key)
 				return
 			}
@@ -104,11 +104,13 @@ func TestGetAbsentKey(t *testing.T) {
 	cfg := DefaultConfig(1000, 128)
 	tab := harness(t, cfg, 0.5, func(ctx workload.Ctx, tab *Table) {
 		// keyStride=7, so key 3 does not exist.
-		if r := tab.get(ctx, 3); r.Found {
+		r := &Msg{Key: 3}
+		if tab.get(ctx, r); r.Found {
 			t.Error("absent key reported found")
 		}
 		// Beyond the last key.
-		if r := tab.get(ctx, recordKey(5000)); r.Found {
+		r.Key = recordKey(5000)
+		if tab.get(ctx, r); r.Found {
 			t.Error("out-of-range key reported found")
 		}
 	})
@@ -120,8 +122,8 @@ func TestGetAbsentKey(t *testing.T) {
 func TestScanReturnsOrderedRange(t *testing.T) {
 	cfg := DefaultConfig(5000, 128)
 	harness(t, cfg, 0.2, func(ctx workload.Ctx, tab *Table) {
-		r := tab.scan(ctx, recordKey(100), 100)
-		if r.Count != 100 {
+		r := &Msg{Key: recordKey(100), Scan: true, Len: 100}
+		if tab.scan(ctx, r); r.Count != 100 {
 			t.Errorf("scan count = %d, want 100", r.Count)
 			return
 		}
@@ -134,8 +136,8 @@ func TestScanReturnsOrderedRange(t *testing.T) {
 			t.Error("scan digest mismatch: wrong records or order")
 		}
 		// Scan clipped at the end of the table.
-		r = tab.scan(ctx, recordKey(4950), 100)
-		if r.Count != 50 {
+		r.Key = recordKey(4950)
+		if tab.scan(ctx, r); r.Count != 50 {
 			t.Errorf("clipped scan count = %d, want 50", r.Count)
 		}
 	})
@@ -149,16 +151,16 @@ func TestScanCostsDwarfGets(t *testing.T) {
 		// sustained load would.
 		rng := sim.NewRNG(2)
 		for i := 0; i < 300; i++ {
-			tab.get(ctx, recordKey(rng.Int63n(20000)))
+			tab.get(ctx, &Msg{Key: recordKey(rng.Int63n(20000))})
 		}
 		var getTime, scanTime sim.Time
 		const trials = 20
 		for i := 0; i < trials; i++ {
 			t0 := tab.mgr.Env().Now()
-			tab.get(ctx, recordKey(rng.Int63n(20000)))
+			tab.get(ctx, &Msg{Key: recordKey(rng.Int63n(20000))})
 			getTime += tab.mgr.Env().Now() - t0
 			t0 = tab.mgr.Env().Now()
-			tab.scan(ctx, recordKey(rng.Int63n(19000)), 100)
+			tab.scan(ctx, &Msg{Key: recordKey(rng.Int63n(19000)), Scan: true, Len: 100})
 			scanTime += tab.mgr.Env().Now() - t0
 		}
 		ratio := float64(scanTime) / float64(getTime)
@@ -177,13 +179,13 @@ func TestRequestMixAndClassifier(t *testing.T) {
 	rng := sim.NewRNG(9)
 	gets, scans := 0, 0
 	for i := 0; i < 10000; i++ {
-		payload, _ := tab.NextRequest(rng)
+		payload, _ := tab.NextRequest(rng, nil)
 		switch tab.Classify(payload) {
 		case "GET":
 			gets++
 		case "SCAN":
 			scans++
-			sc := payload.(Scan)
+			sc := payload.(*Msg)
 			if sc.Len != 100 {
 				t.Fatalf("scan len = %d", sc.Len)
 			}

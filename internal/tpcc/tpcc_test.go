@@ -289,7 +289,7 @@ func TestRequestMixMatchesPaper(t *testing.T) {
 	counts := map[string]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		payload, _ := db.NextRequest(rng)
+		payload, _ := db.NextRequest(rng, nil)
 		counts[db.Classify(payload)]++
 	}
 	check := func(class string, want float64) {

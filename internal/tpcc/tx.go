@@ -243,11 +243,12 @@ func (db *DB) resolveCustomer(ctx workload.Ctx, w, d, c int, byName bool, last i
 		return c, true
 	}
 	dIdx := db.dIdx(w, d)
-	var matches []int
+	var buf [16]int // on the handler's stack; a longer run of namesakes spills to the heap
+	matches := buf[:0]
 	ctx.Compute(db.cfg.RecordCost)
 	db.byName.Range(ctx, db.nameKey(dIdx, last, 0), db.nameKey(dIdx, last, 0xFFF),
 		func(k, v uint64) bool {
-			matches = append(matches, int(v%int64ToU64(int64(db.cfg.CustomersPerDistrict))))
+			matches = append(matches, int(v%uint64(db.cfg.CustomersPerDistrict)))
 			return true
 		})
 	if len(matches) == 0 {
@@ -256,8 +257,6 @@ func (db *DB) resolveCustomer(ctx workload.Ctx, w, d, c int, byName bool, last i
 	}
 	return matches[len(matches)/2], true
 }
-
-func int64ToU64(v int64) uint64 { return uint64(v) }
 
 // DeliveryReq is the Delivery transaction input.
 type DeliveryReq struct {

@@ -27,7 +27,8 @@ func newEchoNode(env *sim.Env, net *ethernet.Net, drop int, dedup *Dedup) *echoN
 	net.RxNotify = gate.Wake
 	env.Go("echo", func(p *sim.Proc) {
 		for {
-			pkts := net.PollRx(64)
+			var buf [64]*ethernet.Packet
+			pkts := buf[:net.PollRxInto(buf[:])]
 			if len(pkts) == 0 {
 				gate.Wait(p)
 				continue
@@ -42,7 +43,7 @@ func newEchoNode(env *sim.Env, net *ethernet.Net, drop int, dedup *Dedup) *echoN
 				}
 				n.got = append(n.got, pkt.ID)
 				p.Sleep(n.delay)
-				n.txq.Send(pkt)
+				n.txq.Send(pkt, nil)
 			}
 		}
 	})

@@ -462,8 +462,10 @@ func (idx *Index) Name() string { return fmt.Sprintf("faiss-ivfflat-%dk", idx.cf
 
 // NextRequest implements workload.App: a perturbed copy of a random
 // stored vector, as BIGANN's query set is drawn from the same
-// distribution as the base set.
-func (idx *Index) NextRequest(rng *sim.RNG) (any, int) {
+// distribution as the base set. The reuse hint is ignored: a query costs
+// the host a distance computation per scanned vector, next to which its
+// handful of slices is nothing.
+func (idx *Index) NextRequest(rng *sim.RNG, _ any) (any, int) {
 	l := rng.Intn(idx.cfg.NList)
 	for idx.listLen[l] == 0 {
 		l = rng.Intn(idx.cfg.NList)

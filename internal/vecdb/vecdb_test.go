@@ -100,7 +100,7 @@ func TestSearchFindsPerturbedSelf(t *testing.T) {
 		ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
 		rng := sim.NewRNG(3)
 		for trial := 0; trial < 20; trial++ {
-			payload, _ := idx.NextRequest(rng)
+			payload, _ := idx.NextRequest(rng, nil)
 			q := payload.(Query)
 			res := idx.Search(ctx, q.Vec)
 			if len(res.Neighbors) != cfg.K {
@@ -138,7 +138,7 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 		ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
 		rng := sim.NewRNG(7)
 		for trial := 0; trial < trials; trial++ {
-			payload, _ := idx.NextRequest(rng)
+			payload, _ := idx.NextRequest(rng, nil)
 			q := payload.(Query)
 			approx := idx.Search(ctx, q.Vec)
 			exact := idx.BruteForce(q.Vec)
@@ -170,7 +170,7 @@ func TestSearchFaultsAndCosts(t *testing.T) {
 	env.Go("driver", func(p *sim.Proc) {
 		ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
 		rng := sim.NewRNG(5)
-		payload, _ := idx.NextRequest(rng)
+		payload, _ := idx.NextRequest(rng, nil)
 		start := p.Now()
 		idx.Search(ctx, payload.(Query).Vec)
 		service = p.Now() - start

@@ -48,15 +48,14 @@ type ArrayApp struct {
 	Mismatches stats.Counter
 }
 
-// ArrayGet is the request payload.
-type ArrayGet struct{ Index int64 }
-
-// ArrayPut is the write-request payload: store the seeded value back at
-// the index (idempotent, so reads stay verifiable).
-type ArrayPut struct{ Index int64 }
-
-// ArrayVal is the response payload.
-type ArrayVal struct{ Value uint64 }
+// ArrayMsg is the one message record of a request: Index and Put going
+// in — load the value at the index, or store the seeded value back
+// (idempotent, so reads stay verifiable) — and Value coming back.
+type ArrayMsg struct {
+	Index int64
+	Put   bool
+	Value uint64
+}
 
 // arraySeed computes the deterministic value stored at index i.
 func arraySeed(i int64) uint64 { return uint64(i)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D }
@@ -126,7 +125,7 @@ func (a *ArrayApp) SetSkew(s float64) {
 // only taken when WriteFrac > 0, so read-only runs consume the
 // identical RNG stream as builds without the write path — goldens stay
 // byte-for-byte.
-func (a *ArrayApp) NextRequest(rng *sim.RNG) (any, int) {
+func (a *ArrayApp) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 	var idx int64
 	if a.Dist != nil {
 		idx = a.Dist.Next(rng)
@@ -136,10 +135,9 @@ func (a *ArrayApp) NextRequest(rng *sim.RNG) (any, int) {
 	} else {
 		idx = rng.Int63n(a.entries)
 	}
-	if a.WriteFrac > 0 && rng.Bool(a.WriteFrac) {
-		return ArrayPut{Index: idx}, a.ReqBytes
-	}
-	return ArrayGet{Index: idx}, a.ReqBytes
+	m := Record[ArrayMsg](reuse)
+	*m = ArrayMsg{Index: idx, Put: a.WriteFrac > 0 && rng.Bool(a.WriteFrac)}
+	return m, a.ReqBytes
 }
 
 // arrayStepper is ArrayApp's resumable-step handler. The phase machine
@@ -166,8 +164,7 @@ func (arrayStepper) Begin(f *StepFrame, payload any) { f.PC = arrayStepParse }
 func (arrayStepper) Abort(*StepFrame, error) {}
 
 // Step implements StepHandler: parse charge → probe → array access (the
-// only fault point; W[0] carries the value over the reply charge) →
-// reply.
+// only fault point) → reply, in the request's record.
 func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, sim.Time, StepStatus) {
 	a := h.a
 	switch f.PC {
@@ -178,27 +175,26 @@ func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, si
 		f.PC = arrayStepAccess
 		return nil, 0, 0, StepProbe
 	case arrayStepAccess:
-		if put, ok := payload.(ArrayPut); ok {
-			v := arraySeed(put.Index)
-			if !ctx.TryStoreU64(a.space, put.Index*8, v) {
+		m := payload.(*ArrayMsg)
+		if m.Put {
+			m.Value = arraySeed(m.Index)
+			if !ctx.TryStoreU64(a.space, m.Index*8, m.Value) {
 				return nil, 0, 0, StepFault
 			}
-			f.W[0] = v
 		} else {
-			idx := payload.(ArrayGet).Index
-			v, ok := ctx.TryLoadU64(a.space, idx*8)
+			v, ok := ctx.TryLoadU64(a.space, m.Index*8)
 			if !ok {
 				return nil, 0, 0, StepFault
 			}
-			if v != arraySeed(idx) {
+			if v != arraySeed(m.Index) {
 				a.Mismatches.Inc()
 			}
-			f.W[0] = v
+			m.Value = v
 		}
 		f.PC = arrayStepReply
 		return nil, 0, a.ReplyCost, StepCompute
 	case arrayStepReply:
-		return ArrayVal{Value: f.W[0]}, a.RespBytes, 0, StepDone
+		return payload, a.RespBytes, 0, StepDone
 	}
 	panic("workload: corrupt array step frame")
 }
@@ -206,22 +202,16 @@ func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, si
 // Handler implements App.
 func (a *ArrayApp) Handler() Handler {
 	return func(ctx Ctx, payload any) (any, int) {
-		if put, ok := payload.(ArrayPut); ok {
-			ctx.Compute(a.ParseCost)
-			ctx.Probe()
-			v := arraySeed(put.Index)
-			a.space.StoreU64(ctx, put.Index*8, v)
-			ctx.Compute(a.ReplyCost)
-			return ArrayVal{Value: v}, a.RespBytes
-		}
-		req := payload.(ArrayGet)
+		m := payload.(*ArrayMsg)
 		ctx.Compute(a.ParseCost)
 		ctx.Probe()
-		v := a.space.LoadU64(ctx, req.Index*8)
-		if v != arraySeed(req.Index) {
+		if m.Put {
+			m.Value = arraySeed(m.Index)
+			a.space.StoreU64(ctx, m.Index*8, m.Value)
+		} else if m.Value = a.space.LoadU64(ctx, m.Index*8); m.Value != arraySeed(m.Index) {
 			a.Mismatches.Inc()
 		}
 		ctx.Compute(a.ReplyCost)
-		return ArrayVal{Value: v}, a.RespBytes
+		return m, a.RespBytes
 	}
 }

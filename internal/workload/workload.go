@@ -55,7 +55,8 @@ type Ctx interface {
 }
 
 // Handler processes one request payload and returns the response payload
-// and its wire size in bytes.
+// and its wire size in bytes; where the app keeps one message record per
+// request (App.NextRequest) the answer goes into payload, which it returns.
 type Handler func(ctx Ctx, payload any) (resp any, respBytes int)
 
 // App is a runnable application: it generates request payloads (the load
@@ -63,10 +64,34 @@ type Handler func(ctx Ctx, payload any) (resp any, respBytes int)
 type App interface {
 	// Name identifies the workload in reports.
 	Name() string
-	// NextRequest draws a request payload and its wire size.
-	NextRequest(rng *sim.RNG) (payload any, reqBytes int)
+	// NextRequest draws a request payload and its wire size. reuse is
+	// what the packet being sent last carried back (nil for a new
+	// packet): when that is one of the app's message records — its
+	// handler answers in the request's record — the app refills it in
+	// place of boxing a new one. Ignoring reuse is always correct, and
+	// the draws from rng must not depend on it.
+	NextRequest(rng *sim.RNG, reuse any) (payload any, reqBytes int)
 	// Handler returns the request handler.
 	Handler() Handler
+}
+
+// Record returns the message record a NextRequest fills: reuse when it is
+// one of the app's own (a *T), a new one otherwise.
+func Record[T any](reuse any) *T {
+	if m, ok := reuse.(*T); ok {
+		return m
+	}
+	return new(T)
+}
+
+// Scratch returns *buf sized to n bytes, grown if need be: a handler's
+// read buffer, kept in its request's message record and never in the app —
+// a paged load can park mid-read, and another request runs meanwhile.
+func Scratch(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
 }
 
 // KeyDist generates keys in [0, n) with a given popularity distribution.

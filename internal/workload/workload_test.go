@@ -110,7 +110,7 @@ func TestArrayAppVerifiesValues(t *testing.T) {
 		h := app.Handler()
 		rng := sim.NewRNG(2)
 		for i := 0; i < 500; i++ {
-			payload, reqBytes := app.NextRequest(rng)
+			payload, reqBytes := app.NextRequest(rng, nil)
 			if reqBytes != app.ReqBytes {
 				t.Error("request size mismatch")
 				return
@@ -120,7 +120,7 @@ func TestArrayAppVerifiesValues(t *testing.T) {
 				t.Error("response size mismatch")
 				return
 			}
-			if _, ok := resp.(ArrayVal); !ok {
+			if resp != payload {
 				t.Error("bad response type")
 				return
 			}
