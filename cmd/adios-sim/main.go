@@ -257,8 +257,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *qdepth {
 		fmt.Fprintf(stdout, "qdepth      peak-pending-events=%d\n", sys.Env.MaxPending())
 		// The kernel's self-counters over the whole run, per request the
-		// scheduler completed in it (warm-up and drain included).
-		ks, n := sys.Env.KernelStats(), float64(sys.Sched.Completed.Value())
+		// scheduler completed in it (warm-up and drain included) — the raw
+		// counts when it completed none.
+		ks, n := sys.Env.KernelStats(), float64(max(sys.Sched.Completed.Value(), 1))
 		fmt.Fprintf(stdout, "kernel      parks/req=%.2f switches/req=%.2f skip-aheads/req=%.2f\n",
 			float64(ks.Parks)/n, float64(ks.Switches)/n, float64(ks.SkipAheads)/n)
 	}

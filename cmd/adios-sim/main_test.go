@@ -9,7 +9,9 @@ import (
 // the build (-local, -ms, an out-of-range crash node) or never terminate
 // (-rps) must instead print one "adios-sim: …" line and exit 2, with
 // nothing on stdout — an unknown -app one that lists the catalogue; a
-// good invocation still runs to its report.
+// good invocation still runs to its report, and -qdepth's per-request
+// kernel counts are numbers even when no request completed (they used to
+// print NaN).
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -25,6 +27,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"rps-negative", []string{"-rps", "-5"}, 2},
 		{"app-unknown", []string{"-app", "nonsense"}, 2},
 		{"good", []string{"-rps", "1300000", "-ms", "1", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
+		{"qdepth-nothing-completed", []string{"-rps", "100", "-ms", "1", "-qdepth"}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder
@@ -35,6 +38,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 			if tc.code == 0 {
 				if stderr.Len() != 0 || !strings.Contains(stdout.String(), "throughput") {
 					t.Fatalf("good run: stderr %q, stdout:\n%s", stderr.String(), stdout.String())
+				}
+				if tc.name == "qdepth-nothing-completed" {
+					for _, want := range []string{"throughput  0 RPS\n", "kernel      parks/req=0.00 switches/req=0.00 skip-aheads/req="} {
+						if out := stdout.String(); !strings.Contains(out, want) || strings.Contains(out, "NaN") {
+							t.Fatalf("want %q and no NaN in:\n%s", want, out)
+						}
+					}
 				}
 				return
 			}

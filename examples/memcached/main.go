@@ -18,7 +18,7 @@ func run(mode core.Mode, loadRPS float64) (core.RunResult, *kvs.Store) {
 	sys := core.NewSystem(core.Preset(mode, kvs.Footprint(cfg)/5))
 	store := kvs.New(sys.Mgr, sys.Node, cfg)
 	store.WarmCache()
-	sys.Start(store.Handler())
+	sys.StartApp(store)
 	return sys.Run(store, loadRPS, sim.Millis(20), sim.Millis(80)), store
 }
 

@@ -24,7 +24,7 @@ func main() {
 		sys := core.NewSystem(core.Preset(mode, size/5))
 		tab := sstable.New(sys.Mgr, sys.Node, cfg)
 		tab.WarmCache()
-		sys.Start(tab.Handler())
+		sys.StartApp(tab)
 		res := sys.Run(tab, load, sim.Millis(30), sim.Millis(120))
 		get := res.Gen.ByClass["GET"]
 		scan := res.Gen.ByClass["SCAN"]

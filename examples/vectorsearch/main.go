@@ -27,7 +27,7 @@ func main() {
 		sys := core.NewSystem(core.Preset(mode, size/5))
 		idx := bp.Instantiate(sys.Mgr, sys.Node)
 		idx.WarmCache()
-		sys.Start(idx.Handler())
+		sys.StartApp(idx)
 		res := sys.Run(idx, load, sim.Millis(100), sim.Millis(600))
 
 		// Sample recall against brute force on the final state.
@@ -36,7 +36,7 @@ func main() {
 		const trials = 10
 		for i := 0; i < trials; i++ {
 			payload, _ := idx.NextRequest(rng, nil)
-			q := payload.(vecdb.Query)
+			q := payload.(*vecdb.Query)
 			exact := idx.BruteForce(q.Vec)
 			got := map[uint32]bool{}
 			for _, n := range exact.Neighbors {

@@ -204,3 +204,30 @@ func TestNextRequestReuseHintChangesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestCatalogueAppsAreNative: every catalogue app whose handler is a loop
+// runs as a native stepper — core.StartApp finds its StepHandler and no
+// coroutine stands behind a request — and so do the experiments' variants
+// of them (wrappers embed the app, so the method is promoted). TPC-C is
+// the one exception, by design: its B-tree descents park mid-stack, so it
+// rides workload.Blocking.
+func TestCatalogueAppsAreNative(t *testing.T) {
+	apps := map[string]func(bool) App{"memcached-zipf": memcachedZipf, "rocksdb-guided": rocksdbGuided, "micro-by-stripe": microByStripe}
+	for _, name := range AppNames() {
+		apps[name] = func(short bool) App {
+			app, err := AppNamed(name, short)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return app
+		}
+	}
+	for name, app := range apps {
+		entry := app(true)
+		sys := core.NewSystem(core.Preset(core.Adios, entry.Footprint/5))
+		sys.StartApp(entry.Build(sys))
+		if got, want := sys.Sched.FlatTier(), name != "tpcc"; got != want {
+			t.Errorf("%s: FlatTier() = %v, want %v", name, got, want)
+		}
+	}
+}

@@ -101,7 +101,8 @@ type Msg struct {
 	Found  bool
 	Digest uint64
 
-	val []byte // the handler's value buffer (workload.Scratch)
+	val  []byte                     // the handler's value buffer (workload.Scratch)
+	slot [slotHeader + KeySize]byte // … and the header and key of the slot it is probing
 }
 
 // layout sizes the store: the slot array's capacity (a power of two)
@@ -214,90 +215,9 @@ func (s *Store) findFreeDirect(region *memnode.Region, key uint64) int64 {
 // sizing local DRAM.
 func (s *Store) SpaceSize() int64 { return s.index.Size() + s.items.Size() }
 
-// WarmCache preloads the slot array up to the frame pool's steady-state
-// occupancy.
-func (s *Store) WarmCache() {
-	cfg := s.mgr.Config()
-	budget := int64(float64(s.mgr.TotalFrames())*(1-cfg.ReclaimThreshold-0.02)) * paging.PageSize
-	total := s.SpaceSize()
-	for _, sp := range []*paging.Space{s.index, s.items} {
-		share := int64(float64(budget) * float64(sp.Size()) / float64(total))
-		share = share / paging.PageSize * paging.PageSize
-		if share > sp.Size() {
-			share = sp.Size()
-		}
-		if share > 0 {
-			sp.Preload(0, share)
-		}
-	}
-}
-
-// lookup probes slots from the hash bucket, verifying the tag and key,
-// and returns where the key's value lives in the item space.
-func (s *Store) lookup(ctx workload.Ctx, key uint64) (itemOff int64, ok bool) {
-	var want [KeySize]byte
-	keyBytes(key, want[:])
-	tag := hash(key) >> 56
-	idx := int64(hash(key)) & s.mask
-	var hdr [slotHeader + KeySize]byte
-	for probes := int64(0); probes <= s.mask; probes++ {
-		ctx.Probe()
-		ctx.Compute(s.cfg.ProbeCost)
-		off := idx * s.slotSize
-		s.index.Load(ctx, off, hdr[:])
-		meta := binary.LittleEndian.Uint64(hdr[:8])
-		if meta&1 == 0 {
-			break
-		}
-		if (meta>>8)&0xFF == tag&0xFF && string(hdr[slotHeader:]) == string(want[:]) {
-			return int64(s.index.LoadU64(ctx, off+slotHeader+keyArea)), true
-		}
-		idx = (idx + 1) & s.mask
-	}
-	s.Misses.Inc()
-	return 0, false
-}
-
-// get runs the paged GET path: find the key, then read and digest the
-// value.
-func (s *Store) get(ctx workload.Ctx, m *Msg) {
-	m.Found, m.Digest = false, 0
-	itemOff, ok := s.lookup(ctx, m.Key)
-	if !ok {
-		return
-	}
-	val := workload.Scratch(&m.val, s.cfg.ValueSize)
-	s.items.Load(ctx, itemOff, val)
-	// Values are salted at SET time; recover the salt from the
-	// first byte, then verify sampled bytes against it.
-	salt := val[0] ^ valueByte(m.Key, 0, 0)
-	digest := uint64(salt) + 1
-	for i := 0; i < s.cfg.ValueSize; i += 64 {
-		if val[i] != valueByte(m.Key, salt, i) {
-			ok = false
-		}
-		digest = digest*0x100000001B3 + uint64(val[i])
-	}
-	if !ok {
-		s.Mismatches.Inc()
-	}
-	m.Found, m.Digest = true, digest
-}
-
-// set overwrites the value of an existing key with new salted content.
-func (s *Store) set(ctx workload.Ctx, m *Msg) {
-	m.Found, m.Digest = false, 0
-	itemOff, ok := s.lookup(ctx, m.Key)
-	if !ok {
-		return
-	}
-	val := workload.Scratch(&m.val, s.cfg.ValueSize)
-	for i := range val {
-		val[i] = valueByte(m.Key, m.Salt, i)
-	}
-	s.items.Store(ctx, itemOff, val)
-	m.Found, m.Digest = true, valueDigest(m.Key, m.Salt, s.cfg.ValueSize)
-}
+// WarmCache preloads the slot array and the items, each in proportion, up
+// to the frame pool's steady-state occupancy.
+func (s *Store) WarmCache() { s.mgr.WarmSpaces(s.SpaceSize(), s.index, s.items) }
 
 // VerifyDigest recomputes the expected digest for a freshly loaded key
 // (salt 0), for end-to-end response checking in tests.
@@ -322,20 +242,144 @@ func (s *Store) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 	return m, 64 + KeySize
 }
 
-// Handler implements workload.App: the answer goes into the request's
-// own record.
-func (s *Store) Handler() workload.Handler {
-	return func(ctx workload.Ctx, payload any) (any, int) {
-		ctx.Compute(s.cfg.ParseCost)
-		m := payload.(*Msg)
-		respBytes := 64
-		if m.Set {
-			s.set(ctx, m)
-		} else {
-			s.get(ctx, m)
-			respBytes += s.cfg.ValueSize
+// Handler implements workload.App: the stepper under a blocking context.
+func (s *Store) Handler() workload.Handler { return workload.Direct(stepper{s}) }
+
+// StepHandler implements workload.StepApp.
+func (s *Store) StepHandler() workload.StepHandler { return stepper{s} }
+
+// stepper is the store's request logic, and its only form: a walk through
+// the phases below that returns to the scheduler at every compute charge,
+// probe and page miss, so a request runs on the worker core's step machine
+// with no stack of its own and answers in its own record.
+type stepper struct{ s *Store }
+
+// Phases (StepFrame.PC): parse, the probe loop from the hash bucket, the
+// item's offset, its value, reply.
+const (
+	stParse = iota
+	stProbe // per slot: loop test and preemption probe …
+	stCost  // … the comparison's charge …
+	stSlot  // … and the slot's header and key
+	stItem  // the matching slot's item offset
+	stValue // GET: read, verify and digest the value; SET: store it
+	stReply
+	stDone
+)
+
+// Spill words (StepFrame.W).
+const (
+	wDone  = iota // bytes already copied of an access that spans pages
+	wIdx          // slot being probed
+	wCount        // slots probed so far
+	wItem         // where the key's value lives in the item space
+)
+
+// Begin implements workload.StepHandler.
+func (h stepper) Begin(f *workload.StepFrame, payload any) {
+	m := payload.(*Msg)
+	m.Found, m.Digest = false, 0
+	f.W[wIdx] = hash(m.Key) & uint64(h.s.mask)
+}
+
+// Abort implements workload.StepHandler: the frame refers to nothing.
+func (stepper) Abort(*workload.StepFrame, error) {}
+
+// Step implements workload.StepHandler.
+func (h stepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, sim.Time, workload.StepStatus) {
+	s, cfg, m := h.s, &h.s.cfg, payload.(*Msg)
+	for {
+		switch f.PC {
+		case stParse:
+			f.PC = stProbe
+			return nil, 0, cfg.ParseCost, workload.StepCompute
+
+		// Probe slots from the hash bucket, verifying the tag and then the
+		// key; an empty slot, or a full turn of the table, is a miss.
+		case stProbe:
+			if int64(f.W[wCount]) > s.mask {
+				s.Misses.Inc()
+				f.PC = stReply
+				continue
+			}
+			f.PC = stCost
+			if !ctx.ProbeFree() {
+				return nil, 0, 0, workload.StepProbe
+			}
+		case stCost:
+			f.PC = stSlot
+			return nil, 0, cfg.ProbeCost, workload.StepCompute
+		case stSlot:
+			if !workload.TryLoad(ctx, s.index, int64(f.W[wIdx])*s.slotSize, m.slot[:], &f.W[wDone]) {
+				return nil, 0, 0, workload.StepFault
+			}
+			meta := binary.LittleEndian.Uint64(m.slot[:8])
+			if meta&1 == 0 {
+				s.Misses.Inc()
+				f.PC = stReply
+				continue
+			}
+			if (meta>>8)&0xFF == hash(m.Key)>>56 {
+				var want [KeySize]byte
+				keyBytes(m.Key, want[:])
+				if [KeySize]byte(m.slot[slotHeader:]) == want {
+					f.PC = stItem
+					continue
+				}
+			}
+			f.W[wIdx] = (f.W[wIdx] + 1) & uint64(s.mask)
+			f.W[wCount]++
+			f.PC = stProbe
+		case stItem:
+			var ok bool
+			if f.W[wItem], ok = workload.TryLoadU64(ctx, s.index, int64(f.W[wIdx])*s.slotSize+slotHeader+keyArea); !ok {
+				return nil, 0, 0, workload.StepFault
+			}
+			f.PC = stValue
+
+		case stValue:
+			val := workload.Scratch(&m.val, cfg.ValueSize)
+			if m.Set {
+				// Overwrite the value with new salted content.
+				for i := range val {
+					val[i] = valueByte(m.Key, m.Salt, i)
+				}
+				if !workload.TryStore(ctx, s.items, int64(f.W[wItem]), val, &f.W[wDone]) {
+					return nil, 0, 0, workload.StepFault
+				}
+				m.Found, m.Digest = true, valueDigest(m.Key, m.Salt, cfg.ValueSize)
+				f.PC = stReply
+				continue
+			}
+			if !workload.TryLoad(ctx, s.items, int64(f.W[wItem]), val, &f.W[wDone]) {
+				return nil, 0, 0, workload.StepFault
+			}
+			// Values are salted at SET time; recover the salt from the
+			// first byte, then verify sampled bytes against it.
+			salt, ok := val[0]^valueByte(m.Key, 0, 0), true
+			digest := uint64(salt) + 1
+			for i := 0; i < cfg.ValueSize; i += 64 {
+				if val[i] != valueByte(m.Key, salt, i) {
+					ok = false
+				}
+				digest = digest*0x100000001B3 + uint64(val[i])
+			}
+			if !ok {
+				s.Mismatches.Inc()
+			}
+			m.Found, m.Digest = true, digest
+			f.PC = stReply
+
+		case stReply:
+			f.PC = stDone
+			return nil, 0, cfg.ReplyCost, workload.StepCompute
+		case stDone:
+			if m.Set {
+				return m, 64, 0, workload.StepDone
+			}
+			return m, 64 + cfg.ValueSize, 0, workload.StepDone
+		default:
+			panic("kvs: corrupt step frame")
 		}
-		ctx.Compute(s.cfg.ReplyCost)
-		return m, respBytes
 	}
 }

@@ -360,9 +360,9 @@ func (m *Manager) fetchSpan(q QPSource, s *Space, vpn int64) {
 // PrefetchRange is the application-guided (Canvas-style, two-tier)
 // prefetch interface: the application announces it is about to access
 // [off, off+n) of the space, and the manager fetches the absent pages
-// asynchronously on the thread's QP. Never blocks; stops early when
+// asynchronously on the caller's QP. Never blocks; stops early when
 // frames or QP slots run short. Returns the number of fetches issued.
-func (m *Manager) PrefetchRange(t Thread, s *Space, off, n int64) int {
+func (m *Manager) PrefetchRange(q QPSource, s *Space, off, n int64) int {
 	if n <= 0 {
 		return 0
 	}
@@ -373,7 +373,7 @@ func (m *Manager) PrefetchRange(t Thread, s *Space, off, n int64) int {
 		if s.ptes[vpn].state() != pageAbsent {
 			continue
 		}
-		if !m.issueAsync(t, s, vpn) {
+		if !m.issueAsync(q, s, vpn) {
 			break
 		}
 		issued++

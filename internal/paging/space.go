@@ -177,6 +177,23 @@ func (s *Space) Preload(off, n int64) {
 	}
 }
 
+// WarmSpaces preloads a prefix of each space, in proportion to its share
+// of the app's total bytes (a lone space takes it all), up to the frame
+// pool's steady-state occupancy — the pool minus the reclaim headroom: the
+// paper's "local cache holds X % of the working set" starting condition.
+func (m *Manager) WarmSpaces(total int64, spaces ...*Space) {
+	budget := int64(float64(len(m.frames))*(1-m.cfg.ReclaimThreshold-0.02)) * PageSize
+	for _, sp := range spaces {
+		share := budget
+		if sp.Size() != total {
+			share = int64(float64(budget)*float64(sp.Size())/float64(total)) / PageSize * PageSize
+		}
+		if share = min(share, sp.Size()); share > 0 {
+			sp.Preload(0, share)
+		}
+	}
+}
+
 // WriteDirect stores bytes straight into the backing region, bypassing
 // paging and timing. Setup-time only (dataset population). It panics if
 // the touched pages are resident (the cache would go stale).

@@ -75,7 +75,7 @@ func (s rtStep) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (
 		base := payload.(*rtPayload).off
 		for j := int64(f.W[0]); j < rtFaults; j++ {
 			f.W[0] = uint64(j)
-			if _, ok := ctx.TryLoadU64(s.a.space, (base+j*rtStride)%rtSpanBytes); !ok {
+			if _, ok := workload.TryLoadU64(ctx, s.a.space, (base+j*rtStride)%rtSpanBytes); !ok {
 				return nil, 0, 0, workload.StepFault
 			}
 		}

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"encoding/binary"
-
 	"repro/internal/paging"
 	"repro/internal/rdma"
 	"repro/internal/sim"
@@ -622,43 +620,15 @@ func (f *flatCtx) Block(enqueue func(wake func())) {
 // Fault implements workload.StepCtx.
 func (f *flatCtx) Fault(sp *paging.Space, vpn int64) { f.faultSp, f.faultVpn = sp, vpn }
 
-// tryPage probes one page for an n-byte access at off, recording the
-// fault target on a miss. The access must not span pages (the
-// resumable-step contract retries a single access).
-func (f *flatCtx) tryPage(sp *paging.Space, off, n int64) ([]byte, bool) {
-	if off&(paging.PageSize-1) > paging.PageSize-n {
-		panic("sched: stepped paged access spans pages")
-	}
-	vpn := off >> paging.PageShift
+// TryPage implements workload.StepCtx: one probe of one page, recording
+// the fault target on a miss. The re-probe after a completed fault takes
+// the touch-only path (see Space.TryPage).
+func (f *flatCtx) TryPage(sp *paging.Space, vpn int64) ([]byte, bool) {
 	retry := f.retry && f.faultSp == sp && f.faultVpn == vpn
 	f.retry = false
 	page, ok := sp.TryPage(vpn, retry)
-	if ok {
-		return page, true
-	}
-	f.Fault(sp, vpn)
-	return nil, false
-}
-
-// TryLoadU64 implements workload.StepCtx.
-func (f *flatCtx) TryLoadU64(sp *paging.Space, off int64) (uint64, bool) {
-	page, ok := f.tryPage(sp, off, 8)
 	if !ok {
-		return 0, false
+		f.Fault(sp, vpn)
 	}
-	po := off & (paging.PageSize - 1)
-	return binary.LittleEndian.Uint64(page[po : po+8]), true
-}
-
-// TryStoreU64 implements workload.StepCtx.
-func (f *flatCtx) TryStoreU64(sp *paging.Space, off int64, v uint64) bool {
-	if _, ok := f.tryPage(sp, off, 8); !ok {
-		return false
-	}
-	// Write through DirtyPage's view: it materializes a zero-copy alias,
-	// and the store must land in the frame's private copy.
-	page := sp.DirtyPage(off >> paging.PageShift)
-	po := off & (paging.PageSize - 1)
-	binary.LittleEndian.PutUint64(page[po:po+8], v)
-	return true
+	return page, ok
 }

@@ -15,7 +15,6 @@ package sstable
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
@@ -179,20 +178,6 @@ func bloomHashes(key uint64) [2]uint64 {
 	return [2]uint64{h1, h2}
 }
 
-// bloomTest probes the paged bloom filter.
-func (t *Table) bloomTest(ctx workload.Ctx, key uint64) bool {
-	for _, h := range bloomHashes(key) {
-		ctx.Compute(t.cfg.CompareCost)
-		bit := int64(h % uint64(t.bloomBits))
-		var b [1]byte
-		t.bloomSpace.Load(ctx, bit/8, b[:])
-		if b[0]&(1<<uint(bit%8)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // SpaceSize returns the total paged footprint (records + index + bloom)
 // for sizing local DRAM.
 func (t *Table) SpaceSize() int64 {
@@ -201,116 +186,13 @@ func (t *Table) SpaceSize() int64 {
 
 // WarmCache preloads the spaces proportionally up to the frame pool's
 // steady state.
-func (t *Table) WarmCache() {
-	cfg := t.mgr.Config()
-	budget := int64(float64(t.mgr.TotalFrames())*(1-cfg.ReclaimThreshold-0.02)) * paging.PageSize
-	total := t.SpaceSize()
-	for _, sp := range []*paging.Space{t.space, t.indexSpace, t.bloomSpace} {
-		share := int64(float64(budget) * float64(sp.Size()) / float64(total))
-		share = share / paging.PageSize * paging.PageSize
-		if share > sp.Size() {
-			share = sp.Size()
-		}
-		if share > 0 {
-			sp.Preload(0, share)
-		}
-	}
-}
-
-// seek returns the record index of the first record with key ≥ key,
-// charging index-search compute.
-func (t *Table) seek(ctx workload.Ctx, key uint64) int64 {
-	// Binary search over the paged sparse index: each probe is a paged
-	// load, so deep levels fault while hot upper levels stay resident.
-	lo := int64(sort.Search(int(t.indexLen), func(i int) bool {
-		ctx.Compute(t.cfg.CompareCost)
-		return t.indexSpace.LoadU64(ctx, int64(i)*8) >= key
-	}))
-	ctx.Compute(t.cfg.ParseCost / 4)
-	// Back off one interval (the target may precede index[lo]) and scan
-	// records through paged memory.
-	start := (lo - 1) * int64(t.cfg.IndexInterval)
-	if start < 0 {
-		start = 0
-	}
-	var hdr [8]byte
-	for i := start; i < t.cfg.Keys; i++ {
-		ctx.Compute(t.cfg.CompareCost)
-		t.space.Load(ctx, i*t.recordSize, hdr[:])
-		if binary.LittleEndian.Uint64(hdr[:]) >= key {
-			return i
-		}
-	}
-	return t.cfg.Keys
-}
-
-// get runs the point-lookup path: bloom filter, index seek, record read.
-// A miss at any stage leaves m not Found.
-func (t *Table) get(ctx workload.Ctx, m *Msg) {
-	key := m.Key
-	m.Found, m.Digest = false, 0
-	if !t.bloomTest(ctx, key) {
-		t.NotFound.Inc()
-		return
-	}
-	i := t.seek(ctx, key)
-	if i >= t.cfg.Keys {
-		t.NotFound.Inc()
-		return
-	}
-	rec := workload.Scratch(&m.rec, int(t.recordSize))
-	t.space.Load(ctx, i*t.recordSize, rec)
-	got := binary.LittleEndian.Uint64(rec[:8])
-	if got != key {
-		t.NotFound.Inc()
-		return
-	}
-	ctx.Compute(t.cfg.RecordCost)
-	digest := uint64(1469598103934665603)
-	ok := true
-	for b := 0; b < t.cfg.ValueSize; b += 64 {
-		if rec[8+b] != valueByte(key, b) {
-			ok = false
-		}
-		digest = digest*0x100000001B3 + uint64(rec[8+b])
-	}
-	if !ok {
-		t.Mismatches.Inc()
-	}
-	m.Found, m.Digest = true, digest
-}
-
-// scan iterates m.Len records from the first key ≥ m.Key, with a
-// preemption probe per record — the shape that lets DiLOS-P's preemptive
-// scheduler help this workload (Figure 11) while plain busy-waiting
-// suffers.
-func (t *Table) scan(ctx workload.Ctx, m *Msg) {
-	i := t.seek(ctx, m.Key)
-	if t.cfg.AppPrefetch {
-		t.mgr.PrefetchRange(ctx, t.space, i*t.recordSize, int64(m.Len)*t.recordSize)
-	}
-	rec := workload.Scratch(&m.rec, int(t.recordSize))
-	digest := uint64(1469598103934665603)
-	count := 0
-	for ; i < t.cfg.Keys && count < m.Len; i++ {
-		ctx.Probe()
-		ctx.Compute(t.cfg.RecordCost)
-		t.space.Load(ctx, i*t.recordSize, rec)
-		key := binary.LittleEndian.Uint64(rec[:8])
-		if rec[8] != valueByte(key, 0) {
-			t.Mismatches.Inc()
-		}
-		digest = digest*0x100000001B3 + key
-		count++
-	}
-	m.Count, m.Digest = count, digest
-}
+func (t *Table) WarmCache() { t.mgr.WarmSpaces(t.SpaceSize(), t.space, t.indexSpace, t.bloomSpace) }
 
 // VerifyGetDigest recomputes the expected GET digest for a key.
 func (t *Table) VerifyGetDigest(key uint64) uint64 {
-	digest := uint64(1469598103934665603)
+	digest := uint64(fnvBasis)
 	for b := 0; b < t.cfg.ValueSize; b += 64 {
-		digest = digest*0x100000001B3 + uint64(valueByte(key, b))
+		digest = digest*fnvPrime + uint64(valueByte(key, b))
 	}
 	return digest
 }
@@ -342,20 +224,218 @@ func (t *Table) Classify(payload any) string {
 	return "GET"
 }
 
-// Handler implements workload.App: the answer goes into the request's
-// own record.
-func (t *Table) Handler() workload.Handler {
-	return func(ctx workload.Ctx, payload any) (any, int) {
-		ctx.Compute(t.cfg.ParseCost)
-		m := payload.(*Msg)
-		respBytes := 64 + t.cfg.ValueSize
-		if m.Scan {
-			t.scan(ctx, m)
-			respBytes = 64 + m.Len*8
-		} else {
-			t.get(ctx, m)
+// Handler implements workload.App: the stepper under a blocking context.
+func (t *Table) Handler() workload.Handler { return workload.Direct(stepper{t}) }
+
+// StepHandler implements workload.StepApp.
+func (t *Table) StepHandler() workload.StepHandler { return stepper{t} }
+
+// stepper is the table's request logic, and its only form: a walk through
+// the phases below that returns to the scheduler at every compute charge,
+// probe and page miss, so a request runs on the worker core's step machine
+// with no stack of its own and answers in its own record. Charges stay one
+// per bloom probe, index probe and record, so every fault falls at the
+// simulated instant its access is made.
+type stepper struct{ t *Table }
+
+// Phases (StepFrame.PC). GET: parse → bloom → index → walk → read →
+// reply; SCAN: parse → index → walk → per-record loop → reply. A phase
+// that charges is followed by the one the charge pays for.
+const (
+	stParse    = iota
+	stBloom    // bloom filter, probe W[wN]: the compare charge …
+	stBloomBit // … and the bit
+	stIndex    // sparse index, binary search over [W[wLo], W[wHi]): the compare charge …
+	stIndexKey // … and the probed entry
+	stWalk     // records from W[wI] to the first key ≥ the target: the compare charge …
+	stWalkKey  // … and the record's key
+	stFound    // W[wI] is that record (Keys if there is none)
+	stRead     // GET: read and digest the record
+	stScan     // SCAN, per record: loop test and preemption probe …
+	stScanCost // … the record's charge …
+	stScanRead // … and the record
+	stReply
+	stDone
+)
+
+// Spill words (StepFrame.W), and the FNV-shaped fold of response digests.
+const (
+	wRead = iota // bytes already copied of a read that spans pages
+	wN           // bloom probe number
+	wLo          // index search bounds
+	wHi
+	wI // record index
+
+	fnvBasis = 1469598103934665603
+	fnvPrime = 0x100000001B3
+)
+
+// Begin implements workload.StepHandler.
+func (h stepper) Begin(f *workload.StepFrame, payload any) {
+	f.W[wHi] = uint64(h.t.indexLen)
+	m := payload.(*Msg)
+	m.Found, m.Count, m.Digest = false, 0, 0
+}
+
+// Abort implements workload.StepHandler: the frame refers to nothing.
+func (stepper) Abort(*workload.StepFrame, error) {}
+
+// Step implements workload.StepHandler.
+func (h stepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, sim.Time, workload.StepStatus) {
+	t, cfg, m := h.t, &h.t.cfg, payload.(*Msg)
+	for {
+		switch f.PC {
+		case stParse:
+			f.PC = stBloom
+			if m.Scan {
+				f.PC = stIndex
+			}
+			return nil, 0, cfg.ParseCost, workload.StepCompute
+
+		// The bloom filter is paged like the rest of the mapped file: two
+		// probes, and a clear bit at either ends the GET.
+		case stBloom:
+			f.PC = stBloomBit
+			return nil, 0, cfg.CompareCost, workload.StepCompute
+		case stBloomBit:
+			bit := int64(bloomHashes(m.Key)[f.W[wN]] % uint64(t.bloomBits))
+			page, ok := ctx.TryPage(t.bloomSpace, bit/8>>paging.PageShift)
+			if !ok {
+				return nil, 0, 0, workload.StepFault
+			}
+			switch f.W[wN]++; {
+			case page[bit/8&(paging.PageSize-1)]&(1<<uint(bit%8)) == 0:
+				t.NotFound.Inc()
+				f.PC = stReply
+			case f.W[wN] < 2:
+				f.PC = stBloom
+			default:
+				f.PC = stIndex
+			}
+
+		// Binary search over the paged sparse index (sort.Search's loop):
+		// each probe is a paged load, so deep levels fault while hot upper
+		// levels stay resident. Then back off one interval — the target may
+		// precede index[lo] — and walk records through paged memory.
+		case stIndex:
+			if f.W[wLo] < f.W[wHi] {
+				f.PC = stIndexKey
+				return nil, 0, cfg.CompareCost, workload.StepCompute
+			}
+			f.W[wI] = uint64(max((int64(f.W[wLo])-1)*int64(cfg.IndexInterval), 0))
+			f.PC = stWalk
+			return nil, 0, cfg.ParseCost / 4, workload.StepCompute
+		case stIndexKey:
+			mid := (f.W[wLo] + f.W[wHi]) >> 1
+			v, ok := workload.TryLoadU64(ctx, t.indexSpace, int64(mid)*8)
+			if !ok {
+				return nil, 0, 0, workload.StepFault
+			}
+			if v >= m.Key {
+				f.W[wHi] = mid
+			} else {
+				f.W[wLo] = mid + 1
+			}
+			f.PC = stIndex
+
+		case stWalk:
+			if int64(f.W[wI]) >= cfg.Keys {
+				f.PC = stFound
+				continue
+			}
+			f.PC = stWalkKey
+			return nil, 0, cfg.CompareCost, workload.StepCompute
+		case stWalkKey:
+			hdr := workload.Scratch(&m.rec, int(t.recordSize))[:8]
+			if !workload.TryLoad(ctx, t.space, int64(f.W[wI])*t.recordSize, hdr, &f.W[wRead]) {
+				return nil, 0, 0, workload.StepFault
+			}
+			if binary.LittleEndian.Uint64(hdr) >= m.Key {
+				f.PC = stFound
+			} else {
+				f.W[wI]++
+				f.PC = stWalk
+			}
+
+		// A SCAN with AppPrefetch announces its range before the first
+		// record; a GET past the last key is a miss.
+		case stFound:
+			switch i := int64(f.W[wI]); {
+			case m.Scan:
+				if cfg.AppPrefetch {
+					t.mgr.PrefetchRange(ctx, t.space, i*t.recordSize, int64(m.Len)*t.recordSize)
+				}
+				m.Digest = fnvBasis
+				f.PC = stScan
+			case i >= cfg.Keys:
+				t.NotFound.Inc()
+				f.PC = stReply
+			default:
+				f.PC = stRead
+			}
+
+		case stRead:
+			rec := workload.Scratch(&m.rec, int(t.recordSize))
+			if !workload.TryLoad(ctx, t.space, int64(f.W[wI])*t.recordSize, rec, &f.W[wRead]) {
+				return nil, 0, 0, workload.StepFault
+			}
+			f.PC = stReply
+			if binary.LittleEndian.Uint64(rec[:8]) != m.Key {
+				t.NotFound.Inc()
+				continue
+			}
+			digest, ok := uint64(fnvBasis), true
+			for b := 0; b < cfg.ValueSize; b += 64 {
+				if rec[8+b] != valueByte(m.Key, b) {
+					ok = false
+				}
+				digest = digest*fnvPrime + uint64(rec[8+b])
+			}
+			if !ok {
+				t.Mismatches.Inc()
+			}
+			m.Found, m.Digest = true, digest
+			return nil, 0, cfg.RecordCost, workload.StepCompute
+
+		// The scan loop carries a preemption probe per record — the shape
+		// that lets DiLOS-P's preemptive scheduler help this workload
+		// (Figure 11) while plain busy-waiting suffers.
+		case stScan:
+			if int64(f.W[wI]) >= cfg.Keys || m.Count >= m.Len {
+				f.PC = stReply
+				continue
+			}
+			f.PC = stScanCost
+			if !ctx.ProbeFree() {
+				return nil, 0, 0, workload.StepProbe
+			}
+		case stScanCost:
+			f.PC = stScanRead
+			return nil, 0, cfg.RecordCost, workload.StepCompute
+		case stScanRead:
+			rec := workload.Scratch(&m.rec, int(t.recordSize))
+			if !workload.TryLoad(ctx, t.space, int64(f.W[wI])*t.recordSize, rec, &f.W[wRead]) {
+				return nil, 0, 0, workload.StepFault
+			}
+			key := binary.LittleEndian.Uint64(rec[:8])
+			if rec[8] != valueByte(key, 0) {
+				t.Mismatches.Inc()
+			}
+			m.Digest = m.Digest*fnvPrime + key
+			m.Count++
+			f.W[wI]++
+			f.PC = stScan
+
+		case stReply:
+			f.PC = stDone
+			return nil, 0, cfg.ReplyCost, workload.StepCompute
+		case stDone:
+			if m.Scan {
+				return m, 64 + m.Len*8, 0, workload.StepDone
+			}
+			return m, 64 + cfg.ValueSize, 0, workload.StepDone
+		default:
+			panic("sstable: corrupt step frame")
 		}
-		ctx.Compute(t.cfg.ReplyCost)
-		return m, respBytes
 	}
 }

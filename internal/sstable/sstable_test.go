@@ -79,13 +79,20 @@ func harness(t *testing.T, cfg Config, localFrac float64, fn func(ctx workload.C
 	return tab
 }
 
+// serve runs one request through the table's Handler: the stepper, driven
+// under a blocking context by workload.Direct.
+func serve(ctx workload.Ctx, tab *Table, m *Msg) *Msg {
+	tab.Handler()(ctx, m)
+	return m
+}
+
 func TestGetFindsExistingKeys(t *testing.T) {
 	cfg := DefaultConfig(5000, 128)
 	tab := harness(t, cfg, 0.2, func(ctx workload.Ctx, tab *Table) {
 		for i := int64(0); i < 5000; i += 11 {
 			key := recordKey(i)
 			r := &Msg{Key: key}
-			if tab.get(ctx, r); !r.Found {
+			if serve(ctx, tab, r); !r.Found {
 				t.Errorf("key %d not found", key)
 				return
 			}
@@ -105,12 +112,12 @@ func TestGetAbsentKey(t *testing.T) {
 	tab := harness(t, cfg, 0.5, func(ctx workload.Ctx, tab *Table) {
 		// keyStride=7, so key 3 does not exist.
 		r := &Msg{Key: 3}
-		if tab.get(ctx, r); r.Found {
+		if serve(ctx, tab, r); r.Found {
 			t.Error("absent key reported found")
 		}
 		// Beyond the last key.
 		r.Key = recordKey(5000)
-		if tab.get(ctx, r); r.Found {
+		if serve(ctx, tab, r); r.Found {
 			t.Error("out-of-range key reported found")
 		}
 	})
@@ -123,7 +130,7 @@ func TestScanReturnsOrderedRange(t *testing.T) {
 	cfg := DefaultConfig(5000, 128)
 	harness(t, cfg, 0.2, func(ctx workload.Ctx, tab *Table) {
 		r := &Msg{Key: recordKey(100), Scan: true, Len: 100}
-		if tab.scan(ctx, r); r.Count != 100 {
+		if serve(ctx, tab, r); r.Count != 100 {
 			t.Errorf("scan count = %d, want 100", r.Count)
 			return
 		}
@@ -137,7 +144,7 @@ func TestScanReturnsOrderedRange(t *testing.T) {
 		}
 		// Scan clipped at the end of the table.
 		r.Key = recordKey(4950)
-		if tab.scan(ctx, r); r.Count != 50 {
+		if serve(ctx, tab, r); r.Count != 50 {
 			t.Errorf("clipped scan count = %d, want 50", r.Count)
 		}
 	})
@@ -151,16 +158,16 @@ func TestScanCostsDwarfGets(t *testing.T) {
 		// sustained load would.
 		rng := sim.NewRNG(2)
 		for i := 0; i < 300; i++ {
-			tab.get(ctx, &Msg{Key: recordKey(rng.Int63n(20000))})
+			serve(ctx, tab, &Msg{Key: recordKey(rng.Int63n(20000))})
 		}
 		var getTime, scanTime sim.Time
 		const trials = 20
 		for i := 0; i < trials; i++ {
 			t0 := tab.mgr.Env().Now()
-			tab.get(ctx, &Msg{Key: recordKey(rng.Int63n(20000))})
+			serve(ctx, tab, &Msg{Key: recordKey(rng.Int63n(20000))})
 			getTime += tab.mgr.Env().Now() - t0
 			t0 = tab.mgr.Env().Now()
-			tab.scan(ctx, &Msg{Key: recordKey(rng.Int63n(19000)), Scan: true, Len: 100})
+			serve(ctx, tab, &Msg{Key: recordKey(rng.Int63n(19000)), Scan: true, Len: 100})
 			scanTime += tab.mgr.Env().Now() - t0
 		}
 		ratio := float64(scanTime) / float64(getTime)
@@ -201,14 +208,19 @@ func TestRequestMixAndClassifier(t *testing.T) {
 }
 
 func TestSeekFindsLowerBound(t *testing.T) {
-	// Property: for arbitrary probe keys, seek returns the index of the
-	// first record with key >= probe, exactly like a reference binary
-	// search over the key space.
+	// Property: for arbitrary probe keys, a SCAN starts at the first record
+	// with key >= probe, exactly like a reference binary search over the
+	// key space. SCAN(1)'s digest is one fold of the key it found.
 	cfg := DefaultConfig(3000, 64)
 	harness(t, cfg, 1.0, func(ctx workload.Ctx, tab *Table) {
 		check := func(raw uint16) bool {
 			probe := uint64(raw) % (recordKey(3000) + 20)
-			got := tab.seek(ctx, probe)
+			r := serve(ctx, tab, &Msg{Key: probe, Scan: true, Len: 1})
+			got := int64(3000)
+			if r.Count == 1 {
+				basis := uint64(fnvBasis)
+				got = int64((r.Digest - basis*fnvPrime) / keyStride)
+			}
 			want := int64(sort.Search(3000, func(i int) bool { return recordKey(int64(i)) >= probe }))
 			return got == want
 		}
@@ -219,12 +231,11 @@ func TestSeekFindsLowerBound(t *testing.T) {
 }
 
 func TestBloomNeverFalseNegative(t *testing.T) {
-	// Property: every loaded key passes the bloom filter.
+	// Property: every loaded key passes the bloom filter — a GET finds it.
 	cfg := DefaultConfig(2000, 64)
 	harness(t, cfg, 1.0, func(ctx workload.Ctx, tab *Table) {
 		check := func(raw uint16) bool {
-			key := recordKey(int64(raw) % 2000)
-			return tab.bloomTest(ctx, key)
+			return serve(ctx, tab, &Msg{Key: recordKey(int64(raw) % 2000)}).Found
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 			t.Error(err)

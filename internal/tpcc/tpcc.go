@@ -376,20 +376,8 @@ func (db *DB) TotalBytes() int64 {
 // WarmCache preloads table prefixes proportionally to their sizes until
 // the frame pool reaches steady state.
 func (db *DB) WarmCache() {
-	cfg := db.mgr.Config()
-	budget := int64(float64(db.mgr.TotalFrames())*(1-cfg.ReclaimThreshold-0.02)) * paging.PageSize
-	total := db.TotalBytes()
-	for _, sp := range []*paging.Space{db.warehouse, db.district, db.customer,
-		db.item, db.stock, db.order, db.orderLine, db.history} {
-		share := int64(float64(budget) * float64(sp.Size()) / float64(total))
-		share = share / paging.PageSize * paging.PageSize
-		if share > sp.Size() {
-			share = sp.Size()
-		}
-		if share > 0 {
-			sp.Preload(0, share)
-		}
-	}
+	db.mgr.WarmSpaces(db.TotalBytes(), db.warehouse, db.district, db.customer,
+		db.item, db.stock, db.order, db.orderLine, db.history)
 }
 
 // lastName returns the deterministic last-name id (0..999) of customer

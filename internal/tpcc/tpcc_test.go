@@ -438,3 +438,37 @@ func TestConcurrentNewOrdersKeepIndexConsistent(t *testing.T) {
 	})
 	r.env.Run(sim.Seconds(1200))
 }
+
+// StockLevel dedupes items in a fixed table on its stack where it used to
+// build a map per call: over random item multisets of up to the 300 items
+// the last 20 orders can hold — ids drawn from a small range, so
+// duplicates and probe chains abound — every add must answer as the map
+// did, and the table must cost no allocation.
+func TestItemSetMatchesMap(t *testing.T) {
+	rng := sim.NewRNG(13)
+	items := make([]uint32, 0, 20*maxLines)
+	for trial := 0; trial < 1000; trial++ {
+		items = items[:0]
+		span := 1 + rng.Intn(100_000)
+		for n := 1 + rng.Intn(20*maxLines); len(items) < n; {
+			items = append(items, uint32(rng.Intn(span)))
+		}
+		var set itemSet
+		seen := map[uint32]struct{}{}
+		for i, item := range items {
+			_, dup := seen[item]
+			seen[item] = struct{}{}
+			if got := set.add(item); got == dup {
+				t.Fatalf("trial %d, item %d (%d): add = %v, the map says duplicate = %v", trial, i, item, got, dup)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var set itemSet
+		for _, item := range items {
+			set.add(item)
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations per dedupe, want 0", n)
+	}
+}

@@ -321,6 +321,25 @@ type StockLevelReq struct {
 	Threshold uint32
 }
 
+// itemSet is StockLevel's dedupe table, on the handler's stack: the last
+// 20 orders hold at most 20 × maxLines = 300 items, so a fixed
+// open-addressing table of 512 never fills. A slot holds item+1; 0 is
+// empty.
+type itemSet [512]uint32
+
+// add inserts item and reports whether it was absent.
+func (s *itemSet) add(item uint32) bool {
+	for i := item * 0x9E3779B1 >> 23; ; i = (i + 1) % uint32(len(s)) {
+		switch s[i] {
+		case 0:
+			s[i] = item + 1
+			return true
+		case item + 1:
+			return false
+		}
+	}
+}
+
 // StockLevelResp reports the low-stock count.
 type StockLevelResp struct{ Low int }
 
@@ -336,7 +355,7 @@ func (db *DB) StockLevel(ctx workload.Ctx, req StockLevelReq) StockLevelResp {
 	if lo < 0 {
 		lo = 0
 	}
-	seen := make(map[uint32]struct{}, 64)
+	var seen itemSet
 	low := 0
 	for o := lo; o < next; o++ {
 		ctx.Probe()
@@ -345,10 +364,9 @@ func (db *DB) StockLevel(ctx workload.Ctx, req StockLevelReq) StockLevelResp {
 		for l := 0; l < lines; l++ {
 			ctx.Compute(db.cfg.LineCost)
 			item := db.get32(ctx, db.orderLine, db.olOff(req.W, req.D, int(o), l)+fOLItem)
-			if _, dup := seen[item]; dup {
+			if !seen.add(item) {
 				continue
 			}
-			seen[item] = struct{}{}
 			ctx.Compute(db.cfg.RecordCost)
 			if db.get32(ctx, db.stock, db.sOff(req.W, int(item))+fSQuantity) < req.Threshold {
 				low++

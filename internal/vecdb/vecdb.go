@@ -74,8 +74,19 @@ type Index struct {
 	Mismatches stats.Counter
 }
 
-// Query is a request payload: a query vector.
-type Query struct{ Vec []float32 }
+// Query is the one message record of a request: the query vector going
+// in, the K nearest neighbours (ascending by distance) coming back in the
+// same record. Below them is the scan's state between steps — in the
+// record, never in the Index: another query runs while this one is parked.
+type Query struct {
+	Vec       []float32
+	Neighbors []Neighbor
+
+	lists []candidate // the NProbe nearest lists first
+	best  resultHeap  // the K nearest vectors so far
+	rec   []byte      // one stored record
+	vec   []float32   // … and its vector, decoded
+}
 
 // Neighbor is one search result.
 type Neighbor struct {
@@ -83,7 +94,7 @@ type Neighbor struct {
 	Dist float32
 }
 
-// Result is the response payload.
+// Result is what the verification searches return.
 type Result struct{ Neighbors []Neighbor }
 
 // Blueprint is the reusable, simulation-independent part of an index:
@@ -256,32 +267,11 @@ func l2(a, b []float32) float32 {
 	return s
 }
 
-func (idx *Index) nearestCentroid(v []float32) int {
-	best, bd := 0, float32(math.MaxFloat32)
-	for c := range idx.centroids {
-		d := l2(v, idx.centroids[c])
-		if d < bd {
-			best, bd = c, d
-		}
-	}
-	return best
-}
-
 // SpaceSize returns the inverted-list store size in bytes.
 func (idx *Index) SpaceSize() int64 { return idx.space.Size() }
 
 // WarmCache preloads list prefixes up to the frame pool's steady state.
-func (idx *Index) WarmCache() {
-	cfg := idx.mgr.Config()
-	frames := int64(float64(idx.mgr.TotalFrames()) * (1 - cfg.ReclaimThreshold - 0.02))
-	bytes := frames * paging.PageSize
-	if bytes > idx.space.Size() {
-		bytes = idx.space.Size()
-	}
-	if bytes > 0 {
-		idx.space.Preload(0, bytes)
-	}
-}
+func (idx *Index) WarmCache() { idx.mgr.WarmSpaces(idx.space.Size(), idx.space) }
 
 // resultHeap is a max-heap by distance (so the worst of the best K is on
 // top and can be displaced).
@@ -293,146 +283,90 @@ func (h resultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *resultHeap) Push(x any)        { *h = append(*h, x.(Neighbor)) }
 func (h *resultHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
-// Search runs the IVF-Flat query under the given execution context.
-func (idx *Index) Search(ctx workload.Ctx, q []float32) Result {
-	cfg := &idx.cfg
-	ctx.Compute(cfg.ParseCost)
+// offer keeps n if it is among the k nearest seen.
+func (h *resultHeap) offer(k int, n Neighbor) {
+	if len(*h) < k {
+		heap.Push(h, n)
+	} else if n.Dist < (*h)[0].Dist {
+		(*h)[0] = n
+		heap.Fix(h, 0)
+	}
+}
 
-	// Coarse quantizer: in-core centroid scan.
-	ctx.Compute(sim.Time(len(idx.centroids)) * cfg.CentroidCost)
-	type cd struct {
-		c int
-		d float32
+// ascending empties the heap into a slice ordered by distance.
+func (h *resultHeap) ascending() []Neighbor {
+	out := make([]Neighbor, len(*h))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(h).(Neighbor)
 	}
-	order := make([]cd, len(idx.centroids))
+	return out
+}
+
+// candidate is an inverted list and the distance of its centroid.
+type candidate struct {
+	list int
+	dist float32
+}
+
+// nearestLists is the coarse quantizer: an in-core centroid scan and a
+// partial selection that puts the NProbe nearest lists first.
+func (idx *Index) nearestLists(q []float32) []candidate {
+	order := make([]candidate, len(idx.centroids))
 	for c := range idx.centroids {
-		order[c] = cd{c, l2(q, idx.centroids[c])}
+		order[c] = candidate{c, l2(q, idx.centroids[c])}
 	}
-	// Partial selection of NProbe nearest lists.
-	for i := 0; i < cfg.NProbe; i++ {
+	for i := 0; i < idx.cfg.NProbe; i++ {
 		min := i
 		for j := i + 1; j < len(order); j++ {
-			if order[j].d < order[min].d {
+			if order[j].dist < order[min].dist {
 				min = j
 			}
 		}
 		order[i], order[min] = order[min], order[i]
 	}
-
-	h := make(resultHeap, 0, cfg.K+1)
-	rec := make([]byte, idx.recSize)
-	vec := make([]float32, cfg.Dim)
-	for p := 0; p < cfg.NProbe; p++ {
-		l := order[p].c
-		off := idx.listOff[l]
-		for i := int32(0); i < idx.listLen[l]; i++ {
-			if i%32 == 0 {
-				ctx.Probe()
-			}
-			ctx.Compute(cfg.VecCost)
-			idx.space.Load(ctx, off, rec)
-			id := binary.LittleEndian.Uint32(rec[:4])
-			for d := 0; d < cfg.Dim; d++ {
-				vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(rec[8+d*4:]))
-			}
-			dist := l2(q, vec)
-			if len(h) < cfg.K {
-				heap.Push(&h, Neighbor{ID: id, Dist: dist})
-			} else if dist < h[0].Dist {
-				h[0] = Neighbor{ID: id, Dist: dist}
-				heap.Fix(&h, 0)
-			}
-			off += idx.recSize
-		}
-	}
-	// Extract ascending by distance.
-	out := make([]Neighbor, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Neighbor)
-	}
-	return Result{Neighbors: out}
+	return order
 }
 
-// SearchDirect runs the IVF-Flat query against current state without
-// simulated timing (verification only): the same algorithm as Search,
-// reading through ReadDirect.
-func (idx *Index) SearchDirect(q []float32) Result {
-	cfg := &idx.cfg
-	type cd struct {
-		c int
-		d float32
+// neighbor decodes one stored record into vec and measures it against q.
+func neighbor(q []float32, rec []byte, vec []float32) Neighbor {
+	for d := range vec {
+		vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(rec[8+d*4:]))
 	}
-	order := make([]cd, len(idx.centroids))
-	for c := range idx.centroids {
-		order[c] = cd{c, l2(q, idx.centroids[c])}
-	}
-	for i := 0; i < cfg.NProbe; i++ {
-		min := i
-		for j := i + 1; j < len(order); j++ {
-			if order[j].d < order[min].d {
-				min = j
-			}
-		}
-		order[i], order[min] = order[min], order[i]
-	}
-	h := make(resultHeap, 0, cfg.K+1)
-	rec := make([]byte, idx.recSize)
-	vec := make([]float32, cfg.Dim)
-	for p := 0; p < cfg.NProbe; p++ {
-		l := order[p].c
-		off := idx.listOff[l]
-		for i := int32(0); i < idx.listLen[l]; i++ {
-			idx.space.ReadDirect(off, rec)
-			id := binary.LittleEndian.Uint32(rec[:4])
-			for d := 0; d < cfg.Dim; d++ {
-				vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(rec[8+d*4:]))
-			}
-			dist := l2(q, vec)
-			if len(h) < cfg.K {
-				heap.Push(&h, Neighbor{ID: id, Dist: dist})
-			} else if dist < h[0].Dist {
-				h[0] = Neighbor{ID: id, Dist: dist}
-				heap.Fix(&h, 0)
-			}
-			off += idx.recSize
-		}
-	}
-	out := make([]Neighbor, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Neighbor)
-	}
-	return Result{Neighbors: out}
+	return Neighbor{ID: binary.LittleEndian.Uint32(rec[:4]), Dist: l2(q, vec)}
 }
 
-// BruteForce computes the exact top-K by scanning the backing store
-// directly (verification only; no simulated cost).
-func (idx *Index) BruteForce(q []float32) Result {
+// scanDirect folds the vectors of the given lists into the k nearest to q,
+// reading current state without simulated timing.
+func (idx *Index) scanDirect(q []float32, lists []candidate) Result {
 	h := make(resultHeap, 0, idx.cfg.K+1)
 	rec := make([]byte, idx.recSize)
 	vec := make([]float32, idx.cfg.Dim)
-	for l := range idx.listOff {
-		off := idx.listOff[l]
-		for i := int32(0); i < idx.listLen[l]; i++ {
+	for _, l := range lists {
+		off := idx.listOff[l.list]
+		for i := int32(0); i < idx.listLen[l.list]; i++ {
 			idx.space.ReadDirect(off, rec)
-			id := binary.LittleEndian.Uint32(rec[:4])
-			for d := 0; d < idx.cfg.Dim; d++ {
-				vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(rec[8+d*4:]))
-			}
-			dist := l2(q, vec)
-			if len(h) < idx.cfg.K {
-				heap.Push(&h, Neighbor{ID: id, Dist: dist})
-			} else if dist < h[0].Dist {
-				h[0] = Neighbor{ID: id, Dist: dist}
-				heap.Fix(&h, 0)
-			}
+			h.offer(idx.cfg.K, neighbor(q, rec, vec))
 			off += idx.recSize
 		}
 	}
-	out := make([]Neighbor, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Neighbor)
+	return Result{Neighbors: h.ascending()}
+}
+
+// SearchDirect runs the IVF-Flat query against current state without
+// simulated timing (verification only): the same lists in the same order
+// as a request scans them, read through ReadDirect.
+func (idx *Index) SearchDirect(q []float32) Result {
+	return idx.scanDirect(q, idx.nearestLists(q)[:idx.cfg.NProbe])
+}
+
+// BruteForce computes the exact top-K by scanning every list of the
+// backing store directly (verification only; no simulated cost).
+func (idx *Index) BruteForce(q []float32) Result {
+	all := make([]candidate, len(idx.listOff))
+	for l := range all {
+		all[l].list = l
 	}
-	return Result{Neighbors: out}
+	return idx.scanDirect(q, all)
 }
 
 // SampleVector reads stored vector id (verification/query generation).
@@ -479,14 +413,89 @@ func (idx *Index) NextRequest(rng *sim.RNG, _ any) (any, int) {
 		q[d] = math.Float32frombits(binary.LittleEndian.Uint32(rec[8+d*4:])) +
 			float32(rng.Normal(0, 0.02, -1))
 	}
-	return Query{Vec: q}, 64 + idx.cfg.Dim*4
+	return &Query{Vec: q}, 64 + idx.cfg.Dim*4
 }
 
-// Handler implements workload.App.
-func (idx *Index) Handler() workload.Handler {
-	return func(ctx workload.Ctx, payload any) (any, int) {
-		q := payload.(Query)
-		r := idx.Search(ctx, q.Vec)
-		return r, 64 + len(r.Neighbors)*8
+// Handler implements workload.App: the stepper under a blocking context.
+func (idx *Index) Handler() workload.Handler { return workload.Direct(stepper{idx}) }
+
+// StepHandler implements workload.StepApp.
+func (idx *Index) StepHandler() workload.StepHandler { return stepper{idx} }
+
+// stepper is the IVF-Flat query, and its only form: a walk through the
+// phases below that returns to the scheduler at every compute charge,
+// probe and page miss, so the thousands of charges and faults of a query
+// run on the worker core's step machine with no stack of their own. The
+// charge stays one per scanned vector, so every fault falls at the
+// simulated instant its vector is reached.
+type stepper struct{ idx *Index }
+
+// Phases (StepFrame.PC): parse, the coarse quantizer, then the scan loop
+// over each vector of each chosen list.
+const (
+	stParse  = iota
+	stCoarse // the centroid scan: the lists it chooses, and its charge
+	stVector // per vector: loop tests and, every 32, a preemption probe …
+	stCost   // … the distance computation's charge …
+	stRecord // … and the record
+)
+
+// Spill words (StepFrame.W).
+const (
+	wDone = iota // bytes already copied of a record that spans pages
+	wList        // which of the NProbe lists
+	wI           // vector within the list
+	wOff         // … and its byte offset in the space
+)
+
+// Begin implements workload.StepHandler: the zeroed frame is the start.
+func (stepper) Begin(*workload.StepFrame, any) {}
+
+// Abort implements workload.StepHandler: the frame refers to nothing.
+func (stepper) Abort(*workload.StepFrame, error) {}
+
+// Step implements workload.StepHandler.
+func (h stepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, sim.Time, workload.StepStatus) {
+	idx, cfg, q := h.idx, &h.idx.cfg, payload.(*Query)
+	for {
+		switch f.PC {
+		case stParse:
+			f.PC = stCoarse
+			return nil, 0, cfg.ParseCost, workload.StepCompute
+		case stCoarse:
+			q.lists = idx.nearestLists(q.Vec)[:cfg.NProbe]
+			q.best = make(resultHeap, 0, cfg.K+1)
+			q.rec, q.vec = make([]byte, idx.recSize), make([]float32, cfg.Dim)
+			f.W[wOff] = uint64(idx.listOff[q.lists[0].list])
+			f.PC = stVector
+			return nil, 0, sim.Time(len(idx.centroids)) * cfg.CentroidCost, workload.StepCompute
+
+		case stVector:
+			if int32(f.W[wI]) == idx.listLen[q.lists[f.W[wList]].list] { // next list
+				if f.W[wList]++; int(f.W[wList]) == cfg.NProbe {
+					q.Neighbors = q.best.ascending()
+					return q, 64 + len(q.Neighbors)*8, 0, workload.StepDone
+				}
+				f.W[wI], f.W[wOff] = 0, uint64(idx.listOff[q.lists[f.W[wList]].list])
+				continue
+			}
+			f.PC = stCost
+			if f.W[wI]%32 == 0 && !ctx.ProbeFree() {
+				return nil, 0, 0, workload.StepProbe
+			}
+		case stCost:
+			f.PC = stRecord
+			return nil, 0, cfg.VecCost, workload.StepCompute
+		case stRecord:
+			if !workload.TryLoad(ctx, idx.space, int64(f.W[wOff]), q.rec, &f.W[wDone]) {
+				return nil, 0, 0, workload.StepFault
+			}
+			q.best.offer(cfg.K, neighbor(q.Vec, q.rec, q.vec))
+			f.W[wI]++
+			f.W[wOff] += uint64(idx.recSize)
+			f.PC = stVector
+		default:
+			panic("vecdb: corrupt step frame")
+		}
 	}
 }

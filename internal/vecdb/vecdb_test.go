@@ -7,6 +7,7 @@ import (
 	"repro/internal/paging"
 	"repro/internal/rdma"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 type ctxThread struct {
@@ -42,6 +43,13 @@ func (t *ctxThread) WaitPage(s *paging.Space, vpn int64) {
 		}
 		t.gate.Wait(t.proc)
 	}
+}
+
+// search runs one query through the index's Handler: the stepper, driven
+// under a blocking context by workload.Direct.
+func search(ctx workload.Ctx, idx *Index, payload any) *Query {
+	resp, _ := idx.Handler()(ctx, payload)
+	return resp.(*Query)
 }
 
 func smallConfig() Config {
@@ -101,8 +109,8 @@ func TestSearchFindsPerturbedSelf(t *testing.T) {
 		rng := sim.NewRNG(3)
 		for trial := 0; trial < 20; trial++ {
 			payload, _ := idx.NextRequest(rng, nil)
-			q := payload.(Query)
-			res := idx.Search(ctx, q.Vec)
+			q := payload.(*Query)
+			res := search(ctx, idx, q)
 			if len(res.Neighbors) != cfg.K {
 				t.Errorf("got %d neighbors, want %d", len(res.Neighbors), cfg.K)
 				return
@@ -139,8 +147,8 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 		rng := sim.NewRNG(7)
 		for trial := 0; trial < trials; trial++ {
 			payload, _ := idx.NextRequest(rng, nil)
-			q := payload.(Query)
-			approx := idx.Search(ctx, q.Vec)
+			q := payload.(*Query)
+			approx := search(ctx, idx, q)
 			exact := idx.BruteForce(q.Vec)
 			got := map[uint32]bool{}
 			for _, n := range approx.Neighbors {
@@ -172,7 +180,7 @@ func TestSearchFaultsAndCosts(t *testing.T) {
 		rng := sim.NewRNG(5)
 		payload, _ := idx.NextRequest(rng, nil)
 		start := p.Now()
-		idx.Search(ctx, payload.(Query).Vec)
+		search(ctx, idx, payload)
 		service = p.Now() - start
 		faults = mgr.Faults.Value()
 	})

@@ -86,20 +86,9 @@ func NewArrayApp(mgr *paging.Manager, node memnode.Allocator, sizeBytes int64) *
 }
 
 // WarmCache preloads pages until the local pool reaches its steady-state
-// occupancy (total minus the reclaim headroom), so measurements start
-// from the paper's "local cache holds X % of the working set" condition
-// rather than from cold.
-func (a *ArrayApp) WarmCache() {
-	cfg := a.mgr.Config()
-	frames := int64(float64(a.mgr.TotalFrames()) * (1 - cfg.ReclaimThreshold - 0.02))
-	bytes := frames * paging.PageSize
-	if bytes > a.space.Size() {
-		bytes = a.space.Size()
-	}
-	if bytes > 0 {
-		a.space.Preload(0, bytes)
-	}
-}
+// occupancy, so measurements start from the paper's "local cache holds
+// X % of the working set" condition rather than from cold.
+func (a *ArrayApp) WarmCache() { a.mgr.WarmSpaces(a.space.Size(), a.space) }
 
 // Name implements App.
 func (a *ArrayApp) Name() string { return "array-indirection" }
@@ -178,11 +167,11 @@ func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, si
 		m := payload.(*ArrayMsg)
 		if m.Put {
 			m.Value = arraySeed(m.Index)
-			if !ctx.TryStoreU64(a.space, m.Index*8, m.Value) {
+			if !TryStoreU64(ctx, a.space, m.Index*8, m.Value) {
 				return nil, 0, 0, StepFault
 			}
 		} else {
-			v, ok := ctx.TryLoadU64(a.space, m.Index*8)
+			v, ok := TryLoadU64(ctx, a.space, m.Index*8)
 			if !ok {
 				return nil, 0, 0, StepFault
 			}

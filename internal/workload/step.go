@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+
 	"repro/internal/paging"
 	"repro/internal/sim"
 )
@@ -15,10 +17,12 @@ import (
 // Time passes between Step calls, never inside one, so what a fault does
 // while the fetch is in flight and whether a probe preempts are the
 // scheduler's policies, met in one place (DESIGN.md §11 has the table).
-// An app whose handler is already a loop implements the contract
-// natively and runs with no stack of its own; direct-style code that
-// parks partway down a call stack (B-trees mid-descent, SQL scans) rides
-// Blocking, which implements the same contract by resuming a coroutine.
+// An app whose handler is a loop (the array, kvs, sstable, vecdb)
+// implements the contract natively and runs with no stack of its own;
+// direct-style code that parks partway down a call stack (TPC-C's B-tree
+// descents) rides Blocking, which implements the same contract by
+// resuming a coroutine, and Direct is the mirror image: a native stepper
+// driven under a blocking Ctx.
 
 // StepStatus is the outcome of one StepHandler.Step call.
 type StepStatus int
@@ -26,8 +30,8 @@ type StepStatus int
 const (
 	// StepDone: the request finished; resp/respBytes are valid.
 	StepDone StepStatus = iota
-	// StepFault: the step hit a non-resident page (a TryLoad/TryStore
-	// returned !ok, or it named the page with Fault). The scheduler
+	// StepFault: the step hit a non-resident page (a TryPage returned !ok,
+	// or it named the page with Fault). The scheduler
 	// drives the fault and re-invokes Step once the page is resident;
 	// the frame must let the handler resume from (or idempotently repeat
 	// up to) the faulting access.
@@ -35,7 +39,8 @@ const (
 	// StepCompute: the step declares cycles of application CPU work. The
 	// scheduler charges them on the carrying core — sliced at quantum
 	// boundaries under IPI preemption — and re-invokes Step, whose frame
-	// must already point past the charge.
+	// must already point past the charge. Zero cycles pass no time and
+	// cross no event, as Ctx.Compute(0) does nothing.
 	StepCompute
 	// StepProbe: a Concord-style preemption probe, placed at loop
 	// boundaries. A probe-preemptive scheduler charges the check and,
@@ -69,16 +74,18 @@ type StepCtx interface {
 	CriticalEnter()
 	CriticalExit()
 
-	// TryLoadU64 reads a little-endian uint64 at off if the containing
-	// page is resident; on a miss it records the faulting page and
-	// returns ok=false — the handler must then return StepFault. The
-	// access must not span pages.
-	TryLoadU64(s *paging.Space, off int64) (v uint64, ok bool)
-	// TryStoreU64 is the store counterpart (write-allocate: the page is
-	// faulted in on a miss, then the resumed step stores and dirties it).
-	TryStoreU64(s *paging.Space, off int64, v uint64) (ok bool)
-	// Fault names the page of the StepFault about to be returned, for
-	// accesses made some other way than the two above.
+	// TryPage is the one paged access: the bytes of page vpn if it is
+	// resident, valid until Step returns; on a miss it records the
+	// faulting page and returns ok=false — the handler must then return
+	// StepFault. A store writes through s.DirtyPage(vpn) after a TryPage
+	// that hit, never through the returned view. An access that spans
+	// pages keeps its progress in the frame (TryLoad, TryStore): after a
+	// StepFault on its second page the re-run starts at that page and
+	// leaves the first alone, as Space.Load does, or hit counts, reference
+	// bits and prefetch history would differ from the direct-style form.
+	TryPage(s *paging.Space, vpn int64) (page []byte, ok bool)
+	// Fault names the page of the StepFault about to be returned, for an
+	// access made some other way than TryPage.
 	Fault(s *paging.Space, vpn int64)
 
 	// Charge consumes cycles of the request's CPU on the spot when the
@@ -98,9 +105,10 @@ type StepCtx interface {
 }
 
 // StepHandler is the resumable-step form of a request handler. Begin
-// initializes the frame for a fresh request; Step advances the request
-// to the next point where it needs the scheduler and reports which
-// (cycles is valid with StepCompute, resp/respBytes with StepDone).
+// initializes the frame, which arrives zeroed, for a fresh request; Step
+// advances the request to the next point where it needs the scheduler and
+// reports which (cycles is valid with StepCompute, resp/respBytes with
+// StepDone).
 // After a StepFault the first paged access the re-run performs must be
 // the one that faulted (the paging layer accounts the retried access as
 // the tail of the same fault, not a fresh hit — see Space.TryPage). If
@@ -117,8 +125,65 @@ type StepHandler interface {
 // form; the system runs that form, and Blocking over Handler for every
 // other app. Both forms must execute the identical sequence of compute
 // charges, probes, paged accesses, and RNG draws — the scheduler's
-// differential test pins this for ArrayApp.
+// differential test pins this for ArrayApp, and each of kvs, sstable and
+// vecdb pins its stepper against its retired direct-style body.
 type StepApp interface {
 	App
 	StepHandler() StepHandler
+}
+
+// TryLoadU64 reads a little-endian uint64 at off, which must not span
+// pages (the decode would run off the page's end): TryPage and the decode.
+func TryLoadU64(ctx StepCtx, s *paging.Space, off int64) (uint64, bool) {
+	page, ok := ctx.TryPage(s, off>>paging.PageShift)
+	if !ok {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(page[off&(paging.PageSize-1):]), true
+}
+
+// TryStoreU64 is the store counterpart (write-allocate: the page is
+// faulted in on a miss, then the resumed step stores and dirties it). It
+// writes through DirtyPage's view, which materializes a zero-copy alias:
+// the store must land in the frame's private copy.
+func TryStoreU64(ctx StepCtx, s *paging.Space, off int64, v uint64) bool {
+	if _, ok := ctx.TryPage(s, off>>paging.PageShift); !ok {
+		return false
+	}
+	binary.LittleEndian.PutUint64(s.DirtyPage(off >> paging.PageShift)[off&(paging.PageSize-1):], v)
+	return true
+}
+
+// TryLoad copies len(buf) bytes at off into buf, a page at a time through
+// ctx.TryPage. *done is the access's progress word in the caller's frame:
+// on a miss the bytes already copied are parked there and the handler
+// returns StepFault; the re-run resumes at the page that faulted. It is
+// zero again once the read is complete.
+func TryLoad(ctx StepCtx, s *paging.Space, off int64, buf []byte, done *uint64) bool {
+	for n := int64(*done); n < int64(len(buf)); {
+		at := off + n
+		page, ok := ctx.TryPage(s, at>>paging.PageShift)
+		if !ok {
+			*done = uint64(n)
+			return false
+		}
+		n += int64(copy(buf[n:], page[at&(paging.PageSize-1):]))
+	}
+	*done = 0
+	return true
+}
+
+// TryStore is the store counterpart of TryLoad: every page is faulted in
+// on a miss (write-allocate), dirtied, and written through its dirty view.
+func TryStore(ctx StepCtx, s *paging.Space, off int64, data []byte, done *uint64) bool {
+	for n := int64(*done); n < int64(len(data)); {
+		at := off + n
+		if _, ok := ctx.TryPage(s, at>>paging.PageShift); !ok {
+			*done = uint64(n)
+			return false
+		}
+		n += int64(copy(s.DirtyPage(at >> paging.PageShift)[at&(paging.PageSize-1):], data[n:]))
+	}
+	*done = 0
+	return true
 }

@@ -1,9 +1,11 @@
 // Package workload defines the execution contract between applications
 // and the MD scheduler: the resumable-step contract every request runs
 // under (step.go), the direct-style handler signature and its context,
-// the adapter that runs the second on the first (blocking.go), and
-// key-popularity generators. Application substrates (kvs, sstable, tpcc,
-// vecdb) implement Handler against Ctx; Blocking implements Ctx.
+// the adapters that run either form on the other (blocking.go,
+// direct.go), and key-popularity generators. The loop-shaped substrates
+// (the array, kvs, sstable, vecdb) are native steppers and get their
+// Handler from Direct; tpcc implements Handler against Ctx and gets its
+// steps from Blocking.
 package workload
 
 import (
