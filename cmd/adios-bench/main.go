@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/migrate"
 	"repro/internal/simcheck"
@@ -116,8 +117,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *exp == "" {
 		return usage("-exp required (use -list for ids, or 'all')")
 	}
-	if *memnodes < 1 {
-		return usage("-memnodes must be at least 1, got %d", *memnodes)
+	if err := core.CheckTopology(*memnodes, *replicasN); err != nil {
+		return usage("%v", err)
 	}
 	if *parallel < 1 {
 		return usage("-parallel must be at least 1 (1 = sequential), got %d", *parallel)

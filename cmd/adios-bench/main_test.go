@@ -12,7 +12,9 @@ import (
 // TestRunRejectsBadInput: a flag value that used to panic in a system an
 // experiment built (a crash plan naming a node that the topology, or one
 // point of the experiment's own node-count sweep, does not have) or was
-// silently replaced (-memnodes 0, -parallel -1), or an experiment id the
+// silently replaced or bent (-memnodes 0, or past the 64 nodes the node
+// masks hold; -replicas 0; -parallel -1; a node= plan naming no node of
+// the system, which injects nothing), or an experiment id the
 // table does not have — which used to be found only when the loop
 // reached it, after every id before it had run to completion — must
 // print one "adios-bench: …" line and exit 2, with nothing on stdout; a
@@ -26,6 +28,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"crash-node-out-of-range", []string{"-exp", "shards", "-short", "-faults", "crash=1ms:node=9"}, 2},
 		{"crash-node-beyond-a-sweep-point", []string{"-exp", "shards", "-short", "-memnodes", "4", "-faults", "crash=1ms:node=2"}, 2},
 		{"memnodes-zero", []string{"-exp", "fig2b", "-short", "-memnodes", "0"}, 2},
+		{"memnodes-past-the-mask", []string{"-exp", "fig2b", "-short", "-memnodes", "70", "-replicas", "2", "-faults", "crash=200us:node=69"}, 2},
+		{"replicas-zero", []string{"-exp", "fig2b", "-short", "-replicas", "0"}, 2},
+		{"node-restriction-out-of-range", []string{"-exp", "fig2b", "-short", "-faults", "node=7,wr=0.1"}, 2},
 		{"parallel-negative", []string{"-exp", "fig2b", "-short", "-parallel", "-1"}, 2},
 		{"unknown-id-after-a-good-one", []string{"-exp", "fig2b,nonsense", "-short"}, 2},
 		{"id-with-a-space", []string{"-exp", " fig2b", "-short"}, 2},

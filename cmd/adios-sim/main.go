@@ -93,6 +93,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// math/rand's Zipf generator rejects exponents at or below 1.
 		return usage("-skew must be > 1 (or 0 for uniform)")
 	}
+	if err := core.CheckTopology(*memnodes, *replicasN); err != nil {
+		return usage("%v", err)
+	}
 
 	if *check {
 		// Must precede system construction: each environment latches its
@@ -121,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if plan, err = faults.ParseSpec(*faultSpec); err != nil {
 			return usage("%v", err)
 		}
-		if err := plan.FitsNodes(max(*memnodes, 1)); err != nil {
+		if err := plan.FitsNodes(*memnodes); err != nil {
 			return usage("-faults: %v (-memnodes %d)", err, *memnodes)
 		}
 	}

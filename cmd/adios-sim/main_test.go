@@ -6,8 +6,11 @@ import (
 )
 
 // TestRunRejectsBadInput: every flag value that used to panic deep in
-// the build (-local, -ms, an out-of-range crash node) or never terminate
-// (-rps) must instead print one "adios-sim: …" line and exit 2, with
+// the build (-local, -ms, an out-of-range crash node), never terminate
+// (-rps) or be silently bent — a node count the 64-bit node masks cannot
+// hold, a negative count run as 1, a node= plan that names no node of the
+// system and so injects nothing — must instead print one "adios-sim: …"
+// line and exit 2, with
 // nothing on stdout — an unknown -app one that lists the catalogue; a
 // good invocation still runs to its report, and -qdepth's per-request
 // kernel counts are numbers even when no request completed (they used to
@@ -23,6 +26,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"local-below-one-page", []string{"-local", "1e-9"}, 2},
 		{"ms-negative", []string{"-ms", "-1"}, 2},
 		{"crash-node-out-of-range", []string{"-faults", "crash=1ms:node=5", "-memnodes", "2"}, 2},
+		{"memnodes-past-the-mask", []string{"-memnodes", "70", "-replicas", "2", "-faults", "crash=200us:node=69"}, 2},
+		{"memnodes-negative", []string{"-memnodes", "-3"}, 2},
+		{"replicas-negative", []string{"-replicas", "-2"}, 2},
+		{"node-restriction-out-of-range", []string{"-faults", "node=7,wr=0.1"}, 2},
 		{"rps-zero", []string{"-rps", "0"}, 2},
 		{"rps-negative", []string{"-rps", "-5"}, 2},
 		{"app-unknown", []string{"-app", "nonsense"}, 2},

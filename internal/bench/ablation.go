@@ -42,13 +42,39 @@ func (a *computeApp) NextRequest(rng *sim.RNG, _ any) (any, int) {
 	return int64(rng.Intn(computePages)), 64
 }
 
-func (a *computeApp) Handler() workload.Handler {
-	return func(ctx workload.Ctx, payload any) (any, int) {
-		// All-local access plus a fixed compute burn: no faults to hide.
-		v := a.space.LoadU64(ctx, payload.(int64)*paging.PageSize)
-		ctx.Probe()
-		ctx.Compute(a.cycles)
-		return v, 64
+func (a *computeApp) Handler() workload.Handler { return workload.Direct(computeStepper{a}) }
+
+// StepHandler implements workload.StepApp.
+func (a *computeApp) StepHandler() workload.StepHandler { return computeStepper{a} }
+
+// computeStepper is the app's request logic: an all-local access, a
+// probe, and a fixed compute burn — no faults to hide.
+type computeStepper struct{ a *computeApp }
+
+// Compute step phases (StepFrame.PC values; a fresh frame is at the load).
+const (
+	computeLoad = iota
+	computeBurn
+	computeReply
+)
+
+func (computeStepper) Begin(*workload.StepFrame, any)   {}
+func (computeStepper) Abort(*workload.StepFrame, error) {}
+
+func (h computeStepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, sim.Time, workload.StepStatus) {
+	switch f.PC {
+	case computeLoad:
+		v, ok := workload.TryLoadU64(ctx, h.a.space, payload.(int64)*paging.PageSize)
+		if !ok {
+			return nil, 0, 0, workload.StepFault
+		}
+		f.W[0], f.PC = v, computeBurn
+		return nil, 0, 0, workload.StepProbe
+	case computeBurn:
+		f.PC = computeReply
+		return nil, 0, h.a.cycles, workload.StepCompute
+	default:
+		return f.W[0], 64, 0, workload.StepDone
 	}
 }
 

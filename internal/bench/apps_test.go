@@ -206,13 +206,15 @@ func TestNextRequestReuseHintChangesNothing(t *testing.T) {
 }
 
 // TestCatalogueAppsAreNative: every catalogue app whose handler is a loop
-// runs as a native stepper — core.StartApp finds its StepHandler and no
-// coroutine stands behind a request — and so do the experiments' variants
-// of them (wrappers embed the app, so the method is promoted). TPC-C is
-// the one exception, by design: its B-tree descents park mid-stack, so it
-// rides workload.Blocking.
+// runs as a native stepper — core.StartApp finds its StepHandler, and over
+// a short run that completes requests the kernel counts no coroutine
+// switch at all — and so do the experiments' variants of them (wrappers
+// embed the app, so the method is promoted) and the compute ablation app.
+// TPC-C is the one exception, by design: its B-tree descents park
+// mid-stack, so it rides workload.Blocking and switches.
 func TestCatalogueAppsAreNative(t *testing.T) {
-	apps := map[string]func(bool) App{"memcached-zipf": memcachedZipf, "rocksdb-guided": rocksdbGuided, "micro-by-stripe": microByStripe}
+	apps := map[string]func(bool) App{"memcached-zipf": memcachedZipf, "rocksdb-guided": rocksdbGuided,
+		"micro-by-stripe": microByStripe, "compute": compute}
 	for _, name := range AppNames() {
 		apps[name] = func(short bool) App {
 			app, err := AppNamed(name, short)
@@ -225,9 +227,19 @@ func TestCatalogueAppsAreNative(t *testing.T) {
 	for name, app := range apps {
 		entry := app(true)
 		sys := core.NewSystem(core.Preset(core.Adios, entry.Footprint/5))
-		sys.StartApp(entry.Build(sys))
-		if got, want := sys.Sched.FlatTier(), name != "tpcc"; got != want {
-			t.Errorf("%s: FlatTier() = %v, want %v", name, got, want)
+		a := entry.Build(sys)
+		sys.StartApp(a)
+		native := name != "tpcc"
+		if got := sys.Sched.FlatTier(); got != native {
+			t.Errorf("%s: FlatTier() = %v, want %v", name, got, native)
+		}
+		rps, window := 200_000.0, sim.Millis(2)
+		if name == "faiss" { // a query scans for hundreds of microseconds
+			rps, window = 2_000, sim.Millis(10)
+		}
+		res := sys.Run(a, rps, 0, window)
+		if sw := sys.Env.KernelStats().Switches; res.Completed == 0 || native != (sw == 0) {
+			t.Errorf("%s: %d requests completed with %d coroutine switches", name, res.Completed, sw)
 		}
 	}
 }

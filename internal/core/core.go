@@ -204,12 +204,35 @@ type System struct {
 	Migr *migrate.Migrator
 }
 
+// MaxMemNodes bounds Config.MemNodes: paging, repair and migration keep
+// every owner, tried, pending and holder set as a uint64 shifted by node
+// index, so a node past 63 would silently drop out of all of them.
+const MaxMemNodes = 64
+
+// CheckTopology reports whether a system of nodes memory nodes holding
+// replicas copies of every page can be built; the CLIs turn the error
+// into their usage error.
+func CheckTopology(nodes, replicas int) error {
+	if nodes < 1 || nodes > MaxMemNodes {
+		return fmt.Errorf("-memnodes must be in [1, %d], got %d", MaxMemNodes, nodes)
+	}
+	if replicas < 1 {
+		return fmt.Errorf("-replicas must be at least 1, got %d", replicas)
+	}
+	return nil
+}
+
 // NewSystem builds the data plane. Applications then allocate their
-// spaces (via Mgr and Mem) before Start wires the scheduler.
+// spaces (via Mgr and Mem) before Start wires the scheduler. It panics on
+// more than MaxMemNodes nodes and on a fault plan that names a node the
+// system lacks (faults.Config.FitsNodes); zero counts mean one.
 func NewSystem(cfg Config) *System {
-	n := cfg.MemNodes
-	if n < 1 {
-		n = 1
+	n := max(cfg.MemNodes, 1)
+	if n > MaxMemNodes {
+		panic(fmt.Sprintf("core: %d memory nodes, at most %d", n, MaxMemNodes))
+	}
+	if err := cfg.Faults.FitsNodes(n); err != nil {
+		panic(fmt.Sprintf("core: %v", err))
 	}
 	env := sim.NewEnv(cfg.Seed)
 	shards := NewShardMap(n, cfg.Shard)
@@ -249,9 +272,6 @@ func NewSystem(cfg Config) *System {
 		}
 	}
 	if cfg.Faults.CrashSet {
-		if err := cfg.Faults.FitsNodes(n); err != nil {
-			panic(fmt.Sprintf("core: %v", err))
-		}
 		var rejoin sim.Time
 		if cfg.Faults.RejoinSet {
 			rejoin = cfg.Faults.RejoinAt
@@ -272,9 +292,9 @@ func (sys *System) Start(handler workload.Handler) {
 
 // StartApp launches the scheduler for app: on its native step handler
 // when it has one (workload.StepApp), on workload.Blocking over its
-// direct-style handler otherwise. The choice follows from what the app
-// is, never from the configuration; either way every request executes on
-// the worker cores' one step machine.
+// direct-style handler otherwise (TPC-C alone, today). The choice follows
+// from what the app is, never from the configuration; either way every
+// request executes on the worker cores' one step machine.
 func (sys *System) StartApp(app workload.App) {
 	if sa, ok := app.(workload.StepApp); ok {
 		sys.start(sa.StepHandler())

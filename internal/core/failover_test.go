@@ -145,14 +145,27 @@ func TestCrashFreeReplicatedRuns(t *testing.T) {
 	}
 }
 
-// TestCrashPlanValidatesNode: a crash plan naming a node outside the
-// topology must fail fast at build time, not misroute at crash time.
+// TestCrashPlanValidatesNode: a plan naming a node outside the topology
+// — to crash, or to restrict itself to — and a topology wider than the
+// 64-bit node masks must fail fast at build time, not misroute at crash
+// time, inject nothing, or drop node 64 out of every owner set.
 func TestCrashPlanValidatesNode(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range crash node accepted")
-		}
-	}()
-	bad := faults.Config{CrashAt: sim.Millis(1), CrashNode: 4, CrashSet: true}
-	buildStriped(chaosArray, 1, 4, 2, bad)
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		plan  faults.Config
+	}{
+		{"crash node", 4, faults.Config{CrashAt: sim.Millis(1), CrashNode: 4, CrashSet: true}},
+		{"node restriction", 4, faults.Config{WRErrRate: 0.1, Node: 4, NodeSet: true}},
+		{"too many nodes", MaxMemNodes + 1, faults.Config{}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", tc.name)
+				}
+			}()
+			buildStriped(chaosArray, 1, tc.nodes, 2, tc.plan)
+		}()
+	}
 }

@@ -95,11 +95,16 @@ func (c Config) Enabled() bool {
 }
 
 // FitsNodes reports whether the plan can run on a system of n memory
-// nodes: a crash must name one of them. It is the one check behind both
-// CLIs' usage error and core.NewSystem's panic.
+// nodes: a crash, and a node= restriction, must name one of them (a plan
+// restricted to a node the system lacks would inject nothing, without a
+// word). It is the one check behind both CLIs' usage error and
+// core.NewSystem's panic.
 func (c Config) FitsNodes(n int) error {
 	if c.CrashSet && c.CrashNode >= n {
 		return fmt.Errorf("crash plan targets node %d of %d", c.CrashNode, n)
+	}
+	if c.NodeSet && c.Node >= n {
+		return fmt.Errorf("plan is restricted to node %d of %d", c.Node, n)
 	}
 	return nil
 }

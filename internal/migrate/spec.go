@@ -1,13 +1,29 @@
 package migrate
 
 import (
-	"fmt"
-	"math"
-	"strconv"
 	"strings"
 
-	"repro/internal/sim"
+	"repro/internal/spec"
 )
+
+// maxFactor bounds float knobs so the canonical %g form stays exactly
+// re-parseable and downstream arithmetic stays finite.
+const maxFactor = 1e15
+
+// clauses lists the grammar once, bound to c: ParseSpec and String both
+// derive from it (see package spec), in String's rendering order. Every
+// knob is a value >= 0 with zero meaning unset.
+func (c *Config) clauses() []spec.Clause {
+	return []spec.Clause{
+		{Key: "on"},
+		{Key: "epoch", Args: []spec.Arg{spec.Duration(&c.Epoch)}},
+		{Key: "hot", Args: []spec.Arg{spec.Count(&c.HotThreshold)}},
+		{Key: "bw", Args: []spec.Arg{spec.Factor(&c.Bandwidth, 0, maxFactor)}},
+		{Key: "imb", Args: []spec.Arg{spec.Factor(&c.Imbalance, 0, maxFactor)}},
+		{Key: "max", Args: []spec.Arg{spec.Count(&c.MaxMoves)}},
+		{Key: "min", Args: []spec.Arg{spec.Count(&c.MinFaults)}},
+	}
+}
 
 // ParseSpec parses the -migrate flag grammar: "off" (or the empty
 // string) disables migration, "on" enables it with the calibrated
@@ -25,47 +41,16 @@ import (
 // exactly as the -faults grammar does. Zero-valued knobs are "unset"
 // and take the default at construction, so "epoch=0" is equivalent to
 // "on". Example: "epoch=50us,hot=8,bw=0.25".
-func ParseSpec(spec string) (Config, error) {
+func ParseSpec(text string) (Config, error) {
 	var cfg Config
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "off" {
+	if text = strings.TrimSpace(text); text == "" || text == "off" {
 		return cfg, nil
 	}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "on" {
-			cfg.Enabled = true
-			continue
-		}
-		if item == "off" {
-			return Config{}, fmt.Errorf("migrate: %q: off cannot be combined with other clauses", spec)
-		}
-		key, val, ok := strings.Cut(item, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("migrate: %q: want key=value (or on/off)", item)
-		}
-		var err error
-		switch key {
-		case "epoch":
-			cfg.Epoch, err = sim.ParseTime(val)
-		case "hot":
-			err = parseCount(val, &cfg.HotThreshold)
-		case "bw":
-			err = parseFactor(val, &cfg.Bandwidth)
-		case "imb":
-			err = parseFactor(val, &cfg.Imbalance)
-		case "max":
-			err = parseCount(val, &cfg.MaxMoves)
-		case "min":
-			err = parseCount(val, &cfg.MinFaults)
-		default:
-			return Config{}, fmt.Errorf("migrate: unknown knob %q (want epoch, hot, bw, imb, max, min)", key)
-		}
-		if err != nil {
-			return Config{}, fmt.Errorf("migrate: %s: %v", key, err)
-		}
-		cfg.Enabled = true
+	// "off" among other clauses is no clause of the list: an error.
+	if err := spec.Parse("migrate", text, cfg.clauses()); err != nil {
+		return Config{}, err
 	}
+	cfg.Enabled = true
 	return cfg, nil
 }
 
@@ -77,51 +62,5 @@ func (c Config) String() string {
 	if !c.Enabled {
 		return "off"
 	}
-	var parts []string
-	if c.Epoch > 0 {
-		parts = append(parts, fmt.Sprintf("epoch=%s", c.Epoch.SpecString()))
-	}
-	if c.HotThreshold > 0 {
-		parts = append(parts, fmt.Sprintf("hot=%d", c.HotThreshold))
-	}
-	if c.Bandwidth > 0 {
-		parts = append(parts, fmt.Sprintf("bw=%g", c.Bandwidth))
-	}
-	if c.Imbalance > 0 {
-		parts = append(parts, fmt.Sprintf("imb=%g", c.Imbalance))
-	}
-	if c.MaxMoves > 0 {
-		parts = append(parts, fmt.Sprintf("max=%d", c.MaxMoves))
-	}
-	if c.MinFaults > 0 {
-		parts = append(parts, fmt.Sprintf("min=%d", c.MinFaults))
-	}
-	if len(parts) == 0 {
-		return "on"
-	}
-	return strings.Join(parts, ",")
-}
-
-// parseCount parses a non-negative integer knob (0 = unset).
-func parseCount(s string, out *int) error {
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return fmt.Errorf("count %q must be an integer >= 0", s)
-	}
-	*out = n
-	return nil
-}
-
-// maxFactor bounds float knobs so the canonical %g form stays exactly
-// re-parseable and downstream arithmetic stays finite.
-const maxFactor = 1e15
-
-// parseFactor parses a non-negative finite float knob (0 = unset).
-func parseFactor(s string, out *float64) error {
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(f) || f < 0 || f > maxFactor {
-		return fmt.Errorf("value %q must be finite and in [0, %g]", s, float64(maxFactor))
-	}
-	*out = f
-	return nil
+	return spec.String(c.clauses(), "on")
 }

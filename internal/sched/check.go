@@ -11,7 +11,7 @@ import "repro/internal/simcheck"
 //	                     request off its core is where a core will find it
 //
 // sched/flat-state lives beside the transitions it checks
-// (flatCtx.advance, flat.go).
+// (Request.advance, flat.go).
 
 // pointNames name the continuation points of worker.go and flat.go, for
 // violation reports.
@@ -86,24 +86,26 @@ func (w *Worker) checkLive() error {
 // checkRunnable accounts for every request that is off its core without
 // waiting for anything: one woken after a yield is on its worker's ready
 // ring, a preempted one in the central queue, a worker's inbox, or the
-// hands of the dispatcher or thief moving it — and nothing else is in
-// those places. A request that holds a core is that core's.
+// hands of the dispatcher or thief moving it — and nothing else that has
+// run is in those places. A request that holds a core is that core's,
+// until the worker retires it: one whose delegated TX completion is still
+// outstanding is on no core and in no queue, by design.
 func (s *Scheduler) checkRunnable() error {
 	var woken, onRings, preempted, inQueues int
-	for _, f := range s.flats {
+	for _, r := range s.reqs {
 		switch {
-		case f.req == nil: // recycled
-		case f.state == flatReady:
+		case r.Pkt == nil || r.retired: // recycled, or only its TX completion is left
+		case r.state == flatReady:
 			woken++
-		case f.state == flatQueued:
+		case r.state == flatQueued:
 			preempted++
-		case f.state == flatRunning && f.worker.flat != f:
+		case r.state == flatRunning && r.worker.req != r:
 			return simcheck.New("sched/core-liveness", "running request is on no core").
-				With("worker", f.worker.id).With("request", f.req.Pkt.ID)
+				With("worker", r.worker.id).With("request", r.Pkt.ID)
 		}
 	}
-	count := func(item workItem) {
-		if item.resumed != nil {
+	count := func(r *Request) {
+		if r.state == flatQueued {
 			inQueues++
 		}
 	}

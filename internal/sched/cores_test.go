@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ethernet"
 	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/simcheck"
@@ -51,7 +52,7 @@ func TestCoreLivenessCatchesWedgedWorker(t *testing.T) {
 		w := r.sched.workers[3]
 
 		// A lost wake: work arrives, nobody tells the sleeping core.
-		w.inbox.PushBack(workItem{})
+		w.inbox.PushBack(&Request{})
 		expectViolation(t, r.sched.CheckLiveness(), "worker3", "lost wake")
 		w.inbox.PopBack()
 
@@ -65,6 +66,31 @@ func TestCoreLivenessCatchesWedgedWorker(t *testing.T) {
 		d.gate = sim.NewGate(r.env)
 		expectViolation(t, r.sched.CheckLiveness(), "dispatcher0", "state=idle")
 	}
+}
+
+// Under delegated TX a finished request is, for a while, on no core and
+// in no queue: the worker has closed it and only its TX completion, still
+// on the wire, holds the record. That is the two-owner rule at work, not a
+// lost request — and were the worker's half not recorded, it would be.
+func TestCoreLivenessAllowsRequestAwaitingItsTxCompletion(t *testing.T) {
+	r := newArrayRig(t, rigSetup{sched: DefaultConfig(), frames: 48}, true)
+	r.env.At(1, func() {
+		r.net.SendToNode(&ethernet.Packet{Payload: &workload.ArrayMsg{Index: 7}, Size: 64, TxTime: 1})
+	})
+	for at := sim.Time(100); ; at += 100 {
+		if at > sim.Millis(1) {
+			t.Fatal("no request was ever seen retired with its TX completion outstanding")
+		}
+		r.env.Run(at)
+		if reqs := r.sched.reqs; len(reqs) == 1 && reqs[0].retired && reqs[0].slot {
+			break
+		}
+	}
+	if err := r.sched.CheckLiveness(); err != nil {
+		t.Fatalf("a request awaiting its TX completion reported: %v", err)
+	}
+	r.sched.reqs[0].retired = false
+	expectViolation(t, r.sched.CheckLiveness(), "running request is on no core")
 }
 
 func expectViolation(t *testing.T, err error, wants ...string) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ethernet"
+	"repro/internal/faults"
 	"repro/internal/memnode"
 	"repro/internal/paging"
 	"repro/internal/rdma"
@@ -39,6 +40,7 @@ type rigSetup struct {
 	wantBusyWait bool // the core must spin: on a fault, or on its TX completion
 	wantPreempts bool
 	gap          sim.Time // request spacing (0 = 1 µs)
+	wrErr        float64  // work-request error rate (demand fetches that exhaust their retries abort)
 }
 
 func newArrayRig(t *testing.T, ts rigSetup, native bool) *arrayRig {
@@ -58,6 +60,9 @@ func newArrayRig(t *testing.T, ts rigSetup, native bool) *arrayRig {
 	}
 	nic := rdma.NewNIC(env, rcfg)
 	node := memnode.New(1 << 30)
+	if ts.wrErr > 0 {
+		nic.SetInterceptor(faults.New(faults.Config{WRErrRate: ts.wrErr}, node, 5))
+	}
 	r.app = workload.NewArrayApp(r.mgr, node, 256*paging.PageSize)
 	r.app.WriteFrac = 0.25
 	stepH := r.app.StepHandler()
@@ -292,5 +297,63 @@ func TestBlockingMatchesNativeStepper(t *testing.T) {
 				t.Fatalf("trace lengths differ: native %d, blocking %d", len(nativeEvents), len(refEvents))
 			}
 		})
+	}
+}
+
+// The unithread is one record with two owners — the worker, until the
+// request's last segment closes, and the TX completion, until it is
+// reaped — and whichever lets go last recycles it, once. With aborted,
+// preempted and parked requests in the mix and an OnComplete tap reading
+// the packet, every record ever built is back on the free list after the
+// drain, exactly once; there are as many as were ever in flight, not as
+// many as completed; and the pool's occupancy reads what it read when a
+// request was three records (the pinned peaks are the parent's). 96
+// frames: at 48 this load wedges in the frame-starvation deadlock the
+// "starved" differential row describes, in the parent as here.
+func TestRequestRecycledOnceByLastOwner(t *testing.T) {
+	for _, tc := range []struct {
+		tx       TxPolicy
+		wantPeak int
+	}{{DelegatedTx, 417}, {SyncTx, 396}} {
+		cfg := DefaultConfig()
+		cfg.Tx, cfg.Preempt, cfg.Quantum = tc.tx, true, 500
+		r := newArrayRig(t, rigSetup{sched: cfg, frames: 96, wrErr: 0.3}, true)
+		var preempts, ids int
+		r.sched.OnComplete = func(req *Request) {
+			preempts += req.Preemptions
+			ids += int(req.Pkt.ID)
+		}
+		const n = 600
+		r.drive(n, sim.Micros(1))
+		s := r.sched
+		if got := s.Completed.Value(); got != n || ids != n*(n-1)/2 {
+			t.Fatalf("tx=%v: completed %d of %d (packet ids sum to %d)", tc.tx, got, n, ids)
+		}
+		if s.FaultAborts.Value() == 0 || preempts == 0 || r.mgr.Faults.Value() == 0 {
+			t.Fatalf("tx=%v: %d aborts, %d preemptions, %d faults: an owner path went unexercised",
+				tc.tx, s.FaultAborts.Value(), preempts, r.mgr.Faults.Value())
+		}
+		onFree := map[*Request]bool{}
+		for _, req := range s.freeReqs {
+			if onFree[req] {
+				t.Fatalf("tx=%v: a record is on the free list twice", tc.tx)
+			}
+			onFree[req] = true
+		}
+		for _, req := range s.reqs {
+			if !onFree[req] || req.Pkt != nil || req.slot {
+				t.Fatalf("tx=%v: a record did not come back after the drain: %+v", tc.tx, req)
+			}
+		}
+		pool := s.pool
+		if built := len(s.reqs); built < pool.Peak() || built > pool.Peak()+cfg.Workers {
+			t.Fatalf("tx=%v: %d records built for a peak of %d in flight (%d completed)", tc.tx, built, pool.Peak(), n)
+		}
+		if pool.InUse() != 0 || pool.Peak() != tc.wantPeak {
+			t.Fatalf("tx=%v: pool in use %d (want 0), peak %d (want %d)", tc.tx, pool.InUse(), pool.Peak(), tc.wantPeak)
+		}
+		if err := s.CheckLiveness(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

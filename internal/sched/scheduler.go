@@ -27,7 +27,7 @@ type Scheduler struct {
 	pool  *unithread.Pool
 	stepH workload.StepHandler // how a request executes, step by step (flat.go)
 
-	central     ring[workItem]
+	central     ring[*Request]
 	dispatchers []*dispatcher
 	workers     []*Worker
 
@@ -65,17 +65,11 @@ type Scheduler struct {
 	busyWaitCycles int64
 	dispCycles     int64
 
-	// freeReqs and freeFlats recycle the per-request Request records and
-	// execution contexts (each with its bound callbacks), so admission is
-	// allocation-free in steady state. Requests follow a two-owner
-	// protocol: the worker retires one when it finishes, but under
-	// delegated TX the dispatcher holds it until the TX completion
-	// releases the buffer — whichever acts last recycles (Request.retired
-	// marks the first half done). flats is every context ever built, for
-	// the end-of-run audit.
-	freeReqs  []*Request
-	freeFlats []*flatCtx
-	flats     []*flatCtx
+	// freeReqs recycles the per-request records (each with its bound
+	// callbacks), so admission is allocation-free in steady state; reqs is
+	// every record ever built, for the end-of-run audit.
+	freeReqs []*Request
+	reqs     []*Request
 }
 
 // FlatTier reports whether requests run as native steps, with no
@@ -85,29 +79,46 @@ func (s *Scheduler) FlatTier() bool {
 	return !adapted
 }
 
-// newRequest takes a Request from the free list (or allocates one) and
-// initializes it for an arriving packet.
-func (s *Scheduler) newRequest(pkt *ethernet.Packet, buf *unithread.Buffer) *Request {
+// newRequest takes a record from the free list (or builds one) and
+// resets it for an arriving packet, whose pool slot it now holds.
+func (s *Scheduler) newRequest(pkt *ethernet.Packet) *Request {
+	var r *Request
 	if n := len(s.freeReqs); n > 0 {
-		r := s.freeReqs[n-1]
-		s.freeReqs[n-1] = nil
+		r = s.freeReqs[n-1]
 		s.freeReqs = s.freeReqs[:n-1]
-		*r = Request{Pkt: pkt, pktUse: pkt.Use(), Buf: buf, Arrive: pkt.ArriveNode}
-		return r
+	} else {
+		r = &Request{}
+		r.onReadyFn, r.wakeFn = r.onReady, r.wake
+		s.reqs = append(s.reqs, r)
 	}
-	return &Request{Pkt: pkt, pktUse: pkt.Use(), Buf: buf, Arrive: pkt.ArriveNode}
+	*r = Request{Pkt: pkt, pktUse: pkt.Use(), Arrive: pkt.ArriveNode, slot: true,
+		sched: s, queued: true, queuedAt: pkt.ArriveNode, resume: flatBegin,
+		onReadyFn: r.onReadyFn, wakeFn: r.wakeFn}
+	return r
 }
 
-// freeRequest returns a fully-released Request (buffer recycled,
-// completion hooks done) to the free list and gives up the node's half
-// of its packet (ethernet.Owner). Nothing here reads the packet later in
-// either TX mode: OnComplete has run, the run span is emitted, and the TX
-// completion — still outstanding when a delegated-TX worker retires —
-// names the request, not the packet.
+// txReaped is the TX completion's half of the two-owner rule
+// (Request.slot): it was polled, so the pool slot frees, and the record
+// recycles if the worker has closed the request (flatClosed, its half).
+func (s *Scheduler) txReaped(r *Request) {
+	if r.slot {
+		r.slot = false
+		s.pool.Release()
+	}
+	if r.retired {
+		s.freeRequest(r)
+	}
+}
+
+// freeRequest returns a record neither owner holds any longer to the
+// free list and gives up the node's half of its packet (ethernet.Owner).
+// Nothing here reads the packet later in either TX mode: OnComplete has
+// run, the run span is emitted, and the TX completion — still outstanding
+// when a delegated-TX worker retires — names the request, not the packet.
 func (s *Scheduler) freeRequest(r *Request) {
 	r.Pkt.Held(r.pktUse, "retired")
 	r.Pkt.Release(ethernet.Node)
-	r.Pkt = nil // the rest is reset on reuse
+	r.Pkt = nil // marks the record free (checkRunnable); the rest is reset on reuse
 	s.freeReqs = append(s.freeReqs, r)
 }
 
@@ -135,7 +146,7 @@ type dispatcher struct {
 	progress bool     // this pass of the loop did something
 	n        int      // entries in rxBuf/txBuf awaiting their charge
 	t0       sim.Time // when the RX poll began (poll span)
-	item     workItem // popped from the central queue, awaiting the
+	item     *Request // popped from the central queue, awaiting the
 	target   *Worker  // Dispatch charge, bound for target
 }
 
@@ -201,12 +212,11 @@ func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 		}
 		// Completion arrivals wake the core wherever it waits: idle (yield
 		// mode) or busy-waiting on a fault.
-		cq, tw := w.cq, w
-		cq.Notify = func() {
-			if tw.idle {
-				tw.idleGate.Wake()
+		w.cq.Notify = func() {
+			if w.idle {
+				w.idleGate.Wake()
 			}
-			tw.cqGate.Wake()
+			w.cqGate.Wake()
 		}
 		w.txCQ.Notify = w.txGate.Wake
 		disp.workers = append(disp.workers, w)
@@ -300,12 +310,11 @@ func (d *dispatcher) fire() {
 					s.DropsQueue.Inc()
 					continue
 				}
-				buf, ok := s.pool.Acquire()
-				if !ok {
+				if !s.pool.Acquire() {
 					s.DropsPool.Inc()
 					continue
 				}
-				s.central.PushBack(workItem{req: s.newRequest(pkt, buf)})
+				s.central.PushBack(s.newRequest(pkt))
 			}
 			d.pc = dReap
 
@@ -320,14 +329,7 @@ func (d *dispatcher) fire() {
 
 		case dRecycle:
 			for _, comp := range d.txBuf[:d.n] {
-				req := comp.Cookie.(*Request)
-				if req.Buf != nil {
-					s.pool.Release(req.Buf)
-					req.Buf = nil
-				}
-				if req.retired {
-					s.freeRequest(req)
-				}
+				s.txReaped(comp.Cookie.(*Request))
 			}
 			d.pc = dAssign
 

@@ -40,8 +40,8 @@ type Worker struct {
 	cqGate    *sim.Gate // … here for fetch-CQ arrivals while a fault busy-waits
 	blockGate *sim.Gate // … and here for the wake while a Block busy-waits
 
-	inbox ring[workItem] // assigned by the dispatcher (at most one pending)
-	ready ring[*flatCtx] // woken requests awaiting resume
+	inbox ring[*Request] // assigned by the dispatcher (at most one pending)
+	ready ring[*Request] // woken requests awaiting resume
 	idle  bool
 
 	cqBuf [32]rdma.Completion // fetch-CQ poll scratch (steady state is allocation-free)
@@ -54,9 +54,9 @@ type Worker struct {
 	owed     sim.Time
 	owedReq  *Request
 	ncq      int              // completions in cqBuf awaiting the poll charge
-	work     workItem         // stolen item awaiting the transfer charge
+	work     *Request         // stolen request awaiting the transfer charge
 	stealJ   int              // next peer offset the steal scan probes
-	flat     *flatCtx         // request whose segment is on the core
+	req      *Request         // request whose segment is on the core
 	segStart sim.Time         // when the current on-core stint began (run span)
 	call     paging.FaultCall // the fault's TryRequestPage, across stalls
 	resp     any              // response awaiting the TX-post charges
@@ -153,8 +153,8 @@ func (w *Worker) fire() {
 		case wPick:
 			switch {
 			case w.ready.Len() > 0:
-				w.flat = w.ready.PopFront()
-				w.flat.advance(flatReady, flatRunning, "resumed from the ready ring")
+				w.req = w.ready.PopFront()
+				w.req.advance(flatReady, flatRunning, "resumed from the ready ring")
 				if !w.charge(nil, c.UnithreadSwitch, flatOpen) {
 					return
 				}
@@ -221,19 +221,17 @@ func (w *Worker) goIdle() bool {
 	return w.idleGate.Arm(w.task)
 }
 
-// run starts one work item: a fresh request, or a preempted one some
+// run puts a request on the core: a fresh one, or a preempted one some
 // core switched out. Like charge, it reports whether fire may continue
 // inline.
-func (w *Worker) run(item workItem) bool {
-	s := w.sched
-	c := &s.cfg.Costs
-	if f := item.resumed; f != nil {
-		f.advance(flatQueued, flatRunning, "resumed from the queue")
-		f.worker, w.flat = w, f
+func (w *Worker) run(r *Request) bool {
+	c := &w.sched.cfg.Costs
+	r.worker, w.req = w, r
+	if r.state == flatQueued {
+		r.advance(flatQueued, flatRunning, "resumed from the queue")
 		return w.charge(nil, c.PreemptSwitch, flatOpen)
 	}
-	req := item.req
-	req.Dispatched = s.env.Now()
-	w.flat = s.newFlat(w, req)
+	r.advance(flatFresh, flatRunning, "spawned")
+	r.Dispatched = w.sched.env.Now()
 	return w.charge(nil, c.UnithreadSpawn+c.UnithreadSwitch, flatOpen)
 }

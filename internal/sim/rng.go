@@ -50,12 +50,6 @@ func (g *RNG) Normal(mean, stddev float64, min float64) float64 {
 	return v
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Zipf returns a generator of Zipf-distributed values in [0, n) with
 // exponent s (> 1). Useful for skewed key popularity.
 func (g *RNG) Zipf(s float64, n uint64) *rand.Zipf {

@@ -87,11 +87,6 @@ func New(oracle, format string, args ...any) *Violation {
 // attached in between.
 func Fail(v *Violation) { panic(v) }
 
-// Failf builds and raises a violation in one step.
-func Failf(oracle, format string, args ...any) {
-	panic(New(oracle, format, args...))
-}
-
 // AsViolation extracts a *Violation from a recovered panic value or a
 // returned error, unwrapping wrapped errors.
 func AsViolation(r any) (*Violation, bool) {

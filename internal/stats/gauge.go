@@ -34,9 +34,6 @@ func (b *BusyTracker) AddSpan(d int64) {
 	}
 }
 
-// Busy returns the accumulated busy cycles.
-func (b *BusyTracker) Busy() int64 { return b.busy }
-
 // Utilization returns busy time as a fraction of the given window.
 func (b *BusyTracker) Utilization(window int64) float64 {
 	if window <= 0 {

@@ -5,12 +5,12 @@
 // the system must drop requests, which is what produces the throughput
 // stall under overload.
 //
-// Buffers are physically materialized lazily (the default pool of
-// 131,072 × 4 KiB would otherwise pin 512 MiB of host memory per
-// simulated system), but accounting — capacity, occupancy, peak — always
-// reflects the full pre-allocated pool, which is what the paper's memory
-// footprint comparison (66 % smaller than Shinjuku's three-buffer layout)
-// is about.
+// The model needs the pool for its accounting — capacity, occupancy,
+// peak, the pre-allocated footprint the paper compares (66 % smaller than
+// Shinjuku's three-buffer layout) — so that is all Pool keeps: a slot is
+// a count, and the record that occupies it is the scheduler's
+// sched.Request, which carries the payload and the 80-byte context and
+// needs no stack.
 package unithread
 
 import (
@@ -54,19 +54,10 @@ func LayoutFor(bufSize, mtu int) Layout {
 	}
 }
 
-// Buffer is one unithread's buffer. Data is materialized on first use
-// and recycled through the pool.
-type Buffer struct {
-	Index int
-	Data  []byte
-	pool  *Pool
-}
-
 // Pool is the fixed-capacity unithread buffer pool.
 type Pool struct {
 	capacity int
 	bufSize  int
-	free     []*Buffer
 	inUse    int
 	peak     int
 
@@ -100,33 +91,23 @@ func (p *Pool) Peak() int { return p.peak }
 // Shinjuku-style three-buffer layout.
 func (p *Pool) FootprintBytes() int64 { return int64(p.capacity) * int64(p.bufSize) }
 
-// Acquire takes a buffer from the pool, or reports failure if the pool
-// is exhausted.
-func (p *Pool) Acquire() (*Buffer, bool) {
+// Acquire takes a slot, or reports failure if the pool is exhausted.
+func (p *Pool) Acquire() bool {
 	if p.inUse >= p.capacity {
 		p.Exhausted.Inc()
-		return nil, false
+		return false
 	}
 	p.inUse++
-	if p.inUse > p.peak {
-		p.peak = p.inUse
-	}
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		return b, true
-	}
-	return &Buffer{Index: p.inUse - 1, Data: make([]byte, p.bufSize), pool: p}, true
+	p.peak = max(p.peak, p.inUse)
+	return true
 }
 
-// Release returns a buffer to the pool.
-func (p *Pool) Release(b *Buffer) {
-	if b == nil || b.pool != p {
-		panic("unithread: releasing foreign buffer")
-	}
+// Release returns a slot. The holder remembers that it holds one
+// (sched.Request.slot), which is what keeps a release from happening
+// twice; the pool can only see one that nothing acquired.
+func (p *Pool) Release() {
 	if p.inUse <= 0 {
 		panic("unithread: release without acquire")
 	}
 	p.inUse--
-	p.free = append(p.free, b)
 }

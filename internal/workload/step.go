@@ -123,7 +123,7 @@ type StepHandler interface {
 
 // StepApp is implemented by apps whose handler exists in native step
 // form; the system runs that form, and Blocking over Handler for every
-// other app. Both forms must execute the identical sequence of compute
+// other app — of the apps this repository builds, TPC-C alone. Both forms must execute the identical sequence of compute
 // charges, probes, paged accesses, and RNG draws — the scheduler's
 // differential test pins this for ArrayApp, and each of kvs, sstable and
 // vecdb pins its stepper against its retired direct-style body.
