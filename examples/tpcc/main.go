@@ -30,7 +30,7 @@ func main() {
 		sys := core.NewSystem(core.Preset(mode, size/5))
 		db := tpcc.New(sys.Env, sys.Mgr, sys.Node, cfg)
 		db.WarmCache()
-		sys.Start(db.Handler())
+		sys.StartApp(db)
 		res := sys.Run(db, load, sim.Millis(30), sim.Millis(120))
 		fmt.Printf("%-8s %8.0f", mode, res.TputK)
 		for _, c := range classes {

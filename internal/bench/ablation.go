@@ -64,11 +64,12 @@ func (computeStepper) Abort(*workload.StepFrame, error) {}
 func (h computeStepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, sim.Time, workload.StepStatus) {
 	switch f.PC {
 	case computeLoad:
-		v, ok := workload.TryLoadU64(ctx, h.a.space, payload.(int64)*paging.PageSize)
-		if !ok {
+		off := payload.(int64) * paging.PageSize
+		var p workload.Page
+		if !p.Open(ctx, h.a.space, off) {
 			return nil, 0, 0, workload.StepFault
 		}
-		f.W[0], f.PC = v, computeBurn
+		f.W[0], f.PC = p.U64(0), computeBurn
 		return nil, 0, 0, workload.StepProbe
 	case computeBurn:
 		f.PC = computeReply

@@ -6,7 +6,10 @@
 //
 // The tree supports setup-time bulk loading from sorted pairs (building
 // the database before measurement, like the paper's load phases) and
-// runtime Insert/Lookup/Range through a workload execution context.
+// runtime Lookup/Range/Insert as resumable operations (Op) that a
+// request's step handler drives through its workload.StepCtx, so an
+// index descent that misses parks in a few words of the request's record
+// rather than on a stack.
 package btree
 
 import (
@@ -16,6 +19,7 @@ import (
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
+	"repro/internal/workload"
 )
 
 // Node layout within one page:
@@ -35,6 +39,9 @@ const (
 	// during an insert, right before it splits, without spilling into
 	// the neighbouring page.
 	MaxEntries = (paging.PageSize-hdrSize)/entrySize - 1 // 254
+
+	// maxDepth bounds the internal levels an Insert remembers: 254⁸ keys.
+	maxDepth = 8
 )
 
 // Tree is the B+tree handle. The root page id and allocation cursor are
@@ -57,10 +64,8 @@ func New(mgr *paging.Manager, node memnode.Allocator, name string, capacityPages
 		capacityPages = 4
 	}
 	region := node.MustAlloc(name, capacityPages*paging.PageSize)
-	t := &Tree{space: mgr.NewSpace(name, region), fill: MaxEntries * 3 / 4}
 	// Page 0 is the initial empty leaf root.
-	t.root = 0
-	t.used = 1
+	t := &Tree{space: mgr.NewSpace(name, region), used: 1, fill: MaxEntries * 3 / 4}
 	t.writeHeaderDirect(0, true, 0, -1)
 	return t
 }
@@ -114,10 +119,7 @@ func (t *Tree) BulkLoad(keys, vals []uint64) {
 	var level []nodeRef
 	t.used = 0
 	for i := 0; i < len(keys); {
-		n := t.fill
-		if rem := len(keys) - i; rem < n {
-			n = rem
-		}
+		n := min(t.fill, len(keys)-i)
 		page := t.alloc()
 		for s := 0; s < n; s++ {
 			t.writeEntryDirect(page, s, keys[i+s], vals[i+s])
@@ -134,10 +136,7 @@ func (t *Tree) BulkLoad(keys, vals []uint64) {
 	for len(level) > 1 {
 		var up []nodeRef
 		for i := 0; i < len(level); {
-			n := t.fill
-			if rem := len(level) - i; rem < n {
-				n = rem
-			}
+			n := min(t.fill, len(level)-i)
 			page := t.alloc()
 			for s := 0; s < n; s++ {
 				t.writeEntryDirect(page, s, level[i+s].min, uint64(level[i+s].page))
@@ -163,44 +162,42 @@ func (t *Tree) alloc() int64 {
 
 // --- runtime (paged, costed) node accessors ---
 
-type thread = paging.Thread
+// node is one tree page as a phase of an Op accesses it (workload.Page):
+// every word it reads or writes is one paged access.
+type node struct{ workload.Page }
 
-func (t *Tree) header(ctx thread, page int64) (leaf bool, count int, next int64) {
-	flags := t.space.LoadU32(ctx, page*paging.PageSize)
-	cnt := t.space.LoadU32(ctx, page*paging.PageSize+4)
-	nxt := int64(t.space.LoadU64(ctx, page*paging.PageSize+8))
-	return flags&1 == 1, int(cnt), nxt
+func (n *node) header() (leaf bool, count int, next int64) {
+	return n.U32(0)&1 == 1, int(n.U32(4)), int64(n.U64(8))
 }
 
-func (t *Tree) entry(ctx thread, page int64, slot int) (key, val uint64) {
-	off := page*paging.PageSize + hdrSize + int64(slot)*entrySize
-	return t.space.LoadU64(ctx, off), t.space.LoadU64(ctx, off+8)
+func (n *node) entry(slot int) (key, val uint64) {
+	off := hdrSize + int64(slot)*entrySize
+	return n.U64(off), n.U64(off + 8)
 }
 
-func (t *Tree) setEntry(ctx thread, page int64, slot int, key, val uint64) {
-	off := page*paging.PageSize + hdrSize + int64(slot)*entrySize
-	t.space.StoreU64(ctx, off, key)
-	t.space.StoreU64(ctx, off+8, val)
+func (n *node) setEntry(slot int, key, val uint64) {
+	off := hdrSize + int64(slot)*entrySize
+	n.SetU64(off, key)
+	n.SetU64(off+8, val)
 }
 
-func (t *Tree) setHeader(ctx thread, page int64, leaf bool, count int, next int64) {
+func (n *node) setHeader(leaf bool, count int, next int64) {
 	var flags uint32
 	if leaf {
 		flags = 1
 	}
-	t.space.StoreU32(ctx, page*paging.PageSize, flags)
-	t.space.StoreU32(ctx, page*paging.PageSize+4, uint32(count))
-	t.space.StoreU64(ctx, page*paging.PageSize+8, uint64(next))
+	n.SetU32(0, flags)
+	n.SetU32(4, uint32(count))
+	n.SetU64(8, uint64(next))
 }
 
 // lowerBound returns the first slot whose key is >= key (binary search
 // within the node; single page access pattern).
-func (t *Tree) lowerBound(ctx thread, page int64, count int, key uint64) int {
+func (n *node) lowerBound(count int, key uint64) int {
 	lo, hi := 0, count
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k, _ := t.entry(ctx, page, mid)
-		if k < key {
+		if k, _ := n.entry(mid); k < key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -210,177 +207,275 @@ func (t *Tree) lowerBound(ctx thread, page int64, count int, key uint64) int {
 }
 
 // childFor returns the child page to descend into for key.
-func (t *Tree) childFor(ctx thread, page int64, count int, key uint64) int64 {
-	// Entries hold (minKey, child); pick the last child whose minKey <= key.
-	idx := t.lowerBound(ctx, page, count, key)
+func (n *node) childFor(count int, key uint64) int64 {
+	// Entries hold (minKey, child); pick the last child whose minKey <= key
+	// (the first child for a key below every minKey).
+	idx := n.lowerBound(count, key)
 	if idx < count {
-		if k, _ := t.entry(ctx, page, idx); k == key {
-			_, c := t.entry(ctx, page, idx)
-			return int64(c)
+		if k, _ := n.entry(idx); k == key {
+			idx++
 		}
 	}
-	if idx == 0 {
-		_, c := t.entry(ctx, page, 0)
-		return int64(c)
-	}
-	_, c := t.entry(ctx, page, idx-1)
+	_, c := n.entry(max(idx-1, 0))
 	return int64(c)
 }
 
-// Lookup returns the value stored for key.
-func (t *Tree) Lookup(ctx thread, key uint64) (uint64, bool) {
-	page := t.root
+// shiftRight opens a slot at idx in a node holding count entries.
+func (n *node) shiftRight(idx, count int) {
+	for s := count; s > idx; s-- {
+		k, v := n.entry(s - 1)
+		n.setEntry(s, k, v)
+	}
+}
+
+// --- resumable operations ---
+
+// Op is one runtime operation on a tree — Lookup, Range or Insert — in
+// resumable form: the request arms it with one of those methods and calls
+// Tree.Step until it reports done, returning StepFault to the scheduler
+// in between. It is a few words in the request's record where a
+// direct-style descent would keep a stack. Each phase visits one node, or
+// for a split alternates between the node and its new sibling a phase per
+// page, in the order the recursive descent accessed them; only a phase's
+// first access can miss — within a step no simulated time passes, and a
+// hit evicts nothing — so the re-run after a fault begins with the access
+// that faulted. Insert remembers the internal nodes it descended through
+// with the counts their headers held (the recursion's locals) and the
+// page a split allocated, so a resumed step neither re-reads a level nor
+// allocates again.
+type Op struct {
+	// Val and Found are a Lookup's result; Vals collects a Range's
+	// values, ascending by key.
+	Val   uint64
+	Found bool
+	Vals  []uint64
+
+	pc       int
+	key, val uint64 // Lookup or Insert key (Range: the low bound); Insert value
+	hi       uint64 // Range: the high bound
+	page     int64  // the node the next phase visits
+
+	path  [maxDepth]level // Insert: the internal nodes above page, root first
+	depth int
+
+	// A split in progress: the overfull node at page (kind, count, leaf
+	// link), its new right sibling, and the entry being moved; then the
+	// separator it promotes. A root split also keeps the old root and its
+	// minimum key.
+	leaf        bool
+	count, s    int
+	next, right int64
+	k, v, sep   uint64
+	root        int64
+	rootMinKey  uint64
+}
+
+type level struct {
+	page  int64
+	count int
+}
+
+// Op phases (Op.pc).
+const (
+	opDone       = iota
+	lookupRoot   // Lookup: from the root …
+	lookupNode   // … one node a phase down to the leaf, which holds the answer or not
+	rangeRoot    // Range: from the root …
+	rangeNode    // … down toward the low bound …
+	rangeLeaf    // … then a leaf a phase along the links until a key passes the high bound
+	insertRoot   // Insert: from the root …
+	insertNode   // … one node a phase — separators fixed on the way — to the leaf, which takes the pair
+	splitAlloc   // an overfull node splits: a right sibling is allocated …
+	splitGet     // … the upper half moves an entry at a time, read from the node …
+	splitPut     // … and written to the sibling, whose header follows the last one …
+	splitHdr     // … the node's header …
+	splitSep     // … and the separator is read back from the sibling
+	insertUp     // the separator goes up a level …
+	insertParent // … into the parent, which may overflow in turn …
+	rootMin      // … or past the root: the old root's minimum key is walked down …
+	rootAlloc    // … a root page is allocated …
+	rootNew      // … and written with the two halves as its children
+)
+
+// Lookup arms op to find key's value (Val, Found).
+func (op *Op) Lookup(key uint64) { *op = Op{pc: lookupRoot, key: key, Vals: op.Vals} }
+
+// Range arms op to collect the values of every key in [lo, hi] into Vals,
+// which it empties first. Leaf links make the scan sequential.
+func (op *Op) Range(lo, hi uint64) { *op = Op{pc: rangeRoot, key: lo, hi: hi, Vals: op.Vals[:0]} }
+
+// Insert arms op to store (key, val), replacing any existing value. Node
+// splits propagate upward; a root split grows the tree.
+func (op *Op) Insert(key, val uint64) { *op = Op{pc: insertRoot, key: key, val: val, Vals: op.Vals} }
+
+// Step runs op until it is done, and reports true, or until an access
+// misses, and reports false: the caller returns workload.StepFault (ctx
+// has recorded the page) and calls Step again once the page is resident.
+func (t *Tree) Step(ctx workload.StepCtx, op *Op) bool {
 	for {
-		leaf, count, _ := t.header(ctx, page)
-		if leaf {
-			idx := t.lowerBound(ctx, page, count, key)
+		var n node
+		if page := op.at(); page >= 0 && !n.Open(ctx, t.space, page*paging.PageSize) {
+			return false
+		}
+		switch op.pc {
+		case opDone:
+			return true
+
+		case lookupRoot, rangeRoot, insertRoot:
+			op.page, op.pc = t.root, op.pc+1
+
+		case lookupNode:
+			switch leaf, count, _ := n.header(); {
+			case leaf:
+				if idx := n.lowerBound(count, op.key); idx < count {
+					if k, v := n.entry(idx); k == op.key {
+						op.Val, op.Found = v, true
+					}
+				}
+				op.pc = opDone
+			case count == 0:
+				op.pc = opDone
+			default:
+				op.page = n.childFor(count, op.key)
+			}
+
+		case rangeNode:
+			switch leaf, count, _ := n.header(); {
+			case leaf:
+				op.pc = rangeLeaf
+			case count == 0:
+				op.pc = opDone
+			default:
+				op.page = n.childFor(count, op.key)
+			}
+		case rangeLeaf:
+			_, count, next := n.header()
+			idx := n.lowerBound(count, op.key)
+			for op.page = next; idx < count; idx++ {
+				k, v := n.entry(idx)
+				if k > op.hi {
+					op.page = -1
+					break
+				}
+				op.Vals = append(op.Vals, v)
+			}
+			if op.page < 0 {
+				op.pc = opDone
+			}
+
+		case insertNode:
+			leaf, count, next := n.header()
+			if !leaf {
+				child := n.childFor(count, op.key)
+				// Keep separators correct for keys below the subtree minimum.
+				if k0, _ := n.entry(0); op.key < k0 {
+					_, c0 := n.entry(0)
+					n.setEntry(0, op.key, c0)
+				}
+				if op.depth == maxDepth {
+					panic("btree: deeper than maxDepth")
+				}
+				op.path[op.depth] = level{op.page, count}
+				op.depth++
+				op.page = child
+				continue
+			}
+			idx := n.lowerBound(count, op.key)
 			if idx < count {
-				if k, v := t.entry(ctx, page, idx); k == key {
-					return v, true
+				if k, _ := n.entry(idx); k == op.key {
+					n.setEntry(idx, op.key, op.val) // replace
+					op.pc = opDone
+					continue
 				}
 			}
-			return 0, false
+			n.shiftRight(idx, count)
+			n.setEntry(idx, op.key, op.val)
+			t.size++
+			op.settle(&n, true, count+1, next)
+
+		case splitAlloc:
+			op.right, op.s, op.pc = t.alloc(), 0, splitGet
+		case splitGet:
+			op.k, op.v = n.entry(op.count/2 + op.s)
+			op.pc = splitPut
+		case splitPut:
+			n.setEntry(op.s, op.k, op.v)
+			op.s++
+			op.pc = splitGet
+			if moved := op.count - op.count/2; op.s == moved {
+				n.setHeader(op.leaf, moved, op.next) // an internal node's next is -1
+				op.pc = splitHdr
+			}
+		case splitHdr:
+			next := int64(-1)
+			if op.leaf {
+				next = op.right
+			}
+			n.setHeader(op.leaf, op.count/2, next)
+			op.pc = splitSep
+		case splitSep:
+			op.sep, _ = n.entry(0)
+			op.pc = insertUp
+
+		case insertUp:
+			if op.depth == 0 {
+				op.root, op.page, op.pc = t.root, t.root, rootMin
+				continue
+			}
+			op.depth--
+			op.page, op.pc = op.path[op.depth].page, insertParent
+		case insertParent:
+			count := op.path[op.depth].count
+			idx := n.lowerBound(count, op.sep)
+			n.shiftRight(idx, count)
+			n.setEntry(idx, op.sep, uint64(op.right))
+			op.settle(&n, false, count+1, -1)
+
+		case rootMin:
+			leaf, count, _ := n.header()
+			if count == 0 {
+				op.rootMinKey, op.pc = 0, rootAlloc
+				continue
+			}
+			if k, v := n.entry(0); leaf {
+				op.rootMinKey, op.pc = k, rootAlloc
+			} else {
+				op.page = int64(v)
+			}
+		case rootAlloc:
+			op.page, op.pc = t.alloc(), rootNew
+		case rootNew:
+			n.setHeader(false, 2, -1)
+			n.setEntry(0, op.rootMinKey, uint64(op.root))
+			n.setEntry(1, op.sep, uint64(op.right))
+			t.root, op.pc = op.page, opDone
+
+		default:
+			panic("btree: corrupt operation")
 		}
-		if count == 0 {
-			return 0, false
-		}
-		page = t.childFor(ctx, page, count, key)
 	}
 }
 
-// Range invokes fn for every pair with lo <= key <= hi, ascending, until
-// fn returns false. Leaf links make this a sequential scan.
-func (t *Tree) Range(ctx thread, lo, hi uint64, fn func(key, val uint64) bool) {
-	page := t.root
-	for {
-		leaf, count, _ := t.header(ctx, page)
-		if leaf {
-			break
-		}
-		if count == 0 {
-			return
-		}
-		page = t.childFor(ctx, page, count, lo)
+// at returns the page the phase at op.pc opens — the split's new sibling
+// for its writes, the op's page otherwise —, or -1 for a phase that
+// accesses none.
+func (op *Op) at() int64 {
+	switch op.pc {
+	case opDone, lookupRoot, rangeRoot, insertRoot, splitAlloc, insertUp, rootAlloc:
+		return -1
+	case splitPut, splitSep:
+		return op.right
 	}
-	for page >= 0 {
-		_, count, next := t.header(ctx, page)
-		idx := t.lowerBound(ctx, page, count, lo)
-		for ; idx < count; idx++ {
-			k, v := t.entry(ctx, page, idx)
-			if k > hi {
-				return
-			}
-			if !fn(k, v) {
-				return
-			}
-		}
-		page = next
-	}
+	return op.page
 }
 
-// Insert stores (key, value), replacing any existing value. Node splits
-// propagate upward; a root split grows the tree.
-func (t *Tree) Insert(ctx thread, key, val uint64) {
-	promoted, newPage := t.insertAt(ctx, t.root, key, val)
-	if newPage < 0 {
+// settle ends an insert into n, which now holds count entries: its header
+// takes the count, or it overflowed and splits.
+func (op *Op) settle(n *node, leaf bool, count int, next int64) {
+	if count <= MaxEntries {
+		n.setHeader(leaf, count, next)
+		op.pc = opDone
 		return
 	}
-	// Root split: new root with two children.
-	oldRoot := t.root
-	oldMin := t.minKey(ctx, oldRoot)
-	root := t.alloc()
-	t.setHeader(ctx, root, false, 2, -1)
-	t.setEntry(ctx, root, 0, oldMin, uint64(oldRoot))
-	t.setEntry(ctx, root, 1, promoted, uint64(newPage))
-	t.root = root
-}
-
-// minKey returns the smallest key reachable from page.
-func (t *Tree) minKey(ctx thread, page int64) uint64 {
-	for {
-		leaf, count, _ := t.header(ctx, page)
-		if count == 0 {
-			return 0
-		}
-		k, v := t.entry(ctx, page, 0)
-		if leaf {
-			return k
-		}
-		_ = k
-		page = int64(v)
-	}
-}
-
-// insertAt inserts into the subtree rooted at page. On split it returns
-// the promoted separator key and the new right-sibling page; otherwise
-// newPage is -1.
-func (t *Tree) insertAt(ctx thread, page int64, key, val uint64) (promoted uint64, newPage int64) {
-	leaf, count, next := t.header(ctx, page)
-	if leaf {
-		idx := t.lowerBound(ctx, page, count, key)
-		if idx < count {
-			if k, _ := t.entry(ctx, page, idx); k == key {
-				t.setEntry(ctx, page, idx, key, val) // replace
-				return 0, -1
-			}
-		}
-		t.shiftRight(ctx, page, idx, count)
-		t.setEntry(ctx, page, idx, key, val)
-		count++
-		t.size++
-		if count <= MaxEntries {
-			t.setHeader(ctx, page, true, count, next)
-			return 0, -1
-		}
-		return t.split(ctx, page, true, count, next)
-	}
-
-	child := t.childFor(ctx, page, count, key)
-	// Keep separators correct for keys below the subtree minimum.
-	if k0, _ := t.entry(ctx, page, 0); key < k0 {
-		_, c0 := t.entry(ctx, page, 0)
-		t.setEntry(ctx, page, 0, key, c0)
-	}
-	pk, np := t.insertAt(ctx, child, key, val)
-	if np < 0 {
-		return 0, -1
-	}
-	idx := t.lowerBound(ctx, page, count, pk)
-	t.shiftRight(ctx, page, idx, count)
-	t.setEntry(ctx, page, idx, pk, uint64(np))
-	count++
-	if count <= MaxEntries {
-		t.setHeader(ctx, page, false, count, -1)
-		return 0, -1
-	}
-	return t.split(ctx, page, false, count, -1)
-}
-
-// shiftRight opens a slot at idx in a node holding count entries.
-func (t *Tree) shiftRight(ctx thread, page int64, idx, count int) {
-	for s := count; s > idx; s-- {
-		k, v := t.entry(ctx, page, s-1)
-		t.setEntry(ctx, page, s, k, v)
-	}
-}
-
-// split moves the upper half of an overfull node into a fresh page and
-// returns the promoted separator.
-func (t *Tree) split(ctx thread, page int64, leaf bool, count int, next int64) (uint64, int64) {
-	right := t.alloc()
-	half := count / 2
-	moved := count - half
-	for s := 0; s < moved; s++ {
-		k, v := t.entry(ctx, page, half+s)
-		t.setEntry(ctx, right, s, k, v)
-	}
-	if leaf {
-		t.setHeader(ctx, right, true, moved, next)
-		t.setHeader(ctx, page, true, half, right)
-	} else {
-		t.setHeader(ctx, right, false, moved, -1)
-		t.setHeader(ctx, page, false, half, -1)
-	}
-	sep, _ := t.entry(ctx, right, 0)
-	return sep, right
+	op.leaf, op.count, op.next, op.pc = leaf, count, next, splitAlloc
 }

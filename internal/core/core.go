@@ -284,23 +284,24 @@ func NewSystem(cfg Config) *System {
 }
 
 // Start launches the scheduler (dispatcher + workers) for a direct-style
-// handler, which runs on workload.Blocking, and the pinned reclaimer
-// thread.
+// handler, which runs on workload.Blocking — the adapter tests and ad hoc
+// handlers use; no app this repository builds needs it — and the pinned
+// reclaimer thread.
 func (sys *System) Start(handler workload.Handler) {
 	sys.start(workload.NewBlocking(sys.Env, handler))
 }
 
-// StartApp launches the scheduler for app: on its native step handler
-// when it has one (workload.StepApp), on workload.Blocking over its
-// direct-style handler otherwise (TPC-C alone, today). The choice follows
-// from what the app is, never from the configuration; either way every
-// request executes on the worker cores' one step machine.
+// StartApp launches the scheduler for app on its native step handler:
+// every app this repository builds is a workload.StepApp, so every
+// request runs on the worker cores' step machine with no stack of its
+// own. An app without one is a programming error; start its Handler with
+// Start.
 func (sys *System) StartApp(app workload.App) {
-	if sa, ok := app.(workload.StepApp); ok {
-		sys.start(sa.StepHandler())
-		return
+	sa, ok := app.(workload.StepApp)
+	if !ok {
+		panic(fmt.Sprintf("core: app %s has no step handler (start its Handler with Start)", app.Name()))
 	}
-	sys.Start(app.Handler())
+	sys.start(sa.StepHandler())
 }
 
 func (sys *System) start(stepH workload.StepHandler) {

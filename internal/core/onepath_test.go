@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"hash/fnv"
 	"reflect"
 	"runtime"
@@ -124,8 +125,10 @@ func TestBlockingMatchesNativeWithAborts(t *testing.T) {
 	}
 }
 
-// buildTPCC assembles a small TPC-C system at 20 % local memory.
-func buildTPCC(mode Mode) (*System, *tpcc.DB) {
+// buildTPCC assembles a small TPC-C system at 20 % local memory, on the
+// native stepper or — direct-style, the stepper under workload.Direct —
+// on the coroutine adapter.
+func buildTPCC(mode Mode, native bool) (*System, *tpcc.DB) {
 	cfg := tpcc.DefaultConfig(1)
 	cfg.CustomersPerDistrict = 300
 	cfg.ItemCount = 5000
@@ -136,14 +139,19 @@ func buildTPCC(mode Mode) (*System, *tpcc.DB) {
 	sys := NewSystem(Preset(mode, size/5))
 	db := tpcc.New(sys.Env, sys.Mgr, sys.Mem, cfg)
 	db.WarmCache()
-	sys.StartApp(db)
+	if native {
+		sys.StartApp(db)
+	} else {
+		sys.Start(db.Handler())
+	}
 	return sys, db
 }
 
 // No sim.Proc exists in any assembled system's run, whatever the mode
-// and whichever form the app's handler has: nothing parks, and TPC-C —
-// locks, Block waits, B-tree descents and all — runs on coroutines its
-// worker cores resume, which are not processes.
+// and whichever form the app's handler has: nothing parks, TPC-C — locks,
+// Block waits, B-tree descents and all — runs as native steps, and a
+// direct-style handler runs on coroutines its worker cores resume, which
+// are not processes.
 func TestNoProcInAnySystemRun(t *testing.T) {
 	check := func(name string, sys *System, app workload.App, rps float64, wantSwitches bool) {
 		t.Helper()
@@ -164,8 +172,10 @@ func TestNoProcInAnySystemRun(t *testing.T) {
 		check("micro/"+mode.String(), sys, app, 500_000, false)
 	}
 	for _, mode := range []Mode{Adios, DiLOSP} {
-		sys, db := buildTPCC(mode)
-		check("tpcc/"+mode.String(), sys, db, 100_000, true)
+		for _, native := range []bool{true, false} {
+			sys, db := buildTPCC(mode, native)
+			check(fmt.Sprintf("tpcc/%v/native=%v", mode, native), sys, db, 100_000, !native)
+		}
 	}
 }
 
@@ -184,12 +194,12 @@ func settledGoroutines() int {
 }
 
 // A run cut by its horizon with requests suspended mid-handler — TPC-C
-// at 200 KRPS, transactions parked on faults and district locks — leaves
-// no goroutine behind: the environment's teardown unwinds every
-// suspended handler and stops the pool.
+// direct-style at 200 KRPS, transactions parked on faults and district
+// locks — leaves no goroutine behind: the environment's teardown unwinds
+// every suspended handler and stops the pool.
 func TestHorizonCutLeavesNoGoroutine(t *testing.T) {
 	before := settledGoroutines()
-	sys, db := buildTPCC(Adios)
+	sys, db := buildTPCC(Adios, false)
 	horizon := sim.Millis(3)
 	loadgen.Start(sys.Env, sys.Net, db, 200_000, 0, 2*horizon)
 	mid := 0

@@ -1,57 +1,11 @@
-package faults
+package faults_test
 
-import "testing"
+import (
+	"testing"
 
-// FuzzParseSpec fuzzes the -faults grammar. Properties: ParseSpec never
-// panics, and any accepted spec round-trips — its canonical String()
-// form re-parses to the identical plan with an identical rendering.
-// This is what lets logs and CSV series keys stand in for the plan.
-func FuzzParseSpec(f *testing.F) {
-	for _, seed := range []string{
-		"",
-		"wr=0.01",
-		"wr=0.01,rnr=0.005:20us,link=300us:50us:4,mem=800us:100us",
-		"node=2,mem=25ms:100us",
-		"rnr=0.1:4000",
-		"link=1.5ms:50us:2.5,seed=7",
-		"mem=1s:250µs",
-		"wr=1e-3,node=0,seed=-9223372036854775808",
-		"link=1e14:1:1.0000000000000002",
-		"zap=1",
-		"wr=NaN",
-		"mem=Inf:1us",
-		"crash=5ms:node=1",
-		"crash=1ms,rejoin=2ms",
-		"crash=250us",
-		"crash=5ms:node=x",
-		"crash=5ms:node=-1",
-		"rejoin=1ms",
-		"crash=2ms,rejoin=1ms",
-		"crash=1e16",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		cfg, err := ParseSpec(spec)
-		if err != nil {
-			return
-		}
-		canon := cfg.String()
-		again, err := ParseSpec(canon)
-		if cfg.Enabled() || cfg.NodeSet || cfg.Seed != 0 {
-			if err != nil {
-				t.Fatalf("canonical form %q of %q does not parse: %v", canon, spec, err)
-			}
-			if again != cfg {
-				t.Fatalf("round trip of %q: %+v != %+v (canonical %q)", spec, again, cfg, canon)
-			}
-			if again.String() != canon {
-				t.Fatalf("canonical form not a fixed point: %q -> %q", canon, again.String())
-			}
-		} else if canon != "none" {
-			// A plan that injects nothing and carries no node/seed
-			// renders as the disabled plan.
-			t.Fatalf("inert plan %+v renders %q", cfg, canon)
-		}
-	})
-}
+	"repro/internal/spec/spectest"
+)
+
+// FuzzParseSpec is spec's fuzz target (both grammars, one seed list) under
+// this package's name, which keeps running its corpus in testdata/fuzz.
+func FuzzParseSpec(f *testing.F) { spectest.FuzzParseSpec(f) }

@@ -331,11 +331,12 @@ func (h stepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) 
 			f.W[wCount]++
 			f.PC = stProbe
 		case stItem:
-			var ok bool
-			if f.W[wItem], ok = workload.TryLoadU64(ctx, s.index, int64(f.W[wIdx])*s.slotSize+slotHeader+keyArea); !ok {
+			off := int64(f.W[wIdx])*s.slotSize + slotHeader + keyArea
+			var p workload.Page
+			if !p.Open(ctx, s.index, off) {
 				return nil, 0, 0, workload.StepFault
 			}
-			f.PC = stValue
+			f.W[wItem], f.PC = p.U64(0), stValue
 
 		case stValue:
 			val := workload.Scratch(&m.val, cfg.ValueSize)

@@ -1,50 +1,11 @@
-package migrate
+package migrate_test
 
-import "testing"
+import (
+	"testing"
 
-// FuzzParseSpec fuzzes the -migrate grammar. Properties: ParseSpec
-// never panics, and any accepted spec round-trips — its canonical
-// String() form re-parses to the identical config with an identical
-// rendering. Mirrors the -faults grammar fuzzer; the shared property is
-// what lets the rebalance CSV's migrate column stand in for the plan.
-func FuzzParseSpec(f *testing.F) {
-	for _, seed := range []string{
-		"",
-		"off",
-		"on",
-		"epoch=50us,hot=8,bw=0.25",
-		"epoch=100us,hot=4,bw=0.5,imb=1.3,max=64,min=64",
-		"epoch=1.5ms",
-		"epoch=2s",
-		"epoch=4000",
-		"epoch=20µs",
-		"imb=1.0000000000000002",
-		"bw=1e14",
-		"bw=NaN",
-		"hot=-1",
-		"zap=1",
-		"off,hot=2",
-		"on,on,on",
-		"epoch=1e16",
-		"min=0,max=0",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		cfg, err := ParseSpec(spec)
-		if err != nil {
-			return
-		}
-		canon := cfg.String()
-		again, err := ParseSpec(canon)
-		if err != nil {
-			t.Fatalf("canonical form %q of %q does not parse: %v", canon, spec, err)
-		}
-		if again != cfg {
-			t.Fatalf("round trip of %q: %+v != %+v (canonical %q)", spec, again, cfg, canon)
-		}
-		if again.String() != canon {
-			t.Fatalf("canonical form not a fixed point: %q -> %q", canon, again.String())
-		}
-	})
-}
+	"repro/internal/spec/spectest"
+)
+
+// FuzzParseSpec is spec's fuzz target (both grammars, one seed list) under
+// this package's name.
+func FuzzParseSpec(f *testing.F) { spectest.FuzzParseSpec(f) }

@@ -406,11 +406,19 @@ func (mg *Migrator) Next() (paging.RehomeJob, bool) {
 	return paging.RehomeJob{}, false
 }
 
-// Ready holds the landing while the page has a fetch or write-back in
-// flight, so a demand fetch can never read the old copy after the flip
-// — which is exactly what the generation oracle checks — and drops the
-// job if the world moved while the copy was in flight.
+// Ready drops the job when another engine — crash repair, restoring a
+// lost replica — is copying the same page to the same node, since
+// landing both would put two slots on one node: repair goes first, and a
+// page still hot is planned again at a later epoch. It holds the landing
+// while the page has a fetch or write-back in flight, so a demand fetch
+// can never read the old copy after the flip — which is exactly what the
+// generation oracle checks — and drops the job if the world moved while
+// the copy was in flight.
 func (mg *Migrator) Ready(j paging.RehomeJob) paging.Landing {
+	if mg.Rivals(j.Space, j.VPN)&(1<<uint(j.Dst)) != 0 {
+		mg.drop(j)
+		return paging.LandNever
+	}
 	if j.Space.InFlight(j.VPN) {
 		mg.Deferred.Inc()
 		return paging.LandLater

@@ -241,10 +241,17 @@ func (e *Rehomer) land() {
 
 // mirrorMask returns the destination bit of any re-home copy of (s, vpn)
 // in flight, for the reclaimer's write-back fan-out.
-func (m *Manager) mirrorMask(s *Space, vpn int64) uint64 {
+func (m *Manager) mirrorMask(s *Space, vpn int64) uint64 { return m.copies(s, vpn, nil) }
+
+// Rivals returns the destination bits of the copies of (s, vpn) in flight
+// on the manager's other engines: an owner-set change of the same page
+// that another planner may land first. Planners consult it in Ready.
+func (e *Rehomer) Rivals(s *Space, vpn int64) uint64 { return e.m.copies(s, vpn, e) }
+
+func (m *Manager) copies(s *Space, vpn int64, except *Rehomer) uint64 {
 	var mask uint64
 	for _, e := range m.rehomers {
-		if e.state >= rhRead && e.job.Space == s && e.job.VPN == vpn {
+		if e != except && e.state >= rhRead && e.job.Space == s && e.job.VPN == vpn {
 			mask |= 1 << uint(e.job.Dst)
 		}
 	}

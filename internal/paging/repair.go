@@ -113,8 +113,16 @@ func (r *Repairer) plan(j RehomeJob) (src, dst int) {
 	return -1, -1
 }
 
-// Ready lands every durable copy at once.
-func (r *Repairer) Ready(RehomeJob) Landing { return Land }
+// Ready lands a durable copy at once — unless another engine (migration)
+// is copying the same page to the same node, whose landing would put two
+// slots on one node: it waits, and the migrator, which yields a page to
+// repair, drops its copy at its own Ready.
+func (r *Repairer) Ready(j RehomeJob) Landing {
+	if r.Rivals(j.Space, j.VPN)&(1<<uint(j.Dst)) != 0 {
+		return LandLater
+	}
+	return Land
+}
 
 // Keep re-plans the job after any error: the endpoint that failed may
 // itself have died, and the next plan routes around it.

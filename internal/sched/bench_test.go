@@ -73,9 +73,10 @@ func (s rtStep) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (
 		return nil, 0, 0, workload.StepProbe
 	case 2:
 		base := payload.(*rtPayload).off
+		var p workload.Page
 		for j := int64(f.W[0]); j < rtFaults; j++ {
 			f.W[0] = uint64(j)
-			if _, ok := workload.TryLoadU64(ctx, s.a.space, (base+j*rtStride)%rtSpanBytes); !ok {
+			if !p.Open(ctx, s.a.space, (base+j*rtStride)%rtSpanBytes) {
 				return nil, 0, 0, workload.StepFault
 			}
 		}

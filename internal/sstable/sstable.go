@@ -327,11 +327,11 @@ func (h stepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) 
 			return nil, 0, cfg.ParseCost / 4, workload.StepCompute
 		case stIndexKey:
 			mid := (f.W[wLo] + f.W[wHi]) >> 1
-			v, ok := workload.TryLoadU64(ctx, t.indexSpace, int64(mid)*8)
-			if !ok {
+			var p workload.Page
+			if !p.Open(ctx, t.indexSpace, int64(mid)*8) {
 				return nil, 0, 0, workload.StepFault
 			}
-			if v >= m.Key {
+			if p.U64(0) >= m.Key {
 				f.W[wHi] = mid
 			} else {
 				f.W[wLo] = mid + 1

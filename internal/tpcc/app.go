@@ -15,7 +15,8 @@ var Mix = struct {
 
 // Tx is the one message record of a transaction: Class names which of
 // the five inputs NextRequest filled (and is the request's latency
-// class), and the handler puts that transaction's response beside it.
+// class), and the handler puts that transaction's response beside it,
+// keeping what it needs between steps in run.
 type Tx struct {
 	Class string
 
@@ -31,15 +32,82 @@ type Tx struct {
 	DeliveryResp    DeliveryResp
 	StockLevelResp  StockLevelResp
 
-	lines [15]NewOrderLine // backs NewOrder.Lines
+	lines [maxLines]NewOrderLine // backs NewOrder.Lines
+	run   *txRun                 // kept across recycles (step.go)
 }
+
+// NewOrderLine is one item of a NewOrder request.
+type NewOrderLine struct{ Item, Qty uint32 }
+
+// NewOrderReq is the New-Order transaction input.
+type NewOrderReq struct {
+	W, D, C int
+	Lines   []NewOrderLine
+	// Invalid simulates TPC-C's 1% unused-item-number rule: the
+	// transaction aborts after the item lookup fails.
+	Invalid bool
+}
+
+// NewOrderResp reports the created order.
+type NewOrderResp struct {
+	OID     int32
+	TotalC  uint64 // total amount in cents, pre-tax
+	Aborted bool
+}
+
+// PaymentReq is the Payment transaction input. With ByName set the
+// customer is selected through the by-last-name index (60% of Payments,
+// clause 2.5.2.2) and C is ignored.
+type PaymentReq struct {
+	W, D, C  int
+	ByName   bool
+	LastName int
+	AmountC  uint64 // cents
+}
+
+// PaymentResp reports the customer's new balance.
+type PaymentResp struct{ BalanceC int64 }
+
+// OrderStatusReq is the Order-Status transaction input. ByName selects
+// the customer via the by-last-name index (60% of requests).
+type OrderStatusReq struct {
+	W, D, C  int
+	ByName   bool
+	LastName int
+}
+
+// OrderStatusResp reports the customer's last order.
+type OrderStatusResp struct {
+	Found    bool
+	OID      int32
+	Lines    int
+	BalanceC int64
+}
+
+// DeliveryReq is the Delivery transaction input.
+type DeliveryReq struct {
+	W       int
+	Carrier uint32
+}
+
+// DeliveryResp reports how many districts had an order to deliver.
+type DeliveryResp struct{ Delivered int }
+
+// StockLevelReq is the Stock-Level transaction input.
+type StockLevelReq struct {
+	W, D      int
+	Threshold uint32
+}
+
+// StockLevelResp reports the low-stock count.
+type StockLevelResp struct{ Low int }
 
 // NextRequest implements workload.App: draw a transaction per the mix,
 // with TPC-C's NURand customer/item selection and the 1% invalid-item
 // rule for New-Orders.
 func (db *DB) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 	tx := workload.Record[Tx](reuse)
-	*tx = Tx{}
+	*tx = Tx{run: tx.run}
 	w := rng.Intn(db.cfg.Warehouses)
 	d := rng.Intn(districtsPerW)
 	r := rng.Float64()
@@ -59,8 +127,7 @@ func (db *DB) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 		c := nurand(rng, 1023, db.nurandCCust, 0, db.cfg.CustomersPerDistrict-1)
 		req := PaymentReq{W: w, D: d, C: c, AmountC: uint64(100 + rng.Intn(500000))}
 		if rng.Bool(0.6) { // clause 2.5.2.2: 60% select by last name
-			req.ByName = true
-			req.LastName = nurand(rng, 255, db.nurandCCust&255, 0, 999)
+			req.ByName, req.LastName = true, nurand(rng, 255, db.nurandCCust&255, 0, 999)
 		}
 		tx.Class, tx.Payment = "Payment", req
 		return tx, 96
@@ -68,8 +135,7 @@ func (db *DB) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 		c := nurand(rng, 1023, db.nurandCCust, 0, db.cfg.CustomersPerDistrict-1)
 		req := OrderStatusReq{W: w, D: d, C: c}
 		if rng.Bool(0.6) {
-			req.ByName = true
-			req.LastName = nurand(rng, 255, db.nurandCCust&255, 0, 999)
+			req.ByName, req.LastName = true, nurand(rng, 255, db.nurandCCust&255, 0, 999)
 		}
 		tx.Class, tx.OrderStatus = "OrderStatus", req
 	case r < Mix.NewOrder+Mix.Payment+Mix.OrderStatus+Mix.Delivery:
@@ -80,28 +146,11 @@ func (db *DB) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 	return tx, 64
 }
 
-// Handler implements workload.App: the response goes into the request's
-// own record.
-func (db *DB) Handler() workload.Handler {
-	return func(ctx workload.Ctx, payload any) (any, int) {
-		tx, respBytes := payload.(*Tx), 64
-		switch tx.Class {
-		case "NewOrder":
-			tx.NewOrderResp, respBytes = db.NewOrder(ctx, tx.NewOrder), 96
-		case "Payment":
-			tx.PaymentResp = db.Payment(ctx, tx.Payment)
-		case "OrderStatus":
-			tx.OrderStatusResp, respBytes = db.OrderStatus(ctx, tx.OrderStatus), 96
-		case "Delivery":
-			tx.DeliveryResp = db.Delivery(ctx, tx.Delivery)
-		case "StockLevel":
-			tx.StockLevelResp = db.StockLevel(ctx, tx.StockLevel)
-		default:
-			panic(fmt.Sprintf("tpcc: unknown transaction %q", tx.Class))
-		}
-		return tx, respBytes
-	}
-}
+// Handler implements workload.App: the stepper under a blocking context.
+func (db *DB) Handler() workload.Handler { return workload.Direct(stepper{db}) }
+
+// StepHandler implements workload.StepApp.
+func (db *DB) StepHandler() workload.StepHandler { return stepper{db} }
 
 // Classify labels transactions for per-class latency reporting.
 func (db *DB) Classify(payload any) string { return payload.(*Tx).Class }

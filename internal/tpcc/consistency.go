@@ -3,6 +3,8 @@ package tpcc
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/paging"
 )
 
 // CheckConsistency audits the TPC-C consistency conditions that must
@@ -11,28 +13,18 @@ import (
 // It reads the database directly (frames or backing store), bypassing
 // simulated timing, so it can run after a simulation completes.
 func (db *DB) CheckConsistency() error {
-	read64 := func(sp interface {
-		ReadDirect(off int64, buf []byte)
-	}, off int64) uint64 {
+	read64 := func(sp *paging.Space, off int64) uint64 { // a u32 field is its low half
 		var b [8]byte
 		sp.ReadDirect(off, b[:])
 		return binary.LittleEndian.Uint64(b[:])
 	}
-	read32 := func(sp interface {
-		ReadDirect(off int64, buf []byte)
-	}, off int64) uint32 {
-		var b [4]byte
-		sp.ReadDirect(off, b[:])
-		return binary.LittleEndian.Uint32(b[:])
-	}
-
 	for w := 0; w < db.cfg.Warehouses; w++ {
 		wYtd := read64(db.warehouse, db.wOff(w)+fWYtd)
 		var dSum uint64
 		for d := 0; d < districtsPerW; d++ {
 			dSum += read64(db.district, db.dOff(w, d)+fDYtd)
 
-			next := read32(db.district, db.dOff(w, d)+fDNextOID)
+			next := uint32(read64(db.district, db.dOff(w, d)+fDNextOID))
 			if int(next) < db.cfg.InitialOrders {
 				return fmt.Errorf("tpcc: W%d D%d next order id %d below initial %d",
 					w, d, next, db.cfg.InitialOrders)

@@ -22,7 +22,6 @@ import (
 	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Record strides (bytes), padded from the TPC-C row sizes.
@@ -51,11 +50,9 @@ type Config struct {
 	// OrderCapacity bounds per-district order slots (initial + new).
 	OrderCapacity int
 
-	// RecordCost is the CPU charge per record access; LineCost per order
-	// line processed.
-	RecordCost sim.Time
-	LineCost   sim.Time
-	ParseCost  sim.Time
+	// RecordCost is the CPU charge per record access, LineCost per order
+	// line processed and ParseCost per request parsed.
+	RecordCost, LineCost, ParseCost sim.Time
 }
 
 // DefaultConfig returns a TPC-C database with the given warehouse count.
@@ -93,58 +90,53 @@ type DB struct {
 	// to its most recent order id (the Order-Status index). Both are
 	// paged B+trees, so index traversals fault like Silo's Masstree
 	// would over disaggregated memory.
-	byName *btree.Tree
-	byCust *btree.Tree
+	byName, byCust *btree.Tree
 
-	// custLock serializes byCust writers: B+tree inserts are not safe
+	// In-core superblock state. locks holds one per district and, last,
+	// custLock, serializing byCust writers: B+tree inserts are not safe
 	// under concurrent structural modification (Silo's Masstree uses
-	// per-node latches; a single writer lock suffices at TPC-C's insert
-	// rate). Readers tolerate concurrent inserts (worst case a transient
-	// miss, read-committed semantics).
-	custLock mutex
-
-	// In-core superblock state.
-	locks       []mutex // one per district
+	// per-node latches). Readers tolerate concurrent inserts (at worst a
+	// transient miss, read-committed semantics).
+	locks       []mutex
+	custLock    int
 	nextDeliver []int32 // per district: oldest undelivered order id
 	histCursor  []int32 // per district: next history slot
 
-	// Aborts counts transactions aborted by TPC-C's 1% invalid-item rule;
-	// NameMisses counts by-last-name lookups that matched no customer.
-	Aborts     stats.Counter
-	NameMisses stats.Counter
-	// Conflicts counts lock waits (contention indicator).
-	Conflicts stats.Counter
+	// Aborts counts New-Orders aborted (an unused item, TPC-C's 1% rule,
+	// or a full order table); NameMisses, by-last-name lookups that
+	// matched no customer; Conflicts, lock waits (contention indicator).
+	Aborts, NameMisses, Conflicts stats.Counter
 
-	nurandCCust int
-	nurandCItem int
+	nurandCCust, nurandCItem int
 }
 
-// mutex is a scheduler-cooperative lock: waiters block through
-// workload.Ctx.Block, so under Adios a lock wait yields the core (the
-// unithread way) and under busy-wait systems it spins — never wedging
-// the worker whose unithread holds the lock.
+// mutex is a scheduler-cooperative lock: a waiter hands enqueue its wake
+// through workload.StepCtx.Block, so under Adios a lock wait yields the
+// core (the unithread way) and under busy-wait systems it spins — never
+// wedging the worker whose request holds the lock. Which locks a request
+// holds is in its step frame (step.go).
 type mutex struct {
 	held    bool
 	waiters []func()
+	enqueue func(wake func()) // bound once (newMutexes): a wait allocates nothing
 }
 
-func (m *mutex) lock(ctx workload.Ctx, contended *stats.Counter) {
-	for m.held {
-		contended.Inc()
-		ctx.Block(func(wake func()) { m.waiters = append(m.waiters, wake) })
+// newMutexes returns n free mutexes.
+func newMutexes(n int) []mutex {
+	ms := make([]mutex, n)
+	for i := range ms {
+		m := &ms[i]
+		m.enqueue = func(wake func()) { m.waiters = append(m.waiters, wake) }
 	}
-	m.held = true
-	// Holding a lock disables preemption (lest the holder be parked
-	// behind the central queue while contenders spin — convoy collapse).
-	ctx.CriticalEnter()
+	return ms
 }
 
-func (m *mutex) unlock(ctx workload.Ctx) {
-	ctx.CriticalExit()
+// release frees m and wakes its first waiter, whose lock phase runs again.
+func (m *mutex) release() {
 	m.held = false
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		m.waiters = m.waiters[:copy(m.waiters, m.waiters[1:])]
 		w()
 	}
 }
@@ -198,44 +190,36 @@ func New(env *sim.Env, mgr *paging.Manager, node memnode.Allocator, cfg Config) 
 	db.history = alloc(7, "history")
 
 	D := cfg.Warehouses * districtsPerW
-	db.locks = make([]mutex, D)
-	db.nextDeliver = make([]int32, D)
-	db.histCursor = make([]int32, D)
+	db.locks, db.custLock = newMutexes(D+1), D
+	db.nextDeliver, db.histCursor = make([]int32, D), make([]int32, D)
 	db.byName = btree.New(mgr, node, "tpcc/byname", idxPages)
 	db.byCust = btree.New(mgr, node, "tpcc/bycust", idxPages*2)
 
 	// NURand constants are chosen once per database, per the spec.
 	rng := sim.NewRNG(12345)
-	db.nurandCCust = rng.Intn(1024)
-	db.nurandCItem = rng.Intn(8192)
+	db.nurandCCust, db.nurandCItem = rng.Intn(1024), rng.Intn(8192)
 
 	db.populate(rng)
 	return db
 }
 
-// Offsets.
-func (db *DB) wOff(w int) int64 { return int64(w) * warehouseSize }
-func (db *DB) dIdx(w, d int) int64 {
-	return int64(w)*districtsPerW + int64(d)
-}
+// Record indexes and offsets. An order's row, lines and history slot share
+// its index, oIdx.
+func (db *DB) wOff(w int) int64    { return int64(w) * warehouseSize }
+func (db *DB) dIdx(w, d int) int64 { return int64(w)*districtsPerW + int64(d) }
 func (db *DB) dOff(w, d int) int64 { return db.dIdx(w, d) * districtSize }
 func (db *DB) cIdx(w, d, c int) int64 {
 	return db.dIdx(w, d)*int64(db.cfg.CustomersPerDistrict) + int64(c)
 }
 func (db *DB) cOff(w, d, c int) int64 { return db.cIdx(w, d, c) * customerSize }
 func (db *DB) iOff(i int) int64       { return int64(i) * itemSize }
-func (db *DB) sOff(w, i int) int64 {
-	return (int64(w)*int64(db.cfg.ItemCount) + int64(i)) * stockSize
-}
-func (db *DB) oOff(w, d, o int) int64 {
-	return (db.dIdx(w, d)*int64(db.cfg.OrderCapacity) + int64(o)) * orderSize
-}
+func (db *DB) sOff(w, i int) int64    { return (int64(w)*int64(db.cfg.ItemCount) + int64(i)) * stockSize }
+func (db *DB) oIdx(w, d, o int) int64 { return db.dIdx(w, d)*int64(db.cfg.OrderCapacity) + int64(o) }
+func (db *DB) oOff(w, d, o int) int64 { return db.oIdx(w, d, o) * orderSize }
 func (db *DB) olOff(w, d, o, l int) int64 {
-	return ((db.dIdx(w, d)*int64(db.cfg.OrderCapacity)+int64(o))*maxLines + int64(l)) * orderLineSize
+	return (db.oIdx(w, d, o)*maxLines + int64(l)) * orderLineSize
 }
-func (db *DB) hOff(w, d, h int) int64 {
-	return (db.dIdx(w, d)*int64(db.cfg.OrderCapacity) + int64(h)) * historySize
-}
+func (db *DB) hOff(w, d, h int) int64 { return db.oIdx(w, d, h) * historySize }
 
 // Field offsets within records (all little-endian u32/u64).
 const (
@@ -275,10 +259,8 @@ const (
 func (db *DB) populate(rng *sim.RNG) {
 	W := db.cfg.Warehouses
 	C := int64(W) * districtsPerW * int64(db.cfg.CustomersPerDistrict)
-	lastOrderSeed := make([]int64, C)
-	for i := range lastOrderSeed {
-		lastOrderSeed[i] = -1
-	}
+	lastOrder := make([]int64, C)  // per customer: its last initial order + 1, or 0
+	initialBalance := int64(-1000) // C_BALANCE = -$10.00
 	put32 := func(sp *paging.Space, off int64, v uint32) {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], v)
@@ -304,10 +286,8 @@ func (db *DB) populate(rng *sim.RNG) {
 			put64(db.district, db.dOff(w, d)+fDYtd, 30_000_000) // $30k
 			put32(db.district, db.dOff(w, d)+fDTax, uint32(rng.Intn(2001)))
 			for c := 0; c < db.cfg.CustomersPerDistrict; c++ {
-				off := db.cOff(w, d, c)
-				initialBalance := int64(-1000) // C_BALANCE = -$10.00
-				put64(db.customer, off+fCBalance, uint64(initialBalance))
-				put32(db.customer, off+fCDiscount, uint32(rng.Intn(5001)))
+				put64(db.customer, db.cOff(w, d, c)+fCBalance, uint64(initialBalance))
+				put32(db.customer, db.cOff(w, d, c)+fCDiscount, uint32(rng.Intn(5001)))
 			}
 			for o := 0; o < db.cfg.InitialOrders; o++ {
 				cID := o % db.cfg.CustomersPerDistrict // one order per customer, permuted trivially
@@ -326,10 +306,9 @@ func (db *DB) populate(rng *sim.RNG) {
 					put64(db.orderLine, db.olOff(w, d, o, l)+fOLAmount, uint64(rng.Intn(999900)+1))
 					put32(db.orderLine, db.olOff(w, d, o, l)+fOLSupply, uint32(w))
 				}
-				lastOrderSeed[db.cIdx(w, d, cID)] = int64(o)
+				lastOrder[db.cIdx(w, d, cID)] = int64(o) + 1
 			}
-			dIdx := db.dIdx(w, d)
-			db.nextDeliver[dIdx] = int32(db.cfg.InitialOrders * 7 / 10)
+			db.nextDeliver[db.dIdx(w, d)] = int32(db.cfg.InitialOrders * 7 / 10)
 		}
 	}
 
@@ -354,12 +333,11 @@ func (db *DB) populate(rng *sim.RNG) {
 	db.byName.BulkLoad(nameKeys, nameVals)
 
 	var custKeys, custVals []uint64
-	for cIdx := int64(0); cIdx < C; cIdx++ {
-		if lastOrderSeed[cIdx] < 0 {
-			continue
+	for cIdx, last := range lastOrder {
+		if last > 0 {
+			custKeys = append(custKeys, uint64(cIdx))
+			custVals = append(custVals, uint64(last-1))
 		}
-		custKeys = append(custKeys, uint64(cIdx))
-		custVals = append(custVals, uint64(lastOrderSeed[cIdx]))
 	}
 	db.byCust.BulkLoad(custKeys, custVals)
 }

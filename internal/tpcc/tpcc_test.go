@@ -45,6 +45,13 @@ func (t *ctxThread) WaitPage(s *paging.Space, vpn int64) {
 	}
 }
 
+// exec runs tx through the stepper — the app's Handler, which is
+// workload.Direct over it — and returns it answered.
+func exec(ctx workload.Ctx, db *DB, tx Tx) *Tx {
+	db.Handler()(ctx, &tx)
+	return &tx
+}
+
 // smallConfig shrinks TPC-C to test scale while keeping the schema.
 func smallConfig() Config {
 	cfg := DefaultConfig(2)
@@ -103,7 +110,7 @@ func TestNewOrderCreatesConsistentOrder(t *testing.T) {
 		db := r.db
 		lines := []NewOrderLine{{Item: 3, Qty: 2}, {Item: 77, Qty: 5}, {Item: 240, Qty: 1}}
 		before := db.get32(ctx, db.district, db.dOff(1, 4)+fDNextOID)
-		resp := db.NewOrder(ctx, NewOrderReq{W: 1, D: 4, C: 7, Lines: lines})
+		resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 4, C: 7, Lines: lines}}).NewOrderResp
 		if resp.Aborted {
 			t.Error("unexpected abort")
 			return
@@ -132,7 +139,7 @@ func TestNewOrderCreatesConsistentOrder(t *testing.T) {
 			t.Errorf("line sum %d != total %d", sum, resp.TotalC)
 		}
 		// The customer's last order is indexed for OrderStatus.
-		st := db.OrderStatus(ctx, OrderStatusReq{W: 1, D: 4, C: 7})
+		st := exec(ctx, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 4, C: 7}}).OrderStatusResp
 		if !st.Found || st.OID != resp.OID || st.Lines != 3 {
 			t.Errorf("order status = %+v", st)
 		}
@@ -145,8 +152,8 @@ func TestInvalidNewOrderRollsBack(t *testing.T) {
 		db := r.db
 		before := db.get32(ctx, db.district, db.dOff(0, 0)+fDNextOID)
 		sBefore := db.get32(ctx, db.stock, db.sOff(0, 5)+fSQuantity)
-		resp := db.NewOrder(ctx, NewOrderReq{W: 0, D: 0, C: 1,
-			Lines: []NewOrderLine{{Item: 5, Qty: 3}}, Invalid: true})
+		resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: 1,
+			Lines: []NewOrderLine{{Item: 5, Qty: 3}}, Invalid: true}}).NewOrderResp
 		if !resp.Aborted {
 			t.Error("invalid order did not abort")
 		}
@@ -173,7 +180,7 @@ func TestPaymentYTDInvariant(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			amt := uint64(100 + rng.Intn(100000))
 			paid += amt
-			db.Payment(ctx, PaymentReq{W: 0, D: rng.Intn(10), C: rng.Intn(60), AmountC: amt})
+			exec(ctx, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: rng.Intn(10), C: rng.Intn(60), AmountC: amt}})
 		}
 		wYtd := db.get64(ctx, db.warehouse, db.wOff(0)+fWYtd)
 		var dSum uint64
@@ -193,7 +200,7 @@ func TestPaymentUpdatesCustomer(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
 	r.run(t, func(ctx workload.Ctx) {
 		db := r.db
-		resp := db.Payment(ctx, PaymentReq{W: 1, D: 2, C: 3, AmountC: 5000})
+		resp := exec(ctx, db, Tx{Class: "Payment", Payment: PaymentReq{W: 1, D: 2, C: 3, AmountC: 5000}}).PaymentResp
 		if resp.BalanceC != -1000-5000 {
 			t.Errorf("balance = %d, want -6000", resp.BalanceC)
 		}
@@ -212,7 +219,7 @@ func TestDeliveryAdvancesAndPaysCustomer(t *testing.T) {
 		for d := 0; d < 10; d++ {
 			before[d] = db.nextDeliver[db.dIdx(0, d)]
 		}
-		resp := db.Delivery(ctx, DeliveryReq{W: 0, Carrier: 7})
+		resp := exec(ctx, db, Tx{Class: "Delivery", Delivery: DeliveryReq{W: 0, Carrier: 7}}).DeliveryResp
 		if resp.Delivered != 10 {
 			t.Errorf("delivered = %d, want 10 (undelivered orders exist)", resp.Delivered)
 		}
@@ -235,12 +242,12 @@ func TestStockLevelCountsLowStock(t *testing.T) {
 		db := r.db
 		// Threshold above max initial quantity (100): every distinct item
 		// in the last 20 orders counts.
-		resp := db.StockLevel(ctx, StockLevelReq{W: 0, D: 0, Threshold: 101})
+		resp := exec(ctx, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 101}}).StockLevelResp
 		if resp.Low == 0 {
 			t.Error("expected low-stock items at threshold 101")
 		}
 		// Threshold 0: nothing can be below it.
-		resp = db.StockLevel(ctx, StockLevelReq{W: 0, D: 0, Threshold: 0})
+		resp = exec(ctx, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 0}}).StockLevelResp
 		if resp.Low != 0 {
 			t.Errorf("low = %d at threshold 0", resp.Low)
 		}
@@ -258,8 +265,8 @@ func TestConcurrentNewOrdersSerialize(t *testing.T) {
 		r.env.Go("txn", func(p *sim.Proc) {
 			ctx := &ctxThread{env: r.env, proc: p, mgr: r.mgr, qp: r.qp, gate: sim.NewGate(r.env)}
 			for n := 0; n < perThread; n++ {
-				resp := db.NewOrder(ctx, NewOrderReq{W: 0, D: 0, C: n,
-					Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}, {Item: uint32(n + 100), Qty: 2}}})
+				resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: n,
+					Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}, {Item: uint32(n + 100), Qty: 2}}}}).NewOrderResp
 				if resp.Aborted {
 					t.Error("unexpected abort")
 					return
@@ -340,7 +347,7 @@ func TestByNameLookupFindsMiddleCustomer(t *testing.T) {
 		db := r.db
 		// Find a last name with at least one holder among customers 0..59.
 		last := lastName(7)
-		resp := db.Payment(ctx, PaymentReq{W: 0, D: 1, ByName: true, LastName: last, AmountC: 100})
+		resp := exec(ctx, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: 1, ByName: true, LastName: last, AmountC: 100}}).PaymentResp
 		if db.NameMisses.Value() != 0 {
 			t.Error("by-name lookup missed an existing last name")
 			return
@@ -348,11 +355,9 @@ func TestByNameLookupFindsMiddleCustomer(t *testing.T) {
 		// The payment must have hit a customer whose lastName matches:
 		// verify via the index directly.
 		var matches []int
-		db.byName.Range(ctx, db.nameKey(db.dIdx(0, 1), last, 0), db.nameKey(db.dIdx(0, 1), last, 0xFFF),
-			func(k, v uint64) bool {
-				matches = append(matches, int(v)%db.cfg.CustomersPerDistrict)
-				return true
-			})
+		for _, v := range rangeVals(ctx, db.byName, db.nameKey(db.dIdx(0, 1), last, 0), db.nameKey(db.dIdx(0, 1), last, 0xFFF)) {
+			matches = append(matches, int(v)%db.cfg.CustomersPerDistrict)
+		}
 		if len(matches) == 0 {
 			t.Error("index empty for existing last name")
 			return
@@ -370,19 +375,19 @@ func TestOrderStatusThroughIndexAfterNewOrder(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
 	r.run(t, func(ctx workload.Ctx) {
 		db := r.db
-		resp := db.NewOrder(ctx, NewOrderReq{W: 1, D: 2, C: 9,
-			Lines: []NewOrderLine{{Item: 1, Qty: 1}}})
+		resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 2, C: 9,
+			Lines: []NewOrderLine{{Item: 1, Qty: 1}}}}).NewOrderResp
 		if resp.Aborted {
 			t.Error("abort")
 			return
 		}
-		st := db.OrderStatus(ctx, OrderStatusReq{W: 1, D: 2, C: 9})
+		st := exec(ctx, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, C: 9}}).OrderStatusResp
 		if !st.Found || st.OID != resp.OID {
 			t.Errorf("order status through byCust index = %+v, want OID %d", st, resp.OID)
 		}
 		// By-name OrderStatus for the same customer's last name resolves
 		// through both B+trees.
-		st2 := db.OrderStatus(ctx, OrderStatusReq{W: 1, D: 2, ByName: true, LastName: lastName(9)})
+		st2 := exec(ctx, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, ByName: true, LastName: lastName(9)}}).OrderStatusResp
 		if db.NameMisses.Value() != 0 {
 			t.Error("name miss for existing customer")
 		}
@@ -406,8 +411,8 @@ func TestConcurrentNewOrdersKeepIndexConsistent(t *testing.T) {
 			ctx := &ctxThread{env: r.env, proc: p, mgr: r.mgr, qp: r.qp, gate: sim.NewGate(r.env)}
 			for n := 0; n < 20; n++ {
 				c := th*10 + n%10
-				resp := db.NewOrder(ctx, NewOrderReq{W: 0, D: th, C: c,
-					Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}}})
+				resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: th, C: c,
+					Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}}}}).NewOrderResp
 				if resp.Aborted {
 					t.Error("abort")
 					return
@@ -429,7 +434,7 @@ func TestConcurrentNewOrdersKeepIndexConsistent(t *testing.T) {
 	r.env.Go("verify", func(p *sim.Proc) {
 		ctx := &ctxThread{env: r.env, proc: p, mgr: r.mgr, qp: r.qp, gate: sim.NewGate(r.env)}
 		for key, oid := range want {
-			got, found := db.byCust.Lookup(ctx, uint64(db.cIdx(0, key[0], key[1])))
+			got, found := lookup(ctx, db.byCust, uint64(db.cIdx(0, key[0], key[1])))
 			if !found || int32(got) != oid {
 				t.Errorf("byCust[%v] = %d,%v want %d", key, got, found, oid)
 				return

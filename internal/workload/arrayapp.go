@@ -165,20 +165,15 @@ func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, si
 		return nil, 0, 0, StepProbe
 	case arrayStepAccess:
 		m := payload.(*ArrayMsg)
+		var p Page
+		if !p.Open(ctx, a.space, m.Index*8) {
+			return nil, 0, 0, StepFault
+		}
 		if m.Put {
 			m.Value = arraySeed(m.Index)
-			if !TryStoreU64(ctx, a.space, m.Index*8, m.Value) {
-				return nil, 0, 0, StepFault
-			}
-		} else {
-			v, ok := TryLoadU64(ctx, a.space, m.Index*8)
-			if !ok {
-				return nil, 0, 0, StepFault
-			}
-			if v != arraySeed(m.Index) {
-				a.Mismatches.Inc()
-			}
-			m.Value = v
+			p.SetU64(0, m.Value)
+		} else if m.Value = p.U64(0); m.Value != arraySeed(m.Index) {
+			a.Mismatches.Inc()
 		}
 		f.PC = arrayStepReply
 		return nil, 0, a.ReplyCost, StepCompute

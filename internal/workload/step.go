@@ -17,12 +17,9 @@ import (
 // Time passes between Step calls, never inside one, so what a fault does
 // while the fetch is in flight and whether a probe preempts are the
 // scheduler's policies, met in one place (DESIGN.md §11 has the table).
-// An app whose handler is a loop (the array, kvs, sstable, vecdb)
-// implements the contract natively and runs with no stack of its own;
-// direct-style code that parks partway down a call stack (TPC-C's B-tree
-// descents) rides Blocking, which implements the same contract by
-// resuming a coroutine, and Direct is the mirror image: a native stepper
-// driven under a blocking Ctx.
+// Every app this repository builds implements the contract natively and
+// runs with no stack of its own; Blocking implements it for a direct-style
+// Handler by resuming a coroutine, and Direct is the mirror image.
 
 // StepStatus is the outcome of one StepHandler.Step call.
 type StepStatus int
@@ -31,10 +28,9 @@ const (
 	// StepDone: the request finished; resp/respBytes are valid.
 	StepDone StepStatus = iota
 	// StepFault: the step hit a non-resident page (a TryPage returned !ok,
-	// or it named the page with Fault). The scheduler
-	// drives the fault and re-invokes Step once the page is resident;
-	// the frame must let the handler resume from (or idempotently repeat
-	// up to) the faulting access.
+	// or it named the page with Fault). The scheduler drives the fault and
+	// re-invokes Step once the page is resident; the frame must let the
+	// handler resume from (or idempotently repeat up to) that access.
 	StepFault
 	// StepCompute: the step declares cycles of application CPU work. The
 	// scheduler charges them on the carrying core — sliced at quantum
@@ -79,10 +75,9 @@ type StepCtx interface {
 	// faulting page and returns ok=false — the handler must then return
 	// StepFault. A store writes through s.DirtyPage(vpn) after a TryPage
 	// that hit, never through the returned view. An access that spans
-	// pages keeps its progress in the frame (TryLoad, TryStore): after a
-	// StepFault on its second page the re-run starts at that page and
-	// leaves the first alone, as Space.Load does, or hit counts, reference
-	// bits and prefetch history would differ from the direct-style form.
+	// pages keeps its progress in the frame (TryLoad, TryStore), so that,
+	// as with Space.Load, the re-run after a fault on its second page
+	// leaves the first alone.
 	TryPage(s *paging.Space, vpn int64) (page []byte, ok bool)
 	// Fault names the page of the StepFault about to be returned, for an
 	// access made some other way than TryPage.
@@ -108,51 +103,69 @@ type StepCtx interface {
 // initializes the frame, which arrives zeroed, for a fresh request; Step
 // advances the request to the next point where it needs the scheduler and
 // reports which (cycles is valid with StepCompute, resp/respBytes with
-// StepDone).
-// After a StepFault the first paged access the re-run performs must be
-// the one that faulted (the paging layer accounts the retried access as
-// the tail of the same fault, not a fresh hit — see Space.TryPage). If
-// the fetch was abandoned after bounded retries the scheduler calls
-// Abort with the *paging.FetchError instead — the simulated SIGBUS: the
-// request is over, and the handler releases whatever the frame refers to.
+// StepDone). After a StepFault the re-run's first paged access must be
+// the one that faulted (the paging layer accounts it as the tail of the
+// same fault, not a fresh hit — see Space.TryPage). If the fetch was
+// abandoned the scheduler calls Abort with the *paging.FetchError
+// instead — the simulated SIGBUS: the request is over, and the handler
+// releases whatever the frame refers to.
 type StepHandler interface {
 	Begin(f *StepFrame, payload any)
 	Step(ctx StepCtx, f *StepFrame, payload any) (resp any, respBytes int, cycles sim.Time, st StepStatus)
 	Abort(f *StepFrame, err error)
 }
 
-// StepApp is implemented by apps whose handler exists in native step
-// form; the system runs that form, and Blocking over Handler for every
-// other app — of the apps this repository builds, TPC-C alone. Both forms must execute the identical sequence of compute
-// charges, probes, paged accesses, and RNG draws — the scheduler's
-// differential test pins this for ArrayApp, and each of kvs, sstable and
-// vecdb pins its stepper against its retired direct-style body.
+// StepApp is an app whose handler exists in native step form, which
+// core.StartApp runs — every app this repository builds. Its Handler must
+// make the identical compute charges, probes, paged accesses and RNG
+// draws: ArrayApp's differential test pins this, and kvs, sstable, vecdb
+// and tpcc pin their steppers to their retired direct-style bodies.
 type StepApp interface {
 	App
 	StepHandler() StepHandler
 }
 
-// TryLoadU64 reads a little-endian uint64 at off, which must not span
-// pages (the decode would run off the page's end): TryPage and the decode.
-func TryLoadU64(ctx StepCtx, s *paging.Space, off int64) (uint64, bool) {
-	page, ok := ctx.TryPage(s, off>>paging.PageShift)
-	if !ok {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(page[off&(paging.PageSize-1):]), true
+// Page is a record's page as one phase of a step accesses it: Open makes
+// the first access, the one that may miss (the handler returns
+// StepFault), and the first read or write after it is that access; each
+// later one is a TryPage of its own, which hits — within a step no time
+// passes and a hit evicts nothing. Fields must lie on the record's page.
+type Page struct {
+	ctx    StepCtx
+	s      *paging.Space
+	off    int64  // the record's offset in the space
+	opened []byte // Open's view of the page
+	used   bool   // Open's access has been taken
 }
 
-// TryStoreU64 is the store counterpart (write-allocate: the page is
-// faulted in on a miss, then the resumed step stores and dirties it). It
-// writes through DirtyPage's view, which materializes a zero-copy alias:
-// the store must land in the frame's private copy.
-func TryStoreU64(ctx StepCtx, s *paging.Space, off int64, v uint64) bool {
-	if _, ok := ctx.TryPage(s, off>>paging.PageShift); !ok {
-		return false
-	}
-	binary.LittleEndian.PutUint64(s.DirtyPage(off >> paging.PageShift)[off&(paging.PageSize-1):], v)
-	return true
+// Open makes the first access to the page holding the record at off and
+// reports whether it hit, filling p in place (returning a Page costs more).
+func (p *Page) Open(ctx StepCtx, s *paging.Space, off int64) (ok bool) {
+	*p = Page{ctx: ctx, s: s, off: off}
+	p.opened, ok = ctx.TryPage(s, off>>paging.PageShift)
+	return ok
 }
+
+func (p *Page) field(f int64) []byte {
+	b := p.opened
+	if p.used {
+		b, _ = p.ctx.TryPage(p.s, p.off>>paging.PageShift)
+	}
+	p.used = true
+	return b[p.off&(paging.PageSize-1)+f:]
+}
+
+func (p *Page) dirty(f int64) []byte {
+	p.field(f)
+	return p.s.DirtyPage(p.off >> paging.PageShift)[p.off&(paging.PageSize-1)+f:]
+}
+
+// U32 and U64 read a little-endian field and SetU32 and SetU64 write
+// one: one access each.
+func (p *Page) U32(f int64) uint32       { return binary.LittleEndian.Uint32(p.field(f)) }
+func (p *Page) U64(f int64) uint64       { return binary.LittleEndian.Uint64(p.field(f)) }
+func (p *Page) SetU32(f int64, v uint32) { binary.LittleEndian.PutUint32(p.dirty(f), v) }
+func (p *Page) SetU64(f int64, v uint64) { binary.LittleEndian.PutUint64(p.dirty(f), v) }
 
 // TryLoad copies len(buf) bytes at off into buf, a page at a time through
 // ctx.TryPage. *done is the access's progress word in the caller's frame:

@@ -2,10 +2,8 @@
 // and the MD scheduler: the resumable-step contract every request runs
 // under (step.go), the direct-style handler signature and its context,
 // the adapters that run either form on the other (blocking.go,
-// direct.go), and key-popularity generators. The loop-shaped substrates
-// (the array, kvs, sstable, vecdb) are native steppers and get their
-// Handler from Direct; tpcc implements Handler against Ctx and gets its
-// steps from Blocking.
+// direct.go), and key-popularity generators. Every app is a native
+// stepper; kvs, sstable, vecdb and tpcc get their Handler from Direct.
 package workload
 
 import (
@@ -25,12 +23,9 @@ type Ctx interface {
 	// core.
 	Compute(cycles sim.Time)
 
-	// Probe is a Concord-style preemption probe: application code places
-	// it at loop boundaries. Under a preemptive scheduler it checks the
-	// quantum (and may switch away); otherwise it is free. Crucially, the
-	// busy-waiting page-fault path contains no probes — the paper's
-	// explanation for why preemption cannot mitigate busy-wait HOL
-	// blocking (§2.3).
+	// Probe is a Concord-style preemption probe at a loop boundary: under
+	// a preemptive scheduler it checks the quantum (and may switch away);
+	// otherwise it is free (see StepProbe).
 	Probe()
 
 	// Rand is the run's deterministic random source.
@@ -47,12 +42,9 @@ type Ctx interface {
 
 	// Block suspends the request until the wake function handed to
 	// enqueue is invoked, waiting per the system's policy: yielding the
-	// core under Adios, spinning under busy-wait systems. Applications
-	// use it to build synchronization (e.g. TPC-C's district locks) that
-	// cooperates with the scheduler instead of wedging a worker.
-	// enqueue must register wake somewhere a later event or request will
-	// find it; wake may be invoked at most once, from any context but
-	// enqueue itself.
+	// core under Adios, spinning under busy-wait systems — synchronization
+	// (TPC-C's locks) that cooperates with the scheduler instead of
+	// wedging a worker. enqueue is as for StepCtx.Block.
 	Block(enqueue func(wake func()))
 }
 
