@@ -112,6 +112,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage("%v", err)
 	}
+	if *skew != 0 && !strings.EqualFold(*appName, "micro") {
+		return usage("-skew applies to the micro workload only")
+	}
 	size := entry.Footprint
 	if *local*float64(size) < paging.PageSize {
 		return usage("-local %v of the %d-byte working set is less than one page of local memory", *local, size)
@@ -176,11 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sys := core.NewSystem(cfg)
 	app := entry.Build(sys)
 	if *skew > 0 {
-		a, ok := app.(*workload.ArrayApp)
-		if !ok {
-			return usage("-skew applies to the micro workload only")
-		}
-		a.Dist = &workload.Zipfian{Keys: a.Entries(), S: *skew}
+		app.(*workload.ArrayApp).SetSkew(*skew)
 	}
 	if w, ok := app.(interface{ WarmCache() }); ok {
 		w.WarmCache()

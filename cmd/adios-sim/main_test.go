@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,12 +11,12 @@ import (
 // the build (-local, -ms, an out-of-range crash node), never terminate
 // (-rps) or be silently bent — a node count the 64-bit node masks cannot
 // hold, a negative count run as 1, a node= plan that names no node of the
-// system and so injects nothing — must instead print one "adios-sim: …"
-// line and exit 2, with
-// nothing on stdout — an unknown -app one that lists the catalogue; a
-// good invocation still runs to its report, and -qdepth's per-request
-// kernel counts are numbers even when no request completed (they used to
-// print NaN).
+// system and so injects nothing, a -skew for an app other than micro —
+// must instead print one "adios-sim: …" line and exit 2, with nothing on
+// stdout and no profile file created — an unknown -app one that lists the
+// catalogue; a good invocation still runs to its report, and -qdepth's
+// per-request kernel counts are numbers even when no request completed
+// (they used to print NaN).
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -33,12 +35,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"rps-zero", []string{"-rps", "0"}, 2},
 		{"rps-negative", []string{"-rps", "-5"}, 2},
 		{"app-unknown", []string{"-app", "nonsense"}, 2},
+		{"skew-not-micro", []string{"-app", "rocksdb", "-skew", "1.2"}, 2},
 		{"good", []string{"-rps", "1300000", "-ms", "1", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
 		{"qdepth-nothing-completed", []string{"-rps", "100", "-ms", "1", "-qdepth"}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder
-			code := run(append([]string{"adios-sim"}, tc.args...), &stdout, &stderr)
+			profile := filepath.Join(t.TempDir(), "cpu.prof")
+			code := run(append([]string{"adios-sim", "-cpuprofile", profile}, tc.args...), &stdout, &stderr)
 			if code != tc.code {
 				t.Fatalf("exit code %d, want %d\nstderr: %s", code, tc.code, stderr.String())
 			}
@@ -61,6 +65,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 			}
 			if stdout.Len() != 0 {
 				t.Fatalf("usage error wrote to stdout: %q", stdout.String())
+			}
+			if _, err := os.Stat(profile); err == nil {
+				t.Fatal("usage error left a CPU profile behind")
 			}
 			if tc.name == "app-unknown" && !strings.Contains(msg, "micro, memcached128, memcached1024, rocksdb, tpcc, faiss") {
 				t.Fatalf("unknown -app does not list the catalogue: %q", msg)

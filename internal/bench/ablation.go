@@ -42,9 +42,7 @@ func (a *computeApp) NextRequest(rng *sim.RNG, _ any) (any, int) {
 	return int64(rng.Intn(computePages)), 64
 }
 
-func (a *computeApp) Handler() workload.Handler { return workload.Direct(computeStepper{a}) }
-
-// StepHandler implements workload.StepApp.
+// StepHandler implements workload.App.
 func (a *computeApp) StepHandler() workload.StepHandler { return computeStepper{a} }
 
 // computeStepper is the app's request logic: an all-local access, a

@@ -234,7 +234,7 @@ func (n *node) shiftRight(idx, count int) {
 // resumable form: the request arms it with one of those methods and calls
 // Tree.Step until it reports done, returning StepFault to the scheduler
 // in between. It is a few words in the request's record where a
-// direct-style descent would keep a stack. Each phase visits one node, or
+// recursive descent would keep a stack. Each phase visits one node, or
 // for a split alternates between the node and its new sibling a phase per
 // page, in the order the recursive descent accessed them; only a phase's
 // first access can miss — within a step no simulated time passes, and a

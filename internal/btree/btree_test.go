@@ -7,40 +7,13 @@ import (
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
-	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
-// ctxThread is a simulated thread with a direct-style workload.Ctx, the
-// tree's operations driven under it by workload.Direct.
-type ctxThread struct {
-	env  *sim.Env
-	proc *sim.Proc
-	mgr  *paging.Manager
-	qp   *rdma.QP
-	gate *sim.Gate
-}
-
-func (t *ctxThread) Proc() *sim.Proc      { return t.proc }
-func (t *ctxThread) QP(node int) *rdma.QP { return t.qp }
-func (t *ctxThread) Rand() *sim.RNG       { return t.env.Rand() }
-func (t *ctxThread) Compute(d sim.Time)   { t.proc.Sleep(d) }
-func (t *ctxThread) Probe()               {}
-func (t *ctxThread) CriticalEnter()       {}
-func (t *ctxThread) CriticalExit()        {}
-func (t *ctxThread) Block(func(func()))   { panic("btree: no operation blocks") }
-func (t *ctxThread) WaitPage(s *paging.Space, vpn int64) {
-	for !s.Resident(vpn) {
-		if t.mgr.RequestPage(t, s, vpn, func(error) { t.gate.Wake() }, true) {
-			return
-		}
-		t.gate.Wait(t.proc)
-	}
-}
-
-// opStepper is one tree operation as a whole request, so that
-// workload.Direct can drive it under a blocking Ctx.
+// opStepper is one tree operation as a whole request, so that a harness
+// thread can drive it.
 type opStepper struct {
 	t  *Tree
 	op *Op
@@ -55,54 +28,39 @@ func (s opStepper) Step(ctx workload.StepCtx, _ *workload.StepFrame, _ any) (any
 	return nil, 0, 0, workload.StepDone
 }
 
-func (t *Tree) do(ctx workload.Ctx, op *Op) *Op {
-	workload.Direct(opStepper{t, op})(ctx, nil)
+func (t *Tree) do(th *steptest.Thread, op *Op) *Op {
+	th.Run(opStepper{t, op}, nil)
 	return op
 }
 
-func (t *Tree) lookup(ctx workload.Ctx, key uint64) (uint64, bool) {
+func (t *Tree) lookup(th *steptest.Thread, key uint64) (uint64, bool) {
 	var op Op
 	op.Lookup(key)
-	t.do(ctx, &op)
+	t.do(th, &op)
 	return op.Val, op.Found
 }
 
-func (t *Tree) insert(ctx workload.Ctx, key, val uint64) {
+func (t *Tree) insert(th *steptest.Thread, key, val uint64) {
 	var op Op
 	op.Insert(key, val)
-	t.do(ctx, &op)
+	t.do(th, &op)
 }
 
 // rangeVals returns the values of the keys in [lo, hi], ascending by key.
-func (t *Tree) rangeVals(ctx workload.Ctx, lo, hi uint64) []uint64 {
+func (t *Tree) rangeVals(th *steptest.Thread, lo, hi uint64) []uint64 {
 	var op Op
 	op.Range(lo, hi)
-	return t.do(ctx, &op).Vals
+	return t.do(th, &op).Vals
 }
 
-// run executes fn as a simulated thread over a fresh tree whose paging
+// run executes fn as a harness thread over a fresh tree whose paging
 // pool holds localPages frames.
-func run(t *testing.T, capacityPages, localPages int64, fn func(ctx workload.Ctx, tr *Tree, mgr *paging.Manager)) {
+func run(t *testing.T, capacityPages, localPages int64, fn func(th *steptest.Thread, tr *Tree, mgr *paging.Manager)) {
 	t.Helper()
 	env := sim.NewEnv(13)
 	mgr := paging.NewManager(env, paging.DefaultConfig(localPages*paging.PageSize))
-	node := memnode.New(1 << 30)
-	tr := New(mgr, node, "idx", capacityPages)
-
-	nic := rdma.NewNIC(env, rdma.DefaultConfig())
-	cq := rdma.NewCQ("t")
-	qp := nic.CreateQP("t", cq)
-	cq.Notify = func() {
-		for _, c := range cq.Poll(64) {
-			mgr.Complete(c.Cookie.(*paging.Fetch), c.Err)
-		}
-	}
-	rcq := rdma.NewCQ("reclaim")
-	mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)
-
-	env.Go("driver", func(p *sim.Proc) {
-		fn(&ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}, tr, mgr)
-	})
+	tr := New(mgr, memnode.New(1<<30), "idx", capacityPages)
+	steptest.NewRig(mgr).Go(func(th *steptest.Thread) { fn(th, tr, mgr) })
 	env.Run(sim.Seconds(600))
 }
 
@@ -114,24 +72,24 @@ func TestBulkLoadAndLookup(t *testing.T) {
 		keys[i] = uint64(i * 7)
 		vals[i] = uint64(i * 13)
 	}
-	run(t, 256, 64, func(ctx workload.Ctx, tr *Tree, mgr *paging.Manager) {
+	run(t, 256, 64, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 		tr.BulkLoad(keys, vals)
 		if tr.Len() != n {
 			t.Errorf("len = %d", tr.Len())
 			return
 		}
 		for i := 0; i < n; i += 97 {
-			v, ok := tr.lookup(ctx, keys[i])
+			v, ok := tr.lookup(th, keys[i])
 			if !ok || v != vals[i] {
 				t.Errorf("lookup %d = %d,%v want %d", keys[i], v, ok, vals[i])
 				return
 			}
 		}
 		// Absent keys.
-		if _, ok := tr.lookup(ctx, 3); ok {
+		if _, ok := tr.lookup(th, 3); ok {
 			t.Error("found nonexistent key 3")
 		}
-		if _, ok := tr.lookup(ctx, uint64(n*7+100)); ok {
+		if _, ok := tr.lookup(th, uint64(n*7+100)); ok {
 			t.Error("found key beyond max")
 		}
 	})
@@ -145,9 +103,9 @@ func TestRangeScan(t *testing.T) {
 		keys[i] = uint64(i * 3)
 		vals[i] = uint64(i)
 	}
-	run(t, 128, 32, func(ctx workload.Ctx, tr *Tree, mgr *paging.Manager) {
+	run(t, 128, 32, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 		tr.BulkLoad(keys, vals)
-		got := tr.rangeVals(ctx, 300, 360) // the values of keys 300, 303, …, 360
+		got := tr.rangeVals(th, 300, 360) // the values of keys 300, 303, …, 360
 		if len(got) != 21 {
 			t.Errorf("range = %v", got)
 			return
@@ -159,7 +117,7 @@ func TestRangeScan(t *testing.T) {
 			}
 		}
 		// A range across leaf links, bounds between keys.
-		if got := tr.rangeVals(ctx, 1000, 4001); len(got) != 1000 || got[0] != 334 || got[999] != 1333 {
+		if got := tr.rangeVals(th, 1000, 4001); len(got) != 1000 || got[0] != 334 || got[999] != 1333 {
 			t.Errorf("cross-leaf range: %d values, %v … %v", len(got), got[:1], got[len(got)-1:])
 		}
 	})
@@ -168,13 +126,13 @@ func TestRangeScan(t *testing.T) {
 func TestInsertIntoEmptyAndGrow(t *testing.T) {
 	// Enough inserts to force leaf and root splits (MaxEntries=255).
 	const n = 3000
-	run(t, 256, 128, func(ctx workload.Ctx, tr *Tree, mgr *paging.Manager) {
+	run(t, 256, 128, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 		rng := sim.NewRNG(7)
 		ref := map[uint64]uint64{}
 		for i := 0; i < n; i++ {
 			k := uint64(rng.Int63n(1 << 30))
 			v := uint64(i)
-			tr.insert(ctx, k, v)
+			tr.insert(th, k, v)
 			ref[k] = v
 		}
 		if tr.Len() != int64(len(ref)) {
@@ -182,7 +140,7 @@ func TestInsertIntoEmptyAndGrow(t *testing.T) {
 			return
 		}
 		for k, v := range ref {
-			got, ok := tr.lookup(ctx, k)
+			got, ok := tr.lookup(th, k)
 			if !ok || got != v {
 				t.Errorf("lookup %d = %d,%v want %d", k, got, ok, v)
 				return
@@ -196,7 +154,7 @@ func TestInsertIntoEmptyAndGrow(t *testing.T) {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		got := tr.rangeVals(ctx, 0, 1<<62)
+		got := tr.rangeVals(th, 0, 1<<62)
 		if len(got) != len(ref) {
 			t.Errorf("iterated %d, want %d", len(got), len(ref))
 			return
@@ -211,13 +169,13 @@ func TestInsertIntoEmptyAndGrow(t *testing.T) {
 }
 
 func TestInsertReplacesValue(t *testing.T) {
-	run(t, 64, 32, func(ctx workload.Ctx, tr *Tree, mgr *paging.Manager) {
-		tr.insert(ctx, 5, 1)
-		tr.insert(ctx, 5, 2)
+	run(t, 64, 32, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
+		tr.insert(th, 5, 1)
+		tr.insert(th, 5, 2)
 		if tr.Len() != 1 {
 			t.Errorf("len = %d, want 1 after replace", tr.Len())
 		}
-		if v, ok := tr.lookup(ctx, 5); !ok || v != 2 {
+		if v, ok := tr.lookup(th, 5); !ok || v != 2 {
 			t.Errorf("lookup = %d,%v", v, ok)
 		}
 	})
@@ -231,18 +189,18 @@ func TestMixedBulkLoadThenInserts(t *testing.T) {
 		keys[i] = uint64(i * 10)
 		vals[i] = uint64(i)
 	}
-	run(t, 256, 64, func(ctx workload.Ctx, tr *Tree, mgr *paging.Manager) {
+	run(t, 256, 64, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 		tr.BulkLoad(keys, vals)
 		// Insert between existing keys.
 		for i := 0; i < 500; i++ {
-			tr.insert(ctx, uint64(i*10+5), uint64(1000+i))
+			tr.insert(th, uint64(i*10+5), uint64(1000+i))
 		}
 		for i := 0; i < 500; i++ {
-			if v, ok := tr.lookup(ctx, uint64(i*10+5)); !ok || v != uint64(1000+i) {
+			if v, ok := tr.lookup(th, uint64(i*10+5)); !ok || v != uint64(1000+i) {
 				t.Errorf("inserted key %d missing", i*10+5)
 				return
 			}
-			if v, ok := tr.lookup(ctx, uint64(i*10)); !ok || v != uint64(i) {
+			if v, ok := tr.lookup(th, uint64(i*10)); !ok || v != uint64(i) {
 				t.Errorf("bulk key %d damaged", i*10)
 				return
 			}
@@ -261,15 +219,15 @@ func TestQuickPropertyAgainstMap(t *testing.T) {
 			return true
 		}
 		ok := true
-		run(t, 512, 256, func(ctx workload.Ctx, tr *Tree, mgr *paging.Manager) {
+		run(t, 512, 256, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 			ref := map[uint64]uint64{}
 			for i, raw := range seq.Keys {
 				k := uint64(raw)
-				tr.insert(ctx, k, uint64(i))
+				tr.insert(th, k, uint64(i))
 				ref[k] = uint64(i)
 			}
 			for k, v := range ref {
-				got, found := tr.lookup(ctx, k)
+				got, found := tr.lookup(th, k)
 				if !found || got != v {
 					ok = false
 					return
@@ -280,7 +238,7 @@ func TestQuickPropertyAgainstMap(t *testing.T) {
 				want = append(want, k)
 			}
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			got := tr.rangeVals(ctx, 0, 1<<62)
+			got := tr.rangeVals(th, 0, 1<<62)
 			if len(got) != len(want) {
 				ok = false
 				return
@@ -305,12 +263,12 @@ func TestTreeFaultsThroughPaging(t *testing.T) {
 	for i := range keys {
 		keys[i], vals[i] = uint64(i), uint64(i)
 	}
-	run(t, 512, 24, func(ctx workload.Ctx, tr *Tree, mgr *paging.Manager) {
+	run(t, 512, 24, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 		tr.BulkLoad(keys, vals)
 		rng := sim.NewRNG(3)
 		for i := 0; i < 300; i++ {
 			k := uint64(rng.Int63n(n))
-			if v, ok := tr.lookup(ctx, k); !ok || v != k {
+			if v, ok := tr.lookup(th, k); !ok || v != k {
 				t.Errorf("lookup %d failed under paging pressure", k)
 				return
 			}

@@ -1,18 +1,18 @@
 package btree
 
 import (
-	"bytes"
-	"reflect"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
-	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
-// recorder is the StepCtx the differential drives an Op through. Every
+// recorder is the StepCtx the pinned test drives an Op through. Every
 // access goes to Space.TryPage and the pages that hit are logged, retries
 // included. The k-th access that could miss — the first to its page since
 // Step was entered; in a real step no later one can — misses instead,
@@ -52,26 +52,11 @@ func (r *recorder) TryPage(sp *paging.Space, vpn int64) ([]byte, bool) {
 	return page, true
 }
 
-// touches logs every hit the paging layer sees (the Migrator hook), which
-// is every access of the reference: its tree is resident throughout.
-type touches struct{ log []int64 }
-
-func (l *touches) RecordFault(*paging.Space, int64, int, bool) {}
-func (l *touches) RecordTouch(_ *paging.Space, vpn int64)      { l.log = append(l.log, vpn) }
-
-// resident is the reference's paging.Thread: nothing it touches is ever
-// absent.
-type resident struct{}
-
-func (resident) QP(int) *rdma.QP               { return nil }
-func (resident) WaitPage(*paging.Space, int64) { panic("btree: reference faulted on a resident tree") }
-
-// treeOp is one operation of a differential sequence.
+// treeOp is one operation of a pinned sequence.
 type treeOp struct {
-	kind   int // 0 insert, 1 lookup, 2 range
-	key    uint64
-	val    uint64 // insert: the value; range: the high bound
-	result []uint64
+	kind int // 0 insert, 1 lookup, 2 range
+	key  uint64
+	val  uint64 // insert: the value; range: the high bound
 }
 
 // scenario is a tree to start from — bulk-loaded with keys 0, 4, 8, …
@@ -82,9 +67,8 @@ type scenario struct {
 	rootSplit, nonRootSplit bool // of an internal node
 }
 
-// buildTree builds s's tree, its whole space resident, with hits logged
-// by the paging layer.
-func buildTree(s scenario) (*Tree, *touches) {
+// buildTree builds s's tree, its whole space resident.
+func buildTree(s scenario) *Tree {
 	const capacity = 1024
 	mgr := paging.NewManager(sim.NewEnv(1), paging.DefaultConfig(2*capacity*paging.PageSize))
 	tr := New(mgr, memnode.New(1<<30), "idx", capacity)
@@ -97,9 +81,7 @@ func buildTree(s scenario) (*Tree, *touches) {
 		tr.BulkLoad(keys, vals)
 	}
 	tr.space.Preload(0, tr.space.Size())
-	log := &touches{}
-	mgr.SetMigrator(log)
-	return tr, log
+	return tr
 }
 
 // shape counts the tree's internal nodes.
@@ -114,16 +96,37 @@ func shape(tr *Tree) (internal int) {
 	return internal
 }
 
-// The resumable operations are the tree's only runtime code; the
-// recursive insertAt and the callback Range they replaced are the
-// reference they must replay. Over random sequences of inserts (new keys,
-// and replacements in place), lookups (present and absent) and ranges
-// across leaf links, from an empty root leaf that splits, a full
-// two-level tree whose internal root splits, and a full three-level tree
-// whose internal non-root node splits, Op — missing on every k-th access
-// that can miss, for each k — must make the same accesses in the same
-// order as the reference, return the same results, and leave the same
-// bytes on every page.
+// summary is a sequence's pinned row: the tree's root, pages used, size
+// and internal-node count, and the SHA-256s of the operations' results, of
+// the access sequence and of every page's bytes.
+func summary(tr *Tree, results [][]uint64, log []int64) string {
+	res, acc, pages := sha256.New(), sha256.New(), sha256.New()
+	for i, r := range results {
+		fmt.Fprintf(res, "%d %v\n", i, r)
+	}
+	for _, vpn := range log {
+		fmt.Fprintf(acc, "%d\n", vpn)
+	}
+	buf := make([]byte, paging.PageSize)
+	for p := int64(0); p < tr.used; p++ {
+		tr.space.ReadDirect(p*paging.PageSize, buf)
+		pages.Write(buf)
+	}
+	return fmt.Sprintf("root=%d used=%d size=%d internal=%d results=%x accesses=%d log=%x pages=%x",
+		tr.root, tr.used, tr.size, shape(tr), res.Sum(nil), len(log), acc.Sum(nil), pages.Sum(nil))
+}
+
+// The resumable operations are the tree's only runtime code, and each row
+// of testdata/stepper_digests.txt is what the recursive insertAt and the
+// callback Range they replaced did with one sequence — recorded from that
+// code, which ran until Op had been proven to replay it. A sequence mixes
+// inserts (new keys, and replacements in place), lookups (present and
+// absent) and ranges across leaf links, from an empty root leaf that
+// splits, a full two-level tree whose internal root splits, and a full
+// three-level tree whose internal non-root node splits. Op, missing on
+// every k-th access that can miss, for each k, must reproduce the row:
+// the same results, the same accesses in the same order, the same bytes
+// on every page.
 func TestStepperMatchesReference(t *testing.T) {
 	for _, s := range []scenario{
 		{name: "empty", rootSplit: true},
@@ -151,32 +154,11 @@ func TestStepperMatchesReference(t *testing.T) {
 				}
 			}
 
-			ref, refLog := buildTree(s)
-			root, internal := ref.root, shape(ref)
-			for i := range ops {
-				op := &ops[i]
-				switch rt := (refTree{ref}); op.kind {
-				case 0:
-					rt.Insert(resident{}, op.key, op.val)
-				case 1:
-					if v, ok := rt.Lookup(resident{}, op.key); ok {
-						op.result = []uint64{v}
-					}
-				case 2:
-					rt.Range(resident{}, op.key, op.val, func(_, v uint64) bool {
-						op.result = append(op.result, v)
-						return true
-					})
-				}
-			}
-			if rootSplit := ref.root != root; rootSplit != s.rootSplit || s.nonRootSplit && shape(ref) < internal+1 {
-				t.Fatalf("sequence did not split what it is for: root %d → %d, internal nodes %d → %d",
-					root, ref.root, internal, shape(ref))
-			}
-
 			for k := 0; k <= 7; k++ {
-				tr, _ := buildTree(s)
+				tr := buildTree(s)
+				root, internal := tr.root, shape(tr)
 				rec := &recorder{t: t, k: k, seen: map[int64]bool{}, missed: -1}
+				results := make([][]uint64, len(ops))
 				var op Op
 				for i, want := range ops {
 					switch want.kind {
@@ -189,38 +171,21 @@ func TestStepperMatchesReference(t *testing.T) {
 					}
 					for clear(rec.seen); !tr.Step(rec, &op); clear(rec.seen) {
 					}
-					var got []uint64
 					switch {
 					case want.kind == 1 && op.Found:
-						got = []uint64{op.Val}
+						results[i] = []uint64{op.Val}
 					case want.kind == 2 && len(op.Vals) > 0:
-						got = op.Vals
+						results[i] = append([]uint64(nil), op.Vals...)
 					}
-					if !reflect.DeepEqual(got, want.result) {
-						t.Fatalf("k=%d, op %d (%+v): result %v, reference %v", k, i, want, got, want.result)
-					}
+				}
+				if rootSplit := tr.root != root; rootSplit != s.rootSplit || s.nonRootSplit && shape(tr) < internal+1 {
+					t.Fatalf("k=%d: sequence did not split what it is for: root %d → %d, internal nodes %d → %d",
+						k, root, tr.root, internal, shape(tr))
 				}
 				if k > 0 && rec.misses == 0 {
 					t.Fatalf("k=%d: no access missed", k)
 				}
-				if !reflect.DeepEqual(rec.log, refLog.log) {
-					n := 0
-					for n < len(rec.log) && n < len(refLog.log) && rec.log[n] == refLog.log[n] {
-						n++
-					}
-					t.Fatalf("k=%d: access sequences diverge at access %d of %d / %d", k, n, len(rec.log), len(refLog.log))
-				}
-				if tr.root != ref.root || tr.used != ref.used || tr.size != ref.size {
-					t.Fatalf("k=%d: root/used/size %d/%d/%d, reference %d/%d/%d", k, tr.root, tr.used, tr.size, ref.root, ref.used, ref.size)
-				}
-				got, want := make([]byte, paging.PageSize), make([]byte, paging.PageSize)
-				for p := int64(0); p < ref.used; p++ {
-					tr.space.ReadDirect(p*paging.PageSize, got)
-					ref.space.ReadDirect(p*paging.PageSize, want)
-					if !bytes.Equal(got, want) {
-						t.Fatalf("k=%d: page %d differs from the reference's", k, p)
-					}
-				}
+				steptest.Pinned(t, s.name, summary(tr, results, rec.log))
 			}
 		})
 	}

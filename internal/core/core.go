@@ -283,29 +283,11 @@ func NewSystem(cfg Config) *System {
 	return sys
 }
 
-// Start launches the scheduler (dispatcher + workers) for a direct-style
-// handler, which runs on workload.Blocking — the adapter tests and ad hoc
-// handlers use; no app this repository builds needs it — and the pinned
-// reclaimer thread.
-func (sys *System) Start(handler workload.Handler) {
-	sys.start(workload.NewBlocking(sys.Env, handler))
-}
-
-// StartApp launches the scheduler for app on its native step handler:
-// every app this repository builds is a workload.StepApp, so every
-// request runs on the worker cores' step machine with no stack of its
-// own. An app without one is a programming error; start its Handler with
-// Start.
+// StartApp launches the scheduler (dispatcher + workers) for app, whose
+// every request runs on the worker cores' step machine with no stack of
+// its own, and the pinned reclaimer thread.
 func (sys *System) StartApp(app workload.App) {
-	sa, ok := app.(workload.StepApp)
-	if !ok {
-		panic(fmt.Sprintf("core: app %s has no step handler (start its Handler with Start)", app.Name()))
-	}
-	sys.start(sa.StepHandler())
-}
-
-func (sys *System) start(stepH workload.StepHandler) {
-	sys.Sched = sched.New(sys.Env, sys.Cfg.Sched, sys.Net, sys.Fabric, sys.Mgr, sys.Pool, stepH)
+	sys.Sched = sched.New(sys.Env, sys.Cfg.Sched, sys.Net, sys.Fabric, sys.Mgr, sys.Pool, app.StepHandler())
 	sys.Sched.Start()
 	rcq := rdma.NewCQ("reclaimer")
 	rqps := sys.Fabric.CreateQPs("reclaimer", rcq)

@@ -3,28 +3,25 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/ethernet"
 	"repro/internal/faults"
-	"repro/internal/loadgen"
+	"repro/internal/paging"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tpcc"
 	"repro/internal/trace"
 	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
 // These tests hold the properties of the one request-execution path that
-// need an assembled system: the two forms a handler can take stay
-// indistinguishable on the simulated clock when fetches are abandoned,
-// no run has a sim.Proc, and the coroutine under a direct-style handler
-// neither outlives a run nor is reused with a dead request's stack on it.
+// need an assembled system: the abort path replays its pinned run, no run
+// has a sim.Proc or switches a coroutine, and an abandoned fetch ends its
+// request through the stepper's Abort, once, before the request completes.
 
-// formDiffStats is everything the two forms must agree on.
+// formDiffStats is the run's summary, every counter of its pinned row.
 type formDiffStats struct {
 	digest    uint64
 	completed int64
@@ -33,18 +30,16 @@ type formDiffStats struct {
 	retries   int64
 	cpu       int64
 	p99us     float64
-	events    []trace.Event
 }
 
-func runFormDiffOnce(t *testing.T, native bool) formDiffStats {
+func runFormDiffOnce(t *testing.T) (formDiffStats, string) {
 	t.Helper()
 	const arrayBytes = 4 << 20
 	cfg := Preset(Adios, arrayBytes/5)
 	cfg.Seed = 11
 	// Half of all wire posts fail: demand fetches retry up to the
 	// attempt budget and a measurable fraction abort — the simulated
-	// SIGBUS, which ends a native request in the machine and unwinds a
-	// direct-style handler's stack.
+	// SIGBUS, which ends a request in the machine.
 	plan, err := faults.ParseSpec("wr=0.5")
 	if err != nil {
 		t.Fatal(err)
@@ -53,14 +48,7 @@ func runFormDiffOnce(t *testing.T, native bool) formDiffStats {
 	sys := NewSystem(cfg)
 	app := workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)
 	app.WarmCache()
-	if native {
-		sys.StartApp(app)
-	} else {
-		sys.Start(app.Handler())
-	}
-	if sys.Sched.FlatTier() != native {
-		t.Fatalf("FlatTier() = %v with native = %v", sys.Sched.FlatTier(), native)
-	}
+	sys.StartApp(app)
 	rec := trace.New(0)
 	sys.Sched.Trace = rec
 
@@ -94,41 +82,25 @@ func runFormDiffOnce(t *testing.T, native bool) formDiffStats {
 	st.retries = res.Retries
 	st.cpu = sys.Sched.CPUCycles()
 	st.p99us = res.P99us
-	st.events = rec.Events()
-	return st
+	return st, fmt.Sprintf("%+v trace=%s", st, steptest.TraceSum(rec.Events()))
 }
 
-// The abort-path half of the form differential (the rest is
-// sched.TestBlockingMatchesNativeStepper): under heavy wire-error
-// injection ArrayApp's Handler on workload.Blocking must reproduce its
-// native stepper's run exactly — the fetch-abort handling, per-request
-// digests, and the full scheduler trace.
+// The abort path, pinned (the rest is sched.TestBlockingMatchesNativeStepper):
+// under heavy wire-error injection ArrayApp's requests must reproduce the
+// row of testdata/stepper_digests.txt — the fetch-abort handling,
+// per-request digests, the trace's SHA-256 — recorded, and proven equal,
+// on both forms a handler could take before the stackful one left (hence
+// the test's name).
 func TestBlockingMatchesNativeWithAborts(t *testing.T) {
-	ref := runFormDiffOnce(t, false)
-	native := runFormDiffOnce(t, true)
-	if ref.aborts == 0 {
-		t.Fatalf("fault plan produced no aborts; differential does not cover the abort path: %+v", ref)
+	st, row := runFormDiffOnce(t)
+	if st.aborts == 0 {
+		t.Fatalf("fault plan produced no aborts; the row does not cover the abort path: %+v", st)
 	}
-	refEvents, nativeEvents := ref.events, native.events
-	ref.events, native.events = nil, nil
-	if !reflect.DeepEqual(native, ref) {
-		t.Fatalf("forms diverged under fault injection:\n native   %+v\n blocking %+v", native, ref)
-	}
-	if !reflect.DeepEqual(nativeEvents, refEvents) {
-		for i := range refEvents {
-			if i >= len(nativeEvents) || nativeEvents[i] != refEvents[i] {
-				t.Fatalf("trace diverged at event %d:\n native   %+v\n blocking %+v",
-					i, nativeEvents[i], refEvents[i])
-			}
-		}
-		t.Fatalf("trace lengths differ: native %d, blocking %d", len(nativeEvents), len(refEvents))
-	}
+	steptest.Pinned(t, "aborts", row)
 }
 
-// buildTPCC assembles a small TPC-C system at 20 % local memory, on the
-// native stepper or — direct-style, the stepper under workload.Direct —
-// on the coroutine adapter.
-func buildTPCC(mode Mode, native bool) (*System, *tpcc.DB) {
+// buildTPCC assembles a small TPC-C system at 20 % local memory.
+func buildTPCC(mode Mode) (*System, *tpcc.DB) {
 	cfg := tpcc.DefaultConfig(1)
 	cfg.CustomersPerDistrict = 300
 	cfg.ItemCount = 5000
@@ -139,21 +111,16 @@ func buildTPCC(mode Mode, native bool) (*System, *tpcc.DB) {
 	sys := NewSystem(Preset(mode, size/5))
 	db := tpcc.New(sys.Env, sys.Mgr, sys.Mem, cfg)
 	db.WarmCache()
-	if native {
-		sys.StartApp(db)
-	} else {
-		sys.Start(db.Handler())
-	}
+	sys.StartApp(db)
 	return sys, db
 }
 
-// No sim.Proc exists in any assembled system's run, whatever the mode
-// and whichever form the app's handler has: nothing parks, TPC-C — locks,
-// Block waits, B-tree descents and all — runs as native steps, and a
-// direct-style handler runs on coroutines its worker cores resume, which
-// are not processes.
+// No sim.Proc exists in any assembled system's run, whatever the mode,
+// and no coroutine is ever switched to: nothing parks, and TPC-C — locks,
+// Block waits, B-tree descents and all — runs as steps of the worker
+// cores' machine like everything else.
 func TestNoProcInAnySystemRun(t *testing.T) {
-	check := func(name string, sys *System, app workload.App, rps float64, wantSwitches bool) {
+	check := func(name string, sys *System, app workload.App, rps float64) {
 		t.Helper()
 		sys.Sched.OnComplete = func(*sched.Request) {
 			if n := sys.Env.LiveProcs(); n != 0 {
@@ -162,79 +129,59 @@ func TestNoProcInAnySystemRun(t *testing.T) {
 		}
 		res := sys.Run(app, rps, sim.Millis(1), sim.Millis(4))
 		ks := sys.Env.KernelStats()
-		if res.Completed == 0 || ks.Parks != 0 || wantSwitches != (ks.Switches > 0) {
-			t.Fatalf("%s: completed %d, parked %d times, switched %d times (FlatTier %v)",
-				name, res.Completed, ks.Parks, ks.Switches, sys.Sched.FlatTier())
+		if res.Completed == 0 || ks.Parks != 0 || ks.Switches != 0 {
+			t.Fatalf("%s: completed %d, parked %d times, switched %d times",
+				name, res.Completed, ks.Parks, ks.Switches)
 		}
 	}
 	for _, mode := range []Mode{Adios, DiLOS, DiLOSP, Hermit} {
 		sys, app := buildMicro(mode, testArray, 0.20, 1)
-		check("micro/"+mode.String(), sys, app, 500_000, false)
+		check("micro/"+mode.String(), sys, app, 500_000)
 	}
 	for _, mode := range []Mode{Adios, DiLOSP} {
-		for _, native := range []bool{true, false} {
-			sys, db := buildTPCC(mode, native)
-			check(fmt.Sprintf("tpcc/%v/native=%v", mode, native), sys, db, 100_000, !native)
-		}
+		sys, db := buildTPCC(mode)
+		check(fmt.Sprintf("tpcc/%v", mode), sys, db, 100_000)
 	}
 }
 
-// settledGoroutines counts goroutines once the count holds still (a
-// coroutine that was just stopped reports to its parent before it exits).
-func settledGoroutines() int {
-	n := runtime.NumGoroutine()
-	for {
-		time.Sleep(time.Millisecond)
-		m := runtime.NumGoroutine()
-		if m == n {
-			return n
-		}
-		n = m
-	}
+// abortWatch is ArrayApp with its stepper's Abort calls counted per
+// request: Begin remembers which payload a frame carries, Abort counts
+// against it.
+type abortWatch struct {
+	*workload.ArrayApp
+	t       *testing.T
+	payload map[*workload.StepFrame]any
+	aborts  map[any]int
+	calls   int
 }
 
-// A run cut by its horizon with requests suspended mid-handler — TPC-C
-// direct-style at 200 KRPS, transactions parked on faults and district
-// locks — leaves no goroutine behind: the environment's teardown unwinds
-// every suspended handler and stops the pool.
-func TestHorizonCutLeavesNoGoroutine(t *testing.T) {
-	before := settledGoroutines()
-	sys, db := buildTPCC(Adios, false)
-	horizon := sim.Millis(3)
-	loadgen.Start(sys.Env, sys.Net, db, 200_000, 0, 2*horizon)
-	mid := 0
-	sys.Env.At(horizon, func() { mid = runtime.NumGoroutine() })
-	sys.Env.Run(horizon)
-	if sys.Sched.Completed.Value() == 0 {
-		t.Fatal("no transaction completed before the horizon")
-	}
-	if mid <= before+1 {
-		t.Fatalf("%d goroutines at the horizon, %d before: no handler was suspended mid-request", mid, before)
-	}
-	if after := settledGoroutines(); after != before {
-		t.Fatalf("goroutines: %d before, %d after a run cut mid-handler (%d at the cut)", before, after, mid)
-	}
+func (a *abortWatch) StepHandler() workload.StepHandler {
+	return watchedStepper{a.ArrayApp.StepHandler(), a}
 }
 
-// tracked wraps a request payload so a completion can ask whether the
-// request's handler is still on a stack.
-type tracked struct {
-	inner     any
-	inHandler bool
+type watchedStepper struct {
+	workload.StepHandler
+	w *abortWatch
 }
 
-// trackedArray is ArrayApp generating tracked payloads.
-type trackedArray struct{ *workload.ArrayApp }
-
-func (a trackedArray) NextRequest(rng *sim.RNG, _ any) (any, int) {
-	p, n := a.ArrayApp.NextRequest(rng, nil)
-	return &tracked{inner: p}, n
+func (s watchedStepper) Begin(f *workload.StepFrame, payload any) {
+	s.w.payload[f] = payload
+	s.StepHandler.Begin(f, payload)
 }
 
-// An abandoned fetch unwinds the handler's stack — its deferred
-// functions run — before the request completes and its coroutine goes
-// back to the pool, and the request is answered with the 64-byte abort
-// response.
+func (s watchedStepper) Abort(f *workload.StepFrame, err error) {
+	if _, ok := err.(*paging.FetchError); !ok {
+		s.w.t.Fatalf("Abort with %v, want a *paging.FetchError", err)
+	}
+	s.w.aborts[s.w.payload[f]]++
+	s.w.calls++
+	s.StepHandler.Abort(f, err)
+}
+
+// An abandoned fetch ends its request in the machine — the simulated
+// SIGBUS: the stepper's Abort runs exactly once, before the request
+// completes, and the request is answered with the 64-byte abort response
+// and no payload; a request that completes normally never sees Abort.
 func TestAbandonedFetchUnwindsHandler(t *testing.T) {
 	const arrayBytes = 4 << 20
 	cfg := Preset(Adios, arrayBytes/5)
@@ -245,24 +192,20 @@ func TestAbandonedFetchUnwindsHandler(t *testing.T) {
 	}
 	cfg.Faults = plan
 	sys := NewSystem(cfg)
-	app := trackedArray{workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)}
+	app := &abortWatch{ArrayApp: workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes), t: t,
+		payload: map[*workload.StepFrame]any{}, aborts: map[any]int{}}
 	app.WarmCache()
-	inner := app.Handler()
-	sys.Start(func(ctx workload.Ctx, payload any) (any, int) {
-		tr := payload.(*tracked)
-		tr.inHandler = true
-		defer func() { tr.inHandler = false }()
-		return inner(ctx, tr.inner)
-	})
-	byID := map[uint64]*tracked{}
+	sys.StartApp(app)
+	byID := map[uint64]any{}
 	sys.Sched.Admit = func(pkt *ethernet.Packet) bool {
-		byID[pkt.ID] = pkt.Payload.(*tracked)
+		byID[pkt.ID] = pkt.Payload
+		app.aborts[pkt.Payload] = 0 // a recycled message record starts a new request
 		return true
 	}
 	aborted := 0
 	sys.Sched.OnComplete = func(req *sched.Request) {
-		if byID[req.Pkt.ID].inHandler {
-			t.Fatalf("request %d (failed=%v) completed with its handler still on a stack", req.Pkt.ID, req.Failed)
+		if n := app.aborts[byID[req.Pkt.ID]]; n > 1 || req.Failed != (n == 1) {
+			t.Fatalf("request %d (failed=%v) completed after %d Abort calls", req.Pkt.ID, req.Failed, n)
 		}
 		if !req.Failed {
 			return
@@ -273,44 +216,10 @@ func TestAbandonedFetchUnwindsHandler(t *testing.T) {
 		}
 	}
 	res := sys.Run(app, 400_000, sim.Millis(1), sim.Millis(6))
-	if aborted == 0 || int64(aborted) != res.Aborts {
-		t.Fatalf("%d aborted completions, %d counted", aborted, res.Aborts)
+	if aborted == 0 || int64(aborted) != res.Aborts || app.calls != aborted {
+		t.Fatalf("%d aborted completions, %d counted, %d Abort calls", aborted, res.Aborts, app.calls)
 	}
 	if n := sys.Env.LiveProcs(); n != 0 {
 		t.Fatalf("%d live procs", n)
 	}
-}
-
-// A handler whose deferred function needs simulated time while an
-// abandoned fetch unwinds it would stay suspended with nobody left to
-// resume it; the adapter fails the run instead of leaking the request.
-func TestAbortRejectsSuspendingUnwind(t *testing.T) {
-	const arrayBytes = 4 << 20
-	cfg := Preset(Adios, arrayBytes/5)
-	cfg.Seed = 11
-	plan, err := faults.ParseSpec("wr=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = plan
-	sys := NewSystem(cfg)
-	app := workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)
-	app.WarmCache()
-	inner := app.Handler()
-	sys.Start(func(ctx workload.Ctx, payload any) (any, int) {
-		defer func() {
-			if r := recover(); r != nil {
-				ctx.Block(func(func()) {})
-				panic(r)
-			}
-		}()
-		return inner(ctx, payload)
-	})
-	defer func() {
-		const want = "workload: handler suspended while unwinding an abandoned fetch"
-		if r := recover(); r != want {
-			t.Fatalf("run ended with %v, want panic %q", r, want)
-		}
-	}()
-	sys.Run(app, 400_000, sim.Millis(1), sim.Millis(6))
 }

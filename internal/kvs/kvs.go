@@ -242,10 +242,7 @@ func (s *Store) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 	return m, 64 + KeySize
 }
 
-// Handler implements workload.App: the stepper under a blocking context.
-func (s *Store) Handler() workload.Handler { return workload.Direct(stepper{s}) }
-
-// StepHandler implements workload.StepApp.
+// StepHandler implements workload.App.
 func (s *Store) StepHandler() workload.StepHandler { return stepper{s} }
 
 // stepper is the store's request logic, and its only form: a walk through

@@ -6,51 +6,13 @@ import (
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
-	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
-// ctxThread is a minimal workload.Ctx for driving handlers without the
-// scheduler: completions auto-apply, faults block on a private gate.
-type ctxThread struct {
-	env  *sim.Env
-	proc *sim.Proc
-	mgr  *paging.Manager
-	qp   *rdma.QP
-	gate *sim.Gate
-}
-
-func (t *ctxThread) Proc() *sim.Proc      { return t.proc }
-func (t *ctxThread) QP(node int) *rdma.QP { return t.qp }
-func (t *ctxThread) Rand() *sim.RNG       { return t.env.Rand() }
-func (t *ctxThread) Compute(d sim.Time)   { t.proc.Sleep(d) }
-func (t *ctxThread) Probe()               {}
-func (t *ctxThread) CriticalEnter()       {}
-func (t *ctxThread) CriticalExit()        {}
-func (t *ctxThread) Block(enqueue func(wake func())) {
-	done := false
-	enqueue(func() {
-		done = true
-		t.gate.Wake()
-	})
-	for !done {
-		t.gate.Wait(t.proc)
-	}
-}
-
-func (t *ctxThread) WaitPage(s *paging.Space, vpn int64) {
-	for !s.Resident(vpn) {
-		if t.mgr.RequestPage(t, s, vpn, func(error) { t.gate.Wake() }, true) {
-			return
-		}
-		t.gate.Wait(t.proc)
-	}
-}
-
-// harness runs fn as a simulated thread over a paging rig sized to
+// harness runs fn as a harness thread over a paging rig sized to
 // localFrac of the store.
-func harness(t *testing.T, cfg Config, localFrac float64, fn func(ctx workload.Ctx, s *Store)) *Store {
+func harness(t *testing.T, cfg Config, localFrac float64, fn func(th *steptest.Thread, s *Store)) *Store {
 	t.Helper()
 	env := sim.NewEnv(7)
 	node := memnode.New(4 << 30)
@@ -65,31 +27,16 @@ func harness(t *testing.T, cfg Config, localFrac float64, fn func(ctx workload.C
 	s := New(mgr, node, cfg)
 	s.WarmCache()
 
-	nic := rdma.NewNIC(env, rdma.DefaultConfig())
-	cq := rdma.NewCQ("t")
-	qp := nic.CreateQP("t", cq)
-	cq.Notify = func() {
-		for _, c := range cq.Poll(64) {
-			mgr.Complete(c.Cookie.(*paging.Fetch), c.Err)
-		}
-	}
-	rcq := rdma.NewCQ("reclaim")
-	mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)
-
-	env.Go("driver", func(p *sim.Proc) {
-		ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
-		fn(ctx, s)
-	})
+	steptest.NewRig(mgr).Go(func(th *steptest.Thread) { fn(th, s) })
 	env.Run(sim.Seconds(120))
 	return s
 }
 
 func TestGetReturnsCorrectValues(t *testing.T) {
 	cfg := DefaultConfig(5000, 128)
-	s := harness(t, cfg, 0.2, func(ctx workload.Ctx, s *Store) {
-		h := s.Handler()
+	s := harness(t, cfg, 0.2, func(th *steptest.Thread, s *Store) {
 		for key := uint64(0); key < 5000; key += 7 {
-			resp, _ := h(ctx, &Msg{Key: key})
+			resp, _ := th.Run(s.StepHandler(), &Msg{Key: key})
 			v := resp.(*Msg)
 			if !v.Found {
 				t.Errorf("key %d not found", key)
@@ -108,15 +55,14 @@ func TestGetReturnsCorrectValues(t *testing.T) {
 
 func TestSetThenGetRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(2000, 128)
-	harness(t, cfg, 0.2, func(ctx workload.Ctx, s *Store) {
-		h := s.Handler()
-		resp, _ := h(ctx, &Msg{Key: 42, Set: true, Salt: 0xA7})
+	harness(t, cfg, 0.2, func(th *steptest.Thread, s *Store) {
+		resp, _ := th.Run(s.StepHandler(), &Msg{Key: 42, Set: true, Salt: 0xA7})
 		setV := *resp.(*Msg)
 		if !setV.Found {
 			t.Error("SET of existing key failed")
 			return
 		}
-		resp, _ = h(ctx, &Msg{Key: 42})
+		resp, _ = th.Run(s.StepHandler(), &Msg{Key: 42})
 		getV := resp.(*Msg)
 		if !getV.Found || getV.Digest != setV.Digest {
 			t.Errorf("GET after SET: %+v vs SET %+v", getV, setV)
@@ -130,12 +76,11 @@ func TestSetThenGetRoundTrip(t *testing.T) {
 func TestGetsFaultAtLowLocalMemory(t *testing.T) {
 	cfg := DefaultConfig(20000, 128)
 	var faults int64
-	s := harness(t, cfg, 0.2, func(ctx workload.Ctx, s *Store) {
-		h := s.Handler()
+	s := harness(t, cfg, 0.2, func(th *steptest.Thread, s *Store) {
 		rng := sim.NewRNG(3)
 		for i := 0; i < 500; i++ {
 			key := uint64(rng.Int63n(20000))
-			resp, _ := h(ctx, &Msg{Key: key})
+			resp, _ := th.Run(s.StepHandler(), &Msg{Key: key})
 			if !resp.(*Msg).Found {
 				t.Errorf("key %d missing", key)
 				return

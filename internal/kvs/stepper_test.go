@@ -1,8 +1,8 @@
 package kvs
 
 import (
+	"fmt"
 	"hash/fnv"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -11,10 +11,11 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload/steptest"
 )
 
-// formCase is one configuration of the form differential: a preset, what
-// the case changes in it, and the offered load.
+// formCase is one pinned configuration: a preset, what the case changes
+// in it, and the offered load.
 type formCase struct {
 	name string
 	mode core.Mode
@@ -24,8 +25,7 @@ type formCase struct {
 	wantPreempts, wantStalls, wantAborts bool
 }
 
-// formCases are the policies and stall paths a stepper must replay its
-// direct-style reference under.
+// formCases are the policies and stall paths the stepper is pinned under.
 func formCases(t *testing.T) []formCase {
 	wr, err := faults.ParseSpec("wr=0.3")
 	if err != nil {
@@ -53,7 +53,7 @@ func formCases(t *testing.T) []formCase {
 	}
 }
 
-// formStats is everything the two forms must agree on.
+// formStats is the run's summary, every counter of its pinned row.
 type formStats struct {
 	digest                            uint64
 	completed, aborts                 int64
@@ -61,13 +61,12 @@ type formStats struct {
 	hits, faults, evictions, dirtyWB  int64
 	fetchWaits, allocStalls, preempts int64
 	misses, mismatches                int64
-	events                            []trace.Event
-	switches                          int64
 }
 
-// runForm drives cfg's store on one form of its request logic — the
-// stepper, or the retired bodies on workload.Blocking.
-func runForm(t *testing.T, tc formCase, cfg Config, native bool) formStats {
+// runForm drives cfg's store through a whole core.System under tc and
+// returns the run's summary and its pinned row: the summary and the
+// SHA-256 of the trace.
+func runForm(t *testing.T, tc formCase, cfg Config) (formStats, string) {
 	t.Helper()
 	c := core.Preset(tc.mode, Footprint(cfg)/5)
 	c.Seed = 7
@@ -77,14 +76,7 @@ func runForm(t *testing.T, tc formCase, cfg Config, native bool) formStats {
 	sys := core.NewSystem(c)
 	s := New(sys.Mgr, sys.Mem, cfg)
 	s.WarmCache()
-	if native {
-		sys.StartApp(s)
-	} else {
-		sys.Start(s.referenceHandler())
-	}
-	if sys.Sched.FlatTier() != native {
-		t.Fatalf("FlatTier() = %v with native = %v", sys.Sched.FlatTier(), native)
-	}
+	sys.StartApp(s)
 	rec := trace.New(0)
 	sys.Sched.Trace = rec
 
@@ -126,56 +118,39 @@ func runForm(t *testing.T, tc formCase, cfg Config, native bool) formStats {
 	st.evictions, st.dirtyWB = sys.Mgr.Evictions.Value(), sys.Mgr.DirtyWritebacks.Value()
 	st.fetchWaits, st.allocStalls = sys.Mgr.FetchWaits.Value(), sys.Mgr.AllocStalls.Value()
 	st.misses, st.mismatches = s.Misses.Value(), s.Mismatches.Value()
-	st.events = rec.Events()
-	st.switches = sys.Env.KernelStats().Switches
 	if st.mismatches != 0 || st.misses != 0 {
 		t.Fatalf("mismatches=%d misses=%d", st.mismatches, st.misses)
 	}
-	return st
+	if sw := sys.Env.KernelStats().Switches; sw != 0 {
+		t.Fatalf("%d coroutine switches", sw)
+	}
+	return st, fmt.Sprintf("%+v trace=%s", st, steptest.TraceSum(rec.Events()))
 }
 
-// The stepper is the store's only request logic; what it replaced is the
-// reference it must replay exactly. Under every policy the step machine
-// implements — half the requests SETs, which no experiment issues, and
-// 600-byte values, one in seven of which straddles pages as the 72-byte
-// slots do on their own — the native stepper and the retired bodies on
-// workload.Blocking must produce the identical run: per-request timings
-// and answers (order-sensitive digest), every scheduler and paging
-// counter, the full trace. Only the host's work differs — the stepper
-// never switches to a coroutine.
+// The stepper is the store's only request logic, and each row of
+// testdata/stepper_digests.txt is what the direct-style bodies it
+// replaced did under one policy — recorded from those bodies on the
+// coroutine adapter, which ran them until the stepper had been proven to
+// replay them exactly. Half the requests are SETs, which no experiment
+// issues, and the 600-byte values straddle pages one time in seven, as
+// the 72-byte slots do on their own. The stepper must reproduce every
+// row: per-request timings and answers (an order-sensitive digest), every
+// scheduler and paging counter, the trace's SHA-256.
 func TestStepperMatchesReference(t *testing.T) {
 	cfg := DefaultConfig(20_000, 600)
 	cfg.GetRatio = 0.5
 	for _, tc := range formCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runForm(t, tc, cfg, false)
-			native := runForm(t, tc, cfg, true)
-			if ref.completed < 200 || ref.faults == 0 || ref.evictions == 0 || ref.dirtyWB == 0 {
-				t.Fatalf("workload too tame to differentiate: %+v", ref)
+			st, row := runForm(t, tc, cfg)
+			if st.completed < 200 || st.faults == 0 || st.evictions == 0 || st.dirtyWB == 0 {
+				t.Fatalf("workload too tame to mean anything: %+v", st)
 			}
-			if tc.wantPreempts != (ref.preempts > 0) || tc.wantAborts != (ref.aborts > 0) ||
-				tc.wantStalls && ref.allocStalls == 0 {
+			if tc.wantPreempts != (st.preempts > 0) || tc.wantAborts != (st.aborts > 0) ||
+				tc.wantStalls && st.allocStalls == 0 {
 				t.Fatalf("case did not exercise what it is for: preempts=%d aborts=%d frame stalls=%d",
-					ref.preempts, ref.aborts, ref.allocStalls)
+					st.preempts, st.aborts, st.allocStalls)
 			}
-			if native.switches != 0 || ref.switches < ref.completed {
-				t.Fatalf("coroutine switches: native %d (want 0), reference %d (want one per request at least)",
-					native.switches, ref.switches)
-			}
-			native.switches, ref.switches = 0, 0
-			nativeEvents, refEvents := native.events, ref.events
-			native.events, ref.events = nil, nil
-			if !reflect.DeepEqual(native, ref) {
-				t.Fatalf("forms diverged:\n native    %+v\n reference %+v", native, ref)
-			}
-			for i := range refEvents {
-				if i >= len(nativeEvents) || nativeEvents[i] != refEvents[i] {
-					t.Fatalf("trace diverged at event %d of %d/%d:\n reference %+v", i, len(nativeEvents), len(refEvents), refEvents[i])
-				}
-			}
-			if len(nativeEvents) != len(refEvents) {
-				t.Fatalf("trace lengths differ: native %d, reference %d", len(nativeEvents), len(refEvents))
-			}
+			steptest.Pinned(t, tc.name, row)
 		})
 	}
 }

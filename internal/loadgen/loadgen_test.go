@@ -9,16 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
-// echoApp replies instantly (zero handler time) for generator testing.
+// echoApp draws requests for generator testing; echoNode answers them,
+// so no handler ever runs.
 type echoApp struct{}
 
 func (echoApp) Name() string { return "echo" }
 func (echoApp) NextRequest(rng *sim.RNG, _ any) (any, int) {
 	return rng.Intn(100), 64
 }
-func (echoApp) Handler() workload.Handler {
-	return func(ctx workload.Ctx, payload any) (any, int) { return payload, 64 }
-}
+func (echoApp) StepHandler() workload.StepHandler { return nil }
 
 // echoNode bounces every arriving packet straight back.
 func echoNode(env *sim.Env, net *ethernet.Net) {

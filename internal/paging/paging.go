@@ -38,20 +38,15 @@ const PageShift = 12
 // PageAlign rounds n bytes up to a whole number of pages.
 func PageAlign(n int64) int64 { return (n + PageSize - 1) &^ (PageSize - 1) }
 
-// Thread is the execution context a paged access runs under: the
-// blocking face of the fault path, for application code in direct style.
-// WaitPage embodies the system's wait policy (busy-wait for DiLOS/Hermit,
-// yield for Adios): under the scheduler it hands the fault to the worker
-// core's step machine and returns once the core has driven it.
+// Thread is the execution context of a blocking paged access (Space.Load
+// and its kin): a harness thread with a process of its own, whose
+// WaitPage returns once the page is resident.
 type Thread interface {
 	// QP (QPSource, fault.go) returns the queue pair page movements for
-	// the given memory node are issued on (the current worker's QP to
-	// that node). A single-node system always passes node 0.
+	// the given memory node are issued on. A single-node system always
+	// passes node 0.
 	QPSource
-	// WaitPage blocks until the given page of the space is resident. If
-	// the fetch is abandoned after bounded retries (see
-	// Config.MaxFetchAttempts), WaitPage panics with *FetchError — the
-	// simulated SIGBUS — which the scheduler turns into a failed request.
+	// WaitPage blocks until the given page of the space is resident.
 	WaitPage(s *Space, vpn int64)
 }
 

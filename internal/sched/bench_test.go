@@ -14,14 +14,12 @@ import (
 
 // The round-trip benchmark drives requests through the full path —
 // arrival, dispatch, spawn, guaranteed demand faults, resume, reply,
-// retire — for each form a handler can have (a native stepper, a
-// direct-style handler on workload.Blocking), keeping rtInflight
-// requests in flight so the worker runs segments back to back as it does
-// under load. The working set cycles over many more pages than the frame
-// pool, so every access faults. Payloads, responses, and packets are
-// preallocated and rotated: the measured loop exercises only the
-// scheduler's own steady-state machinery, which must run without
-// allocating at all (the guard below).
+// retire — keeping rtInflight requests in flight so the worker runs
+// segments back to back as it does under load. The working set cycles
+// over many more pages than the frame pool, so every access faults.
+// Payloads, responses, and packets are preallocated and rotated: the
+// measured loop exercises only the scheduler's own steady-state
+// machinery, which must run without allocating at all (the guard below).
 
 // rtPayload is the benchmark request: one paged offset, mutated in
 // place between round trips (the boxes are allocated once).
@@ -38,24 +36,11 @@ const (
 	rtSpanBytes  = rtSpanPages * paging.PageSize
 )
 
-// rtStepApp is a minimal app in both forms: parse, paged loads, reply.
-// The response is a preallocated boxed value shared across requests.
+// rtStepApp is a minimal app: parse, paged loads, reply. The response is
+// a preallocated boxed value shared across requests.
 type rtStepApp struct {
 	space *paging.Space
 	resp  any
-}
-
-func (a *rtStepApp) handler() workload.Handler {
-	return func(ctx workload.Ctx, payload any) (any, int) {
-		ctx.Compute(250)
-		ctx.Probe()
-		base := payload.(*rtPayload).off
-		for j := int64(0); j < rtFaults; j++ {
-			_ = a.space.LoadU64(ctx, (base+j*rtStride)%rtSpanBytes)
-		}
-		ctx.Compute(450)
-		return a.resp, 64
-	}
 }
 
 type rtStep struct{ a *rtStepApp }
@@ -101,7 +86,7 @@ type rtRig struct {
 	sent     int
 }
 
-func newRTRig(native bool, cfg Config) *rtRig {
+func newRTRig(cfg Config) *rtRig {
 	env := sim.NewEnv(5)
 	// Fast fabric: with wire serialization and flight shrunk, fetch
 	// completions and arrivals cluster at the same instants, so each
@@ -131,11 +116,7 @@ func newRTRig(native bool, cfg Config) *rtRig {
 		resp:  any(uint64(1)),
 	}
 	cfg.Workers, cfg.Dispatchers = 1, 1
-	var stepH workload.StepHandler = rtStep{app}
-	if !native {
-		stepH = workload.NewBlocking(env, app.handler())
-	}
-	r.sched = New(env, cfg, r.net, rdma.Fabric{nic}, mgr, unithread.NewPool(64, 4096), stepH)
+	r.sched = New(env, cfg, r.net, rdma.Fabric{nic}, mgr, unithread.NewPool(64, 4096), rtStep{app})
 	r.sched.Start()
 	rcq := rdma.NewCQ("reclaim")
 	mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)
@@ -161,8 +142,8 @@ func (r *rtRig) inject() {
 	r.net.SendToNode(pkt)
 }
 
-func benchRoundTrip(b *testing.B, native bool) {
-	r := newRTRig(native, DefaultConfig())
+func BenchmarkSchedRequestRoundTrip(b *testing.B) {
+	r := newRTRig(DefaultConfig())
 	total := rtWarmOps + b.N
 	completed := 0
 	r.sched.OnComplete = func(*Request) {
@@ -191,15 +172,9 @@ func benchRoundTrip(b *testing.B, native bool) {
 	}
 }
 
-func BenchmarkSchedRequestRoundTrip(b *testing.B) {
-	b.Run("blocking", func(b *testing.B) { benchRoundTrip(b, false) })
-	b.Run("native", func(b *testing.B) { benchRoundTrip(b, true) })
-}
-
 // The zero-allocation contract: a full request round trip — admission,
 // spawn, fault, park or spin, resume, reply, retire — allocates nothing
-// once pools are warm, whichever form the handler has and whichever way
-// the fault waits.
+// once pools are warm, whichever way the fault waits.
 func TestFlatRoundTripZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is not meaningful under -race")
@@ -207,16 +182,13 @@ func TestFlatRoundTripZeroAllocs(t *testing.T) {
 	dilos := DefaultConfig()
 	dilos.Wait, dilos.Dispatch, dilos.Tx = BusyWait, RoundRobin, SyncTx
 	for _, tc := range []struct {
-		name   string
-		native bool
-		cfg    Config
+		name string
+		cfg  Config
 	}{
-		{"native-yield", true, DefaultConfig()},
-		{"native-busywait", true, dilos},
-		{"blocking-yield", false, DefaultConfig()},
-		{"blocking-busywait", false, dilos},
+		{"yield", DefaultConfig()},
+		{"busywait", dilos},
 	} {
-		r := newRTRig(tc.native, tc.cfg)
+		r := newRTRig(tc.cfg)
 		done := sim.NewGate(r.env)
 		r.sched.OnComplete = func(*Request) { done.Wake() }
 		var got float64

@@ -1,41 +1,34 @@
 package sched
 
 import (
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/ethernet"
-	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/simcheck"
 	"repro/internal/workload"
 )
 
 // The cores are tasks and a request is steps of their machine, so no
-// run has a process at all — nothing ever parks — and a native stepper's
-// has no coroutine either: nothing exists that a switch could switch to.
-// A direct-style handler's only switches are its own resumes.
+// run has a process at all — nothing ever parks — and no coroutine
+// either: nothing exists that a switch could switch to.
 func TestRunsWithoutProcs(t *testing.T) {
 	busy := DefaultConfig()
 	busy.Wait, busy.Tx = BusyWait, SyncTx
 	for _, cfg := range []Config{DefaultConfig(), busy} {
-		for _, native := range []bool{true, false} {
-			r := newArrayRig(t, rigSetup{sched: cfg, frames: 48}, native)
-			r.sched.OnComplete = func(*Request) {
-				if n := r.env.LiveProcs(); n != 0 {
-					t.Fatalf("wait=%v native=%v: %d live procs", cfg.Wait, native, n)
-				}
+		r := newArrayRig(t, rigSetup{sched: cfg, frames: 48})
+		r.sched.OnComplete = func(*Request) {
+			if n := r.env.LiveProcs(); n != 0 {
+				t.Fatalf("wait=%v: %d live procs", cfg.Wait, n)
 			}
-			r.drive(400, sim.Micros(1))
-			if got := r.sched.Completed.Value(); got != 400 {
-				t.Fatalf("wait=%v native=%v: completed %d of 400", cfg.Wait, native, got)
-			}
-			ks := r.env.KernelStats()
-			if ks.Parks != 0 || native != (ks.Switches == 0) {
-				t.Fatalf("wait=%v native=%v: parked %d times and switched %d times", cfg.Wait, native, ks.Parks, ks.Switches)
-			}
+		}
+		r.drive(400, sim.Micros(1))
+		if got := r.sched.Completed.Value(); got != 400 {
+			t.Fatalf("wait=%v: completed %d of 400", cfg.Wait, got)
+		}
+		if ks := r.env.KernelStats(); ks.Parks != 0 || ks.Switches != 0 {
+			t.Fatalf("wait=%v: parked %d times and switched %d times", cfg.Wait, ks.Parks, ks.Switches)
 		}
 	}
 }
@@ -43,29 +36,27 @@ func TestRunsWithoutProcs(t *testing.T) {
 // The liveness oracle must see a wedged core: one that is neither armed
 // nor registered anywhere, and one whose idle-gate wake was lost.
 func TestCoreLivenessCatchesWedgedWorker(t *testing.T) {
-	for _, native := range []bool{true, false} {
-		r := newArrayRig(t, rigSetup{sched: DefaultConfig(), frames: 48}, native)
-		r.drive(100, sim.Micros(1))
-		if err := r.sched.CheckLiveness(); err != nil {
-			t.Fatalf("native=%v: healthy run reported: %v", native, err)
-		}
-		w := r.sched.workers[3]
-
-		// A lost wake: work arrives, nobody tells the sleeping core.
-		w.inbox.PushBack(&Request{})
-		expectViolation(t, r.sched.CheckLiveness(), "worker3", "lost wake")
-		w.inbox.PopBack()
-
-		// A dropped registration: the core is in no waiter slot at all.
-		idle := w.idleGate
-		w.idleGate = sim.NewGate(r.env)
-		expectViolation(t, r.sched.CheckLiveness(), "worker3", "state=idle")
-
-		d := r.sched.dispatchers[0]
-		w.idleGate = idle
-		d.gate = sim.NewGate(r.env)
-		expectViolation(t, r.sched.CheckLiveness(), "dispatcher0", "state=idle")
+	r := newArrayRig(t, rigSetup{sched: DefaultConfig(), frames: 48})
+	r.drive(100, sim.Micros(1))
+	if err := r.sched.CheckLiveness(); err != nil {
+		t.Fatalf("healthy run reported: %v", err)
 	}
+	w := r.sched.workers[3]
+
+	// A lost wake: work arrives, nobody tells the sleeping core.
+	w.inbox.PushBack(&Request{})
+	expectViolation(t, r.sched.CheckLiveness(), "worker3", "lost wake")
+	w.inbox.PopBack()
+
+	// A dropped registration: the core is in no waiter slot at all.
+	idle := w.idleGate
+	w.idleGate = sim.NewGate(r.env)
+	expectViolation(t, r.sched.CheckLiveness(), "worker3", "state=idle")
+
+	d := r.sched.dispatchers[0]
+	w.idleGate = idle
+	d.gate = sim.NewGate(r.env)
+	expectViolation(t, r.sched.CheckLiveness(), "dispatcher0", "state=idle")
 }
 
 // Under delegated TX a finished request is, for a while, on no core and
@@ -73,7 +64,7 @@ func TestCoreLivenessCatchesWedgedWorker(t *testing.T) {
 // on the wire, holds the record. That is the two-owner rule at work, not a
 // lost request — and were the worker's half not recorded, it would be.
 func TestCoreLivenessAllowsRequestAwaitingItsTxCompletion(t *testing.T) {
-	r := newArrayRig(t, rigSetup{sched: DefaultConfig(), frames: 48}, true)
+	r := newArrayRig(t, rigSetup{sched: DefaultConfig(), frames: 48})
 	r.env.At(1, func() {
 		r.net.SendToNode(&ethernet.Packet{Payload: &workload.ArrayMsg{Index: 7}, Size: 64, TxTime: 1})
 	})
@@ -106,21 +97,21 @@ func expectViolation(t *testing.T, err error, wants ...string) {
 	}
 }
 
-// A panic raised inside a direct-style handler — a simcheck violation,
-// here, after the handler has been suspended and resumed once — crosses
-// the coroutine and the core that resumed it and reaches Run's caller
-// with its value unchanged, and the unwinding run leaves no goroutine.
+// A panic raised inside a request's Step — a simcheck violation, here,
+// on the Step that resumes the request after its fault — crosses the
+// core that called it and reaches Run's caller with its value unchanged.
 func TestHandlerPanicReachesRun(t *testing.T) {
-	before := runtime.NumGoroutine()
-	violation := simcheck.New("test/handler", "raised inside a blocking handler")
+	violation := simcheck.New("test/handler", "raised inside a request's step")
 	served := 0
 	var r *rig
-	r = newRig(t, DefaultConfig(), func(ctx workload.Ctx, payload any) (any, int) {
-		_ = r.space.LoadU64(ctx, payload.(int64)*paging.PageSize) // faults: the handler suspends
-		if served++; served == 10 {
-			panic(violation)
-		}
-		return payload, 64
+	r = newRig(t, DefaultConfig(), phases{
+		func(ctx workload.StepCtx, payload any) (sim.Time, workload.StepStatus) { return r.load(ctx, payload) },
+		func(workload.StepCtx, any) (sim.Time, workload.StepStatus) {
+			if served++; served == 10 {
+				panic(violation)
+			}
+			return 0, workload.StepDone
+		},
 	}, 8)
 	pages := make([]int64, 64)
 	for i := range pages {
@@ -135,13 +126,7 @@ func TestHandlerPanicReachesRun(t *testing.T) {
 	if rec != violation {
 		t.Fatalf("Run panicked with %v, want the handler's violation itself", rec)
 	}
-	if r.mgr.Faults.Value() == 0 {
-		t.Fatal("no handler ever suspended on a fault")
-	}
-	for i := 0; runtime.NumGoroutine() != before; i++ {
-		if i == 100 {
-			t.Fatalf("goroutines: %d before, %d after a run a handler panicked out of", before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
+	if r.mgr.Faults.Value() < 10 {
+		t.Fatalf("%d faults: the panicking Step did not follow one", r.mgr.Faults.Value())
 	}
 }

@@ -20,8 +20,7 @@ import (
 // completion is waited for here or delegated. Spawn is a state edge of a
 // record reset at admission, a parked request is its 80-byte StepFrame
 // plus the bookkeeping beside it in Request, and retire is a plain call —
-// the paper's §3.2 cost argument made literal. A direct-style handler
-// reaches the same machine through workload.Blocking.
+// the paper's §3.2 cost argument made literal.
 //
 // The bracket rule. A request's time on a core is a sequence of segments,
 // each from spawn or resume up to the next park (fault or Block yield,
@@ -509,18 +508,6 @@ func (r *Request) CriticalExit() {
 		panic("sched: CriticalExit without CriticalEnter")
 	}
 	r.noPreempt--
-}
-
-// Charge implements workload.StepCtx: the inline half of a compute
-// charge. A sliced charge is the machine's to cut.
-func (r *Request) Charge(d sim.Time) bool {
-	w := r.worker
-	if r.sliced() || !w.task.Elapse(d) {
-		return false
-	}
-	w.owed, w.owedReq = d, r
-	w.settle()
-	return true
 }
 
 // ProbeFree implements workload.StepCtx: no probes in IPI mode or inside

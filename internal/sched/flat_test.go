@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"fmt"
 	"hash/fnv"
-	"reflect"
 	"testing"
 
 	"repro/internal/ethernet"
@@ -14,11 +14,10 @@ import (
 	"repro/internal/trace"
 	"repro/internal/unithread"
 	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
-// arrayRig wires a scheduler around a real ArrayApp so its two forms —
-// the native stepper, and the direct-style Handler on workload.Blocking —
-// can be run on identical inputs.
+// arrayRig wires a scheduler around a real ArrayApp.
 type arrayRig struct {
 	env   *sim.Env
 	net   *ethernet.Net
@@ -28,8 +27,8 @@ type arrayRig struct {
 	rec   *trace.Recorder
 }
 
-// rigSetup is one differential configuration: the scheduler config plus
-// the resource limits that decide which stall paths a run reaches.
+// rigSetup is one pinned configuration: the scheduler config plus the
+// resource limits that decide which stall paths a run reaches.
 type rigSetup struct {
 	sched        Config
 	frames       int64 // local frame pool, in pages
@@ -43,7 +42,7 @@ type rigSetup struct {
 	wrErr        float64  // work-request error rate (demand fetches that exhaust their retries abort)
 }
 
-func newArrayRig(t *testing.T, ts rigSetup, native bool) *arrayRig {
+func newArrayRig(t *testing.T, ts rigSetup) *arrayRig {
 	t.Helper()
 	env := sim.NewEnv(5)
 	pcfg := paging.DefaultConfig(ts.frames * paging.PageSize)
@@ -65,14 +64,7 @@ func newArrayRig(t *testing.T, ts rigSetup, native bool) *arrayRig {
 	}
 	r.app = workload.NewArrayApp(r.mgr, node, 256*paging.PageSize)
 	r.app.WriteFrac = 0.25
-	stepH := r.app.StepHandler()
-	if !native {
-		stepH = workload.NewBlocking(env, r.app.Handler())
-	}
-	r.sched = New(env, ts.sched, r.net, rdma.Fabric{nic}, r.mgr, unithread.NewPool(4096, 4096), stepH)
-	if r.sched.FlatTier() != native {
-		t.Fatalf("FlatTier() = %v with native = %v", r.sched.FlatTier(), native)
-	}
+	r.sched = New(env, ts.sched, r.net, rdma.Fabric{nic}, r.mgr, unithread.NewPool(4096, 4096), r.app.StepHandler())
 	r.sched.Trace = r.rec
 	r.sched.Start()
 	rcq := rdma.NewCQ("reclaim")
@@ -122,6 +114,7 @@ func digestReq(h *uint64, req *Request) {
 	*h = f.Sum64()
 }
 
+// flatRunStats is a run's summary, every counter of its pinned row.
 type flatRunStats struct {
 	digest    uint64
 	completed int64
@@ -135,22 +128,20 @@ type flatRunStats struct {
 	allocWait int64
 	steals    int64
 	preempts  int
-	switches  int64
-	events    []trace.Event
+	slotWaits int // completions that saw a worker core waiting for a QP slot
 }
 
-// runForm runs the differential workload on one form of the handler.
-// slotWaits counts, over the completions, the worker cores seen waiting
-// for a QP slot.
-func runForm(t *testing.T, ts rigSetup, native bool) (st flatRunStats, slotWaits int) {
+// runForm runs the pinned workload and returns its summary and its pinned
+// row: the summary and the SHA-256 of the trace.
+func runForm(t *testing.T, ts rigSetup) (st flatRunStats, row string) {
 	t.Helper()
-	r := newArrayRig(t, ts, native)
+	r := newArrayRig(t, ts)
 	r.sched.OnComplete = func(req *Request) {
 		digestReq(&st.digest, req)
 		st.preempts += req.Preemptions
 		for _, w := range r.sched.workers {
 			if w.qps[0].SlotWaiting(w.task) {
-				slotWaits++
+				st.slotWaits++
 			}
 		}
 	}
@@ -171,25 +162,26 @@ func runForm(t *testing.T, ts rigSetup, native bool) (st flatRunStats, slotWaits
 	st.dirtyWB = r.mgr.DirtyWritebacks.Value()
 	st.allocWait = r.mgr.AllocStalls.Value()
 	st.steals = r.sched.Steals.Value()
-	st.switches = r.env.KernelStats().Switches
-	st.events = r.rec.Events()
 	if err := r.sched.CheckLiveness(); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.env.LiveProcs(); n != 0 {
 		t.Fatalf("%d live procs", n)
 	}
-	return st, slotWaits
+	if sw := r.env.KernelStats().Switches; sw != 0 {
+		t.Fatalf("%d coroutine switches", sw)
+	}
+	return st, fmt.Sprintf("%+v trace=%s", st, steptest.TraceSum(r.rec.Events()))
 }
 
-// The one differential left: there is one execution path, but a handler
-// can reach it in two forms, and the forms must not differ in anything
-// simulated. The same workload through ArrayApp's native stepper and
-// through its direct-style Handler on workload.Blocking must produce the
-// identical schedule — per-request timings (order-sensitive digest),
-// every scheduler and paging counter, and the full trace event sequence
-// — under every policy the machine implements. Only the host's work
-// differs: the native form never switches to a coroutine.
+// There is one execution path and one handler form, and each row of
+// testdata/stepper_digests.txt is what ArrayApp's requests did on it
+// under one policy the machine implements — recorded, and proven equal,
+// on both forms a handler could take before the stackful one left: the
+// native stepper, and the direct-style body on the coroutine adapter
+// (hence the test's name). The stepper must reproduce every row:
+// per-request timings (an order-sensitive digest), every scheduler and
+// paging counter, the trace's SHA-256.
 func TestBlockingMatchesNativeStepper(t *testing.T) {
 	adios := DefaultConfig()
 
@@ -257,45 +249,26 @@ func TestBlockingMatchesNativeStepper(t *testing.T) {
 		{"hermit", rigSetup{sched: hermit, frames: 48, wantBusyWait: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, _ := runForm(t, tc.ts, false)
-			native, slotWaits := runForm(t, tc.ts, true)
-			if ref.completed != 600 {
-				t.Fatalf("reference completed %d of 600", ref.completed)
+			st, row := runForm(t, tc.ts)
+			if st.completed != 600 {
+				t.Fatalf("completed %d of 600", st.completed)
 			}
-			if ref.faults == 0 || ref.evictions == 0 || ref.dirtyWB == 0 {
-				t.Fatalf("workload too tame to differentiate: %+v", ref)
+			if st.faults == 0 || st.evictions == 0 || st.dirtyWB == 0 {
+				t.Fatalf("workload too tame to mean anything: %+v", st)
 			}
-			if tc.ts.wantStalls && (ref.allocWait == 0 || slotWaits == 0) {
-				t.Fatalf("no stalls to compare: %d frame stalls, %d slot waits seen", ref.allocWait, slotWaits)
+			if tc.ts.wantStalls && (st.allocWait == 0 || st.slotWaits == 0) {
+				t.Fatalf("no stalls: %d frame stalls, %d slot waits seen", st.allocWait, st.slotWaits)
 			}
-			if tc.ts.wantSteals && ref.steals == 0 {
+			if tc.ts.wantSteals && st.steals == 0 {
 				t.Fatal("stealing configuration never stole")
 			}
-			if tc.ts.wantBusyWait != (ref.busyWait > 0) {
-				t.Fatalf("busy-wait cycles = %d", ref.busyWait)
+			if tc.ts.wantBusyWait != (st.busyWait > 0) {
+				t.Fatalf("busy-wait cycles = %d", st.busyWait)
 			}
-			if tc.ts.wantPreempts != (ref.preempts > 0) {
-				t.Fatalf("preemptions = %d", ref.preempts)
+			if tc.ts.wantPreempts != (st.preempts > 0) {
+				t.Fatalf("preemptions = %d", st.preempts)
 			}
-			if native.switches != 0 || ref.switches < 600 {
-				t.Fatalf("coroutine switches: native %d (want 0), blocking %d (want one per request at least)",
-					native.switches, ref.switches)
-			}
-			native.switches, ref.switches = 0, 0
-			nativeEvents, refEvents := native.events, ref.events
-			native.events, ref.events = nil, nil
-			if !reflect.DeepEqual(native, ref) {
-				t.Fatalf("forms diverged:\n native   %+v\n blocking %+v", native, ref)
-			}
-			if !reflect.DeepEqual(nativeEvents, refEvents) {
-				for i := range refEvents {
-					if i >= len(nativeEvents) || nativeEvents[i] != refEvents[i] {
-						t.Fatalf("trace diverged at event %d:\n native   %+v\n blocking %+v",
-							i, nativeEvents[i], refEvents[i])
-					}
-				}
-				t.Fatalf("trace lengths differ: native %d, blocking %d", len(nativeEvents), len(refEvents))
-			}
+			steptest.Pinned(t, tc.name, row)
 		})
 	}
 }
@@ -307,9 +280,9 @@ func TestBlockingMatchesNativeStepper(t *testing.T) {
 // the packet, every record ever built is back on the free list after the
 // drain, exactly once; there are as many as were ever in flight, not as
 // many as completed; and the pool's occupancy reads what it read when a
-// request was three records (the pinned peaks are the parent's). 96
+// request was three records (the pinned peaks were recorded then). 96
 // frames: at 48 this load wedges in the frame-starvation deadlock the
-// "starved" differential row describes, in the parent as here.
+// "starved" pinned row describes.
 func TestRequestRecycledOnceByLastOwner(t *testing.T) {
 	for _, tc := range []struct {
 		tx       TxPolicy
@@ -317,7 +290,7 @@ func TestRequestRecycledOnceByLastOwner(t *testing.T) {
 	}{{DelegatedTx, 417}, {SyncTx, 396}} {
 		cfg := DefaultConfig()
 		cfg.Tx, cfg.Preempt, cfg.Quantum = tc.tx, true, 500
-		r := newArrayRig(t, rigSetup{sched: cfg, frames: 96, wrErr: 0.3}, true)
+		r := newArrayRig(t, rigSetup{sched: cfg, frames: 96, wrErr: 0.3})
 		var preempts, ids int
 		r.sched.OnComplete = func(req *Request) {
 			preempts += req.Preemptions

@@ -23,7 +23,47 @@ type rig struct {
 	space *paging.Space
 }
 
-func newRig(t *testing.T, cfg Config, handler workload.Handler, localPages int64) *rig {
+// phases is a test request handler written as a list of phases, one run
+// per Step from the frame's PC. A phase returns what the request needs:
+// after StepCompute or StepProbe the next phase runs at the next Step,
+// after StepFault or StepBlock the same phase runs again, and StepDone
+// goes on to the next phase at once. Past the last phase the request
+// answers its payload in 64 bytes.
+type phases []func(ctx workload.StepCtx, payload any) (sim.Time, workload.StepStatus)
+
+func (phases) Begin(*workload.StepFrame, any)   {}
+func (phases) Abort(*workload.StepFrame, error) {}
+
+func (p phases) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) (any, int, sim.Time, workload.StepStatus) {
+	for int(f.PC) < len(p) {
+		cycles, st := p[f.PC](ctx, payload)
+		if st == workload.StepFault || st == workload.StepBlock {
+			return nil, 0, 0, st
+		}
+		if f.PC++; st != workload.StepDone {
+			return nil, 0, cycles, st
+		}
+	}
+	return payload, 64, 0, workload.StepDone
+}
+
+func compute(d sim.Time) func(workload.StepCtx, any) (sim.Time, workload.StepStatus) {
+	return func(workload.StepCtx, any) (sim.Time, workload.StepStatus) { return d, workload.StepCompute }
+}
+
+func probe(workload.StepCtx, any) (sim.Time, workload.StepStatus) { return 0, workload.StepProbe }
+
+// load reads the page the payload names.
+func (r *rig) load(ctx workload.StepCtx, payload any) (sim.Time, workload.StepStatus) {
+	if _, ok := ctx.TryPage(r.space, payload.(int64)); !ok {
+		return 0, workload.StepFault
+	}
+	return 0, workload.StepDone
+}
+
+// newRig builds the rig around handler, or, if nil, a request that
+// computes, probes and reads the page its payload names.
+func newRig(t *testing.T, cfg Config, handler workload.StepHandler, localPages int64) *rig {
 	t.Helper()
 	env := sim.NewEnv(5)
 	r := &rig{
@@ -36,15 +76,9 @@ func newRig(t *testing.T, cfg Config, handler workload.Handler, localPages int64
 	node := memnode.New(1 << 30)
 	r.space = r.mgr.NewSpace("data", node.MustAlloc("data", 256*paging.PageSize))
 	if handler == nil {
-		handler = func(ctx workload.Ctx, payload any) (any, int) {
-			ctx.Compute(500)
-			ctx.Probe()
-			v := r.space.LoadU64(ctx, payload.(int64)*paging.PageSize)
-			_ = v
-			return payload, 64
-		}
+		handler = phases{compute(500), probe, r.load}
 	}
-	r.sched = New(env, cfg, r.net, rdma.Fabric{r.nic}, r.mgr, r.pool, workload.NewBlocking(env, handler))
+	r.sched = New(env, cfg, r.net, rdma.Fabric{r.nic}, r.mgr, r.pool, handler)
 	r.sched.Start()
 	rcq := rdma.NewCQ("reclaim")
 	r.mgr.StartReclaimer(r.nic.CreateQP("reclaim", rcq), rcq)
@@ -64,16 +98,8 @@ func (r *rig) inject(payloads []int64, gap sim.Time) {
 	}
 }
 
-// carrier returns the worker whose core a handler is running on, which
-// it knows by the queue pair its faults would use.
-func (r *rig) carrier(ctx workload.Ctx) *Worker {
-	for _, w := range r.sched.workers {
-		if w.qps[0] == ctx.QP(0) {
-			return w
-		}
-	}
-	return nil
-}
+// carrier returns the worker whose core a request is running on.
+func carrier(ctx workload.StepCtx) *Worker { return ctx.(*Request).worker }
 
 func TestRequestsCompleteBothPolicies(t *testing.T) {
 	for _, wait := range []WaitPolicy{BusyWait, Yield} {
@@ -123,13 +149,10 @@ func TestPFAwarePicksLeastLoadedWorker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Dispatch = PFAware
 	var picked *Worker
-	var r *rig
-	handler := func(ctx workload.Ctx, payload any) (any, int) {
-		picked = r.carrier(ctx)
-		ctx.Compute(500)
-		return payload, 64
-	}
-	r = newRig(t, cfg, handler, 64)
+	r := newRig(t, cfg, phases{func(ctx workload.StepCtx, _ any) (sim.Time, workload.StepStatus) {
+		picked = carrier(ctx)
+		return 500, workload.StepCompute
+	}}, 64)
 
 	// Give every worker an artificial outstanding-fetch imbalance by
 	// posting large dummy reads on their QPs (in flight for >100us, far
@@ -169,12 +192,9 @@ func TestPreemptionRequeuesLongTasks(t *testing.T) {
 	cfg.Tx = SyncTx
 	cfg.Preempt = true
 	cfg.Quantum = sim.Micros(5)
-	long := func(ctx workload.Ctx, payload any) (any, int) {
-		for i := 0; i < 40; i++ {
-			ctx.Compute(1000) // 20us of compute with probes
-			ctx.Probe()
-		}
-		return payload, 64
+	var long phases
+	for i := 0; i < 40; i++ {
+		long = append(long, compute(1000), probe) // 20us of compute with probes
 	}
 	r := newRig(t, cfg, long, 64)
 	preemptions := 0
@@ -220,10 +240,7 @@ func TestNoPreemptionWithoutProbesInFaultPath(t *testing.T) {
 func TestCentralQueueBoundsAndDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CentralQueueCap = 16
-	r := newRig(t, cfg, func(ctx workload.Ctx, payload any) (any, int) {
-		ctx.Compute(sim.Micros(50)) // slow handler to back up the queue
-		return payload, 64
-	}, 64)
+	r := newRig(t, cfg, phases{compute(sim.Micros(50))}, 64) // slow handler to back up the queue
 	payloads := make([]int64, 400)
 	r.inject(payloads, 100) // ~20M RPS burst
 	r.env.Run(sim.Millis(60))
@@ -245,21 +262,24 @@ func TestBlockYieldsUnderYieldPolicy(t *testing.T) {
 	cfg.Workers = 1 // force both requests onto one worker
 	var lockHeld bool
 	var waiters []func()
-	handler := func(ctx workload.Ctx, payload any) (any, int) {
-		for lockHeld {
+	acquire := func(ctx workload.StepCtx, _ any) (sim.Time, workload.StepStatus) {
+		if lockHeld {
 			ctx.Block(func(wake func()) { waiters = append(waiters, wake) })
+			return 0, workload.StepBlock
 		}
 		lockHeld = true
-		ctx.Compute(sim.Micros(10))
+		return sim.Micros(10), workload.StepCompute
+	}
+	release := func(workload.StepCtx, any) (sim.Time, workload.StepStatus) {
 		lockHeld = false
 		if len(waiters) > 0 {
 			w := waiters[0]
 			waiters = waiters[1:]
 			w()
 		}
-		return payload, 64
+		return 0, workload.StepDone
 	}
-	r := newRig(t, cfg, handler, 64)
+	r := newRig(t, cfg, phases{acquire, release}, 64)
 	r.inject([]int64{1, 2, 3}, 10)
 	r.env.Run(sim.Millis(10))
 	if r.sched.Completed.Value() != 3 {
@@ -271,17 +291,13 @@ func TestWorkStealingBalancesLoad(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Dispatch = WorkStealing
 	ranOn := map[int]int{}
-	var r *rig
-	handler := func(ctx workload.Ctx, payload any) (any, int) {
-		ranOn[r.carrier(ctx).id]++
+	r := newRig(t, cfg, phases{func(ctx workload.StepCtx, payload any) (sim.Time, workload.StepStatus) {
+		ranOn[carrier(ctx).id]++
 		if payload.(int64) == 1 {
-			ctx.Compute(sim.Micros(60)) // heavy
-		} else {
-			ctx.Compute(sim.Micros(1))
+			return sim.Micros(60), workload.StepCompute // heavy
 		}
-		return payload, 64
-	}
-	r = newRig(t, cfg, handler, 64)
+		return sim.Micros(1), workload.StepCompute
+	}}, 64)
 	// Round-robin sends request j to worker j%8: making every j%8==0
 	// request heavy piles work onto worker 0, which peers must steal.
 	payloads := make([]int64, 160)
@@ -337,11 +353,7 @@ func TestIPIPreemptionSlicesCompute(t *testing.T) {
 	cfg.PreemptIPI = true
 	cfg.Quantum = sim.Micros(5)
 	// One long Compute with NO probes: only IPI can preempt it.
-	long := func(ctx workload.Ctx, payload any) (any, int) {
-		ctx.Compute(sim.Micros(25))
-		return payload, 64
-	}
-	r := newRig(t, cfg, long, 64)
+	r := newRig(t, cfg, phases{compute(sim.Micros(25))}, 64)
 	preemptions := 0
 	r.sched.OnComplete = func(req *Request) { preemptions += req.Preemptions }
 	payloads := make([]int64, 30)

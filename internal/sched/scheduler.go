@@ -72,12 +72,10 @@ type Scheduler struct {
 	reqs     []*Request
 }
 
-// FlatTier reports whether requests run as native steps, with no
-// coroutine behind them (the handler is not workload.Blocking).
-func (s *Scheduler) FlatTier() bool {
-	_, adapted := s.stepH.(*workload.Blocking)
-	return !adapted
-}
+// FlatTier reports that requests run as native steps, with no coroutine
+// behind them — always. It stays while the repository benchmark reports
+// it as sched.flat_tier (ROADMAP item 2 retires that metric).
+func (s *Scheduler) FlatTier() bool { return true }
 
 // newRequest takes a record from the free list (or builds one) and
 // resets it for an arriving packet, whose pool slot it now holds.
@@ -163,9 +161,8 @@ const (
 // New wires a scheduler. fab carries one NIC per memory node; each
 // worker gets one fetch QP per node, all completing on the worker's
 // single fetch CQ, so the polling paths are node-count agnostic. stepH is
-// the application: a native stepper, or workload.Blocking over a
-// direct-style handler. The caller starts the scheduler with Start after
-// attaching OnComplete hooks.
+// the application's request handler. The caller starts the scheduler with
+// Start after attaching OnComplete hooks.
 func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 	mgr *paging.Manager, pool *unithread.Pool, stepH workload.StepHandler) *Scheduler {
 	if cfg.Workers <= 0 {

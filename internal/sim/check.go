@@ -62,9 +62,6 @@ func (e *Env) MarkUnblocked(w Waiter) {
 func (e *Env) auditTeardown() {
 	for c := e.suspended; c != nil; c = c.next {
 		p := c.proc
-		if p == nil {
-			continue // a plain body has no wake-up of its own to lose
-		}
 		if _, ok := e.blocked[p]; ok {
 			continue
 		}

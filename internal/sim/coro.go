@@ -2,33 +2,24 @@ package sim
 
 import "iter"
 
-// Coro is the kernel's one coroutine primitive: a body that runs on a
-// runtime coroutine (iter.Pull), is resumed by whoever holds it and
-// suspends itself, strictly one side executing at a time. Control moves
-// by a direct goroutine-to-goroutine switch that never enters the
-// runtime scheduler, and a panic in the body unwinds through Resume into
-// the resumer like any other. Two things ride it: a Proc, which the
-// event loop resumes and which parks by dispatching events (proc.go),
-// and a plain body — a direct-style request handler — which a scheduler
-// core resumes from its own step machine and which pushes no event of
-// its own (workload.Blocking).
+// Coro is the coroutine a process runs on: its body runs on a runtime
+// coroutine (iter.Pull), which the event loop resumes and which suspends
+// itself by parking (proc.go), strictly one side executing at a time.
+// Control moves by a direct goroutine-to-goroutine switch that never
+// enters the runtime scheduler, and a panic in the body unwinds through
+// the resume into the event loop like any other.
 //
-// Coroutines are pooled per Env: when a body returns, its coroutine goes
-// back on the free list and the next Coro call (or process start) reuses
-// it, so a *Coro is only valid until its body returns. Every suspended
-// coroutine is on the environment's suspended list, and the end of a run
-// stops them all and the pool (releaseParked): neither a parked process
-// nor a handler the horizon cut mid-request outlives its simulation.
+// Coroutines are pooled per Env: when a process's body returns, its
+// coroutine goes back on the free list and the next process start reuses
+// it. Every suspended coroutine is on the environment's suspended list,
+// and the end of a run stops them all and the pool (releaseParked): no
+// parked process outlives its simulation.
 type Coro struct {
 	env    *Env
 	resume func() (*Proc, bool) // resumer → body; returns what the body yielded
 	stop   func()               // make the pending yield return false
 	yield  func(*Proc) bool     // body → resumer, naming the process to switch to (or nil)
-
-	// What the next resume of a pooled coroutine starts: a process, or a
-	// plain body.
-	proc *Proc
-	body func()
+	proc   *Proc                // what the next resume of a pooled coroutine starts
 
 	// Suspended-list links; next doubles as the free-list link.
 	prev, next *Coro
@@ -38,26 +29,6 @@ type Coro struct {
 // tears down, unwinding its stack. Bodies must not suspend again from
 // deferred functions.
 type abortSignal struct{}
-
-// Coro returns a pooled coroutine whose first Resume starts body.
-func (e *Env) Coro(body func()) *Coro {
-	c := e.takeCoro()
-	c.body = body
-	return c
-}
-
-// Resume switches to the body until it suspends or returns.
-func (c *Coro) Resume() {
-	if c.body == nil {
-		panic("sim: resuming a coroutine whose body has ended")
-	}
-	c.env.stats.Switches++
-	c.resume()
-}
-
-// Suspend returns control to the resumer; it returns at the next Resume.
-// Call only from the body.
-func (c *Coro) Suspend() { c.suspend(nil) }
 
 // suspend yields q to the resumer, keeping the coroutine on the
 // suspended list meanwhile.
@@ -100,11 +71,9 @@ func (e *Env) takeCoro() *Coro {
 		c.yield = yield
 		for {
 			c.run()
-			if p := c.proc; p != nil {
-				e.nProcs--
-				p.done = true
-			}
-			c.proc, c.body = nil, nil
+			e.nProcs--
+			c.proc.done = true
+			c.proc = nil
 			c.next = e.freeCoros
 			e.freeCoros = c
 			if !yield(nil) {
@@ -115,8 +84,8 @@ func (e *Env) takeCoro() *Coro {
 	return c
 }
 
-// run executes one body, converting the teardown abort into a normal
-// return so the coroutine ends through its loop. Any other panic
+// run executes one process body, converting the teardown abort into a
+// normal return so the coroutine ends through its loop. Any other panic
 // continues into the coroutine, which hands it to the resume (or stop)
 // that switched here: it reaches Run's caller with its value unchanged.
 func (c *Coro) run() {
@@ -127,11 +96,8 @@ func (c *Coro) run() {
 			}
 		}
 	}()
-	if p := c.proc; p != nil {
-		fn := p.body
-		p.body = nil
-		fn(p)
-		return
-	}
-	c.body()
+	p := c.proc
+	fn := p.body
+	p.body = nil
+	fn(p)
 }

@@ -146,7 +146,7 @@ func (e *Env) MaxPending() int {
 // across runs of one seed.
 type KernelStats struct {
 	Parks      int64 // Proc.park calls: sleeps, yields and waits that did not skip ahead
-	Switches   int64 // transfers of control into a coroutine, process or plain (each pairs with one back)
+	Switches   int64 // transfers of control into a process's coroutine (each pairs with one back)
 	SkipAheads int64 // sleeps and yields, of tasks and procs, that only advanced the clock
 }
 

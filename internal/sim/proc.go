@@ -5,9 +5,8 @@ package sim
 // (Sleep) or on synchronization primitives (Gate); while it is blocked,
 // other events and processes run. Nothing in an assembled system
 // (core.System) is a process: every model loop and the scheduler's
-// cores are tier-1 Tasks (task.go), and a direct-style
-// request handler rides a plain Coro that the worker core resumes from
-// its own step machine. Procs remain for the harnesses that want a
+// cores are tier-1 Tasks (task.go), and every request is steps of a
+// worker core's machine. Procs remain for the harnesses that want a
 // blocking caller with its own wake-ups — the benchmark rigs, package
 // tests — and as the reference the kernel's own tests drive.
 //
@@ -185,12 +184,11 @@ func (e *Env) skipAhead(at Time) bool {
 	return true
 }
 
-// releaseParked unwinds every suspended coroutine — parked processes
-// and handlers cut mid-request alike — and stops the pool. Called when a
-// run finishes so that repeated simulations (benchmark sweeps) do not
-// leak goroutines. The common nothing-to-release case — nothing ever
-// suspended, no coroutine pooled — inlines into Run/RunAll; the unwind
-// loops live in the slow half.
+// releaseParked unwinds every parked process's coroutine and stops the
+// pool. Called when a run finishes so that repeated simulations
+// (benchmark sweeps) do not leak goroutines. The common
+// nothing-to-release case — nothing ever suspended, no coroutine pooled —
+// inlines into Run/RunAll; the unwind loops live in the slow half.
 func (e *Env) releaseParked() {
 	if e.checked {
 		e.auditTeardown()

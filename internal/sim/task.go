@@ -13,9 +13,7 @@ package sim
 // Every model loop runs as a task — the loadgen arrival loop, the paging
 // reclaimer, NIC delivery and completion paths, and the scheduler's
 // dispatcher and worker cores, whose cycle charges are Task.Sleep and
-// which run every request as steps of their own state machine; an
-// application handler written in direct style, which parks partway down
-// a call stack, rides a Coro the worker's task resumes (coro.go).
+// which run every request as steps of their own state machine.
 //
 // A task is single-armed: at most one pending firing exists at a time,
 // which is the natural shape of a self-rescheduling loop and keeps the
@@ -84,12 +82,6 @@ func (t *Task) Sleep(d Time) bool {
 // scheduler brackets each on-core segment of a request with Yields,
 // which fixes where a request's execution crosses the event queue.
 func (t *Task) Yield() bool { return t.sleepUntil(t.env.now) }
-
-// Elapse is the inline half of Sleep alone: d cycles pass if nothing is
-// pending at or before the wake time, and Elapse reports whether they
-// did; it never arms the task. A handler on a coroutine the task resumed
-// tries this first and hands a refused charge back to the task's Sleep.
-func (t *Task) Elapse(d Time) bool { return t.env.skipAhead(t.env.now + d) }
 
 func (t *Task) sleepUntil(at Time) bool {
 	if t.env.skipAhead(at) {

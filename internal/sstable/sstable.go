@@ -224,10 +224,7 @@ func (t *Table) Classify(payload any) string {
 	return "GET"
 }
 
-// Handler implements workload.App: the stepper under a blocking context.
-func (t *Table) Handler() workload.Handler { return workload.Direct(stepper{t}) }
-
-// StepHandler implements workload.StepApp.
+// StepHandler implements workload.App.
 func (t *Table) StepHandler() workload.StepHandler { return stepper{t} }
 
 // stepper is the table's request logic, and its only form: a walk through

@@ -7,47 +7,13 @@ import (
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
-	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
-type ctxThread struct {
-	env  *sim.Env
-	proc *sim.Proc
-	mgr  *paging.Manager
-	qp   *rdma.QP
-	gate *sim.Gate
-}
-
-func (t *ctxThread) Proc() *sim.Proc      { return t.proc }
-func (t *ctxThread) QP(node int) *rdma.QP { return t.qp }
-func (t *ctxThread) Rand() *sim.RNG       { return t.env.Rand() }
-func (t *ctxThread) Compute(d sim.Time)   { t.proc.Sleep(d) }
-func (t *ctxThread) Probe()               {}
-func (t *ctxThread) CriticalEnter()       {}
-func (t *ctxThread) CriticalExit()        {}
-func (t *ctxThread) Block(enqueue func(wake func())) {
-	done := false
-	enqueue(func() {
-		done = true
-		t.gate.Wake()
-	})
-	for !done {
-		t.gate.Wait(t.proc)
-	}
-}
-
-func (t *ctxThread) WaitPage(s *paging.Space, vpn int64) {
-	for !s.Resident(vpn) {
-		if t.mgr.RequestPage(t, s, vpn, func(error) { t.gate.Wake() }, true) {
-			return
-		}
-		t.gate.Wait(t.proc)
-	}
-}
-
-func harness(t *testing.T, cfg Config, localFrac float64, fn func(ctx workload.Ctx, tab *Table)) *Table {
+// harness runs fn as a harness thread over a paging rig sized to
+// localFrac of the table.
+func harness(t *testing.T, cfg Config, localFrac float64, fn func(th *steptest.Thread, tab *Table)) *Table {
 	t.Helper()
 	env := sim.NewEnv(11)
 	probe := paging.NewManager(env, paging.DefaultConfig(paging.PageSize))
@@ -60,39 +26,24 @@ func harness(t *testing.T, cfg Config, localFrac float64, fn func(ctx workload.C
 	tab := New(mgr, memnode.New(4<<30), cfg)
 	tab.WarmCache()
 
-	nic := rdma.NewNIC(env, rdma.DefaultConfig())
-	cq := rdma.NewCQ("t")
-	qp := nic.CreateQP("t", cq)
-	cq.Notify = func() {
-		for _, c := range cq.Poll(64) {
-			mgr.Complete(c.Cookie.(*paging.Fetch), c.Err)
-		}
-	}
-	rcq := rdma.NewCQ("reclaim")
-	mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)
-
-	env.Go("driver", func(p *sim.Proc) {
-		ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
-		fn(ctx, tab)
-	})
+	steptest.NewRig(mgr).Go(func(th *steptest.Thread) { fn(th, tab) })
 	env.Run(sim.Seconds(300))
 	return tab
 }
 
-// serve runs one request through the table's Handler: the stepper, driven
-// under a blocking context by workload.Direct.
-func serve(ctx workload.Ctx, tab *Table, m *Msg) *Msg {
-	tab.Handler()(ctx, m)
+// serve runs one request through the table's stepper.
+func serve(th *steptest.Thread, tab *Table, m *Msg) *Msg {
+	th.Run(tab.StepHandler(), m)
 	return m
 }
 
 func TestGetFindsExistingKeys(t *testing.T) {
 	cfg := DefaultConfig(5000, 128)
-	tab := harness(t, cfg, 0.2, func(ctx workload.Ctx, tab *Table) {
+	tab := harness(t, cfg, 0.2, func(th *steptest.Thread, tab *Table) {
 		for i := int64(0); i < 5000; i += 11 {
 			key := recordKey(i)
 			r := &Msg{Key: key}
-			if serve(ctx, tab, r); !r.Found {
+			if serve(th, tab, r); !r.Found {
 				t.Errorf("key %d not found", key)
 				return
 			}
@@ -109,15 +60,15 @@ func TestGetFindsExistingKeys(t *testing.T) {
 
 func TestGetAbsentKey(t *testing.T) {
 	cfg := DefaultConfig(1000, 128)
-	tab := harness(t, cfg, 0.5, func(ctx workload.Ctx, tab *Table) {
+	tab := harness(t, cfg, 0.5, func(th *steptest.Thread, tab *Table) {
 		// keyStride=7, so key 3 does not exist.
 		r := &Msg{Key: 3}
-		if serve(ctx, tab, r); r.Found {
+		if serve(th, tab, r); r.Found {
 			t.Error("absent key reported found")
 		}
 		// Beyond the last key.
 		r.Key = recordKey(5000)
-		if serve(ctx, tab, r); r.Found {
+		if serve(th, tab, r); r.Found {
 			t.Error("out-of-range key reported found")
 		}
 	})
@@ -128,9 +79,9 @@ func TestGetAbsentKey(t *testing.T) {
 
 func TestScanReturnsOrderedRange(t *testing.T) {
 	cfg := DefaultConfig(5000, 128)
-	harness(t, cfg, 0.2, func(ctx workload.Ctx, tab *Table) {
+	harness(t, cfg, 0.2, func(th *steptest.Thread, tab *Table) {
 		r := &Msg{Key: recordKey(100), Scan: true, Len: 100}
-		if serve(ctx, tab, r); r.Count != 100 {
+		if serve(th, tab, r); r.Count != 100 {
 			t.Errorf("scan count = %d, want 100", r.Count)
 			return
 		}
@@ -144,7 +95,7 @@ func TestScanReturnsOrderedRange(t *testing.T) {
 		}
 		// Scan clipped at the end of the table.
 		r.Key = recordKey(4950)
-		if serve(ctx, tab, r); r.Count != 50 {
+		if serve(th, tab, r); r.Count != 50 {
 			t.Errorf("clipped scan count = %d, want 50", r.Count)
 		}
 	})
@@ -153,21 +104,21 @@ func TestScanReturnsOrderedRange(t *testing.T) {
 func TestScanCostsDwarfGets(t *testing.T) {
 	// The paper's premise: SCAN(100) service time is 25-100x a GET's.
 	cfg := DefaultConfig(20000, 1024)
-	harness(t, cfg, 0.2, func(ctx workload.Ctx, tab *Table) {
+	harness(t, cfg, 0.2, func(th *steptest.Thread, tab *Table) {
 		// Warm the (small) bloom and index spaces into steady state, as
 		// sustained load would.
 		rng := sim.NewRNG(2)
 		for i := 0; i < 300; i++ {
-			serve(ctx, tab, &Msg{Key: recordKey(rng.Int63n(20000))})
+			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(20000))})
 		}
 		var getTime, scanTime sim.Time
 		const trials = 20
 		for i := 0; i < trials; i++ {
 			t0 := tab.mgr.Env().Now()
-			serve(ctx, tab, &Msg{Key: recordKey(rng.Int63n(20000))})
+			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(20000))})
 			getTime += tab.mgr.Env().Now() - t0
 			t0 = tab.mgr.Env().Now()
-			serve(ctx, tab, &Msg{Key: recordKey(rng.Int63n(19000)), Scan: true, Len: 100})
+			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(19000)), Scan: true, Len: 100})
 			scanTime += tab.mgr.Env().Now() - t0
 		}
 		ratio := float64(scanTime) / float64(getTime)
@@ -212,10 +163,10 @@ func TestSeekFindsLowerBound(t *testing.T) {
 	// with key >= probe, exactly like a reference binary search over the
 	// key space. SCAN(1)'s digest is one fold of the key it found.
 	cfg := DefaultConfig(3000, 64)
-	harness(t, cfg, 1.0, func(ctx workload.Ctx, tab *Table) {
+	harness(t, cfg, 1.0, func(th *steptest.Thread, tab *Table) {
 		check := func(raw uint16) bool {
 			probe := uint64(raw) % (recordKey(3000) + 20)
-			r := serve(ctx, tab, &Msg{Key: probe, Scan: true, Len: 1})
+			r := serve(th, tab, &Msg{Key: probe, Scan: true, Len: 1})
 			got := int64(3000)
 			if r.Count == 1 {
 				basis := uint64(fnvBasis)
@@ -233,9 +184,9 @@ func TestSeekFindsLowerBound(t *testing.T) {
 func TestBloomNeverFalseNegative(t *testing.T) {
 	// Property: every loaded key passes the bloom filter — a GET finds it.
 	cfg := DefaultConfig(2000, 64)
-	harness(t, cfg, 1.0, func(ctx workload.Ctx, tab *Table) {
+	harness(t, cfg, 1.0, func(th *steptest.Thread, tab *Table) {
 		check := func(raw uint16) bool {
-			return serve(ctx, tab, &Msg{Key: recordKey(int64(raw) % 2000)}).Found
+			return serve(th, tab, &Msg{Key: recordKey(int64(raw) % 2000)}).Found
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 			t.Error(err)

@@ -146,10 +146,7 @@ func (db *DB) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 	return tx, 64
 }
 
-// Handler implements workload.App: the stepper under a blocking context.
-func (db *DB) Handler() workload.Handler { return workload.Direct(stepper{db}) }
-
-// StepHandler implements workload.StepApp.
+// StepHandler implements workload.App.
 func (db *DB) StepHandler() workload.StepHandler { return stepper{db} }
 
 // Classify labels transactions for per-class latency reporting.

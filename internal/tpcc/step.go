@@ -34,12 +34,11 @@ func (s *itemSet) add(item uint32) bool {
 // index, one node (btree.Op) —, a lock, or a decision on what was read.
 // What needs no decision — a charge, a probe, a read that warms a page or
 // fetches a u32 for a later phase — a phase queues, to run before the
-// next with a resume point per op; so a transaction reads top to bottom
-// like the direct-style body it replaced (reference_test.go), charge for
-// charge, probe for probe, access for access. Within a step no simulated
-// time passes and a hit evicts nothing, so only a phase's first access
-// can miss: that is its resume point. No record field straddles a page:
-// records are 32-byte aligned, their fields in the first 28 bytes.
+// next with a resume point per op; so a transaction reads top to bottom,
+// charge for charge, probe for probe, access for access. Within a step no
+// simulated time passes and a hit evicts nothing, so only a phase's first
+// access can miss: that is its resume point. No record field straddles a
+// page: records are 32-byte aligned, their fields in the first 28 bytes.
 type stepper struct{ db *DB }
 
 // txRun is where a transaction is between steps, beside the frame's phase
@@ -219,9 +218,8 @@ func (h stepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payload any) 
 }
 
 // Abort implements workload.StepHandler: the request is over, and the
-// locks it holds are released, each waking its first waiter, as the
-// direct-style bodies' deferred unlocks did (the scheduler ends its
-// critical section).
+// locks it holds are released, each waking its first waiter (the
+// scheduler ends its critical section).
 func (h stepper) Abort(f *workload.StepFrame, _ error) {
 	for _, held := range f.W[:wDistrictLock+1] {
 		if held > 0 {

@@ -1,9 +1,10 @@
 package tpcc
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
-	"reflect"
 	"testing"
 
 	"repro/internal/btree"
@@ -14,10 +15,11 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
-// formCase is one configuration of the form differential: a preset, what
-// the case changes in it, and the offered load.
+// formCase is one pinned configuration: a preset, what the case changes
+// in it, and the offered load.
 type formCase struct {
 	name string
 	mode core.Mode
@@ -27,8 +29,7 @@ type formCase struct {
 	wantPreempts, wantStalls, wantAborts bool
 }
 
-// formCases are the policies and stall paths the stepper must replay its
-// direct-style reference under.
+// formCases are the policies and stall paths the stepper is pinned under.
 func formCases(t *testing.T) []formCase {
 	plan := func(spec string) faults.Config {
 		c, err := faults.ParseSpec(spec)
@@ -145,24 +146,21 @@ func (s watchedStepper) Abort(f *workload.StepFrame, err error) {
 	}
 }
 
-// formStats is everything the two forms must agree on.
+// formStats is the run's summary, every counter of its pinned row.
 type formStats struct {
-	digest, tables                    uint64
+	digest                            uint64
 	completed, aborts                 int64
 	cpu, busyWait                     int64
 	hits, faults, evictions, prefetch int64
 	fetchWaits, allocStalls, preempts int64
 	txAborts, nameMisses, conflicts   int64
 	invalid, fullDistricts            int
-	events                            []trace.Event
-	switches                          int64
-	// seen by the native run only
-	custWaits, underLock, handOffs int
 }
 
-// runForm drives the database on one form of its request logic — the
-// stepper, or the retired bodies on workload.Blocking.
-func runForm(t *testing.T, tc formCase, native bool) formStats {
+// runForm drives the database through a whole core.System under tc and
+// returns the run's summary, what the lock watch saw, and the run's pinned
+// row: the summary and the SHA-256s of the trace and of every table byte.
+func runForm(t *testing.T, tc formCase) (formStats, *lockWatch, string) {
 	t.Helper()
 	cfg := testConfig()
 	c := core.Preset(tc.mode, Footprint(cfg)/5)
@@ -175,14 +173,7 @@ func runForm(t *testing.T, tc formCase, native bool) formStats {
 	crowdNames(db, sys)
 	db.WarmCache()
 	watch := &lockWatch{DB: db, t: t}
-	if native {
-		sys.StartApp(watch)
-	} else {
-		sys.Start(db.referenceHandler())
-	}
-	if sys.Sched.FlatTier() != native {
-		t.Fatalf("FlatTier() = %v with native = %v", sys.Sched.FlatTier(), native)
-	}
+	sys.StartApp(watch)
 	rec := trace.New(0)
 	sys.Sched.Trace = rec
 
@@ -226,21 +217,20 @@ func runForm(t *testing.T, tc formCase, native bool) formStats {
 	st.evictions, st.prefetch = sys.Mgr.Evictions.Value(), sys.Mgr.PrefetchIssued.Value()
 	st.fetchWaits, st.allocStalls = sys.Mgr.FetchWaits.Value(), sys.Mgr.AllocStalls.Value()
 	st.txAborts, st.nameMisses, st.conflicts = db.Aborts.Value(), db.NameMisses.Value(), db.Conflicts.Value()
-	st.events = rec.Events()
-	st.switches = sys.Env.KernelStats().Switches
-	st.custWaits, st.underLock, st.handOffs = watch.custWaits, watch.underLock, watch.handOffs
+	if sw := sys.Env.KernelStats().Switches; sw != 0 {
+		t.Fatalf("%d coroutine switches", sw)
+	}
 
 	// Every byte of every table and index, wherever it lives now.
-	h := fnv.New64a()
+	tables := sha256.New()
 	buf := make([]byte, paging.PageSize)
 	for _, sp := range []*paging.Space{db.warehouse, db.district, db.customer, db.item, db.stock,
 		db.order, db.orderLine, db.history, db.byName.Space(), db.byCust.Space()} {
 		for off := int64(0); off < sp.Size(); off += paging.PageSize {
 			sp.ReadDirect(off, buf)
-			h.Write(buf)
+			tables.Write(buf)
 		}
 	}
-	st.tables = h.Sum64()
 	for d := 0; d < districtsPerW; d++ {
 		var next [4]byte
 		if db.district.ReadDirect(db.dOff(0, d)+fDNextOID, next[:]); int(binary.LittleEndian.Uint32(next[:])) == cfg.OrderCapacity {
@@ -248,61 +238,43 @@ func runForm(t *testing.T, tc formCase, native bool) formStats {
 		}
 	}
 	if err := db.CheckConsistency(); err != nil {
-		t.Fatalf("native=%v: %v", native, err)
+		t.Fatal(err)
 	}
-	return st
+	return st, watch, fmt.Sprintf("%+v trace=%s tables=%x", st, steptest.TraceSum(rec.Events()), tables.Sum(nil))
 }
 
-// The stepper is TPC-C's only request logic; the direct-style bodies it
-// replaced are the reference it must replay exactly. Under every policy
-// the step machine implements, with all five transactions in the mix,
-// by-name lookups over 20 namesakes, district-lock and index-lock waits,
-// New-Orders aborted on an unused item and on a full order table, and
-// fetches abandoned under a lock — which the stepper's Abort must release
-// to the lock's first waiter — the native stepper and the retired bodies
-// on workload.Blocking must produce the identical run: per-request
-// timings and answers (order-sensitive digest), every scheduler, paging
-// and TPC-C counter, the full trace, and every byte of the database. Only
-// the host's work differs — the stepper never switches to a coroutine.
+// The stepper is TPC-C's only request logic, and each row of
+// testdata/stepper_digests.txt is what the direct-style bodies it
+// replaced did under one policy — recorded from those bodies on the
+// coroutine adapter, which ran them until the stepper had been proven to
+// replay them exactly. The mix has all five transactions, by-name lookups
+// over 20 namesakes, district-lock and index-lock waits, New-Orders
+// aborted on an unused item and on a full order table, and fetches
+// abandoned under a lock, which the stepper's Abort must release to the
+// lock's first waiter. The stepper must reproduce every row: per-request
+// timings and answers (an order-sensitive digest), every scheduler, paging
+// and TPC-C counter, the trace's SHA-256 and that of every byte of the
+// database.
 func TestStepperMatchesReference(t *testing.T) {
 	var custWaits, handOffs, invalid, full int
 	for _, tc := range formCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runForm(t, tc, false)
-			native := runForm(t, tc, true)
-			custWaits, handOffs = custWaits+native.custWaits, handOffs+native.handOffs
-			invalid, full = invalid+ref.invalid, full+ref.fullDistricts
+			st, watch, row := runForm(t, tc)
+			custWaits, handOffs = custWaits+watch.custWaits, handOffs+watch.handOffs
+			invalid, full = invalid+st.invalid, full+st.fullDistricts
 			t.Logf("completed %d, faults %d, tx aborts %d (%d unused item, %d full tables), name misses %d, conflicts %d, fetch aborts %d (%d under a lock, %d handed on), index-lock waits %d",
-				ref.completed, ref.faults, ref.txAborts, ref.invalid, ref.fullDistricts, ref.nameMisses, ref.conflicts,
-				ref.aborts, native.underLock, native.handOffs, native.custWaits)
-			if ref.completed < 150 || ref.faults == 0 || ref.evictions == 0 || ref.txAborts == 0 ||
-				ref.conflicts == 0 || ref.nameMisses == 0 {
-				t.Fatalf("workload too tame to differentiate: %+v", ref)
+				st.completed, st.faults, st.txAborts, st.invalid, st.fullDistricts, st.nameMisses, st.conflicts,
+				st.aborts, watch.underLock, watch.handOffs, watch.custWaits)
+			if st.completed < 150 || st.faults == 0 || st.evictions == 0 || st.txAborts == 0 ||
+				st.conflicts == 0 || st.nameMisses == 0 {
+				t.Fatalf("workload too tame to mean anything: %+v", st)
 			}
-			if tc.wantPreempts != (ref.preempts > 0) || tc.wantAborts != (ref.aborts > 0) ||
-				tc.wantStalls && ref.allocStalls == 0 || tc.wantAborts && native.underLock == 0 {
+			if tc.wantPreempts != (st.preempts > 0) || tc.wantAborts != (st.aborts > 0) ||
+				tc.wantStalls && st.allocStalls == 0 || tc.wantAborts && watch.underLock == 0 {
 				t.Fatalf("case did not exercise what it is for: preempts=%d aborts=%d (under a lock %d) frame stalls=%d",
-					ref.preempts, ref.aborts, native.underLock, ref.allocStalls)
+					st.preempts, st.aborts, watch.underLock, st.allocStalls)
 			}
-			if native.switches != 0 || ref.switches < ref.completed {
-				t.Fatalf("coroutine switches: native %d (want 0), reference %d (want one per request at least)",
-					native.switches, ref.switches)
-			}
-			native.switches, ref.switches = 0, 0
-			native.custWaits, native.underLock, native.handOffs = 0, 0, 0
-			nativeEvents, refEvents := native.events, ref.events
-			native.events, ref.events = nil, nil
-			if !reflect.DeepEqual(native, ref) {
-				t.Fatalf("forms diverged:\n native    %+v\n reference %+v", native, ref)
-			}
-			for i := range refEvents {
-				if i >= len(nativeEvents) || nativeEvents[i] != refEvents[i] {
-					t.Fatalf("trace diverged at event %d of %d/%d:\n reference %+v", i, len(nativeEvents), len(refEvents), refEvents[i])
-				}
-			}
-			if len(nativeEvents) != len(refEvents) {
-				t.Fatalf("trace lengths differ: native %d, reference %d", len(nativeEvents), len(refEvents))
-			}
+			steptest.Pinned(t, tc.name, row)
 		})
 	}
 	if custWaits == 0 || handOffs == 0 || invalid == 0 || full == 0 {

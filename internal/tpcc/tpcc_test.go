@@ -1,55 +1,65 @@
 package tpcc
 
 import (
+	"encoding/binary"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/memnode"
 	"repro/internal/paging"
-	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
-type ctxThread struct {
-	env  *sim.Env
-	proc *sim.Proc
-	mgr  *paging.Manager
-	qp   *rdma.QP
-	gate *sim.Gate
-}
-
-func (t *ctxThread) Proc() *sim.Proc      { return t.proc }
-func (t *ctxThread) QP(node int) *rdma.QP { return t.qp }
-func (t *ctxThread) Rand() *sim.RNG       { return t.env.Rand() }
-func (t *ctxThread) Compute(d sim.Time)   { t.proc.Sleep(d) }
-func (t *ctxThread) Probe()               {}
-func (t *ctxThread) CriticalEnter()       {}
-func (t *ctxThread) CriticalExit()        {}
-func (t *ctxThread) Block(enqueue func(wake func())) {
-	done := false
-	enqueue(func() {
-		done = true
-		t.gate.Wake()
-	})
-	for !done {
-		t.gate.Wait(t.proc)
-	}
-}
-
-func (t *ctxThread) WaitPage(s *paging.Space, vpn int64) {
-	for !s.Resident(vpn) {
-		if t.mgr.RequestPage(t, s, vpn, func(error) { t.gate.Wake() }, true) {
-			return
-		}
-		t.gate.Wait(t.proc)
-	}
-}
-
-// exec runs tx through the stepper — the app's Handler, which is
-// workload.Direct over it — and returns it answered.
-func exec(ctx workload.Ctx, db *DB, tx Tx) *Tx {
-	db.Handler()(ctx, &tx)
+// exec runs tx through the stepper and returns it answered.
+func exec(th *steptest.Thread, db *DB, tx Tx) *Tx {
+	th.Run(db.StepHandler(), &tx)
 	return &tx
+}
+
+// get32 and get64 read a field wherever it lives, taking no simulated
+// time.
+func get32(sp *paging.Space, off int64) uint32 {
+	var b [4]byte
+	sp.ReadDirect(off, b[:])
+	return binary.LittleEndian.Uint32(b[:])
+}
+
+func get64(sp *paging.Space, off int64) uint64 {
+	var b [8]byte
+	sp.ReadDirect(off, b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// opStepper is one index operation as a whole request, so that a harness
+// thread can drive it.
+type opStepper struct {
+	t  *btree.Tree
+	op *btree.Op
+}
+
+func (opStepper) Begin(*workload.StepFrame, any)   {}
+func (opStepper) Abort(*workload.StepFrame, error) {}
+func (s opStepper) Step(ctx workload.StepCtx, _ *workload.StepFrame, _ any) (any, int, sim.Time, workload.StepStatus) {
+	if !s.t.Step(ctx, s.op) {
+		return nil, 0, 0, workload.StepFault
+	}
+	return nil, 0, 0, workload.StepDone
+}
+
+func lookup(th *steptest.Thread, t *btree.Tree, key uint64) (uint64, bool) {
+	var op btree.Op
+	op.Lookup(key)
+	th.Run(opStepper{t, &op}, nil)
+	return op.Val, op.Found
+}
+
+func rangeVals(th *steptest.Thread, t *btree.Tree, lo, hi uint64) []uint64 {
+	var op btree.Op
+	op.Range(lo, hi)
+	th.Run(opStepper{t, &op}, nil)
+	return op.Vals
 }
 
 // smallConfig shrinks TPC-C to test scale while keeping the schema.
@@ -66,7 +76,7 @@ type rig struct {
 	env *sim.Env
 	mgr *paging.Manager
 	db  *DB
-	qp  *rdma.QP
+	rig *steptest.Rig
 }
 
 func newRig(t *testing.T, cfg Config, localFrac float64) *rig {
@@ -82,35 +92,22 @@ func newRig(t *testing.T, cfg Config, localFrac float64) *rig {
 	mgr := paging.NewManager(env, paging.DefaultConfig(local))
 	db := New(env, mgr, node, cfg)
 	db.WarmCache()
-
-	nic := rdma.NewNIC(env, rdma.DefaultConfig())
-	cq := rdma.NewCQ("t")
-	qp := nic.CreateQP("t", cq)
-	cq.Notify = func() {
-		for _, c := range cq.Poll(64) {
-			mgr.Complete(c.Cookie.(*paging.Fetch), c.Err)
-		}
-	}
-	rcq := rdma.NewCQ("reclaim")
-	mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)
-	return &rig{env: env, mgr: mgr, db: db, qp: qp}
+	return &rig{env: env, mgr: mgr, db: db, rig: steptest.NewRig(mgr)}
 }
 
-func (r *rig) run(t *testing.T, fn func(ctx workload.Ctx)) {
+func (r *rig) run(t *testing.T, fn func(th *steptest.Thread)) {
 	t.Helper()
-	r.env.Go("driver", func(p *sim.Proc) {
-		fn(&ctxThread{env: r.env, proc: p, mgr: r.mgr, qp: r.qp, gate: sim.NewGate(r.env)})
-	})
+	r.rig.Go(fn)
 	r.env.Run(sim.Seconds(600))
 }
 
 func TestNewOrderCreatesConsistentOrder(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
-	r.run(t, func(ctx workload.Ctx) {
+	r.run(t, func(th *steptest.Thread) {
 		db := r.db
 		lines := []NewOrderLine{{Item: 3, Qty: 2}, {Item: 77, Qty: 5}, {Item: 240, Qty: 1}}
-		before := db.get32(ctx, db.district, db.dOff(1, 4)+fDNextOID)
-		resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 4, C: 7, Lines: lines}}).NewOrderResp
+		before := get32(db.district, db.dOff(1, 4)+fDNextOID)
+		resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 4, C: 7, Lines: lines}}).NewOrderResp
 		if resp.Aborted {
 			t.Error("unexpected abort")
 			return
@@ -118,28 +115,28 @@ func TestNewOrderCreatesConsistentOrder(t *testing.T) {
 		if resp.OID != int32(before) {
 			t.Errorf("OID = %d, want %d", resp.OID, before)
 		}
-		after := db.get32(ctx, db.district, db.dOff(1, 4)+fDNextOID)
+		after := get32(db.district, db.dOff(1, 4)+fDNextOID)
 		if after != before+1 {
 			t.Errorf("D_NEXT_O_ID = %d, want %d", after, before+1)
 		}
 		// Order record and lines match.
 		oOff := db.oOff(1, 4, int(resp.OID))
-		if got := db.get32(ctx, db.order, oOff+fOOLCnt); got != 3 {
+		if got := get32(db.order, oOff+fOOLCnt); got != 3 {
 			t.Errorf("OL count = %d", got)
 		}
 		var sum uint64
 		for l := 0; l < 3; l++ {
 			olOff := db.olOff(1, 4, int(resp.OID), l)
-			if db.get32(ctx, db.orderLine, olOff+fOLItem) != lines[l].Item {
+			if get32(db.orderLine, olOff+fOLItem) != lines[l].Item {
 				t.Errorf("line %d item mismatch", l)
 			}
-			sum += db.get64(ctx, db.orderLine, olOff+fOLAmount)
+			sum += get64(db.orderLine, olOff+fOLAmount)
 		}
 		if sum != resp.TotalC {
 			t.Errorf("line sum %d != total %d", sum, resp.TotalC)
 		}
 		// The customer's last order is indexed for OrderStatus.
-		st := exec(ctx, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 4, C: 7}}).OrderStatusResp
+		st := exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 4, C: 7}}).OrderStatusResp
 		if !st.Found || st.OID != resp.OID || st.Lines != 3 {
 			t.Errorf("order status = %+v", st)
 		}
@@ -148,19 +145,19 @@ func TestNewOrderCreatesConsistentOrder(t *testing.T) {
 
 func TestInvalidNewOrderRollsBack(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
-	r.run(t, func(ctx workload.Ctx) {
+	r.run(t, func(th *steptest.Thread) {
 		db := r.db
-		before := db.get32(ctx, db.district, db.dOff(0, 0)+fDNextOID)
-		sBefore := db.get32(ctx, db.stock, db.sOff(0, 5)+fSQuantity)
-		resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: 1,
+		before := get32(db.district, db.dOff(0, 0)+fDNextOID)
+		sBefore := get32(db.stock, db.sOff(0, 5)+fSQuantity)
+		resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: 1,
 			Lines: []NewOrderLine{{Item: 5, Qty: 3}}, Invalid: true}}).NewOrderResp
 		if !resp.Aborted {
 			t.Error("invalid order did not abort")
 		}
-		if db.get32(ctx, db.district, db.dOff(0, 0)+fDNextOID) != before {
+		if get32(db.district, db.dOff(0, 0)+fDNextOID) != before {
 			t.Error("D_NEXT_O_ID not rolled back")
 		}
-		if db.get32(ctx, db.stock, db.sOff(0, 5)+fSQuantity) != sBefore {
+		if get32(db.stock, db.sOff(0, 5)+fSQuantity) != sBefore {
 			t.Error("stock modified by aborted transaction")
 		}
 	})
@@ -173,19 +170,19 @@ func TestPaymentYTDInvariant(t *testing.T) {
 	// TPC-C consistency condition 1: W_YTD = sum(D_YTD) must hold after
 	// any number of Payments.
 	r := newRig(t, smallConfig(), 0.3)
-	r.run(t, func(ctx workload.Ctx) {
+	r.run(t, func(th *steptest.Thread) {
 		db := r.db
 		rng := sim.NewRNG(4)
 		var paid uint64
 		for i := 0; i < 50; i++ {
 			amt := uint64(100 + rng.Intn(100000))
 			paid += amt
-			exec(ctx, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: rng.Intn(10), C: rng.Intn(60), AmountC: amt}})
+			exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: rng.Intn(10), C: rng.Intn(60), AmountC: amt}})
 		}
-		wYtd := db.get64(ctx, db.warehouse, db.wOff(0)+fWYtd)
+		wYtd := get64(db.warehouse, db.wOff(0)+fWYtd)
 		var dSum uint64
 		for d := 0; d < 10; d++ {
-			dSum += db.get64(ctx, db.district, db.dOff(0, d)+fDYtd)
+			dSum += get64(db.district, db.dOff(0, d)+fDYtd)
 		}
 		if wYtd != dSum {
 			t.Errorf("W_YTD %d != sum(D_YTD) %d", wYtd, dSum)
@@ -198,14 +195,14 @@ func TestPaymentYTDInvariant(t *testing.T) {
 
 func TestPaymentUpdatesCustomer(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
-	r.run(t, func(ctx workload.Ctx) {
+	r.run(t, func(th *steptest.Thread) {
 		db := r.db
-		resp := exec(ctx, db, Tx{Class: "Payment", Payment: PaymentReq{W: 1, D: 2, C: 3, AmountC: 5000}}).PaymentResp
+		resp := exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 1, D: 2, C: 3, AmountC: 5000}}).PaymentResp
 		if resp.BalanceC != -1000-5000 {
 			t.Errorf("balance = %d, want -6000", resp.BalanceC)
 		}
 		cOff := db.cOff(1, 2, 3)
-		if db.get32(ctx, db.customer, cOff+fCPaymentCnt) != 1 {
+		if get32(db.customer, cOff+fCPaymentCnt) != 1 {
 			t.Error("payment count not incremented")
 		}
 	})
@@ -213,13 +210,13 @@ func TestPaymentUpdatesCustomer(t *testing.T) {
 
 func TestDeliveryAdvancesAndPaysCustomer(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
-	r.run(t, func(ctx workload.Ctx) {
+	r.run(t, func(th *steptest.Thread) {
 		db := r.db
 		before := make([]int32, 10)
 		for d := 0; d < 10; d++ {
 			before[d] = db.nextDeliver[db.dIdx(0, d)]
 		}
-		resp := exec(ctx, db, Tx{Class: "Delivery", Delivery: DeliveryReq{W: 0, Carrier: 7}}).DeliveryResp
+		resp := exec(th, db, Tx{Class: "Delivery", Delivery: DeliveryReq{W: 0, Carrier: 7}}).DeliveryResp
 		if resp.Delivered != 10 {
 			t.Errorf("delivered = %d, want 10 (undelivered orders exist)", resp.Delivered)
 		}
@@ -229,7 +226,7 @@ func TestDeliveryAdvancesAndPaysCustomer(t *testing.T) {
 				t.Errorf("district %d delivery cursor did not advance", d)
 			}
 			oOff := db.oOff(0, d, int(before[d]))
-			if db.get32(ctx, db.order, oOff+fOCarrierID) != 7 {
+			if get32(db.order, oOff+fOCarrierID) != 7 {
 				t.Errorf("district %d order carrier not set", d)
 			}
 		}
@@ -238,16 +235,16 @@ func TestDeliveryAdvancesAndPaysCustomer(t *testing.T) {
 
 func TestStockLevelCountsLowStock(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
-	r.run(t, func(ctx workload.Ctx) {
+	r.run(t, func(th *steptest.Thread) {
 		db := r.db
 		// Threshold above max initial quantity (100): every distinct item
 		// in the last 20 orders counts.
-		resp := exec(ctx, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 101}}).StockLevelResp
+		resp := exec(th, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 101}}).StockLevelResp
 		if resp.Low == 0 {
 			t.Error("expected low-stock items at threshold 101")
 		}
 		// Threshold 0: nothing can be below it.
-		resp = exec(ctx, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 0}}).StockLevelResp
+		resp = exec(th, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 0}}).StockLevelResp
 		if resp.Low != 0 {
 			t.Errorf("low = %d at threshold 0", resp.Low)
 		}
@@ -262,10 +259,9 @@ func TestConcurrentNewOrdersSerialize(t *testing.T) {
 	seen := map[int32]bool{}
 	const perThread = 25
 	for i := 0; i < 2; i++ {
-		r.env.Go("txn", func(p *sim.Proc) {
-			ctx := &ctxThread{env: r.env, proc: p, mgr: r.mgr, qp: r.qp, gate: sim.NewGate(r.env)}
+		r.rig.Go(func(th *steptest.Thread) {
 			for n := 0; n < perThread; n++ {
-				resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: n,
+				resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: n,
 					Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}, {Item: uint32(n + 100), Qty: 2}}}}).NewOrderResp
 				if resp.Aborted {
 					t.Error("unexpected abort")
@@ -343,11 +339,11 @@ func TestNURandInRange(t *testing.T) {
 
 func TestByNameLookupFindsMiddleCustomer(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
-	r.run(t, func(ctx workload.Ctx) {
+	r.run(t, func(th *steptest.Thread) {
 		db := r.db
 		// Find a last name with at least one holder among customers 0..59.
 		last := lastName(7)
-		resp := exec(ctx, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: 1, ByName: true, LastName: last, AmountC: 100}}).PaymentResp
+		resp := exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: 1, ByName: true, LastName: last, AmountC: 100}}).PaymentResp
 		if db.NameMisses.Value() != 0 {
 			t.Error("by-name lookup missed an existing last name")
 			return
@@ -355,7 +351,7 @@ func TestByNameLookupFindsMiddleCustomer(t *testing.T) {
 		// The payment must have hit a customer whose lastName matches:
 		// verify via the index directly.
 		var matches []int
-		for _, v := range rangeVals(ctx, db.byName, db.nameKey(db.dIdx(0, 1), last, 0), db.nameKey(db.dIdx(0, 1), last, 0xFFF)) {
+		for _, v := range rangeVals(th, db.byName, db.nameKey(db.dIdx(0, 1), last, 0), db.nameKey(db.dIdx(0, 1), last, 0xFFF)) {
 			matches = append(matches, int(v)%db.cfg.CustomersPerDistrict)
 		}
 		if len(matches) == 0 {
@@ -364,7 +360,7 @@ func TestByNameLookupFindsMiddleCustomer(t *testing.T) {
 		}
 		mid := matches[len(matches)/2]
 		cOff := db.cOff(0, 1, mid)
-		if got := db.get32(ctx, db.customer, cOff+fCPaymentCnt); got != 1 {
+		if got := get32(db.customer, cOff+fCPaymentCnt); got != 1 {
 			t.Errorf("middle customer %d payment count = %d, want 1", mid, got)
 		}
 		_ = resp
@@ -373,21 +369,21 @@ func TestByNameLookupFindsMiddleCustomer(t *testing.T) {
 
 func TestOrderStatusThroughIndexAfterNewOrder(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
-	r.run(t, func(ctx workload.Ctx) {
+	r.run(t, func(th *steptest.Thread) {
 		db := r.db
-		resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 2, C: 9,
+		resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 2, C: 9,
 			Lines: []NewOrderLine{{Item: 1, Qty: 1}}}}).NewOrderResp
 		if resp.Aborted {
 			t.Error("abort")
 			return
 		}
-		st := exec(ctx, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, C: 9}}).OrderStatusResp
+		st := exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, C: 9}}).OrderStatusResp
 		if !st.Found || st.OID != resp.OID {
 			t.Errorf("order status through byCust index = %+v, want OID %d", st, resp.OID)
 		}
 		// By-name OrderStatus for the same customer's last name resolves
 		// through both B+trees.
-		st2 := exec(ctx, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, ByName: true, LastName: lastName(9)}}).OrderStatusResp
+		st2 := exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, ByName: true, LastName: lastName(9)}}).OrderStatusResp
 		if db.NameMisses.Value() != 0 {
 			t.Error("name miss for existing customer")
 		}
@@ -405,19 +401,17 @@ func TestConcurrentNewOrdersKeepIndexConsistent(t *testing.T) {
 		oid  int32
 	}
 	var all []created
-	for th := 0; th < 4; th++ {
-		th := th
-		r.env.Go("txn", func(p *sim.Proc) {
-			ctx := &ctxThread{env: r.env, proc: p, mgr: r.mgr, qp: r.qp, gate: sim.NewGate(r.env)}
+	for d := 0; d < 4; d++ {
+		r.rig.Go(func(th *steptest.Thread) {
 			for n := 0; n < 20; n++ {
-				c := th*10 + n%10
-				resp := exec(ctx, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: th, C: c,
+				c := d*10 + n%10
+				resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: d, C: c,
 					Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}}}}).NewOrderResp
 				if resp.Aborted {
 					t.Error("abort")
 					return
 				}
-				all = append(all, created{c: c, d: th, oid: resp.OID})
+				all = append(all, created{c: c, d: d, oid: resp.OID})
 			}
 		})
 	}
@@ -431,10 +425,9 @@ func TestConcurrentNewOrdersKeepIndexConsistent(t *testing.T) {
 			want[key] = cr.oid
 		}
 	}
-	r.env.Go("verify", func(p *sim.Proc) {
-		ctx := &ctxThread{env: r.env, proc: p, mgr: r.mgr, qp: r.qp, gate: sim.NewGate(r.env)}
+	r.rig.Go(func(th *steptest.Thread) {
 		for key, oid := range want {
-			got, found := lookup(ctx, db.byCust, uint64(db.cIdx(0, key[0], key[1])))
+			got, found := lookup(th, db.byCust, uint64(db.cIdx(0, key[0], key[1])))
 			if !found || int32(got) != oid {
 				t.Errorf("byCust[%v] = %d,%v want %d", key, got, found, oid)
 				return

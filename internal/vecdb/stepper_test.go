@@ -1,9 +1,9 @@
 package vecdb
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -12,10 +12,11 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload/steptest"
 )
 
-// formCase is one configuration of the form differential: a preset, what
-// the case changes in it, and the offered load.
+// formCase is one pinned configuration: a preset, what the case changes
+// in it, and the offered load.
 type formCase struct {
 	name string
 	mode core.Mode
@@ -25,8 +26,7 @@ type formCase struct {
 	wantPreempts, wantStalls, wantAborts bool
 }
 
-// formCases are the policies and stall paths a stepper must replay its
-// direct-style reference under.
+// formCases are the policies and stall paths the stepper is pinned under.
 func formCases(t *testing.T) []formCase {
 	wr, err := faults.ParseSpec("wr=0.3")
 	if err != nil {
@@ -53,20 +53,19 @@ func formCases(t *testing.T) []formCase {
 	}
 }
 
-// formStats is everything the two forms must agree on.
+// formStats is the run's summary, every counter of its pinned row.
 type formStats struct {
 	digest                            uint64
 	completed, aborts                 int64
 	cpu, busyWait                     int64
 	hits, faults, evictions           int64
 	fetchWaits, allocStalls, preempts int64
-	events                            []trace.Event
-	switches                          int64
 }
 
-// runForm drives the index on one form of its request logic — the
-// stepper, or the retired body on workload.Blocking.
-func runForm(t *testing.T, tc formCase, bp *Blueprint, native bool) formStats {
+// runForm drives the index through a whole core.System under tc and
+// returns the run's summary and its pinned row: the summary and the
+// SHA-256 of the trace.
+func runForm(t *testing.T, tc formCase, bp *Blueprint) (formStats, string) {
 	t.Helper()
 	c := core.Preset(tc.mode, Footprint(bp.cfg)/5)
 	c.Seed = 7
@@ -76,14 +75,7 @@ func runForm(t *testing.T, tc formCase, bp *Blueprint, native bool) formStats {
 	sys := core.NewSystem(c)
 	idx := bp.Instantiate(sys.Mgr, sys.Mem)
 	idx.WarmCache()
-	if native {
-		sys.StartApp(idx)
-	} else {
-		sys.Start(idx.referenceHandler())
-	}
-	if sys.Sched.FlatTier() != native {
-		t.Fatalf("FlatTier() = %v with native = %v", sys.Sched.FlatTier(), native)
-	}
+	sys.StartApp(idx)
 	rec := trace.New(0)
 	sys.Sched.Trace = rec
 
@@ -108,16 +100,11 @@ func runForm(t *testing.T, tc formCase, bp *Blueprint, native bool) formStats {
 		put(uint64(req.Faults))
 		put(uint64(req.Preemptions))
 		put(uint64(req.Pkt.Size))
-		var answer []Neighbor // nil on an aborted request
-		switch r := req.Pkt.Payload.(type) {
-		case *Query:
-			answer = r.Neighbors
-		case Result:
-			answer = r.Neighbors
-		}
-		for _, n := range answer {
-			put(uint64(n.ID))
-			put(uint64(math.Float32bits(n.Dist)))
+		if q, ok := req.Pkt.Payload.(*Query); ok { // nil on an aborted request
+			for _, n := range q.Neighbors {
+				put(uint64(n.ID))
+				put(uint64(math.Float32bits(n.Dist)))
+			}
 		}
 		st.digest = h.Sum64()
 		st.preempts += int64(req.Preemptions)
@@ -128,51 +115,34 @@ func runForm(t *testing.T, tc formCase, bp *Blueprint, native bool) formStats {
 	st.hits, st.faults = sys.Mgr.Hits.Value(), sys.Mgr.Faults.Value()
 	st.evictions = sys.Mgr.Evictions.Value()
 	st.fetchWaits, st.allocStalls = sys.Mgr.FetchWaits.Value(), sys.Mgr.AllocStalls.Value()
-	st.events = rec.Events()
-	st.switches = sys.Env.KernelStats().Switches
-	return st
+	if sw := sys.Env.KernelStats().Switches; sw != 0 {
+		t.Fatalf("%d coroutine switches", sw)
+	}
+	return st, fmt.Sprintf("%+v trace=%s", st, steptest.TraceSum(rec.Events()))
 }
 
-// The stepper is the query's only form; what it replaced is the reference
-// it must replay exactly. Under every policy the step machine implements
-// — 136-byte records, so one in thirty straddles pages — the native
-// stepper and the retired body on workload.Blocking must produce the
-// identical run: per-request timings and neighbours (order-sensitive
-// digest), every scheduler and paging counter, the full trace. Only the
-// host's work differs — the stepper never switches to a coroutine, where
-// the reference switches for every vector it cannot skip ahead over.
+// The stepper is the query's only form, and each row of
+// testdata/stepper_digests.txt is what the direct-style body it replaced
+// did under one policy — recorded from that body on the coroutine
+// adapter, which ran it until the stepper had been proven to replay it
+// exactly. The 136-byte records straddle pages one time in thirty. The
+// stepper must reproduce every row: per-request timings and neighbours
+// (an order-sensitive digest), every scheduler and paging counter, the
+// trace's SHA-256.
 func TestStepperMatchesReference(t *testing.T) {
 	bp := NewBlueprint(smallConfig())
 	for _, tc := range formCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runForm(t, tc, bp, false)
-			native := runForm(t, tc, bp, true)
-			if ref.completed < 20 || ref.faults == 0 || ref.evictions == 0 {
-				t.Fatalf("workload too tame to differentiate: %+v", ref)
+			st, row := runForm(t, tc, bp)
+			if st.completed < 20 || st.faults == 0 || st.evictions == 0 {
+				t.Fatalf("workload too tame to mean anything: %+v", st)
 			}
-			if tc.wantPreempts != (ref.preempts > 0) || tc.wantAborts != (ref.aborts > 0) ||
-				tc.wantStalls && ref.allocStalls == 0 {
+			if tc.wantPreempts != (st.preempts > 0) || tc.wantAborts != (st.aborts > 0) ||
+				tc.wantStalls && st.allocStalls == 0 {
 				t.Fatalf("case did not exercise what it is for: preempts=%d aborts=%d frame stalls=%d",
-					ref.preempts, ref.aborts, ref.allocStalls)
+					st.preempts, st.aborts, st.allocStalls)
 			}
-			if native.switches != 0 || ref.switches < ref.completed {
-				t.Fatalf("coroutine switches: native %d (want 0), reference %d (want one per request at least)",
-					native.switches, ref.switches)
-			}
-			native.switches, ref.switches = 0, 0
-			nativeEvents, refEvents := native.events, ref.events
-			native.events, ref.events = nil, nil
-			if !reflect.DeepEqual(native, ref) {
-				t.Fatalf("forms diverged:\n native    %+v\n reference %+v", native, ref)
-			}
-			for i := range refEvents {
-				if i >= len(nativeEvents) || nativeEvents[i] != refEvents[i] {
-					t.Fatalf("trace diverged at event %d of %d/%d:\n reference %+v", i, len(nativeEvents), len(refEvents), refEvents[i])
-				}
-			}
-			if len(nativeEvents) != len(refEvents) {
-				t.Fatalf("trace lengths differ: native %d, reference %d", len(nativeEvents), len(refEvents))
-			}
+			steptest.Pinned(t, tc.name, row)
 		})
 	}
 }

@@ -416,10 +416,7 @@ func (idx *Index) NextRequest(rng *sim.RNG, _ any) (any, int) {
 	return &Query{Vec: q}, 64 + idx.cfg.Dim*4
 }
 
-// Handler implements workload.App: the stepper under a blocking context.
-func (idx *Index) Handler() workload.Handler { return workload.Direct(stepper{idx}) }
-
-// StepHandler implements workload.StepApp.
+// StepHandler implements workload.App.
 func (idx *Index) StepHandler() workload.StepHandler { return stepper{idx} }
 
 // stepper is the IVF-Flat query, and its only form: a walk through the

@@ -5,50 +5,13 @@ import (
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
-	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/workload"
+	"repro/internal/workload/steptest"
 )
 
-type ctxThread struct {
-	env  *sim.Env
-	proc *sim.Proc
-	mgr  *paging.Manager
-	qp   *rdma.QP
-	gate *sim.Gate
-}
-
-func (t *ctxThread) Proc() *sim.Proc      { return t.proc }
-func (t *ctxThread) QP(node int) *rdma.QP { return t.qp }
-func (t *ctxThread) Rand() *sim.RNG       { return t.env.Rand() }
-func (t *ctxThread) Compute(d sim.Time)   { t.proc.Sleep(d) }
-func (t *ctxThread) Probe()               {}
-func (t *ctxThread) CriticalEnter()       {}
-func (t *ctxThread) CriticalExit()        {}
-func (t *ctxThread) Block(enqueue func(wake func())) {
-	done := false
-	enqueue(func() {
-		done = true
-		t.gate.Wake()
-	})
-	for !done {
-		t.gate.Wait(t.proc)
-	}
-}
-
-func (t *ctxThread) WaitPage(s *paging.Space, vpn int64) {
-	for !s.Resident(vpn) {
-		if t.mgr.RequestPage(t, s, vpn, func(error) { t.gate.Wake() }, true) {
-			return
-		}
-		t.gate.Wait(t.proc)
-	}
-}
-
-// search runs one query through the index's Handler: the stepper, driven
-// under a blocking context by workload.Direct.
-func search(ctx workload.Ctx, idx *Index, payload any) *Query {
-	resp, _ := idx.Handler()(ctx, payload)
+// search runs one query through the index's stepper.
+func search(th *steptest.Thread, idx *Index, payload any) *Query {
+	resp, _ := th.Run(idx.StepHandler(), payload)
 	return resp.(*Query)
 }
 
@@ -61,7 +24,8 @@ func smallConfig() Config {
 	return cfg
 }
 
-func newRig(t *testing.T, cfg Config, localFrac float64) (*sim.Env, *paging.Manager, *Index, *rdma.QP) {
+// newRig builds the index over a paging rig sized to localFrac of it.
+func newRig(t *testing.T, cfg Config, localFrac float64) (*sim.Env, *paging.Manager, *Index, *steptest.Rig) {
 	t.Helper()
 	env := sim.NewEnv(23)
 	probeEnv := sim.NewEnv(23)
@@ -73,18 +37,7 @@ func newRig(t *testing.T, cfg Config, localFrac float64) (*sim.Env, *paging.Mana
 	mgr := paging.NewManager(env, paging.DefaultConfig(local))
 	idx := New(mgr, memnode.New(4<<30), cfg)
 	idx.WarmCache()
-
-	nic := rdma.NewNIC(env, rdma.DefaultConfig())
-	cq := rdma.NewCQ("t")
-	qp := nic.CreateQP("t", cq)
-	cq.Notify = func() {
-		for _, c := range cq.Poll(64) {
-			mgr.Complete(c.Cookie.(*paging.Fetch), c.Err)
-		}
-	}
-	rcq := rdma.NewCQ("reclaim")
-	mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)
-	return env, mgr, idx, qp
+	return env, mgr, idx, steptest.NewRig(mgr)
 }
 
 func TestIndexCoversAllVectors(t *testing.T) {
@@ -102,15 +55,14 @@ func TestIndexCoversAllVectors(t *testing.T) {
 
 func TestSearchFindsPerturbedSelf(t *testing.T) {
 	cfg := smallConfig()
-	env, mgr, idx, qp := newRig(t, cfg, 0.25)
+	env, _, idx, rig := newRig(t, cfg, 0.25)
 	hits := 0
-	env.Go("driver", func(p *sim.Proc) {
-		ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
+	rig.Go(func(th *steptest.Thread) {
 		rng := sim.NewRNG(3)
 		for trial := 0; trial < 20; trial++ {
 			payload, _ := idx.NextRequest(rng, nil)
 			q := payload.(*Query)
-			res := search(ctx, idx, q)
+			res := search(th, idx, q)
 			if len(res.Neighbors) != cfg.K {
 				t.Errorf("got %d neighbors, want %d", len(res.Neighbors), cfg.K)
 				return
@@ -139,16 +91,15 @@ func TestSearchFindsPerturbedSelf(t *testing.T) {
 
 func TestRecallAgainstBruteForce(t *testing.T) {
 	cfg := smallConfig()
-	env, mgr, idx, qp := newRig(t, cfg, 0.25)
+	env, _, idx, rig := newRig(t, cfg, 0.25)
 	var recallSum float64
 	const trials = 10
-	env.Go("driver", func(p *sim.Proc) {
-		ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
+	rig.Go(func(th *steptest.Thread) {
 		rng := sim.NewRNG(7)
 		for trial := 0; trial < trials; trial++ {
 			payload, _ := idx.NextRequest(rng, nil)
 			q := payload.(*Query)
-			approx := search(ctx, idx, q)
+			approx := search(th, idx, q)
 			exact := idx.BruteForce(q.Vec)
 			got := map[uint32]bool{}
 			for _, n := range approx.Neighbors {
@@ -172,16 +123,15 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 
 func TestSearchFaultsAndCosts(t *testing.T) {
 	cfg := smallConfig()
-	env, mgr, idx, qp := newRig(t, cfg, 0.2)
+	env, mgr, idx, rig := newRig(t, cfg, 0.2)
 	var faults int64
 	var service sim.Time
-	env.Go("driver", func(p *sim.Proc) {
-		ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
+	rig.Go(func(th *steptest.Thread) {
 		rng := sim.NewRNG(5)
 		payload, _ := idx.NextRequest(rng, nil)
-		start := p.Now()
-		search(ctx, idx, payload)
-		service = p.Now() - start
+		start := env.Now()
+		search(th, idx, payload)
+		service = env.Now() - start
 		faults = mgr.Faults.Value()
 	})
 	env.Run(sim.Seconds(600))

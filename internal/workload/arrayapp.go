@@ -129,10 +129,8 @@ func (a *ArrayApp) NextRequest(rng *sim.RNG, reuse any) (any, int) {
 	return m, a.ReqBytes
 }
 
-// arrayStepper is ArrayApp's resumable-step handler. The phase machine
-// mirrors Handler line for line — same compute charges in the same
-// order, same probe placement, same access and mismatch check — so the
-// native form and Handler under Blocking replay the identical schedule.
+// arrayStepper is ArrayApp's request handler: parse, a probe, the array
+// access, reply.
 type arrayStepper struct{ a *ArrayApp }
 
 // Array step phases (StepFrame.PC values).
@@ -143,7 +141,7 @@ const (
 	arrayStepReply
 )
 
-// StepHandler implements StepApp.
+// StepHandler implements App.
 func (a *ArrayApp) StepHandler() StepHandler { return arrayStepper{a} }
 
 // Begin implements StepHandler.
@@ -181,21 +179,4 @@ func (h arrayStepper) Step(ctx StepCtx, f *StepFrame, payload any) (any, int, si
 		return payload, a.RespBytes, 0, StepDone
 	}
 	panic("workload: corrupt array step frame")
-}
-
-// Handler implements App.
-func (a *ArrayApp) Handler() Handler {
-	return func(ctx Ctx, payload any) (any, int) {
-		m := payload.(*ArrayMsg)
-		ctx.Compute(a.ParseCost)
-		ctx.Probe()
-		if m.Put {
-			m.Value = arraySeed(m.Index)
-			a.space.StoreU64(ctx, m.Index*8, m.Value)
-		} else if m.Value = a.space.LoadU64(ctx, m.Index*8); m.Value != arraySeed(m.Index) {
-			a.Mismatches.Inc()
-		}
-		ctx.Compute(a.ReplyCost)
-		return m, a.RespBytes
-	}
 }

@@ -17,9 +17,7 @@ import (
 // Time passes between Step calls, never inside one, so what a fault does
 // while the fetch is in flight and whether a probe preempts are the
 // scheduler's policies, met in one place (DESIGN.md §11 has the table).
-// Every app this repository builds implements the contract natively and
-// runs with no stack of its own; Blocking implements it for a direct-style
-// Handler by resuming a coroutine, and Direct is the mirror image.
+// It is the one form a request handler takes.
 
 // StepStatus is the outcome of one StepHandler.Step call.
 type StepStatus int
@@ -36,7 +34,7 @@ const (
 	// scheduler charges them on the carrying core — sliced at quantum
 	// boundaries under IPI preemption — and re-invokes Step, whose frame
 	// must already point past the charge. Zero cycles pass no time and
-	// cross no event, as Ctx.Compute(0) does nothing.
+	// cross no event.
 	StepCompute
 	// StepProbe: a Concord-style preemption probe, placed at loop
 	// boundaries. A probe-preemptive scheduler charges the check and,
@@ -62,11 +60,15 @@ type StepFrame struct {
 
 // StepCtx is the execution context handed to Step: the carrying core's
 // queue pairs (asynchronous prefetches are issued there), the run's
-// random source, critical sections (see Ctx), and the non-blocking half
-// of everything that takes simulated time. Nothing in it blocks.
+// random source, critical sections, and the non-blocking half of
+// everything that takes simulated time. Nothing in it blocks.
 type StepCtx interface {
 	paging.QPSource
 	Rand() *sim.RNG
+
+	// CriticalEnter and CriticalExit bracket a critical section, inside
+	// which no probe or IPI preempts: a lock holder parked behind the
+	// central queue while its contenders spin is a convoy collapse.
 	CriticalEnter()
 	CriticalExit()
 
@@ -75,25 +77,19 @@ type StepCtx interface {
 	// faulting page and returns ok=false — the handler must then return
 	// StepFault. A store writes through s.DirtyPage(vpn) after a TryPage
 	// that hit, never through the returned view. An access that spans
-	// pages keeps its progress in the frame (TryLoad, TryStore), so that,
-	// as with Space.Load, the re-run after a fault on its second page
-	// leaves the first alone.
+	// pages keeps its progress in the frame (TryLoad, TryStore), so that
+	// the re-run after a fault on its second page leaves the first alone.
 	TryPage(s *paging.Space, vpn int64) (page []byte, ok bool)
 	// Fault names the page of the StepFault about to be returned, for an
 	// access made some other way than TryPage.
 	Fault(s *paging.Space, vpn int64)
 
-	// Charge consumes cycles of the request's CPU on the spot when the
-	// scheduler has nothing to interpose and no other event is due before
-	// they elapse, and reports whether it did; on false nothing happened
-	// and the handler returns StepCompute. Only a handler for which
-	// returning is expensive needs it.
-	Charge(cycles sim.Time) bool
 	// ProbeFree reports whether a StepProbe returned now would cost
 	// nothing, so the handler may skip returning it.
 	ProbeFree() bool
 	// Block hands enqueue the request's wake function, and the handler
-	// returns StepBlock. enqueue must register wake somewhere a later
+	// returns StepBlock (a lock wait, say, which yields or spins per the
+	// system's policy). enqueue must register wake somewhere a later
 	// event or request will find it; it may be invoked at most once, from
 	// any context but enqueue itself.
 	Block(enqueue func(wake func()))
@@ -113,16 +109,6 @@ type StepHandler interface {
 	Begin(f *StepFrame, payload any)
 	Step(ctx StepCtx, f *StepFrame, payload any) (resp any, respBytes int, cycles sim.Time, st StepStatus)
 	Abort(f *StepFrame, err error)
-}
-
-// StepApp is an app whose handler exists in native step form, which
-// core.StartApp runs — every app this repository builds. Its Handler must
-// make the identical compute charges, probes, paged accesses and RNG
-// draws: ArrayApp's differential test pins this, and kvs, sstable, vecdb
-// and tpcc pin their steppers to their retired direct-style bodies.
-type StepApp interface {
-	App
-	StepHandler() StepHandler
 }
 
 // Page is a record's page as one phase of a step accesses it: Open makes

@@ -18,11 +18,3 @@ func TestStepFrameSize(t *testing.T) {
 		t.Fatalf("StepFrame is %d bytes; the paper's light context is 80", unsafe.Sizeof(StepFrame{}))
 	}
 }
-
-// ArrayApp must come in native step form.
-func TestArrayAppIsStepApp(t *testing.T) {
-	var app any = &ArrayApp{}
-	if _, ok := app.(StepApp); !ok {
-		t.Fatal("*ArrayApp does not implement StepApp")
-	}
-}
