@@ -96,6 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := core.CheckTopology(*memnodes, *replicasN); err != nil {
 		return usage("%v", err)
 	}
+	if *block < 0 {
+		return usage("-block must be >= 0 (0 = page striping), got %d", *block)
+	}
 
 	if *check {
 		// Must precede system construction: each environment latches its
@@ -173,9 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Replicas = *replicasN
 	cfg.Faults = plan
 	cfg.Migrate = mc
-	if *block > 0 {
-		cfg.Shard = core.Block(*block)
-	}
+	cfg.Block = *block
 	sys := core.NewSystem(cfg)
 	app := entry.Build(sys)
 	if *skew > 0 {

@@ -16,7 +16,7 @@ func run(mode core.Mode, loadRPS float64) (core.RunResult, *kvs.Store) {
 	cfg := kvs.DefaultConfig(300_000, 128)
 	// Size local DRAM to 20% of the store.
 	sys := core.NewSystem(core.Preset(mode, kvs.Footprint(cfg)/5))
-	store := kvs.New(sys.Mgr, sys.Node, cfg)
+	store := kvs.New(sys.Mgr, sys.Mem, cfg)
 	store.WarmCache()
 	sys.StartApp(store)
 	return sys.Run(store, loadRPS, sim.Millis(20), sim.Millis(80)), store

@@ -20,7 +20,7 @@ func main() {
 
 	// Applications allocate their state in paged remote memory, then the
 	// system starts serving their handler.
-	app := workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)
+	app := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
 	app.WarmCache()
 	sys.StartApp(app)
 

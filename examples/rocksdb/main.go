@@ -22,7 +22,7 @@ func main() {
 		"system", "tput_K", "GET_p50", "GET_p99.9", "SCAN_p50", "SCAN_p99.9")
 	for _, mode := range []core.Mode{core.DiLOS, core.DiLOSP, core.Adios} {
 		sys := core.NewSystem(core.Preset(mode, size/5))
-		tab := sstable.New(sys.Mgr, sys.Node, cfg)
+		tab := sstable.New(sys.Mgr, sys.Mem, cfg)
 		tab.WarmCache()
 		sys.StartApp(tab)
 		res := sys.Run(tab, load, sim.Millis(30), sim.Millis(120))

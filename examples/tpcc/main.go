@@ -28,7 +28,7 @@ func main() {
 
 	for _, mode := range []core.Mode{core.DiLOS, core.Adios} {
 		sys := core.NewSystem(core.Preset(mode, size/5))
-		db := tpcc.New(sys.Env, sys.Mgr, sys.Node, cfg)
+		db := tpcc.New(sys.Env, sys.Mgr, sys.Mem, cfg)
 		db.WarmCache()
 		sys.StartApp(db)
 		res := sys.Run(db, load, sim.Millis(30), sim.Millis(120))

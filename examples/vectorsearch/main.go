@@ -25,7 +25,7 @@ func main() {
 
 	for _, mode := range []core.Mode{core.DiLOS, core.Adios} {
 		sys := core.NewSystem(core.Preset(mode, size/5))
-		idx := bp.Instantiate(sys.Mgr, sys.Node)
+		idx := bp.Instantiate(sys.Mgr, sys.Mem)
 		idx.WarmCache()
 		sys.StartApp(idx)
 		res := sys.Run(idx, load, sim.Millis(100), sim.Millis(600))

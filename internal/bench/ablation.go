@@ -78,10 +78,13 @@ func (h computeStepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payloa
 }
 
 // microTwoSided is the microbenchmark with its pages served by
-// SEND/RECV and memory-node CPU involvement instead of one-sided READs.
+// SEND/RECV and memory-node CPU involvement instead of one-sided READs,
+// on every memory node.
 func microTwoSided(short bool) App {
 	return micro(short).with(func(sys *core.System, app workload.App) workload.App {
-		sys.NIC.EnableTwoSided(rdma.DefaultServerConfig())
+		for _, nic := range sys.Fabric {
+			nic.EnableTwoSided(rdma.DefaultServerConfig())
+		}
 		return app
 	})
 }
@@ -202,7 +205,7 @@ func ablTransport(r *run) {
 				gen.SendFn = client.Send
 				dedup := transport.NewDedup(1 << 16)
 				sys.Sched.Admit = dedup.Admit
-				sys.Env.At(warm, func() { sys.NIC.StartWindow() })
+				sys.Env.At(warm, sys.Fabric.StartWindow)
 				sys.Env.Run(end + sim.Millis(50))
 				lines[i] = fmt.Sprintf("reliable@%vK: retransmits=%d queued=%d duplicates=%d lost=%d\n",
 					k, client.Retransmits.Value(), client.Queued.Value(),

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 )
 
@@ -217,6 +218,20 @@ func TestAblTwoSidedOneSidedWins(t *testing.T) {
 	}
 	if peak(one).TputK < peak(two).TputK {
 		t.Fatalf("one-sided peak %.0fK below two-sided %.0fK", peak(one).TputK, peak(two).TputK)
+	}
+}
+
+// TestAblTwoSidedOnEveryMemoryNode: at -memnodes 2 the two-sided
+// ablation serves pages through every memory node's CPU, not node 0's
+// alone.
+func TestAblTwoSidedOnEveryMemoryNode(t *testing.T) {
+	opt := shortOpt()
+	opt.MemNodes = 2
+	sys, _ := opt.builder(system{app: microTwoSided})(core.Adios, opt.Seed)
+	for i, nic := range sys.Fabric {
+		if !nic.TwoSided() {
+			t.Fatalf("memory node %d of %d serves one-sided", i, len(sys.Fabric))
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func rebalance(r *run) {
 				mode: core.Adios, rps: loadK * 1000,
 				b: r.builder(system{app: app, local: rebalanceLocal, cfg: func(cfg *core.Config) {
 					cfg.MemNodes = rebalanceNodes
-					cfg.Shard = core.Block(microArrayBytes / 4096 / rebalanceNodes)
+					cfg.Block = microArrayBytes / 4096 / rebalanceNodes
 					cfg.Migrate = m
 					cfg.RDMA.CyclesPerByte = rebalanceCyB
 				}})})

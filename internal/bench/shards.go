@@ -5,31 +5,32 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/memnode"
 	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // stripedMicro wraps the microbenchmark array app with a request
-// classifier labelling each access with the memory node that owns the
-// touched page, so per-stripe latency is separable under per-node
-// faults. The wrapper leaves the simulation untouched — classification
-// only buckets the latency histograms.
+// classifier labelling each access with the memory node the static
+// placement gives the touched page, so per-stripe latency is separable
+// under per-node faults. The wrapper leaves the simulation untouched —
+// classification only buckets the latency histograms.
 type stripedMicro struct {
 	*workload.ArrayApp
-	shards *core.ShardMap
+	pl memnode.Placement
 }
 
 func (s stripedMicro) Classify(payload any) string {
 	idx := payload.(*workload.ArrayMsg).Index
-	return fmt.Sprintf("n%d", s.shards.Node(idx*8/paging.PageSize))
+	return fmt.Sprintf("n%d", s.pl.Owner(idx*8/paging.PageSize, 0))
 }
 
 // microByStripe is the microbenchmark with the per-stripe latency
 // classes.
 func microByStripe(short bool) App {
 	return micro(short).with(func(sys *core.System, app workload.App) workload.App {
-		return stripedMicro{ArrayApp: app.(*workload.ArrayApp), shards: sys.Shards}
+		return stripedMicro{ArrayApp: app.(*workload.ArrayApp), pl: sys.Mem.Placement()}
 	})
 }
 

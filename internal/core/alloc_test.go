@@ -67,7 +67,7 @@ func TestRunIsAllocationFreePerRequest(t *testing.T) {
 		perReqMax float64 // on the longer run; 0 = unchecked
 	}{
 		{"array-resident", arrayBytes * 5 / 4, func(sys *System) workload.App {
-			a := workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)
+			a := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
 			a.WarmCache()
 			return a
 		}, 600_000, [2]sim.Time{sim.Millis(560), sim.Millis(760)}, 0.005, 0.2},

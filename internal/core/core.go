@@ -92,9 +92,10 @@ type Config struct {
 	// 0 or 1 is today's unreplicated store, byte-identical to it.
 	Replicas int
 
-	// Shard selects the shard-placement policy for multi-node runs;
-	// nil is Stripe (page p → node p mod N).
-	Shard Placement
+	// Block is the placement block in pages: copy k of page p lives on
+	// node (p/Block + k) mod MemNodes (memnode.Placement). 0 or 1 stripes
+	// pages across the nodes.
+	Block int64
 
 	// Faults is the fault-injection plan; the zero value disables
 	// injection entirely (no interceptor is installed, so fault-free runs
@@ -170,17 +171,13 @@ type System struct {
 	Env *sim.Env
 	Net *ethernet.Net
 
-	// Fabric holds one NIC (one independent link) per memory node;
-	// NIC aliases Fabric[0] for single-node call sites.
+	// Fabric holds one NIC (one independent link) per memory node.
 	Fabric rdma.Fabric
-	NIC    *rdma.NIC
 
-	// Nodes are the memory nodes, Mem the striped allocation view over
-	// them, and Shards the page→node map. Node aliases Nodes[0].
-	Nodes  []*memnode.Node
-	Mem    *memnode.Cluster
-	Node   *memnode.Node
-	Shards *ShardMap
+	// Nodes are the memory nodes and Mem the allocation view over them,
+	// which places every page.
+	Nodes []*memnode.Node
+	Mem   *memnode.Cluster
 
 	Mgr   *paging.Manager
 	Pool  *unithread.Pool
@@ -188,9 +185,8 @@ type System struct {
 
 	// Injectors is indexed by memory node; entries are nil for nodes
 	// the fault plan does not target (and the whole slice is nil when
-	// no plan is enabled). Faults aliases the first non-nil injector.
+	// no plan is enabled).
 	Injectors []*faults.Injector
-	Faults    *faults.Injector
 
 	// Health and Repair exist only on runs with a crash= plan: the
 	// failure detector over the fabric and the background re-replicator.
@@ -235,10 +231,6 @@ func NewSystem(cfg Config) *System {
 		panic(fmt.Sprintf("core: %v", err))
 	}
 	env := sim.NewEnv(cfg.Seed)
-	shards := NewShardMap(n, cfg.Shard)
-	if cfg.Replicas > 1 {
-		shards.SetReplicas(cfg.Replicas)
-	}
 	nodes := make([]*memnode.Node, n)
 	for k := range nodes {
 		nodes[k] = memnode.New(cfg.MemNodeBytes)
@@ -249,14 +241,11 @@ func NewSystem(cfg Config) *System {
 		Net:    ethernet.New(env, cfg.Eth),
 		Fabric: rdma.NewFabric(env, cfg.RDMA, n),
 		Nodes:  nodes,
-		Node:   nodes[0],
-		Mem: memnode.NewClusterReplicated(nodes, paging.PageSize, shards.Place(),
-			shards.Replicas(), shards.ReplicaAt()),
-		Shards: shards,
-		Mgr:    paging.NewManager(env, cfg.Paging),
-		Pool:   unithread.NewPool(cfg.PoolSize, cfg.BufSize),
+		Mem: memnode.NewCluster(nodes, paging.PageSize,
+			memnode.Placement{Nodes: n, Block: cfg.Block, Replicas: cfg.Replicas}),
+		Mgr:  paging.NewManager(env, cfg.Paging),
+		Pool: unithread.NewPool(cfg.PoolSize, cfg.BufSize),
 	}
-	sys.NIC = sys.Fabric[0]
 	if cfg.Faults.Injects() {
 		sys.Injectors = make([]*faults.Injector, n)
 		for k := 0; k < n; k++ {
@@ -266,9 +255,6 @@ func NewSystem(cfg Config) *System {
 			inj := faults.NewForNode(cfg.Faults, nodes[k], cfg.Seed, k)
 			sys.Injectors[k] = inj
 			sys.Fabric[k].SetInterceptor(inj)
-			if sys.Faults == nil {
-				sys.Faults = inj
-			}
 		}
 	}
 	if cfg.Faults.CrashSet {

@@ -14,7 +14,7 @@ func buildMicro(mode Mode, arrayBytes int64, localFrac float64, seed int64) (*Sy
 	cfg := Preset(mode, local)
 	cfg.Seed = seed
 	sys := NewSystem(cfg)
-	app := workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)
+	app := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
 	app.WarmCache()
 	sys.StartApp(app)
 	return sys, app

@@ -17,7 +17,7 @@ func Example() {
 	cfg.Seed = 7
 	sys := core.NewSystem(cfg)
 
-	app := workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)
+	app := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
 	app.WarmCache()
 	sys.StartApp(app)
 
@@ -42,7 +42,7 @@ func Example_comparison() {
 		cfg := core.Preset(mode, arrayBytes/5)
 		cfg.Seed = 3
 		sys := core.NewSystem(cfg)
-		app := workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)
+		app := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
 		app.WarmCache()
 		sys.StartApp(app)
 		return sys.Run(app, 1_400_000, sim.Millis(5), sim.Millis(25))

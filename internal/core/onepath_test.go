@@ -46,7 +46,7 @@ func runFormDiffOnce(t *testing.T) (formDiffStats, string) {
 	}
 	cfg.Faults = plan
 	sys := NewSystem(cfg)
-	app := workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes)
+	app := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
 	app.WarmCache()
 	sys.StartApp(app)
 	rec := trace.New(0)
@@ -107,7 +107,7 @@ func buildTPCC(mode Mode) (*System, *tpcc.DB) {
 	cfg.InitialOrders = 300
 	cfg.OrderCapacity = 2000
 	probe := NewSystem(Preset(Adios, 1<<22))
-	size := tpcc.New(probe.Env, probe.Mgr, probe.Node, cfg).TotalBytes()
+	size := tpcc.New(probe.Env, probe.Mgr, probe.Mem, cfg).TotalBytes()
 	sys := NewSystem(Preset(mode, size/5))
 	db := tpcc.New(sys.Env, sys.Mgr, sys.Mem, cfg)
 	db.WarmCache()
@@ -192,7 +192,7 @@ func TestAbandonedFetchUnwindsHandler(t *testing.T) {
 	}
 	cfg.Faults = plan
 	sys := NewSystem(cfg)
-	app := &abortWatch{ArrayApp: workload.NewArrayApp(sys.Mgr, sys.Node, arrayBytes), t: t,
+	app := &abortWatch{ArrayApp: workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes), t: t,
 		payload: map[*workload.StepFrame]any{}, aborts: map[any]int{}}
 	app.WarmCache()
 	sys.StartApp(app)

@@ -23,10 +23,11 @@ func (c *Cluster) CheckAllocation() error {
 	seen := make(map[*Region]bool)
 	for i, n := range c.nodes {
 		for _, r := range n.regions {
-			if r.nodes == 0 {
-				// Unsharded region (single-node Alloc shortcut, or setup
-				// code allocating directly on a member node): wholly
-				// charged to the node whose table holds it.
+			if r.pl.Nodes == 1 {
+				// A region allocated on a single Node (the single-node
+				// Alloc shortcut, or setup code allocating directly on a
+				// member node): wholly charged to the node whose table
+				// holds it.
 				expect[i] += r.Size()
 				continue
 			}
@@ -36,18 +37,14 @@ func (c *Cluster) CheckAllocation() error {
 				continue
 			}
 			seen[r] = true
-			pages := (r.Size() + r.pageSize - 1) / r.pageSize
+			pages := (r.Size() + c.pageSize - 1) / c.pageSize
 			for p := int64(0); p < pages; p++ {
-				b := r.pageSize
+				b := c.pageSize
 				if p == pages-1 {
-					b = r.Size() - p*r.pageSize
+					b = r.Size() - p*c.pageSize
 				}
-				for k := 0; k < r.Replicas(); k++ {
-					owner := r.place(p)
-					if k > 0 {
-						owner = r.ownerAt(p, k)
-					}
-					expect[owner] += b
+				for k := 0; k < r.pl.Replicas; k++ {
+					expect[r.pl.Owner(p, k)] += b
 				}
 			}
 		}

@@ -25,23 +25,38 @@ var (
 	_ Allocator = (*Cluster)(nil)
 )
 
+// Placement is the one static placement rule of a cluster: copy k of
+// page p lives on node (p/Block + k) mod Nodes. Block 1 stripes pages
+// across the nodes, so any aligned range is balanced to within one page;
+// a larger Block keeps runs of Block pages on one node, so a skewed
+// access pattern concentrates on whole nodes — the imbalance migration
+// exists to fix. Slot 0 is the primary and slots 1..Replicas-1 follow it
+// around the node ring, so the copies of a page sit on distinct nodes.
+// The rule never changes during a run and is what capacity is charged
+// by; repair and migration re-home single copies on top of it
+// (Region.Reown).
+type Placement struct {
+	Nodes    int   // memory nodes, ≥ 1
+	Block    int64 // pages per contiguous run, ≥ 1
+	Replicas int   // copies of every page, in [1, Nodes]
+}
+
+// Owner returns the node holding copy k of page under the static rule.
+func (p Placement) Owner(page int64, k int) int {
+	return int((page/p.Block + int64(k)) % int64(p.Nodes))
+}
+
 // Cluster is an ordered set of memory nodes serving one compute node.
-// Regions allocated through it are striped page-wise across the nodes
-// by a placement function (the shard map): each page is owned by — and
-// its capacity charged to — exactly one node, and all fabric traffic
-// for the page uses the owner's link. A single-node cluster degenerates
-// to the plain Node path and is behaviourally identical to it.
-// With a replication factor R > 1 every page additionally has R-1
-// replica owners on distinct nodes (placement slot k of the owner
-// function); capacity is charged to every owner, so a replicated
-// region consumes R times the bytes across the cluster.
+// Regions allocated through it are spread page-wise across the nodes by
+// its Placement: every copy of a page is owned by — and its capacity
+// charged to — exactly one node, and all fabric traffic for the copy
+// uses the owner's link, so a replicated region consumes Replicas times
+// its bytes across the cluster. A single-node cluster degenerates to the
+// plain Node path and is behaviourally identical to it.
 type Cluster struct {
 	nodes    []*Node
 	pageSize int64
-	place    func(page int64) int
-
-	replicas int
-	ownerAt  func(page int64, k int) int
+	pl       Placement
 
 	// moved holds the net capacity (bytes) each node gained (+) or shed
 	// (-) through explicit ledger moves (page migration). Unlike repair's
@@ -52,43 +67,26 @@ type Cluster struct {
 }
 
 // NewCluster builds a cluster over nodes with the given page size and
-// placement function (page number → owning node index). place may be
-// nil for a single-node cluster.
-func NewCluster(nodes []*Node, pageSize int64, place func(page int64) int) *Cluster {
-	return NewClusterReplicated(nodes, pageSize, place, 1, nil)
-}
-
-// NewClusterReplicated is NewCluster with a replication factor:
-// ownerAt(page, k) returns the node holding the k-th copy of a page
-// (slot 0 must agree with place). replicas is clamped to [1,
-// len(nodes)]; with replicas == 1 the cluster behaves exactly as
-// NewCluster's and ownerAt may be nil.
-func NewClusterReplicated(nodes []*Node, pageSize int64, place func(page int64) int,
-	replicas int, ownerAt func(page int64, k int) int) *Cluster {
+// placement, whose Nodes must be len(nodes). A Block below 1 is 1, and
+// Replicas is clamped to [1, Nodes]: more copies than nodes cannot sit
+// on distinct nodes.
+func NewCluster(nodes []*Node, pageSize int64, pl Placement) *Cluster {
 	if len(nodes) == 0 {
 		panic("memnode: cluster needs at least one node")
 	}
 	if pageSize <= 0 {
 		panic("memnode: cluster page size must be positive")
 	}
-	if len(nodes) > 1 && place == nil {
-		panic("memnode: multi-node cluster needs a placement function")
+	if pl.Nodes != len(nodes) {
+		panic(fmt.Sprintf("memnode: placement over %d nodes for a cluster of %d", pl.Nodes, len(nodes)))
 	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	if replicas > len(nodes) {
-		replicas = len(nodes)
-	}
-	if replicas > 1 && ownerAt == nil {
-		panic("memnode: replicated cluster needs an owner function")
-	}
-	return &Cluster{nodes: nodes, pageSize: pageSize, place: place,
-		replicas: replicas, ownerAt: ownerAt}
+	pl.Block = max(pl.Block, 1)
+	pl.Replicas = min(max(pl.Replicas, 1), pl.Nodes)
+	return &Cluster{nodes: nodes, pageSize: pageSize, pl: pl}
 }
 
-// Replicas returns the cluster's replication factor.
-func (c *Cluster) Replicas() int { return c.replicas }
+// Placement returns the cluster's static placement rule.
+func (c *Cluster) Placement() Placement { return c.pl }
 
 // MoveCharge transfers n bytes of capacity charge from node `from` to
 // node `to`: the page-migration ledger move. The admission decision was
@@ -134,10 +132,6 @@ func (c *Cluster) Alloc(name string, size int64) (*Region, error) {
 	}
 	pages := (size + c.pageSize - 1) / c.pageSize
 	perNode := make([]int64, len(c.nodes))
-	reps := c.replicas
-	if reps < 1 {
-		reps = 1
-	}
 	for p := int64(0); p < pages; p++ {
 		b := c.pageSize
 		if p == pages-1 {
@@ -145,7 +139,7 @@ func (c *Cluster) Alloc(name string, size int64) (*Region, error) {
 		}
 		// Charge the page to every owner: the primary plus each
 		// replica slot. Copies on distinct nodes each hold the bytes.
-		for k := 0; k < reps; k++ {
+		for k := 0; k < c.pl.Replicas; k++ {
 			// The mutation (simcheckmutate builds only) forgets to charge
 			// replica copies, so the region holds R copies' bytes while
 			// the ledger admits one — the memnode/capacity oracle must
@@ -153,15 +147,7 @@ func (c *Cluster) Alloc(name string, size int64) (*Region, error) {
 			if k > 0 && simcheck.Mut("memnode-undercharge") {
 				continue
 			}
-			owner := c.place(p)
-			if k > 0 {
-				owner = c.ownerAt(p, k)
-			}
-			if owner < 0 || owner >= len(c.nodes) {
-				return nil, fmt.Errorf("memnode: placement sent page %d (copy %d) to node %d (cluster has %d)",
-					p, k, owner, len(c.nodes))
-			}
-			perNode[owner] += b
+			perNode[c.pl.Owner(p, k)] += b
 		}
 	}
 	// Two-phase: check every node before committing to any, so a
@@ -175,15 +161,7 @@ func (c *Cluster) Alloc(name string, size int64) (*Region, error) {
 				i, perNode[i], n.capacity-n.allocated)
 		}
 	}
-	r := &Region{
-		Name:     name,
-		Data:     make([]byte, size),
-		nodes:    len(c.nodes),
-		pageSize: c.pageSize,
-		place:    c.place,
-		replicas: reps,
-		ownerAt:  c.ownerAt,
-	}
+	r := &Region{Name: name, Data: make([]byte, size), pl: c.pl}
 	for i, n := range c.nodes {
 		n.regions[name] = r
 		n.allocated += perNode[i]

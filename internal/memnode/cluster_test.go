@@ -5,15 +5,13 @@ import (
 	"testing"
 )
 
-func stripe4(page int64) int { return int(page % 4) }
-
 func newCluster4(t *testing.T, capacity int64) *Cluster {
 	t.Helper()
 	nodes := make([]*Node, 4)
 	for i := range nodes {
 		nodes[i] = New(capacity)
 	}
-	return NewCluster(nodes, 4096, stripe4)
+	return NewCluster(nodes, 4096, Placement{Nodes: 4})
 }
 
 func TestClusterStripesCapacity(t *testing.T) {
@@ -75,7 +73,7 @@ func TestClusterAllocAtomic(t *testing.T) {
 
 func TestClusterSingleNodeDelegates(t *testing.T) {
 	n := New(1 << 20)
-	c := NewCluster([]*Node{n}, 4096, nil)
+	c := NewCluster([]*Node{n}, 4096, Placement{Nodes: 1})
 	r := c.MustAlloc("x", 3*4096)
 	if n.Region("x") != r {
 		t.Fatal("single-node cluster did not register on the node")
@@ -143,8 +141,6 @@ func TestClusterRegionResolvesOnAnyNode(t *testing.T) {
 	}
 }
 
-func ringOwner4(page int64, k int) int { return (int(page) + k) % 4 }
-
 // TestClusterReplicatedAlloc checks the replication accounting: every
 // copy is charged to its owner, the region reports the factor and the
 // per-slot owners, and owners of one page are distinct nodes.
@@ -153,9 +149,9 @@ func TestClusterReplicatedAlloc(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = New(1 << 20)
 	}
-	c := NewClusterReplicated(nodes, 4096, stripe4, 2, ringOwner4)
-	if c.Replicas() != 2 {
-		t.Fatalf("Replicas() = %d", c.Replicas())
+	c := NewCluster(nodes, 4096, Placement{Nodes: 4, Replicas: 2})
+	if c.Placement().Replicas != 2 {
+		t.Fatalf("Replicas = %d", c.Placement().Replicas)
 	}
 	r := c.MustAlloc("r", 8*4096)
 	if r.Replicas() != 2 {
@@ -180,24 +176,23 @@ func TestClusterReplicatedAlloc(t *testing.T) {
 	}
 }
 
-// TestClusterReplicasClamped: a factor above the node count clamps, and
-// a multi-copy cluster without an owner function panics.
+// TestClusterReplicasClamped: a factor above the node count clamps, a
+// zero block is the stripe, and a placement over another node count
+// panics.
 func TestClusterReplicasClamped(t *testing.T) {
 	nodes := []*Node{New(1 << 20), New(1 << 20)}
-	place := func(page int64) int { return int(page % 2) }
-	owner := func(page int64, k int) int { return (int(page) + k) % 2 }
-	if got := NewClusterReplicated(nodes, 4096, place, 9, owner).Replicas(); got != 2 {
-		t.Fatalf("factor 9 over 2 nodes clamped to %d", got)
+	if got := NewCluster(nodes, 4096, Placement{Nodes: 2, Replicas: 9}).Placement(); got.Replicas != 2 || got.Block != 1 {
+		t.Fatalf("factor 9 over 2 nodes gives %+v", got)
 	}
-	if got := NewClusterReplicated(nodes, 4096, place, 0, owner).Replicas(); got != 1 {
+	if got := NewCluster(nodes, 4096, Placement{Nodes: 2}).Placement().Replicas; got != 1 {
 		t.Fatalf("factor 0 clamped to %d", got)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("replicated cluster without owner function did not panic")
+			t.Fatal("placement over 4 nodes for a cluster of 2 did not panic")
 		}
 	}()
-	NewClusterReplicated(nodes, 4096, place, 2, nil)
+	NewCluster(nodes, 4096, Placement{Nodes: 4, Replicas: 2})
 }
 
 // TestRegionReown checks repair re-homing: overrides take precedence
@@ -207,7 +202,7 @@ func TestRegionReown(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = New(1 << 20)
 	}
-	c := NewClusterReplicated(nodes, 4096, stripe4, 2, ringOwner4)
+	c := NewCluster(nodes, 4096, Placement{Nodes: 4, Replicas: 2})
 	r := c.MustAlloc("r", 8*4096)
 	r.Reown(1, 1, 3)
 	if r.OwnerAt(1, 1) != 3 {

@@ -18,36 +18,25 @@ import (
 // backing store for pages that are not resident in the compute node's
 // local cache.
 //
-// A region allocated through a Cluster is striped across the cluster's
-// nodes: Data stays one contiguous slice (the region is a single virtual
-// object), but each page has exactly one owning node — NodeOf — and all
-// fabric traffic for that page must go over the owner's link.
-// With replication (Cluster replication factor R > 1) each page
-// additionally has R-1 replica owners on distinct nodes; Data remains
-// the single authoritative byte store — per-node ownership is routing
-// and accounting metadata, as on a real memory pool where the compute
-// node holds one coherent image.
+// A region allocated through a Cluster is spread across the cluster's
+// nodes by its Placement: Data stays one contiguous slice (the region is
+// a single virtual object), but each copy of a page has exactly one
+// owning node — OwnerAt — and all fabric traffic for that copy must go
+// over the owner's link. Per-node ownership is routing and accounting
+// metadata, as on a real memory pool where the compute node holds one
+// coherent image.
 type Region struct {
 	Name string
 	Data []byte
 
-	// Sharding metadata, set by Cluster.Alloc. nodes == 0 means the
-	// region is unsharded (allocated on a single Node): every page is
-	// owned by node 0.
-	nodes    int
-	pageSize int64
-	place    func(page int64) int
+	// pl is the cluster's placement; a region allocated on a single Node
+	// has a one-node placement, which answers 0 for every copy.
+	pl Placement
 
-	// Replication metadata, set by Cluster.Alloc for replicated
-	// clusters: replicas is the factor (0 or 1 = unreplicated) and
-	// ownerAt maps (page, slot) to the node holding that copy.
-	replicas int
-	ownerAt  func(page int64, k int) int
-
-	// over records repair re-homings: page → per-slot owner overrides
-	// (-1 = slot not overridden). nil until the first Reown, so the
-	// fault-free owner lookup stays a nil check away from the static
-	// placement path.
+	// over records repair and migration re-homings: page → per-slot
+	// owner overrides (-1 = slot not overridden). nil until the first
+	// Reown, so the fault-free owner lookup stays a nil check away from
+	// the static placement.
 	over map[int64][]int32
 }
 
@@ -75,56 +64,31 @@ func (r *Region) SliceFor(off, n int64, node int, qp string) []byte {
 	return r.Data[off : off+n]
 }
 
-// Nodes returns the number of cluster nodes the region is striped over
-// (1 for an unsharded region).
-func (r *Region) Nodes() int {
-	if r.nodes == 0 {
-		return 1
-	}
-	return r.nodes
-}
+// Nodes returns the number of cluster nodes the region is spread over
+// (1 for a region allocated on a single Node).
+func (r *Region) Nodes() int { return r.pl.Nodes }
 
 // NodeOf returns the index of the node owning the primary copy of the
-// given page of the region. Unsharded regions are wholly owned by node
-// 0.
-func (r *Region) NodeOf(page int64) int {
-	if r.over != nil {
-		if s, ok := r.over[page]; ok && s[0] >= 0 {
-			return int(s[0])
-		}
-	}
-	if r.nodes <= 1 || r.place == nil {
-		return 0
-	}
-	return r.place(page)
-}
+// given page of the region.
+func (r *Region) NodeOf(page int64) int { return r.OwnerAt(page, 0) }
 
-// Replicas returns the region's replication factor (1 when
-// unreplicated or unsharded).
-func (r *Region) Replicas() int {
-	if r.replicas < 1 {
-		return 1
-	}
-	return r.replicas
-}
+// Replicas returns the region's replication factor.
+func (r *Region) Replicas() int { return r.pl.Replicas }
 
 // OwnerAt returns the node holding the k-th copy of a page: slot 0 is
-// the primary, slots 1..Replicas()-1 the replicas. Repair re-homings
-// (Reown) take precedence over the static placement.
+// the primary, slots 1..Replicas()-1 the replicas. Re-homings (Reown)
+// take precedence over the static placement.
 func (r *Region) OwnerAt(page int64, k int) int {
+	if k < 0 || k >= r.pl.Replicas {
+		panic(fmt.Sprintf("memnode: region %q: replica slot %d outside factor %d",
+			r.Name, k, r.pl.Replicas))
+	}
 	if r.over != nil {
-		if s, ok := r.over[page]; ok && k < len(s) && s[k] >= 0 {
+		if s, ok := r.over[page]; ok && s[k] >= 0 {
 			return int(s[k])
 		}
 	}
-	if k == 0 || r.ownerAt == nil {
-		return r.NodeOf(page)
-	}
-	if k < 0 || k >= r.Replicas() {
-		panic(fmt.Sprintf("memnode: region %q: replica slot %d outside factor %d",
-			r.Name, k, r.Replicas()))
-	}
-	return r.ownerAt(page, k)
+	return r.pl.Owner(page, k)
 }
 
 // Reown re-homes the k-th copy of a page onto node: the background
@@ -183,7 +147,7 @@ func (n *Node) Alloc(name string, size int64) (*Region, error) {
 		return nil, fmt.Errorf("memnode: out of memory: %d requested, %d free",
 			size, n.capacity-n.allocated)
 	}
-	r := &Region{Name: name, Data: make([]byte, size)}
+	r := &Region{Name: name, Data: make([]byte, size), pl: Placement{Nodes: 1, Block: 1, Replicas: 1}}
 	n.regions[name] = r
 	n.allocated += size
 	return r, nil

@@ -43,9 +43,7 @@ func raceRepairAndMigration(t *testing.T, migrationFirst bool) {
 	for i := range mn {
 		mn[i] = memnode.New(1 << 24)
 	}
-	cluster := memnode.NewClusterReplicated(mn, paging.PageSize,
-		func(p int64) int { return int(p % nodes) }, 2,
-		func(p int64, k int) int { return int((p + int64(k)) % nodes) })
+	cluster := memnode.NewCluster(mn, paging.PageSize, memnode.Placement{Nodes: nodes, Block: 1, Replicas: 2})
 	mgr := paging.NewManager(env, paging.DefaultConfig(16*paging.PageSize))
 	sp := mgr.NewSpace("data", cluster.MustAlloc("data", nodes*paging.PageSize))
 	mgr.SetHealth(deadNodes{2: true})

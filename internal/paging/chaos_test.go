@@ -196,9 +196,7 @@ func TestChaosMultiNodeOutageConfinedToStripe(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = memnode.New(1 << 30)
 	}
-	cluster := memnode.NewCluster(nodes, PageSize, func(page int64) int {
-		return int(page % numNodes)
-	})
+	cluster := memnode.NewCluster(nodes, PageSize, memnode.Placement{Nodes: numNodes, Block: 1, Replicas: 1})
 	const faulty = 2
 	fab[faulty].SetInterceptor(&outageItc{
 		env: env, killFrom: sim.Millis(2), killUntil: sim.Millis(4), node: nodes[faulty],

@@ -33,9 +33,7 @@ func newRehomeRig(nodes, replicas int, pages int64, rcfg func(*rdma.Config)) *re
 	for i := range mn {
 		mn[i] = memnode.New(1 << 24)
 	}
-	cluster := memnode.NewClusterReplicated(mn, PageSize,
-		func(p int64) int { return int(p % int64(nodes)) }, replicas,
-		func(p int64, k int) int { return int((p + int64(k)) % int64(nodes)) })
+	cluster := memnode.NewCluster(mn, PageSize, memnode.Placement{Nodes: nodes, Block: 1, Replicas: replicas})
 	r.sp = r.mgr.NewSpace("data", cluster.MustAlloc("data", pages*PageSize))
 	r.qps = r.fab.CreateQPs("rehome", r.cq)
 	return r
@@ -369,5 +367,39 @@ func TestRepairLatencyIsPerWave(t *testing.T) {
 	}
 	if err := r.mgr.CheckReplication(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRepairDropsCopyWhenOwnerRejoins: node 2 dies and repair starts
+// copying page 1's replica (slot 1, on node 2) from node 1 to node 0;
+// node 2 turns live again while the copy is in flight. The slot answers
+// a live node once more, so landing would retire a readable copy with no
+// quiescence: the copy is dropped, as a job whose owner rejoined before
+// its copy started is, and so is the queued page 2.
+func TestRepairDropsCopyWhenOwnerRejoins(t *testing.T) {
+	r := newRehomeRig(4, 2, 4, nil)
+	h := &fakeHealth{dead: map[int]bool{2: true}}
+	r.mgr.SetHealth(h)
+	rep := NewRepairer(r.mgr, r.qps, r.cq)
+	rep.NodeDown(2) // slot 1 of page 1, slot 0 of page 2
+	var inFlight uint64
+	r.env.At(sim.Micros(1), func() {
+		inFlight = r.mgr.mirrorMask(r.sp, 1)
+		delete(h.dead, 2)
+	})
+	r.env.Run(sim.Millis(1))
+
+	if inFlight != 1<<0 {
+		t.Fatalf("at the rejoin page 1's copy mirrors to %#x, want node 0 (0x1)", inFlight)
+	}
+	if rep.Repaired.Value() != 0 || rep.Pending() != 0 || !rep.Idle() {
+		t.Fatalf("repaired %d, pending %d, idle %v; want 0, 0, true",
+			rep.Repaired.Value(), rep.Pending(), rep.Idle())
+	}
+	if a, b := r.sp.region.OwnerAt(1, 1), r.sp.region.OwnerAt(2, 0); a != 2 || b != 2 {
+		t.Fatalf("page 1 slot 1 on node %d, page 2 slot 0 on node %d; want both on the rejoined node 2", a, b)
+	}
+	if g := r.sp.gen(1); g != 0 {
+		t.Fatalf("page 1 at generation %d: a live copy was retired", g)
 	}
 }

@@ -18,9 +18,10 @@ const repairBandwidth = 0.5
 // next job it picks the endpoints — the first live owner as the source,
 // the first live non-owner as the new home — skipping copies that need
 // no repair any more and counting those that cannot get one. It lands a
-// durable copy at once (the slot it re-points answered a dead node, so
-// no reader can straddle the change) and re-plans a job after any
-// error, the death of an endpoint included.
+// durable copy at once while the slot it re-points still answers a dead
+// node, so no reader can straddle the change, drops it once the owner is
+// back, and re-plans a job after any error, the death of an endpoint
+// included.
 type Repairer struct {
 	*Rehomer
 
@@ -113,11 +114,18 @@ func (r *Repairer) plan(j RehomeJob) (src, dst int) {
 	return -1, -1
 }
 
-// Ready lands a durable copy at once — unless another engine (migration)
-// is copying the same page to the same node, whose landing would put two
-// slots on one node: it waits, and the migrator, which yields a page to
-// repair, drops its copy at its own Ready.
+// Ready drops the job when the slot's owner came back while the copy was
+// in flight: landing would retire a live node's copy with no quiescence,
+// so the job gets the answer Next gives before a copy starts. It waits
+// while another engine (migration) copies the same page to the same
+// node, whose landing would put two slots on one node; the migrator,
+// which yields a page to repair, drops its copy at its own Ready.
+// Otherwise the durable copy lands at once.
 func (r *Repairer) Ready(j RehomeJob) Landing {
+	if r.m.NodeLive(j.Space.region.OwnerAt(j.VPN, j.Slot)) {
+		r.ji++
+		return LandNever
+	}
 	if r.Rivals(j.Space, j.VPN)&(1<<uint(j.Dst)) != 0 {
 		return LandLater
 	}

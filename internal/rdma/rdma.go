@@ -77,11 +77,6 @@ type Config struct {
 	// QPDepth bounds outstanding work requests per QP.
 	QPDepth int
 
-	// PostCost and PollCost are the CPU costs of posting a WR and of one
-	// CQ poll; they are charged by the calling thread, not the NIC.
-	PostCost sim.Time
-	PollCost sim.Time
-
 	// ResetDelay is the time a QP spends in the reset cycle after its
 	// outstanding work requests drain from the error state (modify-QP
 	// RESET→INIT→RTR→RTS). Only reachable when faults are injected.
@@ -102,8 +97,6 @@ func DefaultConfig() Config {
 		ReqFlight:     sim.Micros(0.95),
 		RespFlight:    sim.Micros(0.85),
 		QPDepth:       128,
-		PostCost:      120,
-		PollCost:      80,
 		ResetDelay:    sim.Micros(3),
 		DeadTimeout:   sim.Micros(15),
 	}
@@ -182,7 +175,8 @@ func NewCQ(name string) *CQ { return &CQ{name: name} }
 func (cq *CQ) Len() int { return len(cq.entries) - cq.head }
 
 // Poll removes and returns up to max completions without blocking. The
-// caller is responsible for charging Config.PollCost of CPU time.
+// NIC charges no CPU time for it: a scheduler polling its CQ charges its
+// own core (sched.Costs.CQPoll).
 func (cq *CQ) Poll(max int) []Completion {
 	n := cq.Len()
 	if n == 0 {

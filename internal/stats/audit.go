@@ -90,18 +90,3 @@ func Reconcile(name string, sent int64, parts map[string]int64) error {
 	}
 	return nil
 }
-
-// CheckBusy verifies a busy tracker never exceeds the window it is
-// measured against (a serial resource cannot be >100% busy).
-func (b *BusyTracker) CheckBusy(window int64) error {
-	if b.busy < 0 {
-		return simcheck.New("stats/busy-negative",
-			"busy time went negative").With("busy", b.busy)
-	}
-	if window > 0 && b.busy > window {
-		return simcheck.New("stats/busy-overflow",
-			"serial resource busier than the measurement window").
-			With("busy", b.busy).With("window", window)
-	}
-	return nil
-}

@@ -123,15 +123,3 @@ func TestReconcile(t *testing.T) {
 		t.Fatal("negative counter passed")
 	}
 }
-
-func TestBusyCheck(t *testing.T) {
-	var b BusyTracker
-	b.AddSpan(50)
-	if err := b.CheckBusy(100); err != nil {
-		t.Fatalf("healthy tracker failed: %v", err)
-	}
-	b.AddSpan(100)
-	if err := b.CheckBusy(100); err == nil {
-		t.Fatal("overflowing tracker passed")
-	}
-}

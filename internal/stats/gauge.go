@@ -18,37 +18,6 @@ func (c *Counter) Value() int64 { return c.n }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.n = 0 }
 
-// BusyTracker accumulates the busy time of a serial resource (a link, a
-// core) so that utilization over a measurement window can be computed as
-// busy/window. Busy intervals are supplied as [start, end) spans of
-// simulated time; overlapping spans must not be supplied (a serial
-// resource can't overlap with itself).
-type BusyTracker struct {
-	busy int64 // cycles of accumulated busy time
-}
-
-// AddSpan records d cycles of busy time.
-func (b *BusyTracker) AddSpan(d int64) {
-	if d > 0 {
-		b.busy += d
-	}
-}
-
-// Utilization returns busy time as a fraction of the given window.
-func (b *BusyTracker) Utilization(window int64) float64 {
-	if window <= 0 {
-		return 0
-	}
-	u := float64(b.busy) / float64(window)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Reset zeroes the accumulated busy time (start of a measurement window).
-func (b *BusyTracker) Reset() { b.busy = 0 }
-
 // WindowedBusy tracks busy spans against a measurement window that starts
 // later than time zero: spans before the window start are discarded and
 // spans straddling it are clipped. This is how warm-up time is excluded

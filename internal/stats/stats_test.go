@@ -158,22 +158,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestBusyTracker(t *testing.T) {
-	var b BusyTracker
-	b.AddSpan(500)
-	b.AddSpan(-10) // ignored
-	b.AddSpan(500)
-	if u := b.Utilization(2000); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-	if u := b.Utilization(500); u != 1.0 {
-		t.Fatalf("clamped utilization = %v, want 1", u)
-	}
-	if u := b.Utilization(0); u != 0 {
-		t.Fatalf("zero window utilization = %v, want 0", u)
-	}
-}
-
 func TestWindowedBusy(t *testing.T) {
 	var w WindowedBusy
 	w.StartWindow(1000)

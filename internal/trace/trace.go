@@ -26,7 +26,6 @@ const (
 	KindBusyWait Kind = "busy-wait" // core spinning on a fetch or TX
 	KindFetch    Kind = "fetch"     // request blocked on its page fetch (yielded)
 	KindDispatch Kind = "dispatch"  // dispatcher core activity
-	KindReclaim  Kind = "reclaim"   // reclaimer activity
 	KindStall    Kind = "mem-stall" // memory node unavailable (fault window)
 	KindFailover Kind = "failover"  // fetch re-routed to a replica node
 	KindMigrate  Kind = "migrate"   // hot-page migration copy + owner flip
