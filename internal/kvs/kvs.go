@@ -180,8 +180,14 @@ func valueDigest(key uint64, salt byte, n int) uint64 {
 
 // load populates the backing regions directly at setup time. Items are
 // laid out slab-style: item i at offset i*ValueSize.
+//
+// A loaded value depends on its key only through the low byte of
+// valueByte's key term, which is valueByte(key, 0, 0) (the low byte of a
+// sum depends only on the low bytes of its terms), so there are at most
+// 256 distinct items: each is built once, with valueByte, and copied.
 func (s *Store) load(idxRegion, itemRegion *memnode.Region) {
 	slot := make([]byte, s.slotSize)
+	var images [256][]byte
 	for key := uint64(0); key < uint64(s.cfg.Keys); key++ {
 		idx := s.findFreeDirect(idxRegion, key)
 		h := hash(key)
@@ -193,9 +199,14 @@ func (s *Store) load(idxRegion, itemRegion *memnode.Region) {
 		itemOff := int64(key) * int64(s.cfg.ValueSize)
 		binary.LittleEndian.PutUint64(slot[slotHeader+keyArea:], uint64(itemOff))
 		copy(idxRegion.Data[idx*s.slotSize:], slot)
-		for i := 0; i < s.cfg.ValueSize; i++ {
-			itemRegion.Data[itemOff+int64(i)] = valueByte(key, 0, i)
+		img := &images[valueByte(key, 0, 0)]
+		if *img == nil {
+			*img = make([]byte, s.cfg.ValueSize)
+			for i := range *img {
+				(*img)[i] = valueByte(key, 0, i)
+			}
 		}
+		copy(itemRegion.Data[itemOff:], *img)
 	}
 }
 

@@ -53,6 +53,27 @@ func TestGetReturnsCorrectValues(t *testing.T) {
 	}
 }
 
+// TestLoadBytesMatchDefinition: load writes items as copies of shared
+// images, and every item byte must still read exactly as valueByte
+// defines a loaded value (salt 0), at value sizes around 64 (the
+// verifying stride) and 256, over a key count that is not a multiple of
+// 256.
+func TestLoadBytesMatchDefinition(t *testing.T) {
+	const keys = 1000
+	for _, size := range []int{1, 63, 64, 100, 255, 256, 257, 1024, 4000} {
+		env := sim.NewEnv(1)
+		s := New(paging.NewManager(env, paging.DefaultConfig(1<<20)), memnode.New(1<<30), DefaultConfig(keys, size))
+		data := s.items.Region().Data
+		for key := uint64(0); key < keys; key++ {
+			for i, v := range data[int(key)*size : int(key+1)*size] {
+				if v != valueByte(key, 0, i) {
+					t.Fatalf("size %d: key %d byte %d = %#x, want %#x", size, key, i, v, valueByte(key, 0, i))
+				}
+			}
+		}
+	}
+}
+
 func TestSetThenGetRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(2000, 128)
 	harness(t, cfg, 0.2, func(th *steptest.Thread, s *Store) {

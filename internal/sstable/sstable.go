@@ -1,12 +1,14 @@
 // Package sstable is the RocksDB stand-in for the paper's §5.2 workload:
 // a PlainTable-style sorted string table read through mmap-like paged
 // loads. Records are fixed-stride (key + value) and sorted by key in a
-// paged space; a sparse index (one entry per index interval) stays
-// in core, as PlainTable's index effectively does once hot.
+// paged space. The sparse index (one entry per index interval) and the
+// bloom filter are paged spaces too, as PlainTable's are part of the
+// mapped file; hot upper index levels stay resident once warm.
 //
-// GET(key) binary-searches the sparse index (pure compute) and then
-// scans at most one index interval of paged records — typically one page
-// fault at the paper's 20 % local ratio. SCAN(start, n) reads n
+// GET(key) probes the bloom filter, binary-searches the sparse index
+// (each probe a compare charge and a paged load) and then scans at most
+// one index interval of paged records — typically one page fault at the
+// paper's 20 % local ratio. SCAN(start, n) reads n
 // consecutive records — for SCAN(100) with 1 KiB values that is ~26
 // pages, giving the 25–100× service-time dispersion the paper exploits
 // to stress HOL blocking.
@@ -138,9 +140,15 @@ func Footprint(cfg Config) int64 {
 	return recordBytes + indexBytes + bloomBytes
 }
 
-// New builds the table: records are written directly into the backing
-// region (setup time) in sorted order, and the sparse index is built in
-// core.
+// New builds the table: records, the sparse index and the bloom filter
+// are written directly into their backing regions (setup time), records
+// in sorted order.
+//
+// The low byte of a sum depends only on the low bytes of its terms, so a
+// value depends on its key only through the low byte of valueByte's key
+// term, which is valueByte(key, 0): a table holds at most 256 distinct
+// values. Each is built once, with valueByte, and copied into every
+// record that carries it.
 func New(mgr *paging.Manager, node memnode.Allocator, cfg Config) *Table {
 	t, recordBytes, indexBytes, bloomBytes := layout(cfg)
 	cfg, recordSize, bloomBits := t.cfg, t.recordSize, t.bloomBits
@@ -151,13 +159,19 @@ func New(mgr *paging.Manager, node memnode.Allocator, cfg Config) *Table {
 	t.space = mgr.NewSpace("sstable", region)
 	t.indexSpace = mgr.NewSpace("sstable/index", idxRegion)
 	t.bloomSpace = mgr.NewSpace("sstable/bloom", bloomRegion)
+	var images [256][]byte
 	for i := int64(0); i < cfg.Keys; i++ {
 		off := i * recordSize
 		key := recordKey(i)
 		binary.LittleEndian.PutUint64(region.Data[off:off+8], key)
-		for b := 0; b < cfg.ValueSize; b++ {
-			region.Data[off+8+int64(b)] = valueByte(key, b)
+		img := &images[valueByte(key, 0)]
+		if *img == nil {
+			*img = make([]byte, cfg.ValueSize)
+			for b := range *img {
+				(*img)[b] = valueByte(key, b)
+			}
 		}
+		copy(region.Data[off+8:off+recordSize], *img)
 		if i%int64(cfg.IndexInterval) == 0 {
 			binary.LittleEndian.PutUint64(idxRegion.Data[(i/int64(cfg.IndexInterval))*8:], key)
 		}

@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"encoding/binary"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -55,6 +56,31 @@ func TestGetFindsExistingKeys(t *testing.T) {
 	})
 	if tab.Mismatches.Value() != 0 || tab.NotFound.Value() != 0 {
 		t.Fatalf("mismatches=%d notfound=%d", tab.Mismatches.Value(), tab.NotFound.Value())
+	}
+}
+
+// TestTableBytesMatchDefinition: New writes values as copies of shared
+// images, and every record must still read exactly as recordKey and
+// valueByte define it, at value sizes around 64 (the verifying stride)
+// and 256, over a key count that is not a multiple of 256.
+func TestTableBytesMatchDefinition(t *testing.T) {
+	const keys = 1000
+	for _, size := range []int{1, 63, 64, 100, 255, 256, 257, 1024, 4000} {
+		env := sim.NewEnv(1)
+		tab := New(paging.NewManager(env, paging.DefaultConfig(1<<20)), memnode.New(1<<30), DefaultConfig(keys, size))
+		data := tab.space.Region().Data
+		for i := int64(0); i < keys; i++ {
+			rec := data[i*tab.recordSize : (i+1)*tab.recordSize]
+			key := recordKey(i)
+			if got := binary.LittleEndian.Uint64(rec); got != key {
+				t.Fatalf("size %d: record %d holds key %d, want %d", size, i, got, key)
+			}
+			for b, v := range rec[8:] {
+				if v != valueByte(key, b) {
+					t.Fatalf("size %d: record %d byte %d = %#x, want %#x", size, i, b, v, valueByte(key, b))
+				}
+			}
+		}
 	}
 }
 
