@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -160,9 +161,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		opt.Migrate = mc
 	}
-	if *skewS != 0 && *skewS <= 1 {
-		// math/rand's Zipf generator rejects exponents at or below 1.
-		return usage("-skew must be > 1 (or 0 for the native distribution)")
+	if *skewS != 0 && (!(*skewS > 1) || math.IsInf(*skewS, 0)) {
+		// math/rand's Zipf generator rejects exponents at or below 1, and
+		// never returns at an infinite one; the negated comparison
+		// rejects NaN too.
+		return usage("-skew must be a finite exponent > 1 (or 0 for the native distribution), got %v", *skewS)
 	}
 
 	// fail reports a fatal error; the deferred stop still flushes the

@@ -14,7 +14,8 @@ import (
 // point of the experiment's own node-count sweep, does not have) or was
 // silently replaced or bent (-memnodes 0, or past the 64 nodes the node
 // masks hold; -replicas 0; -parallel -1; a node= plan naming no node of
-// the system, which injects nothing), or an experiment id the
+// the system, which injects nothing; -skew NaN, run as the native
+// distribution), never terminated (-skew Inf), or an experiment id the
 // table does not have — which used to be found only when the loop
 // reached it, after every id before it had run to completion — must
 // print one "adios-bench: …" line and exit 2, with nothing on stdout; a
@@ -35,6 +36,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"unknown-id-after-a-good-one", []string{"-exp", "fig2b,nonsense", "-short"}, 2},
 		{"id-with-a-space", []string{"-exp", " fig2b", "-short"}, 2},
 		{"trailing-comma", []string{"-exp", "fig2b,", "-short"}, 2},
+		{"skew-inf", []string{"-exp", "fig2a", "-short", "-skew", "Inf"}, 2},
+		{"skew-nan", []string{"-exp", "fig2b", "-short", "-skew", "NaN"}, 2},
 		{"good", []string{"-exp", "fig2b", "-short", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -89,9 +89,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !(*local > 0) || math.IsInf(*local, 0) {
 		return usage("-local must be a positive fraction of the working set, got %v", *local)
 	}
-	if *skew != 0 && !(*skew > 1) {
-		// math/rand's Zipf generator rejects exponents at or below 1.
-		return usage("-skew must be > 1 (or 0 for uniform)")
+	if *skew != 0 && (!(*skew > 1) || math.IsInf(*skew, 0)) {
+		// math/rand's Zipf generator rejects exponents at or below 1, and
+		// never returns at an infinite one.
+		return usage("-skew must be a finite exponent > 1 (or 0 for uniform), got %v", *skew)
 	}
 	if err := core.CheckTopology(*memnodes, *replicasN); err != nil {
 		return usage("%v", err)

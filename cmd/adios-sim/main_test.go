@@ -9,7 +9,7 @@ import (
 
 // TestRunRejectsBadInput: every flag value that used to panic deep in
 // the build (-local, -ms, an out-of-range crash node), never terminate
-// (-rps) or be silently bent — a node count the 64-bit node masks cannot
+// (-rps, an infinite -skew) or be silently bent — a node count the 64-bit node masks cannot
 // hold, a negative count run as 1, a node= plan that names no node of the
 // system and so injects nothing, a -skew for an app other than micro, a
 // negative -block run as page striping — must instead print one
@@ -37,6 +37,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"rps-negative", []string{"-rps", "-5"}, 2},
 		{"app-unknown", []string{"-app", "nonsense"}, 2},
 		{"skew-not-micro", []string{"-app", "rocksdb", "-skew", "1.2"}, 2},
+		{"skew-inf", []string{"-skew", "Inf", "-ms", "2"}, 2},
+		{"skew-nan", []string{"-skew", "NaN", "-ms", "2"}, 2},
 		{"block-negative", []string{"-memnodes", "4", "-block", "-5"}, 2},
 		{"good", []string{"-rps", "1300000", "-ms", "1", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
 		{"qdepth-nothing-completed", []string{"-rps", "100", "-ms", "1", "-qdepth"}, 0},

@@ -157,12 +157,12 @@ type QPSource interface {
 // access instead of calling again. PageStalled is the stall the paper
 // observes when the pool runs dry or the NIC cannot match host
 // processing (§5.2): w is registered with the frame pool or the QP and
-// is woken when a frame or slot may be free (Mesa semantics: the wake
+// is armed when a frame or slot may be free (Mesa semantics: the firing
 // means "call again", not "yours").
 //
 // The demand flag marks a real miss (first round of a fault) for
 // accounting.
-func (m *Manager) TryRequestPage(c *FaultCall, w sim.Waiter, q QPSource, s *Space, vpn int64, onReady func(error), demand bool) PageStatus {
+func (m *Manager) TryRequestPage(c *FaultCall, w *sim.Task, q QPSource, s *Space, vpn int64, onReady func(error), demand bool) PageStatus {
 	if c.fetch != nil {
 		return m.postFetch(c, w, q)
 	}
@@ -218,8 +218,9 @@ func (m *Manager) TryRequestPage(c *FaultCall, w sim.Waiter, q QPSource, s *Spac
 
 // RequestPage is TryRequestPage for a harness thread with a process of
 // its own (benchmark rigs, package tests; the scheduler's cores drive
-// TryRequestPage themselves): it parks t's process through every stall and
-// reports whether the page is resident (true) or onReady is registered.
+// TryRequestPage themselves): it registers the task of t's process at
+// every stall and parks the process until it fires, and reports whether
+// the page is resident (true) or onReady is registered.
 func (m *Manager) RequestPage(t interface {
 	QPSource
 	Proc() *sim.Proc
@@ -227,7 +228,7 @@ func (m *Manager) RequestPage(t interface {
 	var c FaultCall
 	p := t.Proc()
 	for {
-		switch m.TryRequestPage(&c, p, t, s, vpn, onReady, demand) {
+		switch m.TryRequestPage(&c, p.Task(), t, s, vpn, onReady, demand) {
 		case PageResident:
 			return true
 		case PagePending:
@@ -255,7 +256,7 @@ func (m *Manager) startFetch(s *Space, vpn int64, fr int32, node int, qp *rdma.Q
 // postFetch posts c.fetch's READ and, once it is out, the read-ahead
 // that rides on a demand miss. A QP that is saturated, or errored and
 // draining, refuses the post: w waits for a slot and the call stalls.
-func (m *Manager) postFetch(c *FaultCall, w sim.Waiter, q QPSource) PageStatus {
+func (m *Manager) postFetch(c *FaultCall, w *sim.Task, q QPSource) PageStatus {
 	f := c.fetch
 	if f.qp.PostReadAlias(f.src, f) != nil {
 		f.qp.AddSlotWaiter(w)

@@ -175,7 +175,7 @@ type Manager struct {
 	lruHead   int32
 	lruTail   int32
 
-	frameWaiters []sim.Waiter
+	frameWaiters []*sim.Task
 	reclaimGate  *sim.Gate
 
 	// lowWater is the free-frame count the reclaim threshold stands for.
@@ -420,9 +420,9 @@ func (m *Manager) popFrame() int32 {
 }
 
 // allocFrame removes a free frame. On an empty pool it wakes the
-// reclaimer, registers w to be woken when a frame is freed, and reports
+// reclaimer, registers w to be armed when a frame is freed, and reports
 // false. It wakes the reclaimer proactively when the pool runs low.
-func (m *Manager) allocFrame(w sim.Waiter) (int32, bool) {
+func (m *Manager) allocFrame(w *sim.Task) (int32, bool) {
 	if len(m.free) == 0 {
 		m.AllocStalls.Inc()
 		m.reclaimGate.Wake()
@@ -437,9 +437,9 @@ func (m *Manager) allocFrame(w sim.Waiter) (int32, bool) {
 	return idx, true
 }
 
-// FrameWaiting reports whether w is registered to be woken when a frame
+// FrameWaiting reports whether w is registered to be armed when a frame
 // is freed (audit use: O(waiters)).
-func (m *Manager) FrameWaiting(w sim.Waiter) bool { return slices.Contains(m.frameWaiters, w) }
+func (m *Manager) FrameWaiting(w *sim.Task) bool { return slices.Contains(m.frameWaiters, w) }
 
 // tryAllocFrame returns a free frame only if the pool is comfortably
 // above the reclaim threshold; prefetch uses it so read-ahead never
@@ -461,7 +461,7 @@ func (m *Manager) freeFrame(idx int32) {
 	m.free = append(m.free, idx)
 	for _, w := range m.frameWaiters {
 		m.env.MarkUnblocked(w)
-		m.env.Wake(w, m.env.Now())
+		w.FireAt(m.env.Now())
 	}
 	m.frameWaiters = m.frameWaiters[:0]
 }

@@ -400,10 +400,9 @@ type QP struct {
 	errored      bool
 	resetPending bool
 
-	// fullWaiters are processes and tasks blocked (WaitSlot /
-	// AddSlotWaiter) for a free WR slot or for the error-state reset to
-	// finish.
-	fullWaiters []sim.Waiter
+	// fullWaiters are the tasks (of processes in WaitSlot, too) waiting
+	// for a free WR slot or for the error-state reset to finish.
+	fullWaiters []*sim.Task
 	env         *sim.Env
 }
 
@@ -441,24 +440,23 @@ func (qp *QP) Errored() bool { return qp.errored }
 // resets.
 func (qp *QP) WaitSlot(p *sim.Proc) {
 	for qp.Full() || qp.errored {
-		qp.fullWaiters = append(qp.fullWaiters, p)
-		qp.env.MarkBlocked(p, "qp-slot")
+		qp.AddSlotWaiter(p.Task())
 		p.Park()
 	}
 }
 
-// AddSlotWaiter is WaitSlot for the task tier: w is continued once a
-// slot may be free. Semantics are Mesa, exactly as WaitSlot's loop — the
-// task must recheck Full/Errored when it fires and re-register if the
-// slot was taken (or the QP re-errored) in the meantime.
-func (qp *QP) AddSlotWaiter(w sim.Waiter) {
+// AddSlotWaiter registers w to be armed once a slot may be free.
+// Semantics are Mesa, exactly as WaitSlot's loop — the task must recheck
+// Full/Errored when it fires and re-register if the slot was taken (or
+// the QP re-errored) in the meantime.
+func (qp *QP) AddSlotWaiter(w *sim.Task) {
 	qp.fullWaiters = append(qp.fullWaiters, w)
 	qp.env.MarkBlocked(w, "qp-slot")
 }
 
 // SlotWaiting reports whether w is registered for a slot wake-up (audit
 // use: O(waiters)).
-func (qp *QP) SlotWaiting(w sim.Waiter) bool { return slices.Contains(qp.fullWaiters, w) }
+func (qp *QP) SlotWaiting(w *sim.Task) bool { return slices.Contains(qp.fullWaiters, w) }
 
 // PostRead posts a one-sided READ of len(dst) bytes from src (a view of
 // a registered remote region) into dst. The cookie is returned in the
@@ -638,14 +636,14 @@ func (qp *QP) complete(c Completion) {
 		w := qp.fullWaiters[0]
 		qp.fullWaiters = qp.fullWaiters[1:]
 		qp.env.MarkUnblocked(w)
-		qp.env.Wake(w, qp.env.Now())
+		w.FireAt(qp.env.Now())
 	}
 	qp.cq.push(c)
 }
 
 // maybeReset schedules the modify-QP reset cycle once an errored QP has
 // fully drained. When the cycle completes the QP accepts posts again and
-// every process parked in WaitSlot is released.
+// every slot waiter is armed.
 func (qp *QP) maybeReset() {
 	if qp.resetPending || qp.outstanding > 0 {
 		return
@@ -657,7 +655,7 @@ func (qp *QP) maybeReset() {
 		qp.nic.QPResets.Inc()
 		for _, w := range qp.fullWaiters {
 			qp.env.MarkUnblocked(w)
-			qp.env.Wake(w, qp.env.Now())
+			w.FireAt(qp.env.Now())
 		}
 		qp.fullWaiters = qp.fullWaiters[:0]
 	})

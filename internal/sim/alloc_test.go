@@ -3,12 +3,12 @@ package sim
 import "testing"
 
 // The alloc guards pin the kernel's zero-allocation contract on every
-// hot path: once pools and wheel buckets are warm, sleeping (of procs
-// and tasks), gate handoffs and task firings must not allocate.
+// hot path: once wheel buckets are warm, sleeping (of procs and tasks),
+// gate handoffs and task firings must not allocate.
 // testing.AllocsPerRun counts mallocs process-wide, and exactly one
 // goroutine executes simulator code at a time, so measuring from inside
 // a process (around a park/resume) is sound: the count covers the
-// parking process, any process it hands off to, and the event loop in
+// parking process, the event loop, and any process the loop resumes in
 // between.
 //
 // They skip under the race detector, which instruments allocation and
@@ -21,7 +21,7 @@ func TestSleepZeroAllocs(t *testing.T) {
 	e := NewEnv(1)
 	var got float64
 	e.Go("sleeper", func(p *Proc) {
-		for i := 0; i < 64; i++ { // warm runner pool and wheel buckets
+		for i := 0; i < 64; i++ { // warm the wheel buckets
 			p.Sleep(10)
 		}
 		got = testing.AllocsPerRun(200, func() { p.Sleep(10) })

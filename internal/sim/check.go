@@ -10,17 +10,15 @@ import "repro/internal/simcheck"
 // Oracles here:
 //
 //	sim/dispatch-order  events leave the wheel in strict (at, seq) order
-//	sim/lost-wakeup     every parked proc is reachable from a registered
-//	                    waiter slot or a pending wheel event at teardown
+//	sim/lost-wakeup     every parked proc's task is armed or registered
+//	                    in a waiter slot at teardown
 //	sim/wheel-count     wheel count matches the events actually filed
 //	sim/wheel-bitmap    occupancy bitmaps agree with bucket contents
 
 // checkDispatch verifies monotone (at, seq) dispatch. The wheel's
 // ordering argument (wheel.go) says dispatch is bit-identical to the
 // retired heap's order; this oracle re-proves it on every event of a
-// checked run, in Env.dispatch, whichever goroutine pops the event. On a
-// process's coroutine the violation unwinds through it into Run's caller
-// like any other panic.
+// checked run, in Env.loop.
 func (e *Env) checkDispatch(at Time, seq uint64) {
 	if at < e.lastAt || (at == e.lastAt && seq <= e.lastSeq) {
 		simcheck.Fail(simcheck.New("sim/dispatch-order",
@@ -31,68 +29,42 @@ func (e *Env) checkDispatch(at Time, seq uint64) {
 	e.lastAt, e.lastSeq = at, seq
 }
 
-// MarkBlocked records that w is parked on the named primitive (a gate,
-// a QP slot list, the frame-waiter list, ...). Primitives that
-// hold raw waiter lists call it just before parking; the matching wake
-// path calls MarkUnblocked. No-ops unless the environment was built
-// with oracles on, so unchecked runs pay one branch.
-func (e *Env) MarkBlocked(w Waiter, where string) {
+// MarkBlocked records that w is waiting on the named primitive (a gate,
+// a QP slot list, the frame-waiter list, ...). Primitives that hold
+// waiter lists call it when they register a task; the matching wake path
+// calls MarkUnblocked. No-ops unless the environment was built with
+// oracles on, so unchecked runs pay one branch.
+func (e *Env) MarkBlocked(w *Task, where string) {
 	if e.checked {
 		e.blocked[w] = where
 	}
 }
 
 // MarkUnblocked removes w from the blocked-waiter registry; call it
-// when a wake-up for w has been scheduled (w is then reachable from the
-// wheel instead).
-func (e *Env) MarkUnblocked(w Waiter) {
+// when w is armed (it is then reachable from the wheel instead).
+func (e *Env) MarkUnblocked(w *Task) {
 	if e.checked {
 		delete(e.blocked, w)
 	}
 }
 
 // auditTeardown is the no-lost-wakeup oracle, run when a simulation
-// finishes (Run/RunAll) before parked processes are force-unwound: a
-// process still parked at teardown must be waiting somewhere a future
-// event could find it — registered in a waiter slot, or directly
-// targeted by a pending wheel event. A parked process with neither is a
-// lost wakeup: it would have hung a real system. The registry is not
-// cleared here — processes legitimately stay blocked across back-to-back
-// Run calls on one environment.
+// finishes (Run/RunAll) before parked processes are unwound: a process
+// still parked at teardown must be waiting somewhere a future event
+// could find it — its task armed, or registered in a waiter slot. A
+// parked process with neither is a lost wakeup: it would have hung a
+// real system. The registry is not cleared here — a task may stay
+// blocked across back-to-back Run calls on one environment.
 func (e *Env) auditTeardown() {
-	for c := e.suspended; c != nil; c = c.next {
-		p := c.proc
-		if _, ok := e.blocked[p]; ok {
-			continue
-		}
-		if e.q.hasPendingResume(p) {
+	for p := e.procs; p != nil; p = p.next {
+		if _, ok := e.blocked[p.task]; ok || p.task.armed {
 			continue
 		}
 		simcheck.Fail(simcheck.New("sim/lost-wakeup",
 			"parked process unreachable from any waiter slot or pending event").
-			With("proc", p.name).With("now", int64(e.now)))
+			With("proc", p.task.name).With("now", int64(e.now)))
 	}
 	e.CheckWheel()
-}
-
-// hasPendingResume reports whether any pending event targets p. Audit
-// only — O(pending events). Drained slots have proc nil'd, so walking
-// full bucket slices (including the partially-drained head bucket) is
-// safe.
-func (w *wheel) hasPendingResume(p *Proc) bool {
-	if w.hasNext && w.next.proc == p {
-		return true
-	}
-	for l := range w.levels {
-		for _, bkt := range w.levels[l].buckets {
-			for i := range bkt {
-				if bkt[i].proc == p {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // CheckWheel audits the timing wheel's structure: the pending count

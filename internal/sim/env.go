@@ -7,20 +7,18 @@ import (
 )
 
 // event is a scheduled callback. Events with equal times fire in schedule
-// order (seq), which is what makes runs deterministic. Process start and
-// wake-up events — the overwhelmingly common case — carry the target
-// process in proc instead of a closure in fn, keeping the hottest
-// scheduling path allocation-free.
+// order (seq), which is what makes runs deterministic. A task firing —
+// a process's start and every resume included — is an event whose fn is
+// the task's cached wrapper, so scheduling one allocates nothing.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	proc *Proc
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // Env is a simulation environment: a virtual clock, an event queue (a
-// hierarchical timing wheel, see wheel.go), and the machinery that runs
-// processes one at a time. An Env is not safe for concurrent use; all
+// hierarchical timing wheel, see wheel.go), and the loop that fires its
+// events one at a time. An Env is not safe for concurrent use; all
 // interaction must happen from the goroutine that calls Run or from
 // processes the Env itself is driving.
 type Env struct {
@@ -29,13 +27,11 @@ type Env struct {
 	seq uint64
 	rng *RNG
 
-	stopped   bool
-	nProcs    int   // live (not yet terminated) processes, for leak detection
-	suspended *Coro // intrusive list of suspended coroutines, for teardown
-	freeCoros *Coro // pooled coroutines
+	stopped bool
+	nProcs  int   // live (not yet terminated) processes, for leak detection
+	procs   *Proc // processes whose coroutine has started and not ended
 
-	// until is the bound of the run in progress: dispatch (proc.go) stops
-	// there whichever goroutine it runs on.
+	// until is the bound of the run in progress, for skipAhead.
 	until Time
 
 	stats KernelStats
@@ -45,7 +41,7 @@ type Env struct {
 	// environment is built; blocked is the waiter registry for the
 	// lost-wakeup audit; lastAt/lastSeq back the dispatch-order oracle.
 	checked bool
-	blocked map[Waiter]string
+	blocked map[*Task]string
 	lastAt  Time
 	lastSeq uint64
 }
@@ -55,7 +51,7 @@ func NewEnv(seed int64) *Env {
 	e := &Env{rng: NewRNG(seed)}
 	if simcheck.On() {
 		e.checked = true
-		e.blocked = make(map[Waiter]string)
+		e.blocked = make(map[*Task]string)
 	}
 	return e
 }
@@ -91,37 +87,71 @@ func (e *Env) Run(until Time) Time {
 	if e.now < until && !e.stopped {
 		e.now = until
 	}
-	e.releaseParked()
+	e.teardown()
 	return e.now
 }
 
 // RunAll executes events until the queue drains or Stop is called.
 func (e *Env) RunAll() Time {
 	e.loop(maxTime)
-	e.releaseParked()
+	e.teardown()
 	return e.now
 }
 
-// loop dispatches events up to until, switching to each process that
-// dispatch returns. If it is left by a panic or a Goexit — raised by a
-// callback, or by a process body and handed over by the coroutine —
-// every suspended and pooled coroutine is released before the caller
-// sees it, so a caller that recovers and builds the next environment
-// (the swarm's shrinker, the mutation smoke tests) leaks no goroutine.
-// The teardown audit is skipped on that path: it must not raise a second
-// violation while the first unwinds.
+// loop pops and fires events in (at, seq) order up to until. It is the
+// only code that pops the wheel: a process's resume is a task firing
+// like any other, so a process never dispatches events itself. If the
+// loop is left by a panic or a Goexit — raised by a callback, or by a
+// process body and handed over by its coroutine — every process is
+// unwound before the caller sees it, so a caller that recovers and builds
+// the next environment (the swarm's shrinker, the mutation smoke tests)
+// leaks no goroutine. The teardown audit is skipped on that path: it
+// must not raise a second violation while the first unwinds.
 func (e *Env) loop(until Time) {
 	e.until = until
 	finished := false
 	defer func() {
 		if !finished {
-			e.releaseParkedSlow()
+			e.releaseProcs()
 		}
 	}()
-	for p := e.dispatch(); p != nil; p = e.dispatch() {
-		e.switchTo(p)
+	// ev is hoisted out of the loop so the manual popUntil inline below
+	// costs no per-iteration zeroing on the levelled (cache-miss) path.
+	var ev event
+	for !e.stopped {
+		// wheel.popUntil, manually inlined (it sits just past the
+		// inliner's budget, and this loop runs once per event): a cache
+		// hit is a branch and a copy; every other case — empty cache,
+		// cached event past until, levelled events — is popSlow's.
+		if e.q.hasNext && e.q.next.at <= until {
+			ev = e.q.next
+			e.q.hasNext = false
+			e.q.count--
+		} else {
+			var ok bool
+			if ev, ok = e.q.popSlow(until); !ok {
+				break
+			}
+		}
+		if e.checked {
+			e.checkDispatch(ev.at, ev.seq)
+		}
+		e.now = ev.at
+		ev.fn()
 	}
 	finished = true
+}
+
+// teardown ends a run: the lost-wakeup audit, then every parked process
+// is unwound so that repeated simulations (benchmark sweeps) do not leak
+// goroutines — even when the audit raises.
+func (e *Env) teardown() {
+	if e.procs != nil {
+		defer e.releaseProcs()
+	}
+	if e.checked {
+		e.auditTeardown()
+	}
 }
 
 // Pending reports the number of scheduled events, for tests.
@@ -145,7 +175,7 @@ func (e *Env) MaxPending() int {
 // beyond one wheel dispatch per event. They are exact counts, identical
 // across runs of one seed.
 type KernelStats struct {
-	Parks      int64 // Proc.park calls: sleeps, yields and waits that did not skip ahead
+	Parks      int64 // Proc.Park calls: sleeps and waits that did not skip ahead
 	Switches   int64 // transfers of control into a process's coroutine (each pairs with one back)
 	SkipAheads int64 // sleeps and yields, of tasks and procs, that only advanced the clock
 }

@@ -2,13 +2,12 @@ package sim
 
 // Gate is a single-waiter wake-up point with binary-semaphore semantics:
 // a Wake that arrives while nobody waits is remembered (once) and
-// consumed by the next Wait. Workers wait on their gate for new requests
-// or fetch completions; the dispatcher waits on its gate for arrivals.
-// Both execution tiers can block on a gate: a Proc via Wait, a Task via
-// Arm.
+// consumed by the next Arm or Wait. Workers wait on their gate for new
+// requests or fetch completions; the dispatcher waits on its gate for
+// arrivals. The waiter is a task; a Proc waits through its own.
 type Gate struct {
 	env     *Env
-	waiter  Waiter
+	waiter  *Task
 	pending bool
 }
 
@@ -18,38 +17,30 @@ func NewGate(env *Env) *Gate { return &Gate{env: env} }
 // Wait blocks p until the gate is woken. If a wake is already pending it
 // is consumed and Wait returns immediately (in zero simulated time).
 func (g *Gate) Wait(p *Proc) {
-	if g.pending {
-		g.pending = false
-		return
+	if !g.Arm(p.task) {
+		p.Park()
 	}
-	if g.waiter != nil {
-		panic("sim: gate already has a waiter (" + g.waiter.waiterName() + ")")
-	}
-	g.waiter = p
-	g.env.MarkBlocked(p, "gate")
-	p.park()
 }
 
-// Arm is Wait for the task tier. If a wake is pending it is consumed and
-// Arm reports true: the task proceeds inline, in zero simulated time,
-// exactly as Wait would have returned immediately. Otherwise the task is
-// registered as the gate's waiter — a later Wake arms it — and Arm
-// reports false: the task's callback must return and resume from its
-// next state when it fires.
+// Arm consumes a pending wake and reports true: the task proceeds
+// inline, in zero simulated time. Otherwise the task is registered as
+// the gate's waiter — a later Wake arms it — and Arm reports false: the
+// task's callback must return and resume from its next state when it
+// fires.
 func (g *Gate) Arm(t *Task) bool {
 	if g.pending {
 		g.pending = false
 		return true
 	}
 	if g.waiter != nil {
-		panic("sim: gate already has a waiter (" + g.waiter.waiterName() + ")")
+		panic("sim: gate already has a waiter (" + g.waiter.name + ")")
 	}
 	g.waiter = t
 	g.env.MarkBlocked(t, "gate")
 	return false
 }
 
-// Wake releases the waiter (continued at the current time, after
+// Wake arms the waiter (to fire at the current time, after
 // already-scheduled events) or, if none waits, leaves a pending wake.
 // Safe to call from event, process, and task context alike.
 func (g *Gate) Wake() {
@@ -57,12 +48,12 @@ func (g *Gate) Wake() {
 		g.pending = true
 		return
 	}
-	w := g.waiter
+	t := g.waiter
 	g.waiter = nil
-	g.env.MarkUnblocked(w)
-	w.wakeAt(g.env, g.env.now)
+	g.env.MarkUnblocked(t)
+	t.FireAt(g.env.now)
 }
 
-// Waiting reports whether a process or task is currently blocked on the
+// Waiting reports whether a task or process is currently blocked on the
 // gate.
 func (g *Gate) Waiting() bool { return g.waiter != nil }

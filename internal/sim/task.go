@@ -1,14 +1,13 @@
 package sim
 
-// Task is the tier-1 execution primitive: a timer-driven state machine
-// scheduled directly on the timing wheel. Where a Proc is a coroutine
-// that may block mid-function (Sleep, Gate.Wait) — costing a real
-// stack switch per simulated context switch — a Task is just a
-// callback the event loop invokes at the times the task arms itself
-// for. Between firings its state lives in explicit fields, not on a
-// stack of its own, so firing a task costs exactly one wheel dispatch:
-// no goroutine, no switch, no allocation (the callback closure is
-// built once at construction and reused for every firing).
+// Task is the kernel's execution primitive: a timer-driven state machine
+// scheduled directly on the timing wheel. A task is just a callback the
+// event loop invokes at the times the task arms itself for. Between
+// firings its state lives in explicit fields, not on a stack of its own,
+// so firing a task costs exactly one wheel dispatch: no goroutine, no
+// switch, no allocation (the callback closure is built once at
+// construction and reused for every firing). A Proc (proc.go) is a task
+// whose callback resumes a coroutine.
 //
 // Every model loop runs as a task — the loadgen arrival loop, the paging
 // reclaimer, NIC delivery and completion paths, and the scheduler's
@@ -18,7 +17,7 @@ package sim
 // A task is single-armed: at most one pending firing exists at a time,
 // which is the natural shape of a self-rescheduling loop and keeps the
 // primitive trivially deterministic — each FireAt is one event push with
-// the next global seq, exactly like the proc resume it replaces.
+// the next global seq.
 type Task struct {
 	env   *Env
 	name  string
@@ -62,14 +61,12 @@ func (t *Task) FireAt(at Time) {
 // FireAfter schedules the task to fire d cycles from now.
 func (t *Task) FireAfter(d Time) { t.FireAt(t.env.now + d) }
 
-// Sleep is Proc.Sleep for the task tier: d cycles of simulated time
-// pass before the task's next step. When nothing is pending at or before
-// the wake time the clock advances inline (Env.skipAhead, the same test
-// Proc.Sleep makes) and Sleep reports true: the callback carries on.
-// Otherwise the task is armed for the wake time — the one wheel push a
-// sleeping proc's resume would have been, so (at, seq) order is the
-// same — and Sleep reports false: the callback must record where to
-// continue and return; it fires again at the wake time.
+// Sleep lets d cycles of simulated time pass before the task's next
+// step. When nothing is pending at or before the wake time the clock
+// advances inline (Env.skipAhead) and Sleep reports true: the callback
+// carries on. Otherwise the task is armed for the wake time and Sleep
+// reports false: the callback must record where to continue and return;
+// it fires again at the wake time.
 func (t *Task) Sleep(d Time) bool {
 	if d <= 0 {
 		return true
@@ -91,24 +88,23 @@ func (t *Task) sleepUntil(at Time) bool {
 	return false
 }
 
-// Waiter is the common face of the two execution tiers for wake-up
-// points: something that can be scheduled to continue at a given time.
-// A *Proc continues by having its goroutine resumed; a *Task by being
-// armed to fire. Synchronization primitives (Gate, QP slot waits) store
-// a Waiter so both tiers can block on them; the set of implementations
-// is closed.
-type Waiter interface {
-	wakeAt(e *Env, at Time)
-	waiterName() string
+// skipAhead is the clock-advance fast path for Task.Sleep and Yield (and
+// so Proc.Sleep): when every pending event is strictly later than the
+// caller's wake time, the event loop would pop the caller's own firing
+// next — it would carry the highest sequence number, so an
+// already-pending event would have to beat `at` outright to run first.
+// In that case just advance the clock and keep running, skipping the
+// wheel push/pop entirely. Relative order of pending events is
+// untouched, so schedules are bit-identical with and without the fast
+// path. Disabled in checked builds so the wheel and dispatch-order
+// oracles observe every transition, and within a horizon-bounded Run a
+// caller never advances past `until` (it must stay armed, exactly as the
+// slow path leaves it).
+func (e *Env) skipAhead(at Time) bool {
+	if e.checked || e.stopped || at > e.until || !e.q.peekBeyond(at) {
+		return false
+	}
+	e.now = at
+	e.stats.SkipAheads++
+	return true
 }
-
-func (p *Proc) wakeAt(e *Env, at Time) { e.scheduleResume(p, at) }
-func (p *Proc) waiterName() string     { return p.name }
-
-func (t *Task) wakeAt(e *Env, at Time) { t.FireAt(at) }
-func (t *Task) waiterName() string     { return t.name }
-
-// Wake schedules w — either tier — to continue at time at. It is the
-// Waiter-typed counterpart of ScheduleResume for building primitives
-// outside this package.
-func (e *Env) Wake(w Waiter, at Time) { w.wakeAt(e, at) }

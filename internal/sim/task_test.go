@@ -109,8 +109,7 @@ func TestGateArmConsumesPending(t *testing.T) {
 }
 
 // TestGateMixedTiers checks a gate can serve a Proc waiter and a Task
-// waiter in successive cycles — the reclaimer's CQ gate does exactly
-// this across the tier migration boundary in tests.
+// waiter in successive cycles.
 func TestGateMixedTiers(t *testing.T) {
 	e := NewEnv(1)
 	g := NewGate(e)

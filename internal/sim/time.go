@@ -6,18 +6,19 @@
 // breakdowns reported in cycles by the paper are directly comparable to
 // values produced here.
 //
-// The kernel supports two styles of simulated activity:
+// Every simulated activity is an event on one queue, fired by one loop:
 //
-//   - plain events: a callback scheduled at an absolute time, and
-//   - processes (Proc): goroutines that run strictly one at a time under
-//     the control of the event loop and can block on time (Sleep), on
-//     queues, or on gates. Processes let complex control flow — a B-tree
-//     descent that takes a page fault halfway down — be written as
-//     ordinary straight-line Go.
+//   - plain events: a callback scheduled at an absolute time;
+//   - tasks (Task): a state machine whose callback fires at the times it
+//     arms itself for, and may wait on a Gate. Every actor of an
+//     assembled system is one;
+//   - processes (Proc): a task whose callback resumes a coroutine, so
+//     that a harness can block on time (Sleep) or on a gate in ordinary
+//     straight-line Go.
 //
-// Determinism: exactly one process runs at any instant, events at equal
-// timestamps fire in schedule order, and all randomness is drawn from a
-// seeded PRNG owned by the environment.
+// Determinism: exactly one callback or process body runs at any instant,
+// events at equal timestamps fire in schedule order, and all randomness
+// is drawn from a seeded PRNG owned by the environment.
 package sim
 
 import (

@@ -98,11 +98,11 @@ type wheelLevel struct {
 
 // push enqueues e. e.at must be ≥ the dispatch cursor, which Env
 // guarantees by rejecting scheduling in the past. The body is kept
-// small enough to inline into Env.At/scheduleResume; a push into an
-// empty queue — the self-rescheduling-timer shape — is a branch and a
-// copy, no bucket or bitmap work at all. A consumed or flushed cache
-// slot is not zeroed (the next fill overwrites it wholesale), so at
-// most one stale event's fn/proc outlive their dispatch.
+// small enough to inline into Env.At; a push into an empty queue — the
+// self-rescheduling-timer shape — is a branch and a copy, no bucket or
+// bitmap work at all. A consumed or flushed cache slot is not zeroed
+// (the next fill overwrites it wholesale), so at most one stale event's
+// fn outlives its dispatch.
 func (w *wheel) push(e event) {
 	w.count++
 	if w.count == 1 {
@@ -235,13 +235,12 @@ func (w *wheel) popSlow(until Time) (event, bool) {
 	} else if w.low > until {
 		return event{}, false
 	}
-	// Drain one event from bucket headIdx. Only fn and proc are cleared
-	// from the drained slot — they are what pin memory; at and seq are
-	// inert.
+	// Drain one event from bucket headIdx. Only fn is cleared from the
+	// drained slot — it is what pins memory; at and seq are inert.
 	i := w.headIdx
 	bkt := lv.buckets[i]
 	ev := bkt[w.head]
-	bkt[w.head].fn, bkt[w.head].proc = nil, nil
+	bkt[w.head].fn = nil
 	w.head++
 	if w.head == len(bkt) {
 		lv.buckets[i] = bkt[:0]
@@ -256,7 +255,7 @@ func (w *wheel) popSlow(until Time) (event, bool) {
 }
 
 // peekBeyond reports whether every pending event is strictly later than
-// t — the query behind the clock-advance fast path in Proc.Sleep/Yield.
+// t — the query behind the clock-advance fast path in Task.Sleep/Yield.
 // It mirrors popSlow's cursor settling (including advance's cascades,
 // which a pop at the same point would perform identically) but drains
 // nothing, so event order is untouched.

@@ -2,7 +2,16 @@ package sim
 
 import (
 	"testing"
+	"unsafe"
 )
+
+// TestEventIsThreeWords: an event is {at, seq, fn}, the record every
+// push copies and every bucket slot holds.
+func TestEventIsThreeWords(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Fatalf("sizeof(event) = %d bytes, want 24", n)
+	}
+}
 
 // TestWheelFarFutureCascades exercises events that start several levels
 // up and must cascade down as the cursor approaches them.
