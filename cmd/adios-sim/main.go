@@ -206,7 +206,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			window = 2000
 		}
 	}
-	res := sys.Run(app, *rps, sim.Millis(window/4), sim.Millis(window))
+	warm, measure := sim.Millis(window/4), sim.Millis(window)
+	// Core cycles at the window end, read the way Run reads the link
+	// utilization: the post-window drain must not count.
+	workers := sys.Sched.Workers()
+	busy := make([]int64, len(workers))
+	var dispCycles int64
+	sys.Env.At(warm+measure, func() {
+		for i, w := range workers {
+			busy[i] = w.BusyCycles()
+		}
+		dispCycles = sys.Sched.DispatcherCycles()
+	})
+	res := sys.Run(app, *rps, warm, measure)
 
 	fmt.Fprintf(stdout, "system      %s\n", mode)
 	fmt.Fprintf(stdout, "workload    %s (%.1f MiB working set, %.0f%% local)\n",
@@ -250,14 +262,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sys.Net.Drops.Value(), sys.Sched.DropsQueue.Value(), sys.Sched.DropsPool.Value())
 	fmt.Fprintf(stdout, "cpu         worker-cycles=%d busy-wait-cycles=%d dispatcher-cycles=%d\n",
 		sys.Sched.CPUCycles(), sys.Sched.BusyWaitCycles(), sys.Sched.DispatcherCycles())
-	// Core utilization over the driven interval (warm-up + measurement),
-	// excluding the post-run drain.
-	elapsed := float64(sim.Millis(window * 1.25))
+	// Core utilization over the driven interval (warm-up + measurement).
+	elapsed := float64(warm + measure)
 	fmt.Fprintf(stdout, "cores      ")
-	for _, w := range sys.Sched.Workers() {
-		fmt.Fprintf(stdout, " w%d=%.0f%%", w.ID(), float64(w.BusyCycles())/elapsed*100)
+	for i, w := range workers {
+		fmt.Fprintf(stdout, " w%d=%.0f%%", w.ID(), float64(busy[i])/elapsed*100)
 	}
-	fmt.Fprintf(stdout, " disp=%.0f%%\n", float64(sys.Sched.DispatcherCycles())/elapsed*100)
+	fmt.Fprintf(stdout, " disp=%.0f%%\n", float64(dispCycles)/elapsed*100)
 	if *qdepth {
 		fmt.Fprintf(stdout, "qdepth      peak-pending-events=%d\n", sys.Env.MaxPending())
 		// The kernel's self-counters over the whole run, per request the

@@ -3,9 +3,38 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// TestCoresLineLeavesOutTheDrain: past the knee the node is still busy
+// when the window closes, and Run drains for 50 ms more. The cores line
+// divides by the driven interval, so it must read the cycles at the
+// window end — cycles read after the drain printed disp=124% here.
+func TestCoresLineLeavesOutTheDrain(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"adios-sim", "-rps", "5e6", "-ms", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	var line string
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(l, "cores ") {
+			line = l
+		}
+	}
+	fields := strings.Fields(line)
+	if len(fields) < 3 {
+		t.Fatalf("no cores line in:\n%s", stdout.String())
+	}
+	for _, f := range fields[1:] {
+		_, pct, _ := strings.Cut(f, "=")
+		v, err := strconv.ParseFloat(strings.TrimSuffix(pct, "%"), 64)
+		if err != nil || v > 100 {
+			t.Errorf("%s: want a utilization of at most 100%% (line %q)", f, line)
+		}
+	}
+}
 
 // TestRunRejectsBadInput: every flag value that used to panic deep in
 // the build (-local, -ms, an out-of-range crash node), never terminate

@@ -34,21 +34,17 @@ func runMallocs(t *testing.T, local int64, build func(*System) workload.App, rps
 // The run-wide allocation guard: a request costs no heap object from the
 // load generator through the network, the scheduler and the app. A whole
 // System.Run still allocates while the Env warms up — the pools fill to
-// the number of requests in flight, and the wheel's buckets grow to their
-// steady capacity, the level-2 ones (0.52 ms wide) as simulated time first
-// reaches them: about 10 allocations per simulated millisecond until the
-// level has gone round once, at 0.54 s, whatever the load. None of that
-// scales with requests, so the per-request cost is the slope between two
-// window lengths — both past 0.54 s for the array, whose bound is tight —
-// and the warm-up is bounded separately on the longer run. The table's
-// windows end long before that, so its slope is the wheel's warm-up and
-// nothing else (0.023 measured: its requests are native steps, with no
-// adapter record or pooled coroutine left to grow), and its bound is
-// twice that. TPC-C's transactions — locks, B-tree descents and splits —
-// are native steps too, whose working state lives in the recycled
-// message record; at its lower rate the wheel's warm-up would swamp the
-// slope, so its windows are past it, like the array's (0.016 measured,
-// bound twice that).
+// the number of requests in flight, and the wheel's recycled bucket
+// arrays grow to the run's bucket sizes — but a warm wheel allocates
+// nothing as simulated time reaches new buckets, so a run no longer
+// allocates per simulated millisecond. None of the warm-up scales with
+// requests, so the per-request cost is the slope between two window
+// lengths, and the warm-up is bounded on the longer run. Measured: 0.0004
+// / 0.0016 / 0.0012 per further request and 0.0009 / 0.0056 / 0.0083 per
+// request on the longer run for the array, the table and TPC-C, whose
+// transactions — locks, B-tree descents and splits — are native steps
+// with their working state in the recycled message record. The bounds
+// are two to six times those.
 func TestRunIsAllocationFreePerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is not meaningful under -race")
@@ -64,23 +60,23 @@ func TestRunIsAllocationFreePerRequest(t *testing.T) {
 		rps       float64
 		windows   [2]sim.Time
 		slopeMax  float64
-		perReqMax float64 // on the longer run; 0 = unchecked
+		perReqMax float64 // on the longer run
 	}{
 		{"array-resident", arrayBytes * 5 / 4, func(sys *System) workload.App {
 			a := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
 			a.WarmCache()
 			return a
-		}, 600_000, [2]sim.Time{sim.Millis(560), sim.Millis(760)}, 0.005, 0.2},
+		}, 600_000, [2]sim.Time{sim.Millis(560), sim.Millis(760)}, 0.001, 0.005},
 		{"sstable", sstable.Footprint(sstCfg) / 5, func(sys *System) workload.App {
 			tab := sstable.New(sys.Mgr, sys.Mem, sstCfg)
 			tab.WarmCache()
 			return tab
-		}, 400_000, [2]sim.Time{sim.Millis(60), sim.Millis(180)}, 0.05, 0},
+		}, 400_000, [2]sim.Time{sim.Millis(60), sim.Millis(180)}, 0.005, 0.02},
 		{"tpcc", tpcc.Footprint(tpccCfg) / 5, func(sys *System) workload.App {
 			db := tpcc.New(sys.Env, sys.Mgr, sys.Mem, tpccCfg)
 			db.WarmCache()
 			return db
-		}, 100_000, [2]sim.Time{sim.Millis(560), sim.Millis(760)}, 0.03, 0},
+		}, 100_000, [2]sim.Time{sim.Millis(560), sim.Millis(760)}, 0.005, 0.03},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m1, c1 := runMallocs(t, tc.local, tc.build, tc.rps, tc.windows[0])
@@ -91,7 +87,7 @@ func TestRunIsAllocationFreePerRequest(t *testing.T) {
 			if slope > tc.slopeMax {
 				t.Errorf("%.4f allocations per further request, want at most %v", slope, tc.slopeMax)
 			}
-			if tc.perReqMax > 0 && m2/c2 > tc.perReqMax {
+			if m2/c2 > tc.perReqMax {
 				t.Errorf("%.4f allocations per request over the longer run, want at most %v", m2/c2, tc.perReqMax)
 			}
 		})

@@ -3,8 +3,9 @@ package sim
 import "testing"
 
 // The alloc guards pin the kernel's zero-allocation contract on every
-// hot path: once wheel buckets are warm, sleeping (of procs and tasks),
-// gate handoffs and task firings must not allocate.
+// hot path: once the wheel is warm, sleeping (of procs and tasks), gate
+// handoffs and task firings must not allocate, and neither must the
+// wheel itself as simulated time reaches buckets it has never used.
 // testing.AllocsPerRun counts mallocs process-wide, and exactly one
 // goroutine executes simulator code at a time, so measuring from inside
 // a process (around a park/resume) is sound: the count covers the
@@ -87,6 +88,32 @@ func TestTaskZeroAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Fatalf("task firing allocates %v per chain, want 0", got)
+	}
+}
+
+// TestWheelAllocatesNothingOnceWarm runs self-re-arming chains whose
+// strides file their events at levels 0, 1 and 2. After one turn of
+// level 1, every further level-2 push lands in a bucket the run has
+// never used: it must take a cascaded array from the spare list rather
+// than allocate one. There are bucketCap chains, each with one event
+// pending, so no bucket outgrows its first array and what is measured
+// is the recycling alone. AllocsPerRun's own warm-up call runs the
+// first millisecond after that turn; the second is measured.
+func TestWheelAllocatesNothingOnceWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is not meaningful under -race")
+	}
+	e := NewEnv(1)
+	strides := [bucketCap]Time{700, 5000, 300_000, 1_500_000} // levels 0, 1, 1, 2
+	for i, stride := range strides {
+		var tk *Task
+		tk = NewTask(e, "chain", func() { tk.FireAfter(stride) })
+		tk.FireAfter(Time(i)*stride/bucketCap + Time(i) + 1)
+	}
+	e.Run(wheelSize * wheelSize)
+	got := testing.AllocsPerRun(1, func() { e.Run(e.Now() + Millis(1)) })
+	if got != 0 {
+		t.Fatalf("the wheel allocates %v times in a warm simulated millisecond, want 0", got)
 	}
 }
 

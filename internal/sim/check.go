@@ -14,6 +14,7 @@ import "repro/internal/simcheck"
 //	                    in a waiter slot at teardown
 //	sim/wheel-count     wheel count matches the events actually filed
 //	sim/wheel-bitmap    occupancy bitmaps agree with bucket contents
+//	sim/wheel-spare     recycled bucket arrays are empty and unshared
 
 // checkDispatch verifies monotone (at, seq) dispatch. The wheel's
 // ordering argument (wheel.go) says dispatch is bit-identical to the
@@ -70,10 +71,21 @@ func (e *Env) auditTeardown() {
 // CheckWheel audits the timing wheel's structure: the pending count
 // equals the events actually filed (cache slot + bucket entries, net of
 // the partially-drained head bucket), every occupancy bit agrees with
-// its bucket, and every summary bit agrees with its occupancy word.
+// its bucket, and every summary bit agrees with its occupancy word. The
+// spare list holds only empty arrays, none of them also a bucket's, and
+// no upper-level bucket is empty but still holds an array.
 // Run from auditTeardown; exported so tests can call it mid-run.
 func (e *Env) CheckWheel() {
 	w := &e.q
+	spare := make(map[*event]bool, len(w.spare))
+	for _, s := range w.spare {
+		if len(s) != 0 || spare[&s[:1][0]] {
+			simcheck.Fail(simcheck.New("sim/wheel-spare",
+				"spare bucket array is not empty or is listed twice").
+				With("len", len(s)))
+		}
+		spare[&s[:1][0]] = true
+	}
 	n := 0
 	if w.hasNext {
 		n++
@@ -81,6 +93,16 @@ func (e *Env) CheckWheel() {
 	for l := range w.levels {
 		lv := &w.levels[l]
 		for bi, bkt := range lv.buckets {
+			if cap(bkt) > 0 && spare[&bkt[:1][0]] {
+				simcheck.Fail(simcheck.New("sim/wheel-spare",
+					"bucket shares its array with the spare list").
+					With("level", l).With("bucket", bi).With("len", len(bkt)))
+			}
+			if l > 0 && len(bkt) == 0 && cap(bkt) > 0 {
+				simcheck.Fail(simcheck.New("sim/wheel-spare",
+					"empty upper-level bucket still holds an array").
+					With("level", l).With("bucket", bi))
+			}
 			pending := len(bkt)
 			if l == 0 && bi == w.headIdx && w.head > 0 {
 				pending -= w.head

@@ -63,9 +63,15 @@ import (
 // consistent relative to the cursor the remaining events were filed
 // under.
 //
-// The zero value is an empty queue with the cursor at time 0. Level
-// bucket arrays are allocated lazily on first use, so short simulations
-// that never schedule past a few milliseconds pay for two levels only.
+// Storage. The zero value is an empty queue with the cursor at time 0;
+// a level's bucket headers are allocated when it is first used. Level
+// 0's buckets are then carved from one slab, bucketCap events each, and
+// keep their capacity across drains. Upper-level buckets are emptied
+// only by cascade, which sets the bucket to nil and returns its array to
+// `spare`; an upper bucket filling from nil takes the last spare array,
+// or a new one of bucketCap events when there is none. Once the arrays
+// in circulation have grown to the run's bucket sizes, the wheel
+// allocates nothing.
 type wheel struct {
 	low   Time // dispatch cursor: no levelled pending event is earlier
 	count int  // pending events (including the cached next)
@@ -79,6 +85,7 @@ type wheel struct {
 	next     event
 	hasNext  bool // next holds the queue's only pending event
 	levels   [wheelLevels]wheelLevel
+	spare    [][]event // zeroed, empty arrays of cascaded upper-level buckets
 }
 
 const (
@@ -87,6 +94,7 @@ const (
 	wheelMask   = wheelSize - 1   // bucket index mask
 	wheelLevels = 7               // 7×10 = 70 bits: covers all of Time
 	wheelWords  = wheelSize / 64  // occupancy bitmap words per level
+	bucketCap   = 4               // events a bucket's first array holds
 	maxTime     = Time(1<<63 - 1) // RunAll's "until"
 )
 
@@ -170,9 +178,23 @@ func (w *wheel) placeSlow(e event) {
 	lv := &w.levels[l]
 	if lv.buckets == nil {
 		lv.buckets = make([][]event, wheelSize)
+		if l == 0 {
+			slab := make([]event, wheelSize*bucketCap)
+			for i := range lv.buckets {
+				lv.buckets[i] = slab[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+			}
+		}
 	}
 	idx := int(uint64(e.at)>>(uint(l)*wheelBits)) & wheelMask
-	lv.buckets[idx] = append(lv.buckets[idx], e)
+	bkt := lv.buckets[idx]
+	if bkt == nil { // only upper-level buckets are ever nil
+		if n := len(w.spare); n > 0 {
+			bkt, w.spare = w.spare[n-1], w.spare[:n-1]
+		} else {
+			bkt = make([]event, 0, bucketCap)
+		}
+	}
+	lv.buckets[idx] = append(bkt, e)
 	lv.occ[idx>>6] |= 1 << (idx & 63)
 	lv.sum |= 1 << (idx >> 6)
 }
@@ -332,7 +354,7 @@ func (w *wheel) cascade(lv *wheelLevel, j int, start Time) {
 		lv.sum &^= 1 << (j >> 6)
 	}
 	bkt := lv.buckets[j]
-	lv.buckets[j] = bkt[:0] // keep capacity; re-placement never refills it
+	lv.buckets[j] = nil // re-placement files strictly lower, never here
 	if simcheck.Mut("sim-cascade-drop") {
 		// Injected bug (mutation builds only): lose the bucket's last
 		// event during a cascade. The wheel-count oracle must catch the
@@ -342,6 +364,16 @@ func (w *wheel) cascade(lv *wheelLevel, j int, start Time) {
 	for i := range bkt {
 		w.place(bkt[i])
 		bkt[i] = event{}
+	}
+	// Donated only now: re-placement may fill an empty bucket one level
+	// down, which must not be handed the array being walked.
+	w.spare = append(w.spare, bkt[:0])
+	if simcheck.Mut("sim-spare-keep") {
+		// Injected bug (mutation builds only): the bucket keeps the array
+		// it donated, so two buckets can come to share one. The wheel
+		// oracles must see the empty bucket still holding capacity, or the
+		// events one bucket overwrote in the other.
+		lv.buckets[j] = bkt[:0]
 	}
 }
 

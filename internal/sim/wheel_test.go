@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
+
+	"repro/internal/simcheck"
 )
 
 // TestEventIsThreeWords: an event is {at, seq, fn}, the record every
@@ -43,6 +46,30 @@ func TestWheelFarFutureCascades(t *testing.T) {
 	if w.count != 0 {
 		t.Fatalf("count %d after drain", w.count)
 	}
+}
+
+// TestCheckWheelSeesSharedSpare: a bucket holding an array that is also
+// on the spare list — the state a cascade that donates its array but
+// keeps it leaves — is a sim/wheel-spare violation, and the healthy
+// wheel it was made from is not.
+func TestCheckWheelSeesSharedSpare(t *testing.T) {
+	e := NewEnv(1)
+	for _, at := range []Time{3 * wheelSize, 5 * wheelSize, 9 * wheelSize} {
+		e.At(at, func() {})
+	}
+	e.Run(6 * wheelSize) // two level-1 cascades
+	e.CheckWheel()
+	if len(e.q.spare) == 0 {
+		t.Fatal("no cascaded array on the spare list")
+	}
+	e.q.levels[1].buckets[2] = e.q.spare[0]
+	defer func() {
+		v, ok := simcheck.AsViolation(recover())
+		if !ok || !strings.HasPrefix(v.Error(), "sim/wheel-spare") {
+			t.Fatalf("want a sim/wheel-spare violation, got %v", v)
+		}
+	}()
+	e.CheckWheel()
 }
 
 // TestWheelPushAtCursorAfterDry reproduces the Env.Run boundary: a

@@ -95,6 +95,14 @@ func cases() []mutationCase {
 			oracles:  []string{"sim/"},
 		},
 		{
+			// A cascaded bucket donates its array to the spare list but
+			// keeps holding it: the next bucket to take that array shares
+			// it, and the two overwrite each other's events.
+			mutation: "sim-spare-keep",
+			scenario: base,
+			oracles:  []string{"sim/"},
+		},
+		{
 			// Replica copies are never charged to their nodes: the
 			// replica-aware capacity recomputation disagrees with the
 			// ledger at audit time.
