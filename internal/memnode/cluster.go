@@ -161,7 +161,10 @@ func (c *Cluster) Alloc(name string, size int64) (*Region, error) {
 				i, perNode[i], n.capacity-n.allocated)
 		}
 	}
-	r := &Region{Name: name, Data: make([]byte, size), pl: c.pl}
+	r, err := newRegion(name, size, c.pl)
+	if err != nil {
+		return nil, err
+	}
 	for i, n := range c.nodes {
 		n.regions[name] = r
 		n.allocated += perNode[i]

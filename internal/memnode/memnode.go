@@ -25,9 +25,16 @@ import (
 // over the owner's link. Per-node ownership is routing and accounting
 // metadata, as on a real memory pool where the compute node holds one
 // coherent image.
+//
+// Data is an anonymous mapping outside the Go heap (Map), owned by the
+// region: a slice of it is valid while the Region is reachable. Every
+// holder reaches it that way — the apps' set-up writes through their
+// Region, the rdma verbs and a zero-copy frame alias through the
+// Space's region, and the node through its region table.
 type Region struct {
-	Name string
-	Data []byte
+	Name    string
+	Data    []byte
+	backing *Backing // keeps Data mapped
 
 	// pl is the cluster's placement; a region allocated on a single Node
 	// has a one-node placement, which answers 0 for every copy.
@@ -147,10 +154,23 @@ func (n *Node) Alloc(name string, size int64) (*Region, error) {
 		return nil, fmt.Errorf("memnode: out of memory: %d requested, %d free",
 			size, n.capacity-n.allocated)
 	}
-	r := &Region{Name: name, Data: make([]byte, size), pl: Placement{Nodes: 1, Block: 1, Replicas: 1}}
+	r, err := newRegion(name, size, Placement{Nodes: 1, Block: 1, Replicas: 1})
+	if err != nil {
+		return nil, err
+	}
 	n.regions[name] = r
 	n.allocated += size
 	return r, nil
+}
+
+// newRegion maps the bytes of a region. A negative size is refused
+// here, before any ledger is charged.
+func newRegion(name string, size int64, pl Placement) (*Region, error) {
+	data, b, err := Map(size)
+	if err != nil {
+		return nil, fmt.Errorf("memnode: region %q: %w", name, err)
+	}
+	return &Region{Name: name, Data: data, backing: b, pl: pl}, nil
 }
 
 // MustAlloc is Alloc for setup code where failure is a configuration bug.

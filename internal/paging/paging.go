@@ -56,7 +56,10 @@ type Thread interface {
 // owning PTE says. data is normally the frame's own arena buffer
 // (Manager.frameBuf), but a page installed by the zero-copy fetch path
 // aliases the backing region until the first store materializes a
-// private copy (see Manager.materialize). Aliasing is sound because the
+// private copy (see Manager.materialize). Both views point outside the
+// Go heap and hold nothing alive: the arena stays mapped while the
+// Manager is reachable, and an aliased region while its Space is, which
+// the Manager's spaces list keeps so. Aliasing is sound because the
 // aliased bytes are clean — frame and region hold the same page by
 // definition — and region memory is never mutated under a resident
 // page: stores materialize first, write-backs only move
@@ -164,10 +167,16 @@ type Manager struct {
 	env *sim.Env
 	cfg Config
 
-	arena  []byte
-	frames []frame
-	free   []int32
-	spaces []*Space
+	// arena is the frames' own bytes, PageSize each: an anonymous
+	// mapping outside the Go heap (memnode.Map) that backing keeps
+	// mapped while the manager is reachable. A frame nothing has filled
+	// yet is the kernel's zero page, so a pool warm-up never fills is
+	// never resident.
+	arena   []byte
+	backing *memnode.Backing
+	frames  []frame
+	free    []int32
+	spaces  []*Space
 
 	clockHand int
 	lruPrev   []int32
@@ -256,10 +265,15 @@ func NewManager(env *sim.Env, cfg Config) *Manager {
 	if n > 1<<pteIndexBits {
 		panic(fmt.Sprintf("paging: frame pool of %d pages exceeds the page-table word's %d-bit index", n, pteIndexBits))
 	}
+	arena, backing, err := memnode.Map(n * PageSize)
+	if err != nil {
+		panic(fmt.Sprintf("paging: frame pool: %v", err))
+	}
 	m := &Manager{
 		env:         env,
 		cfg:         cfg,
-		arena:       make([]byte, n*PageSize),
+		arena:       arena,
+		backing:     backing,
 		frames:      make([]frame, n),
 		free:        make([]int32, 0, n),
 		reclaimGate: sim.NewGate(env),
