@@ -38,6 +38,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"trailing-comma", []string{"-exp", "fig2b,", "-short"}, 2},
 		{"skew-inf", []string{"-exp", "fig2a", "-short", "-skew", "Inf"}, 2},
 		{"skew-nan", []string{"-exp", "fig2b", "-short", "-skew", "NaN"}, 2},
+		{"migrate-bw-tiny", []string{"-exp", "fig2b", "-short", "-migrate", "bw=1e-300"}, 2},
 		{"good", []string{"-exp", "fig2b", "-short", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

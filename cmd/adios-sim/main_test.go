@@ -68,6 +68,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"skew-not-micro", []string{"-app", "rocksdb", "-skew", "1.2"}, 2},
 		{"skew-inf", []string{"-skew", "Inf", "-ms", "2"}, 2},
 		{"skew-nan", []string{"-skew", "NaN", "-ms", "2"}, 2},
+		{"migrate-bw-tiny", []string{"-memnodes", "4", "-block", "4096", "-skew", "1.2", "-migrate",
+			"epoch=200us,hot=4,bw=1e-300,imb=1.2,max=256,min=16", "-ms", "10", "-rps", "2600000", "-local", "0.01"}, 2},
 		{"block-negative", []string{"-memnodes", "4", "-block", "-5"}, 2},
 		{"good", []string{"-rps", "1300000", "-ms", "1", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
 		{"qdepth-nothing-completed", []string{"-rps", "100", "-ms", "1", "-qdepth"}, 0},

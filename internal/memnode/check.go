@@ -9,8 +9,8 @@ import "repro/internal/simcheck"
 // charged to its owning node — an undercharge means a replicated
 // region consumes bytes the admission check never saw.
 //
-// The recomputation deliberately ignores Reown overrides: repair
-// re-homes a copy without moving its accounting (the dead node's
+// The recomputation deliberately ignores re-homes (the paging layer's
+// owner table): repair re-homes a copy without moving its accounting (the dead node's
 // charge is the blast radius the operator already paid for), so the
 // static placement is the ledger of record. Migration is the one
 // exception — it moves the charge explicitly via MoveCharge, and those

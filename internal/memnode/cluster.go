@@ -33,8 +33,8 @@ var (
 // exists to fix. Slot 0 is the primary and slots 1..Replicas-1 follow it
 // around the node ring, so the copies of a page sit on distinct nodes.
 // The rule never changes during a run and is what capacity is charged
-// by; repair and migration re-home single copies on top of it
-// (Region.Reown).
+// by; repair and migration re-home single copies on top of it in the
+// paging layer's owner table.
 type Placement struct {
 	Nodes    int   // memory nodes, ≥ 1
 	Block    int64 // pages per contiguous run, ≥ 1
@@ -59,8 +59,8 @@ type Cluster struct {
 	pl       Placement
 
 	// moved holds the net capacity (bytes) each node gained (+) or shed
-	// (-) through explicit ledger moves (page migration). Unlike repair's
-	// Reown — which re-homes a copy without moving its accounting — a
+	// (-) through explicit ledger moves (page migration). Unlike a repair
+	// — which re-homes a copy without moving its accounting — a
 	// migration transfers both the bytes and the charge, so the capacity
 	// oracle adds these deltas on top of the static placement.
 	moved []int64

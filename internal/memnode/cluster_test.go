@@ -35,8 +35,8 @@ func TestClusterStripesCapacity(t *testing.T) {
 		t.Fatalf("cluster allocated %d", c.Allocated())
 	}
 	for p := int64(0); p < 10; p++ {
-		if r.NodeOf(p) != int(p%4) {
-			t.Fatalf("page %d owned by %d", p, r.NodeOf(p))
+		if r.OwnerAt(p, 0) != int(p%4) {
+			t.Fatalf("page %d owned by %d", p, r.OwnerAt(p, 0))
 		}
 	}
 	// Every node carries the registration.
@@ -79,7 +79,7 @@ func TestClusterSingleNodeDelegates(t *testing.T) {
 		t.Fatal("single-node cluster did not register on the node")
 	}
 	// A delegated region is unsharded: wholly owned by node 0.
-	if r.Nodes() != 1 || r.NodeOf(17) != 0 {
+	if r.Nodes() != 1 || r.OwnerAt(17, 0) != 0 {
 		t.Fatal("single-node region not owned by node 0")
 	}
 }
@@ -167,8 +167,8 @@ func TestClusterReplicatedAlloc(t *testing.T) {
 		t.Fatalf("cluster allocated %d", c.Allocated())
 	}
 	for p := int64(0); p < 8; p++ {
-		if r.OwnerAt(p, 0) != r.NodeOf(p) {
-			t.Fatalf("page %d: slot 0 owner %d != primary %d", p, r.OwnerAt(p, 0), r.NodeOf(p))
+		if r.OwnerAt(p, 0) != int(p%4) {
+			t.Fatalf("page %d: primary on node %d, want %d", p, r.OwnerAt(p, 0), p%4)
 		}
 		if r.OwnerAt(p, 0) == r.OwnerAt(p, 1) {
 			t.Fatalf("page %d: both copies on node %d", p, r.OwnerAt(p, 0))
@@ -193,35 +193,4 @@ func TestClusterReplicasClamped(t *testing.T) {
 		}
 	}()
 	NewCluster(nodes, 4096, Placement{Nodes: 4, Replicas: 2})
-}
-
-// TestRegionReown checks repair re-homing: overrides take precedence
-// for the overridden slot only, and out-of-range arguments panic.
-func TestRegionReown(t *testing.T) {
-	nodes := make([]*Node, 4)
-	for i := range nodes {
-		nodes[i] = New(1 << 20)
-	}
-	c := NewCluster(nodes, 4096, Placement{Nodes: 4, Replicas: 2})
-	r := c.MustAlloc("r", 8*4096)
-	r.Reown(1, 1, 3)
-	if r.OwnerAt(1, 1) != 3 {
-		t.Fatalf("slot 1 of page 1 = %d after reown, want 3", r.OwnerAt(1, 1))
-	}
-	if r.OwnerAt(1, 0) != 1 || r.NodeOf(1) != 1 {
-		t.Fatal("reown of slot 1 disturbed the primary")
-	}
-	if r.OwnerAt(2, 1) != 3%4 {
-		t.Fatalf("untouched page 2 slot 1 = %d", r.OwnerAt(2, 1))
-	}
-	r.Reown(1, 0, 2)
-	if r.NodeOf(1) != 2 {
-		t.Fatalf("primary of page 1 = %d after reown, want 2", r.NodeOf(1))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range reown did not panic")
-		}
-	}()
-	r.Reown(0, 5, 1)
 }

@@ -1,10 +1,13 @@
 // Package memnode models the passive memory node of the disaggregated
 // system: pre-registered memory regions served entirely by one-sided
 // RDMA, with no CPU involvement in the data path (the design shared by
-// DiLOS, Fastswap, and Adios). A node can additionally carry stall
-// windows — intervals of unresponsiveness a fault plan schedules — that
-// the fabric consults to delay operations, the pause/stall half of the
-// failure model.
+// DiLOS, Fastswap, and Adios). Nodes keep no per-page routing state:
+// a cluster's static Placement says which node holds each copy of a
+// page, and where repair or migration has since re-homed a copy is the
+// compute node's to know (package paging). A node can additionally
+// carry stall windows — intervals of unresponsiveness a fault plan
+// schedules — that the fabric consults to delay operations, the
+// pause/stall half of the failure model.
 package memnode
 
 import (
@@ -21,10 +24,11 @@ import (
 // A region allocated through a Cluster is spread across the cluster's
 // nodes by its Placement: Data stays one contiguous slice (the region is
 // a single virtual object), but each copy of a page has exactly one
-// owning node — OwnerAt — and all fabric traffic for that copy must go
-// over the owner's link. Per-node ownership is routing and accounting
-// metadata, as on a real memory pool where the compute node holds one
-// coherent image.
+// owning node, and all fabric traffic for that copy must go over the
+// owner's link. The region knows only the static placement (OwnerAt);
+// where repair and migration have since re-homed a copy is the compute
+// node's routing state, kept by the paging layer's owner table, as on a
+// real memory pool whose nodes serve one-sided verbs and track nothing.
 //
 // Data is an anonymous mapping outside the Go heap (Map), owned by the
 // region: a slice of it is valid while the Region is reachable. Every
@@ -39,12 +43,6 @@ type Region struct {
 	// pl is the cluster's placement; a region allocated on a single Node
 	// has a one-node placement, which answers 0 for every copy.
 	pl Placement
-
-	// over records repair and migration re-homings: page → per-slot
-	// owner overrides (-1 = slot not overridden). nil until the first
-	// Reown, so the fault-free owner lookup stays a nil check away from
-	// the static placement.
-	over map[int64][]int32
 }
 
 // Slice returns the byte view [off, off+n) of the region for use as the
@@ -75,50 +73,17 @@ func (r *Region) SliceFor(off, n int64, node int, qp string) []byte {
 // (1 for a region allocated on a single Node).
 func (r *Region) Nodes() int { return r.pl.Nodes }
 
-// NodeOf returns the index of the node owning the primary copy of the
-// given page of the region.
-func (r *Region) NodeOf(page int64) int { return r.OwnerAt(page, 0) }
-
 // Replicas returns the region's replication factor.
 func (r *Region) Replicas() int { return r.pl.Replicas }
 
-// OwnerAt returns the node holding the k-th copy of a page: slot 0 is
-// the primary, slots 1..Replicas()-1 the replicas. Re-homings (Reown)
-// take precedence over the static placement.
+// OwnerAt returns the node the static placement puts the k-th copy of a
+// page on: slot 0 is the primary, slots 1..Replicas()-1 the replicas.
 func (r *Region) OwnerAt(page int64, k int) int {
 	if k < 0 || k >= r.pl.Replicas {
 		panic(fmt.Sprintf("memnode: region %q: replica slot %d outside factor %d",
 			r.Name, k, r.pl.Replicas))
 	}
-	if r.over != nil {
-		if s, ok := r.over[page]; ok && s[k] >= 0 {
-			return int(s[k])
-		}
-	}
 	return r.pl.Owner(page, k)
-}
-
-// Reown re-homes the k-th copy of a page onto node: the background
-// repair path installs it after copying the page's bytes to the new
-// owner, restoring the replication factor around a dead node. Lookups
-// (NodeOf, OwnerAt) consult overrides first.
-func (r *Region) Reown(page int64, k int, node int) {
-	if k < 0 || k >= r.Replicas() || node < 0 || node >= r.Nodes() {
-		panic(fmt.Sprintf("memnode: region %q: reown page %d slot %d to node %d out of range",
-			r.Name, page, k, node))
-	}
-	if r.over == nil {
-		r.over = make(map[int64][]int32)
-	}
-	s, ok := r.over[page]
-	if !ok {
-		s = make([]int32, r.Replicas())
-		for i := range s {
-			s[i] = -1
-		}
-		r.over[page] = s
-	}
-	s[k] = int32(node)
 }
 
 // Size returns the region length in bytes.

@@ -3,9 +3,8 @@ package migrate
 import "repro/internal/simcheck"
 
 // Check runs the migration audit oracles over the current owner
-// tables and paging's last-home ledger. The end-of-run audit calls it after
-// every scenario; tests can call it between operations. It is
-// O(pages × replicas).
+// tables. The end-of-run audit calls it after every scenario; tests can
+// call it between operations. It is O(pages × replicas).
 //
 // Oracles:
 //
@@ -15,13 +14,13 @@ import "repro/internal/simcheck"
 //   - migrate/owner-dup: replica slots of one page must answer
 //     pairwise-distinct nodes; a migration that landed the primary on
 //     a replica's node silently halved the copy count.
-//   - migrate/owner-table: for every page whose primary was ever
-//     re-homed, the region's owner must be the last landed re-home
-//     (migration flip or repair re-home, whichever came later) — the
-//     oracle that catches a dropped Reown.
 //   - migrate/state-machine: an idle engine must have no queued jobs
 //     left behind (that it holds no copy while idle is by construction:
 //     the copy in flight is a state of the engine, not a table).
+//
+// The owner table is the last landing, so whether it followed a landing
+// (migrate/owner-table) is checked by the engine as the landing happens,
+// as is migrate/stale-read (paging.Rehomer).
 func (mg *Migrator) Check() error {
 	for _, s := range mg.m.Spaces() {
 		reg := s.Region()
@@ -31,7 +30,7 @@ func (mg *Migrator) Check() error {
 		for vpn := int64(0); vpn < s.Pages(); vpn++ {
 			var seen uint64
 			for k := 0; k < reg.Replicas(); k++ {
-				o := reg.OwnerAt(vpn, k)
+				o := s.Owner(vpn, k)
 				if o < 0 || o >= reg.Nodes() {
 					return simcheck.New("migrate/lost-page",
 						"replica slot answers a node outside the cluster").
@@ -45,12 +44,6 @@ func (mg *Migrator) Check() error {
 						With("slot", k).With("node", o)
 				}
 				seen |= 1 << uint(o)
-			}
-			if dst, ok := s.LastHome(vpn); ok && reg.NodeOf(vpn) != dst {
-				return simcheck.New("migrate/owner-table",
-					"region owner disagrees with the last landed re-home").
-					With("space", s.Name()).With("page", vpn).
-					With("owner", reg.NodeOf(vpn)).With("want", dst)
 			}
 		}
 	}

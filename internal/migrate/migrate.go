@@ -12,12 +12,12 @@
 //
 // In-flight correctness is split the same way. The engine dual-applies
 // write-backs that start while a copy is in flight, so the new home
-// never holds stale bytes, and stamps every fetch with its page's
-// generation so that a read straddling a landing is an oracle
-// violation rather than a silent stale install. The planner supplies
-// the three answers that are migration's own: a job planned under
-// conditions that no longer hold is not started; a durable copy lands
-// only once the page has no fetch or write-back in flight (and is
+// never holds stale bytes, and a landing that retires a live copy
+// while a fetch of the page is in flight is an oracle violation
+// (migrate/stale-read) rather than a silent stale install. The planner
+// supplies the three answers that are migration's own: a job planned
+// under conditions that no longer hold is not started; a durable copy
+// lands only once the page has no fetch or write-back in flight (and is
 // dropped if the world moved meanwhile); a node death mid-copy drops
 // the job — failover and repair own recovery — where any other error
 // retries it. A destination without capacity is never planned.
@@ -285,7 +285,7 @@ func (mg *Migrator) plan() {
 			if int(h[vpn]) < mg.cfg.HotThreshold {
 				continue
 			}
-			if reg.NodeOf(vpn) != src {
+			if s.Owner(vpn, 0) != src {
 				continue
 			}
 			if mg.queued[pageKey{s.ID(), vpn}] {
@@ -338,13 +338,12 @@ func (mg *Migrator) plan() {
 // free capacity for it (net of this round's reservations). Lowest
 // index breaks ties. Returns -1 when no node qualifies.
 func (mg *Migrator) pickDst(c candidate, proj, reserved []int64) int {
-	reg := c.s.Region()
 	best := -1
 	for n := 0; n < mg.nodes; n++ {
 		if !mg.m.NodeLive(n) {
 			continue
 		}
-		if ownsCopy(reg, c.vpn, n) {
+		if ownsCopy(c.s, c.vpn, n) {
 			continue
 		}
 		if mg.mem.FreeCapacity(n)-reserved[n] < paging.PageSize {
@@ -358,9 +357,9 @@ func (mg *Migrator) pickDst(c candidate, proj, reserved []int64) int {
 }
 
 // ownsCopy reports whether node n holds any replica slot of the page.
-func ownsCopy(reg *memnode.Region, vpn int64, n int) bool {
-	for k := 0; k < reg.Replicas(); k++ {
-		if reg.OwnerAt(vpn, k) == n {
+func ownsCopy(s *paging.Space, vpn int64, n int) bool {
+	for k := 0; k < s.Region().Replicas(); k++ {
+		if s.Owner(vpn, k) == n {
 			return true
 		}
 	}
@@ -387,9 +386,8 @@ func (mg *Migrator) drop(j paging.RehomeJob) {
 // hold: the owner moved (repair), the destination died, became an owner
 // or filled up.
 func (mg *Migrator) stale(j paging.RehomeJob) bool {
-	reg := j.Space.Region()
-	return reg.NodeOf(j.VPN) != j.Src || !mg.m.NodeLive(j.Dst) ||
-		ownsCopy(reg, j.VPN, j.Dst) || mg.mem.FreeCapacity(j.Dst) < paging.PageSize
+	return j.Space.Owner(j.VPN, 0) != j.Src || !mg.m.NodeLive(j.Dst) ||
+		ownsCopy(j.Space, j.VPN, j.Dst) || mg.mem.FreeCapacity(j.Dst) < paging.PageSize
 }
 
 // Next drops stale jobs (a dead source included) and returns the first
@@ -412,7 +410,7 @@ func (mg *Migrator) Next() (paging.RehomeJob, bool) {
 // page still hot is planned again at a later epoch. It holds the landing
 // while the page has a fetch or write-back in flight, so a demand fetch
 // can never read the old copy after the flip — which is exactly what the
-// generation oracle checks — and drops the job if the world moved while
+// stale-read oracle checks — and drops the job if the world moved while
 // the copy was in flight.
 func (mg *Migrator) Ready(j paging.RehomeJob) paging.Landing {
 	if mg.Rivals(j.Space, j.VPN)&(1<<uint(j.Dst)) != 0 {

@@ -68,10 +68,9 @@ func raceRepairAndMigration(t *testing.T, migrationFirst bool) {
 	if err := mgr.CheckReplication(); err != nil {
 		t.Fatal(err)
 	}
-	reg := sp.Region()
-	if rep.Repaired.Value() != 2 || reg.OwnerAt(1, 0) != 1 || reg.OwnerAt(1, 1) != 0 {
+	if rep.Repaired.Value() != 2 || sp.Owner(1, 0) != 1 || sp.Owner(1, 1) != 0 {
 		t.Fatalf("repaired %d; page 1 answers nodes %d, %d — want the repair landed (1, 0) and the migration dropped",
-			rep.Repaired.Value(), reg.OwnerAt(1, 0), reg.OwnerAt(1, 1))
+			rep.Repaired.Value(), sp.Owner(1, 0), sp.Owner(1, 1))
 	}
 	if mg.PagesMoved.Value() != 0 || mg.Aborted.Value() != 1 {
 		t.Fatalf("migrations landed %d, dropped %d; want 0, 1", mg.PagesMoved.Value(), mg.Aborted.Value())

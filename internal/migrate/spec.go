@@ -1,8 +1,11 @@
 package migrate
 
 import (
+	"fmt"
 	"strings"
 
+	"repro/internal/paging"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -40,7 +43,9 @@ func (c *Config) clauses() []spec.Clause {
 // Durations accept "us"/"µs", "ms", "s" suffixes, or bare CPU cycles,
 // exactly as the -faults grammar does. Zero-valued knobs are "unset"
 // and take the default at construction, so "epoch=0" is equivalent to
-// "on". Example: "epoch=50us,hot=8,bw=0.25".
+// "on". A bw so small that the copies' pacing gap, PageSize/bw cycles,
+// exceeds the longest duration the grammar accepts (sim.MaxSpecTime) is
+// refused. Example: "epoch=50us,hot=8,bw=0.25".
 func ParseSpec(text string) (Config, error) {
 	var cfg Config
 	if text = strings.TrimSpace(text); text == "" || text == "off" {
@@ -49,6 +54,10 @@ func ParseSpec(text string) (Config, error) {
 	// "off" among other clauses is no clause of the list: an error.
 	if err := spec.Parse("migrate", text, cfg.clauses()); err != nil {
 		return Config{}, err
+	}
+	if gap := paging.PageSize / cfg.Bandwidth; cfg.Bandwidth != 0 && gap > float64(sim.MaxSpecTime) {
+		return Config{}, fmt.Errorf("migrate: bw: %g bytes/cycle paces copies %g cycles apart (max %g)",
+			cfg.Bandwidth, gap, float64(sim.MaxSpecTime))
 	}
 	cfg.Enabled = true
 	return cfg, nil

@@ -26,6 +26,7 @@ func TestParseSpec(t *testing.T) {
 		{spec: "epoch=20µs", want: Config{Enabled: true, Epoch: sim.Micros(20)}},
 		{spec: "hot=8", want: Config{Enabled: true, HotThreshold: 8}},
 		{spec: "bw=0.25", want: Config{Enabled: true, Bandwidth: 0.25}},
+		{spec: "bw=4.096e-12", want: Config{Enabled: true, Bandwidth: 4.096e-12}}, // a gap of exactly MaxSpecTime
 		{spec: "imb=1.3", want: Config{Enabled: true, Imbalance: 1.3}},
 		{spec: "max=16,min=4", want: Config{Enabled: true, MaxMoves: 16, MinFaults: 4}},
 		{spec: "on,hot=2", want: Config{Enabled: true, HotThreshold: 2}},
@@ -44,6 +45,8 @@ func TestParseSpec(t *testing.T) {
 		{spec: "bw=Inf", err: true},     //
 		{spec: "bw=-0.5", err: true},    // and non-negative
 		{spec: "bw=1e16", err: true},    // and bounded
+		{spec: "bw=1e-300", err: true},  // its pacing gap too
+		{spec: "bw=4e-12", err: true},   //
 		{spec: "imb=x", err: true},      //
 		{spec: "epoch=1e16", err: true}, // durations are bounded
 		{spec: "epoch=-5us", err: true}, // and non-negative

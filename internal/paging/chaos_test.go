@@ -234,7 +234,7 @@ func TestChaosMultiNodeOutageConfinedToStripe(t *testing.T) {
 						if !ok {
 							panic(r)
 						}
-						if owner := region.NodeOf(fe.VPN); owner != faulty {
+						if owner := sp.Owner(fe.VPN, 0); owner != faulty {
 							t.Errorf("abort on vpn %d owned by healthy node %d", fe.VPN, owner)
 						}
 						aborted++

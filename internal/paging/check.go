@@ -75,7 +75,7 @@ func (m *Manager) CheckReplication() error {
 		for vpn := int64(0); vpn < s.Pages(); vpn++ {
 			var mask uint64
 			for k := 0; k < reg.Replicas(); k++ {
-				if o := reg.OwnerAt(vpn, k); m.health.Live(o) {
+				if o := s.Owner(vpn, k); m.health.Live(o) {
 					mask |= 1 << uint(o)
 				}
 			}

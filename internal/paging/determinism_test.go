@@ -39,7 +39,7 @@ func reclaimBatchRef(m *Manager, p *sim.Proc, qps []*rdma.QP, cq *rdma.CQ, cqGat
 		m.Evictions.Inc()
 		m.unmapped(fi)
 		if s.ptes[f.vpn].dirty() {
-			node := s.region.NodeOf(f.vpn)
+			node := s.Owner(f.vpn, 0)
 			qp := qps[node]
 			rec := m.newFetch(s, f.vpn, fi, true, false)
 			rec.qp = qp
@@ -49,7 +49,8 @@ func reclaimBatchRef(m *Manager, p *sim.Proc, qps []*rdma.QP, cq *rdma.CQ, cqGat
 				if err := qp.PostWrite(s.region.SliceFor(f.vpn*PageSize, PageSize, node, qp.Name()), f.data, rec); err == nil {
 					break
 				}
-				qp.WaitSlot(p)
+				qp.AddSlotWaiter(p.Task())
+				p.Park()
 			}
 			inflight++
 		} else {

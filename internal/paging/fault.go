@@ -76,12 +76,6 @@ type Fetch struct {
 	// terminal only when pending is empty and at least one copy acked.
 	pending uint64
 	acked   uint64
-
-	// gen is the page's re-home generation at post time (zero until a
-	// landing retires a readable copy of it); the install-side oracle
-	// checks it still matches, proving no such landing straddled the
-	// fetch.
-	gen uint32
 }
 
 // newFetch takes a Fetch from the manager's free list (or grows the slab
@@ -101,7 +95,6 @@ func (m *Manager) newFetch(s *Space, vpn int64, frame int32, writeback, demand b
 	f.frame, f.writeback, f.demand = frame, writeback, demand
 	f.qp, f.attempts, f.firstFailAt = nil, 1, -1
 	f.node, f.tried, f.pending, f.acked = 0, 0, 0, 0
-	f.gen = s.gen(vpn)
 	return f
 }
 
@@ -278,14 +271,14 @@ func (m *Manager) postFetch(c *FaultCall, w *sim.Task, q QPSource) PageStatus {
 // fetchNode picks the node a fetch of (s, vpn) should read from: the
 // primary owner, unless the health oracle already declared it dead and
 // a live replica exists. With no oracle installed this is exactly
-// Region.NodeOf.
+// s.Owner(vpn, 0).
 func (m *Manager) fetchNode(s *Space, vpn int64) int {
-	node := s.region.NodeOf(vpn)
+	node := s.Owner(vpn, 0)
 	if m.health == nil || m.health.Live(node) {
 		return node
 	}
 	for k := 1; k < s.region.Replicas(); k++ {
-		if o := s.region.OwnerAt(vpn, k); m.health.Live(o) {
+		if o := s.Owner(vpn, k); m.health.Live(o) {
 			m.FailoverReads.Inc()
 			m.Trace.Instant(trace.KindFailover, trace.TidFailover,
 				fmt.Sprintf("failover %s:%d -> node %d", s.name, vpn, o), m.env.Now())
@@ -301,7 +294,7 @@ func (m *Manager) fetchNode(s *Space, vpn int64) int {
 // yet tried, for re-routing after a dead-node timeout.
 func (m *Manager) failoverNode(s *Space, f *Fetch) (int, bool) {
 	for k := 0; k < s.region.Replicas(); k++ {
-		o := s.region.OwnerAt(f.VPN, k)
+		o := s.Owner(f.VPN, k)
 		if f.tried&(1<<uint(o)) != 0 {
 			continue
 		}
@@ -444,8 +437,6 @@ func (m *Manager) CompleteOn(f *Fetch, cerr error, qp *rdma.QP) bool {
 		}
 	} else if cerr != nil {
 		return m.completeError(f, cerr)
-	} else if !f.writeback && s.moves != nil && simcheck.On() {
-		s.checkStaleRead(f)
 	}
 	m.finish(f, ed, nil)
 	return true
@@ -525,7 +516,7 @@ func (m *Manager) completeError(f *Fetch, cerr error) bool {
 func (m *Manager) wbPlan(s *Space, vpn int64) (mask uint64, first int) {
 	first = -1
 	for k := 0; k < s.region.Replicas(); k++ {
-		o := s.region.OwnerAt(vpn, k)
+		o := s.Owner(vpn, k)
 		if m.health != nil && !m.health.Live(o) {
 			continue
 		}

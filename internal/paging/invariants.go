@@ -55,7 +55,7 @@ func (m *Manager) CheckInvariants() error {
 					return simcheck.New("paging/dirty-free",
 						"page absent while dirty: reclaimed before write-back succeeded").
 						With("space", s.name).With("page", vpn).
-						With("node", s.region.NodeOf(int64(vpn)))
+						With("node", s.Owner(int64(vpn), 0))
 				}
 				if e != pageAbsent {
 					return simcheck.New("paging/absent-fetch",

@@ -379,7 +379,11 @@ type Space struct {
 	region *memnode.Region
 	ptes   []pte
 	leap   leapState
-	moves  []pageMove // re-home history; nil until the first landing
+
+	// owners is the owner table: the node of copy k of page vpn at
+	// [vpn*Replicas+k], written by every re-home landing (rehome.go).
+	// nil until the space's first landing; the placement answers till then.
+	owners []uint8
 }
 
 // NewSpace creates a paged space over region. The region size must be

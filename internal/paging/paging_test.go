@@ -2,6 +2,7 @@ package paging
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/memnode"
@@ -125,18 +126,12 @@ func TestU64U32Accessors(t *testing.T) {
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 4*PageSize))
 	r.env.Go("app", func(p *sim.Proc) {
 		th := r.thread(p)
-		sp.StoreU64(th, 16, 0xdeadbeefcafef00d)
-		if got := sp.LoadU64(th, 16); got != 0xdeadbeefcafef00d {
-			t.Errorf("u64 round trip = %x", got)
-		}
-		// Straddling a page boundary.
-		sp.StoreU64(th, PageSize-3, 0x1122334455667788)
-		if got := sp.LoadU64(th, PageSize-3); got != 0x1122334455667788 {
-			t.Errorf("straddling u64 = %x", got)
-		}
-		sp.StoreU32(th, 2*PageSize-2, 0xa1b2c3d4)
-		if got := sp.LoadU32(th, 2*PageSize-2); got != 0xa1b2c3d4 {
-			t.Errorf("straddling u32 = %x", got)
+		for _, off := range []int64{16, PageSize - 3} { // inside a page, straddling two
+			want := 0x1122334455667788 ^ uint64(off)
+			sp.Store(th, off, binary.LittleEndian.AppendUint64(nil, want))
+			if got := sp.LoadU64(th, off); got != want {
+				t.Errorf("LoadU64 at %d = %x, want %x", off, got, want)
+			}
 		}
 	})
 	r.env.RunAll()

@@ -139,7 +139,7 @@ func (r *reclaimer) processVictim() bool {
 	// clean, freeing its frame before the bytes are durable — the
 	// paging/dirty-free oracle must catch it on the eviction edge below.
 	if s.ptes[f.vpn].dirty() && !simcheck.Mut("paging-dirty-free") {
-		node := s.region.NodeOf(f.vpn)
+		node := s.Owner(f.vpn, 0)
 		rec := m.newFetch(s, f.vpn, fi, true, false)
 		// Dual-apply: while a re-home copy of this page is in flight,
 		// the write-back also targets the copy's destination so the new

@@ -1,6 +1,8 @@
 package paging
 
 import (
+	"fmt"
+
 	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/simcheck"
@@ -57,8 +59,8 @@ const (
 )
 
 // Rehomer is the one re-home engine: a paced, one-job-at-a-time
-// READ src → WRITE dst → Region.Reown state machine on its own QPs and
-// CQ. After every copy it idles PageSize/bandwidth cycles, so its
+// READ src → WRITE dst → owner-table write state machine on its own QPs
+// and CQ. After every copy it idles PageSize/bandwidth cycles, so its
 // average rate never exceeds the cap; a refused post or an errored
 // completion backs off RetryBackoff and re-asks the planner. Data
 // movement is modeled traffic — the region's single authoritative byte
@@ -203,9 +205,7 @@ func (e *Rehomer) drain() {
 }
 
 // land asks the planner whether the owner table may follow the copy
-// and, on Land, re-points the slot. A landing that retires the copy of a
-// live node — one a fetch may be reading — bumps the page's generation;
-// every primary landing is written to the last-home ledger.
+// and, on Land, re-points the slot: the one write of a re-home.
 func (e *Rehomer) land() {
 	j := e.job
 	switch e.p.Ready(j) {
@@ -213,30 +213,40 @@ func (e *Rehomer) land() {
 		e.t.FireAfter(e.m.cfg.RetryBackoff) // state stays rhLand
 		return
 	case Land:
-		reg := j.Space.region
-		mv := j.Space.move(j.VPN)
-		if e.m.NodeLive(reg.OwnerAt(j.VPN, j.Slot)) {
-			mv.gen++
+		s := j.Space
+		if simcheck.On() {
+			e.checkStaleRead(j)
 		}
 		// The mutation (simcheckmutate builds only) drops the owner-table
 		// write after the copy: the planner's books move but traffic keeps
 		// hitting the old home — the migrate/owner-table oracle must
 		// catch it.
 		if !simcheck.Mut("migrate_lost_owner") {
-			reg.Reown(j.VPN, j.Slot, j.Dst)
-		}
-		if j.Slot == 0 {
-			mv.home = int32(j.Dst) + 1
+			s.rehome(j.VPN, j.Slot, j.Dst)
 		}
 		e.p.Landed(j)
-		if simcheck.On() && reg.OwnerAt(j.VPN, j.Slot) != j.Dst {
+		if o := s.Owner(j.VPN, j.Slot); simcheck.On() && o != j.Dst {
 			simcheck.Fail(simcheck.New("migrate/owner-table",
 				"owner table does not answer the re-home destination after the landing").
-				With("space", j.Space.name).With("page", j.VPN).With("slot", j.Slot).
-				With("owner", reg.OwnerAt(j.VPN, j.Slot)).With("want", j.Dst))
+				With("space", s.name).With("page", j.VPN).With("slot", j.Slot).
+				With("owner", o).With("want", j.Dst))
 		}
 	}
 	e.again(e.gap)
+}
+
+// checkStaleRead is the migrate/stale-read oracle, run (oracles armed)
+// as j lands: retiring the copy of a live node while a fetch of the page
+// is in flight may leave that fetch installing the pre-landing bytes —
+// which waiting for quiescence before such a landing is meant to make
+// impossible. Retiring a dead node's copy (a repair) is always safe.
+func (e *Rehomer) checkStaleRead(j RehomeJob) {
+	if o := j.Space.Owner(j.VPN, j.Slot); e.m.NodeLive(o) && j.Space.ptes[j.VPN].state() == pageFetching {
+		simcheck.Fail(simcheck.New("migrate/stale-read",
+			"landing retires a live copy a fetch in flight may be reading").
+			With("space", j.Space.name).With("page", j.VPN).With("slot", j.Slot).
+			With("node", o).With("dst", j.Dst))
+	}
 }
 
 // mirrorMask returns the destination bit of any re-home copy of (s, vpn)
@@ -258,51 +268,30 @@ func (m *Manager) copies(s *Space, vpn int64, except *Rehomer) uint64 {
 	return mask
 }
 
-// pageMove is a page's re-home history: gen counts the landings that
-// retired a readable copy, home is the last landed primary home plus
-// one (zero: the primary never moved).
-type pageMove struct {
-	gen  uint32
-	home int32
+// Owner returns the node holding copy k of page vpn: slot 0 is the
+// primary, slots 1..Replicas-1 the replicas. It is the one owner lookup:
+// the last landing of the slot, or the region's placement if none.
+func (s *Space) Owner(vpn int64, k int) int {
+	reps := s.region.Replicas()
+	if s.owners == nil || k < 0 || k >= reps {
+		return s.region.OwnerAt(vpn, k) // the placement, or its range panic
+	}
+	return int(s.owners[vpn*int64(reps)+int64(k)])
 }
 
-// move returns the page's re-home record, allocating the space's table
-// at its first landing.
-func (s *Space) move(vpn int64) *pageMove {
-	if s.moves == nil {
-		s.moves = make([]pageMove, len(s.ptes))
+// rehome points slot k of page vpn at node, filling the owner table from
+// the placement at the space's first landing.
+func (s *Space) rehome(vpn int64, k, node int) {
+	reps := s.region.Replicas()
+	if k < 0 || k >= reps || node < 0 || node >= s.region.Nodes() {
+		panic(fmt.Sprintf("paging: space %q: re-home page %d slot %d to node %d out of range",
+			s.name, vpn, k, node))
 	}
-	return &s.moves[vpn]
-}
-
-// gen returns the page's generation; fetches are stamped with it at
-// post time.
-func (s *Space) gen(vpn int64) uint32 {
-	if s.moves == nil {
-		return 0
+	if s.owners == nil {
+		s.owners = make([]uint8, len(s.ptes)*reps)
+		for i := range s.owners {
+			s.owners[i] = uint8(s.region.OwnerAt(int64(i/reps), i%reps))
+		}
 	}
-	return s.moves[vpn].gen
-}
-
-// LastHome returns the node the page's primary was last re-homed to, if
-// it ever was (owner-table audit).
-func (s *Space) LastHome(vpn int64) (node int, ok bool) {
-	if s.moves == nil || s.moves[vpn].home == 0 {
-		return 0, false
-	}
-	return int(s.moves[vpn].home) - 1, true
-}
-
-// checkStaleRead is the migrate/stale-read oracle, run (oracles armed)
-// when a fetch installs: its page's generation must be the one it was
-// posted under, or the bytes may come from a copy retired mid-flight —
-// which waiting for quiescence before such a landing is meant to make
-// impossible.
-func (s *Space) checkStaleRead(f *Fetch) {
-	if cur := s.gen(f.VPN); cur != f.gen {
-		simcheck.Fail(simcheck.New("migrate/stale-read",
-			"fetch completed across an owner flip: the install may hold the pre-migration copy").
-			With("space", s.name).With("page", f.VPN).With("node", f.node).
-			With("postGen", f.gen).With("nowGen", cur))
-	}
+	s.owners[vpn*int64(reps)+int64(k)] = uint8(node)
 }

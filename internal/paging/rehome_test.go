@@ -41,7 +41,7 @@ func newRehomeRig(nodes, replicas int, pages int64, rcfg func(*rdma.Config)) *re
 
 // primaryTo is the job "move page vpn's primary to node dst".
 func (r *rehomeRig) primaryTo(vpn int64, dst int) RehomeJob {
-	return RehomeJob{Space: r.sp, VPN: vpn, Src: r.sp.region.NodeOf(vpn), Dst: dst}
+	return RehomeJob{Space: r.sp, VPN: vpn, Src: r.sp.Owner(vpn, 0), Dst: dst}
 }
 
 // scriptPlanner is a fake planner: a queue whose head stays put until it
@@ -118,9 +118,9 @@ func (h *fakeHealth) Live(n int) bool   { return !h.dead[n] }
 func (h *fakeHealth) ReportTimeout(int) {}
 
 // TestRehomerPacesAndLands: N copies take at least N gaps (the bandwidth
-// cap holds), every landing re-points its slot and is written to the
-// last-home ledger, and the drained engine is idle with no copy left in
-// flight — the state-machine oracle's condition.
+// cap holds), every landing re-points its slot in the owner table, and
+// the drained engine is idle with no copy left in flight — the
+// state-machine oracle's condition.
 func TestRehomerPacesAndLands(t *testing.T) {
 	const n, bw = 8, 0.5
 	r := newRehomeRig(4, 1, n, nil)
@@ -150,11 +150,8 @@ func TestRehomerPacesAndLands(t *testing.T) {
 		t.Fatalf("%d copies finished by %d, faster than %d x gap = %d", n, last, n, n*gap)
 	}
 	for _, j := range p.landed {
-		if got := r.sp.region.NodeOf(j.VPN); got != j.Dst {
+		if got := r.sp.Owner(j.VPN, 0); got != j.Dst {
 			t.Fatalf("page %d answers node %d after landing on %d", j.VPN, got, j.Dst)
-		}
-		if home, ok := r.sp.LastHome(j.VPN); !ok || home != j.Dst {
-			t.Fatalf("page %d: ledger says %d, %v; want %d", j.VPN, home, ok, j.Dst)
 		}
 	}
 	if !e.Idle() || e.t.Armed() || e.Retries.Value() != 0 {
@@ -196,7 +193,7 @@ func TestRehomerBacksOff(t *testing.T) {
 	if len(p.nextAt) != 4 || p.nextAt[1] != p.keepAt[0]+backoff || p.nextAt[2] != p.nextAt[1]+backoff {
 		t.Fatalf("planner asked at %v around an error at %v; want steps of %d", p.nextAt, p.keepAt, backoff)
 	}
-	if got := r.sp.region.NodeOf(0); got != 1 {
+	if got := r.sp.Owner(0, 0); got != 1 {
 		t.Fatalf("page 0 answers node %d, want 1", got)
 	}
 }
@@ -239,7 +236,7 @@ func TestRehomerKeepOrDrop(t *testing.T) {
 				want[0] = 2
 			}
 			for vpn, node := range want {
-				if got := r.sp.region.NodeOf(vpn); got != node {
+				if got := r.sp.Owner(vpn, 0); got != node {
 					t.Fatalf("page %d answers node %d, want %d", vpn, got, node)
 				}
 			}
@@ -274,7 +271,7 @@ func TestRehomerWaitsForReady(t *testing.T) {
 		mask  uint64
 	}
 	r.env.At(sim.Micros(20), func() { // between the second and third deferral
-		during.owner, during.mask = r.sp.region.NodeOf(0), r.mgr.mirrorMask(r.sp, 0)
+		during.owner, during.mask = r.sp.Owner(0, 0), r.mgr.mirrorMask(r.sp, 0)
 	})
 	r.env.Run(sim.Millis(1))
 
@@ -289,11 +286,8 @@ func TestRehomerWaitsForReady(t *testing.T) {
 	if len(p.landed) != 2 || p.landed[0].VPN != 0 || p.landedAt[0] != p.readyAt[3] || p.landed[1].VPN != 2 {
 		t.Fatalf("landed %v at %v (Ready asked at %v)", p.landed, p.landedAt, p.readyAt)
 	}
-	if got := r.sp.region.NodeOf(1); got != 1 {
+	if got := r.sp.Owner(1, 0); got != 1 {
 		t.Fatalf("dropped job moved page 1 to node %d", got)
-	}
-	if _, ok := r.sp.LastHome(1); ok {
-		t.Fatal("dropped job is in the last-home ledger")
 	}
 	// A dropped copy used its bandwidth: the next job starts a gap later.
 	if d := p.nextAt[2] - p.readyAt[4]; d != e.gap {
@@ -301,35 +295,87 @@ func TestRehomerWaitsForReady(t *testing.T) {
 	}
 }
 
-// TestLandingBumpsGenerationOfReadableCopies: a fetch is stamped with
-// its page's generation when it is created; a landing that retires a
-// live node's copy under it trips migrate/stale-read at install, one
-// that retires a dead node's copy (a repair) does not.
-func TestLandingBumpsGenerationOfReadableCopies(t *testing.T) {
-	r := newRehomeRig(4, 2, 4, nil)
-	h := &fakeHealth{dead: map[int]bool{3: true}}
-	r.mgr.SetHealth(h)
-	// Page 0 (nodes 0, 1): primary moves off live node 0. Page 2 (nodes
-	// 2, 3): slot 1 is restored off dead node 3.
-	p := &scriptPlanner{jobs: []RehomeJob{
-		r.primaryTo(0, 2),
-		{Space: r.sp, VPN: 2, Slot: 1, Src: 2, Dst: 0},
-	}}
-	f0 := r.mgr.newFetch(r.sp, 0, 0, false, true)
-	f2 := r.mgr.newFetch(r.sp, 2, 1, false, true)
-	r.engine(0.5, p).Kick()
-	r.env.Run(sim.Millis(1))
-	if len(p.landed) != 2 {
-		t.Fatalf("landed %d of 2", len(p.landed))
-	}
-	r.sp.checkStaleRead(f2) // must not fire
-	defer func() {
-		v, ok := simcheck.AsViolation(recover())
-		if !ok || v.Oracle != "migrate/stale-read" {
-			t.Fatalf("fetch across a live copy's retirement: got %v, want migrate/stale-read", v)
+// TestOwnerTable: the table stays nil, and the placement answers, until
+// the first re-home; a re-homed slot then answers its new node and every
+// other slot the placement. An out-of-range slot or node panics.
+func TestOwnerTable(t *testing.T) {
+	r := newRehomeRig(4, 2, 8, nil)
+	sp := r.sp
+	owners := func(want map[[2]int64]int) {
+		t.Helper()
+		for vpn := int64(0); vpn < sp.Pages(); vpn++ {
+			for k := 0; k < 2; k++ {
+				node, ok := want[[2]int64{vpn, int64(k)}]
+				if !ok {
+					node = int(vpn+int64(k)) % 4 // the placement
+				}
+				if got := sp.Owner(vpn, k); got != node {
+					t.Fatalf("page %d slot %d answers node %d, want %d", vpn, k, got, node)
+				}
+			}
 		}
-	}()
-	r.sp.checkStaleRead(f0)
+	}
+	owners(nil)
+	if sp.owners != nil {
+		t.Fatal("owner table allocated before any re-home")
+	}
+	sp.rehome(1, 1, 3)
+	owners(map[[2]int64]int{{1, 1}: 3})
+	sp.rehome(1, 0, 0)
+	owners(map[[2]int64]int{{1, 1}: 3, {1, 0}: 0})
+
+	for _, bad := range []struct {
+		name string
+		fn   func()
+	}{
+		{"slot past the factor", func() { sp.rehome(0, 2, 1) }},
+		{"negative slot", func() { sp.rehome(0, -1, 1) }},
+		{"node past the cluster", func() { sp.rehome(0, 0, 4) }},
+		{"negative node", func() { sp.rehome(0, 0, -1) }},
+		{"lookup past the factor", func() { sp.Owner(0, 2) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", bad.name)
+				}
+			}()
+			bad.fn()
+		}()
+	}
+	owners(map[[2]int64]int{{1, 1}: 3, {1, 0}: 0})
+}
+
+// TestLandingUnderAFetchIsStale: with the oracles armed, a landing that
+// retires a live node's copy while a fetch of the page is in flight
+// raises migrate/stale-read as it lands; one that retires a dead node's
+// copy (a repair) under a fetch raises nothing.
+func TestLandingUnderAFetchIsStale(t *testing.T) {
+	simcheck.SetArmed(true)
+	defer simcheck.SetArmed(false)
+	r := newRehomeRig(4, 2, 4, nil)
+	r.mgr.SetHealth(&fakeHealth{dead: map[int]bool{3: true}})
+	// Page 2 (nodes 2, 3): slot 1 is restored off dead node 3. Page 0
+	// (nodes 0, 1): the primary moves off live node 0.
+	p := &scriptPlanner{jobs: []RehomeJob{
+		{Space: r.sp, VPN: 2, Slot: 1, Src: 2, Dst: 0},
+		r.primaryTo(0, 2),
+	}}
+	for _, vpn := range []int64{0, 2} {
+		f := r.mgr.newFetch(r.sp, vpn, r.mgr.popFrame(), false, true)
+		r.mgr.move(r.sp, vpn, edgeFetch, f)
+	}
+	r.engine(0.5, p).Kick()
+	if got := violation(func() { r.env.Run(sim.Millis(1)) }); got != "migrate/stale-read" {
+		t.Fatalf("landing across a live copy under a fetch raised %q, want migrate/stale-read", got)
+	}
+	if len(p.landed) != 1 || p.landed[0].VPN != 2 || r.sp.Owner(2, 1) != 0 {
+		t.Fatalf("landed %v, page 2 slot 1 on node %d: the repair under a fetch did not land quietly",
+			p.landed, r.sp.Owner(2, 1))
+	}
+	if got := r.sp.Owner(0, 0); got != 0 {
+		t.Fatalf("page 0 moved to node %d before the oracle fired", got)
+	}
 }
 
 // TestRepairLatencyIsPerWave: a second down verdict arriving while the
@@ -396,10 +442,10 @@ func TestRepairDropsCopyWhenOwnerRejoins(t *testing.T) {
 		t.Fatalf("repaired %d, pending %d, idle %v; want 0, 0, true",
 			rep.Repaired.Value(), rep.Pending(), rep.Idle())
 	}
-	if a, b := r.sp.region.OwnerAt(1, 1), r.sp.region.OwnerAt(2, 0); a != 2 || b != 2 {
+	if a, b := r.sp.Owner(1, 1), r.sp.Owner(2, 0); a != 2 || b != 2 {
 		t.Fatalf("page 1 slot 1 on node %d, page 2 slot 0 on node %d; want both on the rejoined node 2", a, b)
 	}
-	if g := r.sp.gen(1); g != 0 {
-		t.Fatalf("page 1 at generation %d: a live copy was retired", g)
+	if r.sp.owners != nil {
+		t.Fatal("no copy landed, yet the owner table was written")
 	}
 }

@@ -56,7 +56,7 @@ func (r *Repairer) NodeDown(dead int) {
 		reps := s.region.Replicas()
 		for vpn := int64(0); vpn < s.Pages(); vpn++ {
 			for k := 0; k < reps; k++ {
-				if s.region.OwnerAt(vpn, k) == dead {
+				if s.Owner(vpn, k) == dead {
 					r.jobs = append(r.jobs, RehomeJob{Space: s, VPN: vpn, Slot: k, Planned: now})
 				}
 			}
@@ -73,7 +73,7 @@ func (r *Repairer) Pending() int { return len(r.jobs) - r.ji }
 func (r *Repairer) Next() (RehomeJob, bool) {
 	for ; r.ji < len(r.jobs); r.ji++ {
 		j := &r.jobs[r.ji]
-		if r.m.NodeLive(j.Space.region.OwnerAt(j.VPN, j.Slot)) {
+		if r.m.NodeLive(j.Space.Owner(j.VPN, j.Slot)) {
 			// The owner came back (rejoin) or an earlier wave already
 			// re-homed this slot: nothing to restore.
 			continue
@@ -100,7 +100,7 @@ func (r *Repairer) plan(j RehomeJob) (src, dst int) {
 		if k == j.Slot {
 			continue
 		}
-		o := reg.OwnerAt(j.VPN, k)
+		o := j.Space.Owner(j.VPN, k)
 		holders |= 1 << uint(o)
 		if src < 0 && r.m.NodeLive(o) {
 			src = o
@@ -122,7 +122,7 @@ func (r *Repairer) plan(j RehomeJob) (src, dst int) {
 // which yields a page to repair, drops its copy at its own Ready.
 // Otherwise the durable copy lands at once.
 func (r *Repairer) Ready(j RehomeJob) Landing {
-	if r.m.NodeLive(j.Space.region.OwnerAt(j.VPN, j.Slot)) {
+	if r.m.NodeLive(j.Space.Owner(j.VPN, j.Slot)) {
 		r.ji++
 		return LandNever
 	}

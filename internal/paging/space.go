@@ -82,33 +82,6 @@ func (s *Space) LoadU64(t Thread, off int64) uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// StoreU64 writes a little-endian uint64 at off.
-func (s *Space) StoreU64(t Thread, off int64, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	s.Store(t, off, b[:])
-}
-
-// LoadU32 reads a little-endian uint32 at off.
-func (s *Space) LoadU32(t Thread, off int64) uint32 {
-	if off&(PageSize-1) <= PageSize-4 {
-		vpn := off >> PageShift
-		page := s.ensure(t, vpn)
-		po := off & (PageSize - 1)
-		return binary.LittleEndian.Uint32(page[po : po+4])
-	}
-	var b [4]byte
-	s.Load(t, off, b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// StoreU32 writes a little-endian uint32 at off.
-func (s *Space) StoreU32(t Thread, off int64, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	s.Store(t, off, b[:])
-}
-
 // TryPage is the non-blocking residency probe behind the scheduler's
 // flat unithread tier: if vpn is resident it returns the frame bytes,
 // otherwise (nil, false) and the caller drives the fault itself through

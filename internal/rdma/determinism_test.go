@@ -174,7 +174,10 @@ func TestPooledWROpsMatchClosureReference(t *testing.T) {
 						break
 					}
 					fullRetries++
-					qp.WaitSlot(p)
+					for qp.Full() || qp.Errored() {
+						qp.AddSlotWaiter(p.Task())
+						p.Park()
+					}
 				}
 				p.Sleep(sim.Time(rng.Intn(2000)))
 			}

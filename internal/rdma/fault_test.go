@@ -113,7 +113,10 @@ func TestWaitSlotSurvivesErrorState(t *testing.T) {
 	// released once the reset cycle finishes, not before.
 	var posted sim.Time
 	env.Go("waiter", func(p *sim.Proc) {
-		qp.WaitSlot(p)
+		for qp.Full() || qp.Errored() { // Mesa: the errored completion fires it too
+			qp.AddSlotWaiter(p.Task())
+			p.Park()
+		}
 		if qp.Errored() {
 			t.Error("released while still errored")
 		}

@@ -400,8 +400,8 @@ type QP struct {
 	errored      bool
 	resetPending bool
 
-	// fullWaiters are the tasks (of processes in WaitSlot, too) waiting
-	// for a free WR slot or for the error-state reset to finish.
+	// fullWaiters are the tasks waiting for a free WR slot or for the
+	// error-state reset to finish.
 	fullWaiters []*sim.Task
 	env         *sim.Env
 }
@@ -434,19 +434,10 @@ func (qp *QP) Full() bool { return qp.outstanding >= qp.nic.cfg.QPDepth }
 // resetting after a completion error).
 func (qp *QP) Errored() bool { return qp.errored }
 
-// WaitSlot blocks p until the QP can accept a work request: a slot is
-// free and the QP is not in the error state. Used by the fault handler
-// when the QP saturates (§5.2) and while an errored QP drains and
-// resets.
-func (qp *QP) WaitSlot(p *sim.Proc) {
-	for qp.Full() || qp.errored {
-		qp.AddSlotWaiter(p.Task())
-		p.Park()
-	}
-}
-
-// AddSlotWaiter registers w to be armed once a slot may be free.
-// Semantics are Mesa, exactly as WaitSlot's loop — the task must recheck
+// AddSlotWaiter registers w to be armed once the QP may accept a work
+// request: a slot is free and the QP is not in the error state. Used by
+// the fault handler when the QP saturates (§5.2) and while an errored QP
+// drains and resets. Semantics are Mesa — the task must recheck
 // Full/Errored when it fires and re-register if the slot was taken (or
 // the QP re-errored) in the meantime.
 func (qp *QP) AddSlotWaiter(w *sim.Task) {

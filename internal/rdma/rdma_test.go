@@ -158,10 +158,11 @@ func TestWaitSlotUnblocksOnCompletion(t *testing.T) {
 		if err := qp.PostRead(make([]byte, 4096), remote, nil); err != nil {
 			t.Error(err)
 		}
-		qp.WaitSlot(p)
+		qp.AddSlotWaiter(p.Task())
+		p.Park()
 		unblockedAt = p.Now()
 		if qp.Full() {
-			t.Error("QP still full after WaitSlot")
+			t.Error("QP still full when its slot waiter fired")
 		}
 	})
 	env.RunAll()
@@ -212,7 +213,10 @@ func TestUtilizationAccounting(t *testing.T) {
 	// the QP full.
 	env.Go("driver", func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
-			qp.WaitSlot(p)
+			for qp.Full() || qp.Errored() {
+				qp.AddSlotWaiter(p.Task())
+				p.Park()
+			}
 			if err := qp.PostRead(make([]byte, 4096), remote, nil); err != nil {
 				t.Error(err)
 			}

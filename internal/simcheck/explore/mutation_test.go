@@ -112,9 +112,9 @@ func cases() []mutationCase {
 		},
 		{
 			// A migration commits without re-homing the page: the
-			// migrator's owner ledger says the page moved, the region's
-			// routing table still points at the source. The owner-table
-			// oracle sees the disagreement at audit time.
+			// migrator's books say the page moved, the owner table still
+			// points at the source. The owner-table oracle sees the
+			// disagreement at the landing.
 			mutation: "migrate_lost_owner",
 			scenario: migrated,
 			oracles:  []string{"migrate/"},
