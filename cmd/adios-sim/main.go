@@ -86,6 +86,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !(*ms >= 0) || math.IsInf(*ms, 0) {
 		return usage("-ms must be >= 0 (0 = auto), got %v", *ms)
 	}
+	// The run lasts the window plus a quarter of it for warm-up, counted
+	// in whole cycles: a longer one overflows the clock, a window under a
+	// cycle measures nothing.
+	if *ms*1.25 > float64(sim.MaxSpecTime)/float64(sim.Millis(1)) {
+		return usage("-ms %v: the warm-up plus window exceed %v", *ms, sim.MaxSpecTime)
+	}
+	if *ms > 0 && sim.Millis(*ms) < 1 {
+		return usage("-ms %v is under one simulated cycle", *ms)
+	}
 	if !(*local > 0) || math.IsInf(*local, 0) {
 		return usage("-local must be a positive fraction of the working set, got %v", *local)
 	}
@@ -120,8 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-skew applies to the micro workload only")
 	}
 	size := entry.Footprint
-	if *local*float64(size) < paging.PageSize {
-		return usage("-local %v of the %d-byte working set is less than one page of local memory", *local, size)
+	if err := paging.CheckFramePool(*local * float64(size)); err != nil {
+		return usage("-local %v of the %d-byte working set: %v", *local, size, err)
 	}
 	var (
 		plan faults.Config

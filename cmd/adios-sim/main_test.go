@@ -56,7 +56,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"local-zero", []string{"-local", "0"}, 2},
 		{"local-negative", []string{"-local", "-1"}, 2},
 		{"local-below-one-page", []string{"-local", "1e-9"}, 2},
+		{"local-past-frame-index", []string{"-local", "1e10"}, 2},
+		{"local-overflow", []string{"-local", "1e308"}, 2},
 		{"ms-negative", []string{"-ms", "-1"}, 2},
+		{"ms-overflow", []string{"-ms", "5e12"}, 2},
+		{"ms-subcycle", []string{"-ms", "1e-9"}, 2},
 		{"crash-node-out-of-range", []string{"-faults", "crash=1ms:node=5", "-memnodes", "2"}, 2},
 		{"memnodes-past-the-mask", []string{"-memnodes", "70", "-replicas", "2", "-faults", "crash=200us:node=69"}, 2},
 		{"memnodes-negative", []string{"-memnodes", "-3"}, 2},

@@ -15,7 +15,7 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
@@ -66,7 +66,7 @@ func New(mgr *paging.Manager, node memnode.Allocator, name string, capacityPages
 	region := node.MustAlloc(name, capacityPages*paging.PageSize)
 	// Page 0 is the initial empty leaf root.
 	t := &Tree{space: mgr.NewSpace(name, region), used: 1, fill: MaxEntries * 3 / 4}
-	t.writeHeaderDirect(0, true, 0, -1)
+	putHeader(t.space.SetupBytes(), 0, true, 0, -1)
 	return t
 }
 
@@ -76,28 +76,29 @@ func (t *Tree) Space() *paging.Space { return t.space }
 // Len returns the number of stored keys.
 func (t *Tree) Len() int64 { return t.size }
 
-// --- direct (setup-time) node accessors ---
+// --- set-up node writers, over the space's paging.SetupBytes view ---
 
-func (t *Tree) writeHeaderDirect(page int64, leaf bool, count int, next int64) {
-	var b [hdrSize]byte
+func putHeader(b []byte, page int64, leaf bool, count int, next int64) {
+	h := b[page*paging.PageSize:]
+	var flags uint32
 	if leaf {
-		binary.LittleEndian.PutUint32(b[0:4], 1)
+		flags = 1
 	}
-	binary.LittleEndian.PutUint32(b[4:8], uint32(count))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(next))
-	t.space.WriteDirect(page*paging.PageSize, b[:])
+	binary.LittleEndian.PutUint32(h[0:4], flags)
+	binary.LittleEndian.PutUint32(h[4:8], uint32(count))
+	binary.LittleEndian.PutUint64(h[8:16], uint64(next))
 }
 
-func (t *Tree) writeEntryDirect(page int64, slot int, key, val uint64) {
-	var b [entrySize]byte
-	binary.LittleEndian.PutUint64(b[0:8], key)
-	binary.LittleEndian.PutUint64(b[8:16], val)
-	t.space.WriteDirect(page*paging.PageSize+hdrSize+int64(slot)*entrySize, b[:])
+func putEntry(b []byte, page int64, slot int, key, val uint64) {
+	e := b[page*paging.PageSize+hdrSize+int64(slot)*entrySize:]
+	binary.LittleEndian.PutUint64(e[0:8], key)
+	binary.LittleEndian.PutUint64(e[8:16], val)
 }
 
-// BulkLoad builds the tree from key-sorted pairs at setup time (direct
-// writes, no simulated cost). The tree must be empty. Keys must be
-// strictly increasing.
+// BulkLoad builds the tree from key-sorted pairs at setup time, writing
+// its nodes through the space's SetupBytes view (no simulated cost; it
+// panics if any page of the tree is resident). The tree must be empty.
+// Keys must be strictly increasing.
 func (t *Tree) BulkLoad(keys, vals []uint64) {
 	if t.size != 0 {
 		panic("btree: bulk load into non-empty tree")
@@ -108,9 +109,10 @@ func (t *Tree) BulkLoad(keys, vals []uint64) {
 	if len(keys) == 0 {
 		return
 	}
-	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
+	if !slices.IsSorted(keys) {
 		panic("btree: bulk load requires sorted keys")
 	}
+	b := t.space.SetupBytes()
 	// Build leaves.
 	type nodeRef struct {
 		page int64
@@ -122,7 +124,7 @@ func (t *Tree) BulkLoad(keys, vals []uint64) {
 		n := min(t.fill, len(keys)-i)
 		page := t.alloc()
 		for s := 0; s < n; s++ {
-			t.writeEntryDirect(page, s, keys[i+s], vals[i+s])
+			putEntry(b, page, s, keys[i+s], vals[i+s])
 		}
 		level = append(level, nodeRef{page: page, min: keys[i]})
 		i += n
@@ -130,7 +132,7 @@ func (t *Tree) BulkLoad(keys, vals []uint64) {
 		if i < len(keys) {
 			next = page + 1 // leaves are allocated contiguously
 		}
-		t.writeHeaderDirect(page, true, n, next)
+		putHeader(b, page, true, n, next)
 	}
 	// Build internal levels bottom-up.
 	for len(level) > 1 {
@@ -139,9 +141,9 @@ func (t *Tree) BulkLoad(keys, vals []uint64) {
 			n := min(t.fill, len(level)-i)
 			page := t.alloc()
 			for s := 0; s < n; s++ {
-				t.writeEntryDirect(page, s, level[i+s].min, uint64(level[i+s].page))
+				putEntry(b, page, s, level[i+s].min, uint64(level[i+s].page))
 			}
-			t.writeHeaderDirect(page, false, n, -1)
+			putHeader(b, page, false, n, -1)
 			up = append(up, nodeRef{page: page, min: level[i].min})
 			i += n
 		}

@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -277,4 +279,43 @@ func TestTreeFaultsThroughPaging(t *testing.T) {
 			t.Error("tree lookups never faulted with a tiny frame pool")
 		}
 	})
+}
+
+// bulkLoadSHA256 is the digest of the index region after
+// TestBulkLoadBytesPinned's load.
+const bulkLoadSHA256 = "9259651903b3c4737bac44c3399da5d0911515a5cc8b19a816e648b1671a4f0a"
+
+// TestBulkLoadBytesPinned: BulkLoad writes its nodes straight into the
+// backing region; with no page resident the region's digest pins every
+// header and entry of a four-level tree.
+func TestBulkLoadBytesPinned(t *testing.T) {
+	const n = 5000
+	keys := make([]uint64, n)
+	vals := make([]uint64, n)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i*i+7*i), uint64(n-i)<<20|uint64(i)
+	}
+	env := sim.NewEnv(1)
+	tr := New(paging.NewManager(env, paging.DefaultConfig(1<<20)), memnode.New(1<<30), "idx", 512)
+	tr.fill = 16 // small nodes: 313 leaves under three internal levels
+	tr.BulkLoad(keys, vals)
+	sum := sha256.Sum256(tr.Space().Region().Data)
+	if got := hex.EncodeToString(sum[:]); got != bulkLoadSHA256 {
+		t.Fatalf("bulk-loaded bytes digest %s, want %s", got, bulkLoadSHA256)
+	}
+}
+
+// TestBulkLoadRefusesResidentRoot: BulkLoad writes around the cache, so a
+// tree whose (empty) root page was made resident must be refused rather
+// than left with a stale cached root.
+func TestBulkLoadRefusesResidentRoot(t *testing.T) {
+	env := sim.NewEnv(1)
+	tr := New(paging.NewManager(env, paging.DefaultConfig(1<<20)), memnode.New(1<<30), "idx", 16)
+	tr.Space().Preload(tr.root*paging.PageSize, paging.PageSize)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BulkLoad over a resident root page did not panic")
+		}
+	}()
+	tr.BulkLoad([]uint64{1, 2, 3}, []uint64{4, 5, 6})
 }

@@ -126,23 +126,21 @@ func Footprint(cfg Config) int64 {
 	return indexBytes + itemBytes
 }
 
-// New builds and loads the store: slot layout is computed, the backing
-// region is populated directly (setup time), and nothing is resident
-// until the caller warms the cache.
+// New builds and loads the store: slot layout is computed, the spaces
+// are populated through their SetupBytes views (setup time), and nothing
+// is resident until the caller warms the cache.
 func New(mgr *paging.Manager, node memnode.Allocator, cfg Config) *Store {
 	capacity, indexBytes, itemBytes := layout(cfg)
-	idxRegion := node.MustAlloc("kvs/index", indexBytes)
-	itemRegion := node.MustAlloc("kvs/items", itemBytes)
 	s := &Store{
 		cfg:      cfg,
 		mgr:      mgr,
-		index:    mgr.NewSpace("kvs/index", idxRegion),
-		items:    mgr.NewSpace("kvs/items", itemRegion),
+		index:    mgr.NewSpace("kvs/index", node.MustAlloc("kvs/index", indexBytes)),
+		items:    mgr.NewSpace("kvs/items", node.MustAlloc("kvs/items", itemBytes)),
 		slotSize: slotSize,
 		capacity: capacity,
 		mask:     capacity - 1,
 	}
-	s.load(idxRegion, itemRegion)
+	s.load(s.index.SetupBytes(), s.items.SetupBytes())
 	return s
 }
 
@@ -178,18 +176,18 @@ func valueDigest(key uint64, salt byte, n int) uint64 {
 	return d
 }
 
-// load populates the backing regions directly at setup time. Items are
+// load populates the spaces' SetupBytes views at setup time. Items are
 // laid out slab-style: item i at offset i*ValueSize.
 //
 // A loaded value depends on its key only through the low byte of
 // valueByte's key term, which is valueByte(key, 0, 0) (the low byte of a
 // sum depends only on the low bytes of its terms), so there are at most
 // 256 distinct items: each is built once, with valueByte, and copied.
-func (s *Store) load(idxRegion, itemRegion *memnode.Region) {
+func (s *Store) load(index, items []byte) {
 	slot := make([]byte, s.slotSize)
 	var images [256][]byte
 	for key := uint64(0); key < uint64(s.cfg.Keys); key++ {
-		idx := s.findFreeDirect(idxRegion, key)
+		idx := s.findFreeDirect(index, key)
 		h := hash(key)
 		binary.LittleEndian.PutUint64(slot[:8], 1|(h>>56)<<8) // occupied | tag
 		keyBytes(key, slot[slotHeader:slotHeader+KeySize])
@@ -198,7 +196,7 @@ func (s *Store) load(idxRegion, itemRegion *memnode.Region) {
 		}
 		itemOff := int64(key) * int64(s.cfg.ValueSize)
 		binary.LittleEndian.PutUint64(slot[slotHeader+keyArea:], uint64(itemOff))
-		copy(idxRegion.Data[idx*s.slotSize:], slot)
+		copy(index[idx*s.slotSize:], slot)
 		img := &images[valueByte(key, 0, 0)]
 		if *img == nil {
 			*img = make([]byte, s.cfg.ValueSize)
@@ -206,16 +204,16 @@ func (s *Store) load(idxRegion, itemRegion *memnode.Region) {
 				(*img)[i] = valueByte(key, 0, i)
 			}
 		}
-		copy(itemRegion.Data[itemOff:], *img)
+		copy(items[itemOff:], *img)
 	}
 }
 
-// findFreeDirect linearly probes the raw region for the load phase.
-func (s *Store) findFreeDirect(region *memnode.Region, key uint64) int64 {
+// findFreeDirect linearly probes the raw slot array for the load phase.
+func (s *Store) findFreeDirect(index []byte, key uint64) int64 {
 	idx := int64(hash(key)) & s.mask
 	for {
 		off := idx * s.slotSize
-		if region.Data[off]&1 == 0 {
+		if index[off]&1 == 0 {
 			return idx
 		}
 		idx = (idx + 1) & s.mask

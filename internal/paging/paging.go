@@ -18,6 +18,7 @@ package paging
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/memnode"
@@ -63,8 +64,8 @@ type Thread interface {
 // aliased bytes are clean — frame and region hold the same page by
 // definition — and region memory is never mutated under a resident
 // page: stores materialize first, write-backs only move
-// already-materialized dirty frames, and WriteDirect refuses resident
-// pages.
+// already-materialized dirty frames, and SetupBytes refuses a space
+// with any page resident.
 type frame struct {
 	data  []byte
 	space int32 // owning space, -1 if free
@@ -256,15 +257,27 @@ type Manager struct {
 	RecoveryLat *stats.Histogram
 }
 
+// CheckFramePool reports whether a frame pool of bytes can be built: it
+// must hold at least one page, and no more pages than the page-table
+// word's frame index can name. bytes is a float so that a caller can
+// check a product before converting it; NewManager panics with this
+// error and the CLIs turn it into their usage error.
+func CheckFramePool(bytes float64) error {
+	if !(bytes >= PageSize) {
+		return fmt.Errorf("frame pool smaller than one page")
+	}
+	if pages := math.Floor(bytes / PageSize); pages > 1<<pteIndexBits {
+		return fmt.Errorf("frame pool of %g pages exceeds the page-table word's %d-bit index", pages, pteIndexBits)
+	}
+	return nil
+}
+
 // NewManager returns a manager with a frame pool of cfg.FramePoolBytes.
 func NewManager(env *sim.Env, cfg Config) *Manager {
+	if err := CheckFramePool(float64(cfg.FramePoolBytes)); err != nil {
+		panic("paging: " + err.Error())
+	}
 	n := cfg.FramePoolBytes / PageSize
-	if n < 1 {
-		panic("paging: frame pool smaller than one page")
-	}
-	if n > 1<<pteIndexBits {
-		panic(fmt.Sprintf("paging: frame pool of %d pages exceeds the page-table word's %d-bit index", n, pteIndexBits))
-	}
 	arena, backing, err := memnode.Map(n * PageSize)
 	if err != nil {
 		panic(fmt.Sprintf("paging: frame pool: %v", err))

@@ -289,11 +289,11 @@ func TestPrefetchSequential(t *testing.T) {
 	}
 }
 
-func TestPreloadAndWriteDirect(t *testing.T) {
+func TestPreloadAndReadDirect(t *testing.T) {
 	r := newRig(t, 16, nil)
 	region := r.node.MustAlloc("data", 8*PageSize)
 	sp := r.mgr.NewSpace("data", region)
-	sp.WriteDirect(3*PageSize, []byte{9, 8, 7})
+	copy(sp.SetupBytes()[3*PageSize:], []byte{9, 8, 7})
 	sp.Preload(3*PageSize, PageSize)
 	if !sp.Resident(3) {
 		t.Fatal("page not resident after preload")
@@ -307,13 +307,47 @@ func TestPreloadAndWriteDirect(t *testing.T) {
 	if r.mgr.Faults.Value() != 0 || r.nic.Reads.Value() != 0 {
 		t.Fatal("setup-time facilities must not touch the fault path")
 	}
-	// WriteDirect under a resident page must panic (stale-cache guard).
+}
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic from WriteDirect on resident page")
+			t.Errorf("%s: no panic", what)
 		}
 	}()
-	sp.WriteDirect(3*PageSize, []byte{1})
+	fn()
+}
+
+// TestSetupBytesRefusesCachedPages: the set-up view bypasses the cache,
+// so it is refused while any page of the space is resident (the cache
+// would go stale) or has a fetch in flight (the install would map the
+// old bytes) — one such page anywhere in the space is enough.
+func TestSetupBytesRefusesCachedPages(t *testing.T) {
+	r := newRig(t, 16, nil)
+	resident := r.mgr.NewSpace("resident", r.node.MustAlloc("resident", 8*PageSize))
+	resident.Preload(6*PageSize, PageSize)
+	mustPanic(t, "one resident page", func() { resident.SetupBytes() })
+
+	fetching := r.mgr.NewSpace("fetching", r.node.MustAlloc("fetching", 8*PageSize))
+	r.env.Go("app", func(p *sim.Proc) {
+		if r.mgr.RequestPage(r.thread(p), fetching, 5, func(error) {}, true) {
+			t.Error("page 5 resident before its fetch completed")
+		}
+		if !fetching.InFlight(5) {
+			t.Error("page 5 not in flight")
+		}
+		mustPanic(t, "one fetch in flight", func() { fetching.SetupBytes() })
+	})
+	r.env.RunAll()
+	if !fetching.Resident(5) {
+		t.Fatal("page 5 not resident once its fetch completed")
+	}
+	untouched := r.mgr.NewSpace("untouched", r.node.MustAlloc("untouched", 8*PageSize))
+	if got := len(untouched.SetupBytes()); got != 8*PageSize {
+		t.Fatalf("view of %d bytes, want %d", got, 8*PageSize)
+	}
 }
 
 func TestRandomizedPagingMatchesReference(t *testing.T) {

@@ -1,6 +1,9 @@
 package paging
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // ensure makes the page containing off resident under thread t, blocking
 // (per the thread's wait policy) as needed, and returns the frame bytes
@@ -167,18 +170,19 @@ func (m *Manager) WarmSpaces(total int64, spaces ...*Space) {
 	}
 }
 
-// WriteDirect stores bytes straight into the backing region, bypassing
-// paging and timing. Setup-time only (dataset population). It panics if
-// the touched pages are resident (the cache would go stale).
-func (s *Space) WriteDirect(off int64, data []byte) {
-	first := off >> PageShift
-	last := (off + int64(len(data)) - 1) >> PageShift
-	for vpn := first; vpn <= last; vpn++ {
-		if s.ptes[vpn].state() != pageAbsent {
-			panic("paging: WriteDirect would bypass a cached page")
+// SetupBytes returns the space's backing bytes, for writing its data set
+// at set-up time, bypassing paging and timing. It panics if any page of
+// the space is resident or has I/O in flight: the cache would go stale,
+// and a zero-copy install aliases these very bytes. The guard is one pass
+// over the page table, so a build calls it once per space and keeps the
+// view in a local variable.
+func (s *Space) SetupBytes() []byte {
+	for vpn, e := range s.ptes {
+		if e.state() != pageAbsent {
+			panic(fmt.Sprintf("paging: set-up write to %s would bypass cached page %d", s.name, vpn))
 		}
 	}
-	copy(s.region.Slice(off, int64(len(data))), data)
+	return s.region.Data
 }
 
 // ReadDirect loads bytes straight from wherever they currently live

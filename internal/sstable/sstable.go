@@ -141,8 +141,8 @@ func Footprint(cfg Config) int64 {
 }
 
 // New builds the table: records, the sparse index and the bloom filter
-// are written directly into their backing regions (setup time), records
-// in sorted order.
+// are written through their spaces' SetupBytes views (setup time),
+// records in sorted order.
 //
 // The low byte of a sum depends only on the low bytes of its terms, so a
 // value depends on its key only through the low byte of valueByte's key
@@ -152,18 +152,16 @@ func Footprint(cfg Config) int64 {
 func New(mgr *paging.Manager, node memnode.Allocator, cfg Config) *Table {
 	t, recordBytes, indexBytes, bloomBytes := layout(cfg)
 	cfg, recordSize, bloomBits := t.cfg, t.recordSize, t.bloomBits
-	region := node.MustAlloc("sstable", recordBytes)
-	idxRegion := node.MustAlloc("sstable/index", indexBytes)
-	bloomRegion := node.MustAlloc("sstable/bloom", bloomBytes)
 	t.mgr = mgr
-	t.space = mgr.NewSpace("sstable", region)
-	t.indexSpace = mgr.NewSpace("sstable/index", idxRegion)
-	t.bloomSpace = mgr.NewSpace("sstable/bloom", bloomRegion)
+	t.space = mgr.NewSpace("sstable", node.MustAlloc("sstable", recordBytes))
+	t.indexSpace = mgr.NewSpace("sstable/index", node.MustAlloc("sstable/index", indexBytes))
+	t.bloomSpace = mgr.NewSpace("sstable/bloom", node.MustAlloc("sstable/bloom", bloomBytes))
+	records, index, bloom := t.space.SetupBytes(), t.indexSpace.SetupBytes(), t.bloomSpace.SetupBytes()
 	var images [256][]byte
 	for i := int64(0); i < cfg.Keys; i++ {
 		off := i * recordSize
 		key := recordKey(i)
-		binary.LittleEndian.PutUint64(region.Data[off:off+8], key)
+		binary.LittleEndian.PutUint64(records[off:off+8], key)
 		img := &images[valueByte(key, 0)]
 		if *img == nil {
 			*img = make([]byte, cfg.ValueSize)
@@ -171,13 +169,13 @@ func New(mgr *paging.Manager, node memnode.Allocator, cfg Config) *Table {
 				(*img)[b] = valueByte(key, b)
 			}
 		}
-		copy(region.Data[off+8:off+recordSize], *img)
+		copy(records[off+8:off+recordSize], *img)
 		if i%int64(cfg.IndexInterval) == 0 {
-			binary.LittleEndian.PutUint64(idxRegion.Data[(i/int64(cfg.IndexInterval))*8:], key)
+			binary.LittleEndian.PutUint64(index[(i/int64(cfg.IndexInterval))*8:], key)
 		}
 		for _, h := range bloomHashes(key) {
 			bit := int64(h % uint64(bloomBits))
-			bloomRegion.Data[bit/8] |= 1 << uint(bit%8)
+			bloom[bit/8] |= 1 << uint(bit%8)
 		}
 	}
 	return t

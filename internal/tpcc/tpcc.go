@@ -14,8 +14,10 @@
 package tpcc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/memnode"
@@ -254,57 +256,51 @@ const (
 	fOLSupply = 16 // u32 supplying warehouse
 )
 
-// populate writes the initial database directly into the backing
-// regions (setup time, not simulated).
+// populate writes the initial database straight into the backing regions
+// (set-up time, not simulated): one SetupBytes view per table, each field
+// one little-endian store, the set-up RNG drawn in a fixed order.
 func (db *DB) populate(rng *sim.RNG) {
 	W := db.cfg.Warehouses
 	C := int64(W) * districtsPerW * int64(db.cfg.CustomersPerDistrict)
 	lastOrder := make([]int64, C)  // per customer: its last initial order + 1, or 0
 	initialBalance := int64(-1000) // C_BALANCE = -$10.00
-	put32 := func(sp *paging.Space, off int64, v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		sp.WriteDirect(off, b[:])
-	}
-	put64 := func(sp *paging.Space, off int64, v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		sp.WriteDirect(off, b[:])
-	}
+	le := binary.LittleEndian
+	warehouse, district, customer := db.warehouse.SetupBytes(), db.district.SetupBytes(), db.customer.SetupBytes()
+	item, stock := db.item.SetupBytes(), db.stock.SetupBytes()
+	order, orderLine := db.order.SetupBytes(), db.orderLine.SetupBytes()
 
 	for i := 0; i < db.cfg.ItemCount; i++ {
-		put32(db.item, db.iOff(i)+fIPrice, uint32(100+rng.Intn(9900))) // $1..$100
+		le.PutUint32(item[db.iOff(i)+fIPrice:], uint32(100+rng.Intn(9900))) // $1..$100
 	}
 	for w := 0; w < db.cfg.Warehouses; w++ {
-		put64(db.warehouse, db.wOff(w)+fWYtd, 30_000_000*districtsPerW) // $300k
-		put32(db.warehouse, db.wOff(w)+fWTax, uint32(rng.Intn(2001)))
+		le.PutUint64(warehouse[db.wOff(w)+fWYtd:], 30_000_000*districtsPerW) // $300k
+		le.PutUint32(warehouse[db.wOff(w)+fWTax:], uint32(rng.Intn(2001)))
 		for i := 0; i < db.cfg.ItemCount; i++ {
-			put32(db.stock, db.sOff(w, i)+fSQuantity, uint32(10+rng.Intn(91)))
+			le.PutUint32(stock[db.sOff(w, i)+fSQuantity:], uint32(10+rng.Intn(91)))
 		}
 		for d := 0; d < districtsPerW; d++ {
-			put32(db.district, db.dOff(w, d)+fDNextOID, uint32(db.cfg.InitialOrders))
-			put64(db.district, db.dOff(w, d)+fDYtd, 30_000_000) // $30k
-			put32(db.district, db.dOff(w, d)+fDTax, uint32(rng.Intn(2001)))
+			le.PutUint32(district[db.dOff(w, d)+fDNextOID:], uint32(db.cfg.InitialOrders))
+			le.PutUint64(district[db.dOff(w, d)+fDYtd:], 30_000_000) // $30k
+			le.PutUint32(district[db.dOff(w, d)+fDTax:], uint32(rng.Intn(2001)))
 			for c := 0; c < db.cfg.CustomersPerDistrict; c++ {
-				put64(db.customer, db.cOff(w, d, c)+fCBalance, uint64(initialBalance))
-				put32(db.customer, db.cOff(w, d, c)+fCDiscount, uint32(rng.Intn(5001)))
+				le.PutUint64(customer[db.cOff(w, d, c)+fCBalance:], uint64(initialBalance))
+				le.PutUint32(customer[db.cOff(w, d, c)+fCDiscount:], uint32(rng.Intn(5001)))
 			}
 			for o := 0; o < db.cfg.InitialOrders; o++ {
 				cID := o % db.cfg.CustomersPerDistrict // one order per customer, permuted trivially
 				lines := 5 + rng.Intn(11)
-				put32(db.order, db.oOff(w, d, o)+fOCID, uint32(cID))
-				put32(db.order, db.oOff(w, d, o)+fOOLCnt, uint32(lines))
-				delivered := uint32(0)
+				rec := order[db.oOff(w, d, o):]
+				le.PutUint32(rec[fOCID:], uint32(cID))
+				le.PutUint32(rec[fOOLCnt:], uint32(lines))
 				if o < db.cfg.InitialOrders*7/10 {
-					delivered = uint32(1 + rng.Intn(10)) // first 70% delivered
+					le.PutUint32(rec[fOCarrierID:], uint32(1+rng.Intn(10))) // first 70% delivered, the rest keep carrier 0
 				}
-				put32(db.order, db.oOff(w, d, o)+fOCarrierID, delivered)
 				for l := 0; l < lines; l++ {
-					item := rng.Intn(db.cfg.ItemCount)
-					put32(db.orderLine, db.olOff(w, d, o, l)+fOLItem, uint32(item))
-					put32(db.orderLine, db.olOff(w, d, o, l)+fOLQty, 5)
-					put64(db.orderLine, db.olOff(w, d, o, l)+fOLAmount, uint64(rng.Intn(999900)+1))
-					put32(db.orderLine, db.olOff(w, d, o, l)+fOLSupply, uint32(w))
+					line := orderLine[db.olOff(w, d, o, l):]
+					le.PutUint32(line[fOLItem:], uint32(rng.Intn(db.cfg.ItemCount)))
+					le.PutUint32(line[fOLQty:], 5)
+					le.PutUint64(line[fOLAmount:], uint64(rng.Intn(999900)+1))
+					le.PutUint32(line[fOLSupply:], uint32(w))
 				}
 				lastOrder[db.cIdx(w, d, cID)] = int64(o) + 1
 			}
@@ -312,27 +308,29 @@ func (db *DB) populate(rng *sim.RNG) {
 		}
 	}
 
-	// Bulk-load the secondary indexes (sorted key order).
-	var nameKeys, nameVals []uint64
+	// Bulk-load the secondary indexes (sorted key order). lastName depends
+	// on the customer number alone, so one ordering of a district's
+	// customers by (last name, number) serves every district.
+	byLast := make([]int, db.cfg.CustomersPerDistrict)
+	for c := range byLast {
+		byLast[c] = c
+	}
+	slices.SortFunc(byLast, func(a, b int) int {
+		return cmp.Or(cmp.Compare(lastName(a), lastName(b)), cmp.Compare(a, b))
+	})
+	nameKeys, nameVals := make([]uint64, 0, C), make([]uint64, 0, C)
 	for w := 0; w < W; w++ {
 		for d := 0; d < districtsPerW; d++ {
 			dIdx := db.dIdx(w, d)
-			byLast := make([][]int, 1000)
-			for c := 0; c < db.cfg.CustomersPerDistrict; c++ {
-				l := lastName(c)
-				byLast[l] = append(byLast[l], c)
-			}
-			for l := 0; l < 1000; l++ {
-				for _, c := range byLast[l] {
-					nameKeys = append(nameKeys, db.nameKey(dIdx, l, c))
-					nameVals = append(nameVals, uint64(db.cIdx(w, d, c)))
-				}
+			for _, c := range byLast {
+				nameKeys = append(nameKeys, db.nameKey(dIdx, lastName(c), c))
+				nameVals = append(nameVals, uint64(db.cIdx(w, d, c)))
 			}
 		}
 	}
 	db.byName.BulkLoad(nameKeys, nameVals)
 
-	var custKeys, custVals []uint64
+	custKeys, custVals := make([]uint64, 0, C), make([]uint64, 0, C)
 	for cIdx, last := range lastOrder {
 		if last > 0 {
 			custKeys = append(custKeys, uint64(cIdx))

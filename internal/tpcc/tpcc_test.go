@@ -1,7 +1,9 @@
 package tpcc
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/btree"
@@ -468,5 +470,32 @@ func TestItemSetMatchesMap(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("%v allocations per dedupe, want 0", n)
+	}
+}
+
+// seededBytesSHA256 is the digest of a freshly built DefaultConfig(2)
+// database: the eight tables and both index regions, in that order.
+const seededBytesSHA256 = "88def6924712e5122714dc616d7a1f67ee7d11a4ed6516c2f2a28dfe360b4ec8"
+
+// TestSeededBytesPinned: set-up writes every table field and index node
+// straight into the backing regions, drawing from the set-up RNG in a
+// fixed order. With no page resident the regions hold every byte, and
+// their digest must not move — a reordered draw or a misplaced field
+// changes it.
+func TestSeededBytesPinned(t *testing.T) {
+	env := sim.NewEnv(1)
+	db := New(env, paging.NewManager(env, paging.DefaultConfig(1<<20)), memnode.New(1<<30), DefaultConfig(2))
+	h := sha256.New()
+	for _, sp := range []*paging.Space{db.warehouse, db.district, db.customer, db.item, db.stock,
+		db.order, db.orderLine, db.history, db.byName.Space(), db.byCust.Space()} {
+		for vpn := int64(0); vpn < sp.Pages(); vpn++ {
+			if sp.Resident(vpn) {
+				t.Fatalf("%s page %d resident after set-up", sp.Name(), vpn)
+			}
+		}
+		h.Write(sp.Region().Data)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != seededBytesSHA256 {
+		t.Fatalf("seeded bytes digest %s, want %s", got, seededBytesSHA256)
 	}
 }

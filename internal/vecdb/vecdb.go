@@ -176,8 +176,8 @@ func (bp *Blueprint) Instantiate(mgr *paging.Manager, node memnode.Allocator) *I
 	// Lay lists out contiguously in the paged space.
 	var total int64
 	idx.recSize, total = layout(cfg)
-	region := node.MustAlloc("vecdb", total)
-	idx.space = mgr.NewSpace("vecdb", region)
+	idx.space = mgr.NewSpace("vecdb", node.MustAlloc("vecdb", total))
+	lists := idx.space.SetupBytes()
 	idx.listOff = make([]int64, cfg.NList)
 	idx.listLen = make([]int32, cfg.NList)
 	off := int64(0)
@@ -185,10 +185,10 @@ func (bp *Blueprint) Instantiate(mgr *paging.Manager, node memnode.Allocator) *I
 		idx.listOff[l] = off
 		idx.listLen[l] = int32(len(ids))
 		for _, id := range ids {
-			binary.LittleEndian.PutUint32(region.Data[off:off+4], id)
+			binary.LittleEndian.PutUint32(lists[off:off+4], id)
 			for d := 0; d < cfg.Dim; d++ {
 				bits := math.Float32bits(bp.vecs[id][d])
-				binary.LittleEndian.PutUint32(region.Data[off+8+int64(d)*4:], bits)
+				binary.LittleEndian.PutUint32(lists[off+8+int64(d)*4:], bits)
 			}
 			off += idx.recSize
 		}
