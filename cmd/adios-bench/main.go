@@ -37,8 +37,8 @@
 // -parallel 1 (only the "## … done in" wall-clock values differ).
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles covering the
-// whole invocation (all experiments, including -parallel fan-out);
-// -qdepth appends a "## qdepth" line reporting the pending-event
+// whole invocation (all experiments, including -parallel fan-out). The
+// last line, "## peak sim.max_pending=N", is the pending-event
 // high-water mark across every measured point — the depth the event
 // scheduler actually had to absorb. See EXPERIMENTS.md ("Profiling a
 // run").
@@ -71,8 +71,9 @@ func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
 // run is main with its inputs and outputs as parameters (args[0] is the
 // program name) and the exit code as its result: 0 on success, 1 when a
 // file cannot be written, 2 on a usage error — every rejected flag value
-// or experiment id prints one "adios-bench: …" line and builds nothing.
-func run(args []string, stdout, stderr io.Writer) int {
+// or experiment id prints one "adios-bench: …" line and builds nothing,
+// and the first file that cannot be written prints one such line.
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	usage := func(format string, a ...any) int {
@@ -94,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	skewS := fs.Float64("skew", 0, "Zipfian key-skew exponent for apps that support one (0 = native distribution)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the run) to this file")
-	qdepth := fs.Bool("qdepth", false, "report the pending-event high-water mark across all simulations")
 	check := fs.Bool("check", false, "arm the simcheck invariant oracles for every built system")
 	if err := fs.Parse(args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -168,17 +168,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-skew must be a finite exponent > 1 (or 0 for the native distribution), got %v", *skewS)
 	}
 
-	// fail reports a fatal error; the deferred stop still flushes the
-	// profiles, so a truncated run leaves a readable profile behind.
+	// fail reports the first fatal error; the deferred stop still
+	// flushes the profiles, so a truncated run leaves a readable profile
+	// behind.
 	fail := func(err error) int {
-		fmt.Fprintf(stderr, "adios-bench: %v\n", err)
+		if code == 0 {
+			fmt.Fprintf(stderr, "adios-bench: %v\n", err)
+		}
 		return 1
 	}
-	stop, err := startProfiles(*cpuProfile, *memProfile, stderr)
+	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)
 	}
-	defer stop()
+	defer func() {
+		if err := stop(); err != nil {
+			code = fail(err)
+		}
+	}()
 
 	opt.SetParallel(*parallel)
 	var csvFile *os.File
@@ -187,7 +194,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		defer f.Close()
+		defer func() {
+			if err := f.Close(); err != nil {
+				code = fail(err)
+			}
+		}()
 		csvFile = f
 	}
 
@@ -206,8 +217,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		results = make([]result, len(ids))
 		mu      sync.Mutex // guards everything below, done, and the flush itself
 		flushed int
-		peak    int
-		failed  error
+		peak    int64
+		failed  error // the first run or CSV write error
 		header  = []byte(bench.CSVHeader + "\n")
 		headed  bool
 	)
@@ -230,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, sweep := range res.Sweeps {
 			for _, pts := range sweep {
 				for _, p := range pts {
-					peak = max(peak, p.MaxPending)
+					peak = max(peak, int64(p.Stats["sim.max_pending"]))
 				}
 			}
 		}
@@ -247,7 +258,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 					}
 					headed = true
 				}
-				csvFile.Write(rows)
+				if _, err := csvFile.Write(rows); err != nil && failed == nil {
+					failed = err
+				}
 			}
 			fmt.Fprintf(stdout, "## %s done in %s\n", ids[flushed], f.took.Round(time.Millisecond))
 		}
@@ -255,47 +268,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if failed != nil {
 		return fail(failed)
 	}
-	if *qdepth {
-		fmt.Fprintf(stdout, "## qdepth peak-pending-events=%d\n", peak)
-	}
+	fmt.Fprintf(stdout, "## peak sim.max_pending=%d\n", peak)
 	return 0
 }
 
 // startProfiles begins the requested profiles and returns the function
-// that flushes them.
-func startProfiles(cpuPath, memPath string, stderr io.Writer) (stop func(), err error) {
-	var stops []func()
+// that writes them, which reports the first error. pprof drops its
+// writer's errors, so each profile is built in memory and written with
+// one checked write.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var stops []func() error
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
 			return nil, err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		var prof bytes.Buffer
+		if err := pprof.StartCPUProfile(&prof); err != nil {
 			f.Close()
 			return nil, err
 		}
-		stops = append(stops, func() {
+		stops = append(stops, func() error {
 			pprof.StopCPUProfile()
-			f.Close()
+			_, err := f.Write(prof.Bytes())
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return err
 		})
 	}
 	if memPath != "" {
-		stops = append(stops, func() {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(stderr, "adios-bench: %v\n", err)
-				return
-			}
-			defer f.Close()
+		stops = append(stops, func() error {
+			var prof bytes.Buffer
 			runtime.GC() // materialize the retained heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "adios-bench: %v\n", err)
+			if err := pprof.WriteHeapProfile(&prof); err != nil {
+				return err
 			}
+			return os.WriteFile(memPath, prof.Bytes(), 0o666)
 		})
 	}
-	return func() {
+	return func() error {
+		var first error
 		for _, stop := range stops {
-			stop()
+			if err := stop(); first == nil {
+				first = err
+			}
 		}
+		return first
 	}, nil
 }

@@ -104,3 +104,30 @@ func TestCSVHeaderOnceAcrossExperiments(t *testing.T) {
 		t.Fatalf("rows out of id order (failover %d, rebalance header %d, failover again %d):\n%s", first, own, second, csv1)
 	}
 }
+
+// TestRunFailsOnUnwritableOutput: an output file that cannot be written
+// — here a full device — exits 1 with one "adios-bench: …" line on
+// stderr. These runs used to exit 0 with nothing on stderr: the CSV
+// writes went unchecked and pprof drops its writer's errors.
+func TestRunFailsOnUnwritableOutput(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"csv", []string{"-exp", "fig2a", "-short", "-csv", "/dev/full"}},
+		{"cpuprofile", []string{"-exp", "fig2b", "-short", "-cpuprofile", "/dev/full"}},
+		{"memprofile", []string{"-exp", "fig2b", "-short", "-memprofile", "/dev/full"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			code := run(append([]string{"adios-bench"}, tc.args...), &stdout, &stderr)
+			msg := stderr.String()
+			if code != 1 || !strings.HasPrefix(msg, "adios-bench: ") || strings.Count(msg, "\n") != 1 {
+				t.Fatalf("exit code %d, want 1 with one 'adios-bench: …' line; stderr %q", code, msg)
+			}
+		})
+	}
+}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/bench"
@@ -46,13 +48,20 @@ func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
 // run is main with its inputs and outputs as parameters (args[0] is the
 // program name) and the exit code as its result: 0 on success, 1 when a
 // file cannot be written, 2 on a usage error — every rejected flag value
-// prints one "adios-sim: …" line and builds nothing.
-func run(args []string, stdout, stderr io.Writer) int {
+// prints one "adios-sim: …" line and builds nothing, and the first file
+// that cannot be written prints one such line.
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	usage := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "adios-sim: "+format+"\n", a...)
 		return 2
+	}
+	fail := func(err error) int {
+		if code == 0 {
+			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
+		}
+		return 1
 	}
 	modeName := fs.String("mode", "adios", "system: adios|dilos|dilos-p|hermit|infiniswap")
 	appName := fs.String("app", "micro", "workload: micro|memcached128|memcached1024|rocksdb|tpcc|faiss")
@@ -70,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.String("trace", "", "write a chrome://tracing / Perfetto trace of the run to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the run) to this file")
-	qdepth := fs.Bool("qdepth", false, "report the simulation's pending-event high-water mark and the kernel's park/switch/skip-ahead counts per request")
 	check := fs.Bool("check", false, "arm the simcheck invariant oracles for this run")
 	if err := fs.Parse(args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -82,6 +90,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// terminate. The negated comparisons reject NaN too.
 	if !(*rps > 0) || math.IsInf(*rps, 0) {
 		return usage("-rps must be a positive request rate, got %v", *rps)
+	}
+	// The load generator's mean gap between arrivals is a clock value.
+	if sim.CyclesPerSec / *rps > float64(sim.MaxSpecTime) {
+		return usage("-rps %v: the mean gap between requests exceeds %v", *rps, sim.MaxSpecTime)
 	}
 	if !(*ms >= 0) || math.IsInf(*ms, 0) {
 		return usage("-ms must be >= 0 (0 = auto), got %v", *ms)
@@ -149,33 +161,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usage("%v", err)
 		}
 	}
+	// pprof drops its writer's errors, so each profile is built in
+	// memory and written with one checked write.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
-			return 1
+			return fail(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
-			return 1
+		var prof bytes.Buffer
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			f.Close()
+			return fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			_, err := f.Write(prof.Bytes())
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				code = fail(err)
+			}
 		}()
 	}
 	if *memProfile != "" {
 		path := *memProfile
 		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintf(stderr, "adios-sim: %v\n", err)
-				return
-			}
-			defer f.Close()
+			var prof bytes.Buffer
 			runtime.GC() // materialize the retained heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "adios-sim: %v\n", err)
+			if err := pprof.WriteHeapProfile(&prof); err != nil {
+				code = fail(err)
+			} else if err := os.WriteFile(path, prof.Bytes(), 0o666); err != nil {
+				code = fail(err)
 			}
 		}()
 	}
@@ -195,15 +212,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if w, ok := app.(interface{ WarmCache() }); ok {
 		w.WarmCache()
 	}
-	sys.StartApp(app)
 	var rec *trace.Recorder
 	if *traceOut != "" {
 		rec = trace.New(0)
-		sys.Sched.Trace = rec
-		if sys.Migr != nil {
-			sys.Migr.Trace = rec
-		}
+		sys.Trace = rec
 	}
+	sys.StartApp(app)
 
 	window := *ms
 	if window == 0 {
@@ -236,41 +250,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "throughput  %.0f RPS\n", res.TputK*1000)
 	fmt.Fprintf(stdout, "latency     p50=%.1fus p99=%.1fus p99.9=%.1fus mean=%.1fus\n",
 		res.P50us, res.P99us, res.P999us, res.MeanUs)
-	fmt.Fprintf(stdout, "rdma        link-util=%.1f%% faults=%d reads=%d writes=%d\n",
-		res.LinkUtil*100, res.Faults, sys.Fabric.Reads(), sys.Fabric.Writes())
-	// Per-node stats only exist on a striped run, so a default
-	// single-node invocation prints byte-identically to older builds.
-	if len(sys.Fabric) > 1 {
-		for i, nic := range sys.Fabric {
-			fmt.Fprintf(stdout, "  memnode %-2d reads=%d writes=%d errors=%d stalled-us=%.0f\n",
-				i, nic.Reads.Value(), nic.Writes.Value(), nic.CompletionErrors.Value(),
-				sim.Time(sys.Nodes[i].StalledTime()).Micros())
+	// The window's link utilization and drops, then every layer's
+	// counters over the whole run, drain included: one line per layer
+	// the build has, in name order, each begun on the line before's end.
+	fmt.Fprintf(stdout, "window      link-util=%.1f%% drops=%d", res.LinkUtil*100, res.Drops)
+	snap, layer := sys.Stats.Snapshot(), ""
+	for _, name := range slices.Sorted(maps.Keys(snap)) {
+		l, field, _ := strings.Cut(name, ".")
+		if l != layer {
+			fmt.Fprintf(stdout, "\n%-11s", l)
+			layer = l
 		}
+		fmt.Fprintf(stdout, " %s=%s", field, strconv.FormatFloat(snap[name], 'f', -1, 64))
 	}
-	// Failover stats only exist when a crash plan armed the failure
-	// detector, so crash-free invocations print byte-identically to
-	// builds without crash support.
-	if sys.Health != nil {
-		fmt.Fprintf(stdout, "failover    timeouts=%d detected=%d failover-reads=%d repaired=%d unrepairable=%d repair-p99-us=%.0f\n",
-			sys.Fabric.TimeoutErrors(), sys.Health.Detected.Value(),
-			sys.Mgr.FailoverReads.Value(), sys.Repair.Repaired.Value(),
-			sys.Repair.Unrepairable.Value(), sim.Time(sys.Repair.RepairLat.P99()).Micros())
-	}
-	// Migration stats only exist when migration is enabled on a striped
-	// run, so migration-off invocations print byte-identically to builds
-	// without migration support.
-	if sys.Migr != nil {
-		fmt.Fprintf(stdout, "migrate     moved=%d planned=%d aborted=%d deferred=%d epochs=%d migr-p99-us=%.0f\n",
-			sys.Migr.PagesMoved.Value(), sys.Migr.Planned.Value(), sys.Migr.Aborted.Value(),
-			sys.Migr.Deferred.Value(), sys.Migr.Epochs.Value(), sim.Time(sys.Migr.MigrLat.P99()).Micros())
-	}
-	fmt.Fprintf(stdout, "paging      evictions=%d writebacks=%d stalls=%d resident-frames=%d/%d\n",
-		sys.Mgr.Evictions.Value(), sys.Mgr.DirtyWritebacks.Value(), sys.Mgr.AllocStalls.Value(),
-		sys.Mgr.TotalFrames()-sys.Mgr.FreeFrames(), sys.Mgr.TotalFrames())
-	fmt.Fprintf(stdout, "drops       %d (rx=%d queue=%d pool=%d)\n", res.Drops,
-		sys.Net.Drops.Value(), sys.Sched.DropsQueue.Value(), sys.Sched.DropsPool.Value())
-	fmt.Fprintf(stdout, "cpu         worker-cycles=%d busy-wait-cycles=%d dispatcher-cycles=%d\n",
-		sys.Sched.CPUCycles(), sys.Sched.BusyWaitCycles(), sys.Sched.DispatcherCycles())
+	fmt.Fprintln(stdout)
 	// Core utilization over the driven interval (warm-up + measurement).
 	elapsed := float64(warm + measure)
 	fmt.Fprintf(stdout, "cores      ")
@@ -278,15 +271,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, " w%d=%.0f%%", w.ID(), float64(busy[i])/elapsed*100)
 	}
 	fmt.Fprintf(stdout, " disp=%.0f%%\n", float64(dispCycles)/elapsed*100)
-	if *qdepth {
-		fmt.Fprintf(stdout, "qdepth      peak-pending-events=%d\n", sys.Env.MaxPending())
-		// The kernel's self-counters over the whole run, per request the
-		// scheduler completed in it (warm-up and drain included) — the raw
-		// counts when it completed none.
-		ks, n := sys.Env.KernelStats(), float64(max(sys.Sched.Completed.Value(), 1))
-		fmt.Fprintf(stdout, "kernel      parks/req=%.2f switches/req=%.2f skip-aheads/req=%.2f\n",
-			float64(ks.Parks)/n, float64(ks.Switches)/n, float64(ks.SkipAheads)/n)
-	}
 	for _, class := range slices.Sorted(maps.Keys(res.Gen.ByClass)) {
 		h := res.Gen.ByClass[class]
 		fmt.Fprintf(stdout, "class %-9s n=%-8d p50=%.1fus p99=%.1fus p99.9=%.1fus\n",
@@ -308,13 +292,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
-			return 1
+			return fail(err)
 		}
-		if err := rec.WriteJSON(f, cfg.Sched.Workers, cfg.Sched.Dispatchers); err != nil {
-			fmt.Fprintf(stderr, "adios-sim: %v\n", err)
+		err = rec.WriteJSON(f, cfg.Sched.Workers, cfg.Sched.Dispatchers)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
+		if err != nil {
+			return fail(err)
+		}
 		fmt.Fprintf(stdout, "trace       %d spans -> %s (open in chrome://tracing)\n", rec.Len(), *traceOut)
 	}
 	if *cdf {

@@ -41,12 +41,13 @@ func TestCoresLineLeavesOutTheDrain(t *testing.T) {
 // (-rps, an infinite -skew) or be silently bent — a node count the 64-bit node masks cannot
 // hold, a negative count run as 1, a node= plan that names no node of the
 // system and so injects nothing, a -skew for an app other than micro, a
-// negative -block run as page striping — must instead print one
-// "adios-sim: …" line and exit 2, with nothing on stdout and no profile
-// file created — an unknown -app one that lists the catalogue; a good
-// invocation still runs to its report, and -qdepth's
-// per-request kernel counts are numbers even when no request completed
-// (they used to print NaN).
+// negative -block run as page striping, an -rps so small that its mean
+// arrival gap overflowed the clock and flooded the node — must instead
+// print one "adios-sim: …" line and exit 2, with nothing on stdout and
+// no profile file created — an unknown -app one that lists the
+// catalogue; a good invocation still runs to its report, and the sim
+// line's kernel counts are numbers even when no request completed (per
+// request, they used to print NaN).
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -68,6 +69,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"node-restriction-out-of-range", []string{"-faults", "node=7,wr=0.1"}, 2},
 		{"rps-zero", []string{"-rps", "0"}, 2},
 		{"rps-negative", []string{"-rps", "-5"}, 2},
+		{"rps-tiny", []string{"-rps", "1e-10", "-ms", "1"}, 2},
 		{"app-unknown", []string{"-app", "nonsense"}, 2},
 		{"skew-not-micro", []string{"-app", "rocksdb", "-skew", "1.2"}, 2},
 		{"skew-inf", []string{"-skew", "Inf", "-ms", "2"}, 2},
@@ -76,7 +78,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 			"epoch=200us,hot=4,bw=1e-300,imb=1.2,max=256,min=16", "-ms", "10", "-rps", "2600000", "-local", "0.01"}, 2},
 		{"block-negative", []string{"-memnodes", "4", "-block", "-5"}, 2},
 		{"good", []string{"-rps", "1300000", "-ms", "1", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
-		{"qdepth-nothing-completed", []string{"-rps", "100", "-ms", "1", "-qdepth"}, 0},
+		{"nothing-completed", []string{"-rps", "100", "-ms", "1"}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder
@@ -89,8 +91,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 				if stderr.Len() != 0 || !strings.Contains(stdout.String(), "throughput") {
 					t.Fatalf("good run: stderr %q, stdout:\n%s", stderr.String(), stdout.String())
 				}
-				if tc.name == "qdepth-nothing-completed" {
-					for _, want := range []string{"throughput  0 RPS\n", "kernel      parks/req=0.00 switches/req=0.00 skip-aheads/req="} {
+				if tc.name == "nothing-completed" {
+					for _, want := range []string{"throughput  0 RPS\n", "sim         max_pending=", " parks=0 skip_aheads=", " switches=0\n"} {
 						if out := stdout.String(); !strings.Contains(out, want) || strings.Contains(out, "NaN") {
 							t.Fatalf("want %q and no NaN in:\n%s", want, out)
 						}
@@ -110,6 +112,92 @@ func TestRunRejectsBadInput(t *testing.T) {
 			}
 			if tc.name == "app-unknown" && !strings.Contains(msg, "micro, memcached128, memcached1024, rocksdb, tpcc, faiss") {
 				t.Fatalf("unknown -app does not list the catalogue: %q", msg)
+			}
+		})
+	}
+}
+
+// TestRunFailsOnUnwritableOutput: an output file that cannot be written
+// — here a full device — exits 1 with one "adios-sim: …" line on stderr.
+// These runs used to exit 0: pprof drops its writer's errors, and the
+// trace's write error was printed and followed by a "trace … spans" line.
+func TestRunFailsOnUnwritableOutput(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	for _, flag := range []string{"-trace", "-cpuprofile", "-memprofile"} {
+		t.Run(flag, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			code := run([]string{"adios-sim", "-ms", "1", flag, "/dev/full"}, &stdout, &stderr)
+			msg := stderr.String()
+			if code != 1 || !strings.HasPrefix(msg, "adios-sim: ") || strings.Count(msg, "\n") != 1 {
+				t.Fatalf("exit code %d, want 1 with one 'adios-sim: …' line; stderr %q", code, msg)
+			}
+			if strings.Contains(stdout.String(), "\ntrace ") {
+				t.Fatalf("reported a trace it could not write:\n%s", stdout.String())
+			}
+		})
+	}
+}
+
+// TestReportPrintsEveryLayer: the report prints one line per layer the
+// build has, each naming the counters the hand-built lines it replaced
+// used to print. The failure detector, repairer and migrator print only
+// when the run builds them; a default run has one memory node.
+func TestReportPrintsEveryLayer(t *testing.T) {
+	always := map[string][]string{
+		"window":    {"link-util", "drops"},
+		"sim":       {"max_pending", "parks", "switches", "skip_aheads"},
+		"ethernet":  {"drops"},
+		"memnode0":  {"reads", "writes", "completion_errors", "timeout_errors", "stalled_us"},
+		"paging":    {"faults", "evictions", "dirty_writebacks", "alloc_stalls", "failover_reads", "resident_frames", "frames"},
+		"unithread": {"exhausted"},
+		"sched":     {"drops_queue", "drops_pool", "worker_cycles", "busy_wait_cycles", "dispatcher_cycles"},
+		"app":       {"mismatches"},
+		"cores":     {"disp"},
+	}
+	crashOnly := map[string][]string{
+		"memnode3": {"reads", "writes", "completion_errors", "timeout_errors", "stalled_us"},
+		"health":   {"detected"},
+		"repair":   {"repaired", "unrepairable", "repair_lat_p99_us"},
+		"migrate":  {"pages_moved", "planned", "aborted", "deferred", "epochs", "migr_lat_p99_us"},
+	}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		crash bool
+	}{
+		{"default", nil, false},
+		{"crash-migrate", []string{"-memnodes", "4", "-replicas", "2", "-faults", "crash=1ms:node=1", "-migrate", "on"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if code := run(append([]string{"adios-sim", "-ms", "2"}, tc.args...), &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+			}
+			lines := make(map[string]string)
+			for _, l := range strings.Split(stdout.String(), "\n") {
+				if layer, rest, ok := strings.Cut(l, " "); ok {
+					lines[layer] = rest
+				}
+			}
+			check := func(layers map[string][]string, want bool) {
+				for layer, names := range layers {
+					rest, ok := lines[layer]
+					if ok != want {
+						t.Fatalf("layer %s printed: %v, want %v\n%s", layer, ok, want, stdout.String())
+					}
+					for _, name := range names {
+						if ok && !strings.Contains(rest, " "+name+"=") {
+							t.Errorf("%s line has no %s=: %q", layer, name, rest)
+						}
+					}
+				}
+			}
+			check(always, true)
+			check(crashOnly, tc.crash)
+			if strings.Contains(stdout.String(), "NaN") {
+				t.Fatalf("NaN in:\n%s", stdout.String())
 			}
 		})
 	}

@@ -32,6 +32,6 @@ func main() {
 	fmt.Printf("  latency      p50 %.1fus, p99 %.1fus, p99.9 %.1fus\n",
 		res.P50us, res.P99us, res.P999us)
 	fmt.Printf("  page faults  %d (all yielded, zero busy-wait cycles: %d)\n",
-		res.Faults, sys.Sched.BusyWaitCycles())
+		sys.Mgr.Faults.Value(), sys.Sched.BusyWaitCycles())
 	fmt.Printf("  RDMA link    %.0f%% utilized\n", res.LinkUtil*100)
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/migrate"
 	"repro/internal/plot"
-	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -141,30 +140,14 @@ type Point struct {
 	LinkUtil float64
 	Drops    int64
 
-	// Aborts counts requests failed by fetch-retry exhaustion and
-	// Retries the fetch/write-back reposts behind them — both zero unless
-	// a fault plan is active (see the resilience experiment). Completed
-	// is the total finished-request count the abort fraction is over.
+	// Aborts counts requests failed by fetch-retry exhaustion (zero
+	// unless a fault plan is active), out of Completed finished ones.
 	Aborts    int64
-	Retries   int64
 	Completed int64
 
-	// Failovers counts fetches re-routed to a replica off a dead node
-	// and Repaired the copies re-replication restored — both zero unless
-	// a crash plan is active (see the failover experiment).
-	Failovers int64
-	Repaired  int64
-
-	// Migrations counts pages whose owner flip landed (zero unless
-	// migration is on), and Imbalance is max/mean of the per-node
-	// fetch-read counts — 1.0 is a perfectly balanced cluster, the node
-	// count is everything on one (see the rebalance experiment).
-	Migrations int64
-	Imbalance  float64
-
-	// MaxPending is the high-water mark of the point's pending-event
-	// count: the depth its event scheduler had to absorb (-qdepth).
-	MaxPending int
+	// Stats is the system's registry snapshot taken after the run
+	// (core.System.Stats): every layer's counters by name.
+	Stats map[string]float64
 
 	// Per-class percentiles (e.g. GET/SCAN), when the workload is
 	// classified.
@@ -395,22 +378,17 @@ func (r *run) measureOne(p point) Point {
 		after(res)
 	}
 	pt := Point{
-		Mode:       p.mode.String(),
-		OfferedK:   res.OfferedK,
-		TputK:      res.TputK,
-		P50us:      res.P50us,
-		P99us:      res.P99us,
-		P999us:     res.P999us,
-		LinkUtil:   res.LinkUtil,
-		Drops:      res.Drops,
-		Aborts:     res.Aborts,
-		Retries:    res.Retries,
-		Completed:  res.Completed,
-		Failovers:  res.Failovers,
-		Repaired:   res.Repaired,
-		Migrations: res.Migrations,
-		Imbalance:  imbalance(sys.Fabric),
-		MaxPending: sys.Env.MaxPending(),
+		Mode:      p.mode.String(),
+		OfferedK:  res.OfferedK,
+		TputK:     res.TputK,
+		P50us:     res.P50us,
+		P99us:     res.P99us,
+		P999us:    res.P999us,
+		LinkUtil:  res.LinkUtil,
+		Drops:     res.Drops,
+		Aborts:    res.Aborts,
+		Completed: res.Completed,
+		Stats:     sys.Stats.Snapshot(),
 	}
 	if len(res.Gen.ByClass) > 0 {
 		pt.Class = make(map[string]ClassLat)
@@ -424,20 +402,6 @@ func (r *run) measureOne(p point) Point {
 		}
 	}
 	return pt
-}
-
-// imbalance is max/mean of the per-node fetch-read counts.
-func imbalance(fabric rdma.Fabric) float64 {
-	var most, total int64
-	for _, nic := range fabric {
-		n := nic.Reads.Value()
-		total += n
-		most = max(most, n)
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(most) * float64(len(fabric)) / float64(total)
 }
 
 // compare plans, measures and prints one comparison.

@@ -75,7 +75,7 @@ func failover(r *run) {
 		}
 		r.printf("%-4d %9s %9.4g %9.4g %10.1f %10.1f %8d %9d %9d\n",
 			rows[i].reps, crash, p.OfferedK, p.GoodputK(), p.P99us, p.P999us,
-			p.Aborts, p.Failovers, p.Repaired)
+			p.Aborts, int64(p.Stats["paging.failover_reads"]), int64(p.Stats["repair.repaired"]))
 	}
 	r.emitCSV("failover", series)
 }

@@ -116,14 +116,30 @@ func rebalance(r *run) {
 		fmt.Fprintln(r.CSV, rebalanceCSVHeader)
 	}
 	for i, p := range out {
-		skew, onoff := rows[i].skew, rows[i].onoff
+		skew, onoff, imb := rows[i].skew, rows[i].onoff, imbalance(p.Stats)
 		r.printf("%-5.1f %-8s %9.4g %9.4g %10.1f %10.1f %10.1f %10.2f %7d %9d\n",
 			skew, onoff, p.OfferedK, p.GoodputK(), p.P50us, p.P99us, p.P999us,
-			p.Imbalance, p.Migrations, p.Drops)
+			imb, int64(p.Stats["migrate.pages_moved"]), p.Drops)
 		if r.CSV != nil {
 			fmt.Fprintf(r.CSV, "rebalance,%s,%.1f,%s,%.0f,%.0f,%.2f,%.2f,%.2f,%.4f,%d,%d\n",
 				p.Mode, skew, onoff, p.OfferedK, p.GoodputK(),
-				p.P50us, p.P99us, p.P999us, p.Imbalance, p.Migrations, p.Drops)
+				p.P50us, p.P99us, p.P999us, imb, int64(p.Stats["migrate.pages_moved"]), p.Drops)
 		}
 	}
+}
+
+// imbalance is max/mean of the per-node fetch-read counts in a point's
+// Stats — 1.0 is a perfectly balanced cluster, the node count is
+// everything on one.
+func imbalance(snap map[string]float64) float64 {
+	var most, total float64
+	for k := range rebalanceNodes {
+		n := snap[fmt.Sprintf("memnode%d.reads", k)]
+		total += n
+		most = max(most, n)
+	}
+	if total == 0 {
+		return 1
+	}
+	return most * rebalanceNodes / total
 }

@@ -57,7 +57,8 @@ func resilience(r *run) {
 		"system", "wr_rate", "offered_K", "goodput_K", "p50_us", "p99_us", "p99.9_us", "aborts", "retries")
 	for i, p := range out {
 		r.printf("%-11s %8.3f %9.4g %9.4g %10.1f %10.1f %10.1f %9d %9d\n",
-			p.Mode, rates[i%len(rates)], p.OfferedK, p.GoodputK(), p.P50us, p.P99us, p.P999us, p.Aborts, p.Retries)
+			p.Mode, rates[i%len(rates)], p.OfferedK, p.GoodputK(), p.P50us, p.P99us, p.P999us, p.Aborts,
+			int64(p.Stats["paging.fetch_retries"]+p.Stats["paging.writeback_retries"]))
 	}
 	r.emitCSV("resilience", series)
 }

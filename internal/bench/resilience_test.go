@@ -48,8 +48,9 @@ func TestResilienceSurvivesFaults(t *testing.T) {
 		t.Fatalf("missing series; have %v", slices.Sorted(maps.Keys(series)))
 	}
 	a, d := faultyA[0], faultyD[0]
-	if a.Retries == 0 || d.Retries == 0 {
-		t.Fatalf("faulty points exercised no retries: Adios=%d DiLOS=%d", a.Retries, d.Retries)
+	retries := func(p Point) float64 { return p.Stats["paging.fetch_retries"] + p.Stats["paging.writeback_retries"] }
+	if retries(a) == 0 || retries(d) == 0 {
+		t.Fatalf("faulty points exercised no retries: Adios=%v DiLOS=%v", retries(a), retries(d))
 	}
 	for _, p := range []Point{a, d} {
 		if p.Completed == 0 || float64(p.Aborts) > 0.01*float64(p.Completed) {

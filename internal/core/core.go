@@ -23,6 +23,8 @@ import (
 	"repro/internal/rdma"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/unithread"
 	"repro/internal/workload"
 )
@@ -183,11 +185,6 @@ type System struct {
 	Pool  *unithread.Pool
 	Sched *sched.Scheduler // nil until Start
 
-	// Injectors is indexed by memory node; entries are nil for nodes
-	// the fault plan does not target (and the whole slice is nil when
-	// no plan is enabled).
-	Injectors []*faults.Injector
-
 	// Health and Repair exist only on runs with a crash= plan: the
 	// failure detector over the fabric and the background re-replicator.
 	// Both nil otherwise, so crash-free runs schedule no extra events.
@@ -198,6 +195,15 @@ type System struct {
 	// hot-page tracker + online migration planner. Nil otherwise, so
 	// migration-off runs schedule no extra events.
 	Migr *migrate.Migrator
+
+	// Stats names the counters of everything above that was built, and
+	// of each node's fault injector, filled once by NewSystem and
+	// StartApp; callers snapshot it after Run.
+	Stats stats.Registry
+
+	// Trace, if set before StartApp, records the run: the scheduler's
+	// per-core spans and, when migration is on, the migrate lane.
+	Trace *trace.Recorder
 }
 
 // MaxMemNodes bounds Config.MemNodes: paging, repair and migration keep
@@ -245,18 +251,30 @@ func NewSystem(cfg Config) *System {
 			memnode.Placement{Nodes: n, Block: cfg.Block, Replicas: cfg.Replicas}),
 		Mgr:  paging.NewManager(env, cfg.Paging),
 		Pool: unithread.NewPool(cfg.PoolSize, cfg.BufSize),
+		Stats: stats.Registry{
+			"sim.max_pending": func() float64 { return float64(env.MaxPending()) },
+			"sim.parks":       func() float64 { return float64(env.KernelStats().Parks) },
+			"sim.switches":    func() float64 { return float64(env.KernelStats().Switches) },
+			"sim.skip_aheads": func() float64 { return float64(env.KernelStats().SkipAheads) },
+		},
 	}
-	if cfg.Faults.Injects() {
-		sys.Injectors = make([]*faults.Injector, n)
-		for k := 0; k < n; k++ {
-			if !cfg.Faults.Targets(k) {
-				continue
-			}
-			inj := faults.NewForNode(cfg.Faults, nodes[k], cfg.Seed, k)
-			sys.Injectors[k] = inj
+	st := sys.Stats
+	st.Register("ethernet", sys.Net)
+	for k, node := range nodes {
+		layer := fmt.Sprintf("memnode%d", k)
+		st.Register(layer, sys.Fabric[k])
+		st.Register(layer, node)
+		st[layer+".stalled_us"] = func() float64 { return sim.Time(node.StalledTime()).Micros() }
+		if cfg.Faults.Injects() && cfg.Faults.Targets(k) {
+			inj := faults.NewForNode(cfg.Faults, node, cfg.Seed, k)
 			sys.Fabric[k].SetInterceptor(inj)
+			st.Register(layer, inj)
 		}
 	}
+	st.Register("paging", sys.Mgr)
+	st["paging.resident_frames"] = func() float64 { return float64(sys.Mgr.TotalFrames() - sys.Mgr.FreeFrames()) }
+	st["paging.frames"] = func() float64 { return float64(sys.Mgr.TotalFrames()) }
+	st.Register("unithread", sys.Pool)
 	if cfg.Faults.CrashSet {
 		var rejoin sim.Time
 		if cfg.Faults.RejoinSet {
@@ -265,6 +283,7 @@ func NewSystem(cfg Config) *System {
 		sys.Fabric[cfg.Faults.CrashNode].ScheduleCrash(cfg.Faults.CrashAt, rejoin)
 		sys.Health = rdma.NewHealth(env, sys.Fabric, rdma.DefaultHealthConfig())
 		sys.Mgr.SetHealth(sys.Health)
+		st.Register("health", sys.Health)
 	}
 	return sys
 }
@@ -274,7 +293,13 @@ func NewSystem(cfg Config) *System {
 // its own, and the pinned reclaimer thread.
 func (sys *System) StartApp(app workload.App) {
 	sys.Sched = sched.New(sys.Env, sys.Cfg.Sched, sys.Net, sys.Fabric, sys.Mgr, sys.Pool, app.StepHandler())
+	sys.Sched.Trace = sys.Trace
 	sys.Sched.Start()
+	sys.Stats.Register("sched", sys.Sched)
+	sys.Stats["sched.worker_cycles"] = func() float64 { return float64(sys.Sched.CPUCycles()) }
+	sys.Stats["sched.busy_wait_cycles"] = func() float64 { return float64(sys.Sched.BusyWaitCycles()) }
+	sys.Stats["sched.dispatcher_cycles"] = func() float64 { return float64(sys.Sched.DispatcherCycles()) }
+	sys.Stats.Register("app", app)
 	rcq := rdma.NewCQ("reclaimer")
 	rqps := sys.Fabric.CreateQPs("reclaimer", rcq)
 	sys.Mgr.StartReclaimerQPs(rqps, rcq)
@@ -287,12 +312,15 @@ func (sys *System) StartApp(app workload.App) {
 		sys.Repair = paging.NewRepairer(sys.Mgr, pqps, pcq)
 		sys.Health.OnDown = sys.Repair.NodeDown
 		sys.Health.Start()
+		sys.Stats.Register("repair", sys.Repair)
 	}
 	if sys.Cfg.Migrate.Enabled && len(sys.Fabric) > 1 {
 		mcq := rdma.NewCQ("migrate")
 		mqps := sys.Fabric.CreateQPs("migrate", mcq)
 		sys.Migr = migrate.New(sys.Mgr, sys.Mem, mqps, mcq, sys.Cfg.Migrate)
+		sys.Migr.Trace = sys.Trace
 		sys.Mgr.SetMigrator(sys.Migr)
+		sys.Stats.Register("migrate", sys.Migr)
 	}
 }
 
@@ -307,24 +335,12 @@ type RunResult struct {
 	MeanUs    float64
 	LinkUtil  float64 // RDMA inbound (fetch) link utilization
 	Drops     int64   // RX + central-queue + pool drops
-	Faults    int64
 	Completed int64
 
 	// Aborts counts requests failed by retry exhaustion on a demand
-	// fetch; Retries counts fetch/write-back reposts. Zero when the fault
-	// plan is disabled.
-	Aborts  int64
-	Retries int64
-
-	// Failovers counts fetches re-routed to a replica off a dead node;
-	// Repaired counts copies restored by background re-replication.
-	// Both zero unless a crash plan is configured.
-	Failovers int64
-	Repaired  int64
-
-	// Migrations counts pages whose owner flip landed; zero unless
-	// migration is enabled.
-	Migrations int64
+	// fetch; zero when the fault plan is disabled. Every other count is
+	// in the System's Stats registry.
+	Aborts int64
 
 	// Breakdown aggregates (cycles) over completed requests, for the
 	// Figure 2(c)/7(c) decomposition.
@@ -349,31 +365,19 @@ func (sys *System) Run(app workload.App, rateRPS float64, warmup, measure sim.Ti
 	sys.Env.At(end, func() { linkUtil = sys.Fabric.InUtilization() })
 	sys.Env.Run(end + sim.Millis(50))
 
-	var repaired, migrations int64
-	if sys.Repair != nil {
-		repaired = sys.Repair.Repaired.Value()
-	}
-	if sys.Migr != nil {
-		migrations = sys.Migr.PagesMoved.Value()
-	}
 	now := end
 	return RunResult{
-		Mode:       sys.Cfg.Mode,
-		OfferedK:   rateRPS / 1000,
-		TputK:      gen.Throughput(now) / 1000,
-		P50us:      sim.Time(gen.E2E.P50()).Micros(),
-		P99us:      sim.Time(gen.E2E.P99()).Micros(),
-		P999us:     sim.Time(gen.E2E.P999()).Micros(),
-		MeanUs:     sim.Time(gen.E2E.Mean()).Micros(),
-		LinkUtil:   linkUtil,
-		Drops:      sys.Net.Drops.Value() + sys.Sched.DropsQueue.Value() + sys.Sched.DropsPool.Value(),
-		Faults:     sys.Mgr.Faults.Value(),
-		Completed:  sys.Sched.Completed.Value(),
-		Aborts:     sys.Sched.FaultAborts.Value(),
-		Retries:    sys.Mgr.FetchRetries.Value() + sys.Mgr.WritebackRetries.Value(),
-		Failovers:  sys.Mgr.FailoverReads.Value(),
-		Repaired:   repaired,
-		Migrations: migrations,
-		Gen:        gen,
+		Mode:      sys.Cfg.Mode,
+		OfferedK:  rateRPS / 1000,
+		TputK:     gen.Throughput(now) / 1000,
+		P50us:     sim.Time(gen.E2E.P50()).Micros(),
+		P99us:     sim.Time(gen.E2E.P99()).Micros(),
+		P999us:    sim.Time(gen.E2E.P999()).Micros(),
+		MeanUs:    sim.Time(gen.E2E.Mean()).Micros(),
+		LinkUtil:  linkUtil,
+		Drops:     sys.Net.Drops.Value() + sys.Sched.DropsQueue.Value() + sys.Sched.DropsPool.Value(),
+		Completed: sys.Sched.Completed.Value(),
+		Aborts:    sys.Sched.FaultAborts.Value(),
+		Gen:       gen,
 	}
 }

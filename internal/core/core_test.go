@@ -41,7 +41,7 @@ func TestAdiosEndToEnd(t *testing.T) {
 	if res.P999us > 100 {
 		t.Fatalf("P99.9 = %.1fus, want well under 100us at half load", res.P999us)
 	}
-	if res.Faults == 0 {
+	if sys.Mgr.Faults.Value() == 0 {
 		t.Fatal("expected page faults at 20% local memory")
 	}
 	if res.LinkUtil <= 0 || res.LinkUtil > 1 {
@@ -108,13 +108,15 @@ func TestOverloadDropsNotDeadlock(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	run := func() RunResult {
+	run := func() (RunResult, int64) {
 		sys, app := buildMicro(Adios, 8<<20, 0.20, 42)
-		return sys.Run(app, 400_000, sim.Millis(2), sim.Millis(8))
+		res := sys.Run(app, 400_000, sim.Millis(2), sim.Millis(8))
+		return res, sys.Mgr.Faults.Value()
 	}
-	a, b := run(), run()
-	if a.Completed != b.Completed || a.P999us != b.P999us || a.Faults != b.Faults || a.TputK != b.TputK {
-		t.Fatalf("same-seed runs diverge: %+v vs %+v", a, b)
+	a, fa := run()
+	b, fb := run()
+	if a.Completed != b.Completed || a.P999us != b.P999us || fa != fb || a.TputK != b.TputK {
+		t.Fatalf("same-seed runs diverge: %+v (%d faults) vs %+v (%d faults)", a, fa, b, fb)
 	}
 }
 

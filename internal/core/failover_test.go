@@ -36,24 +36,37 @@ var chaosCrash = faults.Config{
 	CrashAt: sim.Millis(chaosCrashMs), CrashNode: chaosVictim, CrashSet: true,
 }
 
-// runChaos drives one crash run and returns its result plus a digest of
-// everything the failover machinery decided: detection time, fault and
-// failover counters, and the repairer's order-sensitive schedule hash.
-func runChaos(t *testing.T, seed int64, replicas int) (RunResult, string) {
+// count is the sum of the named entries of a Stats snapshot, as a count.
+func count(snap map[string]float64, names ...string) int64 {
+	var n float64
+	for _, name := range names {
+		n += snap[name]
+	}
+	return int64(n)
+}
+
+// runChaos drives one crash run and returns its result and the counts
+// snapshotted after it, plus a digest of everything the failover
+// machinery decided: detection time, fault and failover counters, and
+// the repairer's order-sensitive schedule hash.
+func runChaos(t *testing.T, seed int64, replicas int) (RunResult, map[string]float64, string) {
 	t.Helper()
 	sys, app := buildStriped(chaosArray, seed, chaosNodes, replicas, chaosCrash)
 	res := sys.Run(app, 400_000, sim.Millis(2), sim.Millis(8))
 	if app.Mismatches.Value() != 0 {
 		t.Fatalf("replicas=%d: data mismatches = %d", replicas, app.Mismatches.Value())
 	}
+	c := sys.Stats.Snapshot()
 	digest := fmt.Sprintf(
 		"completed=%d tput=%v aborts=%d retries=%d failovers=%d repaired=%d p999=%v "+
 			"timeouts=%d detected=%d downAt=%d repairHash=%#x unrepairable=%d pending=%d",
-		res.Completed, res.TputK, res.Aborts, res.Retries, res.Failovers, res.Repaired,
-		res.P999us, sys.Fabric.TimeoutErrors(), sys.Health.Detected.Value(),
+		res.Completed, res.TputK, res.Aborts, count(c, "paging.fetch_retries", "paging.writeback_retries"),
+		count(c, "paging.failover_reads"), count(c, "repair.repaired"),
+		res.P999us, count(c, "memnode0.timeout_errors", "memnode1.timeout_errors",
+			"memnode2.timeout_errors", "memnode3.timeout_errors"), sys.Health.Detected.Value(),
 		sys.Health.DownAt(chaosVictim), sys.Repair.ScheduleHash(),
 		sys.Repair.Unrepairable.Value(), sys.Repair.Pending())
-	return res, digest
+	return res, c, digest
 }
 
 // TestFailoverDeterministic is the crash-at-a-fixed-cycle chaos test:
@@ -63,8 +76,8 @@ func runChaos(t *testing.T, seed int64, replicas int) (RunResult, string) {
 // failover and repair paths for data races.
 func TestFailoverDeterministic(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
-		_, d1 := runChaos(t, 7, replicas)
-		_, d2 := runChaos(t, 7, replicas)
+		_, _, d1 := runChaos(t, 7, replicas)
+		_, _, d2 := runChaos(t, 7, replicas)
 		if d1 != d2 {
 			t.Fatalf("replicas=%d: same-seed crash runs diverge:\n%s\n%s", replicas, d1, d2)
 		}
@@ -84,7 +97,7 @@ var chaosDigestPins = map[int]string{
 // TestFailoverDigestPinned holds the crash runs to the recorded digests.
 func TestFailoverDigestPinned(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
-		if _, d := runChaos(t, 7, replicas); d != chaosDigestPins[replicas] {
+		if _, _, d := runChaos(t, 7, replicas); d != chaosDigestPins[replicas] {
 			t.Errorf("replicas=%d: crash digest moved:\n got %s\nwant %s",
 				replicas, d, chaosDigestPins[replicas])
 		}
@@ -97,27 +110,27 @@ func TestFailoverDigestPinned(t *testing.T) {
 // background repair restores exactly the copies the dead node held.
 // The same run unreplicated loses the dead stripe's share instead.
 func TestReplicatedCrashLosesNothing(t *testing.T) {
-	res2, _ := runChaos(t, 7, 2)
+	res2, c2, _ := runChaos(t, 7, 2)
 	if res2.Aborts != 0 {
 		t.Fatalf("replicas=2: %d requests aborted across a node death", res2.Aborts)
 	}
-	if res2.Failovers == 0 {
+	if count(c2, "paging.failover_reads") == 0 {
 		t.Fatal("replicas=2: no failover reads despite a dead primary")
 	}
 	// Node 1 holds the primary of every page p ≡ 1 (mod 4) and the
 	// replica of every page p ≡ 0 (mod 4): half the pages, one copy each.
 	const pages = chaosArray / (4 << 10)
-	if want := int64(pages / 2); res2.Repaired != want {
+	if want := int64(pages / 2); count(c2, "repair.repaired") != want {
 		t.Fatalf("replicas=2: repaired %d copies, want %d (the dead node's holdings)",
-			res2.Repaired, want)
+			count(c2, "repair.repaired"), want)
 	}
 
-	res1, _ := runChaos(t, 7, 1)
+	res1, c1, _ := runChaos(t, 7, 1)
 	if res1.Aborts == 0 {
 		t.Fatal("replicas=1: node death aborted nothing — blast radius lost")
 	}
-	if res1.Repaired != 0 {
-		t.Fatalf("replicas=1: repaired %d copies with no surviving source", res1.Repaired)
+	if count(c1, "repair.repaired") != 0 {
+		t.Fatalf("replicas=1: repaired %d copies with no surviving source", count(c1, "repair.repaired"))
 	}
 	// Sanity on the blast radius: the dead stripe is a quarter of the
 	// working set, so aborts are a visible share of post-crash traffic
@@ -133,9 +146,9 @@ func TestReplicatedCrashLosesNothing(t *testing.T) {
 func TestCrashFreeReplicatedRuns(t *testing.T) {
 	sys, app := buildStriped(chaosArray, 7, chaosNodes, 2, faults.Config{})
 	res := sys.Run(app, 400_000, sim.Millis(2), sim.Millis(8))
-	if app.Mismatches.Value() != 0 || res.Aborts != 0 || res.Failovers != 0 || res.Repaired != 0 {
-		t.Fatalf("crash-free replicated run: mismatches=%d aborts=%d failovers=%d repaired=%d",
-			app.Mismatches.Value(), res.Aborts, res.Failovers, res.Repaired)
+	if failovers := sys.Mgr.FailoverReads.Value(); app.Mismatches.Value() != 0 || res.Aborts != 0 || failovers != 0 {
+		t.Fatalf("crash-free replicated run: mismatches=%d aborts=%d failovers=%d",
+			app.Mismatches.Value(), res.Aborts, failovers)
 	}
 	if sys.Health != nil || sys.Repair != nil {
 		t.Fatal("crash-free run built the failure detector")

@@ -40,10 +40,11 @@ const (
 	migNodes = 4
 )
 
-// runMigChaos drives one run and returns its result plus a digest of
-// everything the migration machinery decided: counters, the
-// order-sensitive flip hash, and the run's own totals.
-func runMigChaos(t *testing.T, seed int64, replicas int, fl faults.Config) (RunResult, string) {
+// runMigChaos drives one run and returns its result and the counts
+// snapshotted after it, plus a digest of everything the migration
+// machinery decided: counters, the order-sensitive flip hash, and the
+// run's own totals.
+func runMigChaos(t *testing.T, seed int64, replicas int, fl faults.Config) (RunResult, map[string]float64, string) {
 	t.Helper()
 	sys, app := buildMigrating(seed, replicas, fl)
 	res := sys.Run(app, 400_000, sim.Millis(2), sim.Millis(8))
@@ -53,18 +54,19 @@ func runMigChaos(t *testing.T, seed int64, replicas int, fl faults.Config) (RunR
 	if errs := sys.Audit(res, true); len(errs) > 0 {
 		t.Fatalf("audit: %v", errs)
 	}
+	c := sys.Stats.Snapshot()
 	digest := fmt.Sprintf(
 		"completed=%d tput=%v aborts=%d failovers=%d migrations=%d "+
 			"planned=%d deferred=%d migAborted=%d retries=%d epochs=%d "+
 			"flipHash=%#x p999=%v",
-		res.Completed, res.TputK, res.Aborts, res.Failovers, res.Migrations,
+		res.Completed, res.TputK, res.Aborts, count(c, "paging.failover_reads"), count(c, "migrate.pages_moved"),
 		sys.Migr.Planned.Value(), sys.Migr.Deferred.Value(), sys.Migr.Aborted.Value(),
 		sys.Migr.Retries.Value(), sys.Migr.Epochs.Value(),
 		sys.Migr.ScheduleHash(), res.P999us)
 	if sys.Repair != nil {
-		digest += fmt.Sprintf(" repaired=%d repairHash=%#x", res.Repaired, sys.Repair.ScheduleHash())
+		digest += fmt.Sprintf(" repaired=%d repairHash=%#x", count(c, "repair.repaired"), sys.Repair.ScheduleHash())
 	}
-	return res, digest
+	return res, c, digest
 }
 
 // TestMigrationDeterministic: two identically seeded skewed runs with
@@ -73,12 +75,12 @@ func runMigChaos(t *testing.T, seed int64, replicas int, fl faults.Config) (RunR
 // Run under -race in CI, this also exercises the planner, executor, and
 // dual-apply paths for data races.
 func TestMigrationDeterministic(t *testing.T) {
-	r1, d1 := runMigChaos(t, 7, 1, faults.Config{})
-	_, d2 := runMigChaos(t, 7, 1, faults.Config{})
+	_, c1, d1 := runMigChaos(t, 7, 1, faults.Config{})
+	_, _, d2 := runMigChaos(t, 7, 1, faults.Config{})
 	if d1 != d2 {
 		t.Fatalf("same-seed migrating runs diverge:\n%s\n%s", d1, d2)
 	}
-	if r1.Migrations == 0 {
+	if count(c1, "migrate.pages_moved") == 0 {
 		t.Fatal("skewed block-placed run landed no migrations — the test exercises nothing")
 	}
 }
@@ -115,7 +117,7 @@ func TestMigrationDigestPinned(t *testing.T) {
 		{"crash-permanent", 2, migCrash, migDigestCrash},
 		{"crash-rejoin", 2, migRejoin, migDigestRejoin},
 	} {
-		if _, d := runMigChaos(t, 7, tc.replicas, tc.fl); d != tc.want {
+		if _, _, d := runMigChaos(t, 7, tc.replicas, tc.fl); d != tc.want {
 			t.Errorf("%s: migration digest moved:\n got %s\nwant %s", tc.name, d, tc.want)
 		}
 	}
@@ -139,19 +141,19 @@ func TestCrashDuringMigration(t *testing.T) {
 		{"crash-rejoin", migRejoin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, d1 := runMigChaos(t, 7, 2, tc.fl)
+			res, c, d1 := runMigChaos(t, 7, 2, tc.fl)
 			if res.Aborts != 0 {
 				t.Fatalf("replicas=2: %d requests aborted across a node death", res.Aborts)
 			}
-			if res.Failovers == 0 {
+			if count(c, "paging.failover_reads") == 0 {
 				t.Fatal("replicas=2: no failover reads despite a dead primary")
 			}
-			if res.Migrations == 0 {
+			if count(c, "migrate.pages_moved") == 0 {
 				t.Fatal("no migrations landed — the crash composed with nothing")
 			}
 			// The repro contract: the same chaos schedule replays to the
 			// identical digest.
-			_, d2 := runMigChaos(t, 7, 2, tc.fl)
+			_, _, d2 := runMigChaos(t, 7, 2, tc.fl)
 			if d1 != d2 {
 				t.Fatalf("same-seed crash runs diverge:\n%s\n%s", d1, d2)
 			}

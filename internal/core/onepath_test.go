@@ -78,8 +78,8 @@ func runFormDiffOnce(t *testing.T) (formDiffStats, string) {
 	res := sys.Run(app, 400_000, sim.Millis(1), sim.Millis(6))
 	st.completed = res.Completed
 	st.aborts = res.Aborts
-	st.faults = res.Faults
-	st.retries = res.Retries
+	st.faults = sys.Mgr.Faults.Value()
+	st.retries = sys.Mgr.FetchRetries.Value() + sys.Mgr.WritebackRetries.Value()
 	st.cpu = sys.Sched.CPUCycles()
 	st.p99us = res.P99us
 	return st, fmt.Sprintf("%+v trace=%s", st, steptest.TraceSum(rec.Events()))

@@ -43,15 +43,6 @@ func (f Fabric) CreateQPs(name string, cq *CQ) []*QP {
 	return qps
 }
 
-// TimeoutErrors sums node-dead work-request timeouts across the fabric.
-func (f Fabric) TimeoutErrors() int64 {
-	var t int64
-	for _, nic := range f {
-		t += nic.TimeoutErrors.Value()
-	}
-	return t
-}
-
 // StartWindow begins the utilization measurement window on every link.
 func (f Fabric) StartWindow() {
 	for _, nic := range f {
@@ -84,15 +75,6 @@ func (f Fabric) CompletionErrors() int64 {
 	var t int64
 	for _, nic := range f {
 		t += nic.CompletionErrors.Value()
-	}
-	return t
-}
-
-// QPResets sums completed QP reset cycles across the fabric.
-func (f Fabric) QPResets() int64 {
-	var t int64
-	for _, nic := range f {
-		t += nic.QPResets.Value()
 	}
 	return t
 }

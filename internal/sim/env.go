@@ -159,11 +159,11 @@ func (e *Env) Pending() int { return e.q.count }
 
 // MaxPending reports the high-water mark of the pending-event count over
 // the environment's lifetime: the queue depth the scheduler actually had
-// to absorb, surfaced by the -qdepth flag of the shipped binaries. The
-// wheel tracks the mark on its slow push path only (keeping the hot path
-// inlinable), so a queue that never held two events at once is
-// reconstructed here: seq counts every push, so seq > 0 with a zero mark
-// means the depth peaked at exactly 1.
+// to absorb, which core registers as sim.max_pending. The wheel tracks
+// the mark on its slow push path only (keeping the hot path inlinable),
+// so a queue that never held two events at once is reconstructed here:
+// seq counts every push, so seq > 0 with a zero mark means the depth
+// peaked at exactly 1.
 func (e *Env) MaxPending() int {
 	if e.q.maxCount == 0 && e.seq > 0 {
 		return 1

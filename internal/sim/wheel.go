@@ -75,7 +75,7 @@ import (
 type wheel struct {
 	low   Time // dispatch cursor: no levelled pending event is earlier
 	count int  // pending events (including the cached next)
-	// maxCount is the high-water mark of count, for -qdepth reporting.
+	// maxCount is the high-water mark of count (Env.MaxPending).
 	// Maintained on the slow push path only, so a queue that never held
 	// two events at once leaves it 0; Env.MaxPending reconstructs that
 	// case (high water exactly 1) from seq > 0.

@@ -198,7 +198,8 @@ func TestEnvStopDiscardsWheel(t *testing.T) {
 	}
 }
 
-// TestEnvMaxPending checks the -qdepth high-water accounting.
+// TestEnvMaxPending checks the pending-event high-water accounting
+// (sim.max_pending in a system's counter registry).
 func TestEnvMaxPending(t *testing.T) {
 	e := NewEnv(1)
 	for i := 0; i < 10; i++ {
