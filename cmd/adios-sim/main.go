@@ -91,9 +91,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if !(*rps > 0) || math.IsInf(*rps, 0) {
 		return usage("-rps must be a positive request rate, got %v", *rps)
 	}
-	// The load generator's mean gap between arrivals is a clock value.
+	// The load generator's mean gap between arrivals is a clock value:
+	// past MaxSpecTime it overflows, and under one cycle it truncates to
+	// zero and every draw is clamped to one cycle, capping the load.
 	if sim.CyclesPerSec / *rps > float64(sim.MaxSpecTime) {
 		return usage("-rps %v: the mean gap between requests exceeds %v", *rps, sim.MaxSpecTime)
+	}
+	if *rps > sim.CyclesPerSec {
+		return usage("-rps %v: more than one request per simulated cycle (%d per second)", *rps, sim.CyclesPerSec)
 	}
 	if !(*ms >= 0) || math.IsInf(*ms, 0) {
 		return usage("-ms must be >= 0 (0 = auto), got %v", *ms)
@@ -117,6 +122,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if err := core.CheckTopology(*memnodes, *replicasN); err != nil {
 		return usage("%v", err)
+	}
+	// The placement would clamp the copies to the node count; here the
+	// two flags are the whole topology, so more copies than nodes is a
+	// mistake in the invocation.
+	if *replicasN > *memnodes {
+		return usage("-replicas %d exceeds -memnodes %d: each copy needs a memory node of its own", *replicasN, *memnodes)
 	}
 	if *block < 0 {
 		return usage("-block must be >= 0 (0 = page striping), got %d", *block)

@@ -42,7 +42,9 @@ func TestCoresLineLeavesOutTheDrain(t *testing.T) {
 // hold, a negative count run as 1, a node= plan that names no node of the
 // system and so injects nothing, a -skew for an app other than micro, a
 // negative -block run as page striping, an -rps so small that its mean
-// arrival gap overflowed the clock and flooded the node — must instead
+// arrival gap overflowed the clock and flooded the node, an -rps past one
+// request per cycle that ran capped at one per cycle, more -replicas than
+// -memnodes run with one copy per node — must instead
 // print one "adios-sim: …" line and exit 2, with nothing on stdout and
 // no profile file created — an unknown -app one that lists the
 // catalogue; a good invocation still runs to its report, and the sim
@@ -70,6 +72,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"rps-zero", []string{"-rps", "0"}, 2},
 		{"rps-negative", []string{"-rps", "-5"}, 2},
 		{"rps-tiny", []string{"-rps", "1e-10", "-ms", "1"}, 2},
+		{"rps-past-clock", []string{"-rps", "1e10", "-ms", "0.2"}, 2},
+		{"replicas-past-nodes", []string{"-replicas", "2"}, 2},
+		{"replicas-past-nodes-sharded", []string{"-replicas", "5", "-memnodes", "4"}, 2},
 		{"app-unknown", []string{"-app", "nonsense"}, 2},
 		{"skew-not-micro", []string{"-app", "rocksdb", "-skew", "1.2"}, 2},
 		{"skew-inf", []string{"-skew", "Inf", "-ms", "2"}, 2},
@@ -92,7 +97,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 					t.Fatalf("good run: stderr %q, stdout:\n%s", stderr.String(), stdout.String())
 				}
 				if tc.name == "nothing-completed" {
-					for _, want := range []string{"throughput  0 RPS\n", "sim         max_pending=", " parks=0 skip_aheads=", " switches=0\n"} {
+					for _, want := range []string{"throughput  0 RPS\n", "sim         max_pending=", " parks=0 pushes=", " skip_aheads=", " switches=0\n"} {
 						if out := stdout.String(); !strings.Contains(out, want) || strings.Contains(out, "NaN") {
 							t.Fatalf("want %q and no NaN in:\n%s", want, out)
 						}
@@ -147,10 +152,10 @@ func TestRunFailsOnUnwritableOutput(t *testing.T) {
 func TestReportPrintsEveryLayer(t *testing.T) {
 	always := map[string][]string{
 		"window":    {"link-util", "drops"},
-		"sim":       {"max_pending", "parks", "switches", "skip_aheads"},
+		"sim":       {"max_pending", "parks", "pushes", "switches", "skip_aheads"},
 		"ethernet":  {"drops"},
 		"memnode0":  {"reads", "writes", "completion_errors", "timeout_errors", "stalled_us"},
-		"paging":    {"faults", "evictions", "dirty_writebacks", "alloc_stalls", "failover_reads", "resident_frames", "frames"},
+		"paging":    {"faults", "evictions", "dirty_writebacks", "alloc_stalls", "materialized", "failover_reads", "resident_frames", "frames"},
 		"unithread": {"exhausted"},
 		"sched":     {"drops_queue", "drops_pool", "worker_cycles", "busy_wait_cycles", "dispatcher_cycles"},
 		"app":       {"mismatches"},

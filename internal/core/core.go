@@ -256,6 +256,7 @@ func NewSystem(cfg Config) *System {
 			"sim.parks":       func() float64 { return float64(env.KernelStats().Parks) },
 			"sim.switches":    func() float64 { return float64(env.KernelStats().Switches) },
 			"sim.skip_aheads": func() float64 { return float64(env.KernelStats().SkipAheads) },
+			"sim.pushes":      func() float64 { return float64(env.Pushes()) },
 		},
 	}
 	st := sys.Stats

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -46,6 +47,43 @@ func TestAdiosEndToEnd(t *testing.T) {
 	}
 	if res.LinkUtil <= 0 || res.LinkUtil > 1 {
 		t.Fatalf("link utilization = %v", res.LinkUtil)
+	}
+}
+
+// TestWarmUpAliasesUntilFirstStore: in the micro-resident shape (the
+// pool holds the whole array) warm-up installs every page as an alias of
+// the backing region, so it makes no private copy. Stores made during
+// the run materialize copies, and every read still sees the seeded
+// values.
+func TestWarmUpAliasesUntilFirstStore(t *testing.T) {
+	sys, app := buildMicro(Adios, 8<<20, 1.25, 1)
+	if got := sys.Stats.Snapshot()["paging.materialized"]; got != 0 {
+		t.Fatalf("paging.materialized = %v after warm-up, want 0", got)
+	}
+	resident := 0
+	for _, sp := range sys.Mgr.Spaces() {
+		for vpn := range sp.Pages() {
+			view, ok := sp.TryPage(vpn, true)
+			if !ok {
+				continue
+			}
+			resident++
+			if &view[0] != &sp.Region().Data[vpn*paging.PageSize] {
+				t.Fatalf("%s page %d: warmed frame does not alias the region", sp.Name(), vpn)
+			}
+		}
+	}
+	if resident == 0 {
+		t.Fatal("warm-up made nothing resident")
+	}
+
+	app.WriteFrac = 0.5
+	res := sys.Run(app, 500_000, sim.Millis(1), sim.Millis(4))
+	if res.Completed == 0 || app.Mismatches.Value() != 0 {
+		t.Fatalf("completed=%d mismatches=%d", res.Completed, app.Mismatches.Value())
+	}
+	if got := sys.Stats.Snapshot()["paging.materialized"]; got == 0 {
+		t.Fatal("paging.materialized = 0 after a run that stores")
 	}
 }
 

@@ -54,10 +54,12 @@ type Thread interface {
 // frame is a local DRAM cache frame: the page it holds and the view of
 // that page's bytes. It carries no state of its own — it is free exactly
 // while space is -1, and filling, resident or in write-back as its
-// owning PTE says. data is normally the frame's own arena buffer
-// (Manager.frameBuf), but a page installed by the zero-copy fetch path
-// aliases the backing region until the first store materializes a
-// private copy (see Manager.materialize). Both views point outside the
+// owning PTE says. Every install, a demand fetch's, a prefetch's or a
+// warm-up's (Space.Preload), points data at the page's view of the
+// backing region: the frame aliases it until the first store
+// materializes a private copy in the frame's own arena buffer
+// (Manager.frameBuf). Manager.materialize is the only code that copies
+// a page into the arena. Both views point outside the
 // Go heap and hold nothing alive: the arena stays mapped while the
 // Manager is reachable, and an aliased region while its Space is, which
 // the Manager's spaces list keeps so. Aliasing is sound because the
@@ -93,6 +95,7 @@ func (m *Manager) materialize(fi int32) {
 	if f, buf := &m.frames[fi], m.frameBuf(fi); &f.data[0] != &buf[0] {
 		copy(buf, f.data)
 		f.data = buf
+		m.Materialized.Inc()
 	}
 }
 
@@ -220,6 +223,7 @@ type Manager struct {
 	PrefetchIssued  stats.Counter
 	PrefetchHits    stats.Counter // demand accesses absorbed by a prefetched page
 	AllocStalls     stats.Counter // allocations that blocked on an empty pool
+	Materialized    stats.Counter // private copies made by a first store to an aliased page
 
 	// Fault-recovery counters (all zero on a reliable fabric).
 	FetchRetries     stats.Counter // failed demand fetches re-posted

@@ -309,6 +309,76 @@ func TestPreloadAndReadDirect(t *testing.T) {
 	}
 }
 
+// TestPreloadAliasesRegion: a warmed page is installed the way a fetch
+// installs it, as an alias of its region view, so warm-up copies nothing.
+// The first store materializes a private copy and leaves the region
+// clean; evicting the dirty page writes the store back, and evicting a
+// clean preloaded page writes nothing.
+func TestPreloadAliasesRegion(t *testing.T) {
+	r := newRig(t, 2, func(c *Config) {
+		c.Policy = LRU
+		c.ReclaimThreshold = 0 // reclaim only on demand, one victim at a time
+		c.ReclaimBatch = 1
+	})
+	region := r.node.MustAlloc("data", 8*PageSize)
+	sp := r.mgr.NewSpace("data", region)
+	copy(sp.SetupBytes()[PageSize:], []byte{1, 2, 3})
+	rcq := rdma.NewCQ("reclaim")
+	r.mgr.StartReclaimer(r.nic.CreateQP("reclaim", rcq), rcq)
+
+	sp.Preload(0, 2*PageSize)
+	frameOf := func(vpn int64) int32 { return sp.ptes[vpn].index() }
+	for vpn := int64(0); vpn < 2; vpn++ {
+		fi := frameOf(vpn)
+		if !r.mgr.aliased(fi) || &r.mgr.frames[fi].data[0] != &region.Data[vpn*PageSize] {
+			t.Fatalf("preloaded page %d does not alias its region view", vpn)
+		}
+	}
+
+	copy(sp.DirtyPage(1), []byte{7, 7})
+	if r.mgr.aliased(frameOf(1)) {
+		t.Fatal("stored-to page still aliases the region")
+	}
+	if got := r.mgr.Materialized.Value(); got != 1 {
+		t.Fatalf("Materialized = %d, want 1", got)
+	}
+	if !bytes.Equal(region.Data[PageSize:PageSize+3], []byte{1, 2, 3}) {
+		t.Fatalf("store reached the region before write-back: % x", region.Data[PageSize:PageSize+3])
+	}
+	var b [3]byte
+	sp.ReadDirect(PageSize, b[:])
+	if b != [3]byte{7, 7, 3} {
+		t.Fatalf("ReadDirect after the store = %v", b)
+	}
+
+	// LRU order is page 0 (clean), then page 1 (dirty): each demand load
+	// of a new page evicts the next of them.
+	var writesAfterClean int64
+	r.env.Go("app", func(p *sim.Proc) {
+		th := r.thread(p)
+		var buf [1]byte
+		sp.Load(th, 2*PageSize, buf[:])
+		writesAfterClean = r.nic.Writes.Value()
+		sp.Load(th, 3*PageSize, buf[:])
+	})
+	r.env.Run(sim.Seconds(1))
+	if writesAfterClean != 0 {
+		t.Errorf("evicting a clean preloaded page posted %d WRITEs", writesAfterClean)
+	}
+	if got := r.nic.Writes.Value(); got != 1 {
+		t.Errorf("evicting the dirty page posted %d WRITEs, want 1", got)
+	}
+	if sp.Resident(0) || sp.Resident(1) {
+		t.Fatal("preloaded pages not evicted")
+	}
+	if !bytes.Equal(region.Data[PageSize:PageSize+3], []byte{7, 7, 3}) {
+		t.Fatalf("write-back did not land the store: % x", region.Data[PageSize:PageSize+3])
+	}
+	if err := r.mgr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // mustPanic fails t unless fn panics.
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()

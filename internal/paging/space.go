@@ -127,7 +127,9 @@ func (s *Space) DirtyPage(vpn int64) []byte {
 // through a thread's wait policy or the RDMA fabric; it is a setup-time
 // facility for loading phases that the paper performs before measurement
 // (database load, cache warm-up). It must not be called while the
-// simulation is serving requests. Preloaded pages are clean.
+// simulation is serving requests. Preloaded pages are clean, and each is
+// installed the way a fetch installs it: the frame aliases the page's
+// region view, and the first store materializes a private copy.
 func (s *Space) Preload(off, n int64) {
 	first := off >> PageShift
 	last := (off + n - 1) >> PageShift
@@ -143,12 +145,11 @@ func (s *Space) Preload(off, n int64) {
 			return // pool exhausted: remaining pages stay remote
 		}
 		// A fetch that needs no fabric: the record takes the page and a
-		// frame, the bytes are copied in place of the READ, and the
-		// install maps the frame's own buffer.
+		// frame, and the install aliases the region view a READ would
+		// have moved.
 		f := m.newFetch(s, vpn, m.popFrame(), false, false)
 		m.move(s, vpn, edgeFetch, f)
-		f.src = m.frames[f.frame].data
-		copy(f.src, s.region.Slice(vpn*PageSize, PageSize))
+		f.src = s.region.Slice(vpn*PageSize, PageSize)
 		m.finish(f, edgeInstall, nil)
 	}
 }

@@ -171,6 +171,12 @@ func (e *Env) MaxPending() int {
 	return e.q.maxCount
 }
 
+// Pushes reports how many events have been scheduled over the
+// environment's lifetime (registered as sim.pushes): the wheel traffic a
+// run generates, which divided by completed requests is its events per
+// request.
+func (e *Env) Pushes() uint64 { return e.seq }
+
 // KernelStats are the kernel's self-counters: where host time can go
 // beyond one wheel dispatch per event. They are exact counts, identical
 // across runs of one seed.
