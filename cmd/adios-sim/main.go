@@ -171,6 +171,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if mc, err = migrate.ParseSpec(*migrateSpec); err != nil {
 			return usage("%v", err)
 		}
+		// Migration moves pages between memory nodes; with one there is
+		// nowhere to move them, and the run would silently build none.
+		if mc.Enabled && *memnodes < 2 {
+			return usage("-migrate %s needs -memnodes of at least 2, got %d", *migrateSpec, *memnodes)
+		}
 	}
 	// pprof drops its writer's errors, so each profile is built in
 	// memory and written with one checked write.

@@ -82,6 +82,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"migrate-bw-tiny", []string{"-memnodes", "4", "-block", "4096", "-skew", "1.2", "-migrate",
 			"epoch=200us,hot=4,bw=1e-300,imb=1.2,max=256,min=16", "-ms", "10", "-rps", "2600000", "-local", "0.01"}, 2},
 		{"block-negative", []string{"-memnodes", "4", "-block", "-5"}, 2},
+		{"migrate-one-node", []string{"-migrate", "on", "-ms", "0.2"}, 2},
 		{"good", []string{"-rps", "1300000", "-ms", "1", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
 		{"nothing-completed", []string{"-rps", "100", "-ms", "1"}, 0},
 	} {
@@ -97,7 +98,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 					t.Fatalf("good run: stderr %q, stdout:\n%s", stderr.String(), stdout.String())
 				}
 				if tc.name == "nothing-completed" {
-					for _, want := range []string{"throughput  0 RPS\n", "sim         max_pending=", " parks=0 pushes=", " skip_aheads=", " switches=0\n"} {
+					for _, want := range []string{"throughput  0 RPS\n", "sim         max_pending=", " pushes=", " skip_aheads="} {
 						if out := stdout.String(); !strings.Contains(out, want) || strings.Contains(out, "NaN") {
 							t.Fatalf("want %q and no NaN in:\n%s", want, out)
 						}
@@ -152,7 +153,7 @@ func TestRunFailsOnUnwritableOutput(t *testing.T) {
 func TestReportPrintsEveryLayer(t *testing.T) {
 	always := map[string][]string{
 		"window":    {"link-util", "drops"},
-		"sim":       {"max_pending", "parks", "pushes", "switches", "skip_aheads"},
+		"sim":       {"max_pending", "pushes", "skip_aheads"},
 		"ethernet":  {"drops"},
 		"memnode0":  {"reads", "writes", "completion_errors", "timeout_errors", "stalled_us"},
 		"paging":    {"faults", "evictions", "dirty_writebacks", "alloc_stalls", "materialized", "failover_reads", "resident_frames", "frames"},

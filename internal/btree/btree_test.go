@@ -30,39 +30,44 @@ func (s opStepper) Step(ctx workload.StepCtx, _ *workload.StepFrame, _ any) (any
 	return nil, 0, 0, workload.StepDone
 }
 
-func (t *Tree) do(th *steptest.Thread, op *Op) *Op {
-	th.Run(opStepper{t, op}, nil)
-	return op
+// do queues op on th; done, if set, runs once it is over.
+func (t *Tree) do(th *steptest.Thread, op *Op, done func()) {
+	th.Run(opStepper{t, op}, nil, func(any, int) {
+		if done != nil {
+			done()
+		}
+	})
 }
 
-func (t *Tree) lookup(th *steptest.Thread, key uint64) (uint64, bool) {
+// lookup queues a lookup of key; done gets its answer.
+func (t *Tree) lookup(th *steptest.Thread, key uint64, done func(val uint64, found bool)) {
 	var op Op
 	op.Lookup(key)
-	t.do(th, &op)
-	return op.Val, op.Found
+	t.do(th, &op, func() { done(op.Val, op.Found) })
 }
 
 func (t *Tree) insert(th *steptest.Thread, key, val uint64) {
 	var op Op
 	op.Insert(key, val)
-	t.do(th, &op)
+	t.do(th, &op, nil)
 }
 
-// rangeVals returns the values of the keys in [lo, hi], ascending by key.
-func (t *Tree) rangeVals(th *steptest.Thread, lo, hi uint64) []uint64 {
+// rangeVals queues a scan of the keys in [lo, hi]; done gets their
+// values, ascending by key.
+func (t *Tree) rangeVals(th *steptest.Thread, lo, hi uint64, done func(vals []uint64)) {
 	var op Op
 	op.Range(lo, hi)
-	return t.do(th, &op).Vals
+	t.do(th, &op, func() { done(op.Vals) })
 }
 
-// run executes fn as a harness thread over a fresh tree whose paging
-// pool holds localPages frames.
+// run runs the operations fn queues on a harness thread over a fresh
+// tree whose paging pool holds localPages frames.
 func run(t *testing.T, capacityPages, localPages int64, fn func(th *steptest.Thread, tr *Tree, mgr *paging.Manager)) {
 	t.Helper()
 	env := sim.NewEnv(13)
 	mgr := paging.NewManager(env, paging.DefaultConfig(localPages*paging.PageSize))
 	tr := New(mgr, memnode.New(1<<30), "idx", capacityPages)
-	steptest.NewRig(mgr).Go(func(th *steptest.Thread) { fn(th, tr, mgr) })
+	fn(steptest.NewRig(mgr).Thread(), tr, mgr)
 	env.Run(sim.Seconds(600))
 }
 
@@ -77,23 +82,26 @@ func TestBulkLoadAndLookup(t *testing.T) {
 	run(t, 256, 64, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 		tr.BulkLoad(keys, vals)
 		if tr.Len() != n {
-			t.Errorf("len = %d", tr.Len())
-			return
+			t.Fatalf("len = %d", tr.Len())
 		}
 		for i := 0; i < n; i += 97 {
-			v, ok := tr.lookup(th, keys[i])
-			if !ok || v != vals[i] {
-				t.Errorf("lookup %d = %d,%v want %d", keys[i], v, ok, vals[i])
-				return
-			}
+			tr.lookup(th, keys[i], func(v uint64, ok bool) {
+				if !ok || v != vals[i] {
+					t.Fatalf("lookup %d = %d,%v want %d", keys[i], v, ok, vals[i])
+				}
+			})
 		}
 		// Absent keys.
-		if _, ok := tr.lookup(th, 3); ok {
-			t.Error("found nonexistent key 3")
-		}
-		if _, ok := tr.lookup(th, uint64(n*7+100)); ok {
-			t.Error("found key beyond max")
-		}
+		tr.lookup(th, 3, func(_ uint64, ok bool) {
+			if ok {
+				t.Error("found nonexistent key 3")
+			}
+		})
+		tr.lookup(th, uint64(n*7+100), func(_ uint64, ok bool) {
+			if ok {
+				t.Error("found key beyond max")
+			}
+		})
 	})
 }
 
@@ -107,21 +115,22 @@ func TestRangeScan(t *testing.T) {
 	}
 	run(t, 128, 32, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 		tr.BulkLoad(keys, vals)
-		got := tr.rangeVals(th, 300, 360) // the values of keys 300, 303, …, 360
-		if len(got) != 21 {
-			t.Errorf("range = %v", got)
-			return
-		}
-		for i, v := range got {
-			if v != uint64(100+i) {
-				t.Errorf("range[%d] = %d want %d", i, v, 100+i)
-				return
+		tr.rangeVals(th, 300, 360, func(got []uint64) { // the values of keys 300, 303, …, 360
+			if len(got) != 21 {
+				t.Fatalf("range = %v", got)
 			}
-		}
+			for i, v := range got {
+				if v != uint64(100+i) {
+					t.Fatalf("range[%d] = %d want %d", i, v, 100+i)
+				}
+			}
+		})
 		// A range across leaf links, bounds between keys.
-		if got := tr.rangeVals(th, 1000, 4001); len(got) != 1000 || got[0] != 334 || got[999] != 1333 {
-			t.Errorf("cross-leaf range: %d values, %v … %v", len(got), got[:1], got[len(got)-1:])
-		}
+		tr.rangeVals(th, 1000, 4001, func(got []uint64) {
+			if len(got) != 1000 || got[0] != 334 || got[999] != 1333 {
+				t.Errorf("cross-leaf range: %d values, %v … %v", len(got), got[:1], got[len(got)-1:])
+			}
+		})
 	})
 }
 
@@ -137,16 +146,17 @@ func TestInsertIntoEmptyAndGrow(t *testing.T) {
 			tr.insert(th, k, v)
 			ref[k] = v
 		}
-		if tr.Len() != int64(len(ref)) {
-			t.Errorf("len = %d, want %d", tr.Len(), len(ref))
-			return
-		}
-		for k, v := range ref {
-			got, ok := tr.lookup(th, k)
-			if !ok || got != v {
-				t.Errorf("lookup %d = %d,%v want %d", k, got, ok, v)
-				return
+		th.Do(func() {
+			if tr.Len() != int64(len(ref)) {
+				t.Fatalf("len = %d, want %d", tr.Len(), len(ref))
 			}
+		})
+		for k, v := range ref {
+			tr.lookup(th, k, func(got uint64, ok bool) {
+				if !ok || got != v {
+					t.Fatalf("lookup %d = %d,%v want %d", k, got, ok, v)
+				}
+			})
 		}
 		// Full iteration must be sorted and complete: each key's value is
 		// the index of its last insert, so a key's position in the sorted
@@ -156,17 +166,16 @@ func TestInsertIntoEmptyAndGrow(t *testing.T) {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		got := tr.rangeVals(th, 0, 1<<62)
-		if len(got) != len(ref) {
-			t.Errorf("iterated %d, want %d", len(got), len(ref))
-			return
-		}
-		for i, v := range got {
-			if v != ref[keys[i]] {
-				t.Errorf("iteration position %d: value %d, want %d (key %d)", i, v, ref[keys[i]], keys[i])
-				return
+		tr.rangeVals(th, 0, 1<<62, func(got []uint64) {
+			if len(got) != len(ref) {
+				t.Fatalf("iterated %d, want %d", len(got), len(ref))
 			}
-		}
+			for i, v := range got {
+				if v != ref[keys[i]] {
+					t.Fatalf("iteration position %d: value %d, want %d (key %d)", i, v, ref[keys[i]], keys[i])
+				}
+			}
+		})
 	})
 }
 
@@ -174,12 +183,16 @@ func TestInsertReplacesValue(t *testing.T) {
 	run(t, 64, 32, func(th *steptest.Thread, tr *Tree, mgr *paging.Manager) {
 		tr.insert(th, 5, 1)
 		tr.insert(th, 5, 2)
-		if tr.Len() != 1 {
-			t.Errorf("len = %d, want 1 after replace", tr.Len())
-		}
-		if v, ok := tr.lookup(th, 5); !ok || v != 2 {
-			t.Errorf("lookup = %d,%v", v, ok)
-		}
+		th.Do(func() {
+			if tr.Len() != 1 {
+				t.Errorf("len = %d, want 1 after replace", tr.Len())
+			}
+		})
+		tr.lookup(th, 5, func(v uint64, ok bool) {
+			if !ok || v != 2 {
+				t.Errorf("lookup = %d,%v", v, ok)
+			}
+		})
 	})
 }
 
@@ -198,14 +211,16 @@ func TestMixedBulkLoadThenInserts(t *testing.T) {
 			tr.insert(th, uint64(i*10+5), uint64(1000+i))
 		}
 		for i := 0; i < 500; i++ {
-			if v, ok := tr.lookup(th, uint64(i*10+5)); !ok || v != uint64(1000+i) {
-				t.Errorf("inserted key %d missing", i*10+5)
-				return
-			}
-			if v, ok := tr.lookup(th, uint64(i*10)); !ok || v != uint64(i) {
-				t.Errorf("bulk key %d damaged", i*10)
-				return
-			}
+			tr.lookup(th, uint64(i*10+5), func(v uint64, ok bool) {
+				if !ok || v != uint64(1000+i) {
+					t.Fatalf("inserted key %d missing", i*10+5)
+				}
+			})
+			tr.lookup(th, uint64(i*10), func(v uint64, ok bool) {
+				if !ok || v != uint64(i) {
+					t.Fatalf("bulk key %d damaged", i*10)
+				}
+			})
 		}
 	})
 }
@@ -229,27 +244,28 @@ func TestQuickPropertyAgainstMap(t *testing.T) {
 				ref[k] = uint64(i)
 			}
 			for k, v := range ref {
-				got, found := tr.lookup(th, k)
-				if !found || got != v {
-					ok = false
-					return
-				}
+				tr.lookup(th, k, func(got uint64, found bool) {
+					if !found || got != v {
+						ok = false
+					}
+				})
 			}
 			var want []uint64
 			for k := range ref {
 				want = append(want, k)
 			}
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			got := tr.rangeVals(th, 0, 1<<62)
-			if len(got) != len(want) {
-				ok = false
-				return
-			}
-			for i, v := range got {
-				if v != ref[want[i]] {
+			tr.rangeVals(th, 0, 1<<62, func(got []uint64) {
+				if len(got) != len(want) {
 					ok = false
+					return
 				}
-			}
+				for i, v := range got {
+					if v != ref[want[i]] {
+						ok = false
+					}
+				}
+			})
 		})
 		return ok
 	}
@@ -270,14 +286,17 @@ func TestTreeFaultsThroughPaging(t *testing.T) {
 		rng := sim.NewRNG(3)
 		for i := 0; i < 300; i++ {
 			k := uint64(rng.Int63n(n))
-			if v, ok := tr.lookup(th, k); !ok || v != k {
-				t.Errorf("lookup %d failed under paging pressure", k)
-				return
+			tr.lookup(th, k, func(v uint64, ok bool) {
+				if !ok || v != k {
+					t.Fatalf("lookup %d failed under paging pressure", k)
+				}
+			})
+		}
+		th.Do(func() {
+			if mgr.Faults.Value() == 0 {
+				t.Error("tree lookups never faulted with a tiny frame pool")
 			}
-		}
-		if mgr.Faults.Value() == 0 {
-			t.Error("tree lookups never faulted with a tiny frame pool")
-		}
+		})
 	})
 }
 

@@ -253,8 +253,6 @@ func NewSystem(cfg Config) *System {
 		Pool: unithread.NewPool(cfg.PoolSize, cfg.BufSize),
 		Stats: stats.Registry{
 			"sim.max_pending": func() float64 { return float64(env.MaxPending()) },
-			"sim.parks":       func() float64 { return float64(env.KernelStats().Parks) },
-			"sim.switches":    func() float64 { return float64(env.KernelStats().Switches) },
 			"sim.skip_aheads": func() float64 { return float64(env.KernelStats().SkipAheads) },
 			"sim.pushes":      func() float64 { return float64(env.Pushes()) },
 		},

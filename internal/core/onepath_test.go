@@ -18,7 +18,7 @@ import (
 
 // These tests hold the properties of the one request-execution path that
 // need an assembled system: the abort path replays its pinned run, no run
-// has a sim.Proc or switches a coroutine, and an abandoned fetch ends its
+// has a process or switches a coroutine, and an abandoned fetch ends its
 // request through the stepper's Abort, once, before the request completes.
 
 // formDiffStats is the run's summary, every counter of its pinned row.
@@ -115,7 +115,7 @@ func buildTPCC(mode Mode) (*System, *tpcc.DB) {
 	return sys, db
 }
 
-// No sim.Proc exists in any assembled system's run, whatever the mode,
+// No process exists in any assembled system's run, whatever the mode,
 // and no coroutine is ever switched to: nothing parks, and TPC-C — locks,
 // Block waits, B-tree descents and all — runs as steps of the worker
 // cores' machine like everything else.

@@ -99,25 +99,34 @@ func TestPooledOpsMatchClosureReference(t *testing.T) {
 		gate := sim.NewGate(env)
 		net.RxNotify = gate.Wake
 		net.OnDeliver = func(pkt *Packet) { mix('d', uint64(pkt.RxTime), pkt.ID) }
-		env.Go("echo", func(p *sim.Proc) {
+		var buf [4]*Packet
+		var pkts []*Packet
+		var echo *sim.Task
+		echo = sim.NewTask(env, "echo", func() {
 			for {
-				var buf [4]*Packet
-				pkts := buf[:net.PollRxInto(buf[:])]
-				if len(pkts) == 0 {
-					gate.Wait(p)
-					continue
-				}
-				for _, pkt := range pkts {
-					mix('r', uint64(pkt.ArriveNode), pkt.ID)
-					p.Sleep(2000) // slow consumer: lets bursts overflow the ring
+				if len(pkts) > 0 { // the head packet's service time has passed
 					if ref {
-						txSendRef(txq, pkt)
+						txSendRef(txq, pkts[0])
 					} else {
-						txq.Send(pkt, pkt)
+						txq.Send(pkts[0], pkts[0])
 					}
+					pkts = pkts[1:]
+				}
+				if len(pkts) == 0 {
+					if pkts = buf[:net.PollRxInto(buf[:])]; len(pkts) == 0 {
+						if !gate.Arm(echo) {
+							return
+						}
+						continue
+					}
+				}
+				mix('r', uint64(pkts[0].ArriveNode), pkts[0].ID)
+				if !echo.Sleep(2000) { // slow consumer: lets bursts overflow the ring
+					return
 				}
 			}
 		})
+		echo.FireAt(env.Now())
 		rng := env.Rand()
 		var id uint64
 		var burst func()

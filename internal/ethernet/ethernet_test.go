@@ -66,10 +66,17 @@ func TestResponsePathDeliversAndCompletes(t *testing.T) {
 	net.OnDeliver = func(p *Packet) { delivered = p }
 
 	pkt := &Packet{ID: 7, Size: 128, TxTime: 0}
-	env.Go("worker", func(p *sim.Proc) {
-		p.Sleep(1000)
+	var worker *sim.Task
+	slept := false
+	worker = sim.NewTask(env, "worker", func() {
+		if !slept {
+			if slept = true; !worker.Sleep(1000) {
+				return
+			}
+		}
 		txq.Send(pkt, "cookie")
 	})
+	worker.FireAt(env.Now())
 	env.RunAll()
 
 	if delivered == nil || delivered.ID != 7 {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload/steptest"
 )
 
-// harness runs fn as a harness thread over a paging rig sized to
+// harness runs the requests fn queues on a harness thread over a paging rig sized to
 // localFrac of the store.
 func harness(t *testing.T, cfg Config, localFrac float64, fn func(th *steptest.Thread, s *Store)) *Store {
 	t.Helper()
@@ -27,7 +27,7 @@ func harness(t *testing.T, cfg Config, localFrac float64, fn func(th *steptest.T
 	s := New(mgr, node, cfg)
 	s.WarmCache()
 
-	steptest.NewRig(mgr).Go(func(th *steptest.Thread) { fn(th, s) })
+	fn(steptest.NewRig(mgr).Thread(), s)
 	env.Run(sim.Seconds(120))
 	return s
 }
@@ -36,16 +36,15 @@ func TestGetReturnsCorrectValues(t *testing.T) {
 	cfg := DefaultConfig(5000, 128)
 	s := harness(t, cfg, 0.2, func(th *steptest.Thread, s *Store) {
 		for key := uint64(0); key < 5000; key += 7 {
-			resp, _ := th.Run(s.StepHandler(), &Msg{Key: key})
-			v := resp.(*Msg)
-			if !v.Found {
-				t.Errorf("key %d not found", key)
-				return
-			}
-			if v.Digest != s.VerifyDigest(key) {
-				t.Errorf("key %d digest mismatch", key)
-				return
-			}
+			th.Run(s.StepHandler(), &Msg{Key: key}, func(resp any, _ int) {
+				v := resp.(*Msg)
+				if !v.Found {
+					t.Fatalf("key %d not found", key)
+				}
+				if v.Digest != s.VerifyDigest(key) {
+					t.Fatalf("key %d digest mismatch", key)
+				}
+			})
 		}
 	})
 	if s.Mismatches.Value() != 0 || s.Misses.Value() != 0 {
@@ -77,20 +76,21 @@ func TestLoadBytesMatchDefinition(t *testing.T) {
 func TestSetThenGetRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(2000, 128)
 	harness(t, cfg, 0.2, func(th *steptest.Thread, s *Store) {
-		resp, _ := th.Run(s.StepHandler(), &Msg{Key: 42, Set: true, Salt: 0xA7})
-		setV := *resp.(*Msg)
-		if !setV.Found {
-			t.Error("SET of existing key failed")
-			return
-		}
-		resp, _ = th.Run(s.StepHandler(), &Msg{Key: 42})
-		getV := resp.(*Msg)
-		if !getV.Found || getV.Digest != setV.Digest {
-			t.Errorf("GET after SET: %+v vs SET %+v", getV, setV)
-		}
-		if s.Mismatches.Value() != 0 {
-			t.Errorf("mismatches = %d", s.Mismatches.Value())
-		}
+		var setV Msg
+		th.Run(s.StepHandler(), &Msg{Key: 42, Set: true, Salt: 0xA7}, func(resp any, _ int) {
+			if setV = *resp.(*Msg); !setV.Found {
+				t.Fatal("SET of existing key failed")
+			}
+		})
+		th.Run(s.StepHandler(), &Msg{Key: 42}, func(resp any, _ int) {
+			getV := resp.(*Msg)
+			if !getV.Found || getV.Digest != setV.Digest {
+				t.Errorf("GET after SET: %+v vs SET %+v", getV, setV)
+			}
+			if s.Mismatches.Value() != 0 {
+				t.Errorf("mismatches = %d", s.Mismatches.Value())
+			}
+		})
 	})
 }
 
@@ -101,13 +101,13 @@ func TestGetsFaultAtLowLocalMemory(t *testing.T) {
 		rng := sim.NewRNG(3)
 		for i := 0; i < 500; i++ {
 			key := uint64(rng.Int63n(20000))
-			resp, _ := th.Run(s.StepHandler(), &Msg{Key: key})
-			if !resp.(*Msg).Found {
-				t.Errorf("key %d missing", key)
-				return
-			}
+			th.Run(s.StepHandler(), &Msg{Key: key}, func(resp any, _ int) {
+				if !resp.(*Msg).Found {
+					t.Fatalf("key %d missing", key)
+				}
+			})
 		}
-		faults = s.mgr.Faults.Value()
+		th.Do(func() { faults = s.mgr.Faults.Value() })
 	})
 	if s.Mismatches.Value() != 0 {
 		t.Fatal("value corruption")

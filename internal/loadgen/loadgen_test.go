@@ -24,12 +24,15 @@ func echoNode(env *sim.Env, net *ethernet.Net) {
 	gate := sim.NewGate(env)
 	net.RxNotify = gate.Wake
 	txq := net.CreateTxQueue("echo", rdma.NewCQ("echo"))
-	env.Go("echo", func(p *sim.Proc) {
+	var buf [64]*ethernet.Packet
+	var echo *sim.Task
+	echo = sim.NewTask(env, "echo", func() {
 		for {
-			var buf [64]*ethernet.Packet
 			pkts := buf[:net.PollRxInto(buf[:])]
 			if len(pkts) == 0 {
-				gate.Wait(p)
+				if !gate.Arm(echo) {
+					return
+				}
 				continue
 			}
 			for _, pkt := range pkts {
@@ -37,6 +40,7 @@ func echoNode(env *sim.Env, net *ethernet.Net) {
 			}
 		}
 	})
+	echo.FireAt(env.Now())
 }
 
 func TestPoissonRateAndLatency(t *testing.T) {

@@ -7,3 +7,7 @@ import "syscall"
 // best effort — a kernel built without THP refuses it and keeps 4 KiB
 // pages.
 func adviseHuge(data []byte) { _ = syscall.Madvise(data, syscall.MADV_HUGEPAGE) }
+
+// mapNoReserve keeps the overcommit heuristic from refusing a simulated
+// memory larger than RAM plus swap: untouched pages are never resident.
+const mapNoReserve = syscall.MAP_NORESERVE

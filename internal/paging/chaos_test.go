@@ -24,39 +24,6 @@ func (c *chaosItc) WROutcome(kind rdma.OpKind, bytes int) (bool, sim.Time) {
 func (c *chaosItc) LinkFactor(at sim.Time) float64  { return 1 }
 func (c *chaosItc) ServeDelay(at sim.Time) sim.Time { return 0 }
 
-// chaosThread mirrors the scheduler's WaitPage contract: an abandoned
-// fetch surfaces as a *FetchError panic (the simulated SIGBUS).
-type chaosThread struct {
-	proc *sim.Proc
-	qp   *rdma.QP
-	qps  []*rdma.QP // per-memory-node QPs; nil for single-node tests
-	mgr  *Manager
-	gate *sim.Gate
-	err  error
-}
-
-func (t *chaosThread) Proc() *sim.Proc { return t.proc }
-
-func (t *chaosThread) QP(node int) *rdma.QP {
-	if t.qps != nil {
-		return t.qps[node]
-	}
-	return t.qp
-}
-
-func (t *chaosThread) WaitPage(s *Space, vpn int64) {
-	t.err = nil
-	for t.err == nil && !s.Resident(vpn) {
-		if t.mgr.RequestPage(t, s, vpn, func(e error) { t.err = e; t.gate.Wake() }, true) {
-			return
-		}
-		t.gate.Wait(t.proc)
-	}
-	if t.err != nil {
-		panic(t.err)
-	}
-}
-
 // TestChaosPagingSurvivesWRErrors is the chaos test of the PR's
 // acceptance criteria (run under -race in CI): a store/load workload
 // under heavy eviction pressure with 5% of work requests — including
@@ -90,45 +57,43 @@ func TestChaosPagingSurvivesWRErrors(t *testing.T) {
 	ref := make([]byte, pages*PageSize)
 	rng := sim.NewRNG(99)
 	aborted := 0
-	env.Go("app", func(p *sim.Proc) {
-		th := &chaosThread{proc: p, qp: qp, mgr: mgr, gate: sim.NewGate(env)}
-		for op := 0; op < 3000; op++ {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(*FetchError); !ok {
-							panic(r)
-						}
-						// An aborted access: like a failed request, it has
-						// no effect; the workload carries on.
-						aborted++
-					}
-				}()
-				off := rng.Int63n(pages*PageSize - 64)
-				n := 1 + rng.Intn(64)
-				if rng.Bool(0.5) {
-					buf := make([]byte, n)
-					for i := range buf {
-						buf[i] = byte(rng.Intn(256))
-					}
-					sp.Store(th, off, buf)
-					copy(ref[off:], buf)
-				} else {
-					got := make([]byte, n)
-					sp.Load(th, off, got)
-					if !bytes.Equal(got, ref[off:off+int64(n)]) {
-						t.Errorf("op %d: load mismatch at %d", op, off)
-					}
+	d := newHarness(mgr, qp)
+	for op := 0; op < 3000; op++ {
+		off := rng.Int63n(pages*PageSize - 64)
+		n := 1 + rng.Intn(64)
+		if rng.Bool(0.5) {
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = byte(rng.Intn(256))
+			}
+			d.access(sp, off, buf, true, func(err error) {
+				if err != nil {
+					// An aborted access: like a failed request, it has
+					// no effect; the workload carries on.
+					aborted++
+					return
 				}
-			}()
-			if op%250 == 0 {
+				copy(ref[off:], buf)
+			})
+		} else {
+			got := make([]byte, n)
+			d.access(sp, off, got, false, func(err error) {
+				if err != nil {
+					aborted++
+				} else if !bytes.Equal(got, ref[off:off+int64(n)]) {
+					t.Errorf("op %d: load mismatch at %d", op, off)
+				}
+			})
+		}
+		if op%250 == 0 {
+			d.do(func() {
 				if err := mgr.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			p.Sleep(50)
+			})
 		}
-	})
+		d.sleep(50)
+	}
 	env.Run(sim.Seconds(120))
 
 	if err := mgr.CheckInvariants(); err != nil {
@@ -222,48 +187,49 @@ func TestChaosMultiNodeOutageConfinedToStripe(t *testing.T) {
 	rng := sim.NewRNG(99)
 	aborted := 0
 	finished := false
-	env.Go("app", func(p *sim.Proc) {
-		th := &chaosThread{proc: p, qps: qps, mgr: mgr, gate: sim.NewGate(env)}
-		for op := 0; op < 3000; op++ {
-			func() {
-				off := rng.Int63n(pages*PageSize - 64)
-				n := 1 + rng.Intn(64)
-				defer func() {
-					if r := recover(); r != nil {
-						fe, ok := r.(*FetchError)
-						if !ok {
-							panic(r)
-						}
-						if owner := sp.Owner(fe.VPN, 0); owner != faulty {
-							t.Errorf("abort on vpn %d owned by healthy node %d", fe.VPN, owner)
-						}
-						aborted++
-					}
-				}()
-				if rng.Bool(0.5) {
-					buf := make([]byte, n)
-					for i := range buf {
-						buf[i] = byte(rng.Intn(256))
-					}
-					sp.Store(th, off, buf)
-					copy(ref[off:], buf)
-				} else {
-					got := make([]byte, n)
-					sp.Load(th, off, got)
-					if !bytes.Equal(got, ref[off:off+int64(n)]) {
-						t.Errorf("op %d: load mismatch at %d", op, off)
-					}
+	abort := func(err error) {
+		fe := err.(*FetchError)
+		if owner := sp.Owner(fe.VPN, 0); owner != faulty {
+			t.Errorf("abort on vpn %d owned by healthy node %d", fe.VPN, owner)
+		}
+		aborted++
+	}
+	d := newHarness(mgr, qps...)
+	for op := 0; op < 3000; op++ {
+		off := rng.Int63n(pages*PageSize - 64)
+		n := 1 + rng.Intn(64)
+		if rng.Bool(0.5) {
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = byte(rng.Intn(256))
+			}
+			d.access(sp, off, buf, true, func(err error) {
+				if err != nil {
+					abort(err)
+					return
 				}
-			}()
-			if op%250 == 0 {
+				copy(ref[off:], buf)
+			})
+		} else {
+			got := make([]byte, n)
+			d.access(sp, off, got, false, func(err error) {
+				if err != nil {
+					abort(err)
+				} else if !bytes.Equal(got, ref[off:off+int64(n)]) {
+					t.Errorf("op %d: load mismatch at %d", op, off)
+				}
+			})
+		}
+		if op%250 == 0 {
+			d.do(func() {
 				if err := mgr.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			p.Sleep(50)
+			})
 		}
-		finished = true
-	})
+		d.sleep(50)
+	}
+	d.do(func() { finished = true })
 	env.Run(sim.Seconds(120))
 
 	if !finished {
@@ -317,17 +283,12 @@ func TestFetchAbortsAfterBoundedRetries(t *testing.T) {
 	sp := mgr.NewSpace("data", node.MustAlloc("data", 8*PageSize))
 
 	var ferr *FetchError
-	env.Go("app", func(p *sim.Proc) {
-		th := &chaosThread{proc: p, qp: qp, mgr: mgr, gate: sim.NewGate(env)}
-		defer func() {
-			r := recover()
-			var ok bool
-			if ferr, ok = r.(*FetchError); !ok {
-				t.Errorf("recovered %v, want *FetchError", r)
-			}
-		}()
-		var b [8]byte
-		sp.Load(th, 0, b[:])
+	var b [8]byte
+	newHarness(mgr, qp).access(sp, 0, b[:], false, func(err error) {
+		var ok bool
+		if ferr, ok = err.(*FetchError); !ok {
+			t.Errorf("access ended with %v, want *FetchError", err)
+		}
 	})
 	env.RunAll()
 
@@ -376,13 +337,9 @@ func TestTinyQPFaultPathMakesProgress(t *testing.T) {
 
 	done := 0
 	for i := 0; i < 16; i++ {
-		pg := int64(i)
-		env.Go("app", func(p *sim.Proc) {
-			th := &chaosThread{proc: p, qp: qp, mgr: mgr, gate: sim.NewGate(env)}
-			var b [8]byte
-			sp.Load(th, pg*PageSize, b[:])
-			done++
-		})
+		d := newHarness(mgr, qp)
+		d.load(sp, int64(i)*PageSize, make([]byte, 8))
+		d.do(func() { done++ })
 	}
 	env.RunAll()
 	if done != 16 {

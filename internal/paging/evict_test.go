@@ -21,18 +21,18 @@ func TestLRUEvictsColdestPage(t *testing.T) {
 	rcq := rdma.NewCQ("reclaim")
 	r.mgr.StartReclaimer(r.nic.CreateQP("reclaim", rcq), rcq)
 
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		var b [8]byte
-		for pg := int64(0); pg < 8; pg++ {
-			sp.Load(th, pg*PageSize, b[:])
-		}
-		for pg := int64(0); pg < 4; pg++ {
-			sp.Load(th, pg*PageSize, b[:])
-		}
-		for pg := int64(8); pg < 12; pg++ {
-			sp.Load(th, pg*PageSize, b[:])
-		}
+	d := r.harness()
+	var b [8]byte
+	for pg := int64(0); pg < 8; pg++ {
+		d.load(sp, pg*PageSize, b[:])
+	}
+	for pg := int64(0); pg < 4; pg++ {
+		d.load(sp, pg*PageSize, b[:])
+	}
+	for pg := int64(8); pg < 12; pg++ {
+		d.load(sp, pg*PageSize, b[:])
+	}
+	d.do(func() {
 		// Hot pages 0..3 must still be resident; cold 4..7 evicted.
 		for pg := int64(0); pg < 4; pg++ {
 			if !sp.Resident(pg) {
@@ -66,31 +66,30 @@ func TestLRUDataIntegrityUnderChurn(t *testing.T) {
 
 	ref := make([]byte, pages*PageSize)
 	rng := sim.NewRNG(4)
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		for op := 0; op < 1500; op++ {
-			off := rng.Int63n(pages*PageSize - 32)
-			n := 1 + rng.Intn(32)
-			if rng.Bool(0.5) {
-				buf := make([]byte, n)
-				for i := range buf {
-					buf[i] = byte(rng.Intn(256))
-				}
-				sp.Store(th, off, buf)
-				copy(ref[off:], buf)
-			} else {
-				got := make([]byte, n)
-				sp.Load(th, off, got)
+	d := r.harness()
+	for op := 0; op < 1500; op++ {
+		off := rng.Int63n(pages*PageSize - 32)
+		n := 1 + rng.Intn(32)
+		if rng.Bool(0.5) {
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = byte(rng.Intn(256))
+			}
+			d.store(sp, off, buf)
+			d.do(func() { copy(ref[off:], buf) })
+		} else {
+			got := make([]byte, n)
+			d.load(sp, off, got)
+			d.do(func() {
 				for i := range got {
 					if got[i] != ref[off+int64(i)] {
-						t.Errorf("op %d: mismatch at %d", op, off+int64(i))
-						return
+						t.Fatalf("op %d: mismatch at %d", op, off+int64(i))
 					}
 				}
-			}
-			p.Sleep(50)
+			})
 		}
-	})
+		d.sleep(50)
+	}
 	r.env.Run(sim.Seconds(60))
 	if err := r.mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -106,11 +105,8 @@ func TestFetchAlignFillsSpan(t *testing.T) {
 	// amplification of huge-page-granularity memory nodes.
 	r := newRig(t, 32, func(c *Config) { c.FetchAlign = 8 })
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 32*PageSize))
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		var b [8]byte
-		sp.Load(th, 11*PageSize, b[:]) // span [8,16)
-	})
+	var b [8]byte
+	r.harness().load(sp, 11*PageSize, b[:]) // span [8,16)
 	r.env.RunAll()
 	for pg := int64(8); pg < 16; pg++ {
 		if !sp.Resident(pg) {
@@ -135,15 +131,13 @@ func TestFetchAlignAmplifiesBandwidth(t *testing.T) {
 		r := newRig(t, 512, func(c *Config) { c.FetchAlign = align })
 		sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 4096*PageSize))
 		rng := sim.NewRNG(9)
-		r.env.Go("app", func(p *sim.Proc) {
-			th := r.thread(p)
-			var b [8]byte
-			for i := 0; i < 20; i++ {
-				// Spread accesses so spans do not overlap.
-				sp.Load(th, (rng.Int63n(100)*20+int64(i)*20)*PageSize, b[:])
-				p.Sleep(sim.Micros(30))
-			}
-		})
+		d := r.harness()
+		var b [8]byte
+		for i := 0; i < 20; i++ {
+			// Spread accesses so spans do not overlap.
+			d.load(sp, (rng.Int63n(100)*20+int64(i)*20)*PageSize, b[:])
+			d.sleep(sim.Micros(30))
+		}
 		r.env.Run(sim.Seconds(1))
 		return r.mgr.Faults.Value(), r.nic.ReadBytes.Value()
 	}
@@ -232,21 +226,19 @@ func victimOrderDigest(t *testing.T, pol EvictPolicy) (digest uint64, evictions,
 	observe()
 
 	rng := sim.NewRNG(16)
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		var b [8]byte
-		for op := 0; op < 4000; op++ {
-			sp := spaces[rng.Intn(len(spaces))]
-			off := rng.Int63n(pages*PageSize - 8)
-			if rng.Bool(0.6) {
-				sp.Store(th, off, b[:])
-			} else {
-				sp.Load(th, off, b[:])
-			}
-			p.Sleep(50)
+	d := r.harness()
+	var b [8]byte
+	for op := 0; op < 4000; op++ {
+		sp := spaces[rng.Intn(len(spaces))]
+		off := rng.Int63n(pages*PageSize - 8)
+		if rng.Bool(0.6) {
+			d.store(sp, off, b[:])
+		} else {
+			d.load(sp, off, b[:])
 		}
-		done = true
-	})
+		d.sleep(50)
+	}
+	d.do(func() { done = true })
 	r.env.RunAll()
 	if err := r.mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -210,10 +210,10 @@ func (m *Manager) TryRequestPage(c *FaultCall, w *sim.Task, q QPSource, s *Space
 }
 
 // RequestPage is TryRequestPage for a harness thread with a process of
-// its own (benchmark rigs, package tests; the scheduler's cores drive
-// TryRequestPage themselves): it registers the task of t's process at
-// every stall and parks the process until it fires, and reports whether
-// the page is resident (true) or onReady is registered.
+// its own, kept for the benchmark rigs (benchmark/rigs.go) until they
+// move to tasks: it registers the task of t's process at every stall and
+// parks the process until it fires, and reports whether the page is
+// resident (true) or onReady is registered.
 func (m *Manager) RequestPage(t interface {
 	QPSource
 	Proc() *sim.Proc

@@ -71,14 +71,12 @@ func TestLeapMajorityProperty(t *testing.T) {
 func TestLeapPrefetchesSequentialScan(t *testing.T) {
 	r := newRig(t, 128, func(c *Config) { c.PrefetchPolicy = Leap })
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 256*PageSize))
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		var b [8]byte
-		for pg := int64(0); pg < 80; pg++ {
-			sp.Load(th, pg*PageSize, b[:])
-			p.Sleep(sim.Micros(5))
-		}
-	})
+	d := r.harness()
+	var b [8]byte
+	for pg := int64(0); pg < 80; pg++ {
+		d.load(sp, pg*PageSize, b[:])
+		d.sleep(sim.Micros(5))
+	}
 	r.env.Run(sim.Seconds(5))
 	if r.mgr.PrefetchIssued.Value() == 0 {
 		t.Fatal("Leap issued no prefetches on a sequential scan")
@@ -94,14 +92,12 @@ func TestLeapIdleOnRandomAccess(t *testing.T) {
 	r := newRig(t, 128, func(c *Config) { c.PrefetchPolicy = Leap })
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 4096*PageSize))
 	rng := sim.NewRNG(11)
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		var b [8]byte
-		for i := 0; i < 100; i++ {
-			sp.Load(th, rng.Int63n(4096)*PageSize, b[:])
-			p.Sleep(sim.Micros(5))
-		}
-	})
+	d := r.harness()
+	var b [8]byte
+	for i := 0; i < 100; i++ {
+		d.load(sp, rng.Int63n(4096)*PageSize, b[:])
+		d.sleep(sim.Micros(5))
+	}
 	r.env.Run(sim.Seconds(5))
 	// Unlike fixed sequential readahead, Leap must not waste bandwidth
 	// on a trendless stream.

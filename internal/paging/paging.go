@@ -10,8 +10,9 @@
 // no state of their own.
 //
 // The package provides mechanism only; *policy* — whether a faulting
-// thread busy-waits or yields — lives in the scheduler, which implements
-// the Thread interface. This split mirrors the paper's observation that
+// thread busy-waits or yields — lives in the scheduler, whose worker
+// cores probe with Space.TryPage and drive a miss through
+// Manager.TryRequestPage. This split mirrors the paper's observation that
 // the fault handler and the scheduler must cooperate closely: here they
 // literally share state, as in a unikernel's single address space.
 package paging
@@ -39,15 +40,11 @@ const PageShift = 12
 // PageAlign rounds n bytes up to a whole number of pages.
 func PageAlign(n int64) int64 { return (n + PageSize - 1) &^ (PageSize - 1) }
 
-// Thread is the execution context of a blocking paged access (Space.Load
-// and its kin): a harness thread with a process of its own, whose
-// WaitPage returns once the page is resident.
+// Thread is the execution context of a blocking paged access
+// (Space.LoadU64): its WaitPage returns once the page may be resident.
+// The benchmark rigs are its one implementation; every other paged
+// access is a task's TryPage.
 type Thread interface {
-	// QP (QPSource, fault.go) returns the queue pair page movements for
-	// the given memory node are issued on. A single-node system always
-	// passes node 0.
-	QPSource
-	// WaitPage blocks until the given page of the space is resident.
 	WaitPage(s *Space, vpn int64)
 }
 

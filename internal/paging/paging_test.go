@@ -10,27 +10,138 @@ import (
 	"repro/internal/sim"
 )
 
-// testThread is a minimal Thread implementation for exercising the
-// paging subsystem without the full scheduler: completions are applied
-// directly from the CQ notify hook, and WaitPage parks on a private gate
-// until the page becomes resident.
-type testThread struct {
-	proc *sim.Proc
-	qp   *rdma.QP
-	mgr  *Manager
+// harness is the paging tests' stand-in for a worker core: one task
+// that works through a script of paged accesses, sleeps and checks in
+// order, and waits for a fault the way a worker core does —
+// TryRequestPage with a FaultCall carried across stalls, then its gate
+// until the fetch lands. An access reads and writes through TryPage /
+// DirtyPage, a page at a time. Ops are queued before the run, or by an
+// op of the same harness.
+type harness struct {
+	task *sim.Task
 	gate *sim.Gate
+	mgr  *Manager
+	qps  []*rdma.QP // one per memory node, or one for all
+	ops  []op
+	err  error // set by ready: the fetch was abandoned
+
+	// The fault in progress.
+	faulting bool
+	stalled  bool // call is mid-way: repeat it
+	call     FaultCall
+	retry    bool // the next TryPage re-probes the faulted page
 }
 
-func (t *testThread) Proc() *sim.Proc      { return t.proc }
-func (t *testThread) QP(node int) *rdma.QP { return t.qp }
+// op is one step of a harness's script: a paged access of buf at off in
+// sp (then, if set, runs once it is over, with the *FetchError that
+// aborted it or nil), a sleep, or fn.
+type op struct {
+	sp    *Space
+	off   int64
+	buf   []byte
+	store bool
+	then  func(err error)
+	sleep sim.Time
+	fn    func()
+}
 
-func (t *testThread) WaitPage(s *Space, vpn int64) {
-	for !s.Resident(vpn) {
-		if t.mgr.RequestPage(t, s, vpn, func(error) { t.gate.Wake() }, true) {
-			return
-		}
-		t.gate.Wait(t.proc)
+// newHarness returns a harness whose task first fires at the current
+// simulated time.
+func newHarness(mgr *Manager, qps ...*rdma.QP) *harness {
+	env := mgr.Env()
+	d := &harness{gate: sim.NewGate(env), mgr: mgr, qps: qps}
+	d.task = sim.NewTask(env, "app", d.step)
+	d.task.FireAt(env.Now())
+	return d
+}
+
+// ready is a fetch's onReady: the page's state changed, or (err) the
+// fetch was abandoned.
+func (d *harness) ready(err error) { d.err = err; d.gate.Wake() }
+
+func (d *harness) QP(node int) *rdma.QP {
+	if len(d.qps) == 1 {
+		return d.qps[0]
 	}
+	return d.qps[node]
+}
+
+func (d *harness) load(sp *Space, off int64, buf []byte)   { d.access(sp, off, buf, false, nil) }
+func (d *harness) store(sp *Space, off int64, data []byte) { d.access(sp, off, data, true, nil) }
+func (d *harness) sleep(t sim.Time)                        { d.ops = append(d.ops, op{sleep: t}) }
+func (d *harness) do(fn func())                            { d.ops = append(d.ops, op{fn: fn}) }
+
+func (d *harness) access(sp *Space, off int64, buf []byte, store bool, then func(error)) {
+	d.ops = append(d.ops, op{sp: sp, off: off, buf: buf, store: store, then: then})
+}
+
+// step is the task's callback: it runs ops until one must wait.
+func (d *harness) step() {
+	for len(d.ops) > 0 {
+		o := d.ops[0]
+		switch {
+		case o.fn != nil:
+			d.ops = d.ops[1:]
+			o.fn()
+		case o.sp == nil:
+			d.ops = d.ops[1:]
+			if !d.task.Sleep(o.sleep) {
+				return
+			}
+		default:
+			if !d.move(&d.ops[0]) {
+				return
+			}
+			d.ops = d.ops[1:]
+			err := d.err
+			d.err = nil
+			if o.then != nil {
+				o.then(err)
+			}
+		}
+	}
+}
+
+// move copies o's bytes a page at a time and reports false while the
+// harness waits for a page. An abandoned fetch ends the access (d.err).
+func (d *harness) move(o *op) bool {
+	for len(o.buf) > 0 {
+		vpn := o.off >> PageShift
+		if !d.faulting {
+			page, ok := o.sp.TryPage(vpn, d.retry)
+			if d.retry = false; ok {
+				po, n := o.off&(PageSize-1), 0
+				if o.store {
+					n = copy(o.sp.DirtyPage(vpn)[po:], o.buf)
+				} else {
+					n = copy(o.buf, page[po:])
+				}
+				o.buf, o.off = o.buf[n:], o.off+int64(n)
+				continue
+			}
+			d.faulting, d.err = true, nil
+		}
+		if !d.fault(o.sp, vpn) {
+			return false
+		}
+		if d.faulting = false; d.err != nil {
+			return true
+		}
+		d.retry = true
+	}
+	return true
+}
+
+// fault waits until page vpn of sp is resident or its fetch was
+// abandoned, and reports false while the task must wait for a firing.
+func (d *harness) fault(sp *Space, vpn int64) bool {
+	for d.stalled || d.err == nil && !sp.Resident(vpn) {
+		st := d.mgr.TryRequestPage(&d.call, d.task, d, sp, vpn, d.ready, true)
+		if d.stalled = st == PageStalled; d.stalled || st == PagePending && !d.gate.Arm(d.task) {
+			return false
+		}
+	}
+	return true
 }
 
 // rig bundles a self-completing paging setup.
@@ -63,9 +174,8 @@ func newRig(t *testing.T, frames int64, cfg func(*Config)) *rig {
 	return &rig{env: env, mgr: mgr, nic: nic, node: memnode.New(1 << 30), cq: cq, qp: qp}
 }
 
-func (r *rig) thread(p *sim.Proc) *testThread {
-	return &testThread{proc: p, qp: r.qp, mgr: r.mgr, gate: sim.NewGate(r.env)}
-}
+// harness starts a harness on the rig's queue pair.
+func (r *rig) harness() *harness { return newHarness(r.mgr, r.qp) }
 
 func TestFaultFetchesRealBytes(t *testing.T) {
 	r := newRig(t, 16, nil)
@@ -76,10 +186,7 @@ func TestFaultFetchesRealBytes(t *testing.T) {
 	sp := r.mgr.NewSpace("data", region)
 
 	var got [100]byte
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		sp.Load(th, 5*PageSize+10, got[:])
-	})
+	r.harness().load(sp, 5*PageSize+10, got[:])
 	r.env.RunAll()
 
 	want := region.Data[5*PageSize+10 : 5*PageSize+110]
@@ -106,34 +213,40 @@ func TestCrossPageAccess(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		sp.Store(th, PageSize-100, payload)
-		var back [3 * PageSize]byte
-		sp.Load(th, PageSize-100, back[:])
-		if !bytes.Equal(back[:], payload) {
-			t.Error("cross-page store/load round trip failed")
-		}
-	})
+	var back [3 * PageSize]byte
+	d := r.harness()
+	d.store(sp, PageSize-100, payload)
+	d.load(sp, PageSize-100, back[:])
 	r.env.RunAll()
+	if !bytes.Equal(back[:], payload) {
+		t.Error("cross-page store/load round trip failed")
+	}
 	if r.mgr.Faults.Value() != 4 {
 		t.Fatalf("faults = %d, want 4 (pages 0-3)", r.mgr.Faults.Value())
 	}
 }
 
+// residentOnly is the Thread of a LoadU64 whose pages are resident:
+// any wait fails the test.
+type residentOnly struct{ t *testing.T }
+
+func (r residentOnly) WaitPage(s *Space, vpn int64) {
+	r.t.Fatalf("%s page %d: LoadU64 waited", s.Name(), vpn)
+}
+
 func TestU64U32Accessors(t *testing.T) {
 	r := newRig(t, 16, nil)
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 4*PageSize))
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		for _, off := range []int64{16, PageSize - 3} { // inside a page, straddling two
-			want := 0x1122334455667788 ^ uint64(off)
-			sp.Store(th, off, binary.LittleEndian.AppendUint64(nil, want))
-			if got := sp.LoadU64(th, off); got != want {
+	d := r.harness()
+	for _, off := range []int64{16, PageSize - 3} { // inside a page, straddling two
+		want := 0x1122334455667788 ^ uint64(off)
+		d.store(sp, off, binary.LittleEndian.AppendUint64(nil, want))
+		d.do(func() {
+			if got := sp.LoadU64(residentOnly{t}, off); got != want {
 				t.Errorf("LoadU64 at %d = %x, want %x", off, got, want)
 			}
-		}
-	})
+		})
+	}
 	r.env.RunAll()
 }
 
@@ -142,12 +255,9 @@ func TestConcurrentFaultersShareOneFetch(t *testing.T) {
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 4*PageSize))
 	done := 0
 	for i := 0; i < 4; i++ {
-		r.env.Go("app", func(p *sim.Proc) {
-			th := r.thread(p)
-			var b [8]byte
-			sp.Load(th, 0, b[:])
-			done++
-		})
+		d := r.harness()
+		d.load(sp, 0, make([]byte, 8))
+		d.do(func() { done++ })
 	}
 	r.env.RunAll()
 	if done != 4 {
@@ -174,26 +284,25 @@ func TestEvictionWritebackPreservesData(t *testing.T) {
 	rqp := r.nic.CreateQP("reclaim", rcq)
 	r.mgr.StartReclaimer(rqp, rcq)
 
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		for pg := int64(0); pg < 64; pg++ {
-			var b [16]byte
-			b[0] = byte(pg + 1)
-			b[15] = byte(pg * 3)
-			sp.Store(th, pg*PageSize+100, b[:])
-			p.Sleep(100)
-		}
-		// Read everything back through the paging path.
-		for pg := int64(0); pg < 64; pg++ {
-			var b [16]byte
-			sp.Load(th, pg*PageSize+100, b[:])
-			if b[0] != byte(pg+1) || b[15] != byte(pg*3) {
-				t.Errorf("page %d: data lost across eviction", pg)
-				return
-			}
-		}
-	})
+	d := r.harness()
+	for pg := int64(0); pg < 64; pg++ {
+		b := make([]byte, 16)
+		b[0] = byte(pg + 1)
+		b[15] = byte(pg * 3)
+		d.store(sp, pg*PageSize+100, b)
+		d.sleep(100)
+	}
+	// Read everything back through the paging path.
+	back := make([]byte, 64*16)
+	for pg := int64(0); pg < 64; pg++ {
+		d.load(sp, pg*PageSize+100, back[pg*16:(pg+1)*16])
+	}
 	r.env.Run(sim.Seconds(10))
+	for pg := int64(0); pg < 64; pg++ {
+		if b := back[pg*16:]; b[0] != byte(pg+1) || b[15] != byte(pg*3) {
+			t.Fatalf("page %d: data lost across eviction", pg)
+		}
+	}
 	if r.mgr.DirtyWritebacks.Value() == 0 {
 		t.Fatal("expected dirty write-backs under frame pressure")
 	}
@@ -212,15 +321,13 @@ func TestProactiveReclaimKeepsHeadroom(t *testing.T) {
 	r.mgr.StartReclaimer(r.nic.CreateQP("reclaim", rcq), rcq)
 
 	stalls := func() int64 { return r.mgr.AllocStalls.Value() }
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		for pg := int64(0); pg < 400; pg++ {
-			var b [8]byte
-			sp.Load(th, pg*PageSize, b[:])
-			// Leave the reclaimer time to run ahead of demand.
-			p.Sleep(sim.Micros(20))
-		}
-	})
+	d := r.harness()
+	var b [8]byte
+	for pg := int64(0); pg < 400; pg++ {
+		d.load(sp, pg*PageSize, b[:])
+		// Leave the reclaimer time to run ahead of demand.
+		d.sleep(sim.Micros(20))
+	}
 	r.env.Run(sim.Seconds(10))
 	if stalls() != 0 {
 		t.Fatalf("alloc stalls = %d; proactive reclaim should stay ahead at this demand rate", stalls())
@@ -239,15 +346,13 @@ func TestOnDemandReclaimStalls(t *testing.T) {
 	r.mgr.StartReclaimer(r.nic.CreateQP("reclaim", rcq), rcq)
 
 	completed := false
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		for pg := int64(0); pg < 400; pg++ {
-			var b [8]byte
-			sp.Load(th, pg*PageSize, b[:])
-			p.Sleep(sim.Micros(20))
-		}
-		completed = true
-	})
+	d := r.harness()
+	var b [8]byte
+	for pg := int64(0); pg < 400; pg++ {
+		d.load(sp, pg*PageSize, b[:])
+		d.sleep(sim.Micros(20))
+	}
+	d.do(func() { completed = true })
 	r.env.Run(sim.Seconds(10))
 	if !completed {
 		t.Fatal("workload did not complete under on-demand reclaim")
@@ -260,11 +365,8 @@ func TestOnDemandReclaimStalls(t *testing.T) {
 func TestPrefetchSequential(t *testing.T) {
 	r := newRig(t, 64, func(c *Config) { c.Prefetch = 4 })
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 64*PageSize))
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		var b [8]byte
-		sp.Load(th, 0, b[:]) // demand fault on page 0 + prefetch 1..4
-	})
+	var b [8]byte
+	r.harness().load(sp, 0, b[:]) // demand fault on page 0 + prefetch 1..4
 	r.env.RunAll()
 	if r.mgr.PrefetchIssued.Value() != 4 {
 		t.Fatalf("prefetch issued = %d, want 4", r.mgr.PrefetchIssued.Value())
@@ -276,13 +378,10 @@ func TestPrefetchSequential(t *testing.T) {
 	}
 	// A sequential access now hits the prefetched pages: no new faults.
 	faultsBefore := r.mgr.Faults.Value()
-	r.env.Go("app2", func(p *sim.Proc) {
-		th := r.thread(p)
-		var b [8]byte
-		for pg := int64(1); pg <= 4; pg++ {
-			sp.Load(th, pg*PageSize, b[:])
-		}
-	})
+	d := r.harness()
+	for pg := int64(1); pg <= 4; pg++ {
+		d.load(sp, pg*PageSize, b[:])
+	}
 	r.env.RunAll()
 	if r.mgr.Faults.Value() != faultsBefore {
 		t.Fatal("prefetched pages should not fault")
@@ -354,13 +453,11 @@ func TestPreloadAliasesRegion(t *testing.T) {
 	// LRU order is page 0 (clean), then page 1 (dirty): each demand load
 	// of a new page evicts the next of them.
 	var writesAfterClean int64
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		var buf [1]byte
-		sp.Load(th, 2*PageSize, buf[:])
-		writesAfterClean = r.nic.Writes.Value()
-		sp.Load(th, 3*PageSize, buf[:])
-	})
+	var buf [1]byte
+	d := r.harness()
+	d.load(sp, 2*PageSize, buf[:])
+	d.do(func() { writesAfterClean = r.nic.Writes.Value() })
+	d.load(sp, 3*PageSize, buf[:])
 	r.env.Run(sim.Seconds(1))
 	if writesAfterClean != 0 {
 		t.Errorf("evicting a clean preloaded page posted %d WRITEs", writesAfterClean)
@@ -401,9 +498,11 @@ func TestSetupBytesRefusesCachedPages(t *testing.T) {
 	mustPanic(t, "one resident page", func() { resident.SetupBytes() })
 
 	fetching := r.mgr.NewSpace("fetching", r.node.MustAlloc("fetching", 8*PageSize))
-	r.env.Go("app", func(p *sim.Proc) {
-		if r.mgr.RequestPage(r.thread(p), fetching, 5, func(error) {}, true) {
-			t.Error("page 5 resident before its fetch completed")
+	d := r.harness()
+	d.do(func() {
+		var c FaultCall
+		if st := r.mgr.TryRequestPage(&c, d.task, d, fetching, 5, func(error) {}, true); st != PagePending {
+			t.Errorf("page 5 fault: status %d, want PagePending", st)
 		}
 		if !fetching.InFlight(5) {
 			t.Error("page 5 not in flight")
@@ -432,35 +531,35 @@ func TestRandomizedPagingMatchesReference(t *testing.T) {
 
 	ref := make([]byte, pages*PageSize)
 	rng := sim.NewRNG(99)
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		for op := 0; op < 3000; op++ {
-			off := rng.Int63n(pages*PageSize - 64)
-			n := 1 + rng.Intn(64)
-			if rng.Bool(0.5) {
-				buf := make([]byte, n)
-				for i := range buf {
-					buf[i] = byte(rng.Intn(256))
-				}
-				sp.Store(th, off, buf)
-				copy(ref[off:], buf)
-			} else {
-				got := make([]byte, n)
-				sp.Load(th, off, got)
+	d := r.harness()
+	for op := 0; op < 3000; op++ {
+		off := rng.Int63n(pages*PageSize - 64)
+		n := 1 + rng.Intn(64)
+		if rng.Bool(0.5) {
+			buf := make([]byte, n)
+			for i := range buf {
+				buf[i] = byte(rng.Intn(256))
+			}
+			d.store(sp, off, buf)
+			d.do(func() { copy(ref[off:], buf) })
+		} else {
+			got := make([]byte, n)
+			d.load(sp, off, got)
+			d.do(func() {
 				if !bytes.Equal(got, ref[off:off+int64(n)]) {
-					t.Errorf("op %d: load mismatch at %d", op, off)
-					return
+					t.Fatalf("op %d: load mismatch at %d", op, off)
 				}
-			}
-			if op%500 == 0 {
-				if err := r.mgr.CheckInvariants(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			p.Sleep(50)
+			})
 		}
-	})
+		if op%500 == 0 {
+			d.do(func() {
+				if err := r.mgr.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		d.sleep(50)
+	}
 	r.env.Run(sim.Seconds(60))
 	if err := r.mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -473,14 +572,12 @@ func TestRandomizedPagingMatchesReference(t *testing.T) {
 func TestFaultLatencyIsMicrosecondScale(t *testing.T) {
 	r := newRig(t, 16, nil)
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 4*PageSize))
-	var took sim.Time
-	r.env.Go("app", func(p *sim.Proc) {
-		th := r.thread(p)
-		start := p.Now()
-		var b [8]byte
-		sp.Load(th, 0, b[:])
-		took = p.Now() - start
-	})
+	var start, took sim.Time
+	var b [8]byte
+	d := r.harness()
+	d.do(func() { start = r.env.Now() })
+	d.load(sp, 0, b[:])
+	d.do(func() { took = r.env.Now() - start })
 	r.env.RunAll()
 	if us := took.Micros(); us < 2.0 || us > 3.5 {
 		t.Fatalf("cold fault latency = %.2fus, want 2-3.5us", us)

@@ -5,95 +5,39 @@ import (
 	"fmt"
 )
 
-// ensure makes the page containing off resident under thread t, blocking
-// (per the thread's wait policy) as needed, and returns the frame bytes
-// for that page.
+// ensure makes page vpn resident under thread t and returns its frame
+// bytes: TryPage's hit, or t's waits until the re-probe hits (a page
+// reclaimed inside the map-cost window refaults, as on real hardware).
 func (s *Space) ensure(t Thread, vpn int64) []byte {
-	e := &s.ptes[vpn]
-	if e.state() == pagePresent {
-		s.mgr.touch(e)
-		s.mgr.leapRecord(s, vpn)
-		s.mgr.Hits.Inc()
-		if s.mgr.migr != nil {
-			s.mgr.migr.RecordTouch(s, vpn)
-		}
-		return s.mgr.frames[e.index()].data
-	}
-	// Loop: under memory pressure the reclaimer can evict the page again
-	// during the handler's post-fetch map step, in which case the access
-	// simply refaults — as on real hardware.
-	for e.state() != pagePresent {
+	page, ok := s.TryPage(vpn, false)
+	for !ok {
 		t.WaitPage(s, vpn)
+		page, ok = s.TryPage(vpn, true)
 	}
-	s.mgr.touch(e)
-	return s.mgr.frames[e.index()].data
+	return page
 }
 
-// ensureMut is ensure for a store: the page is marked dirty and its
-// frame materialized (a clean zero-copy install aliases the backing
-// region, which must keep holding the clean bytes once the local copy
-// diverges) before the caller writes through the returned view.
-func (s *Space) ensureMut(t Thread, vpn int64) []byte {
-	s.ensure(t, vpn)
-	return s.DirtyPage(vpn)
-}
-
-// Load copies len(buf) bytes at offset off into buf, faulting pages in as
-// needed. Accesses may span page boundaries.
-func (s *Space) Load(t Thread, off int64, buf []byte) {
-	for len(buf) > 0 {
-		vpn := off >> PageShift
-		po := off & (PageSize - 1)
-		n := PageSize - po
-		if int64(len(buf)) < n {
-			n = int64(len(buf))
-		}
-		page := s.ensure(t, vpn)
-		copy(buf[:n], page[po:po+n])
-		buf = buf[n:]
-		off += n
-	}
-}
-
-// Store copies data into the space at offset off, faulting pages in as
-// needed and marking them dirty (write-allocate, write-back).
-func (s *Space) Store(t Thread, off int64, data []byte) {
-	for len(data) > 0 {
-		vpn := off >> PageShift
-		po := off & (PageSize - 1)
-		n := PageSize - po
-		if int64(len(data)) < n {
-			n = int64(len(data))
-		}
-		page := s.ensureMut(t, vpn)
-		copy(page[po:po+n], data[:n])
-		data = data[n:]
-		off += n
-	}
-}
-
-// LoadU64 reads a little-endian uint64 at off.
+// LoadU64 reads a little-endian uint64 at off under a blocking thread,
+// for the benchmark rigs (benchmark/rigs.go) until they move to tasks.
 func (s *Space) LoadU64(t Thread, off int64) uint64 {
-	if off&(PageSize-1) <= PageSize-8 {
-		vpn := off >> PageShift
-		page := s.ensure(t, vpn)
-		po := off & (PageSize - 1)
+	po := off & (PageSize - 1)
+	page := s.ensure(t, off>>PageShift)
+	if po <= PageSize-8 {
 		return binary.LittleEndian.Uint64(page[po : po+8])
 	}
 	var b [8]byte
-	s.Load(t, off, b[:])
+	n := copy(b[:], page[po:])
+	copy(b[n:], s.ensure(t, off>>PageShift+1))
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// TryPage is the non-blocking residency probe behind the scheduler's
-// flat unithread tier: if vpn is resident it returns the frame bytes,
-// otherwise (nil, false) and the caller drives the fault itself through
-// Manager.RequestPage. Counter parity with ensure is exact: a first
-// access (retry=false) that hits takes ensure's present path — touch,
-// Leap history, Hits — while the re-probe after a fault (retry=true)
-// takes ensure's post-WaitPage exit, which touches only. A retry that
-// misses means the page was reclaimed inside the map-cost window; the
-// caller refaults from scratch, as ensure's loop does.
+// TryPage is the one residency probe of a paged access: if vpn is
+// resident it returns the frame bytes, otherwise (nil, false) and the
+// caller drives the fault itself through Manager.TryRequestPage. A first
+// access (retry=false) that hits is a hit — touch, Leap history, Hits —
+// while the re-probe after a fault (retry=true) touches only: the fault
+// was the access. A retry that misses means the page was reclaimed
+// inside the map-cost window; the caller refaults from scratch.
 func (s *Space) TryPage(vpn int64, retry bool) ([]byte, bool) {
 	e := &s.ptes[vpn]
 	if e.state() != pagePresent {

@@ -144,20 +144,35 @@ func TestPooledWROpsMatchClosureReference(t *testing.T) {
 		rng := env.Rand()
 		var cookie uint64
 		var fullRetries int64
-		env.Go("driver", func(p *sim.Proc) {
-			for i := 0; i < 300; i++ {
-				qp := qps[rng.Intn(2)]
-				bi := rng.Intn(nBuf)
-				dst := local[bi*bufSize : (bi+1)*bufSize]
-				src := remote[bi*bufSize : (bi+1)*bufSize]
-				write := rng.Bool(0.5)
-				if write {
-					dst, src = src, dst
-					for j := range src {
-						src[j] = byte(int(cookie) + j)
+		// The poster draws an op, posts it — waiting for a slot and
+		// reposting while the QP refuses — then sleeps.
+		const (
+			draw = iota
+			post
+			wait
+		)
+		i, phase := 0, draw
+		var qp *QP
+		var dst, src []byte
+		var write bool
+		var poster *sim.Task
+		poster = sim.NewTask(env, "poster", func() {
+			for i < 300 {
+				switch phase {
+				case draw:
+					qp = qps[rng.Intn(2)]
+					bi := rng.Intn(nBuf)
+					dst = local[bi*bufSize : (bi+1)*bufSize]
+					src = remote[bi*bufSize : (bi+1)*bufSize]
+					write = rng.Bool(0.5)
+					if write {
+						dst, src = src, dst
+						for j := range src {
+							src[j] = byte(int(cookie) + j)
+						}
 					}
-				}
-				for {
+					phase = post
+				case post:
 					cookie++
 					var err error
 					switch {
@@ -170,18 +185,25 @@ func TestPooledWROpsMatchClosureReference(t *testing.T) {
 					default:
 						err = qp.PostRead(dst, src, cookie)
 					}
-					if err == nil {
-						break
+					if err != nil {
+						fullRetries++
+						phase = wait
+						continue
 					}
-					fullRetries++
-					for qp.Full() || qp.Errored() {
-						qp.AddSlotWaiter(p.Task())
-						p.Park()
+					i, phase = i+1, draw
+					if !poster.Sleep(sim.Time(rng.Intn(2000))) {
+						return
 					}
+				case wait:
+					if qp.Full() || qp.Errored() {
+						qp.AddSlotWaiter(poster)
+						return
+					}
+					phase = post
 				}
-				p.Sleep(sim.Time(rng.Intn(2000)))
 			}
 		})
+		poster.FireAt(env.Now())
 		env.RunAll()
 		mix(uint64(nic.ReadBytes.Value()), uint64(nic.WriteBytes.Value()))
 		h.Write(remote)

@@ -112,10 +112,11 @@ func TestWaitSlotSurvivesErrorState(t *testing.T) {
 	// The waiter parks on the full (and soon errored) QP; it must be
 	// released once the reset cycle finishes, not before.
 	var posted sim.Time
-	env.Go("waiter", func(p *sim.Proc) {
-		for qp.Full() || qp.Errored() { // Mesa: the errored completion fires it too
-			qp.AddSlotWaiter(p.Task())
-			p.Park()
+	var waiter *sim.Task
+	waiter = sim.NewTask(env, "waiter", func() {
+		if qp.Full() || qp.Errored() { // Mesa: the errored completion fires it too
+			qp.AddSlotWaiter(waiter)
+			return
 		}
 		if qp.Errored() {
 			t.Error("released while still errored")
@@ -123,8 +124,9 @@ func TestWaitSlotSurvivesErrorState(t *testing.T) {
 		if err := qp.PostRead(make([]byte, 4096), remote, nil); err != nil {
 			t.Errorf("post after wait: %v", err)
 		}
-		posted = p.Now()
+		posted = env.Now()
 	})
+	waiter.FireAt(env.Now())
 	env.RunAll()
 	if posted == 0 {
 		t.Fatal("waiter never released")

@@ -154,17 +154,23 @@ func TestWaitSlotUnblocksOnCompletion(t *testing.T) {
 	remote := make([]byte, 4096)
 
 	var unblockedAt sim.Time
-	env.Go("waiter", func(p *sim.Proc) {
-		if err := qp.PostRead(make([]byte, 4096), remote, nil); err != nil {
-			t.Error(err)
+	posted := false
+	var waiter *sim.Task
+	waiter = sim.NewTask(env, "waiter", func() {
+		if !posted {
+			posted = true
+			if err := qp.PostRead(make([]byte, 4096), remote, nil); err != nil {
+				t.Error(err)
+			}
+			qp.AddSlotWaiter(waiter)
+			return
 		}
-		qp.AddSlotWaiter(p.Task())
-		p.Park()
-		unblockedAt = p.Now()
+		unblockedAt = env.Now()
 		if qp.Full() {
 			t.Error("QP still full when its slot waiter fired")
 		}
 	})
+	waiter.FireAt(env.Now())
 	env.RunAll()
 	if unblockedAt == 0 {
 		t.Fatal("waiter never unblocked")
@@ -209,19 +215,22 @@ func TestUtilizationAccounting(t *testing.T) {
 	remote := make([]byte, 4096)
 
 	nic.StartWindow()
-	// Saturate the link with back-to-back reads from a proc that keeps
+	// Saturate the link with back-to-back reads from a task that keeps
 	// the QP full.
-	env.Go("driver", func(p *sim.Proc) {
-		for i := 0; i < 200; i++ {
-			for qp.Full() || qp.Errored() {
-				qp.AddSlotWaiter(p.Task())
-				p.Park()
+	i := 0
+	var poster *sim.Task
+	poster = sim.NewTask(env, "poster", func() {
+		for ; i < 200; i++ {
+			if qp.Full() || qp.Errored() {
+				qp.AddSlotWaiter(poster)
+				return
 			}
 			if err := qp.PostRead(make([]byte, 4096), remote, nil); err != nil {
 				t.Error(err)
 			}
 		}
 	})
+	poster.FireAt(env.Now())
 	env.RunAll()
 	u := nic.InUtilization()
 	if u < 0.90 || u > 1.0 {

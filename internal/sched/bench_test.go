@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ethernet"
@@ -179,6 +180,7 @@ func TestFlatRoundTripZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is not meaningful under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dilos := DefaultConfig()
 	dilos.Wait, dilos.Dispatch, dilos.Tx = BusyWait, RoundRobin, SyncTx
 	for _, tc := range []struct {
@@ -191,21 +193,41 @@ func TestFlatRoundTripZeroAllocs(t *testing.T) {
 		r := newRTRig(tc.cfg)
 		done := sim.NewGate(r.env)
 		r.sched.OnComplete = func(*Request) { done.Wake() }
+		// The client runs round trips back to back: warm-up, one more
+		// (testing.AllocsPerRun's own warm-up call), then the measured
+		// runs, counted as AllocsPerRun counts them.
+		const runs = 200
 		var got float64
-		r.env.Go("driver", func(p *sim.Proc) {
-			op := func() {
+		var mallocs uint64
+		completed := 0
+		var client *sim.Task
+		client = sim.NewTask(r.env, "client", func() {
+			for {
+				switch completed {
+				case rtWarmOps + 1:
+					mallocs = totalMallocs()
+				case rtWarmOps + 1 + runs:
+					got = float64((totalMallocs() - mallocs) / runs)
+					r.env.Stop()
+					return
+				}
 				r.inject()
-				done.Wait(p)
+				if completed++; !done.Arm(client) {
+					return
+				}
 			}
-			for i := 0; i < rtWarmOps; i++ {
-				op()
-			}
-			got = testing.AllocsPerRun(200, op)
-			r.env.Stop()
 		})
+		client.FireAt(r.env.Now())
 		r.env.RunAll()
 		if got != 0 {
 			t.Errorf("%s: round trip allocates %v per op, want 0", tc.name, got)
 		}
 	}
+}
+
+// totalMallocs is the process's cumulative heap allocation count.
+func totalMallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }

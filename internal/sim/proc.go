@@ -9,10 +9,10 @@ import "iter"
 // the primitive — and then parks, yielding to the event loop until the
 // task fires. While it is parked, other events and processes run.
 //
-// Nothing in an assembled system (core.System) is a process: every model
-// loop and the scheduler's cores are tasks, and every request is steps of
-// a worker core's machine. Procs remain for the harnesses that want a
-// blocking caller — the benchmark rigs, package tests.
+// Nothing in an assembled system (core.System), and nothing a test
+// outside this package runs, is a process: every loop, harness and core
+// is a task. Procs are kept for the benchmark rigs (benchmark/rigs.go),
+// until they move to tasks, and for this package's own tests of Proc.
 //
 // Only the loop goroutine — whichever goroutine called Run — resumes a
 // process, by firing its task, and a parking or terminating process
@@ -37,7 +37,8 @@ type Proc struct {
 type abortSignal struct{}
 
 // Go creates a process that will begin executing fn at the current
-// simulated time (after already-scheduled events at this time).
+// simulated time (after already-scheduled events at this time), for the
+// benchmark rigs (benchmark/rigs.go) until they move to tasks.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{body: fn}
 	p.task = NewTask(e, name, p.step)

@@ -15,7 +15,8 @@ type Gate struct {
 func NewGate(env *Env) *Gate { return &Gate{env: env} }
 
 // Wait blocks p until the gate is woken. If a wake is already pending it
-// is consumed and Wait returns immediately (in zero simulated time).
+// is consumed and Wait returns immediately (in zero simulated time). Kept
+// for the benchmark rigs until they move to tasks; a task waits with Arm.
 func (g *Gate) Wait(p *Proc) {
 	if !g.Arm(p.task) {
 		p.Park()

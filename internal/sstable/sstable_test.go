@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
@@ -12,7 +11,7 @@ import (
 	"repro/internal/workload/steptest"
 )
 
-// harness runs fn as a harness thread over a paging rig sized to
+// harness runs the requests fn queues on a harness thread over a paging rig sized to
 // localFrac of the table.
 func harness(t *testing.T, cfg Config, localFrac float64, fn func(th *steptest.Thread, tab *Table)) *Table {
 	t.Helper()
@@ -27,15 +26,19 @@ func harness(t *testing.T, cfg Config, localFrac float64, fn func(th *steptest.T
 	tab := New(mgr, memnode.New(4<<30), cfg)
 	tab.WarmCache()
 
-	steptest.NewRig(mgr).Go(func(th *steptest.Thread) { fn(th, tab) })
+	fn(steptest.NewRig(mgr).Thread(), tab)
 	env.Run(sim.Seconds(300))
 	return tab
 }
 
-// serve runs one request through the table's stepper.
-func serve(th *steptest.Thread, tab *Table, m *Msg) *Msg {
-	th.Run(tab.StepHandler(), m)
-	return m
+// serve queues m through the table's stepper; done, if set, runs once
+// m is answered.
+func serve(th *steptest.Thread, tab *Table, m *Msg, done func()) {
+	th.Run(tab.StepHandler(), m, func(any, int) {
+		if done != nil {
+			done()
+		}
+	})
 }
 
 func TestGetFindsExistingKeys(t *testing.T) {
@@ -44,14 +47,14 @@ func TestGetFindsExistingKeys(t *testing.T) {
 		for i := int64(0); i < 5000; i += 11 {
 			key := recordKey(i)
 			r := &Msg{Key: key}
-			if serve(th, tab, r); !r.Found {
-				t.Errorf("key %d not found", key)
-				return
-			}
-			if r.Digest != tab.VerifyGetDigest(key) {
-				t.Errorf("key %d digest mismatch", key)
-				return
-			}
+			serve(th, tab, r, func() {
+				if !r.Found {
+					t.Fatalf("key %d not found", key)
+				}
+				if r.Digest != tab.VerifyGetDigest(key) {
+					t.Fatalf("key %d digest mismatch", key)
+				}
+			})
 		}
 	})
 	if tab.Mismatches.Value() != 0 || tab.NotFound.Value() != 0 {
@@ -89,14 +92,18 @@ func TestGetAbsentKey(t *testing.T) {
 	tab := harness(t, cfg, 0.5, func(th *steptest.Thread, tab *Table) {
 		// keyStride=7, so key 3 does not exist.
 		r := &Msg{Key: 3}
-		if serve(th, tab, r); r.Found {
-			t.Error("absent key reported found")
-		}
-		// Beyond the last key.
-		r.Key = recordKey(5000)
-		if serve(th, tab, r); r.Found {
-			t.Error("out-of-range key reported found")
-		}
+		serve(th, tab, r, func() {
+			if r.Found {
+				t.Error("absent key reported found")
+			}
+			// Beyond the last key.
+			r.Key = recordKey(5000)
+		})
+		serve(th, tab, r, func() {
+			if r.Found {
+				t.Error("out-of-range key reported found")
+			}
+		})
 	})
 	if tab.NotFound.Value() != 2 {
 		t.Fatalf("notfound = %d, want 2", tab.NotFound.Value())
@@ -107,23 +114,26 @@ func TestScanReturnsOrderedRange(t *testing.T) {
 	cfg := DefaultConfig(5000, 128)
 	harness(t, cfg, 0.2, func(th *steptest.Thread, tab *Table) {
 		r := &Msg{Key: recordKey(100), Scan: true, Len: 100}
-		if serve(th, tab, r); r.Count != 100 {
-			t.Errorf("scan count = %d, want 100", r.Count)
-			return
-		}
-		// Digest must equal folding the expected keys.
-		digest := uint64(1469598103934665603)
-		for i := int64(100); i < 200; i++ {
-			digest = digest*0x100000001B3 + recordKey(i)
-		}
-		if r.Digest != digest {
-			t.Error("scan digest mismatch: wrong records or order")
-		}
-		// Scan clipped at the end of the table.
-		r.Key = recordKey(4950)
-		if serve(th, tab, r); r.Count != 50 {
-			t.Errorf("clipped scan count = %d, want 50", r.Count)
-		}
+		serve(th, tab, r, func() {
+			if r.Count != 100 {
+				t.Fatalf("scan count = %d, want 100", r.Count)
+			}
+			// Digest must equal folding the expected keys.
+			digest := uint64(1469598103934665603)
+			for i := int64(100); i < 200; i++ {
+				digest = digest*0x100000001B3 + recordKey(i)
+			}
+			if r.Digest != digest {
+				t.Error("scan digest mismatch: wrong records or order")
+			}
+			// Scan clipped at the end of the table.
+			r.Key = recordKey(4950)
+		})
+		serve(th, tab, r, func() {
+			if r.Count != 50 {
+				t.Errorf("clipped scan count = %d, want 50", r.Count)
+			}
+		})
 	})
 }
 
@@ -135,23 +145,28 @@ func TestScanCostsDwarfGets(t *testing.T) {
 		// sustained load would.
 		rng := sim.NewRNG(2)
 		for i := 0; i < 300; i++ {
-			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(20000))})
+			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(20000))}, nil)
 		}
-		var getTime, scanTime sim.Time
+		env := tab.mgr.Env()
+		var t0, getTime, scanTime sim.Time
 		const trials = 20
 		for i := 0; i < trials; i++ {
-			t0 := tab.mgr.Env().Now()
-			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(20000))})
-			getTime += tab.mgr.Env().Now() - t0
-			t0 = tab.mgr.Env().Now()
-			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(19000)), Scan: true, Len: 100})
-			scanTime += tab.mgr.Env().Now() - t0
+			th.Do(func() { t0 = env.Now() })
+			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(20000))}, func() {
+				getTime += env.Now() - t0
+				t0 = env.Now()
+			})
+			serve(th, tab, &Msg{Key: recordKey(rng.Int63n(19000)), Scan: true, Len: 100}, func() {
+				scanTime += env.Now() - t0
+			})
 		}
-		ratio := float64(scanTime) / float64(getTime)
-		if ratio < 15 || ratio > 300 {
-			t.Errorf("scan/get service ratio = %.1f (get=%v scan=%v), want the paper's 25-100x dispersion",
-				ratio, getTime/trials, scanTime/trials)
-		}
+		th.Do(func() {
+			ratio := float64(scanTime) / float64(getTime)
+			if ratio < 15 || ratio > 300 {
+				t.Errorf("scan/get service ratio = %.1f (get=%v scan=%v), want the paper's 25-100x dispersion",
+					ratio, getTime/trials, scanTime/trials)
+			}
+		})
 	})
 }
 
@@ -185,37 +200,40 @@ func TestRequestMixAndClassifier(t *testing.T) {
 }
 
 func TestSeekFindsLowerBound(t *testing.T) {
-	// Property: for arbitrary probe keys, a SCAN starts at the first record
-	// with key >= probe, exactly like a reference binary search over the
-	// key space. SCAN(1)'s digest is one fold of the key it found.
+	// For every probe key from 0 to past the last record, a SCAN starts at
+	// the first record with key >= probe, exactly like a reference binary
+	// search over the key space. SCAN(1)'s digest is one fold of the key
+	// it found.
 	cfg := DefaultConfig(3000, 64)
 	harness(t, cfg, 1.0, func(th *steptest.Thread, tab *Table) {
-		check := func(raw uint16) bool {
-			probe := uint64(raw) % (recordKey(3000) + 20)
-			r := serve(th, tab, &Msg{Key: probe, Scan: true, Len: 1})
-			got := int64(3000)
-			if r.Count == 1 {
-				basis := uint64(fnvBasis)
-				got = int64((r.Digest - basis*fnvPrime) / keyStride)
-			}
-			want := int64(sort.Search(3000, func(i int) bool { return recordKey(int64(i)) >= probe }))
-			return got == want
-		}
-		if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-			t.Error(err)
+		for probe := uint64(0); probe < recordKey(3000)+20; probe++ {
+			r := &Msg{Key: probe, Scan: true, Len: 1}
+			serve(th, tab, r, func() {
+				got := int64(3000)
+				if r.Count == 1 {
+					basis := uint64(fnvBasis)
+					got = int64((r.Digest - basis*fnvPrime) / keyStride)
+				}
+				want := int64(sort.Search(3000, func(i int) bool { return recordKey(int64(i)) >= probe }))
+				if got != want {
+					t.Fatalf("probe %d: SCAN starts at record %d, want %d", probe, got, want)
+				}
+			})
 		}
 	})
 }
 
 func TestBloomNeverFalseNegative(t *testing.T) {
-	// Property: every loaded key passes the bloom filter — a GET finds it.
+	// Every loaded key passes the bloom filter — a GET finds it.
 	cfg := DefaultConfig(2000, 64)
 	harness(t, cfg, 1.0, func(th *steptest.Thread, tab *Table) {
-		check := func(raw uint16) bool {
-			return serve(th, tab, &Msg{Key: recordKey(int64(raw) % 2000)}).Found
-		}
-		if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-			t.Error(err)
+		for i := int64(0); i < 2000; i++ {
+			r := &Msg{Key: recordKey(i)}
+			serve(th, tab, r, func() {
+				if !r.Found {
+					t.Fatalf("key %d not found", r.Key)
+				}
+			})
 		}
 	})
 }

@@ -14,10 +14,13 @@ import (
 	"repro/internal/workload/steptest"
 )
 
-// exec runs tx through the stepper and returns it answered.
-func exec(th *steptest.Thread, db *DB, tx Tx) *Tx {
-	th.Run(db.StepHandler(), &tx)
-	return &tx
+// exec queues tx through the stepper; done, if set, gets it answered.
+func exec(th *steptest.Thread, db *DB, tx Tx, done func(*Tx)) {
+	th.Run(db.StepHandler(), &tx, func(any, int) {
+		if done != nil {
+			done(&tx)
+		}
+	})
 }
 
 // get32 and get64 read a field wherever it lives, taking no simulated
@@ -50,18 +53,16 @@ func (s opStepper) Step(ctx workload.StepCtx, _ *workload.StepFrame, _ any) (any
 	return nil, 0, 0, workload.StepDone
 }
 
-func lookup(th *steptest.Thread, t *btree.Tree, key uint64) (uint64, bool) {
+func lookup(th *steptest.Thread, t *btree.Tree, key uint64, done func(val uint64, found bool)) {
 	var op btree.Op
 	op.Lookup(key)
-	th.Run(opStepper{t, &op}, nil)
-	return op.Val, op.Found
+	th.Run(opStepper{t, &op}, nil, func(any, int) { done(op.Val, op.Found) })
 }
 
-func rangeVals(th *steptest.Thread, t *btree.Tree, lo, hi uint64) []uint64 {
+func rangeVals(th *steptest.Thread, t *btree.Tree, lo, hi uint64, done func(vals []uint64)) {
 	var op btree.Op
 	op.Range(lo, hi)
-	th.Run(opStepper{t, &op}, nil)
-	return op.Vals
+	th.Run(opStepper{t, &op}, nil, func(any, int) { done(op.Vals) })
 }
 
 // smallConfig shrinks TPC-C to test scale while keeping the schema.
@@ -97,9 +98,10 @@ func newRig(t *testing.T, cfg Config, localFrac float64) *rig {
 	return &rig{env: env, mgr: mgr, db: db, rig: steptest.NewRig(mgr)}
 }
 
+// run runs the transactions fn queues on a harness thread.
 func (r *rig) run(t *testing.T, fn func(th *steptest.Thread)) {
 	t.Helper()
-	r.rig.Go(fn)
+	fn(r.rig.Thread())
 	r.env.Run(sim.Seconds(600))
 }
 
@@ -109,39 +111,41 @@ func TestNewOrderCreatesConsistentOrder(t *testing.T) {
 		db := r.db
 		lines := []NewOrderLine{{Item: 3, Qty: 2}, {Item: 77, Qty: 5}, {Item: 240, Qty: 1}}
 		before := get32(db.district, db.dOff(1, 4)+fDNextOID)
-		resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 4, C: 7, Lines: lines}}).NewOrderResp
-		if resp.Aborted {
-			t.Error("unexpected abort")
-			return
-		}
-		if resp.OID != int32(before) {
-			t.Errorf("OID = %d, want %d", resp.OID, before)
-		}
-		after := get32(db.district, db.dOff(1, 4)+fDNextOID)
-		if after != before+1 {
-			t.Errorf("D_NEXT_O_ID = %d, want %d", after, before+1)
-		}
-		// Order record and lines match.
-		oOff := db.oOff(1, 4, int(resp.OID))
-		if got := get32(db.order, oOff+fOOLCnt); got != 3 {
-			t.Errorf("OL count = %d", got)
-		}
-		var sum uint64
-		for l := 0; l < 3; l++ {
-			olOff := db.olOff(1, 4, int(resp.OID), l)
-			if get32(db.orderLine, olOff+fOLItem) != lines[l].Item {
-				t.Errorf("line %d item mismatch", l)
+		var resp NewOrderResp
+		exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 4, C: 7, Lines: lines}}, func(tx *Tx) {
+			if resp = tx.NewOrderResp; resp.Aborted {
+				t.Fatal("unexpected abort")
 			}
-			sum += get64(db.orderLine, olOff+fOLAmount)
-		}
-		if sum != resp.TotalC {
-			t.Errorf("line sum %d != total %d", sum, resp.TotalC)
-		}
+			if resp.OID != int32(before) {
+				t.Errorf("OID = %d, want %d", resp.OID, before)
+			}
+			after := get32(db.district, db.dOff(1, 4)+fDNextOID)
+			if after != before+1 {
+				t.Errorf("D_NEXT_O_ID = %d, want %d", after, before+1)
+			}
+			// Order record and lines match.
+			oOff := db.oOff(1, 4, int(resp.OID))
+			if got := get32(db.order, oOff+fOOLCnt); got != 3 {
+				t.Errorf("OL count = %d", got)
+			}
+			var sum uint64
+			for l := 0; l < 3; l++ {
+				olOff := db.olOff(1, 4, int(resp.OID), l)
+				if get32(db.orderLine, olOff+fOLItem) != lines[l].Item {
+					t.Errorf("line %d item mismatch", l)
+				}
+				sum += get64(db.orderLine, olOff+fOLAmount)
+			}
+			if sum != resp.TotalC {
+				t.Errorf("line sum %d != total %d", sum, resp.TotalC)
+			}
+		})
 		// The customer's last order is indexed for OrderStatus.
-		st := exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 4, C: 7}}).OrderStatusResp
-		if !st.Found || st.OID != resp.OID || st.Lines != 3 {
-			t.Errorf("order status = %+v", st)
-		}
+		exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 4, C: 7}}, func(tx *Tx) {
+			if st := tx.OrderStatusResp; !st.Found || st.OID != resp.OID || st.Lines != 3 {
+				t.Errorf("order status = %+v", st)
+			}
+		})
 	})
 }
 
@@ -151,17 +155,18 @@ func TestInvalidNewOrderRollsBack(t *testing.T) {
 		db := r.db
 		before := get32(db.district, db.dOff(0, 0)+fDNextOID)
 		sBefore := get32(db.stock, db.sOff(0, 5)+fSQuantity)
-		resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: 1,
-			Lines: []NewOrderLine{{Item: 5, Qty: 3}}, Invalid: true}}).NewOrderResp
-		if !resp.Aborted {
-			t.Error("invalid order did not abort")
-		}
-		if get32(db.district, db.dOff(0, 0)+fDNextOID) != before {
-			t.Error("D_NEXT_O_ID not rolled back")
-		}
-		if get32(db.stock, db.sOff(0, 5)+fSQuantity) != sBefore {
-			t.Error("stock modified by aborted transaction")
-		}
+		exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: 1,
+			Lines: []NewOrderLine{{Item: 5, Qty: 3}}, Invalid: true}}, func(tx *Tx) {
+			if !tx.NewOrderResp.Aborted {
+				t.Error("invalid order did not abort")
+			}
+			if get32(db.district, db.dOff(0, 0)+fDNextOID) != before {
+				t.Error("D_NEXT_O_ID not rolled back")
+			}
+			if get32(db.stock, db.sOff(0, 5)+fSQuantity) != sBefore {
+				t.Error("stock modified by aborted transaction")
+			}
+		})
 	})
 	if r.db.Aborts.Value() != 1 {
 		t.Fatalf("aborts = %d", r.db.Aborts.Value())
@@ -179,19 +184,21 @@ func TestPaymentYTDInvariant(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			amt := uint64(100 + rng.Intn(100000))
 			paid += amt
-			exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: rng.Intn(10), C: rng.Intn(60), AmountC: amt}})
+			exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: rng.Intn(10), C: rng.Intn(60), AmountC: amt}}, nil)
 		}
-		wYtd := get64(db.warehouse, db.wOff(0)+fWYtd)
-		var dSum uint64
-		for d := 0; d < 10; d++ {
-			dSum += get64(db.district, db.dOff(0, d)+fDYtd)
-		}
-		if wYtd != dSum {
-			t.Errorf("W_YTD %d != sum(D_YTD) %d", wYtd, dSum)
-		}
-		if wYtd != 300_000_000+paid {
-			t.Errorf("W_YTD %d != initial + payments %d", wYtd, 300_000_000+paid)
-		}
+		th.Do(func() {
+			wYtd := get64(db.warehouse, db.wOff(0)+fWYtd)
+			var dSum uint64
+			for d := 0; d < 10; d++ {
+				dSum += get64(db.district, db.dOff(0, d)+fDYtd)
+			}
+			if wYtd != dSum {
+				t.Errorf("W_YTD %d != sum(D_YTD) %d", wYtd, dSum)
+			}
+			if wYtd != 300_000_000+paid {
+				t.Errorf("W_YTD %d != initial + payments %d", wYtd, 300_000_000+paid)
+			}
+		})
 	})
 }
 
@@ -199,14 +206,15 @@ func TestPaymentUpdatesCustomer(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
 	r.run(t, func(th *steptest.Thread) {
 		db := r.db
-		resp := exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 1, D: 2, C: 3, AmountC: 5000}}).PaymentResp
-		if resp.BalanceC != -1000-5000 {
-			t.Errorf("balance = %d, want -6000", resp.BalanceC)
-		}
-		cOff := db.cOff(1, 2, 3)
-		if get32(db.customer, cOff+fCPaymentCnt) != 1 {
-			t.Error("payment count not incremented")
-		}
+		exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 1, D: 2, C: 3, AmountC: 5000}}, func(tx *Tx) {
+			if resp := tx.PaymentResp; resp.BalanceC != -1000-5000 {
+				t.Errorf("balance = %d, want -6000", resp.BalanceC)
+			}
+			cOff := db.cOff(1, 2, 3)
+			if get32(db.customer, cOff+fCPaymentCnt) != 1 {
+				t.Error("payment count not incremented")
+			}
+		})
 	})
 }
 
@@ -218,20 +226,21 @@ func TestDeliveryAdvancesAndPaysCustomer(t *testing.T) {
 		for d := 0; d < 10; d++ {
 			before[d] = db.nextDeliver[db.dIdx(0, d)]
 		}
-		resp := exec(th, db, Tx{Class: "Delivery", Delivery: DeliveryReq{W: 0, Carrier: 7}}).DeliveryResp
-		if resp.Delivered != 10 {
-			t.Errorf("delivered = %d, want 10 (undelivered orders exist)", resp.Delivered)
-		}
-		for d := 0; d < 10; d++ {
-			dIdx := db.dIdx(0, d)
-			if db.nextDeliver[dIdx] != before[d]+1 {
-				t.Errorf("district %d delivery cursor did not advance", d)
+		exec(th, db, Tx{Class: "Delivery", Delivery: DeliveryReq{W: 0, Carrier: 7}}, func(tx *Tx) {
+			if resp := tx.DeliveryResp; resp.Delivered != 10 {
+				t.Errorf("delivered = %d, want 10 (undelivered orders exist)", resp.Delivered)
 			}
-			oOff := db.oOff(0, d, int(before[d]))
-			if get32(db.order, oOff+fOCarrierID) != 7 {
-				t.Errorf("district %d order carrier not set", d)
+			for d := 0; d < 10; d++ {
+				dIdx := db.dIdx(0, d)
+				if db.nextDeliver[dIdx] != before[d]+1 {
+					t.Errorf("district %d delivery cursor did not advance", d)
+				}
+				oOff := db.oOff(0, d, int(before[d]))
+				if get32(db.order, oOff+fOCarrierID) != 7 {
+					t.Errorf("district %d order carrier not set", d)
+				}
 			}
-		}
+		})
 	})
 }
 
@@ -241,15 +250,17 @@ func TestStockLevelCountsLowStock(t *testing.T) {
 		db := r.db
 		// Threshold above max initial quantity (100): every distinct item
 		// in the last 20 orders counts.
-		resp := exec(th, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 101}}).StockLevelResp
-		if resp.Low == 0 {
-			t.Error("expected low-stock items at threshold 101")
-		}
+		exec(th, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 101}}, func(tx *Tx) {
+			if tx.StockLevelResp.Low == 0 {
+				t.Error("expected low-stock items at threshold 101")
+			}
+		})
 		// Threshold 0: nothing can be below it.
-		resp = exec(th, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 0}}).StockLevelResp
-		if resp.Low != 0 {
-			t.Errorf("low = %d at threshold 0", resp.Low)
-		}
+		exec(th, db, Tx{Class: "StockLevel", StockLevel: StockLevelReq{W: 0, D: 0, Threshold: 0}}, func(tx *Tx) {
+			if low := tx.StockLevelResp.Low; low != 0 {
+				t.Errorf("low = %d at threshold 0", low)
+			}
+		})
 	})
 }
 
@@ -261,21 +272,20 @@ func TestConcurrentNewOrdersSerialize(t *testing.T) {
 	seen := map[int32]bool{}
 	const perThread = 25
 	for i := 0; i < 2; i++ {
-		r.rig.Go(func(th *steptest.Thread) {
-			for n := 0; n < perThread; n++ {
-				resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: n,
-					Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}, {Item: uint32(n + 100), Qty: 2}}}}).NewOrderResp
+		th := r.rig.Thread()
+		for n := 0; n < perThread; n++ {
+			exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: 0, C: n,
+				Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}, {Item: uint32(n + 100), Qty: 2}}}}, func(tx *Tx) {
+				resp := tx.NewOrderResp
 				if resp.Aborted {
-					t.Error("unexpected abort")
-					return
+					t.Fatal("unexpected abort")
 				}
 				if seen[resp.OID] {
-					t.Errorf("duplicate order id %d", resp.OID)
-					return
+					t.Fatalf("duplicate order id %d", resp.OID)
 				}
 				seen[resp.OID] = true
-			}
-		})
+			})
+		}
 	}
 	r.env.Run(sim.Seconds(600))
 	if len(seen) != 2*perThread {
@@ -345,27 +355,27 @@ func TestByNameLookupFindsMiddleCustomer(t *testing.T) {
 		db := r.db
 		// Find a last name with at least one holder among customers 0..59.
 		last := lastName(7)
-		resp := exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: 1, ByName: true, LastName: last, AmountC: 100}}).PaymentResp
-		if db.NameMisses.Value() != 0 {
-			t.Error("by-name lookup missed an existing last name")
-			return
-		}
+		exec(th, db, Tx{Class: "Payment", Payment: PaymentReq{W: 0, D: 1, ByName: true, LastName: last, AmountC: 100}}, func(*Tx) {
+			if db.NameMisses.Value() != 0 {
+				t.Fatal("by-name lookup missed an existing last name")
+			}
+		})
 		// The payment must have hit a customer whose lastName matches:
 		// verify via the index directly.
-		var matches []int
-		for _, v := range rangeVals(th, db.byName, db.nameKey(db.dIdx(0, 1), last, 0), db.nameKey(db.dIdx(0, 1), last, 0xFFF)) {
-			matches = append(matches, int(v)%db.cfg.CustomersPerDistrict)
-		}
-		if len(matches) == 0 {
-			t.Error("index empty for existing last name")
-			return
-		}
-		mid := matches[len(matches)/2]
-		cOff := db.cOff(0, 1, mid)
-		if got := get32(db.customer, cOff+fCPaymentCnt); got != 1 {
-			t.Errorf("middle customer %d payment count = %d, want 1", mid, got)
-		}
-		_ = resp
+		rangeVals(th, db.byName, db.nameKey(db.dIdx(0, 1), last, 0), db.nameKey(db.dIdx(0, 1), last, 0xFFF), func(vals []uint64) {
+			var matches []int
+			for _, v := range vals {
+				matches = append(matches, int(v)%db.cfg.CustomersPerDistrict)
+			}
+			if len(matches) == 0 {
+				t.Fatal("index empty for existing last name")
+			}
+			mid := matches[len(matches)/2]
+			cOff := db.cOff(0, 1, mid)
+			if got := get32(db.customer, cOff+fCPaymentCnt); got != 1 {
+				t.Errorf("middle customer %d payment count = %d, want 1", mid, got)
+			}
+		})
 	})
 }
 
@@ -373,23 +383,25 @@ func TestOrderStatusThroughIndexAfterNewOrder(t *testing.T) {
 	r := newRig(t, smallConfig(), 0.3)
 	r.run(t, func(th *steptest.Thread) {
 		db := r.db
-		resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 2, C: 9,
-			Lines: []NewOrderLine{{Item: 1, Qty: 1}}}}).NewOrderResp
-		if resp.Aborted {
-			t.Error("abort")
-			return
-		}
-		st := exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, C: 9}}).OrderStatusResp
-		if !st.Found || st.OID != resp.OID {
-			t.Errorf("order status through byCust index = %+v, want OID %d", st, resp.OID)
-		}
+		var resp NewOrderResp
+		exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 1, D: 2, C: 9,
+			Lines: []NewOrderLine{{Item: 1, Qty: 1}}}}, func(tx *Tx) {
+			if resp = tx.NewOrderResp; resp.Aborted {
+				t.Fatal("abort")
+			}
+		})
+		exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, C: 9}}, func(tx *Tx) {
+			if st := tx.OrderStatusResp; !st.Found || st.OID != resp.OID {
+				t.Errorf("order status through byCust index = %+v, want OID %d", st, resp.OID)
+			}
+		})
 		// By-name OrderStatus for the same customer's last name resolves
 		// through both B+trees.
-		st2 := exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, ByName: true, LastName: lastName(9)}}).OrderStatusResp
-		if db.NameMisses.Value() != 0 {
-			t.Error("name miss for existing customer")
-		}
-		_ = st2
+		exec(th, db, Tx{Class: "OrderStatus", OrderStatus: OrderStatusReq{W: 1, D: 2, ByName: true, LastName: lastName(9)}}, func(*Tx) {
+			if db.NameMisses.Value() != 0 {
+				t.Error("name miss for existing customer")
+			}
+		})
 	})
 }
 
@@ -404,18 +416,17 @@ func TestConcurrentNewOrdersKeepIndexConsistent(t *testing.T) {
 	}
 	var all []created
 	for d := 0; d < 4; d++ {
-		r.rig.Go(func(th *steptest.Thread) {
-			for n := 0; n < 20; n++ {
-				c := d*10 + n%10
-				resp := exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: d, C: c,
-					Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}}}}).NewOrderResp
-				if resp.Aborted {
-					t.Error("abort")
-					return
+		th := r.rig.Thread()
+		for n := 0; n < 20; n++ {
+			c := d*10 + n%10
+			exec(th, db, Tx{Class: "NewOrder", NewOrder: NewOrderReq{W: 0, D: d, C: c,
+				Lines: []NewOrderLine{{Item: uint32(n), Qty: 1}}}}, func(tx *Tx) {
+				if tx.NewOrderResp.Aborted {
+					t.Fatal("abort")
 				}
-				all = append(all, created{c: c, d: d, oid: resp.OID})
-			}
-		})
+				all = append(all, created{c: c, d: d, oid: tx.NewOrderResp.OID})
+			})
+		}
 	}
 	r.env.Run(sim.Seconds(600))
 	// Verify the final index: every customer's recorded last order is
@@ -427,15 +438,14 @@ func TestConcurrentNewOrdersKeepIndexConsistent(t *testing.T) {
 			want[key] = cr.oid
 		}
 	}
-	r.rig.Go(func(th *steptest.Thread) {
-		for key, oid := range want {
-			got, found := lookup(th, db.byCust, uint64(db.cIdx(0, key[0], key[1])))
+	th := r.rig.Thread()
+	for key, oid := range want {
+		lookup(th, db.byCust, uint64(db.cIdx(0, key[0], key[1])), func(got uint64, found bool) {
 			if !found || int32(got) != oid {
-				t.Errorf("byCust[%v] = %d,%v want %d", key, got, found, oid)
-				return
+				t.Fatalf("byCust[%v] = %d,%v want %d", key, got, found, oid)
 			}
-		}
-	})
+		})
+	}
 	r.env.Run(sim.Seconds(1200))
 }
 

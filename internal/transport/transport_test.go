@@ -25,29 +25,58 @@ func newEchoNode(env *sim.Env, net *ethernet.Net, drop int, dedup *Dedup) *echoN
 	n.txq = net.CreateTxQueue("echo", rdma.NewCQ("echo"))
 	gate := sim.NewGate(env)
 	net.RxNotify = gate.Wake
-	env.Go("echo", func(p *sim.Proc) {
+	var buf [64]*ethernet.Packet
+	var pkts []*ethernet.Packet
+	var serving *ethernet.Packet // admitted; its service time is passing
+	var echo *sim.Task
+	echo = sim.NewTask(env, "echo", func() {
 		for {
-			var buf [64]*ethernet.Packet
-			pkts := buf[:net.PollRxInto(buf[:])]
-			if len(pkts) == 0 {
-				gate.Wait(p)
-				continue
+			if serving != nil {
+				n.txq.Send(serving, nil)
+				serving = nil
 			}
-			for _, pkt := range pkts {
-				if n.admit != nil && !n.admit.Admit(pkt) {
+			if len(pkts) == 0 {
+				if pkts = buf[:net.PollRxInto(buf[:])]; len(pkts) == 0 {
+					if !gate.Arm(echo) {
+						return
+					}
 					continue
 				}
-				n.seen++
-				if n.seen <= n.drop {
-					continue // swallow: lost request
-				}
-				n.got = append(n.got, pkt.ID)
-				p.Sleep(n.delay)
-				n.txq.Send(pkt, nil)
+			}
+			pkt := pkts[0]
+			pkts = pkts[1:]
+			if n.admit != nil && !n.admit.Admit(pkt) {
+				continue
+			}
+			n.seen++
+			if n.seen <= n.drop {
+				continue // swallow: lost request
+			}
+			n.got = append(n.got, pkt.ID)
+			serving = pkt
+			if !echo.Sleep(n.delay) {
+				return
 			}
 		}
 	})
+	echo.FireAt(env.Now())
 	return n
+}
+
+// generate calls send(1) … send(n) from a task that first fires at the
+// current simulated time, sleeping gap after each call.
+func generate(env *sim.Env, n int, gap sim.Time, send func(i int)) {
+	i := 1
+	var gen *sim.Task
+	gen = sim.NewTask(env, "gen", func() {
+		for i <= n {
+			send(i)
+			if i++; !gen.Sleep(gap) {
+				return
+			}
+		}
+	})
+	gen.FireAt(env.Now())
 }
 
 func TestReliableDeliveryThroughLoss(t *testing.T) {
@@ -60,11 +89,8 @@ func TestReliableDeliveryThroughLoss(t *testing.T) {
 	delivered := map[uint64]bool{}
 	c.OnDeliver = func(pkt *ethernet.Packet) { delivered[pkt.ID] = true }
 
-	env.Go("gen", func(p *sim.Proc) {
-		for i := 1; i <= 10; i++ {
-			c.Send(&ethernet.Packet{ID: uint64(i), Size: 64, TxTime: p.Now()})
-			p.Sleep(sim.Micros(5))
-		}
+	generate(env, 10, sim.Micros(5), func(i int) {
+		c.Send(&ethernet.Packet{ID: uint64(i), Size: 64, TxTime: env.Now()})
 	})
 	env.Run(sim.Millis(5))
 
@@ -91,12 +117,10 @@ func TestWindowBoundsInflight(t *testing.T) {
 	c.OnDeliver = func(*ethernet.Packet) { count++ }
 
 	maxInflight := 0
-	env.Go("gen", func(p *sim.Proc) {
-		for i := 1; i <= 40; i++ {
-			c.Send(&ethernet.Packet{ID: uint64(i), Size: 64})
-			if c.InFlight() > maxInflight {
-				maxInflight = c.InFlight()
-			}
+	generate(env, 40, 0, func(i int) {
+		c.Send(&ethernet.Packet{ID: uint64(i), Size: 64})
+		if c.InFlight() > maxInflight {
+			maxInflight = c.InFlight()
 		}
 	})
 	env.Run(sim.Millis(10))
@@ -120,9 +144,7 @@ func TestRetriesExhaustedReportsLost(t *testing.T) {
 	var lost []uint64
 	c.OnLost = func(pkt *ethernet.Packet) { lost = append(lost, pkt.ID) }
 
-	env.Go("gen", func(p *sim.Proc) {
-		c.Send(&ethernet.Packet{ID: 7, Size: 64})
-	})
+	generate(env, 1, 0, func(int) { c.Send(&ethernet.Packet{ID: 7, Size: 64}) })
 	env.Run(sim.Millis(5))
 	if len(lost) != 1 || lost[0] != 7 {
 		t.Fatalf("lost = %v, want [7]", lost)
@@ -152,9 +174,7 @@ func TestStaleGenerationTimeoutIgnored(t *testing.T) {
 	c.OnDeliver = func(*ethernet.Packet) { delivered++ }
 	c.OnLost = func(pkt *ethernet.Packet) { t.Errorf("request %d declared lost", pkt.ID) }
 
-	env.Go("gen", func(p *sim.Proc) {
-		c.Send(&ethernet.Packet{ID: 1, Size: 64})
-	})
+	generate(env, 1, 0, func(int) { c.Send(&ethernet.Packet{ID: 1, Size: 64}) })
 	// Run far beyond every armed timer so a stale firing would be seen.
 	env.Run(sim.Millis(5))
 
@@ -185,12 +205,7 @@ func TestDedupSuppressesDuplicates(t *testing.T) {
 	delivered := 0
 	c.OnDeliver = func(*ethernet.Packet) { delivered++ }
 
-	env.Go("gen", func(p *sim.Proc) {
-		for i := 1; i <= 5; i++ {
-			c.Send(&ethernet.Packet{ID: uint64(i), Size: 64})
-			p.Sleep(sim.Micros(2))
-		}
-	})
+	generate(env, 5, sim.Micros(2), func(i int) { c.Send(&ethernet.Packet{ID: uint64(i), Size: 64}) })
 	env.Run(sim.Millis(5))
 	if delivered != 5 {
 		t.Fatalf("delivered = %d, want 5", delivered)
@@ -237,12 +252,7 @@ func TestReliableDeliveryOverLossyWire(t *testing.T) {
 	c.OnDeliver = func(pkt *ethernet.Packet) { delivered[pkt.ID] = true }
 
 	const n = 200
-	env.Go("gen", func(p *sim.Proc) {
-		for i := 1; i <= n; i++ {
-			c.Send(&ethernet.Packet{ID: uint64(i), Size: 64})
-			p.Sleep(sim.Micros(3))
-		}
-	})
+	generate(env, n, sim.Micros(3), func(i int) { c.Send(&ethernet.Packet{ID: uint64(i), Size: 64}) })
 	env.Run(sim.Millis(50))
 	if len(delivered) != n {
 		t.Fatalf("delivered %d/%d over a 10%%-lossy wire", len(delivered), n)

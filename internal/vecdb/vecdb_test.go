@@ -9,10 +9,14 @@ import (
 	"repro/internal/workload/steptest"
 )
 
-// search runs one query through the index's stepper.
-func search(th *steptest.Thread, idx *Index, payload any) *Query {
-	resp, _ := th.Run(idx.StepHandler(), payload)
-	return resp.(*Query)
+// search queues one query through the index's stepper; done gets the
+// answer.
+func search(th *steptest.Thread, idx *Index, payload any, done func(*Query)) {
+	th.Run(idx.StepHandler(), payload, func(resp any, _ int) {
+		if done != nil {
+			done(resp.(*Query))
+		}
+	})
 }
 
 func smallConfig() Config {
@@ -57,21 +61,19 @@ func TestSearchFindsPerturbedSelf(t *testing.T) {
 	cfg := smallConfig()
 	env, _, idx, rig := newRig(t, cfg, 0.25)
 	hits := 0
-	rig.Go(func(th *steptest.Thread) {
-		rng := sim.NewRNG(3)
-		for trial := 0; trial < 20; trial++ {
-			payload, _ := idx.NextRequest(rng, nil)
-			q := payload.(*Query)
-			res := search(th, idx, q)
+	th := rig.Thread()
+	rng := sim.NewRNG(3)
+	for trial := 0; trial < 20; trial++ {
+		payload, _ := idx.NextRequest(rng, nil)
+		q := payload.(*Query)
+		search(th, idx, q, func(res *Query) {
 			if len(res.Neighbors) != cfg.K {
-				t.Errorf("got %d neighbors, want %d", len(res.Neighbors), cfg.K)
-				return
+				t.Fatalf("got %d neighbors, want %d", len(res.Neighbors), cfg.K)
 			}
 			// Results must be sorted ascending by distance.
 			for i := 1; i < len(res.Neighbors); i++ {
 				if res.Neighbors[i].Dist < res.Neighbors[i-1].Dist {
-					t.Error("results not sorted")
-					return
+					t.Fatal("results not sorted")
 				}
 			}
 			// The perturbed source vector should usually be the nearest.
@@ -79,8 +81,8 @@ func TestSearchFindsPerturbedSelf(t *testing.T) {
 			if res.Neighbors[0].ID == bf.Neighbors[0].ID {
 				hits++
 			}
-		}
-	})
+		})
+	}
 	env.Run(sim.Seconds(600))
 	// IVF with NProbe=6/16 lists: top-1 should match brute force most
 	// of the time on clustered data.
@@ -94,12 +96,12 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 	env, _, idx, rig := newRig(t, cfg, 0.25)
 	var recallSum float64
 	const trials = 10
-	rig.Go(func(th *steptest.Thread) {
-		rng := sim.NewRNG(7)
-		for trial := 0; trial < trials; trial++ {
-			payload, _ := idx.NextRequest(rng, nil)
-			q := payload.(*Query)
-			approx := search(th, idx, q)
+	th := rig.Thread()
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < trials; trial++ {
+		payload, _ := idx.NextRequest(rng, nil)
+		q := payload.(*Query)
+		search(th, idx, q, func(approx *Query) {
 			exact := idx.BruteForce(q.Vec)
 			got := map[uint32]bool{}
 			for _, n := range approx.Neighbors {
@@ -112,8 +114,8 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 				}
 			}
 			recallSum += float64(match) / float64(cfg.K)
-		}
-	})
+		})
+	}
 	env.Run(sim.Seconds(600))
 	recall := recallSum / trials
 	if recall < 0.6 {
@@ -126,11 +128,11 @@ func TestSearchFaultsAndCosts(t *testing.T) {
 	env, mgr, idx, rig := newRig(t, cfg, 0.2)
 	var faults int64
 	var service sim.Time
-	rig.Go(func(th *steptest.Thread) {
-		rng := sim.NewRNG(5)
-		payload, _ := idx.NextRequest(rng, nil)
-		start := env.Now()
-		search(th, idx, payload)
+	th := rig.Thread()
+	payload, _ := idx.NextRequest(sim.NewRNG(5), nil)
+	var start sim.Time
+	th.Do(func() { start = env.Now() })
+	search(th, idx, payload, func(*Query) {
 		service = env.Now() - start
 		faults = mgr.Faults.Value()
 	})

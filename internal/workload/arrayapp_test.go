@@ -16,25 +16,22 @@ func TestArrayAppVerifiesValues(t *testing.T) {
 	mgr := paging.NewManager(env, paging.DefaultConfig(size/5))
 	app := workload.NewArrayApp(mgr, memnode.New(1<<30), size)
 	app.WarmCache()
-	steptest.NewRig(mgr).Go(func(th *steptest.Thread) {
-		rng := sim.NewRNG(2)
-		for i := 0; i < 500; i++ {
-			payload, reqBytes := app.NextRequest(rng, nil)
-			if reqBytes != app.ReqBytes {
-				t.Error("request size mismatch")
-				return
-			}
-			resp, respBytes := th.Run(app.StepHandler(), payload)
+	th := steptest.NewRig(mgr).Thread()
+	rng := sim.NewRNG(2)
+	for i := 0; i < 500; i++ {
+		payload, reqBytes := app.NextRequest(rng, nil)
+		if reqBytes != app.ReqBytes {
+			t.Fatal("request size mismatch")
+		}
+		th.Run(app.StepHandler(), payload, func(resp any, respBytes int) {
 			if respBytes != app.RespBytes {
-				t.Error("response size mismatch")
-				return
+				t.Fatal("response size mismatch")
 			}
 			if resp != payload {
-				t.Error("bad response type")
-				return
+				t.Fatal("bad response type")
 			}
-		}
-	})
+		})
+	}
 	env.Run(sim.Seconds(60))
 	if app.Mismatches.Value() != 0 {
 		t.Fatalf("mismatches = %d", app.Mismatches.Value())

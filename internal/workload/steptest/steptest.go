@@ -1,7 +1,7 @@
-// Package steptest is the unit tests' side of the step contract: it
-// drives a workload.StepHandler to StepDone on a harness thread — a
-// process of its own, outside any scheduler — and checks a run against
-// the rows a package pins in testdata.
+// Package steptest is the unit tests' side of the step contract: a
+// harness thread — one task, outside any scheduler — drives queued
+// workload.StepHandler requests to StepDone the way a worker core does,
+// and a run is checked against the rows a package pins in testdata.
 package steptest
 
 import (
@@ -40,51 +40,100 @@ func NewRig(mgr *paging.Manager) *Rig {
 	return &Rig{mgr: mgr, qp: nic.CreateQP("t", cq)}
 }
 
-// Go runs fn on a new thread, from the current simulated time.
-func (r *Rig) Go(fn func(t *Thread)) {
+// Thread returns a new harness thread, whose task first fires at the
+// current simulated time.
+func (r *Rig) Thread() *Thread {
 	env := r.mgr.Env()
-	env.Go("driver", func(p *sim.Proc) { fn(&Thread{Rig: r, proc: p, gate: sim.NewGate(env)}) })
+	t := &Thread{Rig: r, gate: sim.NewGate(env)}
+	t.task = sim.NewTask(env, "thread", func() {
+		for len(t.queue) > 0 && t.queue[0]() {
+			t.queue = t.queue[1:]
+		}
+	})
+	t.task.FireAt(env.Now())
+	return t
 }
 
 // Thread is a harness thread and the workload.StepCtx its requests see:
-// compute takes its process's time, a probe is free, nothing preempts.
+// a task that runs its queue of jobs in order. Compute takes the task's
+// time, a probe is free, nothing preempts; a fault waits as a worker
+// core's does (TryRequestPage with a FaultCall carried across stalls,
+// then the gate), a Block on the gate. Jobs are queued before the run or
+// by a job of the same thread.
 type Thread struct {
 	*Rig
-	proc  *sim.Proc
+	task  *sim.Task
 	gate  *sim.Gate
-	sp    *paging.Space // the page of the fault in progress
-	vpn   int64
-	retry bool // the next access to sp/vpn is that fault's re-probe
-	woken bool
+	queue []func() bool
+
+	wait    workload.StepStatus // StepFault or StepBlock while the request waits
+	call    paging.FaultCall
+	stalled bool          // call is mid-way: repeat it
+	sp      *paging.Space // the page of the fault in progress
+	vpn     int64
+	retry   bool // the next access to sp/vpn is that fault's re-probe
+	woken   bool
 }
 
-// Run drives h over payload from Begin to StepDone and returns the
-// response. A compute step sleeps, a fault waits until its page is
-// resident, a Block waits for its wake.
-func (t *Thread) Run(h workload.StepHandler, payload any) (any, int) {
+// Run queues a request: h is driven over payload from Begin to StepDone,
+// then done, if set, gets the response.
+func (t *Thread) Run(h workload.StepHandler, payload any, done func(resp any, n int)) {
 	var f workload.StepFrame
-	h.Begin(&f, payload)
-	for {
-		switch resp, n, cycles, st := h.Step(t, &f, payload); st {
-		case workload.StepDone:
-			return resp, n
-		case workload.StepCompute:
-			t.proc.Sleep(cycles)
-		case workload.StepFault:
-			for !t.sp.Resident(t.vpn) && !t.mgr.RequestPage(t, t.sp, t.vpn, func(error) { t.gate.Wake() }, true) {
-				t.gate.Wait(t.proc)
+	begun := false
+	t.queue = append(t.queue, func() bool {
+		if !begun {
+			begun = true
+			h.Begin(&f, payload)
+		}
+		for t.waited() {
+			switch resp, n, cycles, st := h.Step(t, &f, payload); st {
+			case workload.StepDone:
+				if done != nil {
+					done(resp, n)
+				}
+				return true
+			case workload.StepCompute:
+				if !t.task.Sleep(cycles) {
+					return false
+				}
+			case workload.StepFault, workload.StepBlock:
+				t.wait = st
 			}
-			t.retry = true
-		case workload.StepBlock:
-			for !t.woken {
-				t.gate.Wait(t.proc)
+		}
+		return false
+	})
+}
+
+// Do queues fn, to run between the jobs queued before and after it.
+func (t *Thread) Do(fn func()) { t.queue = append(t.queue, func() bool { fn(); return true }) }
+
+// waited carries the request's wait as far as it goes, and reports false
+// while the task must wait for a firing.
+func (t *Thread) waited() bool {
+	switch t.wait {
+	case workload.StepFault:
+		for t.stalled || !t.sp.Resident(t.vpn) {
+			st := t.mgr.TryRequestPage(&t.call, t.task, t, t.sp, t.vpn, t.wake, true)
+			if t.stalled = st == paging.PageStalled; t.stalled || st == paging.PagePending && !t.gate.Arm(t.task) {
+				return false
+			}
+		}
+		t.retry = true
+	case workload.StepBlock:
+		for !t.woken {
+			if !t.gate.Arm(t.task) {
+				return false
 			}
 		}
 	}
+	t.wait = workload.StepDone // nothing to wait for
+	return true
 }
 
-// The rest of workload.StepCtx, and the Proc RequestPage parks.
-func (t *Thread) Proc() *sim.Proc                  { return t.proc }
+// wake is a fetch's onReady: the page's state changed.
+func (t *Thread) wake(error) { t.gate.Wake() }
+
+// The rest of workload.StepCtx.
 func (t *Thread) QP(int) *rdma.QP                  { return t.qp }
 func (t *Thread) Rand() *sim.RNG                   { return t.mgr.Env().Rand() }
 func (t *Thread) CriticalEnter()                   {}
