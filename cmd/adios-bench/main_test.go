@@ -15,11 +15,13 @@ import (
 // silently replaced or bent (-memnodes 0, or past the 64 nodes the node
 // masks hold; -replicas 0; -parallel -1; a node= plan naming no node of
 // the system, which injects nothing; -skew NaN, run as the native
-// distribution), never terminated (-skew Inf), or an experiment id the
+// distribution; a crash plan under failover, which ran failover's own
+// crash instead), never terminated (-skew Inf), or an experiment id the
 // table does not have — which used to be found only when the loop
 // reached it, after every id before it had run to completion — must
 // print one "adios-bench: …" line and exit 2, with nothing on stdout; a
-// good invocation still runs to its table.
+// good invocation still runs to its table — failover's included, whose
+// four nodes a node= plan is judged against whatever -memnodes says.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -39,7 +41,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"skew-inf", []string{"-exp", "fig2a", "-short", "-skew", "Inf"}, 2},
 		{"skew-nan", []string{"-exp", "fig2b", "-short", "-skew", "NaN"}, 2},
 		{"migrate-bw-tiny", []string{"-exp", "fig2b", "-short", "-migrate", "bw=1e-300"}, 2},
+		{"failover-own-crash", []string{"-exp", "failover", "-short", "-faults", "crash=1ms:node=0"}, 2},
 		{"good", []string{"-exp", "fig2b", "-short", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
+		{"failover-node-restriction", []string{"-exp", "failover", "-short", "-faults", "wr=0.01,node=3"}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder
@@ -48,7 +52,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 				t.Fatalf("exit code %d, want %d\nstderr: %s", code, tc.code, stderr.String())
 			}
 			if tc.code == 0 {
-				if stderr.Len() != 0 || !strings.Contains(stdout.String(), "## fig2b done in") {
+				if stderr.Len() != 0 || !strings.Contains(stdout.String(), "## "+tc.args[1]+" done in") {
 					t.Fatalf("good run: stderr %q, stdout:\n%s", stderr.String(), stdout.String())
 				}
 				return

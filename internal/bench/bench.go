@@ -56,12 +56,14 @@ type Options struct {
 	// (the CLI's -faults flag). The zero value injects nothing, leaving
 	// every experiment byte-identical to a build without fault support.
 	// The resilience experiment uses it as the base plan of its
-	// fault-rate sweep.
+	// fault-rate sweep; the failover experiment adds its own crash to it
+	// and refuses a plan that carries one (CheckPlan).
 	Faults faults.Config
 	// MemNodes is the memory-node count of every built system (the
 	// CLI's -memnodes flag). 0 or 1 is the paper's topology,
 	// byte-identical to a build without sharding support. The shards
-	// experiment overrides it per point for its node-count sweep.
+	// experiment overrides it per point for its node-count sweep; failover
+	// and rebalance build every point at 4 nodes.
 	MemNodes int
 	// Replicas is the page replication factor of every built system
 	// (the CLI's -replicas flag; core clamps it to the node count). 0 or
@@ -193,8 +195,11 @@ type experiment struct {
 	// when it sets the count of its own points; 0 for the rest, which
 	// build every point at Options.MemNodes.
 	nodes int
-	cmp   []comparison
-	body  func(r *run)
+	// crashes marks an experiment that crashes a node of its own: a
+	// plan's crash or rejoin cannot run under it.
+	crashes bool
+	cmp     []comparison
+	body    func(r *run)
 }
 
 // comparison is the paper's one evaluation shape as data: every system
@@ -518,12 +523,17 @@ func All() []string {
 // CheckPlan reports whether id names an experiment and plan can run on
 // every system it builds when the default node count is n: a crash must
 // name a node all of its points have (core.NewSystem panics on one that
-// does not). Run checks its options' plan; a CLI calls it first, for
-// every id, to report a usage error before anything is simulated.
+// does not), and an experiment that crashes a node itself takes no
+// crash from the plan. Run checks its options' plan; a CLI calls it
+// first, for every id, to report a usage error before anything is
+// simulated.
 func CheckPlan(id string, plan faults.Config, n int) error {
 	e, err := find(id)
 	if err != nil {
 		return err
+	}
+	if e.crashes && (plan.CrashSet || plan.RejoinSet) {
+		return fmt.Errorf("experiment %s crashes a node itself; the plan may not", id)
 	}
 	if e.nodes > 0 {
 		n = e.nodes

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/sim"
 )
 
 // shortOpt runs experiments at reduced resolution; these tests assert
@@ -43,16 +44,24 @@ func TestRunDispatchesAllIDs(t *testing.T) {
 	if _, err := Run("nonsense", shortOpt()); err == nil {
 		t.Fatal("unknown id accepted")
 	}
-	// A crash plan must fit the smallest system the experiment builds:
-	// the -memnodes count, unless the experiment sets its own.
+	// A plan must fit the smallest system the experiment builds: the
+	// -memnodes count, unless the experiment sets its own. An experiment
+	// that crashes a node itself takes no crash from the plan.
 	crash := faults.Config{CrashSet: true, CrashNode: 2}
+	wrNode3 := faults.Config{WRErrRate: 0.01, Node: 3, NodeSet: true}
+	crashNode0 := faults.Config{CrashSet: true, CrashAt: sim.Millis(1)}
 	for _, tc := range []struct {
 		id   string
+		plan faults.Config
 		n    int
 		fits bool
-	}{{"fig2b", 4, true}, {"fig2b", 2, false}, {"fig2b", 0, false}, {"shards", 4, false}, {"rebalance", 1, true}, {"nonsense", 4, false}} {
-		if err := CheckPlan(tc.id, crash, tc.n); (err == nil) != tc.fits {
-			t.Fatalf("CheckPlan(%s, crash of node 2, %d nodes) = %v, want fits=%v", tc.id, tc.n, err, tc.fits)
+	}{
+		{"fig2b", crash, 4, true}, {"fig2b", crash, 2, false}, {"fig2b", crash, 0, false},
+		{"shards", crash, 4, false}, {"rebalance", crash, 1, true}, {"nonsense", crash, 4, false},
+		{"failover", wrNode3, 1, true}, {"failover", crashNode0, 1, false}, {"failover", crash, 4, false},
+	} {
+		if err := CheckPlan(tc.id, tc.plan, tc.n); (err == nil) != tc.fits {
+			t.Fatalf("CheckPlan(%s, %s, %d nodes) = %v, want fits=%v", tc.id, tc.plan, tc.n, err, tc.fits)
 		}
 	}
 	for _, id := range All() {

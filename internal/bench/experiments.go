@@ -180,7 +180,7 @@ var experiments = []experiment{
 		modes:   adiosOnly,
 		systems: []system{
 			{label: "none", app: rocksdb},
-			{label: "sequential=8", app: rocksdb, cfg: func(c *core.Config) { c.Paging.Prefetch = 8 }},
+			{label: "sequential=8", app: rocksdb, cfg: func(c *core.Config) { c.Paging.PrefetchPolicy, c.Paging.Prefetch = paging.Sequential, 8 }},
 			{label: "leap", app: rocksdb, cfg: func(c *core.Config) { c.Paging.PrefetchPolicy = paging.Leap }},
 		},
 	}}},
@@ -329,6 +329,6 @@ var experiments = []experiment{
 	// documents itself where its body is.
 	{id: "resilience", body: resilience},
 	{id: "shards", nodes: 1, body: shards},
-	{id: "failover", body: failover},
+	{id: "failover", nodes: failoverNodes, crashes: true, body: failover},
 	{id: "rebalance", nodes: rebalanceNodes, body: rebalance},
 }

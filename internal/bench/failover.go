@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -14,6 +13,9 @@ import (
 // the default repair bandwidth cap.
 const failoverArrayBytes int64 = 8 << 20
 
+// failoverNodes is the memory-node count of every failover point.
+const failoverNodes = 4
+
 // failover measures surviving a memory-node crash: 4 memory nodes at a
 // fixed mid-sweep load, sweeping the replication factor against the
 // crash time (as a fraction of the measurement window), plus a no-crash
@@ -22,10 +24,11 @@ const failoverArrayBytes int64 = 8 << 20
 // the background repairer restores the replication factor. Unreplicated
 // runs (r=1) show the blast radius instead: every access to the dead
 // stripe aborts, so goodput drops by roughly the stripe's share of the
-// post-crash window while replicated runs lose nothing.
+// post-crash window while replicated runs lose nothing. Every point runs
+// under Options.Faults with this crash added (CheckPlan refuses a plan
+// that brings a crash of its own).
 func failover(r *run) {
 	const (
-		nodes     = 4
 		crashNode = 1
 		loadK     = 600.0
 	)
@@ -40,38 +43,39 @@ func failover(r *run) {
 	var pts []point
 	type row struct {
 		reps    int
-		crashMs float64 // -1 = no crash
+		crashAt sim.Time // < 0: no crash
 	}
 	var rows []row
-	plan := func(reps int, key string, idx int, crash faults.Config, ms float64) {
+	// plan adds a point; crashAt < 0 is the no-crash reference.
+	plan := func(reps int, key string, idx int, crashAt sim.Time) {
 		pts = append(pts, point{label: key, key: key, idx: idx, mode: core.Adios, rps: loadK * 1000,
 			b: r.builder(system{app: func(bool) App { return arrayApp(failoverArrayBytes) }, local: 0.25,
 				cfg: func(cfg *core.Config) {
-					cfg.MemNodes = nodes
+					cfg.MemNodes = failoverNodes
 					cfg.Replicas = reps
-					cfg.Faults = crash
+					if crashAt >= 0 {
+						cfg.Faults.CrashAt, cfg.Faults.CrashNode, cfg.Faults.CrashSet = crashAt, crashNode, true
+					}
 				}})})
-		rows = append(rows, row{reps, ms})
+		rows = append(rows, row{reps, crashAt})
 	}
 	for _, reps := range repFactors {
-		plan(reps, fmt.Sprintf("r%d+nocrash", reps), 0, faults.Config{}, -1)
+		plan(reps, fmt.Sprintf("r%d+nocrash", reps), 0, -1)
 		for i, frac := range fracs {
-			at := warm + sim.Time(frac*float64(meas))
-			plan(reps, fmt.Sprintf("r%d+crash%.0f%%", reps, frac*100), i,
-				faults.Config{CrashAt: at, CrashNode: crashNode, CrashSet: true}, at.Millis())
+			plan(reps, fmt.Sprintf("r%d+crash%.0f%%", reps, frac*100), i, warm+sim.Time(frac*float64(meas)))
 		}
 	}
 	out, series := r.measure(pts)
 
 	r.printf("\n# failover: replication factor x crash time (node %d dies, %d nodes, %.0f KRPS)\n",
-		crashNode, nodes, loadK)
+		crashNode, failoverNodes, loadK)
 	r.printf("%-4s %9s %9s %9s %10s %10s %8s %9s %9s\n",
 		"reps", "crash_ms", "offered_K", "goodput_K", "p99_us", "p99.9_us",
 		"aborts", "failovers", "repaired")
 	for i, p := range out {
 		crash := "-"
-		if rows[i].crashMs >= 0 {
-			crash = fmt.Sprintf("%.2f", rows[i].crashMs)
+		if rows[i].crashAt >= 0 {
+			crash = fmt.Sprintf("%.2f", rows[i].crashAt.Millis())
 		}
 		r.printf("%-4d %9s %9.4g %9.4g %10.1f %10.1f %8d %9d %9d\n",
 			rows[i].reps, crash, p.OfferedK, p.GoodputK(), p.P99us, p.P999us,

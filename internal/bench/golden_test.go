@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // shortCSV runs one experiment at -short -seed 1 under opt's settings
@@ -130,5 +132,19 @@ func TestShardsDeterministicAcrossParallel(t *testing.T) {
 func TestRehomeCSVsMatchGolden(t *testing.T) {
 	for _, id := range []string{"failover", "rebalance"} {
 		t.Run(id, func(t *testing.T) { checkGolden(t, id, id+"_short.csv", Options{}) })
+	}
+}
+
+// TestFailoverRunsUnderThePlan: failover adds its crash to the options'
+// fault plan rather than replacing it, so even its no-crash reference
+// points retry the completion errors the plan injects.
+func TestFailoverRunsUnderThePlan(t *testing.T) {
+	opt := shortOpt()
+	opt.Faults = faults.Config{WRErrRate: 0.02}
+	sweep := mustRun(t, "failover", opt).Sweeps[0]
+	for _, key := range []string{"r1+nocrash", "r2+nocrash"} {
+		if pts := sweep[key]; len(pts) != 1 || pts[0].Stats["paging.fetch_retries"] == 0 {
+			t.Fatalf("%s under wr=0.02 retried no fetch: the plan was dropped (%d points)", key, len(pts))
+		}
 	}
 }

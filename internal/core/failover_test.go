@@ -10,8 +10,9 @@ import (
 )
 
 // buildStriped assembles a replicated multi-node system over the
-// microbenchmark array with a fault plan.
-func buildStriped(arrayBytes int64, seed int64, nodes, replicas int,
+// microbenchmark array with a fault plan; writeFrac of the requests
+// store (0 is the paper's read-only microbenchmark).
+func buildStriped(arrayBytes int64, seed int64, nodes, replicas int, writeFrac float64,
 	fl faults.Config) (*System, *workload.ArrayApp) {
 	cfg := Preset(Adios, int64(0.20*float64(arrayBytes)))
 	cfg.Seed = seed
@@ -20,6 +21,7 @@ func buildStriped(arrayBytes int64, seed int64, nodes, replicas int,
 	cfg.Faults = fl
 	sys := NewSystem(cfg)
 	app := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
+	app.WriteFrac = writeFrac
 	app.WarmCache()
 	sys.StartApp(app)
 	return sys, app
@@ -45,16 +47,29 @@ func count(snap map[string]float64, names ...string) int64 {
 	return int64(n)
 }
 
+// chaosRun is one crash run's shape: the replication factor and the
+// share of requests that store. Stores dirty pages, so a writing run
+// also drives dirty write-backs into the dead node.
+type chaosRun struct {
+	replicas  int
+	writeFrac float64
+}
+
+// chaosRuns are the pinned crash runs: read-only and half-writing, each
+// unreplicated and at two copies.
+var chaosRuns = []chaosRun{{1, 0}, {2, 0}, {1, 0.5}, {2, 0.5}}
+
 // runChaos drives one crash run and returns its result and the counts
 // snapshotted after it, plus a digest of everything the failover
 // machinery decided: detection time, fault and failover counters, and
-// the repairer's order-sensitive schedule hash.
-func runChaos(t *testing.T, seed int64, replicas int) (RunResult, map[string]float64, string) {
+// the repairer's order-sensitive schedule hash. A writing run's digest
+// adds the write-back counters and each node's timeout count.
+func runChaos(t *testing.T, seed int64, run chaosRun) (RunResult, map[string]float64, string) {
 	t.Helper()
-	sys, app := buildStriped(chaosArray, seed, chaosNodes, replicas, chaosCrash)
+	sys, app := buildStriped(chaosArray, seed, chaosNodes, run.replicas, run.writeFrac, chaosCrash)
 	res := sys.Run(app, 400_000, sim.Millis(2), sim.Millis(8))
 	if app.Mismatches.Value() != 0 {
-		t.Fatalf("replicas=%d: data mismatches = %d", replicas, app.Mismatches.Value())
+		t.Fatalf("%+v: data mismatches = %d", run, app.Mismatches.Value())
 	}
 	c := sys.Stats.Snapshot()
 	digest := fmt.Sprintf(
@@ -66,6 +81,13 @@ func runChaos(t *testing.T, seed int64, replicas int) (RunResult, map[string]flo
 			"memnode2.timeout_errors", "memnode3.timeout_errors"), sys.Health.Detected.Value(),
 		sys.Health.DownAt(chaosVictim), sys.Repair.ScheduleHash(),
 		sys.Repair.Unrepairable.Value(), sys.Repair.Pending())
+	if run.writeFrac > 0 {
+		digest += fmt.Sprintf(" wbRetries=%d dirty=%d replicaWrites=%d nodeTimeouts=%d/%d/%d/%d",
+			count(c, "paging.writeback_retries"), count(c, "paging.dirty_writebacks"),
+			count(c, "paging.replica_writes"), count(c, "memnode0.timeout_errors"),
+			count(c, "memnode1.timeout_errors"), count(c, "memnode2.timeout_errors"),
+			count(c, "memnode3.timeout_errors"))
+	}
 	return res, c, digest
 }
 
@@ -73,33 +95,38 @@ func runChaos(t *testing.T, seed int64, replicas int) (RunResult, map[string]flo
 // two identically seeded runs that lose a node mid-measurement must
 // agree byte-for-byte on results, counters, detection time, and the
 // repair schedule. Run under -race in CI, this also exercises the
-// failover and repair paths for data races.
+// failover, write-back and repair paths for data races.
 func TestFailoverDeterministic(t *testing.T) {
-	for _, replicas := range []int{1, 2} {
-		_, _, d1 := runChaos(t, 7, replicas)
-		_, _, d2 := runChaos(t, 7, replicas)
+	for _, run := range chaosRuns {
+		_, _, d1 := runChaos(t, 7, run)
+		_, _, d2 := runChaos(t, 7, run)
 		if d1 != d2 {
-			t.Fatalf("replicas=%d: same-seed crash runs diverge:\n%s\n%s", replicas, d1, d2)
+			t.Fatalf("%+v: same-seed crash runs diverge:\n%s\n%s", run, d1, d2)
 		}
 	}
 }
 
-// chaosDigestPins are runChaos(seed 7) digests recorded at the tree that
-// still had a repair executor of its own (PR 13): the run-against-run
-// comparison above cannot see a refactor that shifts every repair by one
-// event, these can. A change that is meant to move the repair schedule
-// regenerates them in its own commit and says so.
-var chaosDigestPins = map[int]string{
-	1: "completed=3944 tput=388.75 aborts=475 retries=0 failovers=0 repaired=0 p999=18.0475 timeouts=475 detected=1 downAt=10050000 repairHash=0x14650fb0739d0383 unrepairable=512 pending=0",
-	2: "completed=3944 tput=388.75 aborts=0 retries=5 failovers=314 repaired=1024 p999=30.5085 timeouts=5 detected=1 downAt=10050000 repairHash=0x4e0cc6b2e5134013 unrepairable=0 pending=0",
+// chaosDigestPins are runChaos(seed 7) digests. The read-only rows were
+// recorded at the tree that still had a repair executor of its own, the
+// writing rows at the tree whose unreplicated write-backs still had a
+// recovery path apart from the fan-out's. The
+// run-against-run comparison above cannot see a refactor that shifts
+// every repair or write-back retry by one event, these can. A change
+// that is meant to move the schedule regenerates them in its own commit
+// and says so.
+var chaosDigestPins = map[chaosRun]string{
+	{1, 0}:   "completed=3944 tput=388.75 aborts=475 retries=0 failovers=0 repaired=0 p999=18.0475 timeouts=475 detected=1 downAt=10050000 repairHash=0x14650fb0739d0383 unrepairable=512 pending=0",
+	{2, 0}:   "completed=3944 tput=388.75 aborts=0 retries=5 failovers=314 repaired=1024 p999=30.5085 timeouts=5 detected=1 downAt=10050000 repairHash=0x4e0cc6b2e5134013 unrepairable=0 pending=0",
+	{1, 0.5}: "completed=2210 tput=178.125 aborts=51 retries=3476 failovers=0 repaired=0 p999=18.0475 timeouts=3534 detected=1 downAt=10050000 repairHash=0x14650fb0739d0383 unrepairable=512 pending=0 wbRetries=3476 dirty=762 replicaWrites=0 nodeTimeouts=0/3534/0/0",
+	{2, 0.5}: "completed=3902 tput=389.25 aborts=0 retries=2 failovers=284 repaired=1024 p999=11.4555 timeouts=2 detected=1 downAt=10050000 repairHash=0xa225497aaaab07b8 unrepairable=0 pending=0 wbRetries=0 dirty=1647 replicaWrites=1305 nodeTimeouts=0/2/0/0",
 }
 
 // TestFailoverDigestPinned holds the crash runs to the recorded digests.
 func TestFailoverDigestPinned(t *testing.T) {
-	for _, replicas := range []int{1, 2} {
-		if _, _, d := runChaos(t, 7, replicas); d != chaosDigestPins[replicas] {
-			t.Errorf("replicas=%d: crash digest moved:\n got %s\nwant %s",
-				replicas, d, chaosDigestPins[replicas])
+	for _, run := range chaosRuns {
+		if _, _, d := runChaos(t, 7, run); d != chaosDigestPins[run] {
+			t.Errorf("%+v: crash digest moved:\n got %s\nwant %s",
+				run, d, chaosDigestPins[run])
 		}
 	}
 }
@@ -110,7 +137,7 @@ func TestFailoverDigestPinned(t *testing.T) {
 // background repair restores exactly the copies the dead node held.
 // The same run unreplicated loses the dead stripe's share instead.
 func TestReplicatedCrashLosesNothing(t *testing.T) {
-	res2, c2, _ := runChaos(t, 7, 2)
+	res2, c2, _ := runChaos(t, 7, chaosRun{2, 0})
 	if res2.Aborts != 0 {
 		t.Fatalf("replicas=2: %d requests aborted across a node death", res2.Aborts)
 	}
@@ -125,7 +152,7 @@ func TestReplicatedCrashLosesNothing(t *testing.T) {
 			count(c2, "repair.repaired"), want)
 	}
 
-	res1, c1, _ := runChaos(t, 7, 1)
+	res1, c1, _ := runChaos(t, 7, chaosRun{1, 0})
 	if res1.Aborts == 0 {
 		t.Fatal("replicas=1: node death aborted nothing — blast radius lost")
 	}
@@ -144,7 +171,7 @@ func TestReplicatedCrashLosesNothing(t *testing.T) {
 // capacity accounting and write-back fan-out but must not abort, fail
 // over, or repair anything.
 func TestCrashFreeReplicatedRuns(t *testing.T) {
-	sys, app := buildStriped(chaosArray, 7, chaosNodes, 2, faults.Config{})
+	sys, app := buildStriped(chaosArray, 7, chaosNodes, 2, 0, faults.Config{})
 	res := sys.Run(app, 400_000, sim.Millis(2), sim.Millis(8))
 	if failovers := sys.Mgr.FailoverReads.Value(); app.Mismatches.Value() != 0 || res.Aborts != 0 || failovers != 0 {
 		t.Fatalf("crash-free replicated run: mismatches=%d aborts=%d failovers=%d",
@@ -178,7 +205,7 @@ func TestCrashPlanValidatesNode(t *testing.T) {
 					t.Errorf("%s: accepted", tc.name)
 				}
 			}()
-			buildStriped(chaosArray, 1, tc.nodes, 2, tc.plan)
+			buildStriped(chaosArray, 1, tc.nodes, 2, 0, tc.plan)
 		}()
 	}
 }

@@ -27,7 +27,7 @@ func TestFailoverTraceGolden(t *testing.T) {
 		MemEvery: sim.Millis(1), MemFor: sim.Micros(40),
 		CrashAt: sim.Millis(1.5), CrashNode: 0, CrashSet: true,
 	}
-	sys, app := buildStriped(4<<20, 7, 2, 2, fl)
+	sys, app := buildStriped(4<<20, 7, 2, 2, 0, fl)
 	rec := trace.New(0)
 	sys.Mgr.Trace = rec
 	sys.Run(app, 300_000, sim.Millis(1), sim.Millis(3))

@@ -50,17 +50,18 @@ type Fetch struct {
 	// favour and the access must fail.
 	waiters []func(error)
 
-	// qp is where the last post went; retries re-post there. attempts
-	// counts posts so far; firstFailAt is the sim time of the first
-	// completion error (-1 while unfailed), for recovery-latency
+	// qp is where a fetch's last post went; retries re-post there.
+	// attempts counts posts so far; firstFailAt is the sim time of the
+	// first completion error (-1 while unfailed), for recovery-latency
 	// accounting.
 	qp          *rdma.QP
 	attempts    int
 	firstFailAt int64
 
-	// node is the memory node of the last post (the copy this record is
-	// currently moving to/from); tried is the bitmask of nodes a fetch
-	// already attempted, so failover visits each owner at most once.
+	// node is the memory node of a fetch's last post (the copy it is
+	// currently reading), or of a write-back's slot-waited first post;
+	// tried is the bitmask of nodes a fetch already attempted, so
+	// failover visits each owner at most once.
 	node  int
 	tried uint64
 
@@ -70,10 +71,11 @@ type Fetch struct {
 	// delivered completion actually moved.
 	src []byte
 
-	// Write-back fan-out state (zero unless the page is replicated):
-	// pending is the bitmask of owner nodes still owed a durable ack,
-	// acked the nodes that delivered one. A fan-out write-back is
-	// terminal only when pending is empty and at least one copy acked.
+	// Write-back fan-out state (zero for a fetch): pending is the bitmask
+	// of target nodes still owed a durable ack, acked the nodes that
+	// delivered one. A write-back is terminal only when pending is empty
+	// and at least one copy acked; an unreplicated page's is the one-bit
+	// case.
 	pending uint64
 	acked   uint64
 }
@@ -388,39 +390,38 @@ func (m *Manager) prefetchAround(q QPSource, s *Space, vpn int64) {
 	}
 }
 
-// Complete finishes one round of an in-flight page movement when its
-// RDMA completion has been polled, and reports whether the record is
-// terminal (true) or has been re-armed for a retry (false) — callers
-// tracking in-flight counts must only decrement on true.
-//
-// On success: a fetch makes the page present (the data copy into the
-// frame was performed by the fabric at completion time); a write-back
-// frees the frame and makes the page absent. On a completion error the
-// recovery state machine takes over:
-//
-//   - a write-back is re-posted with exponential backoff until durable —
-//     the dirty page keeps its frame and its data, so an eviction is
-//     never observable before the memory node holds the bytes;
-//   - a demand fetch (or a prefetch someone started waiting on) is
-//     re-posted up to Config.MaxFetchAttempts total posts, after which
-//     the page reverts to absent and waiters receive a *FetchError;
-//   - an unawaited prefetch is simply dropped — it was optional.
+// Complete is CompleteOn for a fetch's completion, whose QP is the
+// record's own. A write-back's completion names the copy it acks by its
+// QP, so it goes through CompleteOn.
 func (m *Manager) Complete(f *Fetch, cerr error) bool {
 	return m.CompleteOn(f, cerr, f.qp)
 }
 
-// CompleteOn is Complete with the completion's QP, which identifies the
-// replica a fan-out write-back's ack came from. For every other record
-// the QP is incidental and Complete delegates here with the record's
-// own. Two extra machines hang off this dispatch point:
+// CompleteOn finishes one round of an in-flight page movement when its
+// RDMA completion, delivered on qp, has been polled, and reports whether
+// the record is terminal (true) or has been re-armed for a retry (false)
+// — callers tracking in-flight counts must only decrement on true.
 //
-//   - a replicated write-back (pending mask set) is durable once every
-//     still-live targeted replica acked — per-copy errors retry that
-//     copy, a dead replica is dropped from the quorum;
-//   - a fetch that timed out against a dead node re-routes to the next
-//     live untried replica, or — when the last replica is dead — aborts
-//     through the *FetchError path immediately rather than burning the
-//     remaining retry budget against a node that cannot answer.
+// On success: a fetch makes the page present (the data copy into the
+// frame was performed by the fabric at completion time). A write-back
+// books qp's node as acked and, once every targeted copy acked or died,
+// frees the frame and makes the page absent. On a completion error the
+// recovery state machines take over:
+//
+//   - a write-back retries the errored copy with exponential backoff; a
+//     dead copy leaves the quorum, and once every targeted copy died the
+//     write-back is re-planned over the live owners (the primary alone
+//     while none is live). The dirty page keeps its frame and its data,
+//     so an eviction is never observable before a memory node holds the
+//     bytes;
+//   - a demand fetch (or a prefetch someone started waiting on) is
+//     re-posted up to Config.MaxFetchAttempts total posts, after which
+//     the page reverts to absent and waiters receive a *FetchError; one
+//     that timed out against a dead node re-routes to the next live
+//     untried replica, or — when the last replica is dead — aborts at
+//     once rather than burning the remaining retry budget against a node
+//     that cannot answer;
+//   - an unawaited prefetch is simply dropped — it was optional.
 func (m *Manager) CompleteOn(f *Fetch, cerr error, qp *rdma.QP) bool {
 	s := f.Space
 	ed := edgeInstall
@@ -431,7 +432,7 @@ func (m *Manager) CompleteOn(f *Fetch, cerr error, qp *rdma.QP) bool {
 	if cerr != nil && f.firstFailAt < 0 {
 		f.firstFailAt = int64(m.env.Now())
 	}
-	if f.writeback && f.pending != 0 {
+	if f.writeback {
 		if !m.fanoutAck(f, cerr, qp) {
 			return false
 		}
@@ -455,23 +456,12 @@ func (m *Manager) finish(f *Fetch, ed edge, ferr error) {
 	m.recycleFetch(f)
 }
 
-// completeError handles a completion error for a fetch or an
-// unreplicated write-back and reports whether the record is terminal.
+// completeError handles a fetch's completion error and reports whether
+// the record is terminal.
 func (m *Manager) completeError(f *Fetch, cerr error) bool {
 	dead := cerr == rdma.ErrNodeDead
 	if dead && m.health != nil {
 		m.health.ReportTimeout(f.node)
-	}
-	if f.writeback {
-		// Retried until durable: the page stays in write-back and its
-		// frame keeps the dirty data; the frame is never freed before the
-		// bytes are safely remote. An unreplicated write-back against a
-		// dead node keeps retrying into it — that stranded frame is
-		// exactly the replicas=1 blast radius — but still feeds the
-		// detector.
-		m.WritebackRetries.Inc()
-		m.scheduleRepost(f)
-		return false
 	}
 	s := f.Space
 	if !f.demand && len(f.waiters) == 0 {
@@ -510,14 +500,17 @@ func (m *Manager) completeError(f *Fetch, cerr error) bool {
 	return true
 }
 
-// wbPlan returns the bitmask of live owner nodes for a page and the
-// first live owner in slot order (the node the reclaimer's slot-waited
-// primary post targets). mask == 0 means no owner is live.
+// wbPlan returns the nodes a write-back of (s, vpn) targets — every live
+// owner — and the first of them in slot order, which the reclaimer's
+// slot-waited post goes to. With no owner live the target is the primary
+// alone: the write-back retries into the dead node and its frame stays
+// stranded until an owner is live again, the blast radius of a page
+// with no live copy.
 func (m *Manager) wbPlan(s *Space, vpn int64) (mask uint64, first int) {
 	first = -1
 	for k := 0; k < s.region.Replicas(); k++ {
 		o := s.Owner(vpn, k)
-		if m.health != nil && !m.health.Live(o) {
+		if !m.NodeLive(o) {
 			continue
 		}
 		if first < 0 {
@@ -525,46 +518,66 @@ func (m *Manager) wbPlan(s *Space, vpn int64) (mask uint64, first int) {
 		}
 		mask |= 1 << uint(o)
 	}
+	if first < 0 {
+		first = s.Owner(vpn, 0)
+		mask = 1 << uint(first)
+	}
 	return mask, first
 }
 
-// fanoutAck books one replica's completion of a replicated write-back
-// and reports whether the write-back is now durable (invariant 5): every
-// targeted copy either acked or died — with at least one ack — so a dead
-// replica shrinks the quorum instead of wedging it, and a transient
-// error retries only that copy.
+// fanoutAck books one copy's completion of a write-back and reports
+// whether the write-back is now durable (invariant 5): every targeted
+// copy either acked or died — with at least one ack — so a dead copy
+// shrinks the quorum instead of wedging it, and a transient error
+// retries only that copy.
 func (m *Manager) fanoutAck(f *Fetch, cerr error, qp *rdma.QP) bool {
-	bit := uint64(1) << uint(qp.Node())
+	n := qp.Node()
+	bit := uint64(1) << uint(n)
 	switch {
 	case cerr == nil:
 		f.acked |= bit
 		f.pending &^= bit
 	case cerr == rdma.ErrNodeDead:
 		if m.health != nil {
-			m.health.ReportTimeout(qp.Node())
+			m.health.ReportTimeout(n)
 		}
 		f.pending &^= bit
 	default:
-		m.WritebackRetries.Inc()
-		m.scheduleRepostWB(f, qp.Node())
+		m.retryWB(f, n)
 		return false
 	}
 	if f.pending != 0 {
 		return false
 	}
 	if f.acked == 0 {
-		// Every targeted replica died before acking. The dirty frame is
-		// not droppable: re-target the write-back at the current live
-		// owner set (which repair and rejoins may have changed).
-		m.WritebackRetries.Inc()
-		m.retargetWB(f)
+		// Every targeted copy died before acking. The dirty frame is not
+		// droppable: re-plan the whole write-back.
+		m.retryWB(f, -1)
 		return false
 	}
 	return true
 }
 
-// postReplicas fans a fresh write-back out to every targeted replica
-// beyond the node the reclaimer already posted to.
+// retryWB re-posts a write-back after backoff: the copy for node n after
+// a transient error, or — n < 0, once every targeted copy died — the
+// whole target set planned afresh, since the failure detector, repair or
+// a rejoin may have changed which owners are live.
+func (m *Manager) retryWB(f *Fetch, n int) {
+	m.WritebackRetries.Inc()
+	m.env.After(m.backoff(f.attempts), func() {
+		f.attempts++
+		if n >= 0 {
+			m.postWBNode(f, n)
+			return
+		}
+		f.pending, f.node = m.wbPlan(f.Space, f.VPN)
+		m.postWBNode(f, f.node)
+		m.postReplicas(f, f.node)
+	})
+}
+
+// postReplicas fans a write-back out to every targeted node beyond the
+// one its first post went to.
 func (m *Manager) postReplicas(f *Fetch, posted int) {
 	for n := 0; n < len(m.wbQPs); n++ {
 		if n == posted || f.pending&(1<<uint(n)) == 0 {
@@ -593,34 +606,7 @@ func (m *Manager) postWBNode(f *Fetch, n int) {
 	}
 }
 
-// scheduleRepostWB retries one replica's copy of a fan-out write-back
-// after backoff.
-func (m *Manager) scheduleRepostWB(f *Fetch, n int) {
-	m.env.After(m.backoff(f.attempts), func() {
-		f.attempts++
-		m.postWBNode(f, n)
-	})
-}
-
-// retargetWB restarts a fan-out write-back whose whole quorum died:
-// recompute the live owner set and post to each member, or wait out a
-// backoff when no owner is live yet (a rejoin or repair may revive one).
-func (m *Manager) retargetWB(f *Fetch) {
-	mask, _ := m.wbPlan(f.Space, f.VPN)
-	if mask == 0 {
-		m.env.After(m.backoff(f.attempts), func() { m.retargetWB(f) })
-		return
-	}
-	f.pending = mask
-	f.attempts++
-	for n := 0; n < len(m.wbQPs); n++ {
-		if f.pending&(1<<uint(n)) != 0 {
-			m.postWBNode(f, n)
-		}
-	}
-}
-
-// scheduleRepost re-posts f after an exponential backoff (base
+// scheduleRepost re-posts fetch f after an exponential backoff (base
 // Config.RetryBackoff, doubling per attempt, capped at 16×). Runs in
 // event context: no thread blocks on the retry itself.
 func (m *Manager) scheduleRepost(f *Fetch) {
@@ -638,7 +624,7 @@ func (m *Manager) backoff(attempts int) sim.Time {
 	return m.cfg.RetryBackoff << shift
 }
 
-// repost re-issues f's verb on its original QP. While that QP is still
+// repost re-issues fetch f's READ on its QP. While that QP is still
 // draining/resetting or saturated, the retry waits another backoff
 // round without consuming an attempt.
 func (m *Manager) repost(f *Fetch) {
@@ -647,16 +633,8 @@ func (m *Manager) repost(f *Fetch) {
 		m.env.After(m.cfg.RetryBackoff, func() { m.repost(f) })
 		return
 	}
-	s := f.Space
-	remote := s.region.SliceFor(f.VPN*PageSize, PageSize, f.node, qp.Name())
-	var err error
-	if f.writeback {
-		err = qp.PostWrite(remote, m.frames[f.frame].data, f)
-	} else {
-		f.src = remote
-		err = qp.PostReadAlias(remote, f)
-	}
-	if err != nil {
+	f.src = f.Space.region.SliceFor(f.VPN*PageSize, PageSize, f.node, qp.Name())
+	if qp.PostReadAlias(f.src, f) != nil {
 		m.env.After(m.cfg.RetryBackoff, func() { m.repost(f) })
 		return
 	}

@@ -110,8 +110,7 @@ type Config struct {
 	// (the DiLOS-style on-demand design, for ablation).
 	Proactive bool
 	// PrefetchPolicy selects the readahead algorithm; Prefetch is the
-	// window depth for the Sequential policy. Setting Prefetch > 0 with
-	// the zero policy implies Sequential (compatibility).
+	// window depth of the Sequential policy, read under no other.
 	PrefetchPolicy PrefetchPolicy
 	Prefetch       int
 
@@ -299,9 +298,6 @@ func NewManager(env *sim.Env, cfg Config) *Manager {
 	}
 	if m.cfg.FetchAlign < 1 {
 		m.cfg.FetchAlign = 1
-	}
-	if m.cfg.PrefetchPolicy == NoPrefetch && m.cfg.Prefetch > 0 {
-		m.cfg.PrefetchPolicy = Sequential
 	}
 	if m.cfg.MaxFetchAttempts < 1 {
 		m.cfg.MaxFetchAttempts = 4

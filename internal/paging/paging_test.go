@@ -363,7 +363,7 @@ func TestOnDemandReclaimStalls(t *testing.T) {
 }
 
 func TestPrefetchSequential(t *testing.T) {
-	r := newRig(t, 64, func(c *Config) { c.Prefetch = 4 })
+	r := newRig(t, 64, func(c *Config) { c.PrefetchPolicy, c.Prefetch = Sequential, 4 })
 	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 64*PageSize))
 	var b [8]byte
 	r.harness().load(sp, 0, b[:]) // demand fault on page 0 + prefetch 1..4

@@ -11,16 +11,19 @@ import (
 // threshold and evicts ahead of demand; otherwise (the conventional
 // design) it only runs once allocations actually stall. Dirty pages are
 // written back to the memory node over the given QP; the reclaimer polls
-// cq for its own write completions.
+// cq for its own write completions. The backing store is one node: the
+// QP is node 0's.
 func (m *Manager) StartReclaimer(qp *rdma.QP, cq *rdma.CQ) *sim.Task {
 	return m.StartReclaimerQPs([]*rdma.QP{qp}, cq)
 }
 
 // StartReclaimerQPs is StartReclaimer for a sharded backing store: one
 // write-back QP per memory node, indexed by node id, all completing on
-// cq. Each eviction's write-back is posted on the QP of the page's
-// owning node, so a degraded shard only slows write-backs of its own
-// stripe.
+// cq. A dirty eviction's write-back fans out over its targets (wbPlan):
+// one post per live owner of the page, on that node's QP, plus the
+// destination of a re-home copy of it in flight. The reclaimer waits
+// for a slot on the first target's QP only, so a degraded shard only
+// slows write-backs of its own stripe.
 //
 // The reclaimer runs as a tier-1 task: a state machine whose steps — a
 // gate wake, a per-page eviction cost elapsing, a QP slot freeing, a
@@ -35,8 +38,8 @@ func (m *Manager) StartReclaimer(qp *rdma.QP, cq *rdma.CQ) *sim.Task {
 func (m *Manager) StartReclaimerQPs(qps []*rdma.QP, cq *rdma.CQ) *sim.Task {
 	cqGate := sim.NewGate(m.env)
 	cq.Notify = cqGate.Wake
-	m.wbQPs = qps // replica fan-out posts share these QPs (and this CQ)
-	r := &reclaimer{m: m, qps: qps, cq: cq, cqGate: cqGate}
+	m.wbQPs = qps
+	r := &reclaimer{m: m, cq: cq, cqGate: cqGate}
 	r.t = sim.NewTask(m.env, "reclaimer", r.fire)
 	// One creation-time event, standing in for the proc's start event:
 	// its firing reaches the reclaimGate wait point.
@@ -50,7 +53,6 @@ func (m *Manager) StartReclaimerQPs(qps []*rdma.QP, cq *rdma.CQ) *sim.Task {
 // that lived on the proc's stack before the migration.
 type reclaimer struct {
 	m      *Manager
-	qps    []*rdma.QP
 	cq     *rdma.CQ
 	cqGate *sim.Gate
 	t      *sim.Task
@@ -127,7 +129,8 @@ func (r *reclaimer) step() {
 
 // processVictim evicts victims[vi] after its eviction cost has elapsed:
 // unmap, then either free the clean frame or post the dirty page's
-// write-back. Reports false when the post is blocked on a full QP.
+// write-back over its targets. Reports false when the first post is
+// blocked on a full QP.
 func (r *reclaimer) processVictim() bool {
 	m := r.m
 	fi := r.victims[r.vi]
@@ -139,23 +142,15 @@ func (r *reclaimer) processVictim() bool {
 	// clean, freeing its frame before the bytes are durable — the
 	// paging/dirty-free oracle must catch it on the eviction edge below.
 	if s.ptes[f.vpn].dirty() && !simcheck.Mut("paging-dirty-free") {
-		node := s.Owner(f.vpn, 0)
 		rec := m.newFetch(s, f.vpn, fi, true, false)
-		// Dual-apply: while a re-home copy of this page is in flight,
-		// the write-back also targets the copy's destination so the new
-		// home never holds stale bytes when the owner table follows.
-		extra := m.mirrorMask(s, f.vpn)
-		if s.region.Replicas() > 1 || extra != 0 {
-			// Fan out to every live owner; the slot-waited primary post
-			// targets the first live one. A fully dead owner set falls
-			// back to the unreplicated retry-forever path.
-			if mask, first := m.wbPlan(s, f.vpn); mask != 0 {
-				rec.pending, node = mask|extra, first
-			}
+		rec.pending, rec.node = m.wbPlan(s, f.vpn)
+		if m.NodeLive(rec.node) {
+			// Dual-apply: while a re-home copy of this page is in flight,
+			// the write-back also targets the copy's destination so the
+			// new home never holds stale bytes when the owner table
+			// follows. With no owner live there is no copy to follow.
+			rec.pending |= m.mirrorMask(s, f.vpn)
 		}
-		qp := r.qps[node]
-		rec.qp = qp
-		rec.node = node
 		m.move(s, f.vpn, edgeWriteback, rec)
 		m.DirtyWritebacks.Inc()
 		return r.tryPost(fi)
@@ -173,17 +168,14 @@ func (r *reclaimer) tryPost(fi int32) bool {
 	f := &m.frames[fi]
 	s := m.spaces[f.space]
 	rec := m.inflight(s.ptes[f.vpn])
-	node := rec.node
-	qp := r.qps[node]
-	if err := qp.PostWrite(s.region.SliceFor(f.vpn*PageSize, PageSize, node, qp.Name()), f.data, rec); err != nil {
+	qp := m.wbQPs[rec.node]
+	if err := qp.PostWrite(s.region.SliceFor(f.vpn*PageSize, PageSize, rec.node, qp.Name()), f.data, rec); err != nil {
 		r.pendFrame = fi
 		r.state = rsSlot
 		qp.AddSlotWaiter(r.t)
 		return false
 	}
-	if rec.pending != 0 {
-		m.postReplicas(rec, node)
-	}
+	m.postReplicas(rec, rec.node)
 	r.inflight++
 	return true
 }
@@ -201,10 +193,11 @@ func (r *reclaimer) advanceVictim() {
 }
 
 // await drains the round's write-backs: poll until every posted write is
-// durable, blocking on the CQ gate when the queue runs dry. A completion
-// error re-arms the record (Complete returns false) and the retried post
-// delivers a later completion on this same CQ, so the count only drops
-// when the bytes are safely remote.
+// durable, blocking on the CQ gate when the queue runs dry. An ack that
+// leaves copies owed, or a completion error, keeps the record
+// (CompleteOn returns false); the owed or retried posts deliver later
+// completions on this same CQ, so the count only drops when the bytes
+// are safely remote.
 func (r *reclaimer) await() {
 	for r.inflight > 0 {
 		n := r.cq.PollInto(r.cqBuf[:])
