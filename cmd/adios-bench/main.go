@@ -50,17 +50,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/migrate"
 	"repro/internal/simcheck"
@@ -70,9 +67,12 @@ func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters (args[0] is the
 // program name) and the exit code as its result: 0 on success, 1 when a
-// file cannot be written, 2 on a usage error — every rejected flag value
-// or experiment id prints one "adios-bench: …" line and builds nothing,
-// and the first file that cannot be written prints one such line.
+// file cannot be written, 2 on a usage error. The flags become a
+// bench.Options, which Validate judges for every id before anything
+// runs; -exp being required is the one rule written here. Every
+// rejected flag value or experiment id prints one "adios-bench: …" line
+// and builds nothing, and the first file that cannot be written prints
+// one such line.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -118,54 +118,33 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *exp == "" {
 		return usage("-exp required (use -list for ids, or 'all')")
 	}
-	if err := core.CheckTopology(*memnodes, *replicasN); err != nil {
-		return usage("%v", err)
-	}
-	if *parallel < 1 {
-		return usage("-parallel must be at least 1 (1 = sequential), got %d", *parallel)
-	}
-	all, ids := bench.All(), strings.Split(*exp, ",")
+	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
-		ids = all
+		ids = bench.All()
 	}
-	// Found now, not when the loop reaches it hours into a sweep.
-	for _, id := range ids {
-		if !slices.Contains(all, id) {
-			return usage("unknown experiment %q (use -list for ids)", id)
-		}
-	}
-
-	opt := bench.Options{Short: *short, Seed: *seed, Plot: *doPlot,
+	opt := bench.Options{Short: *short, Seed: *seed, Plot: *doPlot, Parallel: *parallel,
 		MemNodes: *memnodes, Replicas: *replicasN, Skew: *skewS}
+	var err error
 	if *faultSpec != "" || *faultSeed != 0 {
-		plan, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
+		if opt.Faults, err = faults.ParseSpec(*faultSpec); err != nil {
 			return usage("%v", err)
-		}
-		// Would otherwise panic in the first system an experiment builds
-		// at too few nodes for the plan (some sweep the count themselves).
-		for _, id := range ids {
-			if err := bench.CheckPlan(id, plan, *memnodes); err != nil {
-				return usage("-faults: %v (-memnodes %d)", err, *memnodes)
-			}
 		}
 		if *faultSeed != 0 {
-			plan.Seed = *faultSeed
+			opt.Faults.Seed = *faultSeed
 		}
-		opt.Faults = plan
 	}
 	if *migrateSpec != "" {
-		mc, err := migrate.ParseSpec(*migrateSpec)
-		if err != nil {
+		if opt.Migrate, err = migrate.ParseSpec(*migrateSpec); err != nil {
 			return usage("%v", err)
 		}
-		opt.Migrate = mc
 	}
-	if *skewS != 0 && (!(*skewS > 1) || math.IsInf(*skewS, 0)) {
-		// math/rand's Zipf generator rejects exponents at or below 1, and
-		// never returns at an infinite one; the negated comparison
-		// rejects NaN too.
-		return usage("-skew must be a finite exponent > 1 (or 0 for the native distribution), got %v", *skewS)
+	// Found now, not when the loop reaches it hours into a sweep, nor in
+	// the first system an experiment builds at too few nodes for the
+	// options (some sweep the count themselves).
+	for _, id := range ids {
+		if err := opt.Validate(id); err != nil {
+			return usage("%v", err)
+		}
 	}
 
 	// fail reports the first fatal error; the deferred stop still

@@ -16,12 +16,16 @@ import (
 // masks hold; -replicas 0; -parallel -1; a node= plan naming no node of
 // the system, which injects nothing; -skew NaN, run as the native
 // distribution; a crash plan under failover, which ran failover's own
-// crash instead), never terminated (-skew Inf), or an experiment id the
+// crash instead; -migrate on or more -replicas than memory nodes, judged
+// at the node count the experiment builds — shards' first point has
+// one — which ran with no migrator and one copy per node), never
+// terminated (-skew Inf), or an experiment id the
 // table does not have — which used to be found only when the loop
 // reached it, after every id before it had run to completion — must
 // print one "adios-bench: …" line and exit 2, with nothing on stdout; a
 // good invocation still runs to its table — failover's included, whose
-// four nodes a node= plan is judged against whatever -memnodes says.
+// four nodes a node= plan and -replicas are judged against whatever
+// -memnodes says.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -42,8 +46,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"skew-nan", []string{"-exp", "fig2b", "-short", "-skew", "NaN"}, 2},
 		{"migrate-bw-tiny", []string{"-exp", "fig2b", "-short", "-migrate", "bw=1e-300"}, 2},
 		{"failover-own-crash", []string{"-exp", "failover", "-short", "-faults", "crash=1ms:node=0"}, 2},
+		{"migrate-one-node", []string{"-exp", "fig2b", "-short", "-migrate", "on"}, 2},
+		{"replicas-past-nodes", []string{"-exp", "fig2b", "-short", "-replicas", "3"}, 2},
+		{"replicas-past-a-sweep-point", []string{"-exp", "shards", "-short", "-memnodes", "2", "-replicas", "2"}, 2},
 		{"good", []string{"-exp", "fig2b", "-short", "-faults", "crash=1ms:node=1", "-memnodes", "2", "-replicas", "2"}, 0},
 		{"failover-node-restriction", []string{"-exp", "failover", "-short", "-faults", "wr=0.01,node=3"}, 0},
+		{"failover-replicas", []string{"-exp", "failover", "-short", "-replicas", "2"}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,6 +26,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/loadgen"
 	"repro/internal/migrate"
 	"repro/internal/paging"
 	"repro/internal/sim"
@@ -47,9 +47,13 @@ func main() { os.Exit(run(os.Args, os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters (args[0] is the
 // program name) and the exit code as its result: 0 on success, 1 when a
-// file cannot be written, 2 on a usage error — every rejected flag value
-// prints one "adios-sim: …" line and builds nothing, and the first file
-// that cannot be written prints one such line.
+// file cannot be written, 2 on a usage error. The flags become a
+// core.Config, which Validate judges, and a rate and skew, which
+// loadgen.CheckRate and workload.CheckSkew judge; only the rules no
+// library owns (mode, app, -skew on micro only, -local before it is
+// converted, -ms) are written here. Every rejected flag value prints one
+// "adios-sim: …" line and builds nothing, and the first file that
+// cannot be written prints one such line.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -86,59 +90,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
-	// Reject what would otherwise panic deep in the build or never
-	// terminate. The negated comparisons reject NaN too.
-	if !(*rps > 0) || math.IsInf(*rps, 0) {
-		return usage("-rps must be a positive request rate, got %v", *rps)
-	}
-	// The load generator's mean gap between arrivals is a clock value:
-	// past MaxSpecTime it overflows, and under one cycle it truncates to
-	// zero and every draw is clamped to one cycle, capping the load.
-	if sim.CyclesPerSec / *rps > float64(sim.MaxSpecTime) {
-		return usage("-rps %v: the mean gap between requests exceeds %v", *rps, sim.MaxSpecTime)
-	}
-	if *rps > sim.CyclesPerSec {
-		return usage("-rps %v: more than one request per simulated cycle (%d per second)", *rps, sim.CyclesPerSec)
-	}
-	if !(*ms >= 0) || math.IsInf(*ms, 0) {
-		return usage("-ms must be >= 0 (0 = auto), got %v", *ms)
-	}
-	// The run lasts the window plus a quarter of it for warm-up, counted
-	// in whole cycles: a longer one overflows the clock, a window under a
-	// cycle measures nothing.
-	if *ms*1.25 > float64(sim.MaxSpecTime)/float64(sim.Millis(1)) {
-		return usage("-ms %v: the warm-up plus window exceed %v", *ms, sim.MaxSpecTime)
-	}
-	if *ms > 0 && sim.Millis(*ms) < 1 {
-		return usage("-ms %v is under one simulated cycle", *ms)
-	}
-	if !(*local > 0) || math.IsInf(*local, 0) {
-		return usage("-local must be a positive fraction of the working set, got %v", *local)
-	}
-	if *skew != 0 && (!(*skew > 1) || math.IsInf(*skew, 0)) {
-		// math/rand's Zipf generator rejects exponents at or below 1, and
-		// never returns at an infinite one.
-		return usage("-skew must be a finite exponent > 1 (or 0 for uniform), got %v", *skew)
-	}
-	if err := core.CheckTopology(*memnodes, *replicasN); err != nil {
-		return usage("%v", err)
-	}
-	// The placement would clamp the copies to the node count; here the
-	// two flags are the whole topology, so more copies than nodes is a
-	// mistake in the invocation.
-	if *replicasN > *memnodes {
-		return usage("-replicas %d exceeds -memnodes %d: each copy needs a memory node of its own", *replicasN, *memnodes)
-	}
-	if *block < 0 {
-		return usage("-block must be >= 0 (0 = page striping), got %d", *block)
-	}
-
-	if *check {
-		// Must precede system construction: each environment latches its
-		// checked flag when it is built.
-		simcheck.SetArmed(true)
-	}
-
 	mode, ok := modes[strings.ToLower(*modeName)]
 	if !ok {
 		return usage("unknown mode %q", *modeName)
@@ -151,31 +102,45 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *skew != 0 && !strings.EqualFold(*appName, "micro") {
 		return usage("-skew applies to the micro workload only")
 	}
+	// Checked as a float: past the int64 range the conversion below
+	// is undefined.
 	size := entry.Footprint
 	if err := paging.CheckFramePool(*local * float64(size)); err != nil {
 		return usage("-local %v of the %d-byte working set: %v", *local, size, err)
 	}
-	var (
-		plan faults.Config
-		mc   migrate.Config
-	)
+	// The run lasts the window plus a quarter of it for warm-up, counted
+	// in whole cycles: a longer one overflows the clock, a window under a
+	// cycle measures nothing. 0 sizes the window from -rps.
+	if c := *ms * float64(sim.Millis(1)); *ms != 0 && !(c >= 1 && c*1.25 <= float64(sim.MaxSpecTime)) {
+		return usage("-ms %v: want 0 (auto) or a window of at least one cycle whose warm-up plus window stay within %v", *ms, sim.MaxSpecTime)
+	}
+	cfg := core.Preset(mode, int64(*local*float64(size)))
+	cfg.Seed = *seed
+	cfg.MemNodes = *memnodes
+	cfg.Replicas = *replicasN
+	cfg.Block = *block
 	if *faultSpec != "" {
-		if plan, err = faults.ParseSpec(*faultSpec); err != nil {
+		if cfg.Faults, err = faults.ParseSpec(*faultSpec); err != nil {
 			return usage("%v", err)
-		}
-		if err := plan.FitsNodes(*memnodes); err != nil {
-			return usage("-faults: %v (-memnodes %d)", err, *memnodes)
 		}
 	}
 	if *migrateSpec != "" {
-		if mc, err = migrate.ParseSpec(*migrateSpec); err != nil {
+		if cfg.Migrate, err = migrate.ParseSpec(*migrateSpec); err != nil {
 			return usage("%v", err)
 		}
-		// Migration moves pages between memory nodes; with one there is
-		// nowhere to move them, and the run would silently build none.
-		if mc.Enabled && *memnodes < 2 {
-			return usage("-migrate %s needs -memnodes of at least 2, got %d", *migrateSpec, *memnodes)
+	}
+	// Reject what would otherwise panic deep in the build or never
+	// terminate.
+	for _, err := range []error{loadgen.CheckRate(*rps), workload.CheckSkew(*skew), cfg.Validate()} {
+		if err != nil {
+			return usage("%v", err)
 		}
+	}
+
+	if *check {
+		// Must precede system construction: each environment latches its
+		// checked flag when it is built.
+		simcheck.SetArmed(true)
 	}
 	// pprof drops its writer's errors, so each profile is built in
 	// memory and written with one checked write.
@@ -213,13 +178,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}()
 	}
 
-	cfg := core.Preset(mode, int64(*local*float64(size)))
-	cfg.Seed = *seed
-	cfg.MemNodes = *memnodes
-	cfg.Replicas = *replicasN
-	cfg.Faults = plan
-	cfg.Migrate = mc
-	cfg.Block = *block
 	sys := core.NewSystem(cfg)
 	app := entry.Build(sys)
 	if *skew > 0 {
@@ -237,13 +195,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	window := *ms
 	if window == 0 {
-		window = 60_000 / (*rps / 1000) // ~60K samples
-		if window < 20 {
-			window = 20
-		}
-		if window > 2000 {
-			window = 2000
-		}
+		window = min(max(60_000/(*rps/1000), 20), 2000) // ~60K samples
 	}
 	warm, measure := sim.Millis(window/4), sim.Millis(window)
 	// Core cycles at the window end, read the way Run reads the link

@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"maps"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/migrate"
+	"repro/internal/paging"
 	"repro/internal/plot"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -57,19 +59,19 @@ type Options struct {
 	// every experiment byte-identical to a build without fault support.
 	// The resilience experiment uses it as the base plan of its
 	// fault-rate sweep; the failover experiment adds its own crash to it
-	// and refuses a plan that carries one (CheckPlan).
+	// and refuses a plan that carries one (Validate).
 	Faults faults.Config
 	// MemNodes is the memory-node count of every built system (the
-	// CLI's -memnodes flag). 0 or 1 is the paper's topology,
+	// CLI's -memnodes flag); Run fills 0 with 1, the paper's topology,
 	// byte-identical to a build without sharding support. The shards
 	// experiment overrides it per point for its node-count sweep; failover
 	// and rebalance build every point at 4 nodes.
 	MemNodes int
 	// Replicas is the page replication factor of every built system
-	// (the CLI's -replicas flag; core clamps it to the node count). 0 or
-	// 1 is the paper's unreplicated store, byte-identical to a build
-	// without replication support. The failover experiment overrides it
-	// per point for its R sweep.
+	// (the CLI's -replicas flag); Run fills 0 with 1, the paper's
+	// unreplicated store, byte-identical to a build without replication
+	// support. The failover experiment overrides it per point for its R
+	// sweep.
 	Replicas int
 	// Migrate is the page-migration plan of every built system (the
 	// CLI's -migrate flag). The zero value builds no migrator, leaving
@@ -192,8 +194,9 @@ type Result struct {
 type experiment struct {
 	id string
 	// nodes is the smallest memory-node count the experiment builds at
-	// when it sets the count of its own points; 0 for the rest, which
-	// build every point at Options.MemNodes.
+	// when it sets the count of its own points, which Options.Validate
+	// judges the options at; 0 for the rest, which build every point at
+	// Options.MemNodes.
 	nodes int
 	// crashes marks an experiment that crashes a node of its own: a
 	// plan's crash or rejoin cannot run under it.
@@ -520,25 +523,41 @@ func All() []string {
 	return ids
 }
 
-// CheckPlan reports whether id names an experiment and plan can run on
-// every system it builds when the default node count is n: a crash must
-// name a node all of its points have (core.NewSystem panics on one that
-// does not), and an experiment that crashes a node itself takes no
-// crash from the plan. Run checks its options' plan; a CLI calls it
-// first, for every id, to report a usage error before anything is
-// simulated.
-func CheckPlan(id string, plan faults.Config, n int) error {
+// Validate reports whether Run can run experiment id under these
+// options: id names an experiment, Parallel is at least 1, Skew passes
+// workload.CheckSkew, an experiment that crashes a node itself takes no
+// crash from the plan, and the systems it builds pass
+// core.Config.Validate at the node count they are built at — the
+// experiment's own when the table sets one (MemNodes must still be a
+// count a system can have), MemNodes otherwise. Run calls it after
+// filling zero values; a CLI calls it on its raw flags, for every id,
+// to report a usage error before anything is simulated.
+func (o Options) Validate(id string) error {
 	e, err := find(id)
 	if err != nil {
 		return err
 	}
-	if e.crashes && (plan.CrashSet || plan.RejoinSet) {
+	if o.Parallel < 1 {
+		return fmt.Errorf("-parallel must be at least 1 (1 = sequential), got %d", o.Parallel)
+	}
+	if err := workload.CheckSkew(o.Skew); err != nil {
+		return err
+	}
+	if e.crashes && (o.Faults.CrashSet || o.Faults.RejoinSet) {
 		return fmt.Errorf("experiment %s crashes a node itself; the plan may not", id)
 	}
+	// The frame pool is the app's, judged when it is built; any valid
+	// one stands in for it here.
+	cfg := core.Preset(core.Adios, paging.PageSize)
+	cfg.MemNodes = o.MemNodes
 	if e.nodes > 0 {
-		n = e.nodes
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		cfg.MemNodes = e.nodes
 	}
-	if err := plan.FitsNodes(max(n, 1)); err != nil {
+	cfg.Replicas, cfg.Faults, cfg.Migrate = o.Replicas, o.Faults, o.Migrate
+	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("experiment %s: %v", id, err)
 	}
 	return nil
@@ -546,12 +565,9 @@ func CheckPlan(id string, plan faults.Config, n int) error {
 
 // Run executes the experiment with the given id, prints its tables to
 // opt.Out and returns what it measured. It is the only way an experiment
-// runs, so a point's seed never depends on who asked. Returns an error
-// for unknown ids and for a fault plan the experiment cannot run under.
+// runs, so a point's seed never depends on who asked. It fills the zero
+// values of opt, then returns Validate's error for options it rejects.
 func Run(id string, opt Options) (Result, error) {
-	if err := CheckPlan(id, opt.Faults, opt.MemNodes); err != nil {
-		return Result{}, fmt.Errorf("bench: %v", err)
-	}
 	if opt.sem == nil {
 		opt.SetParallel(opt.Parallel)
 	}
@@ -560,6 +576,10 @@ func Run(id string, opt Options) (Result, error) {
 	}
 	if opt.Seed == 0 {
 		opt.Seed = 1
+	}
+	opt.MemNodes, opt.Replicas = cmp.Or(opt.MemNodes, 1), cmp.Or(opt.Replicas, 1)
+	if err := opt.Validate(id); err != nil {
+		return Result{}, fmt.Errorf("bench: %v", err)
 	}
 	e, _ := find(id)
 	r := &run{Options: opt, id: id}

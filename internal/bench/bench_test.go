@@ -44,24 +44,28 @@ func TestRunDispatchesAllIDs(t *testing.T) {
 	if _, err := Run("nonsense", shortOpt()); err == nil {
 		t.Fatal("unknown id accepted")
 	}
-	// A plan must fit the smallest system the experiment builds: the
-	// -memnodes count, unless the experiment sets its own. An experiment
-	// that crashes a node itself takes no crash from the plan.
+	// A plan, and the replicas, must fit the smallest system the
+	// experiment builds: the -memnodes count, unless the experiment sets
+	// its own. An experiment that crashes a node itself takes no crash
+	// from the plan.
 	crash := faults.Config{CrashSet: true, CrashNode: 2}
 	wrNode3 := faults.Config{WRErrRate: 0.01, Node: 3, NodeSet: true}
 	crashNode0 := faults.Config{CrashSet: true, CrashAt: sim.Millis(1)}
 	for _, tc := range []struct {
-		id   string
-		plan faults.Config
-		n    int
-		fits bool
+		id      string
+		plan    faults.Config
+		n, reps int
+		fits    bool
 	}{
-		{"fig2b", crash, 4, true}, {"fig2b", crash, 2, false}, {"fig2b", crash, 0, false},
-		{"shards", crash, 4, false}, {"rebalance", crash, 1, true}, {"nonsense", crash, 4, false},
-		{"failover", wrNode3, 1, true}, {"failover", crashNode0, 1, false}, {"failover", crash, 4, false},
+		{"fig2b", crash, 4, 1, true}, {"fig2b", crash, 2, 1, false}, {"fig2b", crash, 0, 1, false},
+		{"shards", crash, 4, 1, false}, {"rebalance", crash, 1, 1, true}, {"nonsense", crash, 4, 1, false},
+		{"failover", wrNode3, 1, 1, true}, {"failover", crashNode0, 1, 1, false}, {"failover", crash, 4, 1, false},
+		{"failover", faults.Config{}, 1, 2, true}, {"shards", faults.Config{}, 2, 2, false},
+		{"shards", faults.Config{}, 0, 1, false}, {"fig2b", faults.Config{}, 1, 3, false},
 	} {
-		if err := CheckPlan(tc.id, tc.plan, tc.n); (err == nil) != tc.fits {
-			t.Fatalf("CheckPlan(%s, %s, %d nodes) = %v, want fits=%v", tc.id, tc.plan, tc.n, err, tc.fits)
+		opt := Options{Parallel: 1, MemNodes: tc.n, Replicas: tc.reps, Faults: tc.plan}
+		if err := opt.Validate(tc.id); (err == nil) != tc.fits {
+			t.Fatalf("Validate(%s) at %d nodes, %d replicas, plan %s = %v, want fits=%v", tc.id, tc.n, tc.reps, tc.plan, err, tc.fits)
 		}
 	}
 	for _, id := range All() {
@@ -235,7 +239,7 @@ func TestAblTwoSidedOneSidedWins(t *testing.T) {
 // alone.
 func TestAblTwoSidedOnEveryMemoryNode(t *testing.T) {
 	opt := shortOpt()
-	opt.MemNodes = 2
+	opt.MemNodes, opt.Replicas = 2, 1
 	sys, _ := opt.builder(system{app: microTwoSided})(core.Adios, opt.Seed)
 	for i, nic := range sys.Fabric {
 		if !nic.TwoSided() {

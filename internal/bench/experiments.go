@@ -61,8 +61,8 @@ func withPolicy(p paging.EvictPolicy) func(*core.Config) {
 // experiments is every experiment Run accepts, in DESIGN.md order: the
 // paper's tables and figures, the ablations of design choices DESIGN.md
 // calls out and alternatives the paper discusses and rejects (§3, §6),
-// and the extensions. All, CheckPlan and the CLI's -list and up-front id
-// validation read this table and nothing else.
+// and the extensions. All, Options.Validate and the CLI's -list and
+// up-front validation read this table and nothing else.
 var experiments = []experiment{
 	// Table 1: context-switching mechanism comparison.
 	{id: "table1", body: table1},

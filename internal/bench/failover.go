@@ -25,8 +25,8 @@ const failoverNodes = 4
 // runs (r=1) show the blast radius instead: every access to the dead
 // stripe aborts, so goodput drops by roughly the stripe's share of the
 // post-crash window while replicated runs lose nothing. Every point runs
-// under Options.Faults with this crash added (CheckPlan refuses a plan
-// that brings a crash of its own).
+// under Options.Faults with this crash added (Options.Validate refuses a
+// plan that brings a crash of its own).
 func failover(r *run) {
 	const (
 		crashNode = 1

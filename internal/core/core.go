@@ -85,13 +85,13 @@ type Config struct {
 	MemNodeBytes int64
 
 	// MemNodes is the number of memory nodes the backing store is
-	// striped across (0 or 1 = the paper's single memory node; a
-	// one-node run is byte-identical to the pre-sharding system).
+	// striped across, in [1, MaxMemNodes] (1 = the paper's single memory
+	// node; a one-node run is byte-identical to the pre-sharding system).
 	MemNodes int
 
-	// Replicas is the page replication factor: each page gets a primary
-	// plus Replicas-1 copies on distinct nodes (clamped to MemNodes).
-	// 0 or 1 is today's unreplicated store, byte-identical to it.
+	// Replicas is the page replication factor, in [1, MemNodes]: each
+	// page gets a primary plus Replicas-1 copies on distinct nodes. 1 is
+	// today's unreplicated store, byte-identical to it.
 	Replicas int
 
 	// Block is the placement block in pages: copy k of page p lives on
@@ -125,6 +125,8 @@ func Preset(mode Mode, localBytes int64) Config {
 		PoolSize:     unithread.DefaultPoolSize,
 		BufSize:      unithread.DefaultBufSize,
 		MemNodeBytes: 8 << 30,
+		MemNodes:     1,
+		Replicas:     1,
 		Seed:         1,
 	}
 	switch mode {
@@ -191,9 +193,10 @@ type System struct {
 	Health *rdma.Health
 	Repair *paging.Repairer
 
-	// Migr exists only on multi-node runs with migration enabled: the
-	// hot-page tracker + online migration planner. Nil otherwise, so
-	// migration-off runs schedule no extra events.
+	// Migr exists only on runs with migration enabled (which Validate
+	// allows on two nodes or more): the hot-page tracker + online
+	// migration planner. Nil otherwise, so migration-off runs schedule
+	// no extra events.
 	Migr *migrate.Migrator
 
 	// Stats names the counters of everything above that was built, and
@@ -211,31 +214,41 @@ type System struct {
 // index, so a node past 63 would silently drop out of all of them.
 const MaxMemNodes = 64
 
-// CheckTopology reports whether a system of nodes memory nodes holding
-// replicas copies of every page can be built; the CLIs turn the error
-// into their usage error.
-func CheckTopology(nodes, replicas int) error {
-	if nodes < 1 || nodes > MaxMemNodes {
-		return fmt.Errorf("-memnodes must be in [1, %d], got %d", MaxMemNodes, nodes)
+// Validate reports whether NewSystem can build cfg: MemNodes in [1,
+// MaxMemNodes], Replicas in [1, MemNodes] (each copy needs a node of its
+// own), Block >= 0, a frame pool paging.CheckFramePool accepts, a fault
+// plan that names only nodes the system has (faults.Config.FitsNodes),
+// and migration only with two nodes or more to move pages between. The
+// CLIs turn the error into their usage error.
+func (cfg Config) Validate() error {
+	n := cfg.MemNodes
+	switch {
+	case n < 1 || n > MaxMemNodes:
+		return fmt.Errorf("-memnodes must be in [1, %d], got %d", MaxMemNodes, n)
+	case cfg.Replicas < 1 || cfg.Replicas > n:
+		return fmt.Errorf("-replicas must be in [1, %d], one copy per memory node, got %d", n, cfg.Replicas)
+	case cfg.Block < 0:
+		return fmt.Errorf("-block must be >= 0 (0 = page striping), got %d", cfg.Block)
+	case cfg.Migrate.Enabled && n < 2:
+		return fmt.Errorf("-migrate needs at least 2 memory nodes, got %d", n)
 	}
-	if replicas < 1 {
-		return fmt.Errorf("-replicas must be at least 1, got %d", replicas)
+	if err := paging.CheckFramePool(float64(cfg.Paging.FramePoolBytes)); err != nil {
+		return err
+	}
+	if err := cfg.Faults.FitsNodes(n); err != nil {
+		return fmt.Errorf("-faults: %v", err)
 	}
 	return nil
 }
 
 // NewSystem builds the data plane. Applications then allocate their
-// spaces (via Mgr and Mem) before Start wires the scheduler. It panics on
-// more than MaxMemNodes nodes and on a fault plan that names a node the
-// system lacks (faults.Config.FitsNodes); zero counts mean one.
+// spaces (via Mgr and Mem) before StartApp wires the scheduler. It
+// panics with Validate's error on a config Validate rejects.
 func NewSystem(cfg Config) *System {
-	n := max(cfg.MemNodes, 1)
-	if n > MaxMemNodes {
-		panic(fmt.Sprintf("core: %d memory nodes, at most %d", n, MaxMemNodes))
+	if err := cfg.Validate(); err != nil {
+		panic("core: " + err.Error())
 	}
-	if err := cfg.Faults.FitsNodes(n); err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
+	n := cfg.MemNodes
 	env := sim.NewEnv(cfg.Seed)
 	nodes := make([]*memnode.Node, n)
 	for k := range nodes {
@@ -313,7 +326,7 @@ func (sys *System) StartApp(app workload.App) {
 		sys.Health.Start()
 		sys.Stats.Register("repair", sys.Repair)
 	}
-	if sys.Cfg.Migrate.Enabled && len(sys.Fabric) > 1 {
+	if sys.Cfg.Migrate.Enabled {
 		mcq := rdma.NewCQ("migrate")
 		mqps := sys.Fabric.CreateQPs("migrate", mcq)
 		sys.Migr = migrate.New(sys.Mgr, sys.Mem, mqps, mcq, sys.Cfg.Migrate)

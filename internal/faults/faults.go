@@ -97,8 +97,8 @@ func (c Config) Enabled() bool {
 // FitsNodes reports whether the plan can run on a system of n memory
 // nodes: a crash, and a node= restriction, must name one of them (a plan
 // restricted to a node the system lacks would inject nothing, without a
-// word). It is the one check behind both CLIs' usage error and
-// core.NewSystem's panic.
+// word). core.Config.Validate judges every plan a system is built with
+// by it.
 func (c Config) FitsNodes(n int) error {
 	if c.CrashSet && c.CrashNode >= n {
 		return fmt.Errorf("crash plan targets node %d of %d", c.CrashNode, n)

@@ -5,6 +5,8 @@
 package loadgen
 
 import (
+	"fmt"
+
 	"repro/internal/ethernet"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -36,10 +38,26 @@ type Gen struct {
 	pkts   ethernet.PacketPool // requests are sent from here; see ethernet.Owner
 }
 
+// CheckRate reports whether a generator can send rateRPS requests per
+// second. The mean gap between arrivals is a clock value: past
+// sim.MaxSpecTime it overflows, and under one cycle it truncates to zero
+// and every draw is clamped to one cycle, capping the load. The negated
+// comparison rejects zero, negative and NaN rates too.
+func CheckRate(rateRPS float64) error {
+	if gap := sim.CyclesPerSec / rateRPS; !(gap >= 1 && gap <= float64(sim.MaxSpecTime)) {
+		return fmt.Errorf("-rps %v: the mean gap between requests must be in [1 cycle, %v]", rateRPS, sim.MaxSpecTime)
+	}
+	return nil
+}
+
 // Start launches an open-loop generator sending rateRPS requests per
 // second from time 0 until end. Latency is recorded for requests sent at
 // or after warmup; Delivered counts responses received in [warmup, end].
+// It panics with CheckRate's error on a rate CheckRate rejects.
 func Start(env *sim.Env, net *ethernet.Net, app workload.App, rateRPS float64, warmup, end sim.Time) *Gen {
+	if err := CheckRate(rateRPS); err != nil {
+		panic("loadgen: " + err.Error())
+	}
 	g := &Gen{
 		warmup: warmup, end: end,
 		E2E:     stats.NewHistogram(),

@@ -254,21 +254,7 @@ func run(sc Scenario, started func(*core.System)) (res Result) {
 		}
 	}()
 
-	localBytes := int64(float64(sc.ArrayBytes)*sc.LocalFrac) &^ (pageSize - 1)
-	if localBytes < 16*pageSize {
-		localBytes = 16 * pageSize
-	}
-	cfg := core.Preset(sc.Mode, localBytes)
-	cfg.Seed = sc.Seed
-	cfg.MemNodes = sc.MemNodes
-	cfg.Replicas = sc.Replicas
-	cfg.Faults = sc.Faults
-	cfg.Migrate = sc.Migrate
-	// Small capacity so the memnode/capacity audit would notice even a
-	// single-page undercharge relative to a realistic budget.
-	cfg.MemNodeBytes = 64 << 20
-
-	sys := core.NewSystem(cfg)
+	sys := core.NewSystem(sc.config())
 	app := workload.NewArrayApp(sys.Mgr, sys.Mem, sc.ArrayBytes)
 	app.WriteFrac = sc.WriteFrac
 	if sc.Skew > 0 {
@@ -292,6 +278,24 @@ func run(sc Scenario, started func(*core.System)) (res Result) {
 				With("mismatches", app.Mismatches.Value()))
 	}
 	return res
+}
+
+// config is the system the scenario builds.
+func (sc Scenario) config() core.Config {
+	localBytes := int64(float64(sc.ArrayBytes)*sc.LocalFrac) &^ (pageSize - 1)
+	if localBytes < 16*pageSize {
+		localBytes = 16 * pageSize
+	}
+	cfg := core.Preset(sc.Mode, localBytes)
+	cfg.Seed = sc.Seed
+	cfg.MemNodes = sc.MemNodes
+	cfg.Replicas = sc.Replicas
+	cfg.Faults = sc.Faults
+	cfg.Migrate = sc.Migrate
+	// Small capacity so the memnode/capacity audit would notice even a
+	// single-page undercharge relative to a realistic budget.
+	cfg.MemNodeBytes = 64 << 20
+	return cfg
 }
 
 // faultClass names one independently disableable slice of a fault spec,

@@ -43,6 +43,18 @@ func TestSwarmClean(t *testing.T) {
 	}
 }
 
+// TestGenerateDrawsValidConfigs: the sampler keeps its own copy of the
+// build rules (at most MemNodes replicas, fault nodes in range,
+// migration only on multi-node scenarios); this pins that copy to
+// core.Config.Validate, the rules NewSystem enforces. Nothing is run.
+func TestGenerateDrawsValidConfigs(t *testing.T) {
+	for i := 0; i < 10_000; i++ {
+		if sc := Generate(1, i, true); sc.config().Validate() != nil {
+			t.Fatalf("%s: %v", sc, sc.config().Validate())
+		}
+	}
+}
+
 // TestScenarioVariety: the sampler must actually cover the interesting
 // corners (replication, writes, crashes) within a modest prefix of the
 // stream — a sampler that never draws them checks nothing.

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 
 	"repro/internal/memnode"
 	"repro/internal/paging"
@@ -97,15 +99,29 @@ func (a *ArrayApp) Name() string { return "array-indirection" }
 // size a Dist must draw from).
 func (a *ArrayApp) Entries() int64 { return a.entries }
 
+// CheckSkew reports whether s is a key-skew exponent an app takes: 0
+// (the native distribution) or a finite exponent above 1. math/rand's
+// Zipf generator rejects exponents at or below 1, and never returns at
+// an infinite one; the negated comparison rejects NaN too.
+func CheckSkew(s float64) error {
+	if s != 0 && !(s > 1 && s <= math.MaxFloat64) {
+		return fmt.Errorf("-skew must be a finite exponent > 1 (or 0 for the native distribution), got %v", s)
+	}
+	return nil
+}
+
 // SetSkew installs a Zipfian index distribution with exponent s over
-// the full array (s <= 0 restores the uniform draw). It exists so
+// the full array (s = 0 restores the uniform draw); it panics with
+// CheckSkew's error on an s CheckSkew rejects. It exists so
 // harnesses can apply a CLI-level skew knob to any app that supports
 // one without knowing the app's key-space size.
 func (a *ArrayApp) SetSkew(s float64) {
-	if s > 0 {
+	if err := CheckSkew(s); err != nil {
+		panic("workload: " + err.Error())
+	}
+	a.Dist = nil
+	if s != 0 {
 		a.Dist = &Zipfian{Keys: a.entries, S: s}
-	} else {
-		a.Dist = nil
 	}
 }
 
