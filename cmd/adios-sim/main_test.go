@@ -208,3 +208,24 @@ func TestReportPrintsEveryLayer(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashTraceRecordsFailoverReads: a traced crash run over two
+// replicated nodes writes the reads re-routed off the dead node as
+// failover instants. The trace reaches the paging manager through the
+// same wiring as the scheduler's, so a run that fails over shows it.
+func TestCrashTraceRecordsFailoverReads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	var stdout, stderr strings.Builder
+	code := run([]string{"adios-sim", "-memnodes", "2", "-replicas", "2",
+		"-faults", "crash=2ms:node=0", "-ms", "5", "-trace", path}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), `"cat":"failover"`); n == 0 {
+		t.Fatal("the crash run's trace holds no failover instant")
+	}
+}

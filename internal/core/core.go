@@ -205,7 +205,8 @@ type System struct {
 	Stats stats.Registry
 
 	// Trace, if set before StartApp, records the run: the scheduler's
-	// per-core spans and, when migration is on, the migrate lane.
+	// per-core spans, the failover reads of a crash run and, when
+	// migration is on, the migrate lane.
 	Trace *trace.Recorder
 }
 
@@ -294,7 +295,6 @@ func NewSystem(cfg Config) *System {
 		}
 		sys.Fabric[cfg.Faults.CrashNode].ScheduleCrash(cfg.Faults.CrashAt, rejoin)
 		sys.Health = rdma.NewHealth(env, sys.Fabric, rdma.DefaultHealthConfig())
-		sys.Mgr.SetHealth(sys.Health)
 		st.Register("health", sys.Health)
 	}
 	return sys
@@ -302,7 +302,8 @@ func NewSystem(cfg Config) *System {
 
 // StartApp launches the scheduler (dispatcher + workers) for app, whose
 // every request runs on the worker cores' step machine with no stack of
-// its own, and the pinned reclaimer thread.
+// its own, then the repairer and migrator the build has, and last the
+// paging manager with its pinned reclaimer thread.
 func (sys *System) StartApp(app workload.App) {
 	sys.Sched = sched.New(sys.Env, sys.Cfg.Sched, sys.Net, sys.Fabric, sys.Mgr, sys.Pool, app.StepHandler())
 	sys.Sched.Trace = sys.Trace
@@ -312,28 +313,27 @@ func (sys *System) StartApp(app workload.App) {
 	sys.Stats["sched.busy_wait_cycles"] = func() float64 { return float64(sys.Sched.BusyWaitCycles()) }
 	sys.Stats["sched.dispatcher_cycles"] = func() float64 { return float64(sys.Sched.DispatcherCycles()) }
 	sys.Stats.Register("app", app)
-	rcq := rdma.NewCQ("reclaimer")
-	rqps := sys.Fabric.CreateQPs("reclaimer", rcq)
-	sys.Mgr.StartReclaimerQPs(rqps, rcq)
+	// A nil *rdma.Health or *migrate.Migrator stored in the interface
+	// would not read as nil: fill each only when it was built.
+	w := paging.Wiring{Fabric: sys.Fabric, Trace: sys.Trace}
 	if sys.Health != nil {
-		fcq := rdma.NewCQ("failover")
-		fqps := sys.Fabric.CreateQPs("failover", fcq)
-		sys.Mgr.SetFailoverQPs(fqps, fcq)
 		pcq := rdma.NewCQ("repair")
 		pqps := sys.Fabric.CreateQPs("repair", pcq)
 		sys.Repair = paging.NewRepairer(sys.Mgr, pqps, pcq)
 		sys.Health.OnDown = sys.Repair.NodeDown
 		sys.Health.Start()
 		sys.Stats.Register("repair", sys.Repair)
+		w.Health = sys.Health
 	}
 	if sys.Cfg.Migrate.Enabled {
 		mcq := rdma.NewCQ("migrate")
 		mqps := sys.Fabric.CreateQPs("migrate", mcq)
 		sys.Migr = migrate.New(sys.Mgr, sys.Mem, mqps, mcq, sys.Cfg.Migrate)
 		sys.Migr.Trace = sys.Trace
-		sys.Mgr.SetMigrator(sys.Migr)
 		sys.Stats.Register("migrate", sys.Migr)
+		w.Migrator = sys.Migr
 	}
+	sys.Mgr.Start(w)
 }
 
 // RunResult summarizes one measured run.

@@ -9,10 +9,18 @@ import (
 	"repro/internal/workload"
 )
 
-// buildStriped assembles a replicated multi-node system over the
-// microbenchmark array with a fault plan; writeFrac of the requests
+// buildStriped assembles and starts a replicated multi-node system over
+// the microbenchmark array with a fault plan; writeFrac of the requests
 // store (0 is the paper's read-only microbenchmark).
 func buildStriped(arrayBytes int64, seed int64, nodes, replicas int, writeFrac float64,
+	fl faults.Config) (*System, *workload.ArrayApp) {
+	sys, app := newStriped(arrayBytes, seed, nodes, replicas, writeFrac, fl)
+	sys.StartApp(app)
+	return sys, app
+}
+
+// newStriped is buildStriped before StartApp.
+func newStriped(arrayBytes int64, seed int64, nodes, replicas int, writeFrac float64,
 	fl faults.Config) (*System, *workload.ArrayApp) {
 	cfg := Preset(Adios, int64(0.20*float64(arrayBytes)))
 	cfg.Seed = seed
@@ -23,7 +31,6 @@ func buildStriped(arrayBytes int64, seed int64, nodes, replicas int, writeFrac f
 	app := workload.NewArrayApp(sys.Mgr, sys.Mem, arrayBytes)
 	app.WriteFrac = writeFrac
 	app.WarmCache()
-	sys.StartApp(app)
 	return sys, app
 }
 

@@ -18,7 +18,8 @@ var updateGolden = flag.Bool("update", false, "rewrite trace golden files")
 // TestFailoverTraceGolden pins the observability contract of a crash
 // run: a two-node replicated system that loses node 0 mid-measurement
 // must emit its memory-node stall lanes and its failover-read instants
-// in a byte-stable order. The golden in testdata/ is the rendered
+// in a byte-stable order. The recorder is wired through sys.Trace, as
+// adios-sim -trace wires it. The golden in testdata/ is the rendered
 // trace; any drift means the failover or fault machinery changed when
 // it decided things, not just what it counted. Regenerate with
 // go test ./internal/core -run TraceGolden -update.
@@ -27,9 +28,10 @@ func TestFailoverTraceGolden(t *testing.T) {
 		MemEvery: sim.Millis(1), MemFor: sim.Micros(40),
 		CrashAt: sim.Millis(1.5), CrashNode: 0, CrashSet: true,
 	}
-	sys, app := buildStriped(4<<20, 7, 2, 2, 0, fl)
+	sys, app := newStriped(4<<20, 7, 2, 2, 0, fl)
 	rec := trace.New(0)
-	sys.Mgr.Trace = rec
+	sys.Trace = rec // as adios-sim -trace sets it
+	sys.StartApp(app)
 	sys.Run(app, 300_000, sim.Millis(1), sim.Millis(3))
 	if app.Mismatches.Value() != 0 {
 		t.Fatalf("data mismatches = %d", app.Mismatches.Value())

@@ -46,7 +46,7 @@ func raceRepairAndMigration(t *testing.T, migrationFirst bool) {
 	cluster := memnode.NewCluster(mn, paging.PageSize, memnode.Placement{Nodes: nodes, Block: 1, Replicas: 2})
 	mgr := paging.NewManager(env, paging.DefaultConfig(16*paging.PageSize))
 	sp := mgr.NewSpace("data", cluster.MustAlloc("data", nodes*paging.PageSize))
-	mgr.SetHealth(deadNodes{2: true})
+	mgr.Start(paging.Wiring{Fabric: fab, Health: deadNodes{2: true}})
 	rcq, mcq := rdma.NewCQ("repair"), rdma.NewCQ("migrate")
 	rep := paging.NewRepairer(mgr, fab.CreateQPs("repair", rcq), rcq)
 	mg := New(mgr, cluster, fab.CreateQPs("migrate", mcq), mcq, Config{Enabled: true})

@@ -180,8 +180,7 @@ func TestChaosMultiNodeOutageConfinedToStripe(t *testing.T) {
 	const pages = 100
 	region := cluster.MustAlloc("data", pages*PageSize)
 	sp := mgr.NewSpace("data", region)
-	rcq := rdma.NewCQ("reclaim")
-	mgr.StartReclaimerQPs(fab.CreateQPs("reclaim", rcq), rcq)
+	mgr.Start(Wiring{Fabric: fab})
 
 	ref := make([]byte, pages*PageSize)
 	rng := sim.NewRNG(99)

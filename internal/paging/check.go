@@ -99,7 +99,7 @@ func (m *Manager) checkFailover(f *Fetch, next int) {
 			With("space", f.Space.name).With("page", f.VPN).
 			With("node", next).With("tried", f.tried))
 	}
-	if m.health != nil && !m.health.Live(next) {
+	if !m.NodeLive(next) {
 		simcheck.Fail(simcheck.New("paging/failover-dead-read",
 			"failover re-routed a fetch to a node the detector declared dead").
 			With("space", f.Space.name).With("page", f.VPN).

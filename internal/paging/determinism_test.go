@@ -55,7 +55,7 @@ func TestReclaimerTaskMatchesProcReference(t *testing.T) {
 		rnic := rdma.NewNIC(env, rcfg)
 		rcq := rdma.NewCQ("reclaim")
 		rqp := rnic.CreateQP("reclaim", rcq)
-		mgr.StartReclaimerQPs([]*rdma.QP{rqp}, rcq)
+		mgr.StartReclaimer(rqp, rcq)
 		prev := rcq.Notify // the reclaimer's CQ-gate wake
 		rcq.Notify = func() {
 			mix(uint64(env.Now()))

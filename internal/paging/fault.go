@@ -276,14 +276,12 @@ func (m *Manager) postFetch(c *FaultCall, w *sim.Task, q QPSource) PageStatus {
 // s.Owner(vpn, 0).
 func (m *Manager) fetchNode(s *Space, vpn int64) int {
 	node := s.Owner(vpn, 0)
-	if m.health == nil || m.health.Live(node) {
+	if m.NodeLive(node) {
 		return node
 	}
 	for k := 1; k < s.region.Replicas(); k++ {
-		if o := s.Owner(vpn, k); m.health.Live(o) {
-			m.FailoverReads.Inc()
-			m.Trace.Instant(trace.KindFailover, trace.TidFailover,
-				fmt.Sprintf("failover %s:%d -> node %d", s.name, vpn, o), m.env.Now())
+		if o := s.Owner(vpn, k); m.NodeLive(o) {
+			m.failedOver(s, vpn, o)
 			return o
 		}
 	}
@@ -292,18 +290,28 @@ func (m *Manager) fetchNode(s *Space, vpn int64) int {
 	return node
 }
 
+// failedOver books a read of (s, vpn) re-routed off a dead node to
+// node, and marks it on the failover track when a trace is wired.
+func (m *Manager) failedOver(s *Space, vpn int64, node int) {
+	m.FailoverReads.Inc()
+	if m.trace != nil {
+		m.trace.Instant(trace.KindFailover, trace.TidFailover,
+			fmt.Sprintf("failover %s:%d -> node %d", s.name, vpn, node), m.env.Now())
+	}
+}
+
 // failoverNode returns the next owner of f's page that is live and not
-// yet tried, for re-routing after a dead-node timeout.
+// yet tried, for re-routing after a dead-node timeout. Without a health
+// oracle there is no failover: the access aborts.
 func (m *Manager) failoverNode(s *Space, f *Fetch) (int, bool) {
+	if m.health == nil {
+		return 0, false
+	}
 	for k := 0; k < s.region.Replicas(); k++ {
 		o := s.Owner(f.VPN, k)
-		if f.tried&(1<<uint(o)) != 0 {
-			continue
+		if f.tried&(1<<uint(o)) == 0 && m.health.Live(o) {
+			return o, true
 		}
-		if m.health != nil && !m.health.Live(o) {
-			continue
-		}
-		return o, true
 	}
 	return 0, false
 }
@@ -474,22 +482,20 @@ func (m *Manager) completeError(f *Fetch, cerr error) bool {
 		// The work request timed out against a crashed node: re-route to
 		// the next live untried replica instead of burning the retry
 		// budget against a node that cannot answer.
-		if next, ok := m.failoverNode(s, f); ok && m.failQPs != nil {
+		if next, ok := m.failoverNode(s, f); ok {
 			if simcheck.On() {
 				m.checkFailover(f, next)
 			}
-			m.FailoverReads.Inc()
+			m.failedOver(s, f.VPN, next)
 			m.FetchRetries.Inc()
-			m.Trace.Instant(trace.KindFailover, trace.TidFailover,
-				fmt.Sprintf("failover %s:%d -> node %d", s.name, f.VPN, next), m.env.Now())
 			f.tried |= 1 << uint(next)
 			f.node = next
 			f.qp = m.failQPs[next]
 			m.scheduleRepost(f)
 			return false
 		}
-		// The last replica is dead (or failover is not wired): the access
-		// cannot succeed — fail it now, honestly.
+		// The last replica is dead (or no health oracle is wired): the
+		// access cannot succeed — fail it now, honestly.
 	} else if f.attempts < m.cfg.MaxFetchAttempts {
 		m.FetchRetries.Inc()
 		m.scheduleRepost(f)

@@ -196,11 +196,6 @@ type Manager struct {
 	// allocation-free.
 	victimBuf []int32
 
-	// Trace, if set, records failover-read instants on the failover
-	// track (trace.TidFailover), so crash-run traces show when and for
-	// which page reads were re-routed off a dead node.
-	Trace *trace.Recorder
-
 	// fetches is the slab of Fetch records, indexed by Fetch.slot — the
 	// index a fetching or write-back PTE carries. Every demand fault,
 	// prefetch and write-back takes a record; a terminal completion is
@@ -235,6 +230,11 @@ type Manager struct {
 	// default fast path: no hook is consulted at all). It samples heat
 	// on the fault/hit paths.
 	migr Migrator
+
+	// trace, if set, records failover-read instants on the failover
+	// track (trace.TidFailover), so crash-run traces show when and for
+	// which page reads were re-routed off a dead node.
+	trace *trace.Recorder
 
 	// rehomers are the re-home engines built over this manager (repair,
 	// migration; none on most runs). The reclaimer consults their
@@ -296,15 +296,6 @@ func NewManager(env *sim.Env, cfg Config) *Manager {
 		m.frames[i] = frame{data: m.frameBuf(i), space: -1}
 		m.free = append(m.free, i)
 	}
-	if m.cfg.FetchAlign < 1 {
-		m.cfg.FetchAlign = 1
-	}
-	if m.cfg.MaxFetchAttempts < 1 {
-		m.cfg.MaxFetchAttempts = 4
-	}
-	if m.cfg.RetryBackoff <= 0 {
-		m.cfg.RetryBackoff = sim.Micros(10)
-	}
 	m.RecoveryLat = stats.NewHistogram()
 	m.lruInit()
 	return m
@@ -325,10 +316,6 @@ type NodeHealth interface {
 	ReportTimeout(node int)
 }
 
-// SetHealth installs the node-liveness oracle. nil (the default) keeps
-// the fault-free routing paths, which never consult health at all.
-func (m *Manager) SetHealth(h NodeHealth) { m.health = h }
-
 // NodeLive reports whether node n is live per the installed health
 // oracle (always true without one).
 func (m *Manager) NodeLive(n int) bool { return m.health == nil || m.health.Live(n) }
@@ -345,33 +332,9 @@ type Migrator interface {
 	RecordTouch(s *Space, vpn int64)
 }
 
-// SetMigrator installs the migration observer. nil (the default) keeps
-// the hook-free hot paths.
-func (m *Manager) SetMigrator(mg Migrator) { m.migr = mg }
-
 // Spaces returns the manager's spaces in creation order (migration
 // planner and audit sweeps).
 func (m *Manager) Spaces() []*Space { return m.spaces }
-
-// SetFailoverQPs gives the manager its own per-node QPs for failover
-// re-posts (a retry in completion context has no faulting thread — and
-// therefore no worker QP — to post on). Their CQ is drained inline on
-// delivery: completions re-enter CompleteOn from event context, which
-// wakes fetch waiters exactly as a polling thread would.
-func (m *Manager) SetFailoverQPs(qps []*rdma.QP, cq *rdma.CQ) {
-	m.failQPs = qps
-	cq.Notify = func() {
-		for {
-			cs := cq.Poll(16)
-			if len(cs) == 0 {
-				return
-			}
-			for _, c := range cs {
-				m.CompleteOn(c.Cookie.(*Fetch), c.Err, c.QP)
-			}
-		}
-	}
-}
 
 // TotalFrames returns the frame pool size in pages.
 func (m *Manager) TotalFrames() int { return len(m.frames) }

@@ -4,26 +4,73 @@ import (
 	"repro/internal/rdma"
 	"repro/internal/sim"
 	"repro/internal/simcheck"
+	"repro/internal/trace"
 )
 
-// StartReclaimer launches the page reclaimer. With cfg.Proactive (the
-// Adios design) it wakes whenever the free-frame pool drops below the
-// threshold and evicts ahead of demand; otherwise (the conventional
-// design) it only runs once allocations actually stall. Dirty pages are
-// written back to the memory node over the given QP; the reclaimer polls
-// cq for its own write completions. The backing store is one node: the
-// QP is node 0's.
-func (m *Manager) StartReclaimer(qp *rdma.QP, cq *rdma.CQ) *sim.Task {
-	return m.StartReclaimerQPs([]*rdma.QP{qp}, cq)
+// Wiring is what a manager is started with: the collaborators it runs
+// beside.
+type Wiring struct {
+	// Fabric is the backing store, one NIC per memory node. The manager
+	// creates its reclaimer QPs on it, and its failover QPs when Health
+	// is set.
+	Fabric rdma.Fabric
+	// Health is the node-liveness oracle. nil means every node is live:
+	// the routing paths never consult one and a fetch never fails over.
+	Health NodeHealth
+	// Migrator is the page-migration observer. nil means migration is
+	// off and no heat hook is consulted.
+	Migrator Migrator
+	// Trace, if set, records failover-read instants.
+	Trace *trace.Recorder
 }
 
-// StartReclaimerQPs is StartReclaimer for a sharded backing store: one
-// write-back QP per memory node, indexed by node id, all completing on
-// cq. A dirty eviction's write-back fans out over its targets (wbPlan):
-// one post per live owner of the page, on that node's QP, plus the
-// destination of a re-home copy of it in flight. The reclaimer waits
-// for a slot on the first target's QP only, so a degraded shard only
-// slows write-backs of its own stripe.
+// Start wires the manager and launches its reclaimer, once, after the
+// cores start (the reclaimer's creation event follows theirs).
+//
+// Write-backs go out on one reclaimer QP per memory node, all completing
+// on the reclaimer's CQ. A dirty eviction's write-back fans out over
+// its targets (wbPlan): one post per live owner of the page, on that
+// node's QP, plus the destination of a re-home copy of it in flight.
+// The reclaimer waits for a slot on the first target's QP only, so a
+// degraded shard only slows write-backs of its own stripe.
+//
+// With a health oracle the manager also gets per-node failover QPs: a
+// retry in completion context has no faulting thread — and therefore no
+// worker QP — to post on. Their CQ is drained inline on delivery:
+// completions re-enter CompleteOn from event context, which wakes fetch
+// waiters exactly as a polling thread would.
+func (m *Manager) Start(w Wiring) *sim.Task {
+	m.health, m.migr, m.trace = w.Health, w.Migrator, w.Trace
+	cq := rdma.NewCQ("reclaimer")
+	m.wbQPs = w.Fabric.CreateQPs("reclaimer", cq)
+	if w.Health != nil {
+		fcq := rdma.NewCQ("failover")
+		m.failQPs = w.Fabric.CreateQPs("failover", fcq)
+		var buf [16]rdma.Completion
+		fcq.Notify = func() {
+			for n := fcq.PollInto(buf[:]); n > 0; n = fcq.PollInto(buf[:]) {
+				for _, c := range buf[:n] {
+					m.CompleteOn(c.Cookie.(*Fetch), c.Err, c.QP)
+				}
+			}
+		}
+	}
+	return m.startReclaimer(cq)
+}
+
+// StartReclaimer is Start for a manager on one lone NIC with nothing
+// else wired: dirty pages are written back over qp, whose completions
+// the reclaimer polls from cq.
+func (m *Manager) StartReclaimer(qp *rdma.QP, cq *rdma.CQ) *sim.Task {
+	m.wbQPs = []*rdma.QP{qp}
+	return m.startReclaimer(cq)
+}
+
+// startReclaimer launches the page reclaimer over m.wbQPs, polling cq
+// for its own write completions. With cfg.Proactive (the Adios design)
+// it wakes whenever the free-frame pool drops below the threshold and
+// evicts ahead of demand; otherwise (the conventional design) it only
+// runs once allocations actually stall.
 //
 // The reclaimer runs as a tier-1 task: a state machine whose steps — a
 // gate wake, a per-page eviction cost elapsing, a QP slot freeing, a
@@ -35,10 +82,9 @@ func (m *Manager) StartReclaimer(qp *rdma.QP, cq *rdma.CQ) *sim.Task {
 // event for event (each Sleep, gate wake-up, and slot wake-up maps to
 // exactly one firing with the same (at, seq)), keeping goldens
 // byte-identical.
-func (m *Manager) StartReclaimerQPs(qps []*rdma.QP, cq *rdma.CQ) *sim.Task {
+func (m *Manager) startReclaimer(cq *rdma.CQ) *sim.Task {
 	cqGate := sim.NewGate(m.env)
 	cq.Notify = cqGate.Wake
-	m.wbQPs = qps
 	r := &reclaimer{m: m, cq: cq, cqGate: cqGate}
 	r.t = sim.NewTask(m.env, "reclaimer", r.fire)
 	// One creation-time event, standing in for the proc's start event:

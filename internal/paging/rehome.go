@@ -86,6 +86,8 @@ type Rehomer struct {
 	job   RehomeJob // the copy in flight; meaningful while state >= rhRead
 	hash  uint64
 
+	cqBuf [1]rdma.Completion // completion-poll scratch (allocation-free)
+
 	// Retries counts refused posts and completion errors the planner
 	// chose to retry.
 	Retries stats.Counter
@@ -182,12 +184,11 @@ func (e *Rehomer) start() {
 // drain consumes the in-flight verb's completion and advances the copy:
 // READ done → post the WRITE; WRITE done → land.
 func (e *Rehomer) drain() {
-	cs := e.cq.Poll(1) // one verb in flight, ever
 	switch {
-	case len(cs) == 0:
+	case e.cq.PollInto(e.cqBuf[:]) == 0: // one verb in flight, ever
 		// Spurious wake; the completion's Notify will re-arm us.
-	case cs[0].Err != nil:
-		if e.p.Keep(e.job, cs[0].Err) {
+	case e.cqBuf[0].Err != nil:
+		if e.p.Keep(e.job, e.cqBuf[0].Err) {
 			e.Retries.Inc()
 		}
 		e.again(e.m.cfg.RetryBackoff)

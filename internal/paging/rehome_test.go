@@ -354,7 +354,7 @@ func TestLandingUnderAFetchIsStale(t *testing.T) {
 	simcheck.SetArmed(true)
 	defer simcheck.SetArmed(false)
 	r := newRehomeRig(4, 2, 4, nil)
-	r.mgr.SetHealth(&fakeHealth{dead: map[int]bool{3: true}})
+	r.mgr.Start(Wiring{Fabric: r.fab, Health: &fakeHealth{dead: map[int]bool{3: true}}})
 	// Page 2 (nodes 2, 3): slot 1 is restored off dead node 3. Page 0
 	// (nodes 0, 1): the primary moves off live node 0.
 	p := &scriptPlanner{jobs: []RehomeJob{
@@ -385,7 +385,7 @@ func TestLandingUnderAFetchIsStale(t *testing.T) {
 // is the slowest repair of the run.
 func TestRepairLatencyIsPerWave(t *testing.T) {
 	r := newRehomeRig(4, 2, 8, nil)
-	r.mgr.SetHealth(&fakeHealth{dead: map[int]bool{1: true}})
+	r.mgr.Start(Wiring{Fabric: r.fab, Health: &fakeHealth{dead: map[int]bool{1: true}}})
 	rep := NewRepairer(r.mgr, r.qps, r.cq)
 	rep.NodeDown(1) // node 1 holds slot 0 of pages 1, 5 and slot 1 of pages 0, 4
 	if rep.Pending() != 4 {
@@ -425,7 +425,7 @@ func TestRepairLatencyIsPerWave(t *testing.T) {
 func TestRepairDropsCopyWhenOwnerRejoins(t *testing.T) {
 	r := newRehomeRig(4, 2, 4, nil)
 	h := &fakeHealth{dead: map[int]bool{2: true}}
-	r.mgr.SetHealth(h)
+	r.mgr.Start(Wiring{Fabric: r.fab, Health: h})
 	rep := NewRepairer(r.mgr, r.qps, r.cq)
 	rep.NodeDown(2) // slot 1 of page 1, slot 0 of page 2
 	var inFlight uint64

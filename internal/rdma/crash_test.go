@@ -92,17 +92,17 @@ func TestScheduleCrashRejectsBadWindow(t *testing.T) {
 
 // TestHealthDetectsCrashAndRejoin drives the heartbeat detector over a
 // two-node fabric where node 1 dies and later rejoins: the verdict
-// flips after Threshold probe periods, OnDown/OnUp fire exactly once
-// with the right node, and node 0 stays live throughout.
+// flips after Threshold probe periods, OnDown fires exactly once with
+// the right node, node 1 rejoins exactly once, and node 0 stays live
+// throughout.
 func TestHealthDetectsCrashAndRejoin(t *testing.T) {
 	env := sim.NewEnv(1)
 	fab := NewFabric(env, DefaultConfig(), 2)
 	crash, rejoin := sim.Micros(100), sim.Micros(400)
 	fab[1].ScheduleCrash(crash, rejoin)
-	h := NewHealth(env, fab, HealthConfig{})
-	var downs, ups []int
+	h := NewHealth(env, fab, DefaultHealthConfig())
+	var downs []int
 	h.OnDown = func(n int) { downs = append(downs, n) }
-	h.OnUp = func(n int) { ups = append(ups, n) }
 	h.Start()
 
 	env.Run(sim.Micros(300))
@@ -126,8 +126,8 @@ func TestHealthDetectsCrashAndRejoin(t *testing.T) {
 	if !h.Live(1) {
 		t.Fatal("node 1 not live after rejoin")
 	}
-	if len(ups) != 1 || ups[0] != 1 || h.Rejoins.Value() != 1 {
-		t.Fatalf("OnUp fired %v (rejoins %d)", ups, h.Rejoins.Value())
+	if h.Rejoins.Value() != 1 {
+		t.Fatalf("rejoins %d, want 1", h.Rejoins.Value())
 	}
 	if h.Probes.Value() == 0 {
 		t.Fatal("no probes counted")
@@ -140,7 +140,7 @@ func TestHealthDetectsCrashAndRejoin(t *testing.T) {
 func TestHealthDataPathStrikes(t *testing.T) {
 	env := sim.NewEnv(1)
 	fab := NewFabric(env, DefaultConfig(), 2)
-	h := NewHealth(env, fab, HealthConfig{Threshold: 3})
+	h := NewHealth(env, fab, DefaultHealthConfig())
 	for i := 0; i < 2; i++ {
 		h.ReportTimeout(1)
 		if !h.Live(1) {
@@ -166,7 +166,7 @@ func TestHealthDataPathStrikes(t *testing.T) {
 func TestHealthProbeResetsStrikes(t *testing.T) {
 	env := sim.NewEnv(1)
 	fab := NewFabric(env, DefaultConfig(), 1)
-	h := NewHealth(env, fab, HealthConfig{Threshold: 3})
+	h := NewHealth(env, fab, DefaultHealthConfig())
 	h.Start()
 	h.ReportTimeout(0)
 	h.ReportTimeout(0)

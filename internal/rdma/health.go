@@ -33,7 +33,7 @@ func DefaultHealthConfig() HealthConfig {
 // completes ErrNodeDead. When a node's consecutive strikes reach the
 // threshold it is marked dead and OnDown fires (once); a later
 // successful probe — possible only inside a rejoin window — marks it
-// live again and fires OnUp.
+// live again.
 //
 // The probe itself is modeled, not a posted WR: a real detector would
 // post a tiny READ and count its timeout, which on this fabric is a
@@ -53,10 +53,9 @@ type Health struct {
 
 	task *sim.Task
 
-	// OnDown is invoked in event context when a node is first marked
-	// dead; OnUp when a dead node rejoins. Either may be nil.
+	// OnDown, if set, is invoked in event context when a node is first
+	// marked dead.
 	OnDown func(node int)
-	OnUp   func(node int)
 
 	// Probes counts per-node heartbeat probes; Detected counts
 	// dead-node verdicts; Rejoins counts recoveries.
@@ -65,16 +64,8 @@ type Health struct {
 	Rejoins  stats.Counter
 }
 
-// NewHealth builds a detector over fabric. Zero-valued config fields
-// take the defaults.
+// NewHealth builds a detector over fabric.
 func NewHealth(env *sim.Env, fabric Fabric, cfg HealthConfig) *Health {
-	def := DefaultHealthConfig()
-	if cfg.Every <= 0 {
-		cfg.Every = def.Every
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = def.Threshold
-	}
 	h := &Health{
 		env:    env,
 		fabric: fabric,
@@ -131,9 +122,6 @@ func (h *Health) tick() {
 			h.live[i] = true
 			h.consec[i] = 0
 			h.Rejoins.Inc()
-			if h.OnUp != nil {
-				h.OnUp(i)
-			}
 		}
 	}
 	h.task.FireAfter(h.cfg.Every)

@@ -257,9 +257,8 @@ type NIC struct {
 	crashAt  sim.Time
 	rejoinAt sim.Time
 
-	itc    Interceptor // nil unless a fault plan is installed
-	srv    *server     // non-nil when two-sided serving is enabled
-	nextQP int
+	itc Interceptor // nil unless a fault plan is installed
+	srv *server     // non-nil when two-sided serving is enabled
 
 	freeOps *wrOp // recycled in-flight work-request records
 }
@@ -385,7 +384,6 @@ func (n *NIC) OutUtilization() float64 { return n.outBusy.Utilization(int64(n.en
 // shared link.
 type QP struct {
 	nic  *NIC
-	id   int
 	cq   *CQ
 	name string
 	node int // memory-node index (fabric position); 0 for a lone NIC
@@ -408,8 +406,7 @@ type QP struct {
 
 // CreateQP creates a queue pair whose completions are delivered to cq.
 func (n *NIC) CreateQP(name string, cq *CQ) *QP {
-	n.nextQP++
-	return &QP{nic: n, id: n.nextQP, cq: cq, name: name, env: n.env}
+	return &QP{nic: n, cq: cq, name: name, env: n.env}
 }
 
 // Outstanding reports the number of in-flight work requests. The MD
