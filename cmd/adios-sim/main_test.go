@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -227,5 +228,31 @@ func TestCrashTraceRecordsFailoverReads(t *testing.T) {
 	}
 	if n := strings.Count(string(b), `"cat":"failover"`); n == 0 {
 		t.Fatal("the crash run's trace holds no failover instant")
+	}
+}
+
+// TestMigrateTraceRecordsEveryMove: a traced migrating run writes one
+// span on the migrate lane per page it moved. The trace reaches the
+// migrator through the paging manager's wiring, as the failover reads'
+// does.
+func TestMigrateTraceRecordsEveryMove(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	var stdout, stderr strings.Builder
+	code := run([]string{"adios-sim", "-memnodes", "4", "-block", "16384", "-skew", "1.2",
+		"-migrate", "epoch=100us,hot=2,bw=1,imb=1.1,max=128,min=4", "-ms", "10", "-trace", path}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	var moved int
+	_, rest, _ := strings.Cut(stdout.String(), "pages_moved=")
+	if _, err := fmt.Sscan(rest, &moved); err != nil || moved == 0 {
+		t.Fatalf("no pages_moved count, or nothing moved, in:\n%s", stdout.String())
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), `"cat":"migrate"`); n != moved {
+		t.Fatalf("the trace holds %d migrate spans, the run moved %d pages", n, moved)
 	}
 }

@@ -317,19 +317,14 @@ func (sys *System) StartApp(app workload.App) {
 	// would not read as nil: fill each only when it was built.
 	w := paging.Wiring{Fabric: sys.Fabric, Trace: sys.Trace}
 	if sys.Health != nil {
-		pcq := rdma.NewCQ("repair")
-		pqps := sys.Fabric.CreateQPs("repair", pcq)
-		sys.Repair = paging.NewRepairer(sys.Mgr, pqps, pcq)
+		sys.Repair = paging.NewRepairer(sys.Mgr, sys.Fabric)
 		sys.Health.OnDown = sys.Repair.NodeDown
 		sys.Health.Start()
 		sys.Stats.Register("repair", sys.Repair)
 		w.Health = sys.Health
 	}
 	if sys.Cfg.Migrate.Enabled {
-		mcq := rdma.NewCQ("migrate")
-		mqps := sys.Fabric.CreateQPs("migrate", mcq)
-		sys.Migr = migrate.New(sys.Mgr, sys.Mem, mqps, mcq, sys.Cfg.Migrate)
-		sys.Migr.Trace = sys.Trace
+		sys.Migr = migrate.New(sys.Mgr, sys.Mem, sys.Fabric, sys.Cfg.Migrate)
 		sys.Stats.Register("migrate", sys.Migr)
 		w.Migrator = sys.Migr
 	}

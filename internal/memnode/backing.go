@@ -2,6 +2,7 @@ package memnode
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"weak"
@@ -43,6 +44,9 @@ var mappings = registry{maps: make(map[weak.Pointer[Backing]][]byte)}
 func Map(size int64) ([]byte, *Backing, error) {
 	if size < 0 {
 		return nil, nil, fmt.Errorf("negative size %d", size)
+	}
+	if size > math.MaxInt {
+		return nil, nil, fmt.Errorf("size %d exceeds the address space", size)
 	}
 	if size == 0 {
 		return nil, nil, nil

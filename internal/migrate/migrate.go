@@ -123,15 +123,10 @@ type Migrator struct {
 	heats       [][]uint16
 	epochFaults []int64
 
-	queued map[pageKey]bool // page has a job queued or in flight
-
-	// jobs[ji:] is the queue; every job moves a primary (slot 0) from
-	// Src, its owner at plan time, to Dst.
-	jobs []paging.RehomeJob
-	ji   int
-
-	// Trace, if set, gets one span per migration on the migrate lane.
-	Trace *trace.Recorder
+	// queued marks the pages with a job on the engine's queue or in
+	// flight; every job moves a primary (slot 0) from Src, its owner at
+	// plan time, to Dst.
+	queued map[pageKey]bool
 
 	// PagesMoved/BytesMoved count landed migrations; Planned counts
 	// jobs the epoch planner queued; Deferred counts landings that
@@ -149,10 +144,9 @@ type Migrator struct {
 	MigrLat *stats.Histogram
 }
 
-// New builds the migrator and its engine over per-node QPs created for
-// it (all completing on cq, which must be dedicated to it) and starts
-// the epoch ticker. Zero cfg fields take defaults.
-func New(m *paging.Manager, mem *memnode.Cluster, qps []*rdma.QP, cq *rdma.CQ, cfg Config) *Migrator {
+// New builds the migrator and its engine, on QPs of its own over fab,
+// and starts the epoch ticker. Zero cfg fields take defaults.
+func New(m *paging.Manager, mem *memnode.Cluster, fab rdma.Fabric, cfg Config) *Migrator {
 	cfg = cfg.withDefaults()
 	mg := &Migrator{
 		m:           m,
@@ -163,7 +157,7 @@ func New(m *paging.Manager, mem *memnode.Cluster, qps []*rdma.QP, cq *rdma.CQ, c
 		queued:      make(map[pageKey]bool),
 		MigrLat:     stats.NewHistogram(),
 	}
-	mg.Rehomer = paging.NewRehomer(m, "migrate", qps, cq, cfg.Bandwidth, mg)
+	mg.Rehomer = paging.NewRehomer(m, "migrate", fab, cfg.Bandwidth, mg)
 	mg.et = sim.NewTask(m.Env(), "migrate-epoch", mg.epoch)
 	mg.et.FireAfter(cfg.Epoch)
 	return mg
@@ -171,9 +165,6 @@ func New(m *paging.Manager, mem *memnode.Cluster, qps []*rdma.QP, cq *rdma.CQ, c
 
 // Config returns the effective (default-filled) configuration.
 func (mg *Migrator) Config() Config { return mg.cfg }
-
-// Pending returns queued-but-unfinished jobs.
-func (mg *Migrator) Pending() int { return len(mg.jobs) - mg.ji }
 
 // ---- paging.Migrator hooks (hot path) ----
 
@@ -324,7 +315,7 @@ func (mg *Migrator) plan() {
 		reserved[dst] += paging.PageSize
 		key := pageKey{c.s.ID(), c.vpn}
 		mg.queued[key] = true
-		mg.jobs = append(mg.jobs, paging.RehomeJob{Space: c.s, VPN: c.vpn, Src: src, Dst: dst, Planned: now})
+		mg.Queue(paging.RehomeJob{Space: c.s, VPN: c.vpn, Src: src, Dst: dst, Planned: now})
 		mg.Planned.Inc()
 		moves++
 	}
@@ -374,12 +365,11 @@ func candOrder(a, b candidate) int {
 
 // ---- the engine's planner (paging.RehomePlanner) ----
 
-// drop retires the head job without a flip: its page keeps its owner
-// and its charge, and the copy (if any) is abandoned.
+// drop books a job the engine retires without a flip: its page keeps
+// its owner and its charge, and the copy (if any) is abandoned.
 func (mg *Migrator) drop(j paging.RehomeJob) {
 	delete(mg.queued, pageKey{j.Space.ID(), j.VPN})
 	mg.Aborted.Inc()
-	mg.ji++
 }
 
 // stale reports whether j was planned under conditions that no longer
@@ -390,18 +380,14 @@ func (mg *Migrator) stale(j paging.RehomeJob) bool {
 		ownsCopy(j.Space, j.VPN, j.Dst) || mg.mem.FreeCapacity(j.Dst) < paging.PageSize
 }
 
-// Next drops stale jobs (a dead source included) and returns the first
-// one still worth copying.
-func (mg *Migrator) Next() (paging.RehomeJob, bool) {
-	for mg.ji < len(mg.jobs) {
-		j := mg.jobs[mg.ji]
-		if !mg.stale(j) && mg.m.NodeLive(j.Src) {
-			return j, true
-		}
-		mg.drop(j)
+// Plan refuses a stale job (a dead source included) and books it
+// aborted; the epoch planner chose its endpoints when it queued it.
+func (mg *Migrator) Plan(j *paging.RehomeJob) bool {
+	if !mg.stale(*j) && mg.m.NodeLive(j.Src) {
+		return true
 	}
-	mg.jobs, mg.ji = mg.jobs[:0], 0
-	return paging.RehomeJob{}, false
+	mg.drop(*j)
+	return false
 }
 
 // Ready drops the job when another engine — crash repair, restoring a
@@ -443,7 +429,7 @@ func (mg *Migrator) Keep(j paging.RehomeJob, err error) bool {
 func (mg *Migrator) Landed(j paging.RehomeJob) {
 	now := mg.m.Env().Now()
 	mg.mem.MoveCharge(j.Src, j.Dst, paging.PageSize)
-	mg.Trace.Span(trace.KindMigrate, trace.TidMigrate,
+	mg.Trace().Span(trace.KindMigrate, trace.TidMigrate,
 		fmt.Sprintf("migrate %s:%d %d->%d", j.Space.Name(), j.VPN, j.Src, j.Dst),
 		j.Planned, now, nil)
 	mg.PagesMoved.Inc()
@@ -451,5 +437,4 @@ func (mg *Migrator) Landed(j paging.RehomeJob) {
 	mg.MigrLat.Record(int64(now - j.Planned))
 	mg.Fold(uint64(j.Space.ID()), uint64(j.VPN), uint64(j.Src), uint64(j.Dst), uint64(now))
 	delete(mg.queued, pageKey{j.Space.ID(), j.VPN})
-	mg.ji++
 }

@@ -47,11 +47,10 @@ func raceRepairAndMigration(t *testing.T, migrationFirst bool) {
 	mgr := paging.NewManager(env, paging.DefaultConfig(16*paging.PageSize))
 	sp := mgr.NewSpace("data", cluster.MustAlloc("data", nodes*paging.PageSize))
 	mgr.Start(paging.Wiring{Fabric: fab, Health: deadNodes{2: true}})
-	rcq, mcq := rdma.NewCQ("repair"), rdma.NewCQ("migrate")
-	rep := paging.NewRepairer(mgr, fab.CreateQPs("repair", rcq), rcq)
-	mg := New(mgr, cluster, fab.CreateQPs("migrate", mcq), mcq, Config{Enabled: true})
+	rep := paging.NewRepairer(mgr, fab)
+	mg := New(mgr, cluster, fab, Config{Enabled: true})
 
-	mg.jobs = append(mg.jobs, paging.RehomeJob{Space: sp, VPN: 1, Src: 1, Dst: 0})
+	mg.Queue(paging.RehomeJob{Space: sp, VPN: 1, Src: 1, Dst: 0})
 	mg.queued[pageKey{sp.ID(), 1}] = true
 	if migrationFirst {
 		mg.Kick()
@@ -62,7 +61,7 @@ func raceRepairAndMigration(t *testing.T, migrationFirst bool) {
 	}
 	env.Run(sim.Millis(1))
 
-	if err := mg.Check(); err != nil {
+	if err := mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if err := mgr.CheckReplication(); err != nil {

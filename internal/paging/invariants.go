@@ -21,6 +21,24 @@ import "repro/internal/simcheck"
 //     free list) until a write-back *succeeds* — an absent-but-dirty
 //     page would mean an eviction was observed before the memory node
 //     durably held the bytes.
+//
+// The owner table's oracles, run on every audit, repair-only runs
+// included:
+//   - migrate/lost-page: every replica slot of every page answers a
+//     node inside the cluster — a page whose owner fell off the map is
+//     unreachable.
+//   - migrate/owner-dup: the replica slots of one page answer pairwise
+//     distinct nodes; a re-home that landed a slot on another slot's
+//     node silently halved the copy count.
+//   - migrate/state-machine: an idle engine has no queued jobs left
+//     behind (that it holds no copy while idle is by construction: the
+//     copy in flight is a state of the engine, not a table).
+//
+// A space whose table was never written answers the placement, distinct
+// and in range by construction (memnode.Placement), so only written
+// tables are swept. Whether a table follows its landing
+// (migrate/owner-table), and migrate/stale-read, are checked by the
+// engine as the landing happens (Rehomer.land).
 func (m *Manager) CheckInvariants() error {
 	inFree := make(map[int32]bool, len(m.free))
 	for _, fi := range m.free {
@@ -107,6 +125,44 @@ func (m *Manager) CheckInvariants() error {
 					With("space", s.id).With("page", vpn)
 			}
 			owner[fi] = [2]int64{int64(s.id), int64(vpn)}
+		}
+	}
+	for _, s := range m.spaces {
+		if err := s.checkOwners(); err != nil {
+			return err
+		}
+	}
+	for _, e := range m.rehomers {
+		if e.Idle() && e.Pending() != 0 {
+			return simcheck.New("migrate/state-machine",
+				"engine idle with jobs still queued").
+				With("engine", e.t.Name()).With("pending", e.Pending())
+		}
+	}
+	return nil
+}
+
+// checkOwners runs migrate/lost-page and migrate/owner-dup over the
+// space's owner table.
+func (s *Space) checkOwners() error {
+	reps, nodes := s.region.Replicas(), s.region.Nodes()
+	for i := 0; i < len(s.owners); i += reps {
+		vpn := int64(i / reps)
+		var seen uint64
+		for k, o := range s.owners[i : i+reps] {
+			if int(o) >= nodes {
+				return simcheck.New("migrate/lost-page",
+					"replica slot answers a node outside the cluster").
+					With("space", s.name).With("page", vpn).
+					With("slot", k).With("node", int(o)).With("nodes", nodes)
+			}
+			if seen&(1<<o) != 0 {
+				return simcheck.New("migrate/owner-dup",
+					"two replica slots of a page answer the same node").
+					With("space", s.name).With("page", vpn).
+					With("slot", k).With("node", int(o))
+			}
+			seen |= 1 << o
 		}
 	}
 	return nil

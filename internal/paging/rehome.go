@@ -7,11 +7,13 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simcheck"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // RehomeJob is one planned re-home: copy page VPN of Space from node Src
 // to node Dst, then point replica slot Slot of the page's owner set at
-// Dst. Planners queue these; the engine works them one at a time.
+// Dst. Planners queue these on their engine, which works them one at a
+// time.
 type RehomeJob struct {
 	Space   *Space
 	VPN     int64
@@ -33,36 +35,37 @@ const (
 
 // RehomePlanner is what the engine asks of whoever feeds it. The engine
 // never learns which client it serves; everything client-specific is one
-// of these answers. A job stays the planner's head — Next returns it
-// again after a retry — until the planner has seen it Landed or has
-// itself answered LandNever or Keep == false for it.
+// of these answers. The queue is the engine's: a job stays its head —
+// Plan is asked about it again after a retry — until Plan refuses it,
+// Ready answers LandNever, Keep answers false, or it has Landed.
 type RehomePlanner interface {
-	// Next returns the next job that is still worth starting, endpoints
-	// chosen, or false once the queue is drained.
-	Next() (RehomeJob, bool)
+	// Plan is asked about the head job before every start and every
+	// retry: false drops it as no longer worth copying; true starts it,
+	// with any endpoints Plan chose written into j.
+	Plan(j *RehomeJob) bool
 	// Ready is asked when j's copy is durable and again after every
 	// LandLater.
 	Ready(j RehomeJob) Landing
 	// Keep is asked when a verb of j's copy completed with err: true
-	// re-asks Next after RetryBackoff (a retry), false drops the job.
+	// re-plans the job after RetryBackoff (a retry), false drops it.
 	Keep(j RehomeJob, err error) bool
 	// Landed reports that j's slot now answers j.Dst.
 	Landed(j RehomeJob)
 }
 
 const (
-	rhIdle  = iota // planner's queue drained (or not yet kicked)
-	rhNext         // ask the planner (also the pacing and backoff wait)
+	rhIdle  = iota // queue drained (or not yet kicked)
+	rhNext         // plan the head job (also the pacing and backoff wait)
 	rhRead         // READ of the source copy in flight
 	rhWrite        // WRITE to the new home in flight
 	rhLand         // copy durable; the planner said LandLater
 )
 
-// Rehomer is the one re-home engine: a paced, one-job-at-a-time
-// READ src → WRITE dst → owner-table write state machine on its own QPs
-// and CQ. After every copy it idles PageSize/bandwidth cycles, so its
-// average rate never exceeds the cap; a refused post or an errored
-// completion backs off RetryBackoff and re-asks the planner. Data
+// Rehomer is the one re-home engine: a queue of jobs worked one at a
+// time by a paced READ src → WRITE dst → owner-table write state machine
+// on its own QPs and CQ. After every copy it idles PageSize/bandwidth
+// cycles, so its average rate never exceeds the cap; a refused post or
+// an errored completion backs off RetryBackoff and re-plans the job. Data
 // movement is modeled traffic — the region's single authoritative byte
 // store needs no copying, so the WRITE lands in a scratch sink and an
 // abandoned copy costs nothing.
@@ -82,8 +85,12 @@ type Rehomer struct {
 	buf  []byte // local staging buffer (READ destination)
 	sink []byte // modeled WRITE target at the new home
 
+	// jobs[ji:] is the queue; its head is the copy in flight while
+	// state >= rhRead.
+	jobs []RehomeJob
+	ji   int
+
 	state int
-	job   RehomeJob // the copy in flight; meaningful while state >= rhRead
 	hash  uint64
 
 	cqBuf [1]rdma.Completion // completion-poll scratch (allocation-free)
@@ -93,14 +100,15 @@ type Rehomer struct {
 	Retries stats.Counter
 }
 
-// NewRehomer builds an engine for planner p over per-node QPs created
-// for it, all completing on cq, which must be dedicated to it.
-// bandwidth caps its copy traffic in bytes per cycle.
-func NewRehomer(m *Manager, name string, qps []*rdma.QP, cq *rdma.CQ, bandwidth float64, p RehomePlanner) *Rehomer {
+// NewRehomer builds an engine for planner p with a CQ of its own and
+// one QP on it per node of fab, all named name. bandwidth caps its copy
+// traffic in bytes per cycle.
+func NewRehomer(m *Manager, name string, fab rdma.Fabric, bandwidth float64, p RehomePlanner) *Rehomer {
+	cq := rdma.NewCQ(name)
 	e := &Rehomer{
 		m:    m,
 		p:    p,
-		qps:  qps,
+		qps:  fab.CreateQPs(name, cq),
 		cq:   cq,
 		gap:  sim.Time(float64(PageSize) / bandwidth),
 		buf:  make([]byte, PageSize),
@@ -117,6 +125,14 @@ func NewRehomer(m *Manager, name string, qps []*rdma.QP, cq *rdma.CQ, bandwidth 
 	return e
 }
 
+// Queue appends j to the engine's queue; a Kick starts an idle engine
+// on it.
+func (e *Rehomer) Queue(j RehomeJob) { e.jobs = append(e.jobs, j) }
+
+// Pending returns the number of queued-but-unfinished jobs, the one in
+// flight included.
+func (e *Rehomer) Pending() int { return len(e.jobs) - e.ji }
+
 // Kick starts an idle engine; the planner calls it after queueing work.
 func (e *Rehomer) Kick() {
 	if e.state == rhIdle && !e.t.Armed() {
@@ -127,6 +143,10 @@ func (e *Rehomer) Kick() {
 
 // Idle reports whether the engine holds no job and waits for a Kick.
 func (e *Rehomer) Idle() bool { return e.state == rhIdle }
+
+// Trace returns the recorder the manager was started with (nil when the
+// run is not traced), for the planner's own spans.
+func (e *Rehomer) Trace() *trace.Recorder { return e.m.trace }
 
 // ScheduleHash returns an order-sensitive digest of the landed
 // schedule, for determinism tests.
@@ -154,31 +174,42 @@ func (e *Rehomer) fire() {
 	}
 }
 
-// again returns to the planner after d: the pacing gap after a finished
-// copy, RetryBackoff after a refusal or an error.
+// again returns to the head of the queue after d: the pacing gap after
+// a finished copy, RetryBackoff after a refusal or an error.
 func (e *Rehomer) again(d sim.Time) {
 	e.state = rhNext
 	e.t.FireAfter(d)
 }
 
-// start posts the READ of the planner's next job, or parks the engine.
+// start drops the head jobs the planner refuses and posts the READ of
+// the first one it plans, or empties the queue and parks the engine.
 func (e *Rehomer) start() {
-	j, ok := e.p.Next()
-	if !ok {
+	// The mutation (simcheckmutate builds only) parks the engine with
+	// jobs still queued: no Kick comes for them, and the
+	// migrate/state-machine oracle must catch the idle engine.
+	if e.Pending() > 0 && simcheck.Mut("rehome-idle-early") {
 		e.state = rhIdle
 		return
 	}
-	qp := e.qps[j.Src]
-	remote := j.Space.region.SliceFor(j.VPN*PageSize, PageSize, j.Src, qp.Name())
-	if qp.PostRead(e.buf, remote, e) != nil {
-		// Serial use cannot saturate the QP, but one in its error state
-		// (fault plans) refuses the post.
-		e.Retries.Inc()
-		e.again(e.m.cfg.RetryBackoff)
+	for ; e.ji < len(e.jobs); e.ji++ {
+		j := &e.jobs[e.ji]
+		if !e.p.Plan(j) {
+			continue
+		}
+		qp := e.qps[j.Src]
+		remote := j.Space.region.SliceFor(j.VPN*PageSize, PageSize, j.Src, qp.Name())
+		if qp.PostRead(e.buf, remote, e) != nil {
+			// Serial use cannot saturate the QP, but one in its error
+			// state (fault plans) refuses the post.
+			e.Retries.Inc()
+			e.again(e.m.cfg.RetryBackoff)
+			return
+		}
+		e.state = rhRead
 		return
 	}
-	e.job = j
-	e.state = rhRead
+	e.jobs, e.ji = e.jobs[:0], 0
+	e.state = rhIdle
 }
 
 // drain consumes the in-flight verb's completion and advances the copy:
@@ -188,15 +219,17 @@ func (e *Rehomer) drain() {
 	case e.cq.PollInto(e.cqBuf[:]) == 0: // one verb in flight, ever
 		// Spurious wake; the completion's Notify will re-arm us.
 	case e.cqBuf[0].Err != nil:
-		if e.p.Keep(e.job, e.cqBuf[0].Err) {
+		if e.p.Keep(e.jobs[e.ji], e.cqBuf[0].Err) {
 			e.Retries.Inc()
+		} else {
+			e.ji++ // dropped
 		}
 		e.again(e.m.cfg.RetryBackoff)
 	case e.state == rhWrite:
 		e.state = rhLand
 		e.land()
 	default: // READ done
-		if e.qps[e.job.Dst].PostWrite(e.sink, e.buf, e) != nil {
+		if e.qps[e.jobs[e.ji].Dst].PostWrite(e.sink, e.buf, e) != nil {
 			e.Retries.Inc()
 			e.again(e.m.cfg.RetryBackoff)
 			return
@@ -208,7 +241,7 @@ func (e *Rehomer) drain() {
 // land asks the planner whether the owner table may follow the copy
 // and, on Land, re-points the slot: the one write of a re-home.
 func (e *Rehomer) land() {
-	j := e.job
+	j := e.jobs[e.ji]
 	switch e.p.Ready(j) {
 	case LandLater:
 		e.t.FireAfter(e.m.cfg.RetryBackoff) // state stays rhLand
@@ -233,6 +266,7 @@ func (e *Rehomer) land() {
 				With("owner", o).With("want", j.Dst))
 		}
 	}
+	e.ji++ // landed or dropped
 	e.again(e.gap)
 }
 
@@ -262,8 +296,10 @@ func (e *Rehomer) Rivals(s *Space, vpn int64) uint64 { return e.m.copies(s, vpn,
 func (m *Manager) copies(s *Space, vpn int64, except *Rehomer) uint64 {
 	var mask uint64
 	for _, e := range m.rehomers {
-		if e != except && e.state >= rhRead && e.job.Space == s && e.job.VPN == vpn {
-			mask |= 1 << uint(e.job.Dst)
+		if e != except && e.state >= rhRead {
+			if j := &e.jobs[e.ji]; j.Space == s && j.VPN == vpn {
+				mask |= 1 << uint(j.Dst)
+			}
 		}
 	}
 	return mask

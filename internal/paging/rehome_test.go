@@ -10,15 +10,13 @@ import (
 )
 
 // rehomeRig is a manager over a striped, replicated region (page p's
-// slot k lives on node (p+k) mod nodes) with one set of engine QPs, and
-// nothing else running: every event in the run is the engine's.
+// slot k lives on node (p+k) mod nodes) with nothing else running: every
+// event in the run is an engine's.
 type rehomeRig struct {
 	env *sim.Env
 	mgr *Manager
 	fab rdma.Fabric
 	sp  *Space
-	qps []*rdma.QP
-	cq  *rdma.CQ
 }
 
 func newRehomeRig(nodes, replicas int, pages int64, rcfg func(*rdma.Config)) *rehomeRig {
@@ -28,14 +26,13 @@ func newRehomeRig(nodes, replicas int, pages int64, rcfg func(*rdma.Config)) *re
 		rcfg(&rc)
 	}
 	r := &rehomeRig{env: env, mgr: NewManager(env, DefaultConfig(16*PageSize)),
-		fab: rdma.NewFabric(env, rc, nodes), cq: rdma.NewCQ("rehome")}
+		fab: rdma.NewFabric(env, rc, nodes)}
 	mn := make([]*memnode.Node, nodes)
 	for i := range mn {
 		mn[i] = memnode.New(1 << 24)
 	}
 	cluster := memnode.NewCluster(mn, PageSize, memnode.Placement{Nodes: nodes, Block: 1, Replicas: replicas})
 	r.sp = r.mgr.NewSpace("data", cluster.MustAlloc("data", pages*PageSize))
-	r.qps = r.fab.CreateQPs("rehome", r.cq)
 	return r
 }
 
@@ -44,61 +41,51 @@ func (r *rehomeRig) primaryTo(vpn int64, dst int) RehomeJob {
 	return RehomeJob{Space: r.sp, VPN: vpn, Src: r.sp.Owner(vpn, 0), Dst: dst}
 }
 
-// scriptPlanner is a fake planner: a queue whose head stays put until it
-// lands or is dropped, scripted answers, and a log of every question
-// with the time it was asked.
+// scriptPlanner is a fake planner: scripted answers, and a log of every
+// question with the time it was asked.
 type scriptPlanner struct {
 	env   *sim.Env
-	jobs  []RehomeJob
-	ready func(n int) Landing                // n-th Ready call, from 0; nil = Land
-	keep  func(j *RehomeJob, err error) bool // may re-plan the head; nil = keep
+	plan  func(j *RehomeJob) bool // may re-plan the head; nil = start it
+	ready func(n int) Landing     // n-th Ready call, from 0; nil = Land
+	drop  bool                    // Keep's answer is !drop
 
-	nextAt, readyAt, keepAt, landedAt []sim.Time
+	planAt, readyAt, keepAt, landedAt []sim.Time
 	errs                              []error
 	landed                            []RehomeJob
 }
 
-func (p *scriptPlanner) pop() { p.jobs = p.jobs[1:] }
-
-func (p *scriptPlanner) Next() (RehomeJob, bool) {
-	p.nextAt = append(p.nextAt, p.env.Now())
-	if len(p.jobs) == 0 {
-		return RehomeJob{}, false
-	}
-	return p.jobs[0], true
+func (p *scriptPlanner) Plan(j *RehomeJob) bool {
+	p.planAt = append(p.planAt, p.env.Now())
+	return p.plan == nil || p.plan(j)
 }
 
 func (p *scriptPlanner) Ready(RehomeJob) Landing {
 	p.readyAt = append(p.readyAt, p.env.Now())
-	v := Land
 	if p.ready != nil {
-		v = p.ready(len(p.readyAt) - 1)
+		return p.ready(len(p.readyAt) - 1)
 	}
-	if v == LandNever {
-		p.pop()
-	}
-	return v
+	return Land
 }
 
 func (p *scriptPlanner) Keep(_ RehomeJob, err error) bool {
 	p.keepAt = append(p.keepAt, p.env.Now())
 	p.errs = append(p.errs, err)
-	if p.keep != nil && !p.keep(&p.jobs[0], err) {
-		p.pop()
-		return false
-	}
-	return true
+	return !p.drop
 }
 
 func (p *scriptPlanner) Landed(j RehomeJob) {
 	p.landedAt = append(p.landedAt, p.env.Now())
 	p.landed = append(p.landed, j)
-	p.pop()
 }
 
-func (r *rehomeRig) engine(bw float64, p *scriptPlanner) *Rehomer {
+// engine builds an engine for p with jobs queued.
+func (r *rehomeRig) engine(bw float64, p *scriptPlanner, jobs ...RehomeJob) *Rehomer {
 	p.env = r.env
-	return NewRehomer(r.mgr, "rehome", r.qps, r.cq, bw, p)
+	e := NewRehomer(r.mgr, "rehome", r.fab, bw, p)
+	for _, j := range jobs {
+		e.Queue(j)
+	}
+	return e
 }
 
 // failNth fails the n-th work request its NIC sees (from 0).
@@ -125,17 +112,20 @@ func TestRehomerPacesAndLands(t *testing.T) {
 	const n, bw = 8, 0.5
 	r := newRehomeRig(4, 1, n, nil)
 	p := &scriptPlanner{}
+	var jobs []RehomeJob
 	for vpn := int64(0); vpn < n; vpn++ {
-		p.jobs = append(p.jobs, r.primaryTo(vpn, int(vpn+1)%4))
+		jobs = append(jobs, r.primaryTo(vpn, int(vpn+1)%4))
 	}
-	e := r.engine(bw, p)
+	e := r.engine(bw, p, jobs...)
 	if !e.Idle() {
 		t.Fatal("a new engine is not idle")
 	}
+	gap := sim.Time(PageSize / bw)
 	e.Kick()
+	var idleAtNGaps bool
+	r.env.At(n*gap, func() { idleAtNGaps = e.Idle() })
 	r.env.Run(sim.Millis(1))
 
-	gap := sim.Time(PageSize / bw)
 	if len(p.landed) != n {
 		t.Fatalf("landed %d of %d", len(p.landed), n)
 	}
@@ -146,8 +136,8 @@ func TestRehomerPacesAndLands(t *testing.T) {
 	}
 	// The engine also sits out the gap after the last copy before it
 	// finds the queue empty.
-	if last := p.nextAt[len(p.nextAt)-1]; last < n*gap {
-		t.Fatalf("%d copies finished by %d, faster than %d x gap = %d", n, last, n, n*gap)
+	if idleAtNGaps {
+		t.Fatalf("%d copies finished by %d x gap = %d", n, n, n*gap)
 	}
 	for _, j := range p.landed {
 		if got := r.sp.Owner(j.VPN, 0); got != j.Dst {
@@ -162,25 +152,26 @@ func TestRehomerPacesAndLands(t *testing.T) {
 			t.Fatalf("idle engine still mirrors page %d to %#x", vpn, m)
 		}
 	}
-	// A kick with nothing queued asks once and goes back to sleep.
-	asked := len(p.nextAt)
+	// A kick with nothing queued asks the planner nothing and goes back
+	// to sleep.
+	asked := len(p.planAt)
 	e.Kick()
 	r.env.Run(sim.Millis(2))
-	if len(p.nextAt) != asked+1 || !e.Idle() {
-		t.Fatalf("empty kick: asked %d more times, idle=%v", len(p.nextAt)-asked, e.Idle())
+	if len(p.planAt) != asked || !e.Idle() {
+		t.Fatalf("empty kick: asked %d more times, idle=%v", len(p.planAt)-asked, e.Idle())
 	}
 }
 
 // TestRehomerBacksOff: an errored completion and a refused post each
-// cost one RetryBackoff and one more question to the planner. The
+// cost one RetryBackoff and one more Plan of the job. The
 // source's QP stays in its error state past the first backoff (reset
 // delay 15 µs against a 10 µs backoff), so the retry's post is refused
 // once before the third attempt goes through.
 func TestRehomerBacksOff(t *testing.T) {
 	r := newRehomeRig(4, 1, 4, func(c *rdma.Config) { c.ResetDelay = sim.Micros(15) })
 	r.fab[0].SetInterceptor(&failNth{n: 0})
-	p := &scriptPlanner{jobs: []RehomeJob{r.primaryTo(0, 1)}}
-	e := r.engine(0.5, p)
+	p := &scriptPlanner{}
+	e := r.engine(0.5, p, r.primaryTo(0, 1))
 	e.Kick()
 	r.env.Run(sim.Millis(1))
 
@@ -188,10 +179,10 @@ func TestRehomerBacksOff(t *testing.T) {
 	if len(p.keepAt) != 1 || len(p.landed) != 1 || e.Retries.Value() != 2 {
 		t.Fatalf("errors=%d landed=%d retries=%d, want 1, 1, 2", len(p.keepAt), len(p.landed), e.Retries.Value())
 	}
-	// Asked at 0 (errored), then one backoff after the error (refused),
-	// then one backoff later (posted), then one gap after the landing.
-	if len(p.nextAt) != 4 || p.nextAt[1] != p.keepAt[0]+backoff || p.nextAt[2] != p.nextAt[1]+backoff {
-		t.Fatalf("planner asked at %v around an error at %v; want steps of %d", p.nextAt, p.keepAt, backoff)
+	// Planned at 0 (errored), then one backoff after the error
+	// (refused), then one backoff later (posted).
+	if len(p.planAt) != 3 || p.planAt[1] != p.keepAt[0]+backoff || p.planAt[2] != p.planAt[1]+backoff {
+		t.Fatalf("planner asked at %v around an error at %v; want steps of %d", p.planAt, p.keepAt, backoff)
 	}
 	if got := r.sp.Owner(0, 0); got != 1 {
 		t.Fatalf("page 0 answers node %d, want 1", got)
@@ -199,8 +190,8 @@ func TestRehomerBacksOff(t *testing.T) {
 }
 
 // TestRehomerKeepOrDrop: after ErrNodeDead the planner's Keep decides.
-// Kept, the job is asked for again after a backoff and may come back
-// re-planned; dropped, it never lands and the queue moves on.
+// Kept, the job is planned again after a backoff and may be re-planned;
+// dropped, it never lands and the queue moves on.
 func TestRehomerKeepOrDrop(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -213,20 +204,22 @@ func TestRehomerKeepOrDrop(t *testing.T) {
 			r.fab[1].ScheduleCrash(0, 0) // node 1 is dead from the start
 			// Page 0 lives on nodes 0 and 1: first try to move its primary
 			// onto the dead node; page 2 (nodes 2 and 3) is the bystander.
-			p := &scriptPlanner{jobs: []RehomeJob{r.primaryTo(0, 1), r.primaryTo(2, 0)}}
-			p.keep = func(j *RehomeJob, err error) bool {
-				j.Dst = 2 // the re-plan, if the job is kept
-				return tc.keep
+			p := &scriptPlanner{drop: !tc.keep}
+			p.plan = func(j *RehomeJob) bool {
+				if len(p.errs) > 0 && j.VPN == 0 {
+					j.Dst = 2 // the re-plan, if the job is kept
+				}
+				return true
 			}
-			e := r.engine(0.5, p)
+			e := r.engine(0.5, p, r.primaryTo(0, 1), r.primaryTo(2, 0))
 			e.Kick()
 			r.env.Run(sim.Millis(1))
 
 			if len(p.errs) != 1 || p.errs[0] != rdma.ErrNodeDead {
 				t.Fatalf("errors seen: %v, want one ErrNodeDead", p.errs)
 			}
-			if p.nextAt[1] != p.keepAt[0]+r.mgr.cfg.RetryBackoff {
-				t.Fatalf("re-asked at %d after an error at %d", p.nextAt[1], p.keepAt[0])
+			if p.planAt[1] != p.keepAt[0]+r.mgr.cfg.RetryBackoff {
+				t.Fatalf("re-planned at %d after an error at %d", p.planAt[1], p.keepAt[0])
 			}
 			if e.Retries.Value() != tc.retries {
 				t.Fatalf("retries = %d, want %d", e.Retries.Value(), tc.retries)
@@ -253,7 +246,7 @@ func TestRehomerKeepOrDrop(t *testing.T) {
 // landing then happens exactly once. LandNever abandons the copy.
 func TestRehomerWaitsForReady(t *testing.T) {
 	r := newRehomeRig(4, 1, 4, nil)
-	p := &scriptPlanner{jobs: []RehomeJob{r.primaryTo(0, 1), r.primaryTo(1, 2), r.primaryTo(2, 3)}}
+	p := &scriptPlanner{}
 	p.ready = func(n int) Landing {
 		switch {
 		case n < 3:
@@ -263,7 +256,7 @@ func TestRehomerWaitsForReady(t *testing.T) {
 		}
 		return Land
 	}
-	e := r.engine(0.5, p)
+	e := r.engine(0.5, p, r.primaryTo(0, 1), r.primaryTo(1, 2), r.primaryTo(2, 3))
 	e.Kick()
 	backoff := r.mgr.cfg.RetryBackoff
 	var during struct {
@@ -290,8 +283,8 @@ func TestRehomerWaitsForReady(t *testing.T) {
 		t.Fatalf("dropped job moved page 1 to node %d", got)
 	}
 	// A dropped copy used its bandwidth: the next job starts a gap later.
-	if d := p.nextAt[2] - p.readyAt[4]; d != e.gap {
-		t.Fatalf("job after the drop asked for after %d cycles, want the %d-cycle gap", d, e.gap)
+	if d := p.planAt[2] - p.readyAt[4]; d != e.gap {
+		t.Fatalf("job after the drop planned after %d cycles, want the %d-cycle gap", d, e.gap)
 	}
 }
 
@@ -357,15 +350,12 @@ func TestLandingUnderAFetchIsStale(t *testing.T) {
 	r.mgr.Start(Wiring{Fabric: r.fab, Health: &fakeHealth{dead: map[int]bool{3: true}}})
 	// Page 2 (nodes 2, 3): slot 1 is restored off dead node 3. Page 0
 	// (nodes 0, 1): the primary moves off live node 0.
-	p := &scriptPlanner{jobs: []RehomeJob{
-		{Space: r.sp, VPN: 2, Slot: 1, Src: 2, Dst: 0},
-		r.primaryTo(0, 2),
-	}}
+	p := &scriptPlanner{}
 	for _, vpn := range []int64{0, 2} {
 		f := r.mgr.newFetch(r.sp, vpn, r.mgr.popFrame(), false, true)
 		r.mgr.move(r.sp, vpn, edgeFetch, f)
 	}
-	r.engine(0.5, p).Kick()
+	r.engine(0.5, p, RehomeJob{Space: r.sp, VPN: 2, Slot: 1, Src: 2, Dst: 0}, r.primaryTo(0, 2)).Kick()
 	if got := violation(func() { r.env.Run(sim.Millis(1)) }); got != "migrate/stale-read" {
 		t.Fatalf("landing across a live copy under a fetch raised %q, want migrate/stale-read", got)
 	}
@@ -386,7 +376,7 @@ func TestLandingUnderAFetchIsStale(t *testing.T) {
 func TestRepairLatencyIsPerWave(t *testing.T) {
 	r := newRehomeRig(4, 2, 8, nil)
 	r.mgr.Start(Wiring{Fabric: r.fab, Health: &fakeHealth{dead: map[int]bool{1: true}}})
-	rep := NewRepairer(r.mgr, r.qps, r.cq)
+	rep := NewRepairer(r.mgr, r.fab)
 	rep.NodeDown(1) // node 1 holds slot 0 of pages 1, 5 and slot 1 of pages 0, 4
 	if rep.Pending() != 4 {
 		t.Fatalf("first wave queued %d jobs, want 4", rep.Pending())
@@ -426,7 +416,7 @@ func TestRepairDropsCopyWhenOwnerRejoins(t *testing.T) {
 	r := newRehomeRig(4, 2, 4, nil)
 	h := &fakeHealth{dead: map[int]bool{2: true}}
 	r.mgr.Start(Wiring{Fabric: r.fab, Health: h})
-	rep := NewRepairer(r.mgr, r.qps, r.cq)
+	rep := NewRepairer(r.mgr, r.fab)
 	rep.NodeDown(2) // slot 1 of page 1, slot 0 of page 2
 	var inFlight uint64
 	r.env.At(sim.Micros(1), func() {
@@ -447,5 +437,29 @@ func TestRepairDropsCopyWhenOwnerRejoins(t *testing.T) {
 	}
 	if r.sp.owners != nil {
 		t.Fatal("no copy landed, yet the owner table was written")
+	}
+}
+
+// TestOwnerOraclesAuditRepair: the owner table's oracles run in
+// CheckInvariants, with no migrator built. A repair lands and the audit
+// stays clean; a second slot then forced onto a node that already holds
+// a copy of the page is migrate/owner-dup.
+func TestOwnerOraclesAuditRepair(t *testing.T) {
+	r := newRehomeRig(4, 2, 4, nil)
+	r.mgr.Start(Wiring{Fabric: r.fab, Health: &fakeHealth{dead: map[int]bool{2: true}}})
+	rep := NewRepairer(r.mgr, r.fab)
+	rep.NodeDown(2) // slot 1 of page 1, slot 0 of page 2
+	r.env.Run(sim.Millis(1))
+
+	if rep.Repaired.Value() != 2 || r.sp.Owner(1, 1) != 0 {
+		t.Fatalf("repaired %d, page 1 slot 1 on node %d; want 2, node 0", rep.Repaired.Value(), r.sp.Owner(1, 1))
+	}
+	if err := r.mgr.CheckInvariants(); err != nil {
+		t.Fatalf("audit after the repair: %v", err)
+	}
+	r.sp.rehome(1, 0, 0) // page 1's primary onto its repaired replica's node
+	v, ok := r.mgr.CheckInvariants().(*simcheck.Violation)
+	if !ok || v.Oracle != "migrate/owner-dup" {
+		t.Fatalf("two slots of page 1 on node 0: audit returned %v, want migrate/owner-dup", v)
 	}
 }

@@ -13,20 +13,17 @@ const repairBandwidth = 0.5
 // Repairer restores the replication factor after a node death. It is a
 // planner over the re-home engine (rehome.go): when the failure
 // detector reports a node down it scans every space for pages whose
-// owner set includes the dead node and queues one job per lost copy, in
-// deterministic (space, page, slot) order. When the engine asks for the
-// next job it picks the endpoints — the first live owner as the source,
-// the first live non-owner as the new home — skipping copies that need
-// no repair any more and counting those that cannot get one. It lands a
-// durable copy at once while the slot it re-points still answers a dead
-// node, so no reader can straddle the change, drops it once the owner is
-// back, and re-plans a job after any error, the death of an endpoint
-// included.
+// owner set includes the dead node and queues one job per lost copy on
+// its engine, in deterministic (space, page, slot) order. When the
+// engine plans a job it picks the endpoints — the first live owner as
+// the source, the first live non-owner as the new home — refusing
+// copies that need no repair any more and counting those that cannot
+// get one. It lands a durable copy at once while the slot it re-points
+// still answers a dead node, so no reader can straddle the change, drops
+// it once the owner is back, and re-plans a job after any error, the
+// death of an endpoint included.
 type Repairer struct {
 	*Rehomer
-
-	jobs []RehomeJob
-	ji   int
 
 	// Repaired counts restored copies; Unrepairable counts lost copies
 	// with no live source or no eligible new home (the whole queue, when
@@ -39,11 +36,11 @@ type Repairer struct {
 	RepairLat *stats.Histogram
 }
 
-// NewRepairer builds the repairer and its engine over per-node QPs
-// created for it (all completing on cq, which must be dedicated to it).
-func NewRepairer(m *Manager, qps []*rdma.QP, cq *rdma.CQ) *Repairer {
+// NewRepairer builds the repairer and its engine, on QPs of its own
+// over fab.
+func NewRepairer(m *Manager, fab rdma.Fabric) *Repairer {
 	r := &Repairer{RepairLat: stats.NewHistogram()}
-	r.Rehomer = NewRehomer(m, "repair", qps, cq, repairBandwidth, r)
+	r.Rehomer = NewRehomer(m, "repair", fab, repairBandwidth, r)
 	return r
 }
 
@@ -57,7 +54,7 @@ func (r *Repairer) NodeDown(dead int) {
 		for vpn := int64(0); vpn < s.Pages(); vpn++ {
 			for k := 0; k < reps; k++ {
 				if s.Owner(vpn, k) == dead {
-					r.jobs = append(r.jobs, RehomeJob{Space: s, VPN: vpn, Slot: k, Planned: now})
+					r.Queue(RehomeJob{Space: s, VPN: vpn, Slot: k, Planned: now})
 				}
 			}
 		}
@@ -65,36 +62,19 @@ func (r *Repairer) NodeDown(dead int) {
 	r.Kick()
 }
 
-// Pending returns the number of queued-but-unfinished jobs.
-func (r *Repairer) Pending() int { return len(r.jobs) - r.ji }
-
-// Next advances past stale and unrepairable jobs and plans the first
-// one left.
-func (r *Repairer) Next() (RehomeJob, bool) {
-	for ; r.ji < len(r.jobs); r.ji++ {
-		j := &r.jobs[r.ji]
-		if r.m.NodeLive(j.Space.Owner(j.VPN, j.Slot)) {
-			// The owner came back (rejoin) or an earlier wave already
-			// re-homed this slot: nothing to restore.
-			continue
-		}
-		if j.Src, j.Dst = r.plan(*j); j.Src < 0 {
-			r.Unrepairable.Inc()
-			continue
-		}
-		return *j, true
+// Plan refuses a job whose slot answers a live node — the owner came
+// back (rejoin) or an earlier wave already re-homed it: nothing to
+// restore. Otherwise it picks the source (first live holder of another
+// copy) and the new home (first live node holding no other copy), and
+// counts the job Unrepairable when either is missing. Both choices are
+// pure functions of the owner table and the health verdicts, so
+// identically seeded runs repair identically.
+func (r *Repairer) Plan(j *RehomeJob) bool {
+	if r.m.NodeLive(j.Space.Owner(j.VPN, j.Slot)) {
+		return false
 	}
-	r.jobs, r.ji = r.jobs[:0], 0
-	return RehomeJob{}, false
-}
-
-// plan picks the source (first live holder of another copy) and the new
-// home (first live node holding no other copy) for a job, or -1, -1 when
-// either is missing. Both choices are pure functions of the owner table
-// and the health verdicts, so identically seeded runs repair identically.
-func (r *Repairer) plan(j RehomeJob) (src, dst int) {
 	reg := j.Space.region
-	src = -1
+	j.Src = -1
 	var holders uint64
 	for k := 0; k < reg.Replicas(); k++ {
 		if k == j.Slot {
@@ -102,28 +82,29 @@ func (r *Repairer) plan(j RehomeJob) (src, dst int) {
 		}
 		o := j.Space.Owner(j.VPN, k)
 		holders |= 1 << uint(o)
-		if src < 0 && r.m.NodeLive(o) {
-			src = o
+		if j.Src < 0 && r.m.NodeLive(o) {
+			j.Src = o
 		}
 	}
-	for n := 0; src >= 0 && n < reg.Nodes(); n++ {
+	for n := 0; j.Src >= 0 && n < reg.Nodes(); n++ {
 		if r.m.NodeLive(n) && holders&(1<<uint(n)) == 0 {
-			return src, n
+			j.Dst = n
+			return true
 		}
 	}
-	return -1, -1
+	r.Unrepairable.Inc()
+	return false
 }
 
 // Ready drops the job when the slot's owner came back while the copy was
 // in flight: landing would retire a live node's copy with no quiescence,
-// so the job gets the answer Next gives before a copy starts. It waits
+// so the job gets the answer Plan gives before a copy starts. It waits
 // while another engine (migration) copies the same page to the same
 // node, whose landing would put two slots on one node; the migrator,
 // which yields a page to repair, drops its copy at its own Ready.
 // Otherwise the durable copy lands at once.
 func (r *Repairer) Ready(j RehomeJob) Landing {
 	if r.m.NodeLive(j.Space.Owner(j.VPN, j.Slot)) {
-		r.ji++
 		return LandNever
 	}
 	if r.Rivals(j.Space, j.VPN)&(1<<uint(j.Dst)) != 0 {
@@ -142,5 +123,4 @@ func (r *Repairer) Landed(j RehomeJob) {
 	r.Repaired.Inc()
 	r.RepairLat.Record(int64(now - j.Planned))
 	r.Fold(uint64(j.Space.id), uint64(j.VPN), uint64(j.Slot), uint64(j.Dst), uint64(now))
-	r.ji++
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // TestEventIsThreeWords: an event is {at, seq, fn}, the record every
-// push copies and every bucket slot holds.
+// push copies and every bucket slot holds: two 8-byte fields and one
+// pointer, so 24 bytes on a 64-bit architecture and 20 on a 32-bit one.
 func TestEventIsThreeWords(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n != 24 {
-		t.Fatalf("sizeof(event) = %d bytes, want 24", n)
+	if n, want := unsafe.Sizeof(event{}), 16+unsafe.Sizeof(uintptr(0)); n != want {
+		t.Fatalf("sizeof(event) = %d bytes, want %d", n, want)
 	}
 }
 

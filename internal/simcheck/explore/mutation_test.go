@@ -53,6 +53,14 @@ func cases() []mutationCase {
 	replicated.MemNodes = 2
 	replicated.Replicas = 2
 
+	// A replicated crash with migration off: node 1 of three dies
+	// mid-window, reads of its pages fail over to their other copies, and
+	// repair queues a copy of every page node 1 held. No migrator is
+	// built.
+	crashed := replicated
+	crashed.MemNodes = 3
+	crashed.Faults.CrashSet, crashed.Faults.CrashNode, crashed.Faults.CrashAt = true, 1, sim.Millis(1)
+
 	// A scenario guaranteed to land owner flips: four nodes, a skewed
 	// key draw, and a planner with its trigger floor on the ground —
 	// Imbalance 1.0 fires every epoch (max >= mean always holds) and
@@ -118,6 +126,15 @@ func cases() []mutationCase {
 			mutation: "migrate_lost_owner",
 			scenario: migrated,
 			oracles:  []string{"migrate/"},
+		},
+		{
+			// The repair engine parks with its queue full: no Kick comes,
+			// no copy is restored, and the run ends with an idle engine and
+			// jobs queued — a run with no migrator, whose owner table the
+			// audit still checks.
+			mutation: "rehome-idle-early",
+			scenario: crashed,
+			oracles:  []string{"migrate/state-machine"},
 		},
 		{
 			// The dispatcher assigns a request and never wakes the idle
