@@ -15,7 +15,9 @@ import (
 // silently replaced or bent (-memnodes 0, or past the 64 nodes the node
 // masks hold; -replicas 0; -parallel -1; a node= plan naming no node of
 // the system, which injects nothing; -skew NaN, run as the native
-// distribution; a crash plan under failover, which ran failover's own
+// distribution; -skew on an experiment whose apps take none, or on
+// rebalance, which sweeps skew itself; -seed 0, run as seed 1; a crash
+// plan under failover, which ran failover's own
 // crash instead; -migrate on or more -replicas than memory nodes, judged
 // at the node count the experiment builds — shards' first point has
 // one — which ran with no migrator and one copy per node), never
@@ -44,6 +46,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"trailing-comma", []string{"-exp", "fig2b,", "-short"}, 2},
 		{"skew-inf", []string{"-exp", "fig2a", "-short", "-skew", "Inf"}, 2},
 		{"skew-nan", []string{"-exp", "fig2b", "-short", "-skew", "NaN"}, 2},
+		{"skew-on-rocksdb", []string{"-exp", "abl-canvas", "-short", "-skew", "1.5"}, 2},
+		{"skew-on-memcached", []string{"-exp", "fig10", "-short", "-skew", "1.5"}, 2},
+		{"skew-on-own-sweep", []string{"-exp", "rebalance", "-short", "-skew", "1.5"}, 2},
+		{"seed-zero", []string{"-exp", "fig2b", "-short", "-seed", "0"}, 2},
 		{"migrate-bw-tiny", []string{"-exp", "fig2b", "-short", "-migrate", "bw=1e-300"}, 2},
 		{"failover-own-crash", []string{"-exp", "failover", "-short", "-faults", "crash=1ms:node=0"}, 2},
 		{"migrate-one-node", []string{"-exp", "fig2b", "-short", "-migrate", "on"}, 2},

@@ -17,19 +17,12 @@ import (
 	"repro/internal/workload"
 )
 
-// builtSize is the footprint an app reports once it exists.
-func builtSize(t *testing.T, app workload.App) int64 {
-	t.Helper()
-	switch a := app.(type) {
-	case *workload.ArrayApp:
-		return a.Entries() * 8
-	case interface{ SpaceSize() int64 }: // kvs, sstable, vecdb
-		return a.SpaceSize()
-	case *tpcc.DB:
-		return a.TotalBytes()
-	}
-	t.Fatalf("no size accessor for %T", app)
-	return 0
+// builtSize is what an app occupies once it exists: the bytes its build
+// allocated on the system's memory nodes.
+func builtSize(app App) int64 {
+	sys := core.NewSystem(core.Preset(core.Adios, max(app.Footprint/5, 1<<20)))
+	app.Build(sys)
+	return sys.Mem.Allocated()
 }
 
 // TestCatalogueFootprintMatchesBuiltApp: local memory is sized from
@@ -39,9 +32,6 @@ func builtSize(t *testing.T, app workload.App) int64 {
 // both catalogue sizes (go test -short skips the full-size TPC-C and
 // Faiss builds) and at a tiny config of each package.
 func TestCatalogueFootprintMatchesBuiltApp(t *testing.T) {
-	build := func(app App) int64 {
-		return builtSize(t, app.Build(core.NewSystem(core.Preset(core.Adios, app.Footprint/5))))
-	}
 	for _, name := range AppNames() {
 		for _, short := range []bool{true, false} {
 			if !short && testing.Short() && (name == "tpcc" || name == "faiss") {
@@ -51,7 +41,7 @@ func TestCatalogueFootprintMatchesBuiltApp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := build(app); got != app.Footprint {
+			if got := builtSize(app); got != app.Footprint {
 				t.Errorf("%s (short=%v): Footprint %d, built app occupies %d", name, short, app.Footprint, got)
 			}
 		}
@@ -67,10 +57,10 @@ func TestCatalogueFootprintMatchesBuiltApp(t *testing.T) {
 			return tpcc.New(sys.Env, sys.Mgr, sys.Mem, tinyTPCC)
 		}},
 		"vecdb": {Footprint: vecdb.Footprint(tinyVec), Build: func(sys *core.System) workload.App {
-			return vecdb.New(sys.Mgr, sys.Mem, tinyVec)
+			return vecdb.NewBlueprint(tinyVec).Instantiate(sys.Mgr, sys.Mem)
 		}},
 	} {
-		if got := builtSize(t, app.Build(core.NewSystem(core.Preset(core.Adios, 1<<20)))); got != app.Footprint {
+		if got := builtSize(app); got != app.Footprint {
 			t.Errorf("tiny %s: Footprint %d, built app occupies %d", name, app.Footprint, got)
 		}
 	}

@@ -79,11 +79,10 @@ type Options struct {
 	// support. The rebalance experiment overrides it per point for its
 	// on/off comparison.
 	Migrate migrate.Config
-	// Skew is the Zipfian key-skew exponent of every built app that
-	// supports one (the CLI's -skew flag). Zero keeps each app's native
-	// distribution and draws the identical RNG stream as a build without
-	// skew support. The rebalance experiment overrides it per point for
-	// its skew sweep.
+	// Skew is the Zipfian key-skew exponent of every built app (the
+	// CLI's -skew flag), refused by an experiment whose apps take none.
+	// Zero keeps each app's native distribution and draws the identical
+	// RNG stream as a build without skew support.
 	Skew float64
 
 	// sem bounds concurrently-running simulations across every Run
@@ -201,8 +200,13 @@ type experiment struct {
 	// crashes marks an experiment that crashes a node of its own: a
 	// plan's crash or rejoin cannot run under it.
 	crashes bool
-	cmp     []comparison
-	body    func(r *run)
+	// skew marks an experiment whose every point builds the
+	// microbenchmark's array app with Options.Skew applied. The others
+	// refuse a skew: their apps take none, or (rebalance) they sweep it
+	// themselves.
+	skew bool
+	cmp  []comparison
+	body func(r *run)
 }
 
 // comparison is the paper's one evaluation shape as data: every system
@@ -262,8 +266,8 @@ func (o *Options) builder(s system) builder {
 		if w, ok := a.(interface{ WarmCache() }); ok {
 			w.WarmCache()
 		}
-		if sk, ok := a.(interface{ SetSkew(float64) }); ok && o.Skew > 0 {
-			sk.SetSkew(o.Skew)
+		if o.Skew > 0 { // Validate admits a skew only where every app takes one
+			a.(interface{ SetSkew(float64) }).SetSkew(o.Skew)
 		}
 		sys.StartApp(a)
 		return sys, a
@@ -524,9 +528,10 @@ func All() []string {
 }
 
 // Validate reports whether Run can run experiment id under these
-// options: id names an experiment, Parallel is at least 1, Skew passes
-// workload.CheckSkew, an experiment that crashes a node itself takes no
-// crash from the plan, and the systems it builds pass
+// options: id names an experiment, Seed is not 0 (Run reads 0 as unset),
+// Parallel is at least 1, Skew passes workload.CheckSkew and is 0 unless
+// the experiment's apps take one, an experiment that crashes a node
+// itself takes no crash from the plan, and the systems it builds pass
 // core.Config.Validate at the node count they are built at — the
 // experiment's own when the table sets one (MemNodes must still be a
 // count a system can have), MemNodes otherwise. Run calls it after
@@ -540,8 +545,14 @@ func (o Options) Validate(id string) error {
 	if o.Parallel < 1 {
 		return fmt.Errorf("-parallel must be at least 1 (1 = sequential), got %d", o.Parallel)
 	}
+	if o.Seed == 0 {
+		return fmt.Errorf("-seed 0 would run seed 1 (0 means unset): pick a non-zero seed")
+	}
 	if err := workload.CheckSkew(o.Skew); err != nil {
 		return err
+	}
+	if o.Skew != 0 && !e.skew {
+		return fmt.Errorf("experiment %s takes no -skew: its apps have no key skew, or it sweeps skew itself", id)
 	}
 	if e.crashes && (o.Faults.CrashSet || o.Faults.RejoinSet) {
 		return fmt.Errorf("experiment %s crashes a node itself; the plan may not", id)

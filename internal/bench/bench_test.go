@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/rdma"
 	"repro/internal/sim"
 )
 
@@ -63,7 +64,7 @@ func TestRunDispatchesAllIDs(t *testing.T) {
 		{"failover", faults.Config{}, 1, 2, true}, {"shards", faults.Config{}, 2, 2, false},
 		{"shards", faults.Config{}, 0, 1, false}, {"fig2b", faults.Config{}, 1, 3, false},
 	} {
-		opt := Options{Parallel: 1, MemNodes: tc.n, Replicas: tc.reps, Faults: tc.plan}
+		opt := Options{Seed: 1, Parallel: 1, MemNodes: tc.n, Replicas: tc.reps, Faults: tc.plan}
 		if err := opt.Validate(tc.id); (err == nil) != tc.fits {
 			t.Fatalf("Validate(%s) at %d nodes, %d replicas, plan %s = %v, want fits=%v", tc.id, tc.n, tc.reps, tc.plan, err, tc.fits)
 		}
@@ -236,16 +237,36 @@ func TestAblTwoSidedOneSidedWins(t *testing.T) {
 
 // TestAblTwoSidedOnEveryMemoryNode: at -memnodes 2 the two-sided
 // ablation serves pages through every memory node's CPU, not node 0's
-// alone.
+// alone: a lone READ to each node takes longer than on the one-sided
+// build.
 func TestAblTwoSidedOnEveryMemoryNode(t *testing.T) {
 	opt := shortOpt()
 	opt.MemNodes, opt.Replicas = 2, 1
-	sys, _ := opt.builder(system{app: microTwoSided})(core.Adios, opt.Seed)
-	for i, nic := range sys.Fabric {
-		if !nic.TwoSided() {
-			t.Fatalf("memory node %d of %d serves one-sided", i, len(sys.Fabric))
+	one, _ := opt.builder(system{app: micro})(core.Adios, opt.Seed)
+	two, _ := opt.builder(system{app: microTwoSided})(core.Adios, opt.Seed)
+	for k := range two.Fabric {
+		if a, b := loneRead(t, one, k), loneRead(t, two, k); b <= a {
+			t.Fatalf("memory node %d of %d: a lone READ takes %v two-sided, %v one-sided", k, len(two.Fabric), b, a)
 		}
 	}
+}
+
+// loneRead posts one page READ to memory node k of a system with no load
+// and returns how long it takes to complete.
+func loneRead(t *testing.T, sys *core.System, k int) sim.Time {
+	t.Helper()
+	cq := rdma.NewCQ("probe")
+	var done sim.Time
+	cq.Notify = func() { done = cq.Poll(1)[0].At }
+	start := sys.Env.Now()
+	if err := sys.Fabric[k].CreateQP("probe", cq).PostRead(make([]byte, 4096), make([]byte, 4096), nil); err != nil {
+		t.Fatal(err)
+	}
+	sys.Env.Run(start + sim.Micros(100))
+	if done == 0 {
+		t.Fatalf("memory node %d: the READ did not complete", k)
+	}
+	return done - start
 }
 
 func TestAblCanvasHelpsScans(t *testing.T) {

@@ -69,32 +69,32 @@ var experiments = []experiment{
 
 	// Figure 2(a): P99 e2e latency of DiLOS (busy-wait) and DiLOS-P
 	// (preemption) under increasing offered load.
-	{id: "fig2a", cmp: []comparison{{
+	{id: "fig2a", skew: true, cmp: []comparison{{
 		title: "Figure 2(a): DiLOS busy-wait vs preemption, P99 e2e latency",
 		loads: []float64{100, 400, 700, 1000, 1150, 1300, 1450, 1600, 1750, 2000},
 		modes: []core.Mode{core.DiLOS, core.DiLOSP}, systems: on(micro),
 	}}},
 	// Figure 2(b): the latency CDF of DiLOS at 1.3 MRPS.
-	{id: "fig2b", body: fig2b},
+	{id: "fig2b", skew: true, body: fig2b},
 	// Figure 2(c): DiLOS request-handling breakdown at 1.3 MRPS, in
 	// Kcycles, with the busy-wait share of queueing marked.
-	{id: "fig2c", body: breakdown(core.DiLOS,
+	{id: "fig2c", skew: true, body: breakdown(core.DiLOS,
 		"Figure 2(c): DiLOS breakdown at 1.3 MRPS (cycles via rdtsc-equivalent)")},
-	{id: "fig2d", cmp: fig2de},
-	{id: "fig2e", cmp: fig2de},
+	{id: "fig2d", skew: true, cmp: fig2de},
+	{id: "fig2e", skew: true, cmp: fig2de},
 
-	{id: "fig7a", cmp: fig7ab},
-	{id: "fig7b", cmp: fig7ab},
+	{id: "fig7a", skew: true, cmp: fig7ab},
+	{id: "fig7b", skew: true, cmp: fig7ab},
 	// Figure 7(c): Adios breakdown at 1.3 MRPS. Compared with Figure
 	// 2(c), busy-waiting is gone and queueing collapses.
-	{id: "fig7c", body: breakdown(core.Adios, "Figure 7(c): Adios breakdown at 1.3 MRPS")},
-	{id: "fig7d", cmp: fig7de},
-	{id: "fig7e", cmp: fig7de},
+	{id: "fig7c", skew: true, body: breakdown(core.Adios, "Figure 7(c): Adios breakdown at 1.3 MRPS")},
+	{id: "fig7d", skew: true, cmp: fig7de},
+	{id: "fig7e", skew: true, cmp: fig7de},
 	// Figure 8: P99 latency of DiLOS and Adios with local DRAM from 10%
 	// to 100% of the working set.
-	{id: "fig8", body: fig8},
+	{id: "fig8", skew: true, body: fig8},
 	// Figure 9: Adios with and without polling delegation.
-	{id: "fig9", cmp: []comparison{{
+	{id: "fig9", skew: true, cmp: []comparison{{
 		title: "Figure 9: effect of polling delegation (TX mechanisms)",
 		loads: []float64{400, 800, 1200, 1600, 1900, 2200, 2500, 2800},
 		modes: adiosOnly,
@@ -186,7 +186,7 @@ var experiments = []experiment{
 	}}},
 	// abl-reclaim compares the paper's pinned proactive reclaimer (§3.3)
 	// against a conventional wake-on-pressure reclaimer.
-	{id: "abl-reclaim", cmp: []comparison{{
+	{id: "abl-reclaim", skew: true, cmp: []comparison{{
 		title: "Ablation: proactive vs on-demand reclamation (Adios)",
 		loads: []float64{400, 800, 1200},
 		modes: adiosOnly,
@@ -230,11 +230,11 @@ var experiments = []experiment{
 	}}},
 	// abl-pool sweeps the unithread pool size; an undersized pool sheds
 	// requests at bursty arrivals.
-	{id: "abl-pool", body: ablPool},
+	{id: "abl-pool", skew: true, body: ablPool},
 	// abl-twosided compares one-sided RDMA fetches against
 	// SEND/RECV-style serving with memory-node CPU involvement — the
 	// §3.1 design choice.
-	{id: "abl-twosided", cmp: []comparison{{
+	{id: "abl-twosided", skew: true, cmp: []comparison{{
 		title: "Ablation: one-sided vs two-sided remote memory access (Adios)",
 		loads: []float64{400, 800, 1200, 1600, 2000},
 		modes: adiosOnly,
@@ -286,7 +286,7 @@ var experiments = []experiment{
 	// paging on the random-access microbenchmark — the §5.2 reason Silo
 	// was extended to support regular pages ("huge pages induce 512
 	// times larger I/O amplification").
-	{id: "abl-hugepage", cmp: []comparison{{
+	{id: "abl-hugepage", skew: true, cmp: []comparison{{
 		title: "Ablation: fetch granularity / huge-page I/O amplification (Adios)",
 		loads: []float64{100, 200, 400},
 		modes: adiosOnly,
@@ -315,11 +315,11 @@ var experiments = []experiment{
 	// with a reliable, windowed transport (§6's connection-oriented
 	// future work) under overload: UDP sheds load (drops), the reliable
 	// layer retries and back-pressures, trading drop count for latency.
-	{id: "abl-transport", body: ablTransport},
+	{id: "abl-transport", skew: true, body: ablTransport},
 	// infiniswap runs the legacy interrupt-driven yield design the paper
 	// excludes from its plots for being off-scale (§5 setup: P99.9 582 µs
 	// to 73 ms, 261 KRPS), as an extension.
-	{id: "infiniswap", cmp: []comparison{{
+	{id: "infiniswap", skew: true, cmp: []comparison{{
 		title: "Extension: legacy interrupt-driven yield (Infiniswap-class) vs Adios",
 		loads: []float64{100, 200, 300, 400},
 		modes: []core.Mode{core.Infiniswap, core.Adios}, systems: on(micro),
@@ -327,8 +327,8 @@ var experiments = []experiment{
 
 	// The extensions past the paper's single reliable memory node; each
 	// documents itself where its body is.
-	{id: "resilience", body: resilience},
-	{id: "shards", nodes: 1, body: shards},
-	{id: "failover", nodes: failoverNodes, crashes: true, body: failover},
+	{id: "resilience", skew: true, body: resilience},
+	{id: "shards", skew: true, nodes: 1, body: shards},
+	{id: "failover", skew: true, nodes: failoverNodes, crashes: true, body: failover},
 	{id: "rebalance", nodes: rebalanceNodes, body: rebalance},
 }

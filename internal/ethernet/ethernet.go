@@ -266,9 +266,6 @@ func New(env *sim.Env, cfg Config) *Net {
 	return &Net{env: env, cfg: cfg, rx: make([]*Packet, cfg.RxRing)}
 }
 
-// Config returns the link cost model.
-func (n *Net) Config() Config { return n.cfg }
-
 // StartWindow begins the utilization measurement window.
 func (n *Net) StartWindow() { n.txBusy.StartWindow(int64(n.env.Now())) }
 
@@ -297,9 +294,6 @@ func (n *Net) SendToNode(pkt *Packet) {
 	op.kind, op.pkt, op.at = opRxArrive, pkt, arrive
 	n.env.At(arrive, op.run)
 }
-
-// RxLen reports the RX ring occupancy.
-func (n *Net) RxLen() int { return n.rxLen }
 
 // PollRxInto removes up to len(dst) packets from the RX ring into dst
 // and returns the count. They are copied out — the dispatcher blocks

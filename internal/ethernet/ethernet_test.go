@@ -45,8 +45,8 @@ func TestRxRingOverflowDrops(t *testing.T) {
 		net.SendToNode(&Packet{ID: uint64(i), Size: 64})
 	}
 	env.RunAll()
-	if net.RxLen() != 4 {
-		t.Fatalf("rx len = %d, want 4", net.RxLen())
+	if net.rxLen != 4 {
+		t.Fatalf("rx len = %d, want 4", net.rxLen)
 	}
 	if net.Drops.Value() != 6 {
 		t.Fatalf("drops = %d, want 6", net.Drops.Value())
@@ -116,7 +116,7 @@ func TestTxSerializationAndUtilization(t *testing.T) {
 	if len(deliveries) != 2 {
 		t.Fatalf("deliveries = %d", len(deliveries))
 	}
-	cfg := net.Config()
+	cfg := net.cfg
 	xfer := sim.Time(float64(1024+cfg.WireOverhead) * cfg.CyclesPerByte)
 	if deliveries[1]-deliveries[0] != xfer {
 		t.Fatalf("gap = %v, want %v", deliveries[1]-deliveries[0], xfer)
@@ -159,7 +159,7 @@ func TestRxRingIsFixedAndClearedOnPoll(t *testing.T) {
 	var buf [16]*Packet
 	var order []uint64
 	net.RxNotify = func() {
-		if have := net.RxLen(); have > 1 {
+		if have := net.rxLen; have > 1 {
 			for _, pkt := range buf[:net.PollRxInto(buf[:have-1])] {
 				consumed[pkt] = true
 				order = append(order, pkt.ID)
@@ -180,8 +180,8 @@ func TestRxRingIsFixedAndClearedOnPoll(t *testing.T) {
 	}
 	send()
 	env.RunAll()
-	if len(consumed) != total-1 || net.RxLen() != 1 || net.Drops.Value() != 0 {
-		t.Fatalf("consumed %d of %d, %d left in the ring, %d dropped", len(consumed), total, net.RxLen(), net.Drops.Value())
+	if len(consumed) != total-1 || net.rxLen != 1 || net.Drops.Value() != 0 {
+		t.Fatalf("consumed %d of %d, %d left in the ring, %d dropped", len(consumed), total, net.rxLen, net.Drops.Value())
 	}
 	for i, id := range order {
 		if id != uint64(i+1) {

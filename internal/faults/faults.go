@@ -126,20 +126,13 @@ type Injector struct {
 	LinkWindows stats.Counter
 }
 
-// New builds an injector for a run. runSeed is the simulation's own
-// seed; the plan's streams are derived from (runSeed, cfg.Seed, class)
-// so that fault schedules never perturb — and are never perturbed by —
-// the workload's draws. node may be nil when no memory node takes part
-// (unit tests); stall windows are then kept internal.
-func New(cfg Config, node *memnode.Node, runSeed int64) *Injector {
-	return NewForNode(cfg, node, runSeed, 0)
-}
-
-// NewForNode builds the injector for memory node nodeIdx of a sharded
-// backing store. Each node draws from its own stream triple — derived
-// from (runSeed, cfg.Seed, nodeIdx) — so per-node fault schedules are
-// mutually independent, and node 0's streams are exactly those of the
-// single-node New (a one-node run is byte-identical either way).
+// NewForNode builds the injector for memory node nodeIdx of a run.
+// runSeed is the simulation's own seed; each node draws from its own
+// stream triple, derived from (runSeed, cfg.Seed, nodeIdx, class), so
+// that fault schedules never perturb — and are never perturbed by — the
+// workload's draws, and per-node schedules are mutually independent.
+// node may be nil when no memory node takes part (unit tests); stall
+// windows are then kept internal.
 func NewForNode(cfg Config, node *memnode.Node, runSeed int64, nodeIdx int) *Injector {
 	base := 8 * uint64(nodeIdx)
 	inj := &Injector{

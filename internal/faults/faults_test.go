@@ -117,21 +117,21 @@ func TestInjectorDeterministicAcrossRuns(t *testing.T) {
 		LinkEvery: sim.Millis(1), LinkFor: sim.Micros(200), LinkFactor: 3,
 		MemEvery: sim.Millis(1), MemFor: sim.Micros(100),
 	}
-	o1, d1, f1, s1 := collect(New(cfg, memnode.New(1<<20), 42))
-	o2, d2, f2, s2 := collect(New(cfg, memnode.New(1<<20), 42))
+	o1, d1, f1, s1 := collect(NewForNode(cfg, memnode.New(1<<20), 42, 0))
+	o2, d2, f2, s2 := collect(NewForNode(cfg, memnode.New(1<<20), 42, 0))
 	if !reflect.DeepEqual(o1, o2) || !reflect.DeepEqual(d1, d2) ||
 		!reflect.DeepEqual(f1, f2) || !reflect.DeepEqual(s1, s2) {
 		t.Fatal("same seeds produced different fault schedules")
 	}
 
 	// A different run seed or plan seed must shift the schedule.
-	o3, _, f3, _ := collect(New(cfg, memnode.New(1<<20), 43))
+	o3, _, f3, _ := collect(NewForNode(cfg, memnode.New(1<<20), 43, 0))
 	if reflect.DeepEqual(o1, o3) && reflect.DeepEqual(f1, f3) {
 		t.Fatal("run seed does not perturb the schedule")
 	}
 	cfg2 := cfg
 	cfg2.Seed = 9
-	o4, _, f4, _ := collect(New(cfg2, memnode.New(1<<20), 42))
+	o4, _, f4, _ := collect(NewForNode(cfg2, memnode.New(1<<20), 42, 0))
 	if reflect.DeepEqual(o1, o4) && reflect.DeepEqual(f1, f4) {
 		t.Fatal("plan seed does not perturb the schedule")
 	}
@@ -141,7 +141,7 @@ func TestWindowScheduleIndependentOfQueryPattern(t *testing.T) {
 	cfg := Config{LinkEvery: sim.Millis(1), LinkFor: sim.Micros(200), LinkFactor: 3}
 	// Query densely vs sparsely; the factor at the common query times
 	// must agree because the window schedule depends only on the seed.
-	dense := New(cfg, nil, 5)
+	dense := NewForNode(cfg, nil, 5, 0)
 	var denseAt []float64
 	for i := 0; i < 1000; i++ {
 		f := dense.LinkFactor(sim.Time(i) * sim.Micros(10))
@@ -149,7 +149,7 @@ func TestWindowScheduleIndependentOfQueryPattern(t *testing.T) {
 			denseAt = append(denseAt, f)
 		}
 	}
-	sparse := New(cfg, nil, 5)
+	sparse := NewForNode(cfg, nil, 5, 0)
 	var sparseAt []float64
 	for i := 0; i < 100; i++ {
 		sparseAt = append(sparseAt, sparse.LinkFactor(sim.Time(i)*sim.Micros(100)))
@@ -162,7 +162,7 @@ func TestWindowScheduleIndependentOfQueryPattern(t *testing.T) {
 func TestServeDelayMirrorsIntoMemnode(t *testing.T) {
 	cfg := Config{MemEvery: sim.Micros(200), MemFor: sim.Micros(100)}
 	node := memnode.New(1 << 20)
-	inj := New(cfg, node, 3)
+	inj := NewForNode(cfg, node, 3, 0)
 	sawStall := false
 	for i := 0; i < 200; i++ {
 		at := sim.Time(i) * sim.Micros(20)

@@ -228,9 +228,9 @@ func (s *Store) SpaceSize() int64 { return s.index.Size() + s.items.Size() }
 // to the frame pool's steady-state occupancy.
 func (s *Store) WarmCache() { s.mgr.WarmSpaces(s.SpaceSize(), s.index, s.items) }
 
-// VerifyDigest recomputes the expected digest for a freshly loaded key
+// verifyDigest recomputes the expected digest for a freshly loaded key
 // (salt 0), for end-to-end response checking in tests.
-func (s *Store) VerifyDigest(key uint64) uint64 {
+func (s *Store) verifyDigest(key uint64) uint64 {
 	return valueDigest(key, 0, s.cfg.ValueSize)
 }
 

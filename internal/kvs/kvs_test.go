@@ -41,7 +41,7 @@ func TestGetReturnsCorrectValues(t *testing.T) {
 				if !v.Found {
 					t.Fatalf("key %d not found", key)
 				}
-				if v.Digest != s.VerifyDigest(key) {
+				if v.Digest != s.verifyDigest(key) {
 					t.Fatalf("key %d digest mismatch", key)
 				}
 			})

@@ -22,7 +22,7 @@ func TestAllocRejectsNegativeSize(t *testing.T) {
 		name  string
 		alloc func() (Allocator, func() int64)
 	}{
-		{"node", func() (Allocator, func() int64) { n := New(1 << 20); return n, n.Allocated }},
+		{"node", func() (Allocator, func() int64) { n := New(1 << 20); return n, func() int64 { return n.allocated } }},
 		{"cluster4", func() (Allocator, func() int64) { c := newCluster4(t, 1<<20); return c, c.Allocated }},
 	} {
 		for _, size := range []int64{-5, -1, -4097, -1 << 40} {

@@ -118,9 +118,6 @@ func (c *Cluster) FreeCapacity(i int) int64 {
 // NumNodes returns the number of memory nodes in the cluster.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
-// Node returns the i-th memory node.
-func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
-
 // Alloc registers a region striped across the cluster. The region's
 // backing bytes are one contiguous slice (a region is a single virtual
 // object); ownership and capacity accounting are per page, with the
@@ -199,15 +196,6 @@ func (c *Cluster) Allocated() int64 {
 	var t int64
 	for _, n := range c.nodes {
 		t += n.allocated
-	}
-	return t
-}
-
-// Capacity returns the total capacity summed over all nodes.
-func (c *Cluster) Capacity() int64 {
-	var t int64
-	for _, n := range c.nodes {
-		t += n.capacity
 	}
 	return t
 }

@@ -27,7 +27,7 @@ func TestClusterStripesCapacity(t *testing.T) {
 	}
 	want := []int64{3 * 4096, 2*4096 + 100, 2 * 4096, 2 * 4096}
 	for i, w := range want {
-		if got := c.Node(i).Allocated(); got != w {
+		if got := c.nodes[i].allocated; got != w {
 			t.Errorf("node %d allocated %d, want %d", i, got, w)
 		}
 	}
@@ -41,7 +41,7 @@ func TestClusterStripesCapacity(t *testing.T) {
 	}
 	// Every node carries the registration.
 	for i := 0; i < 4; i++ {
-		if c.Node(i).Region("r") != r {
+		if c.nodes[i].Region("r") != r {
 			t.Fatalf("node %d missing region", i)
 		}
 	}
@@ -57,7 +57,7 @@ func TestClusterAllocAtomic(t *testing.T) {
 		t.Fatalf("error does not name the node: %v", err)
 	}
 	for i := 0; i < 4; i++ {
-		if c.Node(i).Allocated() != 0 || c.Node(i).Region("big") != nil {
+		if c.nodes[i].allocated != 0 || c.nodes[i].Region("big") != nil {
 			t.Fatalf("node %d has partial registration", i)
 		}
 	}
@@ -129,7 +129,7 @@ func TestSliceForNamesRequester(t *testing.T) {
 // allocation) must still resolve through the cluster.
 func TestClusterRegionResolvesOnAnyNode(t *testing.T) {
 	c := newCluster4(t, 1<<20)
-	r, err := c.Node(2).Alloc("side", 4096)
+	r, err := c.nodes[2].Alloc("side", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestClusterReplicatedAlloc(t *testing.T) {
 	}
 	// 8 pages x 2 copies: every node owns 2 primaries and 2 replicas.
 	for i := 0; i < 4; i++ {
-		if got := c.Node(i).Allocated(); got != 4*4096 {
+		if got := c.nodes[i].allocated; got != 4*4096 {
 			t.Errorf("node %d allocated %d, want %d", i, got, 4*4096)
 		}
 	}

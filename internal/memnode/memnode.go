@@ -197,9 +197,3 @@ func (n *Node) StallWindows() [][2]int64 {
 	copy(out, n.stalls)
 	return out
 }
-
-// Allocated returns the number of registered bytes.
-func (n *Node) Allocated() int64 { return n.allocated }
-
-// Capacity returns the node's total capacity in bytes.
-func (n *Node) Capacity() int64 { return n.capacity }

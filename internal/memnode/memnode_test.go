@@ -23,8 +23,8 @@ func TestAllocAndCapacity(t *testing.T) {
 	if _, err := n.Alloc("b", 512<<10); err != nil {
 		t.Fatalf("exact-fit alloc rejected: %v", err)
 	}
-	if n.Allocated() != n.Capacity() {
-		t.Fatalf("allocated = %d, capacity = %d", n.Allocated(), n.Capacity())
+	if n.allocated != n.capacity {
+		t.Fatalf("allocated = %d, capacity = %d", n.allocated, n.capacity)
 	}
 	if n.Region("a") != r || n.Region("missing") != nil {
 		t.Fatal("region lookup broken")

@@ -163,9 +163,6 @@ func New(m *paging.Manager, mem *memnode.Cluster, fab rdma.Fabric, cfg Config) *
 	return mg
 }
 
-// Config returns the effective (default-filled) configuration.
-func (mg *Migrator) Config() Config { return mg.cfg }
-
 // ---- paging.Migrator hooks (hot path) ----
 
 // heat returns the space's heat array, sized on first use.

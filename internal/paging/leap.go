@@ -7,14 +7,13 @@ package paging
 // window. Random access produces no majority trend, so — unlike fixed
 // sequential readahead — Leap wastes no bandwidth on it.
 
-// PrefetchPolicy selects the readahead algorithm.
+// PrefetchPolicy selects the readahead algorithm; the zero policy
+// fetches only on demand.
 type PrefetchPolicy int
 
 const (
-	// NoPrefetch fetches only on demand.
-	NoPrefetch PrefetchPolicy = iota
 	// Sequential fetches Config.Prefetch pages following each miss.
-	Sequential
+	Sequential PrefetchPolicy = iota + 1
 	// Leap detects the majority stride over recent accesses and
 	// prefetches along it with an adaptive window.
 	Leap

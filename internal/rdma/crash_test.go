@@ -73,10 +73,6 @@ func TestCrashedNodeTimesOutRequests(t *testing.T) {
 	if len(cs) != 1 || cs[0].Err != nil {
 		t.Fatalf("post-rejoin completion: %+v", cs)
 	}
-
-	if crashed, at, rj := nic.CrashWindow(); !crashed || at != sim.Micros(10) || rj != sim.Micros(40) {
-		t.Fatalf("CrashWindow() = %v, %v, %v", crashed, at, rj)
-	}
 }
 
 func TestScheduleCrashRejectsBadWindow(t *testing.T) {

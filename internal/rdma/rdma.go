@@ -328,9 +328,6 @@ func NewNIC(env *sim.Env, cfg Config) *NIC {
 	return &NIC{env: env, cfg: cfg}
 }
 
-// Config returns the NIC's cost model.
-func (n *NIC) Config() Config { return n.cfg }
-
 // SetInterceptor installs a fault plan on the fabric. Must be called
 // before any operation is posted; nil removes it.
 func (n *NIC) SetInterceptor(itc Interceptor) { n.itc = itc }
@@ -355,12 +352,6 @@ func (n *NIC) ScheduleCrash(crashAt, rejoinAt sim.Time) {
 // t falls inside the crash window.
 func (n *NIC) deadAt(t sim.Time) bool {
 	return n.hasCrash && t >= n.crashAt && (n.rejoinAt == 0 || t < n.rejoinAt)
-}
-
-// CrashWindow returns the scheduled crash window (zero-valued when no
-// crash is scheduled; rejoin == 0 means permanent).
-func (n *NIC) CrashWindow() (crashed bool, crashAt, rejoinAt sim.Time) {
-	return n.hasCrash, n.crashAt, n.rejoinAt
 }
 
 // StartWindow begins the utilization measurement window (end of warm-up).
@@ -420,9 +411,6 @@ func (qp *QP) Name() string { return qp.name }
 // Node returns the index of the memory node this QP is connected to (0
 // unless the QP was created through a multi-node Fabric).
 func (qp *QP) Node() int { return qp.node }
-
-// NIC returns the QP's NIC.
-func (qp *QP) NIC() *NIC { return qp.nic }
 
 // Full reports whether the QP is at depth.
 func (qp *QP) Full() bool { return qp.outstanding >= qp.nic.cfg.QPDepth }

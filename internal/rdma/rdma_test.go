@@ -199,7 +199,7 @@ func TestParallelQPsShareLink(t *testing.T) {
 	}
 	env.RunAll()
 
-	cfg := nic.Config()
+	cfg := nic.cfg
 	xfer := sim.Time(float64(4096+cfg.WireOverhead) * cfg.CyclesPerByte)
 	gap := doneB - doneA
 	if gap != xfer {
@@ -293,7 +293,7 @@ func TestTwoSidedAddsServerStage(t *testing.T) {
 	nic := testNIC(env)
 	srv := DefaultServerConfig()
 	nic.EnableTwoSided(srv)
-	if !nic.TwoSided() {
+	if nic.srv == nil {
 		t.Fatal("two-sided not enabled")
 	}
 	cq := NewCQ("cq")
@@ -328,8 +328,5 @@ func TestTwoSidedAddsServerStage(t *testing.T) {
 	minSpread := sim.Time(burst/srv.Cores-1) * perOp
 	if spread := all[len(all)-1] - all[0]; spread < minSpread {
 		t.Fatalf("burst spread %v < server-bound minimum %v", spread, minSpread)
-	}
-	if nic.ServerUtilization() <= 0 {
-		t.Fatal("server utilization not accounted")
 	}
 }

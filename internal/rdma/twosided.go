@@ -38,7 +38,6 @@ func DefaultServerConfig() ServerConfig {
 type server struct {
 	cfg    ServerConfig
 	freeAt []sim.Time
-	busy   stats.WindowedBusy
 
 	Served stats.Counter
 }
@@ -51,19 +50,6 @@ func (n *NIC) EnableTwoSided(cfg ServerConfig) {
 		panic("rdma: two-sided server needs at least one core")
 	}
 	n.srv = &server{cfg: cfg, freeAt: make([]sim.Time, cfg.Cores)}
-}
-
-// TwoSided reports whether two-sided serving is enabled.
-func (n *NIC) TwoSided() bool { return n.srv != nil }
-
-// ServerUtilization returns the memory-node CPU utilization over the
-// measurement window (aggregate across cores).
-func (n *NIC) ServerUtilization() float64 {
-	if n.srv == nil {
-		return 0
-	}
-	window := int64(n.env.Now())
-	return n.srv.busy.Utilization(window*int64(n.srv.cfg.Cores)) * float64(n.srv.cfg.Cores)
 }
 
 // serve schedules the server stage for an operation arriving at the
@@ -87,7 +73,6 @@ func (n *NIC) serve(arrive sim.Time, bytes int) sim.Time {
 	}
 	done := start + s.cfg.ServeCost + sim.Time(float64(bytes)*s.cfg.CopyCyclesPerByte)
 	s.freeAt[core] = done
-	s.busy.AddInterval(int64(start), int64(done))
 	s.Served.Inc()
 	return done
 }

@@ -157,9 +157,6 @@ func BenchmarkSchedRequestRoundTrip(b *testing.B) {
 				r.inject()
 			}
 		}
-		if completed == total {
-			r.env.Stop()
-		}
 	}
 	r.env.At(1, func() {
 		for i := 0; i < rtInflight; i++ {
@@ -208,7 +205,6 @@ func TestFlatRoundTripZeroAllocs(t *testing.T) {
 					mallocs = totalMallocs()
 				case rtWarmOps + 1 + runs:
 					got = float64((totalMallocs() - mallocs) / runs)
-					r.env.Stop()
 					return
 				}
 				r.inject()

@@ -60,7 +60,7 @@ func newArrayRig(t *testing.T, ts rigSetup) *arrayRig {
 	nic := rdma.NewNIC(env, rcfg)
 	node := memnode.New(1 << 30)
 	if ts.wrErr > 0 {
-		nic.SetInterceptor(faults.New(faults.Config{WRErrRate: ts.wrErr}, node, 5))
+		nic.SetInterceptor(faults.NewForNode(faults.Config{WRErrRate: ts.wrErr}, node, 5, 0))
 	}
 	r.app = workload.NewArrayApp(r.mgr, node, 256*paging.PageSize)
 	r.app.WriteFrac = 0.25

@@ -247,8 +247,8 @@ func TestCentralQueueBoundsAndDrops(t *testing.T) {
 	if r.sched.DropsQueue.Value() == 0 {
 		t.Fatal("expected central-queue drops under burst")
 	}
-	if r.sched.QueueLen() > 16 {
-		t.Fatalf("central queue exceeded cap: %d", r.sched.QueueLen())
+	if r.sched.central.Len() > 16 {
+		t.Fatalf("central queue exceeded cap: %d", r.sched.central.Len())
 	}
 	if r.pool.InUse() != 0 {
 		t.Fatalf("buffers leaked on drop path: %d", r.pool.InUse())

@@ -245,9 +245,6 @@ func (s *Scheduler) BusyWaitCycles() int64 { return s.busyWaitCycles }
 // DispatcherCycles returns CPU consumed across dispatcher cores.
 func (s *Scheduler) DispatcherCycles() int64 { return s.dispCycles }
 
-// QueueLen reports the central queue occupancy.
-func (s *Scheduler) QueueLen() int { return s.central.Len() }
-
 // Start launches the worker and dispatcher cores: one start event each,
 // whose firing enters the core's loop at the top.
 func (s *Scheduler) Start() {

@@ -169,6 +169,4 @@ func BenchmarkEnvGatePingPong(b *testing.B) {
 	b.ResetTimer()
 	e.Run(Seconds(1000))
 	b.StopTimer()
-	e.Stop()
-	e.Run(e.Now())
 }

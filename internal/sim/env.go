@@ -27,9 +27,8 @@ type Env struct {
 	seq uint64
 	rng *RNG
 
-	stopped bool
-	nProcs  int   // live (not yet terminated) processes, for leak detection
-	procs   *Proc // processes whose coroutine has started and not ended
+	nProcs int   // live (not yet terminated) processes, for leak detection
+	procs  *Proc // processes whose coroutine has started and not ended
 
 	// until is the bound of the run in progress, for skipAhead.
 	until Time
@@ -75,23 +74,18 @@ func (e *Env) At(at Time, fn func()) {
 // After schedules fn to run d cycles from now.
 func (e *Env) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// Stop terminates the event loop after the current event completes.
-// Remaining events are discarded; parked processes are abandoned (their
-// coroutines are unwound and exit).
-func (e *Env) Stop() { e.stopped = true }
-
-// Run executes events until the clock would pass until, the queue drains,
-// or Stop is called. It returns the final simulated time.
+// Run executes events until the clock would pass until or the queue
+// drains. It returns the final simulated time.
 func (e *Env) Run(until Time) Time {
 	e.loop(until)
-	if e.now < until && !e.stopped {
+	if e.now < until {
 		e.now = until
 	}
 	e.teardown()
 	return e.now
 }
 
-// RunAll executes events until the queue drains or Stop is called.
+// RunAll executes events until the queue drains.
 func (e *Env) RunAll() Time {
 	e.loop(maxTime)
 	e.teardown()
@@ -118,7 +112,7 @@ func (e *Env) loop(until Time) {
 	// ev is hoisted out of the loop so the manual popUntil inline below
 	// costs no per-iteration zeroing on the levelled (cache-miss) path.
 	var ev event
-	for !e.stopped {
+	for {
 		// wheel.popUntil, manually inlined (it sits just past the
 		// inliner's budget, and this loop runs once per event): a cache
 		// hit is a branch and a copy; every other case — empty cache,

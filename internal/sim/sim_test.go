@@ -256,14 +256,3 @@ func TestRNGDeterminism(t *testing.T) {
 		t.Fatalf("Exp mean = %.0f, want ~%d", avg, mean)
 	}
 }
-
-func TestStopAbandonsRun(t *testing.T) {
-	e := NewEnv(1)
-	fired := 0
-	e.At(10, func() { fired++; e.Stop() })
-	e.At(20, func() { fired++ })
-	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-}

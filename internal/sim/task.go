@@ -40,9 +40,6 @@ func NewTask(env *Env, name string, fn func()) *Task {
 // Name returns the task's debug name.
 func (t *Task) Name() string { return t.name }
 
-// Env returns the owning environment.
-func (t *Task) Env() *Env { return t.env }
-
 // Armed reports whether a firing is currently scheduled.
 func (t *Task) Armed() bool { return t.armed }
 
@@ -101,7 +98,7 @@ func (t *Task) sleepUntil(at Time) bool {
 // caller never advances past `until` (it must stay armed, exactly as the
 // slow path leaves it).
 func (e *Env) skipAhead(at Time) bool {
-	if e.checked || e.stopped || at > e.until || !e.q.peekBeyond(at) {
+	if e.checked || at > e.until || !e.q.peekBeyond(at) {
 		return false
 	}
 	e.now = at

@@ -176,29 +176,6 @@ func TestWheelInterleavedDispatchAndPush(t *testing.T) {
 	}
 }
 
-// TestEnvStopDiscardsWheel checks Stop mid-run: the loop halts after the
-// current event even though the wheel still holds work.
-func TestEnvStopDiscardsWheel(t *testing.T) {
-	e := NewEnv(1)
-	var fired []int
-	e.At(10, func() {
-		fired = append(fired, 1)
-		e.Stop()
-	})
-	e.At(20, func() { fired = append(fired, 2) })
-	e.At(30, func() { fired = append(fired, 3) })
-	end := e.RunAll()
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Fatalf("fired %v, want [1]", fired)
-	}
-	if end != 10 {
-		t.Fatalf("end time %d, want 10", end)
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending %d, want 2 discarded-but-queued", e.Pending())
-	}
-}
-
 // TestEnvMaxPending checks the pending-event high-water accounting
 // (sim.max_pending in a system's counter registry).
 func TestEnvMaxPending(t *testing.T) {

@@ -2,17 +2,6 @@
 
 package simcheck
 
-// MutationBuild is false outside `-tags simcheckmutate` builds.
-const MutationBuild = false
-
 // Mut is a constant false in normal builds, so mutation call sites
 // dead-code-eliminate entirely.
 func Mut(name string) bool { return false }
-
-// SetMutation refuses outside a mutation build: silently ignoring the
-// request would make the smoke test vacuously pass.
-func SetMutation(name string) {
-	if name != "" {
-		panic("simcheck: mutations require a -tags simcheckmutate build")
-	}
-}

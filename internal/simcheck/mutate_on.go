@@ -2,12 +2,9 @@
 
 package simcheck
 
-// MutationBuild marks a build that can deliberately break invariants.
-// Only the mutation-smoke test uses this tag: it flips one named
-// mutation at a time and asserts the matching oracle fires with a
-// deterministic repro line.
-const MutationBuild = true
-
+// activeMutation is the named bug this build injects. Only the
+// mutation-smoke test sets it: it flips one named mutation at a time and
+// asserts the matching oracle fires with a deterministic repro line.
 var activeMutation string
 
 // SetMutation selects which named bug to inject; "" disables all.

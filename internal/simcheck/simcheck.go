@@ -32,9 +32,6 @@ var armed atomic.Bool
 // at construction time.
 func SetArmed(on bool) { armed.Store(on) }
 
-// Armed reports the runtime switch alone, ignoring the build tag.
-func Armed() bool { return armed.Load() }
-
 // On reports whether invariant oracles should run: true in a
 // `-tags simcheck` build, or when armed at runtime via SetArmed.
 func On() bool { return TagEnabled || armed.Load() }

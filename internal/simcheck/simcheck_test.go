@@ -46,7 +46,7 @@ func TestFailPanicsWithViolation(t *testing.T) {
 }
 
 func TestArming(t *testing.T) {
-	if Armed() {
+	if armed.Load() {
 		t.Fatal("armed at start")
 	}
 	SetArmed(true)

@@ -200,8 +200,8 @@ func (t *Table) SpaceSize() int64 {
 // steady state.
 func (t *Table) WarmCache() { t.mgr.WarmSpaces(t.SpaceSize(), t.space, t.indexSpace, t.bloomSpace) }
 
-// VerifyGetDigest recomputes the expected GET digest for a key.
-func (t *Table) VerifyGetDigest(key uint64) uint64 {
+// verifyGetDigest recomputes the expected GET digest for a key.
+func (t *Table) verifyGetDigest(key uint64) uint64 {
 	digest := uint64(fnvBasis)
 	for b := 0; b < t.cfg.ValueSize; b += 64 {
 		digest = digest*fnvPrime + uint64(valueByte(key, b))

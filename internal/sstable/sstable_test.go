@@ -51,7 +51,7 @@ func TestGetFindsExistingKeys(t *testing.T) {
 				if !r.Found {
 					t.Fatalf("key %d not found", key)
 				}
-				if r.Digest != tab.VerifyGetDigest(key) {
+				if r.Digest != tab.verifyGetDigest(key) {
 					t.Fatalf("key %d digest mismatch", key)
 				}
 			})

@@ -15,9 +15,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // WindowedBusy tracks busy spans against a measurement window that starts
 // later than time zero: spans before the window start are discarded and
 // spans straddling it are clipped. This is how warm-up time is excluded

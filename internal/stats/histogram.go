@@ -174,15 +174,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset discards all observations.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.max = 0, 0, 0
-	h.min = math.MaxInt64
-}
-
 // CDFPoint is one step of a cumulative distribution.
 type CDFPoint struct {
 	Value    int64   // upper bound of the bucket

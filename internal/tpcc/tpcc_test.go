@@ -317,7 +317,7 @@ func TestRequestMixMatchesPaper(t *testing.T) {
 	check("Payment", Mix.Payment)
 	check("OrderStatus", Mix.OrderStatus)
 	check("Delivery", Mix.Delivery)
-	check("StockLevel", Mix.StockLevel)
+	check("StockLevel", 1-Mix.NewOrder-Mix.Payment-Mix.OrderStatus-Mix.Delivery)
 }
 
 func TestNURandInRange(t *testing.T) {

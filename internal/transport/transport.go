@@ -75,12 +75,6 @@ func NewClient(env *sim.Env, net *ethernet.Net, cfg Config) *Client {
 	return c
 }
 
-// InFlight reports the current window occupancy.
-func (c *Client) InFlight() int { return len(c.inflight) }
-
-// QueueLen reports requests waiting for window space.
-func (c *Client) QueueLen() int { return len(c.queue) }
-
 // Send transmits a request reliably. The packet's ID is its sequence
 // number and must be unique per connection.
 func (c *Client) Send(pkt *ethernet.Packet) {

@@ -119,8 +119,8 @@ func TestWindowBoundsInflight(t *testing.T) {
 	maxInflight := 0
 	generate(env, 40, 0, func(i int) {
 		c.Send(&ethernet.Packet{ID: uint64(i), Size: 64})
-		if c.InFlight() > maxInflight {
-			maxInflight = c.InFlight()
+		if len(c.inflight) > maxInflight {
+			maxInflight = len(c.inflight)
 		}
 	})
 	env.Run(sim.Millis(10))
@@ -152,7 +152,7 @@ func TestRetriesExhaustedReportsLost(t *testing.T) {
 	if c.Retransmits.Value() != 2 {
 		t.Fatalf("retransmits = %d, want 2", c.Retransmits.Value())
 	}
-	if c.InFlight() != 0 {
+	if len(c.inflight) != 0 {
 		t.Fatal("window slot not released on loss")
 	}
 }
@@ -184,7 +184,7 @@ func TestStaleGenerationTimeoutIgnored(t *testing.T) {
 	if c.Retransmits.Value() != 1 {
 		t.Fatalf("retransmits = %d, want exactly 1 (stale timer must not re-fire)", c.Retransmits.Value())
 	}
-	if c.InFlight() != 0 {
+	if len(c.inflight) != 0 {
 		t.Fatal("entry leaked after acknowledgement")
 	}
 	if len(node.got) != 2 {

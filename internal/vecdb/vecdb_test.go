@@ -32,14 +32,12 @@ func smallConfig() Config {
 func newRig(t *testing.T, cfg Config, localFrac float64) (*sim.Env, *paging.Manager, *Index, *steptest.Rig) {
 	t.Helper()
 	env := sim.NewEnv(23)
-	probeEnv := sim.NewEnv(23)
-	probe := New(paging.NewManager(probeEnv, paging.DefaultConfig(paging.PageSize)), memnode.New(4<<30), cfg)
-	local := int64(localFrac * float64(probe.SpaceSize()))
+	local := int64(localFrac * float64(Footprint(cfg)))
 	if local < 16*paging.PageSize {
 		local = 16 * paging.PageSize
 	}
 	mgr := paging.NewManager(env, paging.DefaultConfig(local))
-	idx := New(mgr, memnode.New(4<<30), cfg)
+	idx := NewBlueprint(cfg).Instantiate(mgr, memnode.New(4<<30))
 	idx.WarmCache()
 	return env, mgr, idx, steptest.NewRig(mgr)
 }
@@ -47,7 +45,7 @@ func newRig(t *testing.T, cfg Config, localFrac float64) (*sim.Env, *paging.Mana
 func TestIndexCoversAllVectors(t *testing.T) {
 	cfg := smallConfig()
 	env := sim.NewEnv(1)
-	idx := New(paging.NewManager(env, paging.DefaultConfig(64*paging.PageSize)), memnode.New(4<<30), cfg)
+	idx := NewBlueprint(cfg).Instantiate(paging.NewManager(env, paging.DefaultConfig(64*paging.PageSize)), memnode.New(4<<30))
 	var total int32
 	for _, n := range idx.listLen {
 		total += n
@@ -144,18 +142,5 @@ func TestSearchFaultsAndCosts(t *testing.T) {
 	// service must be far beyond a simple request's microseconds.
 	if service < sim.Micros(100) {
 		t.Fatalf("search service time %v implausibly small", service)
-	}
-}
-
-func TestSampleVector(t *testing.T) {
-	cfg := smallConfig()
-	env := sim.NewEnv(1)
-	idx := New(paging.NewManager(env, paging.DefaultConfig(64*paging.PageSize)), memnode.New(4<<30), cfg)
-	v := idx.SampleVector(100)
-	if v == nil || len(v) != cfg.Dim {
-		t.Fatal("sample vector 100 not found")
-	}
-	if idx.SampleVector(cfg.N+5) != nil {
-		t.Fatal("found nonexistent vector")
 	}
 }

@@ -95,10 +95,6 @@ func (a *ArrayApp) WarmCache() { a.mgr.WarmSpaces(a.space.Size(), a.space) }
 // Name implements App.
 func (a *ArrayApp) Name() string { return "array-indirection" }
 
-// Entries returns the number of 8-byte array entries (the key-space
-// size a Dist must draw from).
-func (a *ArrayApp) Entries() int64 { return a.entries }
-
 // CheckSkew reports whether s is a key-skew exponent an app takes: 0
 // (the native distribution) or a finite exponent above 1. math/rand's
 // Zipf generator rejects exponents at or below 1, and never returns at
