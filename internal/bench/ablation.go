@@ -79,11 +79,11 @@ func (h computeStepper) Step(ctx workload.StepCtx, f *workload.StepFrame, payloa
 
 // microTwoSided is the microbenchmark with its pages served by
 // SEND/RECV and memory-node CPU involvement instead of one-sided READs,
-// on every memory node.
+// on every memory node; node k's server counts as memnodeK.served.
 func microTwoSided(short bool) App {
 	return micro(short).with(func(sys *core.System, app workload.App) workload.App {
-		for _, nic := range sys.Fabric {
-			nic.EnableTwoSided(rdma.DefaultServerConfig())
+		for k, nic := range sys.Fabric {
+			sys.Stats.Register(fmt.Sprintf("memnode%d", k), nic.EnableTwoSided(rdma.DefaultServerConfig()))
 		}
 		return app
 	})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -238,7 +239,8 @@ func TestAblTwoSidedOneSidedWins(t *testing.T) {
 // TestAblTwoSidedOnEveryMemoryNode: at -memnodes 2 the two-sided
 // ablation serves pages through every memory node's CPU, not node 0's
 // alone: a lone READ to each node takes longer than on the one-sided
-// build.
+// build, and the node's memnodeK.served count is positive — a name the
+// one-sided build does not have.
 func TestAblTwoSidedOnEveryMemoryNode(t *testing.T) {
 	opt := shortOpt()
 	opt.MemNodes, opt.Replicas = 2, 1
@@ -247,6 +249,13 @@ func TestAblTwoSidedOnEveryMemoryNode(t *testing.T) {
 	for k := range two.Fabric {
 		if a, b := loneRead(t, one, k), loneRead(t, two, k); b <= a {
 			t.Fatalf("memory node %d of %d: a lone READ takes %v two-sided, %v one-sided", k, len(two.Fabric), b, a)
+		}
+		name := fmt.Sprintf("memnode%d.served", k)
+		if served, ok := two.Stats.Snapshot()[name]; !ok || served <= 0 {
+			t.Fatalf("two-sided build: %s = %v (registered: %v)", name, served, ok)
+		}
+		if _, ok := one.Stats.Snapshot()[name]; ok {
+			t.Fatalf("one-sided build reports %s", name)
 		}
 	}
 }

@@ -258,7 +258,7 @@ type NIC struct {
 	rejoinAt sim.Time
 
 	itc Interceptor // nil unless a fault plan is installed
-	srv *server     // non-nil when two-sided serving is enabled
+	srv *Server     // non-nil when two-sided serving is enabled
 
 	freeOps *wrOp // recycled in-flight work-request records
 }

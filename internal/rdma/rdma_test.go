@@ -292,10 +292,7 @@ func TestTwoSidedAddsServerStage(t *testing.T) {
 	env := sim.NewEnv(1)
 	nic := testNIC(env)
 	srv := DefaultServerConfig()
-	nic.EnableTwoSided(srv)
-	if nic.srv == nil {
-		t.Fatal("two-sided not enabled")
-	}
+	server := nic.EnableTwoSided(srv)
 	cq := NewCQ("cq")
 	qp := nic.CreateQP("qp", cq)
 	var first sim.Time
@@ -319,8 +316,8 @@ func TestTwoSidedAddsServerStage(t *testing.T) {
 	if first <= oneSided {
 		t.Fatalf("two-sided first completion %v not above one-sided %v", first, oneSided)
 	}
-	if nic.srv.Served.Value() != burst {
-		t.Fatalf("served = %d", nic.srv.Served.Value())
+	if server.Served.Value() != burst {
+		t.Fatalf("served = %d", server.Served.Value())
 	}
 	// With 2 cores and per-op serve cost, the burst must stretch out by
 	// roughly burst/cores * serveCost beyond a single op.

@@ -34,8 +34,9 @@ func DefaultServerConfig() ServerConfig {
 	}
 }
 
-// server tracks the memory node's serving cores.
-type server struct {
+// Server tracks the memory node's serving cores; Served counts the
+// operations they handled.
+type Server struct {
 	cfg    ServerConfig
 	freeAt []sim.Time
 
@@ -43,13 +44,15 @@ type server struct {
 }
 
 // EnableTwoSided switches the NIC's remote operations to two-sided
-// serving with the given server provisioning. Must be called before any
-// operation is posted.
-func (n *NIC) EnableTwoSided(cfg ServerConfig) {
+// serving with the given server provisioning and returns the server, for
+// the caller to register its counter beside the NIC's. Must be called
+// before any operation is posted.
+func (n *NIC) EnableTwoSided(cfg ServerConfig) *Server {
 	if cfg.Cores < 1 {
 		panic("rdma: two-sided server needs at least one core")
 	}
-	n.srv = &server{cfg: cfg, freeAt: make([]sim.Time, cfg.Cores)}
+	n.srv = &Server{cfg: cfg, freeAt: make([]sim.Time, cfg.Cores)}
+	return n.srv
 }
 
 // serve schedules the server stage for an operation arriving at the

@@ -1,6 +1,10 @@
 package sim
 
-import "math/rand"
+import (
+	"math"
+	"math/bits"
+	"math/rand"
+)
 
 // RNG is the deterministic random source for a simulation run. It wraps
 // math/rand with the distributions the workloads need. All components of
@@ -20,6 +24,35 @@ func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
 // Intn returns a uniform int in [0, n). n must be > 0.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+
+// Bound is Intn precomputed for one fixed n: the rejection bound and
+// the multiply-high remainder of Lemire, Kaser & Kurz ("Faster
+// remainder by direct computation", 2019), so a draw divides nothing.
+type Bound struct {
+	n   uint64
+	max int32  // largest Int31 draw Intn keeps; it draws again above it
+	m   uint64 // ⌊(2⁶⁴−1)/n⌋+1 mod 2⁶⁴; v mod n is the high word of (m·v mod 2⁶⁴)·n
+}
+
+// NewBound precomputes Intn(n) for n in [1, 2³¹−1]; any other n
+// panics, as Intn(0) does.
+func NewBound(n int) Bound {
+	if n < 1 || n > math.MaxInt32 {
+		panic("sim: invalid argument to NewBound")
+	}
+	return Bound{n: uint64(n), max: int32(1<<31 - 1 - (1<<31)%uint32(n)), m: math.MaxUint64/uint64(n) + 1}
+}
+
+// Draw returns exactly what Intn(n) returns for b = NewBound(n), and
+// consumes the same source values.
+func (g *RNG) Draw(b Bound) int {
+	v := g.r.Int31()
+	for v > b.max {
+		v = g.r.Int31()
+	}
+	hi, _ := bits.Mul64(b.m*uint64(v), b.n)
+	return int(hi)
+}
 
 // Int63n returns a uniform int64 in [0, n). n must be > 0.
 func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }

@@ -258,8 +258,12 @@ const (
 
 // populate writes the initial database straight into the backing regions
 // (set-up time, not simulated): one SetupBytes view per table, each field
-// one little-endian store, the set-up RNG drawn in a fixed order.
+// one little-endian store, the set-up RNG drawn in a fixed order through
+// bounds precomputed once, so no draw divides.
 func (db *DB) populate(rng *sim.RNG) {
+	price, tax, quantity, discount := sim.NewBound(9900), sim.NewBound(2001), sim.NewBound(91), sim.NewBound(5001)
+	lineCount, carrier, itemID, amount := sim.NewBound(11), sim.NewBound(10), sim.NewBound(db.cfg.ItemCount), sim.NewBound(999900)
+	delivered := db.cfg.InitialOrders * 7 / 10 // the first 70% of each district's orders
 	W := db.cfg.Warehouses
 	C := int64(W) * districtsPerW * int64(db.cfg.CustomersPerDistrict)
 	lastOrder := make([]int64, C)  // per customer: its last initial order + 1, or 0
@@ -270,41 +274,41 @@ func (db *DB) populate(rng *sim.RNG) {
 	order, orderLine := db.order.SetupBytes(), db.orderLine.SetupBytes()
 
 	for i := 0; i < db.cfg.ItemCount; i++ {
-		le.PutUint32(item[db.iOff(i)+fIPrice:], uint32(100+rng.Intn(9900))) // $1..$100
+		le.PutUint32(item[db.iOff(i)+fIPrice:], uint32(100+rng.Draw(price))) // $1..$100
 	}
 	for w := 0; w < db.cfg.Warehouses; w++ {
 		le.PutUint64(warehouse[db.wOff(w)+fWYtd:], 30_000_000*districtsPerW) // $300k
-		le.PutUint32(warehouse[db.wOff(w)+fWTax:], uint32(rng.Intn(2001)))
+		le.PutUint32(warehouse[db.wOff(w)+fWTax:], uint32(rng.Draw(tax)))
 		for i := 0; i < db.cfg.ItemCount; i++ {
-			le.PutUint32(stock[db.sOff(w, i)+fSQuantity:], uint32(10+rng.Intn(91)))
+			le.PutUint32(stock[db.sOff(w, i)+fSQuantity:], uint32(10+rng.Draw(quantity)))
 		}
 		for d := 0; d < districtsPerW; d++ {
 			le.PutUint32(district[db.dOff(w, d)+fDNextOID:], uint32(db.cfg.InitialOrders))
 			le.PutUint64(district[db.dOff(w, d)+fDYtd:], 30_000_000) // $30k
-			le.PutUint32(district[db.dOff(w, d)+fDTax:], uint32(rng.Intn(2001)))
+			le.PutUint32(district[db.dOff(w, d)+fDTax:], uint32(rng.Draw(tax)))
 			for c := 0; c < db.cfg.CustomersPerDistrict; c++ {
 				le.PutUint64(customer[db.cOff(w, d, c)+fCBalance:], uint64(initialBalance))
-				le.PutUint32(customer[db.cOff(w, d, c)+fCDiscount:], uint32(rng.Intn(5001)))
+				le.PutUint32(customer[db.cOff(w, d, c)+fCDiscount:], uint32(rng.Draw(discount)))
 			}
 			for o := 0; o < db.cfg.InitialOrders; o++ {
 				cID := o % db.cfg.CustomersPerDistrict // one order per customer, permuted trivially
-				lines := 5 + rng.Intn(11)
+				lines := 5 + rng.Draw(lineCount)
 				rec := order[db.oOff(w, d, o):]
 				le.PutUint32(rec[fOCID:], uint32(cID))
 				le.PutUint32(rec[fOOLCnt:], uint32(lines))
-				if o < db.cfg.InitialOrders*7/10 {
-					le.PutUint32(rec[fOCarrierID:], uint32(1+rng.Intn(10))) // first 70% delivered, the rest keep carrier 0
+				if o < delivered {
+					le.PutUint32(rec[fOCarrierID:], uint32(1+rng.Draw(carrier))) // the rest keep carrier 0
 				}
 				for l := 0; l < lines; l++ {
 					line := orderLine[db.olOff(w, d, o, l):]
-					le.PutUint32(line[fOLItem:], uint32(rng.Intn(db.cfg.ItemCount)))
+					le.PutUint32(line[fOLItem:], uint32(rng.Draw(itemID)))
 					le.PutUint32(line[fOLQty:], 5)
-					le.PutUint64(line[fOLAmount:], uint64(rng.Intn(999900)+1))
+					le.PutUint64(line[fOLAmount:], uint64(rng.Draw(amount)+1))
 					le.PutUint32(line[fOLSupply:], uint32(w))
 				}
 				lastOrder[db.cIdx(w, d, cID)] = int64(o) + 1
 			}
-			db.nextDeliver[db.dIdx(w, d)] = int32(db.cfg.InitialOrders * 7 / 10)
+			db.nextDeliver[db.dIdx(w, d)] = int32(delivered)
 		}
 	}
 
