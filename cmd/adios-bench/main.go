@@ -52,7 +52,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -156,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 1
 	}
-	stop, err := startProfiles(*cpuProfile, *memProfile)
+	stop, err := bench.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)
 	}
@@ -249,50 +248,4 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	fmt.Fprintf(stdout, "## peak sim.max_pending=%d\n", peak)
 	return 0
-}
-
-// startProfiles begins the requested profiles and returns the function
-// that writes them, which reports the first error. pprof drops its
-// writer's errors, so each profile is built in memory and written with
-// one checked write.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var stops []func() error
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		var prof bytes.Buffer
-		if err := pprof.StartCPUProfile(&prof); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stops = append(stops, func() error {
-			pprof.StopCPUProfile()
-			_, err := f.Write(prof.Bytes())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		})
-	}
-	if memPath != "" {
-		stops = append(stops, func() error {
-			var prof bytes.Buffer
-			runtime.GC() // materialize the retained heap
-			if err := pprof.WriteHeapProfile(&prof); err != nil {
-				return err
-			}
-			return os.WriteFile(memPath, prof.Bytes(), 0o666)
-		})
-	}
-	return func() error {
-		var first error
-		for _, stop := range stops {
-			if err := stop(); first == nil {
-				first = err
-			}
-		}
-		return first
-	}, nil
 }

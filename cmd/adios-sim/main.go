@@ -10,15 +10,12 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"maps"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
@@ -142,41 +139,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// checked flag when it is built.
 		simcheck.SetArmed(true)
 	}
-	// pprof drops its writer's errors, so each profile is built in
-	// memory and written with one checked write.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fail(err)
-		}
-		var prof bytes.Buffer
-		if err := pprof.StartCPUProfile(&prof); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			_, err := f.Write(prof.Bytes())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				code = fail(err)
-			}
-		}()
+	stop, err := bench.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return fail(err)
 	}
-	if *memProfile != "" {
-		path := *memProfile
-		defer func() {
-			var prof bytes.Buffer
-			runtime.GC() // materialize the retained heap
-			if err := pprof.WriteHeapProfile(&prof); err != nil {
-				code = fail(err)
-			} else if err := os.WriteFile(path, prof.Bytes(), 0o666); err != nil {
-				code = fail(err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stop(); err != nil {
+			code = fail(err)
+		}
+	}()
 
 	sys := core.NewSystem(cfg)
 	app := entry.Build(sys)

@@ -8,10 +8,14 @@
 package bench
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
 	"maps"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -340,6 +344,41 @@ func Each(n int, limit chan struct{}, f func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// StartProfiles begins the requested profiles (a path of "" asks for
+// none) and returns the function that writes them, which reports the
+// first error. pprof drops its writer's errors, so each profile is built
+// in memory and written with one checked write. Both CLIs take their
+// -cpuprofile and -memprofile through it.
+func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	var prof bytes.Buffer
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(&prof); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs [3]error // write, close, heap profile: the first one counts
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			_, errs[0] = cpu.Write(prof.Bytes())
+			errs[1] = cpu.Close()
+		}
+		if memPath != "" {
+			prof.Reset()
+			runtime.GC() // materialize the retained heap
+			if errs[2] = pprof.WriteHeapProfile(&prof); errs[2] == nil {
+				errs[2] = os.WriteFile(memPath, prof.Bytes(), 0o666)
+			}
+		}
+		return cmp.Or(errs[:]...)
+	}, nil
 }
 
 // run is one experiment in progress: its options, its id (which salts

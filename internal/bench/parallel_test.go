@@ -3,8 +3,11 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -145,5 +148,107 @@ func TestDesignIndexListsEveryExperiment(t *testing.T) {
 	}
 	if !slices.Equal(ids, All()) {
 		t.Fatalf("DESIGN.md §3 lists\n%v\nthe experiments table has\n%v", ids, All())
+	}
+}
+
+// TestDocsDescribeTheTree holds DESIGN.md, EXPERIMENTS.md and README.md
+// to the tree they describe: every file or directory they name in
+// backticks exists, every "DESIGN.md §N" a Go file or README.md cites
+// is a section of DESIGN.md, and no heading is a change's diary (a PR's
+// measurements go in its CHANGES.md entry).
+func TestDocsDescribeTheTree(t *testing.T) {
+	const root = "../../"
+	// Bare file names resolve anywhere under internal/ or cmd/.
+	bare := map[string]bool{}
+	var goFiles []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		goFiles = append(goFiles, path)
+		if rel, _ := filepath.Rel(root, path); strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/") {
+			bare[d.Name()] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(path string) bool {
+		for _, dir := range []string{root, root + "internal/"} {
+			if m, _ := filepath.Glob(dir + path); len(m) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+
+	span := regexp.MustCompile("`([^`\n]+)`")
+	lineRef := regexp.MustCompile(`:[0-9,\-]+$`)
+	diary := regexp.MustCompile(`\bPR ?[0-9]+\b|(?i)what moved`)
+	docs := map[string]string{}
+	for _, name := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		b, err := os.ReadFile(root + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[name] = string(b)
+		fenced := false
+		for i, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			}
+			if fenced {
+				continue
+			}
+			if strings.HasPrefix(line, "#") && diary.MatchString(line) {
+				t.Errorf("%s:%d: heading %q is a change's diary; its numbers belong in CHANGES.md", name, i+1, line)
+			}
+			for _, m := range span.FindAllStringSubmatch(line, -1) {
+				for _, tok := range strings.Fields(m[1]) {
+					tok = lineRef.ReplaceAllString(strings.Trim(tok, "(),;"), "")
+					tok = strings.TrimSuffix(strings.TrimPrefix(tok, "./"), "/...")
+					pathLike := strings.HasPrefix(tok, "scripts/") || strings.HasPrefix(tok, "cmd/") || strings.HasPrefix(tok, "internal/")
+					switch {
+					case strings.HasSuffix(tok, ".go") && !strings.Contains(tok, "/"):
+						if !bare[tok] {
+							t.Errorf("%s:%d: `%s` is no file under internal/ or cmd/", name, i+1, tok)
+						}
+					case pathLike || strings.HasSuffix(tok, ".go"):
+						if !exists(tok) {
+							t.Errorf("%s:%d: `%s` does not exist", name, i+1, tok)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	sections := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## ([0-9]+)\.`).FindAllStringSubmatch(docs["DESIGN.md"], -1) {
+		sections[m[1]] = true
+	}
+	cite := regexp.MustCompile(`DESIGN(?:\.md)? §([0-9]+)`)
+	check := func(name, text string) {
+		for _, m := range cite.FindAllStringSubmatch(text, -1) {
+			if !sections[m[1]] {
+				t.Errorf("%s cites DESIGN.md §%s, which has no \"## %s.\" heading", name, m[1], m[1])
+			}
+		}
+	}
+	check("README.md", docs["README.md"])
+	for _, path := range goFiles {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(root, path)
+		check(rel, string(b))
 	}
 }

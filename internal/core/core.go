@@ -77,9 +77,8 @@ type Config struct {
 	Eth    ethernet.Config
 	Paging paging.Config
 
-	// PoolSize and BufSize configure the unithread pool (§3.2).
+	// PoolSize is the unithread pool's capacity (§3.2).
 	PoolSize int
-	BufSize  int
 
 	// MemNodeBytes is the per-memory-node capacity.
 	MemNodeBytes int64
@@ -123,7 +122,6 @@ func Preset(mode Mode, localBytes int64) Config {
 		Eth:          ethernet.DefaultConfig(),
 		Paging:       paging.DefaultConfig(localBytes),
 		PoolSize:     unithread.DefaultPoolSize,
-		BufSize:      unithread.DefaultBufSize,
 		MemNodeBytes: 8 << 30,
 		MemNodes:     1,
 		Replicas:     1,
@@ -264,7 +262,7 @@ func NewSystem(cfg Config) *System {
 		Mem: memnode.NewCluster(nodes, paging.PageSize,
 			memnode.Placement{Nodes: n, Block: cfg.Block, Replicas: cfg.Replicas}),
 		Mgr:  paging.NewManager(env, cfg.Paging),
-		Pool: unithread.NewPool(cfg.PoolSize, cfg.BufSize),
+		Pool: unithread.NewPool(cfg.PoolSize),
 		Stats: stats.Registry{
 			"sim.max_pending": func() float64 { return float64(env.MaxPending()) },
 			"sim.skip_aheads": func() float64 { return float64(env.KernelStats().SkipAheads) },

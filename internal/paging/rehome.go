@@ -67,7 +67,8 @@ const (
 // cycles, so its average rate never exceeds the cap; a refused post or
 // an errored completion backs off RetryBackoff and re-plans the job. Data
 // movement is modeled traffic — the region's single authoritative byte
-// store needs no copying, so the WRITE lands in a scratch sink and an
+// store needs no copying, so the READ stages nothing (PostReadAlias), the
+// WRITE sends the region's view of the page into a scratch sink, and an
 // abandoned copy costs nothing.
 //
 // While a copy is in flight (READ posted … landed or dropped) the
@@ -82,7 +83,6 @@ type Rehomer struct {
 	t   *sim.Task
 	gap sim.Time
 
-	buf  []byte // local staging buffer (READ destination)
 	sink []byte // modeled WRITE target at the new home
 
 	// jobs[ji:] is the queue; its head is the copy in flight while
@@ -111,7 +111,6 @@ func NewRehomer(m *Manager, name string, fab rdma.Fabric, bandwidth float64, p R
 		qps:  fab.CreateQPs(name, cq),
 		cq:   cq,
 		gap:  sim.Time(float64(PageSize) / bandwidth),
-		buf:  make([]byte, PageSize),
 		sink: make([]byte, PageSize),
 		hash: 1469598103934665603, // FNV-1a offset basis
 	}
@@ -198,7 +197,7 @@ func (e *Rehomer) start() {
 		}
 		qp := e.qps[j.Src]
 		remote := j.Space.region.SliceFor(j.VPN*PageSize, PageSize, j.Src, qp.Name())
-		if qp.PostRead(e.buf, remote, e) != nil {
+		if qp.PostReadAlias(remote, e) != nil {
 			// Serial use cannot saturate the QP, but one in its error
 			// state (fault plans) refuses the post.
 			e.Retries.Inc()
@@ -229,7 +228,8 @@ func (e *Rehomer) drain() {
 		e.state = rhLand
 		e.land()
 	default: // READ done
-		if e.qps[e.jobs[e.ji].Dst].PostWrite(e.sink, e.buf, e) != nil {
+		j := &e.jobs[e.ji]
+		if e.qps[j.Dst].PostWrite(e.sink, j.Space.region.Slice(j.VPN*PageSize, PageSize), e) != nil {
 			e.Retries.Inc()
 			e.again(e.m.cfg.RetryBackoff)
 			return

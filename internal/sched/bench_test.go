@@ -117,7 +117,7 @@ func newRTRig(cfg Config) *rtRig {
 		resp:  any(uint64(1)),
 	}
 	cfg.Workers, cfg.Dispatchers = 1, 1
-	r.sched = New(env, cfg, r.net, rdma.Fabric{nic}, mgr, unithread.NewPool(64, 4096), rtStep{app})
+	r.sched = New(env, cfg, r.net, rdma.Fabric{nic}, mgr, unithread.NewPool(64), rtStep{app})
 	r.sched.Start()
 	rcq := rdma.NewCQ("reclaim")
 	mgr.StartReclaimer(nic.CreateQP("reclaim", rcq), rcq)

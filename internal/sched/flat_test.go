@@ -64,7 +64,7 @@ func newArrayRig(t *testing.T, ts rigSetup) *arrayRig {
 	}
 	r.app = workload.NewArrayApp(r.mgr, node, 256*paging.PageSize)
 	r.app.WriteFrac = 0.25
-	r.sched = New(env, ts.sched, r.net, rdma.Fabric{nic}, r.mgr, unithread.NewPool(4096, 4096), r.app.StepHandler())
+	r.sched = New(env, ts.sched, r.net, rdma.Fabric{nic}, r.mgr, unithread.NewPool(4096), r.app.StepHandler())
 	r.sched.Trace = r.rec
 	r.sched.Start()
 	rcq := rdma.NewCQ("reclaim")

@@ -71,7 +71,7 @@ func newRig(t *testing.T, cfg Config, handler workload.StepHandler, localPages i
 		net:  ethernet.New(env, ethernet.DefaultConfig()),
 		nic:  rdma.NewNIC(env, rdma.DefaultConfig()),
 		mgr:  paging.NewManager(env, paging.DefaultConfig(localPages*paging.PageSize)),
-		pool: unithread.NewPool(4096, 4096),
+		pool: unithread.NewPool(4096),
 	}
 	node := memnode.New(1 << 30)
 	r.space = r.mgr.NewSpace("data", node.MustAlloc("data", 256*paging.PageSize))

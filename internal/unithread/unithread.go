@@ -30,9 +30,11 @@ const ShinjukuContextSize = int(unsafe.Sizeof(FullContext{}))
 // DefaultPoolSize is the paper's pre-allocated unithread count.
 const DefaultPoolSize = 131072
 
-// DefaultBufSize is the per-unithread buffer: MTU-sized payload area,
-// context, and universal stack in a single 4 KiB buffer.
-const DefaultBufSize = 4096
+// bufSize is the per-unithread buffer the paper sizes the pool by:
+// MTU-sized payload area, context, and universal stack in a single 4 KiB
+// buffer. The pool keeps no bytes, so only the footprint arithmetic of
+// its test reads it.
+const bufSize = 4096
 
 // Pool is the fixed-capacity unithread buffer pool.
 type Pool struct {
@@ -45,10 +47,10 @@ type Pool struct {
 	Exhausted stats.Counter
 }
 
-// NewPool returns a pool of capacity buffers of bufSize bytes each.
-func NewPool(capacity, bufSize int) *Pool {
-	if capacity <= 0 || bufSize < ContextSize {
-		panic(fmt.Sprintf("unithread: bad pool config %d×%d", capacity, bufSize))
+// NewPool returns a pool of capacity slots.
+func NewPool(capacity int) *Pool {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("unithread: bad pool capacity %d", capacity))
 	}
 	return &Pool{capacity: capacity}
 }

@@ -3,7 +3,7 @@ package unithread
 import "testing"
 
 func TestPoolAcquireReleaseAccounting(t *testing.T) {
-	p := NewPool(4, 4096)
+	p := NewPool(4)
 	for i := 0; i < 4; i++ {
 		if !p.Acquire() {
 			t.Fatalf("acquire %d failed", i)
@@ -31,8 +31,8 @@ func TestPoolFootprintComparison(t *testing.T) {
 	// The paper: a unithread needs one 4 KiB buffer per request where
 	// Shinjuku needs three (payload+context, user stack, exception
 	// stack) — a 66% reduction, ~1 GiB at the default pool size.
-	uni := int64(DefaultPoolSize) * DefaultBufSize
-	shinjuku := int64(DefaultPoolSize) * int64(3*DefaultBufSize)
+	uni := int64(DefaultPoolSize) * bufSize
+	shinjuku := int64(DefaultPoolSize) * int64(3*bufSize)
 	saved := shinjuku - uni
 	if frac := float64(saved) / float64(shinjuku); frac < 0.66 || frac > 0.67 {
 		t.Fatalf("footprint reduction = %.2f, want ~0.66", frac)
@@ -43,7 +43,7 @@ func TestPoolFootprintComparison(t *testing.T) {
 }
 
 func TestReleaseGuards(t *testing.T) {
-	p := NewPool(1, 4096)
+	p := NewPool(1)
 	p.Acquire()
 	p.Release()
 	defer func() {

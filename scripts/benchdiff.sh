@@ -20,7 +20,7 @@
 # benchmark/README.md ("Claiming a gain in a later PR"): it builds
 # ./benchmark once in each tree and runs interleaved pairs of
 # `-workload W -seed S -seconds 10 -trace 0` (default micro-resident,
-# seed 1, 10 pairs), then prints one EXPERIMENTS.md table row per
+# seed 1, 10 pairs), then prints one table row (for the change's CHANGES.md entry) per
 # end-to-end metric — both sides' median [quartiles], change ÷ parent,
 # pairs the change won, and how far apart the medians are in parent
 # interquartile ranges. It exits 1 if a run is not correct or a
