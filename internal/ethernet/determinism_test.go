@@ -9,14 +9,10 @@ import (
 )
 
 // sendToNodeRef and txSendRef are the retired per-packet-closure send
-// paths, kept verbatim as references: the pooled netOp implementation
+// paths, kept as references: the pooled netOp implementation
 // must schedule the same actions at the same times in the same order.
 
 func sendToNodeRef(n *Net, pkt *Packet) {
-	if n.cfg.LossProb > 0 && n.env.Rand().Bool(n.cfg.LossProb) {
-		n.LossDrops.Inc()
-		return
-	}
 	start := n.env.Now()
 	if n.toNodeFreeAt > start {
 		start = n.toNodeFreeAt
@@ -42,10 +38,6 @@ func sendToNodeRef(n *Net, pkt *Packet) {
 
 func txSendRef(t *TxQueue, pkt *Packet) {
 	n := t.net
-	if n.cfg.LossProb > 0 && n.env.Rand().Bool(n.cfg.LossProb) {
-		n.LossDrops.Inc()
-		return
-	}
 	start := n.env.Now()
 	if n.fromNodeFreeAt > start {
 		start = n.fromNodeFreeAt

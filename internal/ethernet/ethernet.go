@@ -33,10 +33,6 @@ type Config struct {
 	// TxCompletionLatency is the delay from the last byte leaving the
 	// node until the TX completion entry is visible in the CQ.
 	TxCompletionLatency sim.Time
-	// LossProb injects random frame loss in each direction (0 = lossless
-	// datacenter fabric, the default). Used with the reliable transport
-	// layer to study retransmission behaviour.
-	LossProb float64
 }
 
 // DefaultConfig returns the calibrated 100 GbE client-link model.
@@ -179,10 +175,9 @@ type Net struct {
 	// load generator (with RxTime stamped).
 	OnDeliver func(*Packet)
 
-	Drops     stats.Counter // RX-ring overflow drops
-	LossDrops stats.Counter // frames lost to injected wire loss
-	RxCount   stats.Counter
-	TxCount   stats.Counter
+	Drops   stats.Counter // RX-ring overflow drops
+	RxCount stats.Counter
+	TxCount stats.Counter
 
 	txBusy stats.WindowedBusy
 
@@ -277,22 +272,22 @@ func (n *Net) TxUtilization() float64 { return n.txBusy.Utilization(int64(n.env.
 // compute node. The frame is serialized on the client→node direction and
 // lands in the RX ring (or is dropped if the ring is full).
 func (n *Net) SendToNode(pkt *Packet) {
-	pkt.Held(pkt.use, "sent")
-	if n.cfg.LossProb > 0 && n.env.Rand().Bool(n.cfg.LossProb) {
-		n.LossDrops.Inc()
-		return
-	}
-	start := n.env.Now()
-	if n.toNodeFreeAt > start {
-		start = n.toNodeFreeAt
-	}
-	xfer := sim.Time(float64(pkt.Size+n.cfg.WireOverhead) * n.cfg.CyclesPerByte)
-	done := start + xfer
-	n.toNodeFreeAt = done
+	_, done := n.send(pkt, &n.toNodeFreeAt)
 	arrive := done + n.cfg.Flight
 	op := n.getOp()
 	op.kind, op.pkt, op.at = opRxArrive, pkt, arrive
 	n.env.At(arrive, op.run)
+}
+
+// send serializes pkt's frame on the link direction whose busy horizon
+// is *freeAt, from now or once the previous frame has left, and returns
+// when its first and last bytes leave.
+func (n *Net) send(pkt *Packet, freeAt *sim.Time) (start, done sim.Time) {
+	pkt.Held(pkt.use, "sent")
+	start = max(n.env.Now(), *freeAt)
+	done = start + sim.Time(float64(pkt.Size+n.cfg.WireOverhead)*n.cfg.CyclesPerByte)
+	*freeAt = done
+	return start, done
 }
 
 // PollRxInto removes up to len(dst) packets from the RX ring into dst
@@ -332,19 +327,8 @@ func (n *Net) CreateTxQueue(name string, cq *rdma.CQ) *TxQueue {
 // cookie — the caller's record of the frame, not the packet, which both
 // owners may be done with by then — is delivered to the queue's CQ.
 func (t *TxQueue) Send(pkt *Packet, cookie any) {
-	pkt.Held(pkt.use, "sent")
 	n := t.net
-	if n.cfg.LossProb > 0 && n.env.Rand().Bool(n.cfg.LossProb) {
-		n.LossDrops.Inc()
-		return
-	}
-	start := n.env.Now()
-	if n.fromNodeFreeAt > start {
-		start = n.fromNodeFreeAt
-	}
-	xfer := sim.Time(float64(pkt.Size+n.cfg.WireOverhead) * n.cfg.CyclesPerByte)
-	done := start + xfer
-	n.fromNodeFreeAt = done
+	start, done := n.send(pkt, &n.fromNodeFreeAt)
 	n.txBusy.AddInterval(int64(start), int64(done))
 	n.TxCount.Inc()
 

@@ -131,8 +131,7 @@ type Injector struct {
 // stream triple, derived from (runSeed, cfg.Seed, nodeIdx, class), so
 // that fault schedules never perturb — and are never perturbed by — the
 // workload's draws, and per-node schedules are mutually independent.
-// node may be nil when no memory node takes part (unit tests); stall
-// windows are then kept internal.
+// Stall windows are mirrored into node, which answers ServeDelay.
 func NewForNode(cfg Config, node *memnode.Node, runSeed int64, nodeIdx int) *Injector {
 	base := 8 * uint64(nodeIdx)
 	inj := &Injector{
@@ -178,18 +177,12 @@ func (inj *Injector) ServeDelay(at sim.Time) sim.Time {
 	if inj.cfg.MemEvery <= 0 {
 		return 0
 	}
-	if n := inj.mem.ensure(at); n > 0 && inj.node != nil {
+	if n := inj.mem.ensure(at); n > 0 {
 		for _, w := range inj.mem.win[len(inj.mem.win)-n:] {
 			inj.node.Pause(int64(w[0]), int64(w[1]))
 		}
 	}
-	if inj.node != nil {
-		return sim.Time(inj.node.AvailableAt(int64(at))) - at
-	}
-	if _, until, ok := inj.mem.covering(at); ok {
-		return until - at
-	}
-	return 0
+	return sim.Time(inj.node.AvailableAt(int64(at))) - at
 }
 
 // windowGen lazily generates a chronological sequence of [from, until)

@@ -141,7 +141,7 @@ func TestWindowScheduleIndependentOfQueryPattern(t *testing.T) {
 	cfg := Config{LinkEvery: sim.Millis(1), LinkFor: sim.Micros(200), LinkFactor: 3}
 	// Query densely vs sparsely; the factor at the common query times
 	// must agree because the window schedule depends only on the seed.
-	dense := NewForNode(cfg, nil, 5, 0)
+	dense := NewForNode(cfg, memnode.New(1<<20), 5, 0)
 	var denseAt []float64
 	for i := 0; i < 1000; i++ {
 		f := dense.LinkFactor(sim.Time(i) * sim.Micros(10))
@@ -149,7 +149,7 @@ func TestWindowScheduleIndependentOfQueryPattern(t *testing.T) {
 			denseAt = append(denseAt, f)
 		}
 	}
-	sparse := NewForNode(cfg, nil, 5, 0)
+	sparse := NewForNode(cfg, memnode.New(1<<20), 5, 0)
 	var sparseAt []float64
 	for i := 0; i < 100; i++ {
 		sparseAt = append(sparseAt, sparse.LinkFactor(sim.Time(i)*sim.Micros(100)))

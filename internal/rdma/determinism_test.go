@@ -8,9 +8,10 @@ import (
 )
 
 // postReadRef and postWriteRef are the retired per-post-closure verb
-// paths, kept verbatim as references: the pooled wrOp implementation
-// must deliver the same completions, with the same data movement, at
-// the same times in the same order.
+// paths, kept as references: the pooled wrOp implementation must
+// deliver the same completions, with the same data movement, at the
+// same times in the same order. NIC.serve applies a memory-node stall
+// itself, so the references leave it to serve.
 
 func postReadRef(qp *QP, dst, src []byte, cookie any) error {
 	if len(dst) != len(src) {
@@ -29,9 +30,6 @@ func postReadRef(qp *QP, dst, src []byte, cookie any) error {
 
 	fail, extra, slow := qp.nic.intercept(OpRead, n)
 	arrive := qp.nic.serve(env.Now()+scale(cfg.ReqFlight, slow), n)
-	if itc := qp.nic.itc; itc != nil {
-		arrive += itc.ServeDelay(arrive)
-	}
 	start := maxTime(arrive, qp.freeAt, qp.nic.inFreeAt)
 	xfer := sim.Time(float64(n+cfg.WireOverhead) * cfg.CyclesPerByte * slow)
 	done := start + xfer
@@ -82,11 +80,7 @@ func postWriteRef(qp *QP, dst, src []byte, cookie any) error {
 	qp.nic.Writes.Inc()
 	qp.nic.WriteBytes.Add(int64(n))
 
-	arrive := done + scale(cfg.ReqFlight*3/4, slow)
-	if itc := qp.nic.itc; itc != nil {
-		arrive += itc.ServeDelay(arrive)
-	}
-	served := qp.nic.serve(arrive, n)
+	served := qp.nic.serve(done+scale(cfg.ReqFlight*3/4, slow), n)
 	deliver := served + scale(cfg.RespFlight, slow) + extra
 	env.At(deliver, func() {
 		c := Completion{Kind: OpWrite, Bytes: n, Cookie: cookie, QP: qp, At: deliver}

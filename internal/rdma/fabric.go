@@ -15,9 +15,6 @@ type Fabric []*NIC
 
 // NewFabric builds n identical NICs bound to env, one per memory node.
 func NewFabric(env *sim.Env, cfg Config, n int) Fabric {
-	if n < 1 {
-		n = 1
-	}
 	f := make(Fabric, n)
 	for i := range f {
 		f[i] = NewNIC(env, cfg)

@@ -171,3 +171,69 @@ func TestRNRDelayDefersCompletion(t *testing.T) {
 		t.Fatalf("stalled completion at %v, want %v", stalled, clean+sim.Micros(11))
 	}
 }
+
+// stallItc stalls the memory node over [from, until) and perturbs
+// nothing else.
+type stallItc struct{ from, until sim.Time }
+
+func (s stallItc) WROutcome(OpKind, int) (bool, sim.Time) { return false, 0 }
+func (s stallItc) LinkFactor(sim.Time) float64            { return 1 }
+func (s stallItc) ServeDelay(at sim.Time) sim.Time {
+	if at >= s.from && at < s.until {
+		return s.until - at
+	}
+	return 0
+}
+
+// TestStallDelaysServeOnBothVerbs pins Interceptor.ServeDelay's rule on a
+// two-sided NIC: an operation arriving in a memory-node stall waits for
+// its end before it is served, a READ as much as a WRITE. The stall
+// (500 cycles past the arrival) is shorter than a serve (1 145 cycles),
+// so a READ served first and only then checked against the stall would
+// not be delayed at all.
+func TestStallDelaysServeOnBothVerbs(t *testing.T) {
+	cfg := DefaultConfig()
+	xfer := sim.Time(float64(4096+cfg.WireOverhead) * cfg.CyclesPerByte)
+	run := func(kind OpKind, arrive sim.Time, stalled bool) sim.Time {
+		env := sim.NewEnv(1)
+		nic := NewNIC(env, cfg)
+		nic.EnableTwoSided(DefaultServerConfig())
+		if stalled {
+			nic.SetInterceptor(stallItc{from: arrive - 10, until: arrive + 500})
+		}
+		cq := NewCQ("cq")
+		qp := nic.CreateQP("qp", cq)
+		var done sim.Time
+		cq.Notify = func() { done = cq.Poll(1)[0].At }
+		remote := make([]byte, 4096)
+		var err error
+		if kind == OpRead {
+			err = qp.PostReadAlias(remote, nil)
+		} else {
+			err = qp.PostWrite(remote, make([]byte, 4096), nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.RunAll()
+		return done
+	}
+	// A READ reaches the node after the request flight; a WRITE after a
+	// quarter of it, its data, and the other three quarters.
+	readArrive := cfg.ReqFlight
+	writeArrive := cfg.ReqFlight/4 + xfer + cfg.ReqFlight*3/4
+	for _, c := range []struct {
+		kind   OpKind
+		arrive sim.Time
+	}{{OpRead, readArrive}, {OpWrite, writeArrive}} {
+		if got := run(c.kind, c.arrive, false); got != 5698 {
+			t.Fatalf("%v without a stall completes at %d, want 5698", c.kind, got)
+		}
+		// The stall's end (arrival + 500), the serve's 1 145 cycles, a
+		// READ's data (953) after its serve, and the 1 700-cycle
+		// response flight.
+		if got := run(c.kind, c.arrive, true); got != 6198 {
+			t.Fatalf("%v arriving in a stall completes at %d, want 6198 (wait out the stall, then serve)", c.kind, got)
+		}
+	}
+}

@@ -4,6 +4,13 @@
 // delay, and completion queues with optional redirection (the primitive
 // behind Adios's polling delegation, §3.4 of the paper).
 //
+// Every verb is one work request through one post path (QP.post): the
+// checks, the fault-plan draw, the counters and the completion event are
+// common, and only the legs differ — a READ crosses to the memory node,
+// is served, and its data serializes inbound; a WRITE's data serializes
+// outbound, then it crosses and is served. An operation arriving in a
+// memory-node stall waits for the stall's end before it is served.
+//
 // Verbs move real bytes: a READ copies from the remote region into the
 // caller's buffer at completion time; a WRITE copies the caller's buffer
 // into the remote region. As with real ibverbs, buffers must remain
@@ -442,7 +449,7 @@ func (qp *QP) PostRead(dst, src []byte, cookie any) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("rdma: read length mismatch: dst %d, src %d", len(dst), len(src))
 	}
-	return qp.postRead(dst, src, cookie)
+	return qp.post(OpRead, dst, src, cookie)
 }
 
 // PostReadAlias posts a one-sided READ of len(src) bytes that elides the
@@ -453,55 +460,7 @@ func (qp *QP) PostRead(dst, src []byte, cookie any) error {
 // skipped — so callers may switch between the variants without
 // perturbing the schedule.
 func (qp *QP) PostReadAlias(src []byte, cookie any) error {
-	return qp.postRead(nil, src, cookie)
-}
-
-func (qp *QP) postRead(dst, src []byte, cookie any) error {
-	if qp.errored {
-		return ErrQPError
-	}
-	if qp.Full() {
-		return ErrQPFull
-	}
-	qp.outstanding++
-	if simcheck.On() {
-		qp.checkDepth()
-	}
-	n := len(src)
-	cfg := &qp.nic.cfg
-	env := qp.nic.env
-
-	// A request whose nominal arrival lands in the crash window gets no
-	// response: no link time is charged (nothing comes back), and the
-	// completion is a timeout after DeadTimeout.
-	if qp.nic.hasCrash && qp.nic.deadAt(env.Now()+cfg.ReqFlight) {
-		qp.nic.postDead(qp, OpRead, dst, src, cookie, n)
-		return nil
-	}
-
-	fail, extra, slow := qp.nic.intercept(OpRead, n)
-	arrive := qp.nic.serve(env.Now()+scale(cfg.ReqFlight, slow), n)
-	if itc := qp.nic.itc; itc != nil {
-		arrive += itc.ServeDelay(arrive)
-	}
-	start := maxTime(arrive, qp.freeAt, qp.nic.inFreeAt)
-	xfer := sim.Time(float64(n+cfg.WireOverhead) * cfg.CyclesPerByte * slow)
-	done := start + xfer
-	if simcheck.On() {
-		qp.checkOrder(done)
-	}
-	qp.freeAt = done
-	qp.nic.inFreeAt = done
-	qp.nic.inBusy.AddInterval(int64(start), int64(done))
-	qp.nic.Reads.Inc()
-	qp.nic.ReadBytes.Add(int64(n))
-
-	deliver := done + scale(cfg.RespFlight, slow) + extra
-	op := qp.nic.getOp()
-	op.qp, op.kind, op.dst, op.src, op.cookie, op.n, op.fail, op.dead, op.deliver =
-		qp, OpRead, dst, src, cookie, n, fail, false, deliver
-	env.At(deliver, op.run)
-	return nil
+	return qp.post(OpRead, nil, src, cookie)
 }
 
 // PostWrite posts a one-sided WRITE of len(src) bytes from src into dst
@@ -511,6 +470,16 @@ func (qp *QP) PostWrite(dst, src []byte, cookie any) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("rdma: write length mismatch: dst %d, src %d", len(dst), len(src))
 	}
+	return qp.post(OpWrite, dst, src, cookie)
+}
+
+// post runs one work request of len(src) bytes: it takes a QP slot,
+// times the request on the link and schedules its completion. Only the
+// legs differ by kind. A READ crosses to the node, is served, and its
+// data serializes inbound. A WRITE's data serializes outbound right
+// after the doorbell, then it crosses the rest of the flight and is
+// served. The response flight back follows either.
+func (qp *QP) post(kind OpKind, dst, src []byte, cookie any) error {
 	if qp.errored {
 		return ErrQPError
 	}
@@ -521,57 +490,50 @@ func (qp *QP) PostWrite(dst, src []byte, cookie any) error {
 	if simcheck.On() {
 		qp.checkDepth()
 	}
+	nic := qp.nic
 	n := len(src)
-	cfg := &qp.nic.cfg
-	env := qp.nic.env
+	cfg := &nic.cfg
+	now := nic.env.Now()
+	op := nic.getOp()
+	op.qp, op.kind, op.dst, op.src, op.cookie, op.n = qp, kind, dst, src, cookie, n
 
-	// Crashed node: the WRITE is never acked — timeout, no data moved.
-	if qp.nic.hasCrash && qp.nic.deadAt(env.Now()+cfg.ReqFlight) {
-		qp.nic.postDead(qp, OpWrite, dst, src, cookie, n)
-		return nil
+	if nic.hasCrash && nic.deadAt(now+cfg.ReqFlight) {
+		// The nominal arrival lands in the crash window: no response.
+		// The request holds its QP slot until the timeout — the
+		// head-of-line pressure a dead node exerts on a real RC QP — but
+		// charges no link time and is not counted as traffic.
+		nic.TimeoutErrors.Inc()
+		op.fail, op.dead, op.deliver = false, true, now+cfg.DeadTimeout
+	} else {
+		fail, extra, slow := nic.intercept(kind, n)
+		var ready sim.Time // when the data may start to serialize
+		freeAt, busy := &nic.inFreeAt, &nic.inBusy
+		if kind == OpRead {
+			nic.Reads.Inc()
+			nic.ReadBytes.Add(int64(n))
+			ready = nic.serve(now+scale(cfg.ReqFlight, slow), n)
+		} else {
+			nic.Writes.Inc()
+			nic.WriteBytes.Add(int64(n))
+			freeAt, busy = &nic.outFreeAt, &nic.outBusy
+			ready = now + scale(cfg.ReqFlight/4, slow)
+		}
+		start := maxTime(ready, qp.freeAt, *freeAt)
+		xfer := sim.Time(float64(n+cfg.WireOverhead) * cfg.CyclesPerByte * slow)
+		done := start + xfer
+		if simcheck.On() {
+			qp.checkOrder(done)
+		}
+		qp.freeAt = done
+		*freeAt = done
+		busy.AddInterval(int64(start), int64(done))
+		if kind == OpWrite {
+			done = nic.serve(done+scale(cfg.ReqFlight*3/4, slow), n)
+		}
+		op.fail, op.dead, op.deliver = fail, false, done+scale(cfg.RespFlight, slow)+extra
 	}
-
-	fail, extra, slow := qp.nic.intercept(OpWrite, n)
-	// WRITE data leaves the compute node immediately after the doorbell.
-	start := maxTime(env.Now()+scale(cfg.ReqFlight/4, slow), qp.freeAt, qp.nic.outFreeAt)
-	xfer := sim.Time(float64(n+cfg.WireOverhead) * cfg.CyclesPerByte * slow)
-	done := start + xfer
-	if simcheck.On() {
-		qp.checkOrder(done)
-	}
-	qp.freeAt = done
-	qp.nic.outFreeAt = done
-	qp.nic.outBusy.AddInterval(int64(start), int64(done))
-	qp.nic.Writes.Inc()
-	qp.nic.WriteBytes.Add(int64(n))
-
-	// The ack travels the remaining flight to the memory node (where a
-	// two-sided server, if any, must apply the write) plus the response
-	// flight back.
-	arrive := done + scale(cfg.ReqFlight*3/4, slow)
-	if itc := qp.nic.itc; itc != nil {
-		arrive += itc.ServeDelay(arrive)
-	}
-	served := qp.nic.serve(arrive, n)
-	deliver := served + scale(cfg.RespFlight, slow) + extra
-	op := qp.nic.getOp()
-	op.qp, op.kind, op.dst, op.src, op.cookie, op.n, op.fail, op.dead, op.deliver =
-		qp, OpWrite, dst, src, cookie, n, fail, false, deliver
-	env.At(deliver, op.run)
+	nic.env.At(op.deliver, op.run)
 	return nil
-}
-
-// postDead schedules the timeout completion for a work request posted
-// toward a crashed node. The WR holds its QP slot until the timeout
-// fires — exactly the head-of-line pressure a dead node exerts on a
-// real RC QP — but consumes no link time and is not counted as traffic.
-func (n *NIC) postDead(qp *QP, kind OpKind, dst, src []byte, cookie any, bytes int) {
-	n.TimeoutErrors.Inc()
-	deliver := n.env.Now() + n.cfg.DeadTimeout
-	op := n.getOp()
-	op.qp, op.kind, op.dst, op.src, op.cookie, op.n, op.fail, op.dead, op.deliver =
-		qp, kind, dst, src, cookie, bytes, false, true, deliver
-	n.env.At(deliver, op.run)
 }
 
 // intercept consults the fault plan for one posted work request. With no

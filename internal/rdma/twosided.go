@@ -55,10 +55,15 @@ func (n *NIC) EnableTwoSided(cfg ServerConfig) *Server {
 	return n.srv
 }
 
-// serve schedules the server stage for an operation arriving at the
-// memory node at time arrive, returning when the response is ready to
-// serialize. With two-sided serving disabled it is the identity.
+// serve returns when the response to an operation arriving at the
+// memory node at time arrive is ready to leave it. The operation first
+// waits out a memory-node stall (Interceptor.ServeDelay), then the
+// server stage runs; with two-sided serving disabled the NIC answers at
+// once, so only the stall counts.
 func (n *NIC) serve(arrive sim.Time, bytes int) sim.Time {
+	if n.itc != nil {
+		arrive += n.itc.ServeDelay(arrive)
+	}
 	if n.srv == nil {
 		return arrive
 	}

@@ -128,6 +128,7 @@ type Config struct {
 	// Dispatchers splits the single-queue front end across several
 	// dispatcher cores, each owning a partition of the workers — the
 	// scalability direction §6 leaves as future work (abl-workers).
+	// New panics outside [1, Workers].
 	Dispatchers int
 
 	// CentralQueueCap bounds the dispatcher's pending-request queue; new

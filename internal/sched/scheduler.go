@@ -168,11 +168,8 @@ func New(env *sim.Env, cfg Config, net *ethernet.Net, fab rdma.Fabric,
 	if cfg.Workers <= 0 {
 		panic(fmt.Sprintf("sched: bad worker count %d", cfg.Workers))
 	}
-	if cfg.Dispatchers <= 0 {
-		cfg.Dispatchers = 1
-	}
-	if cfg.Dispatchers > cfg.Workers {
-		cfg.Dispatchers = cfg.Workers
+	if cfg.Dispatchers < 1 || cfg.Dispatchers > cfg.Workers {
+		panic(fmt.Sprintf("sched: bad dispatcher count %d for %d workers", cfg.Dispatchers, cfg.Workers))
 	}
 	s := &Scheduler{
 		env: env, cfg: cfg, net: net, mgr: mgr, pool: pool, stepH: stepH,
