@@ -593,7 +593,7 @@ func (o Options) Validate(id string) error {
 	if o.Skew != 0 && !e.skew {
 		return fmt.Errorf("experiment %s takes no -skew: its apps have no key skew, or it sweeps skew itself", id)
 	}
-	if e.crashes && (o.Faults.CrashSet || o.Faults.RejoinSet) {
+	if e.crashes && o.Faults.CrashSet {
 		return fmt.Errorf("experiment %s crashes a node itself; the plan may not", id)
 	}
 	// The frame pool is the app's, judged when it is built; any valid
@@ -613,6 +613,13 @@ func (o Options) Validate(id string) error {
 	return nil
 }
 
+// filled returns o with the zero values Run reads as unset filled: Seed
+// 0 is 1, and MemNodes and Replicas 0 are 1, the paper's topology.
+func (o Options) filled() Options {
+	o.Seed, o.MemNodes, o.Replicas = cmp.Or(o.Seed, 1), cmp.Or(o.MemNodes, 1), cmp.Or(o.Replicas, 1)
+	return o
+}
+
 // Run executes the experiment with the given id, prints its tables to
 // opt.Out and returns what it measured. It is the only way an experiment
 // runs, so a point's seed never depends on who asked. It fills the zero
@@ -624,10 +631,7 @@ func Run(id string, opt Options) (Result, error) {
 	if opt.Out == nil {
 		opt.Out = io.Discard
 	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	opt.MemNodes, opt.Replicas = cmp.Or(opt.MemNodes, 1), cmp.Or(opt.Replicas, 1)
+	opt = opt.filled()
 	if err := opt.Validate(id); err != nil {
 		return Result{}, fmt.Errorf("bench: %v", err)
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -11,24 +12,63 @@ import (
 	"repro/internal/sim"
 )
 
-// shortOpt runs experiments at reduced resolution; these tests assert
-// the paper's qualitative claims (who wins, roughly by how much), which
-// are exactly what the reproduction must preserve.
-func shortOpt() Options { return Options{Short: true, Seed: 1} }
-
-// mustRun runs one experiment the only way there is, by id.
-func mustRun(t testing.TB, id string, opt Options) Result {
+// shortRun returns what experiment id measures at -short under opt,
+// with its table and CSV. Every -short run a test here reads comes from
+// it, run once per test binary at SetParallel(4) and shared after. The
+// key is the options Run runs (opt.filled) less the writers, the
+// limiter and Parallel, which move no byte, so Options{} and
+// Options{MemNodes: 1, Replicas: 1} read one run. Callers must not
+// modify the Result. Only the determinism comparisons run afresh,
+// through runAt.
+func shortRun(t testing.TB, id string, opt Options) (Result, string, string) {
 	t.Helper()
+	opt = opt.filled()
+	opt.Short, opt.Out, opt.CSV, opt.sem, opt.Parallel = true, nil, nil, nil, 0
+	shortRuns.Lock()
+	defer shortRuns.Unlock()
+	key := runKey{id, opt}
+	r, ok := shortRuns.m[key]
+	if !ok {
+		r.res, r.table, r.csv = runAt(t, id, opt, 4)
+		shortRuns.m[key] = r
+	}
+	return r.res, r.table, r.csv
+}
+
+type runKey struct {
+	id  string
+	opt Options
+}
+
+type shortResult struct {
+	res        Result
+	table, csv string
+}
+
+var shortRuns = struct {
+	sync.Mutex
+	m map[runKey]shortResult
+}{m: map[runKey]shortResult{}}
+
+// runAt runs experiment id at -short under opt at the given parallelism,
+// afresh, and returns what it measured, its table and its CSV.
+func runAt(t testing.TB, id string, opt Options, parallel int) (Result, string, string) {
+	t.Helper()
+	var tbl, csv strings.Builder
+	opt.Short, opt.Out, opt.CSV = true, &tbl, &csv
+	opt.SetParallel(parallel)
 	res, err := Run(id, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, tbl.String(), csv.String()
 }
 
-// sweepOf runs a single-table experiment at -short and returns its
-// series.
-func sweepOf(t testing.TB, id string) Series { return mustRun(t, id, shortOpt()).Sweeps[0] }
+// sweepOf returns a single-table experiment's series at -short.
+func sweepOf(t testing.TB, id string) Series {
+	res, _, _ := shortRun(t, id, Options{})
+	return res.Sweeps[0]
+}
 
 func last(pts []Point) Point { return pts[len(pts)-1] }
 
@@ -43,7 +83,7 @@ func peak(pts []Point) Point {
 }
 
 func TestRunDispatchesAllIDs(t *testing.T) {
-	if _, err := Run("nonsense", shortOpt()); err == nil {
+	if _, err := Run("nonsense", Options{Short: true}); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 	// A plan, and the replicas, must fit the smallest system the
@@ -79,12 +119,31 @@ func TestRunDispatchesAllIDs(t *testing.T) {
 	}
 }
 
+// TestFilledReadsZeroAsOne: Run's fill, which shortRun's key calls
+// too, reads a zero Seed, MemNodes or Replicas as 1 and keeps a set one,
+// so the options of the pre-shard goldens and of the digest rows key
+// one run.
+func TestFilledReadsZeroAsOne(t *testing.T) {
+	for _, tc := range []struct{ in, want Options }{
+		{Options{}, Options{Seed: 1, MemNodes: 1, Replicas: 1}},
+		{Options{Seed: 1, MemNodes: 1, Replicas: 1}, Options{Seed: 1, MemNodes: 1, Replicas: 1}},
+		{Options{Seed: 3, MemNodes: 4}, Options{Seed: 3, MemNodes: 4, Replicas: 1}},
+		{Options{Short: true, Replicas: 2}, Options{Short: true, Seed: 1, MemNodes: 1, Replicas: 2}},
+	} {
+		if got := tc.in.filled(); got != tc.want {
+			t.Errorf("%+v filled to %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+	shortRun(t, "fig2b", Options{})
+	n := len(shortRuns.m)
+	shortRun(t, "fig2b", Options{MemNodes: 1, Replicas: 1})
+	if len(shortRuns.m) != n {
+		t.Fatal("Options{} and Options{MemNodes: 1, Replicas: 1} keyed two runs")
+	}
+}
+
 func TestTable1Prints(t *testing.T) {
-	var sb strings.Builder
-	opt := shortOpt()
-	opt.Out = &sb
-	mustRun(t, "table1", opt)
-	out := sb.String()
+	_, out, _ := shortRun(t, "table1", Options{})
 	for _, want := range []string{"80", "968", "unithread", "ucontext"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table1 output missing %q:\n%s", want, out)
@@ -106,7 +165,8 @@ func TestFig2aPreemptionDoesNotHelpMicrobench(t *testing.T) {
 }
 
 func TestFig2cBusyWaitDominatesTail(t *testing.T) {
-	rows := mustRun(t, "fig2c", shortOpt()).Breakdown
+	res, _, _ := shortRun(t, "fig2c", Options{})
+	rows := res.Breakdown
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -136,14 +196,16 @@ func TestFig2cBusyWaitDominatesTail(t *testing.T) {
 }
 
 func TestFig7AdiosEliminatesBusyWait(t *testing.T) {
-	rows := mustRun(t, "fig7c", shortOpt()).Breakdown
+	res, _, _ := shortRun(t, "fig7c", Options{})
+	rows := res.Breakdown
 	for _, r := range rows {
 		if r.OwnBusyWaitKc != 0 || r.QueueBusyKc != 0 {
 			t.Fatalf("Adios shows busy-wait at P%.1f: %+v", r.Pct, r)
 		}
 	}
 	// Queueing at the tail collapses vs DiLOS (paper: 16-37x less).
-	dilos := mustRun(t, "fig2c", shortOpt()).Breakdown
+	res, _, _ = shortRun(t, "fig2c", Options{})
+	dilos := res.Breakdown
 	if rows[3].QueueKc*4 > dilos[3].QueueKc {
 		t.Fatalf("Adios P99.9 queueing %.1fKc not far below DiLOS %.1fKc",
 			rows[3].QueueKc, dilos[3].QueueKc)
@@ -212,12 +274,9 @@ func TestAblComputeYieldGainsNothing(t *testing.T) {
 }
 
 func TestBenchWritesOutput(t *testing.T) {
-	var sb strings.Builder
-	opt := shortOpt()
-	opt.Out = &sb
-	mustRun(t, "table2", opt)
+	_, out, _ := shortRun(t, "table2", Options{})
 	for _, want := range []string{"Memcached", "RocksDB", "Silo", "Faiss"} {
-		if !strings.Contains(sb.String(), want) {
+		if !strings.Contains(out, want) {
 			t.Fatalf("table2 missing %s", want)
 		}
 	}
@@ -242,8 +301,7 @@ func TestAblTwoSidedOneSidedWins(t *testing.T) {
 // build, and the node's memnodeK.served count is positive — a name the
 // one-sided build does not have.
 func TestAblTwoSidedOnEveryMemoryNode(t *testing.T) {
-	opt := shortOpt()
-	opt.MemNodes, opt.Replicas = 2, 1
+	opt := Options{Short: true, Seed: 1, MemNodes: 2, Replicas: 1}
 	one, _ := opt.builder(system{app: micro})(core.Adios, opt.Seed)
 	two, _ := opt.builder(system{app: microTwoSided})(core.Adios, opt.Seed)
 	for k := range two.Fabric {

@@ -14,18 +14,15 @@ import (
 // TestShortCSVDigestsMatchTable pins every experiment but table1 (its
 // rows are host-timed) and fig13 (minutes at -short; its digests are in
 // EXPERIMENTS.md) by the SHA-256 of its -short -seed 1 stdout table and
-// of its CSV. testdata/short_digests.txt ("id stdout csv") was recorded
-// one simulation at a time on the tree that still had a function per
-// figure, five process-wide knobs and a sizing probe per builder (PR
-// 16) — and the seven CSV digests it had before that, on the tree that
-// still ran a goroutine per request (PR 14), are unchanged in it. The
-// test runs at SetParallel(4), so a row that holds is also that
-// experiment's -parallel vs sequential byte-identity; a digest that
+// of its CSV, as listed in testdata/short_digests.txt ("id stdout csv").
+// The rows were recorded one simulation at a time and are checked on
+// shortRun's runs, at SetParallel(4), so a row that holds is also that
+// experiment's -parallel vs sequential byte-identity. A digest that
 // moves means the table or the runner builds, seeds, drives or prints
-// some point differently, not merely through different code.
+// some point differently.
 func TestShortCSVDigestsMatchTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the 37 experiments take about a minute; run without -short")
+		t.Skip("the 37 experiments take about 30 s; run without -short")
 	}
 	if raceEnabled {
 		t.Skip("too slow under -race; TestLazyProbeExperimentsRaceFree and the shards test fan out under the detector")
@@ -45,9 +42,7 @@ func TestShortCSVDigestsMatchTable(t *testing.T) {
 		id := fields[0]
 		pinned = append(pinned, id)
 		t.Run(id, func(t *testing.T) {
-			var par Options
-			par.SetParallel(4)
-			out, csv := shortCSV(t, id, par)
+			_, out, csv := shortRun(t, id, Options{})
 			for i, got := range []string{out, csv} {
 				sum := sha256.Sum256([]byte(got))
 				if hex.EncodeToString(sum[:]) != fields[1+i] {

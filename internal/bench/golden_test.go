@@ -9,16 +9,6 @@ import (
 	"repro/internal/faults"
 )
 
-// shortCSV runs one experiment at -short -seed 1 under opt's settings
-// and returns its table and CSV.
-func shortCSV(t *testing.T, id string, opt Options) (table, csv string) {
-	t.Helper()
-	var out, csvb strings.Builder
-	opt.Short, opt.Seed, opt.Out, opt.CSV = true, 1, &out, &csvb
-	mustRun(t, id, opt)
-	return out.String(), csvb.String()
-}
-
 // checkGolden compares an experiment's -short -seed 1 CSV under opt's
 // settings against a file in testdata/.
 func checkGolden(t *testing.T, id, golden string, opt Options) {
@@ -27,20 +17,17 @@ func checkGolden(t *testing.T, id, golden string, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, got := shortCSV(t, id, opt); got != string(want) {
+	if _, _, got := shortRun(t, id, opt); got != string(want) {
 		t.Fatalf("%s CSV diverged from golden %s\ngot:\n%s\nwant:\n%s", id, golden, got, want)
 	}
 }
 
-// TestSingleNodeCSVMatchesPreShardGolden pins the sharding acceptance
-// criterion: with MemNodes 1 the benchmark CSV is byte-identical to the
-// output of the tree before multi-node support existed. The goldens in
-// testdata/ were generated by the pre-shard adios-bench at -short
-// -seed 1; any drift here means the single-node data plane changed
-// behaviour, not just grew an option. Replicas 1 is pinned for the same
-// reason: an unreplicated store must stay byte-identical to the tree
-// before replication existed. (The zero Options mean the same and are
-// what every other golden runs under.)
+// TestSingleNodeCSVMatchesPreShardGolden guards the single-node,
+// unreplicated data plane: at MemNodes 1 and Replicas 1 the resilience
+// and fig7a CSVs must stay byte-identical to their goldens, so sharding
+// and replication support stay options that change nothing when off.
+// These options key the same run as the zero Options, which the digest
+// rows read.
 func TestSingleNodeCSVMatchesPreShardGolden(t *testing.T) {
 	t.Run("resilience", func(t *testing.T) {
 		checkGolden(t, "resilience", "preshard_resilience_short.csv", Options{MemNodes: 1, Replicas: 1})
@@ -58,11 +45,9 @@ func TestSingleNodeCSVMatchesPreShardGolden(t *testing.T) {
 	})
 }
 
-// TestFig7aMemNodes4MatchesGolden pins the scheduler-replacement
-// acceptance criterion on a striped topology: fig7a at -short -seed 1
-// -memnodes 4 must emit CSV byte-identical to the golden generated by
-// the binary-heap event queue the timing wheel replaced. Any drift means
-// the wheel changed dispatch order somewhere, not just got faster.
+// TestFig7aMemNodes4MatchesGolden guards the event queue's dispatch
+// order on a striped topology: fig7a at -memnodes 4 must emit CSV
+// byte-identical to its golden.
 func TestFig7aMemNodes4MatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig7a golden takes ~15s; run without -short")
@@ -77,17 +62,12 @@ func TestFig7aMemNodes4MatchesGolden(t *testing.T) {
 	checkGolden(t, "fig7a", "fig7a_memnodes4_short.csv", Options{MemNodes: 4})
 }
 
-// TestShardsCSVMatchesPreMigrateGolden pins the migration acceptance
-// criterion: with migration disabled (the default) and no key skew, the
-// shards CSV is byte-identical to the output of the tree before
-// migration support existed. The golden in testdata/ was generated by
-// the pre-migration adios-bench at -short -seed 1; any drift here means
-// a disabled migrator changed the data plane's behaviour, not just
-// grew an option.
+// TestShardsCSVMatchesPreMigrateGolden guards the disabled migrator:
+// with migration off (the default) and no key skew, the shards CSV must
+// stay byte-identical to its golden, so a migrator that is not built
+// changes nothing in the data plane.
 func TestShardsCSVMatchesPreMigrateGolden(t *testing.T) {
-	var opt Options
-	opt.SetParallel(4) // byte-identical to sequential; see the determinism test
-	checkGolden(t, "shards", "premigrate_shards_short.csv", opt)
+	checkGolden(t, "shards", "premigrate_shards_short.csv", Options{})
 }
 
 // TestShardsDeterministicAcrossParallel is the cross-node determinism
@@ -95,15 +75,13 @@ func TestShardsCSVMatchesPreMigrateGolden(t *testing.T) {
 // CSV whether its points run one at a time or fanned across goroutines,
 // because every point derives its own seed and owns its sim.Env.
 func TestShardsDeterministicAcrossParallel(t *testing.T) {
-	var par Options
-	par.SetParallel(4)
-	t2, c1 := shortCSV(t, "shards", par)
+	_, t2, c1 := shortRun(t, "shards", Options{})
 	if !raceEnabled {
 		// The sequential reference run doubles the test's cost for a
 		// byte-compare that has no concurrency of its own; under -race
 		// keep only the parallel fan-out (the race-sensitive half) so
 		// the package stays inside go test's default timeout.
-		t1, c1seq := shortCSV(t, "shards", Options{})
+		_, t1, c1seq := runAt(t, "shards", Options{}, 1)
 		if t1 != t2 {
 			t.Fatalf("table differs sequential vs parallel:\n%s\n---\n%s", t1, t2)
 		}
@@ -123,12 +101,10 @@ func TestShardsDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// TestRehomeCSVsMatchGolden pins the two experiments whose numbers come
-// from moving pages between memory nodes: failover (crash repair) and
-// rebalance (hot-page migration), at -short -seed 1. The goldens were
-// generated by the tree that still had one copy executor per subsystem,
-// so any drift means the shared re-home engine repairs or migrates on a
-// different schedule, not merely through different code.
+// TestRehomeCSVsMatchGolden guards the re-home engine's schedule: the
+// two experiments whose numbers come from moving pages between memory
+// nodes, failover (crash repair) and rebalance (hot-page migration),
+// must emit CSV byte-identical to their goldens.
 func TestRehomeCSVsMatchGolden(t *testing.T) {
 	for _, id := range []string{"failover", "rebalance"} {
 		t.Run(id, func(t *testing.T) { checkGolden(t, id, id+"_short.csv", Options{}) })
@@ -139,9 +115,8 @@ func TestRehomeCSVsMatchGolden(t *testing.T) {
 // fault plan rather than replacing it, so even its no-crash reference
 // points retry the completion errors the plan injects.
 func TestFailoverRunsUnderThePlan(t *testing.T) {
-	opt := shortOpt()
-	opt.Faults = faults.Config{WRErrRate: 0.02}
-	sweep := mustRun(t, "failover", opt).Sweeps[0]
+	res, _, _ := shortRun(t, "failover", Options{Faults: faults.Config{WRErrRate: 0.02}})
+	sweep := res.Sweeps[0]
 	for _, key := range []string{"r1+nocrash", "r2+nocrash"} {
 		if pts := sweep[key]; len(pts) != 1 || pts[0].Stats["paging.fetch_retries"] == 0 {
 			t.Fatalf("%s under wr=0.02 retried no fetch: the plan was dropped (%d points)", key, len(pts))

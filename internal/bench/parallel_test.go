@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io/fs"
 	"os"
@@ -13,25 +12,14 @@ import (
 	"testing"
 )
 
-// runAt runs one experiment at -short -seed 1 under the given
-// parallelism and returns what it measured plus the rendered table and
-// CSV.
-func runAt(t testing.TB, id string, parallel int) (Result, string, string) {
-	t.Helper()
-	var tbl, csv bytes.Buffer
-	opt := Options{Short: true, Seed: 1, Out: &tbl, CSV: &csv}
-	opt.SetParallel(parallel)
-	return mustRun(t, id, opt), tbl.String(), csv.String()
-}
-
 // TestSweepParallelDeterministic is the fast, always-on determinism
 // regression test for the runner (the digest table is the
 // every-experiment one): a sweep fanned across 4 goroutines must yield a
 // Result, printed table, and CSV rows byte-identical to one simulation
 // at a time.
 func TestSweepParallelDeterministic(t *testing.T) {
-	seqRes, seqTbl, seqCSV := runAt(t, "infiniswap", 1)
-	parRes, parTbl, parCSV := runAt(t, "infiniswap", 4)
+	seqRes, seqTbl, seqCSV := runAt(t, "infiniswap", Options{}, 1)
+	parRes, parTbl, parCSV := shortRun(t, "infiniswap", Options{})
 	if !reflect.DeepEqual(seqRes, parRes) {
 		t.Fatalf("parallel sweep points differ from sequential:\nseq: %+v\npar: %+v", seqRes, parRes)
 	}
@@ -59,7 +47,7 @@ func TestLazyProbeExperimentsRaceFree(t *testing.T) {
 		t.Skip("two RocksDB/Memcached sweeps; run without -short")
 	}
 	for _, id := range []string{"abl-evict", "abl-canvas"} {
-		if res, _, _ := runAt(t, id, 4); len(res.Sweeps[0]) != 2 {
+		if res, _, _ := shortRun(t, id, Options{}); len(res.Sweeps[0]) != 2 {
 			t.Fatalf("%s: want two curves, got %d", id, len(res.Sweeps[0]))
 		}
 	}
@@ -125,7 +113,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	for _, par := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runAt(b, "infiniswap", par)
+				runAt(b, "infiniswap", Options{}, par)
 			}
 		})
 	}

@@ -7,22 +7,13 @@ import (
 	"testing"
 )
 
-func runResilience(t *testing.T) (table, csv string, series Series) {
-	t.Helper()
-	var out, csvb strings.Builder
-	opt := Options{Short: true, Seed: 3, Out: &out, CSV: &csvb}
-	opt.SetParallel(4)
-	series = mustRun(t, "resilience", opt).Sweeps[0]
-	return out.String(), csvb.String(), series
-}
-
 // TestResilienceDeterministic is the chaos determinism check of the
-// acceptance criteria: the same seed and the same fault plan must
-// produce byte-identical tables and CSV rows, even with parallel
-// point execution.
+// acceptance criteria: the same seed (3, as in the CI chaos smoke) and
+// the same fault plan must produce byte-identical tables and CSV rows,
+// even with parallel point execution.
 func TestResilienceDeterministic(t *testing.T) {
-	t1, c1, _ := runResilience(t)
-	t2, c2, _ := runResilience(t)
+	_, t1, c1 := shortRun(t, "resilience", Options{Seed: 3})
+	_, t2, c2 := runAt(t, "resilience", Options{Seed: 3}, 4)
 	if t1 != t2 {
 		t.Fatalf("tables differ across identical runs:\n--- first\n%s\n--- second\n%s", t1, t2)
 	}
@@ -40,7 +31,8 @@ func TestResilienceDeterministic(t *testing.T) {
 // the yield system absorbs fault-recovery latency better than the
 // busy-wait baseline, which spins through every retry backoff.
 func TestResilienceSurvivesFaults(t *testing.T) {
-	_, _, series := runResilience(t)
+	res, _, _ := shortRun(t, "resilience", Options{Seed: 3})
+	series := res.Sweeps[0]
 	faultyA, okA := series["Adios@wr0.010"]
 	faultyD, okD := series["DiLOS@wr0.010"]
 	cleanA := series["Adios@wr0.000"]

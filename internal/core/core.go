@@ -12,6 +12,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/ethernet"
@@ -216,8 +217,9 @@ const MaxMemNodes = 64
 // Validate reports whether NewSystem can build cfg: MemNodes in [1,
 // MaxMemNodes], Replicas in [1, MemNodes] (each copy needs a node of its
 // own), Block >= 0, a frame pool paging.CheckFramePool accepts, a fault
-// plan that names only nodes the system has (faults.Config.FitsNodes),
-// and migration only with two nodes or more to move pages between. The
+// plan that names only nodes the system has (faults.Config.FitsNodes)
+// and whose crash window is one (faults.Config.CheckCrash), and
+// migration only with two nodes or more to move pages between. The
 // CLIs turn the error into their usage error.
 func (cfg Config) Validate() error {
 	n := cfg.MemNodes
@@ -234,7 +236,7 @@ func (cfg Config) Validate() error {
 	if err := paging.CheckFramePool(float64(cfg.Paging.FramePoolBytes)); err != nil {
 		return err
 	}
-	if err := cfg.Faults.FitsNodes(n); err != nil {
+	if err := cmp.Or(cfg.Faults.FitsNodes(n), cfg.Faults.CheckCrash()); err != nil {
 		return fmt.Errorf("-faults: %v", err)
 	}
 	return nil

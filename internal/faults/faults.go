@@ -109,6 +109,19 @@ func (c Config) FitsNodes(n int) error {
 	return nil
 }
 
+// CheckCrash is the crash-window rule: a rejoin needs a crash, and
+// comes after it. ParseSpec refuses a spec that breaks it, and
+// core.Config.Validate a plan a system would be built with.
+func (c Config) CheckCrash() error {
+	switch {
+	case c.RejoinSet && !c.CrashSet:
+		return fmt.Errorf("rejoin=%s needs a crash= clause", c.RejoinAt.SpecString())
+	case c.RejoinSet && c.RejoinAt <= c.CrashAt:
+		return fmt.Errorf("rejoin time %s must be after crash time %s", c.RejoinAt.SpecString(), c.CrashAt.SpecString())
+	}
+	return nil
+}
+
 // Injector implements rdma.Interceptor for one simulation run. It is
 // not safe for use by more than one sim.Env.
 type Injector struct {

@@ -56,14 +56,8 @@ func ParseSpec(text string) (Config, error) {
 	if err := spec.Parse("faults", text, cfg.clauses()); err != nil {
 		return Config{}, err
 	}
-	if cfg.RejoinSet {
-		if !cfg.CrashSet {
-			return Config{}, fmt.Errorf("faults: rejoin=%s needs a crash= clause", cfg.RejoinAt.SpecString())
-		}
-		if cfg.RejoinAt <= cfg.CrashAt {
-			return Config{}, fmt.Errorf("faults: rejoin time %s must be after crash time %s",
-				cfg.RejoinAt.SpecString(), cfg.CrashAt.SpecString())
-		}
+	if err := cfg.CheckCrash(); err != nil {
+		return Config{}, fmt.Errorf("faults: %v", err)
 	}
 	return cfg, nil
 }

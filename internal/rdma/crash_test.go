@@ -75,17 +75,6 @@ func TestCrashedNodeTimesOutRequests(t *testing.T) {
 	}
 }
 
-func TestScheduleCrashRejectsBadWindow(t *testing.T) {
-	env := sim.NewEnv(1)
-	nic := testNIC(env)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rejoin before crash accepted")
-		}
-	}()
-	nic.ScheduleCrash(sim.Micros(10), sim.Micros(5))
-}
-
 // TestHealthDetectsCrashAndRejoin drives the heartbeat detector over a
 // two-node fabric where node 1 dies and later rejoins: the verdict
 // flips after Threshold probe periods, OnDown fires exactly once with

@@ -341,15 +341,13 @@ func (n *NIC) SetInterceptor(itc Interceptor) { n.itc = itc }
 
 // ScheduleCrash marks the NIC's memory node dead for requests arriving
 // from crashAt on; rejoinAt > crashAt revives it (empty) at that time,
-// rejoinAt == 0 makes the crash permanent. The window is static state,
-// not an event: posts consult it at their nominal arrival time, so the
-// crash is byte-reproducible regardless of seed or load. Requests whose
-// timing was already fixed before the crash instant complete normally —
-// their response bytes were on the wire.
+// rejoinAt == 0 makes the crash permanent. core.Config.Validate holds a
+// built system's window to faults.Config.CheckCrash. The window is
+// static state, not an event: posts consult it at their nominal arrival
+// time, so the crash is byte-reproducible regardless of seed or load.
+// Requests whose timing was already fixed before the crash instant
+// complete normally — their response bytes were on the wire.
 func (n *NIC) ScheduleCrash(crashAt, rejoinAt sim.Time) {
-	if rejoinAt != 0 && rejoinAt <= crashAt {
-		panic("rdma: crash rejoin time must be after the crash time")
-	}
 	n.hasCrash = true
 	n.crashAt = crashAt
 	n.rejoinAt = rejoinAt
@@ -391,10 +389,9 @@ type QP struct {
 
 	// errored marks the QP's error state: after a completion error the
 	// QP rejects new posts while in-flight requests drain (their
-	// completions arrive flushed), then resetPending covers the modify-QP
-	// reset cycle. Both clear when the reset finishes.
-	errored      bool
-	resetPending bool
+	// completions arrive flushed) and through the modify-QP reset cycle
+	// that follows; it clears when the reset finishes.
+	errored bool
 
 	// fullWaiters are the tasks waiting for a free WR slot or for the
 	// error-state reset to finish.
@@ -580,15 +577,15 @@ func (qp *QP) complete(c Completion) {
 }
 
 // maybeReset schedules the modify-QP reset cycle once an errored QP has
-// fully drained. When the cycle completes the QP accepts posts again and
-// every slot waiter is armed.
+// fully drained. It schedules at most one: post refuses work while
+// errored is set, so once outstanding reaches 0 no completion is left to
+// call here again before the reset fires. When the cycle completes the
+// QP accepts posts again and every slot waiter is armed.
 func (qp *QP) maybeReset() {
-	if qp.resetPending || qp.outstanding > 0 {
+	if qp.outstanding > 0 {
 		return
 	}
-	qp.resetPending = true
 	qp.env.After(qp.nic.cfg.ResetDelay, func() {
-		qp.resetPending = false
 		qp.errored = false
 		qp.nic.QPResets.Inc()
 		for _, w := range qp.fullWaiters {
