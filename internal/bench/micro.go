@@ -2,7 +2,7 @@ package bench
 
 import (
 	"sort"
-	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -11,27 +11,28 @@ import (
 	"repro/internal/unithread"
 )
 
+// switchRounds is the number of round trips (two switches each) table1
+// times per mechanism: a few milliseconds of host time.
+const switchRounds = 1 << 18
+
 // table1 measures sizes from the real structures and cycles by running
 // the real save/restore loops on this host, alongside the calibrated
 // model constants used in the simulation.
 func table1(r *run) {
-	light := testing.Benchmark(func(b *testing.B) {
+	lightNs := nsPerSwitch(func() {
 		var a, c unithread.LightContext
-		for i := 0; i < b.N; i++ {
+		for range switchRounds {
 			unithread.SwitchLight(&a, &c)
 			unithread.SwitchLight(&c, &a)
 		}
 	})
-	full := testing.Benchmark(func(b *testing.B) {
+	fullNs := nsPerSwitch(func() {
 		var a, c unithread.FullContext
-		for i := 0; i < b.N; i++ {
+		for range switchRounds {
 			unithread.SwitchFull(&a, &c)
 			unithread.SwitchFull(&c, &a)
 		}
 	})
-	// Each iteration performs two switches.
-	lightNs := float64(light.NsPerOp()) / 2
-	fullNs := float64(full.NsPerOp()) / 2
 	costs := sched.DefaultCosts()
 
 	r.printf("\n# Table 1: context-switching mechanisms\n")
@@ -42,6 +43,14 @@ func table1(r *run) {
 		unithread.ShinjukuContextSize, fullNs, 191)
 	r.printf("size ratio %.1fx, host cycle ratio %.1fx (paper: 12.1x, 4.7x)\n",
 		float64(unithread.ShinjukuContextSize)/float64(unithread.ContextSize), fullNs/lightNs)
+}
+
+// nsPerSwitch is the host time of one switch of roundTrips, which
+// makes switchRounds round trips.
+func nsPerSwitch(roundTrips func()) float64 {
+	t0 := time.Now()
+	roundTrips()
+	return float64(time.Since(t0).Nanoseconds()) / (2 * switchRounds)
 }
 
 // once is the lone point of a single-run figure: the microbenchmark at

@@ -122,11 +122,6 @@ func (pkt *Packet) Release(by Owner) {
 		pkt.check(pkt.use, by, "released twice")
 	}
 	pkt.released |= by
-	// The mutation (simcheckmutate builds only) is the one-line version:
-	// recycle at delivery, while the node may still hold the request.
-	if by == Sender && simcheck.Mut("packet-early-release") {
-		pkt.released = onFreeList
-	}
 	if pkt.released == onFreeList {
 		pkt.pool.free = append(pkt.pool.free, pkt)
 	}

@@ -1,10 +1,6 @@
 package memnode
 
-import (
-	"fmt"
-
-	"repro/internal/simcheck"
-)
+import "fmt"
 
 // Allocator is the registration surface shared by a single Node and a
 // Cluster, so applications allocate their regions the same way whether
@@ -137,13 +133,6 @@ func (c *Cluster) Alloc(name string, size int64) (*Region, error) {
 		// Charge the page to every owner: the primary plus each
 		// replica slot. Copies on distinct nodes each hold the bytes.
 		for k := 0; k < c.pl.Replicas; k++ {
-			// The mutation (simcheckmutate builds only) forgets to charge
-			// replica copies, so the region holds R copies' bytes while
-			// the ledger admits one — the memnode/capacity oracle must
-			// catch the undercharge at audit time.
-			if k > 0 && simcheck.Mut("memnode-undercharge") {
-				continue
-			}
 			perNode[c.pl.Owner(p, k)] += b
 		}
 	}

@@ -235,7 +235,7 @@ type candidate struct {
 func (mg *Migrator) plan() {
 	// Per-node loads over live nodes only.
 	var total, max int64
-	src, live := -1, 0
+	var src, live int
 	for n := 0; n < mg.nodes; n++ {
 		if !mg.m.NodeLive(n) {
 			continue
@@ -247,7 +247,7 @@ func (mg *Migrator) plan() {
 			max, src = f, n
 		}
 	}
-	if live < 2 || src < 0 || max < int64(mg.cfg.MinFaults) {
+	if live < 2 || max < int64(mg.cfg.MinFaults) { // MinFaults >= 1: src is set
 		return
 	}
 	// Trigger on max/mean >= Imbalance (cross-multiplied to stay exact).

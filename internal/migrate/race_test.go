@@ -75,3 +75,76 @@ func raceRepairAndMigration(t *testing.T, migrationFirst bool) {
 		t.Fatalf("migrations landed %d, dropped %d; want 0, 1", mg.PagesMoved.Value(), mg.Aborted.Value())
 	}
 }
+
+// twoNodes builds a migrator over two nodes of nodeBytes each holding
+// one page of a striped space apiece, its health read from dead.
+func twoNodes(nodeBytes int64, dead deadNodes) (*sim.Env, *paging.Space, *Migrator) {
+	env := sim.NewEnv(1)
+	fab := rdma.NewFabric(env, rdma.DefaultConfig(), 2)
+	mn := []*memnode.Node{memnode.New(nodeBytes), memnode.New(nodeBytes)}
+	cluster := memnode.NewCluster(mn, paging.PageSize, memnode.Placement{Nodes: 2, Block: 1, Replicas: 1})
+	mgr := paging.NewManager(env, paging.DefaultConfig(16*paging.PageSize))
+	sp := mgr.NewSpace("data", cluster.MustAlloc("data", 2*paging.PageSize))
+	mgr.Start(paging.Wiring{Fabric: fab, Health: dead})
+	mg := New(mgr, cluster, fab, Config{Enabled: true})
+	mg.Queue(paging.RehomeJob{Space: sp, VPN: 1, Src: 1, Dst: 0})
+	mg.queued[pageKey{sp.ID(), 1}] = true
+	mg.Kick()
+	return env, sp, mg
+}
+
+// A migration whose destination is declared dead while its copy is in
+// flight is stale at the landing: the migrator drops it — the owner
+// table stays, the drop is counted, and the page may be planned again.
+func TestStaleMigrationIsDroppedAtLanding(t *testing.T) {
+	dead := deadNodes{}
+	env, sp, mg := twoNodes(1<<24, dead)
+	// Planned against a live destination at time 0; dead one cycle into
+	// the copy, well before the landing.
+	env.At(1, func() { dead[0] = true })
+	env.Run(sim.Millis(1))
+
+	if sp.Owner(1, 0) != 1 || mg.PagesMoved.Value() != 0 || mg.Aborted.Value() != 1 {
+		t.Fatalf("page 1 answers node %d, moved %d, dropped %d; want 1, 0, 1",
+			sp.Owner(1, 0), mg.PagesMoved.Value(), mg.Aborted.Value())
+	}
+	if len(mg.queued) != 0 {
+		t.Fatalf("dropped page still marked queued: %v", mg.queued)
+	}
+}
+
+// A destination with exactly one page of capacity left takes the page.
+func TestMigrationFillsTheLastFreePage(t *testing.T) {
+	env, sp, mg := twoNodes(2*paging.PageSize, deadNodes{})
+	env.Run(sim.Millis(1))
+	if sp.Owner(1, 0) != 0 || mg.PagesMoved.Value() != 1 {
+		t.Fatalf("page 1 answers node %d, moved %d; want 0, 1", sp.Owner(1, 0), mg.PagesMoved.Value())
+	}
+}
+
+// The planner moves pages once the busiest live node's epoch faults
+// reach Imbalance times the mean, equality included, and passes over the
+// spaces that saw no access.
+func TestPlanTriggersAtTheImbalanceThreshold(t *testing.T) {
+	env := sim.NewEnv(1)
+	fab := rdma.NewFabric(env, rdma.DefaultConfig(), 2)
+	mn := []*memnode.Node{memnode.New(1 << 24), memnode.New(1 << 24)}
+	cluster := memnode.NewCluster(mn, paging.PageSize, memnode.Placement{Nodes: 2, Block: 1, Replicas: 1})
+	mgr := paging.NewManager(env, paging.DefaultConfig(16*paging.PageSize))
+	// Only the middle space is touched: the planner has no heat for the
+	// space before it, nor any slot for the one after it.
+	mgr.NewSpace("cold0", cluster.MustAlloc("cold0", 4*paging.PageSize))
+	hot := mgr.NewSpace("hot", cluster.MustAlloc("hot", 4*paging.PageSize))
+	mgr.NewSpace("cold2", cluster.MustAlloc("cold2", 4*paging.PageSize))
+	mgr.Start(paging.Wiring{Fabric: fab})
+	mg := New(mgr, cluster, fab, Config{Enabled: true, HotThreshold: 1, Imbalance: 1.5, MinFaults: 1})
+	// Three faults on node 1 (pages 1 and 3), one on node 0: max/mean is
+	// 3/2, exactly the threshold.
+	for _, vpn := range []int64{1, 3, 1, 0} {
+		mg.RecordFault(hot, vpn, int(vpn%2), true)
+	}
+	mg.plan()
+	if mg.Planned.Value() != 1 {
+		t.Fatalf("planned %d moves at max/mean == Imbalance, want 1", mg.Planned.Value())
+	}
+}

@@ -314,6 +314,58 @@ func TestFetchAbortsAfterBoundedRetries(t *testing.T) {
 	}
 }
 
+// failFirst fails the first n work requests and lets the rest through.
+type failFirst struct{ n int }
+
+func (f *failFirst) WROutcome(rdma.OpKind, int) (bool, sim.Time) {
+	f.n--
+	return f.n >= 0, 0
+}
+func (f *failFirst) LinkFactor(sim.Time) float64  { return 1 }
+func (f *failFirst) ServeDelay(sim.Time) sim.Time { return 0 }
+
+// TestRecoveryLatencyRunsFromTheFirstFailure: a fetch that fails twice
+// and then lands records one recovery latency, from its first failed
+// completion to the landing — not from its last failure.
+func TestRecoveryLatencyRunsFromTheFirstFailure(t *testing.T) {
+	env := sim.NewEnv(1)
+	cfg := DefaultConfig(16 * PageSize)
+	cfg.RetryBackoff = sim.Micros(10)
+	mgr := NewManager(env, cfg)
+	nic := rdma.NewNIC(env, rdma.DefaultConfig())
+	nic.SetInterceptor(&failFirst{n: 2})
+	node := memnode.New(1 << 20)
+	cq := rdma.NewCQ("test")
+	qp := nic.CreateQP("test", cq)
+	var failedAt []sim.Time
+	cq.Notify = func() {
+		for _, comp := range cq.Poll(64) {
+			if comp.Err != nil {
+				failedAt = append(failedAt, env.Now())
+			}
+			mgr.Complete(comp.Cookie.(*Fetch), comp.Err)
+		}
+	}
+	sp := mgr.NewSpace("data", node.MustAlloc("data", 8*PageSize))
+
+	var landedAt sim.Time
+	var b [8]byte
+	newHarness(mgr, qp).access(sp, 0, b[:], false, func(err error) {
+		if err != nil {
+			t.Errorf("access failed: %v", err)
+		}
+		landedAt = env.Now()
+	})
+	env.RunAll()
+
+	if len(failedAt) != 2 || mgr.RecoveryLat.Count() != 1 {
+		t.Fatalf("%d failed completions, %d recoveries; want 2, 1", len(failedAt), mgr.RecoveryLat.Count())
+	}
+	if got, want := mgr.RecoveryLat.Max(), int64(landedAt-failedAt[0]); got != want {
+		t.Fatalf("recovery took %d cycles, want %d (first failure to landing)", got, want)
+	}
+}
+
 // TestTinyQPFaultPathMakesProgress pins the QP depth at 2 and drives
 // more concurrent demand faults than slots: ErrQPFull must push the
 // faulting threads into the pause-until-slot-frees path, and every

@@ -100,27 +100,39 @@ func TestLRUDataIntegrityUnderChurn(t *testing.T) {
 }
 
 func TestFetchAlignFillsSpan(t *testing.T) {
-	// FetchAlign=8: one demand fault makes the whole aligned span
-	// resident and moves 8 pages over the fabric — the I/O
-	// amplification of huge-page-granularity memory nodes.
-	r := newRig(t, 32, func(c *Config) { c.FetchAlign = 8 })
-	sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 32*PageSize))
-	var b [8]byte
-	r.harness().load(sp, 11*PageSize, b[:]) // span [8,16)
-	r.env.RunAll()
-	for pg := int64(8); pg < 16; pg++ {
-		if !sp.Resident(pg) {
-			t.Fatalf("span page %d not resident", pg)
+	// FetchAlign=n: one demand fault makes the whole aligned span
+	// resident and moves n pages over the fabric — the I/O
+	// amplification of huge-page-granularity memory nodes. A demand
+	// access to a span page still in flight waits on its fetch and counts
+	// as a prefetch hit.
+	for _, align := range []int64{2, 8} {
+		r := newRig(t, 32, func(c *Config) { c.FetchAlign = int(align) })
+		sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 32*PageSize))
+		lo := 11 &^ (align - 1)
+		other := lo + align - 1 // the span page posted last
+		if other == 11 {
+			other = lo
 		}
-	}
-	if sp.Resident(7) || sp.Resident(16) {
-		t.Fatal("fetch leaked outside the aligned span")
-	}
-	if got := r.nic.Reads.Value(); got != 8 {
-		t.Fatalf("fabric reads = %d, want 8 (amplification)", got)
-	}
-	if r.mgr.Faults.Value() != 1 {
-		t.Fatalf("demand faults = %d, want 1", r.mgr.Faults.Value())
+		var b [8]byte
+		d := r.harness()
+		d.load(sp, 11*PageSize, b[:])
+		d.load(sp, other*PageSize, b[:])
+		r.env.RunAll()
+		for pg := lo; pg < lo+align; pg++ {
+			if !sp.Resident(pg) {
+				t.Fatalf("align %d: span page %d not resident", align, pg)
+			}
+		}
+		if sp.Resident(lo-1) || sp.Resident(lo+align) {
+			t.Fatalf("align %d: fetch leaked outside the aligned span", align)
+		}
+		if got := r.nic.Reads.Value(); got != align {
+			t.Fatalf("align %d: fabric reads = %d (amplification)", align, got)
+		}
+		if r.mgr.Faults.Value() != 1 || r.mgr.PrefetchHits.Value() != 1 {
+			t.Fatalf("align %d: demand faults = %d, prefetch hits = %d; want 1, 1",
+				align, r.mgr.Faults.Value(), r.mgr.PrefetchHits.Value())
+		}
 	}
 }
 

@@ -601,13 +601,8 @@ func (m *Manager) postReplicas(f *Fetch, posted int) {
 // completion can arrive before the post succeeds.
 func (m *Manager) postWBNode(f *Fetch, n int) {
 	qp := m.wbQPs[n]
-	if qp.Errored() || qp.Full() {
-		m.env.After(m.cfg.RetryBackoff, func() { m.postWBNode(f, n) })
-		return
-	}
-	s := f.Space
-	remote := s.region.SliceFor(f.VPN*PageSize, PageSize, n, qp.Name())
-	if qp.PostWrite(remote, m.frames[f.frame].data, f) != nil {
+	remote := f.Space.region.SliceFor(f.VPN*PageSize, PageSize, n, qp.Name())
+	if qp.PostWrite(remote, m.frames[f.frame].data, f) != nil { // errored or full
 		m.env.After(m.cfg.RetryBackoff, func() { m.postWBNode(f, n) })
 	}
 }
@@ -620,14 +615,7 @@ func (m *Manager) scheduleRepost(f *Fetch) {
 }
 
 func (m *Manager) backoff(attempts int) sim.Time {
-	shift := attempts - 1
-	if shift > 4 {
-		shift = 4
-	}
-	if shift < 0 {
-		shift = 0
-	}
-	return m.cfg.RetryBackoff << shift
+	return m.cfg.RetryBackoff << min(attempts-1, 4) // attempts >= 1: a post preceded every retry
 }
 
 // repost re-issues fetch f's READ on its QP. While that QP is still
@@ -635,12 +623,8 @@ func (m *Manager) backoff(attempts int) sim.Time {
 // round without consuming an attempt.
 func (m *Manager) repost(f *Fetch) {
 	qp := f.qp
-	if qp.Errored() || qp.Full() {
-		m.env.After(m.cfg.RetryBackoff, func() { m.repost(f) })
-		return
-	}
 	f.src = f.Space.region.SliceFor(f.VPN*PageSize, PageSize, f.node, qp.Name())
-	if qp.PostReadAlias(f.src, f) != nil {
+	if qp.PostReadAlias(f.src, f) != nil { // errored or full
 		m.env.After(m.cfg.RetryBackoff, func() { m.repost(f) })
 		return
 	}

@@ -30,10 +30,8 @@ func (p PrefetchPolicy) String() string {
 	return "none"
 }
 
-const (
-	leapHistory   = 32 // accesses considered for trend detection
-	leapMaxWindow = 32 // prefetch window cap (pages)
-)
+// leapHistory is the number of accesses considered for trend detection.
+const leapHistory = 32
 
 // leapState is the per-space trend detector.
 type leapState struct {
@@ -110,11 +108,8 @@ func (m *Manager) leapPrefetch(q QPSource, s *Space, vpn int64) {
 		s.leap.streak = 0
 		return
 	}
-	// Window grows with trend persistence: 4, 8, 16, capped.
+	// Window grows with trend persistence: 4, 8, 16, then 32 pages.
 	window := 4 << uint(min(s.leap.streak, 3))
-	if window > leapMaxWindow {
-		window = leapMaxWindow
-	}
 	s.leap.streak++
 	for i := 1; i <= window; i++ {
 		next := vpn + stride*int64(i)

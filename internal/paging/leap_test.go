@@ -24,6 +24,17 @@ func TestLeapTrendDetection(t *testing.T) {
 	if d, ok := l.trend(); !ok || d != 3 {
 		t.Fatalf("strided trend = %d,%v, want 3,true", d, ok)
 	}
+	// Two strides, half the window each: a tie is no majority.
+	l = leapState{}
+	v := int64(0)
+	l.record(v)
+	for i := 0; i < 2*leapHistory; i++ {
+		v += int64(1 + i%2)
+		l.record(v)
+	}
+	if d, ok := l.trend(); ok {
+		t.Fatalf("half-and-half stream produced trend %d", d)
+	}
 	// Random stream: no majority.
 	l = leapState{}
 	rng := sim.NewRNG(5)
@@ -103,5 +114,31 @@ func TestLeapIdleOnRandomAccess(t *testing.T) {
 	// on a trendless stream.
 	if issued := r.mgr.PrefetchIssued.Value(); issued > 10 {
 		t.Fatalf("Leap issued %d prefetches on random access", issued)
+	}
+}
+
+// TestLeapStopsAtTheSpaceEnd: a scan that reaches either end of its
+// space prefetches up to that end page and nothing past it: five demand
+// faults set the trend, and the three pages left are prefetched.
+func TestLeapStopsAtTheSpaceEnd(t *testing.T) {
+	const pages = 8
+	for _, up := range []bool{true, false} {
+		r := newRig(t, 128, func(c *Config) { c.PrefetchPolicy = Leap })
+		sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", pages*PageSize))
+		d := r.harness()
+		var b [8]byte
+		for i := int64(0); i < pages; i++ {
+			pg := i
+			if !up {
+				pg = pages - 1 - i
+			}
+			d.load(sp, pg*PageSize, b[:])
+			d.sleep(sim.Micros(5))
+		}
+		r.env.Run(sim.Seconds(1))
+		if issued, faults := r.mgr.PrefetchIssued.Value(), r.mgr.Faults.Value(); issued != 3 || faults != 5 {
+			t.Fatalf("scan up=%v: %d prefetches and %d demand faults over %d pages; want 3 and 5",
+				up, issued, faults, pages)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/memnode"
 	"repro/internal/rdma"
 	"repro/internal/sim"
+	"repro/internal/simcheck"
 )
 
 // harness is the paging tests' stand-in for a worker core: one task
@@ -581,5 +582,36 @@ func TestFaultLatencyIsMicrosecondScale(t *testing.T) {
 	r.env.RunAll()
 	if us := took.Micros(); us < 2.0 || us > 3.5 {
 		t.Fatalf("cold fault latency = %.2fus, want 2-3.5us", us)
+	}
+}
+
+// TestPageAlign: a byte past a page boundary takes a whole page more.
+func TestPageAlign(t *testing.T) {
+	for n, want := range map[int64]int64{0: 0, 1: PageSize, PageSize: PageSize, PageSize + 1: 2 * PageSize} {
+		if got := PageAlign(n); got != want {
+			t.Errorf("PageAlign(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestBackPointerOracle: a resident page's frame must name that page's
+// space and page; either one wrong is a paging/back-pointer violation.
+func TestBackPointerOracle(t *testing.T) {
+	for _, corrupt := range []func(f *frame){
+		func(f *frame) { f.space++ },
+		func(f *frame) { f.vpn++ },
+	} {
+		r := newRig(t, 8, nil)
+		sp := r.mgr.NewSpace("data", r.node.MustAlloc("data", 8*PageSize))
+		var b [8]byte
+		r.harness().load(sp, 3*PageSize, b[:])
+		r.env.RunAll()
+		if err := r.mgr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&r.mgr.frames[sp.ptes[3].index()])
+		if v, ok := r.mgr.CheckInvariants().(*simcheck.Violation); !ok || v.Oracle != "paging/back-pointer" {
+			t.Fatalf("corrupted back-pointer reported %v, want paging/back-pointer", v)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package paging
 import (
 	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/simcheck"
 	"repro/internal/trace"
 )
 
@@ -184,10 +183,7 @@ func (r *reclaimer) processVictim() bool {
 	s := m.spaces[f.space]
 	m.Evictions.Inc()
 	m.unmapped(fi)
-	// The mutation (simcheckmutate builds only) treats a dirty page as
-	// clean, freeing its frame before the bytes are durable — the
-	// paging/dirty-free oracle must catch it on the eviction edge below.
-	if s.ptes[f.vpn].dirty() && !simcheck.Mut("paging-dirty-free") {
+	if s.ptes[f.vpn].dirty() {
 		rec := m.newFetch(s, f.vpn, fi, true, false)
 		rec.pending, rec.node = m.wbPlan(s, f.vpn)
 		if m.NodeLive(rec.node) {

@@ -183,13 +183,6 @@ func (e *Rehomer) again(d sim.Time) {
 // start drops the head jobs the planner refuses and posts the READ of
 // the first one it plans, or empties the queue and parks the engine.
 func (e *Rehomer) start() {
-	// The mutation (simcheckmutate builds only) parks the engine with
-	// jobs still queued: no Kick comes for them, and the
-	// migrate/state-machine oracle must catch the idle engine.
-	if e.Pending() > 0 && simcheck.Mut("rehome-idle-early") {
-		e.state = rhIdle
-		return
-	}
 	for ; e.ji < len(e.jobs); e.ji++ {
 		j := &e.jobs[e.ji]
 		if !e.p.Plan(j) {
@@ -251,13 +244,7 @@ func (e *Rehomer) land() {
 		if simcheck.On() {
 			e.checkStaleRead(j)
 		}
-		// The mutation (simcheckmutate builds only) drops the owner-table
-		// write after the copy: the planner's books move but traffic keeps
-		// hitting the old home — the migrate/owner-table oracle must
-		// catch it.
-		if !simcheck.Mut("migrate_lost_owner") {
-			s.rehome(j.VPN, j.Slot, j.Dst)
-		}
+		s.rehome(j.VPN, j.Slot, j.Dst)
 		e.p.Landed(j)
 		if o := s.Owner(j.VPN, j.Slot); simcheck.On() && o != j.Dst {
 			simcheck.Fail(simcheck.New("migrate/owner-table",

@@ -1,6 +1,7 @@
 package paging
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/memnode"
@@ -326,6 +327,7 @@ func TestOwnerTable(t *testing.T) {
 		{"node past the cluster", func() { sp.rehome(0, 0, 4) }},
 		{"negative node", func() { sp.rehome(0, 0, -1) }},
 		{"lookup past the factor", func() { sp.Owner(0, 2) }},
+		{"negative lookup", func() { sp.Owner(1, -1) }},
 	} {
 		func() {
 			defer func() {
@@ -461,5 +463,73 @@ func TestOwnerOraclesAuditRepair(t *testing.T) {
 	v, ok := r.mgr.CheckInvariants().(*simcheck.Violation)
 	if !ok || v.Oracle != "migrate/owner-dup" {
 		t.Fatalf("two slots of page 1 on node 0: audit returned %v, want migrate/owner-dup", v)
+	}
+}
+
+// TestFailoverTakesOwnersInSlotOrder: a fetch that failed over is sent
+// to the first owner, in slot order, that is live and not yet tried —
+// the primary included, when the first try went to a replica.
+func TestFailoverTakesOwnersInSlotOrder(t *testing.T) {
+	r := newRehomeRig(3, 3, 3, nil)
+	h := &fakeHealth{dead: map[int]bool{}}
+	r.mgr.Start(Wiring{Fabric: r.fab, Health: h})
+	bit := func(nodes ...int) (m uint64) {
+		for _, n := range nodes {
+			m |= 1 << uint(n)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		tried uint64
+		dead  int
+		node  int
+		ok    bool
+	}{
+		{tried: bit(1), dead: -1, node: 0, ok: true},
+		{tried: bit(0), dead: -1, node: 1, ok: true},
+		{tried: bit(0, 1), dead: -1, node: 2, ok: true},
+		{tried: bit(1), dead: 0, node: 2, ok: true},
+		{tried: bit(0, 1, 2), dead: -1, node: 0, ok: false},
+	} {
+		clear(h.dead)
+		h.dead[c.dead] = true
+		node, ok := r.mgr.failoverNode(r.sp, &Fetch{VPN: 0, tried: c.tried})
+		if node != c.node || ok != c.ok {
+			t.Errorf("tried %03b, node %d dead: failover to %d, %v; want %d, %v",
+				c.tried, c.dead, node, ok, c.node, c.ok)
+		}
+	}
+}
+
+// reportingHealth answers every node live and records each data-path
+// timeout reported to it.
+type reportingHealth struct{ reports []int }
+
+func (h *reportingHealth) Live(int) bool       { return true }
+func (h *reportingHealth) ReportTimeout(n int) { h.reports = append(h.reports, n) }
+
+// TestFailoverReportsEachDeadNodeTried: a fetch of a page whose primary
+// and first replica are both down times out on each in turn, reports
+// each to the failure detector, and lands from the second replica.
+func TestFailoverReportsEachDeadNodeTried(t *testing.T) {
+	r := newRehomeRig(3, 3, 3, nil)
+	r.fab[0].ScheduleCrash(0, 0)
+	r.fab[1].ScheduleCrash(0, 0)
+	h := &reportingHealth{}
+	r.mgr.Start(Wiring{Fabric: r.fab, Health: h})
+	cq := rdma.NewCQ("test")
+	cq.Notify = func() {
+		for _, comp := range cq.Poll(64) {
+			r.mgr.Complete(comp.Cookie.(*Fetch), comp.Err)
+		}
+	}
+	var b [8]byte
+	landed := false
+	newHarness(r.mgr, r.fab.CreateQPs("app", cq)...).access(r.sp, 0, b[:], false, func(err error) {
+		landed = err == nil
+	})
+	r.env.RunAll()
+	if !landed || !slices.Equal(h.reports, []int{0, 1}) {
+		t.Fatalf("landed %v, timeouts reported against %v; want true, [0 1]", landed, h.reports)
 	}
 }

@@ -30,7 +30,7 @@ func postReadRef(qp *QP, dst, src []byte, cookie any) error {
 
 	fail, extra, slow := qp.nic.intercept(OpRead, n)
 	arrive := qp.nic.serve(env.Now()+scale(cfg.ReqFlight, slow), n)
-	start := maxTime(arrive, qp.freeAt, qp.nic.inFreeAt)
+	start := max(arrive, qp.freeAt, qp.nic.inFreeAt)
 	xfer := sim.Time(float64(n+cfg.WireOverhead) * cfg.CyclesPerByte * slow)
 	done := start + xfer
 	qp.freeAt = done
@@ -71,7 +71,7 @@ func postWriteRef(qp *QP, dst, src []byte, cookie any) error {
 	env := qp.nic.env
 
 	fail, extra, slow := qp.nic.intercept(OpWrite, n)
-	start := maxTime(env.Now()+scale(cfg.ReqFlight/4, slow), qp.freeAt, qp.nic.outFreeAt)
+	start := max(env.Now()+scale(cfg.ReqFlight/4, slow), qp.freeAt, qp.nic.outFreeAt)
 	xfer := sim.Time(float64(n+cfg.WireOverhead) * cfg.CyclesPerByte * slow)
 	done := start + xfer
 	qp.freeAt = done

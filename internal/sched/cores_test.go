@@ -82,6 +82,17 @@ func TestCoreLivenessAllowsRequestAwaitingItsTxCompletion(t *testing.T) {
 	}
 	r.sched.reqs[0].retired = false
 	expectViolation(t, r.sched.CheckLiveness(), "running request is on no core")
+	// Woken, yet on no ready ring; preempted, yet in no queue.
+	for _, state := range []int{flatReady, flatQueued} {
+		r.sched.reqs[0].state = state
+		expectViolation(t, r.sched.CheckLiveness(), "queues that hold them disagree")
+	}
+	// Woken and on a ready ring: accounted for.
+	r.sched.reqs[0].state = flatReady
+	r.sched.workers[0].ready.PushBack(r.sched.reqs[0])
+	if err := r.sched.checkRunnable(); err != nil {
+		t.Fatalf("a woken request on a ready ring reported: %v", err)
+	}
 }
 
 func expectViolation(t *testing.T, err error, wants ...string) {

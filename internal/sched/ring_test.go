@@ -87,3 +87,24 @@ func TestRingPopBack(t *testing.T) {
 		}
 	}
 }
+
+// An empty pop is a caller's bug: it panics, even on a ring whose buffer
+// has room, instead of handing back a zero value and a negative length.
+func TestRingEmptyPopPanics(t *testing.T) {
+	for name, pop := range map[string]func(*ring[int]) int{
+		"PopFront": (*ring[int]).PopFront,
+		"PopBack":  (*ring[int]).PopBack,
+	} {
+		var r ring[int]
+		r.PushBack(1)
+		r.PopFront()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an empty ring returned; want a panic", name)
+				}
+			}()
+			pop(&r)
+		}()
+	}
+}

@@ -145,6 +145,22 @@ func TestBusyWaitAccountedOnlyUnderBusyWait(t *testing.T) {
 	}
 }
 
+// TestDispatcherCyclesCountEveryCharge: every request of a burst costs
+// the dispatcher its per-packet RX handling and one assignment, and the
+// burst at least one RX poll — whether a charge ran inline or, with
+// other cores' events due first, as a timed wait credited when it ends.
+func TestDispatcherCyclesCountEveryCharge(t *testing.T) {
+	cfg := DefaultConfig()
+	r := newRig(t, cfg, phases{compute(500)}, 16)
+	const n = 50
+	r.inject(make([]int64, n), 100)
+	r.env.Run(sim.Millis(2))
+	c := cfg.Costs
+	if got, min := r.sched.DispatcherCycles(), int64(n*(c.RxPerPacket+c.Dispatch)+c.RxPollBatch); got < min {
+		t.Fatalf("dispatcher cycles %d, want at least %d", got, min)
+	}
+}
+
 func TestPFAwarePicksLeastLoadedWorker(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Dispatch = PFAware
@@ -252,6 +268,21 @@ func TestCentralQueueBoundsAndDrops(t *testing.T) {
 	}
 	if r.pool.InUse() != 0 {
 		t.Fatalf("buffers leaked on drop path: %d", r.pool.InUse())
+	}
+}
+
+// TestDispatcherDrainsRxPastOneBatch: a burst larger than one RX poll
+// batch (64 packets) arrives while every worker is busy. The dispatcher
+// keeps polling until the RX ring is empty, so the whole burst waits in
+// the central queue, not the RX ring, though no worker is free to take
+// any of it.
+func TestDispatcherDrainsRxPastOneBatch(t *testing.T) {
+	cfg := DefaultConfig()
+	r := newRig(t, cfg, phases{compute(sim.Micros(50))}, 64)
+	r.inject(make([]int64, 200), 0)
+	r.env.Run(sim.Micros(20)) // every worker still in its first request
+	if got, want := r.sched.central.Len(), 200-cfg.Workers; got != want {
+		t.Fatalf("central queue holds %d requests, want %d: the dispatcher left arrivals in the RX ring", got, want)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/paging"
 	"repro/internal/rdma"
 	"repro/internal/sim"
-	"repro/internal/simcheck"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/unithread"
@@ -344,12 +343,7 @@ func (d *dispatcher) fire() {
 			w := d.target
 			w.inbox.PushBack(d.item)
 			w.idle = false
-			// The mutation (simcheckmutate builds only) loses this wake:
-			// the worker sleeps on with work in its inbox, which the
-			// sched/core-liveness oracle must report.
-			if !simcheck.Mut("sched-drop-idle-wake") {
-				w.idleGate.Wake()
-			}
+			w.idleGate.Wake()
 			d.pc = dAssign
 		}
 	}

@@ -119,9 +119,8 @@ func (w *Worker) settle() {
 		return
 	}
 	w.owed = 0
-	if w.owedReq != nil {
+	if w.owedReq != nil { // charge sets it with every owed
 		w.owedReq.CPU += d
-		w.owedReq = nil
 	}
 	w.busyCycles += int64(d)
 	w.sched.cpuCycles += int64(d)

@@ -76,6 +76,11 @@ func TestLostWakeupOracle(t *testing.T) {
 		lost bool
 	}{
 		{"no-waker", func(_ *Gate, p *Proc) { p.Park() }, true},
+		{"woken-then-no-waker", func(g *Gate, p *Proc) {
+			p.Env().At(10, g.Wake)
+			g.Wait(p) // registered, then woken: no longer a waiter
+			p.Park()
+		}, true},
 		{"gate-nobody-wakes", func(g *Gate, p *Proc) { g.Wait(p) }, false},
 		{"sleeps-past-until", func(_ *Gate, p *Proc) { p.Sleep(1000) }, false},
 	} {

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/simcheck"
+)
 
 func TestTaskFiresInOrder(t *testing.T) {
 	e := NewEnv(1)
@@ -136,5 +140,33 @@ func TestGateMixedTiers(t *testing.T) {
 	e.RunAll()
 	if len(order) != 2 || order[0] != "proc" || order[1] != "task" {
 		t.Fatalf("order = %v, want [proc task]", order)
+	}
+}
+
+// TestSleepFastPaths: a zero sleep continues inline even with an event
+// due now; a sleep with nothing due before it only advances the clock —
+// except in a checked environment, where every sleep goes through the
+// wheel so its oracles see each transition.
+func TestSleepFastPaths(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		simcheck.SetArmed(armed)
+		e := NewEnv(1)
+		simcheck.SetArmed(false)
+		checked := armed || simcheck.TagEnabled
+		var inline, skipped bool
+		tk := NewTask(e, "sleeper", func() {})
+		e.At(0, func() {
+			e.At(0, func() {})
+			inline = tk.Sleep(0)
+		})
+		e.At(10, func() { skipped = tk.Sleep(100) })
+		e.RunAll()
+		if !inline {
+			t.Errorf("checked=%v: Sleep(0) with an event due now did not continue inline", checked)
+		}
+		if skipped == checked || e.KernelStats().SkipAheads != map[bool]int64{false: 1, true: 0}[checked] {
+			t.Errorf("checked=%v: Sleep(100) with nothing pending skipped ahead: %v (%d)",
+				checked, skipped, e.KernelStats().SkipAheads)
+		}
 	}
 }

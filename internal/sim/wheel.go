@@ -355,12 +355,6 @@ func (w *wheel) cascade(lv *wheelLevel, j int, start Time) {
 	}
 	bkt := lv.buckets[j]
 	lv.buckets[j] = nil // re-placement files strictly lower, never here
-	if simcheck.Mut("sim-cascade-drop") {
-		// Injected bug (mutation builds only): lose the bucket's last
-		// event during a cascade. The wheel-count oracle must catch the
-		// count/contents divergence.
-		bkt = bkt[:len(bkt)-1]
-	}
 	for i := range bkt {
 		w.place(bkt[i])
 		bkt[i] = event{}
@@ -368,13 +362,6 @@ func (w *wheel) cascade(lv *wheelLevel, j int, start Time) {
 	// Donated only now: re-placement may fill an empty bucket one level
 	// down, which must not be handed the array being walked.
 	w.spare = append(w.spare, bkt[:0])
-	if simcheck.Mut("sim-spare-keep") {
-		// Injected bug (mutation builds only): the bucket keeps the array
-		// it donated, so two buckets can come to share one. The wheel
-		// oracles must see the empty bucket still holding capacity, or the
-		// events one bucket overwrote in the other.
-		lv.buckets[j] = bkt[:0]
-	}
 }
 
 // scan returns the index of the first occupied bucket ≥ from, if any.

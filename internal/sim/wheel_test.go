@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"repro/internal/simcheck"
 )
@@ -216,5 +218,40 @@ func TestEnvRunGapScheduling(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order %v, want %v", order, want)
 		}
+	}
+}
+
+// TestWheelReleasesDispatchedClosures: a dispatched event's closure is
+// cleared from its bucket slot, so what it captured can be collected
+// while the bucket's array lives on in the wheel.
+func TestWheelReleasesDispatchedClosures(t *testing.T) {
+	e := NewEnv(1)
+	captured := func() weak.Pointer[[1 << 10]byte] {
+		obj := new([1 << 10]byte)
+		e.At(5, func() { obj[0]++ })
+		return weak.Make(obj)
+	}()
+	e.At(6, func() {}) // a second event sends both through the buckets
+	e.Run(10)
+	// One event into the empty queue refills the one-event cache slot,
+	// which still held the first event's copy from the flush.
+	e.At(20, func() {})
+	runtime.GC()
+	if captured.Value() != nil {
+		t.Fatal("a dispatched event's closure is still reachable from the wheel")
+	}
+	runtime.KeepAlive(e)
+}
+
+// TestWheelCursorFollowsDispatch: dispatching an event moves the wheel's
+// cursor to that event's time, so later pushes are filed against the
+// present rather than a stale past.
+func TestWheelCursorFollowsDispatch(t *testing.T) {
+	e := NewEnv(1)
+	e.At(5, func() {})
+	e.At(700, func() {})
+	e.Run(6)
+	if e.q.low != 5 {
+		t.Fatalf("cursor at %d after dispatching the event at 5", e.q.low)
 	}
 }

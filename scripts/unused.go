@@ -6,8 +6,7 @@
 // type-checks the non-test files of every package in `go list ./...`
 // with the standard library alone (go/parser, go/types, the "source"
 // importer), once under the default build tags and once under -tags
-// simcheck,simcheckmutate; an identifier is listed only when neither
-// build uses it.
+// simcheck; an identifier is listed only when neither build uses it.
 //
 // Usage, from the repository root: go run ./scripts/unused.go [-all] [-allow file]
 //
@@ -51,7 +50,7 @@ import (
 const module = "repro"
 
 // tagSets are the builds an identifier must be unused in to be listed.
-var tagSets = []string{"", "simcheck,simcheckmutate"}
+var tagSets = []string{"", "simcheck"}
 
 // stdMethods are the method names of the standard interfaces the module's
 // types satisfy without naming them.
