@@ -157,7 +157,7 @@ func TestReportPrintsEveryLayer(t *testing.T) {
 		"sim":       {"max_pending", "pushes", "skip_aheads"},
 		"ethernet":  {"drops"},
 		"memnode0":  {"reads", "writes", "completion_errors", "timeout_errors", "stalled_us"},
-		"paging":    {"faults", "evictions", "dirty_writebacks", "alloc_stalls", "materialized", "failover_reads", "resident_frames", "frames"},
+		"paging":    {"faults", "evictions", "dirty_writebacks", "alloc_stalls", "dirtied", "failover_reads", "resident_frames", "frames"},
 		"unithread": {"exhausted"},
 		"sched":     {"drops_queue", "drops_pool", "worker_cycles", "busy_wait_cycles", "dispatcher_cycles"},
 		"app":       {"mismatches"},

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/memnode"
 	"repro/internal/paging"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -50,30 +52,31 @@ func TestAdiosEndToEnd(t *testing.T) {
 	}
 }
 
-// TestWarmUpAliasesUntilFirstStore: in the micro-resident shape (the
-// pool holds the whole array) warm-up installs every page as an alias of
-// the backing region, so it makes no private copy. Stores made during
-// the run materialize copies, and every read still sees the seeded
-// values.
-func TestWarmUpAliasesUntilFirstStore(t *testing.T) {
+// TestWarmUpAliasesRegion: in the micro-resident shape (the pool holds
+// the whole array) warm-up installs every page in place, as its region
+// bytes, and dirties none. Stores made during the run dirty pages and
+// land in those same bytes, and every read still sees the seeded values.
+func TestWarmUpAliasesRegion(t *testing.T) {
 	sys, app := buildMicro(Adios, 8<<20, 1.25, 1)
-	if got := sys.Stats.Snapshot()["paging.materialized"]; got != 0 {
-		t.Fatalf("paging.materialized = %v after warm-up, want 0", got)
+	if got := sys.Stats.Snapshot()["paging.dirtied"]; got != 0 {
+		t.Fatalf("paging.dirtied = %v after warm-up, want 0", got)
 	}
-	resident := 0
-	for _, sp := range sys.Mgr.Spaces() {
-		for vpn := range sp.Pages() {
-			view, ok := sp.TryPage(vpn, true)
-			if !ok {
-				continue
-			}
-			resident++
-			if &view[0] != &sp.Region().Data[vpn*paging.PageSize] {
-				t.Fatalf("%s page %d: warmed frame does not alias the region", sp.Name(), vpn)
+	aliased := func() (resident int) {
+		for _, sp := range sys.Mgr.Spaces() {
+			for vpn := range sp.Pages() {
+				view, ok := sp.TryPage(vpn, true)
+				if !ok {
+					continue
+				}
+				resident++
+				if &view[0] != &sp.Region().Data[vpn*paging.PageSize] {
+					t.Fatalf("%s page %d: resident view is not its region bytes", sp.Name(), vpn)
+				}
 			}
 		}
+		return resident
 	}
-	if resident == 0 {
+	if aliased() == 0 {
 		t.Fatal("warm-up made nothing resident")
 	}
 
@@ -82,9 +85,40 @@ func TestWarmUpAliasesUntilFirstStore(t *testing.T) {
 	if res.Completed == 0 || app.Mismatches.Value() != 0 {
 		t.Fatalf("completed=%d mismatches=%d", res.Completed, app.Mismatches.Value())
 	}
-	if got := sys.Stats.Snapshot()["paging.materialized"]; got == 0 {
-		t.Fatal("paging.materialized = 0 after a run that stores")
+	if got := sys.Stats.Snapshot()["paging.dirtied"]; got == 0 {
+		t.Fatal("paging.dirtied = 0 after a run that stores")
 	}
+	aliased()
+}
+
+// TestMappedBytesAreTheRegions: a page's one host copy is its region
+// bytes, so after a run in the micro-write-shards shape (four memory
+// nodes, two replicas, half the requests stores) the system's live
+// mappings are exactly its regions: the frame pool maps nothing.
+func TestMappedBytesAreTheRegions(t *testing.T) {
+	before := memnode.MappedBytes()
+	const array = 8 << 20
+	cfg := Preset(Adios, array/5)
+	cfg.Seed = 1
+	cfg.MemNodes, cfg.Replicas = 4, 2
+	sys := NewSystem(cfg)
+	app := workload.NewArrayApp(sys.Mgr, sys.Mem, array)
+	app.WriteFrac = 0.5
+	app.WarmCache()
+	sys.StartApp(app)
+	res := sys.Run(app, 1_300_000, sim.Millis(1), sim.Millis(4))
+	if res.Completed == 0 || app.Mismatches.Value() != 0 || sys.Mgr.DirtyWritebacks.Value() == 0 {
+		t.Fatalf("completed=%d mismatches=%d dirty write-backs=%d",
+			res.Completed, app.Mismatches.Value(), sys.Mgr.DirtyWritebacks.Value())
+	}
+	var regions int64
+	for _, sp := range sys.Mgr.Spaces() {
+		regions += sp.Region().Size()
+	}
+	if mapped := memnode.MappedBytes() - before; mapped != regions {
+		t.Fatalf("a run maps %d bytes over regions of %d", mapped, regions)
+	}
+	runtime.KeepAlive(sys)
 }
 
 func TestDiLOSEndToEnd(t *testing.T) {

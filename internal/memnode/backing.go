@@ -71,6 +71,17 @@ func Map(size int64) ([]byte, *Backing, error) {
 	return data, b, nil
 }
 
+// MappedBytes collects, unmaps every mapping whose owner is unreachable,
+// and returns the bytes still mapped.
+func MappedBytes() int64 {
+	runtime.GC()
+	m := &mappings
+	m.Lock()
+	defer m.Unlock()
+	m.reclaim()
+	return m.live
+}
+
 // reclaim unmaps every mapping whose owner has been collected.
 func (m *registry) reclaim() {
 	for owner, data := range m.maps {

@@ -99,3 +99,24 @@ func TestDroppedBackingIsUnmapped(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveRegionSurvivesReclaim: a kept region's mapping outlives any
+// number of collections and of other mappings dropped and unmapped
+// around it.
+func TestLiveRegionSurvivesReclaim(t *testing.T) {
+	const size = 8 << 20
+	region := New(size).MustAlloc("kept", size)
+	pattern := func(i int) byte { return byte(i*7 + i>>12) }
+	for i := range region.Data {
+		region.Data[i] = pattern(i)
+	}
+	for range 50 {
+		New(4*size).MustAlloc("churn", 4*size).Data[0] = 1
+		runtime.GC()
+	}
+	for i := range region.Data {
+		if region.Data[i] != pattern(i) {
+			t.Fatalf("byte %d changed: %#x", i, region.Data[i])
+		}
+	}
+}

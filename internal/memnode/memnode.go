@@ -33,7 +33,7 @@ import (
 // Data is an anonymous mapping outside the Go heap (Map), owned by the
 // region: a slice of it is valid while the Region is reachable. Every
 // holder reaches it that way — the apps' set-up writes through their
-// Region, the rdma verbs and a zero-copy frame alias through the
+// Region, the rdma verbs and a resident page's view through the
 // Space's region, and the node through its region table.
 type Region struct {
 	Name    string

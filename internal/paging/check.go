@@ -1,6 +1,7 @@
 package paging
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"repro/internal/simcheck"
@@ -13,6 +14,8 @@ import (
 //	paging/dirty-free         a dirty page's frame is never freed before
 //	                          its write-back succeeded (invariant 5)
 //	paging/free-resident      a resident page's frame is never freed
+//	paging/clean-store        a page evicted clean holds the bytes it
+//	                          was installed with
 //	paging/failover-tried     failover never revisits a tried replica
 //	paging/failover-dead-read failover never routes to a dead replica
 //
@@ -43,6 +46,31 @@ func (m *Manager) checkFreeFrame(idx int32) {
 			"resident page's frame freed out from under it").
 			With("space", m.spaces[f.space].name).With("page", f.vpn).
 			With("frame", idx))
+	}
+}
+
+// pageSum is paging/clean-store's 64-bit hash of a page: FNV-1a's
+// multiply over its little-endian words, so a change confined to one
+// word always changes the sum.
+func pageSum(p []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(p); i += 8 {
+		h = (h ^ binary.LittleEndian.Uint64(p[i:])) * 1099511628211
+	}
+	return h
+}
+
+// checkCleanStore is paging/clean-store, run as (s, vpn) is evicted
+// clean from frame fi: a page whose bytes changed since its install
+// took a store without Space.DirtyPage, which real hardware would lose
+// with the frame. cleanSums holds each frame's install-time sum on
+// armed runs.
+func (m *Manager) checkCleanStore(s *Space, vpn int64, fi int32) {
+	if pageSum(s.page(vpn)) != m.cleanSums[fi] {
+		simcheck.Fail(simcheck.New("paging/clean-store",
+			"page evicted clean holds a store: written without DirtyPage").
+			With("space", s.name).With("page", vpn).With("frame", fi).
+			With("node", s.Owner(vpn, 0)))
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // any eviction round with two dirty victims must block for a slot
 // mid-round — and requires the digest the retired proc-loop reclaimer
 // produced, recorded when both reclaimers ran side by side: every
-// write-back completion time, every loaded byte, final counters, and
-// final residency state.
+// write-back completion time, every loaded byte, final counters, final
+// residency state, and every page's bytes as ReadDirect returns them.
 func TestReclaimerTaskMatchesProcReference(t *testing.T) {
 	const pages = 64
 	run := func() (evictions, writebacks, faults int64, sum uint64) {
@@ -89,14 +89,16 @@ func TestReclaimerTaskMatchesProcReference(t *testing.T) {
 				mix(uint64(pg))
 			}
 		}
-		h.Write(region.Data)
+		all := make([]byte, pages*PageSize)
+		sp.ReadDirect(0, all) // what every reader sees
+		h.Write(all)
 		mix(uint64(mgr.Evictions.Value()), uint64(mgr.DirtyWritebacks.Value()),
 			uint64(mgr.Faults.Value()), uint64(rnic.Writes.Value()), uint64(rnic.WriteBytes.Value()))
 		return mgr.Evictions.Value(), mgr.DirtyWritebacks.Value(), mgr.Faults.Value(), h.Sum64()
 	}
 
 	// What the task reclaimer and the proc reference both gave.
-	const rEv, rWb, rF, rSum = 1092, 797, 1097, 0x903ab47400374605
+	const rEv, rWb, rF, rSum = 1092, 797, 1097, 0xd7d561383e74680d
 	ev, wb, f, sum := run()
 	if ev == 0 || wb < 20 {
 		t.Fatalf("workload too tame (%d evictions, %d writebacks); slot-wait path not exercised", ev, wb)

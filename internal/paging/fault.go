@@ -65,12 +65,6 @@ type Fetch struct {
 	node  int
 	tried uint64
 
-	// src is the region view the last fetch post reads (PostReadAlias
-	// elides the completion-time copy); the install step aliases the
-	// frame to it. Reposts overwrite it, so it always names the copy the
-	// delivered completion actually moved.
-	src []byte
-
 	// Write-back fan-out state (zero for a fetch): pending is the bitmask
 	// of target nodes still owed a durable ack, acked the nodes that
 	// delivered one. A write-back is terminal only when pending is empty
@@ -109,7 +103,6 @@ func (m *Manager) recycleFetch(f *Fetch) {
 	f.waiters = f.waiters[:0]
 	f.Space = nil
 	f.qp = nil
-	f.src = nil
 	m.freeFetches = append(m.freeFetches, f)
 }
 
@@ -244,7 +237,6 @@ func (m *Manager) startFetch(s *Space, vpn int64, fr int32, node int, qp *rdma.Q
 		m.migr.RecordFault(s, vpn, node, demand)
 	}
 	m.move(s, vpn, edgeFetch, f)
-	f.src = s.region.SliceFor(vpn*PageSize, PageSize, node, qp.Name())
 	return f
 }
 
@@ -253,7 +245,7 @@ func (m *Manager) startFetch(s *Space, vpn int64, fr int32, node int, qp *rdma.Q
 // draining, refuses the post: w waits for a slot and the call stalls.
 func (m *Manager) postFetch(c *FaultCall, w *sim.Task, q QPSource) PageStatus {
 	f := c.fetch
-	if f.qp.PostReadAlias(f.src, f) != nil {
+	if f.qp.PostReadAlias(f.Space.remote(f.VPN, f.node, f.qp), f) != nil {
 		f.qp.AddSlotWaiter(w)
 		return PageStalled
 	}
@@ -334,7 +326,7 @@ func (m *Manager) issueAsync(q QPSource, s *Space, vpn int64) bool {
 		return false
 	}
 	f := m.startFetch(s, vpn, fr, node, qp, false)
-	if err := qp.PostReadAlias(f.src, f); err != nil {
+	if err := qp.PostReadAlias(s.remote(vpn, node, qp), f); err != nil {
 		// QP filled up between the check and the post; undo.
 		m.finish(f, edgeDrop, nil)
 		return false
@@ -410,18 +402,18 @@ func (m *Manager) Complete(f *Fetch, cerr error) bool {
 // the record is terminal (true) or has been re-armed for a retry (false)
 // — callers tracking in-flight counts must only decrement on true.
 //
-// On success: a fetch makes the page present (the data copy into the
-// frame was performed by the fabric at completion time). A write-back
-// books qp's node as acked and, once every targeted copy acked or died,
-// frees the frame and makes the page absent. On a completion error the
+// On success: a fetch makes the page present (its bytes are the region
+// view the READ read). A write-back books qp's node as acked and, once
+// every targeted copy acked or died, frees the frame and makes the page
+// absent. On a completion error the
 // recovery state machines take over:
 //
 //   - a write-back retries the errored copy with exponential backoff; a
 //     dead copy leaves the quorum, and once every targeted copy died the
 //     write-back is re-planned over the live owners (the primary alone
-//     while none is live). The dirty page keeps its frame and its data,
-//     so an eviction is never observable before a memory node holds the
-//     bytes;
+//     while none is live). The dirty page keeps its frame and its
+//     dirty bit, so an eviction is never observable before a memory
+//     node holds the bytes;
 //   - a demand fetch (or a prefetch someone started waiting on) is
 //     re-posted up to Config.MaxFetchAttempts total posts, after which
 //     the page reverts to absent and waiters receive a *FetchError; one
@@ -601,8 +593,7 @@ func (m *Manager) postReplicas(f *Fetch, posted int) {
 // completion can arrive before the post succeeds.
 func (m *Manager) postWBNode(f *Fetch, n int) {
 	qp := m.wbQPs[n]
-	remote := f.Space.region.SliceFor(f.VPN*PageSize, PageSize, n, qp.Name())
-	if qp.PostWrite(remote, m.frames[f.frame].data, f) != nil { // errored or full
+	if qp.PostWrite(f.Space.remote(f.VPN, n, qp), f.Space.page(f.VPN), f) != nil { // errored or full
 		m.env.After(m.cfg.RetryBackoff, func() { m.postWBNode(f, n) })
 	}
 }
@@ -623,8 +614,7 @@ func (m *Manager) backoff(attempts int) sim.Time {
 // round without consuming an attempt.
 func (m *Manager) repost(f *Fetch) {
 	qp := f.qp
-	f.src = f.Space.region.SliceFor(f.VPN*PageSize, PageSize, f.node, qp.Name())
-	if qp.PostReadAlias(f.src, f) != nil { // errored or full
+	if qp.PostReadAlias(f.Space.remote(f.VPN, f.node, qp), f) != nil { // errored or full
 		m.env.After(m.cfg.RetryBackoff, func() { m.repost(f) })
 		return
 	}

@@ -90,12 +90,6 @@ func (m *Manager) CheckInvariants() error {
 						With("space", s.name).With("page", vpn).With("frame", fi).
 						With("frameSpace", f.space).With("frameVPN", f.vpn)
 				}
-				if e.dirty() && m.aliased(fi) {
-					return simcheck.New("paging/dirty-aliased",
-						"dirty page's frame still aliases the backing region: "+
-							"a store went through without materializing").
-						With("space", s.name).With("page", vpn).With("frame", fi)
-				}
 			case pageFetching, pageWriteback:
 				if int(e.index()) >= len(m.fetches) || m.inflight(e).Space == nil {
 					return simcheck.New("paging/inflight-no-fetch",

@@ -25,6 +25,7 @@ import (
 	"repro/internal/memnode"
 	"repro/internal/rdma"
 	"repro/internal/sim"
+	"repro/internal/simcheck"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -48,52 +49,19 @@ type Thread interface {
 	WaitPage(s *Space, vpn int64)
 }
 
-// frame is a local DRAM cache frame: the page it holds and the view of
-// that page's bytes. It carries no state of its own — it is free exactly
-// while space is -1, and filling, resident or in write-back as its
-// owning PTE says. Every install, a demand fetch's, a prefetch's or a
-// warm-up's (Space.Preload), points data at the page's view of the
-// backing region: the frame aliases it until the first store
-// materializes a private copy in the frame's own arena buffer
-// (Manager.frameBuf). Manager.materialize is the only code that copies
-// a page into the arena. Both views point outside the
-// Go heap and hold nothing alive: the arena stays mapped while the
-// Manager is reachable, and an aliased region while its Space is, which
-// the Manager's spaces list keeps so. Aliasing is sound because the
-// aliased bytes are clean — frame and region hold the same page by
-// definition — and region memory is never mutated under a resident
-// page: stores materialize first, write-backs only move
-// already-materialized dirty frames, and SetupBytes refuses a space
-// with any page resident.
+// frame is a local DRAM cache frame: the page it holds. It carries no
+// state of its own — it is free exactly while space is -1, and filling,
+// resident or in write-back as its owning PTE says — and no bytes: a
+// page has one host copy, its view of the backing region
+// (Space.page), which a fetch and a warm-up (Space.Preload) alike
+// install in place and every store writes in place. The dirty bit and
+// the write-back's timing are what say the memory node lags the page;
+// no reader sees a resident page's region bytes before its write-back
+// is durable, since a fetch starts only from an absent page and
+// SetupBytes refuses a space with any page resident.
 type frame struct {
-	data  []byte
 	space int32 // owning space, -1 if free
 	vpn   int64
-}
-
-// frameBuf returns frame fi's own buffer: its PageSize bytes of the
-// arena.
-func (m *Manager) frameBuf(fi int32) []byte {
-	return m.arena[int(fi)*PageSize : (int(fi)+1)*PageSize]
-}
-
-// aliased reports whether frame fi's view points at the backing region
-// rather than its own buffer (a clean zero-copy install).
-func (m *Manager) aliased(fi int32) bool {
-	return &m.frames[fi].data[0] != &m.frameBuf(fi)[0]
-}
-
-// materialize gives a frame a private copy of its page before the first
-// write. A clean zero-copy install aliases the remote region, and the
-// region must keep holding the clean bytes once the local copy diverges
-// (the write-back protocol assumes the backing store lags the dirty
-// frame, never the reverse).
-func (m *Manager) materialize(fi int32) {
-	if f, buf := &m.frames[fi], m.frameBuf(fi); &f.data[0] != &buf[0] {
-		copy(buf, f.data)
-		f.data = buf
-		m.Materialized.Inc()
-	}
 }
 
 // Config holds the paging cost model and policy knobs.
@@ -167,16 +135,9 @@ type Manager struct {
 	env *sim.Env
 	cfg Config
 
-	// arena is the frames' own bytes, PageSize each: an anonymous
-	// mapping outside the Go heap (memnode.Map) that backing keeps
-	// mapped while the manager is reachable. A frame nothing has filled
-	// yet is the kernel's zero page, so a pool warm-up never fills is
-	// never resident.
-	arena   []byte
-	backing *memnode.Backing
-	frames  []frame
-	free    []int32
-	spaces  []*Space
+	frames []frame
+	free   []int32
+	spaces []*Space
 
 	clockHand int
 	lruPrev   []int32
@@ -205,6 +166,11 @@ type Manager struct {
 	fetches     []*Fetch
 	freeFetches []*Fetch
 
+	// cleanSums is each frame's pageSum at its install, for the
+	// paging/clean-store oracle: made at NewManager on armed runs only,
+	// nil otherwise.
+	cleanSums []uint64
+
 	// Counters for experiments and tests.
 	Faults          stats.Counter // demand faults (misses)
 	Hits            stats.Counter // resident accesses
@@ -214,7 +180,7 @@ type Manager struct {
 	PrefetchIssued  stats.Counter
 	PrefetchHits    stats.Counter // demand accesses absorbed by a prefetched page
 	AllocStalls     stats.Counter // allocations that blocked on an empty pool
-	Materialized    stats.Counter // private copies made by a first store to an aliased page
+	Dirtied         stats.Counter // clean pages made dirty by a first store
 
 	// Fault-recovery counters (all zero on a reliable fabric).
 	FetchRetries     stats.Counter // failed demand fetches re-posted
@@ -278,23 +244,20 @@ func NewManager(env *sim.Env, cfg Config) *Manager {
 		panic("paging: " + err.Error())
 	}
 	n := cfg.FramePoolBytes / PageSize
-	arena, backing, err := memnode.Map(n * PageSize)
-	if err != nil {
-		panic(fmt.Sprintf("paging: frame pool: %v", err))
-	}
 	m := &Manager{
 		env:         env,
 		cfg:         cfg,
-		arena:       arena,
-		backing:     backing,
 		frames:      make([]frame, n),
 		free:        make([]int32, 0, n),
 		reclaimGate: sim.NewGate(env),
 		lowWater:    cfg.ReclaimThreshold * float64(n),
 	}
 	for i := int32(0); i < int32(n); i++ {
-		m.frames[i] = frame{data: m.frameBuf(i), space: -1}
+		m.frames[i] = frame{space: -1}
 		m.free = append(m.free, i)
+	}
+	if simcheck.On() {
+		m.cleanSums = make([]uint64, n)
 	}
 	m.RecoveryLat = stats.NewHistogram()
 	m.lruInit()
@@ -448,7 +411,6 @@ func (m *Manager) tryAllocFrame() (int32, bool) {
 func (m *Manager) freeFrame(idx int32) {
 	f := &m.frames[idx]
 	f.space, f.vpn = -1, 0
-	f.data = m.frameBuf(idx) // drop any zero-copy alias with the frame's last page
 	m.free = append(m.free, idx)
 	for _, w := range m.frameWaiters {
 		m.env.MarkUnblocked(w)

@@ -7,7 +7,7 @@ import "repro/internal/simcheck"
 // is an allocation the collector never scans.
 //
 //	bits 0–1   state: pageAbsent, pageFetching, pagePresent, pageWriteback
-//	bit  2     dirty: the frame holds bytes the memory node does not
+//	bit  2     dirty: the page holds stores the memory node does not
 //	bit  3     ref: accessed since the CLOCK hand last passed
 //	bit  4     picked: chosen as a victim in the current reclaim round
 //	bits 5–31  index: the frame while present; while fetching or in
@@ -92,9 +92,9 @@ func (m *Manager) move(s *Space, vpn int64, ed edge, f *Fetch) {
 		fr.space, fr.vpn = s.id, vpn
 	case pagePresent:
 		*e = pagePresent | pteRef | pte(f.frame)<<pteIndexShift
-		// Zero-copy install: the clean page aliases the region view the
-		// READ moved; the first store materializes a private copy.
-		m.frames[f.frame].data = f.src
+		if m.cleanSums != nil {
+			m.cleanSums[f.frame] = pageSum(s.page(vpn))
+		}
 		m.installed(f.frame)
 	case pageWriteback:
 		*e = pageWriteback | *e&pteDirty | pte(f.slot)<<pteIndexShift
@@ -109,6 +109,9 @@ func (m *Manager) move(s *Space, vpn int64, ed edge, f *Fetch) {
 		*e &= pteDirty
 		if ed == edgeDurable {
 			*e = pageAbsent
+		}
+		if ed == edgeEvict && m.cleanSums != nil {
+			m.checkCleanStore(s, vpn, fi)
 		}
 		if simcheck.On() {
 			m.checkFreeFrame(fi)

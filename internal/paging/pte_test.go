@@ -72,7 +72,6 @@ func TestTransitionTable(t *testing.T) {
 			if from != pageAbsent {
 				rec = m.newFetch(sp, vpn, m.popFrame(), false, true)
 				m.move(sp, vpn, edgeFetch, rec)
-				rec.src = m.frameBuf(rec.frame)
 			}
 			if from == pagePresent || from == pageWriteback {
 				m.finish(rec, edgeInstall, nil)
@@ -156,6 +155,26 @@ func TestFrameOraclesFireOnTheAbsentEdges(t *testing.T) {
 	g.frame = sp.ptes[1].index()
 	if got := violation(func() { m.move(sp, 6, edgeDrop, g) }); got != "paging/free-resident" {
 		t.Errorf("dropping a fetch onto a mapped frame raised %q, want paging/free-resident", got)
+	}
+}
+
+// TestCleanStoreOracleFires: with the oracles armed, a clean eviction
+// passes a page whose bytes are as installed and refuses one that took
+// a store without DirtyPage.
+func TestCleanStoreOracleFires(t *testing.T) {
+	simcheck.SetArmed(true)
+	defer simcheck.SetArmed(false)
+	r := newRig(t, 4, nil)
+	m := r.mgr
+	sp := m.NewSpace("data", r.node.MustAlloc("data", 8*PageSize))
+	sp.Preload(0, 2*PageSize)
+	if got := violation(func() { m.move(sp, 0, edgeEvict, nil) }); got != "" {
+		t.Errorf("clean eviction of an untouched page raised %q", got)
+	}
+	view, _ := sp.TryPage(1, false)
+	view[PageSize-1] ^= 1
+	if got := violation(func() { m.move(sp, 1, edgeEvict, nil) }); got != "paging/clean-store" {
+		t.Errorf("clean eviction of a page stored to without DirtyPage raised %q, want paging/clean-store", got)
 	}
 }
 

@@ -204,14 +204,16 @@ func (r *reclaimer) processVictim() bool {
 // tryPost posts the write-back for frame fi, or registers the task for a
 // QP slot wake-up (Mesa semantics: the wake means "retry", not "yours").
 // Every field of the post is recomputed from the frame table, which is
-// frozen for this page while its write-back is pending.
+// frozen for this page while its write-back is pending. The page's bytes
+// are its region view, so the WRITE's source and destination are one
+// slice: the verb times the transfer, and copy moves nothing.
 func (r *reclaimer) tryPost(fi int32) bool {
 	m := r.m
 	f := &m.frames[fi]
 	s := m.spaces[f.space]
 	rec := m.inflight(s.ptes[f.vpn])
 	qp := m.wbQPs[rec.node]
-	if err := qp.PostWrite(s.region.SliceFor(f.vpn*PageSize, PageSize, rec.node, qp.Name()), f.data, rec); err != nil {
+	if err := qp.PostWrite(s.remote(f.vpn, rec.node, qp), s.page(f.vpn), rec); err != nil {
 		r.pendFrame = fi
 		r.state = rsSlot
 		qp.AddSlotWaiter(r.t)

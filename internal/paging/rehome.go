@@ -189,8 +189,7 @@ func (e *Rehomer) start() {
 			continue
 		}
 		qp := e.qps[j.Src]
-		remote := j.Space.region.SliceFor(j.VPN*PageSize, PageSize, j.Src, qp.Name())
-		if qp.PostReadAlias(remote, e) != nil {
+		if qp.PostReadAlias(j.Space.remote(j.VPN, j.Src, qp), e) != nil {
 			// Serial use cannot saturate the QP, but one in its error
 			// state (fault plans) refuses the post.
 			e.Retries.Inc()

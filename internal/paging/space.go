@@ -3,10 +3,12 @@ package paging
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/rdma"
 )
 
-// ensure makes page vpn resident under thread t and returns its frame
-// bytes: TryPage's hit, or t's waits until the re-probe hits (a page
+// ensure makes page vpn resident under thread t and returns its bytes:
+// TryPage's hit, or t's waits until the re-probe hits (a page
 // reclaimed inside the map-cost window refaults, as on real hardware).
 func (s *Space) ensure(t Thread, vpn int64) []byte {
 	page, ok := s.TryPage(vpn, false)
@@ -32,7 +34,7 @@ func (s *Space) LoadU64(t Thread, off int64) uint64 {
 }
 
 // TryPage is the one residency probe of a paged access: if vpn is
-// resident it returns the frame bytes, otherwise (nil, false) and the
+// resident it returns the page's bytes, otherwise (nil, false) and the
 // caller drives the fault itself through Manager.TryRequestPage. A first
 // access (retry=false) that hits is a hit — touch, Leap history, Hits —
 // while the re-probe after a fault (retry=true) touches only: the fault
@@ -51,20 +53,33 @@ func (s *Space) TryPage(vpn int64, retry bool) ([]byte, bool) {
 			s.mgr.migr.RecordTouch(s, vpn)
 		}
 	}
-	return s.mgr.frames[e.index()].data, true
+	return s.page(vpn), true
 }
 
 // DirtyPage marks a resident page dirty (write-allocate, write-back)
-// and returns its frame bytes — the store half of a TryPage-based
-// access. Callers must write through the returned view, not a slice
-// from an earlier TryPage: materializing a zero-copy alias moves the
-// frame's bytes, and writes must land in the private copy, never the
-// backing region.
+// and returns its bytes — the store half of a TryPage-based access,
+// the same view TryPage returns. The store lands in the region in
+// place; the dirty bit is what makes the reclaimer write the page back,
+// so a store made without DirtyPage is a lost update on real hardware
+// (the paging/clean-store oracle sees it at the clean eviction).
 func (s *Space) DirtyPage(vpn int64) []byte {
-	e := &s.ptes[vpn]
-	*e |= pteDirty
-	s.mgr.materialize(e.index())
-	return s.mgr.frames[e.index()].data
+	if e := &s.ptes[vpn]; !e.dirty() {
+		*e |= pteDirty
+		s.mgr.Dirtied.Inc()
+	}
+	return s.page(vpn)
+}
+
+// page returns page vpn's bytes: its view of the backing region, the
+// page's one host copy, resident or not.
+func (s *Space) page(vpn int64) []byte {
+	return s.region.Data[vpn<<PageShift : (vpn+1)<<PageShift]
+}
+
+// remote returns page vpn's region view as the remote side of a verb
+// posted on qp toward node, so a bounds violation names both.
+func (s *Space) remote(vpn int64, node int, qp *rdma.QP) []byte {
+	return s.region.SliceFor(vpn*PageSize, PageSize, node, qp.Name())
 }
 
 // Preload makes the byte range [off, off+n) resident without going
@@ -72,8 +87,8 @@ func (s *Space) DirtyPage(vpn int64) []byte {
 // facility for loading phases that the paper performs before measurement
 // (database load, cache warm-up). It must not be called while the
 // simulation is serving requests. Preloaded pages are clean, and each is
-// installed the way a fetch installs it: the frame aliases the page's
-// region view, and the first store materializes a private copy.
+// installed the way a fetch installs it, in place: warm-up copies
+// nothing.
 func (s *Space) Preload(off, n int64) {
 	first := off >> PageShift
 	last := (off + n - 1) >> PageShift
@@ -89,11 +104,9 @@ func (s *Space) Preload(off, n int64) {
 			return // pool exhausted: remaining pages stay remote
 		}
 		// A fetch that needs no fabric: the record takes the page and a
-		// frame, and the install aliases the region view a READ would
-		// have moved.
+		// frame, and the install maps the page.
 		f := m.newFetch(s, vpn, m.popFrame(), false, false)
 		m.move(s, vpn, edgeFetch, f)
-		f.src = s.region.Slice(vpn*PageSize, PageSize)
 		m.finish(f, edgeInstall, nil)
 	}
 }
@@ -117,10 +130,10 @@ func (m *Manager) WarmSpaces(total int64, spaces ...*Space) {
 
 // SetupBytes returns the space's backing bytes, for writing its data set
 // at set-up time, bypassing paging and timing. It panics if any page of
-// the space is resident or has I/O in flight: the cache would go stale,
-// and a zero-copy install aliases these very bytes. The guard is one pass
-// over the page table, so a build calls it once per space and keeps the
-// view in a local variable.
+// the space is resident or has I/O in flight: a resident page's bytes
+// are these very bytes, and a set-up write would skip its dirty bit and
+// its write-back. The guard is one pass over the page table, so a build
+// calls it once per space and keeps the view in a local variable.
 func (s *Space) SetupBytes() []byte {
 	for vpn, e := range s.ptes {
 		if e.state() != pageAbsent {
@@ -130,26 +143,9 @@ func (s *Space) SetupBytes() []byte {
 	return s.region.Data
 }
 
-// ReadDirect loads bytes straight from wherever they currently live
-// (frame if resident, backing region otherwise), bypassing timing.
+// ReadDirect loads bytes at off from the region, which holds every
+// page's one host copy, resident or not, bypassing timing.
 // Verification/test use only.
 func (s *Space) ReadDirect(off int64, buf []byte) {
-	for len(buf) > 0 {
-		vpn := off >> PageShift
-		po := off & (PageSize - 1)
-		n := PageSize - po
-		if int64(len(buf)) < n {
-			n = int64(len(buf))
-		}
-		switch e := s.ptes[vpn]; e.state() {
-		case pagePresent:
-			copy(buf[:n], s.mgr.frames[e.index()].data[po:po+n])
-		case pageWriteback:
-			copy(buf[:n], s.mgr.frames[s.mgr.inflight(e).frame].data[po:po+n])
-		default:
-			copy(buf[:n], s.region.Slice(off, n))
-		}
-		buf = buf[n:]
-		off += n
-	}
+	copy(buf, s.region.Slice(off, int64(len(buf))))
 }

@@ -32,6 +32,9 @@ var mutant = flag.String("mutant", "", "name of the seeded bug (testdata/mutants
 type mutationCase struct {
 	mutation string
 	scenario Scenario
+	// started, when not nil, sees the system before the load (run's
+	// seam).
+	started func(*core.System)
 	// oracles lists acceptable oracle-name prefixes; empty = any
 	// violation counts (the bug corrupts shared state, so which
 	// downstream invariant trips first is timing-dependent — but still
@@ -171,7 +174,26 @@ func cases() []mutationCase {
 			scenario: crashed,
 			oracles:  []string{"rdma/strike-dead"},
 		},
+		{
+			// DirtyPage leaves the page clean: the store lands in the
+			// region, the reclaimer evicts the page clean, and real
+			// hardware would drop the store with the frame. The array's
+			// stores rewrite the seeded value, which changes no byte, so
+			// one page of a second space takes a store that does.
+			mutation: "paging-store-clean",
+			scenario: base,
+			started:  storeOnce,
+			oracles:  []string{"paging/clean-store"},
+		},
 	}
+}
+
+// storeOnce warms a one-page space beside the array and stores a byte
+// that changes it; the run's reclaim evicts the page.
+func storeOnce(sys *core.System) {
+	sp := sys.Mgr.NewSpace("scratch", sys.Mem.MustAlloc("scratch", pageSize))
+	sp.Preload(0, pageSize)
+	sp.DirtyPage(0)[0] = 1
 }
 
 // TestMutationsAreCaught runs every case on the tree as it is and
@@ -189,7 +211,7 @@ func TestMutationsAreCaught(t *testing.T) {
 		}
 		found = true
 		t.Run(mc.mutation, func(t *testing.T) {
-			res := Run(mc.scenario)
+			res := run(mc.scenario, mc.started)
 			if *mutant == "" {
 				if res.Failed() {
 					t.Fatalf("scenario of %s fails without the bug: %v", mc.mutation, res.Violations)
@@ -213,7 +235,7 @@ func TestMutationsAreCaught(t *testing.T) {
 			}
 			// The repro contract: the same scenario catches the same bug
 			// with the identical violation, so the one-line repro is real.
-			again := Run(mc.scenario)
+			again := run(mc.scenario, mc.started)
 			if !again.Failed() || again.Violations[0].Error() != first {
 				t.Fatalf("mutation %s not deterministic:\n first: %s\n again: %v",
 					mc.mutation, first, again.Violations)

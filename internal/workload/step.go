@@ -76,7 +76,9 @@ type StepCtx interface {
 	// resident, valid until Step returns; on a miss it records the
 	// faulting page and returns ok=false — the handler must then return
 	// StepFault. A store writes through s.DirtyPage(vpn) after a TryPage
-	// that hit, never through the returned view. An access that spans
+	// that hit, never through the returned view: the bytes are the same,
+	// but only DirtyPage sets the dirty bit that gets the store written
+	// back. An access that spans
 	// pages keeps its progress in the frame (TryLoad, TryStore), so that
 	// the re-run after a fault on its second page leaves the first alone.
 	TryPage(s *paging.Space, vpn int64) (page []byte, ok bool)
