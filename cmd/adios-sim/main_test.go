@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/simcheck"
 )
 
 // TestCoresLineLeavesOutTheDrain: past the knee the node is still busy
@@ -254,5 +256,38 @@ func TestMigrateTraceRecordsEveryMove(t *testing.T) {
 	}
 	if n := strings.Count(string(b), `"cat":"migrate"`); n != moved {
 		t.Fatalf("the trace holds %d migrate spans, the run moved %d pages", n, moved)
+	}
+}
+
+// TestCheckedRunPrintsTheSameReport: the oracles observe and never
+// steer, so a run with -check prints the unchecked run's report byte for
+// byte — the sim line's pushes, skip_aheads and max_pending included:
+// a checked run takes the kernel's clock-advance fast path too.
+func TestCheckedRunPrintsTheSameReport(t *testing.T) {
+	defer simcheck.SetArmed(false)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"micro", nil},
+		{"tpcc", []string{"-app", "tpcc", "-rps", "150000"}},
+		{"dilos", []string{"-mode", "dilos"}},
+		{"crash-migrate", []string{"-memnodes", "4", "-replicas", "2", "-faults", "crash=1ms:node=1", "-migrate", "on"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			report := func(extra ...string) string {
+				var stdout, stderr strings.Builder
+				args := append(append([]string{"adios-sim", "-ms", "4"}, tc.args...), extra...)
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("%v: exit code %d, stderr: %s", args, code, stderr.String())
+				}
+				simcheck.SetArmed(false)
+				return stdout.String()
+			}
+			plain, checked := report(), report("-check")
+			if plain != checked {
+				t.Fatalf("-check changed the report:\n--- unchecked\n%s--- checked\n%s", plain, checked)
+			}
+		})
 	}
 }

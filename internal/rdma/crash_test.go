@@ -161,3 +161,35 @@ func TestHealthProbeResetsStrikes(t *testing.T) {
 		t.Fatal("strikes survived a healthy probe")
 	}
 }
+
+// TestHealthTimeoutRules states the data-path rules of the strike
+// count: three timeouts on node 0 mark it dead; a timeout naming no node
+// of the fabric (-1, or the node count) strikes nothing; and a timeout
+// right after a rejoin reaches no verdict, because the rejoin restarts
+// the count that the verdict left at the threshold.
+func TestHealthTimeoutRules(t *testing.T) {
+	env := sim.NewEnv(1)
+	fab := NewFabric(env, DefaultConfig(), 2)
+	h := NewHealth(env, fab, DefaultHealthConfig())
+	h.Start()
+	h.ReportTimeout(-1)
+	h.ReportTimeout(len(fab))
+	if h.consec[0] != 0 || h.consec[1] != 0 || h.Detected.Value() != 0 {
+		t.Fatalf("out-of-range timeouts struck: consec %v, detected %d", h.consec, h.Detected.Value())
+	}
+	for range 3 {
+		h.ReportTimeout(0)
+	}
+	if h.Live(0) || h.Detected.Value() != 1 {
+		t.Fatalf("three timeouts on node 0: live %v, detected %d; want dead, 1", h.Live(0), h.Detected.Value())
+	}
+	// Node 0 never crashed, so the first probe finds it answering.
+	env.Run(h.cfg.Every)
+	if !h.Live(0) || h.Rejoins.Value() != 1 {
+		t.Fatalf("after a good probe: live %v, rejoins %d; want live, 1", h.Live(0), h.Rejoins.Value())
+	}
+	h.ReportTimeout(0)
+	if !h.Live(0) || h.Detected.Value() != 1 {
+		t.Fatalf("one timeout after the rejoin: live %v, detected %d; want live, 1", h.Live(0), h.Detected.Value())
+	}
+}

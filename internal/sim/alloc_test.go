@@ -160,8 +160,7 @@ func TestTaskSleepZeroAllocs(t *testing.T) {
 		if got != 0 {
 			t.Fatalf("contended=%v: Task.Sleep allocates %v per chain, want 0", contended, got)
 		}
-		// Checked builds never skip ahead, so there both rounds arm.
-		if skipped := e.KernelStats().SkipAheads > before; !e.checked && skipped == contended {
+		if skipped := e.KernelStats().SkipAheads > before; skipped == contended {
 			t.Fatalf("contended=%v took the wrong branch (skip-aheads moved: %v)", contended, skipped)
 		}
 	}

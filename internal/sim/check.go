@@ -4,12 +4,14 @@ import "repro/internal/simcheck"
 
 // This file holds the simulator-kernel invariant oracles (see package
 // simcheck). All of them are observational: they never draw randomness
-// and never schedule events, so a checked run dispatches the identical
-// event sequence as an unchecked one.
+// and never schedule events, and the kernel takes the same paths armed
+// or not, skip-ahead included, so a checked run pushes and dispatches
+// the identical event sequence as an unchecked one.
 //
 // Oracles here:
 //
-//	sim/dispatch-order  events leave the wheel in strict (at, seq) order
+//	sim/dispatch-order  events leave the wheel in strict (at, seq) order,
+//	                    and none was due at a skip-ahead (Env.skipAhead)
 //	sim/lost-wakeup     every parked proc's task is armed or registered
 //	                    in a waiter slot at teardown
 //	sim/wheel-count     wheel count matches the events actually filed
@@ -19,7 +21,7 @@ import "repro/internal/simcheck"
 // checkDispatch verifies monotone (at, seq) dispatch. The wheel's
 // ordering argument (wheel.go) says dispatch is bit-identical to the
 // retired heap's order; this oracle re-proves it on every event of a
-// checked run, in Env.loop.
+// checked run, in Env.loop, against the last dispatch or skip-ahead.
 func (e *Env) checkDispatch(at Time, seq uint64) {
 	if at < e.lastAt || (at == e.lastAt && seq <= e.lastSeq) {
 		simcheck.Fail(simcheck.New("sim/dispatch-order",

@@ -93,13 +93,21 @@ func (t *Task) sleepUntil(at Time) bool {
 // In that case just advance the clock and keep running, skipping the
 // wheel push/pop entirely. Relative order of pending events is
 // untouched, so schedules are bit-identical with and without the fast
-// path. Disabled in checked builds so the wheel and dispatch-order
-// oracles observe every transition, and within a horizon-bounded Run a
-// caller never advances past `until` (it must stay armed, exactly as the
-// slow path leaves it).
+// path. Checked runs take it too: a skip stands in for the dispatch of
+// the caller's own firing, so it is recorded for sim/dispatch-order as
+// (at, e.seq). Every pending event has a seq no larger than e.seq and,
+// by peekBeyond, a time later than at, so the next dispatch is out of
+// order exactly when peekBeyond was wrong; events pushed after the skip
+// carry larger seqs. (The skip itself is not tested: a Yield repeats the
+// last dispatch's time.) Within a horizon-bounded Run a caller never
+// advances past `until` (it must stay armed, exactly as the slow path
+// leaves it).
 func (e *Env) skipAhead(at Time) bool {
-	if e.checked || at > e.until || !e.q.peekBeyond(at) {
+	if at > e.until || !e.q.peekBeyond(at) {
 		return false
+	}
+	if e.checked {
+		e.lastAt, e.lastSeq = at, e.seq
 	}
 	e.now = at
 	e.stats.SkipAheads++

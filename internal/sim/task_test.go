@@ -144,29 +144,39 @@ func TestGateMixedTiers(t *testing.T) {
 }
 
 // TestSleepFastPaths: a zero sleep continues inline even with an event
-// due now; a sleep with nothing due before it only advances the clock —
-// except in a checked environment, where every sleep goes through the
-// wheel so its oracles see each transition.
+// due now; a sleep with nothing due before it only advances the clock;
+// a Yield with one event due now — the event sits in the wheel's
+// single-event cache — arms, and the event runs first. A checked
+// environment takes the same paths, and its dispatch-order oracle sees
+// a skip past a pending event.
 func TestSleepFastPaths(t *testing.T) {
 	for _, armed := range []bool{false, true} {
 		simcheck.SetArmed(armed)
 		e := NewEnv(1)
 		simcheck.SetArmed(false)
-		checked := armed || simcheck.TagEnabled
-		var inline, skipped bool
-		tk := NewTask(e, "sleeper", func() {})
+		var inline, skipped, yielded bool
+		var order []string
+		tk := NewTask(e, "sleeper", func() { order = append(order, "task") })
 		e.At(0, func() {
 			e.At(0, func() {})
 			inline = tk.Sleep(0)
 		})
 		e.At(10, func() { skipped = tk.Sleep(100) })
+		e.At(200, func() {
+			e.At(200, func() { order = append(order, "event") })
+			yielded = tk.Yield()
+		})
 		e.RunAll()
 		if !inline {
-			t.Errorf("checked=%v: Sleep(0) with an event due now did not continue inline", checked)
+			t.Errorf("armed=%v: Sleep(0) with an event due now did not continue inline", armed)
 		}
-		if skipped == checked || e.KernelStats().SkipAheads != map[bool]int64{false: 1, true: 0}[checked] {
-			t.Errorf("checked=%v: Sleep(100) with nothing pending skipped ahead: %v (%d)",
-				checked, skipped, e.KernelStats().SkipAheads)
+		if !skipped || e.KernelStats().SkipAheads != 1 {
+			t.Errorf("armed=%v: Sleep(100) with nothing pending did not skip ahead: %v (%d)",
+				armed, skipped, e.KernelStats().SkipAheads)
+		}
+		if yielded || len(order) != 2 || order[0] != "event" || order[1] != "task" {
+			t.Errorf("armed=%v: Yield with one event due now: continued %v, order %v, want armed behind [event task]",
+				armed, yielded, order)
 		}
 	}
 }

@@ -114,6 +114,14 @@ func cases() []mutationCase {
 			oracles:  []string{"sim/"},
 		},
 		{
+			// The clock-advance fast path's level scan calls an event due
+			// at the wake time later than it: a Sleep or Yield skips ahead
+			// past it, and the event then dispatches behind the skip.
+			mutation: "sim-peek-beyond",
+			scenario: base,
+			oracles:  []string{"sim/dispatch-order"},
+		},
+		{
 			// A cascaded bucket donates its array to the spare list but
 			// keeps holding it: the next bucket to take that array shares
 			// it, and the two overwrite each other's events.
